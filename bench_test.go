@@ -318,6 +318,50 @@ func BenchmarkStreamFullDownload(b *testing.B) {
 	}
 }
 
+// remoteBenchGame opens the classroom course progressively and lands every
+// segment, so FrameAt can reach any frame without touching the network.
+func remoteBenchGame(b *testing.B) *netstream.RemoteGame {
+	srv := netstream.NewServer()
+	if err := srv.AddPackage("c", classroomPkg(b)); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	b.Cleanup(ts.Close)
+	g, _, err := (&netstream.Client{}).ProgressiveOpen(ts.URL + "/pkg/c")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ch := range g.Chapters() {
+		if _, err := g.FetchSegment(ch.Name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return g
+}
+
+// benchmarkRemoteFrameAt reads frame i·stride (mod the film) on iteration i.
+func benchmarkRemoteFrameAt(b *testing.B, stride int) {
+	g := remoteBenchGame(b)
+	n := g.Meta().FrameCount
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.FrameAt(i * stride % n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRemoteFrameAtSequential is streamed playback's steady state:
+// watching landed segments front to back. One decode and 0 allocs per
+// frame — the number E20 sets against BenchmarkDecode160x120.
+func BenchmarkRemoteFrameAtSequential(b *testing.B) { benchmarkRemoteFrameAt(b, 1) }
+
+// BenchmarkRemoteFrameAtRandomSeek is the scenario-switch cost on a
+// streamed course: every read lands somewhere else, so each pays a keyframe
+// restart plus the roll-forward inside one GOP.
+func BenchmarkRemoteFrameAtRandomSeek(b *testing.B) { benchmarkRemoteFrameAt(b, 7919) }
+
 // --- E13: content-addressed chunk store -------------------------------------
 
 // BenchmarkChunkGetHot is the delivery hot path: a chunk served from the

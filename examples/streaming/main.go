@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"time"
 
 	"repro/internal/content"
 	"repro/internal/media/studio"
@@ -59,6 +60,16 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfirst frame of %q decoded remotely: %dx%d\n", ch.Name, f.W, f.H)
+
+	// Watching on is one decode per frame: the game keeps its decoder
+	// between calls and recycles f, so Clone a frame to keep it.
+	began := time.Now()
+	for i := ch.Start + 1; i < ch.End; i++ {
+		if _, err := g.FrameAt(i); err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf("watched the other %d frames of it in %v\n", ch.End-ch.Start-1, time.Since(began))
 
 	// Later segments stream on demand (e.g. when a goto approaches).
 	for _, seg := range []string{"seg-corridor", "seg-lab"} {

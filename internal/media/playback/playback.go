@@ -20,20 +20,24 @@ import (
 
 	"repro/internal/media/container"
 	"repro/internal/media/raster"
-	"repro/internal/media/vcodec"
 )
 
 // Video is a decodable container with seek support. It is not safe for
 // concurrent use; each consumer should open its own Video (the underlying
 // blob is shared and read-only).
 type Video struct {
-	r   *container.Reader
-	dec *vcodec.Decoder
-	// pos is the index of the next frame the decoder would produce, or -1
-	// if the decoder has no reference state yet.
-	pos   int
+	r     *container.Reader
+	seek  *Seeker
 	own   *raster.Frame // recycled frame returned by FrameAt
 	cache *FrameCache   // optional shared decoded-frame cache
+}
+
+// readerPackets adapts a container.Reader to the Seeker's PacketSource.
+type readerPackets struct{ *container.Reader }
+
+func (r readerPackets) PacketAt(j int) ([]byte, error) {
+	data, _, err := r.Reader.PacketAt(j)
+	return data, err
 }
 
 // UseCache attaches a shared decoded-frame cache. The cache must only
@@ -48,12 +52,12 @@ func OpenVideo(blob []byte, decodeWorkers int) (*Video, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Video{r: r, dec: vcodec.NewDecoder(decodeWorkers), pos: -1, own: &raster.Frame{}}, nil
+	return &Video{r: r, seek: NewSeeker(decodeWorkers), own: &raster.Frame{}}, nil
 }
 
 // Close releases the decoder's worker pool promptly (a finalizer releases
 // it otherwise). The Video remains usable; further decodes run inline.
-func (v *Video) Close() { v.dec.Close() }
+func (v *Video) Close() { v.seek.Close() }
 
 // Meta returns the container metadata.
 func (v *Video) Meta() container.Meta { return v.r.Meta() }
@@ -87,62 +91,16 @@ func (v *Video) frameAtInto(dst *raster.Frame, i int) error {
 		return fmt.Errorf("playback: frame %d out of range [0,%d)", i, n)
 	}
 	// A cache hit bypasses the decoder entirely and leaves its reference
-	// state (v.pos) untouched: the next miss rolls forward from wherever
-	// the decoder actually is, exactly as if this call never happened.
+	// state untouched: the next miss rolls forward from wherever the decoder
+	// actually is, exactly as if this call never happened.
 	if v.cache.get(i, dst) {
 		return nil
 	}
-	start := v.pos
-	if v.pos == -1 || i < v.pos {
-		k, err := v.r.KeyframeAtOrBefore(i)
-		if err != nil {
-			return err
-		}
-		v.dec.Reset()
-		start = k
-	} else if i > v.pos {
-		// Rolling forward: if there is a keyframe between pos and i, jumping
-		// to it skips useless decodes.
-		k, err := v.r.KeyframeAtOrBefore(i)
-		if err != nil {
-			return err
-		}
-		if k > v.pos {
-			v.dec.Reset()
-			start = k
-		}
+	if err := v.seek.FrameInto(dst, readerPackets{v.r}, i); err != nil {
+		return err
 	}
-	for j := start; j <= i; j++ {
-		data, _, err := v.r.PacketAt(j)
-		if err != nil {
-			v.invalidate()
-			return err
-		}
-		if j < i {
-			// Roll-forward frames are never presented; advance the decoder
-			// reference without converting to RGB.
-			err = v.dec.Advance(data)
-		} else {
-			err = v.dec.DecodeInto(dst, data)
-		}
-		if err != nil {
-			// The decoder reference may have advanced past v.pos before the
-			// failure; drop both so the next call re-seeks from a keyframe
-			// instead of predicting against the wrong reference.
-			v.invalidate()
-			return fmt.Errorf("playback: decoding frame %d: %w", j, err)
-		}
-	}
-	v.pos = i + 1
 	v.cache.put(i, dst)
 	return nil
-}
-
-// invalidate forgets the decode position after a failed roll, forcing the
-// next FrameAt to restart from a keyframe.
-func (v *Video) invalidate() {
-	v.dec.Reset()
-	v.pos = -1
 }
 
 // EndBehavior selects what a Cursor does at the end of its segment.

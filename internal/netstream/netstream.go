@@ -43,8 +43,8 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/gamepack"
 	"repro/internal/media/container"
+	"repro/internal/media/playback"
 	"repro/internal/media/raster"
-	"repro/internal/media/vcodec"
 	"repro/internal/obs"
 )
 
@@ -1117,6 +1117,14 @@ func (c *Client) contentLength(url string, st *Stats) (int, error) {
 // chunks (hash-verified, shared through the PackageCache across every
 // learner on the machine); against a legacy server it arrives as byte
 // ranges.
+//
+// Once opened (and EnableABR, if wanted, has returned) a RemoteGame's
+// fetches, lookups and FrameAt are safe for concurrent use: fetches and
+// lookups serialise on the landed-run index, FrameAt calls on the decode
+// cursor, and the two never hold each other's lock — a fetch in flight does
+// not stall playback of what has already landed. The one thing goroutines
+// sharing a game must order among themselves is the frame FrameAt returns
+// (see FrameAt).
 type RemoteGame struct {
 	Project *core.Project
 	head    *container.Head
@@ -1135,11 +1143,50 @@ type RemoteGame struct {
 	cache *PackageCache
 
 	mu        sync.Mutex
-	chunks    map[int][]byte   // first-packet index → raw packet bytes
-	starts    []int            // sorted chunk keys
-	ends      map[int]int      // chunk start → one-past-last packet index
-	tierOf    map[int]string   // chunk start → tier that produced it
-	tierBytes map[string]int64 // wire bytes fetched per tier (video chunks)
+	landed    map[int]*landedRun // first-packet index → fetched packet run
+	starts    []int              // sorted landed keys
+	tierBytes map[string]int64   // wire bytes fetched per tier (video chunks)
+
+	// Decode cursor: one persistent decoder and the landed run it last
+	// decoded from. Guarded by curMu, never by mu.
+	curMu sync.Mutex
+	seek  *playback.Seeker
+	cur   *landedRun
+	own   *raster.Frame // recycled frame returned by FrameAt
+}
+
+// landedRun is one fetched run of packets [from, end): a segment's bytes
+// from its preceding keyframe, at the quality tier they landed at. A run is
+// immutable once installed — a wider or re-fetched run is a new value — so
+// the decode cursor tells "the bytes I last decoded from" by pointer.
+type landedRun struct {
+	from, end int
+	tier      string
+	head      *container.Head // head of the rung the bytes came from
+	data      []byte
+}
+
+// PacketAt and KeyframeAtOrBefore make a landed run the decode engine's
+// packet source. from is a keyframe, so a seek never leaves the run.
+func (r *landedRun) PacketAt(j int) ([]byte, error) {
+	return r.head.PacketFromChunk(r.data, r.from, j)
+}
+
+func (r *landedRun) KeyframeAtOrBefore(i int) (int, error) {
+	return r.head.KeyframeAtOrBefore(i)
+}
+
+func newRemoteGame(c *Client, url string, proj *core.Project, videoOff int) *RemoteGame {
+	return &RemoteGame{
+		Project:   proj,
+		client:    c,
+		url:       url,
+		videoOff:  videoOff,
+		landed:    map[int]*landedRun{},
+		tierBytes: map[string]int64{},
+		seek:      playback.NewSeeker(1),
+		own:       &raster.Frame{},
+	}
 }
 
 // ProgressiveOpen fetches just enough of the package to start playing its
@@ -1206,19 +1253,8 @@ func (c *Client) openChunked(url, base string, man *gamepack.Manifest, cache *Pa
 			videoOff = loc.Off
 		}
 	}
-	g := &RemoteGame{
-		Project:   proj,
-		client:    c,
-		url:       url,
-		videoOff:  videoOff,
-		base:      base,
-		rungs:     map[string]*tierRung{},
-		cache:     cache,
-		chunks:    map[int][]byte{},
-		ends:      map[int]int{},
-		tierOf:    map[int]string{},
-		tierBytes: map[string]int64{},
-	}
+	g := newRemoteGame(c, url, proj, videoOff)
+	g.base, g.rungs, g.cache = base, map[string]*tierRung{}, cache
 	for _, tier := range man.VideoTiers() {
 		sc := man.VideoSection(tier)
 		g.rungs[tier] = &tierRung{
@@ -1311,17 +1347,8 @@ func (c *Client) openRanged(url string, st *Stats) (*RemoteGame, error) {
 		}
 		headLen *= 4
 	}
-	g := &RemoteGame{
-		Project:   proj,
-		head:      head,
-		client:    c,
-		url:       url,
-		videoOff:  videoLoc[0],
-		chunks:    map[int][]byte{},
-		ends:      map[int]int{},
-		tierOf:    map[int]string{},
-		tierBytes: map[string]int64{},
-	}
+	g := newRemoteGame(c, url, proj, videoLoc[0])
+	g.head = head
 	// 4. The start scenario's segment packets.
 	start := proj.ScenarioByID(proj.StartScenario)
 	if start == nil {
@@ -1374,19 +1401,24 @@ func (g *RemoteGame) FetchSegment(name string) (Stats, error) {
 }
 
 // HasSegment reports whether a segment's packets are locally available.
-func (g *RemoteGame) HasSegment(name string) bool {
+func (g *RemoteGame) HasSegment(name string) bool { return g.landedFor(name) != nil }
+
+// landedFor returns the fetched run covering a whole segment, or nil.
+func (g *RemoteGame) landedFor(name string) *landedRun {
 	ch, ok := g.head.ChapterByName(name)
 	if !ok {
-		return false
+		return nil
 	}
 	k, err := g.head.KeyframeAtOrBefore(ch.Start)
 	if err != nil {
-		return false
+		return nil
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	_, have := g.chunks[k]
-	return have && g.ends[k] >= ch.End
+	if r := g.landed[k]; r != nil && r.end >= ch.End {
+		return r
+	}
+	return nil
 }
 
 // Chapters exposes the video's segment table.
@@ -1395,51 +1427,62 @@ func (g *RemoteGame) Chapters() []container.Chapter { return g.head.Chapters() }
 // Meta exposes the video metadata.
 func (g *RemoteGame) Meta() container.Meta { return g.head.Meta() }
 
-// FrameAt decodes frame i, which must lie inside a fetched segment. Each
-// call decodes from the chunk's keyframe — callers wanting sequential decode
-// should use a SegmentCursor. The packet index comes from the head of
-// whichever quality tier the chunk landed at.
+// FrameAt decodes frame i, which must lie inside a fetched segment, against
+// the head of whichever quality tier that segment landed at. The game keeps
+// one decoder across calls: reading the frame after the last one costs one
+// decode; a backward seek or a jump restarts from the nearest keyframe at or
+// before i inside the landed run; and a frame from a different run — another
+// segment, or the same one re-fetched wider or at another tier — restarts
+// from a keyframe of that run. Sequential reads allocate nothing.
+//
+// The returned frame is owned by the game and recycled by the next FrameAt
+// call; Clone it to retain pixels across calls. Calls may come from several
+// goroutines (they serialise on the decode cursor), but those goroutines
+// share that one frame: each must be done with it, or have cloned it, before
+// any of them calls FrameAt again.
 func (g *RemoteGame) FrameAt(i int) (*raster.Frame, error) {
-	k, chunk, tier, err := g.chunkFor(i)
-	if err != nil {
+	if err := g.frameAtInto(g.own, i); err != nil {
 		return nil, err
 	}
-	head := g.headOf(tier)
-	dec := vcodec.NewDecoder(1)
-	var out *raster.Frame
-	for j := k; j <= i; j++ {
-		pkt, err := head.PacketFromChunk(chunk, k, j)
-		if err != nil {
-			return nil, err
-		}
-		if j < i {
-			// Roll-forward frames are never presented; skip their RGB
-			// conversion.
-			err = dec.Advance(pkt)
-		} else {
-			out, err = dec.Decode(pkt)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return g.own, nil
 }
 
-// chunkFor locates the fetched chunk containing frame i and the tier it
-// landed at.
-func (g *RemoteGame) chunkFor(i int) (int, []byte, string, error) {
+// frameAtInto is FrameAt decoding into a caller-provided frame.
+func (g *RemoteGame) frameAtInto(dst *raster.Frame, i int) error {
+	r, err := g.runFor(i)
+	if err != nil {
+		return err
+	}
+	g.curMu.Lock()
+	defer g.curMu.Unlock()
+	if r != g.cur {
+		g.seek.Reset()
+		g.cur = r
+	}
+	return g.seek.FrameInto(dst, r, i)
+}
+
+// runFor locates the landed run to decode frame i from. A run starts at the
+// keyframe before its segment, so it overlaps the tail of the segment before
+// when cuts are not GOP-aligned; of the runs containing i the earliest is
+// the one fetched for i's own segment — the tier SegmentTier reports. Runs
+// end in the order they start, so the walk stops at the first that ends
+// before i.
+func (g *RemoteGame) runFor(i int) (*landedRun, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	idx := sort.SearchInts(g.starts, i+1) - 1
-	if idx < 0 {
-		return 0, nil, "", fmt.Errorf("netstream: frame %d not fetched", i)
+	var run *landedRun
+	for j := sort.SearchInts(g.starts, i+1) - 1; j >= 0; j-- {
+		r := g.landed[g.starts[j]]
+		if i >= r.end {
+			break
+		}
+		run = r
 	}
-	k := g.starts[idx]
-	if i >= g.ends[k] {
-		return 0, nil, "", fmt.Errorf("netstream: frame %d not fetched", i)
+	if run == nil {
+		return nil, fmt.Errorf("netstream: frame %d not fetched", i)
 	}
-	return k, g.chunks[k], g.tierOf[k], nil
+	return run, nil
 }
 
 // FetchResource GETs a popup web resource (scripts' `open` verb).

@@ -86,25 +86,18 @@ func (g *RemoteGame) TierBytes() map[string]int64 {
 
 // SegmentTier reports which tier a fetched segment landed at.
 func (g *RemoteGame) SegmentTier(name string) (string, bool) {
-	ch, ok := g.head.ChapterByName(name)
-	if !ok {
+	r := g.landedFor(name)
+	if r == nil {
 		return "", false
 	}
-	k, err := g.head.KeyframeAtOrBefore(ch.Start)
-	if err != nil {
-		return "", false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, have := g.chunks[k]; !have || g.ends[k] < ch.End {
-		return "", false
-	}
-	return g.tierOf[k], true
+	return r.tier, true
 }
 
 // FetchSegmentTier pulls a segment from an explicit quality rung,
 // reporting the transfer cost. Tier "" is the canonical full-quality
-// rung. An already-fetched segment is kept at whatever tier landed.
+// rung. An already-fetched segment is kept at whatever tier landed — until
+// a segment sharing its preceding keyframe is fetched, which re-lands both
+// at that fetch's tier (see ensureSegmentTier).
 func (g *RemoteGame) FetchSegmentTier(name, tier string) (Stats, error) {
 	var st Stats
 	began := time.Now()
@@ -157,24 +150,6 @@ func (g *RemoteGame) rungHead(tier string, rung *tierRung, st *Stats) (*containe
 	return nil, fmt.Errorf("netstream: tier %q head: %w", tier, container.ErrTruncated)
 }
 
-// headOf returns the head a fetched chunk's packets index into: the head
-// of the tier that produced it (already grown by the fetch).
-func (g *RemoteGame) headOf(tier string) *container.Head {
-	if tier == "" || g.rungs == nil {
-		return g.head
-	}
-	rung := g.rungs[tier]
-	if rung == nil {
-		return g.head
-	}
-	rung.mu.Lock()
-	defer rung.mu.Unlock()
-	if rung.head == nil {
-		return g.head
-	}
-	return rung.head
-}
-
 // fetchRungRange materializes bytes [lo, hi) of one rung's video payload
 // from the chunks that cover it.
 func (g *RemoteGame) fetchRungRange(tier string, rung *tierRung, lo, hi int, st *Stats) ([]byte, error) {
@@ -206,10 +181,17 @@ func (g *RemoteGame) fetchRungRange(tier string, rung *tierRung, lo, hi int, st 
 }
 
 // ensureSegmentTier fetches the byte range covering a segment (from its
-// preceding keyframe) from the given rung, if no rung already covers it.
-// Chapter and keyframe geometry are shared across rungs (BuildLadder
+// preceding keyframe) from the given rung, if no landed run already covers
+// it. Chapter and keyframe geometry are shared across rungs (BuildLadder
 // validates this), so the canonical head answers "which frames"; the
 // selected rung's head answers "which bytes".
+//
+// Two segments can share a preceding keyframe (chapter cuts need not be
+// GOP-aligned). Fetching the later one then lands a wider run under the
+// same key, at the tier of this fetch: the earlier segment's frames come
+// from the new run from then on, which is what SegmentTier reports, and the
+// decode cursor re-seeks because the run it held is no longer the landed
+// one.
 func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 	ch, ok := g.head.ChapterByName(name)
 	if !ok {
@@ -219,28 +201,30 @@ func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 	if err != nil {
 		return err
 	}
+	covered := func() bool {
+		r := g.landed[k]
+		return r != nil && r.end >= ch.End
+	}
 	g.mu.Lock()
-	_, have := g.chunks[k]
-	if have && g.ends[k] >= ch.End {
-		g.mu.Unlock()
+	have := covered()
+	g.mu.Unlock()
+	if have {
 		return nil
 	}
-	g.mu.Unlock()
-	var chunk []byte
+	run := &landedRun{from: k, end: ch.End, tier: tier, head: g.head}
 	if g.rungs != nil {
 		rung := g.rungs[tier]
 		if rung == nil {
 			return fmt.Errorf("netstream: no quality tier %q (have %v)", tier, g.Tiers())
 		}
-		head, err := g.rungHead(tier, rung, st)
+		if run.head, err = g.rungHead(tier, rung, st); err != nil {
+			return err
+		}
+		lo, hi, err := run.head.ByteRange(k, ch.End)
 		if err != nil {
 			return err
 		}
-		lo, hi, err := head.ByteRange(k, ch.End)
-		if err != nil {
-			return err
-		}
-		if chunk, err = g.fetchRungRange(tier, rung, lo, hi, st); err != nil {
+		if run.data, err = g.fetchRungRange(tier, rung, lo, hi, st); err != nil {
 			return err
 		}
 	} else {
@@ -251,17 +235,20 @@ func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 		if err != nil {
 			return err
 		}
-		if chunk, err = g.client.fetchRange(g.url, g.videoOff+lo, g.videoOff+hi, st); err != nil {
+		if run.data, err = g.client.fetchRange(g.url, g.videoOff+lo, g.videoOff+hi, st); err != nil {
 			return err
 		}
 	}
 	g.mu.Lock()
-	g.chunks[k] = chunk
-	g.ends[k] = ch.End
-	g.tierOf[k] = tier
-	g.starts = append(g.starts, k)
-	sort.Ints(g.starts)
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	if covered() {
+		return nil // a concurrent fetch landed a run at least as wide; keep it
+	}
+	if g.landed[k] == nil {
+		g.starts = append(g.starts, k)
+		sort.Ints(g.starts)
+	}
+	g.landed[k] = run
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,18 +23,41 @@ import (
 // ladder on a manifest-backed server with a metrics registry attached.
 func ladderTestServer(t *testing.T) (*httptest.Server, *Server, *obs.Registry) {
 	t.Helper()
+	ts, srv, reg, _ := serveLadder(t, testLadderRungs(t))
+	return ts, srv, reg
+}
+
+// testLadderRungs is the 10-segment course at every rung of the default
+// ladder, recorded once per test binary. Chapter cuts are not GOP-aligned
+// (GOP 10, shots of 20–24 frames).
+func testLadderRungs(t *testing.T) []studio.TierVideo {
+	t.Helper()
+	rungs, err := recordedTestLadder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rungs
+}
+
+var recordedTestLadder = sync.OnceValues(func() ([]studio.TierVideo, error) {
 	film := synth.Generate(synth.Spec{
 		W: 96, H: 64, FPS: 10,
 		Shots: 10, MinShotFrames: 20, MaxShotFrames: 24,
 		NoiseAmp: 1, Seed: 12,
 	})
-	rungs, err := studio.RecordLadder(film, studio.Options{GOP: 10, ShotMarkers: true}, studio.DefaultLadder())
-	if err != nil {
-		t.Fatal(err)
-	}
+	return studio.RecordLadder(film, studio.Options{GOP: 10, ShotMarkers: true}, studio.DefaultLadder())
+})
+
+// serveLadder packages recorded rungs as "course" with one scenario per
+// chapter (the first is the start) and serves it. It also returns each
+// rung's container by tier, for reference decodes.
+func serveLadder(t *testing.T, rungs []studio.TierVideo) (*httptest.Server, *Server, *obs.Registry, map[string][]byte) {
+	t.Helper()
 	videos := make([]gamepack.TierVideo, len(rungs))
+	byTier := map[string][]byte{}
 	for i, r := range rungs {
 		videos[i] = gamepack.TierVideo{Tier: r.Tier, Video: r.Video}
+		byTier[r.Tier] = r.Video
 	}
 	r, err := container.Open(videos[0].Video)
 	if err != nil {
@@ -59,7 +83,7 @@ func ladderTestServer(t *testing.T) (*httptest.Server, *Server, *obs.Registry) {
 	srv.Register(reg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return ts, srv, reg
+	return ts, srv, reg, byTier
 }
 
 // serverTierBytes reads the per-tier bytes-served ledger out of a
