@@ -676,7 +676,7 @@ func BenchmarkPlaysvcRemoteLearner(b *testing.B) {
 	}
 }
 
-// --- E17: binary wire protocol ----------------------------------------------
+// --- E17: the framed act path ------------------------------------------------
 
 func newHostedBench(b *testing.B) (*playsvc.Manager, string) {
 	b.Helper()
@@ -692,12 +692,12 @@ func newHostedBench(b *testing.B) (*playsvc.Manager, string) {
 	return m, r.Session
 }
 
-// BenchmarkPlaysvcActBinary measures one framed act round without HTTP:
-// encode the act frame, parse it (the server's ingress), apply the batch
-// of one, then encode and parse the reply frame (the client's ingress).
-// The JSON-route equivalent is BenchmarkPlaysvcAct/act plus two
-// json.Marshal/Unmarshal pairs; the delta is the serialization win E17
-// banks per request.
+// BenchmarkPlaysvcActBinary measures one framed act round without HTTP —
+// what a thin client's every act costs besides the wire: encode the act
+// frame, parse it (the server's ingress), apply the batch of one, then
+// encode and parse the reply frame (the client's ingress).
+// BenchmarkPlaysvcAct/act is the same batch of one without the codec, so
+// the delta between the two is the frame encode/parse cost.
 func BenchmarkPlaysvcActBinary(b *testing.B) {
 	m, id := newHostedBench(b)
 	req := playsvc.BatchRequest{
@@ -725,9 +725,10 @@ func BenchmarkPlaysvcActBinary(b *testing.B) {
 }
 
 // BenchmarkPlaysvcActPipelined measures a framed batch of N acts per op —
-// the pipelining amortization: one frame, one batch apply, one coalesced
-// reply tail regardless of depth. ns/op divided by the depth in the
-// sub-benchmark name gives the per-act cost.
+// the batch amortization a mirror client banks (it ships batches of 16):
+// one frame, one batch apply, one coalesced reply tail regardless of
+// depth. ns/op divided by the depth in the sub-benchmark name gives the
+// per-act cost.
 func BenchmarkPlaysvcActPipelined(b *testing.B) {
 	for _, depth := range []int{2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {

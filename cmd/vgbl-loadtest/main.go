@@ -55,9 +55,7 @@ func main() {
 	flushMS := flag.Int("flush-interval-ms", 250, "telemetry interval flush (0 disables)")
 	progressive := flag.Bool("progressive", false, "also measure ranged progressive startup per learner")
 	interactive := flag.Bool("interactive", false, "play server-hosted sessions over the wire instead of simulating locally")
-	playBinary := flag.Bool("play-binary", false, "interactive acts ride the framed binary route (/play/actv2)")
-	playPipeline := flag.Int("play-pipeline", 0, "pipeline up to N fire-and-forget acts per framed batch (implies -play-binary)")
-	playMirror := flag.Bool("play-mirror", false, "thick-client mode: a local replica answers reads and frames; acts ship as reconciled batches (implies -play-binary)")
+	playMirror := flag.Bool("play-mirror", false, "thick-client mode: a local replica answers reads and frames; acts ship as reconciled batches of 16 (default: thin clients, one framed round trip per act)")
 	watchEvery := flag.Int("watch-every", 0, "fetch the rendered frame every N steps (0 disables; interactive frame traffic)")
 	abr := flag.Bool("abr", false, "adaptive streaming mode: learners stream the package through the ABR picker instead of simulating play (in-process serving publishes a quality ladder)")
 	abrProfile := flag.String("abr-profile", "clean", "ABR mode: faultnet link profile per learner (clean, wifi-flaky, mobile-3g, or cap-<N>k for an N KiB/s bandwidth cap)")
@@ -177,8 +175,6 @@ func main() {
 		Learners:           *learners,
 		Concurrency:        *concurrency,
 		Interactive:        *interactive,
-		PlayBinary:         *playBinary,
-		PlayPipeline:       *playPipeline,
 		PlayMirror:         *playMirror,
 		Policy:             f,
 		Sim:                sim.Config{MaxSteps: *steps, TicksPerStep: 2, Patience: 20, RewardBoost: 10, Seed: *seed, WatchEvery: *watchEvery},

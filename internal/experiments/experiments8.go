@@ -16,15 +16,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// E17 measures what the binary wire protocol and act pipelining buy back
-// of the remote-play tax E12 exposed. The same seed-locked interactive
-// fleet runs against a gateway-fronted 3-node cluster four ways — JSON
-// acts, binary batches of one, and pipelined binary at increasing depth —
-// next to the local-simulation baseline. Outcomes must stay identical in
-// every row (the golden-replay guarantee extends to the binary protocol);
-// the ratio column is the deployment question: how close does hosted play
-// get to local simulation once serialization and round trips stop being
-// per-act costs? The acceptance bar is pipelined remote ≥ 0.5× local.
+// E17 measures the remote-play tax E12 exposed, on the one act path: the
+// same seed-locked interactive fleet runs against a gateway-fronted 3-node
+// cluster as thin clients (every act one framed round trip) and as mirror
+// clients (a local replica answers, acts ship as reconciled batches), next
+// to the local-simulation baseline. Outcomes must stay identical in every
+// row (the golden-replay guarantee); the ratio column is the deployment
+// question: how close does hosted play get to local simulation? The
+// acceptance bar is mirror ≥ 0.5× local.
 func E17(learners int) (string, error) {
 	if learners <= 0 {
 		learners = 200
@@ -34,32 +33,26 @@ func E17(learners int) (string, error) {
 		return "", err
 	}
 	var b strings.Builder
-	b.WriteString("E17 — binary wire protocol + act pipelining vs the remote-play tax\n")
+	b.WriteString("E17 — thin and mirror clients vs the remote-play tax\n")
 	fmt.Fprintf(&b, "%d seed-locked guided learners; remote rows cross a consistent-hash\n", learners)
-	b.WriteString("gateway into a 3-node cluster; pipelined rows buffer fire-and-forget\n")
-	b.WriteString("acts client-side and ship them as one framed batch per flush\n\n")
+	b.WriteString("gateway into a 3-node cluster; the thin row ships every act as a framed\n")
+	b.WriteString("batch of one, the mirror row as reconciled batches of 16\n\n")
 	b.WriteString("  mode            | sessions/s | events/s | session p90 | vs local | outcomes\n")
 	b.WriteString("  ----------------+------------+----------+-------------+----------+---------\n")
 
 	modes := []struct {
 		name        string
 		interactive bool
-		binary      bool
-		pipeline    int
 		mirror      bool
 	}{
-		{"local-sim", false, false, 0, false},
-		{"remote-json", true, false, 0, false},
-		{"remote-binary", true, true, 0, false},
-		{"remote-pipe-4", true, true, 4, false},
-		{"remote-pipe-8", true, true, 8, false},
-		{"remote-pipe-16", true, true, 16, false},
-		{"remote-mirror-16", true, true, 16, true},
+		{"local-sim", false, false},
+		{"remote-thin", true, false},
+		{"remote-mirror", true, true},
 	}
 	var localRate float64
 	var localAgg *analytics.Rolling
 	for _, mode := range modes {
-		rate, p90, events, agg, err := e17Run(blob, learners, mode.interactive, mode.binary, mode.pipeline, mode.mirror)
+		rate, p90, events, agg, err := e17Run(blob, learners, mode.interactive, mode.mirror)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", mode.name, err)
 		}
@@ -77,19 +70,17 @@ func E17(learners int) (string, error) {
 		fmt.Fprintf(&b, "  %-15s | %10.1f | %8.0f | %11v | %8s | %s\n",
 			mode.name, rate, events, p90.Round(time.Microsecond), ratio, match)
 	}
-	b.WriteString("\nshape check: identical outcome columns in every row; the JSON row pays\n")
-	b.WriteString("per-act reflection and gateway re-framing, the binary row removes the\n")
-	b.WriteString("serialization, pipelining amortizes round trips, and the mirror row —\n")
-	b.WriteString("a local replica answering every read and frame, acts shipped purely as\n")
-	b.WriteString("reconciled batches — must land at >= 0.50x local simulation (E12\n")
-	b.WriteString("measured 0.26x). Pure pipelining plateaus because every result-bearing\n")
-	b.WriteString("act still flushes; the mirror removes those round trips entirely.\n")
+	b.WriteString("\nshape check: identical outcome columns in every row; the thin row pays\n")
+	b.WriteString("one round trip per act because a guided learner reads state after\n")
+	b.WriteString("every act, and the mirror row — a local replica answering every read\n")
+	b.WriteString("and frame, acts shipped purely as reconciled batches — must land at\n")
+	b.WriteString(">= 0.50x local simulation (E12 measured 0.26x).\n")
 	return b.String(), nil
 }
 
 // e17Run drives one fleet configuration and returns its throughput,
 // session p90, event rate and aggregated outcomes.
-func e17Run(blob []byte, learners int, interactive, binary bool, pipeline int, mirror bool) (float64, time.Duration, float64, *analytics.Rolling, error) {
+func e17Run(blob []byte, learners int, interactive, mirror bool) (float64, time.Duration, float64, *analytics.Rolling, error) {
 	srv := netstream.NewServer()
 	if err := srv.AddPackage("classroom", blob); err != nil {
 		return 0, 0, 0, nil, err
@@ -103,17 +94,15 @@ func e17Run(blob []byte, learners int, interactive, binary bool, pipeline int, m
 	defer front.Close()
 
 	cfg := fleet.Config{
-		ServerURL:    front.URL,
-		Package:      "classroom",
-		Learners:     learners,
-		Concurrency:  64,
-		Interactive:  interactive,
-		Policy:       sim.GuidedFactory,
-		Sim:          sim.Config{MaxSteps: 12, TicksPerStep: 1, Patience: 30, Seed: 977},
-		FlushEvery:   8,
-		PlayBinary:   binary,
-		PlayPipeline: pipeline,
-		PlayMirror:   mirror,
+		ServerURL:   front.URL,
+		Package:     "classroom",
+		Learners:    learners,
+		Concurrency: 64,
+		Interactive: interactive,
+		Policy:      sim.GuidedFactory,
+		Sim:         sim.Config{MaxSteps: 12, TicksPerStep: 1, Patience: 30, Seed: 977},
+		FlushEvery:  8,
+		PlayMirror:  mirror,
 	}
 	if interactive {
 		cfg.Sim.WatchEvery = 4

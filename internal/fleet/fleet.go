@@ -44,17 +44,11 @@ type Config struct {
 	// PlayURL is the play service base URL; empty means the package server
 	// also hosts play sessions (the usual mounting).
 	PlayURL string
-	// PlayBinary switches interactive learners to the framed binary act
-	// route (/play/actv2) instead of per-act JSON.
-	PlayBinary bool
-	// PlayPipeline > 1 additionally pipelines fire-and-forget acts, up to
-	// this many per framed batch (implies PlayBinary; see
-	// playsvc.ClientOptions.PipelineDepth).
-	PlayPipeline int
-	// PlayMirror runs each interactive learner as a thick client: a local
+	// PlayMirror runs each interactive learner as a thick client instead
+	// of a thin one (every act one framed round trip): a local
 	// deterministic replica answers reads, act results and frames, and
-	// acts ship to the hosted session purely as pipelined batches that
-	// are reconciled reply by reply (see playsvc.ClientOptions.LocalMirror).
+	// acts ship to the hosted session in framed batches that are
+	// reconciled reply by reply (see playsvc.ClientOptions.LocalMirror).
 	// Learners share one decoded-frame cache for their replicas.
 	PlayMirror bool
 	// Course labels the telemetry stream (default: the package name).
@@ -372,8 +366,6 @@ func runLearner(cfg *Config, i int, pkgURL string, pkg *gamepack.Package, mirror
 			Project:          proj,
 			Observer:         sim.Observers(col, tc, cfg.Sim.Observer),
 			HTTP:             cfg.HTTP,
-			Binary:           cfg.PlayBinary,
-			PipelineDepth:    cfg.PlayPipeline,
 			LocalMirror:      cfg.PlayMirror,
 			Pkg:              pkg,
 			MirrorFrameCache: mirrorFrames,
@@ -393,8 +385,8 @@ func runLearner(cfg *Config, i int, pkgURL string, pkg *gamepack.Package, mirror
 		}
 		o.session = time.Since(playBegan)
 		if err == nil {
-			// Re-digest after the leave: pipelined and mirror clients may
-			// still hold buffered acts when RunGame takes its digest, and
+			// Re-digest after the leave: a mirror client may still hold
+			// queued acts when RunGame takes its digest, and
 			// the leave reply can carry an event tail no earlier reply
 			// delivered. Both reach the collector only through Close, so
 			// the post-Close digest is the complete one. (Local play has

@@ -12,22 +12,21 @@ import (
 // TestFleetMirrorMatchesInteractiveTotals pins the thick-client mode to the
 // thin one: the same seeded fleet played through mirror clients (local
 // replica answers reads, acts ship as reconciled batches) must produce
-// byte-for-byte the same per-learner analytics digests as the flush-per-act
-// pipelined fleet, including watch cadence and quiz outcomes.
+// byte-for-byte the same per-learner analytics digests as the thin-client
+// fleet (one framed round trip per act), including watch cadence and quiz
+// outcomes.
 func TestFleetMirrorMatchesInteractiveTotals(t *testing.T) {
 	run := func(mirror bool) *Summary {
 		ts, svc, _ := liveStack(t, telemetry.Options{Workers: 4, QueueDepth: 256})
 		sum, err := Run(Config{
-			ServerURL:    ts.URL,
-			Package:      "classroom",
-			Learners:     8,
-			Interactive:  true,
-			PlayBinary:   true,
-			PlayPipeline: 16,
-			PlayMirror:   mirror,
-			Policy:       sim.GuidedFactory,
-			Sim:          sim.Config{MaxSteps: 12, TicksPerStep: 1, Patience: 30, Seed: 977, WatchEvery: 4},
-			FlushEvery:   8,
+			ServerURL:   ts.URL,
+			Package:     "classroom",
+			Learners:    8,
+			Interactive: true,
+			PlayMirror:  mirror,
+			Policy:      sim.GuidedFactory,
+			Sim:         sim.Config{MaxSteps: 12, TicksPerStep: 1, Patience: 30, Seed: 977, WatchEvery: 4},
+			FlushEvery:  8,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -54,32 +54,21 @@ type ClientOptions struct {
 	// Timeout bounds each HTTP attempt (not the whole retried operation).
 	// 0 means 10s; negative disables the deadline.
 	Timeout time.Duration
-	// Binary switches the act path to the framed /play/actv2 endpoint
-	// (each act travels as a binary batch of one). Create, state, frame
-	// and leave stay on their JSON/raw routes. Protocol semantics are
-	// identical to JSON by construction — the server runs both through
-	// one batch core.
-	Binary bool
-	// PipelineDepth > 1 additionally buffers fire-and-forget acts (click,
-	// examine, talk, use, clear) client-side and ships them as one framed
-	// batch, flushed when the buffer reaches this depth, when a
-	// result-bearing act (take, quiz, select, goto, tick) needs an answer,
-	// or before any mirror read — so a policy reading state, messages or
-	// the pending quiz always observes every act it issued, and pipelined
-	// play stays move-for-move identical to JSON play. Implies Binary.
-	// 0 or 1 disables buffering.
-	PipelineDepth int
-	// LocalMirror turns the client into a thick client: it runs a full
-	// deterministic replica of the hosted session over Pkg, answers every
-	// read AND every act result from the replica, and ships acts to the
-	// server purely as pipelined batches (flushed at PipelineDepth, on
-	// Sync and on Close). The golden-replay guarantee — same acts, same
-	// session, bit for bit — is what makes the replica's answers exact;
-	// every batch reply is reconciled against the replica (event count
-	// and tick), and any divergence is a sticky error. Frames render
-	// locally from the replica, so Watch costs no round trip. The server
-	// session stays authoritative for delivery: observers receive the
-	// server's events, exactly once, as replies arrive. Implies Binary.
+	// LocalMirror is the one mode switch. A thin client (the default)
+	// ships every act at once as a framed batch of one on /play/actv2 and
+	// waits for the hosted session's answer. A LocalMirror client is a
+	// thick client: it runs a full deterministic replica of the hosted
+	// session over Pkg, answers every read AND every act result from the
+	// replica, and ships acts to the server in framed batches of
+	// mirrorBatch (flushed early on Sync and Close). The golden-replay
+	// guarantee — same acts, same session, bit for bit — is what makes the
+	// replica's answers exact; every batch reply is reconciled against the
+	// replica (event count and tick), and any divergence is a sticky
+	// error. Frames render locally from the replica, so Watch costs no
+	// round trip. The server session stays authoritative for delivery:
+	// observers receive the server's events, exactly once, as replies
+	// arrive. Create, state, frame and leave stay on their JSON/raw routes
+	// in both modes.
 	LocalMirror bool
 	// Pkg is the opened course package (required by LocalMirror; the
 	// fleet already holds it for local play).
@@ -109,10 +98,11 @@ type Client struct {
 
 	resumes int // successful auto-resumes (session survived a dead node)
 
-	// pending holds acts buffered by pipelined mode, not yet sent.
+	// pending holds acts handed to send and not yet shipped: at most one
+	// for a thin client, up to mirrorBatch for a mirror client.
 	pending []ActRequest
 	// Mirror mode: the local replica, its cumulative event count, and the
-	// replica's (event count, tick) recorded as each act was buffered —
+	// replica's (event count, tick) recorded as each act was queued —
 	// the reconciliation values the matching server reply must reproduce.
 	mirror        *runtime.Session
 	mirrorCounter eventCounter
@@ -184,7 +174,7 @@ func Dial(o ClientOptions) (*Client, error) {
 	if req.Resume == "" {
 		req.Session = newSessionID(o.Course)
 	}
-	reply, err := c.postRetry(c.opts.BaseURL+CreatePath, req)
+	reply, err := c.jsonReply(http.MethodPost, c.opts.BaseURL+CreatePath, mustJSON(req), "create")
 	if err != nil {
 		return nil, err
 	}
@@ -291,26 +281,33 @@ func responseError(resp *http.Response, what string) (error, bool) {
 	return err, true
 }
 
-// attempt performs one HTTP attempt under the per-attempt deadline and
-// decodes the reply. The returned bool reports whether the failure is
-// retryable. It never sticks — the caller decides after the budget.
-func (c *Client) attempt(method, url string, payload []byte, what string) (*Reply, error, bool) {
+// decoder consumes a 200 response; the bool reports whether a decode
+// failure is worth retrying (a mangled or truncated body re-fetches
+// cleanly: every request this client sends is safe to repeat).
+type decoder func(*http.Response) (error, bool)
+
+// roundTrip performs one HTTP attempt — per-attempt deadline, trace
+// header, typed non-200 errors — and hands a 200 response to decode. It is
+// the only place the client touches the network. The returned bool reports
+// whether the failure is retryable. It never sticks — the caller decides
+// after the budget.
+func (c *Client) roundTrip(method, url, contentType string, payload []byte, what string, decode decoder) (error, bool) {
 	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
 	if d := c.timeout(); d > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
-	defer cancel()
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return nil, err, false
+		return err, false
 	}
 	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	}
 	if c.opts.Trace.Valid() {
 		c.opts.Trace.Child().Inject(req.Header)
@@ -320,50 +317,93 @@ func (c *Client) attempt(method, url string, payload []byte, what string) (*Repl
 		// Transport-level failure. Retrying is safe for every request this
 		// client sends: GETs are idempotent, creates carry a client-minted
 		// id, and acts carry a sequence number the server dedups on.
-		return nil, err, true
+		return err, true
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		err, retryable := responseError(resp, what)
-		return nil, err, retryable
+		return responseError(resp, what)
 	}
-	var r Reply
-	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
-		return nil, fmt.Errorf("playsvc: %s: decode: %w", what, err), true
-	}
-	return &r, nil, false
+	return decode(resp)
 }
 
-// postRetry sends one JSON request with the retry policy.
-func (c *Client) postRetry(url string, body any) (*Reply, error) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
-	var reply *Reply
-	err = c.retry.Do(func(int) (error, bool) {
-		r, aerr, retryable := c.attempt(http.MethodPost, url, payload, "request")
-		reply = r
-		return aerr, retryable
+// exchange is roundTrip under the retry policy.
+func (c *Client) exchange(method, url, contentType string, payload []byte, what string, decode decoder) error {
+	return c.retry.Do(func(int) (error, bool) {
+		return c.roundTrip(method, url, contentType, payload, what, decode)
+	})
+}
+
+// jsonReply exchanges one request for a JSON Reply (create, resume, sync
+// and leave; payload nil for a GET).
+func (c *Client) jsonReply(method, url string, payload []byte, what string) (*Reply, error) {
+	var r *Reply
+	err := c.exchange(method, url, "application/json", payload, what, func(resp *http.Response) (error, bool) {
+		r = new(Reply)
+		if err := json.NewDecoder(resp.Body).Decode(r); err != nil {
+			return fmt.Errorf("playsvc: %s: decode: %w", what, err), true
+		}
+		return nil, false
 	})
 	if err != nil {
 		return nil, err
 	}
-	return reply, nil
+	return r, nil
 }
 
-// getRetry fetches one JSON reply with the retry policy.
-func (c *Client) getRetry(url, what string) (*Reply, error) {
-	var reply *Reply
-	err := c.retry.Do(func(int) (error, bool) {
-		r, aerr, retryable := c.attempt(http.MethodGet, url, nil, what)
-		reply = r
-		return aerr, retryable
+// postFrame exchanges one encoded act frame for its reply frame.
+func (c *Client) postFrame(payload []byte) (*BatchReply, error) {
+	var out *BatchReply
+	err := c.exchange(http.MethodPost, c.opts.BaseURL+ActV2Path, FrameContentType, payload, "actv2", func(resp *http.Response) (error, bool) {
+		body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+		if err != nil {
+			return fmt.Errorf("playsvc: actv2: read: %w", err), true
+		}
+		if out, err = ParseReplyFrame(body); err != nil {
+			// A mangled frame re-fetches cleanly: the server dedups the retry.
+			return fmt.Errorf("playsvc: actv2: %w", err), true
+		}
+		return nil, false
 	})
 	if err != nil {
 		return nil, err
 	}
-	return reply, nil
+	return out, nil
+}
+
+// maxFrameDim bounds the presentation-frame geometry a server may claim
+// per side (vcodec's maxDim: no published video is larger).
+const maxFrameDim = 1 << 14
+
+// readFrame decodes a frame response into the client's reusable buffer.
+// The geometry headers come off the wire and size the buffer, so they are
+// held to maxFrameDim — and to the Content-Length, when the server sent
+// one — before anything is allocated.
+func (c *Client) readFrame(resp *http.Response) (error, bool) {
+	w, _ := strconv.Atoi(resp.Header.Get("X-Frame-Width"))
+	h, _ := strconv.Atoi(resp.Header.Get("X-Frame-Height"))
+	if w < 1 || h < 1 || w > maxFrameDim || h > maxFrameDim {
+		return fmt.Errorf("playsvc: frame response geometry %q x %q outside 1..%d",
+			resp.Header.Get("X-Frame-Width"), resp.Header.Get("X-Frame-Height"), maxFrameDim), false
+	}
+	n := 3 * w * h
+	if resp.ContentLength >= 0 && resp.ContentLength != int64(n) {
+		return fmt.Errorf("playsvc: frame response carries %d bytes, a %dx%d frame needs %d", resp.ContentLength, w, h, n), false
+	}
+	tick := c.tick
+	if v := resp.Header.Get("X-Frame-Tick"); v != "" {
+		tick, _ = strconv.Atoi(v)
+	}
+	if cap(c.frame.Pix) < n {
+		c.frame.Pix = make([]uint8, n)
+	}
+	c.frame.Pix = c.frame.Pix[:n]
+	c.frame.W, c.frame.H = w, h
+	if _, err := io.ReadFull(resp.Body, c.frame.Pix); err != nil {
+		// A truncated body (reset mid-stream) re-fetches cleanly.
+		return fmt.Errorf("playsvc: short frame body: %w", err), true
+	}
+	c.tick = tick
+	return nil, false
 }
 
 // recoverable reports whether a terminal error may mean "the hosting
@@ -383,11 +423,11 @@ func recoverable(err error) bool {
 // re-routes it to the session's current ring owner) and the reply
 // refreshes the mirror.
 func (c *Client) resumeOnce() error {
-	r, err := c.postRetry(c.opts.BaseURL+CreatePath, &CreateRequest{
+	r, err := c.jsonReply(http.MethodPost, c.opts.BaseURL+CreatePath, mustJSON(&CreateRequest{
 		Resume:       c.id,
 		SeenEvents:   c.seen,
 		SeenMessages: len(c.messages),
-	})
+	}), "resume")
 	if err != nil {
 		return err
 	}
@@ -396,81 +436,34 @@ func (c *Client) resumeOnce() error {
 	return nil
 }
 
-// act posts one interaction and folds the reply in. Every act carries a
-// fresh sequence number; retries (and the post-resume replay) reuse it,
-// so the server applies the act at most once. If the session's node died
-// mid-act, the client resumes from the snapshot path and replays — except
-// for a leave, which is replayed directly: resuming a session that the
-// first leave attempt already released would either fail (404, reading as
-// session loss) or thaw it back to life, and the server's leave tombstone
-// makes the bare replay safe (same seq → same final view).
-func (c *Client) act(req *ActRequest) (*Reply, error) {
+// mirrorBatch is how many replica-answered acts a LocalMirror client ships
+// per frame. Nothing waits on a mirror flush, so the batch is deep; a thin
+// client's caller waits on every act, so its batch is always one.
+const mirrorBatch = 16
+
+// send is the one act path: every sim.Game act arrives here as an
+// ActRequest. A thin client ships it at once as a framed batch of one and
+// returns the hosted session's result (and any act-level error). A mirror
+// client's replica has already answered the caller; the act is queued with
+// the replica's post-act event count and tick — the values the server
+// reply covering it must reproduce — and the queue ships at mirrorBatch.
+func (c *Client) send(req *ActRequest) (ActResult, error) {
 	if c.err != nil {
-		return nil, c.err
-	}
-	req.Session = c.id
-	req.SeenEvents = c.seen
-	req.SeenMessages = len(c.messages)
-	c.seq++
-	req.Seq = c.seq
-	r, err := c.postRetry(c.opts.BaseURL+ActPath, req)
-	if err != nil && recoverable(err) {
-		if req.Kind == ActLeave {
-			r, err = c.postRetry(c.opts.BaseURL+ActPath, req)
-		} else if rerr := c.resumeOnce(); rerr == nil {
-			// The mirror moved (resume refreshed seen-counts); re-stamp
-			// the act's view before replaying it under the same seq.
-			req.SeenEvents = c.seen
-			req.SeenMessages = len(c.messages)
-			r, err = c.postRetry(c.opts.BaseURL+ActPath, req)
-		}
-	}
-	if err != nil {
-		return nil, c.finalize(err)
-	}
-	c.apply(r)
-	return r, nil
-}
-
-// binary reports whether acts ride the framed /play/actv2 route.
-func (c *Client) binary() bool {
-	return c.opts.Binary || c.opts.PipelineDepth > 1 || c.opts.LocalMirror
-}
-
-// depth is the pipelined-mode flush threshold (1 = every act flushes).
-// Mirror mode defaults to deep batches — nothing waits on a flush there.
-func (c *Client) depth() int {
-	d := c.opts.PipelineDepth
-	if d < 1 {
-		if c.opts.LocalMirror {
-			d = 16
-		} else {
-			d = 1
-		}
-	}
-	if d > maxFrameActs {
-		d = maxFrameActs
-	}
-	return d
-}
-
-// buffer appends a replica-applied act in mirror mode, recording the
-// replica's post-act event count and tick — the values the server reply
-// covering this act must reproduce — and flushes at the pipeline depth.
-func (c *Client) buffer(req *ActRequest) {
-	if c.err != nil {
-		return
+		return ActResult{}, c.err
 	}
 	c.pending = append(c.pending, *req)
-	c.pendingEvents = append(c.pendingEvents, c.mirrorCounter.n)
-	c.pendingTicks = append(c.pendingTicks, c.mirror.Ticks())
-	if len(c.pending) >= c.depth() {
-		c.flush()
+	if c.mirror != nil {
+		c.pendingEvents = append(c.pendingEvents, c.mirrorCounter.n)
+		c.pendingTicks = append(c.pendingTicks, c.mirror.Ticks())
+		if len(c.pending) < mirrorBatch {
+			return ActResult{}, nil
+		}
 	}
+	return c.flush()
 }
 
-// trimPending drops the first n buffered acts (and, in mirror mode,
-// their recorded reconciliation values).
+// trimPending drops the first n queued acts (and, in mirror mode, their
+// recorded reconciliation values).
 func (c *Client) trimPending(n int) {
 	c.pending = append(c.pending[:0], c.pending[n:]...)
 	if c.mirror != nil {
@@ -479,45 +472,12 @@ func (c *Client) trimPending(n int) {
 	}
 }
 
-// push buffers a fire-and-forget act, flushing at the pipeline depth.
-// Its caller has no result to wait for, exactly like the JSON-mode
-// callers that discard c.act's return.
-func (c *Client) push(req *ActRequest) {
-	if c.err != nil {
-		return
-	}
-	c.pending = append(c.pending, *req)
-	if len(c.pending) >= c.depth() {
-		c.flush()
-	}
-}
-
-// pushWait appends a result-bearing act and flushes everything buffered;
-// the returned result (and any act-level error) belongs to this act.
-func (c *Client) pushWait(req *ActRequest) (ActResult, error) {
-	if c.err != nil {
-		return ActResult{}, c.err
-	}
-	c.pending = append(c.pending, *req)
-	return c.flush()
-}
-
-// flushPending drains buffered acts before a mirror read, a frame fetch
-// or a sync, so reads always observe every act issued before them. Errors
-// stick via flush; the read then serves the unchanged mirror.
-func (c *Client) flushPending() {
-	if len(c.pending) > 0 {
-		c.flush()
-	}
-}
-
-// flush ships every buffered act as framed batches. The returned result
-// and error describe the LAST buffered act (its pushWait caller is
-// waiting); an act-level error on an earlier act drops that act and
-// continues with the rest, mirroring JSON mode where each such caller
-// discarded its error individually. (In practice only last-position acts
-// can fail: every buffered kind — click, examine, talk, use, clear — is
-// unconditional.)
+// flush ships the queued acts as one framed batch. The returned result and
+// error describe the LAST queued act — for a thin client the only one,
+// whose caller is waiting. An act-level error on an earlier act drops that
+// act and ships the rest: only a mirror client queues more than one, and
+// its replica already gave the refusal to the caller. (In practice only
+// select, quiz, goto and tick can be refused.)
 func (c *Client) flush() (ActResult, error) {
 	var last ActResult
 	for len(c.pending) > 0 {
@@ -525,33 +485,34 @@ func (c *Client) flush() (ActResult, error) {
 			c.trimPending(len(c.pending))
 			return ActResult{}, c.err
 		}
-		n := min(len(c.pending), maxFrameActs)
-		out, err := c.sendBatch(c.pending[:n])
+		n := len(c.pending)
+		out, err := c.sendBatch(c.pending)
 		if err != nil {
-			c.trimPending(len(c.pending))
+			c.trimPending(n)
 			return ActResult{}, err
 		}
 		if out.ActErr != nil {
-			applied := len(out.Results)
-			wasLast := applied == len(c.pending)-1
+			// A reply claiming more results than acts sent is not trusted
+			// to index the queue.
+			applied := min(len(out.Results), n-1)
 			c.trimPending(applied + 1)
-			if wasLast {
+			if applied == n-1 {
 				return ActResult{}, c.finalize(out.ActErr)
 			}
 			continue
 		}
 		// Mirror mode: the reply covering this batch must land exactly
-		// where the replica was when the batch's last act was buffered.
+		// where the replica was when the batch's last act was queued.
 		// Anything else means replica and hosted session disagree, and
 		// every local answer after the divergence point is suspect.
-		if c.mirror != nil && n > 0 {
+		if c.mirror != nil {
 			if int64(out.Reply.EventCount) != c.pendingEvents[n-1] || out.Reply.Tick != c.pendingTicks[n-1] {
 				return ActResult{}, c.fail(fmt.Errorf(
 					"playsvc: local mirror diverged: replica at %d events/tick %d, hosted session at %d/%d",
 					c.pendingEvents[n-1], c.pendingTicks[n-1], out.Reply.EventCount, out.Reply.Tick))
 			}
 		}
-		if n == len(c.pending) && len(out.Results) > 0 {
+		if len(out.Results) > 0 {
 			last = out.Results[len(out.Results)-1]
 		}
 		c.trimPending(n)
@@ -559,83 +520,37 @@ func (c *Client) flush() (ActResult, error) {
 	return last, nil
 }
 
-// sendBatch posts one framed batch under the retry policy, resuming and
-// replaying on a recoverable failure exactly like a JSON act. The batch
-// keeps its BaseSeq across retries and the post-resume replay, so the
-// server's (base, len) dedup recognizes a batch whose reply was lost.
-func (c *Client) sendBatch(acts []ActRequest) (*BatchReply, error) {
-	req := &BatchRequest{
-		Session:      c.id,
-		BaseSeq:      c.seq + 1,
-		SeenEvents:   c.seen,
-		SeenMessages: len(c.messages),
-		Acts:         acts,
+// resuming runs one retried operation; if it fails in a way that may mean
+// the session's node died, the client resumes from the snapshot path and
+// runs it once more. op re-reads the seen-counts each time, so the replay
+// carries the view the resume refreshed. The sticky-failure rule applies
+// to whatever error is left.
+func (c *Client) resuming(op func() error) error {
+	err := op()
+	if err != nil && recoverable(err) && c.resumeOnce() == nil {
+		err = op()
 	}
-	c.seq += int64(len(acts))
-	out, err := c.postFrame(EncodeActFrame(req))
-	if err != nil && recoverable(err) {
-		if rerr := c.resumeOnce(); rerr == nil {
-			req.SeenEvents = c.seen
-			req.SeenMessages = len(c.messages)
-			out, err = c.postFrame(EncodeActFrame(req))
-		}
-	}
-	if err != nil {
-		return nil, c.finalize(err)
-	}
-	c.apply(out.Reply)
-	return out, nil
+	return c.finalize(err)
 }
 
-// postFrame sends an encoded act frame with the retry policy.
-func (c *Client) postFrame(payload []byte) (*BatchReply, error) {
+// sendBatch posts one framed batch. The batch keeps its BaseSeq across
+// retries and the post-resume replay, so the server's (base, len) dedup
+// recognizes a batch whose reply was lost and applies each act at most
+// once.
+func (c *Client) sendBatch(acts []ActRequest) (*BatchReply, error) {
+	req := &BatchRequest{Session: c.id, BaseSeq: c.seq + 1, Acts: acts}
+	c.seq += int64(len(acts))
 	var out *BatchReply
-	err := c.retry.Do(func(int) (error, bool) {
-		o, aerr, retryable := c.actV2Attempt(payload)
-		out = o
-		return aerr, retryable
+	err := c.resuming(func() (err error) {
+		req.SeenEvents, req.SeenMessages = c.seen, len(c.messages)
+		out, err = c.postFrame(EncodeActFrame(req))
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	c.apply(out.Reply)
 	return out, nil
-}
-
-// actV2Attempt is one framed-act HTTP attempt (see attempt).
-func (c *Client) actV2Attempt(payload []byte) (*BatchReply, error, bool) {
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if d := c.timeout(); d > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d)
-	}
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.opts.BaseURL+ActV2Path, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err, false
-	}
-	req.Header.Set("Content-Type", FrameContentType)
-	if c.opts.Trace.Valid() {
-		c.opts.Trace.Child().Inject(req.Header)
-	}
-	resp, err := c.opts.HTTP.Do(req)
-	if err != nil {
-		return nil, err, true
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err, retryable := responseError(resp, "actv2")
-		return nil, err, retryable
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-	if err != nil {
-		return nil, fmt.Errorf("playsvc: actv2: read: %w", err), true
-	}
-	out, err := ParseReplyFrame(body)
-	if err != nil {
-		// A mangled frame re-fetches cleanly: the server dedups the retry.
-		return nil, fmt.Errorf("playsvc: actv2: %w", err), true
-	}
-	return out, nil, false
 }
 
 // Sync fetches the session view without acting on it, folding in — and
@@ -643,13 +558,13 @@ func (c *Client) actV2Attempt(payload []byte) (*BatchReply, error, bool) {
 // retains. After a Sync the server holds no unacknowledged state for this
 // client, which makes it the natural last call before a planned handoff.
 func (c *Client) Sync() error {
-	c.flushPending()
+	c.flush() // a mirror client's queued tail; errors stick
 	if c.err != nil {
 		return c.err
 	}
 	url := fmt.Sprintf("%s%s?session=%s&events=%d&messages=%d",
 		c.opts.BaseURL, StatePath, c.id, c.seen, len(c.messages))
-	r, err := c.getRetry(url, "sync")
+	r, err := c.jsonReply(http.MethodGet, url, nil, "sync")
 	if err != nil && recoverable(err) {
 		if rerr := c.resumeOnce(); rerr == nil {
 			// The resume reply IS the synced view.
@@ -667,12 +582,11 @@ func (c *Client) Sync() error {
 func (c *Client) Project() *core.Project { return c.opts.Project }
 
 // State implements sim.Game: the mirrored server-side state after the
-// last act (buffered acts are flushed first). Treat it as read-only.
+// last act. Treat it as read-only.
 func (c *Client) State() *core.State {
 	if c.mirror != nil {
 		return c.mirror.State()
 	}
-	c.flushPending()
 	return c.state
 }
 
@@ -681,7 +595,6 @@ func (c *Client) Scenario() *core.Scenario {
 	if c.mirror != nil {
 		return c.mirror.Scenario()
 	}
-	c.flushPending()
 	return c.opts.Project.ScenarioByID(c.state.Scenario)
 }
 
@@ -690,7 +603,6 @@ func (c *Client) Ended() bool {
 	if c.mirror != nil {
 		return c.mirror.Ended()
 	}
-	c.flushPending()
 	return c.state.Ended
 }
 
@@ -699,7 +611,6 @@ func (c *Client) Outcome() string {
 	if c.mirror != nil {
 		return c.mirror.Outcome()
 	}
-	c.flushPending()
 	return c.state.Outcome
 }
 
@@ -708,7 +619,6 @@ func (c *Client) Ticks() int {
 	if c.mirror != nil {
 		return c.mirror.Ticks()
 	}
-	c.flushPending()
 	return c.tick
 }
 
@@ -717,7 +627,6 @@ func (c *Client) Messages() []string {
 	if c.mirror != nil {
 		return c.mirror.Messages()
 	}
-	c.flushPending()
 	return append([]string(nil), c.messages...)
 }
 
@@ -726,7 +635,6 @@ func (c *Client) PendingQuiz() (*core.Quiz, bool) {
 	if c.mirror != nil {
 		return c.mirror.PendingQuiz()
 	}
-	c.flushPending()
 	if c.quiz == "" {
 		return nil, false
 	}
@@ -739,63 +647,35 @@ func (c *Client) AnswerQuiz(quizID string, choice int) (bool, error) {
 	req := &ActRequest{Kind: ActQuiz, Quiz: quizID, Choice: choice}
 	if c.mirror != nil {
 		correct, err := c.mirror.AnswerQuiz(quizID, choice)
-		c.buffer(req)
+		c.send(req)
 		return correct, err
 	}
-	if c.binary() {
-		res, err := c.pushWait(req)
-		return res.HasCorrect && res.Correct, err
-	}
-	r, err := c.act(req)
-	if err != nil {
-		return false, err
-	}
-	return r.Correct != nil && *r.Correct, nil
+	res, err := c.send(req)
+	return res.HasCorrect && res.Correct, err
 }
 
 // Click implements sim.Game.
 func (c *Client) Click(vx, vy int) {
-	req := &ActRequest{Kind: ActClick, X: vx, Y: vy}
 	if c.mirror != nil {
 		c.mirror.Click(vx, vy)
-		c.buffer(req)
-		return
 	}
-	if c.binary() {
-		c.push(req)
-		return
-	}
-	c.act(req)
+	c.send(&ActRequest{Kind: ActClick, X: vx, Y: vy})
 }
 
 // Examine implements sim.Game.
 func (c *Client) Examine(objectID string) {
-	req := &ActRequest{Kind: ActExamine, Object: objectID}
 	if c.mirror != nil {
 		c.mirror.Examine(objectID)
-		c.buffer(req)
-		return
 	}
-	if c.binary() {
-		c.push(req)
-		return
-	}
-	c.act(req)
+	c.send(&ActRequest{Kind: ActExamine, Object: objectID})
 }
 
 // Talk implements sim.Game.
 func (c *Client) Talk(objectID string) {
-	req := &ActRequest{Kind: ActTalk, Object: objectID}
 	if c.mirror != nil {
 		c.mirror.Talk(objectID)
-		c.buffer(req)
-		return
 	}
-	if c.binary() {
-		c.push(req)
-		return
-	}
-	c.act(req)
+	c.send(&ActRequest{Kind: ActTalk, Object: objectID})
 }
 
 // Take implements sim.Game.
@@ -803,30 +683,19 @@ func (c *Client) Take(objectID string) bool {
 	req := &ActRequest{Kind: ActTake, Object: objectID}
 	if c.mirror != nil {
 		took := c.mirror.Take(objectID)
-		c.buffer(req)
+		c.send(req)
 		return took
 	}
-	if c.binary() {
-		res, err := c.pushWait(req)
-		return err == nil && res.HasTook && res.Took
-	}
-	r, err := c.act(req)
-	return err == nil && r.Took != nil && *r.Took
+	res, err := c.send(req)
+	return err == nil && res.HasTook && res.Took
 }
 
 // UseItemOn implements sim.Game.
 func (c *Client) UseItemOn(item, objectID string) {
-	req := &ActRequest{Kind: ActUse, Item: item, Object: objectID}
 	if c.mirror != nil {
 		c.mirror.UseItemOn(item, objectID)
-		c.buffer(req)
-		return
 	}
-	if c.binary() {
-		c.push(req)
-		return
-	}
-	c.act(req)
+	c.send(&ActRequest{Kind: ActUse, Item: item, Object: objectID})
 }
 
 // SelectItem implements sim.Game.
@@ -834,30 +703,19 @@ func (c *Client) SelectItem(item string) error {
 	req := &ActRequest{Kind: ActSelect, Item: item}
 	if c.mirror != nil {
 		err := c.mirror.SelectItem(item)
-		c.buffer(req)
+		c.send(req)
 		return err
 	}
-	if c.binary() {
-		_, err := c.pushWait(req)
-		return err
-	}
-	_, err := c.act(req)
+	_, err := c.send(req)
 	return err
 }
 
 // ClearSelection implements sim.Game.
 func (c *Client) ClearSelection() {
-	req := &ActRequest{Kind: ActClear}
 	if c.mirror != nil {
 		c.mirror.ClearSelection()
-		c.buffer(req)
-		return
 	}
-	if c.binary() {
-		c.push(req)
-		return
-	}
-	c.act(req)
+	c.send(&ActRequest{Kind: ActClear})
 }
 
 // GotoScenario implements sim.Game.
@@ -865,21 +723,14 @@ func (c *Client) GotoScenario(id string) error {
 	req := &ActRequest{Kind: ActGoto, Object: id}
 	if c.mirror != nil {
 		err := c.mirror.GotoScenario(id)
-		c.buffer(req)
+		c.send(req)
 		return err
 	}
-	if c.binary() {
-		_, err := c.pushWait(req)
-		return err
-	}
-	_, err := c.act(req)
+	_, err := c.send(req)
 	return err
 }
 
-// Advance implements sim.Game: one round trip regardless of tick count.
-// In pipelined mode the tick is the flush trigger ("flush on tick"), so
-// buffered acts and the advance coalesce into one request — and any
-// advance failure still reaches this caller.
+// Advance implements sim.Game: one act regardless of tick count.
 func (c *Client) Advance(ticks int) error {
 	if ticks <= 0 {
 		return c.err
@@ -887,14 +738,10 @@ func (c *Client) Advance(ticks int) error {
 	req := &ActRequest{Kind: ActTick, Ticks: ticks}
 	if c.mirror != nil {
 		err := c.mirror.Advance(ticks)
-		c.buffer(req)
+		c.send(req)
 		return err
 	}
-	if c.binary() {
-		_, err := c.pushWait(req)
-		return err
-	}
-	_, err := c.act(req)
+	_, err := c.send(req)
 	return err
 }
 
@@ -910,123 +757,69 @@ func (c *Client) Watch() error {
 // the replica renders it locally — same package, same cursor position,
 // same pixels — and no round trip happens at all.
 func (c *Client) Frame() (*raster.Frame, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	if c.mirror != nil {
-		if c.err != nil {
-			return nil, c.err
-		}
 		if err := c.mirror.FrameInto(&c.frame); err != nil {
 			return nil, err
 		}
 		return &c.frame, nil
 	}
-	c.flushPending()
-	if c.err != nil {
-		return nil, c.err
-	}
-	f, err := c.frameRetry()
-	if err != nil && recoverable(err) {
-		if rerr := c.resumeOnce(); rerr == nil {
-			f, err = c.frameRetry()
-		}
-	}
-	if err != nil {
-		return nil, c.finalize(err)
-	}
-	return f, nil
-}
-
-// frameRetry fetches the frame under the retry policy (a frame GET is
-// idempotent; re-fetching after a lost response just renders again).
-func (c *Client) frameRetry() (*raster.Frame, error) {
-	var frame *raster.Frame
-	err := c.retry.Do(func(int) (error, bool) {
-		f, aerr, retryable := c.frameAttempt()
-		frame = f
-		return aerr, retryable
-	})
-	if err != nil {
+	// A frame GET is idempotent; re-fetching after a lost response just
+	// renders again.
+	url := c.opts.BaseURL + FramePath + "?session=" + c.id
+	if err := c.resuming(func() error {
+		return c.exchange(http.MethodGet, url, "", nil, "frame", c.readFrame)
+	}); err != nil {
 		return nil, err
 	}
-	return frame, nil
+	return &c.frame, nil
 }
 
-func (c *Client) frameAttempt() (*raster.Frame, error, bool) {
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if d := c.timeout(); d > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d)
-	}
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.opts.BaseURL+FramePath+"?session="+c.id, nil)
-	if err != nil {
-		return nil, err, false
-	}
-	if c.opts.Trace.Valid() {
-		c.opts.Trace.Child().Inject(req.Header)
-	}
-	resp, err := c.opts.HTTP.Do(req)
-	if err != nil {
-		return nil, err, true
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err, retryable := responseError(resp, "frame")
-		return nil, err, retryable
-	}
-	w, _ := strconv.Atoi(resp.Header.Get("X-Frame-Width"))
-	h, _ := strconv.Atoi(resp.Header.Get("X-Frame-Height"))
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("playsvc: frame response missing geometry"), false
-	}
-	tick := c.tick
-	if v := resp.Header.Get("X-Frame-Tick"); v != "" {
-		tick, _ = strconv.Atoi(v)
-	}
-	n := 3 * w * h
-	if cap(c.frame.Pix) < n {
-		c.frame.Pix = make([]uint8, n)
-	}
-	c.frame.Pix = c.frame.Pix[:n]
-	c.frame.W, c.frame.H = w, h
-	if _, err := io.ReadFull(resp.Body, c.frame.Pix); err != nil {
-		// A truncated body (reset mid-stream) re-fetches cleanly.
-		return nil, fmt.Errorf("playsvc: short frame body: %w", err), true
-	}
-	c.tick = tick
-	return &c.frame, nil, false
-}
-
-// Close releases the hosted session (a "leave" act). Events emitted by the
-// final interactions are still delivered to the observer. Closing an
-// already-failed client still attempts the leave — if the session survived
-// whatever broke the client, it should not linger until TTL eviction —
-// and returns the sticky error.
+// Close releases the hosted session. The leave is the one act that stays a
+// JSON post on /play/act: it ends the session, so there is nothing to
+// batch it with, and a gateway must be able to read it to stop tracking
+// the session. Events emitted by the final interactions are still
+// delivered to the observer. Closing an already-failed client still
+// attempts the leave — if the session survived whatever broke the client,
+// it should not linger until TTL eviction — and returns the sticky error.
 func (c *Client) Close() error {
-	c.flushPending()
+	c.flush() // a mirror client's queued tail; errors stick
 	if c.mirror != nil {
 		defer func() {
 			c.mirror.Close()
 			c.mirror = nil
 		}()
 	}
-	if c.err == nil {
-		// The leave itself always travels as a single JSON act: it ends
-		// the session, so there is nothing to pipeline it with.
-		r, err := c.act(&ActRequest{Kind: ActLeave})
-		if err == nil && c.mirror != nil && int64(r.EventCount) != c.mirrorCounter.n {
-			err = c.fail(fmt.Errorf("playsvc: local mirror diverged at leave: replica saw %d events, hosted session %d",
-				c.mirrorCounter.n, r.EventCount))
-		}
-		return err
-	}
-	sticky := c.err
 	c.seq++
-	if resp, err := c.opts.HTTP.Post(c.opts.BaseURL+ActPath, "application/json",
-		bytes.NewReader(mustJSON(&ActRequest{Session: c.id, Kind: ActLeave, Seq: c.seq}))); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	url := c.opts.BaseURL + ActPath
+	leave := mustJSON(&ActRequest{Session: c.id, Kind: ActLeave, Seq: c.seq, SeenEvents: c.seen, SeenMessages: len(c.messages)})
+	if c.err != nil {
+		// Best effort: one attempt, under the same per-attempt deadline
+		// and trace header as every other request; the answer is unread.
+		c.roundTrip(http.MethodPost, url, "application/json", leave, "leave",
+			func(*http.Response) (error, bool) { return nil, false })
+		return c.err
 	}
-	return sticky
+	r, err := c.jsonReply(http.MethodPost, url, leave, "leave")
+	if err != nil && recoverable(err) {
+		// Replayed directly, never through a resume: resuming a session
+		// that the first leave attempt already released would either fail
+		// (404, reading as session loss) or thaw it back to life, and the
+		// server's leave tombstone makes the bare replay safe (same seq →
+		// same final view).
+		r, err = c.jsonReply(http.MethodPost, url, leave, "leave")
+	}
+	if err != nil {
+		return c.finalize(err)
+	}
+	c.apply(r)
+	if c.mirror != nil && int64(r.EventCount) != c.mirrorCounter.n {
+		return c.fail(fmt.Errorf("playsvc: local mirror diverged at leave: replica saw %d events, hosted session %d",
+			c.mirrorCounter.n, r.EventCount))
+	}
+	return nil
 }
 
 // mustJSON marshals a value that cannot fail (plain request structs).

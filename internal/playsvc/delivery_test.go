@@ -1,6 +1,10 @@
 package playsvc
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
@@ -12,7 +16,7 @@ import (
 	"repro/internal/sim"
 )
 
-// dialOpts is dial with a ClientOptions hook for protocol variants.
+// dialOpts is dial with a ClientOptions hook for client-mode variants.
 func dialOpts(t testing.TB, baseURL string, obs runtime.Observer, mod func(*ClientOptions)) *Client {
 	t.Helper()
 	o := ClientOptions{
@@ -70,8 +74,8 @@ func checkReplayLeg(t *testing.T, c *Client, trace []sim.TraceStep, rec *recorde
 	if err := sim.Replay(c, trace); err != nil {
 		t.Fatal(err)
 	}
-	// Pipelined and mirror clients may still hold a buffered act tail;
-	// Sync flushes it so the recorder holds the complete log.
+	// A mirror client may still hold a queued act tail; Sync flushes it so
+	// the recorder holds the complete log.
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +100,12 @@ func checkReplayLeg(t *testing.T, c *Client, trace []sim.TraceStep, rec *recorde
 	}
 }
 
-// TestBinaryGoldenReplay is the protocol-equivalence pin required by the
-// binary wire format: the same seeded trace replayed over JSON, over
-// binary batches of one, over a pipelined binary client, over a mirror
-// (thick) client whose local replica answers every read, and over the
-// latter two fronted by a consistent-hash gateway must all reproduce the
-// local run's event log, transcript and final state bit-identically.
+// TestBinaryGoldenReplay is the act-path equivalence pin: the same seeded
+// trace replayed by a thin client (every act a framed batch of one) and by
+// a mirror (thick) client whose local replica answers every read and whose
+// acts ship as batches of mirrorBatch — each both direct and fronted by a
+// consistent-hash gateway — must reproduce the local run's event log,
+// transcript and final state bit-identically.
 func TestBinaryGoldenReplay(t *testing.T) {
 	trace, wantLog, wantState, wantMsgs := goldenClassroomRun(t)
 
@@ -111,18 +115,17 @@ func TestBinaryGoldenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mirror := func(o *ClientOptions) { o.LocalMirror = true; o.Pkg = pkg }
 
 	legs := []struct {
 		name string
 		url  string
 		mod  func(*ClientOptions)
 	}{
-		{"json", ts.URL, nil},
-		{"binary", ts.URL, func(o *ClientOptions) { o.Binary = true }},
-		{"pipelined", ts.URL, func(o *ClientOptions) { o.PipelineDepth = 8 }},
-		{"pipelined-gateway", gw.URL, func(o *ClientOptions) { o.PipelineDepth = 8 }},
-		{"mirror", ts.URL, func(o *ClientOptions) { o.LocalMirror = true; o.Pkg = pkg }},
-		{"mirror-gateway", gw.URL, func(o *ClientOptions) { o.LocalMirror = true; o.Pkg = pkg }},
+		{"thin", ts.URL, nil},
+		{"thin-gateway", gw.URL, nil},
+		{"mirror", ts.URL, mirror},
+		{"mirror-gateway", gw.URL, mirror},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
@@ -136,16 +139,21 @@ func TestBinaryGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestDroppedReplyChaos is the lost-reply delivery gate: every act path
-// (JSON, binary, pipelined binary) replays the golden trace across a
-// transport that loses replies after the server applied the request
-// (faultnet resets), drops requests outright and injects 503s. The bar is
-// exact delivery — the client-side event log and transcript must match
-// the fault-free reference with zero lost and zero duplicated entries,
-// and the final state must be byte-identical.
+// TestDroppedReplyChaos is the lost-reply delivery gate: both client modes
+// replay the golden trace across a transport that loses replies after the
+// server applied the request (faultnet resets), drops requests outright
+// and injects 503s. The bar is exact delivery — the client-side event log
+// and transcript must match the fault-free reference with zero lost and
+// zero duplicated entries, and the final state must be byte-identical. The
+// mirror leg additionally holds every batch reply to the replica
+// (reconciliation is a sticky error, so a clean Close proves it).
 func TestDroppedReplyChaos(t *testing.T) {
 	trace, wantLog, wantState, wantMsgs := goldenClassroomRun(t)
 	ts, m := liveService(t, Options{Shards: 4})
+	pkg, err := gamepack.Open(classroomBlob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Reset-heavy profile: the point is replies lost after application,
 	// the exact case seq/batch dedup and leave tombstones exist for.
@@ -159,35 +167,120 @@ func TestDroppedReplyChaos(t *testing.T) {
 	legs := []struct {
 		name string
 		seed int64
-		mod  func(*ClientOptions)
+		// sessions replayed over the one faulty transport: a mirror
+		// session is a handful of requests, so it takes several for the
+		// seeded fault stream to eat batch replies.
+		sessions int
+		mod      func(*ClientOptions)
 	}{
-		{"json", 7, nil},
-		{"binary", 11, func(o *ClientOptions) { o.Binary = true }},
-		{"pipelined", 13, func(o *ClientOptions) { o.PipelineDepth = 8 }},
+		{"thin", 7, 1, nil},
+		{"mirror", 11, 12, func(o *ClientOptions) { o.LocalMirror = true; o.Pkg = pkg }},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
-			var rec recorder
-			seed := leg.seed
-			c := dialOpts(t, ts.URL, &rec, func(o *ClientOptions) {
-				o.HTTP = faultnet.WrapClient(nil, profile, seed)
-				// Enough attempts that a 22% per-request fault rate
-				// cannot plausibly exhaust the ladder mid-trace.
-				o.Retry = &faultnet.RetryPolicy{
-					Attempts:  10,
-					BaseDelay: time.Millisecond,
-					MaxDelay:  20 * time.Millisecond,
-					Seed:      seed,
-				}
-				if leg.mod != nil {
-					leg.mod(o)
-				}
-			})
-			checkReplayLeg(t, c, trace, &rec, wantLog, wantState, wantMsgs)
+			faulty := faultnet.WrapClient(nil, profile, leg.seed)
+			for i := 0; i < leg.sessions; i++ {
+				var rec recorder
+				c := dialOpts(t, ts.URL, &rec, func(o *ClientOptions) {
+					o.HTTP = faulty
+					// Enough attempts that a 22% per-request fault rate
+					// cannot plausibly exhaust the ladder mid-trace.
+					o.Retry = &faultnet.RetryPolicy{
+						Attempts:  10,
+						BaseDelay: time.Millisecond,
+						MaxDelay:  20 * time.Millisecond,
+						Seed:      leg.seed,
+					}
+					if leg.mod != nil {
+						leg.mod(o)
+					}
+				})
+				checkReplayLeg(t, c, trace, &rec, wantLog, wantState, wantMsgs)
+			}
+			if st := faulty.Transport.(*faultnet.Transport).Stats(); st.Resets == 0 {
+				t.Fatalf("no reply was lost in %d requests; the leg proved nothing", st.Requests)
+			}
 		})
 	}
 	if live := m.Live(); live != 0 {
 		t.Fatalf("%d sessions still live after chaos legs closed", live)
+	}
+}
+
+// TestJSONAdapterMatchesFrame pins the JSON debug adapter against the
+// framed route: the same act sent to two fresh sessions — once as a
+// curl-shaped Seq-less JSON POST /play/act, once as a framed batch of one
+// on /play/actv2 — must yield the same Reply through the shared handler:
+// state, events, messages, pending quiz and the correct/took results.
+func TestJSONAdapterMatchesFrame(t *testing.T) {
+	ts, m := liveService(t, Options{Shards: 1, TTL: -1})
+	post := func(path, ctype string, body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s: %s", path, resp.Status, out)
+		}
+		return out
+	}
+	viaJSON := func(session string, a ActRequest) *Reply {
+		a.Session = session
+		var r Reply
+		if err := json.Unmarshal(post(ActPath, "application/json", mustJSON(&a)), &r); err != nil {
+			t.Fatal(err)
+		}
+		return &r
+	}
+	viaFrame := func(session string, a ActRequest) *Reply {
+		out, err := ParseReplyFrame(post(ActV2Path, FrameContentType,
+			EncodeActFrame(&BatchRequest{Session: session, Acts: []ActRequest{a}})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := out.single()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	// Talking to the teacher then examining the computer opens the
+	// diagnosis quiz; the take and the answer carry result bits.
+	script := []ActRequest{
+		{Kind: ActTalk, Object: "teacher"},
+		{Kind: ActTake, Object: "teacher"},
+		{Kind: ActExamine, Object: "computer"},
+		{Kind: ActQuiz, Quiz: "q-diagnosis", Choice: 1},
+		{Kind: ActTick, Ticks: 3},
+	}
+	sessions := [2]string{}
+	for i := range sessions {
+		r, err := m.Create(&CreateRequest{Course: "classroom"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = r.Session
+	}
+	sawQuiz, sawCorrect, sawTook := false, false, false
+	for _, a := range script {
+		j, f := viaJSON(sessions[0], a), viaFrame(sessions[1], a)
+		sawQuiz = sawQuiz || j.Quiz != ""
+		sawCorrect = sawCorrect || j.Correct != nil
+		sawTook = sawTook || j.Took != nil
+		f.Session = j.Session // the only field allowed to differ
+		if !reflect.DeepEqual(j, f) {
+			t.Fatalf("%s: JSON adapter and frame disagree:\n json  %+v\n frame %+v", a.Kind, j, f)
+		}
+	}
+	if !sawQuiz || !sawCorrect || !sawTook {
+		t.Fatalf("script never exercised quiz=%v correct=%v took=%v", sawQuiz, sawCorrect, sawTook)
 	}
 }
 
@@ -218,6 +311,9 @@ func TestRetriedLeaveDeliversFinalTail(t *testing.T) {
 	}
 	if len(first.Events) == 0 || len(first.Messages) == 0 {
 		t.Fatalf("leave confirmation lost the unacked tail: %+v", first)
+	}
+	if first.State != nil {
+		t.Fatalf("leave confirmation carries a state snapshot; a leave changes none: %+v", first.State)
 	}
 	if m.Live() != 0 {
 		t.Fatalf("%d sessions live after leave", m.Live())

@@ -1,5 +1,5 @@
-// Binary wire framing for the act path — the compact alternative to the
-// JSON debug surface.
+// Binary wire framing for the act path: the one format acts travel in
+// (POST /play/act is a JSON debug adapter over the same batch).
 //
 // A frame is the same tagged-record shape as the snapshot envelope: magic,
 // uvarint version, (uvarint tag, uvarint length, payload)* records, and a
@@ -7,7 +7,7 @@
 // the session id rides in the FIRST record so a gateway can route the
 // frame without parsing (or re-encoding) the rest; reply frames ("VRPL")
 // carry per-act results plus ONE coalesced state/event/message tail, so a
-// pipelined batch of N acts costs one state snapshot instead of N.
+// batch of N acts costs one state snapshot instead of N.
 //
 // Every parse rejection wraps ErrBadFrame, and all lengths are validated
 // against the remaining input before any allocation — the same hostile-
@@ -40,7 +40,7 @@ const (
 
 	frameVersion = 1
 
-	// maxFrameActs bounds one batch: enough to drain any client pipeline,
+	// maxFrameActs bounds one batch: well above any client's batch depth,
 	// small enough that one request cannot monopolize a session lock.
 	maxFrameActs = 256
 	// maxFrameField bounds a single tagged record.

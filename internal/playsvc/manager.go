@@ -651,16 +651,23 @@ func (h *hosted) ack(seenEvents int) {
 	h.eventBase += n
 }
 
-// reply assembles the client view: the state snapshot plus the event and
-// message tails beyond the client's seen-counts. It does NOT compact the
-// event log (see ack); serving a tail twice — a retried request whose
-// seen-count is behind the retained base — is safe because replies are
-// self-contained. h.mu must be held.
+// reply assembles the client view: the state snapshot plus the tails.
+// h.mu must be held.
 func (h *hosted) reply(seenEvents, seenMessages int) *Reply {
+	r := h.tail(seenEvents, seenMessages)
+	r.State = h.sess.State().Clone()
+	return r
+}
+
+// tail assembles a reply's event and message tails beyond the client's
+// seen-counts, without the state snapshot. It does NOT compact the event
+// log (see ack); serving a tail twice — a retried request whose seen-count
+// is behind the retained base — is safe because replies are
+// self-contained. h.mu must be held.
+func (h *hosted) tail(seenEvents, seenMessages int) *Reply {
 	r := &Reply{
 		Session:      h.id,
 		Tick:         h.sess.Ticks(),
-		State:        h.sess.State().Clone(),
 		EventCount:   h.eventBase + len(h.events),
 		MessageCount: h.sess.MessageCount(),
 		Messages:     h.sess.MessagesFrom(seenMessages),
@@ -681,21 +688,46 @@ func (h *hosted) reply(seenEvents, seenMessages int) *Reply {
 }
 
 // Act applies one interaction to a hosted session and returns the updated
-// view. A "leave" act releases the session after building its final view.
-// A session this node does not host is thawed from the snapshot directory
-// first, so eviction and cluster handoff are invisible to the client.
-// Latency lands in the act histogram; when the request carries a trace
-// context a "play.act" span is recorded.
+// view: the JSON-shaped adapter over ActBatch. A leave, or a batch of one —
+// either way the act is admitted, timed and traced in ActBatch, so JSON and
+// framed acts are identical by construction.
 func (m *Manager) Act(req *ActRequest) (*Reply, error) {
-	if !m.admit() {
-		return nil, errShed
+	out, err := m.ActBatch(req.batch())
+	if err != nil {
+		return nil, err
 	}
-	t0 := time.Now()
-	r, err := m.act(req)
-	m.release()
-	m.actNs.ObserveSince(t0)
-	m.ring.Record(req.Trace, "play.act", t0, err)
-	return r, err
+	return out.single()
+}
+
+// batch wraps one act as the batch of one every route hands to ActBatch.
+func (a *ActRequest) batch() *BatchRequest {
+	return &BatchRequest{
+		Session:      a.Session,
+		BaseSeq:      a.Seq,
+		SeenEvents:   a.SeenEvents,
+		SeenMessages: a.SeenMessages,
+		Acts:         []ActRequest{*a},
+		Trace:        a.Trace,
+	}
+}
+
+// single folds a batch-of-one reply into the JSON shape: the act-level
+// error becomes the call's error, the result bits become Correct/Took.
+func (out *BatchReply) single() (*Reply, error) {
+	if out.ActErr != nil {
+		return nil, out.ActErr
+	}
+	r := out.Reply
+	if len(out.Results) == 1 {
+		res := out.Results[0]
+		if res.HasCorrect {
+			r.Correct = &res.Correct
+		}
+		if res.HasTook {
+			r.Took = &res.Took
+		}
+	}
+	return r, nil
 }
 
 // errShed is the preallocated load-shedding answer (the act path stays
@@ -728,54 +760,17 @@ func (m *Manager) release() {
 	}
 }
 
-// act is the uninstrumented JSON act path: leave handling plus a
-// batch-of-one delegation to the shared batch core, so JSON and binary
-// acts are identical by construction.
-func (m *Manager) act(req *ActRequest) (*Reply, error) {
-	if req.Kind == ActLeave {
-		return m.actLeave(req)
-	}
-	batch := BatchRequest{
-		Session:      req.Session,
-		BaseSeq:      req.Seq,
-		SeenEvents:   req.SeenEvents,
-		SeenMessages: req.SeenMessages,
-		Acts:         []ActRequest{*req},
-		Trace:        req.Trace,
-	}
-	out, err := m.actBatch(&batch)
-	if err != nil {
-		return nil, err
-	}
-	if out.ActErr != nil {
-		return nil, out.ActErr
-	}
-	r := out.Reply
-	if len(out.Results) == 1 {
-		res := out.Results[0]
-		if res.HasCorrect {
-			v := res.Correct
-			r.Correct = &v
-		}
-		if res.HasTook {
-			v := res.Took
-			r.Took = &v
-		}
-	}
-	return r, nil
-}
-
 // actLeave releases a session. The retry ladder, in order: a live session
 // leaves normally; a sequenced retry of an already-applied leave is served
 // its tombstoned final view (the tail the lost reply carried); a frozen
 // session is thawed FIRST so the final reply includes the envelope's
 // unacknowledged tail — discarding the snapshot unseen would lose it.
-func (m *Manager) actLeave(req *ActRequest) (*Reply, error) {
+func (m *Manager) actLeave(req *BatchRequest) (*Reply, error) {
 	if h, sh, err := m.lookup(req.Session); err == nil {
 		return m.leave(req, h, sh)
 	}
-	if req.Seq > 0 {
-		if r := m.shardFor(req.Session).takeTomb(req.Session, req.Seq); r != nil {
+	if req.BaseSeq > 0 {
+		if r := m.shardFor(req.Session).takeTomb(req.Session, req.BaseSeq); r != nil {
 			return r, nil
 		}
 	}
@@ -799,7 +794,7 @@ func (m *Manager) actLeave(req *ActRequest) (*Reply, error) {
 			return nil, errf(http.StatusNotFound, "playsvc: no session %q", req.Session)
 		}
 	}
-	if req.Seq > 0 {
+	if req.BaseSeq > 0 {
 		// A sequenced leave for a session nobody hosts (and without a
 		// tombstone — pruned, or another node's) is a retry of a leave
 		// that already applied: confirm instead of sending the client
@@ -812,7 +807,7 @@ func (m *Manager) actLeave(req *ActRequest) (*Reply, error) {
 // leave releases a live session after building its final view, and
 // tombstones that view so a retried leave (reply lost in transit) still
 // receives the final event/message tail.
-func (m *Manager) leave(req *ActRequest, h *hosted, sh *shard) (*Reply, error) {
+func (m *Manager) leave(req *BatchRequest, h *hosted, sh *shard) (*Reply, error) {
 	sh.acts.Add(1)
 	h.touch()
 	// Remove from the shard before locking the session so the janitor
@@ -835,9 +830,13 @@ func (m *Manager) leave(req *ActRequest, h *hosted, sh *shard) (*Reply, error) {
 		m.dir.Delete(req.Session)
 	}
 	h.ack(req.SeenEvents)
-	r := h.reply(req.SeenEvents, req.SeenMessages)
-	if req.Seq > 0 && still {
-		sh.saveTomb(req.Session, req.Seq, r)
+	// The final view is the tails alone: a leave changes no state, and the
+	// client holds the state its last act reply carried. On a thin client
+	// the leave is the one JSON exchange per session, and encoding/json
+	// over a State cost it more than a whole framed act.
+	r := h.tail(req.SeenEvents, req.SeenMessages)
+	if req.BaseSeq > 0 && still {
+		sh.saveTomb(req.Session, req.BaseSeq, r)
 	}
 	return r, nil
 }
@@ -871,10 +870,15 @@ func (sh *shard) takeTomb(session string, seq int64) *Reply {
 	return nil
 }
 
-// ActBatch applies a pipelined act batch to a hosted session: all acts
-// under one session-lock hold, one coalesced reply. Session-level
-// failures (gone, draining, shed) surface as HTTP-level errors; an
-// act-level error stops the batch and rides inside the reply (ActErr).
+// ActBatch is the one act path: every route (the framed /play/actv2, the
+// JSON /play/act adapter, in-process callers of Act) lands here, and only
+// here are admission, the act histogram and the "play.act" span recorded.
+// All acts apply under one session-lock hold and share one coalesced reply.
+// Session-level failures (gone, draining, shed) surface as HTTP-level
+// errors; an act-level error stops the batch and rides inside the reply
+// (ActErr). A session this node does not host is thawed from the snapshot
+// directory first, so eviction and cluster handoff are invisible to the
+// client.
 func (m *Manager) ActBatch(req *BatchRequest) (*BatchReply, error) {
 	if !m.admit() {
 		return nil, errShed
@@ -883,12 +887,13 @@ func (m *Manager) ActBatch(req *BatchRequest) (*BatchReply, error) {
 	out, err := m.actBatch(req)
 	m.release()
 	m.actNs.ObserveSince(t0)
-	m.ring.Record(req.Trace, "play.actv2", t0, err)
+	m.ring.Record(req.Trace, "play.act", t0, err)
 	return out, err
 }
 
-// actBatch is the shared core of the act path (JSON acts are batches of
-// one). Acks first, dedups on (BaseSeq, len), then applies in order.
+// actBatch acks first, dedups on (BaseSeq, len), then applies in order. A
+// leave releases the session after building its final view; it has no
+// frame form, so it only ever arrives alone, from the JSON adapter.
 func (m *Manager) actBatch(req *BatchRequest) (*BatchReply, error) {
 	if len(req.Acts) == 0 {
 		return nil, errf(http.StatusBadRequest, "playsvc: empty act batch")
@@ -897,9 +902,17 @@ func (m *Manager) actBatch(req *BatchRequest) (*BatchReply, error) {
 		return nil, errf(http.StatusBadRequest, "playsvc: %d acts exceeds the per-batch bound (%d)", len(req.Acts), maxFrameActs)
 	}
 	for i := range req.Acts {
-		if req.Acts[i].Kind == ActLeave {
+		if req.Acts[i].Kind != ActLeave {
+			continue
+		}
+		if len(req.Acts) > 1 {
 			return nil, errf(http.StatusBadRequest, "playsvc: leave is not batchable; send it as a single JSON act")
 		}
+		r, err := m.actLeave(req)
+		if err != nil {
+			return nil, err
+		}
+		return &BatchReply{Reply: r}, nil
 	}
 	h, sh, err := m.lookupOrThaw(req.Trace, req.Session)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 // netstream.Server (or any mux).
 const (
 	CreatePath  = "/play/create"  // POST CreateRequest → Reply (create or resume)
-	ActPath     = "/play/act"     // POST ActRequest → Reply (JSON debug surface)
-	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame
+	ActPath     = "/play/act"     // POST ActRequest → Reply (JSON debug adapter; the leave route)
+	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame (the act path)
 	StatePath   = "/play/state"   // GET ?session=&events=N&messages=N → Reply
 	FramePath   = "/play/frame"   // GET ?session=&advance=N → raw RGB bytes
 	StatsPath   = "/play/stats"   // GET → Stats
@@ -110,7 +110,7 @@ type ActRequest struct {
 	Trace obs.TraceContext `json:"-"`
 }
 
-// BatchRequest applies a pipeline of acts to one session in a single
+// BatchRequest applies a sequence of acts to one session in a single
 // round trip (the /play/actv2 payload, framed by EncodeActFrame). The
 // batch applies atomically under the session lock, in order, stopping at
 // the first act-level error. Act sequence numbers are implicit: act i
@@ -128,8 +128,9 @@ type BatchRequest struct {
 	SeenMessages int
 	// Acts are the interactions, in order. Only Kind, Object, Item, X, Y,
 	// Quiz, Choice and Ticks are meaningful; per-act Session/Seq/Seen
-	// fields are ignored. ActLeave is not batchable (400): a leave ends
-	// the session and stays a single JSON act.
+	// fields are ignored. ActLeave is not batchable (400 among other
+	// acts): a leave ends the session, has no frame form, and only ever
+	// arrives alone, from the JSON adapter.
 	Acts []ActRequest
 
 	Trace obs.TraceContext
@@ -187,7 +188,8 @@ type BatchReply struct {
 
 // Reply is the server's view of a hosted session after an operation. State
 // is a deep copy, and Events/Messages are the unseen tails, so a Reply is
-// self-contained: it stays valid after the session moves on.
+// self-contained: it stays valid after the session moves on. A leave
+// confirmation carries the tails but no State — a leave changes none.
 type Reply struct {
 	Session string `json:"session"`
 	Course  string `json:"course,omitempty"` // set on create

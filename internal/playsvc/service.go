@@ -137,24 +137,21 @@ func (m *Manager) handleDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]int{"drained": m.DrainAll()})
 }
 
+// handleAct is the JSON adapter on the act path: the curl-able debug
+// route, and the leave route (a leave has no frame form, and a gateway
+// must read it to untrack the session). One act decodes into the same
+// BatchRequest a frame does.
 func (m *Manager) handleAct(w http.ResponseWriter, r *http.Request) {
 	var req ActRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	req.Trace = obs.TraceFromRequest(r)
-	reply, err := m.Act(&req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, reply)
+	m.serveAct(w, r, req.batch(), false)
 }
 
-// handleActV2 is the binary act endpoint: a framed batch in, a framed
+// handleActV2 is the framed act endpoint: a framed batch in, a framed
 // coalesced reply out. Frame-level rejections (bad magic, bad CRC,
-// unknown act kind) are 400s; everything past the parse shares the JSON
-// path's semantics, including act-level errors riding inside the reply.
+// unknown act kind) are 400s.
 func (m *Manager) handleActV2(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -171,14 +168,30 @@ func (m *Manager) handleActV2(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	m.serveAct(w, r, req, true)
+}
+
+// serveAct is the shared act handler: everything past the decode is one
+// path. Only the reply encoding differs — a frame carries an act-level
+// error inside its 200 reply, the JSON adapter answers it as the status.
+func (m *Manager) serveAct(w http.ResponseWriter, r *http.Request, req *BatchRequest, framed bool) {
 	req.Trace = obs.TraceFromRequest(r)
 	out, err := m.ActBatch(req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", FrameContentType)
-	w.Write(EncodeReplyFrame(out))
+	if framed {
+		w.Header().Set("Content-Type", FrameContentType)
+		w.Write(EncodeReplyFrame(out))
+		return
+	}
+	reply, err := out.single()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, reply)
 }
 
 func (m *Manager) handleState(w http.ResponseWriter, r *http.Request) {
