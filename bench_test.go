@@ -220,6 +220,29 @@ func BenchmarkDecode160x120Cold(b *testing.B) {
 	b.ReportMetric(16, "frames/op")
 }
 
+// BenchmarkRecordLadder is the author's wait for one course (E22): the
+// classroom footage recorded at every rung of the default ladder, as a
+// publish does it, on one encoder worker. bytes/frame is summed over the
+// rungs, so a bitstream change shows beside the timing.
+func BenchmarkRecordLadder(b *testing.B) {
+	film := content.Classroom().Film
+	opts := studio.Options{Workers: 1}
+	var bytes int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rungs, err := studio.RecordLadder(film, opts, studio.DefaultLadder())
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytes = 0
+		for _, r := range rungs {
+			bytes += len(r.Video)
+		}
+	}
+	b.ReportMetric(float64(bytes)/float64(film.FrameCount()), "bytes/frame")
+	b.ReportMetric(float64(film.FrameCount()), "frames/op")
+}
+
 // --- E4: authoring -------------------------------------------------------
 
 func BenchmarkAuthoringOps(b *testing.B) {

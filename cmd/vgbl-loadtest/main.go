@@ -256,7 +256,7 @@ func serveInProcess(name string, ladder bool) (*telemetry.Service, string, error
 	// ladder manifest can be opened without a package blob.
 	play := playsvc.NewManager(playsvc.Options{Store: srv.Store()})
 	if ladder {
-		man, err := course.PublishLadderTo(srv.Store(), studio.Options{QStep: 10}, nil)
+		man, err := course.PublishLadderTo(srv.Store(), studio.Options{}, nil)
 		if err != nil {
 			return nil, "", err
 		}

@@ -157,29 +157,35 @@ func main() {
 			fail(err)
 		}
 	}
-	for name, course := range map[string]*content.Course{
-		"classroom": content.Classroom(),
-		"museum":    content.Museum(),
-		"street":    content.StreetDemo(),
+	// A slice, not a map: publish order, log order and chunk-store
+	// insertion order are the same on every start.
+	for _, demo := range []struct {
+		name   string
+		course *content.Course
+	}{
+		{"classroom", content.Classroom()},
+		{"museum", content.Museum()},
+		{"street", content.StreetDemo()},
 	} {
 		// Demo courses go through the store: chunks deposited once, then
 		// both services open them by manifest. With -ladder each course is
-		// recorded at every rung of the default quality ladder; the play
-		// service keeps consuming the canonical rung.
+		// recorded at every rung of the default quality ladder (each rung's
+		// own quantizer; a QStep option would be ignored); the play service
+		// keeps consuming the canonical rung.
 		var man *gamepack.Manifest
 		var err error
 		if *ladder {
-			man, err = course.PublishLadderTo(store, studio.Options{QStep: 8}, nil)
+			man, err = demo.course.PublishLadderTo(store, studio.Options{}, nil)
 		} else {
-			man, err = course.PublishTo(store, studio.Options{QStep: 8})
+			man, err = demo.course.PublishTo(store, studio.Options{QStep: 8})
 		}
 		if err != nil {
 			fail(err)
 		}
-		if err := srv.AddManifest(name, man); err != nil {
+		if err := srv.AddManifest(demo.name, man); err != nil {
 			fail(err)
 		}
-		if err := addManifest(name, man); err != nil {
+		if err := addManifest(demo.name, man); err != nil {
 			fail(err)
 		}
 	}

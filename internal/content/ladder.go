@@ -43,7 +43,9 @@ func (c *Course) BuildLadderPackage(opts studio.Options, tiers []studio.Tier) ([
 
 // PublishLadderTo records the ladder and deposits the package as
 // content-addressed chunks into the store, returning the manifest —
-// the multi-tier analogue of PublishTo.
+// the multi-tier analogue of PublishTo. opts.QStep is silently ignored:
+// each tier's own QStep wins (studio.RecordLadder), so callers that
+// publish single-rung packages with the same Options need not clear it.
 func (c *Course) PublishLadderTo(store *blobstore.Store, opts studio.Options, tiers []studio.Tier) (*gamepack.Manifest, error) {
 	blob, err := c.BuildLadderPackage(opts, tiers)
 	if err != nil {

@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/media/container"
+	"repro/internal/media/raster"
 	"repro/internal/media/synth"
+	"repro/internal/media/vcodec"
 )
 
 // Tier names one rung of the quality ladder. The empty name is the
@@ -67,27 +70,77 @@ func validateLadder(tiers []Tier) error {
 	return nil
 }
 
-// RecordLadder records the film once per tier, holding everything but
-// the quantizer fixed across rungs (same GOP, same search range, same
-// chapters), and returns the rungs in ladder order. opts.QStep is
-// ignored; each tier's QStep wins.
+// RecordLadder records the film at every tier in one pass: each frame is
+// rendered once (into a recycled frame), converted to YCbCr once and coded
+// at every rung by one vcodec.LadderEncoder, so everything but the quantizer
+// is shared across rungs by construction (same GOP, same search range, same
+// chapters). The rungs are returned in ladder order. opts.QStep is ignored;
+// each tier's QStep wins.
 func RecordLadder(film *synth.Film, opts Options, tiers []Tier) ([]TierVideo, error) {
 	if err := validateLadder(tiers); err != nil {
 		return nil, err
 	}
-	// Pin the defaults once so every rung shares them even when the
-	// caller left them zero (GOP in particular must match across tiers
-	// for segment-boundary switching to be frame-exact).
 	opts = opts.withDefaults(film.FPS)
-	out := make([]TierVideo, 0, len(tiers))
-	for _, t := range tiers {
-		o := opts
-		o.QStep = t.QStep
-		video, err := Record(film, o)
+	qsteps := make([]int, len(tiers))
+	for k, t := range tiers {
+		qsteps[k] = t.QStep
+	}
+	enc, err := vcodec.NewLadderEncoder(vcodec.Config{
+		Width: film.W, Height: film.H, GOP: opts.GOP,
+		SearchRange: opts.SearchRange, Workers: opts.Workers,
+	}, qsteps)
+	if err != nil {
+		return nil, fmt.Errorf("studio: %w", err)
+	}
+	defer enc.Close()
+	muxes := make([]*container.Muxer, len(tiers))
+	for k := range muxes {
+		muxes[k], err = container.NewMuxer(container.Meta{
+			Width: film.W, Height: film.H, FPS: film.FPS, GOP: opts.GOP,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("studio: tier %q: %w", t.Name, err)
+			return nil, fmt.Errorf("studio: %w", err)
 		}
-		out = append(out, TierVideo{Tier: t.Name, Video: video})
+	}
+	// The frame and the packets' payload buffers are recycled across
+	// frames: the encoder appends into pkts[k].Data[:0] and AddPacket
+	// copies what it is given.
+	var frame raster.Frame
+	pkts := make([]vcodec.Packet, len(tiers))
+	for i := 0; i < film.FrameCount(); i++ {
+		film.RenderInto(&frame, i)
+		if err := enc.Encode(&frame, pkts); err != nil {
+			return nil, fmt.Errorf("studio: frame %d: %w", i, err)
+		}
+		for k, mux := range muxes {
+			if err := mux.AddPacket(pkts[k]); err != nil {
+				return nil, fmt.Errorf("studio: tier %q: frame %d: %w", tiers[k].Name, i, err)
+			}
+		}
+	}
+	chapters := opts.Chapters
+	if opts.ShotMarkers && chapters == nil {
+		for k := range film.Shots {
+			start := film.ShotStart(k)
+			chapters = append(chapters, container.Chapter{
+				Name:  fmt.Sprintf("shot-%03d-%s", k, film.Shots[k].Scene),
+				Start: start,
+				End:   start + film.Shots[k].Frames,
+			})
+		}
+	}
+	out := make([]TierVideo, len(tiers))
+	for k, mux := range muxes {
+		for _, ch := range chapters {
+			if err := mux.AddChapter(ch); err != nil {
+				return nil, fmt.Errorf("studio: %w", err)
+			}
+		}
+		blob, err := mux.Finalize()
+		if err != nil {
+			return nil, fmt.Errorf("studio: tier %q: %w", tiers[k].Name, err)
+		}
+		out[k] = TierVideo{Tier: tiers[k].Name, Video: blob}
 	}
 	return out, nil
 }

@@ -6,11 +6,8 @@
 package studio
 
 import (
-	"fmt"
-
 	"repro/internal/media/container"
 	"repro/internal/media/synth"
-	"repro/internal/media/vcodec"
 )
 
 // Options configures a recording session.
@@ -41,51 +38,13 @@ func (o Options) withDefaults(fps int) Options {
 
 // Record renders every frame of the film, encodes it and returns a
 // finalized TKVC blob. With opts.ShotMarkers it adds one chapter per
-// ground-truth shot, named "shot-NNN-<scene>".
+// ground-truth shot, named "shot-NNN-<scene>". It is RecordLadder with one
+// rung.
 func Record(film *synth.Film, opts Options) ([]byte, error) {
 	opts = opts.withDefaults(film.FPS)
-	enc, err := vcodec.NewEncoder(vcodec.Config{
-		Width: film.W, Height: film.H,
-		QStep: opts.QStep, GOP: opts.GOP,
-		SearchRange: opts.SearchRange, Workers: opts.Workers,
-	})
+	rungs, err := RecordLadder(film, opts, []Tier{{QStep: opts.QStep}})
 	if err != nil {
-		return nil, fmt.Errorf("studio: %w", err)
+		return nil, err
 	}
-	defer enc.Close()
-	mux, err := container.NewMuxer(container.Meta{
-		Width: film.W, Height: film.H, FPS: film.FPS, GOP: opts.GOP,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("studio: %w", err)
-	}
-	for i := 0; i < film.FrameCount(); i++ {
-		pkt, err := enc.Encode(film.Render(i))
-		if err != nil {
-			return nil, fmt.Errorf("studio: frame %d: %w", i, err)
-		}
-		if err := mux.AddPacket(pkt); err != nil {
-			return nil, fmt.Errorf("studio: frame %d: %w", i, err)
-		}
-	}
-	for _, ch := range opts.Chapters {
-		if err := mux.AddChapter(ch); err != nil {
-			return nil, fmt.Errorf("studio: %w", err)
-		}
-	}
-	if opts.ShotMarkers && opts.Chapters == nil {
-		for k := range film.Shots {
-			start := film.ShotStart(k)
-			end := start + film.Shots[k].Frames
-			name := fmt.Sprintf("shot-%03d-%s", k, film.Shots[k].Scene)
-			if err := mux.AddChapter(container.Chapter{Name: name, Start: start, End: end}); err != nil {
-				return nil, fmt.Errorf("studio: %w", err)
-			}
-		}
-	}
-	blob, err := mux.Finalize()
-	if err != nil {
-		return nil, fmt.Errorf("studio: %w", err)
-	}
-	return blob, nil
+	return rungs[0].Video, nil
 }

@@ -1,6 +1,8 @@
 package studio
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,5 +105,141 @@ func TestRecordRejectsBadOptions(t *testing.T) {
 	film := shortFilm()
 	if _, err := Record(film, Options{QStep: 999}); err == nil {
 		t.Error("absurd qstep accepted")
+	}
+}
+
+// fadeFilm is odd-sized both ways and has a hard cut, a cross-fade and
+// sensor noise, so padding, scratch frames and noisy motion search are all
+// in play.
+func fadeFilm() *synth.Film {
+	return synth.Generate(synth.Spec{
+		W: 37, H: 21, FPS: 6,
+		Shots: 4, MinShotFrames: 7, MaxShotFrames: 9,
+		FadeFraction: 0.5, FadeFrames: 3, NoiseAmp: 2,
+		Seed: 5,
+	})
+}
+
+// recordSeparately is the recording loop RecordLadder replaced, kept as the
+// oracle: its own encoder, a freshly rendered frame per Encode, a payload
+// the muxer is handed outright.
+func recordSeparately(t *testing.T, film *synth.Film, opts Options) []byte {
+	t.Helper()
+	opts = opts.withDefaults(film.FPS)
+	enc, err := vcodec.NewEncoder(vcodec.Config{
+		Width: film.W, Height: film.H,
+		QStep: opts.QStep, GOP: opts.GOP,
+		SearchRange: opts.SearchRange, Workers: opts.Workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Close()
+	mux, err := container.NewMuxer(container.Meta{Width: film.W, Height: film.H, FPS: film.FPS, GOP: opts.GOP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < film.FrameCount(); i++ {
+		pkt, err := enc.Encode(film.Render(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mux.AddPacket(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chapters := opts.Chapters
+	if opts.ShotMarkers && chapters == nil {
+		for k := range film.Shots {
+			start := film.ShotStart(k)
+			chapters = append(chapters, container.Chapter{
+				Name:  fmt.Sprintf("shot-%03d-%s", k, film.Shots[k].Scene),
+				Start: start, End: start + film.Shots[k].Frames,
+			})
+		}
+	}
+	for _, ch := range chapters {
+		if err := mux.AddChapter(ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := mux.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+func TestRecordLadderMatchesRecord(t *testing.T) {
+	film := fadeFilm()
+	hasFade := false
+	for _, c := range film.Cuts() {
+		hasFade = hasFade || c.Gradual
+	}
+	if !hasFade {
+		t.Fatal("fixture film has no cross-fade")
+	}
+	cases := []struct {
+		name  string
+		opts  Options
+		tiers []Tier
+	}{
+		{"default ladder", Options{GOP: 5}, DefaultLadder()},
+		{"one rung", Options{GOP: 5}, []Tier{{QStep: 7}}},
+		{"canonical rung last, two workers", Options{Workers: 2}, []Tier{{Name: "low", QStep: 24}, {Name: "", QStep: 4}}},
+		{"chapters", Options{GOP: 4, Chapters: []container.Chapter{
+			{Name: "intro", Start: 0, End: 9}, {Name: "rest", Start: 9, End: film.FrameCount()},
+		}}, DefaultLadder()},
+		{"shot markers", Options{GOP: 4, ShotMarkers: true}, DefaultLadder()},
+	}
+	for _, tc := range cases {
+		rungs, err := RecordLadder(film, tc.opts, tc.tiers)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(rungs) != len(tc.tiers) {
+			t.Fatalf("%s: %d rungs for %d tiers", tc.name, len(rungs), len(tc.tiers))
+		}
+		for k, tier := range tc.tiers {
+			if rungs[k].Tier != tier.Name {
+				t.Errorf("%s: rung %d is tier %q, want %q", tc.name, k, rungs[k].Tier, tier.Name)
+			}
+			o := tc.opts
+			o.QStep = tier.QStep
+			single, err := Record(film, o)
+			if err != nil {
+				t.Fatalf("%s: tier %q: %v", tc.name, tier.Name, err)
+			}
+			if !bytes.Equal(rungs[k].Video, single) {
+				t.Errorf("%s: tier %q (q=%d) differs from Record at that quantizer", tc.name, tier.Name, tier.QStep)
+			}
+			if !bytes.Equal(single, recordSeparately(t, film, o)) {
+				t.Errorf("%s: tier %q (q=%d) differs from a separate encoder fed fresh frames", tc.name, tier.Name, tier.QStep)
+			}
+		}
+	}
+}
+
+// TestRecordLadderSteadyStateAllocs pins what keeps a four-rung publish's
+// memory flat: lengthening a fade-free film adds at most one allocation per
+// rung per frame (the muxers' amortized growth; frames, source image and
+// payload buffers are all recycled).
+func TestRecordLadderSteadyStateAllocs(t *testing.T) {
+	spec := synth.Spec{W: 64, H: 48, FPS: 8, Shots: 2, MinShotFrames: 12, MaxShotFrames: 12, NoiseAmp: 2, Seed: 3}
+	short := synth.Generate(spec)
+	spec.MinShotFrames, spec.MaxShotFrames = 36, 36
+	long := synth.Generate(spec)
+	tiers := DefaultLadder()
+	allocs := func(film *synth.Film) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := RecordLadder(film, Options{Workers: 1}, tiers); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	extraFrames := long.FrameCount() - short.FrameCount()
+	perRungFrame := (allocs(long) - allocs(short)) / float64(extraFrames*len(tiers))
+	if perRungFrame > 1 {
+		t.Errorf("%.2f allocations per rung per extra frame, want <= 1", perRungFrame)
 	}
 }

@@ -112,32 +112,48 @@ func (f *Film) Cuts() []Cut {
 	return cuts
 }
 
-// Render draws global frame i. Frames may be requested in any order.
+// Render draws global frame i into a freshly allocated frame. Frames may be
+// requested in any order.
 func (f *Film) Render(i int) *raster.Frame {
+	fr := new(raster.Frame)
+	f.RenderInto(fr, i)
+	return fr
+}
+
+// RenderInto draws global frame i into dst, pixel-identical to Render. dst is
+// resized to the film's size and its pixel buffer reused when large enough,
+// so a recorder that recycles one frame allocates nothing per frame — except
+// on a cross-fade frame, which draws the incoming shot into a scratch frame.
+func (f *Film) RenderInto(dst *raster.Frame, i int) {
 	k := f.ShotIndexAt(i)
 	local := i - f.starts[k]
-	frame := f.renderShot(k, local)
+	n := 3 * f.W * f.H
+	if cap(dst.Pix) < n {
+		dst.Pix = make([]uint8, n)
+	}
+	dst.W, dst.H, dst.Pix = f.W, f.H, dst.Pix[:n]
 	// Cross-fade from the previous shot during the first FadeIn frames.
 	if k > 0 && f.Shots[k].FadeIn > 0 && local < f.Shots[k].FadeIn {
 		prevLocal := f.Shots[k-1].Frames + local // extrapolated continuation
-		prev := f.renderShot(k-1, prevLocal)
+		f.renderShot(dst, k-1, prevLocal)
+		next := raster.New(f.W, f.H)
+		f.renderShot(next, k, local)
 		alpha := float64(local+1) / float64(f.Shots[k].FadeIn+1)
-		prev.Mix(frame, alpha)
-		frame = prev
+		dst.Mix(next, alpha)
+	} else {
+		f.renderShot(dst, k, local)
 	}
 	// Sensor noise last, so it rides on top of transitions too.
 	s := f.Shots[k]
 	if s.NoiseAmp > 0 {
-		f.addNoise(frame, s.Seed, uint64(i), s.NoiseAmp)
+		f.addNoise(dst, s.Seed, uint64(i), s.NoiseAmp)
 	}
-	return frame
 }
 
 // renderShot draws shot k at local frame t (which may exceed the shot's
-// duration during fade extrapolation).
-func (f *Film) renderShot(k, t int) *raster.Frame {
+// duration during fade extrapolation) over every pixel of fr.
+func (f *Film) renderShot(fr *raster.Frame, k, t int) {
 	s := f.Shots[k]
-	fr := raster.New(f.W, f.H)
 	top, bottom, _ := scenePalette(s.Scene)
 	horizon := f.H * 2 / 3
 	// Background: sky/wall gradient above the horizon, ground below.
@@ -160,7 +176,6 @@ func (f *Film) renderShot(k, t int) *raster.Frame {
 		bob := int(2 * unitWave(a.Phase+float64(t)/24))
 		drawActor(fr, x, horizon+6-bob, a.Tunic)
 	}
-	return fr
 }
 
 // addNoise applies per-2×2-cell sensor noise, deterministic in (seed, frame).

@@ -250,3 +250,49 @@ func TestRenderedFrameSize(t *testing.T) {
 	}
 	_ = raster.Frame{}
 }
+
+// transitionFilm has one hard cut and one cross-fade, a noise-free shot and
+// two noisy ones, at a size that is odd both ways.
+func transitionFilm() *Film {
+	return NewFilm(37, 21, 8, []Shot{
+		{Scene: Classroom, Frames: 5, PanSpeed: 0.3, Actors: []Actor{{Tunic: raster.Red, StartX: 4, Speed: 0.7}}, Seed: 1},
+		{Scene: Market, Frames: 6, NoiseAmp: 3, Seed: 2}, // hard cut
+		{Scene: Street, Frames: 7, FadeIn: 4, NoiseAmp: 2, Actors: []Actor{{Tunic: raster.Blue, StartX: 30, Speed: -0.5, Phase: 0.4}}, Seed: 3},
+	})
+}
+
+func TestRenderIntoMatchesRender(t *testing.T) {
+	f := transitionFilm()
+	// One recycled destination for the whole film, starting too small or
+	// too large and full of garbage: every pixel must be overwritten.
+	for _, dst := range []*raster.Frame{raster.New(3, 2), raster.New(64, 64)} {
+		for i := range dst.Pix {
+			dst.Pix[i] = 0xAB
+		}
+		for i := 0; i < f.FrameCount(); i++ {
+			f.RenderInto(dst, i)
+			if want := f.Render(i); !dst.Equal(want) {
+				t.Fatalf("frame %d (shot %d): RenderInto a recycled frame differs from Render", i, f.ShotIndexAt(i))
+			}
+		}
+	}
+	// Out of order too: a hard-cut frame after a fade frame after a noisy one.
+	var fr raster.Frame
+	for _, i := range []int{12, 5, 11, 0, 17} {
+		f.RenderInto(&fr, i)
+		if !fr.Equal(f.Render(i)) {
+			t.Fatalf("frame %d: out-of-order RenderInto differs from Render", i)
+		}
+	}
+}
+
+func TestRenderIntoAllocatesOnlyOnFades(t *testing.T) {
+	f := transitionFilm()
+	var fr raster.Frame
+	f.RenderInto(&fr, 0)
+	for _, i := range []int{0, 4, 5, 10, 15, 17} { // plain, noisy and post-fade frames
+		if n := testing.AllocsPerRun(20, func() { f.RenderInto(&fr, i) }); n != 0 {
+			t.Errorf("frame %d: RenderInto a recycled frame allocates %.0f objects, want 0", i, n)
+		}
+	}
+}

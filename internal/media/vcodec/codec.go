@@ -1,6 +1,7 @@
 package vcodec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 
@@ -90,24 +91,33 @@ type Packet struct {
 	Data  []byte
 }
 
-// Encoder compresses a sequence of equally-sized frames. It is a persistent
-// pipeline: the worker pool, colorspace scratch, reference/reconstruction
-// double buffer and per-row chunk buffers are all allocated once at
-// construction, so the steady-state Encode path allocates only the returned
-// packet's payload. Not safe for concurrent use.
-type Encoder struct {
-	cfg    Config
+// LadderEncoder compresses one sequence of equally-sized frames at several
+// quantizer steps in a single pass: each frame is converted to YCbCr once and
+// that one source image is coded at every rung. The ladder owns everything
+// that does not depend on the quantizer — the source image, the colorspace
+// scratch, the worker pool and the per-row chunk buffers; a rung is only its
+// quantizer step and its reference/reconstruction double buffer. All of it
+// is allocated at construction, so the steady-state Encode path allocates
+// nothing when the caller recycles the payload buffers. Not safe for
+// concurrent use.
+type LadderEncoder struct {
+	cfg    Config   // QStep is unused: every rung carries its own
 	pool   *rowPool // nil when single-worker (rows run inline)
-	img    *ycbcr   // current frame in YCbCr, reused every Encode
-	recon  *ycbcr   // reconstruction target for the current frame
-	ref    *ycbcr   // previous reconstruction (what the decoder will see)
-	hasRef bool
-	fullCb []int32 // full-resolution chroma scratch for fromFrame
-	fullCr []int32
-	rows   []byteWriter // per-block-row chunk buffers, reused across planes/frames
+	img    *ycbcr   // current frame in YCbCr, shared by every rung
+	fullCb []uint8  // full-resolution chroma scratch for fromFrame
+	fullCr []uint8
+	rows   []byteWriter // per-block-row chunk buffers, reused across planes/rungs/frames
 	task   encTask      // reusable plane-dispatch task for the pool
-	count  int
-	prevSz int // previous packet size, used to presize the next payload
+	rungs  []rung
+	hasRef bool
+	count  int // frames coded since construction or Reset; rungs advance in lockstep
+}
+
+// rung is the per-quantizer state of a LadderEncoder.
+type rung struct {
+	qstep int
+	recon *ycbcr // reconstruction target for the current frame
+	ref   *ycbcr // previous reconstruction (what this rung's decoder will see)
 }
 
 // encTask carries one plane's encode parameters to the worker pool.
@@ -122,22 +132,30 @@ func (t *encTask) runRow(by int) {
 	encodeBlockRow(&t.bufs[by], t.src, t.ref, t.recon, by, t.qstep, t.searchRange)
 }
 
-// NewEncoder returns an encoder for the given configuration. Call Close when
-// done to release the worker pool promptly (a finalizer releases it
-// otherwise).
-func NewEncoder(cfg Config) (*Encoder, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// NewLadderEncoder returns an encoder that codes every frame once per entry
+// of qsteps, in that order; cfg.QStep is ignored. Call Close when done to
+// release the worker pool promptly (a finalizer releases it otherwise).
+func NewLadderEncoder(cfg Config, qsteps []int) (*LadderEncoder, error) {
+	if len(qsteps) == 0 {
+		return nil, fmt.Errorf("vcodec: ladder encoder needs at least one quantizer step")
 	}
+	for _, q := range qsteps {
+		cfg.QStep = q
+		if err := cfg.validate(); err != nil {
+			return nil, err
+		}
+	}
+	cfg.QStep = 0
 	cfg.Workers = normWorkers(cfg.Workers)
-	e := &Encoder{cfg: cfg}
-	e.img = newYCbCr(cfg.Width, cfg.Height)
-	e.recon = newYCbCr(cfg.Width, cfg.Height)
-	e.ref = newYCbCr(cfg.Width, cfg.Height)
+	e := &LadderEncoder{cfg: cfg, img: newYCbCr(cfg.Width, cfg.Height)}
 	pw, ph := e.img.y.w, e.img.y.h
-	e.fullCb = make([]int32, pw*ph)
-	e.fullCr = make([]int32, pw*ph)
+	e.fullCb = make([]uint8, pw*ph)
+	e.fullCr = make([]uint8, pw*ph)
 	e.rows = make([]byteWriter, ph/blockSize)
+	e.rungs = make([]rung, len(qsteps))
+	for k, q := range qsteps {
+		e.rungs[k] = rung{qstep: q, recon: newYCbCr(cfg.Width, cfg.Height), ref: newYCbCr(cfg.Width, cfg.Height)}
+	}
 	if cfg.Workers > 1 {
 		e.pool = newRowPool(cfg.Workers)
 		runtime.AddCleanup(e, (*rowPool).stop, e.pool)
@@ -147,62 +165,71 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 
 // Close stops the encoder's worker pool. The encoder remains usable; further
 // Encode calls fall back to inline (single-threaded) row coding.
-func (e *Encoder) Close() {
+func (e *LadderEncoder) Close() {
 	if e.pool != nil {
 		e.pool.stop()
 		e.pool = nil
 	}
 }
 
-// Encode compresses the next frame. Frame type is chosen by the GOP setting;
-// the first frame is always intra.
-func (e *Encoder) Encode(f *raster.Frame) (Packet, error) {
+// Reset drops the reference frames so the next frame becomes an I-frame.
+func (e *LadderEncoder) Reset() {
+	e.hasRef = false
+	e.count = 0
+}
+
+// Encode compresses the next frame at every rung, leaving rung k's packet in
+// pkts[k] (one slot per quantizer step the ladder was built with). Frame
+// type is chosen by the GOP setting and is the same on every rung; the first
+// frame is always intra. Each payload is appended to pkts[k].Data[:0], so a
+// caller that passes the same slice every frame recycles the payload buffers
+// and must copy out what has to outlive the next call.
+func (e *LadderEncoder) Encode(f *raster.Frame, pkts []Packet) error {
 	if f.W != e.cfg.Width || f.H != e.cfg.Height {
-		return Packet{}, fmt.Errorf("vcodec: frame size %dx%d does not match config %dx%d",
+		return fmt.Errorf("vcodec: frame size %dx%d does not match config %dx%d",
 			f.W, f.H, e.cfg.Width, e.cfg.Height)
+	}
+	if len(pkts) != len(e.rungs) {
+		return fmt.Errorf("vcodec: %d packet slots for a %d-rung ladder", len(pkts), len(e.rungs))
 	}
 	ft := PFrame
 	if !e.hasRef || e.count%e.cfg.GOP == 0 {
 		ft = IFrame
 	}
 	e.img.fromFrame(f, e.fullCb, e.fullCr)
-	w := byteWriter{buf: make([]byte, 0, e.prevSz+e.prevSz/4+64)}
-	w.bytes([]byte(magic))
-	w.u8(uint8(ft))
-	w.uvarint(uint64(e.img.w))
-	w.uvarint(uint64(e.img.h))
-	w.uvarint(uint64(e.cfg.QStep))
-	w.u8(uint8(e.cfg.SearchRange))
-	var refY, refCb, refCr *plane
-	if ft == PFrame {
-		refY, refCb, refCr = e.ref.y, e.ref.cb, e.ref.cr
+	for k := range e.rungs {
+		rg := &e.rungs[k]
+		w := byteWriter{buf: pkts[k].Data[:0]}
+		w.bytes([]byte(magic))
+		w.u8(uint8(ft))
+		w.uvarint(uint64(e.img.w))
+		w.uvarint(uint64(e.img.h))
+		w.uvarint(uint64(rg.qstep))
+		w.u8(uint8(e.cfg.SearchRange))
+		var refY, refCb, refCr *plane
+		if ft == PFrame {
+			refY, refCb, refCr = rg.ref.y, rg.ref.cb, rg.ref.cr
+		}
+		e.encodePlane(&w, e.img.y, refY, rg.recon.y, rg.qstep, e.cfg.SearchRange)
+		e.encodePlane(&w, e.img.cb, refCb, rg.recon.cb, rg.qstep, e.cfg.SearchRange/2)
+		e.encodePlane(&w, e.img.cr, refCr, rg.recon.cr, rg.qstep, e.cfg.SearchRange/2)
+		// The fresh reconstruction becomes the reference; the old reference
+		// becomes next frame's reconstruction target (double buffer).
+		rg.ref, rg.recon = rg.recon, rg.ref
+		pkts[k] = Packet{Type: ft, Index: e.count, Data: w.buf}
 	}
-	e.encodePlane(&w, e.img.y, refY, e.recon.y, e.cfg.SearchRange)
-	e.encodePlane(&w, e.img.cb, refCb, e.recon.cb, e.cfg.SearchRange/2)
-	e.encodePlane(&w, e.img.cr, refCr, e.recon.cr, e.cfg.SearchRange/2)
-	// The fresh reconstruction becomes the reference; the old reference
-	// becomes next frame's reconstruction target (double buffer).
-	e.ref, e.recon = e.recon, e.ref
 	e.hasRef = true
-	p := Packet{Type: ft, Index: e.count, Data: w.buf}
 	e.count++
-	e.prevSz = len(w.buf)
-	return p, nil
-}
-
-// Reset drops the reference frame so the next frame becomes an I-frame.
-func (e *Encoder) Reset() {
-	e.hasRef = false
-	e.count = 0
+	return nil
 }
 
 // encodePlane codes one plane as independent block rows (parallel across
 // the persistent pool) and writes a row-length table so the decoder can
 // parallelize too.
-func (e *Encoder) encodePlane(w *byteWriter, src, ref, recon *plane, searchRange int) {
+func (e *LadderEncoder) encodePlane(w *byteWriter, src, ref, recon *plane, qstep, searchRange int) {
 	rows := src.h / blockSize
 	bufs := e.rows[:rows]
-	e.task = encTask{src: src, ref: ref, recon: recon, bufs: bufs, qstep: e.cfg.QStep, searchRange: searchRange}
+	e.task = encTask{src: src, ref: ref, recon: recon, bufs: bufs, qstep: qstep, searchRange: searchRange}
 	if e.pool != nil && rows > 1 {
 		e.pool.run(rows, &e.task)
 	} else {
@@ -219,13 +246,59 @@ func (e *Encoder) encodePlane(w *byteWriter, src, ref, recon *plane, searchRange
 	}
 }
 
+// Encoder compresses a sequence of equally-sized frames at one quantizer
+// step: the one-rung case of a LadderEncoder, returning each packet in a
+// payload the caller owns. Not safe for concurrent use.
+type Encoder struct {
+	ladder *LadderEncoder
+	prevSz int // previous packet size, used to presize the next payload
+}
+
+// NewEncoder returns an encoder for the given configuration. Call Close when
+// done to release the worker pool promptly (a finalizer releases it
+// otherwise).
+func NewEncoder(cfg Config) (*Encoder, error) {
+	l, err := NewLadderEncoder(cfg, []int{cfg.QStep})
+	if err != nil {
+		return nil, err
+	}
+	return &Encoder{ladder: l}, nil
+}
+
+// Close stops the encoder's worker pool. The encoder remains usable; further
+// Encode calls fall back to inline (single-threaded) row coding.
+func (e *Encoder) Close() { e.ladder.Close() }
+
+// Encode compresses the next frame. Frame type is chosen by the GOP setting;
+// the first frame is always intra.
+func (e *Encoder) Encode(f *raster.Frame) (Packet, error) {
+	pkts := [1]Packet{{Data: make([]byte, 0, e.prevSz+e.prevSz/4+64)}}
+	if err := e.ladder.Encode(f, pkts[:]); err != nil {
+		return Packet{}, err
+	}
+	e.prevSz = len(pkts[0].Data)
+	return pkts[0], nil
+}
+
+// Reset drops the reference frame so the next frame becomes an I-frame.
+func (e *Encoder) Reset() { e.ladder.Reset() }
+
 // encodeBlockRow codes all blocks with top edge at by*blockSize, writing
 // reconstructed samples into recon (its rows are disjoint across calls).
 func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRange int) {
 	var cur, res, coefs, rec [64]int32
 	var levels, levelsI [64]int32
+	var packed packedBlock
 	y0 := by * blockSize
 	for x0 := 0; x0 < src.w; x0 += blockSize {
+		// Perfect skip first: if the co-located reference block is
+		// identical, the residual is zero at any quantizer and neither the
+		// motion search nor either DCT needs to run.
+		if ref != nil && sameBlock(src, ref, x0, y0) {
+			w.u8(modeSkip)
+			copyBlock(ref, recon, x0, y0)
+			continue
+		}
 		loadBlock(src, x0, y0, &cur)
 		if ref == nil {
 			// I-frame (or I-coded plane): intra is the only mode.
@@ -237,16 +310,9 @@ func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRang
 			writeIntraBlock(w, recon, x0, y0, qstep, &levelsI, &rec)
 			continue
 		}
-		// Perfect skip first: if the co-located reference block is
-		// identical, the residual is zero at any quantizer and neither the
-		// motion search nor either DCT needs to run.
-		if sameBlock(&cur, ref, x0, y0) {
-			w.u8(modeSkip)
-			copyBlock(ref, recon, x0, y0)
-			continue
-		}
 		// Motion search (includes the (0,0) candidate even when range is 0).
-		mvx, mvy := motionSearch(&cur, ref, x0, y0, searchRange)
+		packed.load(src, x0, y0)
+		mvx, mvy := motionSearch(&packed, ref, x0, y0, searchRange)
 		loadBlock(ref, x0+mvx, y0+mvy, &res)
 		for i := range res {
 			res[i] = cur[i] - res[i]
@@ -300,31 +366,102 @@ func reconstructMC(ref, recon *plane, x0, y0, mvx, mvy, qstep int, levels *[64]i
 		pred := ref.row(x0+mvx, y0+mvy+r, blockSize)
 		dst := recon.row(x0, y0+r, blockSize)
 		for k := range dst {
-			dst[k] = clamp255(pred[k] + rec[r*blockSize+k])
+			dst[k] = clamp255(int32(pred[k]) + rec[r*blockSize+k])
 		}
 	}
 }
 
-// sameBlock reports whether the current block equals the co-located
-// reference block exactly, comparing row slices with early exit.
-func sameBlock(cur *[64]int32, ref *plane, x0, y0 int) bool {
+// word loads the eight samples of row y starting at column x0 as one
+// little-endian 64-bit word.
+func (p *plane) word(x0, y int) uint64 {
+	return binary.LittleEndian.Uint64(p.pix[y*p.w+x0:])
+}
+
+// sameBlock reports whether the 8×8 blocks at (x0,y0) of a and b are equal,
+// a row per comparison with early exit.
+func sameBlock(a, b *plane, x0, y0 int) bool {
 	for r := 0; r < blockSize; r++ {
-		rrow := ref.row(x0, y0+r, blockSize)
-		crow := cur[r*blockSize : r*blockSize+blockSize]
-		for k := range crow {
-			if crow[k] != rrow[k] {
-				return false
-			}
+		if a.word(x0, y0+r) != b.word(x0, y0+r) {
+			return false
 		}
 	}
 	return true
 }
 
+// The motion search takes the sum of absolute differences of a block row
+// eight samples at a time: the row's bytes are spread over the 16-bit lanes
+// of two 64-bit words (even samples in one, odd in the other) so a lane has
+// room for a biased difference and for the sum of a whole candidate.
+const (
+	laneLow  = 0x00FF00FF00FF00FF // the sample byte of every lane
+	laneOne  = 0x0001000100010001
+	laneBias = 0x0100010001000100 // 256 per lane: keeps a−b positive
+)
+
+// packedBlock is the current block prepared once for all candidates of a
+// motion search: per row, the even and the odd samples in 16-bit lanes with
+// laneBias already added.
+type packedBlock struct {
+	even, odd [blockSize]uint64
+}
+
+func (b *packedBlock) load(p *plane, x0, y0 int) {
+	for r := 0; r < blockSize; r++ {
+		b.even[r], b.odd[r] = packRow(p.word(x0, y0+r))
+	}
+}
+
+// packRow spreads the eight samples of row word w over two biased lane
+// words.
+func packRow(w uint64) (even, odd uint64) {
+	return w&laneLow | laneBias, w>>8&laneLow | laneBias
+}
+
+// absDiffLanes returns |a−b| in each 16-bit lane, for a holding samples with
+// laneBias added and b holding bare samples. Per lane d = 256+a−b lies in
+// 1…511, so no borrow crosses a lane and bit 8 is the sign: where it is set
+// the low byte is a−b, where it is clear 256−d = (d^0xFF)+1 is b−a.
+func absDiffLanes(a, b uint64) uint64 {
+	d := a - b
+	neg := ^d >> 8 & laneOne
+	return (d&laneLow ^ (neg<<8 - neg)) + neg
+}
+
+// sadRow returns, spread over four lanes that still have to be summed, the
+// absolute differences of one row: the current row's packed words against
+// the eight reference samples in ref.
+func sadRow(even, odd, ref uint64) uint64 {
+	return absDiffLanes(even, ref&laneLow) + absDiffLanes(odd, ref>>8&laneLow)
+}
+
+// foldLanes sums the four 16-bit lanes of x with one multiply. The sum must
+// fit 16 bits, which a whole 8×8 block of sadRow results does: 64·255 =
+// 16320, at most 16·255 of it in any one lane.
+func foldLanes(x uint64) int32 {
+	return int32(x * laneOne >> 48)
+}
+
+// sadBlock returns the sum of absolute differences between the packed
+// current block and the 8×8 reference block whose top-left sample is pix[0]
+// and whose rows are stride apart. It is deliberately a leaf of its own:
+// written into motionSearch's candidate loop, the lane constants and the
+// accumulator spill to the stack on every row.
+func sadBlock(cur *packedBlock, pix []uint8, stride int) int32 {
+	var lanes uint64
+	for row, o := 0, 0; row < blockSize; row, o = row+1, o+stride {
+		lanes += sadRow(cur.even[row], cur.odd[row], binary.LittleEndian.Uint64(pix[o:o+8:o+8]))
+	}
+	return foldLanes(lanes)
+}
+
 // motionSearch finds the full-pixel offset within ±r minimizing SAD against
-// the reference, constrained so the reference block stays in bounds. The
-// inner loop walks raw row slices (no per-pixel index math) and exits early
-// once a candidate exceeds the best SAD so far.
-func motionSearch(cur *[64]int32, ref *plane, x0, y0, r int) (int, int) {
+// the reference, constrained so the reference block stays in bounds.
+// Candidates are visited row-major from (−r,−r), the zero vector gets a −4
+// bias to avoid jitter on ties, and otherwise the first strictly smaller SAD
+// wins. There is no pruning: on footage with sensor noise every candidate's
+// SAD is alike, so a running "already worse than best" test only fires in a
+// candidate's last rows and costs more than it saves (EXPERIMENTS.md E22).
+func motionSearch(cur *packedBlock, ref *plane, x0, y0, r int) (int, int) {
 	if r == 0 {
 		return 0, 0
 	}
@@ -339,22 +476,9 @@ func motionSearch(cur *[64]int32, ref *plane, x0, y0, r int) (int, int) {
 			if rx < 0 || rx+blockSize > ref.w {
 				continue
 			}
-			// Bias toward the zero vector to avoid jitter on ties.
-			var sad int32
+			sad := sadBlock(cur, ref.pix[ry*ref.w+rx:], ref.w)
 			if dx == 0 && dy == 0 {
-				sad = -4
-			}
-			base := ry*ref.w + rx
-			for row := 0; row < blockSize && sad < best; row++ {
-				rrow := ref.pix[base+row*ref.w : base+row*ref.w+blockSize : base+row*ref.w+blockSize]
-				crow := cur[row*blockSize : row*blockSize+blockSize]
-				for k, c := range crow {
-					d := c - rrow[k]
-					if d < 0 {
-						d = -d
-					}
-					sad += d
-				}
+				sad -= 4
 			}
 			if sad < best {
 				best, bx, by = sad, dx, dy
@@ -364,11 +488,15 @@ func motionSearch(cur *[64]int32, ref *plane, x0, y0, r int) (int, int) {
 	return bx, by
 }
 
-// loadBlock copies the 8×8 block with top-left corner (x0,y0) into dst,
-// row by row.
+// loadBlock widens the 8×8 block with top-left corner (x0,y0) into dst, row
+// by row.
 func loadBlock(p *plane, x0, y0 int, dst *[64]int32) {
 	for r := 0; r < blockSize; r++ {
-		copy(dst[r*blockSize:r*blockSize+blockSize], p.row(x0, y0+r, blockSize))
+		row := p.row(x0, y0+r, blockSize)
+		out := dst[r*blockSize : r*blockSize+blockSize]
+		for k, v := range row {
+			out[k] = int32(v)
+		}
 	}
 }
 

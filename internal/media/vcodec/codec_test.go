@@ -409,8 +409,8 @@ func TestWorkerDefaultsAndClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc.Close()
-	if enc.cfg.Workers < 1 || enc.cfg.Workers > MaxWorkers {
-		t.Errorf("default encoder workers = %d, out of [1,%d]", enc.cfg.Workers, MaxWorkers)
+	if enc.ladder.cfg.Workers < 1 || enc.ladder.cfg.Workers > MaxWorkers {
+		t.Errorf("default encoder workers = %d, out of [1,%d]", enc.ladder.cfg.Workers, MaxWorkers)
 	}
 }
 
@@ -617,5 +617,108 @@ func TestOddSizeFrames(t *testing.T) {
 		if p := raster.PSNR(src, rec); p < bound-1.5 {
 			t.Errorf("%dx%d: PSNR %.1f dB, want within 1.5 dB of 4:2:0 bound %.1f", w, h, p, bound)
 		}
+	}
+}
+
+func TestLadderEncoderValidation(t *testing.T) {
+	cfg := encCfg(32, 16)
+	if _, err := NewLadderEncoder(cfg, nil); err == nil {
+		t.Error("empty ladder accepted")
+	}
+	if _, err := NewLadderEncoder(cfg, []int{4, 999}); err == nil {
+		t.Error("out-of-range rung quantizer accepted")
+	}
+	cfg.QStep = 0 // ignored: every rung carries its own
+	enc, err := NewLadderEncoder(cfg, []int{4, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Close()
+	if err := enc.Encode(raster.New(32, 16), make([]Packet, 1)); err == nil {
+		t.Error("one packet slot accepted for a two-rung ladder")
+	}
+	if err := enc.Encode(raster.New(16, 16), make([]Packet, 2)); err == nil {
+		t.Error("wrong-size frame accepted")
+	}
+}
+
+// TestLadderRungsMatchSeparateEncoders: sharing the source image, the row
+// buffers and the pool across rungs must not couple them — every rung's
+// packets equal a one-rung encoder's at that quantizer — and recycling the
+// payload buffers must not change a byte.
+func TestLadderRungsMatchSeparateEncoders(t *testing.T) {
+	film := testFilm(t)
+	qsteps := []int{4, 10, 64}
+	cfg := encCfg(96, 64)
+	ladder, err := NewLadderEncoder(cfg, qsteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ladder.Close()
+	singles := make([]*Encoder, len(qsteps))
+	for k, q := range qsteps {
+		c := cfg
+		c.QStep = q
+		if singles[k], err = NewEncoder(c); err != nil {
+			t.Fatal(err)
+		}
+		defer singles[k].Close()
+	}
+	pkts := make([]Packet, len(qsteps))
+	for i := 0; i < 20; i++ {
+		src := film.Render(i)
+		if err := ladder.Encode(src, pkts); err != nil {
+			t.Fatal(err)
+		}
+		for k := range qsteps {
+			want, err := singles[k].Encode(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pkts[k].Type != want.Type || pkts[k].Index != want.Index || string(pkts[k].Data) != string(want.Data) {
+				t.Fatalf("frame %d rung q=%d: ladder packet differs from a separate encoder's", i, qsteps[k])
+			}
+		}
+	}
+}
+
+func TestEncodeSteadyStateAllocs(t *testing.T) {
+	film := testFilm(t)
+	frames := make([]*raster.Frame, 16)
+	for i := range frames {
+		frames[i] = film.Render(i)
+	}
+	cfg := encCfg(96, 64)
+	ladder, err := NewLadderEncoder(cfg, []int{4, 10, 24, 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ladder.Close()
+	single, err := NewEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	pkts := make([]Packet, 4)
+	i := 0
+	next := func() *raster.Frame { i++; return frames[i%len(frames)] }
+	for range frames { // warm the payload buffers through a whole GOP cycle
+		if err := ladder.Encode(next(), pkts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(32, func() {
+		if err := ladder.Encode(next(), pkts); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ladder Encode with recycled packets allocates %.1f objects/frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(32, func() {
+		if _, err := single.Encode(next()); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("Encoder.Encode allocates %.1f objects/frame, want 1 (the returned payload)", n)
 	}
 }

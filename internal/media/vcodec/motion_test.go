@@ -1,0 +1,213 @@
+package vcodec
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// motionSearchRef is the scalar motion search the word-wide one replaced,
+// kept as the oracle: 64 abs-diffs per candidate, row-major scan from
+// (−r,−r), −4 bias on the zero vector, strict < to replace the best, early
+// exit once a candidate is no better than the best so far.
+func motionSearchRef(src, ref *plane, x0, y0, r int) (int, int) {
+	if r == 0 {
+		return 0, 0
+	}
+	best, bx, by := int32(1<<30), 0, 0
+	for dy := -r; dy <= r; dy++ {
+		ry := y0 + dy
+		if ry < 0 || ry+blockSize > ref.h {
+			continue
+		}
+		for dx := -r; dx <= r; dx++ {
+			rx := x0 + dx
+			if rx < 0 || rx+blockSize > ref.w {
+				continue
+			}
+			var sad int32
+			if dx == 0 && dy == 0 {
+				sad = -4
+			}
+			for row := 0; row < blockSize && sad < best; row++ {
+				rrow := ref.row(rx, ry+row, blockSize)
+				crow := src.row(x0, y0+row, blockSize)
+				for k, c := range crow {
+					d := int32(c) - int32(rrow[k])
+					if d < 0 {
+						d = -d
+					}
+					sad += d
+				}
+			}
+			if sad < best {
+				best, bx, by = sad, dx, dy
+			}
+		}
+	}
+	return bx, by
+}
+
+// blockOrigins lists the block positions along a plane side of n samples:
+// the aligned ones that fit, plus the last position that fits when n is not
+// a block multiple (so odd strides meet an unaligned block on the far edge).
+func blockOrigins(n int) []int {
+	var at []int
+	for o := 0; o+blockSize <= n; o += blockSize {
+		at = append(at, o)
+	}
+	if n%blockSize != 0 {
+		at = append(at, n-blockSize)
+	}
+	return at
+}
+
+// checkMotionSearch compares the two searches on every block of the plane
+// pair, for every search range the format allows.
+func checkMotionSearch(t *testing.T, name string, src, ref *plane) {
+	t.Helper()
+	var packed packedBlock
+	for r := 0; r <= 7; r++ {
+		for _, y0 := range blockOrigins(src.h) {
+			for _, x0 := range blockOrigins(src.w) {
+				packed.load(src, x0, y0)
+				gx, gy := motionSearch(&packed, ref, x0, y0, r)
+				wx, wy := motionSearchRef(src, ref, x0, y0, r)
+				if gx != wx || gy != wy {
+					t.Fatalf("%s: block (%d,%d) range %d: mv (%d,%d), reference search says (%d,%d)",
+						name, x0, y0, r, gx, gy, wx, wy)
+				}
+			}
+		}
+	}
+}
+
+func TestMotionSearchMatchesReference(t *testing.T) {
+	fill := func(w, h int, f func(x, y int) uint8) *plane {
+		p := newPlane(w, h)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				p.pix[y*w+x] = f(x, y)
+			}
+		}
+		return p
+	}
+	checker := func(phase int) func(x, y int) uint8 {
+		return func(x, y int) uint8 {
+			if (x+y+phase)%2 == 0 {
+				return 255
+			}
+			return 0
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	noise := func(int, int) uint8 { return uint8(rng.Intn(256)) }
+
+	// Every block of these planes touches at least one border for the
+	// larger ranges, so clipped candidate sets are covered throughout. The
+	// codec only builds block-multiple planes; 21×19 and 37×11 are here so
+	// the row stride is odd and nothing may lean on alignment.
+	for _, size := range [][2]int{{8, 8}, {16, 8}, {24, 16}, {40, 24}, {21, 19}, {37, 11}} {
+		w, h := size[0], size[1]
+
+		// All-equal planes: every candidate ties at SAD 0, so the zero
+		// vector must win through its bias.
+		flat := fill(w, h, func(int, int) uint8 { return 77 })
+		checkMotionSearch(t, "flat", flat, flat)
+		var packed packedBlock
+		packed.load(flat, 0, 0)
+		if mx, my := motionSearch(&packed, flat, 0, 0, 3); mx != 0 || my != 0 {
+			t.Fatalf("flat %dx%d: mv (%d,%d), want the zero vector", w, h, mx, my)
+		}
+
+		// Ties among non-zero candidates only: the reference is flat except
+		// for the co-located block, so the zero vector is the worst match
+		// and the first candidate in scan order must win.
+		spoiled := fill(w, h, func(x, y int) uint8 {
+			if x/blockSize == 1 && y/blockSize == 0 {
+				return 255
+			}
+			return 77
+		})
+		checkMotionSearch(t, "spoiled", flat, spoiled)
+
+		// 0/255 checkerboards: every lane at its extreme, both signs.
+		checkMotionSearch(t, "checker", fill(w, h, checker(0)), fill(w, h, checker(1)))
+		checkMotionSearch(t, "checker-same", fill(w, h, checker(0)), fill(w, h, checker(0)))
+		checkMotionSearch(t, "white-black", fill(w, h, func(int, int) uint8 { return 255 }), fill(w, h, func(int, int) uint8 { return 0 }))
+
+		// Seeded random planes, and a shifted noisy copy (a real motion
+		// field with near-ties, like the footage).
+		for trial := 0; trial < 8; trial++ {
+			src := fill(w, h, noise)
+			checkMotionSearch(t, "random", src, fill(w, h, noise))
+			sx, sy := rng.Intn(7)-3, rng.Intn(7)-3
+			shifted := fill(w, h, func(x, y int) uint8 {
+				xx, yy := (x+sx+w)%w, (y+sy+h)%h
+				v := int(src.pix[yy*w+xx]) + rng.Intn(5) - 2
+				if v < 0 {
+					v = 0
+				}
+				if v > 255 {
+					v = 255
+				}
+				return uint8(v)
+			})
+			checkMotionSearch(t, "shifted", src, shifted)
+		}
+	}
+}
+
+// TestSADRowKernelExhaustive checks the lane arithmetic against Σ|a−b| for
+// every pair of byte values in every one of the eight sample positions, with
+// the other seven positions at both extremes so a borrow or carry leaking
+// between lanes would show.
+func TestSADRowKernelExhaustive(t *testing.T) {
+	backgrounds := [][2]uint8{{0, 0}, {255, 255}, {0, 255}, {255, 0}}
+	for pos := 0; pos < 8; pos++ {
+		for _, bg := range backgrounds {
+			var others int32
+			if bg[0] != bg[1] {
+				others = 7 * 255
+			}
+			for a := 0; a < 256; a++ {
+				for b := 0; b < 256; b++ {
+					var cur, ref uint64
+					for k := 0; k < 8; k++ {
+						ca, cb := bg[0], bg[1]
+						if k == pos {
+							ca, cb = uint8(a), uint8(b)
+						}
+						cur |= uint64(ca) << (8 * k)
+						ref |= uint64(cb) << (8 * k)
+					}
+					want := others + int32(a-b)
+					if a < b {
+						want = others + int32(b-a)
+					}
+					even, odd := packRow(cur)
+					if got := foldLanes(sadRow(even, odd, ref)); got != want {
+						t.Fatalf("position %d, background %v: |%d−%d| row sum = %d, want %d", pos, bg, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSADBlockWorstCase pins the lane-overflow margin foldLanes documents:
+// a whole block at maximum difference still sums exactly.
+func TestSADBlockWorstCase(t *testing.T) {
+	white, black := newPlane(8, 8), newPlane(8, 8)
+	for i := range white.pix {
+		white.pix[i] = 255
+	}
+	var packed packedBlock
+	packed.load(white, 0, 0)
+	if got := sadBlock(&packed, black.pix, black.w); got != 64*255 {
+		t.Fatalf("sadBlock(white, black) = %d, want %d", got, 64*255)
+	}
+	packed.load(black, 0, 0)
+	if got := sadBlock(&packed, white.pix, white.w); got != 64*255 {
+		t.Fatalf("sadBlock(black, white) = %d, want %d", got, 64*255)
+	}
+}

@@ -3,42 +3,36 @@ package vcodec
 import "repro/internal/media/raster"
 
 // plane is a single-component image with dimensions padded to multiples of
-// the block size. Samples are int32 so residuals (which go negative) share
-// the representation.
+// the block size. Samples are bytes: a plane only ever holds clamped 0…255
+// values (residuals, which go negative, live in the [64]int32 block arrays),
+// and byte rows are what lets the motion search compare eight samples per
+// 64-bit word.
 type plane struct {
 	w, h int // padded dimensions, multiples of blockSize
-	pix  []int32
+	pix  []uint8
 }
 
 func newPlane(w, h int) *plane {
-	return &plane{w: w, h: h, pix: make([]int32, w*h)}
+	return &plane{w: w, h: h, pix: make([]uint8, w*h)}
 }
 
 func padUp(n int) int {
 	return (n + blockSize - 1) / blockSize * blockSize
 }
 
-func (p *plane) at(x, y int) int32 {
-	return p.pix[y*p.w+x]
-}
-
-func (p *plane) set(x, y int, v int32) {
-	p.pix[y*p.w+x] = v
-}
-
 // row returns the n samples of row y starting at column x0.
-func (p *plane) row(x0, y, n int) []int32 {
+func (p *plane) row(x0, y, n int) []uint8 {
 	return p.pix[y*p.w+x0 : y*p.w+x0+n]
 }
 
-func clamp255(v int32) int32 {
+func clamp255(v int32) uint8 {
 	if v < 0 {
 		return 0
 	}
 	if v > 255 {
 		return 255
 	}
-	return v
+	return uint8(v)
 }
 
 // ycbcr holds one frame in planar YCbCr 4:2:0: full-resolution luma, chroma
@@ -65,7 +59,7 @@ func newYCbCr(w, h int) *ycbcr {
 // the border. fullCb/fullCr are caller-owned full-resolution scratch of at
 // least padUp(w)*padUp(h) samples, so steady-state conversion allocates
 // nothing.
-func (img *ycbcr) fromFrame(f *raster.Frame, fullCb, fullCr []int32) {
+func (img *ycbcr) fromFrame(f *raster.Frame, fullCb, fullCr []uint8) {
 	pw, ph := img.y.w, img.y.h
 	// Full-resolution conversion with edge replication for padding.
 	for y := 0; y < ph; y++ {
@@ -73,19 +67,20 @@ func (img *ycbcr) fromFrame(f *raster.Frame, fullCb, fullCr []int32) {
 		if sy >= f.H {
 			sy = f.H - 1
 		}
-		for x := 0; x < pw; x++ {
+		src := f.Pix[3*sy*f.W : 3*(sy+1)*f.W]
+		yrow := img.y.pix[y*pw : (y+1)*pw]
+		cbrow := fullCb[y*pw : (y+1)*pw]
+		crrow := fullCr[y*pw : (y+1)*pw]
+		for x := range yrow {
 			sx := x
 			if sx >= f.W {
 				sx = f.W - 1
 			}
-			i := 3 * (sy*f.W + sx)
-			r, g, b := int32(f.Pix[i]), int32(f.Pix[i+1]), int32(f.Pix[i+2])
-			yy := (77*r + 150*g + 29*b) >> 8
-			cb := ((-43*r - 85*g + 128*b) >> 8) + 128
-			cr := ((128*r - 107*g - 21*b) >> 8) + 128
-			img.y.set(x, y, clamp255(yy))
-			fullCb[y*pw+x] = clamp255(cb)
-			fullCr[y*pw+x] = clamp255(cr)
+			px := src[3*sx : 3*sx+3]
+			r, g, b := int32(px[0]), int32(px[1]), int32(px[2])
+			yrow[x] = clamp255((77*r + 150*g + 29*b) >> 8)
+			cbrow[x] = clamp255(((-43*r - 85*g + 128*b) >> 8) + 128)
+			crrow[x] = clamp255(((128*r - 107*g - 21*b) >> 8) + 128)
 		}
 	}
 	// 2×2 box subsample chroma, then replicate-pad to the chroma plane.
@@ -96,23 +91,27 @@ func (img *ycbcr) fromFrame(f *raster.Frame, fullCb, fullCr []int32) {
 		if sy >= halfH {
 			sy = halfH - 1
 		}
-		for x := 0; x < cw; x++ {
+		y0 := 2 * sy
+		y1 := y0 + 1
+		if y1 >= ph {
+			y1 = y0
+		}
+		cb0, cb1 := fullCb[y0*pw:(y0+1)*pw], fullCb[y1*pw:(y1+1)*pw]
+		cr0, cr1 := fullCr[y0*pw:(y0+1)*pw], fullCr[y1*pw:(y1+1)*pw]
+		cbrow := img.cb.pix[y*cw : (y+1)*cw]
+		crrow := img.cr.pix[y*cw : (y+1)*cw]
+		for x := range cbrow {
 			sx := x
 			if sx >= halfW {
 				sx = halfW - 1
 			}
-			x0, y0 := 2*sx, 2*sy
-			x1, y1 := x0+1, y0+1
+			x0 := 2 * sx
+			x1 := x0 + 1
 			if x1 >= pw {
 				x1 = x0
 			}
-			if y1 >= ph {
-				y1 = y0
-			}
-			cb := (fullCb[y0*pw+x0] + fullCb[y0*pw+x1] + fullCb[y1*pw+x0] + fullCb[y1*pw+x1] + 2) / 4
-			cr := (fullCr[y0*pw+x0] + fullCr[y0*pw+x1] + fullCr[y1*pw+x0] + fullCr[y1*pw+x1] + 2) / 4
-			img.cb.set(x, y, cb)
-			img.cr.set(x, y, cr)
+			cbrow[x] = uint8((int32(cb0[x0]) + int32(cb0[x1]) + int32(cb1[x0]) + int32(cb1[x1]) + 2) / 4)
+			crrow[x] = uint8((int32(cr0[x0]) + int32(cr0[x1]) + int32(cr1[x0]) + int32(cr1[x1]) + 2) / 4)
 		}
 	}
 }
@@ -123,7 +122,7 @@ func (img *ycbcr) fromFrame(f *raster.Frame, fullCb, fullCr []int32) {
 func toYCbCr(f *raster.Frame) *ycbcr {
 	img := newYCbCr(f.W, f.H)
 	pw, ph := img.y.w, img.y.h
-	img.fromFrame(f, make([]int32, pw*ph), make([]int32, pw*ph))
+	img.fromFrame(f, make([]uint8, pw*ph), make([]uint8, pw*ph))
 	return img
 }
 
@@ -176,19 +175,19 @@ func (img *ycbcr) toFrameInto(dst *raster.Frame) {
 			if cx1 >= halfW {
 				cx1 = halfW - 1
 			}
-			cb := ((cbr0[cx0]*(4-tx)+cbr0[cx1]*tx)*(4-ty) +
-				(cbr1[cx0]*(4-tx)+cbr1[cx1]*tx)*ty + 8) >> 4
-			cr := ((crr0[cx0]*(4-tx)+crr0[cx1]*tx)*(4-ty) +
-				(crr1[cx0]*(4-tx)+crr1[cx1]*tx)*ty + 8) >> 4
+			cb := ((int32(cbr0[cx0])*(4-tx)+int32(cbr0[cx1])*tx)*(4-ty) +
+				(int32(cbr1[cx0])*(4-tx)+int32(cbr1[cx1])*tx)*ty + 8) >> 4
+			cr := ((int32(crr0[cx0])*(4-tx)+int32(crr0[cx1])*tx)*(4-ty) +
+				(int32(crr1[cx0])*(4-tx)+int32(crr1[cx1])*tx)*ty + 8) >> 4
 			cb -= 128
 			cr -= 128
-			yy := yrow[x]
+			yy := int32(yrow[x])
 			r := yy + (359 * cr >> 8)
 			g := yy - (88 * cb >> 8) - (183 * cr >> 8)
 			b := yy + (454 * cb >> 8)
-			drow[3*x] = uint8(clamp255(r))
-			drow[3*x+1] = uint8(clamp255(g))
-			drow[3*x+2] = uint8(clamp255(b))
+			drow[3*x] = clamp255(r)
+			drow[3*x+1] = clamp255(g)
+			drow[3*x+2] = clamp255(b)
 		}
 	}
 }
