@@ -311,14 +311,14 @@ func BenchmarkStreamStartupProgressive(b *testing.B) {
 	c := &netstream.Client{}
 	// Progressive startup fetches only the head + first segment; report
 	// MB/s over the bytes actually transferred per op.
-	_, st, err := c.ProgressiveOpen(ts.URL + "/pkg/c")
+	_, st, err := c.ProgressiveOpenABR(ts.URL+"/pkg/c", nil, netstream.ABRConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(st.BytesFetched))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.ProgressiveOpen(ts.URL + "/pkg/c"); err != nil {
+		if _, _, err := c.ProgressiveOpenABR(ts.URL+"/pkg/c", nil, netstream.ABRConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -335,7 +335,8 @@ func BenchmarkStreamFullDownload(b *testing.B) {
 	b.SetBytes(int64(len(classroomPkg(b)))) // full package bytes per op
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Download(ts.URL + "/pkg/c"); err != nil {
+		// A cold sync: manifest plus every chunk into an empty cache.
+		if _, _, err := c.DownloadDelta(ts.URL+"/pkg/c", netstream.NewPackageCache()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,7 +351,7 @@ func remoteBenchGame(b *testing.B) *netstream.RemoteGame {
 	}
 	ts := httptest.NewServer(srv)
 	b.Cleanup(ts.Close)
-	g, _, err := (&netstream.Client{}).ProgressiveOpen(ts.URL + "/pkg/c")
+	g, _, err := (&netstream.Client{}).ProgressiveOpenABR(ts.URL+"/pkg/c", nil, netstream.ABRConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

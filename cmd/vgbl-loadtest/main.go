@@ -53,7 +53,6 @@ func main() {
 	steps := flag.Int("steps", 30, "max interactions per session")
 	flushEvery := flag.Int("flush", 32, "telemetry batch size")
 	flushMS := flag.Int("flush-interval-ms", 250, "telemetry interval flush (0 disables)")
-	progressive := flag.Bool("progressive", false, "also measure ranged progressive startup per learner")
 	interactive := flag.Bool("interactive", false, "play server-hosted sessions over the wire instead of simulating locally")
 	playMirror := flag.Bool("play-mirror", false, "thick-client mode: a local replica answers reads and frames; acts ship as reconciled batches of 16 (default: thin clients, one framed round trip per act)")
 	watchEvery := flag.Int("watch-every", 0, "fetch the rendered frame every N steps (0 disables; interactive frame traffic)")
@@ -65,7 +64,6 @@ func main() {
 	watchers := flag.Int("watchers", 200, "classroom mode: watchers per room")
 	roomFPS := flag.Int("room-fps", 10, "classroom mode: driver pace in acts per second")
 	roomTicks := flag.Int("room-ticks", 100, "classroom mode: driver acts per room")
-	roomStream := flag.Bool("room-stream", false, "classroom mode: watchers use chunked streaming instead of long-polling")
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	faultProfile := flag.String("fault", "", fmt.Sprintf("inject a named fault profile into the fleet's HTTP path (%s)", strings.Join(faultnet.ProfileNames(), ", ")))
 	faultSeed := flag.Int64("fault-seed", 1, "fault injection RNG seed (deterministic per seed)")
@@ -135,7 +133,6 @@ func main() {
 			Watchers:  *watchers,
 			FPS:       *roomFPS,
 			Ticks:     *roomTicks,
-			Stream:    *roomStream,
 			Policy:    f,
 			Seed:      *seed,
 		})
@@ -169,19 +166,18 @@ func main() {
 	}
 	fmt.Printf("driving %d learners (%s policy, %s) against %s/pkg/%s ...\n", *learners, *policy, mode, url, *pkgName)
 	sum, err := fleet.Run(fleet.Config{
-		ServerURL:          url,
-		PlayURL:            *playServer,
-		Package:            *pkgName,
-		Learners:           *learners,
-		Concurrency:        *concurrency,
-		Interactive:        *interactive,
-		PlayMirror:         *playMirror,
-		Policy:             f,
-		Sim:                sim.Config{MaxSteps: *steps, TicksPerStep: 2, Patience: 20, RewardBoost: 10, Seed: *seed, WatchEvery: *watchEvery},
-		FlushEvery:         *flushEvery,
-		FlushInterval:      time.Duration(*flushMS) * time.Millisecond,
-		ProgressiveStartup: *progressive,
-		HTTP:               faultHTTP,
+		ServerURL:     url,
+		PlayURL:       *playServer,
+		Package:       *pkgName,
+		Learners:      *learners,
+		Concurrency:   *concurrency,
+		Interactive:   *interactive,
+		PlayMirror:    *playMirror,
+		Policy:        f,
+		Sim:           sim.Config{MaxSteps: *steps, TicksPerStep: 2, Patience: 20, RewardBoost: 10, Seed: *seed, WatchEvery: *watchEvery},
+		FlushEvery:    *flushEvery,
+		FlushInterval: time.Duration(*flushMS) * time.Millisecond,
+		HTTP:          faultHTTP,
 	})
 	if err != nil {
 		fail(err)

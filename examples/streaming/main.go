@@ -36,8 +36,9 @@ func main() {
 
 	c := &netstream.Client{}
 
-	// Strategy 1: classic full download.
-	_, full, err := c.Download(base + "/pkg/museum")
+	// Strategy 1: classic full download — a cold sync into an empty cache
+	// (the manifest, then every chunk).
+	_, full, err := c.DownloadDelta(base+"/pkg/museum", netstream.NewPackageCache())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func main() {
 		full.BytesFetched, full.Requests, full.Elapsed)
 
 	// Strategy 2: progressive start.
-	g, prog, err := c.ProgressiveOpen(base + "/pkg/museum")
+	g, prog, err := c.ProgressiveOpenABR(base+"/pkg/museum", netstream.NewPackageCache(), netstream.ABRConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -237,7 +237,9 @@ func E7(cohort int) (string, error) {
 	return b.String(), nil
 }
 
-// E8 measures startup cost: progressive segment streaming vs full download.
+// E8 measures startup cost: progressive segment streaming vs full download
+// (a cold DownloadDelta into an empty cache: requests = manifest + chunks,
+// bytes = package + manifest).
 func E8() (string, error) {
 	var b strings.Builder
 	b.WriteString("E8 — network startup: progressive segment streaming vs full download\n")
@@ -281,12 +283,12 @@ func E8() (string, error) {
 		go hs.Serve(ln)
 		url := "http://" + ln.Addr().String() + "/pkg/course"
 		c := &netstream.Client{}
-		_, full, err := c.Download(url)
+		_, full, err := c.DownloadDelta(url, netstream.NewPackageCache())
 		if err != nil {
 			hs.Close()
 			return "", err
 		}
-		_, prog, err := c.ProgressiveOpen(url)
+		_, prog, err := c.ProgressiveOpenABR(url, netstream.NewPackageCache(), netstream.ABRConfig{})
 		hs.Close()
 		if err != nil {
 			return "", err

@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/gamepack"
-	"repro/internal/media/raster"
 	"repro/internal/netstream"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
@@ -43,8 +42,6 @@ type ClassroomConfig struct {
 	// the cohort before the driver answers it and the lesson moves on
 	// (default 2×FPS — two seconds of class time).
 	QuizHoldTicks int
-	// Stream switches watchers from long-polling to chunked streaming.
-	Stream bool
 	// Correctness is the probability a watcher answers a quiz correctly
 	// (default 0.7) — the knob that makes cohort tallies look like a class.
 	Correctness float64
@@ -370,8 +367,8 @@ func watchHold(cfg *ClassroomConfig) time.Duration {
 	return hold
 }
 
-// runWatcher follows one room to the end: join, poll (or stream) the
-// broadcast, answer each quiz once. A watcher answers correctly with
+// runWatcher follows one room to the end: join, long-poll the broadcast,
+// answer each quiz once. A watcher answers correctly with
 // probability cfg.Correctness, otherwise picks a random wrong choice.
 func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed int64, deadline time.Time) watcherOutcome {
 	var o watcherOutcome
@@ -410,19 +407,11 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 	answer(wc.PendingQuiz()) // a quiz may already be open at join time
 	hold := watchHold(cfg)
 	for time.Now().Before(deadline) {
-		if cfg.Stream {
-			err = wc.Stream(16, hold, func(u *playsvc.WatchUpdate, _ *raster.Frame) error {
-				o.delivered++
-				answer(u.Quiz)
-				return nil
-			})
-		} else {
-			var u *playsvc.WatchUpdate
-			u, _, err = wc.Poll(hold)
-			if u != nil {
-				o.delivered++
-				answer(u.Quiz)
-			}
+		var u *playsvc.WatchUpdate
+		u, _, err = wc.Poll(hold)
+		if u != nil {
+			o.delivered++
+			answer(u.Quiz)
 		}
 		if err != nil {
 			var pe *playsvc.Error

@@ -67,11 +67,6 @@ type Config struct {
 	FlushEvery    int           // telemetry batch size (default 32)
 	FlushInterval time.Duration // telemetry interval flush (0 = size-only)
 
-	// ProgressiveStartup additionally measures a ProgressiveOpen per
-	// learner (the ranged startup fetch) instead of timing only the cached
-	// download.
-	ProgressiveStartup bool
-
 	// Obs, when set, receives the fleet's client-side transfer histograms
 	// (netstream_delta_bytes / netstream_delta_seconds): every learner's
 	// delta-sync download is observed into one shared family on this
@@ -318,17 +313,6 @@ func runLearner(cfg *Config, i int, pkgURL string, pkg *gamepack.Package, mirror
 	start := proj.StartScenario
 
 	startupBegan := time.Now()
-	if cfg.ProgressiveStartup {
-		// The chunked startup path the progressive client would use on a
-		// thin link: its cost is the startup number E8 reports. The shared
-		// cache means learners after the first reuse fetched chunks.
-		if _, st, err := nc.ProgressiveOpenCached(pkgURL, cache); err != nil {
-			o.err = fmt.Errorf("progressive open: %w", err)
-			return o
-		} else {
-			o.fetch.Add(st)
-		}
-	}
 	blob, st, err := nc.DownloadDelta(pkgURL, cache)
 	if err != nil {
 		o.err = fmt.Errorf("download: %w", err)

@@ -159,19 +159,19 @@ func TestFleet500StatsExact(t *testing.T) {
 	}
 }
 
-// TestFleetProgressiveAndInterval exercises the ranged-startup measurement
-// and the interval flusher on a small fleet.
+// TestFleetProgressiveAndInterval exercises the interval flusher on a small
+// fleet (the progressive-startup measurement it once also switched on is
+// fleet.RunStreamers).
 func TestFleetProgressiveAndInterval(t *testing.T) {
 	ts, svc, _ := liveStack(t, telemetry.Options{})
 	sum, err := Run(Config{
-		ServerURL:          ts.URL,
-		Package:            "classroom",
-		Learners:           10,
-		Policy:             sim.ExplorerFactory,
-		Sim:                sim.Config{MaxSteps: 6, TicksPerStep: 1, Patience: 30},
-		FlushEvery:         1000, // only the timer and Close flush
-		FlushInterval:      2 * time.Millisecond,
-		ProgressiveStartup: true,
+		ServerURL:     ts.URL,
+		Package:       "classroom",
+		Learners:      10,
+		Policy:        sim.ExplorerFactory,
+		Sim:           sim.Config{MaxSteps: 6, TicksPerStep: 1, Patience: 30},
+		FlushEvery:    1000, // only the timer and Close flush
+		FlushInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,11 +189,6 @@ func TestFleetProgressiveAndInterval(t *testing.T) {
 	cs := svc.Store().Snapshot()["classroom"]
 	if cs.Events != want.Events || cs.SessionsEnded != 10 {
 		t.Errorf("stats = %+v, want events %d", cs, want.Events)
-	}
-	// Progressive startup adds ranged requests beyond the one download +
-	// per-learner revalidations.
-	if sum.Fetch.Requests <= 11 {
-		t.Errorf("requests = %d, expected ranged startup fetches on top", sum.Fetch.Requests)
 	}
 	if sum.Startup.Max <= 0 || sum.Session.Max <= 0 {
 		t.Errorf("latency summaries empty: %+v / %+v", sum.Startup, sum.Session)

@@ -23,7 +23,7 @@ import (
 func mixedLadderGame(t *testing.T) (*RemoteGame, map[string][]byte) {
 	t.Helper()
 	ts, _, _, videos := serveLadder(t, testLadderRungs(t))
-	g, _, err := (&Client{}).ProgressiveOpenCached(ts.URL+"/pkg/course", NewPackageCache())
+	g, _, err := (&Client{}).ProgressiveOpenABR(ts.URL+"/pkg/course", NewPackageCache(), ABRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRemoteFrameAtErrorReseeks(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	g, _, err := (&Client{}).ProgressiveOpen(ts.URL + "/pkg/poisoned")
+	g, _, err := (&Client{}).ProgressiveOpenABR(ts.URL+"/pkg/poisoned", nil, ABRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,15 +13,16 @@
 //   - /manifest/<name>  — the chunk manifest (ordered hashes + sizes).
 //   - /chunk/<hex>      — one immutable chunk by content address.
 //
-// The Client offers three strategies, compared by experiments E8/E13:
+// The Client offers two strategies, compared by experiments E8/E13:
 //
-//   - Download: fetch the whole package, then play (the 2007 default).
-//   - ProgressiveOpen: manifest (or ranged) fetches of the metadata and
-//     only the start segment's chunks — play begins after a small,
-//     size-independent prefix.
-//   - DownloadDelta: manifest diff against the local chunk cache; on a
-//     course update only the chunks whose hashes changed cross the wire,
-//     each verified against its address on receipt.
+//   - DownloadDelta: manifest diff against the local chunk cache, then
+//     play; into an empty cache that is the whole package (the 2007
+//     default), and on a course update only the chunks whose hashes
+//     changed cross the wire, each verified against its address on receipt.
+//   - ProgressiveOpenABR: the manifest, the metadata chunks and only the
+//     start segment's chunks at the cheapest rung — play begins after a
+//     small, size-independent prefix, and later segments ride the ABR
+//     picker's rung (a single-quality package is a one-rung ladder).
 package netstream
 
 import (
@@ -604,7 +605,7 @@ func (m *ClientMetrics) Register(reg *obs.Registry) {
 	reg.RegisterHistogram("netstream_delta_seconds", "wall time per delta sync", "seconds", m.DeltaSeconds)
 }
 
-// Client fetches packages from a Server (or anything speaking HTTP ranges).
+// Client fetches packages from a Server.
 type Client struct {
 	HTTP *http.Client // defaults to faultnet.DefaultHTTPClient
 	// Metrics, when set, receives delta-sync observations (see
@@ -619,8 +620,8 @@ func (c *Client) httpClient() *http.Client {
 	return faultnet.DefaultHTTPClient()
 }
 
-// doRetry issues one idempotent request (all Client requests are GETs or
-// HEADs), retrying transport failures and retryable statuses (429/5xx,
+// doRetry issues one idempotent request (all Client requests are GETs),
+// retrying transport failures and retryable statuses (429/5xx,
 // honoring a server Retry-After) with jittered backoff. On success the
 // returned response's body is open and the caller owns it; terminal
 // statuses (200/206/304/404…) pass through for normal handling.
@@ -659,28 +660,6 @@ func (c *Client) doRetry(method, url string, header http.Header) (*http.Response
 		return nil, err
 	}
 	return resp, nil
-}
-
-// Download fetches a whole package.
-func (c *Client) Download(url string) ([]byte, Stats, error) {
-	var st Stats
-	began := time.Now()
-	resp, err := c.doRetry(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, st, err
-	}
-	defer resp.Body.Close()
-	st.Requests++
-	if resp.StatusCode != http.StatusOK {
-		return nil, st, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, st, err
-	}
-	st.BytesFetched = len(blob)
-	st.Elapsed = time.Since(began)
-	return blob, st, nil
 }
 
 // DefaultCacheBudget bounds a PackageCache's assembled-package tier.
@@ -807,14 +786,11 @@ func (pc *PackageCache) put(url, etag string, blob []byte) {
 	}
 }
 
-// DownloadCached fetches a package through a shared cache. When the cache
-// holds a copy, the request carries If-None-Match and a 304 answer reuses
-// the cached bytes — the Stats then count one request, zero bytes fetched
-// and one NotModified. The returned blob must be treated as read-only (it
-// is shared across callers).
-func (c *Client) DownloadCached(url string, cache *PackageCache) ([]byte, Stats, error) {
-	var st Stats
-	began := time.Now()
+// downloadWhole is the conditional whole-package GET, DownloadDelta's
+// degrade step. When the cache holds a copy, the request carries
+// If-None-Match and a 304 answer reuses the cached bytes — st then gains
+// one request, zero bytes and one NotModified.
+func (c *Client) downloadWhole(url string, cache *PackageCache, st *Stats) ([]byte, error) {
 	var header http.Header
 	cached, have := cache.get(url)
 	if have {
@@ -822,26 +798,24 @@ func (c *Client) DownloadCached(url string, cache *PackageCache) ([]byte, Stats,
 	}
 	resp, err := c.doRetry(http.MethodGet, url, header)
 	if err != nil {
-		return nil, st, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	st.Requests++
 	switch {
 	case have && resp.StatusCode == http.StatusNotModified:
 		st.NotModified++
-		st.Elapsed = time.Since(began)
-		return cached.blob, st, nil
+		return cached.blob, nil
 	case resp.StatusCode == http.StatusOK:
 		blob, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return nil, st, err
+			return nil, err
 		}
-		st.BytesFetched = len(blob)
-		st.Elapsed = time.Since(began)
+		st.BytesFetched += len(blob)
 		cache.put(url, resp.Header.Get("ETag"), blob)
-		return blob, st, nil
+		return blob, nil
 	default:
-		return nil, st, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)
+		return nil, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)
 	}
 }
 
@@ -936,75 +910,73 @@ func (c *Client) fetchManifest(url, etag string, st *Stats) (man *gamepack.Manif
 	}
 }
 
+// errValidatorMismatch rejects a package whose verified chunks reassemble
+// to bytes the server's whole-package validator does not name.
+var errValidatorMismatch = errors.New("netstream: reassembled package does not match server validator")
+
 // DownloadDelta fetches a package by manifest diff: only chunks absent
 // from the cache's chunk tier cross the wire (each hash-verified on
 // receipt), and the package is reassembled locally — on a course update
 // that edited one segment, the transfer is that segment plus the
-// manifest. Falls back to DownloadCached against servers that predate
-// chunk-level delivery, and degrades to the same whole-package path when
-// chunk fetches keep failing (a lossy link must slow a sync down, not
-// kill it). The returned blob must be treated as read-only.
+// manifest. When the diff cannot complete for a transport or availability
+// reason — no /manifest/ route, chunk fetches that keep failing after their
+// own retries on a lossy or partitioned link, a mid-update server — the
+// sync degrades to one conditional whole-package GET (a lossy link must
+// slow a sync down, not kill it); a validator mismatch is an integrity
+// rejection and fails. The returned blob must be treated as read-only.
 func (c *Client) DownloadDelta(url string, cache *PackageCache) (blob []byte, st Stats, err error) {
-	if c.Metrics != nil {
-		defer func(t0 time.Time) {
-			c.Metrics.DeltaSeconds.ObserveSince(t0)
-			c.Metrics.DeltaBytes.Observe(int64(st.BytesFetched))
-		}(time.Now())
+	began := time.Now()
+	blob, err = c.syncManifest(url, cache, &st)
+	if err != nil && !errors.Is(err, errValidatorMismatch) {
+		blob, err = c.downloadWhole(url, cache, &st)
 	}
+	st.Elapsed = time.Since(began)
+	if c.Metrics != nil {
+		c.Metrics.DeltaSeconds.ObserveSince(began)
+		c.Metrics.DeltaBytes.Observe(int64(st.BytesFetched))
+	}
+	return blob, st, err
+}
+
+// syncManifest is the manifest-diff sync proper: conditional manifest GET,
+// missing chunks, reassembly, end-to-end validation.
+func (c *Client) syncManifest(url string, cache *PackageCache, st *Stats) ([]byte, error) {
 	base, name, ok := splitPkgURL(url)
 	if !ok {
-		return c.DownloadCached(url, cache)
+		return nil, fmt.Errorf("netstream: %q is not a /pkg/ URL", url)
 	}
-	began := time.Now()
 	var etag string
 	if cached, have := cache.get(url); have {
 		etag = cached.etag
 	}
-	man, respETag, notModified, err := c.fetchManifest(base+"/manifest/"+name, etag, &st)
+	man, respETag, notModified, err := c.fetchManifest(base+"/manifest/"+name, etag, st)
 	if err != nil {
-		// A plain package server (404 on /manifest/) still speaks the
-		// legacy protocol; the conditional whole-package path handles it.
-		blob, lst, lerr := c.DownloadCached(url, cache)
-		lst.Requests += st.Requests
-		lst.BytesFetched += st.BytesFetched
-		return blob, lst, lerr
+		return nil, err
 	}
 	if notModified {
-		cached, _ := cache.get(url)
-		if cached != nil {
-			st.Elapsed = time.Since(began)
-			return cached.blob, st, nil
+		if cached, have := cache.get(url); have {
+			return cached.blob, nil
 		}
 		// Entry evicted between the conditional request and now; refetch.
-		man, respETag, _, err = c.fetchManifest(base+"/manifest/"+name, "", &st)
+		man, respETag, _, err = c.fetchManifest(base+"/manifest/"+name, "", st)
 		if err != nil {
-			return nil, st, err
+			return nil, err
 		}
 	}
-	blob, err = c.materialize(base, man, cache, &st)
+	blob, err := c.materialize(base, man, cache, st)
 	if err != nil {
-		// Chunk fetches kept failing even after their own retries (a lossy
-		// or partitioned link, a mid-update server). Degrade to the
-		// whole-package path — one request, one retry budget — instead of
-		// failing the sync outright.
-		blob, lst, lerr := c.DownloadCached(url, cache)
-		lst.Requests += st.Requests
-		lst.BytesFetched += st.BytesFetched
-		lst.ChunksFetched += st.ChunksFetched
-		lst.ChunkHits += st.ChunkHits
-		return blob, lst, lerr
+		return nil, err
 	}
 	// End-to-end integrity: the reassembled blob must match the server's
 	// whole-package validator (same construction as Server.AddPackage).
 	if respETag != "" {
 		sum := sha256.Sum256(blob)
 		if want := fmt.Sprintf(`"%x"`, sum[:16]); respETag != want {
-			return nil, st, fmt.Errorf("netstream: reassembled package does not match server validator")
+			return nil, errValidatorMismatch
 		}
 	}
 	cache.put(url, respETag, blob)
-	st.Elapsed = time.Since(began)
-	return blob, st, nil
+	return blob, nil
 }
 
 // chunkFetchParallelism bounds concurrent chunk GETs during a sync, so a
@@ -1070,73 +1042,26 @@ func (c *Client) materialize(base string, man *gamepack.Manifest, cache *Package
 	})
 }
 
-// fetchRange GETs bytes [from, to) of url.
-func (c *Client) fetchRange(url string, from, to int, st *Stats) ([]byte, error) {
-	header := http.Header{"Range": {fmt.Sprintf("bytes=%d-%d", from, to-1)}}
-	resp, err := c.doRetry(http.MethodGet, url, header)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	st.Requests++
-	if resp.StatusCode != http.StatusPartialContent && resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("netstream: range GET %s: %s", url, resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusOK && len(data) > to-from {
-		// Server ignored the range; slice what we asked for.
-		data = data[from:to]
-	}
-	st.BytesFetched += len(data)
-	return data, nil
-}
-
-// contentLength HEADs the url.
-func (c *Client) contentLength(url string, st *Stats) (int, error) {
-	resp, err := c.doRetry(http.MethodHead, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp.Body.Close()
-	st.Requests++
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("netstream: HEAD %s: %s", url, resp.Status)
-	}
-	if resp.ContentLength < 0 {
-		return 0, errors.New("netstream: server did not report a length")
-	}
-	return int(resp.ContentLength), nil
-}
-
 // RemoteGame is a progressively loaded game: full project document, video
-// head, and packet data for the segments fetched so far. Against a
-// chunk-serving server the packet data arrives as content-addressed
-// chunks (hash-verified, shared through the PackageCache across every
-// learner on the machine); against a legacy server it arrives as byte
-// ranges.
+// head, and packet data for the segments fetched so far. The packet data
+// arrives as content-addressed chunks (hash-verified, shared through the
+// PackageCache across every learner on the machine).
 //
-// Once opened (and EnableABR, if wanted, has returned) a RemoteGame's
-// fetches, lookups and FrameAt are safe for concurrent use: fetches and
-// lookups serialise on the landed-run index, FrameAt calls on the decode
-// cursor, and the two never hold each other's lock — a fetch in flight does
-// not stall playback of what has already landed. The one thing goroutines
-// sharing a game must order among themselves is the frame FrameAt returns
-// (see FrameAt).
+// Once opened a RemoteGame's fetches, lookups and FrameAt are safe for
+// concurrent use: fetches and lookups serialise on the landed-run index,
+// FrameAt calls on the decode cursor, and the two never hold each other's
+// lock — a fetch in flight does not stall playback of what has already
+// landed. The one thing goroutines sharing a game must order among
+// themselves is the frame FrameAt returns (see FrameAt).
 type RemoteGame struct {
 	Project *core.Project
 	head    *container.Head
 
-	client   *Client
-	url      string
-	videoOff int // absolute offset of the video section within the package
+	client *Client
 
-	// Chunked mode (nil rungs → legacy ranged mode). rungs maps each
-	// quality tier to its fetch plan; "" is the canonical full-quality
-	// rung, always present. abr, when enabled, picks the tier per
-	// segment fetch (see abr.go).
+	// rungs maps each quality tier to its fetch plan; "" is the canonical
+	// full-quality rung, always present. abr picks the tier per segment
+	// fetch (see abr.go).
 	base  string
 	rungs map[string]*tierRung
 	abr   *ABRPicker
@@ -1176,60 +1101,13 @@ func (r *landedRun) KeyframeAtOrBefore(i int) (int, error) {
 	return r.head.KeyframeAtOrBefore(i)
 }
 
-func newRemoteGame(c *Client, url string, proj *core.Project, videoOff int) *RemoteGame {
-	return &RemoteGame{
-		Project:   proj,
-		client:    c,
-		url:       url,
-		videoOff:  videoOff,
-		landed:    map[int]*landedRun{},
-		tierBytes: map[string]int64{},
-		seek:      playback.NewSeeker(1),
-		own:       &raster.Frame{},
-	}
-}
-
-// ProgressiveOpen fetches just enough of the package to start playing its
-// start scenario: manifest (or section table) → project → video head →
-// start-segment chunks. The returned Stats are the startup cost E8
-// reports.
-func (c *Client) ProgressiveOpen(url string) (*RemoteGame, Stats, error) {
-	return c.ProgressiveOpenCached(url, nil)
-}
-
-// ProgressiveOpenCached is ProgressiveOpen through a shared cache: chunks
-// already fetched by any learner on this cache (or by a previous
-// DownloadDelta) are reused instead of refetched, so the second learner's
-// startup often transfers nothing but the manifest.
-func (c *Client) ProgressiveOpenCached(url string, cache *PackageCache) (*RemoteGame, Stats, error) {
-	var st Stats
-	began := time.Now()
-	if base, name, ok := splitPkgURL(url); ok {
-		man, _, _, err := c.fetchManifest(base+"/manifest/"+name, "", &st)
-		if err == nil {
-			g, err := c.openChunked(url, base, man, cache, &st, false)
-			if err != nil {
-				return nil, st, err
-			}
-			st.Elapsed = time.Since(began)
-			return g, st, nil
-		}
-	}
-	g, err := c.openRanged(url, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	st.Elapsed = time.Since(began)
-	return g, st, nil
-}
-
 // openChunked plans the progressive startup from the manifest alone: the
-// section layout is computable without touching the server, the project
-// arrives as its chunks, and the video head is parsed from the leading
-// video chunks (cut exactly at the head/data boundary). Every video
-// rung in the manifest becomes a fetchable tier; with lowStart set the
-// start segment comes from the smallest rung (the ABR open path).
-func (c *Client) openChunked(url, base string, man *gamepack.Manifest, cache *PackageCache, st *Stats, lowStart bool) (*RemoteGame, error) {
+// project arrives as its chunks, and the video head is parsed from the
+// leading video chunks (cut exactly at the head/data boundary). Every video
+// rung in the manifest becomes a fetchable tier, the ABR picker is sized
+// from the ladder, and the start segment comes from the picker's cold-start
+// rung — the cheapest.
+func (c *Client) openChunked(base string, man *gamepack.Manifest, cache *PackageCache, cfg ABRConfig, st *Stats) (*RemoteGame, error) {
 	vsec := man.Section(gamepack.SectionVideo)
 	psec := man.Section(gamepack.SectionProject)
 	if vsec == nil || psec == nil || len(vsec.Chunks) == 0 {
@@ -1246,15 +1124,17 @@ func (c *Client) openChunked(url, base string, man *gamepack.Manifest, cache *Pa
 	if err != nil {
 		return nil, err
 	}
-	var videoOff int
-	locs, _ := man.Layout()
-	for _, loc := range locs {
-		if loc.Name == gamepack.SectionVideo {
-			videoOff = loc.Off
-		}
+	g := &RemoteGame{
+		Project:   proj,
+		client:    c,
+		base:      base,
+		rungs:     map[string]*tierRung{},
+		cache:     cache,
+		landed:    map[int]*landedRun{},
+		tierBytes: map[string]int64{},
+		seek:      playback.NewSeeker(1),
+		own:       &raster.Frame{},
 	}
-	g := newRemoteGame(c, url, proj, videoOff)
-	g.base, g.rungs, g.cache = base, map[string]*tierRung{}, cache
 	for _, tier := range man.VideoTiers() {
 		sc := man.VideoSection(tier)
 		g.rungs[tier] = &tierRung{
@@ -1269,92 +1149,14 @@ func (c *Client) openChunked(url, base string, man *gamepack.Manifest, cache *Pa
 	if g.head, err = g.rungHead("", g.rungs[""], st); err != nil {
 		return nil, err
 	}
+	if g.abr, err = g.ladderPicker(cfg); err != nil {
+		return nil, err
+	}
 	start := proj.ScenarioByID(proj.StartScenario)
 	if start == nil {
 		return nil, fmt.Errorf("netstream: start scenario %q missing", proj.StartScenario)
 	}
-	startTier := ""
-	if lowStart {
-		for tier, rung := range g.rungs {
-			if rung.size < g.rungs[startTier].size {
-				startTier = tier
-			}
-		}
-	}
-	return g, g.ensureSegmentTier(start.Segment, startTier, st)
-}
-
-// openRanged is the pre-chunk-store progressive path (legacy servers).
-func (c *Client) openRanged(url string, st *Stats) (*RemoteGame, error) {
-	total, err := c.contentLength(url, st)
-	if err != nil {
-		return nil, err
-	}
-	// 1. Section table (grow the prefix until it parses).
-	prefixLen := 4096
-	var secs map[string][2]int
-	for {
-		if prefixLen > total {
-			prefixLen = total
-		}
-		prefix, err := c.fetchRange(url, 0, prefixLen, st)
-		if err != nil {
-			return nil, err
-		}
-		secs, err = gamepack.SectionsWithin(prefix, total)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, gamepack.ErrShortPrefix) || prefixLen == total {
-			return nil, err
-		}
-		prefixLen *= 4
-	}
-	projLoc, ok := secs[gamepack.SectionProject]
-	if !ok {
-		return nil, errors.New("netstream: package has no project section")
-	}
-	videoLoc, ok := secs[gamepack.SectionVideo]
-	if !ok {
-		return nil, errors.New("netstream: package has no video section")
-	}
-	// 2. Project document.
-	projJSON, err := c.fetchRange(url, projLoc[0], projLoc[0]+projLoc[1], st)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := core.UnmarshalProject(projJSON)
-	if err != nil {
-		return nil, err
-	}
-	// 3. Video head (grow until the index parses).
-	headLen := 16384
-	var head *container.Head
-	for {
-		if headLen > videoLoc[1] {
-			headLen = videoLoc[1]
-		}
-		hb, err := c.fetchRange(url, videoLoc[0], videoLoc[0]+headLen, st)
-		if err != nil {
-			return nil, err
-		}
-		head, err = container.ParseHead(hb)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, container.ErrTruncated) || headLen == videoLoc[1] {
-			return nil, err
-		}
-		headLen *= 4
-	}
-	g := newRemoteGame(c, url, proj, videoLoc[0])
-	g.head = head
-	// 4. The start scenario's segment packets.
-	start := proj.ScenarioByID(proj.StartScenario)
-	if start == nil {
-		return nil, fmt.Errorf("netstream: start scenario %q missing", proj.StartScenario)
-	}
-	return g, g.ensureSegment(start.Segment, st)
+	return g, g.ensureSegmentTier(start.Segment, g.abr.CurrentTier(), st)
 }
 
 // chunkOffsets returns each chunk's start offset within its payload.
@@ -1378,26 +1180,10 @@ func chunkIndex(chunks []gamepack.ChunkRef, h blobstore.Hash) int {
 	return 0
 }
 
-// ensureSegment fetches the byte range covering a segment (from its
-// preceding keyframe) if not already present. With an ABR picker
-// enabled the fetch rides the picker's current tier; otherwise it pulls
-// the canonical full-quality rung.
-func (g *RemoteGame) ensureSegment(name string, st *Stats) error {
-	tier := ""
-	if g.abr != nil {
-		tier = g.abr.CurrentTier()
-	}
-	return g.ensureSegmentTier(name, tier, st)
-}
-
-// FetchSegment pulls an additional segment (e.g. ahead of a goto) and
-// reports its transfer cost.
+// FetchSegment pulls an additional segment (e.g. ahead of a goto) at the
+// ABR picker's current tier and reports its transfer cost.
 func (g *RemoteGame) FetchSegment(name string) (Stats, error) {
-	var st Stats
-	began := time.Now()
-	err := g.ensureSegment(name, &st)
-	st.Elapsed = time.Since(began)
-	return st, err
+	return g.FetchSegmentTier(name, g.abr.CurrentTier())
 }
 
 // HasSegment reports whether a segment's packets are locally available.

@@ -59,7 +59,7 @@ func TestListAndNotFound(t *testing.T) {
 	if strings.TrimSpace(body) != "classroom" {
 		t.Errorf("list = %q", body)
 	}
-	if _, _, err := c.Download(ts.URL + "/pkg/ghost"); err == nil {
+	if _, _, err := c.DownloadDelta(ts.URL+"/pkg/ghost", NewPackageCache()); err == nil {
 		t.Error("missing package downloadable")
 	}
 	if _, _, err := c.FetchResource(ts.URL + "/res/ghost"); err == nil {
@@ -67,10 +67,13 @@ func TestListAndNotFound(t *testing.T) {
 	}
 }
 
+// TestDownloadWholePackage, TestETagNotModified and TestDownloadCached pin
+// DownloadDelta's degrade step, the conditional whole-package GET.
 func TestDownloadWholePackage(t *testing.T) {
 	ts, blob := testServer(t)
 	c := &Client{}
-	got, st, err := c.Download(ts.URL + "/pkg/classroom")
+	var st Stats
+	got, err := c.downloadWhole(ts.URL+"/pkg/classroom", NewPackageCache(), &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestDownloadWholePackage(t *testing.T) {
 func TestProgressiveOpenFetchesLess(t *testing.T) {
 	ts, blob := testServer(t)
 	c := &Client{}
-	g, st, err := c.ProgressiveOpen(ts.URL + "/pkg/classroom")
+	g, st, err := c.ProgressiveOpenABR(ts.URL+"/pkg/classroom", nil, ABRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestProgressiveOpenFetchesLess(t *testing.T) {
 		t.Errorf("progressive fetched %d of %d bytes", st.BytesFetched, len(blob))
 	}
 	if st.Requests < 3 {
-		t.Errorf("requests = %d, expected several ranged fetches", st.Requests)
+		t.Errorf("requests = %d, expected manifest, project and video chunk fetches", st.Requests)
 	}
 }
 
@@ -140,7 +143,7 @@ func TestProgressiveStartupScalesWithSegmentNotFilm(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &Client{}
-	_, st, err := c.ProgressiveOpen(ts.URL + "/pkg/long")
+	_, st, err := c.ProgressiveOpenABR(ts.URL+"/pkg/long", nil, ABRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,7 @@ func TestProgressiveStartupScalesWithSegmentNotFilm(t *testing.T) {
 func TestProgressiveFramesMatchLocalDecode(t *testing.T) {
 	ts, blob := testServer(t)
 	c := &Client{}
-	g, _, err := c.ProgressiveOpen(ts.URL + "/pkg/classroom")
+	g, _, err := c.ProgressiveOpenABR(ts.URL+"/pkg/classroom", nil, ABRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +218,17 @@ func TestExtentReaderSeek(t *testing.T) {
 	// Ranged reads across extent boundaries must reproduce the exact bytes
 	// of the assembled package (the store-backed reader is what ServeContent
 	// sees for range requests).
-	c := &Client{}
-	var st Stats
 	for _, r := range [][2]int{{0, 16}, {5, len(blob)}, {len(blob) / 2, len(blob)/2 + 8192}, {len(blob) - 7, len(blob)}} {
-		got, err := c.fetchRange(ts.URL+"/pkg/classroom", r[0], r[1], &st)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/pkg/classroom", nil)
+		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", r[0], r[1]-1))
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatalf("range [%d,%d): %v", r[0], r[1], err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusPartialContent {
+			t.Fatalf("range [%d,%d): %s, %v", r[0], r[1], resp.Status, err)
 		}
 		if string(got) != string(blob[r[0]:r[1]]) {
 			t.Fatalf("range [%d,%d) differs from blob", r[0], r[1])
@@ -273,7 +281,8 @@ func TestDownloadCached(t *testing.T) {
 	ts, blob := testServer(t)
 	c := &Client{}
 	cache := NewPackageCache()
-	got, st, err := c.DownloadCached(ts.URL+"/pkg/classroom", cache)
+	var st Stats
+	got, err := c.downloadWhole(ts.URL+"/pkg/classroom", cache, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +293,8 @@ func TestDownloadCached(t *testing.T) {
 		t.Errorf("first fetch stats = %+v", st)
 	}
 	// Second fetch revalidates: one request, no payload.
-	got, st, err = c.DownloadCached(ts.URL+"/pkg/classroom", cache)
+	st = Stats{}
+	got, err = c.downloadWhole(ts.URL+"/pkg/classroom", cache, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +574,7 @@ func TestDedupAcrossCourses(t *testing.T) {
 	defer ts.Close()
 	c := &Client{}
 	for name, want := range map[string][]byte{"a": blobA, "b": blobB} {
-		got, _, err := c.Download(ts.URL + "/pkg/" + name)
+		got, _, err := c.DownloadDelta(ts.URL+"/pkg/"+name, NewPackageCache())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -661,7 +671,7 @@ func TestDeltaSyncSingleSegmentEdit(t *testing.T) {
 // TestDeltaVerifiesChunkHashes: a server (or middlebox) that returns wrong
 // chunk bytes must be caught by per-chunk verification, never assembled.
 func TestDeltaVerifiesChunkHashes(t *testing.T) {
-	inner, _ := testServer(t)
+	inner, want := testServer(t)
 	// A proxy that forwards everything but flips one byte in every chunk
 	// response — a corrupted cache or hostile middlebox.
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -690,10 +700,6 @@ func TestDeltaVerifiesChunkHashes(t *testing.T) {
 	blob, st, err := c.DownloadDelta(proxy.URL+"/pkg/classroom", cache)
 	if err != nil {
 		t.Fatalf("delta did not fall back past corrupted chunks: %v", err)
-	}
-	want, _, err := (&Client{}).Download(inner.URL + "/pkg/classroom")
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !bytes.Equal(blob, want) {
 		t.Fatal("fallback package differs from the server's")
@@ -772,7 +778,7 @@ func TestProgressiveOpenCachedReusesChunks(t *testing.T) {
 	ts, _ := testServer(t)
 	c := &Client{}
 	cache := NewPackageCache()
-	_, st1, err := c.ProgressiveOpenCached(ts.URL+"/pkg/classroom", cache)
+	_, st1, err := c.ProgressiveOpenABR(ts.URL+"/pkg/classroom", cache, ABRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,7 +787,7 @@ func TestProgressiveOpenCachedReusesChunks(t *testing.T) {
 	}
 	// Second learner on the same cache: same chunks, near-zero transfer
 	// (only the manifest crosses the wire again).
-	g, st2, err := c.ProgressiveOpenCached(ts.URL+"/pkg/classroom", cache)
+	g, st2, err := c.ProgressiveOpenABR(ts.URL+"/pkg/classroom", cache, ABRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -790,6 +796,9 @@ func TestProgressiveOpenCachedReusesChunks(t *testing.T) {
 	}
 	if st2.ChunkHits == 0 {
 		t.Error("second open hit no cached chunks")
+	}
+	if st2.Requests != 1 {
+		t.Errorf("second open made %d requests, want the manifest alone", st2.Requests)
 	}
 	if st2.BytesFetched >= st1.BytesFetched {
 		t.Errorf("second open fetched %d bytes, first %d", st2.BytesFetched, st1.BytesFetched)
@@ -800,8 +809,8 @@ func TestProgressiveOpenCachedReusesChunks(t *testing.T) {
 }
 
 func TestLegacyServerFallback(t *testing.T) {
-	// A plain file server (no /manifest/, no ranges beyond stdlib) still
-	// works through DownloadDelta and ProgressiveOpen.
+	// A server without /manifest/ still syncs through DownloadDelta's single
+	// degrade step, and the stats of both legs are summed once.
 	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -811,6 +820,7 @@ func TestLegacyServerFallback(t *testing.T) {
 			http.NotFound(w, r)
 			return
 		}
+		w.Header().Set("ETag", `"v1"`)
 		http.ServeContent(w, r, "classroom.tkg", time.Unix(0, 0), bytes.NewReader(blob))
 	}))
 	defer legacy.Close()
@@ -823,13 +833,20 @@ func TestLegacyServerFallback(t *testing.T) {
 	if string(got) != string(blob) {
 		t.Fatal("fallback download differs")
 	}
-	if st.BytesFetched < len(blob) {
-		t.Errorf("fallback fetched %d of %d bytes", st.BytesFetched, len(blob))
+	// One 404 on /manifest/ plus one whole-package GET.
+	if st.Requests != 2 || st.BytesFetched != len(blob) || st.ChunksFetched != 0 || st.NotModified != 0 {
+		t.Errorf("fallback stats = %+v, want 2 requests and %d bytes", st, len(blob))
 	}
-	if g, _, err := c.ProgressiveOpen(legacy.URL + "/pkg/classroom"); err != nil {
-		t.Fatalf("progressive fallback: %v", err)
-	} else if !g.HasSegment("seg-classroom") {
-		t.Error("fallback progressive open missed start segment")
+	// Warm: the manifest is still missing, the whole-package step revalidates.
+	got, st, err = c.DownloadDelta(legacy.URL+"/pkg/classroom", cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(blob) {
+		t.Fatal("warm fallback download differs")
+	}
+	if st.Requests != 2 || st.BytesFetched != 0 || st.NotModified != 1 {
+		t.Errorf("warm fallback stats = %+v, want 2 requests, one 304, no bytes", st)
 	}
 }
 
@@ -866,7 +883,7 @@ func TestPackageReplaceReleasesChunks(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := &Client{}
-	got, _, err := c.Download(ts.URL + "/pkg/long")
+	got, _, err := c.DownloadDelta(ts.URL+"/pkg/long", NewPackageCache())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,6 @@ import (
 // adaptive fetch path.
 type StreamPlayer struct {
 	Game *RemoteGame
-	// ABR picks the tier per segment; nil falls back to the game's
-	// enabled picker, and with neither every fetch takes the canonical
-	// full-quality rung.
-	ABR *ABRPicker
 	// Speed is how many media-seconds the playhead consumes per
 	// wall-second (default 1 — real time).
 	Speed float64
@@ -53,10 +49,7 @@ type PlayReport struct {
 // Play streams every chapter in order, returning the session report.
 func (sp *StreamPlayer) Play() (*PlayReport, error) {
 	g := sp.Game
-	abr := sp.ABR
-	if abr == nil {
-		abr = g.abr
-	}
+	abr := g.abr
 	speed := sp.Speed
 	if speed <= 0 {
 		speed = 1
@@ -80,18 +73,13 @@ func (sp *StreamPlayer) Play() (*PlayReport, error) {
 			buffer += dur
 			continue
 		}
-		tier := ""
-		if abr != nil {
-			tier = abr.Pick(buffer)
-		}
+		tier := abr.Pick(buffer)
 		st, err := g.FetchSegmentTier(ch.Name, tier)
 		rep.Stats.Add(st)
 		if err != nil {
 			return rep, fmt.Errorf("netstream: streaming segment %q (tier %q): %w", ch.Name, tier, err)
 		}
-		if abr != nil {
-			abr.Observe(st.BytesFetched, st.Elapsed)
-		}
+		abr.Observe(st.BytesFetched, st.Elapsed)
 		if i == 0 {
 			// Nothing is playing yet; the first fetch is startup, not a
 			// rebuffer.

@@ -1,10 +1,11 @@
 // Multi-tier streaming: the client half of the quality ladder. A
-// chunked RemoteGame carries one rung per "video@<tier>" section in the
-// manifest; segments are fetched from whichever rung the ABR picker (or
-// an explicit caller) selects, and the frame path decodes each landed
-// chunk against the head of the rung that produced it. Per-tier wire
-// bytes are accounted on the client exactly as the server accounts them
-// on /chunk/, which is what lets E19 reconcile the two to the byte.
+// RemoteGame carries one rung per video section in the manifest (the
+// canonical "video" plus every "video@<tier>"); segments are fetched from
+// whichever rung the ABR picker (or an explicit caller) selects, and the
+// frame path decodes each landed chunk against the head of the rung that
+// produced it. Per-tier wire bytes are accounted on the client exactly as
+// the server accounts them on /chunk/, which is what lets E19 reconcile
+// the two to the byte.
 package netstream
 
 import (
@@ -31,11 +32,8 @@ type tierRung struct {
 }
 
 // Tiers lists the quality rungs this game can fetch, canonical ("")
-// first. A single-quality or legacy ranged package yields [""].
+// first. A single-quality package yields [""].
 func (g *RemoteGame) Tiers() []string {
-	if g.rungs == nil {
-		return []string{""}
-	}
 	out := make([]string, 0, len(g.rungs))
 	for tier := range g.rungs {
 		out = append(out, tier)
@@ -44,16 +42,13 @@ func (g *RemoteGame) Tiers() []string {
 	return out
 }
 
-// ABR returns the picker enabled on this game (nil when ABR is off).
+// ABR returns the game's tier picker.
 func (g *RemoteGame) ABR() *ABRPicker { return g.abr }
 
-// EnableABR attaches a throughput/buffer-driven tier picker sized from
+// ladderPicker builds the throughput/buffer-driven tier picker sized from
 // the ladder itself: each rung's media rate is its payload size over the
-// video's duration. Requires a chunked (manifest-backed) game.
-func (g *RemoteGame) EnableABR(cfg ABRConfig) (*ABRPicker, error) {
-	if g.rungs == nil {
-		return nil, errors.New("netstream: ABR needs a chunked package (legacy ranged servers carry one tier)")
-	}
+// video's duration.
+func (g *RemoteGame) ladderPicker(cfg ABRConfig) (*ABRPicker, error) {
 	meta := g.head.Meta()
 	if meta.FPS <= 0 || meta.FrameCount <= 0 {
 		return nil, fmt.Errorf("netstream: cannot size ABR ladder from %d frames at %d fps", meta.FrameCount, meta.FPS)
@@ -63,12 +58,7 @@ func (g *RemoteGame) EnableABR(cfg ABRConfig) (*ABRPicker, error) {
 	for tier, rung := range g.rungs {
 		infos = append(infos, TierInfo{Name: tier, Rate: float64(rung.size) / dur})
 	}
-	p, err := NewABRPicker(infos, cfg)
-	if err != nil {
-		return nil, err
-	}
-	g.abr = p
-	return p, nil
+	return NewABRPicker(infos, cfg)
 }
 
 // TierBytes snapshots the wire bytes fetched per tier by this game
@@ -211,33 +201,20 @@ func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 	if have {
 		return nil
 	}
-	run := &landedRun{from: k, end: ch.End, tier: tier, head: g.head}
-	if g.rungs != nil {
-		rung := g.rungs[tier]
-		if rung == nil {
-			return fmt.Errorf("netstream: no quality tier %q (have %v)", tier, g.Tiers())
-		}
-		if run.head, err = g.rungHead(tier, rung, st); err != nil {
-			return err
-		}
-		lo, hi, err := run.head.ByteRange(k, ch.End)
-		if err != nil {
-			return err
-		}
-		if run.data, err = g.fetchRungRange(tier, rung, lo, hi, st); err != nil {
-			return err
-		}
-	} else {
-		if tier != "" {
-			return fmt.Errorf("netstream: no quality tier %q (legacy ranged package)", tier)
-		}
-		lo, hi, err := g.head.ByteRange(k, ch.End)
-		if err != nil {
-			return err
-		}
-		if run.data, err = g.client.fetchRange(g.url, g.videoOff+lo, g.videoOff+hi, st); err != nil {
-			return err
-		}
+	rung := g.rungs[tier]
+	if rung == nil {
+		return fmt.Errorf("netstream: no quality tier %q (have %v)", tier, g.Tiers())
+	}
+	run := &landedRun{from: k, end: ch.End, tier: tier}
+	if run.head, err = g.rungHead(tier, rung, st); err != nil {
+		return err
+	}
+	lo, hi, err := run.head.ByteRange(k, ch.End)
+	if err != nil {
+		return err
+	}
+	if run.data, err = g.fetchRungRange(tier, rung, lo, hi, st); err != nil {
+		return err
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -252,29 +229,28 @@ func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 	return nil
 }
 
-// ProgressiveOpenABR opens a ladder package for adaptive playback: like
-// ProgressiveOpenCached, but the start segment is fetched from the
-// smallest rung (fast startup on an unknown link) and the returned game
-// has an ABR picker enabled — subsequent segment fetches through a
-// StreamPlayer (or FetchSegment) ride its tier decisions. Requires a
-// chunked /pkg/ URL; a single-quality package degrades to plain
-// streaming with a one-rung picker.
+// ProgressiveOpenABR is the progressive open: manifest → project → video
+// head → the start segment's chunks, fetched from the smallest rung (fast
+// startup on an unknown link), so play begins after a small prefix whose
+// size does not grow with the film. Chunks already in the cache — fetched
+// by any learner sharing it, or by a previous DownloadDelta — are reused,
+// so a second learner's startup often transfers nothing but the manifest.
+// Subsequent segment fetches through a StreamPlayer (or FetchSegment) ride
+// the game's ABR picker; a single-quality package is a one-rung ladder.
+// The returned Stats are the startup cost E8 reports.
 func (c *Client) ProgressiveOpenABR(url string, cache *PackageCache, cfg ABRConfig) (*RemoteGame, Stats, error) {
 	var st Stats
 	began := time.Now()
 	base, name, ok := splitPkgURL(url)
 	if !ok {
-		return nil, st, fmt.Errorf("netstream: ABR open needs a /pkg/ URL, got %q", url)
+		return nil, st, fmt.Errorf("netstream: progressive open needs a /pkg/ URL, got %q", url)
 	}
 	man, _, _, err := c.fetchManifest(base+"/manifest/"+name, "", &st)
 	if err != nil {
 		return nil, st, err
 	}
-	g, err := c.openChunked(url, base, man, cache, &st, true)
+	g, err := c.openChunked(base, man, cache, cfg, &st)
 	if err != nil {
-		return nil, st, err
-	}
-	if _, err := g.EnableABR(cfg); err != nil {
 		return nil, st, err
 	}
 	st.Elapsed = time.Since(began)

@@ -2,13 +2,11 @@ package netstream
 
 import (
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/content"
 	"repro/internal/core"
@@ -127,21 +125,29 @@ func TestProgressiveOpenABRStartsAtLowestRung(t *testing.T) {
 	if tb := g.TierBytes(); tb["min"] <= 0 {
 		t.Errorf("no wire bytes attributed to the min rung: %v", tb)
 	}
-	// The whole point of the low start: cheaper than a canonical open.
-	cBase := &Client{}
-	_, stFull, err := cBase.ProgressiveOpenCached(ts.URL+"/pkg/course", NewPackageCache())
+	// The whole point of the low start: cheaper than the same start segment
+	// at the canonical rung, whose byte range the served ladder gives.
+	ch, _ := g.head.ChapterByName(start.Segment)
+	k, err := g.head.KeyframeAtOrBefore(ch.Start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.BytesFetched >= stFull.BytesFetched {
-		t.Errorf("ABR open fetched %d bytes, canonical open %d", st.BytesFetched, stFull.BytesFetched)
+	lo, hi, err := g.head.ByteRange(k, ch.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if minBytes := int(g.TierBytes()["min"]); minBytes >= hi-lo {
+		t.Errorf("ABR open fetched %d video bytes at min, the canonical start segment alone is %d", minBytes, hi-lo)
+	}
+	if int64(st.BytesFetched) < g.TierBytes()["min"] {
+		t.Errorf("open stats %+v do not cover the min rung's %d bytes", st, g.TierBytes()["min"])
 	}
 }
 
 func TestFetchSegmentTierMixedDecode(t *testing.T) {
 	ts, _, _ := ladderTestServer(t)
 	c := &Client{}
-	g, _, err := c.ProgressiveOpenCached(ts.URL+"/pkg/course", NewPackageCache())
+	g, _, err := c.ProgressiveOpenABR(ts.URL+"/pkg/course", NewPackageCache(), ABRConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +156,8 @@ func TestFetchSegmentTierMixedDecode(t *testing.T) {
 		t.Fatalf("course has %d segments, need 3", len(chs))
 	}
 	// Spread the remaining segments across rungs; the start segment
-	// already landed canonical.
-	wantTier := map[string]string{chs[0].Name: ""}
+	// already landed at the lowest.
+	wantTier := map[string]string{chs[0].Name: "min"}
 	for i, tier := range []string{"min", "low"} {
 		ch := chs[i+1]
 		if _, err := g.FetchSegmentTier(ch.Name, tier); err != nil {
@@ -252,23 +258,5 @@ func TestABRFallbacksAndErrors(t *testing.T) {
 	}
 	if got := g.ABR().Pick(10); got != "" {
 		t.Errorf("one-rung picker picked %q", got)
-	}
-	// Legacy ranged transport carries exactly the canonical tier.
-	raw := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.ServeContent(w, r, "plain.tkg", time.Now(), strings.NewReader(string(blob)))
-	}))
-	defer raw.Close()
-	rg, _, err := c.ProgressiveOpen(raw.URL + "/plain.tkg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{""}; !reflect.DeepEqual(rg.Tiers(), want) {
-		t.Errorf("ranged Tiers = %v", rg.Tiers())
-	}
-	if _, err := rg.FetchSegmentTier(rg.Chapters()[1].Name, "low"); err == nil {
-		t.Error("ranged game accepted a tier fetch")
-	}
-	if _, err := rg.EnableABR(ABRConfig{}); err == nil {
-		t.Error("ranged game accepted ABR")
 	}
 }

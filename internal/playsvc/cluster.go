@@ -173,6 +173,7 @@ func (c *Cluster) StartNode() (*ClusterNode, error) {
 		Set("sessions_live", func() any { return mgr.Live() })
 	mux := http.NewServeMux()
 	mux.Handle("/play/", mgr.Handler())
+	mux.Handle("/room/", mgr.Handler())
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/traces", mgr.Ring().Handler())
 	mux.Handle("/healthz", health)

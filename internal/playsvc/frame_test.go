@@ -228,3 +228,43 @@ func FuzzParseReplyFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseWatchChunk holds the watch-chunk parser — what a watcher runs on
+// whatever a server (or a corrupting middlebox) sends — to the same bar:
+// arbitrary input never panics, every rejection is a typed ErrBadFrame, and
+// an accepted chunk's geometry is in range and agrees with its pixel
+// length, so the frame buffer it sizes is always a whole W×H frame.
+func FuzzParseWatchChunk(f *testing.F) {
+	tails := watchTails{
+		eventBase: 2, events: []runtime.Event{{Tick: 3, Kind: "talk", Detail: "teacher"}}, eventCount: 3,
+		messages: []string{"hello class"}, messageCount: 1,
+		quiz: "q-diagnosis",
+	}
+	// Seeds are chunk headers as the client sees them: appendWatchChunk
+	// output without its 4-byte length prefix.
+	for _, p := range []*pub{
+		{seq: 1, w: 160, h: 120, pix: make([]byte, 3*160*120)},
+		{seq: 9, tick: 40, w: 1, h: 1, pix: make([]byte, 3)},
+		{seq: 2, w: 1000, h: 1000, pix: make([]byte, 3)}, // geometry and length disagree
+		{seq: 3, w: 0, h: 120},
+	} {
+		f.Add(appendWatchChunk(nil, p, 5, tails, 0, 0)[4:])
+	}
+	f.Add([]byte{})
+	f.Add([]byte("VWCH"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u, err := ParseWatchChunk(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("untyped rejection: %v", err)
+			}
+			if u != nil {
+				t.Fatal("non-nil update alongside error")
+			}
+			return
+		}
+		if u.W < 1 || u.H < 1 || u.W > maxFrameDim || u.H > maxFrameDim || u.PixLen != 3*u.W*u.H {
+			t.Fatalf("accepted chunk has geometry %dx%d with %d pixel bytes", u.W, u.H, u.PixLen)
+		}
+	})
+}

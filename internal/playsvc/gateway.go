@@ -610,7 +610,7 @@ func (g *Gateway) Handler() http.Handler {
 		mux.HandleFunc(RoomJoinPath, g.handleRoomMember)
 		mux.HandleFunc(RoomLeavePath, g.handleRoomMember)
 		mux.HandleFunc(RoomAnswerPath, g.handleRoomAnswer)
-		mux.HandleFunc(RoomWatchPath, g.handleRoomWatch)
+		mux.HandleFunc(RoomWatchPath, g.handleRoomGet)
 		mux.HandleFunc(RoomStatsPath, g.handleRoomGet)
 		g.handler = mux
 	})
@@ -878,7 +878,9 @@ func (g *Gateway) handleRoomAnswer(w http.ResponseWriter, r *http.Request) {
 	relay(w, p)
 }
 
-// handleRoomGet proxies the room GET routes (stats) by the room query.
+// handleRoomGet proxies the room GET routes (stats, watch) by the room
+// query. A watch reply is one bounded body held at most maxWatchWait, under
+// hopTimeout, so it rides the ordinary buffered hop.
 func (g *Gateway) handleRoomGet(w http.ResponseWriter, r *http.Request) {
 	room := r.URL.Query().Get("room")
 	if room == "" {
@@ -891,62 +893,6 @@ func (g *Gateway) handleRoomGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	relay(w, p)
-}
-
-// handleRoomWatch relays the fan-out without buffering: a watch response
-// is a long-poll hold or an open-ended chunk stream, so the gateway pipes
-// bytes through with a flush per read instead of the buffered relay (and
-// without the pooled client's overall timeout, which would cut streams
-// off mid-lesson).
-func (g *Gateway) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
-	room := r.URL.Query().Get("room")
-	if room == "" {
-		http.Error(w, "playsvc: missing room", http.StatusBadRequest)
-		return
-	}
-	tc := traceOf(r)
-	node, err := g.routeFor(room, nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, node.url+RoomWatchPath+"?"+r.URL.RawQuery, nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	tc.Child().Inject(req.Header)
-	t0 := time.Now()
-	streamc := &http.Client{Transport: g.httpc.Transport}
-	resp, err := streamc.Do(req)
-	g.spans.Record(tc, "gw "+RoomWatchPath, t0, err)
-	if err != nil {
-		g.breakerFor(node.name).Failure()
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	g.breakerFor(node.name).Success()
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	rc := http.NewResponseController(w)
-	buf := make([]byte, 64<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if ferr := rc.Flush(); ferr != nil {
-				return
-			}
-		}
-		if rerr != nil {
-			return
-		}
-	}
 }
 
 // GatewayNodeStats is one backend's health in a GatewayStats snapshot.

@@ -29,7 +29,7 @@ const (
 const (
 	RoomCreatePath = "/room/create" // POST RoomCreateRequest → RoomCreateReply
 	RoomJoinPath   = "/room/join"   // POST RoomJoinRequest → RoomJoinReply
-	RoomWatchPath  = "/room/watch"  // GET ?room=&watcher=&events=&messages=&wait_ms=&stream=N → watch chunks
+	RoomWatchPath  = "/room/watch"  // GET ?room=&watcher=&events=&messages=&wait_ms= → one watch chunk (long poll; 204 = idle)
 	RoomAnswerPath = "/room/answer" // POST RoomAnswerRequest → RoomAnswerReply
 	RoomStatsPath  = "/room/stats"  // GET ?room= → RoomStats
 	RoomLeavePath  = "/room/leave"  // POST RoomJoinRequest → unsubscribe

@@ -349,13 +349,13 @@ func (r *Room) lookupWatcher(watcherID string) (*watcher, error) {
 // the caller's seen-counts — appended into dst, plus the shared immutable
 // pixel payload, returned separately so the caller concatenates the two
 // writes without copying the frame. latest skips the ring to the newest
-// entry (the long-poll policy); streams pass false and drain in order.
+// entry (the long-poll default); false drains the ring in order.
 //
 // A nil header with a nil error means the wait timed out with nothing new
 // (the HTTP layer answers 204). dst is reused across calls — steady-state
 // delivery allocates nothing per watcher. ackEvents/ackMessages are the
 // absolute event/message totals the chunk carries — the seen-counts the
-// next call should present (streaming handlers advance them server-side).
+// next call should present.
 func (r *Room) WatchNext(watcherID string, seenEvents, seenMessages int, latest bool, wait time.Duration, dst []byte) (header, pix []byte, ackEvents, ackMessages int, err error) {
 	w, err := r.lookupWatcher(watcherID)
 	if err != nil {

@@ -17,12 +17,23 @@ import (
 // local reference session replays the exact same acts, and asserts every
 // watcher receives bit-identical frames at matching sequence numbers plus
 // the full event and message transcript — the classroom sees exactly what
-// the instructor's session rendered, once per state change.
+// the instructor's session rendered, once per state change. It runs once
+// against a node and once through a 2-node cluster's gateway, where every
+// join, poll, answer and stats read is relayed.
 func TestRoomGoldenBroadcast(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 4})
+	t.Run("direct", func(t *testing.T) {
+		ts, _ := liveService(t, Options{Shards: 4})
+		roomGoldenBroadcast(t, ts.URL)
+	})
+	t.Run("gateway", func(t *testing.T) {
+		_, ts := liveCluster(t, 2, Options{})
+		roomGoldenBroadcast(t, ts.URL)
+	})
+}
 
+func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	const roomID = "classroom-golden-room"
-	created, err := CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil)
+	created, err := CreateRoom(baseURL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +54,7 @@ func TestRoomGoldenBroadcast(t *testing.T) {
 	const watchers = 3
 	wcs := make([]*RoomClient, watchers)
 	for i := range wcs {
-		wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, Ordered: true})
+		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID, Ordered: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +62,7 @@ func TestRoomGoldenBroadcast(t *testing.T) {
 	}
 
 	// The instructor seat: an ordinary client resumed onto the room id.
-	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: roomID, Project: content.Classroom().Project})
+	driver, err := Dial(ClientOptions{BaseURL: baseURL, Resume: roomID, Project: content.Classroom().Project})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +158,7 @@ func TestRoomGoldenBroadcast(t *testing.T) {
 	if _, err := wcs[1].Answer("q-diagnosis", 1); err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.RoomStatsOf(roomID)
+	st, err := wcs[0].RoomStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +196,11 @@ func TestRoomGoldenBroadcast(t *testing.T) {
 		if got := wcs[w].Messages(); !reflect.DeepEqual(got, refMsgs) {
 			t.Fatalf("watcher %d messages diverge:\n got %q\nwant %q", w, got, refMsgs)
 		}
+	}
+
+	// Every publication is consumed: an idle hold expires as a 204.
+	if u, _, err := wcs[0].Poll(50 * time.Millisecond); u != nil || err != nil {
+		t.Fatalf("idle poll = %+v, %v, want a clean timeout", u, err)
 	}
 
 	// The driver leaving ends the class: the room closes and a waiting

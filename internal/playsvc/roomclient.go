@@ -1,6 +1,6 @@
 // RoomClient: the watcher-side counterpart of Room. A watcher joins a
-// shared session, follows the fan-out (long-poll or chunked stream) and
-// answers cohort quizzes. The driver seat is NOT here — the instructor
+// shared session, follows the fan-out by long-polling and answers cohort
+// quizzes. The driver seat is NOT here — the instructor
 // drives the room through an ordinary Client (Dial with Resume set to the
 // room id), because a room's driven session is a plain hosted session.
 package playsvc
@@ -32,7 +32,7 @@ type RoomClientOptions struct {
 	// same id reattaches instead of double-subscribing.
 	Watcher string
 	// Ordered drains the per-watcher ring in order instead of skipping to
-	// the freshest frame on every poll. Streams are always ordered.
+	// the freshest frame on every poll.
 	Ordered bool
 	// Trace, when valid, stamps every request (see ClientOptions.Trace).
 	Trace obs.TraceContext
@@ -150,24 +150,28 @@ func (c *RoomClient) timeout() time.Duration {
 	return c.opts.Timeout
 }
 
-// postJSON sends one JSON request and decodes the reply into out (nil
-// discards it).
-func (c *RoomClient) postJSON(path string, body, out any) error {
+// roundTrip performs one HTTP attempt — per-attempt deadline (stretched by
+// hold, a poll's server-side wait), trace header, typed non-200 errors —
+// and hands a 200 response, or a poll's idle 204, to decode. It is the only
+// place the room client touches the network.
+func (c *RoomClient) roundTrip(method, url string, payload []byte, hold time.Duration, what string, decode func(*http.Response) error) error {
 	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
 	if d := c.timeout(); d > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d+hold)
+		defer cancel()
 	}
-	defer cancel()
-	payload, err := json.Marshal(body)
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.opts.BaseURL+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Content-Type", "application/json")
 	if c.opts.Trace.Valid() {
 		c.opts.Trace.Child().Inject(req.Header)
 	}
@@ -176,28 +180,37 @@ func (c *RoomClient) postJSON(path string, body, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err, _ := responseError(resp, "room "+path)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
+		err, _ := responseError(resp, what)
 		return err
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
+	return decode(resp)
+}
+
+// postJSON sends one JSON request and decodes the reply into out (nil
+// discards it).
+func (c *RoomClient) postJSON(path string, body, out any) error {
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return c.roundTrip(http.MethodPost, c.opts.BaseURL+path, payload, 0, "room "+path, func(resp *http.Response) error {
+		if out == nil {
+			io.Copy(io.Discard, resp.Body)
+			return nil
+		}
+		return json.NewDecoder(resp.Body).Decode(out)
+	})
 }
 
 // watchURL builds the watch query for the current seen-counts.
-func (c *RoomClient) watchURL(wait time.Duration, stream int) string {
+func (c *RoomClient) watchURL(wait time.Duration) string {
 	q := url.Values{}
 	q.Set("room", c.room)
 	q.Set("watcher", c.watcher)
 	q.Set("events", strconv.Itoa(c.seenEvents))
 	q.Set("messages", strconv.Itoa(c.seenMessages))
 	q.Set("wait_ms", strconv.Itoa(int(wait/time.Millisecond)))
-	if stream > 0 {
-		q.Set("stream", strconv.Itoa(stream))
-	}
 	if c.opts.Ordered {
 		q.Set("latest", "0")
 	}
@@ -227,97 +240,31 @@ func (c *RoomClient) Poll(wait time.Duration) (*WatchUpdate, *raster.Frame, erro
 	if c.err != nil {
 		return nil, nil, c.err
 	}
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if d := c.timeout(); d > 0 {
-		// The attempt deadline must outlast the requested server-side hold.
-		ctx, cancel = context.WithTimeout(ctx, d+wait)
-	}
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.watchURL(wait, 0), nil)
+	var u *WatchUpdate
+	// The attempt deadline must outlast the requested server-side hold.
+	err := c.roundTrip(http.MethodGet, c.watchURL(wait), nil, wait, "room watch", func(resp *http.Response) (err error) {
+		if resp.StatusCode == http.StatusNoContent {
+			return nil
+		}
+		u, err = c.readChunk(resp.Body)
+		return err
+	})
 	if err != nil {
 		return nil, nil, c.fail(err)
 	}
-	if c.opts.Trace.Valid() {
-		c.opts.Trace.Child().Inject(req.Header)
-	}
-	resp, err := c.opts.HTTP.Do(req)
-	if err != nil {
-		return nil, nil, c.fail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		io.Copy(io.Discard, resp.Body)
+	if u == nil {
 		return nil, nil, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		err, _ := responseError(resp, "room watch")
-		return nil, nil, c.fail(err)
-	}
-	u, err := c.readChunk(resp.Body)
-	if err != nil {
-		return nil, nil, c.fail(err)
 	}
 	c.fold(u)
 	return u, &c.frame, nil
 }
 
-// Stream opens one chunked-streaming watch of up to n publications and
-// calls fn for each as it lands. The frame is only valid during fn. fn
-// returning a non-nil error stops the stream and returns that error; a
-// server-ended stream (room closed, count reached) returns nil.
-func (c *RoomClient) Stream(n int, hold time.Duration, fn func(*WatchUpdate, *raster.Frame) error) error {
-	if c.err != nil {
-		return c.err
-	}
-	if n <= 0 {
-		return nil
-	}
-	req, err := http.NewRequest(http.MethodGet, c.watchURL(hold, n), nil)
-	if err != nil {
-		return c.fail(err)
-	}
-	if c.opts.Trace.Valid() {
-		c.opts.Trace.Child().Inject(req.Header)
-	}
-	resp, err := c.opts.HTTP.Do(req)
-	if err != nil {
-		return c.fail(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		err, _ := responseError(resp, "room stream")
-		return c.fail(err)
-	}
-	for i := 0; i < n; i++ {
-		u, err := c.readChunk(resp.Body)
-		if err == io.EOF {
-			return nil // server ended the stream cleanly
-		}
-		if err != nil {
-			return c.fail(err)
-		}
-		c.fold(u)
-		if err := fn(u, &c.frame); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readChunk reads one watch chunk (length-prefixed header + pixels) into
-// the client's reusable buffers. io.EOF means the stream ended between
-// chunks.
+// the client's reusable buffers.
 func (c *RoomClient) readChunk(r io.Reader) (*WatchUpdate, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.EOF
-		}
-		return nil, err
+		return nil, fmt.Errorf("playsvc: short watch chunk: %w", err)
 	}
 	n := int(binary.BigEndian.Uint32(lenb[:]))
 	if n <= 0 || n > maxBody {
@@ -367,27 +314,10 @@ func (c *RoomClient) Answer(quizID string, choice int) (*RoomAnswerReply, error)
 // RoomStats fetches the room's counters and cohort tallies.
 func (c *RoomClient) RoomStats() (RoomStats, error) {
 	var st RoomStats
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if d := c.timeout(); d > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d)
-	}
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.opts.BaseURL+RoomStatsPath+"?room="+url.QueryEscape(c.room), nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := c.opts.HTTP.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		err, _ := responseError(resp, "room stats")
-		return st, err
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	err := c.roundTrip(http.MethodGet, c.opts.BaseURL+RoomStatsPath+"?room="+url.QueryEscape(c.room), nil, 0, "room stats", func(resp *http.Response) error {
+		return json.NewDecoder(resp.Body).Decode(&st)
+	})
+	return st, err
 }
 
 // Close unsubscribes the watcher. The room (and its driven session) is

@@ -5,8 +5,8 @@
 // the act frames), then the raw 24-bit RGB pixels. The pixels ride OUTSIDE
 // the CRC on purpose: the header is encoded into a small recycled buffer
 // and the pixel payload is the publication's shared immutable slice, so
-// delivery is two writes and zero frame copies. Chunks self-describe their
-// pixel length, so a chunked stream is just chunks back to back.
+// delivery is two writes and zero frame copies. A chunk self-describes its
+// pixel length, which must be exactly its geometry's 3·W·H.
 package playsvc
 
 import (
@@ -165,6 +165,14 @@ func ParseWatchChunk(header []byte) (*WatchUpdate, error) {
 			}
 			if u.PixLen, err = r.intBounded(); err != nil {
 				return nil, frameBadf("malformed pixel length")
+			}
+			// The geometry sizes the caller's frame buffer, so it is held
+			// to maxFrameDim and to itself before anything is allocated.
+			if u.W < 1 || u.H < 1 || u.W > maxFrameDim || u.H > maxFrameDim {
+				return nil, frameBadf("geometry %dx%d outside 1..%d", u.W, u.H, maxFrameDim)
+			}
+			if u.PixLen != 3*u.W*u.H {
+				return nil, frameBadf("pixel payload claims %d bytes, a %dx%d frame needs %d", u.PixLen, u.W, u.H, 3*u.W*u.H)
 			}
 			if u.PixLen > maxProxyBody {
 				return nil, frameBadf("pixel payload claims %d bytes", u.PixLen)

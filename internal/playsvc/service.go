@@ -298,17 +298,15 @@ func (m *Manager) handleRoomStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// WatchContentType marks a watch-chunk body (one chunk on a long poll,
-// chunks back to back on a stream).
+// WatchContentType marks a watch-chunk body.
 const WatchContentType = "application/x-vgbl-watch"
 
 // handleRoomWatch serves the fan-out: GET with room, watcher, events,
-// messages (the seen-counts), wait_ms (long-poll hold, default 2s) and
-// stream=N (serve up to N chunks on one response, flushing each — the
-// chunked-streaming primary; 0 means a single long-poll chunk). latest=0
-// asks for in-order ring draining (streams default to it; long polls
-// default to freshest-frame). A 204 means the hold expired with nothing
-// new; rejoin-worthy conditions (room gone, watcher pruned) are 404s.
+// messages (the seen-counts) and wait_ms (long-poll hold, default 2s).
+// A reply is one chunk: the freshest pending frame, or with latest=0 the
+// oldest (in-order ring draining). A 204 means the hold expired with
+// nothing new; rejoin-worthy conditions (room gone, watcher pruned) are
+// 404s.
 func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	room, err := m.roomByID(q.Get("room"))
@@ -316,7 +314,6 @@ func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	watcher := q.Get("watcher")
 	seenE, _ := strconv.Atoi(q.Get("events"))
 	seenM, _ := strconv.Atoi(q.Get("messages"))
 	waitMS, _ := strconv.Atoi(q.Get("wait_ms"))
@@ -324,14 +321,9 @@ func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 		waitMS = 2000
 	}
 	wait := time.Duration(waitMS) * time.Millisecond
-	stream, _ := strconv.Atoi(q.Get("stream"))
-	latest := stream == 0
-	if v := q.Get("latest"); v != "" {
-		latest = v != "0"
-	}
+	latest := q.Get("latest") != "0"
 
-	var buf []byte
-	header, pix, ackE, ackM, err := room.WatchNext(watcher, seenE, seenM, latest, wait, buf)
+	header, pix, _, _, err := room.WatchNext(q.Get("watcher"), seenE, seenM, latest, wait, nil)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -341,44 +333,9 @@ func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", WatchContentType)
-	if stream == 0 {
-		w.Header().Set("Content-Length", strconv.Itoa(len(header)+len(pix)))
-		w.Write(header)
-		w.Write(pix)
-		return
-	}
-	// Streaming: chunks back to back, one flush per publication, with the
-	// seen-counts advanced server-side — within one response nothing is
-	// served twice; a reconnect presents the client's own counts again.
-	rc := http.NewResponseController(w)
-	for sent := 0; sent < stream; {
-		if header != nil {
-			if _, werr := w.Write(header); werr != nil {
-				return
-			}
-			if _, werr := w.Write(pix); werr != nil {
-				return
-			}
-			if ferr := rc.Flush(); ferr != nil {
-				return
-			}
-			buf = header
-			seenE, seenM = ackE, ackM
-			sent++
-			if sent == stream {
-				return
-			}
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		default:
-		}
-		header, pix, ackE, ackM, err = room.WatchNext(watcher, seenE, seenM, latest, maxWatchWait, buf)
-		if err != nil {
-			return // mid-stream errors end the stream; the client rejoins
-		}
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(header)+len(pix)))
+	w.Write(header)
+	w.Write(pix)
 }
 
 func (m *Manager) handleStats(w http.ResponseWriter, r *http.Request) {
