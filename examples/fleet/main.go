@@ -119,21 +119,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	value := func(name string) int64 {
-		if m := snap.Metric(name); m != nil && len(m.Series) > 0 && m.Series[0].Value != nil {
-			return *m.Series[0].Value
-		}
-		return 0
-	}
 	fmt.Println("\n== /metrics?format=json (server + fleet families)")
 	fmt.Printf("  netstream: %d requests, %d bytes served, %d not-modified\n",
-		value("vgbl_netstream_requests_total"), value("vgbl_netstream_bytes_total"),
-		value("vgbl_netstream_not_modified_total"))
+		snap.Value("vgbl_netstream_requests_total"), snap.Value("vgbl_netstream_bytes_total"),
+		snap.Value("vgbl_netstream_not_modified_total"))
 	fmt.Printf("  telemetry: %d batches accepted, %d rejected, %d applied\n",
-		value("vgbl_telemetry_batches_accepted_total"), value("vgbl_telemetry_batches_rejected_total"),
-		value("vgbl_telemetry_batches_applied_total"))
-	if m := snap.Metric("vgbl_netstream_delta_seconds"); m != nil && len(m.Series) > 0 && m.Series[0].Histogram != nil {
-		h := *m.Series[0].Histogram
+		snap.Value("vgbl_telemetry_batches_accepted_total"), snap.Value("vgbl_telemetry_batches_rejected_total"),
+		snap.Value("vgbl_telemetry_batches_applied_total"))
+	if h := snap.Hist("vgbl_netstream_delta_seconds"); h != nil {
 		fmt.Printf("  delta-sync downloads: %d, p50 %v  p99 %v\n", h.Count,
 			time.Duration(h.Quantile(0.50)).Round(time.Microsecond),
 			time.Duration(h.Quantile(0.99)).Round(time.Microsecond))

@@ -108,11 +108,10 @@ func main() {
 	snap := scrapeMetrics(url)
 	fmt.Println("\n== /metrics?format=json (play-service family)")
 	fmt.Printf("   sessions: %d created, %d live after leave\n",
-		counter(snap, "vgbl_playsvc_sessions_created_total"), counter(snap, "vgbl_playsvc_sessions_live"))
+		snap.Value("vgbl_playsvc_sessions_created_total"), snap.Value("vgbl_playsvc_sessions_live"))
 	fmt.Printf("   served:   %d acts, %d frames\n",
-		counter(snap, "vgbl_playsvc_acts_total"), counter(snap, "vgbl_playsvc_frames_total"))
-	if m := snap.Metric("vgbl_playsvc_act_seconds"); m != nil && len(m.Series) > 0 && m.Series[0].Histogram != nil {
-		h := *m.Series[0].Histogram
+		snap.Value("vgbl_playsvc_acts_total"), snap.Value("vgbl_playsvc_frames_total"))
+	if h := snap.Hist("vgbl_playsvc_act_seconds"); h != nil {
 		fmt.Printf("   act latency: p50 %v  p95 %v  p99 %v over %d acts\n",
 			time.Duration(h.Quantile(0.50)).Round(time.Microsecond),
 			time.Duration(h.Quantile(0.95)).Round(time.Microsecond),
@@ -133,12 +132,4 @@ func scrapeMetrics(base string) *obs.RegistrySnapshot {
 		log.Fatal(err)
 	}
 	return &snap
-}
-
-// counter reads a single-series counter or gauge value from the snapshot.
-func counter(snap *obs.RegistrySnapshot, name string) int64 {
-	if m := snap.Metric(name); m != nil && len(m.Series) > 0 && m.Series[0].Value != nil {
-		return *m.Series[0].Value
-	}
-	return 0
 }

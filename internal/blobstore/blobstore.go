@@ -534,9 +534,9 @@ func (s *Store) Register(reg *obs.Registry) {
 	reg.CounterFunc("blobstore_evictions_total", "hot-tier LRU evictions", s.evictions.Load)
 	reg.CounterFunc("blobstore_dedup_hits_total", "puts of chunks the store already held", s.dedupHits.Load)
 	reg.CounterFunc("blobstore_bytes_served_total", "chunk bytes handed to readers", s.bytesServed.Load)
-	reg.GaugeFunc("blobstore_chunks", "chunks resident in the durable tier", func() int64 { return int64(s.Stats().Chunks) })
-	reg.GaugeFunc("blobstore_stored_bytes", "bytes resident in the durable tier", func() int64 { return s.Stats().StoredBytes })
-	reg.GaugeFunc("blobstore_cache_bytes", "bytes resident in the hot tier", func() int64 { return s.Stats().CacheBytes })
+	reg.GaugeFunc("blobstore_chunks", "chunks resident in the durable tier", func() int64 { n, _ := s.durableTotals(); return int64(n) })
+	reg.GaugeFunc("blobstore_stored_bytes", "bytes resident in the durable tier", func() int64 { _, b := s.durableTotals(); return b })
+	reg.GaugeFunc("blobstore_cache_bytes", "bytes resident in the hot tier", func() int64 { _, b := s.cacheTotals(); return b })
 	reg.RegisterHistogram("blobstore_get_seconds", "chunk get latency by tier (hot is 1/64 sampled)", "seconds", s.getHot, obs.L("tier", "hot"))
 	reg.RegisterHistogram("blobstore_get_seconds", "chunk get latency by tier (hot is 1/64 sampled)", "seconds", s.getCold, obs.L("tier", "cold"))
 }
@@ -563,18 +563,28 @@ func (s *Store) Stats() Stats {
 		BytesServed: s.bytesServed.Load(),
 		DedupHits:   s.dedupHits.Load(),
 	}
+	st.CacheChunks, st.CacheBytes = s.cacheTotals()
+	st.Chunks, st.StoredBytes = s.durableTotals()
+	return st
+}
+
+// cacheTotals sweeps the hot tier's shards once.
+func (s *Store) cacheTotals() (chunks int, bytes int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		st.CacheChunks += len(sh.m)
-		st.CacheBytes += sh.bytes
+		chunks += len(sh.m)
+		bytes += sh.bytes
 		sh.mu.Unlock()
 	}
-	if s.backend != nil {
-		bs := s.backend.Stats()
-		st.Chunks, st.StoredBytes = bs.Chunks, bs.Bytes
-	} else {
-		st.Chunks, st.StoredBytes = st.CacheChunks, st.CacheBytes
+	return chunks, bytes
+}
+
+// durableTotals reads the durable tier — the hot tier if cache-only.
+func (s *Store) durableTotals() (chunks int, bytes int64) {
+	if s.backend == nil {
+		return s.cacheTotals()
 	}
-	return st
+	bs := s.backend.Stats()
+	return bs.Chunks, bs.Bytes
 }

@@ -80,7 +80,9 @@ func E19() (string, error) {
 	var b strings.Builder
 	b.WriteString("E19 — adaptive streaming: one ladder package, a 10× bandwidth spread\n")
 	fmt.Fprintf(&b, "%d-segment course, %.1fs of media, quality ladder (rate = payload/duration):\n", len(r0.Chapters()), dur)
+	var tiers []string
 	for _, tv := range videos {
+		tiers = append(tiers, netstream.TierLabel(tv.Tier))
 		fmt.Fprintf(&b, "  tier %-4s : %7d bytes, %6.1f KB/s\n",
 			netstream.TierLabel(tv.Tier), len(tv.Video), float64(len(tv.Video))/dur/1000)
 	}
@@ -98,7 +100,7 @@ func E19() (string, error) {
 	var failures []string
 	e19JSON := map[string]any{}
 	for _, pr := range profiles {
-		before, err := scrapeTierBytes(ts.URL)
+		before, err := scrapeMetrics(ts.URL)
 		if err != nil {
 			return "", err
 		}
@@ -113,13 +115,14 @@ func E19() (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("profile %s: %w", pr.name, err)
 		}
-		after, err := scrapeTierBytes(ts.URL)
+		after, err := scrapeMetrics(ts.URL)
 		if err != nil {
 			return "", err
 		}
 		served := map[string]int64{}
-		for tier, n := range after {
-			if d := n - before[tier]; d != 0 {
+		for _, tier := range tiers {
+			label := obs.L("tier", tier)
+			if d := after.Value(tierBytesFamily, label) - before.Value(tierBytesFamily, label); d != 0 {
 				served[tier] = d
 			}
 		}
@@ -164,30 +167,19 @@ func E19() (string, error) {
 	return b.String(), nil
 }
 
-// scrapeTierBytes reads the per-tier bytes-served counters from the
-// server's /metrics endpoint (JSON form) — the same surface an operator
+// tierBytesFamily is the server's per-tier bytes-served ledger on /metrics.
+const tierBytesFamily = "vgbl_netstream_tier_bytes_total"
+
+// scrapeMetrics reads the server's /metrics endpoint (JSON form) — the
+// per-tier bytes-served counters come from the same surface an operator
 // scrapes, not an in-process shortcut.
-func scrapeTierBytes(base string) (map[string]int64, error) {
+func scrapeMetrics(base string) (snap obs.RegistrySnapshot, err error) {
 	resp, err := http.Get(base + "/metrics?format=json")
 	if err != nil {
-		return nil, err
+		return snap, err
 	}
 	defer resp.Body.Close()
-	var snap obs.RegistrySnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	out := map[string]int64{}
-	m := snap.Metric("vgbl_netstream_tier_bytes_total")
-	if m == nil {
-		return out, nil
-	}
-	for _, s := range m.Series {
-		if s.Value != nil {
-			out[s.Labels["tier"]] = *s.Value
-		}
-	}
-	return out, nil
+	return snap, json.NewDecoder(resp.Body).Decode(&snap)
 }
 
 // tierOrder returns the union of tier labels across both ledgers,

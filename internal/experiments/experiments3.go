@@ -219,10 +219,10 @@ func e12Row(blob []byte, learners int, interactive bool) (string, *analytics.Rol
 		mode = "remote-play"
 	}
 	ps := play.Snapshot()
-	if interactive && (ps.SessionsCreated != int64(learners) || ps.SessionsLive != 0) {
-		return "", nil, fmt.Errorf("e12: play accounting off: %+v", ps)
+	if interactive && (ps["sessions_created"] != int64(learners) || ps["sessions_live"] != 0) {
+		return "", nil, fmt.Errorf("e12: play accounting off: %v", ps)
 	}
 	return fmt.Sprintf("  %-11s | %8d | %10.1f | %8.0f | %11v | %4d | %6d",
 		mode, learners, sum.SessionsPerSec, sum.EventsPerSec,
-		sum.Session.P90.Round(time.Microsecond), ps.Acts, ps.Frames), &agg, nil
+		sum.Session.P90.Round(time.Microsecond), ps["acts"], ps["frames"]), &agg, nil
 }

@@ -102,10 +102,10 @@ func E14(learners int) (string, error) {
 	elapsed := time.Since(began)
 	gs := cl.Gateway().Stats()
 	fmt.Fprintf(&b, "churn run: %d learners, 1 node replaced mid-run, %v wall\n", learners, elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  sessions resumed      : %d (thawed on a new owner)\n", gs.Cluster.SessionsResumed)
-	fmt.Fprintf(&b, "  sessions frozen       : %d (handoff snapshots on surviving nodes; the\n", gs.Cluster.SessionsFrozen)
+	fmt.Fprintf(&b, "  sessions resumed      : %d (thawed on a new owner)\n", gs.Cluster["sessions_resumed"])
+	fmt.Fprintf(&b, "  sessions frozen       : %d (handoff snapshots on surviving nodes; the\n", gs.Cluster["sessions_frozen"])
 	b.WriteString("                          drained node's own freeze count leaves with it)\n")
-	fmt.Fprintf(&b, "  gateway rescues       : %d, retries %d\n", gs.Rescues, gs.Retries)
+	fmt.Fprintf(&b, "  gateway rescues       : %d, retries %d\n", gs.Gateway["rescues"], gs.Gateway["retries"])
 	fmt.Fprintf(&b, "  learners failed       : %d of %d (graceful churn loses nothing)\n", sum.Failed, learners)
 	fmt.Fprintf(&b, "  sessions completed    : %d, %0.1f sessions/s\n", sum.Completed, sum.SessionsPerSec)
 	fmt.Fprintf(&b, "  progress lost         : 0 acts (drain persists final state exactly)\n\n")

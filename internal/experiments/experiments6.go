@@ -115,10 +115,9 @@ func E15(learners int) (string, error) {
 	// The price of churn, from the gateway's registry: how many routed
 	// calls needed more than one backend hop, and what a rescue costs.
 	snap := reg.Snapshot()
-	gs := cl.Gateway().Stats()
-	fmt.Fprintf(&b, "gateway: %d creates, %d rescues, %d retries\n", gs.Creates, gs.Rescues, gs.Retries)
-	if m := snap.Metric("vgbl_gateway_hops"); m != nil && len(m.Series) > 0 && m.Series[0].Histogram != nil {
-		h := *m.Series[0].Histogram
+	fmt.Fprintf(&b, "gateway: %d creates, %d rescues, %d retries\n", snap.Value("vgbl_gateway_creates_total"),
+		snap.Value("vgbl_gateway_rescues_total"), snap.Value("vgbl_gateway_retries_total"))
+	if h := snap.Hist("vgbl_gateway_hops"); h != nil {
 		multi := int64(0)
 		for i, bound := range h.Bounds {
 			if bound > 1 {
@@ -128,14 +127,13 @@ func E15(learners int) (string, error) {
 		multi += h.Counts[len(h.Counts)-1]
 		fmt.Fprintf(&b, "  routed calls          : %d, %d needed >1 backend hop\n", h.Count, multi)
 	}
-	if m := snap.Metric("vgbl_gateway_rescue_seconds"); m != nil && len(m.Series) > 0 && m.Series[0].Histogram != nil {
-		h := *m.Series[0].Histogram
+	if h := snap.Hist("vgbl_gateway_rescue_seconds"); h != nil {
 		fmt.Fprintf(&b, "  rescue latency        : p50 %v  p95 %v  max bucket %v over %d rescues\n",
 			time.Duration(h.Quantile(0.50)).Round(time.Microsecond),
 			time.Duration(h.Quantile(0.95)).Round(time.Microsecond),
 			time.Duration(h.Quantile(1)).Round(time.Microsecond), h.Count)
 		b.WriteString("  rescue latency histogram:\n")
-		b.WriteString(renderLatencyHistogram(h, "    "))
+		b.WriteString(renderLatencyHistogram(*h, "    "))
 	}
 	return b.String(), nil
 }

@@ -119,11 +119,11 @@ func e16Run(blob []byte, profile faultnet.Profile, learners int) (string, error)
 		return "", fmt.Errorf("telemetry accounting skewed: %+v", cs)
 	}
 
-	gs := cl.Gateway().Stats()
+	gs := cl.Gateway().Stats().Gateway
 	gwSt, flSt := gwTr.Stats(), fleetTr.Stats()
 	injected := gwSt.Drops + gwSt.Resets + gwSt.Errors + gwSt.Outages +
 		flSt.Drops + flSt.Resets + flSt.Errors + flSt.Outages
 	return fmt.Sprintf("%-12s %10.1f %7d %7d %9d %9d %8d %8d %7d\n",
 		profile.Name, sum.SessionsPerSec, sum.Completed, sum.Failed, injected,
-		gs.Retries, gs.Rescues, gs.Recoveries, gs.BreakerTrips), nil
+		gs["retries"], gs["rescues"], gs["recoveries"], gs["breaker_trips"]), nil
 }

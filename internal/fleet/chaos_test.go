@@ -142,17 +142,17 @@ func TestClusterChaosSoak(t *testing.T) {
 	// safe, not invisible), the kill forced snapshot resumes, and nothing
 	// is left live.
 	gs := cl.Gateway().Stats()
-	if gs.Creates < learners {
-		t.Errorf("gateway created %d sessions, want >= %d", gs.Creates, learners)
+	if n := stat(t, gs.Gateway, "creates"); n < learners {
+		t.Errorf("gateway created %d sessions, want >= %d", n, learners)
 	}
-	if gs.Cluster.SessionsResumed == 0 {
+	if stat(t, gs.Cluster, "sessions_resumed") == 0 {
 		t.Error("no session resumed — the crash missed the run")
 	}
-	if gs.Retries == 0 {
+	if stat(t, gs.Gateway, "retries") == 0 {
 		t.Error("gateway retried nothing despite injected faults")
 	}
-	if gs.Cluster.SessionsLive != 0 || gs.Sessions != 0 {
-		t.Errorf("cluster still holds %d live / %d tracked sessions", gs.Cluster.SessionsLive, gs.Sessions)
+	if live, tracked := stat(t, gs.Cluster, "sessions_live"), stat(t, gs.Gateway, "sessions"); live != 0 || tracked != 0 {
+		t.Errorf("cluster still holds %d live / %d tracked sessions", live, tracked)
 		for _, name := range cl.NodeNames() {
 			for _, id := range cl.Node(name).Manager.LiveSessions() {
 				ref, ok := cl.Dir().Lookup(id)

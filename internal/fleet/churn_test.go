@@ -120,14 +120,14 @@ func TestClusterChurnResume(t *testing.T) {
 	// left behind — no live sessions, no tracked ids, no orphaned
 	// snapshots in the directory.
 	gs := cl.Gateway().Stats()
-	if gs.Creates != learners {
-		t.Errorf("gateway created %d sessions, want %d", gs.Creates, learners)
+	if n := stat(t, gs.Gateway, "creates"); n != learners {
+		t.Errorf("gateway created %d sessions, want %d", n, learners)
 	}
-	if gs.Cluster.SessionsResumed == 0 {
+	if stat(t, gs.Cluster, "sessions_resumed") == 0 {
 		t.Error("churn resumed no sessions — the node removal missed the run")
 	}
-	if gs.Cluster.SessionsLive != 0 || gs.Sessions != 0 {
-		t.Errorf("cluster still holds %d live / %d tracked sessions", gs.Cluster.SessionsLive, gs.Sessions)
+	if live, tracked := stat(t, gs.Cluster, "sessions_live"), stat(t, gs.Gateway, "sessions"); live != 0 || tracked != 0 {
+		t.Errorf("cluster still holds %d live / %d tracked sessions", live, tracked)
 	}
 	if dir, ok := cl.Dir().(*playsvc.MemDir); ok && dir.Len() != 0 {
 		t.Errorf("%d snapshots stranded in the directory", dir.Len())

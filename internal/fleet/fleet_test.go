@@ -229,22 +229,15 @@ func TestPlaysvc200Learners(t *testing.T) {
 	// Exact session accounting on the play service: every learner created
 	// one hosted session and released it on the way out.
 	ps := mgr.Snapshot()
-	if ps.SessionsCreated != learners || ps.SessionsClosed != learners ||
-		ps.SessionsLive != 0 || ps.SessionsEvicted != 0 {
-		t.Fatalf("play service accounting: %+v", ps)
+	if stat(t, ps, "sessions_created") != learners || stat(t, ps, "sessions_closed") != learners ||
+		stat(t, ps, "sessions_live") != 0 || stat(t, ps, "sessions_evicted") != 0 {
+		t.Fatalf("play service accounting: %v", ps)
 	}
-	if ps.Acts < int64(learners)*12 {
-		t.Errorf("acts = %d, implausibly low for %d learners", ps.Acts, learners)
+	if acts := stat(t, ps, "acts"); acts < int64(learners)*12 {
+		t.Errorf("acts = %d, implausibly low for %d learners", acts, learners)
 	}
-	if ps.Frames == 0 {
+	if stat(t, ps, "frames") == 0 {
 		t.Error("WatchEvery fetched no frames")
-	}
-	var sumCreated int64
-	for _, ss := range ps.Shards {
-		sumCreated += ss.Created
-	}
-	if sumCreated != ps.SessionsCreated {
-		t.Errorf("per-shard created sums to %d, total says %d", sumCreated, ps.SessionsCreated)
 	}
 
 	// Exact telemetry accounting, same bar as the local-sim fleet: the
@@ -333,4 +326,15 @@ func TestSummaryString(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// stat reads one key of a flat stats view. An absent key fails the test,
+// so a misspelt name cannot read as 0.
+func stat(t testing.TB, flat map[string]int64, key string) int64 {
+	t.Helper()
+	v, ok := flat[key]
+	if !ok {
+		t.Fatalf("stats have no key %q: %v", key, flat)
+	}
+	return v
 }

@@ -41,12 +41,7 @@ func ScrapeActLatencies(httpc *http.Client, playURL string) []NodeLatency {
 	playURL = strings.TrimSuffix(playURL, "/")
 	type target struct{ node, url string }
 	targets := []target{{node: "play", url: playURL}}
-	var gw struct {
-		Nodes []struct {
-			Name string `json:"name"`
-			URL  string `json:"url"`
-		} `json:"nodes"`
-	}
+	var gw playsvc.GatewayStats
 	if err := getJSON(httpc, playURL+playsvc.StatsPath, &gw); err == nil && len(gw.Nodes) > 0 {
 		targets = targets[:0]
 		for _, n := range gw.Nodes {
@@ -59,10 +54,9 @@ func ScrapeActLatencies(httpc *http.Client, playURL string) []NodeLatency {
 		var snap obs.RegistrySnapshot
 		if err := getJSON(httpc, t.url+"/metrics?format=json", &snap); err != nil {
 			row.Err = err
-		} else if m := snap.Metric(actMetric); m == nil || len(m.Series) == 0 || m.Series[0].Histogram == nil {
+		} else if h := snap.Hist(actMetric); h == nil {
 			row.Err = fmt.Errorf("fleet: %s missing from %s/metrics", actMetric, t.url)
 		} else {
-			h := *m.Series[0].Histogram
 			row.Acts = h.Count
 			row.P50 = time.Duration(h.Quantile(0.50))
 			row.P95 = time.Duration(h.Quantile(0.95))

@@ -10,9 +10,15 @@
 // Registry per node, so `GET /metrics` on any node covers the whole
 // process. Instruments are constructed standalone (a component owns its
 // histogram whether or not anything scrapes it) and attached to a
-// Registry afterwards; counters that already exist as striped atomics
-// elsewhere are exported through CounterFunc/GaugeFunc closures instead
-// of being migrated, keeping their contention behavior unchanged.
+// Registry afterwards; counters that live as striped atomics in a service
+// are named through CounterFunc/GaugeFunc closures, keeping their
+// contention behavior unchanged.
+//
+// The registry is the one definition of every server-side scalar. A
+// component names its families once, registers them on a registry of its
+// own as well as the process one, and serves its JSON stats endpoint as
+// that registry's Flat view; readers of a scraped snapshot go through
+// Value and Hist rather than walking series.
 package obs
 
 import (
@@ -168,19 +174,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 		return lower + int64(frac*float64(upper-lower))
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Merge folds another snapshot with identical bounds into s (per-node
-// histograms summed into a cluster view). Mismatched bounds are ignored.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	if len(o.Counts) != len(s.Counts) {
-		return
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
 }
 
 // Label is one metric dimension (e.g. {tier, hot}).

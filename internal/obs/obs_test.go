@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -82,29 +83,6 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]int64{10, 100})
-	b := NewHistogram([]int64{10, 100})
-	a.Observe(5)
-	b.Observe(50)
-	b.Observe(500)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 3 || sa.Counts[0] != 1 || sa.Counts[1] != 1 || sa.Counts[2] != 1 {
-		t.Fatalf("merge mismatch: %+v", sa)
-	}
-	if sa.Sum != 555 {
-		t.Fatalf("merged sum = %d, want 555", sa.Sum)
-	}
-	// Mismatched bounds must be a no-op, not a panic or corruption.
-	other := NewHistogram([]int64{1}).Snapshot()
-	before := sa.Count
-	sa.Merge(other)
-	if sa.Count != before {
-		t.Fatalf("mismatched-bounds merge changed count")
-	}
-}
-
 func TestRegistryPrometheusAndJSON(t *testing.T) {
 	r := NewRegistry("vgbl")
 	c := r.Counter("widgets_total", "widgets made")
@@ -149,18 +127,49 @@ func TestRegistryPrometheusAndJSON(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	m := snap.Metric("vgbl_op_seconds")
-	if m == nil || len(m.Series) != 1 || m.Series[0].Histogram == nil {
-		t.Fatalf("json snapshot lacks the histogram: %+v", snap)
+	if h := snap.Hist("vgbl_op_seconds", L("path", "act")); h == nil || h.Count != 3 {
+		t.Fatalf("json snapshot lacks the labeled histogram: %+v", snap)
 	}
-	if m.Series[0].Histogram.Count != 3 {
-		t.Fatalf("histogram count over json = %d, want 3", m.Series[0].Histogram.Count)
+	if snap.Hist("vgbl_op_seconds", L("path", "frame")) != nil || snap.Hist("vgbl_widgets_total") != nil {
+		t.Fatalf("Hist matched a series that is not there")
 	}
-	if m.Series[0].Labels["path"] != "act" {
-		t.Fatalf("labels lost over json: %+v", m.Series[0].Labels)
+	if got := snap.Value("vgbl_widgets_total"); got != 3 {
+		t.Fatalf("counter over json = %d, want 3", got)
 	}
-	if wt := snap.Metric("vgbl_widgets_total"); wt == nil || wt.Series[0].Value == nil || *wt.Series[0].Value != 3 {
-		t.Fatalf("counter lost over json")
+}
+
+// TestSnapshotReaders pins Value's label-subset sum and Flat's key rule:
+// one component's counters and gauges, prefix and _total suffix dropped,
+// labeled series summed, histograms and other components left out.
+func TestSnapshotReaders(t *testing.T) {
+	r := NewRegistry("vgbl")
+	r.Counter("svc_jobs_total", "jobs").Add(5)
+	r.Gauge("svc_depth", "queued").Set(2)
+	r.Counter("svc_bytes_total", "bytes", L("tier", "low"), L("zone", "a")).Add(10)
+	r.Counter("svc_bytes_total", "bytes", L("tier", "full"), L("zone", "a")).Add(30)
+	r.Histogram("svc_seconds", "latency", "seconds", nil).Observe(1)
+	r.Counter("svcs_other_total", "another component").Inc()
+	snap := r.Snapshot()
+	for _, c := range []struct {
+		name   string
+		labels []Label
+		want   int64
+	}{
+		{"vgbl_svc_jobs_total", nil, 5},
+		{"vgbl_svc_bytes_total", nil, 40},
+		{"vgbl_svc_bytes_total", []Label{L("tier", "low")}, 10},
+		{"vgbl_svc_bytes_total", []Label{L("zone", "a"), L("tier", "full")}, 30},
+		{"vgbl_svc_bytes_total", []Label{L("tier", "med")}, 0},
+		{"vgbl_svc_seconds", nil, 0},
+		{"svc_jobs_total", nil, 0}, // names carry the namespace
+	} {
+		if got := snap.Value(c.name, c.labels...); got != c.want {
+			t.Errorf("Value(%s, %v) = %d, want %d", c.name, c.labels, got, c.want)
+		}
+	}
+	want := map[string]int64{"jobs": 5, "depth": 2, "bytes": 40}
+	if got := r.Flat("svc"); !reflect.DeepEqual(got, want) {
+		t.Errorf("Flat(svc) = %v, want %v", got, want)
 	}
 }
 

@@ -205,20 +205,82 @@ type MetricSnapshot struct {
 }
 
 // RegistrySnapshot is the ?format=json payload of the /metrics endpoint —
-// what the fleet's scraper decodes to build percentile tables.
+// what scrapers decode and read through Value and Hist.
 type RegistrySnapshot struct {
 	Namespace string           `json:"namespace"`
 	Metrics   []MetricSnapshot `json:"metrics"`
 }
 
 // Metric finds a family by its fully-prefixed name (nil when absent).
-func (s *RegistrySnapshot) Metric(name string) *MetricSnapshot {
+func (s RegistrySnapshot) Metric(name string) *MetricSnapshot {
 	for i := range s.Metrics {
 		if s.Metrics[i].Name == name {
 			return &s.Metrics[i]
 		}
 	}
 	return nil
+}
+
+// has reports whether the series carries every given label.
+func (ss *SeriesSnapshot) has(labels []Label) bool {
+	for _, l := range labels {
+		if ss.Labels[l.Key] != l.Value {
+			return false
+		}
+	}
+	return true
+}
+
+// Value reads a counter or gauge family by its fully-prefixed name: the
+// sum over the series carrying every given label (all of them when none
+// is given). An absent family reads 0.
+func (s RegistrySnapshot) Value(name string, labels ...Label) (n int64) {
+	if m := s.Metric(name); m != nil {
+		for i := range m.Series {
+			if ss := &m.Series[i]; ss.Value != nil && ss.has(labels) {
+				n += *ss.Value
+			}
+		}
+	}
+	return n
+}
+
+// Hist reads a histogram family by its fully-prefixed name: the first
+// series carrying every given label, nil when there is none.
+func (s RegistrySnapshot) Hist(name string, labels ...Label) *HistogramSnapshot {
+	if m := s.Metric(name); m != nil {
+		for i := range m.Series {
+			if ss := &m.Series[i]; ss.Histogram != nil && ss.has(labels) {
+				return ss.Histogram
+			}
+		}
+	}
+	return nil
+}
+
+// Flat is the scalar view of one component ("playsvc", "gateway",
+// "telemetry") — what the JSON stats endpoints serve: every counter and
+// gauge family under the component's prefix, summed over its series and
+// keyed by the family name less that prefix and the _total suffix, so
+// playsvc_sessions_created_total reads as sessions_created. The endpoints
+// cannot name a scalar /metrics lacks, or spell it differently. It reads
+// the registry directly — no structured snapshot, no histogram copies —
+// because a stats endpoint may be polled.
+func (r *Registry) Flat(component string) map[string]int64 {
+	prefix := component + "_"
+	out := map[string]int64{}
+	for _, f := range r.snapshotFamilies() {
+		if f.kind == kindHistogram || !strings.HasPrefix(f.name, prefix) {
+			continue
+		}
+		key := strings.TrimSuffix(f.name[len(prefix):], "_total")
+		for _, s := range f.series {
+			if s.value != nil {
+				out[key] += s.value()
+			}
+		}
+	}
+	return out
 }
 
 // prefixed joins namespace and metric name.

@@ -67,7 +67,7 @@ func TestGatewayRouting(t *testing.T) {
 		t.Fatalf("all sessions landed on %d node(s)", populated)
 	}
 	gs := cl.Gateway().Stats()
-	if gs.Creates != n || gs.Sessions != n || gs.Cluster.SessionsLive != n {
+	if stat(t, gs.Gateway, "creates") != n || stat(t, gs.Gateway, "sessions") != n || stat(t, gs.Cluster, "sessions_live") != n {
 		t.Fatalf("gateway stats: %+v", gs)
 	}
 	// Frames work through the gateway too.
@@ -86,7 +86,7 @@ func TestGatewayRouting(t *testing.T) {
 	if got := cl.Gateway().SessionCount(); got != 0 {
 		t.Fatalf("gateway still tracks %d sessions", got)
 	}
-	if live := cl.Gateway().Stats().Cluster.SessionsLive; live != 0 {
+	if live := stat(t, cl.Gateway().Stats().Cluster, "sessions_live"); live != 0 {
 		t.Fatalf("cluster still hosts %d", live)
 	}
 }
@@ -127,10 +127,10 @@ func TestGatewayGracefulNodeRemoval(t *testing.T) {
 		}
 	}
 	gs := cl.Gateway().Stats()
-	if gs.Cluster.SessionsLive != n {
-		t.Fatalf("live = %d, want %d", gs.Cluster.SessionsLive, n)
+	if live := stat(t, gs.Cluster, "sessions_live"); live != n {
+		t.Fatalf("live = %d, want %d", live, n)
 	}
-	if gs.Cluster.SessionsResumed == 0 {
+	if stat(t, gs.Cluster, "sessions_resumed") == 0 {
 		t.Fatal("no session was thawed after the drain")
 	}
 	for _, c := range clients {
@@ -164,12 +164,12 @@ func TestGatewayNodeAdditionMigratesLazily(t *testing.T) {
 		}
 	}
 	gs := cl.Gateway().Stats()
-	if gs.Cluster.SessionsLive != n {
-		t.Fatalf("live = %d, want %d", gs.Cluster.SessionsLive, n)
+	if live := stat(t, gs.Cluster, "sessions_live"); live != n {
+		t.Fatalf("live = %d, want %d", live, n)
 	}
 	// With 1→3 nodes roughly two thirds of the ids move; at least one
 	// must have (vanishingly unlikely otherwise).
-	if gs.Rescues == 0 {
+	if stat(t, gs.Gateway, "rescues") == 0 {
 		t.Fatal("no session migrated to the new nodes")
 	}
 	spread := 0
@@ -223,17 +223,17 @@ func TestGatewayCrashRecovery(t *testing.T) {
 	if got := c.Ticks(); got != 6 {
 		t.Fatalf("resumed ticks = %d, want 6 (5 checkpointed + 1 new; 3 lost)", got)
 	}
-	gs := cl.Gateway().Stats()
-	if gs.Recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1 (thawed from crash checkpoint)", gs.Recoveries)
+	gs := cl.Gateway().Stats().Gateway
+	if n := stat(t, gs, "recoveries"); n != 1 {
+		t.Fatalf("recoveries = %d, want 1 (thawed from crash checkpoint)", n)
 	}
-	if gs.Retries == 0 {
+	if stat(t, gs, "retries") == 0 {
 		t.Fatal("retries = 0, want >0 (act replayed off the dead node)")
 	}
 	// One failed hop is far below deadNodeLimit: the node stays on the
 	// ring (its breaker shields it) instead of being ejected outright.
-	if gs.DeadRemoved != 0 {
-		t.Fatalf("dead nodes removed = %d, want 0", gs.DeadRemoved)
+	if n := stat(t, gs, "dead_nodes_removed"); n != 0 {
+		t.Fatalf("dead nodes removed = %d, want 0", n)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

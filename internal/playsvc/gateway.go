@@ -85,6 +85,9 @@ type Gateway struct {
 	brMu     sync.Mutex
 	breakers map[string]*faultnet.Breaker
 
+	// reg is the gateway's own registry, the definition of every scalar
+	// it reports (see Register).
+	reg         *obs.Registry
 	creates     *obs.Counter // sessions created through the gateway
 	rescues     *obs.Counter // stray sessions handed off and re-owned
 	recoveries  *obs.Counter // sessions revived from a crash checkpoint
@@ -121,8 +124,9 @@ func NewGateway(client *http.Client) *Gateway {
 			Timeout:   30 * time.Second,
 		}
 	}
-	return &Gateway{
+	g := &Gateway{
 		httpc:       client,
+		reg:         obs.NewRegistry(""),
 		sessions:    map[string]bool{},
 		breakers:    map[string]*faultnet.Breaker{},
 		creates:     obs.NewCounter(),
@@ -134,23 +138,42 @@ func NewGateway(client *http.Client) *Gateway {
 		rescueNs:    obs.NewHistogram(obs.LatencyBounds),
 		spans:       obs.NewSpanRing("gateway", 0),
 	}
+	g.Register(g.reg)
+	return g
 }
 
 // Ring exposes the gateway's span ring (mounted at /debug/traces).
 func (g *Gateway) Ring() *obs.SpanRing { return g.spans }
 
 // Register exposes the gateway's routing counters and histograms on a
-// metrics registry. All *_total families are monotonic; gateway_sessions
-// is a gauge (tracked ids leave on a leave act).
+// metrics registry, and is the one place their families are named:
+// NewGateway runs it on the gateway's own registry, callers on the
+// registry behind /metrics. All *_total families are monotonic;
+// gateway_sessions is a gauge (tracked ids leave on a leave act).
 func (g *Gateway) Register(reg *obs.Registry) {
+	breakers := func(read func(b *faultnet.Breaker) int64) func() int64 {
+		return func() (n int64) {
+			g.brMu.Lock()
+			defer g.brMu.Unlock()
+			for _, b := range g.breakers {
+				n += read(b)
+			}
+			return n
+		}
+	}
 	reg.GaugeFunc("gateway_sessions", "gateway-tracked live session ids", func() int64 { return int64(g.SessionCount()) })
 	reg.CounterFunc("gateway_creates_total", "sessions created through the gateway", g.creates.Value)
 	reg.CounterFunc("gateway_rescues_total", "stray sessions handed off and re-owned", g.rescues.Value)
 	reg.CounterFunc("gateway_recoveries_total", "sessions revived from a crash checkpoint", g.recoveries.Value)
 	reg.CounterFunc("gateway_retries_total", "requests replayed onto another node", g.retries.Value)
 	reg.CounterFunc("gateway_dead_nodes_removed_total", "nodes dropped after transport failures", g.deadRemoved.Value)
-	reg.CounterFunc("gateway_breaker_trips_total", "circuit breaker opens across all nodes", g.breakerTrips)
-	reg.GaugeFunc("gateway_breakers_open", "node breakers currently open or probing", g.breakersOpen)
+	reg.CounterFunc("gateway_breaker_trips_total", "circuit breaker opens across all nodes", breakers((*faultnet.Breaker).Trips))
+	reg.GaugeFunc("gateway_breakers_open", "node breakers currently open or probing", breakers(func(b *faultnet.Breaker) int64 {
+		if b.Open() {
+			return 1
+		}
+		return 0
+	}))
 	reg.RegisterHistogram("gateway_hops", "backend requests per routed call", "", g.hops)
 	reg.RegisterHistogram("gateway_rescue_seconds", "successful rescue sweep duration", "seconds", g.rescueNs)
 }
@@ -165,30 +188,6 @@ func (g *Gateway) breakerFor(name string) *faultnet.Breaker {
 		g.breakers[name] = b
 	}
 	return b
-}
-
-// breakerTrips sums breaker opens across all nodes (a monotonic counter).
-func (g *Gateway) breakerTrips() int64 {
-	g.brMu.Lock()
-	defer g.brMu.Unlock()
-	var n int64
-	for _, b := range g.breakers {
-		n += b.Trips()
-	}
-	return n
-}
-
-// breakersOpen counts breakers not in the closed state right now.
-func (g *Gateway) breakersOpen() int64 {
-	g.brMu.Lock()
-	defer g.brMu.Unlock()
-	var n int64
-	for _, b := range g.breakers {
-		if b.Open() {
-			n++
-		}
-	}
-	return n
 }
 
 func hash32(s string) uint32 {
@@ -899,27 +898,21 @@ func (g *Gateway) handleRoomGet(w http.ResponseWriter, r *http.Request) {
 type GatewayNodeStats struct {
 	Name  string `json:"name"`
 	URL   string `json:"url"`
-	Live  int    `json:"live"`
 	Error string `json:"error,omitempty"`
-	// Stats is the node's full snapshot (nil when the node was
+	// Stats is the node's flat scalar view (nil when the node was
 	// unreachable), so /play/stats reports per-node counters alongside
 	// the cluster aggregate.
-	Stats *Stats `json:"stats,omitempty"`
+	Stats map[string]int64 `json:"stats,omitempty"`
 }
 
-// GatewayStats is the gateway's /play/stats payload: its own routing
-// counters, per-node health, and the summed cluster totals.
+// GatewayStats is the gateway's /play/stats payload: its own registry's
+// flat scalar view, per-node health, and the cluster view — the reachable
+// nodes' views added key by key (counters sum to cluster totals, gauges
+// to the cluster's current value).
 type GatewayStats struct {
-	Sessions     int                `json:"sessions"` // gateway-tracked live ids
-	Creates      int64              `json:"creates"`
-	Rescues      int64              `json:"rescues"`
-	Recoveries   int64              `json:"recoveries"`
-	Retries      int64              `json:"retries"`
-	DeadRemoved  int64              `json:"dead_nodes_removed"`
-	BreakerTrips int64              `json:"breaker_trips"`
-	BreakersOpen int64              `json:"breakers_open"`
+	Gateway      map[string]int64   `json:"gateway"`
 	Nodes        []GatewayNodeStats `json:"nodes"`
-	Cluster      Stats              `json:"cluster"` // summed over reachable nodes
+	Cluster      map[string]int64   `json:"cluster"`
 	NodesQueried int                `json:"nodes_queried"`
 }
 
@@ -927,50 +920,47 @@ type GatewayStats struct {
 func (g *Gateway) Stats() GatewayStats {
 	g.mu.RLock()
 	nodes := append([]gwNode(nil), g.nodes...)
-	sessions := len(g.sessions)
 	g.mu.RUnlock()
-	st := GatewayStats{
-		Sessions:     sessions,
-		Creates:      g.creates.Value(),
-		Rescues:      g.rescues.Value(),
-		Recoveries:   g.recoveries.Value(),
-		Retries:      g.retries.Value(),
-		DeadRemoved:  g.deadRemoved.Value(),
-		BreakerTrips: g.breakerTrips(),
-		BreakersOpen: g.breakersOpen(),
-	}
+	st := GatewayStats{Gateway: g.reg.Flat("gateway"), Cluster: map[string]int64{}}
 	for _, n := range nodes {
 		ns := GatewayNodeStats{Name: n.name, URL: n.url}
 		p, err := g.send(obs.TraceContext{}, n, http.MethodGet, StatsPath, "", nil)
-		if err != nil || p.status != http.StatusOK {
-			if err != nil {
-				ns.Error = err.Error()
-			} else {
-				ns.Error = fmt.Sprintf("status %d", p.status)
-			}
-			st.Nodes = append(st.Nodes, ns)
-			continue
+		if err == nil && p.status != http.StatusOK {
+			err = fmt.Errorf("status %d", p.status)
 		}
-		var s Stats
-		if err := json.Unmarshal(p.body, &s); err != nil {
+		if err == nil {
+			ns.Stats, err = decodeFlat(p.body)
+		}
+		if err != nil {
 			ns.Error = err.Error()
-			st.Nodes = append(st.Nodes, ns)
-			continue
+		} else {
+			st.NodesQueried++
+			for k, v := range ns.Stats {
+				st.Cluster[k] += v
+			}
 		}
-		ns.Live = s.SessionsLive
-		ns.Stats = &s
 		st.Nodes = append(st.Nodes, ns)
-		st.NodesQueried++
-		st.Cluster.Merge(s)
 	}
 	return st
 }
 
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(g.Stats()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+// decodeFlat reads the integer-valued top-level keys of a node's
+// /play/stats body — the flat scalar view; the course list is skipped.
+func decodeFlat(body []byte) (map[string]int64, error) {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		return nil, err
 	}
+	flat := make(map[string]int64, len(raw))
+	for k, v := range raw {
+		var n int64
+		if json.Unmarshal(v, &n) == nil {
+			flat[k] = n
+		}
+	}
+	return flat, nil
+}
+
+func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeStats(w, g.Stats())
 }

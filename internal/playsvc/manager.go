@@ -6,7 +6,7 @@
 // where the runtime.Session itself lives on the server and thin clients
 // drive it over HTTP (create/act/state/frame). A sharded, lock-striped
 // session manager hosts thousands of concurrent sessions, evicts idle ones
-// after a TTL, and exposes per-shard counters at /play/stats. Frame
+// after a TTL, and reports its counters at /play/stats and /metrics. Frame
 // responses ride the allocation-free decode path (Decoder.DecodeInto via
 // Session.FrameInto), so steady-state play allocates nothing per frame
 // request.
@@ -205,13 +205,14 @@ type shard struct {
 // Manager is the sharded session host behind the play service HTTP
 // surface. All methods are safe for concurrent use.
 type Manager struct {
-	opts    Options
-	started time.Time
+	opts Options
 
-	// Observability: request-latency and lifecycle-duration histograms
-	// (always recording; Register attaches them to a scrape registry) and
-	// the bounded span ring behind /debug/traces. Histogram values are
-	// nanoseconds; the registry exports them as seconds.
+	// Observability: reg is the manager's own registry, the definition of
+	// every scalar it reports (see Register). The request-latency and
+	// lifecycle-duration histograms record always; ring is the bounded
+	// span ring behind /debug/traces. Histogram values are nanoseconds;
+	// the registry exports them as seconds.
+	reg       *obs.Registry
 	actNs     *obs.Histogram
 	stateNs   *obs.Histogram
 	frameNs   *obs.Histogram
@@ -285,7 +286,7 @@ func NewManager(o Options) *Manager {
 	}
 	m := &Manager{
 		opts:           o,
-		started:        time.Now(),
+		reg:            obs.NewRegistry(""),
 		actNs:          obs.NewHistogram(obs.LatencyBounds),
 		stateNs:        obs.NewHistogram(obs.LatencyBounds),
 		frameNs:        obs.NewHistogram(obs.LatencyBounds),
@@ -310,6 +311,7 @@ func NewManager(o Options) *Manager {
 		m.shards[i].sessions = map[string]*hosted{}
 		m.shards[i].tombs = map[string]*tombstone{}
 	}
+	m.Register(m.reg)
 	if o.TTL > 0 {
 		go m.runJanitor(o.TTL)
 	} else {
@@ -1211,69 +1213,77 @@ func (m *Manager) Halt() {
 // Ring exposes the manager's span ring (mounted at /debug/traces).
 func (m *Manager) Ring() *obs.SpanRing { return m.ring }
 
-// sumShards totals one counter across the shards.
-func (m *Manager) sumShards(read func(sh *shard) int64) func() int64 {
-	return func() int64 {
-		var n int64
-		for i := range m.shards {
-			n += read(&m.shards[i])
-		}
-		return n
-	}
-}
-
 // Register exposes the manager's counters and histograms on a metrics
-// registry. The playsvc_sessions_*_total families are monotonic counters
-// (summed over the shards at scrape time); playsvc_sessions_live and
-// playsvc_video_bytes are gauges.
+// registry, and is the one place their families are named: NewManager
+// runs it on the manager's own registry (so a Manager nobody wired still
+// reports), callers on the registry behind /metrics. The *_total families
+// are monotonic counters, the per-session ones striped over the shards
+// and summed at scrape time; the rest are gauges.
 func (m *Manager) Register(reg *obs.Registry) {
-	reg.GaugeFunc("playsvc_sessions_live", "hosted sessions right now", func() int64 { return m.liveCount.Load() })
-	reg.CounterFunc("playsvc_sessions_created_total", "sessions opened", m.sumShards(func(sh *shard) int64 { return sh.created.Load() }))
-	reg.CounterFunc("playsvc_sessions_closed_total", "sessions released by a leave act", m.sumShards(func(sh *shard) int64 { return sh.closed.Load() }))
-	reg.CounterFunc("playsvc_sessions_evicted_total", "sessions reclaimed by the janitor", m.sumShards(func(sh *shard) int64 { return sh.evicted.Load() }))
-	reg.CounterFunc("playsvc_sessions_frozen_total", "sessions snapshotted on release", m.sumShards(func(sh *shard) int64 { return sh.frozen.Load() }))
-	reg.CounterFunc("playsvc_sessions_resumed_total", "sessions thawed from a snapshot", m.sumShards(func(sh *shard) int64 { return sh.resumed.Load() }))
-	reg.CounterFunc("playsvc_acts_total", "interactions applied", m.sumShards(func(sh *shard) int64 { return sh.acts.Load() }))
-	reg.CounterFunc("playsvc_frames_total", "frames rendered", m.sumShards(func(sh *shard) int64 { return sh.frames.Load() }))
+	striped := func(field func(sh *shard) *atomic.Int64) func() int64 {
+		return func() (n int64) {
+			for i := range m.shards {
+				n += field(&m.shards[i]).Load()
+			}
+			return n
+		}
+	}
+	// videos reads the interned video buffers; frameCaches sweeps the
+	// shared decoded-frame caches once, keeping the one field pick names.
+	videos := func(read func(v []byte) int64) func() int64 {
+		return func() (n int64) {
+			m.coursesMu.RLock()
+			defer m.coursesMu.RUnlock()
+			for _, v := range m.videos {
+				n += read(v)
+			}
+			return n
+		}
+	}
+	frameCaches := func(pick func(hits, misses, evictions, frames, bytes int64) int64) func() int64 {
+		return func() (n int64) {
+			m.coursesMu.RLock()
+			defer m.coursesMu.RUnlock()
+			for _, c := range m.frameCaches {
+				n += pick(c.Stats())
+			}
+			return n
+		}
+	}
+	openRooms := func(read func(r *Room) int64) func() int64 {
+		return func() (n int64) {
+			for _, r := range m.roomList() {
+				if !r.isClosed() {
+					n += read(r)
+				}
+			}
+			return n
+		}
+	}
+	reg.GaugeFunc("playsvc_sessions_live", "hosted sessions right now", m.liveCount.Load)
+	reg.CounterFunc("playsvc_sessions_created_total", "sessions opened", striped(func(sh *shard) *atomic.Int64 { return &sh.created }))
+	reg.CounterFunc("playsvc_sessions_closed_total", "sessions released by a leave act", striped(func(sh *shard) *atomic.Int64 { return &sh.closed }))
+	reg.CounterFunc("playsvc_sessions_evicted_total", "sessions reclaimed by the janitor", striped(func(sh *shard) *atomic.Int64 { return &sh.evicted }))
+	reg.CounterFunc("playsvc_sessions_frozen_total", "sessions snapshotted on release", striped(func(sh *shard) *atomic.Int64 { return &sh.frozen }))
+	reg.CounterFunc("playsvc_sessions_resumed_total", "sessions thawed from a snapshot", striped(func(sh *shard) *atomic.Int64 { return &sh.resumed }))
+	reg.CounterFunc("playsvc_acts_total", "interactions applied", striped(func(sh *shard) *atomic.Int64 { return &sh.acts }))
+	reg.CounterFunc("playsvc_frames_total", "frames rendered", striped(func(sh *shard) *atomic.Int64 { return &sh.frames }))
 	reg.CounterFunc("playsvc_checkpoints_total", "periodic checkpoint persists", m.checkpoints.Load)
 	reg.CounterFunc("playsvc_shed_total", "requests refused by admission control", m.shed.Load)
 	reg.GaugeFunc("playsvc_inflight", "play requests executing right now", m.inflight.Load)
-	reg.GaugeFunc("playsvc_video_bytes", "resident video payload bytes", func() int64 {
-		m.coursesMu.RLock()
-		defer m.coursesMu.RUnlock()
-		var n int64
-		for _, v := range m.videos {
-			n += int64(len(v))
-		}
-		return n
-	})
-	reg.GaugeFunc("playsvc_rooms", "live broadcast rooms", func() int64 {
-		var n int64
-		for _, r := range m.roomList() {
-			if !r.isClosed() {
-				n++
-			}
-		}
-		return n
-	})
-	reg.GaugeFunc("playsvc_watchers", "room subscriptions right now", func() int64 {
-		var n int64
-		for _, r := range m.roomList() {
-			if !r.isClosed() {
-				n += int64(r.watcherCount())
-			}
-		}
-		return n
-	})
+	reg.GaugeFunc("playsvc_video_buffers", "distinct video payloads resident (shared across courses)", videos(func([]byte) int64 { return 1 }))
+	reg.GaugeFunc("playsvc_video_bytes", "resident video payload bytes", videos(func(v []byte) int64 { return int64(len(v)) }))
+	reg.GaugeFunc("playsvc_rooms", "live broadcast rooms", openRooms(func(*Room) int64 { return 1 }))
+	reg.GaugeFunc("playsvc_watchers", "room subscriptions right now", openRooms(func(r *Room) int64 { return int64(r.watcherCount()) }))
 	reg.CounterFunc("playsvc_watcher_joins_total", "room subscriptions opened", m.watcherJoins.Load)
 	reg.CounterFunc("playsvc_room_renders_total", "room publications (one render each)", m.roomRenders.Load)
 	reg.CounterFunc("playsvc_room_frames_delivered_total", "fan-out frames handed to watchers", m.roomDelivered.Load)
 	reg.CounterFunc("playsvc_room_frames_skipped_total", "fan-out frames dropped for slow watchers", m.roomSkipped.Load)
 	reg.CounterFunc("playsvc_room_answers_total", "cohort quiz answers recorded", m.roomAnswers.Load)
-	reg.CounterFunc("playsvc_framecache_hits_total", "decoded-frame cache hits", func() int64 { h, _, _, _, _ := m.frameCacheTotals(); return h })
-	reg.CounterFunc("playsvc_framecache_misses_total", "decoded-frame cache misses", func() int64 { _, mi, _, _, _ := m.frameCacheTotals(); return mi })
-	reg.CounterFunc("playsvc_framecache_evictions_total", "decoded frames evicted by the byte budget", func() int64 { _, _, e, _, _ := m.frameCacheTotals(); return e })
-	reg.GaugeFunc("playsvc_framecache_bytes", "decoded pixels resident in the shared frame caches", func() int64 { _, _, _, _, b := m.frameCacheTotals(); return b })
+	reg.CounterFunc("playsvc_framecache_hits_total", "decoded-frame cache hits", frameCaches(func(h, _, _, _, _ int64) int64 { return h }))
+	reg.CounterFunc("playsvc_framecache_misses_total", "decoded-frame cache misses", frameCaches(func(_, mi, _, _, _ int64) int64 { return mi }))
+	reg.CounterFunc("playsvc_framecache_evictions_total", "decoded frames evicted by the byte budget", frameCaches(func(_, _, e, _, _ int64) int64 { return e }))
+	reg.GaugeFunc("playsvc_framecache_bytes", "decoded pixels resident in the shared frame caches", frameCaches(func(_, _, _, _, b int64) int64 { return b }))
 	reg.RegisterHistogram("playsvc_act_seconds", "act request latency", "seconds", m.actNs)
 	reg.RegisterHistogram("playsvc_state_seconds", "state request latency", "seconds", m.stateNs)
 	reg.RegisterHistogram("playsvc_frame_seconds", "frame request latency", "seconds", m.frameNs)
@@ -1284,143 +1294,7 @@ func (m *Manager) Register(reg *obs.Registry) {
 	reg.RegisterHistogram("playsvc_fanout_skipped", "frames bypassed per fan-out delivery", "frames", m.skipHist)
 }
 
-// ShardStats is one shard's counters in a Stats snapshot.
-type ShardStats struct {
-	Live    int   `json:"live"`
-	Created int64 `json:"created"`
-	Closed  int64 `json:"closed"`
-	Evicted int64 `json:"evicted"`
-	Frozen  int64 `json:"frozen"`
-	Resumed int64 `json:"resumed"`
-	Acts    int64 `json:"acts"`
-	Frames  int64 `json:"frames"`
-}
-
-// Stats is the /play/stats payload: totals plus the per-shard breakdown
-// (which also shows how evenly the session hash stripes load).
-type Stats struct {
-	UptimeSeconds   float64      `json:"uptime_seconds"`
-	Courses         []string     `json:"courses"`
-	VideoBuffers    int          `json:"video_buffers"` // distinct video payloads resident
-	VideoBytes      int64        `json:"video_bytes"`   // bytes they hold (shared across courses)
-	SessionsLive    int          `json:"sessions_live"`
-	SessionsCreated int64        `json:"sessions_created"`
-	SessionsClosed  int64        `json:"sessions_closed"`
-	SessionsEvicted int64        `json:"sessions_evicted"`
-	SessionsFrozen  int64        `json:"sessions_frozen"`  // snapshotted on release
-	SessionsResumed int64        `json:"sessions_resumed"` // thawed from a snapshot
-	Checkpoints     int64        `json:"checkpoints"`      // periodic checkpoint persists
-	Acts            int64        `json:"acts"`
-	Frames          int64        `json:"frames"`
-	Shed            int64        `json:"shed"` // requests refused by admission control
-	RoomsLive       int          `json:"rooms_live"`
-	Watchers        int          `json:"watchers"` // subscriptions across all rooms
-	WatcherJoins    int64        `json:"watcher_joins"`
-	RoomRenders     int64        `json:"room_renders"`   // one per publication
-	RoomDelivered   int64        `json:"room_delivered"` // fan-out frames handed out
-	RoomSkipped     int64        `json:"room_skipped"`   // fan-out frames dropped for slow watchers
-	RoomAnswers     int64        `json:"room_answers"`   // cohort quiz answers recorded
-	FrameCacheHits  int64        `json:"frame_cache_hits"`
-	FrameCacheMiss  int64        `json:"frame_cache_misses"`
-	FrameCacheEvict int64        `json:"frame_cache_evictions"`
-	Shards          []ShardStats `json:"shards"`
-}
-
-// Merge accumulates another node's snapshot into this one — how a
-// gateway folds per-node stats into the cluster view. Every Sessions*,
-// Checkpoints, Acts and Frames field except SessionsLive is a monotonic
-// counter and sums cleanly; SessionsLive is a gauge whose sum is the
-// cluster's current total. Uptime, courses, video totals and the shard
-// breakdown are per-node facts and are left alone.
-func (st *Stats) Merge(o Stats) {
-	st.SessionsLive += o.SessionsLive
-	st.SessionsCreated += o.SessionsCreated
-	st.SessionsClosed += o.SessionsClosed
-	st.SessionsEvicted += o.SessionsEvicted
-	st.SessionsFrozen += o.SessionsFrozen
-	st.SessionsResumed += o.SessionsResumed
-	st.Checkpoints += o.Checkpoints
-	st.Acts += o.Acts
-	st.Frames += o.Frames
-	st.Shed += o.Shed
-	st.RoomsLive += o.RoomsLive
-	st.Watchers += o.Watchers
-	st.WatcherJoins += o.WatcherJoins
-	st.RoomRenders += o.RoomRenders
-	st.RoomDelivered += o.RoomDelivered
-	st.RoomSkipped += o.RoomSkipped
-	st.RoomAnswers += o.RoomAnswers
-	st.FrameCacheHits += o.FrameCacheHits
-	st.FrameCacheMiss += o.FrameCacheMiss
-	st.FrameCacheEvict += o.FrameCacheEvict
-}
-
-// Snapshot assembles the live counters.
-func (m *Manager) Snapshot() Stats {
-	st := Stats{
-		UptimeSeconds: time.Since(m.started).Seconds(),
-		Courses:       m.Courses(),
-		Shards:        make([]ShardStats, len(m.shards)),
-	}
-	m.coursesMu.RLock()
-	st.VideoBuffers = len(m.videos)
-	for _, v := range m.videos {
-		st.VideoBytes += int64(len(v))
-	}
-	m.coursesMu.RUnlock()
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		live := len(sh.sessions)
-		sh.mu.Unlock()
-		ss := ShardStats{
-			Live:    live,
-			Created: sh.created.Load(),
-			Closed:  sh.closed.Load(),
-			Evicted: sh.evicted.Load(),
-			Frozen:  sh.frozen.Load(),
-			Resumed: sh.resumed.Load(),
-			Acts:    sh.acts.Load(),
-			Frames:  sh.frames.Load(),
-		}
-		st.Shards[i] = ss
-		st.SessionsLive += ss.Live
-		st.SessionsCreated += ss.Created
-		st.SessionsClosed += ss.Closed
-		st.SessionsEvicted += ss.Evicted
-		st.SessionsFrozen += ss.Frozen
-		st.SessionsResumed += ss.Resumed
-		st.Acts += ss.Acts
-		st.Frames += ss.Frames
-	}
-	st.Checkpoints = m.checkpoints.Load()
-	st.Shed = m.shed.Load()
-	for _, r := range m.roomList() {
-		if !r.isClosed() {
-			st.RoomsLive++
-			st.Watchers += r.watcherCount()
-		}
-	}
-	st.WatcherJoins = m.watcherJoins.Load()
-	st.RoomRenders = m.roomRenders.Load()
-	st.RoomDelivered = m.roomDelivered.Load()
-	st.RoomSkipped = m.roomSkipped.Load()
-	st.RoomAnswers = m.roomAnswers.Load()
-	st.FrameCacheHits, st.FrameCacheMiss, st.FrameCacheEvict, _, _ = m.frameCacheTotals()
-	return st
-}
-
-// frameCacheTotals sums the shared decoded-frame caches' counters.
-func (m *Manager) frameCacheTotals() (hits, misses, evictions, frames, bytes int64) {
-	m.coursesMu.RLock()
-	defer m.coursesMu.RUnlock()
-	for _, c := range m.frameCaches {
-		h, mi, e, f, b := c.Stats()
-		hits += h
-		misses += mi
-		evictions += e
-		frames += f
-		bytes += b
-	}
-	return
-}
+// Snapshot reads the manager's scalars: its registry's flat view
+// (obs.Registry.Flat), which /play/stats serves beside the course
+// list and a cluster gateway sums key by key.
+func (m *Manager) Snapshot() map[string]int64 { return m.reg.Flat("playsvc") }

@@ -3,11 +3,13 @@ package playsvc
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/content"
 	"repro/internal/obs"
@@ -137,7 +139,7 @@ func TestTracePropagationAcrossHandoff(t *testing.T) {
 	if !newOwner["play.thaw"] || !newOwner["play.act"] {
 		t.Fatalf("new owner missing thaw/act spans for the trace: %v", newOwner)
 	}
-	if got := cl.Gateway().Stats().Rescues; got != 1 {
+	if got := stat(t, cl.Gateway().Stats().Gateway, "rescues"); got != 1 {
 		t.Fatalf("rescues = %d, want 1", got)
 	}
 	if hs := cl.Gateway().rescueNs.Snapshot(); hs.Count != 1 {
@@ -202,8 +204,7 @@ func TestClusterNodeMetricsEndpoint(t *testing.T) {
 		if err := json.Unmarshal([]byte(fetch(t, url+"/metrics?format=json")), &snap); err != nil {
 			t.Fatalf("node %s json metrics: %v", name, err)
 		}
-		m := snap.Metric("vgbl_playsvc_act_seconds")
-		if m == nil || len(m.Series) == 0 || m.Series[0].Histogram == nil {
+		if snap.Hist("vgbl_playsvc_act_seconds") == nil {
 			t.Fatalf("node %s json metrics missing the act histogram", name)
 		}
 		var health struct {
@@ -219,7 +220,7 @@ func TestClusterNodeMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func fetch(t *testing.T, url string) string {
+func fetch(t testing.TB, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -236,20 +237,239 @@ func fetch(t *testing.T, url string) string {
 	return string(body)
 }
 
-// TestStatsMerge checks the documented counter-vs-gauge contract: Merge
-// sums every monotonic counter and the SessionsLive gauge, and leaves
-// per-node facts (uptime, courses, shard breakdown) alone.
-func TestStatsMerge(t *testing.T) {
-	a := Stats{UptimeSeconds: 10, Courses: []string{"classroom"}, SessionsLive: 2,
-		SessionsCreated: 5, SessionsClosed: 3, SessionsFrozen: 1, SessionsResumed: 1,
-		Checkpoints: 4, Acts: 100, Frames: 7, Shards: []ShardStats{{Live: 2}}}
-	b := Stats{UptimeSeconds: 99, SessionsLive: 3, SessionsCreated: 8, SessionsClosed: 5,
-		SessionsEvicted: 2, Checkpoints: 1, Acts: 50}
-	a.Merge(b)
-	want := Stats{UptimeSeconds: 10, Courses: []string{"classroom"}, SessionsLive: 5,
-		SessionsCreated: 13, SessionsClosed: 8, SessionsEvicted: 2, SessionsFrozen: 1,
-		SessionsResumed: 1, Checkpoints: 5, Acts: 150, Frames: 7, Shards: []ShardStats{{Live: 2}}}
-	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", want) {
-		t.Fatalf("merged = %+v\nwant     %+v", a, want)
+// stat reads one key of a flat stats view. An absent key fails the test,
+// so a misspelt name cannot read as 0.
+func stat(t testing.TB, flat map[string]int64, key string) int64 {
+	t.Helper()
+	v, ok := flat[key]
+	if !ok {
+		t.Fatalf("stats have no key %q: %v", key, flat)
 	}
+	return v
+}
+
+// scalarFamilies is the oracle the JSON stats endpoints are held to,
+// worked out from a /metrics?format=json body without obs.Flat: every
+// counter and gauge family under vgbl_<component>_, keyed by the rest of
+// its name less a _total suffix.
+func scalarFamilies(t testing.TB, metricsJSON, component string) map[string]int64 {
+	t.Helper()
+	var snap obs.RegistrySnapshot
+	if err := json.Unmarshal([]byte(metricsJSON), &snap); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int64{}
+	for _, m := range snap.Metrics {
+		rest, ok := strings.CutPrefix(m.Name, "vgbl_"+component+"_")
+		if !ok || m.Kind == "histogram" {
+			continue
+		}
+		for _, ss := range m.Series {
+			if ss.Value == nil || len(ss.Labels) != 0 {
+				t.Fatalf("%s is not an unlabeled scalar: %+v", m.Name, ss)
+			}
+			out[strings.TrimSuffix(rest, "_total")] += *ss.Value
+		}
+	}
+	return out
+}
+
+// checkNodeSurfaces asserts a play node's /play/stats and /metrics agree
+// both ways — same keys, same values — and returns the flat view.
+func checkNodeSurfaces(t testing.TB, url string) map[string]int64 {
+	t.Helper()
+	body := fetch(t, url+StatsPath)
+	flat, err := decodeFlat([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw["courses"]; !ok || len(raw) != len(flat)+1 {
+		t.Fatalf("%s%s: want integer scalars plus courses, got %s", url, StatsPath, body)
+	}
+	if want := scalarFamilies(t, fetch(t, url+"/metrics?format=json"), "playsvc"); !reflect.DeepEqual(flat, want) {
+		t.Fatalf("%s: /play/stats and /metrics disagree:\n stats   %v\n metrics %v", url, flat, want)
+	}
+	// The shape benchmark/server.go decodes.
+	var ps struct {
+		Created int64 `json:"sessions_created"`
+		Closed  int64 `json:"sessions_closed"`
+	}
+	if err := json.Unmarshal([]byte(body), &ps); err != nil {
+		t.Fatal(err)
+	}
+	if ps.Created != stat(t, flat, "sessions_created") || ps.Closed != stat(t, flat, "sessions_closed") {
+		t.Fatalf("%s: benchmark shape read %+v from %v", url, ps, flat)
+	}
+	return flat
+}
+
+// playClass drives the traffic the stats surfaces are compared under: one
+// session left, one evicted while idle, one kept live (returned), a few
+// frames, and a room with two watchers, a publication and a quiz answer.
+// evict sweeps every manager behind baseURL.
+func playClass(t testing.TB, baseURL string, evict func()) *Client {
+	t.Helper()
+	left := dialOpts(t, baseURL, nil, nil)
+	left.Talk("teacher")
+	for i := 0; i < 3; i++ {
+		if _, err := left.Frame(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := left.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idle := dialOpts(t, baseURL, nil, nil)
+	if err := idle.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+	live := dialOpts(t, baseURL, nil, nil)
+	if err := live.Advance(1); err != nil {
+		t.Fatal(err)
+	}
+
+	const roomID = "surfaces-room"
+	if _, err := CreateRoom(baseURL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil); err != nil {
+		t.Fatal(err)
+	}
+	watchers := make([]*RoomClient, 2)
+	for i := range watchers {
+		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		watchers[i] = wc
+	}
+	driver, err := Dial(ClientOptions{BaseURL: baseURL, Resume: roomID, Project: content.Classroom().Project})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driver.Talk("teacher")
+	driver.Examine("computer") // opens q-diagnosis
+	if err := driver.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, wc := range watchers {
+		if _, _, err := wc.Poll(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := watchers[0].Answer("q-diagnosis", 1); err != nil {
+		t.Fatal(err)
+	}
+	return live
+}
+
+// TestStatsSurfacesAgree holds the JSON stats endpoints to the registry
+// they project: on a single node and on every node of a cluster,
+// /play/stats and /metrics report the same scalars under the same names,
+// both ways; the gateway's cluster view is the key-wise sum of its nodes'
+// views and its own scalars are its gateway_* families. No key is listed
+// here: a family added to Register is covered, a key served from anywhere
+// else fails.
+func TestStatsSurfacesAgree(t *testing.T) {
+	t.Run("node", func(t *testing.T) {
+		m := NewManager(Options{Shards: 4, TTL: -1})
+		t.Cleanup(m.Close)
+		if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry("vgbl")
+		m.Register(reg)
+		mux := http.NewServeMux()
+		mux.Handle("/play/", m.Handler())
+		mux.Handle("/room/", m.Handler())
+		mux.Handle("/metrics", reg.Handler())
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		playClass(t, ts.URL, func() { m.ExpireIdle(time.Now().Add(time.Minute)) })
+
+		flat := checkNodeSurfaces(t, ts.URL)
+		for key, want := range map[string]int64{
+			"sessions_created": 4, "sessions_closed": 1, "sessions_evicted": 1, "sessions_live": 2,
+			"frames": 3, "rooms": 1, "watchers": 2, "room_answers": 1, "video_buffers": 1, "inflight": 0,
+		} {
+			if got := stat(t, flat, key); got != want {
+				t.Errorf("%s = %d, want %d (%v)", key, got, want, flat)
+			}
+		}
+		if stat(t, flat, "room_frames_delivered") == 0 || stat(t, flat, "framecache_bytes") == 0 {
+			t.Errorf("the room rendered and delivered nothing: %v", flat)
+		}
+	})
+
+	t.Run("cluster", func(t *testing.T) {
+		cl, ts := liveCluster(t, 2, Options{})
+		reg := obs.NewRegistry("vgbl")
+		cl.Gateway().Register(reg)
+		check := func() GatewayStats {
+			t.Helper()
+			var gs GatewayStats
+			if err := json.Unmarshal([]byte(fetch(t, ts.URL+StatsPath)), &gs); err != nil {
+				t.Fatal(err)
+			}
+			if gs.NodesQueried != len(cl.NodeNames()) || len(gs.Nodes) != gs.NodesQueried {
+				t.Fatalf("gateway reached %d of %d nodes: %+v", gs.NodesQueried, len(cl.NodeNames()), gs)
+			}
+			sum := map[string]int64{}
+			for _, n := range gs.Nodes {
+				if direct := checkNodeSurfaces(t, n.URL); !reflect.DeepEqual(n.Stats, direct) {
+					t.Fatalf("%s: gateway relays %v, node serves %v", n.Name, n.Stats, direct)
+				}
+				for k, v := range n.Stats {
+					sum[k] += v
+				}
+			}
+			if !reflect.DeepEqual(gs.Cluster, sum) {
+				t.Fatalf("cluster view is not the key-wise sum of the nodes:\n cluster %v\n sum     %v", gs.Cluster, sum)
+			}
+			metricsJSON, err := json.Marshal(reg.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scalarFamilies(t, string(metricsJSON), "gateway"); !reflect.DeepEqual(gs.Gateway, want) {
+				t.Fatalf("gateway scalars and gateway_* families disagree:\n stats   %v\n metrics %v", gs.Gateway, want)
+			}
+			return gs
+		}
+
+		live := playClass(t, ts.URL, func() {
+			for _, name := range cl.NodeNames() {
+				cl.Node(name).Manager.ExpireIdle(time.Now().Add(time.Minute))
+			}
+		})
+		gs := check()
+		if stat(t, gs.Gateway, "creates") == 0 || stat(t, gs.Cluster, "sessions_created") != 4 ||
+			stat(t, gs.Cluster, "sessions_frozen") != 1 || stat(t, gs.Cluster, "watchers") != 2 {
+			t.Fatalf("cluster accounting off: %+v", gs)
+		}
+
+		// Node removal: the live session's owner drains (freeze), a fresh
+		// node joins, and the session's next act thaws it elsewhere.
+		var owner string
+		for _, name := range cl.NodeNames() {
+			for _, id := range cl.Node(name).Manager.LiveSessions() {
+				if id == live.SessionID() {
+					owner = name
+				}
+			}
+		}
+		if _, err := cl.StartNode(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.StopNode(owner); err != nil {
+			t.Fatal(err)
+		}
+		if err := live.Advance(1); err != nil {
+			t.Fatal(err)
+		}
+		if gs = check(); stat(t, gs.Cluster, "sessions_resumed") == 0 {
+			t.Fatalf("no session resumed after node removal: %+v", gs)
+		}
+	})
 }

@@ -172,11 +172,11 @@ func TestRemotePlayThroughProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Snapshot()
-	if st.SessionsCreated != 1 || st.SessionsClosed != 1 || st.SessionsLive != 0 {
-		t.Fatalf("stats = %+v", st)
+	if stat(t, st, "sessions_created") != 1 || stat(t, st, "sessions_closed") != 1 || stat(t, st, "sessions_live") != 0 {
+		t.Fatalf("stats = %v", st)
 	}
-	if st.Acts == 0 || st.Frames != 1 {
-		t.Fatalf("acts=%d frames=%d", st.Acts, st.Frames)
+	if stat(t, st, "acts") == 0 || stat(t, st, "frames") != 1 {
+		t.Fatalf("stats = %v", st)
 	}
 	// Every event the server emitted reached the client observer.
 	if len(rec.log()) == 0 {
@@ -316,8 +316,8 @@ func TestEvictionTTL(t *testing.T) {
 		t.Fatalf("expired %d of 2 idle sessions", n)
 	}
 	st := m.Snapshot()
-	if st.SessionsEvicted != 2 || st.SessionsLive != 0 || st.SessionsCreated != 2 {
-		t.Fatalf("stats = %+v", st)
+	if stat(t, st, "sessions_evicted") != 2 || stat(t, st, "sessions_live") != 0 || stat(t, st, "sessions_created") != 2 {
+		t.Fatalf("stats = %v", st)
 	}
 	if err := c1.Advance(1); err == nil {
 		t.Fatal("evicted session still answers acts")
@@ -385,7 +385,7 @@ func TestFramePathZeroAlloc(t *testing.T) {
 }
 
 // TestShardStriping creates many sessions and checks they spread across
-// shards and that per-shard counters sum to the totals.
+// shards.
 func TestShardStriping(t *testing.T) {
 	ts, m := liveService(t, Options{Shards: 8, TTL: -1})
 	const n = 32
@@ -395,23 +395,20 @@ func TestShardStriping(t *testing.T) {
 		clients[i].Advance(1)
 	}
 	st := m.Snapshot()
-	if st.SessionsCreated != n || st.SessionsLive != n {
-		t.Fatalf("stats = %+v", st)
+	if stat(t, st, "sessions_created") != n || stat(t, st, "sessions_live") != n {
+		t.Fatalf("stats = %v", st)
 	}
 	populated := 0
-	var sumCreated, sumActs int64
-	for _, ss := range st.Shards {
-		if ss.Live > 0 {
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		if len(sh.sessions) > 0 {
 			populated++
 		}
-		sumCreated += ss.Created
-		sumActs += ss.Acts
+		sh.mu.Unlock()
 	}
 	if populated < 2 {
 		t.Fatalf("all %d sessions landed on %d shard(s)", n, populated)
-	}
-	if sumCreated != st.SessionsCreated || sumActs != st.Acts {
-		t.Fatalf("shard sums diverge from totals: %+v", st)
 	}
 	for _, c := range clients {
 		if err := c.Close(); err != nil {
@@ -495,8 +492,8 @@ func TestCreateCapUnderConcurrency(t *testing.T) {
 	if created.Load() != 8 || m.Live() != 8 {
 		t.Fatalf("created %d live %d, cap is 8", created.Load(), m.Live())
 	}
-	if m.Snapshot().SessionsLive != 8 {
-		t.Fatalf("snapshot live = %d", m.Snapshot().SessionsLive)
+	if live := stat(t, m.Snapshot(), "sessions_live"); live != 8 {
+		t.Fatalf("snapshot live = %d", live)
 	}
 }
 
@@ -560,12 +557,11 @@ func TestCoursesShareVideo(t *testing.T) {
 	if err := m.AddCourse("remedial", blob2); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Snapshot()
-	if len(st.Courses) != 2 {
-		t.Fatalf("courses = %v", st.Courses)
+	if courses := m.Courses(); len(courses) != 2 {
+		t.Fatalf("courses = %v", courses)
 	}
-	if st.VideoBuffers != 1 {
-		t.Errorf("video buffers = %d, want 1 (shared footage)", st.VideoBuffers)
+	if n := stat(t, m.Snapshot(), "video_buffers"); n != 1 {
+		t.Errorf("video buffers = %d, want 1 (shared footage)", n)
 	}
 	// Both courses still play.
 	for _, course := range []string{"classroom", "remedial"} {
@@ -643,9 +639,8 @@ func TestCourseReplaceReleasesVideo(t *testing.T) {
 	if err := m.AddCourse("classroom", blob2); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Snapshot()
-	if st.VideoBuffers != 1 {
-		t.Errorf("video buffers = %d after replace, want 1", st.VideoBuffers)
+	if n := stat(t, m.Snapshot(), "video_buffers"); n != 1 {
+		t.Errorf("video buffers = %d after replace, want 1", n)
 	}
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {

@@ -338,11 +338,22 @@ func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(pix)
 }
 
+// handleStats serves /play/stats: the registry's flat scalar view plus the
+// one fact with no metric form, the course list.
 func (m *Manager) handleStats(w http.ResponseWriter, r *http.Request) {
+	out := map[string]any{"courses": m.Courses()}
+	for k, v := range m.Snapshot() {
+		out[k] = v
+	}
+	writeStats(w, out)
+}
+
+// writeStats is writeJSON indented: people read the stats endpoints.
+func writeStats(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(m.Snapshot()); err != nil {
+	if err := enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

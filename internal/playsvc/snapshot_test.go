@@ -1,6 +1,7 @@
 package playsvc
 
 import (
+	"bytes"
 	"errors"
 	"net/http/httptest"
 	"reflect"
@@ -160,13 +161,12 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 			t.Fatal("eviction left no snapshot in the directory")
 		}
 		st := m.Snapshot()
-		if st.SessionsFrozen != 1 || st.SessionsLive != 0 {
-			t.Fatalf("stats after freeze: %+v", st)
+		if stat(t, st, "sessions_frozen") != 1 || stat(t, st, "sessions_live") != 0 {
+			t.Fatalf("stats after freeze: %v", st)
 		}
 		finish(t, ts, id, firstLog)
-		st = m.Snapshot()
-		if st.SessionsResumed != 1 {
-			t.Fatalf("resumed = %d, want 1", st.SessionsResumed)
+		if n := stat(t, m.Snapshot(), "sessions_resumed"); n != 1 {
+			t.Fatalf("resumed = %d, want 1", n)
 		}
 	})
 
@@ -185,8 +185,8 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 		}
 		// ...and the new owner thaws and finishes.
 		finish(t, tsB, id, firstLog)
-		if st := mB.Snapshot(); st.SessionsResumed != 1 || st.SessionsClosed != 1 {
-			t.Fatalf("node B stats: %+v", st)
+		if st := mB.Snapshot(); stat(t, st, "sessions_resumed") != 1 || stat(t, st, "sessions_closed") != 1 {
+			t.Fatalf("node B stats: %v", st)
 		}
 	})
 }
@@ -211,8 +211,8 @@ func TestEvictionTransparentToClient(t *testing.T) {
 		t.Fatalf("messages = %d, want %d", len(c.Messages()), before+1)
 	}
 	st := m.Snapshot()
-	if st.SessionsFrozen != 1 || st.SessionsResumed != 1 || st.SessionsLive != 1 {
-		t.Fatalf("stats: %+v", st)
+	if stat(t, st, "sessions_frozen") != 1 || stat(t, st, "sessions_resumed") != 1 || stat(t, st, "sessions_live") != 1 {
+		t.Fatalf("stats: %v", st)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -416,6 +416,69 @@ func TestEnvelopeCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDecodeEnvelope holds the snapshot envelope parser — what a node reads
+// back from the shared store on every thaw — to the bar of the frame
+// parsers: arbitrary bytes never panic, every rejection wraps
+// runtime.ErrBadSnapshot, and an accepted envelope survives a re-encode.
+// The seeds are a real frozen session's envelope (with batch-dedup state
+// and a stored act error) and damaged copies of it.
+func FuzzDecodeEnvelope(f *testing.F) {
+	opts, store, dir := durableOptions(f)
+	_, m := durableService(f, opts)
+	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := m.Act(&ActRequest{Session: r.Session, Kind: ActTalk, Object: "teacher", Seq: 1}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := m.Act(&ActRequest{Session: r.Session, Kind: ActGoto, Object: "nowhere", Seq: 2}); err == nil {
+		f.Fatal("goto nowhere succeeded")
+	}
+	if err := m.Freeze(r.Session); err != nil {
+		f.Fatal(err)
+	}
+	ref, ok := dir.Lookup(r.Session)
+	if !ok {
+		f.Fatal("freeze left no directory entry")
+	}
+	frozen, err := store.Get(ref.Envelope)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if env, err := decodeEnvelope(frozen); err != nil || env.LastBase != 2 || env.LastErr == nil || len(env.Events) == 0 {
+		f.Fatalf("seed envelope lacks dedup state or an event tail: %+v, %v", env, err)
+	}
+	f.Add(frozen)
+	f.Add(frozen[:len(frozen)-4])
+	f.Add(frozen[:len(frozen)/2])
+	f.Add([]byte(envMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := decodeEnvelope(data)
+		if err != nil {
+			if !errors.Is(err, runtime.ErrBadSnapshot) {
+				t.Fatalf("untyped rejection: %v", err)
+			}
+			if env != nil {
+				t.Fatal("non-nil envelope alongside error")
+			}
+			return
+		}
+		// Re-encoding drops what a thaw never reads (an empty event tail,
+		// dedup records without a batch base, unknown tags), so compare
+		// canonical encodings, not structs.
+		canon := env.encode()
+		again, err := decodeEnvelope(canon)
+		if err != nil {
+			t.Fatalf("re-encode rejected: %v", err)
+		}
+		if !bytes.Equal(again.encode(), canon) {
+			t.Fatalf("re-encode diverged:\n got %+v\nwant %+v", again, env)
+		}
+	})
 }
 
 // TestLeaveDeletesSnapshot: a session that leaves must not resurrect from

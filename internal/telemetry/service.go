@@ -51,10 +51,12 @@ type Service struct {
 	store   *Store
 	queues  []chan Batch
 	wg      sync.WaitGroup
-	started time.Time
 	maxBody int64
 	shards  int
 	health  *obs.Health
+	// reg is the service's own registry, the definition of every scalar
+	// it reports (see Register).
+	reg *obs.Registry
 
 	closeOnce   sync.Once
 	closed      atomic.Bool
@@ -83,11 +85,12 @@ func NewService(o Options) *Service {
 	s := &Service{
 		store:       NewStore(o.Shards),
 		queues:      make([]chan Batch, o.Workers),
-		started:     time.Now(),
 		maxBody:     int64(o.MaxBody),
 		shards:      o.Shards,
+		reg:         obs.NewRegistry(""),
 		stopJanitor: make(chan struct{}),
 	}
+	s.Register(s.reg)
 	// The readiness payload every sibling service shares (obs.Health):
 	// uptime plus ingest-specific load signals. "pending" is load-bearing —
 	// the load generator's drain wait polls it.
@@ -207,9 +210,11 @@ func (s *Service) queueDepth() int64 {
 	return n
 }
 
-// Register exposes the service's counters on a metrics registry. The
-// *_total families are monotonic counters; pending and queue depth are
-// gauges (they fall as workers drain).
+// Register exposes the service's counters on a metrics registry, and is
+// the one place their families are named: NewService runs it on the
+// service's own registry, callers on the registry behind /metrics. The
+// *_total families are monotonic counters; pending, queue depth and live
+// sessions are gauges (they fall as workers drain).
 func (s *Service) Register(reg *obs.Registry) {
 	reg.CounterFunc("telemetry_batches_accepted_total", "batches enqueued (202)", s.accepted.Load)
 	reg.CounterFunc("telemetry_batches_rejected_total", "batches shed by a full queue (429)", s.rejected.Load)
@@ -219,52 +224,13 @@ func (s *Service) Register(reg *obs.Registry) {
 	reg.CounterFunc("telemetry_sessions_expired_total", "sessions reclaimed by the janitor", s.expired.Load)
 	reg.GaugeFunc("telemetry_pending", "accepted batches not yet applied", func() int64 { return int64(s.Pending()) })
 	reg.GaugeFunc("telemetry_queue_depth", "batches sitting in the ingest queues", s.queueDepth)
-	reg.GaugeFunc("telemetry_live_sessions", "sessions the store currently tracks", func() int64 {
-		live := 0
-		for _, cs := range s.store.Snapshot() {
-			live += cs.LiveSessions
-		}
-		return int64(live)
-	})
+	reg.GaugeFunc("telemetry_live_sessions", "sessions the store currently tracks", func() int64 { return int64(s.store.LiveSessions()) })
 }
 
-// Snapshot is the /telemetry/stats payload.
-type Snapshot struct {
-	UptimeSeconds   float64                `json:"uptime_seconds"`
-	BatchesAccepted int64                  `json:"batches_accepted"`
-	BatchesRejected int64                  `json:"batches_rejected"`
-	BatchesApplied  int64                  `json:"batches_applied"`
-	BadRequests     int64                  `json:"bad_requests"`
-	ApplyErrors     int64                  `json:"apply_errors"`
-	SessionsExpired int64                  `json:"sessions_expired"`
-	Pending         int                    `json:"pending"`
-	LiveSessions    int                    `json:"live_sessions"`
-	TickBuckets     []int                  `json:"tick_buckets"`
-	Courses         map[string]CourseStats `json:"courses"`
-}
-
-// Snapshot assembles the live service view. LiveSessions is summed from
-// the per-course stats so it stays consistent with their invariant.
-func (s *Service) Snapshot() Snapshot {
-	courses := s.store.Snapshot()
-	live := 0
-	for _, cs := range courses {
-		live += cs.LiveSessions
-	}
-	return Snapshot{
-		UptimeSeconds:   time.Since(s.started).Seconds(),
-		BatchesAccepted: s.accepted.Load(),
-		BatchesRejected: s.rejected.Load(),
-		BatchesApplied:  s.applied.Load(),
-		BadRequests:     s.badRequests.Load(),
-		ApplyErrors:     s.applyErrors.Load(),
-		SessionsExpired: s.expired.Load(),
-		Pending:         s.Pending(),
-		LiveSessions:    live,
-		TickBuckets:     TickBuckets(),
-		Courses:         courses,
-	}
-}
+// Snapshot reads the service's scalars: its registry's flat view
+// (obs.Registry.Flat), which /telemetry/stats serves beside the
+// per-course aggregates.
+func (s *Service) Snapshot() map[string]int64 { return s.reg.Flat("telemetry") }
 
 // IngestPath, StatsPath and HealthPath are the routes Handler serves,
 // matching what Client and the load generator expect.
@@ -335,11 +301,18 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleStats serves /telemetry/stats: the registry's flat scalar view
+// plus the facts with no metric form — the per-course aggregates and the
+// bounds of their tick histograms.
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
+	out := map[string]any{"tick_buckets": TickBuckets(), "courses": s.store.Snapshot()}
+	for k, v := range s.Snapshot() {
+		out[k] = v
+	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(s.Snapshot()); err != nil {
+	if err := enc.Encode(out); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -273,18 +273,17 @@ func (c *courseAgg) fold(r *analytics.Report, expired bool) {
 	c.tickHist[i]++
 }
 
-// LiveSessions counts sessions with buffered events not yet folded.
+// LiveSessions counts sessions started and not yet folded, as the sum of
+// the per-course started - ended - expired (see Snapshot). It takes each
+// course lock once and copies nothing, so a gauge can afford it per scrape.
 func (st *Store) LiveSessions() int {
+	st.coursesMu.RLock()
+	defer st.coursesMu.RUnlock()
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for _, log := range sh.sessions {
-			if !log.folded {
-				n++
-			}
-		}
-		sh.mu.Unlock()
+	for _, c := range st.courses {
+		c.mu.Lock()
+		n += c.started - c.rolling.Sessions
+		c.mu.Unlock()
 	}
 	return n
 }

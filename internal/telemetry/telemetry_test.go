@@ -3,8 +3,10 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/analytics"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 )
 
@@ -187,7 +190,10 @@ func TestServiceEndpoints(t *testing.T) {
 	if !s.Quiesce(5 * time.Second) {
 		t.Fatal("service did not drain")
 	}
-	var snap Snapshot
+	var snap struct {
+		BadRequests int64                  `json:"bad_requests"`
+		Courses     map[string]CourseStats `json:"courses"`
+	}
 	resp, err = http.Get(ts.URL + StatsPath)
 	if err != nil {
 		t.Fatal(err)
@@ -252,12 +258,11 @@ func TestServiceBackpressure(t *testing.T) {
 	if !s.Quiesce(10 * time.Second) {
 		t.Fatal("service did not drain")
 	}
-	snap := s.Snapshot()
-	if snap.BatchesApplied != accepted.Load() {
-		t.Errorf("applied %d of %d accepted", snap.BatchesApplied, accepted.Load())
+	if applied := stat(t, s.Snapshot(), "batches_applied"); applied != accepted.Load() {
+		t.Errorf("applied %d of %d accepted", applied, accepted.Load())
 	}
 	// Every accepted event is in the store — none lost, none duplicated.
-	if got := snap.Courses["c"].Events + s.store.liveEvents("hot"); int64(got) != accepted.Load() {
+	if got := s.store.Snapshot()["c"].Events + s.store.liveEvents("hot"); int64(got) != accepted.Load() {
 		t.Errorf("stored events = %d, accepted = %d", got, accepted.Load())
 	}
 }
@@ -568,8 +573,8 @@ func TestServiceJanitorReclaimsIdleSessions(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		snap := s.Snapshot()
-		if snap.SessionsExpired == 1 && snap.LiveSessions == 0 {
-			if cs := snap.Courses["c"]; cs.SessionsExpired != 1 || cs.SessionsEnded != 0 || cs.Events != 1 {
+		if stat(t, snap, "sessions_expired") == 1 && stat(t, snap, "live_sessions") == 0 {
+			if cs := s.store.Snapshot()["c"]; cs.SessionsExpired != 1 || cs.SessionsEnded != 0 || cs.Events != 1 {
 				t.Fatalf("expired session not folded: %+v", cs)
 			}
 			return
@@ -639,5 +644,126 @@ func TestClientCountsDropOnServerError(t *testing.T) {
 	// Events + Dropped = recorded, even for the first failing batch.
 	if st := c.Stats(); st.Events != 0 || st.Dropped != 3 {
 		t.Errorf("stats = %+v, want 3 dropped", st)
+	}
+}
+
+// stat reads one key of a flat stats view. An absent key fails the test,
+// so a misspelt name cannot read as 0.
+func stat(t testing.TB, flat map[string]int64, key string) int64 {
+	t.Helper()
+	v, ok := flat[key]
+	if !ok {
+		t.Fatalf("stats have no key %q: %v", key, flat)
+	}
+	return v
+}
+
+// TestStatsSurfacesAgree holds /telemetry/stats to the registry it
+// projects: every integer scalar it serves is a telemetry_* family on
+// /metrics under the same name and value, and the other way round; beside
+// them sit only the per-course aggregates and their tick bounds. No key is
+// listed here, so a family added to Register is covered and a scalar
+// served from anywhere else fails.
+func TestStatsSurfacesAgree(t *testing.T) {
+	s := NewService(Options{Workers: 2, QueueDepth: 8, IdleTimeout: -1})
+	defer s.Close()
+	reg := obs.NewRegistry("vgbl")
+	s.Register(reg)
+	mux := http.NewServeMux()
+	mux.Handle("/telemetry/", s.Handler())
+	mux.Handle("/metrics", reg.Handler())
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	post := func(body string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+IngestPath, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	post(`{"course":"c","session":"ended","seq":1,"events":[{"tick":1,"kind":"click"},{"tick":2,"kind":"click"}],"done":true}`)
+	post(`{"course":"c","session":"open","seq":1,"events":[{"tick":1,"kind":"click"}]}`)
+	post(`{"course":"c","session":"open","seq":3,"events":[{"tick":2,"kind":"click"}]}`) // gap: an apply error
+	post(`{"course":`)                                                                   // a bad request
+	if !s.Quiesce(5 * time.Second) {
+		t.Fatal("service did not drain")
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s %v", path, resp.Status, err)
+		}
+		return body
+	}
+
+	// The oracle, worked out from the /metrics JSON without obs.Flat.
+	var snap obs.RegistrySnapshot
+	if err := json.Unmarshal(get("/metrics?format=json"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{}
+	for _, m := range snap.Metrics {
+		rest, ok := strings.CutPrefix(m.Name, "vgbl_telemetry_")
+		if !ok {
+			continue
+		}
+		for _, ss := range m.Series {
+			if ss.Value == nil || len(ss.Labels) != 0 {
+				t.Fatalf("%s is not an unlabeled scalar: %+v", m.Name, ss)
+			}
+			want[strings.TrimSuffix(rest, "_total")] += *ss.Value
+		}
+	}
+
+	body := get(StatsPath)
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for k, v := range raw {
+		if k == "courses" || k == "tick_buckets" {
+			continue
+		}
+		var n int64
+		if err := json.Unmarshal(v, &n); err != nil {
+			t.Fatalf("%s key %q is neither an integer scalar nor courses/tick_buckets: %s", StatsPath, k, v)
+		}
+		got[k] = n
+	}
+	if !reflect.DeepEqual(got, want) || len(raw) != len(got)+2 {
+		t.Fatalf("%s and /metrics disagree:\n stats   %v\n metrics %v", StatsPath, got, want)
+	}
+	if !reflect.DeepEqual(got, s.Snapshot()) {
+		t.Fatalf("Service.Snapshot %v differs from %s %v", s.Snapshot(), StatsPath, got)
+	}
+	for key, n := range map[string]int64{
+		"batches_accepted": 3, "batches_applied": 3, "apply_errors": 1, "bad_requests": 1,
+		"pending": 0, "queue_depth": 0, "live_sessions": 1,
+	} {
+		if stat(t, got, key) != n {
+			t.Errorf("%s = %d, want %d (%v)", key, got[key], n, got)
+		}
+	}
+
+	// The shape benchmark/server.go decodes.
+	var bench struct {
+		Pending int `json:"pending"`
+		Courses map[string]struct {
+			Events int `json:"events"`
+		} `json:"courses"`
+	}
+	if err := json.Unmarshal(body, &bench); err != nil {
+		t.Fatal(err)
+	}
+	if bench.Pending != 0 || bench.Courses["c"].Events != 2 {
+		t.Fatalf("benchmark shape read %+v from %s", bench, body)
 	}
 }
