@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -213,16 +212,11 @@ func main() {
 
 // printStats fetches and prints one JSON stats endpoint.
 func printStats(url, path string) {
-	resp, err := http.Get(url + path)
-	if err != nil {
+	var body json.RawMessage
+	if err := faultnet.GetJSON(nil, url+path, &body); err != nil {
 		fail(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("\n%s:\n%s", path, body)
+	fmt.Printf("\n%s:\n%s\n", path, body)
 }
 
 // serveInProcess builds the named bundled course and publishes it with the
@@ -307,17 +301,11 @@ func waitForDrain(url string) error {
 	deadline := time.Now().Add(15 * time.Second)
 	pending := -1
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + telemetry.HealthPath)
-		if err != nil {
-			return fmt.Errorf("ingest drain unconfirmed: %w", err)
-		}
 		var health struct {
 			Pending int `json:"pending"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&health)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("ingest drain unconfirmed: bad %s payload: %w", telemetry.HealthPath, err)
+		if err := faultnet.GetJSON(nil, url+telemetry.HealthPath, &health); err != nil {
+			return fmt.Errorf("ingest drain unconfirmed: %w", err)
 		}
 		if health.Pending == 0 {
 			return nil

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/faultnet"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
 	"repro/internal/netstream"
@@ -109,14 +109,8 @@ func main() {
 
 	// 4. The operator's view: the same numbers, scraped from /metrics the
 	// way a Prometheus deployment would read them (JSON form here).
-	resp, err := http.Get(url + "/metrics?format=json")
-	if err != nil {
-		log.Fatal(err)
-	}
 	var snap obs.RegistrySnapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	resp.Body.Close()
-	if err != nil {
+	if err := faultnet.GetJSON(nil, url+"/metrics?format=json", &snap); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\n== /metrics?format=json (server + fleet families)")

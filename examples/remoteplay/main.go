@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -17,6 +16,7 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/content"
+	"repro/internal/faultnet"
 	"repro/internal/media/studio"
 	"repro/internal/netstream"
 	"repro/internal/obs"
@@ -122,13 +122,8 @@ func main() {
 // scrapeMetrics fetches the registry snapshot the metrics endpoint serves
 // with ?format=json.
 func scrapeMetrics(base string) *obs.RegistrySnapshot {
-	resp, err := http.Get(base + "/metrics?format=json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var snap obs.RegistrySnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := faultnet.GetJSON(nil, base+"/metrics?format=json", &snap); err != nil {
 		log.Fatal(err)
 	}
 	return &snap

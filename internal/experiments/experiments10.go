@@ -3,12 +3,12 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/fleet"
 	"repro/internal/gamepack"
 	"repro/internal/media/container"
@@ -174,12 +174,8 @@ const tierBytesFamily = "vgbl_netstream_tier_bytes_total"
 // per-tier bytes-served counters come from the same surface an operator
 // scrapes, not an in-process shortcut.
 func scrapeMetrics(base string) (snap obs.RegistrySnapshot, err error) {
-	resp, err := http.Get(base + "/metrics?format=json")
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	return snap, json.NewDecoder(resp.Body).Decode(&snap)
+	err = faultnet.GetJSON(nil, base+"/metrics?format=json", &snap)
+	return snap, err
 }
 
 // tierOrder returns the union of tier labels across both ledgers,

@@ -8,10 +8,12 @@
 // chaos run replays exactly given the same seed — flaky networks, not
 // flaky tests.
 //
-// The survival side is a shared retry helper (exponential backoff, full
-// jitter, Retry-After awareness), a consecutive-failure circuit breaker,
-// and a default HTTP client with real timeouts for everything in the
-// repo that used to ride http.DefaultClient.
+// The survival side is the one hop every outbound request in the repo
+// takes (Exchange: a fresh deadline and trace span per attempt, the reply
+// handled inside it), the retry policy it runs under (exponential backoff,
+// full jitter, Retry-After awareness), a consecutive-failure circuit
+// breaker, and a default HTTP client with real timeouts in place of
+// http.DefaultClient.
 package faultnet
 
 import (

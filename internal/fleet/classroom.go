@@ -8,10 +8,8 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -341,8 +339,9 @@ func runRoomDriver(cfg *ClassroomConfig, proj *core.Project, roomID string, seed
 		}
 	}
 	time.Sleep(grace)
-	if st, err := fetchRoomStats(cfg.HTTP, cfg.PlayURL, roomID); err == nil {
-		o.stats, o.statsOK = st, true
+	statsURL := cfg.PlayURL + playsvc.RoomStatsPath + "?room=" + url.QueryEscape(roomID)
+	if err := faultnet.GetJSON(cfg.HTTP, statsURL, &o.stats); err == nil {
+		o.statsOK = true
 	} else if o.err == nil {
 		o.err = fmt.Errorf("driver stats: %w", err)
 	}
@@ -425,19 +424,4 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 	o.err = err
 	wc.Close() // best effort; the room is usually gone by now
 	return o
-}
-
-// fetchRoomStats reads one room's counters and cohort tallies.
-func fetchRoomStats(httpc *http.Client, baseURL, roomID string) (playsvc.RoomStats, error) {
-	var st playsvc.RoomStats
-	resp, err := httpc.Get(baseURL + playsvc.RoomStatsPath + "?room=" + url.QueryEscape(roomID))
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return st, fmt.Errorf("room stats: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
 }

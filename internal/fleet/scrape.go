@@ -6,12 +6,12 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/obs"
 	"repro/internal/playsvc"
 )
@@ -34,15 +34,13 @@ const actMetric = "vgbl_playsvc_act_seconds"
 // each one's act-latency histogram. A gateway lists its backends in
 // /play/stats; a single manager reports no nodes and is scraped directly.
 // Scrape failures land in the row's Err instead of aborting the sweep.
+// httpc nil means faultnet.DefaultHTTPClient().
 func ScrapeActLatencies(httpc *http.Client, playURL string) []NodeLatency {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
 	playURL = strings.TrimSuffix(playURL, "/")
 	type target struct{ node, url string }
 	targets := []target{{node: "play", url: playURL}}
 	var gw playsvc.GatewayStats
-	if err := getJSON(httpc, playURL+playsvc.StatsPath, &gw); err == nil && len(gw.Nodes) > 0 {
+	if err := faultnet.GetJSON(httpc, playURL+playsvc.StatsPath, &gw); err == nil && len(gw.Nodes) > 0 {
 		targets = targets[:0]
 		for _, n := range gw.Nodes {
 			targets = append(targets, target{node: n.Name, url: strings.TrimSuffix(n.URL, "/")})
@@ -52,7 +50,7 @@ func ScrapeActLatencies(httpc *http.Client, playURL string) []NodeLatency {
 	for _, t := range targets {
 		row := NodeLatency{Node: t.node, URL: t.url}
 		var snap obs.RegistrySnapshot
-		if err := getJSON(httpc, t.url+"/metrics?format=json", &snap); err != nil {
+		if err := faultnet.GetJSON(httpc, t.url+"/metrics?format=json", &snap); err != nil {
 			row.Err = err
 		} else if h := snap.Hist(actMetric); h == nil {
 			row.Err = fmt.Errorf("fleet: %s missing from %s/metrics", actMetric, t.url)
@@ -81,17 +79,4 @@ func FormatLatencyTable(rows []NodeLatency) string {
 			r.P50.Round(time.Microsecond), r.P95.Round(time.Microsecond), r.P99.Round(time.Microsecond))
 	}
 	return b.String()
-}
-
-// getJSON fetches one JSON endpoint into v.
-func getJSON(httpc *http.Client, url string, v any) error {
-	resp, err := httpc.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

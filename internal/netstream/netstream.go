@@ -607,59 +607,56 @@ func (m *ClientMetrics) Register(reg *obs.Registry) {
 
 // Client fetches packages from a Server.
 type Client struct {
-	HTTP *http.Client // defaults to faultnet.DefaultHTTPClient
+	HTTP *http.Client // nil = faultnet.DefaultHTTPClient()
 	// Metrics, when set, receives delta-sync observations (see
 	// ClientMetrics). Shared safely by concurrent transfers.
 	Metrics *ClientMetrics
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return faultnet.DefaultHTTPClient()
-}
+// retryBudget is the wall-clock retry budget of every Client request: it
+// rides out brief correlated outages (a network partition) that an
+// attempt-counted budget cannot.
+const retryBudget = 2 * time.Second
 
-// doRetry issues one idempotent request (all Client requests are GETs),
-// retrying transport failures and retryable statuses (429/5xx,
-// honoring a server Retry-After) with jittered backoff. On success the
-// returned response's body is open and the caller owns it; terminal
-// statuses (200/206/304/404…) pass through for normal handling.
-func (c *Client) doRetry(method, url string, header http.Header) (*http.Response, error) {
-	httpc := c.httpClient()
-	// The wall-clock budget rides out brief correlated outages (a network
-	// partition) that an attempt-counted budget cannot.
-	policy := faultnet.RetryPolicy{Budget: 2 * time.Second}
-	var resp *http.Response
-	err := policy.Do(func(int) (error, bool) {
-		req, err := http.NewRequest(method, url, nil)
-		if err != nil {
-			return err, false
-		}
-		for k, vs := range header {
-			req.Header[k] = vs
-		}
-		r, err := httpc.Do(req)
-		if err != nil {
-			return err, true
-		}
-		if faultnet.RetryableStatus(r.StatusCode) {
-			after, hasAfter := faultnet.RetryAfterDelay(r.Header)
-			io.Copy(io.Discard, r.Body)
-			r.Body.Close()
-			err := fmt.Errorf("netstream: %s %s: %s", method, url, r.Status)
-			if hasAfter {
-				return &faultnet.Delayed{After: after, Err: err}, true
-			}
-			return err, true
-		}
-		resp = r
-		return nil, false
-	})
-	if err != nil {
-		return nil, err
+// get is the client's one wire call: an idempotent GET — conditional when
+// etag is non-empty — through faultnet.Exchange. Transport failures,
+// retryable statuses (429/5xx, honoring a server Retry-After) and a body
+// cut after the headers are retried with jittered backoff; any other
+// status is terminal. There is no per-attempt deadline: a whole-package
+// degrade GET on a throttled link legitimately outlasts any fixed bound.
+// A request the server answered counts once in st however many attempts
+// it took; a 304 to a conditional GET returns notModified with no body.
+func (c *Client) get(url, etag string, st *Stats) (body []byte, respETag string, notModified bool, err error) {
+	req := &faultnet.Request{Method: http.MethodGet, URL: url}
+	if etag != "" {
+		req.Header = http.Header{"If-None-Match": {etag}}
 	}
-	return resp, nil
+	answered := false
+	err = faultnet.Exchange(c.HTTP, &faultnet.RetryPolicy{Budget: retryBudget}, req, func(resp *http.Response) (error, bool) {
+		answered = !faultnet.RetryableStatus(resp.StatusCode)
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			var rerr error
+			body, rerr = io.ReadAll(resp.Body)
+			respETag = resp.Header.Get("ETag")
+			return rerr, true
+		case etag != "" && resp.StatusCode == http.StatusNotModified:
+			notModified = true
+			return nil, false
+		}
+		return faultnet.WithRetryAfter(resp, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)), !answered
+	})
+	if answered {
+		st.Requests++
+	}
+	if err != nil {
+		return nil, "", false, err
+	}
+	if notModified {
+		st.NotModified++
+	}
+	st.BytesFetched += len(body)
+	return body, respETag, notModified, nil
 }
 
 // DefaultCacheBudget bounds a PackageCache's assembled-package tier.
@@ -791,32 +788,20 @@ func (pc *PackageCache) put(url, etag string, blob []byte) {
 // If-None-Match and a 304 answer reuses the cached bytes — st then gains
 // one request, zero bytes and one NotModified.
 func (c *Client) downloadWhole(url string, cache *PackageCache, st *Stats) ([]byte, error) {
-	var header http.Header
+	var etag string
 	cached, have := cache.get(url)
 	if have {
-		header = http.Header{"If-None-Match": {cached.etag}}
+		etag = cached.etag
 	}
-	resp, err := c.doRetry(http.MethodGet, url, header)
+	blob, respETag, notModified, err := c.get(url, etag, st)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	st.Requests++
-	switch {
-	case have && resp.StatusCode == http.StatusNotModified:
-		st.NotModified++
+	if notModified {
 		return cached.blob, nil
-	case resp.StatusCode == http.StatusOK:
-		blob, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		st.BytesFetched += len(blob)
-		cache.put(url, resp.Header.Get("ETag"), blob)
-		return blob, nil
-	default:
-		return nil, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)
 	}
+	cache.put(url, respETag, blob)
+	return blob, nil
 }
 
 // splitPkgURL resolves a /pkg/ URL into its server base and package name.
@@ -832,21 +817,10 @@ func splitPkgURL(url string) (base, name string, ok bool) {
 // chunk whose bytes do not hash to their name is rejected, so a corrupted
 // or hostile server cannot feed bytes into the decoder.
 func (c *Client) fetchChunk(base string, ref gamepack.ChunkRef, st *Stats) ([]byte, error) {
-	url := base + "/chunk/" + ref.Hash.String()
-	resp, err := c.doRetry(http.MethodGet, url, nil)
+	data, _, _, err := c.get(base+"/chunk/"+ref.Hash.String(), "", st)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	st.Requests++
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	st.BytesFetched += len(data)
 	if len(data) != ref.Size {
 		return nil, fmt.Errorf("netstream: chunk %s is %d bytes, manifest says %d", ref.Hash, len(data), ref.Size)
 	}
@@ -880,34 +854,18 @@ func (c *Client) getChunk(base string, ref gamepack.ChunkRef, cache *PackageCach
 // validator attached when the cache already holds the URL. A nil manifest
 // with ok=true means 304 — the cached package is current.
 func (c *Client) fetchManifest(url, etag string, st *Stats) (man *gamepack.Manifest, respETag string, notModified bool, err error) {
-	var header http.Header
-	if etag != "" {
-		header = http.Header{"If-None-Match": {etag}}
-	}
-	resp, err := c.doRetry(http.MethodGet, url, header)
+	data, respETag, notModified, err := c.get(url, etag, st)
 	if err != nil {
 		return nil, "", false, err
 	}
-	defer resp.Body.Close()
-	st.Requests++
-	switch {
-	case etag != "" && resp.StatusCode == http.StatusNotModified:
-		st.NotModified++
+	if notModified {
 		return nil, etag, true, nil
-	case resp.StatusCode == http.StatusOK:
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, "", false, err
-		}
-		st.BytesFetched += len(data)
-		man, err := gamepack.ParseManifest(data)
-		if err != nil {
-			return nil, "", false, err
-		}
-		return man, resp.Header.Get("ETag"), false, nil
-	default:
-		return nil, "", false, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)
 	}
+	man, err = gamepack.ParseManifest(data)
+	if err != nil {
+		return nil, "", false, err
+	}
+	return man, respETag, false, nil
 }
 
 // errValidatorMismatch rejects a package whose verified chunks reassemble
@@ -1275,20 +1233,10 @@ func (g *RemoteGame) runFor(i int) (*landedRun, error) {
 func (c *Client) FetchResource(url string) (string, Stats, error) {
 	var st Stats
 	began := time.Now()
-	resp, err := c.doRetry(http.MethodGet, url, nil)
+	body, _, _, err := c.get(url, "", &st)
 	if err != nil {
 		return "", st, err
 	}
-	defer resp.Body.Close()
-	st.Requests++
-	if resp.StatusCode != http.StatusOK {
-		return "", st, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", st, err
-	}
-	st.BytesFetched = len(body)
 	st.Elapsed = time.Since(began)
 	return string(body), st, nil
 }

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -713,6 +715,78 @@ func TestDeltaVerifiesChunkHashes(t *testing.T) {
 		t.Fatal(err)
 	} else if !bytes.Equal(blob2, want) {
 		t.Fatal("honest delta sync differs from the server's package")
+	}
+}
+
+// TestChunkBodyCutRefetched: a chunk GET whose body dies after the headers
+// is a failed attempt, not a failed fetch — the chunk is re-requested and
+// the sync completes as a manifest diff (same Stats as a clean run, /pkg/
+// never touched). An integrity rejection is the opposite: a chunk whose
+// bytes do not hash to their name is never asked for twice.
+func TestChunkBodyCutRefetched(t *testing.T) {
+	inner, want := testServer(t)
+	_, clean, err := (&Client{}).DownloadDelta(inner.URL+"/pkg/classroom", NewPackageCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fault mangles the first chunk response it sees, and every later
+	// response for that same chunk when sticky is set.
+	run := func(sticky bool, fault func(w http.ResponseWriter, body []byte)) (Stats, map[string]int, string) {
+		t.Helper()
+		var mu sync.Mutex
+		hits := map[string]int{}
+		victim := ""
+		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			hits[r.URL.Path]++
+			hit := false
+			if strings.HasPrefix(r.URL.Path, "/chunk/") && (victim == "" || (sticky && victim == r.URL.Path)) {
+				victim, hit = r.URL.Path, true
+			}
+			mu.Unlock()
+			if !hit {
+				inner.Config.Handler.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			inner.Config.Handler.ServeHTTP(rec, r)
+			fault(w, rec.Body.Bytes())
+		}))
+		defer proxy.Close()
+		blob, st, err := (&Client{}).DownloadDelta(proxy.URL+"/pkg/classroom", NewPackageCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, want) {
+			t.Fatal("synced package differs from the server's")
+		}
+		st.Elapsed = 0
+		return st, hits, victim
+	}
+
+	st, hits, victim := run(false, func(w http.ResponseWriter, body []byte) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // the connection dies mid-body
+	})
+	clean.Elapsed = 0
+	if st != clean {
+		t.Errorf("stats with one cut chunk body = %+v, want the clean run's %+v", st, clean)
+	}
+	if hits[victim] != 2 || hits["/pkg/classroom"] != 0 {
+		t.Errorf("cut chunk requested %d times, /pkg/ %d times; want one re-fetch and no whole-package degrade", hits[victim], hits["/pkg/classroom"])
+	}
+
+	st, hits, victim = run(true, func(w http.ResponseWriter, body []byte) {
+		body[len(body)/2] ^= 0x01
+		w.Write(body)
+	})
+	if hits[victim] != 1 || hits["/pkg/classroom"] != 1 {
+		t.Errorf("corrupted chunk requested %d times, /pkg/ %d times; want one rejection and the one degrade", hits[victim], hits["/pkg/classroom"])
+	}
+	if st.ChunksFetched >= clean.ChunksFetched {
+		t.Errorf("corrupted chunk counted as fetched: %+v", st)
 	}
 }
 

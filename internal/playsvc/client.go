@@ -2,7 +2,6 @@ package playsvc
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -42,18 +41,17 @@ type ClientOptions struct {
 	// and nodes record all link back to this client's trace id. The zero
 	// value disables tracing; servers mint their own roots.
 	Trace obs.TraceContext
-	// HTTP defaults to faultnet.DefaultHTTPClient() — a client with real
-	// connect/header timeouts, not the timeout-free http.DefaultClient.
+	// HTTP is the client requests ride; nil means the shared
+	// faultnet.DefaultHTTPClient() — real connect/header timeouts.
 	HTTP *http.Client
-	// Retry tunes the per-request retry policy (backoff with full
-	// jitter). nil means the faultnet defaults: 4 attempts, 10ms base,
-	// 1s cap. Retries are safe by construction: Dial mints the session id
+	// Retry replaces the per-request retry policy (backoff with full
+	// jitter); the client uses the pointed-to policy itself. nil means
+	// faultnet.RetryPolicy{Budget: 2s}: 4 attempts, 10ms base, 1s cap,
+	// stretched by wall-clock to 2s while the failure is the network's.
+	// Retries are safe by construction: Dial mints the session id
 	// client-side so creates are idempotent, and every act carries a
 	// sequence number the server deduplicates on.
 	Retry *faultnet.RetryPolicy
-	// Timeout bounds each HTTP attempt (not the whole retried operation).
-	// 0 means 10s; negative disables the deadline.
-	Timeout time.Duration
 	// LocalMirror is the one mode switch. A thin client (the default)
 	// ships every act at once as a framed batch of one on /play/actv2 and
 	// waits for the hosted session's answer. A LocalMirror client is a
@@ -84,9 +82,14 @@ type ClientOptions struct {
 // it is not safe for concurrent use — like a runtime.Session, one learner
 // drives it.
 type Client struct {
-	opts  ClientOptions
-	id    string
-	retry faultnet.RetryPolicy
+	opts ClientOptions
+	id   string
+	// The hop's constants: every request rides retry — opts.Retry, or the
+	// client's own budget policy (held by value so Dial allocates nothing
+	// for it) — under a per-attempt deadline of clientTimeout.
+	retry   *faultnet.RetryPolicy
+	budget  faultnet.RetryPolicy
+	timeout time.Duration
 
 	w, h, fps int
 	tick      int
@@ -122,12 +125,15 @@ func (e *eventCounter) Record(runtime.Event) { e.n++ }
 // exactly like a local one.
 var _ sim.Game = (*Client)(nil)
 
-// clientTimeout is the default per-attempt request deadline.
+// clientTimeout is the per-attempt request deadline of both clients (a
+// watcher's poll adds its server-side hold).
 const clientTimeout = 10 * time.Second
 
-// clientRetryBudget is the default wall-clock retry budget: long enough
-// that a brief full partition (hundreds of milliseconds) always sees one
-// attempt land after connectivity returns.
+// clientRetryBudget is the wall-clock retry budget of both clients: an
+// interactive client rides out brief correlated outages by wall-clock,
+// not attempt count, and this is long enough that a brief full partition
+// (hundreds of milliseconds) always sees one attempt land after
+// connectivity returns.
 const clientRetryBudget = 2 * time.Second
 
 // Dial creates a hosted session on the server and returns a client bound
@@ -152,23 +158,9 @@ func Dial(o ClientOptions) (*Client, error) {
 			return nil, fmt.Errorf("playsvc: LocalMirror needs the opened course Pkg")
 		}
 	}
-	if o.HTTP == nil {
-		o.HTTP = faultnet.DefaultHTTPClient()
-	}
-	c := &Client{opts: o}
-	if o.Retry != nil {
-		c.retry = faultnet.RetryPolicy{
-			Attempts:  o.Retry.Attempts,
-			BaseDelay: o.Retry.BaseDelay,
-			MaxDelay:  o.Retry.MaxDelay,
-			Budget:    o.Retry.Budget,
-			Seed:      o.Retry.Seed,
-			Sleep:     o.Retry.Sleep,
-		}
-	} else {
-		// An interactive client rides out brief correlated outages (a
-		// network partition) by wall-clock, not attempt count.
-		c.retry = faultnet.RetryPolicy{Budget: clientRetryBudget}
+	c := &Client{opts: o, retry: o.Retry, budget: faultnet.RetryPolicy{Budget: clientRetryBudget}, timeout: clientTimeout}
+	if c.retry == nil {
+		c.retry = &c.budget
 	}
 	req := &CreateRequest{Course: o.Course, Resume: o.Resume}
 	if req.Resume == "" {
@@ -255,89 +247,49 @@ func (c *Client) finalize(err error) error {
 	return c.fail(err)
 }
 
-// timeout resolves the per-attempt deadline.
-func (c *Client) timeout() time.Duration {
-	switch {
-	case c.opts.Timeout < 0:
-		return 0
-	case c.opts.Timeout == 0:
-		return clientTimeout
-	}
-	return c.opts.Timeout
-}
-
-// responseError turns a non-OK response into a typed error, wrapping it
-// with the server's advertised Retry-After delay when the status is
-// retryable (load shedding, transient 5xx).
-func responseError(resp *http.Response, what string) (error, bool) {
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-	err := errf(resp.StatusCode, "playsvc: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
-	if !faultnet.RetryableStatus(resp.StatusCode) && resp.StatusCode != http.StatusNotFound {
-		return err, false
-	}
-	if after, ok := faultnet.RetryAfterDelay(resp.Header); ok {
-		return &faultnet.Delayed{After: after, Err: err}, true
-	}
-	return err, true
-}
-
 // decoder consumes a 200 response; the bool reports whether a decode
 // failure is worth retrying (a mangled or truncated body re-fetches
-// cleanly: every request this client sends is safe to repeat).
+// cleanly: every request this package's clients send is safe to repeat).
 type decoder func(*http.Response) (error, bool)
 
-// roundTrip performs one HTTP attempt — per-attempt deadline, trace
-// header, typed non-200 errors — and hands a 200 response to decode. It is
-// the only place the client touches the network. The returned bool reports
-// whether the failure is retryable. It never sticks — the caller decides
-// after the budget.
-func (c *Client) roundTrip(method, url, contentType string, payload []byte, what string, decode decoder) (error, bool) {
-	ctx := context.Background()
-	if d := c.timeout(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
+// call is where both clients meet the wire: one faultnet.Exchange whose
+// handler gives a 200 (or a poll's idle 204) to decode and turns anything
+// else into a typed *Error, retried — after the server's Retry-After,
+// when it sent one — on a transient status (load shedding, 502/503/504).
+// What a 404 means is the caller's: a thin client retries it, because a
+// session mid-handoff 404s until its new owner thaws it; a watcher's 404
+// is "class dismissed" and must return at once.
+func call(httpc *http.Client, policy *faultnet.RetryPolicy, req *faultnet.Request, what string, retry404 bool, decode decoder) error {
+	return faultnet.Exchange(httpc, policy, req, func(resp *http.Response) (error, bool) {
+		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent {
+			return decode(resp)
+		}
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		err := errf(resp.StatusCode, "playsvc: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
+		if faultnet.RetryableStatus(resp.StatusCode) || (retry404 && resp.StatusCode == http.StatusNotFound) {
+			return faultnet.WithRetryAfter(resp, err), true
+		}
 		return err, false
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if c.opts.Trace.Valid() {
-		c.opts.Trace.Child().Inject(req.Header)
-	}
-	resp, err := c.opts.HTTP.Do(req)
-	if err != nil {
-		// Transport-level failure. Retrying is safe for every request this
-		// client sends: GETs are idempotent, creates carry a client-minted
-		// id, and acts carry a sequence number the server dedups on.
-		return err, true
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return responseError(resp, what)
-	}
-	return decode(resp)
+	})
 }
 
-// exchange is roundTrip under the retry policy.
-func (c *Client) exchange(method, url, contentType string, payload []byte, what string, decode decoder) error {
-	return c.retry.Do(func(int) (error, bool) {
-		return c.roundTrip(method, url, contentType, payload, what, decode)
-	})
+// do sends one of this client's requests under policy (nil = a single
+// attempt). Retrying is safe for every request a Client sends: GETs are
+// idempotent, creates carry a client-minted id, and acts carry a sequence
+// number the server dedups on. It never sticks — the caller decides after
+// the budget.
+func (c *Client) do(policy *faultnet.RetryPolicy, method, url, contentType string, payload []byte, what string, decode decoder) error {
+	return call(c.opts.HTTP, policy, &faultnet.Request{
+		Method: method, URL: url, ContentType: contentType, Body: payload,
+		Trace: c.opts.Trace, Timeout: c.timeout,
+	}, what, true, decode)
 }
 
 // jsonReply exchanges one request for a JSON Reply (create, resume, sync
 // and leave; payload nil for a GET).
 func (c *Client) jsonReply(method, url string, payload []byte, what string) (*Reply, error) {
 	var r *Reply
-	err := c.exchange(method, url, "application/json", payload, what, func(resp *http.Response) (error, bool) {
+	err := c.do(c.retry, method, url, "application/json", payload, what, func(resp *http.Response) (error, bool) {
 		r = new(Reply)
 		if err := json.NewDecoder(resp.Body).Decode(r); err != nil {
 			return fmt.Errorf("playsvc: %s: decode: %w", what, err), true
@@ -353,7 +305,7 @@ func (c *Client) jsonReply(method, url string, payload []byte, what string) (*Re
 // postFrame exchanges one encoded act frame for its reply frame.
 func (c *Client) postFrame(payload []byte) (*BatchReply, error) {
 	var out *BatchReply
-	err := c.exchange(http.MethodPost, c.opts.BaseURL+ActV2Path, FrameContentType, payload, "actv2", func(resp *http.Response) (error, bool) {
+	err := c.do(c.retry, http.MethodPost, c.opts.BaseURL+ActV2Path, FrameContentType, payload, "actv2", func(resp *http.Response) (error, bool) {
 		body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
 		if err != nil {
 			return fmt.Errorf("playsvc: actv2: read: %w", err), true
@@ -770,7 +722,7 @@ func (c *Client) Frame() (*raster.Frame, error) {
 	// renders again.
 	url := c.opts.BaseURL + FramePath + "?session=" + c.id
 	if err := c.resuming(func() error {
-		return c.exchange(http.MethodGet, url, "", nil, "frame", c.readFrame)
+		return c.do(c.retry, http.MethodGet, url, "", nil, "frame", c.readFrame)
 	}); err != nil {
 		return nil, err
 	}
@@ -798,7 +750,7 @@ func (c *Client) Close() error {
 	if c.err != nil {
 		// Best effort: one attempt, under the same per-attempt deadline
 		// and trace header as every other request; the answer is unread.
-		c.roundTrip(http.MethodPost, url, "application/json", leave, "leave",
+		c.do(nil, http.MethodPost, url, "application/json", leave, "leave",
 			func(*http.Response) (error, bool) { return nil, false })
 		return c.err
 	}

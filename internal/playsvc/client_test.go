@@ -196,9 +196,9 @@ func TestCloseFailedClientBounded(t *testing.T) {
 
 	c := dialOpts(t, ts.URL, nil, func(o *ClientOptions) {
 		o.HTTP = &http.Client{} // no timeouts of its own
-		o.Timeout = 100 * time.Millisecond
 		o.Trace = obs.NewTrace()
 	})
+	c.timeout = 100 * time.Millisecond // clientTimeout, shrunk in place
 	c.Talk("teacher")
 	sticky := c.Err()
 	if sticky == nil {

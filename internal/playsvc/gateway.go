@@ -18,8 +18,6 @@
 package playsvc
 
 import (
-	"bytes"
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -68,7 +66,8 @@ type ringPoint struct {
 // Gateway fans the play-service protocol out across backend nodes. All
 // methods are safe for concurrent use.
 type Gateway struct {
-	httpc *http.Client
+	httpc   *http.Client
+	control faultnet.RetryPolicy // control sends: controlAttempts, see send
 
 	mu       sync.RWMutex
 	nodes    []gwNode
@@ -126,6 +125,7 @@ func NewGateway(client *http.Client) *Gateway {
 	}
 	g := &Gateway{
 		httpc:       client,
+		control:     faultnet.RetryPolicy{Attempts: controlAttempts},
 		reg:         obs.NewRegistry(""),
 		sessions:    map[string]bool{},
 		breakers:    map[string]*faultnet.Breaker{},
@@ -252,7 +252,7 @@ func (g *Gateway) RemoveNode(name string, drain bool) error {
 	if !drain {
 		return nil
 	}
-	resp, err := g.httpc.Post(node.url+DrainPath, "application/json", nil)
+	p, err := g.send(obs.TraceContext{}, nil, *node, http.MethodPost, DrainPath, "", nil)
 	g.mu.Lock()
 	for i := range g.draining {
 		if g.draining[i] == *node {
@@ -264,10 +264,8 @@ func (g *Gateway) RemoveNode(name string, drain bool) error {
 	if err != nil {
 		return fmt.Errorf("playsvc: draining %s: %w", name, err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("playsvc: draining %s: %s", name, resp.Status)
+	if p.status != http.StatusOK {
+		return fmt.Errorf("playsvc: draining %s: status %d", name, p.status)
 	}
 	return nil
 }
@@ -388,37 +386,40 @@ type proxied struct {
 	body   []byte
 }
 
-// send performs one request against one node, propagating the trace
-// context so the node's spans share the gateway's trace id.
-func (g *Gateway) send(tc obs.TraceContext, node gwNode, method, path, rawQuery string, body []byte) (*proxied, error) {
-	url := node.url + path
+// controlAttempts is the retry budget of a control send (handoff, recover).
+const controlAttempts = 3
+
+// send performs one request against one node under hopTimeout, fully
+// buffering the answer; the node's spans hang off a fresh child of tc, so
+// they share the gateway's trace id. A routed request passes a nil policy:
+// one attempt, whatever status comes back is the caller's to heal or
+// relay. A control send (handoff/recover — both idempotent) passes
+// g.control, which also retries transient statuses (an injected or
+// load-shed 503 never came from the manager). Control sends decide whether
+// the gateway believes a live session exists, so a single dropped packet
+// or fault-synthesized 503 on a lossy link must not read as "node does not
+// hold it" — that misread would thaw a stale duplicate next to a live
+// session.
+func (g *Gateway) send(tc obs.TraceContext, policy *faultnet.RetryPolicy, node gwNode, method, path, rawQuery string, body []byte) (p *proxied, err error) {
+	req := &faultnet.Request{Method: method, URL: node.url + path, ContentType: "application/json", Body: body, Trace: tc, Timeout: hopTimeout}
 	if rawQuery != "" {
-		url += "?" + rawQuery
+		req.URL += "?" + rawQuery
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), hopTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	if path == ActV2Path {
+		req.ContentType = FrameContentType
 	}
-	if method == http.MethodPost {
-		if path == ActV2Path {
-			req.Header.Set("Content-Type", FrameContentType)
-		} else {
-			req.Header.Set("Content-Type", "application/json")
+	err = faultnet.Exchange(g.httpc, policy, req, func(resp *http.Response) (error, bool) {
+		b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+		if err != nil {
+			return err, true
 		}
-	}
-	tc.Inject(req.Header)
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-	if err != nil {
-		return nil, err
-	}
-	return &proxied{status: resp.StatusCode, header: resp.Header, body: b}, nil
+		p = &proxied{status: resp.StatusCode, header: resp.Header, body: b}
+		if policy != nil && faultnet.RetryableStatus(resp.StatusCode) {
+			return fmt.Errorf("playsvc: %s %s: %s", method, req.URL, resp.Status), true
+		}
+		return nil, false
+	})
+	return p, err
 }
 
 // rescue asks every node except the current owner to freeze the session
@@ -429,7 +430,7 @@ func (g *Gateway) rescue(tc obs.TraceContext, session, ownerName string) bool {
 	t0 := time.Now()
 	for _, n := range g.otherNodes(ownerName) {
 		body, _ := json.Marshal(&HandoffRequest{Session: session})
-		p, err := g.sendRetry(tc, n, http.MethodPost, HandoffPath, body)
+		p, err := g.send(tc, &g.control, n, http.MethodPost, HandoffPath, "", body)
 		if err == nil && p.status == http.StatusOK {
 			g.rescueNs.ObserveSince(t0)
 			return true
@@ -443,29 +444,12 @@ func (g *Gateway) rescue(tc obs.TraceContext, session, ownerName string) bool {
 // owner crashed without draining.
 func (g *Gateway) recover(tc obs.TraceContext, session string, owner gwNode) bool {
 	body, _ := json.Marshal(&HandoffRequest{Session: session})
-	p, err := g.sendRetry(tc, owner, http.MethodPost, RecoverPath, body)
+	p, err := g.send(tc, &g.control, owner, http.MethodPost, RecoverPath, "", body)
 	return err == nil && p.status == http.StatusOK
 }
 
-// sendRetry sends one control request (handoff/recover — both idempotent)
-// with a small retry budget covering transport failures AND transient
-// statuses (an injected or load-shed 503 never came from the manager).
-// These sends decide whether the gateway believes a live session exists,
-// so a single dropped packet or fault-synthesized 503 on a lossy link
-// must not read as "node does not hold it" — that misread would thaw a
-// stale duplicate next to a live session.
-func (g *Gateway) sendRetry(tc obs.TraceContext, n gwNode, method, path string, body []byte) (p *proxied, err error) {
-	for try := 0; try < 3; try++ {
-		p, err = g.send(tc.Child(), n, method, path, "", body)
-		if err == nil && !faultnet.RetryableStatus(p.status) {
-			return p, nil
-		}
-	}
-	return p, err
-}
-
-// doSession routes one session-scoped request to its owner, healing the
-// ways a request can go astray:
+// route sends one session- or room-scoped request to the id's owner,
+// healing the ways a request can go astray:
 //
 //   - transport failure → record it on the node's breaker and retry the
 //     SAME node: on a lossy link one dropped packet usually means
@@ -476,33 +460,41 @@ func (g *Gateway) sendRetry(tc obs.TraceContext, n gwNode, method, path string, 
 //     node, which rescues or thaws the session. A node dead long enough
 //     (deadNodeLimit consecutive failures) is dropped from the ring
 //     outright;
-//   - 404 → the session lives elsewhere (the ring changed): broadcast a
-//     handoff so the old owner freezes it, then retry the owner once;
-//     failing that, ask the contacted node to recover the last crash
-//     checkpoint.
-//
-// A 503 (node draining, or cap reached) retries only if re-resolution
-// finds a different node.
+//   - 503 (node draining, or cap reached) → retry only if re-resolution
+//     finds a different node;
+//   - 404 → the one thing sessions and rooms disagree on, so it is the
+//     heal404 argument. For a session the id lives elsewhere (the ring
+//     changed): broadcast a handoff so the old owner freezes it, then
+//     retry the owner once; failing that, ask the contacted node to
+//     recover the last crash checkpoint. A room's 404 relays as-is. Rooms
+//     hash by room id — which IS the driven session's id, so the driver's
+//     acts and every watcher's polls land on the same node — but they are
+//     live-only, and a rescue sweep here would freeze the driver's LIVE
+//     session out from under the classroom.
 //
 // The routed call is one gateway span ("gw /play/act"); every backend
 // request under it is a child of tc, so the node-side spans chain onto
 // this hop. The hop count (1 = clean hit) lands in the hops histogram.
-func (g *Gateway) doSession(tc obs.TraceContext, method, path, rawQuery string, body []byte, session string) (p *proxied, err error) {
+func (g *Gateway) route(tc obs.TraceContext, method, path, rawQuery string, body []byte, id string, heal404 bool) (p *proxied, err error) {
 	hops := 0
 	defer func(t0 time.Time) {
 		g.hops.Observe(int64(hops))
 		g.spans.Record(tc, "gw "+path, t0, err)
 	}(time.Now())
+	attempts := 4
+	if heal404 {
+		attempts++ // the retry after a rescue or recover
+	}
 	rescued := false
 	var last *proxied
 	var failed map[string]bool
-	for attempt := 0; attempt < 5; attempt++ {
-		node, err := g.routeFor(session, failed)
+	for ; attempts > 0; attempts-- {
+		node, err := g.routeFor(id, failed)
 		if err != nil {
 			return nil, err
 		}
 		hops++
-		p, err := g.send(tc.Child(), node, method, path, rawQuery, body)
+		p, err := g.send(tc, nil, node, method, path, rawQuery, body)
 		if err != nil {
 			br := g.breakerFor(node.name)
 			br.Failure()
@@ -522,15 +514,12 @@ func (g *Gateway) doSession(tc obs.TraceContext, method, path, rawQuery string, 
 		}
 		g.breakerFor(node.name).Success()
 		last = p
-		switch p.status {
-		case http.StatusNotFound:
-			if rescued {
-				return p, nil
-			}
+		switch {
+		case p.status == http.StatusNotFound && heal404 && !rescued:
 			rescued = true
-			if g.rescue(tc, session, node.name) {
+			if g.rescue(tc, id, node.name) {
 				g.rescues.Add(1)
-			} else if g.recover(tc, session, node) {
+			} else if g.recover(tc, id, node) {
 				// No node holds it live: its owner crashed. Revive from
 				// the last periodic checkpoint.
 				g.recoveries.Add(1)
@@ -538,13 +527,11 @@ func (g *Gateway) doSession(tc obs.TraceContext, method, path, rawQuery string, 
 				return p, nil // genuinely unknown everywhere
 			}
 			g.retries.Add(1)
-			continue
-		case http.StatusServiceUnavailable:
-			if next, err := g.routeFor(session, failed); err == nil && next != node {
-				g.retries.Add(1)
-				continue
+		case p.status == http.StatusServiceUnavailable:
+			if next, err := g.routeFor(id, failed); err != nil || next == node {
+				return p, nil
 			}
-			return p, nil
+			g.retries.Add(1)
 		default:
 			return p, nil
 		}
@@ -552,7 +539,7 @@ func (g *Gateway) doSession(tc obs.TraceContext, method, path, rawQuery string, 
 	if last != nil {
 		return last, nil
 	}
-	return nil, fmt.Errorf("playsvc: no reachable node for session %q", session)
+	return nil, fmt.Errorf("playsvc: no reachable node for %q", id)
 }
 
 // newSessionID mints a gateway-assigned id. Ids carry the course name for
@@ -666,7 +653,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	p, err := g.doSession(tc, http.MethodPost, CreatePath, "", body, session)
+	p, err := g.route(tc, http.MethodPost, CreatePath, "", body, session, true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -692,7 +679,7 @@ func (g *Gateway) handleAct(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	p, err := g.doSession(traceOf(r), http.MethodPost, ActPath, "", body, req.Session)
+	p, err := g.route(traceOf(r), http.MethodPost, ActPath, "", body, req.Session, true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -726,7 +713,7 @@ func (g *Gateway) handleActV2(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	p, err := g.doSession(traceOf(r), http.MethodPost, ActV2Path, "", body, session)
+	p, err := g.route(traceOf(r), http.MethodPost, ActV2Path, "", body, session, true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -742,62 +729,12 @@ func (g *Gateway) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "playsvc: missing session", http.StatusBadRequest)
 		return
 	}
-	p, err := g.doSession(traceOf(r), http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, session)
+	p, err := g.route(traceOf(r), http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, session, true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	relay(w, p)
-}
-
-// doRoom routes one room-scoped request. Rooms hash by room id — which IS
-// the driven session's id, so the driver's acts and every watcher's polls
-// land on the same node. Healing is deliberately lighter than doSession's:
-// transport failures retry (with breaker bookkeeping), a 503 re-resolves,
-// but a 404 relays as-is — rooms are live-only, and a rescue sweep here
-// would freeze the driver's LIVE session out from under the classroom.
-func (g *Gateway) doRoom(tc obs.TraceContext, method, path, rawQuery string, body []byte, room string) (p *proxied, err error) {
-	hops := 0
-	defer func(t0 time.Time) {
-		g.hops.Observe(int64(hops))
-		g.spans.Record(tc, "gw "+path, t0, err)
-	}(time.Now())
-	var failed map[string]bool
-	for attempt := 0; attempt < 4; attempt++ {
-		node, rerr := g.routeFor(room, failed)
-		if rerr != nil {
-			return nil, rerr
-		}
-		hops++
-		p, err = g.send(tc.Child(), node, method, path, rawQuery, body)
-		if err != nil {
-			br := g.breakerFor(node.name)
-			br.Failure()
-			if br.ConsecutiveFailures() >= deadNodeLimit {
-				g.dropDead(node)
-			}
-			if br.Open() {
-				if failed == nil {
-					failed = map[string]bool{}
-				}
-				failed[node.name] = true
-			}
-			g.retries.Add(1)
-			continue
-		}
-		g.breakerFor(node.name).Success()
-		if p.status == http.StatusServiceUnavailable {
-			if next, rerr := g.routeFor(room, failed); rerr == nil && next != node {
-				g.retries.Add(1)
-				continue
-			}
-		}
-		return p, nil
-	}
-	if p != nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("playsvc: no reachable node for room %q", room)
 }
 
 // handleRoomCreate mints the room id (unless the client fixed one) so the
@@ -820,7 +757,7 @@ func (g *Gateway) handleRoomCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	p, err := g.doRoom(traceOf(r), http.MethodPost, RoomCreatePath, "", body, req.Room)
+	p, err := g.route(traceOf(r), http.MethodPost, RoomCreatePath, "", body, req.Room, false)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -847,7 +784,7 @@ func (g *Gateway) handleRoomMember(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	p, err := g.doRoom(traceOf(r), http.MethodPost, r.URL.Path, "", body, req.Room)
+	p, err := g.route(traceOf(r), http.MethodPost, r.URL.Path, "", body, req.Room, false)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -869,7 +806,7 @@ func (g *Gateway) handleRoomAnswer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	p, err := g.doRoom(traceOf(r), http.MethodPost, RoomAnswerPath, "", body, req.Room)
+	p, err := g.route(traceOf(r), http.MethodPost, RoomAnswerPath, "", body, req.Room, false)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -886,7 +823,7 @@ func (g *Gateway) handleRoomGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "playsvc: missing room", http.StatusBadRequest)
 		return
 	}
-	p, err := g.doRoom(traceOf(r), http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, room)
+	p, err := g.route(traceOf(r), http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, room, false)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -924,7 +861,7 @@ func (g *Gateway) Stats() GatewayStats {
 	st := GatewayStats{Gateway: g.reg.Flat("gateway"), Cluster: map[string]int64{}}
 	for _, n := range nodes {
 		ns := GatewayNodeStats{Name: n.name, URL: n.url}
-		p, err := g.send(obs.TraceContext{}, n, http.MethodGet, StatsPath, "", nil)
+		p, err := g.send(obs.TraceContext{}, nil, n, http.MethodGet, StatsPath, "", nil)
 		if err == nil && p.status != http.StatusOK {
 			err = fmt.Errorf("status %d", p.status)
 		}

@@ -2,6 +2,8 @@ package playsvc
 
 import (
 	"hash/crc32"
+	"io"
+	"net/http"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/faultnet"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
@@ -326,4 +329,226 @@ func TestRoomSlowWatcher(t *testing.T) {
 	if delivered.Load() == 0 {
 		t.Fatal("live watcher starved while a peer stalled")
 	}
+}
+
+// replyEater forwards every request and loses the first reply on one path
+// — the server applied the request, the client never hears so.
+type replyEater struct {
+	path  string
+	eaten atomic.Int64
+}
+
+func (e *replyEater) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && r.URL.Path == e.path && e.eaten.CompareAndSwap(0, 1) {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil, faultnet.ErrReset
+	}
+	return resp, err
+}
+
+// TestJoinRetryReattaches: JoinRoom names its watcher even when the caller
+// did not, so a join retried after a lost reply reattaches to the
+// subscription the first attempt opened instead of orphaning it in a ring
+// slot. The same watcher then pins what a dismissal costs: the room's 404
+// is terminal — one request, no backoff sleep.
+func TestJoinRetryReattaches(t *testing.T) {
+	ts, m := liveService(t, Options{Shards: 1, TTL: -1})
+	const roomID = "classroom-rejoin-room"
+	if _, err := CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eater := &replyEater{path: RoomJoinPath}
+	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, HTTP: &http.Client{Transport: eater}})
+	if err != nil {
+		t.Fatalf("join did not survive one lost reply: %v", err)
+	}
+	if eater.eaten.Load() != 1 {
+		t.Fatal("no join reply was lost; the test proved nothing")
+	}
+	if wc.WatcherID() == "" {
+		t.Fatal("joined without a watcher id")
+	}
+	if joins := stat(t, m.Snapshot(), "watcher_joins"); joins != 1 {
+		t.Fatalf("watcher_joins = %d after one retried join, want 1", joins)
+	}
+	if st, err := wc.RoomStats(); err != nil || st.Watchers != 1 {
+		t.Fatalf("room stats = %+v, %v; want one watcher", st, err)
+	}
+
+	// Class dismissed: the driver leaves, the room closes.
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: roomID, Project: content.Classroom().Project})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := driver.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ct := &countingTransport{}
+	wc.opts.HTTP = &http.Client{Transport: ct}
+	slept := 0
+	wc.retry.Sleep = func(time.Duration) { slept++ }
+	_, _, err = wc.Poll(time.Second)
+	if pe, ok := err.(*Error); !ok || pe.Status != http.StatusNotFound {
+		t.Fatalf("poll after the driver left: %v, want the room's 404", err)
+	}
+	if n := ct.count(RoomWatchPath); n != 1 || slept != 0 {
+		t.Fatalf("dismissal took %d requests and %d backoff sleeps, want 1 and 0", n, slept)
+	}
+}
+
+// TestRoomLossyLink runs a class over crowded wifi: the room create, every
+// join, poll, answer and driver act crosses one wifi-flaky fault transport
+// (dropped requests, lost replies, injected 503s, stalls). The driver plays
+// the golden script and then keeps the room ticking until the transport has
+// injected every fault class and the cohort has caught up. No watcher may
+// fail on the way, every watcher's transcript must equal the driver's —
+// frames may skip on a lossy link, events and messages never gap or repeat
+// — and each watcher's quiz answer counts once however often it was sent.
+func TestRoomLossyLink(t *testing.T) {
+	ts, m := liveService(t, Options{Shards: 4, TTL: -1})
+	profile, _ := faultnet.Lookup("wifi-flaky")
+	faulty := faultnet.WrapClient(nil, profile, 24)
+	injected := faulty.Transport.(*faultnet.Transport).Stats
+
+	const roomID = "classroom-lossy-room"
+	// CreateRoom is one attempt by design; creation is idempotent per id,
+	// so the instructor simply asks again.
+	var err error
+	for try := 0; try < 10; try++ {
+		if _, err = CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: roomID}, faulty); err == nil {
+			break
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	const watchers = 6
+	wcs := make([]*RoomClient, watchers)
+	for i := range wcs {
+		if wcs[i], err = JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, HTTP: faulty}); err != nil {
+			t.Fatalf("watcher %d join: %v", i, err)
+		}
+	}
+	var rec recorder
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: roomID, Project: content.Classroom().Project, HTTP: faulty, Observer: &rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each watcher follows the class on its own goroutine until the room
+	// is gone. When the lesson is over it answers the quiz — wrong first,
+	// then moving its vote to choice w%2 — and goes back to polling.
+	var (
+		seenEvents, seenMessages [watchers]atomic.Int64
+		lessonOver               = make(chan struct{})
+		dismissed                atomic.Bool
+		answered, gone           sync.WaitGroup
+	)
+	answered.Add(watchers)
+	gone.Add(watchers)
+	for w, wc := range wcs {
+		go func() {
+			defer gone.Done()
+			voted := false
+			for {
+				_, _, err := wc.Poll(100 * time.Millisecond)
+				if err != nil {
+					if pe, ok := err.(*Error); !ok || pe.Status != http.StatusNotFound || !dismissed.Load() {
+						t.Errorf("watcher %d: sticky error on a lossy link: %v", w, err)
+					}
+					if !voted {
+						answered.Done()
+					}
+					return
+				}
+				seenEvents[w].Store(int64(wc.seenEvents))
+				seenMessages[w].Store(int64(wc.seenMessages))
+				select {
+				case <-lessonOver:
+					if !voted {
+						voted = true
+						for _, choice := range []int{1 - w%2, w % 2} {
+							if _, err := wc.Answer("q-diagnosis", choice); err != nil {
+								t.Errorf("watcher %d answer: %v", w, err)
+							}
+						}
+						answered.Done()
+					}
+				default:
+				}
+			}
+		}()
+	}
+
+	for _, act := range []func(){
+		func() { driver.Talk("teacher") },
+		func() { _ = driver.Advance(1) },
+		func() { driver.Examine("computer") },
+		func() { _, _ = driver.AnswerQuiz("q-diagnosis", 1) },
+		func() { driver.Take("desk-coin") },
+	} {
+		act()
+		if err := driver.Err(); err != nil {
+			t.Fatalf("driver: %v", err)
+		}
+	}
+	// A publication whose poll reply is lost takes its frame with it; the
+	// events it carried come with the next one. So the class runs on, one
+	// tick at a time, until every watcher holds the whole transcript and
+	// the link has shown every fault it has.
+	caughtUp := func() bool {
+		if st := injected(); st.Drops == 0 || st.Resets == 0 || st.Errors == 0 {
+			return false
+		}
+		events, messages := int64(len(rec.log())), int64(len(driver.Messages()))
+		for w := range wcs {
+			if seenEvents[w].Load() < events || seenMessages[w].Load() < messages {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(20 * time.Second); !caughtUp(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("class never caught up: faults %+v", injected())
+		}
+		if err := driver.Advance(1); err != nil {
+			t.Fatalf("driver tick: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	refEvents, refMsgs := rec.log(), driver.Messages()
+	close(lessonOver)
+	answered.Wait()
+
+	st, err := m.RoomStatsOf(roomID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Watchers != watchers || st.Answers != watchers {
+		t.Fatalf("room counts %d watchers and %d answers, want %d each (retried joins and answers count once)", st.Watchers, st.Answers, watchers)
+	}
+	if len(st.Quizzes) != 1 || st.Quizzes[0].Answers != watchers || st.Quizzes[0].Votes[0] != watchers/2 || st.Quizzes[0].Votes[1] != watchers/2 {
+		t.Fatalf("cohort tally = %+v, want %d answers split evenly", st.Quizzes, watchers)
+	}
+
+	dismissed.Store(true)
+	if err := driver.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gone.Wait()
+	for w, wc := range wcs {
+		if got := wc.Events(); !reflect.DeepEqual(got, refEvents) {
+			t.Errorf("watcher %d events diverge from the driver's (%d vs %d):\n got %+v\nwant %+v", w, len(got), len(refEvents), got, refEvents)
+		}
+		if got := wc.Messages(); !reflect.DeepEqual(got, refMsgs) {
+			t.Errorf("watcher %d messages diverge:\n got %q\nwant %q", w, got, refMsgs)
+		}
+		if wc.Delivered() > st.Renders {
+			t.Errorf("watcher %d received %d frames of %d publications", w, wc.Delivered(), st.Renders)
+		}
+	}
+	t.Logf("%d publications over %+v", st.Renders, injected())
 }

@@ -6,8 +6,6 @@
 package playsvc
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -28,8 +26,9 @@ import (
 type RoomClientOptions struct {
 	BaseURL string // server base, e.g. "http://127.0.0.1:8807"
 	Room    string // room id to join
-	// Watcher optionally fixes the watcher id; a retried join with the
-	// same id reattaches instead of double-subscribing.
+	// Watcher optionally fixes the watcher id; left empty, JoinRoom mints
+	// one. Either way the join names its watcher, so a join retried after
+	// a lost reply reattaches instead of double-subscribing.
 	Watcher string
 	// Ordered drains the per-watcher ring in order instead of skipping to
 	// the freshest frame on every poll.
@@ -38,15 +37,13 @@ type RoomClientOptions struct {
 	Trace obs.TraceContext
 	// HTTP defaults to faultnet.DefaultHTTPClient().
 	HTTP *http.Client
-	// Timeout bounds one HTTP attempt BEYOND the requested poll hold (the
-	// hold itself is server-side). 0 means 10s; negative disables it.
-	Timeout time.Duration
 }
 
 // RoomClient is one watcher subscription. Like Client, it is driven by a
 // single goroutine: polls reuse its frame and header buffers.
 type RoomClient struct {
 	opts      RoomClientOptions
+	retry     faultnet.RetryPolicy // Client's default policy
 	room      string
 	watcher   string
 	w, h, fps int
@@ -74,15 +71,14 @@ func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 	if o.BaseURL == "" || o.Room == "" {
 		return nil, fmt.Errorf("playsvc: room client needs BaseURL and Room")
 	}
-	if o.HTTP == nil {
-		o.HTTP = faultnet.DefaultHTTPClient()
+	if o.Watcher == "" {
+		o.Watcher = newSessionID("w")
 	}
-	c := &RoomClient{opts: o, room: o.Room}
+	c := &RoomClient{opts: o, room: o.Room, watcher: o.Watcher, retry: faultnet.RetryPolicy{Budget: clientRetryBudget}}
 	var reply RoomJoinReply
 	if err := c.postJSON(RoomJoinPath, &RoomJoinRequest{Room: o.Room, Watcher: o.Watcher, Trace: o.Trace}, &reply); err != nil {
 		return nil, err
 	}
-	c.watcher = reply.Watcher
 	c.w, c.h, c.fps = reply.Width, reply.Height, reply.FPS
 	c.seq, c.tick = reply.Seq, reply.Tick
 	c.seenEvents = reply.EventCount
@@ -94,7 +90,8 @@ func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 	return c, nil
 }
 
-// WatcherID returns the subscription id the server assigned (or confirmed).
+// WatcherID returns the subscription id (RoomClientOptions.Watcher, or the
+// one JoinRoom minted).
 func (c *RoomClient) WatcherID() string { return c.watcher }
 
 // RoomID returns the room id.
@@ -140,67 +137,35 @@ func (c *RoomClient) fail(err error) error {
 	return err
 }
 
-func (c *RoomClient) timeout() time.Duration {
-	switch {
-	case c.opts.Timeout < 0:
-		return 0
-	case c.opts.Timeout == 0:
-		return clientTimeout
-	}
-	return c.opts.Timeout
+// do sends one of this watcher's requests under the same policy and
+// per-attempt deadline as Client, the deadline stretched by hold (a
+// poll's server-side wait). Every room request is safe to repeat: join is
+// idempotent per watcher id, answers are last-wins per (watcher, quiz),
+// event and message tails are cut at the presented seen-counts, frames are
+// at-most-once by design. A 404 is terminal — the driver left, the class
+// is dismissed — so it returns without a backoff sleep.
+func (c *RoomClient) do(method, url string, payload []byte, hold time.Duration, what string, decode decoder) error {
+	return call(c.opts.HTTP, &c.retry, &faultnet.Request{
+		Method: method, URL: url, ContentType: "application/json", Body: payload,
+		Trace: c.opts.Trace, Timeout: clientTimeout + hold,
+	}, what, false, decode)
 }
 
-// roundTrip performs one HTTP attempt — per-attempt deadline (stretched by
-// hold, a poll's server-side wait), trace header, typed non-200 errors —
-// and hands a 200 response, or a poll's idle 204, to decode. It is the only
-// place the room client touches the network.
-func (c *RoomClient) roundTrip(method, url string, payload []byte, hold time.Duration, what string, decode func(*http.Response) error) error {
-	ctx := context.Background()
-	if d := c.timeout(); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d+hold)
-		defer cancel()
-	}
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.opts.Trace.Valid() {
-		c.opts.Trace.Child().Inject(req.Header)
-	}
-	resp, err := c.opts.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		err, _ := responseError(resp, what)
-		return err
-	}
-	return decode(resp)
-}
-
-// postJSON sends one JSON request and decodes the reply into out (nil
-// discards it).
-func (c *RoomClient) postJSON(path string, body, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	return c.roundTrip(http.MethodPost, c.opts.BaseURL+path, payload, 0, "room "+path, func(resp *http.Response) error {
+// decodeJSON decodes a reply body into out (nil discards it). A body cut
+// mid-reply re-fetches cleanly.
+func decodeJSON(out any) decoder {
+	return func(resp *http.Response) (error, bool) {
 		if out == nil {
 			io.Copy(io.Discard, resp.Body)
-			return nil
+			return nil, false
 		}
-		return json.NewDecoder(resp.Body).Decode(out)
-	})
+		return json.NewDecoder(resp.Body).Decode(out), true
+	}
+}
+
+// postJSON sends one JSON request and decodes the reply into out.
+func (c *RoomClient) postJSON(path string, body, out any) error {
+	return c.do(http.MethodPost, c.opts.BaseURL+path, mustJSON(body), 0, "room "+path, decodeJSON(out))
 }
 
 // watchURL builds the watch query for the current seen-counts.
@@ -241,13 +206,15 @@ func (c *RoomClient) Poll(wait time.Duration) (*WatchUpdate, *raster.Frame, erro
 		return nil, nil, c.err
 	}
 	var u *WatchUpdate
-	// The attempt deadline must outlast the requested server-side hold.
-	err := c.roundTrip(http.MethodGet, c.watchURL(wait), nil, wait, "room watch", func(resp *http.Response) (err error) {
+	// The attempt deadline must outlast the requested server-side hold. A
+	// chunk cut mid-body re-polls from the same seen-counts: its events
+	// and messages come again, only the frame is skipped.
+	err := c.do(http.MethodGet, c.watchURL(wait), nil, wait, "room watch", func(resp *http.Response) (err error, retry bool) {
 		if resp.StatusCode == http.StatusNoContent {
-			return nil
+			return nil, false
 		}
 		u, err = c.readChunk(resp.Body)
-		return err
+		return err, true
 	})
 	if err != nil {
 		return nil, nil, c.fail(err)
@@ -314,9 +281,7 @@ func (c *RoomClient) Answer(quizID string, choice int) (*RoomAnswerReply, error)
 // RoomStats fetches the room's counters and cohort tallies.
 func (c *RoomClient) RoomStats() (RoomStats, error) {
 	var st RoomStats
-	err := c.roundTrip(http.MethodGet, c.opts.BaseURL+RoomStatsPath+"?room="+url.QueryEscape(c.room), nil, 0, "room stats", func(resp *http.Response) error {
-		return json.NewDecoder(resp.Body).Decode(&st)
-	})
+	err := c.do(http.MethodGet, c.opts.BaseURL+RoomStatsPath+"?room="+url.QueryEscape(c.room), nil, 0, "room stats", decodeJSON(&st))
 	return st, err
 }
 
@@ -334,17 +299,18 @@ func (c *RoomClient) Close() error {
 // Manager.CreateRoom) and returns the created room's metadata. The caller
 // then drives the room by Dialing an ordinary Client with Resume set to
 // the room id, and watchers subscribe with JoinRoom. httpc nil means
-// faultnet.DefaultHTTPClient().
+// faultnet.DefaultHTTPClient(). One attempt: a create that leaves the room
+// id to the server is not safe to repeat.
 func CreateRoom(baseURL string, req *RoomCreateRequest, httpc *http.Client) (*RoomCreateReply, error) {
 	if baseURL == "" || req == nil || req.Course == "" {
 		return nil, fmt.Errorf("playsvc: CreateRoom needs a base URL and a course")
 	}
-	if httpc == nil {
-		httpc = faultnet.DefaultHTTPClient()
-	}
-	c := &RoomClient{opts: RoomClientOptions{BaseURL: baseURL, HTTP: httpc, Trace: req.Trace}}
 	var reply RoomCreateReply
-	if err := c.postJSON(RoomCreatePath, req, &reply); err != nil {
+	err := call(httpc, nil, &faultnet.Request{
+		Method: http.MethodPost, URL: baseURL + RoomCreatePath, ContentType: "application/json", Body: mustJSON(req),
+		Trace: req.Trace, Timeout: clientTimeout,
+	}, "room "+RoomCreatePath, false, decodeJSON(&reply))
+	if err != nil {
 		return nil, err
 	}
 	return &reply, nil

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,17 +21,25 @@ type ClientOptions struct {
 
 	FlushEvery int           // flush when this many events are buffered (default 64)
 	Interval   time.Duration // also flush this often (0 disables the timer)
-	MaxRetries int           // attempts per flush when the server sheds load (default 64)
-	HTTP       *http.Client  // defaults to faultnet.DefaultHTTPClient
+	HTTP       *http.Client  // nil = faultnet.DefaultHTTPClient()
 }
+
+// Every flush is one faultnet.Exchange under these constants: up to
+// postAttempts posts a flush, jittered backoff from 1ms to a 32ms ceiling
+// (a shedding server's Retry-After overrides it), each post bounded by
+// postTimeout so a stalled server cannot hold postMu for ever.
+const (
+	postAttempts = 64
+	postTimeout  = 10 * time.Second
+)
 
 // ClientStats counts what reporting cost.
 type ClientStats struct {
 	Batches   int           // batches delivered (attempted batches, not retries)
 	Events    int           // events delivered
 	Dropped   int           // events discarded because delivery failed
-	Posts     int           // HTTP posts including retries
-	Retries   int           // posts re-sent after a shed or transport error
+	Posts     int           // HTTP posts the server answered, including retries
+	Retries   int           // answered posts beyond the first of their flush
 	FlushTime time.Duration // total time spent posting
 	MaxFlush  time.Duration // slowest single flush
 }
@@ -56,7 +63,7 @@ type pendingBatch struct {
 type Client struct {
 	opts  ClientOptions
 	url   string
-	sleep func(time.Duration) // time.Sleep; injectable for tests
+	retry faultnet.RetryPolicy // postAttempts at 1–32ms; tests shrink it in place
 
 	postMu  sync.Mutex    // serializes posts, preserving batch order
 	seq     int           // last batch sequence number issued (guarded by postMu)
@@ -84,13 +91,10 @@ func NewClient(o ClientOptions) (*Client, error) {
 	if o.FlushEvery <= 0 {
 		o.FlushEvery = 64
 	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 64
-	}
 	c := &Client{
 		opts:      o,
 		url:       o.BaseURL + IngestPath,
-		sleep:     time.Sleep,
+		retry:     faultnet.RetryPolicy{Attempts: postAttempts, BaseDelay: time.Millisecond, MaxDelay: 32 * time.Millisecond},
 		stopTimer: make(chan struct{}),
 		timerDone: make(chan struct{}),
 	}
@@ -265,63 +269,47 @@ func (c *Client) deliver(events []runtime.Event, done bool) error {
 
 // post sends one batch, retrying while the server sheds load (429/503 —
 // sleeping the server's advertised Retry-After when it sends one, the
-// exponential backoff otherwise) or the transport fails. Exhausting the
-// retry budget returns a non-sticky error: the caller keeps the batch
-// pending. A definitive rejection drops the batch and goes sticky.
+// jittered backoff otherwise) or the transport fails. Exhausting the retry
+// budget returns a non-sticky error: the caller keeps the batch pending.
+// A definitive rejection drops the batch and goes sticky.
 func (c *Client) post(p *pendingBatch) error {
-	httpc := c.opts.HTTP
-	if httpc == nil {
-		httpc = faultnet.DefaultHTTPClient()
-	}
 	began := time.Now()
-	var lastErr error
-	var wait time.Duration
-	for attempt := 0; attempt < c.opts.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if wait <= 0 {
-				wait = time.Millisecond << uint(min(attempt-1, 5)) // 1ms..32ms
-			}
-			c.sleep(wait)
-			c.mu.Lock()
-			c.stats.Retries++
-			c.mu.Unlock()
-		}
-		wait = 0
-		c.mu.Lock()
-		c.stats.Posts++
-		c.mu.Unlock()
-		resp, err := httpc.Post(c.url, "application/json", bytes.NewReader(p.payload))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		retryAfter, _ := faultnet.RetryAfterDelay(resp.Header)
+	posts, rejected := 0, false
+	err := faultnet.Exchange(c.opts.HTTP, &c.retry, &faultnet.Request{
+		Method: http.MethodPost, URL: c.url, ContentType: "application/json", Body: p.payload, Timeout: postTimeout,
+	}, func(resp *http.Response) (error, bool) {
+		posts++
 		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		switch resp.StatusCode {
 		case http.StatusAccepted, http.StatusOK:
-			took := time.Since(began)
-			c.mu.Lock()
-			c.stats.Batches++
-			c.stats.Events += p.events
-			c.stats.FlushTime += took
-			if took > c.stats.MaxFlush {
-				c.stats.MaxFlush = took
-			}
-			c.mu.Unlock()
-			return nil
+			return nil, false
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			lastErr = fmt.Errorf("telemetry: server shedding load (%d)", resp.StatusCode)
-			wait = retryAfter
-			continue
-		default:
-			c.mu.Lock()
-			c.stats.Dropped += p.events
-			c.mu.Unlock()
-			return c.fail(fmt.Errorf("telemetry: ingest %s: %s", c.url, resp.Status))
+			return faultnet.WithRetryAfter(resp, fmt.Errorf("telemetry: server shedding load (%d)", resp.StatusCode)), true
 		}
+		rejected = true
+		return fmt.Errorf("telemetry: ingest %s: %s", c.url, resp.Status), false
+	})
+	took := time.Since(began)
+	c.mu.Lock()
+	c.stats.Posts += posts
+	c.stats.Retries += max(posts-1, 0)
+	switch {
+	case err == nil:
+		c.stats.Batches++
+		c.stats.Events += p.events
+		c.stats.FlushTime += took
+		c.stats.MaxFlush = max(c.stats.MaxFlush, took)
+	case rejected:
+		c.stats.Dropped += p.events
 	}
-	return fmt.Errorf("telemetry: batch undelivered after %d attempts: %w", c.opts.MaxRetries, lastErr)
+	c.mu.Unlock()
+	switch {
+	case rejected:
+		return c.fail(err)
+	case err != nil:
+		return fmt.Errorf("telemetry: batch undelivered: %w", err)
+	}
+	return nil
 }
 
 // fail records the first sticky error.

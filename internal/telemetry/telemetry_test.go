@@ -321,12 +321,13 @@ func TestClientRequeuesAfterExhaustedShed(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	c, err := NewClient(ClientOptions{BaseURL: ts.URL, Course: "c", Session: "s", FlushEvery: 1, MaxRetries: 2})
+	c, err := NewClient(ClientOptions{BaseURL: ts.URL, Course: "c", Session: "s", FlushEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.retry.Attempts = 2 // postAttempts, shrunk in place
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
+	c.retry.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	c.Record(runtime.Event{Tick: 1, Kind: "click", Detail: "door"})
 	// The first flush exhausted its retry budget against the shedding
 	// server: the batch is re-queued, not dropped, and the error is not
@@ -456,10 +457,11 @@ func TestClientStopsAfterStickyError(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	c, err := NewClient(ClientOptions{BaseURL: ts.URL, Course: "c", Session: "s", FlushEvery: 1, MaxRetries: 2})
+	c, err := NewClient(ClientOptions{BaseURL: ts.URL, Course: "c", Session: "s", FlushEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.retry.Attempts = 2
 	c.Record(runtime.Event{Kind: "click"})
 	if c.Err() == nil {
 		t.Fatal("expected sticky error")
@@ -592,10 +594,11 @@ func TestClientShedsBufferAfterStickyError(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	c, err := NewClient(ClientOptions{BaseURL: ts.URL, Course: "c", Session: "s", FlushEvery: 2, MaxRetries: 2})
+	c, err := NewClient(ClientOptions{BaseURL: ts.URL, Course: "c", Session: "s", FlushEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.retry.Attempts = 2
 	for i := 0; i < 100; i++ {
 		c.Record(runtime.Event{Tick: i, Kind: "click"})
 	}
