@@ -164,12 +164,12 @@ func BenchmarkEncode160x120Q4W4(b *testing.B)  { benchmarkEncode(b, 160, 120, 4,
 func BenchmarkEncode320x240Q4W1(b *testing.B)  { benchmarkEncode(b, 320, 240, 4, 1) }
 func BenchmarkEncode160x120Q16W1(b *testing.B) { benchmarkEncode(b, 160, 120, 16, 1) }
 
-func decodeBenchPackets(b *testing.B) [][]byte {
+func decodeBenchPackets(b *testing.B, qstep int) [][]byte {
 	f := synth.Generate(synth.Spec{
 		W: 160, H: 120, FPS: 10, Shots: 2,
 		MinShotFrames: 15, MaxShotFrames: 16, NoiseAmp: 2, Seed: 5,
 	})
-	enc, _ := vcodec.NewEncoder(vcodec.Config{Width: 160, Height: 120, QStep: 4, GOP: 8, SearchRange: 3, Workers: 1})
+	enc, _ := vcodec.NewEncoder(vcodec.Config{Width: 160, Height: 120, QStep: qstep, GOP: 8, SearchRange: 3, Workers: 1})
 	defer enc.Close()
 	var pkts [][]byte
 	for i := 0; i < 16; i++ {
@@ -182,31 +182,53 @@ func decodeBenchPackets(b *testing.B) [][]byte {
 	return pkts
 }
 
-// BenchmarkDecode160x120 measures the steady-state decode pipeline: one
-// persistent decoder, frames recycled through DecodeInto. One op = a 16-frame
-// GOP-8 sequence (the first packet is an I-frame, so the stream re-enters
-// cleanly every op).
-func BenchmarkDecode160x120(b *testing.B) {
-	pkts := decodeBenchPackets(b)
-	dec := vcodec.NewDecoder(1)
-	var frame raster.Frame
-	b.SetBytes(int64(len(pkts)) * 160 * 120 * 3) // decoded RGB output per op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range pkts {
-			if err := dec.DecodeInto(&frame, p); err != nil {
-				b.Fatal(err)
+// benchmarkDecodeRungs runs step over a 16-frame GOP-8 sequence (the first
+// packet is an I-frame, so the stream re-enters cleanly every op) on one
+// persistent decoder, once per rung of the default ladder: how many blocks
+// carry no residual, and how few coefficients the rest carry, is what the
+// decoder's cost turns on, and both move with the quantizer (E26).
+func benchmarkDecodeRungs(b *testing.B, step func(dec *vcodec.Decoder, pkt []byte) error) {
+	for _, tier := range studio.DefaultLadder() {
+		b.Run(fmt.Sprintf("q%d", tier.QStep), func(b *testing.B) {
+			pkts := decodeBenchPackets(b, tier.QStep)
+			dec := vcodec.NewDecoder(1)
+			b.SetBytes(int64(len(pkts)) * 160 * 120 * 3) // decoded RGB per op
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range pkts {
+					if err := step(dec, p); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+			b.ReportMetric(16, "frames/op")
+		})
 	}
-	b.ReportMetric(16, "frames/op")
+}
+
+// BenchmarkDecode160x120 measures the steady-state decode pipeline — entropy
+// decode, block reconstruction and colour conversion — with frames recycled
+// through DecodeInto.
+func BenchmarkDecode160x120(b *testing.B) {
+	var frame raster.Frame
+	benchmarkDecodeRungs(b, func(dec *vcodec.Decoder, pkt []byte) error {
+		return dec.DecodeInto(&frame, pkt)
+	})
+}
+
+// BenchmarkAdvance160x120 is the roll-forward cost: the same packets decoded
+// into the reference only, never converted to RGB. The difference to
+// BenchmarkDecode160x120 is the colour pass, which the vcodec package's
+// BenchmarkToFrame160x120 times on its own.
+func BenchmarkAdvance160x120(b *testing.B) {
+	benchmarkDecodeRungs(b, (*vcodec.Decoder).Advance)
 }
 
 // BenchmarkDecode160x120Cold is the seed-shaped variant: a fresh decoder and
 // freshly allocated output frames every op, the cost a brand-new session
 // pays on its first GOP.
 func BenchmarkDecode160x120Cold(b *testing.B) {
-	pkts := decodeBenchPackets(b)
+	pkts := decodeBenchPackets(b, 4)
 	b.SetBytes(int64(len(pkts)) * 160 * 120 * 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

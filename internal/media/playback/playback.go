@@ -184,6 +184,17 @@ func (c *Cursor) Frame() (*raster.Frame, error) {
 	return c.v.FrameAt(c.pos)
 }
 
+// FrameInto decodes the current frame into dst, reusing dst's pixel buffer
+// when it is large enough. Unlike Frame's result, dst aliases nothing the
+// Video keeps: a decode converts straight into it and a cache hit copies
+// into it, so the caller may hold it across later decodes.
+func (c *Cursor) FrameInto(dst *raster.Frame) error {
+	if !c.entered {
+		return errors.New("playback: cursor has not entered a segment")
+	}
+	return c.v.frameAtInto(dst, c.pos)
+}
+
 // Advance moves to the next frame within the segment. At the segment end it
 // loops or holds according to the end behavior; moved reports whether the
 // position changed.

@@ -286,9 +286,10 @@ func (e *Encoder) Reset() { e.ladder.Reset() }
 // encodeBlockRow codes all blocks with top edge at by*blockSize, writing
 // reconstructed samples into recon (its rows are disjoint across calls).
 func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRange int) {
-	var cur, res, coefs, rec [64]int32
+	var cur, res, coefs [64]int32
 	var levels, levelsI [64]int32
 	var packed packedBlock
+	var blk coefBlock
 	y0 := by * blockSize
 	for x0 := 0; x0 < src.w; x0 += blockSize {
 		// Perfect skip first: if the co-located reference block is
@@ -296,7 +297,7 @@ func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRang
 		// motion search nor either DCT needs to run.
 		if ref != nil && sameBlock(src, ref, x0, y0) {
 			w.u8(modeSkip)
-			copyBlock(ref, recon, x0, y0)
+			copyBlock(ref, x0, y0, recon, x0, y0)
 			continue
 		}
 		loadBlock(src, x0, y0, &cur)
@@ -307,7 +308,9 @@ func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRang
 			}
 			fdct8x8(&res, &coefs)
 			quantize(&coefs, qstep, &levelsI)
-			writeIntraBlock(w, recon, x0, y0, qstep, &levelsI, &rec)
+			w.u8(modeIntra)
+			codeLevels(w, &levelsI, qstep, &blk)
+			reconstruct(&blk, nil, 0, 0, recon, x0, y0)
 			continue
 		}
 		// Motion search (includes the (0,0) candidate even when range is 0).
@@ -322,7 +325,7 @@ func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRang
 		if allZero(&levels) && mvx == 0 && mvy == 0 {
 			// Residual vanishes at this quantizer: perfect skip.
 			w.u8(modeSkip)
-			copyBlock(ref, recon, x0, y0)
+			copyBlock(ref, x0, y0, recon, x0, y0)
 			continue
 		}
 		// Intra candidate, only computed once skip is off the table.
@@ -336,37 +339,55 @@ func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRang
 		if mcCost <= intraCost {
 			w.u8(modeMC)
 			w.u8(packMV(mvx, mvy))
-			writeLevels(w, &levels)
-			reconstructMC(ref, recon, x0, y0, mvx, mvy, qstep, &levels, &rec)
+			codeLevels(w, &levels, qstep, &blk)
+			reconstruct(&blk, ref, x0+mvx, y0+mvy, recon, x0, y0)
 			continue
 		}
-		writeIntraBlock(w, recon, x0, y0, qstep, &levelsI, &rec)
+		w.u8(modeIntra)
+		codeLevels(w, &levelsI, qstep, &blk)
+		reconstruct(&blk, nil, 0, 0, recon, x0, y0)
 	}
 }
 
-func writeIntraBlock(w *byteWriter, recon *plane, x0, y0, qstep int, levels *[64]int32, rec *[64]int32) {
-	w.u8(modeIntra)
+// codeLevels writes a coded block's levels and reads the bytes just written
+// back into blk with the decoder's own reader, for reconstruct: the encoder's
+// reference is what a decoder makes of the stream by construction, not by a
+// second dequantizer kept in step with the first.
+func codeLevels(w *byteWriter, levels *[64]int32, qstep int, blk *coefBlock) {
+	start := len(w.buf)
 	writeLevels(w, levels)
-	var coefs [64]int32
-	dequantize(levels, qstep, &coefs)
-	idct8x8(&coefs, rec)
-	for r := 0; r < blockSize; r++ {
-		dst := recon.row(x0, y0+r, blockSize)
-		for k := range dst {
-			dst[k] = clamp255(rec[r*blockSize+k] + 128)
-		}
+	dcDiv, acDiv := quantDivisors(qstep)
+	if err := blk.read(&byteReader{buf: w.buf[start:]}, dcDiv, acDiv); err != nil {
+		panic("vcodec: encoder wrote a block its own reader rejects: " + err.Error())
 	}
 }
 
-func reconstructMC(ref, recon *plane, x0, y0, mvx, mvy, qstep int, levels *[64]int32, rec *[64]int32) {
-	var coefs [64]int32
-	dequantize(levels, qstep, &coefs)
-	idct8x8(&coefs, rec)
+// reconstruct writes the 8×8 block at (x0,y0) of dst from its coefficients
+// and its prediction: the block of pred at (px,py), or flat 128 when pred is
+// nil (intra). It is the one block reconstruction in the codec — the decoder
+// runs it on what it reads, the encoder on what it wrote. A block with no
+// coefficients is its prediction, so the transform is skipped outright; that
+// is a third or more of all blocks from the second ladder rung down.
+func reconstruct(blk *coefBlock, pred *plane, px, py int, dst *plane, x0, y0 int) {
+	if blk.cols == 0 && pred != nil {
+		copyBlock(pred, px, py, dst, x0, y0)
+		return
+	}
+	var rec [64]int32
+	blk.idct(&rec)
+	// Rows as fixed-size arrays: one slice check a row, none per sample.
 	for r := 0; r < blockSize; r++ {
-		pred := ref.row(x0+mvx, y0+mvy+r, blockSize)
-		dst := recon.row(x0, y0+r, blockSize)
-		for k := range dst {
-			dst[k] = clamp255(int32(pred[k]) + rec[r*blockSize+k])
+		res := (*[blockSize]int32)(rec[r*blockSize:])
+		out := (*[blockSize]uint8)(dst.pix[(y0+r)*dst.w+x0:])
+		if pred == nil {
+			for k, v := range res {
+				out[k] = clamp255(v + 128)
+			}
+			continue
+		}
+		from := (*[blockSize]uint8)(pred.pix[(py+r)*pred.w+px:])
+		for k, v := range res {
+			out[k] = clamp255(int32(from[k]) + v)
 		}
 	}
 }
@@ -500,9 +521,11 @@ func loadBlock(p *plane, x0, y0 int, dst *[64]int32) {
 	}
 }
 
-func copyBlock(src, dst *plane, x0, y0 int) {
-	for y := y0; y < y0+blockSize; y++ {
-		copy(dst.pix[y*dst.w+x0:y*dst.w+x0+blockSize], src.pix[y*src.w+x0:y*src.w+x0+blockSize])
+// copyBlock copies the 8×8 block at (sx,sy) of src to (x0,y0) of dst, a row
+// per 64-bit word.
+func copyBlock(src *plane, sx, sy int, dst *plane, x0, y0 int) {
+	for r := 0; r < blockSize; r++ {
+		binary.LittleEndian.PutUint64(dst.pix[(y0+r)*dst.w+x0:], src.word(sx, sy+r))
 	}
 }
 
@@ -552,7 +575,8 @@ type Decoder struct {
 	lengths []int
 	chunks  [][]byte
 	errs    []error
-	task    decTask // reusable plane-dispatch task for the pool
+	task    decTask  // reusable plane-dispatch task for the pool
+	blend   []uint32 // toFrameInto's row scratch
 }
 
 // decTask carries one plane's decode parameters to the worker pool.
@@ -627,10 +651,11 @@ func (d *Decoder) recycle(b *ycbcr) {
 // allocated Frame. Steady-state consumers should prefer DecodeInto, which
 // recycles the destination, or Advance when the pixels are not needed.
 func (d *Decoder) Decode(data []byte) (*raster.Frame, error) {
-	if err := d.decode(data); err != nil {
+	f := new(raster.Frame)
+	if err := d.DecodeInto(f, data); err != nil {
 		return nil, err
 	}
-	return d.ref.toFrame(), nil
+	return f, nil
 }
 
 // DecodeInto parses one packet and writes the reconstructed frame into dst,
@@ -641,7 +666,7 @@ func (d *Decoder) DecodeInto(dst *raster.Frame, data []byte) error {
 	if err := d.decode(data); err != nil {
 		return err
 	}
-	d.ref.toFrameInto(dst)
+	d.blend = d.ref.toFrameInto(dst, d.blend)
 	return nil
 }
 
@@ -776,8 +801,8 @@ func (d *Decoder) decodePlane(r *byteReader, dst, ref *plane, qstep int) error {
 
 func decodeBlockRow(chunk []byte, dst, ref *plane, by, qstep int) error {
 	r := &byteReader{buf: chunk}
-	var levels [64]int32
-	var coefs, rec [64]int32
+	var blk coefBlock
+	dcDiv, acDiv := quantDivisors(qstep)
 	y0 := by * blockSize
 	for x0 := 0; x0 < dst.w; x0 += blockSize {
 		mode, err := r.u8()
@@ -789,19 +814,12 @@ func decodeBlockRow(chunk []byte, dst, ref *plane, by, qstep int) error {
 			if ref == nil {
 				return fmt.Errorf("%w: skip block in I-frame", ErrCorrupt)
 			}
-			copyBlock(ref, dst, x0, y0)
+			copyBlock(ref, x0, y0, dst, x0, y0)
 		case modeIntra:
-			if err := readLevels(r, &levels); err != nil {
+			if err := blk.read(r, dcDiv, acDiv); err != nil {
 				return err
 			}
-			dequantize(&levels, qstep, &coefs)
-			idct8x8(&coefs, &rec)
-			for rr := 0; rr < blockSize; rr++ {
-				drow := dst.row(x0, y0+rr, blockSize)
-				for k := range drow {
-					drow[k] = clamp255(rec[rr*blockSize+k] + 128)
-				}
-			}
+			reconstruct(&blk, nil, 0, 0, dst, x0, y0)
 		case modeMC:
 			if ref == nil {
 				return fmt.Errorf("%w: MC block in I-frame", ErrCorrupt)
@@ -814,10 +832,10 @@ func decodeBlockRow(chunk []byte, dst, ref *plane, by, qstep int) error {
 			if x0+mvx < 0 || x0+mvx+blockSize > ref.w || y0+mvy < 0 || y0+mvy+blockSize > ref.h {
 				return fmt.Errorf("%w: motion vector (%d,%d) out of bounds", ErrCorrupt, mvx, mvy)
 			}
-			if err := readLevels(r, &levels); err != nil {
+			if err := blk.read(r, dcDiv, acDiv); err != nil {
 				return err
 			}
-			reconstructMC(ref, dst, x0, y0, mvx, mvy, qstep, &levels, &rec)
+			reconstruct(&blk, ref, x0+mvx, y0+mvy, dst, x0, y0)
 		default:
 			return fmt.Errorf("%w: unknown block mode %d", ErrCorrupt, mode)
 		}

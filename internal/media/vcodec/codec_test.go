@@ -163,12 +163,13 @@ func TestLevelsAllZeroIsOneByte(t *testing.T) {
 	}
 }
 
-func TestReadLevelsRejectsCorrupt(t *testing.T) {
+// corruptLevelStreams lists level streams every reader must reject.
+func corruptLevelStreams() [][]byte {
 	// One pair whose zero-run uvarint is 1<<63: int(run) would wrap negative
 	// without the explicit run bound.
 	hugeRun := append([]byte{1}, binary.AppendUvarint(nil, 1<<63)...)
 	hugeRun = append(hugeRun, 2)
-	cases := [][]byte{
+	return [][]byte{
 		{},               // empty
 		{200},            // pair count > 64
 		{1},              // missing pair
@@ -176,8 +177,14 @@ func TestReadLevelsRejectsCorrupt(t *testing.T) {
 		{2, 0, 2, 63, 2}, // second pair out of range
 		{1, 0, 0},        // explicit zero level
 		hugeRun,          // 64-bit run overflows int32 index
+		{1, 0},           // level missing
+		{1, 0, 0x80},     // level truncated mid-varint
+		{3, 0, 2, 1, 4},  // third pair missing
 	}
-	for i, c := range cases {
+}
+
+func TestReadLevelsRejectsCorrupt(t *testing.T) {
+	for i, c := range corruptLevelStreams() {
 		var levels [64]int32
 		if err := readLevels(&byteReader{buf: c}, &levels); err == nil {
 			t.Errorf("case %d: corrupt stream accepted", i)

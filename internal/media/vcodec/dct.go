@@ -25,8 +25,8 @@ package vcodec
 const blockSize = 8
 
 // coefScaleBits is the fixed-point fractional precision of transform
-// coefficients: fdct8x8 outputs (and idct8x8 inputs) are 2^3 = 8 times the
-// orthonormal 2-D DCT values.
+// coefficients: fdct8x8 outputs (and coefBlock.idct inputs) are 2^3 = 8 times
+// the orthonormal 2-D DCT values.
 const coefScaleBits = 3
 
 // Fixed-point butterfly constants: round(c * 2^constBits) for the rotation
@@ -140,96 +140,126 @@ func fdct8x8(src *[64]int32, dst *[64]int32) {
 	}
 }
 
-// idct8x8 computes the 2-D inverse DCT of src (coefficients scaled by
-// 2^coefScaleBits, as produced by fdct8x8/dequantize) into spatial samples.
-// The coefficient scale is folded into the first descale, so the extra
-// fractional bits improve (never hurt) reconstruction accuracy.
-func idct8x8(src *[64]int32, dst *[64]int32) {
-	var tmp [64]int64
-	// Columns.
-	for c := 0; c < 8; c++ {
-		e2, e6 := int64(src[c+16]), int64(src[c+48])
-		z1 := (e2 + e6) * fix0_541196100
-		t2 := z1 - e6*fix1_847759065
-		t3 := z1 + e2*fix0_765366865
-		e0, e4 := int64(src[c]), int64(src[c+32])
-		t0 := (e0 + e4) << constBits
-		t1 := (e0 - e4) << constBits
-		t10, t13 := t0+t3, t0-t3
-		t11, t12 := t1+t2, t1-t2
+// coefBlock is one block's dequantized coefficients in natural (row-major)
+// order, at the 2^coefScaleBits scale fdct8x8 produces, together with where
+// they are: the decoder's quantized blocks are mostly empty, and idct skips
+// what the masks say is not there. The masks may overstate (a coefficient
+// whose dequantizing product wrapped to zero still counts); they must never
+// understate.
+type coefBlock struct {
+	coef [64]int32
+	cols uint8 // bit c: column c holds a coefficient
+	acs  uint8 // bit c: column c holds a coefficient below row 0
+}
 
-		o0 := int64(src[c+56])
-		o1 := int64(src[c+40])
-		o2 := int64(src[c+24])
-		o3 := int64(src[c+8])
-		z1 = o0 + o3
-		z2 := o1 + o2
-		z3 := o0 + o2
-		z4 := o1 + o3
-		z5 := (z3 + z4) * fix1_175875602
-		o0 *= fix0_298631336
-		o1 *= fix2_053119869
-		o2 *= fix3_072711026
-		o3 *= fix1_501321110
-		z1 *= -fix0_899976223
-		z2 *= -fix2_562915447
-		z3 = z3*(-fix1_961570560) + z5
-		z4 = z4*(-fix0_390180644) + z5
-		o0 += z1 + z3
-		o1 += z2 + z4
-		o2 += z2 + z3
-		o3 += z1 + z4
+// Descale shifts of the two inverse passes. The coefficient scale is folded
+// into both, so the extra fractional bits improve (never hurt)
+// reconstruction accuracy.
+const (
+	idctColShift = constBits - pass1Bits + coefScaleBits
+	idctRowShift = constBits + pass1Bits + coefScaleBits
+)
 
-		const shift = constBits - pass1Bits + coefScaleBits
-		tmp[c] = descale(t10+o3, shift)
-		tmp[c+56] = descale(t10-o3, shift)
-		tmp[c+8] = descale(t11+o2, shift)
-		tmp[c+48] = descale(t11-o2, shift)
-		tmp[c+16] = descale(t12+o1, shift)
-		tmp[c+40] = descale(t12-o1, shift)
-		tmp[c+24] = descale(t13+o0, shift)
-		tmp[c+32] = descale(t13-o0, shift)
+// idctLine is the 8-point inverse butterfly of one column or row, before the
+// descale: s0…s7 in frequency order in, the eight sums in sample order out.
+func idctLine(s0, s1, s2, s3, s4, s5, s6, s7 int64) (d0, d1, d2, d3, d4, d5, d6, d7 int64) {
+	z1 := (s2 + s6) * fix0_541196100
+	t2 := z1 - s6*fix1_847759065
+	t3 := z1 + s2*fix0_765366865
+	t0 := (s0 + s4) << constBits
+	t1 := (s0 - s4) << constBits
+	t10, t13 := t0+t3, t0-t3
+	t11, t12 := t1+t2, t1-t2
+
+	o0, o1, o2, o3 := s7, s5, s3, s1
+	z1 = o0 + o3
+	z2 := o1 + o2
+	z3 := o0 + o2
+	z4 := o1 + o3
+	z5 := (z3 + z4) * fix1_175875602
+	o0 *= fix0_298631336
+	o1 *= fix2_053119869
+	o2 *= fix3_072711026
+	o3 *= fix1_501321110
+	z1 *= -fix0_899976223
+	z2 *= -fix2_562915447
+	z3 = z3*(-fix1_961570560) + z5
+	z4 = z4*(-fix0_390180644) + z5
+	o0 += z1 + z3
+	o1 += z2 + z4
+	o2 += z2 + z3
+	o3 += z1 + z4
+	return t10 + o3, t11 + o2, t12 + o1, t13 + o0, t13 - o0, t12 - o1, t11 - o2, t10 - o3
+}
+
+// idct computes the 2-D inverse DCT of b into spatial samples: a column
+// pass, then a row pass, each an idctLine and a rounding descale. It does
+// only the part of that the masks leave, and every shortcut is the value the
+// full butterfly would reach, not an approximation of it:
+//
+//   - a column with no coefficient transforms to eight zeros (every product
+//     is 0 and descale(0) is 0), so it is left as the zeros tmp starts with;
+//   - a column whose only coefficient e sits in row 0 has every odd and
+//     rotated term 0, so all eight outputs are descale(e<<constBits);
+//   - when column 0 is the only populated one, every row of the row pass is
+//     in that same position and is eight copies of descale(tmp<<constBits).
+//
+// Integer products and sums are exact (and wrap identically when they wrap),
+// so dropping terms known to be zero changes no bit.
+func (b *coefBlock) idct(dst *[64]int32) {
+	if b.cols == 0 {
+		*dst = [64]int32{}
+		return
 	}
-	// Rows.
-	for i := 0; i < 64; i += 8 {
-		e2, e6 := tmp[i+2], tmp[i+6]
-		z1 := (e2 + e6) * fix0_541196100
-		t2 := z1 - e6*fix1_847759065
-		t3 := z1 + e2*fix0_765366865
-		e0, e4 := tmp[i], tmp[i+4]
-		t0 := (e0 + e4) << constBits
-		t1 := (e0 - e4) << constBits
-		t10, t13 := t0+t3, t0-t3
-		t11, t12 := t1+t2, t1-t2
-
-		o0, o1, o2, o3 := tmp[i+7], tmp[i+5], tmp[i+3], tmp[i+1]
-		z1 = o0 + o3
-		z2 := o1 + o2
-		z3 := o0 + o2
-		z4 := o1 + o3
-		z5 := (z3 + z4) * fix1_175875602
-		o0 *= fix0_298631336
-		o1 *= fix2_053119869
-		o2 *= fix3_072711026
-		o3 *= fix1_501321110
-		z1 *= -fix0_899976223
-		z2 *= -fix2_562915447
-		z3 = z3*(-fix1_961570560) + z5
-		z4 = z4*(-fix0_390180644) + z5
-		o0 += z1 + z3
-		o1 += z2 + z4
-		o2 += z2 + z3
-		o3 += z1 + z4
-
-		const shift = constBits + pass1Bits + coefScaleBits
-		dst[i+0] = int32(descale(t10+o3, shift))
-		dst[i+7] = int32(descale(t10-o3, shift))
-		dst[i+1] = int32(descale(t11+o2, shift))
-		dst[i+6] = int32(descale(t11-o2, shift))
-		dst[i+2] = int32(descale(t12+o1, shift))
-		dst[i+5] = int32(descale(t12-o1, shift))
-		dst[i+3] = int32(descale(t13+o0, shift))
-		dst[i+4] = int32(descale(t13-o0, shift))
+	src := &b.coef
+	if b.cols == 1 && b.acs == 0 {
+		// DC alone — most of the blocks that have any coefficient, from the
+		// second rung down: both of the cases below at once, a flat block.
+		v := descale(int64(src[0])<<constBits, idctColShift)
+		flat := int32(descale(v<<constBits, idctRowShift))
+		for i := range dst {
+			dst[i] = flat
+		}
+		return
+	}
+	var tmp [64]int64
+	for c := 0; c < blockSize; c++ {
+		bit := uint8(1) << c
+		if b.cols&bit == 0 {
+			continue
+		}
+		if b.acs&bit == 0 {
+			v := descale(int64(src[c])<<constBits, idctColShift)
+			tmp[c], tmp[c+8], tmp[c+16], tmp[c+24] = v, v, v, v
+			tmp[c+32], tmp[c+40], tmp[c+48], tmp[c+56] = v, v, v, v
+			continue
+		}
+		d0, d1, d2, d3, d4, d5, d6, d7 := idctLine(
+			int64(src[c]), int64(src[c+8]), int64(src[c+16]), int64(src[c+24]),
+			int64(src[c+32]), int64(src[c+40]), int64(src[c+48]), int64(src[c+56]))
+		tmp[c], tmp[c+8] = descale(d0, idctColShift), descale(d1, idctColShift)
+		tmp[c+16], tmp[c+24] = descale(d2, idctColShift), descale(d3, idctColShift)
+		tmp[c+32], tmp[c+40] = descale(d4, idctColShift), descale(d5, idctColShift)
+		tmp[c+48], tmp[c+56] = descale(d6, idctColShift), descale(d7, idctColShift)
+	}
+	if b.cols == 1 {
+		for i := 0; i < 64; i += blockSize {
+			v := int32(descale(tmp[i]<<constBits, idctRowShift))
+			row := dst[i : i+blockSize : i+blockSize]
+			for k := range row {
+				row[k] = v
+			}
+		}
+		return
+	}
+	for i := 0; i < 64; i += blockSize {
+		t := tmp[i : i+blockSize : i+blockSize]
+		d0, d1, d2, d3, d4, d5, d6, d7 := idctLine(t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7])
+		row := dst[i : i+blockSize : i+blockSize]
+		row[0], row[1] = int32(descale(d0, idctRowShift)), int32(descale(d1, idctRowShift))
+		row[2], row[3] = int32(descale(d2, idctRowShift)), int32(descale(d3, idctRowShift))
+		row[4], row[5] = int32(descale(d4, idctRowShift)), int32(descale(d5, idctRowShift))
+		row[6], row[7] = int32(descale(d6, idctRowShift)), int32(descale(d7, idctRowShift))
 	}
 }
 
@@ -315,20 +345,5 @@ func quantizeDeadzone(coefs *[64]int32, qstep int, levels *[64]int32) {
 	levels[0] = coefs[zigzag[0]] / dcDiv
 	for i := 1; i < 64; i++ {
 		levels[i] = coefs[zigzag[i]] / acDiv
-	}
-}
-
-// dequantize reverses quantize into natural (row-major) coefficient order,
-// producing coefficients at the 2^coefScaleBits scale idct8x8 expects.
-func dequantize(levels *[64]int32, qstep int, coefs *[64]int32) {
-	dcDiv, acDiv := quantDivisors(qstep)
-	for i := range coefs {
-		coefs[i] = 0
-	}
-	coefs[zigzag[0]] = levels[0] * dcDiv
-	for i := 1; i < 64; i++ {
-		if levels[i] != 0 {
-			coefs[zigzag[i]] = levels[i] * acDiv
-		}
 	}
 }

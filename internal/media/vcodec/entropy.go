@@ -38,7 +38,14 @@ func (r *byteReader) u8() (uint8, error) {
 	return v, nil
 }
 
+// uvarint takes the one-byte case — pair counts, zero runs and levels under
+// 64 in magnitude, nearly every varint in a stream — without the general
+// decoder's loop.
 func (r *byteReader) uvarint() (uint64, error) {
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 {
+		r.pos++
+		return uint64(r.buf[r.pos-1]), nil
+	}
 	v, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		return 0, ErrCorrupt
@@ -48,16 +55,18 @@ func (r *byteReader) uvarint() (uint64, error) {
 }
 
 func (r *byteReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
-		return 0, ErrCorrupt
+	ux, err := r.uvarint() // binary.Varint is this zigzag fold over Uvarint
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
 	}
-	r.pos += n
-	return v, nil
+	return x, err
 }
 
+// slice compares n against the bytes remaining, not pos+n against the length:
+// n comes straight from a 64-bit varint and pos+n can wrap negative.
 func (r *byteReader) slice(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.pos {
 		return nil, ErrCorrupt
 	}
 	b := r.buf[r.pos : r.pos+n]
@@ -100,11 +109,11 @@ func writeLevels(w *byteWriter, levels *[64]int32) {
 	}
 }
 
-// readLevels reverses writeLevels.
-func readLevels(r *byteReader, levels *[64]int32) error {
-	for i := range levels {
-		levels[i] = 0
-	}
+// read reverses writeLevels straight into b: each (run, level) pair becomes
+// the dequantized coefficient at its natural position — the level truncated
+// to int32, times the DC or AC divisor, wrapping in int32 — and is recorded
+// in the column masks. Levels never exist as an array on the decode side.
+func (b *coefBlock) read(r *byteReader, dcDiv, acDiv int32) error {
 	n, err := r.uvarint()
 	if err != nil {
 		return err
@@ -112,7 +121,12 @@ func readLevels(r *byteReader, levels *[64]int32) error {
 	if n > 64 {
 		return fmt.Errorf("%w: %d coefficient pairs in one block", ErrCorrupt, n)
 	}
-	idx := 0
+	b.cols, b.acs = 0, 0
+	if n == 0 {
+		return nil // coef is stale, which idct never looks at when cols is 0
+	}
+	b.coef = [64]int32{}
+	idx, div := 0, dcDiv
 	for p := uint64(0); p < n; p++ {
 		run, err := r.uvarint()
 		if err != nil {
@@ -134,7 +148,16 @@ func readLevels(r *byteReader, levels *[64]int32) error {
 		if lvl == 0 {
 			return fmt.Errorf("%w: explicit zero level", ErrCorrupt)
 		}
-		levels[idx] = int32(lvl)
+		if idx > 0 {
+			div = acDiv
+		}
+		pos := zigzag[idx]
+		b.coef[pos] = int32(lvl) * div
+		col := uint8(1) << (pos & 7)
+		b.cols |= col
+		if pos >= blockSize {
+			b.acs |= col
+		}
 		idx++
 	}
 	return nil

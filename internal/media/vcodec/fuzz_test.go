@@ -30,9 +30,12 @@ var fuzzSeeds = sync.OnceValue(func() (pkts [2][]byte) {
 })
 
 // FuzzDecode feeds arbitrary packets to the decoder, both cold and primed
-// with a real reference frame. The invariant: Decode never panics, and every
-// rejection is an ErrCorrupt (so callers can rely on errors.Is to separate
-// bad data from programming errors).
+// with a real reference frame, with the oracle decoder (the dense kernels the
+// sparse ones replaced, oracle_test.go) fed the same packets beside it. The
+// invariants: Decode never panics; every rejection is an ErrCorrupt (so
+// callers can rely on errors.Is to separate bad data from programming
+// errors); the two decoders accept the same packets and decode them to the
+// same pixels; and a rejected packet leaves the reference usable.
 func FuzzDecode(f *testing.F) {
 	seeds := fuzzSeeds()
 	f.Add(seeds[0])
@@ -41,32 +44,43 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("TKV1"))
 	f.Add([]byte("TKV1\x00\x18\x10\x04\x02"))
 	f.Add([]byte("TKV1\x07junkjunk"))
+	f.Add(overflowingRowLengthPacket())
 	trunc := append([]byte(nil), seeds[0]...)
 	f.Add(trunc[:len(trunc)/2])
 	flip := append([]byte(nil), seeds[1]...)
 	flip[len(flip)/3] ^= 0x40
 	f.Add(flip)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cold := NewDecoder(1)
-		if frame, err := cold.Decode(data); err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("cold decode error does not wrap ErrCorrupt: %v", err)
+		differential := func(leg string, dec *Decoder, oracle *refDecoder) error {
+			frame, err := dec.Decode(data)
+			want, errO := oracle.decode(data)
+			if (err == nil) != (errO == nil) {
+				t.Fatalf("%s: decoder err %v, oracle err %v", leg, err, errO)
 			}
-			if frame != nil {
-				t.Fatal("cold decode returned frame alongside error")
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s decode error does not wrap ErrCorrupt: %v", leg, err)
+				}
+				if frame != nil {
+					t.Fatalf("%s decode returned frame alongside error", leg)
+				}
+				return err
 			}
+			if !frame.Equal(want) {
+				t.Fatalf("%s: decoded pixels differ from the oracle decoder's", leg)
+			}
+			return nil
 		}
-		primed := NewDecoder(1)
+		differential("cold", NewDecoder(1), &refDecoder{})
+
+		primed, oracle := NewDecoder(1), &refDecoder{}
 		if _, err := primed.Decode(seeds[0]); err != nil {
 			t.Fatalf("seed I-frame rejected: %v", err)
 		}
-		if frame, err := primed.Decode(data); err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("primed decode error does not wrap ErrCorrupt: %v", err)
-			}
-			if frame != nil {
-				t.Fatal("primed decode returned frame alongside error")
-			}
+		if _, err := oracle.decode(seeds[0]); err != nil {
+			t.Fatalf("oracle rejected seed I-frame: %v", err)
+		}
+		if differential("primed", primed, oracle) != nil {
 			// A failed decode must not poison the reference: the real
 			// P-frame must still decode against it.
 			if _, err := primed.Decode(seeds[1]); err != nil {

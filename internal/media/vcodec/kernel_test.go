@@ -1,0 +1,440 @@
+package vcodec
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/media/raster"
+)
+
+// The decode kernels against their oracles (oracle_test.go). Each shortcut
+// the kernels take is argued exact in its doc comment; these tests are the
+// other half of the argument.
+
+// blockOf builds the coefBlock the fused reader would build for the given
+// natural-order coefficients: a mask bit wherever a coefficient is non-zero.
+func blockOf(coefs *[64]int32) *coefBlock {
+	b := &coefBlock{coef: *coefs}
+	for pos, v := range coefs {
+		if v == 0 {
+			continue
+		}
+		b.cols |= 1 << (pos & 7)
+		if pos >= blockSize {
+			b.acs |= 1 << (pos & 7)
+		}
+	}
+	return b
+}
+
+// checkIDCT holds the sparse transform to the dense one on coefs, with exact
+// masks and with every way of overstating them that the reader can produce
+// (a coefficient whose product wrapped to zero still sets its bits).
+func checkIDCT(t *testing.T, name string, coefs *[64]int32) {
+	t.Helper()
+	var want, got [64]int32
+	idct8x8(coefs, &want)
+	exact := blockOf(coefs)
+	for _, m := range [][2]uint8{
+		{exact.cols, exact.acs},
+		{exact.cols | 1, exact.acs},
+		{exact.cols | 0x0F, exact.acs | 0x05},
+		{0xFF, exact.acs},
+		{0xFF, 0xFF},
+	} {
+		b := &coefBlock{coef: *coefs, cols: m[0], acs: m[1]}
+		for i := range got {
+			got[i] = math.MinInt32 // idct must write every sample
+		}
+		b.idct(&got)
+		if got != want {
+			t.Fatalf("%s (cols %08b acs %08b): sparse idct differs from idct8x8\n got %v\nwant %v", name, m[0], m[1], got, want)
+		}
+	}
+}
+
+// maxLevelQ1 returns, per natural position, the largest level magnitude the
+// encoder can emit at q=1: the level of the ±255 residual block shaped like
+// that position's basis function.
+func maxLevelQ1(t *testing.T) [64]int32 {
+	t.Helper()
+	var inv [64]int // natural position → zigzag index
+	for i, p := range zigzag {
+		inv[p] = i
+	}
+	var out [64]int32
+	for pos := range out {
+		var unit, shape, res, coefs, levels [64]int32
+		unit[pos] = 1 << 12
+		idct8x8(&unit, &shape)
+		for i, v := range shape {
+			res[i] = 255
+			if v < 0 {
+				res[i] = -255
+			}
+		}
+		fdct8x8(&res, &coefs)
+		quantize(&coefs, 1, &levels)
+		out[pos] = levels[inv[pos]]
+		if out[pos] < 1000 {
+			t.Fatalf("position %d: extreme block quantized to level %d, expected four digits", pos, out[pos])
+		}
+	}
+	return out
+}
+
+func TestSparseIDCTMatchesDense(t *testing.T) {
+	var coefs [64]int32
+	checkIDCT(t, "all-zero", &coefs)
+
+	dcDiv, acDiv := quantDivisors(1)
+	maxLevel := maxLevelQ1(t)
+	for pos := 0; pos < 64; pos++ {
+		div := acDiv
+		if pos == 0 {
+			div = dcDiv
+		}
+		for _, v := range []int32{
+			1, -1, div, -div,
+			maxLevel[pos] * div, -maxLevel[pos] * div,
+			math.MaxInt32, math.MinInt32, math.MinInt32 + 1,
+		} {
+			coefs = [64]int32{}
+			coefs[pos] = v
+			checkIDCT(t, "single coefficient", &coefs)
+		}
+	}
+
+	// DC plus one AC term, at every position and so in every column, with the
+	// DC both dominant and negligible.
+	for pos := 1; pos < 64; pos++ {
+		for _, dc := range []int32{8, -8 * 2040, math.MaxInt32} {
+			for _, ac := range []int32{-8, 8 * 300, math.MinInt32} {
+				coefs = [64]int32{}
+				coefs[0], coefs[pos] = dc, ac
+				checkIDCT(t, "DC plus one AC", &coefs)
+			}
+		}
+	}
+
+	// Seeded random sparse patterns: 1…12 coefficients, low frequencies
+	// favoured the way real blocks are, magnitudes from tiny to int32-wide.
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 10000; trial++ {
+		coefs = [64]int32{}
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			idx := rng.Intn(64)
+			if rng.Intn(2) == 0 {
+				idx = rng.Intn(10)
+			}
+			v := int32(rng.Intn(1<<uint(1+rng.Intn(16)))) - int32(rng.Intn(1<<uint(1+rng.Intn(16))))
+			if rng.Intn(50) == 0 {
+				v = int32(rng.Uint32())
+			}
+			coefs[zigzag[idx]] = v
+		}
+		checkIDCT(t, "random sparse", &coefs)
+	}
+}
+
+// checkFusedRead runs the fused reader and the readLevels + dequantize pair
+// over one stream and requires the same verdict, the same bytes consumed,
+// the same coefficients, and masks that cover every non-zero coefficient and
+// are empty exactly when the block has no pairs.
+func checkFusedRead(t *testing.T, stream []byte, qstep int) {
+	t.Helper()
+	var levels, want [64]int32
+	ro := &byteReader{buf: stream}
+	errO := readLevels(ro, &levels)
+	dcDiv, acDiv := quantDivisors(qstep)
+	b := &coefBlock{cols: 0xAA, acs: 0x55}
+	for i := range b.coef {
+		b.coef[i] = int32(i) - 7 // stale contents must not leak through
+	}
+	rf := &byteReader{buf: stream}
+	errF := b.read(rf, dcDiv, acDiv)
+	if (errO == nil) != (errF == nil) {
+		t.Fatalf("stream %x: readLevels err %v, fused reader err %v", stream, errO, errF)
+	}
+	if errO != nil {
+		return
+	}
+	if ro.pos != rf.pos {
+		t.Fatalf("stream %x: readLevels consumed %d bytes, fused reader %d", stream, ro.pos, rf.pos)
+	}
+	dequantize(&levels, qstep, &want)
+	if n, _ := binary.Uvarint(stream); n == 0 {
+		if b.cols != 0 || b.acs != 0 {
+			t.Fatalf("empty block: masks %08b/%08b, want none", b.cols, b.acs)
+		}
+		return // coef is unspecified when cols is 0
+	}
+	if b.coef != want {
+		t.Fatalf("stream %x q%d: coefficients differ\n got %v\nwant %v", stream, qstep, b.coef, want)
+	}
+	exact := blockOf(&want)
+	if b.cols&exact.cols != exact.cols || b.acs&exact.acs != exact.acs || b.acs&^b.cols != 0 || b.cols == 0 {
+		t.Fatalf("stream %x: masks %08b/%08b do not cover %08b/%08b", stream, b.cols, b.acs, exact.cols, exact.acs)
+	}
+}
+
+func TestFusedReaderMatchesReadLevelsDequantize(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	qsteps := []int{1, 2, 4, 5, 10, 24, 64, 128}
+	// What the encoder writes: any level set through writeLevels.
+	for trial := 0; trial < 5000; trial++ {
+		var levels [64]int32
+		for n := rng.Intn(20); n > 0; n-- {
+			v := int32(rng.Intn(129) - 64)
+			switch rng.Intn(20) {
+			case 0:
+				v = int32(rng.Uint32())
+			case 1:
+				v = []int32{math.MaxInt32, math.MinInt32, 1 << 28, -1 << 29}[rng.Intn(4)]
+			}
+			levels[rng.Intn(64)] = v
+		}
+		if trial%100 == 0 {
+			for i := range levels {
+				levels[i] = int32(rng.Intn(5) - 2)
+			}
+		}
+		var w byteWriter
+		writeLevels(&w, &levels)
+		w.bytes([]byte{0xEE, 0xEE}) // the next block's bytes must be left alone
+		checkFusedRead(t, w.buf, qsteps[rng.Intn(len(qsteps))])
+	}
+	// What only an outsider writes: levels beyond int32 (truncated on read,
+	// possibly to zero) and multi-byte encodings of small runs.
+	wide := []int64{1 << 32, 1<<32 + 5, -1 << 32, 1<<40 - 3, math.MaxInt64, math.MinInt64, 1 << 31, -1<<31 - 1}
+	for _, lvl := range wide {
+		for _, run := range []uint64{0, 1, 9, 63} {
+			s := []byte{2}
+			s = binary.AppendUvarint(s, run)
+			s = binary.AppendVarint(s, lvl)
+			s = append(s, 0x80, 0x00) // run 0 in two bytes
+			s = binary.AppendVarint(s, -lvl/3+1)
+			for _, q := range qsteps {
+				checkFusedRead(t, s, q)
+			}
+		}
+	}
+	// Arbitrary bytes: whatever the oracle accepts or rejects, so does the
+	// fused reader.
+	for trial := 0; trial < 20000; trial++ {
+		s := make([]byte, 1+rng.Intn(24))
+		for i := range s {
+			s[i] = uint8(rng.Intn(256))
+			if rng.Intn(3) > 0 {
+				s[i] &= 0x0F
+			}
+		}
+		checkFusedRead(t, s, qsteps[rng.Intn(len(qsteps))])
+	}
+}
+
+func TestFusedReaderRejectsCorrupt(t *testing.T) {
+	for i, c := range corruptLevelStreams() {
+		var b coefBlock
+		if err := b.read(&byteReader{buf: c}, 8, 16); err == nil {
+			t.Errorf("case %d: corrupt stream accepted", i)
+		}
+		checkFusedRead(t, c, 2)
+	}
+}
+
+// noisePlane returns a w×h plane of seeded random samples.
+func noisePlane(rng *rand.Rand, w, h int) *plane {
+	p := newPlane(w, h)
+	for i := range p.pix {
+		p.pix[i] = uint8(rng.Intn(256))
+	}
+	return p
+}
+
+// TestReconstructMatchesOracle holds the one block reconstruction to the
+// dense routines it replaced. The zero-residual case — the prediction copied
+// with no transform at all — is checked at every legal motion vector of
+// every border block of a 24×16 plane, the rest on random level sets.
+func TestReconstructMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ref := noisePlane(rng, 24, 16)
+	var zero [64]int32
+	empty := &coefBlock{}
+	for i := range empty.coef {
+		empty.coef[i] = int32(rng.Uint32()) // stale, and cols == 0 says ignore it
+	}
+	vectors := 0
+	for y0 := 0; y0 < ref.h; y0 += blockSize {
+		for x0 := 0; x0 < ref.w; x0 += blockSize {
+			for mvy := -8; mvy <= 7; mvy++ {
+				for mvx := -8; mvx <= 7; mvx++ {
+					if x0+mvx < 0 || x0+mvx+blockSize > ref.w || y0+mvy < 0 || y0+mvy+blockSize > ref.h {
+						continue
+					}
+					want, got := noisePlane(rng, ref.w, ref.h), newPlane(ref.w, ref.h)
+					copy(got.pix, want.pix)
+					reconstructMCRef(ref, want, x0, y0, mvx, mvy, 10, &zero)
+					reconstruct(empty, ref, x0+mvx, y0+mvy, got, x0, y0)
+					if string(got.pix) != string(want.pix) {
+						t.Fatalf("block (%d,%d) mv (%d,%d): zero-residual copy differs from reconstructMC", x0, y0, mvx, mvy)
+					}
+					vectors++
+				}
+			}
+		}
+	}
+	if want := (8 + 16 + 9) * (8 + 9); vectors != want { // per block column × per block row
+		t.Fatalf("%d legal vectors visited, want %d", vectors, want)
+	}
+
+	for trial := 0; trial < 3000; trial++ {
+		var levels [64]int32
+		for n := rng.Intn(8); n > 0; n-- {
+			levels[rng.Intn(1+rng.Intn(64))] = int32(rng.Intn(61) - 30)
+		}
+		if trial%7 == 0 {
+			levels = [64]int32{int32(rng.Intn(400) - 200)} // DC alone
+		}
+		qstep := 1 + rng.Intn(64)
+		var w byteWriter
+		var blk coefBlock
+		codeLevels(&w, &levels, qstep, &blk)
+		x0, y0 := blockSize*rng.Intn(3), blockSize*rng.Intn(2)
+		want, got := noisePlane(rng, ref.w, ref.h), newPlane(ref.w, ref.h)
+		copy(got.pix, want.pix)
+		if trial%3 == 0 {
+			reconstructIntraRef(want, x0, y0, qstep, &levels)
+			reconstruct(&blk, nil, 0, 0, got, x0, y0)
+		} else {
+			px, py := rng.Intn(ref.w-blockSize+1), rng.Intn(ref.h-blockSize+1)
+			reconstructMCRef(ref, want, x0, y0, px-x0, py-y0, qstep, &levels)
+			reconstruct(&blk, ref, px, py, got, x0, y0)
+		}
+		if string(got.pix) != string(want.pix) {
+			t.Fatalf("trial %d (q%d, levels %v): reconstruction differs from the dense oracle", trial, qstep, levels)
+		}
+	}
+}
+
+// TestColourTablesExhaustive checks the table conversion against the BT.601
+// arithmetic on every (luma, Cb, Cr) triple.
+func TestColourTablesExhaustive(t *testing.T) {
+	for cb := int32(0); cb < 256; cb++ {
+		for cr := int32(0); cr < 256; cr++ {
+			s := uint32(cb)<<4 | uint32(cr)<<20 // 16× each sample, as the upsampler delivers it
+			for yy := int32(0); yy < 256; yy++ {
+				var got [3]uint8
+				colour.putRGB(got[:], colour.channels(uint8(yy), s))
+				want := [3]uint8{
+					clamp255(yy + (359 * (cr - 128) >> 8)),
+					clamp255(yy - (88 * (cb - 128) >> 8) - (183 * (cr - 128) >> 8)),
+					clamp255(yy + (454 * (cb - 128) >> 8)),
+				}
+				if got != want {
+					t.Fatalf("Y %d Cb %d Cr %d: tables give %v, arithmetic %v", yy, cb, cr, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestColourPassMatchesPerPixel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	fills := map[string]func(p *plane, seed int){
+		"random": func(p *plane, _ int) {
+			for i := range p.pix {
+				p.pix[i] = uint8(rng.Intn(256))
+			}
+		},
+		"smooth": func(p *plane, seed int) {
+			for y := 0; y < p.h; y++ {
+				for x := 0; x < p.w; x++ {
+					p.pix[y*p.w+x] = uint8(seed*40 + 3*x + 5*y)
+				}
+			}
+		},
+		"extremes": func(p *plane, _ int) { // hard 0/255 edges: the widest blends and both clamps
+			for i := range p.pix {
+				p.pix[i] = uint8(255 * rng.Intn(2))
+			}
+		},
+		"all-0": func(p *plane, _ int) {
+			for i := range p.pix {
+				p.pix[i] = 0
+			}
+		},
+		"all-255": func(p *plane, _ int) {
+			for i := range p.pix {
+				p.pix[i] = 255
+			}
+		},
+	}
+	var blend []uint32 // carried across sizes, as a Decoder carries it
+	got := raster.New(200, 200)
+	for _, sz := range [][2]int{{1, 1}, {2, 2}, {3, 5}, {15, 33}, {16, 16}, {161, 121}, {2, 1}, {1, 2}, {4, 3}} {
+		for name, fill := range fills {
+			img := newYCbCr(sz[0], sz[1])
+			fill(img.y, 0)
+			fill(img.cb, 1)
+			fill(img.cr, 2)
+			var want raster.Frame
+			img.toFrameIntoRef(&want)
+			for i := range got.Pix[:cap(got.Pix)] {
+				got.Pix[:cap(got.Pix)][i] = 0x5A
+			}
+			blend = img.toFrameInto(got, blend)
+			if !got.Equal(&want) {
+				t.Errorf("%dx%d %s planes: colour pass differs from the per-pixel formula", sz[0], sz[1], name)
+			}
+		}
+	}
+}
+
+// TestDecodeSteadyStateAllocs is the decode twin of
+// TestEncodeSteadyStateAllocs: once a decoder has seen a GOP, neither
+// presenting a frame nor rolling past one allocates.
+func TestDecodeSteadyStateAllocs(t *testing.T) {
+	film := testFilm(t)
+	enc, err := NewEncoder(encCfg(96, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Close()
+	var pkts [][]byte
+	for i := 0; i < 16; i++ {
+		p, err := enc.Encode(film.Render(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, p.Data)
+	}
+	for _, workers := range []int{1, 2} {
+		dec := NewDecoder(workers)
+		defer dec.Close()
+		var frame raster.Frame
+		i := 0
+		next := func() []byte { i++; return pkts[(i-1)%len(pkts)] }
+		for range pkts { // warm both image buffers, the row tables and the frame
+			if err := dec.DecodeInto(&frame, next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(64, func() {
+			if err := dec.DecodeInto(&frame, next()); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("workers=%d: DecodeInto allocates %.1f objects/frame, want 0", workers, n)
+		}
+		if n := testing.AllocsPerRun(64, func() {
+			if err := dec.Advance(next()); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("workers=%d: Advance allocates %.1f objects/frame, want 0", workers, n)
+		}
+	}
+}

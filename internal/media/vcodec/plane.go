@@ -26,11 +26,8 @@ func (p *plane) row(x0, y, n int) []uint8 {
 }
 
 func clamp255(v int32) uint8 {
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
+	if uint32(v) > 255 { // below 0 or above 255, in one compare
+		return uint8(^(v >> 31)) // 0 for negative v, 255 otherwise
 	}
 	return uint8(v)
 }
@@ -126,11 +123,81 @@ func toYCbCr(f *raster.Frame) *ycbcr {
 	return img
 }
 
+// Colour conversion tables. A chroma sample's contribution to each colour
+// channel depends on nothing else in the pixel, so the four BT.601 products
+// (arithmetic shift and all) are tabulated per chroma value — the Cr entry
+// carrying its red and green terms, the Cb entry its green and blue ones, in
+// three 20-bit lanes of one word. Adding luma to every lane (one multiply)
+// and the two entries gives all three channel sums at once, and a lane of
+// the sum indexes the clamp table. Every entry lane is biased non-negative
+// (so no borrow crosses lanes) with a total of clampBias per channel, and a
+// channel sum spans 29…736; the clamp table is sized to a power of two so
+// the index is masked instead of bounds-checked.
+const (
+	laneBits  = 20
+	lumaLanes = 1 | 1<<laneBits | 1<<(2*laneBits) // luma × this = luma in every lane
+	clampBias = 256
+	clampMask = 1<<10 - 1
+)
+
+type colourTables struct {
+	cb, cr [256]uint64 // lanes: red, green, blue from bit 0
+	clamp  [clampMask + 1]uint8
+}
+
+var colour = buildColourTables()
+
+func buildColourTables() *colourTables {
+	t := new(colourTables)
+	for v := range t.cb {
+		c := int32(v) - 128
+		t.cr[v] = uint64(clampBias+(359*c>>8)) | uint64(clampBias/2-(183*c>>8))<<laneBits
+		t.cb[v] = uint64(clampBias/2-(88*c>>8))<<laneBits | uint64(clampBias+(454*c>>8))<<(2*laneBits)
+	}
+	for i := range t.clamp {
+		t.clamp[i] = clamp255(int32(i) - clampBias)
+	}
+	return t
+}
+
+// Chroma travels through the upsampler as one word per sample, Cb in the low
+// 16-bit lane and Cr in the high one, so every blend is one multiply-add for
+// both. A lane holds 16× a sample at most (4080, plus 8 to round), far from
+// its neighbour.
+const chromaRound = 8<<16 | 8
+
+// channels returns the clamp-table indices of one pixel's red, green and
+// blue, one per lane: luma y and a packed chroma sum s carrying 16× the
+// upsampled Cb and Cr.
+func (t *colourTables) channels(y uint8, s uint32) uint64 {
+	s += chromaRound
+	return uint64(y)*lumaLanes + t.cb[s>>4&0xFF] + t.cr[s>>20&0xFF]
+}
+
+// putRGB stores the three clamped channels of p at dst[0:3].
+func (t *colourTables) putRGB(dst []uint8, p uint64) {
+	_ = dst[2]
+	dst[0] = t.clamp[p&clampMask]
+	dst[1] = t.clamp[p>>laneBits&clampMask]
+	dst[2] = t.clamp[p>>(2*laneBits)&clampMask]
+}
+
 // toFrameInto converts back to RGB into dst, reusing dst's pixel buffer when
 // it is large enough. Chroma is upsampled bilinearly (nearest-neighbor
 // leaves visible blockiness on saturated gradients, especially at small
-// frame sizes).
-func (img *ycbcr) toFrameInto(dst *raster.Frame) {
+// frame sizes). blend is row scratch, returned (grown if need be) for the
+// caller to keep.
+//
+// Chroma sits at half resolution with a half-sample phase offset, so every
+// upsample position is an exact quarter-pixel and the interpolated value is
+// (Σ weight·sample + 8) >> 4 with weights in quarter units that sum to 16 —
+// one rounding, at the end. That makes the blend separable without changing
+// a bit: per output row the two chroma rows are blended vertically once per
+// chroma column (weights 4:0, 3:1 or 1:3), and output columns 2k+1 and 2k+2
+// are 3a+b and a+3b of neighbouring blended values a, b. Column 0 and, on
+// even widths, the last column sit beyond the outermost chroma centre and
+// replicate it (4a), as do the first and last rows.
+func (img *ycbcr) toFrameInto(dst *raster.Frame, blend []uint32) []uint32 {
 	dst.W, dst.H = img.w, img.h
 	need := 3 * img.w * img.h
 	if cap(dst.Pix) < need {
@@ -139,10 +206,11 @@ func (img *ycbcr) toFrameInto(dst *raster.Frame) {
 		dst.Pix = dst.Pix[:need]
 	}
 	halfW, halfH := (img.w+1)/2, (img.h+1)/2
-	// Chroma sits at half resolution with a half-sample phase offset, so
-	// every upsample position is an exact quarter-pixel: bilinear weights in
-	// quarter units (fixed point, 2+2 fractional bits) reproduce the exact
-	// interpolation with no float math.
+	if cap(blend) < halfW {
+		blend = make([]uint32, halfW)
+	}
+	blend = blend[:halfW]
+	t := colour
 	for y := 0; y < img.h; y++ {
 		yq := 2*y - 1 // chroma row position in quarter units
 		if yq < 0 {
@@ -152,49 +220,32 @@ func (img *ycbcr) toFrameInto(dst *raster.Frame) {
 			yq = 4 * (halfH - 1)
 		}
 		cy0 := yq >> 2
-		ty := int32(yq & 3)
+		ty := uint32(yq & 3)
 		cy1 := cy0 + 1
 		if cy1 >= halfH {
 			cy1 = halfH - 1
 		}
 		cbr0, cbr1 := img.cb.row(0, cy0, halfW), img.cb.row(0, cy1, halfW)
 		crr0, crr1 := img.cr.row(0, cy0, halfW), img.cr.row(0, cy1, halfW)
+		for k := range blend {
+			blend[k] = (uint32(cbr0[k])|uint32(crr0[k])<<16)*(4-ty) +
+				(uint32(cbr1[k])|uint32(crr1[k])<<16)*ty
+		}
+		// Walk the row by shrinking slices: the loop condition is then the
+		// only bounds check its body needs.
 		yrow := img.y.row(0, y, img.w)
 		drow := dst.Pix[3*y*dst.W : 3*(y+1)*dst.W]
-		for x := 0; x < img.w; x++ {
-			xq := 2*x - 1
-			if xq < 0 {
-				xq = 0
-			}
-			if xq > 4*(halfW-1) {
-				xq = 4 * (halfW - 1)
-			}
-			cx0 := xq >> 2
-			tx := int32(xq & 3)
-			cx1 := cx0 + 1
-			if cx1 >= halfW {
-				cx1 = halfW - 1
-			}
-			cb := ((int32(cbr0[cx0])*(4-tx)+int32(cbr0[cx1])*tx)*(4-ty) +
-				(int32(cbr1[cx0])*(4-tx)+int32(cbr1[cx1])*tx)*ty + 8) >> 4
-			cr := ((int32(crr0[cx0])*(4-tx)+int32(crr0[cx1])*tx)*(4-ty) +
-				(int32(crr1[cx0])*(4-tx)+int32(crr1[cx1])*tx)*ty + 8) >> 4
-			cb -= 128
-			cr -= 128
-			yy := int32(yrow[x])
-			r := yy + (359 * cr >> 8)
-			g := yy - (88 * cb >> 8) - (183 * cr >> 8)
-			b := yy + (454 * cb >> 8)
-			drow[3*x] = clamp255(r)
-			drow[3*x+1] = clamp255(g)
-			drow[3*x+2] = clamp255(b)
+		t.putRGB(drow, t.channels(yrow[0], 4*blend[0]))
+		d, yr, bl := drow[3:], yrow[1:], blend
+		for len(d) >= 6 && len(yr) >= 2 && len(bl) >= 2 {
+			a, b := bl[0], bl[1]
+			t.putRGB(d[:3], t.channels(yr[0], 3*a+b))
+			t.putRGB(d[3:6], t.channels(yr[1], a+3*b))
+			d, yr, bl = d[6:], yr[2:], bl[1:]
+		}
+		if len(yr) > 0 { // even width: the last column replicates
+			t.putRGB(d, t.channels(yr[0], 4*bl[0]))
 		}
 	}
-}
-
-// toFrame converts back to a freshly allocated RGB frame.
-func (img *ycbcr) toFrame() *raster.Frame {
-	f := raster.New(img.w, img.h)
-	img.toFrameInto(f)
-	return f
+	return blend
 }

@@ -1,6 +1,9 @@
 package vcodec
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,6 +27,47 @@ func TestDecodeNeverPanicsOnRandomInput(t *testing.T) {
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// overflowingRowLengthPacket is a 30-byte packet with a valid 8×8 I-frame
+// header, a luma row count of 1, and a block-row length of 1<<63 − 1. Added to
+// the read position that length wraps negative, which a `pos+n > len` bound
+// check lets through to a slice expression that panics.
+func overflowingRowLengthPacket() []byte {
+	pkt := append([]byte(magic), uint8(IFrame), 8, 8, 4, 0) // w, h, qstep, search range
+	pkt = append(pkt, 1)                                    // luma block rows
+	pkt = binary.AppendUvarint(pkt, math.MaxInt64)          // row 0 length
+	return append(pkt, make([]byte, 30-len(pkt))...)
+}
+
+// TestDecodeRejectsOverflowingRowLength: a row length near 1<<63 must be
+// rejected as corrupt, not panic the player. (The container's parser reads
+// its varints through intv, which refuses anything above 1<<31, so its
+// slice arithmetic cannot wrap; only this reader took a full 64-bit length.)
+func TestDecodeRejectsOverflowingRowLength(t *testing.T) {
+	pkt := overflowingRowLengthPacket()
+	if len(pkt) != 30 {
+		t.Fatalf("packet is %d bytes, want 30", len(pkt))
+	}
+	for _, workers := range []int{1, 2} {
+		frame, err := NewDecoder(workers).Decode(pkt)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("workers=%d: err = %v, want ErrCorrupt", workers, err)
+		}
+		if frame != nil {
+			t.Fatal("frame returned alongside error")
+		}
+	}
+	// The same length in every later position a length can take.
+	r := &byteReader{buf: pkt, pos: 19}
+	for _, n := range []int{math.MaxInt64, math.MaxInt64 - 18, 12, -1, math.MinInt64} {
+		if _, err := r.slice(n); err == nil {
+			t.Errorf("slice(%d) with 11 bytes left succeeded", n)
+		}
+	}
+	if b, err := r.slice(11); err != nil || len(b) != 11 {
+		t.Errorf("slice(11) with 11 bytes left: %d bytes, err %v", len(b), err)
 	}
 }
 

@@ -230,18 +230,17 @@ func (s *Session) Frame() (*raster.Frame, error) {
 // allocates nothing — the play service serves frames to many concurrent
 // hosted sessions through this.
 //
-// The result is a full copy: dst's pixels alias no session-internal
-// buffer, so callers may hold (or share) the rendered frame read-only for
-// as long as they like while the session keeps advancing. The play
-// service's broadcast hub leans on this — each publication is rendered
-// once into a fresh buffer and then handed by reference to every
-// watcher's delivery ring without another copy.
+// The video frame is decoded (or copied out of the shared frame cache)
+// straight into dst, so dst's pixels alias no session-internal buffer and
+// callers may hold (or share) the rendered frame read-only for as long as
+// they like while the session keeps advancing. The play service's
+// broadcast hub leans on this — each publication is rendered once into a
+// fresh buffer and then handed by reference to every watcher's delivery
+// ring without another copy.
 func (s *Session) FrameInto(dst *raster.Frame) error {
-	f, err := s.cursor.Frame()
-	if err != nil {
+	if err := s.cursor.FrameInto(dst); err != nil {
 		return err
 	}
-	dst.CopyFrom(f)
 	if sc := s.Scenario(); sc != nil {
 		s.compositeObjects(dst, sc)
 	}
