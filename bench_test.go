@@ -45,6 +45,9 @@ var (
 
 	oncePkg  sync.Once
 	benchPkg []byte // classroom package
+
+	onceLadderPkg  sync.Once
+	benchLadderPkg *gamepack.Package // classroom, default ladder, opened
 )
 
 func film(b *testing.B) *synth.Film {
@@ -319,6 +322,75 @@ func BenchmarkSimSessionRandom(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- E27: open once ---------------------------------------------------------
+
+// ladderPkg opens the classroom course the way a client of vgbl-server
+// -ladder holds it: a default-ladder package, opened once.
+func ladderPkg(b *testing.B) *gamepack.Package {
+	onceLadderPkg.Do(func() {
+		blob, err := content.Classroom().BuildLadderPackage(studio.Options{QStep: 8}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if benchLadderPkg, err = gamepack.Open(blob); err != nil {
+			b.Fatal(err)
+		}
+	})
+	return benchLadderPkg
+}
+
+// BenchmarkSessionOpen is what one more session on an opened package costs
+// — a hosted create, a thaw, a mirror replica, a local player: state,
+// cursor and decoder over the package's parsed container, compiled scripts
+// and frame cache.
+func BenchmarkSessionOpen(b *testing.B) {
+	pkg := ladderPkg(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := runtime.NewSessionFromPackage(pkg, runtime.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
+
+// BenchmarkMirrorWatch is a replica's Watch eight ticks into its segment,
+// where a guided learner first looks: cold, a frame nobody on the package
+// has decoded (keyframe, roll-forward, colour pass, and a copy into the
+// cache); warm, one another session has presented (a copy out of it).
+func BenchmarkMirrorWatch(b *testing.B) {
+	opened := ladderPkg(b)
+	watch := func(b *testing.B, pkg func() *gamepack.Package) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s, err := runtime.NewSessionFromPackage(pkg(), runtime.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Advance(8); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := s.Watch(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			s.Close()
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		// A package nobody has watched: the same parts, nothing derived yet.
+		watch(b, func() *gamepack.Package {
+			return &gamepack.Package{Project: opened.Project, Video: opened.Video}
+		})
+	})
+	b.Run("warm", func(b *testing.B) {
+		watch(b, func() *gamepack.Package { return opened })
+	})
 }
 
 // --- E8: streaming ---------------------------------------------------------

@@ -280,26 +280,45 @@ func UnmarshalProject(data []byte) (*Project, error) {
 	return &p, nil
 }
 
-// CompiledEvent pairs an event with its compiled script.
+// CompiledEvent is one event — or one scenario's entry script — in
+// executable form: its script and its guard, each lexed and parsed once.
+// It is immutable, so every session on a package runs the same one.
 type CompiledEvent struct {
-	Event     *Event
-	Program   *script.Program
-	Condition string
+	Program *script.Program
+	cond    *script.Condition // nil: no guard
+	condErr error             // why the guard did not compile
 }
 
-// CompileEvents compiles every script in the project, returning a map from
-// "<scenarioID>/<objectID>/<trigger>[/<item>]" (and "<scenarioID>//enter"
-// for scenario entry scripts) to compiled programs. It fails on the first
-// script error, identifying the offending object.
-func (p *Project) CompileEvents() (map[string]*script.Program, error) {
-	out := make(map[string]*script.Program)
+// Holds evaluates the event's guard (no guard = true). A guard that did
+// not compile never holds and reports its compile error on every try —
+// what evaluating its source each time did — so a course with a broken
+// condition still opens and says why the event will not fire.
+func (ce *CompiledEvent) Holds(env script.Env) (bool, error) {
+	if ce.condErr != nil {
+		return false, ce.condErr
+	}
+	if ce.cond == nil {
+		return true, nil
+	}
+	return ce.cond.Eval(env)
+}
+
+// CompileEvents compiles every script and condition in the project,
+// returning a map from "<scenarioID>/<objectID>/<trigger>[/<item>]" (and
+// "<scenarioID>//enter" for scenario entry scripts) to their executable
+// form. It fails on the first script error, identifying the offending
+// object. Of two events of one object with the same trigger (and item) only
+// the first fires — the one Object.EventFor returns — so the first owns the
+// key.
+func (p *Project) CompileEvents() (map[string]*CompiledEvent, error) {
+	out := make(map[string]*CompiledEvent)
 	for _, s := range p.Scenarios {
 		if s.OnEnter != "" {
 			prog, err := script.Compile(s.OnEnter)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q on_enter: %w", s.ID, err)
 			}
-			out[EventKey(s.ID, "", OnEnter, "")] = prog
+			out[EventKey(s.ID, "", OnEnter, "")] = &CompiledEvent{Program: prog}
 		}
 		for _, o := range s.Objects {
 			for i := range o.Events {
@@ -308,7 +327,13 @@ func (p *Project) CompileEvents() (map[string]*script.Program, error) {
 				if err != nil {
 					return nil, fmt.Errorf("object %q %s event: %w", o.ID, e.Trigger, err)
 				}
-				out[EventKey(s.ID, o.ID, e.Trigger, e.UseItem)] = prog
+				ce := &CompiledEvent{Program: prog}
+				if e.Condition != "" {
+					ce.cond, ce.condErr = script.CompileCondition(e.Condition)
+				}
+				if key := EventKey(s.ID, o.ID, e.Trigger, e.UseItem); out[key] == nil {
+					out[key] = ce
+				}
 			}
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/faultnet"
 	"repro/internal/gamepack"
-	"repro/internal/media/playback"
 	"repro/internal/netstream"
 	"repro/internal/obs"
 	"repro/internal/playsvc"
@@ -49,7 +48,9 @@ type Config struct {
 	// deterministic replica answers reads, act results and frames, and
 	// acts ship to the hosted session in framed batches that are
 	// reconciled reply by reply (see playsvc.ClientOptions.LocalMirror).
-	// Learners share one decoded-frame cache for their replicas.
+	// Every replica is a session on the one package the fleet opened, so
+	// the learners share its parsed container, compiled scripts and decoded
+	// frames.
 	PlayMirror bool
 	// Course labels the telemetry stream (default: the package name).
 	Course string
@@ -245,11 +246,6 @@ func Run(cfg Config) (*Summary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: prefetched package: %w", err)
 	}
-	var mirrorFrames *playback.FrameCache
-	if cfg.Interactive && cfg.PlayMirror {
-		// All mirror replicas render the same footage; share one cache.
-		mirrorFrames = playback.NewFrameCache(0)
-	}
 	outcomes := make([]learnerOutcome, cfg.Learners)
 	sem := make(chan struct{}, cfg.Concurrency)
 	var wg sync.WaitGroup
@@ -260,7 +256,7 @@ func Run(cfg Config) (*Summary, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outcomes[i] = runLearner(&cfg, i, pkgURL, pkg, mirrorFrames, cache)
+			outcomes[i] = runLearner(&cfg, i, pkgURL, pkg, cache)
 		}(i)
 	}
 	wg.Wait()
@@ -306,7 +302,7 @@ func Run(cfg Config) (*Summary, error) {
 
 // runLearner plays one learner end to end: fetch, open (locally or on the
 // play service), play, report.
-func runLearner(cfg *Config, i int, pkgURL string, pkg *gamepack.Package, mirrorFrames *playback.FrameCache, cache *netstream.PackageCache) learnerOutcome {
+func runLearner(cfg *Config, i int, pkgURL string, pkg *gamepack.Package, cache *netstream.PackageCache) learnerOutcome {
 	var o learnerOutcome
 	nc := &netstream.Client{HTTP: cfg.HTTP, Metrics: cfg.metrics}
 	proj := pkg.Project
@@ -345,14 +341,13 @@ func runLearner(cfg *Config, i int, pkgURL string, pkg *gamepack.Package, mirror
 		// any caller-supplied observer — the same fan-out local mode gets.
 		col := &analytics.Collector{}
 		pc, dialErr := playsvc.Dial(playsvc.ClientOptions{
-			BaseURL:          cfg.PlayURL,
-			Course:           cfg.Package,
-			Project:          proj,
-			Observer:         sim.Observers(col, tc, cfg.Sim.Observer),
-			HTTP:             cfg.HTTP,
-			LocalMirror:      cfg.PlayMirror,
-			Pkg:              pkg,
-			MirrorFrameCache: mirrorFrames,
+			BaseURL:     cfg.PlayURL,
+			Course:      cfg.Package,
+			Project:     proj,
+			Observer:    sim.Observers(col, tc, cfg.Sim.Observer),
+			HTTP:        cfg.HTTP,
+			LocalMirror: cfg.PlayMirror,
+			Pkg:         pkg,
 		})
 		if dialErr != nil {
 			tc.Close()

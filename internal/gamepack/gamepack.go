@@ -15,13 +15,16 @@
 package gamepack
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/media/container"
+	"repro/internal/media/playback"
 )
 
 const (
@@ -43,10 +46,72 @@ const (
 // ErrBadPackage reports a malformed .tkg blob.
 var ErrBadPackage = errors.New("gamepack: malformed package")
 
-// Package is a parsed game package.
+// Package is an opened game package: the project document, the video
+// blob, and — built at most once each, on first use — everything a play
+// session derives from those two. One authored course is played by many
+// learners, so the parsed container, the compiled scripts, the footage
+// digest and the decoded presentation frames belong to the package and
+// every session on it shares them read-only; a session adds only its own
+// state, cursor and decoder.
+//
+// A Package returned by Open is read-only from the start. One assembled
+// from parts (a literal with Project and Video set) is read-only from the
+// first call of any method below. A Package holds locks: pass it by
+// pointer.
 type Package struct {
 	Project *core.Project
 	Video   []byte // raw TKVC blob
+
+	readerOnce sync.Once
+	reader     *container.Reader
+	readerErr  error
+
+	eventsOnce sync.Once
+	events     map[string]*core.CompiledEvent
+	eventsErr  error
+
+	sumOnce sync.Once
+	sum     [sha256.Size]byte
+
+	framesOnce sync.Once
+	frames     *playback.FrameCache
+}
+
+// frameCacheBytes budgets a package's decoded-frame cache: the most
+// decoded pixels one opened course keeps resident, in a server hosting it
+// and in a thick client mirroring it alike. Guided learners present a
+// handful of distinct frames per course (10 across the three demo courses,
+// 576 KB), so the budget only binds a process that watches whole films.
+const frameCacheBytes = 32 << 20
+
+// Reader returns the package's parsed video container, index-validated and
+// checksummed once: Open verifies the video through it and so keeps it, and
+// a package assembled from parts parses on first use.
+func (p *Package) Reader() (*container.Reader, error) {
+	p.readerOnce.Do(func() { p.reader, p.readerErr = container.Open(p.Video) })
+	return p.reader, p.readerErr
+}
+
+// Events returns the project's scripts and conditions in executable form,
+// keyed by core.EventKey, compiled once.
+func (p *Package) Events() (map[string]*core.CompiledEvent, error) {
+	p.eventsOnce.Do(func() { p.events, p.eventsErr = p.Project.CompileEvents() })
+	return p.events, p.eventsErr
+}
+
+// VideoSum returns the SHA-256 of the video blob — what a session snapshot
+// embeds to bind itself to the footage it was taken against.
+func (p *Package) VideoSum() [sha256.Size]byte {
+	p.sumOnce.Do(func() { p.sum = sha256.Sum256(p.Video) })
+	return p.sum
+}
+
+// Frames returns the decoded-frame cache every session on this package
+// presents through (playback.Video.UseCache): the second presentation of
+// any frame, by any session, is a copy instead of a decode.
+func (p *Package) Frames() *playback.FrameCache {
+	p.framesOnce.Do(func() { p.frames = playback.NewFrameCache(frameCacheBytes) })
+	return p.frames
 }
 
 // section is one named payload of a package blob.
@@ -221,8 +286,9 @@ func Open(blob []byte) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gamepack: %w", err)
 	}
-	if _, err := container.Open(video); err != nil {
+	pkg := &Package{Project: proj, Video: video}
+	if _, err := pkg.Reader(); err != nil {
 		return nil, fmt.Errorf("gamepack: video section: %w", err)
 	}
-	return &Package{Project: proj, Video: video}, nil
+	return pkg, nil
 }

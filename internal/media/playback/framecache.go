@@ -15,9 +15,10 @@ import (
 // GOP roll-forwards into one decode and N-1 memcpys.
 //
 // A cache is bound to exactly one container's content: attach it only to
-// Videos opened from the same blob (Video.UseCache). It is safe for
-// concurrent use; cached pixels are immutable once inserted and are
-// copied out under the lock.
+// Videos over the same blob (Video.UseCache). It is safe for concurrent
+// use: cached pixels are immutable once inserted and eviction only drops
+// the cache's reference to them, so a hit takes the entry under the lock
+// and copies it out after releasing it.
 type FrameCache struct {
 	maxBytes int64
 
@@ -58,8 +59,9 @@ func (c *FrameCache) get(i int, dst *raster.Frame) bool {
 		return false
 	}
 	c.lru.MoveToFront(el)
-	dst.CopyFrom(el.Value.(*cacheEntry).f)
+	f := el.Value.(*cacheEntry).f
 	c.mu.Unlock()
+	dst.CopyFrom(f)
 	c.hits.Add(1)
 	return true
 }

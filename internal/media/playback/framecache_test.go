@@ -2,6 +2,7 @@ package playback
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -106,34 +107,73 @@ func TestFrameCacheEviction(t *testing.T) {
 	}
 }
 
-// TestFrameCacheConcurrent hammers one warmed cache from many Videos.
+// TestFrameCacheConcurrent hammers one cache from many Videos: roomy, where
+// after the first pass everything is a hit, and with a budget of a few
+// frames, where every reader's hit — copied out after the lock is released
+// — races the evictions other readers' misses cause. Cached pixels are
+// immutable and an eviction only drops the cache's reference, so either way
+// every frame read must equal the uncached decode.
 func TestFrameCacheConcurrent(t *testing.T) {
 	blob, film := testBlob(t)
-	cache := NewFrameCache(1 << 30)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			v, err := OpenVideo(blob, 1)
-			if err != nil {
-				errs <- err
-				return
-			}
-			v.UseCache(cache)
-			for i := 0; i < film.FrameCount(); i++ {
-				idx := (i*7 + seed) % film.FrameCount()
-				if _, err := v.FrameAt(idx); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	ref, err := OpenVideo(blob, 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([]*raster.Frame, film.FrameCount())
+	for i := range want {
+		f, err := ref.FrameAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = f.Clone()
+	}
+	for name, budget := range map[string]int64{"roomy": 1 << 30, "evicting": 3 * int64(len(want[0].Pix))} {
+		t.Run(name, func(t *testing.T) {
+			cache := NewFrameCache(budget)
+			var wg sync.WaitGroup
+			errs := make(chan error, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(seed int) {
+					defer wg.Done()
+					v, err := OpenVideo(blob, 1)
+					if err != nil {
+						errs <- err
+						return
+					}
+					v.UseCache(cache)
+					for i := 0; i < 2*film.FrameCount(); i++ {
+						// Strides of 7 from different phases, with every
+						// third read a repeat of a frame another reader
+						// just asked for.
+						idx := (i*7 + seed) % film.FrameCount()
+						if i%3 == 2 {
+							idx = ((i-1)*7 + seed + 1) % film.FrameCount()
+						}
+						f, err := v.FrameAt(idx)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if !bytes.Equal(f.Pix, want[idx].Pix) {
+							errs <- fmt.Errorf("reader %d: frame %d differs from the uncached decode", seed, idx)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			hits, _, evictions, _, held := cache.Stats()
+			if hits == 0 {
+				t.Error("no read was ever a hit")
+			}
+			if name == "evicting" && (evictions == 0 || held > budget) {
+				t.Errorf("the tight cache evicted %d frames and holds %d B of a %d B budget", evictions, held, budget)
+			}
+		})
 	}
 }

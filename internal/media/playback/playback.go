@@ -23,8 +23,8 @@ import (
 )
 
 // Video is a decodable container with seek support. It is not safe for
-// concurrent use; each consumer should open its own Video (the underlying
-// blob is shared and read-only).
+// concurrent use; each consumer should have its own Video (the parsed
+// container and the blob under it are shared and read-only).
 type Video struct {
 	r     *container.Reader
 	seek  *Seeker
@@ -40,8 +40,8 @@ func (r readerPackets) PacketAt(j int) ([]byte, error) {
 	return data, err
 }
 
-// UseCache attaches a shared decoded-frame cache. The cache must only
-// ever see Videos opened from the same container blob — frame indices
+// UseCache attaches a shared decoded-frame cache (nil detaches). The cache
+// must only ever see Videos over the same container blob — frame indices
 // are the cache key, so mixing containers would serve wrong pixels.
 func (v *Video) UseCache(c *FrameCache) { v.cache = c }
 
@@ -52,7 +52,14 @@ func OpenVideo(blob []byte, decodeWorkers int) (*Video, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Video{r: r, seek: NewSeeker(decodeWorkers), own: &raster.Frame{}}, nil
+	return NewVideo(r, decodeWorkers), nil
+}
+
+// NewVideo prepares a decoder over an already-parsed container: how many
+// consumers of one blob share its one parse and checksum. A Reader is never
+// written after Open, so any number of Videos may read it at once.
+func NewVideo(r *container.Reader, decodeWorkers int) *Video {
+	return &Video{r: r, seek: NewSeeker(decodeWorkers), own: &raster.Frame{}}
 }
 
 // Close releases the decoder's worker pool promptly (a finalizer releases

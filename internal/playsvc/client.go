@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/gamepack"
-	"repro/internal/media/playback"
 	"repro/internal/media/raster"
 	"repro/internal/obs"
 	"repro/internal/runtime"
@@ -69,11 +68,11 @@ type ClientOptions struct {
 	// in both modes.
 	LocalMirror bool
 	// Pkg is the opened course package (required by LocalMirror; the
-	// fleet already holds it for local play).
+	// fleet already holds it for local play). Every mirror on one Pkg
+	// shares its parsed container, compiled scripts and decoded frames, so
+	// a process mirroring many learners opens the course once and decodes
+	// each presented frame once.
 	Pkg *gamepack.Package
-	// MirrorFrameCache optionally shares decoded presentation frames
-	// across the mirrors of many clients on the same package.
-	MirrorFrameCache *playback.FrameCache
 }
 
 // Client drives one server-hosted session over HTTP. It implements
@@ -177,10 +176,7 @@ func Dial(o ClientOptions) (*Client, error) {
 	c.w, c.h, c.fps = reply.Width, reply.Height, reply.FPS
 	c.apply(reply)
 	if o.LocalMirror {
-		mirror, err := runtime.NewSessionFromPackage(o.Pkg, runtime.Options{
-			Observer:   &c.mirrorCounter,
-			FrameCache: o.MirrorFrameCache,
-		})
+		mirror, err := runtime.NewSessionFromPackage(o.Pkg, runtime.Options{Observer: &c.mirrorCounter})
 		if err != nil {
 			return nil, fmt.Errorf("playsvc: local mirror: %w", err)
 		}

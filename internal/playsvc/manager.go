@@ -27,7 +27,6 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/gamepack"
-	"repro/internal/media/playback"
 	"repro/internal/media/raster"
 	"repro/internal/obs"
 	"repro/internal/runtime"
@@ -46,11 +45,6 @@ type Options struct {
 	// DecodeWorkers is the per-session decode worker count (default 1:
 	// parallelism comes from hosting many sessions, not from within one).
 	DecodeWorkers int
-	// FrameCacheBytes budgets the shared decoded-frame cache kept per
-	// interned video buffer: sessions on the same footage render the same
-	// presentation frames, so one decode serves the whole course. 0 means
-	// the default of 32 MiB per video; negative disables the cache.
-	FrameCacheBytes int64
 	// MaxTicks bounds a single tick act (default 1000) so one request
 	// cannot spin the server arbitrarily long.
 	MaxTicks int
@@ -162,24 +156,54 @@ func (h *hosted) Record(e runtime.Event) { h.events = append(h.events, e) }
 func (h *hosted) touch() { h.lastSeen.Store(time.Now().UnixNano()) }
 
 // course is one published package, opened once and shared read-only by
-// every session hosted on it.
+// every session hosted on it — parsed container, compiled scripts and
+// decoded presentation frames included (gamepack.Package).
 type course struct {
 	name      string
 	pkg       *gamepack.Package
-	videoKey  blobstore.Hash       // content hash of the interned video buffer
-	frames    *playback.FrameCache // shared decoded-frame cache (nil = disabled)
+	videoKey  blobstore.Hash // content hash of the interned video buffer
 	w, h, fps int
 }
 
-// tombstone preserves the final reply of a left session for the retry
+// tombstone preserves the final view of a left session for the retry
 // window: if the leave's reply dies in transit, the retried leave (same
 // seq) is served the SAME final view — including the event and message
 // tail the lost reply carried — instead of an empty confirmation that
-// would lose them forever. Pruned by the janitor alongside idle sessions.
+// would lose them forever. It keeps what a leave reply says (counts, tails,
+// pending quiz) rather than the Reply, most of whose fields a leave never
+// sets: every finished session leaves one behind for a TTL. Pruned by the
+// janitor alongside idle sessions.
 type tombstone struct {
-	seq   int64
-	reply *Reply
-	at    int64 // unix nanos, for pruning
+	seq int64
+	at  int64 // unix nanos, for pruning
+
+	// int32 like the snapshot format, which bounds the same three counts.
+	tick, eventCount, messageCount int32
+	// tail is what few final views have — a polite client has seen
+	// everything by the time it leaves; nil when this one had none of it.
+	tail *tombTail
+}
+
+// tombTail is the part of a final view that is usually empty: what the
+// client had not acknowledged, and a quiz it left unanswered.
+type tombTail struct {
+	quiz     string
+	events   []runtime.Event
+	messages []string
+}
+
+// reply rebuilds the final view the tombstone was saved from.
+func (t *tombstone) reply(session string) *Reply {
+	r := &Reply{
+		Session:      session,
+		Tick:         int(t.tick),
+		EventCount:   int(t.eventCount),
+		MessageCount: int(t.messageCount),
+	}
+	if t.tail != nil {
+		r.Quiz, r.Events, r.Messages = t.tail.quiz, t.tail.events, t.tail.messages
+	}
+	return r
 }
 
 // tombCap bounds tombstones per shard when no janitor runs (TTL<0): the
@@ -232,12 +256,8 @@ type Manager struct {
 	// footage (or differing only in their project document) decode from
 	// one buffer instead of N.
 	videos map[blobstore.Hash][]byte
-	// frameCaches shares decoded presentation frames per interned video:
-	// every session on the same footage renders the same frames, so one
-	// session's decode serves the whole course (pruned with videos).
-	frameCaches map[blobstore.Hash]*playback.FrameCache
-	store       *blobstore.Store
-	dir         SnapshotDir
+	store  *blobstore.Store
+	dir    SnapshotDir
 
 	checkpoints atomic.Int64 // sessions persisted by the periodic checkpointer
 	// draining is set by DrainAll (node decommission): no new session may
@@ -299,7 +319,6 @@ func NewManager(o Options) *Manager {
 		rooms:          map[string]*Room{},
 		courses:        map[string]*course{},
 		videos:         map[blobstore.Hash][]byte{},
-		frameCaches:    map[blobstore.Hash]*playback.FrameCache{},
 		store:          o.Store,
 		dir:            o.Dir,
 		shards:         make([]shard, o.Shards),
@@ -358,10 +377,10 @@ func (m *Manager) runJanitor(ttl time.Duration) {
 	}
 }
 
-// AddCourse publishes a package for hosting. The blob is opened once and
-// its video payload interned by content hash: all sessions on the course
-// share the parsed package read-only, and courses sharing footage share
-// one video buffer (the caller's blob is not retained).
+// AddCourse publishes a package for hosting. The blob is verified and its
+// video payload interned by content hash: all sessions on the course share
+// one opened package read-only, and courses sharing footage share one video
+// buffer (the caller's blob is not retained).
 func (m *Manager) AddCourse(name string, pkgBlob []byte) error {
 	if name == "" {
 		return fmt.Errorf("playsvc: empty course name")
@@ -370,7 +389,7 @@ func (m *Manager) AddCourse(name string, pkgBlob []byte) error {
 	if err != nil {
 		return fmt.Errorf("playsvc: course %s: %w", name, err)
 	}
-	return m.publish(name, pkg)
+	return m.publish(name, pkg.Project, pkg.Video)
 }
 
 // AddCourseFromManifest opens a course directly out of the chunk store:
@@ -411,15 +430,27 @@ func (m *Manager) AddCourseFromManifestTier(name string, man *gamepack.Manifest,
 	if err != nil {
 		return fmt.Errorf("playsvc: course %s: %w", name, err)
 	}
-	return m.publish(name, &gamepack.Package{Project: proj, Video: video})
+	return m.publish(name, proj, video)
 }
 
-// publish probes a parsed course package, interns its video payload by
-// content hash (so courses sharing footage decode from one buffer, and
-// the caller's blob is not retained) and registers it. Video buffers no
+// publish interns a parsed course's video payload by content hash (so
+// courses sharing footage decode from one buffer, and the caller's blob is
+// not retained), probes the package and registers it. Video buffers no
 // longer referenced by any course — e.g. the previous footage of a
 // just-replaced course — are released.
-func (m *Manager) publish(name string, pkg *gamepack.Package) error {
+func (m *Manager) publish(name string, proj *core.Project, video []byte) error {
+	key := blobstore.Sum(video)
+	m.coursesMu.Lock()
+	defer m.coursesMu.Unlock()
+	interned, ok := m.videos[key]
+	if !ok {
+		interned = append([]byte(nil), video...)
+	}
+	// The package every session will share is built over the interned
+	// buffer before anything derives from it: the probe's is the one parse
+	// and checksum of this footage, and what it builds never points into
+	// the caller's blob.
+	pkg := &gamepack.Package{Project: proj, Video: interned}
 	// Probe one session so a package that cannot start (missing start
 	// scenario, bad scripts) is rejected at publish time, not per create.
 	probe, err := runtime.NewSessionFromPackage(pkg, runtime.Options{})
@@ -428,25 +459,8 @@ func (m *Manager) publish(name string, pkg *gamepack.Package) error {
 	}
 	probe.Close()
 	w, h, fps := probe.VideoMeta()
-	key := blobstore.Sum(pkg.Video)
-	m.coursesMu.Lock()
-	defer m.coursesMu.Unlock()
-	if v, ok := m.videos[key]; ok {
-		pkg.Video = v
-	} else {
-		pkg.Video = append([]byte(nil), pkg.Video...)
-		m.videos[key] = pkg.Video
-	}
-	if m.opts.FrameCacheBytes >= 0 {
-		if m.frameCaches[key] == nil {
-			budget := m.opts.FrameCacheBytes
-			if budget == 0 {
-				budget = 32 << 20
-			}
-			m.frameCaches[key] = playback.NewFrameCache(budget)
-		}
-	}
-	m.courses[name] = &course{name: name, pkg: pkg, videoKey: key, frames: m.frameCaches[key], w: w, h: h, fps: fps}
+	m.videos[key] = interned
+	m.courses[name] = &course{name: name, pkg: pkg, videoKey: key, w: w, h: h, fps: fps}
 	used := map[blobstore.Hash]bool{}
 	for _, c := range m.courses {
 		used[c.videoKey] = true
@@ -454,7 +468,6 @@ func (m *Manager) publish(name string, pkg *gamepack.Package) error {
 	for k := range m.videos {
 		if !used[k] {
 			delete(m.videos, k)
-			delete(m.frameCaches, k)
 		}
 	}
 	return nil
@@ -552,7 +565,6 @@ func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
 	sess, err := runtime.NewSessionFromPackage(c.pkg, runtime.Options{
 		DecodeWorkers: m.opts.DecodeWorkers,
 		Observer:      h,
-		FrameCache:    c.frames,
 	})
 	if err != nil {
 		m.liveCount.Add(-1)
@@ -827,9 +839,19 @@ func (m *Manager) leave(req *BatchRequest, h *hosted, sh *shard) (*Reply, error)
 		h.sess.Close()
 		m.closeRoomLocked(h)
 	}
-	// A left session must not resurrect from an old snapshot.
+	// A left session must not resurrect from an old snapshot — and what it
+	// leaves in the store must not outlive it: the envelope names the
+	// session, so nothing else can reference it. (The runtime snapshot under
+	// it is shared by content with every session in the same state; it
+	// stays.) Under h.mu, like every directory write for a held session.
 	if m.dir != nil {
+		ref, ok := m.dir.Lookup(req.Session)
 		m.dir.Delete(req.Session)
+		if ok && m.store != nil {
+			// Best effort: a failed remove strands one small blob and
+			// changes nothing the client or a later thaw can see.
+			_ = m.store.Remove(ref.Envelope)
+		}
 	}
 	h.ack(req.SeenEvents)
 	// The final view is the tails alone: a leave changes no state, and the
@@ -843,7 +865,8 @@ func (m *Manager) leave(req *BatchRequest, h *hosted, sh *shard) (*Reply, error)
 	return r, nil
 }
 
-// saveTomb records a left session's final reply for the retry window.
+// saveTomb records a left session's final view (r, as tail built it) for
+// the retry window.
 func (sh *shard) saveTomb(session string, seq int64, r *Reply) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -857,17 +880,24 @@ func (sh *shard) saveTomb(session string, seq int64, r *Reply) {
 		}
 		delete(sh.tombs, oldest)
 	}
-	sh.tombs[session] = &tombstone{seq: seq, reply: r, at: time.Now().UnixNano()}
+	t := &tombstone{
+		seq: seq, at: time.Now().UnixNano(),
+		tick: int32(r.Tick), eventCount: int32(r.EventCount), messageCount: int32(r.MessageCount),
+	}
+	if r.Quiz != "" || len(r.Events) > 0 || len(r.Messages) > 0 {
+		t.tail = &tombTail{quiz: r.Quiz, events: r.Events, messages: r.Messages}
+	}
+	sh.tombs[session] = t
 }
 
-// takeTomb serves a tombstoned final reply for a matching retried leave.
+// takeTomb serves a tombstoned final view for a matching retried leave.
 // The tombstone stays (further retries of the same lost reply must see the
 // same answer); the janitor prunes it.
 func (sh *shard) takeTomb(session string, seq int64) *Reply {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if t := sh.tombs[session]; t != nil && t.seq == seq {
-		return t.reply
+		return t.reply(session)
 	}
 	return nil
 }
@@ -1229,7 +1259,8 @@ func (m *Manager) Register(reg *obs.Registry) {
 		}
 	}
 	// videos reads the interned video buffers; frameCaches sweeps the
-	// shared decoded-frame caches once, keeping the one field pick names.
+	// published packages' decoded-frame caches once, keeping the one field
+	// pick names.
 	videos := func(read func(v []byte) int64) func() int64 {
 		return func() (n int64) {
 			m.coursesMu.RLock()
@@ -1244,8 +1275,8 @@ func (m *Manager) Register(reg *obs.Registry) {
 		return func() (n int64) {
 			m.coursesMu.RLock()
 			defer m.coursesMu.RUnlock()
-			for _, c := range m.frameCaches {
-				n += pick(c.Stats())
+			for _, c := range m.courses {
+				n += pick(c.pkg.Frames().Stats())
 			}
 			return n
 		}
@@ -1283,7 +1314,7 @@ func (m *Manager) Register(reg *obs.Registry) {
 	reg.CounterFunc("playsvc_framecache_hits_total", "decoded-frame cache hits", frameCaches(func(h, _, _, _, _ int64) int64 { return h }))
 	reg.CounterFunc("playsvc_framecache_misses_total", "decoded-frame cache misses", frameCaches(func(_, mi, _, _, _ int64) int64 { return mi }))
 	reg.CounterFunc("playsvc_framecache_evictions_total", "decoded frames evicted by the byte budget", frameCaches(func(_, _, e, _, _ int64) int64 { return e }))
-	reg.GaugeFunc("playsvc_framecache_bytes", "decoded pixels resident in the shared frame caches", frameCaches(func(_, _, _, _, b int64) int64 { return b }))
+	reg.GaugeFunc("playsvc_framecache_bytes", "decoded pixels resident in the courses' frame caches", frameCaches(func(_, _, _, _, b int64) int64 { return b }))
 	reg.RegisterHistogram("playsvc_act_seconds", "act request latency", "seconds", m.actNs)
 	reg.RegisterHistogram("playsvc_state_seconds", "state request latency", "seconds", m.stateNs)
 	reg.RegisterHistogram("playsvc_frame_seconds", "frame request latency", "seconds", m.frameNs)

@@ -528,7 +528,6 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	sess, err := runtime.RestoreSessionFromPackage(c.pkg, snap, runtime.Options{
 		DecodeWorkers: m.opts.DecodeWorkers,
 		Observer:      h,
-		FrameCache:    c.frames,
 	})
 	if err != nil {
 		m.liveCount.Add(-1)

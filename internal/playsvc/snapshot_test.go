@@ -482,10 +482,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 }
 
 // TestLeaveDeletesSnapshot: a session that leaves must not resurrect from
-// a stale directory entry.
+// a stale directory entry, nor leave its envelope in the store.
 func TestLeaveDeletesSnapshot(t *testing.T) {
-	opts, _, dir := durableOptions(t)
+	opts, store, dir := durableOptions(t)
 	_, m := durableService(t, opts)
+	base := store.Stats().Chunks
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
 		t.Fatal(err)
@@ -504,6 +505,11 @@ func TestLeaveDeletesSnapshot(t *testing.T) {
 	}
 	if dir.Len() != 0 {
 		t.Fatal("leave left a snapshot behind")
+	}
+	// The newborn runtime snapshot stays (the next create shares it by
+	// content); the envelope, which names the session, went with it.
+	if got := store.Stats().Chunks - base; got != 1 {
+		t.Fatalf("a left session leaves %d chunks in the store, want 1 (the shared newborn snapshot)", got)
 	}
 	if _, err := m.Create(&CreateRequest{Resume: r.Session}); err == nil {
 		t.Fatal("left session resurrected")

@@ -29,9 +29,11 @@ func (s *Session) frameViaOwn(dst *raster.Frame) error {
 // walk — ticks, scenario switches, segment loops, repeated reads — one
 // presenting through FrameInto, the other through the copy-out path it
 // replaced, without a frame cache, with a roomy one and with one so small it
-// evicts constantly. Every frame must be pixel-equal, earlier results must
-// survive later decodes (dst aliases no session buffer), and once warm a
-// presented frame costs no allocation.
+// evicts constantly (a session presents through its package's cache; the
+// other two are swapped in where a cache attaches, Video.UseCache). Every
+// frame must be pixel-equal, earlier results must survive later decodes (dst
+// aliases no session buffer), and once warm a presented frame costs no
+// allocation.
 func TestFrameIntoDecodesStraightIntoDst(t *testing.T) {
 	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8, Workers: 2})
 	if err != nil {
@@ -44,16 +46,18 @@ func TestFrameIntoDecodesStraightIntoDst(t *testing.T) {
 	}
 	for name, newCache := range caches {
 		t.Run(name, func(t *testing.T) {
-			sut, err := NewSession(blob, Options{FrameCache: newCache()})
+			sut, err := NewSession(blob, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sut.Close()
-			ref, err := NewSession(blob, Options{FrameCache: newCache()})
+			sut.video.UseCache(newCache())
+			ref, err := NewSession(blob, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ref.Close()
+			ref.video.UseCache(newCache())
 			var scenarios []string
 			for _, sc := range sut.pkg.Project.Scenarios {
 				scenarios = append(scenarios, sc.ID)

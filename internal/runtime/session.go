@@ -17,7 +17,6 @@ import (
 	"repro/internal/gamepack"
 	"repro/internal/media/playback"
 	"repro/internal/media/raster"
-	"repro/internal/script"
 )
 
 // Event is one telemetry record. The JSON tags are the telemetry wire
@@ -41,12 +40,6 @@ type Options struct {
 	// from within one decoder. Set >1 only for single-viewer setups.
 	DecodeWorkers int
 	Observer      Observer // optional telemetry sink
-	// FrameCache, when set, shares decoded presentation frames with every
-	// other session on the same package — hosted deployments render the
-	// same video frames for hundreds of learners, so the second render of
-	// any frame becomes a memcpy. The cache must be dedicated to this
-	// package's video (frame indices are the key).
-	FrameCache *playback.FrameCache
 }
 
 // maxGotoChain bounds scenario switches triggered from OnEnter scripts, so
@@ -60,7 +53,7 @@ type Session struct {
 	cursor *playback.Cursor
 	state  *core.State
 	sink   *core.Sink
-	progs  map[string]*script.Program
+	events map[string]*core.CompiledEvent // the package's, shared read-only
 	obs    Observer
 
 	tick      int
@@ -89,8 +82,11 @@ func NewSession(pkgBlob []byte, opts Options) (*Session, error) {
 }
 
 // NewSessionFromPackage starts a session over an already-opened package.
-// The package is shared read-only: a play service opens each course once
-// and hosts many concurrent sessions on it without re-parsing the blob.
+// The package is shared read-only, and so is everything derived from its
+// bytes — parsed container, compiled scripts, decoded frames (see
+// gamepack.Package): a play service, a fleet of mirror clients or a local
+// player opens each course once, and a session on it parses nothing,
+// checksums nothing and compiles nothing.
 func NewSessionFromPackage(pkg *gamepack.Package, opts Options) (*Session, error) {
 	return newSessionFromPackage(pkg, opts)
 }
@@ -113,32 +109,32 @@ func newSessionFromPackage(pkg *gamepack.Package, opts Options) (*Session, error
 	return s, nil
 }
 
-// buildSession assembles a session over a package — video, compiled
-// scripts, state and sink wiring — without entering any scenario. The
-// normal constructor enters the start scenario and runs its OnEnter;
-// RestoreSessionFromPackage instead installs a snapshot's state and seeks
-// the cursor to the saved position (the player resumes, not re-arrives).
+// buildSession assembles a session over a package — a decoder over the
+// package's container and frame cache, its compiled scripts, fresh state
+// and sink wiring — without entering any scenario. The normal constructor
+// enters the start scenario and runs its OnEnter; RestoreSessionFromPackage
+// instead installs a snapshot's state and seeks the cursor to the saved
+// position (the player resumes, not re-arrives).
 func buildSession(pkg *gamepack.Package, opts Options) (*Session, error) {
 	if opts.DecodeWorkers <= 0 {
 		opts.DecodeWorkers = 1
 	}
-	video, err := playback.OpenVideo(pkg.Video, opts.DecodeWorkers)
+	reader, err := pkg.Reader()
 	if err != nil {
 		return nil, err
 	}
-	if opts.FrameCache != nil {
-		video.UseCache(opts.FrameCache)
-	}
-	progs, err := pkg.Project.CompileEvents()
+	events, err := pkg.Events()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
+	video := playback.NewVideo(reader, opts.DecodeWorkers)
+	video.UseCache(pkg.Frames())
 	s := &Session{
 		pkg:     pkg,
 		video:   video,
 		cursor:  playback.NewCursor(video, playback.Loop),
 		state:   core.NewState(pkg.Project),
-		progs:   progs,
+		events:  events,
 		obs:     opts.Observer,
 		npcPos:  map[string]int{},
 		sprites: map[*core.Object]*raster.Frame{},
@@ -347,9 +343,9 @@ func (s *Session) Take(objectID string) bool {
 		s.sink.Say("You cannot take the " + o.Name + ".")
 		return false
 	}
-	ev := o.EventFor(core.OnTake, "")
-	if ev != nil {
-		if !s.conditionHolds(ev) {
+	if ev := o.EventFor(core.OnTake, ""); ev != nil {
+		ce := s.compiled(o, ev)
+		if !s.conditionHolds(ce) {
 			s.record("take-blocked", o.ID)
 			// Let the object explain itself if it can.
 			if !s.runEvent(o, core.OnClick, "") && o.Description != "" {
@@ -358,7 +354,7 @@ func (s *Session) Take(objectID string) bool {
 			return false
 		}
 		s.record("take", o.ID)
-		s.runProgram(o, ev)
+		s.runProgram(o, ce)
 	} else {
 		// Default: the object itself becomes an inventory item.
 		s.record("take", o.ID)
@@ -381,12 +377,9 @@ func (s *Session) UseItemOn(item, objectID string) {
 		return
 	}
 	s.record("use", item+" on "+o.ID)
-	ev := o.EventFor(core.OnUse, item)
-	if ev == nil || !s.conditionHolds(ev) {
+	if !s.runEvent(o, core.OnUse, item) {
 		s.sink.Say("The " + item + " does not work on " + o.Name + ".")
-		return
 	}
-	s.runProgram(o, ev)
 }
 
 // SelectItem marks an inventory item for the next use-on-object click.
@@ -428,12 +421,25 @@ func (s *Session) visibleObject(id string) *core.Object {
 	return o
 }
 
-// conditionHolds evaluates an event's guard (no condition = true).
-func (s *Session) conditionHolds(ev *core.Event) bool {
-	if ev.Condition == "" {
-		return true
+// compiled finds an event's executable form among the package's; nil if
+// the event was never compiled (it is not part of the project document).
+func (s *Session) compiled(o *core.Object, ev *core.Event) *core.CompiledEvent {
+	ce := s.events[core.EventKey(s.state.Scenario, o.ID, ev.Trigger, ev.UseItem)]
+	if ce == nil {
+		// The object may live in a different scenario key space; find it.
+		if sc, _ := s.pkg.Project.FindObject(o.ID); sc != nil {
+			ce = s.events[core.EventKey(sc.ID, o.ID, ev.Trigger, ev.UseItem)]
+		}
 	}
-	ok, err := script.EvalCondition(ev.Condition, s.state)
+	return ce
+}
+
+// conditionHolds evaluates an event's guard (no condition = true).
+func (s *Session) conditionHolds(ce *core.CompiledEvent) bool {
+	if ce == nil {
+		return true // runProgram reports the missing program
+	}
+	ok, err := ce.Holds(s.state)
 	if err != nil {
 		s.record("error", "condition: "+err.Error())
 		return false
@@ -445,28 +451,24 @@ func (s *Session) conditionHolds(ev *core.Event) bool {
 // existed and ran.
 func (s *Session) runEvent(o *core.Object, t core.TriggerType, item string) bool {
 	ev := o.EventFor(t, item)
-	if ev == nil || !s.conditionHolds(ev) {
+	if ev == nil {
 		return false
 	}
-	s.runProgram(o, ev)
+	ce := s.compiled(o, ev)
+	if !s.conditionHolds(ce) {
+		return false
+	}
+	s.runProgram(o, ce)
 	return true
 }
 
 // runProgram executes an event's compiled script.
-func (s *Session) runProgram(o *core.Object, ev *core.Event) {
-	key := core.EventKey(s.state.Scenario, o.ID, ev.Trigger, ev.UseItem)
-	prog := s.progs[key]
-	if prog == nil {
-		// The object may live in a different scenario key space; find it.
-		if sc, _ := s.pkg.Project.FindObject(o.ID); sc != nil {
-			prog = s.progs[core.EventKey(sc.ID, o.ID, ev.Trigger, ev.UseItem)]
-		}
-	}
-	if prog == nil {
+func (s *Session) runProgram(o *core.Object, ce *core.CompiledEvent) {
+	if ce == nil {
 		s.record("error", "no compiled program for "+o.ID)
 		return
 	}
-	if err := prog.Run(s.state, s.sink); err != nil {
+	if err := ce.Program.Run(s.state, s.sink); err != nil {
 		s.record("error", err.Error())
 	}
 	s.drainSinkProblems()
@@ -498,11 +500,11 @@ func (s *Session) runEnter(sc *core.Scenario) {
 	}
 	s.gotoDepth++
 	defer func() { s.gotoDepth-- }()
-	prog := s.progs[core.EventKey(sc.ID, "", core.OnEnter, "")]
-	if prog == nil {
+	ce := s.events[core.EventKey(sc.ID, "", core.OnEnter, "")]
+	if ce == nil {
 		return
 	}
-	if err := prog.Run(s.state, s.sink); err != nil {
+	if err := ce.Program.Run(s.state, s.sink); err != nil {
 		s.record("error", err.Error())
 	}
 	s.drainSinkProblems()

@@ -87,7 +87,7 @@ func (s *Session) Snapshot() []byte {
 	b := make([]byte, 0, 512)
 	b = append(b, snapMagic...)
 	b = binary.AppendUvarint(b, snapVersion)
-	sum := sha256.Sum256(s.pkg.Video)
+	sum := s.pkg.VideoSum()
 	b = appendRecord(b, tagVideoSum, sum[:])
 	b = appendRecord(b, tagState, mustJSON(s.state))
 	b = appendUintRecord(b, tagTick, uint64(s.tick))
@@ -270,8 +270,7 @@ func RestoreSessionFromPackage(pkg *gamepack.Package, snap []byte, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(pkg.Video)
-	if string(sum[:]) != string(d.videoSum) {
+	if sum := pkg.VideoSum(); string(sum[:]) != string(d.videoSum) {
 		return nil, badf("snapshot was taken against different footage")
 	}
 	state, err := core.LoadState(d.stateRaw)

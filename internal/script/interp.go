@@ -302,23 +302,34 @@ func evalBinary(e *binaryExpr, env Env) (Value, error) {
 	return Value{}, errAt(e.line, e.col, "unknown operator")
 }
 
-// EvalCondition compiles and evaluates src as a single boolean expression —
-// used by the authoring tool's validator to check event conditions.
-func EvalCondition(src string, env Env) (bool, error) {
+// Condition is a compiled guard expression: an event's condition lexed and
+// parsed once, evaluated as often as the event is tried. It is immutable,
+// so every session on a package shares the same one.
+type Condition struct{ e expr }
+
+// CompileCondition lexes and parses src as a single expression. Errors
+// carry line:col positions.
+func CompileCondition(src string) (*Condition, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	p := &parser{toks: toks}
 	e, err := p.expression()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if p.cur().kind != tokEOF {
 		t := p.cur()
-		return false, errAt(t.line, t.col, "unexpected %v after expression", t.kind)
+		return nil, errAt(t.line, t.col, "unexpected %v after expression", t.kind)
 	}
-	v, err := eval(e, env)
+	return &Condition{e: e}, nil
+}
+
+// Eval evaluates the condition against env; anything but a bool is an
+// error.
+func (c *Condition) Eval(env Env) (bool, error) {
+	v, err := eval(c.e, env)
 	if err != nil {
 		return false, err
 	}
@@ -326,4 +337,15 @@ func EvalCondition(src string, env Env) (bool, error) {
 		return false, errAt(1, 1, "condition evaluates to %v, want bool", v.Kind)
 	}
 	return v.Bool, nil
+}
+
+// EvalCondition compiles and evaluates src as a single boolean expression —
+// used by the authoring tool's validator to check event conditions. The
+// runtime compiles each condition once (CompileCondition) instead.
+func EvalCondition(src string, env Env) (bool, error) {
+	c, err := CompileCondition(src)
+	if err != nil {
+		return false, err
+	}
+	return c.Eval(env)
 }

@@ -9,7 +9,8 @@
 //   - Store: a sharded, lock-striped event store keyed by session ID. Live
 //     sessions accumulate raw runtime.Event logs; a finished session is
 //     digested through the analytics package and folded into its course's
-//     rolling aggregate, after which the raw log is released.
+//     rolling aggregate, after which the raw log is released and a small
+//     mark absorbs replayed deliveries for the idle window.
 //   - Service: the HTTP ingest API (/telemetry/ingest, /telemetry/stats,
 //     /healthz) with bounded per-worker queues — the backpressure surface.
 //   - Client: a batching runtime.Observer that posts event batches,
@@ -103,20 +104,30 @@ type Store struct {
 
 type storeShard struct {
 	mu       sync.Mutex
-	sessions map[string]*sessionLog
+	sessions map[string]*sessionLog // live: started, not yet folded
+	// folded holds what a digested session leaves behind so replayed
+	// deliveries of its batches are recognized and dropped: the course it
+	// was bound to and when it was last heard from, by value — every
+	// finished session keeps one for the idle window, so it is two words,
+	// not a log.
+	folded map[string]foldMark
 }
 
 type sessionLog struct {
-	course   string
+	course   *courseAgg
 	start    string
 	events   []runtime.Event
 	nextSeq  int       // next expected batch Seq (for tagged batches)
 	lastSeen time.Time // last Append; drives idle expiry
-	folded   bool      // session digested; entry kept as a tombstone so replayed
-	// deliveries of its batches are recognized and dropped
+}
+
+type foldMark struct {
+	course   *courseAgg
+	lastSeen int64 // unix nanos of the fold; drives mark expiry
 }
 
 type courseAgg struct {
+	name     string
 	mu       sync.Mutex
 	started  int
 	expired  int // sessions folded by idle expiry rather than a Done batch
@@ -135,6 +146,7 @@ func NewStore(shards int) *Store {
 	}
 	for i := range st.shards {
 		st.shards[i].sessions = map[string]*sessionLog{}
+		st.shards[i].folded = map[string]foldMark{}
 	}
 	return st
 }
@@ -164,7 +176,7 @@ func (st *Store) course(name string) *courseAgg {
 	st.coursesMu.Lock()
 	defer st.coursesMu.Unlock()
 	if c = st.courses[name]; c == nil {
-		c = &courseAgg{tickHist: make([]int, len(tickBuckets)+1)}
+		c = &courseAgg{name: name, tickHist: make([]int, len(tickBuckets)+1)}
 		st.courses[name] = c
 	}
 	return c
@@ -173,10 +185,10 @@ func (st *Store) course(name string) *courseAgg {
 // Append applies one batch: events are appended to the session's log (a new
 // session counts as started); a Done batch digests the session into an
 // analytics.Report, folds it into the course aggregate and releases the raw
-// log, leaving a small tombstone that absorbs replayed deliveries. Batches
-// of one session must be applied in session order — the Service guarantees
-// this by routing each session to a fixed worker — and duplicate deliveries
-// of a Seq-tagged batch are dropped, making at-least-once delivery safe.
+// log, leaving a small mark that absorbs replayed deliveries. Batches of one
+// session must be applied in session order — the Service guarantees this by
+// routing each session to a fixed worker — and duplicate deliveries of a
+// Seq-tagged batch are dropped, making at-least-once delivery safe.
 func (st *Store) Append(b Batch) error {
 	if err := b.Validate(); err != nil {
 		return err
@@ -184,12 +196,18 @@ func (st *Store) Append(b Batch) error {
 	sh := st.shardFor(b.Session)
 	sh.mu.Lock()
 	log, ok := sh.sessions[b.Session]
+	var bound *courseAgg // the course this session id is tied to, live or folded
 	if ok {
-		if log.course != b.Course {
+		bound = log.course
+	} else if mark, folded := sh.folded[b.Session]; folded {
+		bound = mark.course
+	}
+	if bound != nil {
+		if bound.name != b.Course {
 			sh.mu.Unlock()
-			return fmt.Errorf("telemetry: session %q already bound to course %q", b.Session, log.course)
+			return fmt.Errorf("telemetry: session %q already bound to course %q", b.Session, bound.name)
 		}
-		if log.folded {
+		if !ok {
 			// The session was already digested; this is a replayed delivery
 			// (e.g. the client re-sent its Done batch after a lost ack).
 			sh.mu.Unlock()
@@ -214,9 +232,9 @@ func (st *Store) Append(b Batch) error {
 		}
 	}
 	if !ok {
-		log = &sessionLog{course: b.Course, start: b.Start, nextSeq: 1}
+		log = &sessionLog{course: st.course(b.Course), start: b.Start, nextSeq: 1}
 		sh.sessions[b.Session] = log
-		st.course(b.Course).noteStarted()
+		log.course.noteStarted()
 	}
 	if b.Seq > 0 {
 		log.nextSeq = b.Seq + 1
@@ -230,24 +248,29 @@ func (st *Store) Append(b Batch) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	events := log.events
-	log.events = nil // tombstone keeps only the bookkeeping fields
-	log.folded = true
+	sh.fold(b.Session, log)
 	sh.mu.Unlock()
 
 	// Digest outside the shard lock: folding is per-course work.
-	st.digestAndFold(log.course, log.start, events, false)
+	log.digestAndFold(false)
 	return nil
+}
+
+// fold retires a live session's log to a mark; sh.mu must be held. The log
+// is the caller's to digest.
+func (sh *storeShard) fold(session string, log *sessionLog) {
+	delete(sh.sessions, session)
+	sh.folded[session] = foldMark{course: log.course, lastSeen: log.lastSeen.UnixNano()}
 }
 
 // digestAndFold reduces one finished (or expired) session's events to a
 // report and folds it into its course aggregate.
-func (st *Store) digestAndFold(course, start string, events []runtime.Event, expired bool) {
+func (log *sessionLog) digestAndFold(expired bool) {
 	col := &analytics.Collector{}
-	for _, e := range events {
+	for _, e := range log.events {
 		col.Record(e)
 	}
-	st.course(course).fold(col.Digest(start), expired)
+	log.course.fold(col.Digest(log.start), expired)
 }
 
 func (c *courseAgg) noteStarted() {
@@ -290,36 +313,31 @@ func (st *Store) LiveSessions() int {
 
 // ExpireIdle reclaims sessions idle since before the cutoff: an unfolded
 // session (its client died without sending Done) is digested as-is and
-// folded into its course aggregate, counted under SessionsExpired; an
-// already-folded tombstone is deleted outright — by the time a tombstone
+// folded into its course aggregate, counted under SessionsExpired; the mark
+// of an already-folded session is deleted outright — by the time a mark
 // goes idle past the cutoff, a replayed delivery of its batches is no
 // longer worth defending against. Returns how many live sessions expired.
 func (st *Store) ExpireIdle(cutoff time.Time) int {
-	type orphan struct {
-		course string
-		start  string
-		events []runtime.Event
-	}
-	var orphans []orphan
+	var orphans []*sessionLog
+	cut := cutoff.UnixNano()
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
+		for id, mark := range sh.folded {
+			if mark.lastSeen < cut {
+				delete(sh.folded, id)
+			}
+		}
 		for id, log := range sh.sessions {
-			if !log.lastSeen.Before(cutoff) {
-				continue
+			if log.lastSeen.Before(cutoff) {
+				orphans = append(orphans, log)
+				sh.fold(id, log)
 			}
-			if log.folded {
-				delete(sh.sessions, id)
-				continue
-			}
-			orphans = append(orphans, orphan{course: log.course, start: log.start, events: log.events})
-			log.events = nil
-			log.folded = true
 		}
 		sh.mu.Unlock()
 	}
-	for _, o := range orphans {
-		st.digestAndFold(o.course, o.start, o.events, true)
+	for _, log := range orphans {
+		log.digestAndFold(true)
 	}
 	return len(orphans)
 }

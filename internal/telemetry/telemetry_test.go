@@ -549,14 +549,100 @@ func TestStoreExpireIdle(t *testing.T) {
 	// Second sweep deletes the remaining tombstones; replays of the
 	// finished session now recreate it (documented trade-off).
 	st.ExpireIdle(time.Now().Add(time.Hour))
-	total := 0
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-		total += len(st.shards[i].sessions)
-		st.shards[i].mu.Unlock()
+	if live, marks := storeEntries(st); live+marks != 0 {
+		t.Errorf("%d sessions and %d fold marks survived two sweeps", live, marks)
 	}
-	if total != 0 {
-		t.Errorf("%d entries survived two sweeps", total)
+}
+
+// storeEntries counts what the store holds per session: live logs and the
+// marks folded sessions leave behind.
+func storeEntries(st *Store) (live, marks int) {
+	for i := range st.shards {
+		sh := &st.shards[i]
+		sh.mu.Lock()
+		live += len(sh.sessions)
+		marks += len(sh.folded)
+		sh.mu.Unlock()
+	}
+	return live, marks
+}
+
+// TestStoreFoldMarks: a folded session leaves a mark — its course and when
+// it was last heard from — where it used to leave its whole log entry, and
+// the mark must do everything the entry did: drop a replayed Done batch and
+// any stale one without re-counting the session, still refuse a replay that
+// names another course, age out on ExpireIdle's cutoff and not before, and
+// never let started = ended + expired + live be observed broken.
+func TestStoreFoldMarks(t *testing.T) {
+	st := NewStore(4)
+	events := sessionEvents()
+	invariant := func(when string) CourseStats {
+		t.Helper()
+		cs := st.Snapshot()["c"]
+		if cs.SessionsStarted != cs.SessionsEnded+cs.SessionsExpired+cs.LiveSessions {
+			t.Fatalf("%s: started %d != ended %d + expired %d + live %d", when,
+				cs.SessionsStarted, cs.SessionsEnded, cs.SessionsExpired, cs.LiveSessions)
+		}
+		return cs
+	}
+	first := Batch{Course: "c", Session: "s", Start: "classroom", Seq: 1, Events: events[:5]}
+	done := Batch{Course: "c", Session: "s", Seq: 2, Events: events[5:], Done: true}
+	for _, b := range []Batch{first, done} {
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		invariant("while playing")
+	}
+	if live, marks := storeEntries(st); live != 0 || marks != 1 {
+		t.Fatalf("a folded session leaves %d logs and %d marks, want 0 and 1", live, marks)
+	}
+	// Replays after the fold: the lost-ack Done, a stale first batch, and a
+	// hand-posted batch without a seq — all absorbed.
+	for _, b := range []Batch{done, first, {Course: "c", Session: "s", Events: events[:2]}} {
+		if err := st.Append(b); err != nil {
+			t.Fatalf("replayed batch seq %d: %v", b.Seq, err)
+		}
+	}
+	cs := invariant("after replays")
+	if want := digestOf(events, "classroom"); cs.SessionsStarted != 1 || cs.SessionsEnded != 1 || cs.Events != want.TotalEvents {
+		t.Fatalf("replays were counted: %+v", cs)
+	}
+	// The mark still binds the session id to its course.
+	if err := st.Append(Batch{Course: "other", Session: "s", Seq: 2, Done: true}); err == nil || !strings.Contains(err.Error(), `bound to course "c"`) {
+		t.Fatalf("a replay naming another course: %v", err)
+	}
+	if _, ok := st.Snapshot()["other"]; ok {
+		t.Fatal("the refused replay registered its course")
+	}
+
+	// An abandoned session beside it, then the sweeps.
+	if err := st.Append(Batch{Course: "c", Session: "orphan", Start: "classroom", Seq: 1, Events: events[:3]}); err != nil {
+		t.Fatal(err)
+	}
+	invariant("with an orphan")
+	if n := st.ExpireIdle(time.Now().Add(-time.Minute)); n != 0 {
+		t.Fatalf("a cutoff in the past expired %d sessions", n)
+	}
+	if live, marks := storeEntries(st); live != 1 || marks != 1 {
+		t.Fatalf("a cutoff in the past left %d logs and %d marks, want 1 and 1", live, marks)
+	}
+	if n := st.ExpireIdle(time.Now().Add(time.Minute)); n != 1 {
+		t.Fatalf("expired %d sessions, want the orphan", n)
+	}
+	cs = invariant("after the sweep")
+	if cs.SessionsExpired != 1 || cs.LiveSessions != 0 {
+		t.Fatalf("after the sweep: %+v", cs)
+	}
+	// The finished session's mark was past the cutoff and is gone; the
+	// orphan's was made by this sweep and waits for the next.
+	if live, marks := storeEntries(st); live != 0 || marks != 1 {
+		t.Fatalf("the sweep left %d logs and %d marks, want 0 and the orphan's", live, marks)
+	}
+	if err := st.Append(Batch{Course: "c", Session: "orphan", Seq: 2, Done: true}); err != nil {
+		t.Fatal(err)
+	}
+	if cs := invariant("after the orphan's late Done"); cs.SessionsStarted != 2 || cs.SessionsEnded != 1 {
+		t.Fatalf("the expired orphan's late Done was counted: %+v", cs)
 	}
 }
 
