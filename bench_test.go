@@ -7,6 +7,7 @@ package repro
 import (
 	"fmt"
 	"net/http/httptest"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -64,7 +65,7 @@ func film(b *testing.B) *synth.Film {
 func video(b *testing.B) []byte {
 	f := film(b)
 	onceVideo.Do(func() {
-		blob, err := studio.Record(f, studio.Options{QStep: 8, GOP: 12, Workers: 2})
+		blob, err := studio.Record(f, studio.Options{QStep: 8, GOP: 12})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,6 +94,32 @@ func BenchmarkShotDetect(b *testing.B) {
 	}}
 	cfg := shotdetect.Defaults()
 	b.ReportMetric(float64(f.FrameCount()), "frames")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := shotdetect.Detect(src, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShotDetectDecoded is shot detection as the authoring tool runs
+// it: over a playback.Video, so every frame is a decode. The detector's one
+// histogram worker overlaps the decode of the next frame — the one piece of
+// intra-request concurrency that pays (EXPERIMENTS.md E28); read it at
+// -cpu 1,2.
+func BenchmarkShotDetectDecoded(b *testing.B) {
+	blob, err := content.Classroom().RecordVideo(studio.Options{QStep: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := playback.OpenVideo(blob, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := v.Meta().FrameCount
+	src := shotdetect.SerializedSource(n, v.FrameAt)
+	cfg := shotdetect.Defaults()
+	b.ReportMetric(float64(n), "frames")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := shotdetect.Detect(src, cfg); err != nil {
@@ -133,7 +160,7 @@ func BenchmarkScenarioSwitchLinearScan(b *testing.B) {
 
 // --- E3: codec ---------------------------------------------------------
 
-func benchmarkEncode(b *testing.B, w, h, q, workers int) {
+func benchmarkEncode(b *testing.B, w, h, q int) {
 	f := synth.Generate(synth.Spec{
 		W: w, H: h, FPS: 10, Shots: 2,
 		MinShotFrames: 15, MaxShotFrames: 16, NoiseAmp: 2, Seed: 5,
@@ -142,13 +169,10 @@ func benchmarkEncode(b *testing.B, w, h, q, workers int) {
 	for i := range frames {
 		frames[i] = f.Render(i)
 	}
-	enc, err := vcodec.NewEncoder(vcodec.Config{
-		Width: w, Height: h, QStep: q, GOP: 8, SearchRange: 3, Workers: workers,
-	})
+	enc, err := vcodec.NewEncoder(vcodec.Config{Width: w, Height: h, QStep: q, GOP: 8, SearchRange: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer enc.Close()
 	var bytes int
 	b.SetBytes(int64(w * h * 3)) // raw RGB input per op → MB/s alongside ns/op
 	b.ResetTimer()
@@ -162,18 +186,16 @@ func benchmarkEncode(b *testing.B, w, h, q, workers int) {
 	b.ReportMetric(float64(bytes)/float64(b.N), "bytes/frame")
 }
 
-func BenchmarkEncode160x120Q4W1(b *testing.B)  { benchmarkEncode(b, 160, 120, 4, 1) }
-func BenchmarkEncode160x120Q4W4(b *testing.B)  { benchmarkEncode(b, 160, 120, 4, 4) }
-func BenchmarkEncode320x240Q4W1(b *testing.B)  { benchmarkEncode(b, 320, 240, 4, 1) }
-func BenchmarkEncode160x120Q16W1(b *testing.B) { benchmarkEncode(b, 160, 120, 16, 1) }
+func BenchmarkEncode160x120Q4(b *testing.B)  { benchmarkEncode(b, 160, 120, 4) }
+func BenchmarkEncode320x240Q4(b *testing.B)  { benchmarkEncode(b, 320, 240, 4) }
+func BenchmarkEncode160x120Q16(b *testing.B) { benchmarkEncode(b, 160, 120, 16) }
 
 func decodeBenchPackets(b *testing.B, qstep int) [][]byte {
 	f := synth.Generate(synth.Spec{
 		W: 160, H: 120, FPS: 10, Shots: 2,
 		MinShotFrames: 15, MaxShotFrames: 16, NoiseAmp: 2, Seed: 5,
 	})
-	enc, _ := vcodec.NewEncoder(vcodec.Config{Width: 160, Height: 120, QStep: qstep, GOP: 8, SearchRange: 3, Workers: 1})
-	defer enc.Close()
+	enc, _ := vcodec.NewEncoder(vcodec.Config{Width: 160, Height: 120, QStep: qstep, GOP: 8, SearchRange: 3})
 	var pkts [][]byte
 	for i := 0; i < 16; i++ {
 		p, err := enc.Encode(f.Render(i))
@@ -194,7 +216,7 @@ func benchmarkDecodeRungs(b *testing.B, step func(dec *vcodec.Decoder, pkt []byt
 	for _, tier := range studio.DefaultLadder() {
 		b.Run(fmt.Sprintf("q%d", tier.QStep), func(b *testing.B) {
 			pkts := decodeBenchPackets(b, tier.QStep)
-			dec := vcodec.NewDecoder(1)
+			dec := vcodec.NewDecoder()
 			b.SetBytes(int64(len(pkts)) * 160 * 120 * 3) // decoded RGB per op
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -235,7 +257,7 @@ func BenchmarkDecode160x120Cold(b *testing.B) {
 	b.SetBytes(int64(len(pkts)) * 160 * 120 * 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec := vcodec.NewDecoder(1)
+		dec := vcodec.NewDecoder()
 		for _, p := range pkts {
 			if _, err := dec.Decode(p); err != nil {
 				b.Fatal(err)
@@ -247,11 +269,11 @@ func BenchmarkDecode160x120Cold(b *testing.B) {
 
 // BenchmarkRecordLadder is the author's wait for one course (E22): the
 // classroom footage recorded at every rung of the default ladder, as a
-// publish does it, on one encoder worker. bytes/frame is summed over the
-// rungs, so a bitstream change shows beside the timing.
+// publish does it. bytes/frame is summed over the rungs, so a bitstream
+// change shows beside the timing.
 func BenchmarkRecordLadder(b *testing.B) {
 	film := content.Classroom().Film
-	opts := studio.Options{Workers: 1}
+	opts := studio.Options{}
 	var bytes int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -350,11 +372,9 @@ func BenchmarkSessionOpen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := runtime.NewSessionFromPackage(pkg, runtime.Options{})
-		if err != nil {
+		if _, err := runtime.NewSessionFromPackage(pkg, runtime.Options{}); err != nil {
 			b.Fatal(err)
 		}
-		s.Close()
 	}
 }
 
@@ -378,8 +398,6 @@ func BenchmarkMirrorWatch(b *testing.B) {
 			if err := s.Watch(); err != nil {
 				b.Fatal(err)
 			}
-			b.StopTimer()
-			s.Close()
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
@@ -483,7 +501,7 @@ func BenchmarkRemoteFrameAtRandomSeek(b *testing.B) { benchmarkRemoteFrameAt(b, 
 // --- E13: content-addressed chunk store -------------------------------------
 
 // BenchmarkChunkGetHot is the delivery hot path: a chunk served from the
-// lock-striped LRU tier. Must stay 0 allocs/op — a fleet hammering one
+// LRU tier. Must stay 0 allocs/op — a fleet hammering one
 // popular course costs the server no garbage.
 func BenchmarkChunkGetHot(b *testing.B) {
 	store, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
@@ -509,6 +527,45 @@ func BenchmarkChunkGetHot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkChunkGetHotParallel is the hot tier under contention: 64 resident
+// 64 KiB chunks read by GOMAXPROCS goroutines at once, each walking the set
+// from its own offset. Read at -cpu 1,2 (EXPERIMENTS.md E28): a striped
+// tier has to beat this to come back.
+func BenchmarkChunkGetHotParallel(b *testing.B) {
+	store, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hashes := make([]blobstore.Hash, 64)
+	for k := range hashes {
+		data := make([]byte, 64<<10)
+		for i := range data {
+			data[i] = byte(i*31 + k)
+		}
+		h, _, err := store.Put(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := store.Get(h); err != nil { // warm the tier
+			b.Fatal(err)
+		}
+		hashes[k] = h
+	}
+	var gid atomic.Int64
+	b.SetBytes(64 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(gid.Add(1)) * 17
+		for pb.Next() {
+			if _, err := store.Get(hashes[i%len(hashes)]); err != nil {
+				b.Fatal(err)
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkChunkGetCold reads through to the on-disk backend with the hot
@@ -659,9 +716,10 @@ func BenchmarkFleet50(b *testing.B)  { benchmarkFleet(b, 50) }
 func BenchmarkFleet200(b *testing.B) { benchmarkFleet(b, 200) }
 
 // BenchmarkFleetIngest isolates the ingest path: one batch applied to the
-// sharded store per op, across parallel goroutines (no HTTP).
+// store per op, across parallel goroutines (no HTTP). Read at -cpu 1,2
+// (EXPERIMENTS.md E28).
 func BenchmarkFleetIngest(b *testing.B) {
-	store := telemetry.NewStore(32)
+	store := telemetry.NewStore()
 	events := []runtime.Event{
 		{Tick: 1, Kind: "click", Detail: "computer"},
 		{Tick: 2, Kind: "learn", Detail: "ram-identification"},
@@ -699,7 +757,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 func BenchmarkPlaysvcAct(b *testing.B) {
 	newHosted := func(b *testing.B) (*playsvc.Manager, string) {
 		b.Helper()
-		m := playsvc.NewManager(playsvc.Options{Shards: 4, TTL: -1})
+		m := playsvc.NewManager(playsvc.Options{TTL: -1})
 		b.Cleanup(m.Close)
 		if err := m.AddCourse("classroom", classroomPkg(b)); err != nil {
 			b.Fatal(err)
@@ -755,11 +813,50 @@ func BenchmarkPlaysvcAct(b *testing.B) {
 	})
 }
 
+// BenchmarkPlaysvcActParallel is the session map under contention: 64 hosted
+// sessions, GOMAXPROCS goroutines each driving talk acts round its own
+// share of them, so no two meet on a session lock and what is left is the
+// manager's map lock and counters. Read at -cpu 1,2 (EXPERIMENTS.md E28): a
+// sharded manager has to beat this to come back.
+func BenchmarkPlaysvcActParallel(b *testing.B) {
+	m := playsvc.NewManager(playsvc.Options{TTL: -1})
+	b.Cleanup(m.Close)
+	if err := m.AddCourse("classroom", classroomPkg(b)); err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]playsvc.ActRequest, 64)
+	for i := range reqs {
+		r, err := m.Create(&playsvc.CreateRequest{Course: "classroom"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs[i] = playsvc.ActRequest{Session: r.Session, Kind: playsvc.ActTalk, Object: "teacher"}
+	}
+	var gid atomic.Int64
+	stride := goruntime.GOMAXPROCS(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(gid.Add(1)-1) % stride
+		for pb.Next() {
+			req := &reqs[i]
+			r, err := m.Act(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			req.SeenEvents, req.SeenMessages = r.EventCount, r.MessageCount
+			if i += stride; i >= len(reqs) {
+				i -= len(reqs)
+			}
+		}
+	})
+}
+
 // BenchmarkPlaysvcRemoteLearner plays one full guided learner over the
 // wire per op — the end-to-end remote-play session cost E12 compares with
 // local simulation.
 func BenchmarkPlaysvcRemoteLearner(b *testing.B) {
-	m := playsvc.NewManager(playsvc.Options{Shards: 4, TTL: -1})
+	m := playsvc.NewManager(playsvc.Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomPkg(b)); err != nil {
 		b.Fatal(err)
@@ -798,7 +895,7 @@ func BenchmarkPlaysvcRemoteLearner(b *testing.B) {
 
 func newHostedBench(b *testing.B) (*playsvc.Manager, string) {
 	b.Helper()
-	m := playsvc.NewManager(playsvc.Options{Shards: 4, TTL: -1})
+	m := playsvc.NewManager(playsvc.Options{TTL: -1})
 	b.Cleanup(m.Close)
 	if err := m.AddCourse("classroom", classroomPkg(b)); err != nil {
 		b.Fatal(err)
@@ -888,7 +985,7 @@ func BenchmarkPlaysvcActPipelined(b *testing.B) {
 func BenchmarkRoomFanout(b *testing.B) {
 	for _, W := range []int{4, 64, 512} {
 		b.Run(fmt.Sprintf("watchers-%d", W), func(b *testing.B) {
-			m := playsvc.NewManager(playsvc.Options{Shards: 4, TTL: -1})
+			m := playsvc.NewManager(playsvc.Options{TTL: -1})
 			b.Cleanup(m.Close)
 			if err := m.AddCourse("classroom", classroomPkg(b)); err != nil {
 				b.Fatal(err)

@@ -21,7 +21,8 @@ import (
 )
 
 // videoSource adapts a playback.Video (single-goroutine, frame-recycling)
-// into a shot-detection source safe for concurrent histogram workers.
+// into a shot-detection source whose frames outlive the next decode: the
+// detector's histogram worker still holds one while the next is fetched.
 func videoSource(v *playback.Video) shotdetect.Source {
 	return shotdetect.SerializedSource(v.Meta().FrameCount, v.FrameAt)
 }
@@ -32,12 +33,10 @@ func main() {
 	seed := flag.Int64("seed", 7, "synthesis seed")
 	fades := flag.Float64("fades", 0.3, "fraction of gradual transitions in synthetic film")
 	threshold := flag.Float64("threshold", shotdetect.Defaults().HardThreshold, "hard-cut χ² threshold")
-	workers := flag.Int("workers", 2, "histogram workers")
 	flag.Parse()
 
 	cfg := shotdetect.Defaults()
 	cfg.HardThreshold = *threshold
-	cfg.Workers = *workers
 
 	var src shotdetect.Source
 	var truth []int
@@ -47,7 +46,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		v, err := playback.OpenVideo(blob, *workers)
+		v, err := playback.OpenVideo(blob, 0)
 		if err != nil {
 			fail(err)
 		}
@@ -62,11 +61,11 @@ func main() {
 		})
 		// Round-trip through the codec so detection sees decoded pixels,
 		// as it would in the authoring tool.
-		blob, err := studio.Record(film, studio.Options{QStep: 6, Workers: *workers})
+		blob, err := studio.Record(film, studio.Options{QStep: 6})
 		if err != nil {
 			fail(err)
 		}
-		v, err := playback.OpenVideo(blob, *workers)
+		v, err := playback.OpenVideo(blob, 0)
 		if err != nil {
 			fail(err)
 		}

@@ -69,7 +69,6 @@ func main() {
 	ingestWorkers := flag.Int("ingest-workers", 8, "telemetry ingest workers")
 	ingestQueue := flag.Int("ingest-queue", 512, "telemetry queue depth per worker (backpressure bound)")
 	ingestIdle := flag.Duration("ingest-idle-timeout", 30*time.Minute, "fold telemetry sessions idle this long (negative disables)")
-	playShards := flag.Int("play-shards", 32, "play service session shards")
 	playTTL := flag.Duration("play-ttl", 10*time.Minute, "snapshot-and-evict hosted play sessions idle this long (negative disables)")
 	playMax := flag.Int("play-max-sessions", 16384, "cap on live hosted play sessions (negative disables)")
 	playInflight := flag.Int("play-max-inflight", 0, "shed play requests (429 + Retry-After) beyond this many in flight per node (0 disables)")
@@ -107,7 +106,6 @@ func main() {
 	// in cluster mode — handoff between nodes.
 	dir := playsvc.NewMemDir()
 	nodeOpts := playsvc.Options{
-		Shards:          *playShards,
 		TTL:             *playTTL,
 		MaxSessions:     *playMax,
 		MaxInflight:     *playInflight,

@@ -35,7 +35,7 @@ func main() {
 	if err := srv.AddPackage("classroom", blob); err != nil {
 		log.Fatal(err)
 	}
-	play := playsvc.NewManager(playsvc.Options{Shards: 4})
+	play := playsvc.NewManager(playsvc.Options{})
 	defer play.Close()
 	if err := play.AddCourse("classroom", blob); err != nil {
 		log.Fatal(err)

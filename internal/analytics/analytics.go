@@ -179,7 +179,7 @@ func AggregateReports(reports []*Report) Aggregate {
 
 // Rolling is an incrementally mergeable cohort accumulator: the exact sums
 // behind an Aggregate, kept as integers so partial accumulators from
-// different goroutines (or different telemetry shards) can be merged without
+// different goroutines (or different telemetry stores) can be merged without
 // losing precision. The zero value is ready to use. Rolling is NOT
 // goroutine-safe; accumulate per goroutine and Merge, or lock externally.
 type Rolling struct {

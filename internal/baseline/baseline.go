@@ -98,7 +98,7 @@ func UnindexedSeek(blob []byte, target int) (*raster.Frame, int, error) {
 	if target < 0 || target >= r.Meta().FrameCount {
 		return nil, 0, fmt.Errorf("baseline: frame %d out of range", target)
 	}
-	dec := vcodec.NewDecoder(1)
+	dec := vcodec.NewDecoder()
 	var out *raster.Frame
 	decoded := 0
 	for i := 0; i <= target; i++ {

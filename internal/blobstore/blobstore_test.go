@@ -1,6 +1,7 @@
 package blobstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -145,7 +146,7 @@ func TestStoreVerifiesBackendReads(t *testing.T) {
 }
 
 func TestStoreHotTier(t *testing.T) {
-	s, err := New(Options{Backend: NewMemory(), CacheBytes: 1 << 20, Shards: 4})
+	s, err := New(Options{Backend: NewMemory(), CacheBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +178,9 @@ func TestStoreHotTier(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// One shard, room for ~4 of 10 chunks: older chunks must be evicted,
+	// Room for ~4 of 10 chunks: older chunks must be evicted,
 	// recently used ones retained.
-	s, err := New(Options{Backend: NewMemory(), CacheBytes: 1024, Shards: 1})
+	s, err := New(Options{Backend: NewMemory(), CacheBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestLRUKeepsRecentlyUsed(t *testing.T) {
-	s, err := New(Options{Backend: NewMemory(), CacheBytes: 1024, Shards: 1})
+	s, err := New(Options{Backend: NewMemory(), CacheBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestLRUKeepsRecentlyUsed(t *testing.T) {
 }
 
 func TestCacheOnlyStore(t *testing.T) {
-	s, err0 := New(Options{CacheBytes: 1024, Shards: 1})
+	s, err0 := New(Options{CacheBytes: 1024})
 	if err0 != nil {
 		t.Fatal(err0)
 	}
@@ -289,8 +290,51 @@ func TestOversizedChunkDoesNotThrash(t *testing.T) {
 	}
 }
 
+// TestHotTierBudgetIsExact: CacheBytes is the hot tier's budget, whole — a
+// store given room for sixteen 64 KiB chunks keeps sixteen resident
+// whatever their hashes. Here every hash has the same low nibble in its
+// first byte: a tier striped sixteen ways by that byte gives these chunks
+// one sixteenth of the budget and evicts fifteen of them while fifteen
+// sixteenths of it sit empty.
+func TestHotTierBudgetIsExact(t *testing.T) {
+	const n, size = 16, 64 << 10
+	s, err := New(Options{Backend: NewMemory(), CacheBytes: n * size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashes []Hash
+	for seed := 0; len(hashes) < n; seed++ {
+		data := make([]byte, size)
+		binary.LittleEndian.PutUint64(data, uint64(seed))
+		if Sum(data)[0]%16 != 0 {
+			continue
+		}
+		h, _, err := s.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Get(h); err != nil { // read through: now resident
+			t.Fatal(err)
+		}
+		hashes = append(hashes, h)
+	}
+	before := s.Stats()
+	if before.CacheChunks != n || before.CacheBytes != n*size || before.Evictions != 0 {
+		t.Fatalf("hot tier holds %d chunks / %d B after %d evictions, want all %d / %d B and none",
+			before.CacheChunks, before.CacheBytes, before.Evictions, n, n*size)
+	}
+	for _, h := range hashes {
+		if _, err := s.Get(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Hits-before.Hits != n || st.Misses != before.Misses {
+		t.Errorf("re-reading %d resident chunks: %d hits, %d misses", n, st.Hits-before.Hits, st.Misses-before.Misses)
+	}
+}
+
 func TestStoreConcurrent(t *testing.T) {
-	s, err := New(Options{Backend: NewMemory(), CacheBytes: 32 << 10, Shards: 8})
+	s, err := New(Options{Backend: NewMemory(), CacheBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

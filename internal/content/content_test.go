@@ -64,7 +64,7 @@ func TestEveryScenarioHasASegmentChapter(t *testing.T) {
 
 func TestBuildPackageRoundTrip(t *testing.T) {
 	course := Classroom()
-	blob, err := course.BuildPackage(studio.Options{QStep: 8, Workers: 2})
+	blob, err := course.BuildPackage(studio.Options{QStep: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

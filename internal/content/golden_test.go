@@ -56,7 +56,7 @@ var goldenCourses = []struct {
 var goldenPackages = sync.OnceValues(func() ([][]byte, error) {
 	blobs := make([][]byte, len(goldenCourses))
 	for i, g := range goldenCourses {
-		blob, err := g.course().BuildLadderPackage(studio.Options{Workers: 1}, nil)
+		blob, err := g.course().BuildLadderPackage(studio.Options{}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -117,8 +117,7 @@ func decodedPixelsSHA(blob []byte, tier string) (string, int, error) {
 	if err != nil {
 		return "", 0, err
 	}
-	dec := vcodec.NewDecoder(1)
-	defer dec.Close()
+	dec := vcodec.NewDecoder()
 	h := sha256.New()
 	var frame raster.Frame
 	n := r.Meta().FrameCount

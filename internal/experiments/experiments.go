@@ -18,6 +18,7 @@ import (
 	"repro/internal/media/shotdetect"
 	"repro/internal/media/studio"
 	"repro/internal/media/synth"
+	"repro/internal/media/vcodec"
 	"repro/internal/runtime"
 )
 
@@ -117,7 +118,6 @@ func e1Corpus(threshold, adaptiveRatio, fadeFraction float64, tol int) (p, r, f1
 		cfg := shotdetect.Defaults()
 		cfg.HardThreshold = threshold
 		cfg.AdaptiveRatio = adaptiveRatio
-		cfg.Workers = 2
 		src := shotdetect.FuncSource{N: film.FrameCount(), F: func(i int) (*raster.Frame, error) {
 			return film.Render(i), nil
 		}}
@@ -212,8 +212,8 @@ func E3() (string, error) {
 	var b strings.Builder
 	b.WriteString("E3 — TKV1 codec rate/distortion and encode scaling\n")
 	b.WriteString("30 frames of synthetic footage per point, GOP 10, search range 3\n\n")
-	b.WriteString("  resolution |  q | kbits/frame |  PSNR dB | enc fps (1w) | enc fps (2w) | enc fps (4w)\n")
-	b.WriteString("  -----------+----+-------------+----------+--------------+--------------+-------------\n")
+	b.WriteString("  resolution |  q | kbits/frame |  PSNR dB |  enc fps\n")
+	b.WriteString("  -----------+----+-------------+----------+---------\n")
 	for _, res := range [][2]int{{160, 120}, {320, 240}} {
 		for _, q := range []int{2, 4, 8, 16} {
 			row, err := e3Point(res[0], res[1], q)
@@ -223,8 +223,8 @@ func E3() (string, error) {
 			b.WriteString(row)
 		}
 	}
-	b.WriteString("\nshape check: size falls and PSNR drops as q rises; worker scaling is\n")
-	b.WriteString("reported for completeness (this reproduction host may be single-core).\n")
+	b.WriteString("\nshape check: size falls and PSNR drops as q rises. A frame's block rows\n")
+	b.WriteString("are coded on the calling goroutine (EXPERIMENTS.md E28).\n")
 	return b.String(), nil
 }
 
@@ -235,47 +235,29 @@ func e3Point(w, h, q int) (string, error) {
 		NoiseAmp: 2, Seed: 77,
 	})
 	const frames = 30
-	// Quality + size with 1 worker.
-	var totalBits, measured int
+	enc, err := vcodec.NewEncoder(vcodec.Config{Width: w, Height: h, QStep: q, GOP: 10, SearchRange: 3})
+	if err != nil {
+		return "", err
+	}
+	dec := vcodec.NewDecoder()
+	var totalBits int
 	var psnrSum float64
-	fpsFor := func(workers int, collect bool) (float64, error) {
-		enc, err := newEncoder(w, h, q, workers)
-		if err != nil {
-			return 0, err
-		}
-		dec := newDecoder(workers)
+	var encoding time.Duration
+	for i := 0; i < frames; i++ {
+		src := film.Render(i)
 		t0 := time.Now()
-		for i := 0; i < frames && i < film.FrameCount(); i++ {
-			src := film.Render(i)
-			pkt, err := enc.Encode(src)
-			if err != nil {
-				return 0, err
-			}
-			if collect {
-				totalBits += 8 * len(pkt.Data)
-				rec, err := dec.Decode(pkt.Data)
-				if err != nil {
-					return 0, err
-				}
-				psnrSum += raster.PSNR(src, rec)
-				measured++
-			}
+		pkt, err := enc.Encode(src)
+		encoding += time.Since(t0)
+		if err != nil {
+			return "", err
 		}
-		return float64(frames) / time.Since(t0).Seconds(), nil
+		totalBits += 8 * len(pkt.Data)
+		rec, err := dec.Decode(pkt.Data)
+		if err != nil {
+			return "", err
+		}
+		psnrSum += raster.PSNR(src, rec)
 	}
-	fps1, err := fpsFor(1, true)
-	if err != nil {
-		return "", err
-	}
-	fps2, err := fpsFor(2, false)
-	if err != nil {
-		return "", err
-	}
-	fps4, err := fpsFor(4, false)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("  %4dx%-5d | %2d | %11.1f | %8.1f | %12.1f | %12.1f | %12.1f\n",
-		w, h, q, float64(totalBits)/float64(measured)/1000, psnrSum/float64(measured),
-		fps1, fps2, fps4), nil
+	return fmt.Sprintf("  %4dx%-5d | %2d | %11.1f | %8.1f | %8.1f\n",
+		w, h, q, float64(totalBits)/frames/1000, psnrSum/frames, frames/encoding.Seconds()), nil
 }

@@ -16,19 +16,10 @@ import (
 	"repro/internal/media/raster"
 	"repro/internal/media/studio"
 	"repro/internal/media/synth"
-	"repro/internal/media/vcodec"
 	"repro/internal/netstream"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
-
-func newEncoder(w, h, q, workers int) (*vcodec.Encoder, error) {
-	return vcodec.NewEncoder(vcodec.Config{
-		Width: w, Height: h, QStep: q, GOP: 10, SearchRange: 3, Workers: workers,
-	})
-}
-
-func newDecoder(workers int) *vcodec.Decoder { return vcodec.NewDecoder(workers) }
 
 // BuildClassroomWithTool reconstructs the classroom course through the
 // authoring tool's operation API, so every primitive action is counted.

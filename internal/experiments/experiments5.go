@@ -49,7 +49,7 @@ func E14(learners int) (string, error) {
 	defer front.Close()
 
 	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-		Node: playsvc.Options{Shards: 8, TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
 	})
 	if err != nil {
 		return "", err
@@ -115,7 +115,7 @@ func E14(learners int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	m1 := playsvc.NewManager(playsvc.Options{Shards: 2, TTL: -1, Store: store, Dir: playsvc.NewMemDir()})
+	m1 := playsvc.NewManager(playsvc.Options{TTL: -1, Store: store, Dir: playsvc.NewMemDir()})
 	defer m1.Close()
 	if err := m1.AddCourse("classroom", blob); err != nil {
 		return "", err
@@ -157,7 +157,7 @@ func E14(learners int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	mA := playsvc.NewManager(playsvc.Options{Shards: 2, TTL: -1, Store: store2, Dir: dir2})
+	mA := playsvc.NewManager(playsvc.Options{TTL: -1, Store: store2, Dir: dir2})
 	if err := mA.AddCourse("classroom", blob); err != nil {
 		return "", err
 	}
@@ -173,7 +173,7 @@ func E14(learners int) (string, error) {
 		return "", err
 	}
 	mA.Halt() // crash: the 4 post-checkpoint ticks were never persisted
-	mB := playsvc.NewManager(playsvc.Options{Shards: 2, TTL: -1, Store: store2, Dir: dir2})
+	mB := playsvc.NewManager(playsvc.Options{TTL: -1, Store: store2, Dir: dir2})
 	defer mB.Close()
 	if err := mB.AddCourse("classroom", blob); err != nil {
 		return "", err

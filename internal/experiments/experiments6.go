@@ -49,7 +49,7 @@ func E15(learners int) (string, error) {
 	defer front.Close()
 
 	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-		Node: playsvc.Options{Shards: 8, TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
 	})
 	if err != nil {
 		return "", err

@@ -78,7 +78,7 @@ func e16Run(blob []byte, profile faultnet.Profile, learners int) (string, error)
 	gwTr := faultnet.NewTransport(faultnet.NewHTTPTransport(64), profile, 7)
 	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
 		HTTP: &http.Client{Transport: gwTr},
-		Node: playsvc.Options{Shards: 8, TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
 	})
 	if err != nil {
 		return "", err

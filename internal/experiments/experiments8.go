@@ -107,7 +107,7 @@ func e17Run(blob []byte, learners int, interactive, mirror bool) (float64, time.
 	if interactive {
 		cfg.Sim.WatchEvery = 4
 		cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-			Node: playsvc.Options{Shards: 8, TTL: -1},
+			Node: playsvc.Options{TTL: -1},
 		})
 		if err != nil {
 			return 0, 0, 0, nil, err

@@ -79,7 +79,7 @@ func e18Server() (string, func(), error) {
 	if err := srv.AddPackage("classroom", blob); err != nil {
 		return "", nil, err
 	}
-	m := playsvc.NewManager(playsvc.Options{Shards: 8, TTL: -1})
+	m := playsvc.NewManager(playsvc.Options{TTL: -1})
 	if err := m.AddCourse("classroom", blob); err != nil {
 		m.Close()
 		return "", nil, err

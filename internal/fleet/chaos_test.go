@@ -55,7 +55,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	gwHTTP := faultnet.WrapClient(&http.Client{Transport: faultnet.NewHTTPTransport(64)}, profile, 7)
 	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
 		HTTP: gwHTTP,
-		Node: playsvc.Options{Shards: 8, TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func churnStack(t *testing.T, nodes int) (front *httptest.Server, gwSrv *httptes
 	t.Cleanup(front.Close)
 
 	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-		Node: playsvc.Options{Shards: 8, TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ var (
 func classroomBlob(t *testing.T) []byte {
 	t.Helper()
 	oncePkg.Do(func() {
-		pkgBlob, pkgErr = content.Classroom().BuildPackage(studio.Options{QStep: 12, Workers: 2})
+		pkgBlob, pkgErr = content.Classroom().BuildPackage(studio.Options{QStep: 12})
 	})
 	if pkgErr != nil {
 		t.Fatal(pkgErr)

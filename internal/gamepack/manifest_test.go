@@ -197,11 +197,11 @@ func TestSegmentEditChangesOnlyItsChunks(t *testing.T) {
 	filmB := synth.Generate(spec)
 	filmB.Shots[1].Seed ^= 0xdeadbeef
 	filmB.Shots[1].NoiseAmp += 2
-	videoA, err := studio.Record(filmA, studio.Options{ShotMarkers: true, GOP: 8, Workers: 1})
+	videoA, err := studio.Record(filmA, studio.Options{ShotMarkers: true, GOP: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	videoB, err := studio.Record(filmB, studio.Options{ShotMarkers: true, GOP: 8, Workers: 1})
+	videoB, err := studio.Record(filmB, studio.Options{ShotMarkers: true, GOP: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestChunkVideoAlignsToSegments(t *testing.T) {
 // wrap ErrBadManifest (mirroring container.FuzzParseHead).
 func FuzzParseManifest(f *testing.F) {
 	film := synth.Generate(synth.Spec{W: 32, H: 24, FPS: 8, Shots: 1, MinShotFrames: 4, MaxShotFrames: 4, Seed: 2})
-	video, err := studio.Record(film, studio.Options{ShotMarkers: true, Workers: 1})
+	video, err := studio.Record(film, studio.Options{ShotMarkers: true})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func buildBlob(t testing.TB, gop int, chapters []Chapter) ([]byte, *synth.Film) 
 		Seed: 5,
 	})
 	enc, err := vcodec.NewEncoder(vcodec.Config{
-		Width: 64, Height: 48, QStep: 6, GOP: gop, Workers: 1,
+		Width: 64, Height: 48, QStep: 6, GOP: gop,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestPacketsDecodable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := vcodec.NewDecoder(1)
+	dec := vcodec.NewDecoder()
 	for i := 0; i < r.Meta().FrameCount; i++ {
 		data, ft, err := r.PacketAt(i)
 		if err != nil {

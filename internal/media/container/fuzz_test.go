@@ -13,7 +13,7 @@ import (
 var fuzzBlob = sync.OnceValue(func() []byte {
 	f := raster.New(24, 16)
 	f.FillVGradient(raster.Red, raster.Blue)
-	enc, err := vcodec.NewEncoder(vcodec.Config{Width: 24, Height: 16, QStep: 6, GOP: 2, Workers: 1})
+	enc, err := vcodec.NewEncoder(vcodec.Config{Width: 24, Height: 16, QStep: 6, GOP: 2})
 	if err != nil {
 		panic(err)
 	}

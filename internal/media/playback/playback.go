@@ -1,6 +1,6 @@
 // Package playback decodes TKVC containers for presentation.
 //
-// It provides three layers:
+// It provides two layers:
 //
 //   - Video: random access to decoded frames (seek = nearest I-frame +
 //     roll-forward), the capability behind the paper's "switch to other
@@ -8,15 +8,15 @@
 //   - Cursor: step-driven playback confined to one segment (scenario),
 //     with loop/hold end behavior. The game runtime advances a Cursor
 //     one tick at a time.
-//   - Play: a real-time pipeline that prefetches decoded frames through a
-//     channel and paces delivery against the wall clock.
+//
+// Nothing here starts a goroutine: a frame decodes on the goroutine that
+// asked for it, and parallelism comes from serving many consumers, each with
+// its own Video (EXPERIMENTS.md E28).
 package playback
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/media/container"
 	"repro/internal/media/raster"
@@ -45,26 +45,23 @@ func (r readerPackets) PacketAt(j int) ([]byte, error) {
 // are the cache key, so mixing containers would serve wrong pixels.
 func (v *Video) UseCache(c *FrameCache) { v.cache = c }
 
-// OpenVideo parses blob and prepares a decoder with the given worker count
-// (<=0 means all CPUs).
-func OpenVideo(blob []byte, decodeWorkers int) (*Video, error) {
+// OpenVideo parses blob and prepares a decoder. The second argument, once
+// a decode worker count, is ignored: it stays only because benchmark/sut.go
+// passes it and that directory changes in benchmark PRs alone (ROADMAP 9(b)).
+func OpenVideo(blob []byte, _ int) (*Video, error) {
 	r, err := container.Open(blob)
 	if err != nil {
 		return nil, err
 	}
-	return NewVideo(r, decodeWorkers), nil
+	return NewVideo(r), nil
 }
 
 // NewVideo prepares a decoder over an already-parsed container: how many
 // consumers of one blob share its one parse and checksum. A Reader is never
 // written after Open, so any number of Videos may read it at once.
-func NewVideo(r *container.Reader, decodeWorkers int) *Video {
-	return &Video{r: r, seek: NewSeeker(decodeWorkers), own: &raster.Frame{}}
+func NewVideo(r *container.Reader) *Video {
+	return &Video{r: r, seek: NewSeeker(), own: &raster.Frame{}}
 }
-
-// Close releases the decoder's worker pool promptly (a finalizer releases
-// it otherwise). The Video remains usable; further decodes run inline.
-func (v *Video) Close() { v.seek.Close() }
 
 // Meta returns the container metadata.
 func (v *Video) Meta() container.Meta { return v.r.Meta() }
@@ -218,119 +215,4 @@ func (c *Cursor) Advance() (moved bool, err error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-// PlayOptions configures the real-time pipeline.
-type PlayOptions struct {
-	Prefetch int  // decoded-frame channel depth (default 4)
-	Realtime bool // pace frames against the wall clock at container FPS
-}
-
-// PlayStats reports what a Play call delivered.
-type PlayStats struct {
-	Frames  int           // frames delivered to the callback
-	Late    int           // frames that missed their presentation deadline
-	Elapsed time.Duration // wall time spent inside Play
-}
-
-// Play decodes frames [start, end) through a prefetching pipeline and hands
-// each to fn. A decode goroutine runs ahead by up to Prefetch frames while
-// fn (the "presentation" side) consumes. fn returning an error, or ctx
-// cancellation, stops playback early.
-//
-// Frames handed to fn come from a recycled ring and are only valid for the
-// duration of the callback; Clone to retain one.
-func Play(ctx context.Context, v *Video, start, end int, opts PlayOptions, fn func(i int, f *raster.Frame) error) (PlayStats, error) {
-	n := v.Meta().FrameCount
-	if start < 0 || end > n || end < start {
-		return PlayStats{}, fmt.Errorf("playback: invalid range [%d,%d) of %d frames", start, end, n)
-	}
-	if opts.Prefetch <= 0 {
-		opts.Prefetch = 4
-	}
-	type item struct {
-		i int
-		f *raster.Frame
-	}
-	frames := make(chan item, opts.Prefetch)
-	decodeErr := make(chan error, 1)
-	dctx, cancel := context.WithCancel(ctx)
-	// Join the decode goroutine on every exit path: it drives the Video's
-	// single-goroutine decoder, so Play must not return (and hand the Video
-	// back to the caller) while a decode is still in flight.
-	done := make(chan struct{})
-	defer func() {
-		cancel()
-		<-done
-	}()
-	// Decoded frames are recycled through a fixed ring: up to Prefetch
-	// frames sit in the channel and one is with the consumer, so Prefetch+2
-	// buffers guarantee the decoder never overwrites a live frame.
-	ring := make([]*raster.Frame, opts.Prefetch+2)
-	for k := range ring {
-		ring[k] = &raster.Frame{}
-	}
-	go func() {
-		defer close(done)
-		defer close(frames)
-		for i := start; i < end; i++ {
-			f := ring[(i-start)%len(ring)]
-			if err := v.frameAtInto(f, i); err != nil {
-				decodeErr <- err
-				return
-			}
-			select {
-			case frames <- item{i, f}:
-			case <-dctx.Done():
-				return
-			}
-		}
-	}()
-	stats := PlayStats{}
-	began := time.Now()
-	frameDur := time.Second / time.Duration(v.Meta().FPS)
-	next := began
-	for {
-		select {
-		case <-ctx.Done():
-			stats.Elapsed = time.Since(began)
-			return stats, ctx.Err()
-		case err := <-decodeErr:
-			stats.Elapsed = time.Since(began)
-			return stats, err
-		case it, ok := <-frames:
-			if !ok {
-				// Drain a decode error that may have raced with close.
-				select {
-				case err := <-decodeErr:
-					stats.Elapsed = time.Since(began)
-					return stats, err
-				default:
-				}
-				stats.Elapsed = time.Since(began)
-				return stats, nil
-			}
-			if opts.Realtime {
-				now := time.Now()
-				if now.Before(next) {
-					timer := time.NewTimer(next.Sub(now))
-					select {
-					case <-timer.C:
-					case <-ctx.Done():
-						timer.Stop()
-						stats.Elapsed = time.Since(began)
-						return stats, ctx.Err()
-					}
-				} else if now.Sub(next) > frameDur/2 {
-					stats.Late++
-				}
-				next = next.Add(frameDur)
-			}
-			if err := fn(it.i, it.f); err != nil {
-				stats.Elapsed = time.Since(began)
-				return stats, err
-			}
-			stats.Frames++
-		}
-	}
 }

@@ -1,10 +1,7 @@
 package playback
 
 import (
-	"context"
-	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/media/container"
 	"repro/internal/media/raster"
@@ -224,113 +221,6 @@ func TestCursorEnterRange(t *testing.T) {
 	}
 }
 
-func TestPlayDeliversAllFrames(t *testing.T) {
-	blob, _ := testBlob(t)
-	v, _ := OpenVideo(blob, 1)
-	var got []int
-	stats, err := Play(context.Background(), v, 3, 17, PlayOptions{Prefetch: 3}, func(i int, f *raster.Frame) error {
-		if f == nil || f.W == 0 {
-			t.Fatal("nil frame delivered")
-		}
-		got = append(got, i)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Frames != 14 || len(got) != 14 {
-		t.Fatalf("delivered %d frames, want 14", stats.Frames)
-	}
-	for k, i := range got {
-		if i != 3+k {
-			t.Fatalf("frame order broken: got %d at position %d", i, k)
-		}
-	}
-}
-
-func TestPlayCallbackErrorStops(t *testing.T) {
-	blob, _ := testBlob(t)
-	v, _ := OpenVideo(blob, 1)
-	boom := errors.New("presentation failed")
-	stats, err := Play(context.Background(), v, 0, 20, PlayOptions{}, func(i int, f *raster.Frame) error {
-		if i == 4 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if stats.Frames != 4 {
-		t.Errorf("frames before error = %d, want 4", stats.Frames)
-	}
-}
-
-func TestPlayContextCancel(t *testing.T) {
-	blob, _ := testBlob(t)
-	v, _ := OpenVideo(blob, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	_, err := Play(ctx, v, 0, v.Meta().FrameCount, PlayOptions{}, func(i int, f *raster.Frame) error {
-		if i == 2 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestPlayInvalidRange(t *testing.T) {
-	blob, _ := testBlob(t)
-	v, _ := OpenVideo(blob, 1)
-	if _, err := Play(context.Background(), v, -1, 5, PlayOptions{}, nil); err == nil {
-		t.Error("negative start accepted")
-	}
-	if _, err := Play(context.Background(), v, 5, 4, PlayOptions{}, nil); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
-func TestPlayRealtimePacing(t *testing.T) {
-	blob, _ := testBlob(t)
-	v, _ := OpenVideo(blob, 2)
-	// 5 frames at 10 fps ≈ 400ms of pacing gaps (first frame immediate).
-	start := time.Now()
-	stats, err := Play(context.Background(), v, 0, 5, PlayOptions{Realtime: true}, func(i int, f *raster.Frame) error {
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if stats.Frames != 5 {
-		t.Fatalf("frames = %d", stats.Frames)
-	}
-	if elapsed < 300*time.Millisecond {
-		t.Errorf("realtime playback of 5 frames @10fps took %v, want >= ~400ms", elapsed)
-	}
-}
-
-func TestPlayEarlyStopJoinsDecoder(t *testing.T) {
-	// Stopping Play from the callback must wait for the decode goroutine;
-	// immediate reuse of the Video would otherwise race on the decoder.
-	blob, _ := testBlob(t)
-	v, err := OpenVideo(blob, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sentinel := errors.New("stop after first frame")
-	_, err = Play(context.Background(), v, 0, v.Meta().FrameCount, PlayOptions{Prefetch: 3},
-		func(i int, f *raster.Frame) error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("Play error = %v, want sentinel", err)
-	}
-	if _, err := v.FrameAt(0); err != nil {
-		t.Fatalf("Video unusable after early-stopped Play: %v", err)
-	}
-}
-
 func TestFrameAtErrorInvalidatesPosition(t *testing.T) {
 	// A decode failure mid roll-forward advances the decoder reference past
 	// v.pos; the Video must forget its position so the next read re-seeks
@@ -340,7 +230,7 @@ func TestFrameAtErrorInvalidatesPosition(t *testing.T) {
 		Shots: 2, MinShotFrames: 10, MaxShotFrames: 12,
 		NoiseAmp: 6, Seed: 17,
 	})
-	enc, err := vcodec.NewEncoder(vcodec.Config{Width: 64, Height: 48, QStep: 4, GOP: 100, SearchRange: 2, Workers: 1})
+	enc, err := vcodec.NewEncoder(vcodec.Config{Width: 64, Height: 48, QStep: 4, GOP: 100, SearchRange: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

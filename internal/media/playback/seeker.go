@@ -37,15 +37,10 @@ type Seeker struct {
 	decoded int
 }
 
-// NewSeeker prepares a decoder with the given worker count (<=0 means all
-// CPUs).
-func NewSeeker(decodeWorkers int) *Seeker {
-	return &Seeker{dec: vcodec.NewDecoder(decodeWorkers), pos: -1}
+// NewSeeker prepares a decoder positioned nowhere: the first read seeks.
+func NewSeeker() *Seeker {
+	return &Seeker{dec: vcodec.NewDecoder(), pos: -1}
 }
-
-// Close releases the decoder's worker pool promptly (a finalizer releases
-// it otherwise). The Seeker remains usable; further decodes run inline.
-func (s *Seeker) Close() { s.dec.Close() }
 
 // Reset forgets the decode position, forcing the next FrameInto to restart
 // from a keyframe.

@@ -42,8 +42,9 @@ func (s FuncSource) Frame(i int) (*raster.Frame, error) { return s.F(i) }
 
 // SerializedSource adapts a single-goroutine frame producer — typically a
 // playback.Video, whose FrameAt recycles its returned frame — into a Source
-// safe for concurrent histogram workers: calls are serialized and each
-// caller receives its own copy of the frame.
+// safe for the detector's pipeline, whose histogram worker still reads one
+// frame while the next is fetched: calls are serialized and each caller
+// receives its own copy of the frame.
 func SerializedSource(n int, fetch func(i int) (*raster.Frame, error)) Source {
 	var mu sync.Mutex
 	return FuncSource{N: n, F: func(i int) (*raster.Frame, error) {
@@ -67,7 +68,6 @@ type Config struct {
 	GradualThreshold float64 // twin χ² distance indicating a transition
 	MinSceneFrames   int     // minimum spacing between boundaries
 	Downsample       int     // integer frame downsample before histograms
-	Workers          int     // parallel histogram workers
 }
 
 // Defaults returns the configuration tuned on the synthetic corpus (E1's
@@ -81,7 +81,6 @@ func Defaults() Config {
 		GradualThreshold: 0.30,
 		MinSceneFrames:   8,
 		Downsample:       2,
-		Workers:          1,
 	}
 }
 
@@ -183,42 +182,35 @@ func Detect(src Source, cfg Config) ([]Boundary, error) {
 	return dedupe(bounds, cfg.MinSceneFrames), nil
 }
 
-// histograms computes all frame histograms. Frames are fetched sequentially
-// on one goroutine — sources backed by a seeking decoder (playback.Video)
-// stay on their sequential fast path instead of ping-ponging between workers
-// and re-rolling from keyframes — and only the downsample/histogram math
-// fans out. Frames handed to workers must stay valid after the next Frame
-// call; recycling producers adapt via SerializedSource, which clones.
+// histograms computes all frame histograms as a two-stage pipeline: frames
+// are fetched sequentially on the calling goroutine — sources backed by a
+// seeking decoder (playback.Video) stay on their sequential fast path — while
+// one worker goroutine does the downsample/histogram math of the frame
+// before. One worker is what pays: over decoded footage the pipeline reads
+// 1.5× an inline loop at two CPUs, and with a second worker 1.06× that
+// (EXPERIMENTS.md E28). Frames handed to the worker must stay valid after
+// the next Frame call; recycling producers adapt via SerializedSource, which
+// clones.
 func histograms(src Source, cfg Config) ([]raster.Histogram, error) {
 	n := src.Frames()
 	hists := make([]raster.Histogram, n)
 	errs := make([]error, n)
-	nw := cfg.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	if nw > n {
-		nw = n
-	}
 	type item struct {
 		i int
 		f *raster.Frame
 	}
-	work := make(chan item, 2*nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range work {
-				f := it.f
-				if cfg.Downsample > 1 {
-					f = f.Downsample(cfg.Downsample)
-				}
-				hists[it.i] = f.Histogram()
+	work := make(chan item, 2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for it := range work {
+			f := it.f
+			if cfg.Downsample > 1 {
+				f = f.Downsample(cfg.Downsample)
 			}
-		}()
-	}
+			hists[it.i] = f.Histogram()
+		}
+	}()
 	for i := 0; i < n; i++ {
 		f, err := src.Frame(i)
 		if err != nil {
@@ -228,7 +220,7 @@ func histograms(src Source, cfg Config) ([]raster.Histogram, error) {
 		work <- item{i, f}
 	}
 	close(work)
-	wg.Wait()
+	<-done
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("shotdetect: frame %d: %w", i, err)

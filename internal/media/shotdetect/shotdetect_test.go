@@ -34,9 +34,7 @@ func truthFrames(f *synth.Film) []int {
 
 func TestDetectHardCutsPerfectly(t *testing.T) {
 	film := hardCutFilm(21, 8)
-	cfg := Defaults()
-	cfg.Workers = 2
-	bs, err := Detect(filmSource(film), cfg)
+	bs, err := Detect(filmSource(film), Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,27 +108,6 @@ func TestNoFalseCutsOnSingleShot(t *testing.T) {
 	}
 	if len(bs) != 0 {
 		t.Errorf("detected %d boundaries in a single continuous shot: %+v", len(bs), bs)
-	}
-}
-
-func TestWorkerCountDoesNotChangeResult(t *testing.T) {
-	film := hardCutFilm(5, 5)
-	cfg1 := Defaults()
-	cfg1.Workers = 1
-	cfg4 := Defaults()
-	cfg4.Workers = 4
-	b1, err1 := Detect(filmSource(film), cfg1)
-	b4, err4 := Detect(filmSource(film), cfg4)
-	if err1 != nil || err4 != nil {
-		t.Fatal(err1, err4)
-	}
-	if len(b1) != len(b4) {
-		t.Fatalf("worker counts disagree: %d vs %d boundaries", len(b1), len(b4))
-	}
-	for i := range b1 {
-		if b1[i] != b4[i] {
-			t.Fatalf("boundary %d differs: %+v vs %+v", i, b1[i], b4[i])
-		}
 	}
 }
 

@@ -86,13 +86,11 @@ func RecordLadder(film *synth.Film, opts Options, tiers []Tier) ([]TierVideo, er
 		qsteps[k] = t.QStep
 	}
 	enc, err := vcodec.NewLadderEncoder(vcodec.Config{
-		Width: film.W, Height: film.H, GOP: opts.GOP,
-		SearchRange: opts.SearchRange, Workers: opts.Workers,
+		Width: film.W, Height: film.H, GOP: opts.GOP, SearchRange: opts.SearchRange,
 	}, qsteps)
 	if err != nil {
 		return nil, fmt.Errorf("studio: %w", err)
 	}
-	defer enc.Close()
 	muxes := make([]*container.Muxer, len(tiers))
 	for k := range muxes {
 		muxes[k], err = container.NewMuxer(container.Meta{

@@ -15,7 +15,6 @@ type Options struct {
 	QStep       int  // quantizer step (default 4)
 	GOP         int  // I-frame interval (default fps, i.e. one per second)
 	SearchRange int  // motion search radius (default 3)
-	Workers     int  // encoder workers (default: all CPUs)
 	ShotMarkers bool // add one chapter per ground-truth shot
 	// Chapters, when non-nil, is written instead of shot markers — the
 	// authoring tool uses it to store scenario segments under its own names.
@@ -32,7 +31,6 @@ func (o Options) withDefaults(fps int) Options {
 	if o.SearchRange == 0 {
 		o.SearchRange = 3
 	}
-	// Workers <= 0 passes through: the encoder defaults to all CPUs.
 	return o
 }
 

@@ -3,6 +3,7 @@ package studio
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestRecordProducesValidContainer(t *testing.T) {
 		t.Errorf("meta %+v does not match film", m)
 	}
 	// Every packet decodes in sequence with sane quality.
-	dec := vcodec.NewDecoder(1)
+	dec := vcodec.NewDecoder()
 	for i := 0; i < m.FrameCount; i++ {
 		data, _, err := r.PacketAt(i)
 		if err != nil {
@@ -129,12 +130,11 @@ func recordSeparately(t *testing.T, film *synth.Film, opts Options) []byte {
 	enc, err := vcodec.NewEncoder(vcodec.Config{
 		Width: film.W, Height: film.H,
 		QStep: opts.QStep, GOP: opts.GOP,
-		SearchRange: opts.SearchRange, Workers: opts.Workers,
+		SearchRange: opts.SearchRange,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer enc.Close()
 	mux, err := container.NewMuxer(container.Meta{Width: film.W, Height: film.H, FPS: film.FPS, GOP: opts.GOP})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestRecordLadderMatchesRecord(t *testing.T) {
 	}{
 		{"default ladder", Options{GOP: 5}, DefaultLadder()},
 		{"one rung", Options{GOP: 5}, []Tier{{QStep: 7}}},
-		{"canonical rung last, two workers", Options{Workers: 2}, []Tier{{Name: "low", QStep: 24}, {Name: "", QStep: 4}}},
+		{"canonical rung last", Options{}, []Tier{{Name: "low", QStep: 24}, {Name: "", QStep: 4}}},
 		{"chapters", Options{GOP: 4, Chapters: []container.Chapter{
 			{Name: "intro", Start: 0, End: 9}, {Name: "rest", Start: 9, End: film.FrameCount()},
 		}}, DefaultLadder()},
@@ -232,7 +232,7 @@ func TestRecordLadderSteadyStateAllocs(t *testing.T) {
 	tiers := DefaultLadder()
 	allocs := func(film *synth.Film) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := RecordLadder(film, Options{Workers: 1}, tiers); err != nil {
+			if _, err := RecordLadder(film, Options{}, tiers); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -241,5 +241,43 @@ func TestRecordLadderSteadyStateAllocs(t *testing.T) {
 	perRungFrame := (allocs(long) - allocs(short)) / float64(extraFrames*len(tiers))
 	if perRungFrame > 1 {
 		t.Errorf("%.2f allocations per rung per extra frame, want <= 1", perRungFrame)
+	}
+}
+
+// TestCodecStartsNoGoroutines: a frame's block rows are coded and decoded on
+// the goroutine that asked, so neither building a codec nor recording a whole
+// ladder leaves (or needs) a goroutine of its own — there is no pool to stop
+// and nothing to Close (EXPERIMENTS.md E28).
+func TestCodecStartsNoGoroutines(t *testing.T) {
+	film := shortFilm()
+	before := runtime.NumGoroutine()
+	cfg := vcodec.Config{Width: film.W, Height: film.H, QStep: 4, GOP: 4, SearchRange: 2}
+	enc, err := vcodec.NewEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder, err := vcodec.NewLadderEncoder(cfg, []int{4, 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := vcodec.NewDecoder()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after building an encoder, a ladder encoder and a decoder, %d before", n, before)
+	}
+	pkt, err := enc.Encode(film.Render(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.Decode(pkt.Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := ladder.Encode(film.Render(0), make([]vcodec.Packet, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecordLadder(film, Options{}, DefaultLadder()); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after coding frames and recording a ladder, %d before", n, before)
 	}
 }

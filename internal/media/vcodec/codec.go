@@ -3,7 +3,6 @@ package vcodec
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 
 	"repro/internal/media/raster"
 )
@@ -35,13 +34,8 @@ const (
 
 const magic = "TKV1"
 
-// MaxWorkers caps the per-codec worker pool; values beyond this are absurd
-// for block-row parallelism and only waste goroutines.
-const MaxWorkers = 256
-
 // maxDim bounds frame dimensions. The decoder rejects larger headers as
-// corrupt, so the encoder must refuse to produce them; rowPool's queue depth
-// is also sized from it.
+// corrupt, so the encoder must refuse to produce them.
 const maxDim = 1 << 14
 
 // Config parameterizes an Encoder.
@@ -50,7 +44,6 @@ type Config struct {
 	QStep         int // quantizer step; larger = smaller & worse. Sane range 2..32.
 	GOP           int // I-frame interval; every GOP-th frame is intra. >= 1.
 	SearchRange   int // motion search radius in pixels (0..7). 0 disables MC.
-	Workers       int // parallel block-row workers; <=0 means all CPUs, max MaxWorkers
 }
 
 func (c Config) validate() error {
@@ -66,22 +59,7 @@ func (c Config) validate() error {
 	if c.SearchRange < 0 || c.SearchRange > 7 {
 		return fmt.Errorf("vcodec: search range %d out of range [0,7]", c.SearchRange)
 	}
-	if c.Workers > MaxWorkers {
-		return fmt.Errorf("vcodec: workers %d out of range (max %d)", c.Workers, MaxWorkers)
-	}
 	return nil
-}
-
-// normWorkers resolves a worker count: <=0 means all CPUs, capped at
-// MaxWorkers either way.
-func normWorkers(n int) int {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	if n > MaxWorkers {
-		n = MaxWorkers
-	}
-	return n
 }
 
 // Packet is one encoded frame.
@@ -95,19 +73,17 @@ type Packet struct {
 // quantizer steps in a single pass: each frame is converted to YCbCr once and
 // that one source image is coded at every rung. The ladder owns everything
 // that does not depend on the quantizer — the source image, the colorspace
-// scratch, the worker pool and the per-row chunk buffers; a rung is only its
+// scratch and the per-row chunk buffers; a rung is only its
 // quantizer step and its reference/reconstruction double buffer. All of it
 // is allocated at construction, so the steady-state Encode path allocates
 // nothing when the caller recycles the payload buffers. Not safe for
 // concurrent use.
 type LadderEncoder struct {
-	cfg    Config   // QStep is unused: every rung carries its own
-	pool   *rowPool // nil when single-worker (rows run inline)
-	img    *ycbcr   // current frame in YCbCr, shared by every rung
-	fullCb []uint8  // full-resolution chroma scratch for fromFrame
+	cfg    Config  // QStep is unused: every rung carries its own
+	img    *ycbcr  // current frame in YCbCr, shared by every rung
+	fullCb []uint8 // full-resolution chroma scratch for fromFrame
 	fullCr []uint8
 	rows   []byteWriter // per-block-row chunk buffers, reused across planes/rungs/frames
-	task   encTask      // reusable plane-dispatch task for the pool
 	rungs  []rung
 	hasRef bool
 	count  int // frames coded since construction or Reset; rungs advance in lockstep
@@ -120,21 +96,8 @@ type rung struct {
 	ref   *ycbcr // previous reconstruction (what this rung's decoder will see)
 }
 
-// encTask carries one plane's encode parameters to the worker pool.
-type encTask struct {
-	src, ref, recon    *plane
-	bufs               []byteWriter
-	qstep, searchRange int
-}
-
-func (t *encTask) runRow(by int) {
-	t.bufs[by].reset()
-	encodeBlockRow(&t.bufs[by], t.src, t.ref, t.recon, by, t.qstep, t.searchRange)
-}
-
 // NewLadderEncoder returns an encoder that codes every frame once per entry
-// of qsteps, in that order; cfg.QStep is ignored. Call Close when done to
-// release the worker pool promptly (a finalizer releases it otherwise).
+// of qsteps, in that order; cfg.QStep is ignored.
 func NewLadderEncoder(cfg Config, qsteps []int) (*LadderEncoder, error) {
 	if len(qsteps) == 0 {
 		return nil, fmt.Errorf("vcodec: ladder encoder needs at least one quantizer step")
@@ -146,7 +109,6 @@ func NewLadderEncoder(cfg Config, qsteps []int) (*LadderEncoder, error) {
 		}
 	}
 	cfg.QStep = 0
-	cfg.Workers = normWorkers(cfg.Workers)
 	e := &LadderEncoder{cfg: cfg, img: newYCbCr(cfg.Width, cfg.Height)}
 	pw, ph := e.img.y.w, e.img.y.h
 	e.fullCb = make([]uint8, pw*ph)
@@ -156,20 +118,7 @@ func NewLadderEncoder(cfg Config, qsteps []int) (*LadderEncoder, error) {
 	for k, q := range qsteps {
 		e.rungs[k] = rung{qstep: q, recon: newYCbCr(cfg.Width, cfg.Height), ref: newYCbCr(cfg.Width, cfg.Height)}
 	}
-	if cfg.Workers > 1 {
-		e.pool = newRowPool(cfg.Workers)
-		runtime.AddCleanup(e, (*rowPool).stop, e.pool)
-	}
 	return e, nil
-}
-
-// Close stops the encoder's worker pool. The encoder remains usable; further
-// Encode calls fall back to inline (single-threaded) row coding.
-func (e *LadderEncoder) Close() {
-	if e.pool != nil {
-		e.pool.stop()
-		e.pool = nil
-	}
 }
 
 // Reset drops the reference frames so the next frame becomes an I-frame.
@@ -223,21 +172,16 @@ func (e *LadderEncoder) Encode(f *raster.Frame, pkts []Packet) error {
 	return nil
 }
 
-// encodePlane codes one plane as independent block rows (parallel across
-// the persistent pool) and writes a row-length table so the decoder can
-// parallelize too.
+// encodePlane codes one plane as independent block rows, one after the
+// other, behind a row-length table (part of the bitstream: each row is its
+// own chunk, checked for trailing bytes on decode).
 func (e *LadderEncoder) encodePlane(w *byteWriter, src, ref, recon *plane, qstep, searchRange int) {
-	rows := src.h / blockSize
-	bufs := e.rows[:rows]
-	e.task = encTask{src: src, ref: ref, recon: recon, bufs: bufs, qstep: qstep, searchRange: searchRange}
-	if e.pool != nil && rows > 1 {
-		e.pool.run(rows, &e.task)
-	} else {
-		for by := 0; by < rows; by++ {
-			e.task.runRow(by)
-		}
+	bufs := e.rows[:src.h/blockSize]
+	for by := range bufs {
+		bufs[by].reset()
+		encodeBlockRow(&bufs[by], src, ref, recon, by, qstep, searchRange)
 	}
-	w.uvarint(uint64(rows))
+	w.uvarint(uint64(len(bufs)))
 	for i := range bufs {
 		w.uvarint(uint64(len(bufs[i].buf)))
 	}
@@ -254,9 +198,7 @@ type Encoder struct {
 	prevSz int // previous packet size, used to presize the next payload
 }
 
-// NewEncoder returns an encoder for the given configuration. Call Close when
-// done to release the worker pool promptly (a finalizer releases it
-// otherwise).
+// NewEncoder returns an encoder for the given configuration.
 func NewEncoder(cfg Config) (*Encoder, error) {
 	l, err := NewLadderEncoder(cfg, []int{cfg.QStep})
 	if err != nil {
@@ -264,10 +206,6 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	}
 	return &Encoder{ladder: l}, nil
 }
-
-// Close stops the encoder's worker pool. The encoder remains usable; further
-// Encode calls fall back to inline (single-threaded) row coding.
-func (e *Encoder) Close() { e.ladder.Close() }
 
 // Encode compresses the next frame. Frame type is chosen by the GOP setting;
 // the first frame is always intra.
@@ -562,56 +500,20 @@ func unpackMV(b uint8) (int, int) {
 }
 
 // Decoder decompresses TKV1 packets. Like the Encoder it is a persistent
-// pipeline: the worker pool and the reference/target image double buffer
+// pipeline: the reference/target image double buffer and the row scratch
 // live for the decoder's lifetime, so steady-state DecodeInto allocates
-// nothing. The zero Decoder is not usable; construct with NewDecoder. The
-// first packet a decoder sees must be an I-frame. Not safe for concurrent
-// use.
+// nothing. The first packet a decoder sees must be an I-frame. Not safe for
+// concurrent use.
 type Decoder struct {
-	workers int
-	pool    *rowPool
 	ref     *ycbcr   // last fully decoded image (nil before the first I-frame)
 	free    []*ycbcr // recycled decode targets (at most two circulate)
 	lengths []int
 	chunks  [][]byte
-	errs    []error
-	task    decTask  // reusable plane-dispatch task for the pool
 	blend   []uint32 // toFrameInto's row scratch
 }
 
-// decTask carries one plane's decode parameters to the worker pool.
-type decTask struct {
-	chunks   [][]byte
-	errs     []error
-	dst, ref *plane
-	qstep    int
-}
-
-func (t *decTask) runRow(by int) {
-	t.errs[by] = decodeBlockRow(t.chunks[by], t.dst, t.ref, by, t.qstep)
-}
-
-// NewDecoder returns a decoder that fans block-row decoding out over the
-// given number of workers (<=0 means all CPUs; clamped to MaxWorkers, the
-// same cap Config.validate enforces). Call Close when done to release the
-// worker pool promptly (a finalizer releases it otherwise).
-func NewDecoder(workers int) *Decoder {
-	d := &Decoder{workers: normWorkers(workers)}
-	if d.workers > 1 {
-		d.pool = newRowPool(d.workers)
-		runtime.AddCleanup(d, (*rowPool).stop, d.pool)
-	}
-	return d
-}
-
-// Close stops the decoder's worker pool. The decoder remains usable; further
-// decodes fall back to inline (single-threaded) row decoding.
-func (d *Decoder) Close() {
-	if d.pool != nil {
-		d.pool.stop()
-		d.pool = nil
-	}
-}
+// NewDecoder returns a decoder with no reference state.
+func NewDecoder() *Decoder { return &Decoder{} }
 
 // Reset drops decoder state (e.g. before seeking to a new I-frame). The
 // image buffers are kept for recycling, so seek-heavy playback does not
@@ -765,9 +667,8 @@ func (d *Decoder) decodePlane(r *byteReader, dst, ref *plane, qstep int) error {
 	if cap(d.lengths) < rows {
 		d.lengths = make([]int, rows)
 		d.chunks = make([][]byte, rows)
-		d.errs = make([]error, rows)
 	}
-	lengths, chunks, errs := d.lengths[:rows], d.chunks[:rows], d.errs[:rows]
+	lengths, chunks := d.lengths[:rows], d.chunks[:rows]
 	for i := range lengths {
 		lv, err := r.uvarint()
 		if err != nil {
@@ -781,19 +682,10 @@ func (d *Decoder) decodePlane(r *byteReader, dst, ref *plane, qstep int) error {
 			return err
 		}
 		chunks[i] = c
-		errs[i] = nil
 	}
-	d.task = decTask{chunks: chunks, errs: errs, dst: dst, ref: ref, qstep: qstep}
-	if d.pool != nil && rows > 1 {
-		d.pool.run(rows, &d.task)
-	} else {
-		for by := 0; by < rows; by++ {
-			d.task.runRow(by)
-		}
-	}
-	for _, e := range errs {
-		if e != nil {
-			return e
+	for by, c := range chunks {
+		if err := decodeBlockRow(c, dst, ref, by, qstep); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -21,7 +21,7 @@ func testFilm(t testing.TB) *synth.Film {
 }
 
 func encCfg(w, h int) Config {
-	return Config{Width: w, Height: h, QStep: 4, GOP: 8, SearchRange: 3, Workers: 2}
+	return Config{Width: w, Height: h, QStep: 4, GOP: 8, SearchRange: 3}
 }
 
 func TestDCTRoundTrip(t *testing.T) {
@@ -208,7 +208,7 @@ func TestYCbCrRoundTripApprox(t *testing.T) {
 func TestEncodeDecodeIntraQuality(t *testing.T) {
 	film := testFilm(t)
 	src := film.Render(0)
-	enc, err := NewEncoder(Config{Width: src.W, Height: src.H, QStep: 2, GOP: 1, Workers: 2})
+	enc, err := NewEncoder(Config{Width: src.W, Height: src.H, QStep: 2, GOP: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestEncodeDecodeIntraQuality(t *testing.T) {
 	if pkt.Type != IFrame {
 		t.Fatalf("first frame type = %v, want I", pkt.Type)
 	}
-	dec := NewDecoder(2)
+	dec := NewDecoder()
 	got, err := dec.Decode(pkt.Data)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestPFramesSmallerOnStaticContent(t *testing.T) {
 func TestDecodeSequenceMatchesEncoderReference(t *testing.T) {
 	film := testFilm(t)
 	enc, _ := NewEncoder(encCfg(96, 64))
-	dec := NewDecoder(1)
+	dec := NewDecoder()
 	for i := 0; i < 16; i++ {
 		src := film.Render(i)
 		pkt, err := enc.Encode(src)
@@ -279,57 +279,19 @@ func TestDecodeSequenceMatchesEncoderReference(t *testing.T) {
 	}
 }
 
-func TestDecoderWorkerCountIrrelevant(t *testing.T) {
-	film := testFilm(t)
-	enc, _ := NewEncoder(encCfg(96, 64))
-	var pkts []Packet
-	for i := 0; i < 10; i++ {
-		p, _ := enc.Encode(film.Render(i))
-		pkts = append(pkts, p)
-	}
-	d1, d4 := NewDecoder(1), NewDecoder(4)
-	for i, p := range pkts {
-		a, err1 := d1.Decode(p.Data)
-		b, err2 := d4.Decode(p.Data)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if !a.Equal(b) {
-			t.Fatalf("frame %d differs between 1 and 4 decode workers", i)
-		}
-	}
-}
-
-func TestEncoderWorkerCountIrrelevant(t *testing.T) {
-	film := testFilm(t)
-	cfg := encCfg(96, 64)
-	cfg.Workers = 1
-	e1, _ := NewEncoder(cfg)
-	cfg.Workers = 4
-	e4, _ := NewEncoder(cfg)
-	for i := 0; i < 6; i++ {
-		src := film.Render(i)
-		p1, _ := e1.Encode(src)
-		p4, _ := e4.Encode(src)
-		if string(p1.Data) != string(p4.Data) {
-			t.Fatalf("frame %d bitstream differs across encoder worker counts", i)
-		}
-	}
-}
-
 func TestPFrameWithoutReferenceFails(t *testing.T) {
 	film := testFilm(t)
 	enc, _ := NewEncoder(encCfg(96, 64))
 	enc.Encode(film.Render(0))           // I
 	pkt, _ := enc.Encode(film.Render(1)) // P
-	dec := NewDecoder(1)
+	dec := NewDecoder()
 	if _, err := dec.Decode(pkt.Data); err == nil {
 		t.Fatal("decoding P-frame without reference should fail")
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	dec := NewDecoder(1)
+	dec := NewDecoder()
 	for _, data := range [][]byte{
 		nil,
 		[]byte("X"),
@@ -347,7 +309,7 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	enc, _ := NewEncoder(encCfg(96, 64))
 	pkt, _ := enc.Encode(film.Render(0))
 	for _, n := range []int{5, 10, len(pkt.Data) / 2, len(pkt.Data) - 1} {
-		dec := NewDecoder(2)
+		dec := NewDecoder()
 		if _, err := dec.Decode(pkt.Data[:n]); err == nil {
 			t.Errorf("truncated packet (%d bytes) accepted", n)
 		}
@@ -360,9 +322,9 @@ func TestHigherQLowerQualitySmallerSize(t *testing.T) {
 	var prevSize = 1 << 30
 	var prevPSNR = math.Inf(1)
 	for _, q := range []int{2, 6, 16} {
-		enc, _ := NewEncoder(Config{Width: src.W, Height: src.H, QStep: q, GOP: 1, Workers: 1})
+		enc, _ := NewEncoder(Config{Width: src.W, Height: src.H, QStep: q, GOP: 1})
 		pkt, _ := enc.Encode(src)
-		dec := NewDecoder(1)
+		dec := NewDecoder()
 		rec, err := dec.Decode(pkt.Data)
 		if err != nil {
 			t.Fatal(err)
@@ -385,7 +347,6 @@ func TestConfigValidation(t *testing.T) {
 		{Width: 10, Height: 10, QStep: 400, GOP: 5},
 		{Width: 10, Height: 10, QStep: 4, GOP: 0},
 		{Width: 10, Height: 10, QStep: 4, GOP: 5, SearchRange: 9},
-		{Width: 10, Height: 10, QStep: 4, GOP: 5, Workers: MaxWorkers + 1},
 		{Width: maxDim + 8, Height: 10, QStep: 4, GOP: 5}, // decoder would reject its own stream
 		{Width: 10, Height: maxDim + 8, QStep: 4, GOP: 5},
 	}
@@ -396,58 +357,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestWorkerDefaultsAndClamp(t *testing.T) {
-	// <=0 means all CPUs; absurd counts are clamped to MaxWorkers. The
-	// decoder mirrors the encoder's clamping since it has no validate step.
-	for _, n := range []int{-1, 0, 1, 7, MaxWorkers, MaxWorkers + 1, 100000} {
-		got := normWorkers(n)
-		if got < 1 || got > MaxWorkers {
-			t.Errorf("normWorkers(%d) = %d, out of [1,%d]", n, got, MaxWorkers)
-		}
-		if n >= 1 && n <= MaxWorkers && got != n {
-			t.Errorf("normWorkers(%d) = %d, want unchanged", n, got)
-		}
-	}
-	if d := NewDecoder(100000); d.workers != MaxWorkers {
-		t.Errorf("NewDecoder(100000) workers = %d, want %d", d.workers, MaxWorkers)
-	}
-	enc, err := NewEncoder(Config{Width: 16, Height: 16, QStep: 4, GOP: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer enc.Close()
-	if enc.ladder.cfg.Workers < 1 || enc.ladder.cfg.Workers > MaxWorkers {
-		t.Errorf("default encoder workers = %d, out of [1,%d]", enc.ladder.cfg.Workers, MaxWorkers)
-	}
-}
-
-func TestEncoderDecoderCloseStillUsable(t *testing.T) {
-	film := testFilm(t)
-	enc, _ := NewEncoder(encCfg(96, 64))
-	dec := NewDecoder(4)
-	p0, err := enc.Encode(film.Render(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.Close()
-	dec.Close()
-	p1, err := enc.Encode(film.Render(1)) // inline fallback after Close
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []Packet{p0, p1} {
-		if _, err := dec.Decode(p.Data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	enc.Close() // idempotent
-	dec.Close()
-}
-
 func TestDecodeIntoRecyclesBuffer(t *testing.T) {
 	film := testFilm(t)
 	enc, _ := NewEncoder(encCfg(96, 64))
-	dec := NewDecoder(1)
+	dec := NewDecoder()
 	var f raster.Frame
 	var firstPix []uint8
 	for i := 0; i < 6; i++ {
@@ -480,7 +393,7 @@ func TestDecodeRejectsHugeFrameTinyPayload(t *testing.T) {
 	w.uvarint(4) // qstep
 	w.u8(0)      // search range
 	w.uvarint(2048)
-	if _, err := NewDecoder(1).Decode(w.buf); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewDecoder().Decode(w.buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("tiny huge-frame packet: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -495,7 +408,7 @@ func TestResetRecyclesImageBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(1)
+	dec := NewDecoder()
 	for i := 0; i < 3; i++ { // warm up ref + free list
 		if err := dec.Advance(pkt.Data); err != nil {
 			t.Fatal(err)
@@ -525,7 +438,7 @@ func TestAdvanceMatchesDecode(t *testing.T) {
 		}
 		pkts = append(pkts, p)
 	}
-	full := NewDecoder(1)
+	full := NewDecoder()
 	var want *raster.Frame
 	for _, p := range pkts {
 		f, err := full.Decode(p.Data)
@@ -534,7 +447,7 @@ func TestAdvanceMatchesDecode(t *testing.T) {
 		}
 		want = f
 	}
-	skip := NewDecoder(1)
+	skip := NewDecoder()
 	for _, p := range pkts[:len(pkts)-1] {
 		if err := skip.Advance(p.Data); err != nil {
 			t.Fatal(err)
@@ -602,7 +515,7 @@ func TestOddSizeFrames(t *testing.T) {
 		src := raster.New(w, h)
 		src.FillVGradient(raster.Green, raster.Magenta)
 		src.FillCircle(w/2, h/2, min(w, h)/3, raster.Yellow)
-		enc, err := NewEncoder(Config{Width: w, Height: h, QStep: 2, GOP: 1, Workers: 2})
+		enc, err := NewEncoder(Config{Width: w, Height: h, QStep: 2, GOP: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,7 +523,7 @@ func TestOddSizeFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d: %v", w, h, err)
 		}
-		rec, err := NewDecoder(2).Decode(pkt.Data)
+		rec, err := NewDecoder().Decode(pkt.Data)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", w, h, err)
 		}
@@ -640,7 +553,6 @@ func TestLadderEncoderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer enc.Close()
 	if err := enc.Encode(raster.New(32, 16), make([]Packet, 1)); err == nil {
 		t.Error("one packet slot accepted for a two-rung ladder")
 	}
@@ -661,7 +573,6 @@ func TestLadderRungsMatchSeparateEncoders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ladder.Close()
 	singles := make([]*Encoder, len(qsteps))
 	for k, q := range qsteps {
 		c := cfg
@@ -669,7 +580,6 @@ func TestLadderRungsMatchSeparateEncoders(t *testing.T) {
 		if singles[k], err = NewEncoder(c); err != nil {
 			t.Fatal(err)
 		}
-		defer singles[k].Close()
 	}
 	pkts := make([]Packet, len(qsteps))
 	for i := 0; i < 20; i++ {
@@ -700,12 +610,10 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ladder.Close()
 	single, err := NewEncoder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer single.Close()
 	pkts := make([]Packet, 4)
 	i := 0
 	next := func() *raster.Frame { i++; return frames[i%len(frames)] }

@@ -13,7 +13,7 @@ import (
 var fuzzSeeds = sync.OnceValue(func() (pkts [2][]byte) {
 	f := raster.New(24, 16)
 	f.FillVGradient(raster.RGB{R: 200, G: 60, B: 40}, raster.RGB{R: 20, G: 80, B: 180})
-	enc, err := NewEncoder(Config{Width: 24, Height: 16, QStep: 4, GOP: 8, SearchRange: 2, Workers: 1})
+	enc, err := NewEncoder(Config{Width: 24, Height: 16, QStep: 4, GOP: 8, SearchRange: 2})
 	if err != nil {
 		panic(err)
 	}
@@ -71,9 +71,9 @@ func FuzzDecode(f *testing.F) {
 			}
 			return nil
 		}
-		differential("cold", NewDecoder(1), &refDecoder{})
+		differential("cold", NewDecoder(), &refDecoder{})
 
-		primed, oracle := NewDecoder(1), &refDecoder{}
+		primed, oracle := NewDecoder(), &refDecoder{}
 		if _, err := primed.Decode(seeds[0]); err != nil {
 			t.Fatalf("seed I-frame rejected: %v", err)
 		}

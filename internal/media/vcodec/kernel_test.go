@@ -402,7 +402,6 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer enc.Close()
 	var pkts [][]byte
 	for i := 0; i < 16; i++ {
 		p, err := enc.Encode(film.Render(i))
@@ -411,30 +410,27 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		}
 		pkts = append(pkts, p.Data)
 	}
-	for _, workers := range []int{1, 2} {
-		dec := NewDecoder(workers)
-		defer dec.Close()
-		var frame raster.Frame
-		i := 0
-		next := func() []byte { i++; return pkts[(i-1)%len(pkts)] }
-		for range pkts { // warm both image buffers, the row tables and the frame
-			if err := dec.DecodeInto(&frame, next()); err != nil {
-				t.Fatal(err)
-			}
+	dec := NewDecoder()
+	var frame raster.Frame
+	i := 0
+	next := func() []byte { i++; return pkts[(i-1)%len(pkts)] }
+	for range pkts { // warm both image buffers, the row tables and the frame
+		if err := dec.DecodeInto(&frame, next()); err != nil {
+			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(64, func() {
-			if err := dec.DecodeInto(&frame, next()); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("workers=%d: DecodeInto allocates %.1f objects/frame, want 0", workers, n)
+	}
+	if n := testing.AllocsPerRun(64, func() {
+		if err := dec.DecodeInto(&frame, next()); err != nil {
+			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(64, func() {
-			if err := dec.Advance(next()); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("workers=%d: Advance allocates %.1f objects/frame, want 0", workers, n)
+	}); n != 0 {
+		t.Errorf("DecodeInto allocates %.1f objects/frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(64, func() {
+		if err := dec.Advance(next()); err != nil {
+			t.Fatal(err)
 		}
+	}); n != 0 {
+		t.Errorf("Advance allocates %.1f objects/frame, want 0", n)
 	}
 }

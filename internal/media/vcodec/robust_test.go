@@ -21,7 +21,7 @@ func TestDecodeNeverPanicsOnRandomInput(t *testing.T) {
 				ok = false
 			}
 		}()
-		dec := NewDecoder(1)
+		dec := NewDecoder()
 		dec.Decode(data)
 		return true
 	}, &quick.Config{MaxCount: 300})
@@ -50,14 +50,12 @@ func TestDecodeRejectsOverflowingRowLength(t *testing.T) {
 	if len(pkt) != 30 {
 		t.Fatalf("packet is %d bytes, want 30", len(pkt))
 	}
-	for _, workers := range []int{1, 2} {
-		frame, err := NewDecoder(workers).Decode(pkt)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("workers=%d: err = %v, want ErrCorrupt", workers, err)
-		}
-		if frame != nil {
-			t.Fatal("frame returned alongside error")
-		}
+	frame, err := NewDecoder().Decode(pkt)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if frame != nil {
+		t.Fatal("frame returned alongside error")
 	}
 	// The same length in every later position a length can take.
 	r := &byteReader{buf: pkt, pos: 19}
@@ -75,7 +73,7 @@ func TestDecodeRejectsOverflowingRowLength(t *testing.T) {
 func TestDecodeNeverPanicsOnBitFlips(t *testing.T) {
 	src := raster.New(64, 48)
 	src.FillVGradient(raster.Red, raster.Blue)
-	enc, _ := NewEncoder(Config{Width: 64, Height: 48, QStep: 4, GOP: 4, SearchRange: 2, Workers: 1})
+	enc, _ := NewEncoder(Config{Width: 64, Height: 48, QStep: 4, GOP: 4, SearchRange: 2})
 	var pkts [][]byte
 	for i := 0; i < 6; i++ {
 		p, err := enc.Encode(src)
@@ -98,7 +96,7 @@ func TestDecodeNeverPanicsOnBitFlips(t *testing.T) {
 					t.Fatalf("panic on bit-flipped packet (trial %d): %v", trial, r)
 				}
 			}()
-			dec := NewDecoder(2)
+			dec := NewDecoder()
 			// A flipped P-frame may need a reference; give it one.
 			if i0, err := NewDecoderReference(dec, pkts[0]); err == nil {
 				_ = i0
@@ -125,7 +123,7 @@ func TestQuickIntraRoundTripQuality(t *testing.T) {
 		for i := range f.Pix {
 			f.Pix[i] = uint8(rng.Intn(256))
 		}
-		enc, err := NewEncoder(Config{Width: w, Height: h, QStep: 1, GOP: 1, Workers: 1})
+		enc, err := NewEncoder(Config{Width: w, Height: h, QStep: 1, GOP: 1})
 		if err != nil {
 			return false
 		}
@@ -133,7 +131,7 @@ func TestQuickIntraRoundTripQuality(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rec, err := NewDecoder(1).Decode(pkt.Data)
+		rec, err := NewDecoder().Decode(pkt.Data)
 		if err != nil {
 			return false
 		}
@@ -150,8 +148,8 @@ func TestQuickIntraRoundTripQuality(t *testing.T) {
 func TestLongGOPNoDrift(t *testing.T) {
 	src := raster.New(96, 64)
 	src.FillVGradient(raster.RGB{R: 50, G: 90, B: 130}, raster.RGB{R: 200, G: 180, B: 120})
-	enc, _ := NewEncoder(Config{Width: 96, Height: 64, QStep: 6, GOP: 1000, SearchRange: 2, Workers: 1})
-	dec := NewDecoder(1)
+	enc, _ := NewEncoder(Config{Width: 96, Height: 64, QStep: 6, GOP: 1000, SearchRange: 2})
+	dec := NewDecoder()
 	var first, last float64
 	for i := 0; i < 100; i++ {
 		pkt, err := enc.Encode(src)

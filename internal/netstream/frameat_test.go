@@ -71,7 +71,7 @@ func fullDecode(t *testing.T, video []byte) []*raster.Frame {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := vcodec.NewDecoder(1)
+	dec := vcodec.NewDecoder()
 	out := make([]*raster.Frame, r.Meta().FrameCount)
 	for i := range out {
 		pkt, _, err := r.PacketAt(i)
@@ -293,7 +293,7 @@ func TestRemoteFrameAtErrorReseeks(t *testing.T) {
 		Shots: 2, MinShotFrames: 10, MaxShotFrames: 12,
 		NoiseAmp: 6, Seed: 17,
 	})
-	enc, err := vcodec.NewEncoder(vcodec.Config{Width: 64, Height: 48, QStep: 4, GOP: 100, SearchRange: 2, Workers: 1})
+	enc, err := vcodec.NewEncoder(vcodec.Config{Width: 64, Height: 48, QStep: 4, GOP: 100, SearchRange: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@
 //
 // Since PR 4 the delivery path is content-addressed: the Server resolves
 // a package name to its chunk manifest and serves every payload byte out
-// of a blobstore.Store (deduplicated across courses, hot chunks in a
-// lock-striped LRU tier) instead of holding whole blobs resident. Three
-// routes expose the store:
+// of a blobstore.Store (deduplicated across courses, hot chunks in an LRU
+// tier) instead of holding whole blobs resident. Three routes expose the
+// store:
 //
 //   - /pkg/<name>       — the classic byte-identical package (ranges,
 //     ETag/304), assembled on the fly from chunks.
@@ -1090,7 +1090,7 @@ func (c *Client) openChunked(base string, man *gamepack.Manifest, cache *Package
 		cache:     cache,
 		landed:    map[int]*landedRun{},
 		tierBytes: map[string]int64{},
-		seek:      playback.NewSeeker(1),
+		seek:      playback.NewSeeker(),
 		own:       &raster.Frame{},
 	}
 	for _, tier := range man.VideoTiers() {

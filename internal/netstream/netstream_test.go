@@ -386,7 +386,7 @@ func longCourse(t testing.TB, edit bool) []byte {
 	if edit {
 		film.Shots[5].Seed ^= 0xbeef
 	}
-	video, err := studio.Record(film, studio.Options{QStep: 6, GOP: 10, ShotMarkers: true, Workers: 1})
+	video, err := studio.Record(film, studio.Options{QStep: 6, GOP: 10, ShotMarkers: true})
 	if err != nil {
 		t.Fatal(err)
 	}

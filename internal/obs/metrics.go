@@ -10,9 +10,9 @@
 // Registry per node, so `GET /metrics` on any node covers the whole
 // process. Instruments are constructed standalone (a component owns its
 // histogram whether or not anything scrapes it) and attached to a
-// Registry afterwards; counters that live as striped atomics in a service
-// are named through CounterFunc/GaugeFunc closures, keeping their
-// contention behavior unchanged.
+// Registry afterwards; counters that live as atomics in a service are
+// named through CounterFunc/GaugeFunc closures, keeping their contention
+// behavior unchanged.
 //
 // The registry is the one definition of every server-side scalar. A
 // component names its families once, registers them on a registry of its

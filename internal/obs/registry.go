@@ -131,8 +131,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for counters that already live as striped atomics in
-// a service (playsvc shard counters, gateway routing stats). fn must be
+// time — the bridge for counters that already live as atomics in a service
+// (playsvc session counters, gateway routing stats). fn must be
 // monotonically non-decreasing.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
 	s := r.register(name, help, "", kindCounter, labels)

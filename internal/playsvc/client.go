@@ -181,7 +181,6 @@ func Dial(o ClientOptions) (*Client, error) {
 			return nil, fmt.Errorf("playsvc: local mirror: %w", err)
 		}
 		if c.mirrorCounter.n != int64(reply.EventCount) {
-			mirror.Close()
 			return nil, fmt.Errorf("playsvc: local mirror diverged at create: %d events locally, %d hosted", c.mirrorCounter.n, reply.EventCount)
 		}
 		c.mirror = mirror
@@ -734,12 +733,7 @@ func (c *Client) Frame() (*raster.Frame, error) {
 // it should not linger until TTL eviction — and returns the sticky error.
 func (c *Client) Close() error {
 	c.flush() // a mirror client's queued tail; errors stick
-	if c.mirror != nil {
-		defer func() {
-			c.mirror.Close()
-			c.mirror = nil
-		}()
-	}
+	defer func() { c.mirror = nil }()
 	c.seq++
 	url := c.opts.BaseURL + ActPath
 	leave := mustJSON(&ActRequest{Session: c.id, Kind: ActLeave, Seq: c.seq, SeenEvents: c.seen, SeenMessages: len(c.messages)})

@@ -42,7 +42,7 @@ func (ct *countingTransport) count(path string) int {
 // in between cost nothing), nothing touches /play/act until Close, and
 // Close sends exactly one leave there.
 func TestThinOneRequestPerAct(t *testing.T) {
-	ts, _ := liveService(t, Options{Shards: 1, TTL: -1})
+	ts, _ := liveService(t, Options{TTL: -1})
 	ct := &countingTransport{}
 	c := dialOpts(t, ts.URL, nil, func(o *ClientOptions) { o.HTTP = &http.Client{Transport: ct} })
 

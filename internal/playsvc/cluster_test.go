@@ -15,9 +15,6 @@ func liveCluster(t testing.TB, n int, node Options) (*Cluster, *httptest.Server)
 	if node.TTL == 0 {
 		node.TTL = -1
 	}
-	if node.Shards == 0 {
-		node.Shards = 4
-	}
 	cl, err := NewCluster(ClusterOptions{Node: node})
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ func goldenClassroomRun(t *testing.T) (trace []sim.TraceStep, wantLog []runtime.
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer local.Close()
 	if err := sim.Replay(local, res.Trace); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func checkReplayLeg(t *testing.T, c *Client, trace []sim.TraceStep, rec *recorde
 func TestBinaryGoldenReplay(t *testing.T) {
 	trace, wantLog, wantState, wantMsgs := goldenClassroomRun(t)
 
-	ts, m := liveService(t, Options{Shards: 4})
+	ts, m := liveService(t, Options{})
 	_, gw := liveCluster(t, 3, Options{})
 	pkg, err := gamepack.Open(classroomBlob(t))
 	if err != nil {
@@ -149,7 +148,7 @@ func TestBinaryGoldenReplay(t *testing.T) {
 // (reconciliation is a sticky error, so a clean Close proves it).
 func TestDroppedReplyChaos(t *testing.T) {
 	trace, wantLog, wantState, wantMsgs := goldenClassroomRun(t)
-	ts, m := liveService(t, Options{Shards: 4})
+	ts, m := liveService(t, Options{})
 	pkg, err := gamepack.Open(classroomBlob(t))
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +212,7 @@ func TestDroppedReplyChaos(t *testing.T) {
 // on /play/actv2 — must yield the same Reply through the shared handler:
 // state, events, messages, pending quiz and the correct/took results.
 func TestJSONAdapterMatchesFrame(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 1, TTL: -1})
+	ts, m := liveService(t, Options{TTL: -1})
 	post := func(path, ctype string, body []byte) []byte {
 		t.Helper()
 		resp, err := http.Post(ts.URL+path, ctype, bytes.NewReader(body))
@@ -289,7 +288,7 @@ func TestJSONAdapterMatchesFrame(t *testing.T) {
 // return the SAME final tail (the events and messages the client had not
 // yet acknowledged) — not an empty confirmation and not a 404.
 func TestRetriedLeaveDeliversFinalTail(t *testing.T) {
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -449,7 +448,7 @@ func TestRetriedBatchAfterThawNotDoubleApplied(t *testing.T) {
 // "seen nothing" (full retained tail back, no panic, no log corruption);
 // absurdly large values clamp to "seen everything" without over-trimming.
 func TestNegativeSeenCounts(t *testing.T) {
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -521,7 +520,7 @@ func TestNegativeSeenCounts(t *testing.T) {
 	if len(rr2.Events) < total {
 		t.Fatalf("negative-seen act returned %d events, want the full log (>= %d)", len(rr2.Events), total)
 	}
-	h, _, err := m.lookup(r.Session)
+	h, err := m.lookup(r.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +565,7 @@ func TestNegativeSeenCounts(t *testing.T) {
 // flight); only the next request's acknowledged seen-count releases the
 // prefix.
 func TestReplyIsPureAckTrims(t *testing.T) {
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -594,7 +593,7 @@ func TestReplyIsPureAckTrims(t *testing.T) {
 	if _, err := m.StateOf(r.Session, rr.EventCount, rr.MessageCount); err != nil {
 		t.Fatal(err)
 	}
-	h, _, err := m.lookup(r.Session)
+	h, err := m.lookup(r.Session)
 	if err != nil {
 		t.Fatal(err)
 	}

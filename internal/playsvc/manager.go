@@ -4,9 +4,11 @@
 // click objects, answer quizzes and branch between scenarios. netstream
 // ships the package to the client; playsvc is the other deployment shape,
 // where the runtime.Session itself lives on the server and thin clients
-// drive it over HTTP (create/act/state/frame). A sharded, lock-striped
-// session manager hosts thousands of concurrent sessions, evicts idle ones
-// after a TTL, and reports its counters at /play/stats and /metrics. Frame
+// drive it over HTTP (create/act/state/frame). The session manager hosts
+// thousands of concurrent sessions — one map under one mutex, held for a
+// lookup and never across an act; the per-session lock carries the work —
+// evicts idle ones after a TTL, and reports its counters at /play/stats
+// and /metrics. Frame
 // responses ride the allocation-free decode path (Decoder.DecodeInto via
 // Session.FrameInto), so steady-state play allocates nothing per frame
 // request.
@@ -18,7 +20,6 @@ package playsvc
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -34,17 +35,13 @@ import (
 
 // Options tunes a Manager.
 type Options struct {
-	Shards int // session shards (default 32)
 	// TTL bounds memory held for abandoned sessions: a session with no
-	// request for this long is evicted and its decode resources released.
+	// request for this long is evicted.
 	// Default 10 minutes; negative disables eviction.
 	TTL time.Duration
-	// MaxSessions caps live sessions across all shards (creates beyond it
-	// answer 503). 0 means the default of 16384; negative disables the cap.
+	// MaxSessions caps live sessions (creates beyond it answer 503). 0 means
+	// the default of 16384; negative disables the cap.
 	MaxSessions int
-	// DecodeWorkers is the per-session decode worker count (default 1:
-	// parallelism comes from hosting many sessions, not from within one).
-	DecodeWorkers int
 	// MaxTicks bounds a single tick act (default 1000) so one request
 	// cannot spin the server arbitrarily long.
 	MaxTicks int
@@ -76,17 +73,11 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.Shards <= 0 {
-		o.Shards = 32
-	}
 	if o.TTL == 0 {
 		o.TTL = 10 * time.Minute
 	}
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 16384
-	}
-	if o.DecodeWorkers <= 0 {
-		o.DecodeWorkers = 1
 	}
 	if o.MaxTicks <= 0 {
 		o.MaxTicks = 1000
@@ -141,8 +132,8 @@ type hosted struct {
 	lastBits []byte // result bits of the applied prefix (frame.go res* bits)
 	lastErr  *Error // act-level error that stopped the batch, nil if none
 
-	// lastSeen (unix nanos) is atomic so the janitor can scan shards
-	// without taking every session lock.
+	// lastSeen (unix nanos) is atomic so the janitor can scan the session
+	// map without taking every session lock.
 	lastSeen atomic.Int64
 	// checkpointed is the lastSeen value the periodic checkpointer last
 	// persisted; sessions idle since then are skipped.
@@ -174,8 +165,10 @@ type course struct {
 // sets: every finished session leaves one behind for a TTL. Pruned by the
 // janitor alongside idle sessions.
 type tombstone struct {
-	seq int64
-	at  int64 // unix nanos, for pruning
+	id   string
+	next *tombstone // the tombstone saved after this one (Manager.tombHead)
+	seq  int64
+	at   int64 // unix nanos, for pruning
 
 	// int32 like the snapshot format, which bounds the same three counts.
 	tick, eventCount, messageCount int32
@@ -193,9 +186,9 @@ type tombTail struct {
 }
 
 // reply rebuilds the final view the tombstone was saved from.
-func (t *tombstone) reply(session string) *Reply {
+func (t *tombstone) reply() *Reply {
 	r := &Reply{
-		Session:      session,
+		Session:      t.id,
 		Tick:         int(t.tick),
 		EventCount:   int(t.eventCount),
 		MessageCount: int(t.messageCount),
@@ -206,28 +199,14 @@ func (t *tombstone) reply(session string) *Reply {
 	return r
 }
 
-// tombCap bounds tombstones per shard when no janitor runs (TTL<0): the
-// oldest are dropped first, which only narrows the retry window for the
-// longest-finished sessions.
-const tombCap = 4096
+// tombCap bounds tombstones per manager when no janitor runs (TTL<0) or
+// sessions finish faster than the TTL ages them out: the oldest are dropped
+// first, which only narrows the retry window for the longest-finished
+// sessions.
+const tombCap = 131072
 
-// shard is one stripe of the session map with its own lock and counters.
-type shard struct {
-	mu       sync.Mutex
-	sessions map[string]*hosted
-	tombs    map[string]*tombstone
-
-	created atomic.Int64
-	closed  atomic.Int64 // sessions released by a leave act
-	evicted atomic.Int64 // sessions reclaimed by the janitor (or Close)
-	frozen  atomic.Int64 // sessions snapshotted to the store on release
-	resumed atomic.Int64 // sessions thawed from a snapshot
-	acts    atomic.Int64
-	frames  atomic.Int64
-}
-
-// Manager is the sharded session host behind the play service HTTP
-// surface. All methods are safe for concurrent use.
+// Manager is the session host behind the play service HTTP surface. All
+// methods are safe for concurrent use.
 type Manager struct {
 	opts Options
 
@@ -277,13 +256,31 @@ type Manager struct {
 	roomAnswers   atomic.Int64
 	watcherJoins  atomic.Int64
 
-	seq    atomic.Int64
-	shards []shard
+	seq atomic.Int64
+	// mu guards the session map and the tombstones. It is held for a map
+	// operation, never while a session lock is taken or an act runs, so
+	// requests for different sessions meet here for tens of nanoseconds
+	// (EXPERIMENTS.md E28: 32 stripes of it measured no faster).
+	mu       sync.Mutex
+	sessions map[string]*hosted
+	// tombs indexes the leave tombstones by session; tombHead…tombTail
+	// chains the same tombstones in the order they were saved, which is
+	// their age order, so the cap and the janitor both drop from the head.
+	tombs              map[string]*tombstone
+	tombHead, tombTail *tombstone
+
+	created atomic.Int64
+	closed  atomic.Int64 // sessions released by a leave act
+	evicted atomic.Int64 // sessions reclaimed by the janitor (or Close)
+	frozen  atomic.Int64 // sessions snapshotted to the store on release
+	resumed atomic.Int64 // sessions thawed from a snapshot
+	acts    atomic.Int64
+	frames  atomic.Int64
 	// inflight counts executing play requests; shed counts the ones
 	// admission control refused (MaxInflight).
 	inflight atomic.Int64
 	shed     atomic.Int64
-	// liveCount mirrors the summed shard map sizes; Create reserves a slot
+	// liveCount mirrors the session map's size; Create reserves a slot
 	// on it atomically so a create flood cannot overshoot MaxSessions
 	// between a count and an insert.
 	liveCount atomic.Int64
@@ -321,14 +318,11 @@ func NewManager(o Options) *Manager {
 		videos:         map[blobstore.Hash][]byte{},
 		store:          o.Store,
 		dir:            o.Dir,
-		shards:         make([]shard, o.Shards),
+		sessions:       map[string]*hosted{},
+		tombs:          map[string]*tombstone{},
 		stopJanitor:    make(chan struct{}),
 		janitorDone:    make(chan struct{}),
 		checkpointDone: make(chan struct{}),
-	}
-	for i := range m.shards {
-		m.shards[i].sessions = map[string]*hosted{}
-		m.shards[i].tombs = map[string]*tombstone{}
 	}
 	m.Register(m.reg)
 	if o.TTL > 0 {
@@ -457,7 +451,6 @@ func (m *Manager) publish(name string, proj *core.Project, video []byte) error {
 	if err != nil {
 		return fmt.Errorf("playsvc: course %s: %w", name, err)
 	}
-	probe.Close()
 	w, h, fps := probe.VideoMeta()
 	m.videos[key] = interned
 	m.courses[name] = &course{name: name, pkg: pkg, videoKey: key, w: w, h: h, fps: fps}
@@ -484,45 +477,41 @@ func (m *Manager) Courses() []string {
 	return out
 }
 
-// shardIndex stripes a session ID onto a shard.
-func shardIndex(session string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(session))
-	return int(h.Sum32() % uint32(n))
-}
-
-func (m *Manager) shardFor(session string) *shard {
-	return &m.shards[shardIndex(session, len(m.shards))]
-}
-
-// lookup resolves a live session and its shard.
-func (m *Manager) lookup(session string) (*hosted, *shard, error) {
-	sh := m.shardFor(session)
-	sh.mu.Lock()
-	h := sh.sessions[session]
-	sh.mu.Unlock()
+// lookup resolves a live session.
+func (m *Manager) lookup(session string) (*hosted, error) {
+	m.mu.Lock()
+	h := m.sessions[session]
+	m.mu.Unlock()
 	if h == nil {
-		return nil, nil, errf(http.StatusNotFound, "playsvc: no session %q", session)
+		return nil, errf(http.StatusNotFound, "playsvc: no session %q", session)
 	}
-	return h, sh, nil
+	return h, nil
 }
 
-// Live counts hosted sessions across all shards (including slots reserved
-// by in-flight creates).
+// snapshotSessions copies the live sessions out from under the map lock,
+// for the sweeps that then lock each one.
+func (m *Manager) snapshotSessions() []*hosted {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*hosted, 0, len(m.sessions))
+	for _, h := range m.sessions {
+		out = append(out, h)
+	}
+	return out
+}
+
+// Live counts hosted sessions (including slots reserved by in-flight
+// creates).
 func (m *Manager) Live() int { return int(m.liveCount.Load()) }
 
 // LiveSessions lists the ids of the sessions this node currently hosts —
 // an introspection hook for operators (and cluster tests) chasing where a
 // session physically lives.
 func (m *Manager) LiveSessions() []string {
-	var ids []string
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for id := range sh.sessions {
-			ids = append(ids, id)
-		}
-		sh.mu.Unlock()
+	live := m.snapshotSessions()
+	ids := make([]string, len(live))
+	for i, h := range live {
+		ids[i] = h.id
 	}
 	return ids
 }
@@ -562,20 +551,15 @@ func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
 	}
 	h := &hosted{id: id, course: c}
 	h.touch()
-	sess, err := runtime.NewSessionFromPackage(c.pkg, runtime.Options{
-		DecodeWorkers: m.opts.DecodeWorkers,
-		Observer:      h,
-	})
+	sess, err := runtime.NewSessionFromPackage(c.pkg, runtime.Options{Observer: h})
 	if err != nil {
 		m.liveCount.Add(-1)
 		return nil, err
 	}
 	h.sess = sess
-	sh := m.shardFor(h.id)
-	sh.mu.Lock()
-	if prev := sh.sessions[h.id]; prev != nil {
-		sh.mu.Unlock()
-		sess.Close()
+	m.mu.Lock()
+	if prev := m.sessions[h.id]; prev != nil {
+		m.mu.Unlock()
 		m.liveCount.Add(-1)
 		if prev.course == c {
 			// A retried create whose first reply was lost in flight:
@@ -594,9 +578,9 @@ func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
 		}
 		return nil, errf(http.StatusConflict, "playsvc: session %q already exists", h.id)
 	}
-	sh.sessions[h.id] = h
-	sh.mu.Unlock()
-	sh.created.Add(1)
+	m.sessions[h.id] = h
+	m.mu.Unlock()
+	m.created.Add(1)
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -623,9 +607,9 @@ func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
 // The reply repeats the create-time course metadata so a reconnecting
 // client needs no other state.
 func (m *Manager) resume(tc obs.TraceContext, session string, seenEvents, seenMessages int) (*Reply, error) {
-	h, _, err := m.lookup(session)
+	h, err := m.lookup(session)
 	if err != nil {
-		h, _, err = m.thaw(tc, session, true)
+		h, err = m.thaw(tc, session, true)
 	}
 	if err != nil {
 		return nil, err
@@ -780,11 +764,11 @@ func (m *Manager) release() {
 // session is thawed FIRST so the final reply includes the envelope's
 // unacknowledged tail — discarding the snapshot unseen would lose it.
 func (m *Manager) actLeave(req *BatchRequest) (*Reply, error) {
-	if h, sh, err := m.lookup(req.Session); err == nil {
-		return m.leave(req, h, sh)
+	if h, err := m.lookup(req.Session); err == nil {
+		return m.leave(req, h)
 	}
 	if req.BaseSeq > 0 {
-		if r := m.shardFor(req.Session).takeTomb(req.Session, req.BaseSeq); r != nil {
+		if r := m.takeTomb(req.Session, req.BaseSeq); r != nil {
 			return r, nil
 		}
 	}
@@ -794,11 +778,11 @@ func (m *Manager) actLeave(req *BatchRequest) (*Reply, error) {
 				// A released snapshot may hold an event tail no reply ever
 				// delivered; thaw-then-leave hands it to the client with
 				// the final view instead of deleting it unseen.
-				h, sh, err := m.thaw(req.Trace, req.Session, false)
+				h, err := m.thaw(req.Trace, req.Session, false)
 				if err != nil {
 					return nil, err
 				}
-				return m.leave(req, h, sh)
+				return m.leave(req, h)
 			}
 			// A checkpoint entry means the session still exists —
 			// typically live on the node that owned it before a ring
@@ -821,22 +805,21 @@ func (m *Manager) actLeave(req *BatchRequest) (*Reply, error) {
 // leave releases a live session after building its final view, and
 // tombstones that view so a retried leave (reply lost in transit) still
 // receives the final event/message tail.
-func (m *Manager) leave(req *BatchRequest, h *hosted, sh *shard) (*Reply, error) {
-	sh.acts.Add(1)
+func (m *Manager) leave(req *BatchRequest, h *hosted) (*Reply, error) {
+	m.acts.Add(1)
 	h.touch()
-	// Remove from the shard before locking the session so the janitor
-	// (which locks shard → session) cannot deadlock against us.
-	sh.mu.Lock()
-	_, still := sh.sessions[req.Session]
-	delete(sh.sessions, req.Session)
-	sh.mu.Unlock()
+	// Remove from the map before locking the session: the map lock is never
+	// held while a session lock is taken.
+	m.mu.Lock()
+	_, still := m.sessions[req.Session]
+	delete(m.sessions, req.Session)
+	m.mu.Unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if still && !h.gone {
-		sh.closed.Add(1)
+		m.closed.Add(1)
 		m.liveCount.Add(-1)
 		h.gone = true
-		h.sess.Close()
 		m.closeRoomLocked(h)
 	}
 	// A left session must not resurrect from an old snapshot — and what it
@@ -860,44 +843,63 @@ func (m *Manager) leave(req *BatchRequest, h *hosted, sh *shard) (*Reply, error)
 	// over a State cost it more than a whole framed act.
 	r := h.tail(req.SeenEvents, req.SeenMessages)
 	if req.BaseSeq > 0 && still {
-		sh.saveTomb(req.Session, req.BaseSeq, r)
+		m.saveTomb(req.Session, req.BaseSeq, r)
 	}
 	return r, nil
 }
 
 // saveTomb records a left session's final view (r, as tail built it) for
-// the retry window.
-func (sh *shard) saveTomb(session string, seq int64, r *Reply) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.tombs) >= tombCap {
-		var oldest string
-		var oldestAt int64
-		for id, t := range sh.tombs {
-			if oldest == "" || t.at < oldestAt {
-				oldest, oldestAt = id, t.at
-			}
-		}
-		delete(sh.tombs, oldest)
-	}
+// the retry window, dropping the oldest tombstone at the cap.
+func (m *Manager) saveTomb(session string, seq int64, r *Reply) {
 	t := &tombstone{
-		seq: seq, at: time.Now().UnixNano(),
+		id: session, seq: seq,
 		tick: int32(r.Tick), eventCount: int32(r.EventCount), messageCount: int32(r.MessageCount),
 	}
 	if r.Quiz != "" || len(r.Events) > 0 || len(r.Messages) > 0 {
 		t.tail = &tombTail{quiz: r.Quiz, events: r.Events, messages: r.Messages}
 	}
-	sh.tombs[session] = t
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old := m.tombs[session]; old != nil {
+		// The id has left before (only a client that reuses ids can do
+		// this): the new view takes the old one's place in the chain, and
+		// its age, so the chain and the index stay one to one.
+		t.next, t.at = old.next, old.at
+		*old = *t
+		return
+	}
+	if len(m.tombs) >= tombCap {
+		m.dropOldestTomb()
+	}
+	// Stamped under the lock, so chain order is age order.
+	t.at = time.Now().UnixNano()
+	if m.tombTail != nil {
+		m.tombTail.next = t
+	} else {
+		m.tombHead = t
+	}
+	m.tombTail = t
+	m.tombs[session] = t
+}
+
+// dropOldestTomb unchains and unindexes the oldest tombstone; m.mu must be
+// held and the chain non-empty.
+func (m *Manager) dropOldestTomb() {
+	t := m.tombHead
+	if m.tombHead = t.next; m.tombHead == nil {
+		m.tombTail = nil
+	}
+	delete(m.tombs, t.id)
 }
 
 // takeTomb serves a tombstoned final view for a matching retried leave.
 // The tombstone stays (further retries of the same lost reply must see the
 // same answer); the janitor prunes it.
-func (sh *shard) takeTomb(session string, seq int64) *Reply {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if t := sh.tombs[session]; t != nil && t.seq == seq {
-		return t.reply(session)
+func (m *Manager) takeTomb(session string, seq int64) *Reply {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t := m.tombs[session]; t != nil && t.seq == seq {
+		return t.reply()
 	}
 	return nil
 }
@@ -946,11 +948,11 @@ func (m *Manager) actBatch(req *BatchRequest) (*BatchReply, error) {
 		}
 		return &BatchReply{Reply: r}, nil
 	}
-	h, sh, err := m.lookupOrThaw(req.Trace, req.Session)
+	h, err := m.lookupOrThaw(req.Trace, req.Session)
 	if err != nil {
 		return nil, err
 	}
-	sh.acts.Add(int64(len(req.Acts)))
+	m.acts.Add(int64(len(req.Acts)))
 	h.touch()
 
 	h.mu.Lock()
@@ -1082,7 +1084,7 @@ func (m *Manager) stateOf(tc obs.TraceContext, session string, seenEvents, seenM
 }
 
 func (m *Manager) stateOfInner(tc obs.TraceContext, session string, seenEvents, seenMessages int) (*Reply, error) {
-	h, _, err := m.lookupOrThaw(tc, session)
+	h, err := m.lookupOrThaw(tc, session)
 	if err != nil {
 		return nil, err
 	}
@@ -1118,11 +1120,11 @@ func (m *Manager) withFrame(tc obs.TraceContext, session string, advance int, fn
 }
 
 func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance int, fn func(f *raster.Frame, tick int) error) error {
-	h, sh, err := m.lookupOrThaw(tc, session)
+	h, err := m.lookupOrThaw(tc, session)
 	if err != nil {
 		return err
 	}
-	sh.frames.Add(1)
+	m.frames.Add(1)
 	h.touch()
 	if advance > m.opts.MaxTicks {
 		return errf(http.StatusBadRequest, "playsvc: advance %d exceeds the per-act bound (%d)", advance, m.opts.MaxTicks)
@@ -1148,8 +1150,8 @@ func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance in
 	return fn(&h.frame, h.sess.Ticks())
 }
 
-// ExpireIdle evicts every session idle since before the cutoff, releasing
-// its decode resources, and reports how many it reclaimed. With a
+// ExpireIdle evicts every session idle since before the cutoff and reports
+// how many it reclaimed. With a
 // snapshot store configured the janitor snapshots-then-evicts: the
 // session's progress survives in the store and its next request (or an
 // explicit resume) thaws it. The janitor calls this with now-TTL; tests
@@ -1157,38 +1159,33 @@ func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance in
 func (m *Manager) ExpireIdle(cutoff time.Time) int {
 	n := 0
 	cut := cutoff.UnixNano()
-	for i := range m.shards {
-		sh := &m.shards[i]
-		var victims []*hosted
-		sh.mu.Lock()
-		for _, h := range sh.sessions {
-			if h.lastSeen.Load() < cut {
-				victims = append(victims, h)
-			}
+	var victims []*hosted
+	m.mu.Lock()
+	for _, h := range m.sessions {
+		if h.lastSeen.Load() < cut {
+			victims = append(victims, h)
 		}
-		// Leave tombstones age out on the same TTL: past it, a retried
-		// leave is answered by the no-host fallback (empty confirmation).
-		for id, t := range sh.tombs {
-			if t.at < cut {
-				delete(sh.tombs, id)
-			}
-		}
-		sh.mu.Unlock()
-		for _, h := range victims {
-			if m.canSnapshot() {
-				// A failed freeze (transient store error) leaves the
-				// session live for the next sweep: held is recoverable,
-				// evicted-without-a-snapshot is not.
-				if removed, err := m.freezeOut(sh, h); err == nil && removed {
-					sh.evicted.Add(1)
-					n++
-				}
-				continue
-			}
-			if m.evictOut(sh, h) {
-				sh.evicted.Add(1)
+	}
+	// Leave tombstones age out on the same TTL: past it, a retried leave is
+	// answered by the no-host fallback (empty confirmation).
+	for m.tombHead != nil && m.tombHead.at < cut {
+		m.dropOldestTomb()
+	}
+	m.mu.Unlock()
+	for _, h := range victims {
+		if m.canSnapshot() {
+			// A failed freeze (transient store error) leaves the session
+			// live for the next sweep: held is recoverable,
+			// evicted-without-a-snapshot is not.
+			if removed, err := m.freezeOut(h); err == nil && removed {
+				m.evicted.Add(1)
 				n++
 			}
+			continue
+		}
+		if m.evictOut(h) {
+			m.evicted.Add(1)
+			n++
 		}
 	}
 	// Rooms ride the same sweep: watchers that stopped polling without a
@@ -1223,18 +1220,9 @@ func (m *Manager) Halt() {
 		close(m.stopJanitor)
 		<-m.janitorDone
 		<-m.checkpointDone
-		for i := range m.shards {
-			sh := &m.shards[i]
-			sh.mu.Lock()
-			victims := make([]*hosted, 0, len(sh.sessions))
-			for _, h := range sh.sessions {
-				victims = append(victims, h)
-			}
-			sh.mu.Unlock()
-			for _, h := range victims {
-				if m.evictOut(sh, h) {
-					sh.evicted.Add(1)
-				}
+		for _, h := range m.snapshotSessions() {
+			if m.evictOut(h) {
+				m.evicted.Add(1)
 			}
 		}
 	})
@@ -1247,17 +1235,8 @@ func (m *Manager) Ring() *obs.SpanRing { return m.ring }
 // registry, and is the one place their families are named: NewManager
 // runs it on the manager's own registry (so a Manager nobody wired still
 // reports), callers on the registry behind /metrics. The *_total families
-// are monotonic counters, the per-session ones striped over the shards
-// and summed at scrape time; the rest are gauges.
+// are monotonic counters; the rest are gauges.
 func (m *Manager) Register(reg *obs.Registry) {
-	striped := func(field func(sh *shard) *atomic.Int64) func() int64 {
-		return func() (n int64) {
-			for i := range m.shards {
-				n += field(&m.shards[i]).Load()
-			}
-			return n
-		}
-	}
 	// videos reads the interned video buffers; frameCaches sweeps the
 	// published packages' decoded-frame caches once, keeping the one field
 	// pick names.
@@ -1292,13 +1271,13 @@ func (m *Manager) Register(reg *obs.Registry) {
 		}
 	}
 	reg.GaugeFunc("playsvc_sessions_live", "hosted sessions right now", m.liveCount.Load)
-	reg.CounterFunc("playsvc_sessions_created_total", "sessions opened", striped(func(sh *shard) *atomic.Int64 { return &sh.created }))
-	reg.CounterFunc("playsvc_sessions_closed_total", "sessions released by a leave act", striped(func(sh *shard) *atomic.Int64 { return &sh.closed }))
-	reg.CounterFunc("playsvc_sessions_evicted_total", "sessions reclaimed by the janitor", striped(func(sh *shard) *atomic.Int64 { return &sh.evicted }))
-	reg.CounterFunc("playsvc_sessions_frozen_total", "sessions snapshotted on release", striped(func(sh *shard) *atomic.Int64 { return &sh.frozen }))
-	reg.CounterFunc("playsvc_sessions_resumed_total", "sessions thawed from a snapshot", striped(func(sh *shard) *atomic.Int64 { return &sh.resumed }))
-	reg.CounterFunc("playsvc_acts_total", "interactions applied", striped(func(sh *shard) *atomic.Int64 { return &sh.acts }))
-	reg.CounterFunc("playsvc_frames_total", "frames rendered", striped(func(sh *shard) *atomic.Int64 { return &sh.frames }))
+	reg.CounterFunc("playsvc_sessions_created_total", "sessions opened", m.created.Load)
+	reg.CounterFunc("playsvc_sessions_closed_total", "sessions released by a leave act", m.closed.Load)
+	reg.CounterFunc("playsvc_sessions_evicted_total", "sessions reclaimed by the janitor", m.evicted.Load)
+	reg.CounterFunc("playsvc_sessions_frozen_total", "sessions snapshotted on release", m.frozen.Load)
+	reg.CounterFunc("playsvc_sessions_resumed_total", "sessions thawed from a snapshot", m.resumed.Load)
+	reg.CounterFunc("playsvc_acts_total", "interactions applied", m.acts.Load)
+	reg.CounterFunc("playsvc_frames_total", "frames rendered", m.frames.Load)
 	reg.CounterFunc("playsvc_checkpoints_total", "periodic checkpoint persists", m.checkpoints.Load)
 	reg.CounterFunc("playsvc_shed_total", "requests refused by admission control", m.shed.Load)
 	reg.GaugeFunc("playsvc_inflight", "play requests executing right now", m.inflight.Load)

@@ -27,7 +27,6 @@ func uncachedFrame(t *testing.T, blob []byte, walk []walkStep) *raster.Frame {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	for _, st := range walk {
 		if st.scenario != "" {
 			err = s.GotoScenario(st.scenario)
@@ -53,7 +52,7 @@ func uncachedFrame(t *testing.T, blob []byte, walk []walkStep) *raster.Frame {
 // decode produces — cold, while the cache fills, and warm, when a second
 // mirror on the same package walks the same way and must decode nothing.
 func TestMirrorFramesMatchHosted(t *testing.T) {
-	ts, _ := liveService(t, Options{Shards: 2, TTL: -1})
+	ts, _ := liveService(t, Options{TTL: -1})
 	blob := classroomBlob(t)
 	pkg, err := gamepack.Open(blob)
 	if err != nil {
@@ -162,7 +161,7 @@ func within(p *byte, buf []byte) bool {
 // never into the blob the caller handed AddCourse (which would pin it for
 // as long as the course is published).
 func TestPublishSharesNothingOfCallersBlob(t *testing.T) {
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	blob := append([]byte(nil), classroomBlob(t)...)
 	if err := m.AddCourse("classroom", blob); err != nil {

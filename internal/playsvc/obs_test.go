@@ -24,7 +24,7 @@ func TestActPathZeroAllocWithMetrics(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under -race")
 	}
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestTracePropagationAcrossHandoff(t *testing.T) {
 // stamps every request, so the server-side spans for its create and acts
 // all link back to the caller's trace id.
 func TestClientTraceInjection(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 1, TTL: -1})
+	ts, m := liveService(t, Options{TTL: -1})
 	tc := obs.NewTrace()
 	c, err := Dial(ClientOptions{
 		BaseURL: ts.URL,
@@ -374,7 +374,7 @@ func playClass(t testing.TB, baseURL string, evict func()) *Client {
 // else fails.
 func TestStatsSurfacesAgree(t *testing.T) {
 	t.Run("node", func(t *testing.T) {
-		m := NewManager(Options{Shards: 4, TTL: -1})
+		m := NewManager(Options{TTL: -1})
 		t.Cleanup(m.Close)
 		if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 			t.Fatal(err)

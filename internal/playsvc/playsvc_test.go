@@ -30,7 +30,7 @@ var (
 func classroomBlob(t testing.TB) []byte {
 	t.Helper()
 	onceBlob.Do(func() {
-		blob, blobErr = content.Classroom().BuildPackage(studio.Options{QStep: 10, Workers: 2})
+		blob, blobErr = content.Classroom().BuildPackage(studio.Options{QStep: 10})
 	})
 	if blobErr != nil {
 		t.Fatal(blobErr)
@@ -98,7 +98,7 @@ func (r *recorder) log() []runtime.Event {
 // the wire: dialogue, taking, scenario switches, item use and quizzes all
 // happen in the hosted session, and the client mirror tracks it.
 func TestRemotePlayThroughProtocol(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 4})
+	ts, m := liveService(t, Options{})
 	var rec recorder
 	c := dial(t, ts, &rec)
 
@@ -227,7 +227,6 @@ func TestGoldenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer local.Close()
 	if err := sim.Replay(local, trace); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +235,7 @@ func TestGoldenReplay(t *testing.T) {
 	}
 
 	// Leg 2: replay through the play service.
-	ts, _ := liveService(t, Options{Shards: 4})
+	ts, _ := liveService(t, Options{})
 	var remoteRec recorder
 	remote := dial(t, ts, &remoteRec)
 	if err := sim.Replay(remote, trace); err != nil {
@@ -303,7 +302,7 @@ func TestRemoteGuidedRunMatchesLocal(t *testing.T) {
 // TestEvictionTTL exercises the janitor path directly: idle sessions are
 // reclaimed, counted, and gone from the protocol.
 func TestEvictionTTL(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 2, TTL: -1})
+	ts, m := liveService(t, Options{TTL: -1})
 	c1 := dial(t, ts, nil)
 	c2 := dial(t, ts, nil)
 	c1.Advance(1)
@@ -357,7 +356,7 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under -race")
 	}
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -384,10 +383,10 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardStriping creates many sessions and checks they spread across
-// shards.
-func TestShardStriping(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 8, TTL: -1})
+// TestSessionCountsFollowCreatesAndLeaves creates many sessions and checks
+// the created and live counts, then that every leave releases its slot.
+func TestSessionCountsFollowCreatesAndLeaves(t *testing.T) {
+	ts, m := liveService(t, Options{TTL: -1})
 	const n = 32
 	clients := make([]*Client, n)
 	for i := range clients {
@@ -398,17 +397,8 @@ func TestShardStriping(t *testing.T) {
 	if stat(t, st, "sessions_created") != n || stat(t, st, "sessions_live") != n {
 		t.Fatalf("stats = %v", st)
 	}
-	populated := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		if len(sh.sessions) > 0 {
-			populated++
-		}
-		sh.mu.Unlock()
-	}
-	if populated < 2 {
-		t.Fatalf("all %d sessions landed on %d shard(s)", n, populated)
+	if got := len(m.LiveSessions()); got != n {
+		t.Fatalf("LiveSessions lists %d ids, want %d", got, n)
 	}
 	for _, c := range clients {
 		if err := c.Close(); err != nil {
@@ -425,7 +415,7 @@ func TestShardStriping(t *testing.T) {
 // and a retried request with a stale seen-count still gets the retained
 // tail instead of an error.
 func TestEventLogTrimming(t *testing.T) {
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -444,7 +434,7 @@ func TestEventLogTrimming(t *testing.T) {
 		seen = rr.EventCount
 		lastTail = len(rr.Events)
 	}
-	h, _, err := m.lookup(r.Session)
+	h, err := m.lookup(r.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +462,7 @@ func TestEventLogTrimming(t *testing.T) {
 // creates: the atomic slot reservation must never let the live count
 // overshoot MaxSessions.
 func TestCreateCapUnderConcurrency(t *testing.T) {
-	m := NewManager(Options{Shards: 4, TTL: -1, MaxSessions: 8})
+	m := NewManager(Options{TTL: -1, MaxSessions: 8})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -500,7 +490,7 @@ func TestCreateCapUnderConcurrency(t *testing.T) {
 // TestPackageSharing pins that hosted sessions share one parsed package:
 // the course is opened once, not per create.
 func TestPackageSharing(t *testing.T) {
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -516,11 +506,11 @@ func TestPackageSharing(t *testing.T) {
 	if r1.Session == r2.Session {
 		t.Fatalf("duplicate session id %q", r1.Session)
 	}
-	h1, _, err := m.lookup(r1.Session)
+	h1, err := m.lookup(r1.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, _, err := m.lookup(r2.Session)
+	h2, err := m.lookup(r2.Session)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +528,7 @@ func TestPackageSharing(t *testing.T) {
 // buffer — the "pay for the bytes once" property of the chunk-store
 // refactor.
 func TestCoursesShareVideo(t *testing.T) {
-	m := NewManager(Options{Shards: 2, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -546,7 +536,7 @@ func TestCoursesShareVideo(t *testing.T) {
 	// A second course: same footage, different project document.
 	other := content.Classroom()
 	other.Project.Title = "Remedial Repair"
-	video, err := other.RecordVideo(studio.Options{QStep: 10, Workers: 2})
+	video, err := other.RecordVideo(studio.Options{QStep: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +582,7 @@ func TestAddCourseFromManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Options{Shards: 2, TTL: -1, Store: store})
+	m := NewManager(Options{TTL: -1, Store: store})
 	defer m.Close()
 	if err := m.AddCourseFromManifest("classroom", man); err != nil {
 		t.Fatal(err)
@@ -615,7 +605,7 @@ func TestAddCourseFromManifest(t *testing.T) {
 		t.Errorf("frame = %dx%d", frame.W, frame.H)
 	}
 	// A manager without a store rejects manifest-backed courses.
-	bare := NewManager(Options{Shards: 1, TTL: -1})
+	bare := NewManager(Options{TTL: -1})
 	defer bare.Close()
 	if err := bare.AddCourseFromManifest("classroom", man); err == nil {
 		t.Error("store-less manager accepted a manifest course")
@@ -625,14 +615,14 @@ func TestAddCourseFromManifest(t *testing.T) {
 // TestCourseReplaceReleasesVideo: re-publishing a course with new footage
 // must drop the old video buffer instead of pinning a generation per edit.
 func TestCourseReplaceReleasesVideo(t *testing.T) {
-	m := NewManager(Options{Shards: 2, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
 	edited := content.Classroom()
 	edited.Film.Shots[1].Seed ^= 0xbeef
-	blob2, err := edited.BuildPackage(studio.Options{QStep: 10, Workers: 2})
+	blob2, err := edited.BuildPackage(studio.Options{QStep: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

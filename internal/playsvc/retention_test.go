@@ -84,9 +84,9 @@ func TestLeaveReleasesEnvelope(t *testing.T) {
 // the view it rebuilds must be the one that was sent — with an event tail,
 // a message tail and a pending quiz in it — for the retried seq and no
 // other; and it lives exactly as long as before: pruned by the janitor's
-// sweep at the TTL, bounded by tombCap when no janitor runs.
+// sweep at the TTL (TestTombstoneCapEvictsOldestFirst has the cap).
 func TestTombstoneServesIdenticalFinalView(t *testing.T) {
-	m := NewManager(Options{Shards: 1, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -154,20 +154,67 @@ func TestTombstoneServesIdenticalFinalView(t *testing.T) {
 	if got, err := m.Act(leave); err != nil || len(got.Events) != 0 || got.EventCount != 0 {
 		t.Fatalf("a pruned tombstone still answered: %+v, %v", got, err)
 	}
+}
 
-	// …and with no janitor the shard keeps at most tombCap, oldest out first.
-	sh := &m.shards[0]
-	for i := 0; i <= tombCap; i++ {
-		sh.saveTomb(fmt.Sprintf("s-%05d", i), 1, &Reply{Tick: i})
+// TestTombstoneCapEvictsOldestFirst: with no janitor (or sessions finishing
+// faster than it ages them out) the manager keeps at most tombCap
+// tombstones and drops them oldest first, in O(1) a leave — so cap + N
+// leaves lose exactly the N oldest — and a real leave landing on a full
+// manager is still served its saved final view on a retry. The janitor pops
+// the same queue from the same end.
+func TestTombstoneCapEvictsOldestFirst(t *testing.T) {
+	m := NewManager(Options{TTL: -1})
+	defer m.Close()
+	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
 	}
-	if len(sh.tombs) != tombCap {
-		t.Fatalf("shard holds %d tombstones, want tombCap = %d", len(sh.tombs), tombCap)
+	const extra = 100
+	id := func(i int) string { return fmt.Sprintf("s-%06d", i) }
+	for i := 0; i < tombCap+extra-1; i++ {
+		m.saveTomb(id(i), 1, &Reply{Tick: i})
 	}
-	if sh.takeTomb("s-00000", 1) != nil {
-		t.Fatal("the oldest tombstone survived the cap")
+	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sh.takeTomb(fmt.Sprintf("s-%05d", tombCap), 1); got == nil || got.Tick != tombCap {
-		t.Fatalf("the newest tombstone is %+v", got)
+	if _, err := m.ActBatch(&BatchRequest{Session: r.Session, BaseSeq: 1,
+		SeenEvents: r.EventCount, SeenMessages: r.MessageCount,
+		Acts: []ActRequest{{Kind: ActTalk, Object: "teacher"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	leave := &ActRequest{Session: r.Session, Kind: ActLeave, Seq: 2,
+		SeenEvents: r.EventCount, SeenMessages: r.MessageCount}
+	first, err := m.Act(leave)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Events) == 0 {
+		t.Fatalf("the final view should carry an event tail: %+v", first)
+	}
+	if len(m.tombs) != tombCap {
+		t.Fatalf("manager holds %d tombstones, want tombCap = %d", len(m.tombs), tombCap)
+	}
+	for i := 0; i < extra; i++ {
+		if m.takeTomb(id(i), 1) != nil {
+			t.Fatalf("tombstone %d of the %d oldest survived the cap", i, extra)
+		}
+	}
+	if got := m.takeTomb(id(extra), 1); got == nil || got.Tick != extra {
+		t.Fatalf("the oldest tombstone inside the cap is %+v", got)
+	}
+	if again, err := m.Act(leave); err != nil || !reflect.DeepEqual(again, first) {
+		t.Fatalf("the newest leave retried on a full manager:\n got %+v, %v\nwant %+v", again, err, first)
+	}
+	// A session id that leaves twice keeps one tombstone, the later view in
+	// the earlier one's place: chain and index stay one to one.
+	m.saveTomb(id(extra), 7, &Reply{Tick: -1})
+	if got := m.takeTomb(id(extra), 7); got == nil || got.Tick != -1 || m.takeTomb(id(extra), 1) != nil || len(m.tombs) != tombCap {
+		t.Fatalf("a second leave of one id: seq 7 answers %+v, %d tombstones indexed", got, len(m.tombs))
+	}
+	m.ExpireIdle(time.Now().Add(time.Minute))
+	if len(m.tombs) != 0 || m.tombHead != nil || m.tombTail != nil {
+		t.Fatalf("%d tombstones indexed, chain %v…%v after a sweep past all of them", len(m.tombs), m.tombHead, m.tombTail)
 	}
 }
 
@@ -189,9 +236,8 @@ func TestFinishedSessionFootprint(t *testing.T) {
 		t.Skip("hosts 32 000 sessions")
 	}
 	opts, store, dir := durableOptions(t)
-	opts.Shards = 32
 	_, m := durableService(t, opts)
-	tel := telemetry.NewStore(0)
+	tel := telemetry.NewStore()
 	session := func(i int) {
 		id := newSessionID("classroom")
 		r, err := m.Create(&CreateRequest{Course: "classroom", Session: id})

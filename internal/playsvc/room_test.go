@@ -25,7 +25,7 @@ import (
 // join, poll, answer and stats read is relayed.
 func TestRoomGoldenBroadcast(t *testing.T) {
 	t.Run("direct", func(t *testing.T) {
-		ts, _ := liveService(t, Options{Shards: 4})
+		ts, _ := liveService(t, Options{})
 		roomGoldenBroadcast(t, ts.URL)
 	})
 	t.Run("gateway", func(t *testing.T) {
@@ -50,7 +50,6 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 
 	// Three ordered watchers join before the lesson starts; each therefore
 	// sees the full publication sequence from seq 1.
@@ -224,7 +223,7 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 // overflows (frames skipped, counted), and a live watcher polling
 // alongside keeps receiving fresh frames.
 func TestRoomSlowWatcher(t *testing.T) {
-	m := NewManager(Options{Shards: 4, TTL: -1})
+	m := NewManager(Options{TTL: -1})
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -354,7 +353,7 @@ func (e *replyEater) RoundTrip(r *http.Request) (*http.Response, error) {
 // slot. The same watcher then pins what a dismissal costs: the room's 404
 // is terminal — one request, no backoff sleep.
 func TestJoinRetryReattaches(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 1, TTL: -1})
+	ts, m := liveService(t, Options{TTL: -1})
 	const roomID = "classroom-rejoin-room"
 	if _, err := CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil); err != nil {
 		t.Fatal(err)
@@ -407,7 +406,7 @@ func TestJoinRetryReattaches(t *testing.T) {
 // frames may skip on a lossy link, events and messages never gap or repeat
 // — and each watcher's quiz answer counts once however often it was sent.
 func TestRoomLossyLink(t *testing.T) {
-	ts, m := liveService(t, Options{Shards: 4, TTL: -1})
+	ts, m := liveService(t, Options{TTL: -1})
 	profile, _ := faultnet.Lookup("wifi-flaky")
 	faulty := faultnet.WrapClient(nil, profile, 24)
 	injected := faulty.Transport.(*faultnet.Transport).Stats

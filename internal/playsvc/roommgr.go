@@ -67,7 +67,7 @@ func (m *Manager) CreateRoom(req *RoomCreateRequest) (*RoomCreateReply, error) {
 	if _, err := m.Create(&CreateRequest{Course: req.Course, Session: id, Trace: req.Trace}); err != nil {
 		return nil, err
 	}
-	h, _, err := m.lookup(id)
+	h, err := m.lookup(id)
 	if err != nil {
 		return nil, err
 	}

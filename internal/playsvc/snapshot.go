@@ -276,14 +276,13 @@ func decodeEnvelope(data []byte) (*envelope, error) {
 func (m *Manager) canSnapshot() bool { return m.store != nil && m.dir != nil }
 
 // freezeOut freezes one live session: persist to the store, publish the
-// released directory entry, mark gone, release decode resources, and only
-// THEN remove it from the shard map. The ordering is load-bearing: at
+// released directory entry, mark gone, close its room, and only THEN remove it from the session map. The ordering is load-bearing: at
 // every instant the session is either live in the map or has a released
 // snapshot on file, so a concurrent request (or a gateway rescue) can
 // never observe a gap and fall back to a stale checkpoint. removed
 // reports whether this call did the removal (false when another path —
 // leave, another freeze — released the session first).
-func (m *Manager) freezeOut(sh *shard, h *hosted) (removed bool, err error) {
+func (m *Manager) freezeOut(h *hosted) (removed bool, err error) {
 	t0 := time.Now()
 	h.mu.Lock()
 	if h.gone {
@@ -297,33 +296,31 @@ func (m *Manager) freezeOut(sh *shard, h *hosted) (removed bool, err error) {
 	}
 	m.dir.Save(h.id, SnapshotRef{Envelope: env})
 	h.gone = true
-	h.sess.Close()
 	m.closeRoomLocked(h)
 	h.mu.Unlock()
-	sh.mu.Lock()
-	delete(sh.sessions, h.id)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	delete(m.sessions, h.id)
+	m.mu.Unlock()
 	m.liveCount.Add(-1)
-	sh.frozen.Add(1)
+	m.frozen.Add(1)
 	m.freezeNs.ObserveSince(t0)
 	return true, nil
 }
 
 // evictOut discards one live session without snapshotting (no store, or
 // the store failed). Same map ordering as freezeOut.
-func (m *Manager) evictOut(sh *shard, h *hosted) (removed bool) {
+func (m *Manager) evictOut(h *hosted) (removed bool) {
 	h.mu.Lock()
 	if h.gone {
 		h.mu.Unlock()
 		return false
 	}
 	h.gone = true
-	h.sess.Close()
 	m.closeRoomLocked(h)
 	h.mu.Unlock()
-	sh.mu.Lock()
-	delete(sh.sessions, h.id)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	delete(m.sessions, h.id)
+	m.mu.Unlock()
 	m.liveCount.Add(-1)
 	return true
 }
@@ -362,19 +359,16 @@ func (m *Manager) Freeze(session string) error {
 	if !m.canSnapshot() {
 		return errf(http.StatusNotImplemented, "playsvc: no snapshot store configured")
 	}
-	sh := m.shardFor(session)
-	sh.mu.Lock()
-	h := sh.sessions[session]
-	sh.mu.Unlock()
-	if h == nil {
+	h, err := m.lookup(session)
+	if err != nil {
 		// Only a RELEASED entry means "already frozen"; a checkpoint entry
 		// is stale insurance for a session this node does not hold.
 		if ref, ok := m.dir.Lookup(session); ok && !ref.Checkpoint {
 			return nil
 		}
-		return errf(http.StatusNotFound, "playsvc: no session %q", session)
+		return err
 	}
-	_, err := m.freezeOut(sh, h)
+	_, err = m.freezeOut(h)
 	return err
 }
 
@@ -386,27 +380,18 @@ func (m *Manager) Freeze(session string) error {
 func (m *Manager) DrainAll() int {
 	m.draining.Store(true)
 	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		victims := make([]*hosted, 0, len(sh.sessions))
-		for _, h := range sh.sessions {
-			victims = append(victims, h)
-		}
-		sh.mu.Unlock()
-		for _, h := range victims {
-			if m.canSnapshot() {
-				if removed, err := m.freezeOut(sh, h); err == nil {
-					if removed {
-						n++
-					}
-					continue
+	for _, h := range m.snapshotSessions() {
+		if m.canSnapshot() {
+			if removed, err := m.freezeOut(h); err == nil {
+				if removed {
+					n++
 				}
+				continue
 			}
-			if m.evictOut(sh, h) {
-				sh.evicted.Add(1)
-				n++
-			}
+		}
+		if m.evictOut(h) {
+			m.evicted.Add(1)
+			n++
 		}
 	}
 	return n
@@ -422,46 +407,37 @@ func (m *Manager) Checkpoint() int {
 		return 0
 	}
 	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		live := make([]*hosted, 0, len(sh.sessions))
-		for _, h := range sh.sessions {
-			live = append(live, h)
+	for _, h := range m.snapshotSessions() {
+		seen := h.lastSeen.Load()
+		if seen <= h.checkpointed.Load() {
+			continue // idle since the last checkpoint
 		}
-		sh.mu.Unlock()
-		for _, h := range live {
-			seen := h.lastSeen.Load()
-			if seen <= h.checkpointed.Load() {
-				continue // idle since the last checkpoint
-			}
-			h.mu.Lock()
-			if h.gone {
-				h.mu.Unlock()
-				continue
-			}
-			env, err := m.persistLocked(h)
-			if err == nil {
-				// Under h.mu, like every dir write for a held session: a
-				// concurrent leave (which deletes the entry under the same
-				// lock) must not be overwritten by a checkpoint of the
-				// state it just retired.
-				m.dir.Save(h.id, SnapshotRef{Envelope: env, Checkpoint: true})
-				h.checkpointed.Store(seen)
-			}
+		h.mu.Lock()
+		if h.gone {
 			h.mu.Unlock()
-			if err != nil {
-				continue // transient store failure; next pass retries
-			}
-			n++
+			continue
 		}
+		env, err := m.persistLocked(h)
+		if err == nil {
+			// Under h.mu, like every dir write for a held session: a
+			// concurrent leave (which deletes the entry under the same
+			// lock) must not be overwritten by a checkpoint of the state
+			// it just retired.
+			m.dir.Save(h.id, SnapshotRef{Envelope: env, Checkpoint: true})
+			h.checkpointed.Store(seen)
+		}
+		h.mu.Unlock()
+		if err != nil {
+			continue // transient store failure; next pass retries
+		}
+		n++
 	}
 	m.checkpoints.Add(int64(n))
 	return n
 }
 
 // thaw restores a frozen session from the shared store, inserts it into
-// the shard map and returns it — the lookup fallback that makes eviction
+// the session map and returns it — the lookup fallback that makes eviction
 // and handoff invisible. Checkpoint entries are refused unless
 // allowCheckpoint is set: a checkpoint means the session may still be
 // live on another node, and thawing it would fork the session and roll
@@ -470,7 +446,7 @@ func (m *Manager) Checkpoint() int {
 // session race benignly: the first insert wins and the loser's restore is
 // discarded. A valid tc records the restore as a "play.thaw" child span,
 // so a handed-off act shows its thaw cost under the same trace id.
-func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool) (h *hosted, sh *shard, err error) {
+func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool) (h *hosted, err error) {
 	defer func(t0 time.Time) {
 		if err == nil {
 			m.thawNs.ObserveSince(t0)
@@ -479,43 +455,43 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	}(time.Now())
 	notFound := errf(http.StatusNotFound, "playsvc: no session %q", session)
 	if !m.canSnapshot() {
-		return nil, nil, notFound
+		return nil, notFound
 	}
 	if m.draining.Load() {
-		return nil, nil, errf(http.StatusServiceUnavailable, "playsvc: node is draining")
+		return nil, errf(http.StatusServiceUnavailable, "playsvc: node is draining")
 	}
 	ref, ok := m.dir.Lookup(session)
 	if !ok {
-		return nil, nil, notFound
+		return nil, notFound
 	}
 	if ref.Checkpoint && !allowCheckpoint {
-		return nil, nil, notFound
+		return nil, notFound
 	}
 	envBytes, err := m.store.Get(ref.Envelope)
 	if err != nil {
-		return nil, nil, errf(http.StatusNotFound, "playsvc: session %q envelope: %v", session, err)
+		return nil, errf(http.StatusNotFound, "playsvc: session %q envelope: %v", session, err)
 	}
 	env, err := decodeEnvelope(envBytes)
 	if err != nil {
-		return nil, nil, errf(http.StatusInternalServerError, "playsvc: session %q: %v", session, err)
+		return nil, errf(http.StatusInternalServerError, "playsvc: session %q: %v", session, err)
 	}
 	if env.Session != session {
-		return nil, nil, errf(http.StatusInternalServerError, "playsvc: envelope names session %q, wanted %q", env.Session, session)
+		return nil, errf(http.StatusInternalServerError, "playsvc: envelope names session %q, wanted %q", env.Session, session)
 	}
 	m.coursesMu.RLock()
 	c := m.courses[env.Course]
 	m.coursesMu.RUnlock()
 	if c == nil {
-		return nil, nil, errf(http.StatusNotFound, "playsvc: session %q course %q is no longer published", session, env.Course)
+		return nil, errf(http.StatusNotFound, "playsvc: session %q course %q is no longer published", session, env.Course)
 	}
 	snap, err := m.store.Get(env.Snapshot)
 	if err != nil {
-		return nil, nil, errf(http.StatusNotFound, "playsvc: session %q snapshot: %v", session, err)
+		return nil, errf(http.StatusNotFound, "playsvc: session %q snapshot: %v", session, err)
 	}
 	// Thawing re-occupies a live slot; the cap applies exactly as on create.
 	if n := m.liveCount.Add(1); m.opts.MaxSessions > 0 && n > int64(m.opts.MaxSessions) {
 		m.liveCount.Add(-1)
-		return nil, nil, errf(http.StatusServiceUnavailable, "playsvc: session cap (%d) reached", m.opts.MaxSessions)
+		return nil, errf(http.StatusServiceUnavailable, "playsvc: session cap (%d) reached", m.opts.MaxSessions)
 	}
 	h = &hosted{
 		id: session, course: c,
@@ -525,13 +501,10 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	}
 	h.touch()
 	restoreStart := time.Now()
-	sess, err := runtime.RestoreSessionFromPackage(c.pkg, snap, runtime.Options{
-		DecodeWorkers: m.opts.DecodeWorkers,
-		Observer:      h,
-	})
+	sess, err := runtime.RestoreSessionFromPackage(c.pkg, snap, runtime.Options{Observer: h})
 	if err != nil {
 		m.liveCount.Add(-1)
-		return nil, nil, errf(http.StatusInternalServerError, "playsvc: restore %q: %v", session, err)
+		return nil, errf(http.StatusInternalServerError, "playsvc: restore %q: %v", session, err)
 	}
 	m.restoreNs.ObserveSince(restoreStart)
 	h.sess = sess
@@ -540,31 +513,28 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	// live truth, and the entry degrades to crash insurance. Leaving it
 	// marked released would let a later ring change thaw the stale bytes
 	// into a second live copy. The downgrade happens BEFORE the session
-	// becomes visible in the shard map: once it is held, every directory
+	// becomes visible in the session map: once it is held, every directory
 	// write for it happens under h.mu (freeze, checkpoint, leave-delete),
 	// and a late write here could clobber a concurrent leave's delete.
 	m.dir.Save(session, SnapshotRef{Envelope: ref.Envelope, Checkpoint: true})
-	sh = m.shardFor(session)
-	sh.mu.Lock()
-	if cur := sh.sessions[session]; cur != nil {
-		sh.mu.Unlock()
-		sess.Close()
+	m.mu.Lock()
+	if cur := m.sessions[session]; cur != nil {
+		m.mu.Unlock()
 		m.liveCount.Add(-1)
-		return cur, sh, nil
+		return cur, nil
 	}
-	sh.sessions[session] = h
-	sh.mu.Unlock()
-	sh.resumed.Add(1)
-	return h, sh, nil
+	m.sessions[session] = h
+	m.mu.Unlock()
+	m.resumed.Add(1)
+	return h, nil
 }
 
 // lookupOrThaw resolves a session, restoring it from the snapshot
 // directory when it is not live on this node. Only released snapshots
 // thaw implicitly; checkpoint entries need Recover.
-func (m *Manager) lookupOrThaw(tc obs.TraceContext, session string) (*hosted, *shard, error) {
-	h, sh, err := m.lookup(session)
-	if err == nil {
-		return h, sh, nil
+func (m *Manager) lookupOrThaw(tc obs.TraceContext, session string) (*hosted, error) {
+	if h, err := m.lookup(session); err == nil {
+		return h, nil
 	}
 	return m.thaw(tc, session, false)
 }
@@ -575,11 +545,11 @@ func (m *Manager) lookupOrThaw(tc obs.TraceContext, session string) (*hosted, *s
 // captured is all that is left of it. Recovering an already-live or
 // released session degrades to the normal lookup.
 func (m *Manager) Recover(session string) error {
-	h, _, err := m.lookup(session)
+	h, err := m.lookup(session)
 	if err == nil {
 		h.touch()
 		return nil
 	}
-	_, _, err = m.thaw(obs.TraceContext{}, session, true)
+	_, err = m.thaw(obs.TraceContext{}, session, true)
 	return err
 }

@@ -25,7 +25,7 @@ func durableOptions(t testing.TB) (Options, *blobstore.Store, *MemDir) {
 		t.Fatal(err)
 	}
 	dir := NewMemDir()
-	return Options{Shards: 4, TTL: -1, Store: store, Dir: dir}, store, dir
+	return Options{TTL: -1, Store: store, Dir: dir}, store, dir
 }
 
 // durableService mounts a durable manager the way liveService does.
@@ -70,7 +70,6 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	if err := sim.Replay(ref, res.Trace); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,7 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 	t.Run("second cluster node", func(t *testing.T) {
 		opts, store, dir := durableOptions(t)
 		tsA, mA := durableService(t, opts)
-		optsB := Options{Shards: 4, TTL: -1, Store: store, Dir: dir}
+		optsB := Options{TTL: -1, Store: store, Dir: dir}
 		tsB, mB := durableService(t, optsB)
 		id, firstLog := playFirstHalf(t, tsA)
 		// Handoff: old owner freezes into the shared store...
@@ -332,7 +331,7 @@ func TestCheckpointBoundsCrashLoss(t *testing.T) {
 	// ...then the node crashes without flushing.
 	m1.Halt()
 
-	m2 := NewManager(Options{Shards: 2, TTL: -1, Store: store, Dir: dirr})
+	m2 := NewManager(Options{TTL: -1, Store: store, Dir: dirr})
 	defer m2.Close()
 	if err := m2.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)

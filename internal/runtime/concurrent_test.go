@@ -39,7 +39,6 @@ func guided(pkg *gamepack.Package, seed int64, solo bool) (*analytics.Report, []
 	if err != nil {
 		return nil, nil, err
 	}
-	defer s.Close()
 	if solo {
 		s.DetachFrameCache()
 	}

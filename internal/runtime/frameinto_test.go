@@ -35,7 +35,7 @@ func (s *Session) frameViaOwn(dst *raster.Frame) error {
 // aliases no session buffer), and once warm a presented frame costs no
 // allocation.
 func TestFrameIntoDecodesStraightIntoDst(t *testing.T) {
-	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8, Workers: 2})
+	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,11 @@ func TestFrameIntoDecodesStraightIntoDst(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sut.Close()
 			sut.video.UseCache(newCache())
 			ref, err := NewSession(blob, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ref.Close()
 			ref.video.UseCache(newCache())
 			var scenarios []string
 			for _, sc := range sut.pkg.Project.Scenarios {

@@ -34,12 +34,7 @@ type Observer interface {
 
 // Options configures a session.
 type Options struct {
-	// DecodeWorkers is the video decode worker count. Sessions default to 1
-	// (inline decoding, no per-session goroutines) on purpose: deployments
-	// run many concurrent sessions, so parallelism comes from sessions, not
-	// from within one decoder. Set >1 only for single-viewer setups.
-	DecodeWorkers int
-	Observer      Observer // optional telemetry sink
+	Observer Observer // optional telemetry sink
 }
 
 // maxGotoChain bounds scenario switches triggered from OnEnter scripts, so
@@ -98,11 +93,9 @@ func newSessionFromPackage(pkg *gamepack.Package, opts Options) (*Session, error
 	}
 	start := pkg.Project.ScenarioByID(pkg.Project.StartScenario)
 	if start == nil {
-		s.Close()
 		return nil, fmt.Errorf("runtime: start scenario %q missing", pkg.Project.StartScenario)
 	}
 	if err := s.cursor.EnterSegment(start.Segment); err != nil {
-		s.Close()
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	s.runEnter(start)
@@ -116,9 +109,6 @@ func newSessionFromPackage(pkg *gamepack.Package, opts Options) (*Session, error
 // instead installs a snapshot's state and seeks the cursor to the saved
 // position (the player resumes, not re-arrives).
 func buildSession(pkg *gamepack.Package, opts Options) (*Session, error) {
-	if opts.DecodeWorkers <= 0 {
-		opts.DecodeWorkers = 1
-	}
 	reader, err := pkg.Reader()
 	if err != nil {
 		return nil, err
@@ -127,7 +117,7 @@ func buildSession(pkg *gamepack.Package, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	video := playback.NewVideo(reader, opts.DecodeWorkers)
+	video := playback.NewVideo(reader)
 	video.UseCache(pkg.Frames())
 	s := &Session{
 		pkg:     pkg,
@@ -642,8 +632,7 @@ func (s *Session) VideoMeta() (w, h, fps int) {
 	return m.Width, m.Height, m.FPS
 }
 
-// Close releases the session's decode resources promptly (the video worker
-// pool; a finalizer releases it otherwise). The session stays usable —
-// further decodes run inline — so an evicted-then-revived session cannot
-// crash, it just decodes single-threaded.
-func (s *Session) Close() { s.video.Close() }
+// Close does nothing: a session holds no goroutine, file or lock to release.
+// It stays only because benchmark/sut.go names it and that directory changes
+// in benchmark PRs alone (ROADMAP 9(b)); nothing else calls it.
+func (s *Session) Close() {}

@@ -25,7 +25,7 @@ func (r *recorder) kinds() map[string]int {
 
 func classroomSession(t testing.TB) (*Session, *recorder) {
 	t.Helper()
-	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8, Workers: 2})
+	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

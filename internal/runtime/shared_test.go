@@ -22,12 +22,10 @@ func TestSessionsShareOpenedPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 	b, err := NewSessionFromPackage(pkg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 
 	events, err := pkg.Events()
 	if err != nil {
@@ -60,11 +58,9 @@ func TestSessionsShareOpenedPackage(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(200, func() {
-		s, err := NewSessionFromPackage(pkg, Options{})
-		if err != nil {
+		if _, err := NewSessionFromPackage(pkg, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		s.Close()
 	})
 	t.Logf("NewSessionFromPackage: %.0f allocs", allocs)
 	if allocs > 40 {

@@ -294,15 +294,11 @@ func RestoreSessionFromPackage(pkg *gamepack.Package, snap []byte, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	restoreFail := func(err error) (*Session, error) {
-		s.Close()
-		return nil, err
-	}
 	if err := s.cursor.EnterSegment(d.segment); err != nil {
-		return restoreFail(badf("cursor segment: %v", err))
+		return nil, badf("cursor segment: %v", err)
 	}
 	if err := s.cursor.Seek(d.cursor); err != nil {
-		return restoreFail(badf("cursor position: %v", err))
+		return nil, badf("cursor position: %v", err)
 	}
 	s.state = state
 	s.sink.State = state

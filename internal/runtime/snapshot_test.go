@@ -23,7 +23,7 @@ var (
 func snapPackage(t testing.TB) []byte {
 	t.Helper()
 	snapOnce.Do(func() {
-		snapBlob, snapBlobErr = content.Classroom().BuildPackage(studio.Options{QStep: 8, Workers: 2})
+		snapBlob, snapBlobErr = content.Classroom().BuildPackage(studio.Options{QStep: 8})
 	})
 	if snapBlobErr != nil {
 		t.Fatal(snapBlobErr)
@@ -75,7 +75,6 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer full.Close()
 	playFirstHalf(full)
 	playSecondHalf(full)
 
@@ -87,14 +86,12 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	}
 	playFirstHalf(first)
 	snap := first.Snapshot()
-	first.Close()
 
 	secondRec := &recorder{}
 	second, err := RestoreSession(blob, snap, Options{Observer: secondRec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer second.Close()
 	// Restore emits no events and re-runs no OnEnter.
 	if len(secondRec.events) != 0 {
 		t.Fatalf("restore emitted %d events: %v", len(secondRec.events), secondRec.events)
@@ -147,7 +144,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		playFirstHalf(s)
 		return s.Snapshot()
 	}
@@ -160,7 +156,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if !bytes.Equal(s.Snapshot(), a) {
 		t.Fatal("restore→snapshot is not a fixed point")
 	}
@@ -174,7 +169,6 @@ func TestSnapshotSelectedItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.Take("desk-coin")
 	if err := s.SelectItem("coin"); err != nil {
 		t.Fatal(err)
@@ -183,7 +177,6 @@ func TestSnapshotSelectedItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	if r.SelectedItem() != "coin" {
 		t.Fatalf("selected = %q", r.SelectedItem())
 	}
@@ -210,7 +203,6 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	playFirstHalf(s)
 	good := s.Snapshot()
 	if _, err := RestoreSession(blob, good, Options{}); err != nil {
@@ -219,7 +211,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 
 	// A snapshot of a different course's footage, for the digest check.
 	otherCourse := content.Museum()
-	otherVideo, err := otherCourse.RecordVideo(studio.Options{QStep: 8, Workers: 2})
+	otherVideo, err := otherCourse.RecordVideo(studio.Options{QStep: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,15 +244,13 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer o.Close()
 			return o.Snapshot()
 		}()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sess, err := RestoreSession(blob, tc.snap, Options{})
+			_, err := RestoreSession(blob, tc.snap, Options{})
 			if err == nil {
-				sess.Close()
 				t.Fatal("corrupt snapshot restored")
 			}
 			if !errors.Is(err, ErrBadSnapshot) {
@@ -279,7 +269,6 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	playFirstHalf(s)
 	good := s.Snapshot()
 
@@ -323,9 +312,8 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sess, err := RestoreSession(blob, tc.snap, Options{})
+			_, err := RestoreSession(blob, tc.snap, Options{})
 			if err == nil {
-				sess.Close()
 				t.Fatal("semantically corrupt snapshot restored")
 			}
 			if !errors.Is(err, ErrBadSnapshot) {
@@ -348,7 +336,6 @@ func FuzzRestoreSession(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	defer s.Close()
 	fresh := s.Snapshot()
 	playFirstHalf(s)
 	mid := s.Snapshot()
@@ -366,7 +353,6 @@ func FuzzRestoreSession(f *testing.F) {
 		}
 		// A snapshot the decoder accepts must behave like a session: it
 		// snapshots again deterministically and survives a tick.
-		defer sess.Close()
 		if err := sess.Tick(); err != nil {
 			t.Fatalf("restored session cannot tick: %v", err)
 		}
@@ -380,7 +366,6 @@ func BenchmarkSessionSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	playFirstHalf(s)
 	b.ReportAllocs()
 	var snap []byte
@@ -400,15 +385,12 @@ func BenchmarkSessionRestore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	playFirstHalf(s)
 	snap := s.Snapshot()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := RestoreSessionFromPackage(pkg, snap, Options{})
-		if err != nil {
+		if _, err := RestoreSessionFromPackage(pkg, snap, Options{}); err != nil {
 			b.Fatal(err)
 		}
-		r.Close()
 	}
 }

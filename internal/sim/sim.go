@@ -329,7 +329,6 @@ func Run(pkgBlob []byte, f Factory, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	return RunGame(s, f, cfg, col)
 }
 

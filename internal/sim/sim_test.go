@@ -294,7 +294,6 @@ func TestAvailableActionsEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
 			if tc.prep != nil {
 				tc.prep(t, s)
 			}
@@ -335,7 +334,6 @@ func TestApplyEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	// Unknown kind / unknown object: no-ops, no panic, no state change.
 	before := len(s.Messages())

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"sync"
@@ -13,7 +14,6 @@ import (
 
 // Options tunes a Service.
 type Options struct {
-	Shards     int // store shards (default 32)
 	Workers    int // ingest workers, one queue each (default 4)
 	QueueDepth int // per-worker queue bound (default 256)
 	MaxBody    int // largest accepted ingest body in bytes (default 8 MiB)
@@ -25,9 +25,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.Shards <= 0 {
-		o.Shards = 32
-	}
 	if o.Workers <= 0 {
 		o.Workers = 4
 	}
@@ -52,7 +49,6 @@ type Service struct {
 	queues  []chan Batch
 	wg      sync.WaitGroup
 	maxBody int64
-	shards  int
 	health  *obs.Health
 	// reg is the service's own registry, the definition of every scalar
 	// it reports (see Register).
@@ -83,10 +79,9 @@ type Service struct {
 func NewService(o Options) *Service {
 	o.defaults()
 	s := &Service{
-		store:       NewStore(o.Shards),
+		store:       NewStore(),
 		queues:      make([]chan Batch, o.Workers),
 		maxBody:     int64(o.MaxBody),
-		shards:      o.Shards,
 		reg:         obs.NewRegistry(""),
 		stopJanitor: make(chan struct{}),
 	}
@@ -97,8 +92,7 @@ func NewService(o Options) *Service {
 	s.health = obs.NewHealth().
 		Set("pending", func() any { return s.Pending() }).
 		Set("queue_saturation", func() any { return s.QueueSaturation() }).
-		Set("queues", func() any { return len(s.queues) }).
-		Set("shards", func() any { return s.shards })
+		Set("queues", func() any { return len(s.queues) })
 	for i := range s.queues {
 		q := make(chan Batch, o.QueueDepth)
 		s.queues[i] = q
@@ -276,9 +270,10 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// The same session→stripe mapping as the store: one session, one
-	// worker, so its batches apply in order.
-	q := s.queues[SessionShardIndex(b.Session, len(s.queues))]
+	// One session, one worker: its batches apply in the order they arrived.
+	hash := fnv.New32a()
+	hash.Write([]byte(b.Session))
+	q := s.queues[hash.Sum32()%uint32(len(s.queues))]
 	s.closeMu.RLock()
 	if s.closed.Load() {
 		s.closeMu.RUnlock()

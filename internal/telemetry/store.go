@@ -6,8 +6,7 @@
 //
 // The package has three layers:
 //
-//   - Store: a sharded, lock-striped event store keyed by session ID. Live
-//     sessions accumulate raw runtime.Event logs; a finished session is
+//   - Store: an event store keyed by session ID. Live sessions accumulate raw runtime.Event logs; a finished session is
 //     digested through the analytics package and folded into its course's
 //     rolling aggregate, after which the raw log is released and a small
 //     mark absorbs replayed deliveries for the idle window.
@@ -20,7 +19,6 @@ package telemetry
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -91,18 +89,13 @@ type CourseStats struct {
 	TickHist        []int          `json:"tick_hist"` // len(TickBuckets())+1 counts
 }
 
-// Store is the sharded, lock-striped session store. Session event logs are
-// striped across shards by session ID so concurrent ingest workers rarely
-// contend; course aggregates live in a separate small map since courses
-// number in the tens while sessions number in the thousands.
+// Store is the session store: one map of live session logs and one of fold
+// marks under one mutex, held for the bookkeeping of a batch and released
+// before a finished session is digested (EXPERIMENTS.md E28: 32 stripes of
+// it measured no faster under parallel ingest). Course aggregates live in a
+// separate small map since courses number in the tens while sessions number
+// in the thousands.
 type Store struct {
-	shards []storeShard
-
-	coursesMu sync.RWMutex
-	courses   map[string]*courseAgg
-}
-
-type storeShard struct {
 	mu       sync.Mutex
 	sessions map[string]*sessionLog // live: started, not yet folded
 	// folded holds what a digested session leaves behind so replayed
@@ -111,6 +104,9 @@ type storeShard struct {
 	// finished session keeps one for the idle window, so it is two words,
 	// not a log.
 	folded map[string]foldMark
+
+	coursesMu sync.RWMutex
+	courses   map[string]*courseAgg
 }
 
 type sessionLog struct {
@@ -135,34 +131,13 @@ type courseAgg struct {
 	tickHist []int
 }
 
-// NewStore creates a store with the given shard count (default 32).
-func NewStore(shards int) *Store {
-	if shards <= 0 {
-		shards = 32
+// NewStore creates an empty store.
+func NewStore() *Store {
+	return &Store{
+		sessions: map[string]*sessionLog{},
+		folded:   map[string]foldMark{},
+		courses:  map[string]*courseAgg{},
 	}
-	st := &Store{
-		shards:  make([]storeShard, shards),
-		courses: map[string]*courseAgg{},
-	}
-	for i := range st.shards {
-		st.shards[i].sessions = map[string]*sessionLog{}
-		st.shards[i].folded = map[string]foldMark{}
-	}
-	return st
-}
-
-// SessionShardIndex is the session→stripe mapping shared by the store's
-// shards and the service's worker queues. Both MUST use it: the in-order
-// apply guarantee relies on one session always landing on one worker.
-func SessionShardIndex(session string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(session))
-	return int(h.Sum32() % uint32(n))
-}
-
-// shardFor stripes a session ID onto a shard.
-func (st *Store) shardFor(session string) *storeShard {
-	return &st.shards[SessionShardIndex(session, len(st.shards))]
 }
 
 // course returns (creating if needed) a course's aggregate cell.
@@ -193,24 +168,23 @@ func (st *Store) Append(b Batch) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	sh := st.shardFor(b.Session)
-	sh.mu.Lock()
-	log, ok := sh.sessions[b.Session]
+	st.mu.Lock()
+	log, ok := st.sessions[b.Session]
 	var bound *courseAgg // the course this session id is tied to, live or folded
 	if ok {
 		bound = log.course
-	} else if mark, folded := sh.folded[b.Session]; folded {
+	} else if mark, folded := st.folded[b.Session]; folded {
 		bound = mark.course
 	}
 	if bound != nil {
 		if bound.name != b.Course {
-			sh.mu.Unlock()
+			st.mu.Unlock()
 			return fmt.Errorf("telemetry: session %q already bound to course %q", b.Session, bound.name)
 		}
 		if !ok {
 			// The session was already digested; this is a replayed delivery
 			// (e.g. the client re-sent its Done batch after a lost ack).
-			sh.mu.Unlock()
+			st.mu.Unlock()
 			return nil
 		}
 	}
@@ -223,17 +197,17 @@ func (st *Store) Append(b Batch) error {
 			next = log.nextSeq
 		}
 		if b.Seq < next {
-			sh.mu.Unlock()
+			st.mu.Unlock()
 			return nil // duplicate delivery of an applied batch
 		}
 		if b.Seq > next {
-			sh.mu.Unlock()
+			st.mu.Unlock()
 			return fmt.Errorf("telemetry: session %q batch gap: got seq %d, want %d", b.Session, b.Seq, next)
 		}
 	}
 	if !ok {
 		log = &sessionLog{course: st.course(b.Course), start: b.Start, nextSeq: 1}
-		sh.sessions[b.Session] = log
+		st.sessions[b.Session] = log
 		log.course.noteStarted()
 	}
 	if b.Seq > 0 {
@@ -245,22 +219,22 @@ func (st *Store) Append(b Batch) error {
 	}
 	log.events = append(log.events, b.Events...)
 	if !b.Done {
-		sh.mu.Unlock()
+		st.mu.Unlock()
 		return nil
 	}
-	sh.fold(b.Session, log)
-	sh.mu.Unlock()
+	st.fold(b.Session, log)
+	st.mu.Unlock()
 
-	// Digest outside the shard lock: folding is per-course work.
+	// Digest outside the store lock: folding is per-course work.
 	log.digestAndFold(false)
 	return nil
 }
 
-// fold retires a live session's log to a mark; sh.mu must be held. The log
+// fold retires a live session's log to a mark; st.mu must be held. The log
 // is the caller's to digest.
-func (sh *storeShard) fold(session string, log *sessionLog) {
-	delete(sh.sessions, session)
-	sh.folded[session] = foldMark{course: log.course, lastSeen: log.lastSeen.UnixNano()}
+func (st *Store) fold(session string, log *sessionLog) {
+	delete(st.sessions, session)
+	st.folded[session] = foldMark{course: log.course, lastSeen: log.lastSeen.UnixNano()}
 }
 
 // digestAndFold reduces one finished (or expired) session's events to a
@@ -320,22 +294,19 @@ func (st *Store) LiveSessions() int {
 func (st *Store) ExpireIdle(cutoff time.Time) int {
 	var orphans []*sessionLog
 	cut := cutoff.UnixNano()
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for id, mark := range sh.folded {
-			if mark.lastSeen < cut {
-				delete(sh.folded, id)
-			}
+	st.mu.Lock()
+	for id, mark := range st.folded {
+		if mark.lastSeen < cut {
+			delete(st.folded, id)
 		}
-		for id, log := range sh.sessions {
-			if log.lastSeen.Before(cutoff) {
-				orphans = append(orphans, log)
-				sh.fold(id, log)
-			}
-		}
-		sh.mu.Unlock()
 	}
+	for id, log := range st.sessions {
+		if log.lastSeen.Before(cutoff) {
+			orphans = append(orphans, log)
+			st.fold(id, log)
+		}
+	}
+	st.mu.Unlock()
 	for _, log := range orphans {
 		log.digestAndFold(true)
 	}

@@ -43,7 +43,7 @@ func digestOf(events []runtime.Event, start string) *analytics.Report {
 }
 
 func TestStoreFoldMatchesDigest(t *testing.T) {
-	st := NewStore(4)
+	st := NewStore()
 	events := sessionEvents()
 	// Deliver in two batches, then close the session.
 	if err := st.Append(Batch{Course: "classroom", Session: "s1", Start: "classroom", Events: events[:4]}); err != nil {
@@ -81,7 +81,7 @@ func TestStoreFoldMatchesDigest(t *testing.T) {
 }
 
 func TestStoreValidationAndRebind(t *testing.T) {
-	st := NewStore(2)
+	st := NewStore()
 	if err := st.Append(Batch{Session: "x"}); err == nil {
 		t.Error("courseless batch accepted")
 	}
@@ -97,7 +97,7 @@ func TestStoreValidationAndRebind(t *testing.T) {
 }
 
 func TestStoreConcurrentSessions(t *testing.T) {
-	st := NewStore(8)
+	st := NewStore()
 	const sessions = 200
 	events := sessionEvents()
 	var wg sync.WaitGroup
@@ -269,10 +269,9 @@ func TestServiceBackpressure(t *testing.T) {
 
 // liveEvents counts buffered events of one live session (test helper).
 func (st *Store) liveEvents(session string) int {
-	sh := st.shardFor(session)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if log, ok := sh.sessions[session]; ok {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if log, ok := st.sessions[session]; ok {
 		return len(log.events)
 	}
 	return 0
@@ -410,7 +409,7 @@ func TestClientRecordAfterCloseDropped(t *testing.T) {
 }
 
 func TestStoreDuplicateDeliveryDropped(t *testing.T) {
-	st := NewStore(2)
+	st := NewStore()
 	events := sessionEvents()
 	b1 := Batch{Course: "c", Session: "s", Start: "classroom", Seq: 1, Events: events[:5]}
 	for i := 0; i < 3; i++ { // at-least-once: same batch delivered thrice
@@ -513,7 +512,7 @@ func TestClientBatchesCarrySequence(t *testing.T) {
 }
 
 func TestStoreExpireIdle(t *testing.T) {
-	st := NewStore(4)
+	st := NewStore()
 	events := sessionEvents()
 	// An abandoned session: batches arrive, Done never does.
 	if err := st.Append(Batch{Course: "c", Session: "orphan", Start: "classroom", Seq: 1, Events: events[:6]}); err != nil {
@@ -557,14 +556,9 @@ func TestStoreExpireIdle(t *testing.T) {
 // storeEntries counts what the store holds per session: live logs and the
 // marks folded sessions leave behind.
 func storeEntries(st *Store) (live, marks int) {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		live += len(sh.sessions)
-		marks += len(sh.folded)
-		sh.mu.Unlock()
-	}
-	return live, marks
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.sessions), len(st.folded)
 }
 
 // TestStoreFoldMarks: a folded session leaves a mark — its course and when
@@ -574,7 +568,7 @@ func storeEntries(st *Store) (live, marks int) {
 // names another course, age out on ExpireIdle's cutoff and not before, and
 // never let started = ended + expired + live be observed broken.
 func TestStoreFoldMarks(t *testing.T) {
-	st := NewStore(4)
+	st := NewStore()
 	events := sessionEvents()
 	invariant := func(when string) CourseStats {
 		t.Helper()
@@ -700,7 +694,7 @@ func TestClientShedsBufferAfterStickyError(t *testing.T) {
 }
 
 func TestStoreGapOnUnknownSessionLeavesNoTrace(t *testing.T) {
-	st := NewStore(2)
+	st := NewStore()
 	// A first-contact batch claiming seq 2 is a gap: it must be rejected
 	// without registering a phantom session or touching course aggregates.
 	if err := st.Append(Batch{Course: "c", Session: "ghost", Seq: 2, Events: sessionEvents()[:2]}); err == nil {
