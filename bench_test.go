@@ -5,6 +5,7 @@ package repro
 // side of every table; the vgbl-experiments binary prints the full tables.
 
 import (
+	"bytes"
 	"fmt"
 	"net/http/httptest"
 	goruntime "runtime"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/gamepack"
+	"repro/internal/media/container"
 	"repro/internal/media/playback"
 	"repro/internal/media/raster"
 	"repro/internal/media/shotdetect"
@@ -173,17 +175,25 @@ func benchmarkEncode(b *testing.B, w, h, q int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// bytes/frame is counted over one whole pass of the frames, outside the
+	// timer, so it is an exact count that does not move with b.N and can say
+	// whether an encoder change moved the bitstream.
 	var bytes int
-	b.SetBytes(int64(w * h * 3)) // raw RGB input per op → MB/s alongside ns/op
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt, err := enc.Encode(frames[i%len(frames)])
+	for _, fr := range frames {
+		pkt, err := enc.Encode(fr)
 		if err != nil {
 			b.Fatal(err)
 		}
 		bytes += len(pkt.Data)
 	}
-	b.ReportMetric(float64(bytes)/float64(b.N), "bytes/frame")
+	b.SetBytes(int64(w * h * 3)) // raw RGB input per op → MB/s alongside ns/op
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enc.Encode(frames[i%len(frames)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(bytes)/float64(len(frames)), "bytes/frame")
 }
 
 func BenchmarkEncode160x120Q4(b *testing.B)  { benchmarkEncode(b, 160, 120, 4) }
@@ -288,6 +298,74 @@ func BenchmarkRecordLadder(b *testing.B) {
 	}
 	b.ReportMetric(float64(bytes)/float64(film.FrameCount()), "bytes/frame")
 	b.ReportMetric(float64(film.FrameCount()), "frames/op")
+}
+
+// BenchmarkDemoCleanRows sizes ROADMAP 8(a), "convert only the block rows a
+// P-frame dirtied": it decodes each demo rung in order and reports the share
+// of 8×8 pixel blocks, and of whole 8-line block rows, whose RGB is the frame
+// before's — the ceiling on what such a converter could skip. The two shares
+// are exact counts; ns/op carries no claim (EXPERIMENTS.md E29).
+func BenchmarkDemoCleanRows(b *testing.B) {
+	ladder := studio.DefaultLadder()
+	courses := []*content.Course{content.Classroom(), content.Museum(), content.StreetDemo()}
+	for n, name := range []string{"classroom", "museum", "street"} {
+		rungs, err := studio.RecordLadder(courses[n].Film, studio.Options{}, ladder)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k, rung := range rungs {
+			b.Run(fmt.Sprintf("%s/q%d", name, ladder[k].QStep), func(b *testing.B) {
+				r, err := container.Open(rung.Video)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var blocks, cleanBlocks, rows, cleanRows int
+				for i := 0; i < b.N; i++ {
+					blocks, cleanBlocks, rows, cleanRows = 0, 0, 0, 0
+					dec := vcodec.NewDecoder()
+					var cur, prev raster.Frame
+					for j := 0; j < r.Meta().FrameCount; j++ {
+						pkt, _, err := r.PacketAt(j)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if err := dec.DecodeInto(&cur, pkt); err != nil {
+							b.Fatal(err)
+						}
+						for y0 := 0; j > 0 && y0 < cur.H; y0 += 8 {
+							clean := 0
+							for x0 := 0; x0 < cur.W; x0 += 8 {
+								if sameRGB(&cur, &prev, x0, y0) {
+									clean++
+								}
+							}
+							inRow := (cur.W + 7) / 8
+							blocks, cleanBlocks, rows = blocks+inRow, cleanBlocks+clean, rows+1
+							if clean == inRow {
+								cleanRows++
+							}
+						}
+						cur, prev = prev, cur
+					}
+				}
+				b.ReportMetric(100*float64(cleanBlocks)/float64(blocks), "clean-block-%")
+				b.ReportMetric(100*float64(cleanRows)/float64(rows), "clean-row-%")
+			})
+		}
+	}
+}
+
+// sameRGB reports whether the 8×8 pixel block at (x0,y0), clipped to the
+// frame, is the same in a and b.
+func sameRGB(a, b *raster.Frame, x0, y0 int) bool {
+	n := 3 * min(8, a.W-x0)
+	for y := y0; y < min(y0+8, a.H); y++ {
+		o := 3 * (y*a.W + x0)
+		if !bytes.Equal(a.Pix[o:o+n], b.Pix[o:o+n]) {
+			return false
+		}
+	}
+	return true
 }
 
 // --- E4: authoring -------------------------------------------------------

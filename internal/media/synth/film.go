@@ -179,27 +179,40 @@ func (f *Film) renderShot(fr *raster.Frame, k, t int) {
 }
 
 // addNoise applies per-2×2-cell sensor noise, deterministic in (seed, frame).
+// A cell's samples are one run of up to six bytes in each of its two rows.
 func (f *Film) addNoise(fr *raster.Frame, seed, frame uint64, amp int) {
+	frameKey := seed ^ hash64(frame)
+	stride := 3 * fr.W
+	cell := uint64(0) // row-major over the (W+1)/2 × (H+1)/2 cell grid
 	for y := 0; y < fr.H; y += 2 {
+		top := fr.Pix[y*stride : (y+1)*stride]
+		var bottom []uint8 // empty under the last row of an odd height
+		if y+1 < fr.H {
+			bottom = fr.Pix[(y+1)*stride : (y+2)*stride]
+		}
 		for x := 0; x < fr.W; x += 2 {
-			cell := uint64(y/2)*uint64((fr.W+1)/2) + uint64(x/2)
-			n := noise(seed, frame, cell, amp)
-			for dy := 0; dy < 2 && y+dy < fr.H; dy++ {
-				for dx := 0; dx < 2 && x+dx < fr.W; dx++ {
-					i := 3 * ((y+dy)*fr.W + (x + dx))
-					for c := 0; c < 3; c++ {
-						v := int(fr.Pix[i+c]) + n
-						if v < 0 {
-							v = 0
-						}
-						if v > 255 {
-							v = 255
-						}
-						fr.Pix[i+c] = uint8(v)
-					}
-				}
+			n := cellNoise(frameKey, cell, amp)
+			cell++
+			lo, hi := 3*x, 3*min(x+2, fr.W)
+			addClamped(top[lo:hi], n)
+			if bottom != nil {
+				addClamped(bottom[lo:hi], n)
 			}
 		}
+	}
+}
+
+// addClamped adds n to every sample of px, saturating at 0 and 255.
+func addClamped(px []uint8, n int) {
+	for i, p := range px {
+		v := int(p) + n
+		if v < 0 {
+			v = 0
+		}
+		if v > 255 {
+			v = 255
+		}
+		px[i] = uint8(v)
 	}
 }
 

@@ -25,10 +25,16 @@ func hash64(x uint64) uint64 {
 // noise returns a deterministic pseudo-random value in [-amp, +amp] for the
 // given (seed, frame, cell) coordinate.
 func noise(seed, frame uint64, cell uint64, amp int) int {
+	return cellNoise(seed^hash64(frame), cell, amp)
+}
+
+// cellNoise is noise with the part that is the same for every cell of a
+// frame, seed ^ hash64(frame), already mixed.
+func cellNoise(frameKey, cell uint64, amp int) int {
 	if amp == 0 {
 		return 0
 	}
-	h := hash64(seed ^ hash64(frame) ^ hash64(cell*0x5851f42d4c957f2d))
+	h := hash64(frameKey ^ hash64(cell*0x5851f42d4c957f2d))
 	return int(h%uint64(2*amp+1)) - amp
 }
 

@@ -347,31 +347,37 @@ func sameBlock(a, b *plane, x0, y0 int) bool {
 	return true
 }
 
-// The motion search takes the sum of absolute differences of a block row
-// eight samples at a time: the row's bytes are spread over the 16-bit lanes
-// of two 64-bit words (even samples in one, odd in the other) so a lane has
-// room for a biased difference and for the sum of a whole candidate.
+// The motion search is a full search: every in-bounds offset within ±r gets
+// the sum of absolute differences (SAD) of the current block against the
+// reference block there. The SADs of one row of candidates — one dy, every
+// in-bounds dx — come from sadCandidates, which has two implementations
+// chosen by the build target: on amd64 an SSE2 leaf (sad_amd64.s), elsewhere
+// sadRunPortable below, which is also what the tests hold the assembly to.
+//
+// The portable path takes a block row eight samples at a time: once per run
+// the current block's row bytes are spread over the 16-bit lanes of two
+// 64-bit words (even samples in one, odd in the other) so a lane has room for
+// a biased difference and for the sum of a whole candidate.
 const (
 	laneLow  = 0x00FF00FF00FF00FF // the sample byte of every lane
 	laneOne  = 0x0001000100010001
 	laneBias = 0x0100010001000100 // 256 per lane: keeps a−b positive
 )
 
-// packedBlock is the current block prepared once for all candidates of a
-// motion search: per row, the even and the odd samples in 16-bit lanes with
-// laneBias already added.
+// packedBlock is the current block read once for all candidates of a motion
+// search: its eight row words as they lie in the plane.
 type packedBlock struct {
-	even, odd [blockSize]uint64
+	rows [blockSize]uint64
 }
 
 func (b *packedBlock) load(p *plane, x0, y0 int) {
 	for r := 0; r < blockSize; r++ {
-		b.even[r], b.odd[r] = packRow(p.word(x0, y0+r))
+		b.rows[r] = p.word(x0, y0+r)
 	}
 }
 
-// packRow spreads the eight samples of row word w over two biased lane
-// words.
+// packRow spreads the eight samples of row word w over two lane words, the
+// even samples and the odd, with laneBias added.
 func packRow(w uint64) (even, odd uint64) {
 	return w&laneLow | laneBias, w>>8&laneLow | laneBias
 }
@@ -400,17 +406,30 @@ func foldLanes(x uint64) int32 {
 	return int32(x * laneOne >> 48)
 }
 
-// sadBlock returns the sum of absolute differences between the packed
-// current block and the 8×8 reference block whose top-left sample is pix[0]
-// and whose rows are stride apart. It is deliberately a leaf of its own:
-// written into motionSearch's candidate loop, the lane constants and the
-// accumulator spill to the stack on every row.
-func sadBlock(cur *packedBlock, pix []uint8, stride int) int32 {
+// sadBlock returns the sum of absolute differences between the current
+// block, its rows packed by packRow, and the 8×8 reference block whose
+// top-left sample is pix[0] and whose rows are stride apart. It is
+// deliberately a leaf of its own: written into the candidate loop, the lane
+// constants and the accumulator spill to the stack on every row.
+func sadBlock(even, odd *[blockSize]uint64, pix []uint8, stride int) int32 {
 	var lanes uint64
 	for row, o := 0, 0; row < blockSize; row, o = row+1, o+stride {
-		lanes += sadRow(cur.even[row], cur.odd[row], binary.LittleEndian.Uint64(pix[o:o+8:o+8]))
+		lanes += sadRow(even[row], odd[row], binary.LittleEndian.Uint64(pix[o:o+8:o+8]))
 	}
 	return foldLanes(lanes)
+}
+
+// sadRunPortable fills out[i] with the SAD of the current block against the
+// reference block whose top-left sample is pix[i] and whose rows are stride
+// apart: one row of horizontally adjacent candidates.
+func sadRunPortable(cur *packedBlock, pix []uint8, stride int, out []int32) {
+	var even, odd [blockSize]uint64
+	for r, w := range cur.rows {
+		even[r], odd[r] = packRow(w)
+	}
+	for i := range out {
+		out[i] = sadBlock(&even, &odd, pix[i:], stride)
+	}
 }
 
 // motionSearch finds the full-pixel offset within ±r minimizing SAD against
@@ -424,23 +443,21 @@ func motionSearch(cur *packedBlock, ref *plane, x0, y0, r int) (int, int) {
 	if r == 0 {
 		return 0, 0
 	}
+	// The offsets that keep the reference block inside the plane are one
+	// interval a side, and the dx interval is the same for every dy.
+	dx0, dx1 := max(-r, -x0), min(r, ref.w-blockSize-x0)
+	dy0, dy1 := max(-r, -y0), min(r, ref.h-blockSize-y0)
+	var sads [2*7 + 1]int32 // r ≤ 7 (Config.validate)
+	run := sads[:dx1-dx0+1]
 	best, bx, by := int32(1<<30), 0, 0
-	for dy := -r; dy <= r; dy++ {
-		ry := y0 + dy
-		if ry < 0 || ry+blockSize > ref.h {
-			continue
+	for dy := dy0; dy <= dy1; dy++ {
+		sadCandidates(cur, ref.pix[(y0+dy)*ref.w+x0+dx0:], ref.w, run)
+		if dy == 0 {
+			run[-dx0] -= 4
 		}
-		for dx := -r; dx <= r; dx++ {
-			rx := x0 + dx
-			if rx < 0 || rx+blockSize > ref.w {
-				continue
-			}
-			sad := sadBlock(cur, ref.pix[ry*ref.w+rx:], ref.w)
-			if dx == 0 && dy == 0 {
-				sad -= 4
-			}
+		for i, sad := range run {
 			if sad < best {
-				best, bx, by = sad, dx, dy
+				best, bx, by = sad, dx0+i, dy
 			}
 		}
 	}

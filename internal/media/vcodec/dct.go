@@ -317,22 +317,34 @@ func quantDivisors(qstep int) (dcDiv, acDiv int32) {
 	return dcDiv, int32(qstep) << coefScaleBits
 }
 
-// roundDiv divides rounding half away from zero (matching math.Round in the
-// seed's float path). d must be positive.
-func roundDiv(v, d int32) int32 {
-	if v >= 0 {
-		return (v + d/2) / d
-	}
-	return (v - d/2) / d
+// The quantizers divide 63 coefficients by one divisor, so they multiply by
+// its reciprocal instead: for a divisor d, m = 2³²/d + 1 makes n·m>>32 equal
+// n/d for every 0 ≤ n with n·d < 2³². Divisors stop at 128<<coefScaleBits =
+// 1024, which leaves numerators below 2²² exact; an fdct8x8 output stays
+// under 2¹⁵ (64·255, the DC of a full-range residual, is the largest) and
+// the rounding bias adds at most 512.
+func reciprocal(d int32) uint64 {
+	return 1<<32/uint64(d) + 1
+}
+
+// divSigned returns (|v|+bias)/d carrying v's sign, for m = reciprocal(d):
+// truncation toward zero with bias 0, rounding half away from zero with
+// bias d/2 (what math.Round did in the seed's float path).
+func divSigned(v, bias int32, m uint64) int32 {
+	sign := v >> 31 // 0 or −1
+	mag := (v ^ sign) - sign
+	q := int32(uint64(mag+bias) * m >> 32)
+	return (q ^ sign) - sign
 }
 
 // quantize converts scaled DCT coefficients to integer levels with a
 // uniform step, rounding to nearest.
 func quantize(coefs *[64]int32, qstep int, levels *[64]int32) {
 	dcDiv, acDiv := quantDivisors(qstep)
-	levels[0] = roundDiv(coefs[zigzag[0]], dcDiv)
+	levels[0] = divSigned(coefs[zigzag[0]], dcDiv>>1, reciprocal(dcDiv))
+	half, m := acDiv>>1, reciprocal(acDiv)
 	for i := 1; i < 64; i++ {
-		levels[i] = roundDiv(coefs[zigzag[i]], acDiv)
+		levels[i] = divSigned(coefs[zigzag[i]], half, m)
 	}
 }
 
@@ -342,8 +354,9 @@ func quantize(coefs *[64]int32, qstep int, levels *[64]int32) {
 // static content never collapses to skip blocks.
 func quantizeDeadzone(coefs *[64]int32, qstep int, levels *[64]int32) {
 	dcDiv, acDiv := quantDivisors(qstep)
-	levels[0] = coefs[zigzag[0]] / dcDiv
+	levels[0] = divSigned(coefs[zigzag[0]], 0, reciprocal(dcDiv))
+	m := reciprocal(acDiv)
 	for i := 1; i < 64; i++ {
-		levels[i] = coefs[zigzag[i]] / acDiv
+		levels[i] = divSigned(coefs[zigzag[i]], 0, m)
 	}
 }

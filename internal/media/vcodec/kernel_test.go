@@ -434,3 +434,46 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Advance allocates %.1f objects/frame, want 0", n)
 	}
 }
+
+// TestQuantizeMatchesDivision holds the reciprocal multiply to the division
+// it stands for, at every quantizer step the format allows and every
+// numerator in ±2¹⁷ — four times past the largest coefficient fdct8x8 can
+// produce. The kernel is checked on both divisors for every numerator; the
+// two quantizers themselves are then run over blocks of consecutive
+// numerators, which puts every one of them on an AC position and every 63rd
+// on the DC.
+func TestQuantizeMatchesDivision(t *testing.T) {
+	const span = 1 << 17
+	for qstep := 1; qstep <= 128; qstep++ {
+		dcDiv, acDiv := quantDivisors(qstep)
+		for _, d := range []int32{dcDiv, acDiv} {
+			m := reciprocal(d)
+			for v := int32(-span); v <= span; v++ {
+				if got, want := divSigned(v, 0, m), v/d; got != want {
+					t.Fatalf("qstep %d: %d / %d = %d, reciprocal says %d", qstep, v, d, want, got)
+				}
+				if got, want := divSigned(v, d>>1, m), roundDiv(v, d); got != want {
+					t.Fatalf("qstep %d: roundDiv(%d, %d) = %d, reciprocal says %d", qstep, v, d, want, got)
+				}
+			}
+		}
+		var coefs, rounded, truncated [64]int32
+		for base := int32(-span - 1); base < span; base += 63 {
+			for i := range coefs {
+				coefs[zigzag[i]] = base + int32(i)
+			}
+			quantize(&coefs, qstep, &rounded)
+			quantizeDeadzone(&coefs, qstep, &truncated)
+			for i := range coefs {
+				v, d := base+int32(i), acDiv
+				if i == 0 {
+					d = dcDiv
+				}
+				if rounded[i] != roundDiv(v, d) || truncated[i] != v/d {
+					t.Fatalf("qstep %d, scan position %d, coefficient %d: quantize %d (want %d), quantizeDeadzone %d (want %d)",
+						qstep, i, v, rounded[i], roundDiv(v, d), truncated[i], v/d)
+				}
+			}
+		}
+	}
+}

@@ -202,12 +202,98 @@ func TestSADBlockWorstCase(t *testing.T) {
 		white.pix[i] = 255
 	}
 	var packed packedBlock
+	var got [1]int32
 	packed.load(white, 0, 0)
-	if got := sadBlock(&packed, black.pix, black.w); got != 64*255 {
-		t.Fatalf("sadBlock(white, black) = %d, want %d", got, 64*255)
+	if sadRunPortable(&packed, black.pix, black.w, got[:]); got[0] != 64*255 {
+		t.Fatalf("sadBlock(white, black) = %d, want %d", got[0], 64*255)
 	}
 	packed.load(black, 0, 0)
-	if got := sadBlock(&packed, white.pix, white.w); got != 64*255 {
-		t.Fatalf("sadBlock(black, white) = %d, want %d", got, 64*255)
+	if sadRunPortable(&packed, white.pix, white.w, got[:]); got[0] != 64*255 {
+		t.Fatalf("sadBlock(black, white) = %d, want %d", got[0], 64*255)
+	}
+}
+
+// sadScalar is the definition: Σ|a−b| over the 64 samples, one at a time.
+func sadScalar(cur *[64]uint8, pix []uint8, stride int) int32 {
+	var sad int32
+	for r := 0; r < blockSize; r++ {
+		for k := 0; k < blockSize; k++ {
+			d := int32(cur[r*blockSize+k]) - int32(pix[r*stride+k])
+			if d < 0 {
+				d = -d
+			}
+			sad += d
+		}
+	}
+	return sad
+}
+
+// checkSADRun holds sadCandidates — the assembly where there is one — to the
+// portable loop, and that to the scalar definition, for the n candidates
+// starting at pix[0], and checks nothing is written past out[n−1].
+func checkSADRun(t *testing.T, name string, block *[64]uint8, pix []uint8, stride, n int) {
+	t.Helper()
+	cur := newPlane(blockSize, blockSize)
+	copy(cur.pix, block[:])
+	var packed packedBlock
+	packed.load(cur, 0, 0)
+	const sentinel = -12345
+	var got, want [16]int32
+	for i := range got {
+		got[i], want[i] = sentinel, sentinel
+	}
+	sadCandidates(&packed, pix, stride, got[:n])
+	sadRunPortable(&packed, pix, stride, want[:n])
+	if got != want {
+		t.Fatalf("%s, stride %d, n %d: sadCandidates %v, portable loop %v", name, stride, n, got, want)
+	}
+	for i := 0; i < n; i++ {
+		if s := sadScalar(block, pix[i:], stride); want[i] != s {
+			t.Fatalf("%s, stride %d, candidate %d: portable SAD %d, scalar %d", name, stride, i, want[i], s)
+		}
+	}
+}
+
+// TestSADRunMatchesPortable runs on every platform: on amd64 it is the
+// assembly against the Go loop, elsewhere the loop against itself and the
+// scalar sum. Every run length the search can ask for, every stride from one
+// block to past the widest plane the demos build, at the plane's first byte
+// and ending on its last row and last byte.
+func TestSADRunMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	solid := func(v uint8) func(int) uint8 { return func(int) uint8 { return v } }
+	stripes := func(phase int) func(int) uint8 {
+		return func(i int) uint8 { return uint8(255 * ((i + phase) % 2)) }
+	}
+	random := func(int) uint8 { return uint8(rng.Intn(256)) }
+	patterns := []struct {
+		name       string
+		block, ref func(i int) uint8
+	}{
+		{"random", random, random},
+		{"black-on-white", solid(0), solid(255)},
+		{"white-on-black", solid(255), solid(0)},
+		{"equal", solid(200), solid(200)},
+		{"alternating", stripes(0), stripes(1)},
+		{"alternating-on-random", stripes(0), random},
+	}
+	const rows = blockSize + 1
+	for stride := blockSize; stride <= 328; stride++ {
+		for _, p := range patterns {
+			var block [64]uint8
+			for i := range block {
+				block[i] = p.block(i)
+			}
+			pix := make([]uint8, stride*rows)
+			for i := range pix {
+				pix[i] = p.ref(i)
+			}
+			for n := 1; n <= 15 && n+blockSize-1 <= stride; n++ {
+				checkSADRun(t, p.name+" first", &block, pix, stride, n)
+				// The run whose last candidate's last row ends the slice.
+				last := len(pix) - (7*stride + n - 1 + blockSize)
+				checkSADRun(t, p.name+" last", &block, pix[last:], stride, n)
+			}
+		}
 	}
 }

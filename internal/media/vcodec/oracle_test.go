@@ -104,6 +104,16 @@ func idct8x8(src *[64]int32, dst *[64]int32) {
 	}
 }
 
+// roundDiv divides rounding half away from zero (matching math.Round in the
+// seed's float path). d must be positive. The quantizers multiply by a
+// reciprocal instead; this division is what they are held to.
+func roundDiv(v, d int32) int32 {
+	if v >= 0 {
+		return (v + d/2) / d
+	}
+	return (v - d/2) / d
+}
+
 // dequantize reverses quantize into natural (row-major) coefficient order,
 // producing coefficients at the 2^coefScaleBits scale idct8x8 expects.
 func dequantize(levels *[64]int32, qstep int, coefs *[64]int32) {
