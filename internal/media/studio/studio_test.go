@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/media/container"
 	"repro/internal/media/raster"
@@ -244,13 +245,31 @@ func TestRecordLadderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once two readings a
+// millisecond apart agree (or after a hundred tries). An earlier test's
+// shot-detection histogram worker signals completion from a defer and is
+// still counted for a moment after the call that started it has returned;
+// sampled then, it would read as a goroutine the codec "stopped".
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
 // TestCodecStartsNoGoroutines: a frame's block rows are coded and decoded on
 // the goroutine that asked, so neither building a codec nor recording a whole
 // ladder leaves (or needs) a goroutine of its own — there is no pool to stop
 // and nothing to Close (EXPERIMENTS.md E28).
 func TestCodecStartsNoGoroutines(t *testing.T) {
 	film := shortFilm()
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	cfg := vcodec.Config{Width: film.W, Height: film.H, QStep: 4, GOP: 4, SearchRange: 2}
 	enc, err := vcodec.NewEncoder(cfg)
 	if err != nil {

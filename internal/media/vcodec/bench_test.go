@@ -8,9 +8,11 @@ import (
 )
 
 // benchFilm is the root package's encode and decode benchmark footage.
-func benchFilm() *synth.Film {
+func benchFilm() *synth.Film { return benchFilmSized(160, 120) }
+
+func benchFilmSized(w, h int) *synth.Film {
 	return synth.Generate(synth.Spec{
-		W: 160, H: 120, FPS: 10, Shots: 2,
+		W: w, H: h, FPS: 10, Shots: 2,
 		MinShotFrames: 15, MaxShotFrames: 16, NoiseAmp: 2, Seed: 5,
 	})
 }
@@ -21,14 +23,31 @@ func benchFilm() *synth.Film {
 // BenchmarkAdvance160x120. It lives here because the pass has no exported
 // entry point of its own.
 func BenchmarkToFrame160x120(b *testing.B) {
-	img := toYCbCr(benchFilm().Render(3))
+	benchToFrame(b, 160, 120, (*ycbcr).toFrameInto)
+}
+
+// BenchmarkToFrame161x121 is a size no row of which is whole steps of
+// sixteen: on amd64 every row ends in the per-pixel Go tail, and the odd
+// width takes the edge that has no replicated last column.
+func BenchmarkToFrame161x121(b *testing.B) {
+	benchToFrame(b, 161, 121, (*ycbcr).toFrameInto)
+}
+
+// BenchmarkToFramePortable160x120 is the Go rows alone, the pass of every
+// target but amd64 — timed here because this is where it can be.
+func BenchmarkToFramePortable160x120(b *testing.B) {
+	benchToFrame(b, 160, 120, (*ycbcr).toFrameIntoPortable)
+}
+
+func benchToFrame(b *testing.B, w, h int, pass func(*ycbcr, *raster.Frame, []uint16) []uint16) {
+	img := toYCbCr(benchFilmSized(w, h).Render(3))
 	var frame raster.Frame
-	var blend []uint32
-	b.SetBytes(160 * 120 * 3)
+	var scratch []uint16
+	b.SetBytes(int64(3 * w * h))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blend = img.toFrameInto(&frame, blend)
+		scratch = pass(img, &frame, scratch)
 	}
 }
 

@@ -526,7 +526,7 @@ type Decoder struct {
 	free    []*ycbcr // recycled decode targets (at most two circulate)
 	lengths []int
 	chunks  [][]byte
-	blend   []uint32 // toFrameInto's row scratch
+	blend   []uint16 // toFrameInto's row scratch
 }
 
 // NewDecoder returns a decoder with no reference state.

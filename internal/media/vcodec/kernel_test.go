@@ -341,9 +341,9 @@ func TestColourTablesExhaustive(t *testing.T) {
 	}
 }
 
-func TestColourPassMatchesPerPixel(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	fills := map[string]func(p *plane, seed int){
+// colourFills are the plane contents the colour-pass tests run over.
+func colourFills(rng *rand.Rand) map[string]func(p *plane, seed int) {
+	return map[string]func(p *plane, seed int){
 		"random": func(p *plane, _ int) {
 			for i := range p.pix {
 				p.pix[i] = uint8(rng.Intn(256))
@@ -372,7 +372,11 @@ func TestColourPassMatchesPerPixel(t *testing.T) {
 			}
 		},
 	}
-	var blend []uint32 // carried across sizes, as a Decoder carries it
+}
+
+func TestColourPassMatchesPerPixel(t *testing.T) {
+	fills := colourFills(rand.New(rand.NewSource(11)))
+	var blend []uint16 // carried across sizes, as a Decoder carries it
 	got := raster.New(200, 200)
 	for _, sz := range [][2]int{{1, 1}, {2, 2}, {3, 5}, {15, 33}, {16, 16}, {161, 121}, {2, 1}, {1, 2}, {4, 3}} {
 		for name, fill := range fills {
@@ -386,6 +390,44 @@ func TestColourPassMatchesPerPixel(t *testing.T) {
 				got.Pix[:cap(got.Pix)][i] = 0x5A
 			}
 			blend = img.toFrameInto(got, blend)
+			if !got.Equal(&want) {
+				t.Errorf("%dx%d %s planes: colour pass differs from the per-pixel formula", sz[0], sz[1], name)
+			}
+		}
+	}
+}
+
+// TestColourRowsMatchPortable holds the dispatching colour pass — SSE2 rows
+// with a Go tail on amd64 — to its two oracles, the per-pixel formula and the
+// portable row loop every other target runs, on every width that puts a
+// different number of pixels through the kernel and the tail (none, one
+// step, three steps and a tail), on heights that take every vertical weight
+// and both replicated rows, and on the frame sizes the courses use. The
+// scratch and the frames are carried across sizes, as a Decoder carries
+// them, so a stale edge sample or a row left over from a wider frame shows.
+func TestColourRowsMatchPortable(t *testing.T) {
+	fills := colourFills(rand.New(rand.NewSource(23)))
+	var sizes [][2]int
+	for w := 1; w <= 49; w++ {
+		for _, h := range []int{1, 2, 3, 8, 9} {
+			sizes = append(sizes, [2]int{w, h})
+		}
+	}
+	sizes = append(sizes, [2]int{160, 120}, [2]int{161, 121}, [2]int{320, 240})
+	var scratch, portableScratch []uint16
+	var got, portable, want raster.Frame
+	for _, sz := range sizes {
+		for name, fill := range fills {
+			img := newYCbCr(sz[0], sz[1])
+			fill(img.y, 0)
+			fill(img.cb, 1)
+			fill(img.cr, 2)
+			img.toFrameIntoRef(&want)
+			portableScratch = img.toFrameIntoPortable(&portable, portableScratch)
+			scratch = img.toFrameInto(&got, scratch)
+			if !portable.Equal(&want) {
+				t.Errorf("%dx%d %s planes: portable rows differ from the per-pixel formula", sz[0], sz[1], name)
+			}
 			if !got.Equal(&want) {
 				t.Errorf("%dx%d %s planes: colour pass differs from the per-pixel formula", sz[0], sz[1], name)
 			}

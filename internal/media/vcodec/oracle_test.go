@@ -270,6 +270,21 @@ func (img *ycbcr) toFrame() *raster.Frame {
 	return f
 }
 
+// toFrameIntoPortable is toFrameInto over the Go row functions alone: the
+// colour pass of every target but amd64, and the oracle of the SSE2 rows on
+// it.
+func (img *ycbcr) toFrameIntoPortable(dst *raster.Frame, scratch []uint16) []uint16 {
+	scratch = img.sizeFrame(dst, scratch)
+	stride := img.colourStride()
+	vcb, vcr := scratch[:stride], scratch[stride:]
+	for y := 0; y < img.h; y++ {
+		cb0, cb1, cr0, cr1, ty := img.chromaRows(y)
+		blendChromaPortable(vcb, vcr, cb0, cb1, cr0, cr1, ty, (img.w+1)/2)
+		colourRowPortable(dst.Pix[3*y*img.w:3*(y+1)*img.w], img.y.row(0, y, img.w), vcb, vcr)
+	}
+	return scratch
+}
+
 // refDecoder is a whole-packet decoder over the oracle kernels: the same
 // header and row-table parsing as Decoder.decode, single-threaded, with
 // readLevels + dequantize + idct8x8 + the per-pixel colour formula under it.

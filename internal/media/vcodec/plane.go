@@ -160,10 +160,9 @@ func buildColourTables() *colourTables {
 	return t
 }
 
-// Chroma travels through the upsampler as one word per sample, Cb in the low
-// 16-bit lane and Cr in the high one, so every blend is one multiply-add for
-// both. A lane holds 16× a sample at most (4080, plus 8 to round), far from
-// its neighbour.
+// chromaRound rounds both lanes of a packed chroma sum — 16× the upsampled
+// Cb in the low 16 bits, Cr in the high 16 (4080 at most, far from its
+// neighbour) — before the >> 4 that channels folds into its table index.
 const chromaRound = 8<<16 | 8
 
 // channels returns the clamp-table indices of one pixel's red, green and
@@ -185,7 +184,7 @@ func (t *colourTables) putRGB(dst []uint8, p uint64) {
 // toFrameInto converts back to RGB into dst, reusing dst's pixel buffer when
 // it is large enough. Chroma is upsampled bilinearly (nearest-neighbor
 // leaves visible blockiness on saturated gradients, especially at small
-// frame sizes). blend is row scratch, returned (grown if need be) for the
+// frame sizes). scratch is row scratch, returned (grown if need be) for the
 // caller to keep.
 //
 // Chroma sits at half resolution with a half-sample phase offset, so every
@@ -193,11 +192,37 @@ func (t *colourTables) putRGB(dst []uint8, p uint64) {
 // (Σ weight·sample + 8) >> 4 with weights in quarter units that sum to 16 —
 // one rounding, at the end. That makes the blend separable without changing
 // a bit: per output row the two chroma rows are blended vertically once per
-// chroma column (weights 4:0, 3:1 or 1:3), and output columns 2k+1 and 2k+2
-// are 3a+b and a+3b of neighbouring blended values a, b. Column 0 and, on
-// even widths, the last column sit beyond the outermost chroma centre and
-// replicate it (4a), as do the first and last rows.
-func (img *ycbcr) toFrameInto(dst *raster.Frame, blend []uint32) []uint32 {
+// chroma column, V[k] = c0[k]·(4−ty) + c1[k]·ty (weights 4:0, 3:1 or 1:3;
+// the first and last rows replicate), and output columns 2k and 2k+1 are
+// V[k−1] + 3V[k] and 3V[k] + V[k+1]. Column 0 and, on even widths, the last
+// column sit beyond the outermost chroma centre and replicate it: with
+// V[−1] = V[0] and V[halfW] = V[halfW−1] stored beside the row, the same two
+// formulas give them their 4V, so no column is a special case.
+//
+// The scratch holds the two blended rows, Cb then Cr, each colourStride
+// long: V[k] at index k+1 between its two replicated edges. The per-row work
+// is blendChroma and colourRow, SSE2 on amd64 (colour_amd64.s) and the
+// Portable pair below elsewhere.
+func (img *ycbcr) toFrameInto(dst *raster.Frame, scratch []uint16) []uint16 {
+	scratch = img.sizeFrame(dst, scratch)
+	stride := img.colourStride()
+	vcb, vcr := scratch[:stride], scratch[stride:]
+	for y := 0; y < img.h; y++ {
+		cb0, cb1, cr0, cr1, ty := img.chromaRows(y)
+		blendChroma(vcb, vcr, cb0, cb1, cr0, cr1, ty, (img.w+1)/2)
+		colourRow(dst.Pix[3*y*img.w:3*(y+1)*img.w], img.y.row(0, y, img.w), vcb, vcr)
+	}
+	return scratch
+}
+
+// colourStride is the length of one blended chroma row in the scratch: the
+// padded chroma width (the blend runs eight samples a step, to the end of
+// the plane's row) and the two edge samples.
+func (img *ycbcr) colourStride() int { return img.cb.w + 2 }
+
+// sizeFrame gives dst the image's dimensions and 3·w·h pixel bytes, and
+// scratch two blended rows, reusing either buffer when it is large enough.
+func (img *ycbcr) sizeFrame(dst *raster.Frame, scratch []uint16) []uint16 {
 	dst.W, dst.H = img.w, img.h
 	need := 3 * img.w * img.h
 	if cap(dst.Pix) < need {
@@ -205,47 +230,79 @@ func (img *ycbcr) toFrameInto(dst *raster.Frame, blend []uint32) []uint32 {
 	} else {
 		dst.Pix = dst.Pix[:need]
 	}
-	halfW, halfH := (img.w+1)/2, (img.h+1)/2
-	if cap(blend) < halfW {
-		blend = make([]uint32, halfW)
+	if n := 2 * img.colourStride(); cap(scratch) < n {
+		scratch = make([]uint16, n)
+	} else {
+		scratch = scratch[:n]
 	}
-	blend = blend[:halfW]
+	return scratch
+}
+
+// chromaRows returns the two rows of each chroma plane that output row y
+// blends, at their padded width, and the weight ty (in quarters) of the
+// second.
+func (img *ycbcr) chromaRows(y int) (cb0, cb1, cr0, cr1 []uint8, ty int) {
+	halfH := (img.h + 1) / 2
+	yq := 2*y - 1 // chroma row position in quarter units
+	if yq < 0 {
+		yq = 0
+	}
+	if yq > 4*(halfH-1) {
+		yq = 4 * (halfH - 1)
+	}
+	cy0 := yq >> 2
+	cy1 := cy0 + 1
+	if cy1 >= halfH {
+		cy1 = halfH - 1
+	}
+	cw := img.cb.w
+	return img.cb.row(0, cy0, cw), img.cb.row(0, cy1, cw),
+		img.cr.row(0, cy0, cw), img.cr.row(0, cy1, cw), yq & 3
+}
+
+// blendChromaPortable fills vcb[1:halfW+1] and vcr[1:halfW+1] with the
+// vertical blends of the Cb and the Cr row pair and replicates their ends
+// into [0] and [halfW+1].
+func blendChromaPortable(vcb, vcr []uint16, cb0, cb1, cr0, cr1 []uint8, ty, halfW int) {
+	w0, w1 := uint16(4-ty), uint16(ty)
+	vb, vr := vcb[1:halfW+1], vcr[1:halfW+1]
+	cb0, cb1, cr0, cr1 = cb0[:halfW], cb1[:halfW], cr0[:halfW], cr1[:halfW]
+	for k := range vb {
+		vb[k] = uint16(cb0[k])*w0 + uint16(cb1[k])*w1
+		vr[k] = uint16(cr0[k])*w0 + uint16(cr1[k])*w1
+	}
+	replicateEdges(vcb, halfW)
+	replicateEdges(vcr, halfW)
+}
+
+func replicateEdges(v []uint16, halfW int) {
+	v[0], v[halfW+1] = v[1], v[halfW]
+}
+
+// colourRowPortable converts the pixels of yr into d from the blended
+// chroma rows: vcb[0] and vcr[0] are V[k−1] for yr[0]'s chroma column k,
+// and yr starts on an even column. It is the whole row off amd64 and the
+// w mod 16 tail on it.
+func colourRowPortable(d, yr []uint8, vcb, vcr []uint16) {
 	t := colour
-	for y := 0; y < img.h; y++ {
-		yq := 2*y - 1 // chroma row position in quarter units
-		if yq < 0 {
-			yq = 0
+	// Cb in the low lane, Cr in the high one: one multiply-add blends both.
+	a := uint32(vcb[0]) | uint32(vcr[0])<<16
+	b := uint32(vcb[1]) | uint32(vcr[1])<<16
+	// The chroma is ranged over and d and yr shrink as the row is walked:
+	// the loop's conditions are then the only bounds checks its body needs.
+	cbs, crs := vcb[2:], vcr[2:]
+	crs = crs[:len(cbs)]
+	for k, cbv := range cbs {
+		if len(d) < 6 || len(yr) < 2 {
+			break
 		}
-		if yq > 4*(halfH-1) {
-			yq = 4 * (halfH - 1)
-		}
-		cy0 := yq >> 2
-		ty := uint32(yq & 3)
-		cy1 := cy0 + 1
-		if cy1 >= halfH {
-			cy1 = halfH - 1
-		}
-		cbr0, cbr1 := img.cb.row(0, cy0, halfW), img.cb.row(0, cy1, halfW)
-		crr0, crr1 := img.cr.row(0, cy0, halfW), img.cr.row(0, cy1, halfW)
-		for k := range blend {
-			blend[k] = (uint32(cbr0[k])|uint32(crr0[k])<<16)*(4-ty) +
-				(uint32(cbr1[k])|uint32(crr1[k])<<16)*ty
-		}
-		// Walk the row by shrinking slices: the loop condition is then the
-		// only bounds check its body needs.
-		yrow := img.y.row(0, y, img.w)
-		drow := dst.Pix[3*y*dst.W : 3*(y+1)*dst.W]
-		t.putRGB(drow, t.channels(yrow[0], 4*blend[0]))
-		d, yr, bl := drow[3:], yrow[1:], blend
-		for len(d) >= 6 && len(yr) >= 2 && len(bl) >= 2 {
-			a, b := bl[0], bl[1]
-			t.putRGB(d[:3], t.channels(yr[0], 3*a+b))
-			t.putRGB(d[3:6], t.channels(yr[1], a+3*b))
-			d, yr, bl = d[6:], yr[2:], bl[1:]
-		}
-		if len(yr) > 0 { // even width: the last column replicates
-			t.putRGB(d, t.channels(yr[0], 4*bl[0]))
-		}
+		c := uint32(cbv) | uint32(crs[k])<<16
+		t.putRGB(d[:3], t.channels(yr[0], a+3*b))
+		t.putRGB(d[3:6], t.channels(yr[1], 3*b+c))
+		a, b = b, c
+		d, yr = d[6:], yr[2:]
 	}
-	return blend
+	if len(yr) > 0 { // odd width: the last column is an even one
+		t.putRGB(d, t.channels(yr[0], a+3*b))
+	}
 }

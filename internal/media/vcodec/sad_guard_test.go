@@ -14,16 +14,9 @@ import (
 // unnoticed, which on the Go heap it would.
 func TestSADRunStaysInsideThePlane(t *testing.T) {
 	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-	if err != nil {
-		t.Skipf("mmap: %v", err)
-	}
-	defer syscall.Munmap(mem)
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
-		t.Skipf("mprotect: %v", err)
-	}
+	mem := guardedBytes(t, page)
 	rng := rand.New(rand.NewSource(47))
-	rng.Read(mem[:page])
+	rng.Read(mem)
 	var block [64]uint8
 	rng.Read(block[:])
 	for _, stride := range []int{8, 9, 21, 40, 160} {
