@@ -546,7 +546,7 @@ func remoteBenchGame(b *testing.B) *netstream.RemoteGame {
 		b.Fatal(err)
 	}
 	for _, ch := range g.Chapters() {
-		if _, err := g.FetchSegment(ch.Name); err != nil {
+		if _, err := g.FetchSegmentTier(ch.Name, g.ABR().CurrentTier()); err != nil {
 			b.Fatal(err)
 		}
 	}

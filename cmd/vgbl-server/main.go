@@ -16,7 +16,7 @@
 // /chunk/<hash> to transfer only chunks whose hashes changed.
 //
 // Hosted play sessions are durable: the TTL janitor snapshots-then-evicts
-// into the chunk store, -checkpoint-every bounds what a crash can lose,
+// into the snapshot directory, -checkpoint-every bounds what a crash can lose,
 // and /play/create with resume=<session-id> reattaches a client to a
 // frozen session. With -cluster N the play service runs as N nodes behind
 // a consistent-hash gateway; session handoff between nodes rides the same
@@ -101,9 +101,10 @@ func main() {
 	reg := obs.NewRegistry("vgbl")
 	store.Register(reg)
 	srv.Register(reg)
-	// Hosted sessions are durable: one snapshot directory (and the chunk
-	// store above) backs TTL snapshot-then-evict, crash checkpoints and —
-	// in cluster mode — handoff between nodes.
+	// Hosted sessions are durable: one snapshot directory backs TTL
+	// snapshot-then-evict, crash checkpoints and — in cluster mode — handoff
+	// between nodes. The play service only reads the chunk store above (to
+	// open courses).
 	dir := playsvc.NewMemDir()
 	nodeOpts := playsvc.Options{
 		TTL:             *playTTL,

@@ -74,7 +74,7 @@ func main() {
 
 	// Later segments stream on demand (e.g. when a goto approaches).
 	for _, seg := range []string{"seg-corridor", "seg-lab"} {
-		st, err := g.FetchSegment(seg)
+		st, err := g.FetchSegmentTier(seg, g.ABR().CurrentTier())
 		if err != nil {
 			log.Fatal(err)
 		}

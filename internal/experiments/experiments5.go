@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/content"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
@@ -111,11 +110,7 @@ func E14(learners int) (string, error) {
 	fmt.Fprintf(&b, "  progress lost         : 0 acts (drain persists final state exactly)\n\n")
 
 	// --- resume latency ------------------------------------------------
-	store, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
-	if err != nil {
-		return "", err
-	}
-	m1 := playsvc.NewManager(playsvc.Options{TTL: -1, Store: store, Dir: playsvc.NewMemDir()})
+	m1 := playsvc.NewManager(playsvc.Options{TTL: -1, Dir: playsvc.NewMemDir()})
 	defer m1.Close()
 	if err := m1.AddCourse("classroom", blob); err != nil {
 		return "", err
@@ -153,11 +148,7 @@ func E14(learners int) (string, error) {
 
 	// --- crash loss ----------------------------------------------------
 	dir2 := playsvc.NewMemDir()
-	store2, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
-	if err != nil {
-		return "", err
-	}
-	mA := playsvc.NewManager(playsvc.Options{TTL: -1, Store: store2, Dir: dir2})
+	mA := playsvc.NewManager(playsvc.Options{TTL: -1, Dir: dir2})
 	if err := mA.AddCourse("classroom", blob); err != nil {
 		return "", err
 	}
@@ -173,7 +164,7 @@ func E14(learners int) (string, error) {
 		return "", err
 	}
 	mA.Halt() // crash: the 4 post-checkpoint ticks were never persisted
-	mB := playsvc.NewManager(playsvc.Options{TTL: -1, Store: store2, Dir: dir2})
+	mB := playsvc.NewManager(playsvc.Options{TTL: -1, Dir: dir2})
 	defer mB.Close()
 	if err := mB.AddCourse("classroom", blob); err != nil {
 		return "", err

@@ -1,12 +1,11 @@
 // Package faultnet is a deterministic, seed-driven network fault layer
 // plus the resilience primitives that survive it.
 //
-// The injection side wraps an http.RoundTripper (and, for raw-socket
-// tests, a net.Listener) with added latency, bandwidth caps, request
-// loss, connection resets, slow responses, synthesized 5xx bursts and
-// periodic partitions. Every decision comes from one seeded RNG, so a
-// chaos run replays exactly given the same seed — flaky networks, not
-// flaky tests.
+// The injection side wraps an http.RoundTripper with added latency,
+// bandwidth caps, request loss, connection resets, slow responses,
+// synthesized 5xx bursts and periodic partitions. Every decision comes from
+// one seeded RNG, so a chaos run replays exactly given the same seed —
+// flaky networks, not flaky tests.
 //
 // The survival side is the one hop every outbound request in the repo
 // takes (Exchange: a fresh deadline and trace span per attempt, the reply
@@ -352,73 +351,6 @@ func WrapClient(base *http.Client, profile Profile, seed int64) *http.Client {
 	c := *base
 	c.Transport = NewTransport(base.Transport, profile, seed)
 	return &c
-}
-
-// Listener wraps a net.Listener so accepted connections experience the
-// profile's latency, bandwidth cap and resets at the socket layer — for
-// exercising servers below HTTP semantics.
-type Listener struct {
-	net.Listener
-	Profile Profile
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// WrapListener wraps l with profile under a seeded RNG.
-func WrapListener(l net.Listener, profile Profile, seed int64) *Listener {
-	return &Listener{Listener: l, Profile: profile, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	latency := l.Profile.Latency
-	if l.Profile.Jitter > 0 {
-		latency += time.Duration(l.rng.Int63n(int64(l.Profile.Jitter)))
-	}
-	reset := l.Profile.ResetRate > 0 && l.rng.Float64() < l.Profile.ResetRate
-	l.mu.Unlock()
-	return &faultConn{Conn: c, latency: latency, bps: l.Profile.BandwidthBps, reset: reset}, nil
-}
-
-// faultConn delays the first read, paces throughput, and optionally
-// resets the connection after a short grace window.
-type faultConn struct {
-	net.Conn
-	latency time.Duration
-	bps     int
-	reset   bool
-	reads   int
-}
-
-func (c *faultConn) Read(p []byte) (int, error) {
-	if c.reads == 0 && c.latency > 0 {
-		time.Sleep(c.latency)
-	}
-	c.reads++
-	if c.reset && c.reads > 1 {
-		c.Conn.Close()
-		return 0, ErrReset
-	}
-	if c.bps > 0 {
-		chunk := c.bps / 100
-		if chunk < 1 {
-			chunk = 1
-		}
-		if len(p) > chunk {
-			p = p[:chunk]
-		}
-	}
-	n, err := c.Conn.Read(p)
-	if n > 0 && c.bps > 0 {
-		time.Sleep(time.Duration(n) * time.Second / time.Duration(c.bps))
-	}
-	return n, err
 }
 
 var (

@@ -64,6 +64,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	if err := cl.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
+	published := cl.Store().Stats().Chunks
 	for i := 0; i < 3; i++ {
 		if _, err := cl.StartNode(); err != nil {
 			t.Fatal(err)
@@ -159,6 +160,12 @@ func TestClusterChaosSoak(t *testing.T) {
 				t.Logf("node %s holds %s (dir entry %v, checkpoint %v)", name, id, ok, ok && ref.Checkpoint)
 			}
 		}
+	}
+
+	// A crash-killed node's sessions recover from their directory entries;
+	// none of it ever reaches the chunk store.
+	if got := cl.Store().Stats().Chunks; got != published {
+		t.Errorf("the chunk store holds %d chunks, %d after publishing", got, published)
 	}
 
 	// Exact telemetry accounting, the same bar as the clean churn gate:

@@ -57,13 +57,14 @@ func churnStack(t *testing.T, nodes int) (front *httptest.Server, gwSrv *httptes
 // TestClusterChurnResume is the multi-node scale gate: ≥200 interactive
 // learners play through the cluster gateway across 3 nodes while one node
 // is taken down mid-run (gracefully — a deploy-style SIGTERM that drains
-// every hosted session into the shared store) and a replacement node
+// every hosted session into the shared directory) and a replacement node
 // joins. Learners must never notice: zero failed sessions, zero losses,
 // and the ingested telemetry totals must equal the sum of the 200 local
 // reports exactly — the same bar the single-node fleet test sets.
 func TestClusterChurnResume(t *testing.T) {
 	front, gwSrv, svc, cl := churnStack(t, 3)
 	const learners = 200
+	published := cl.Store().Stats().Chunks
 
 	// Churn while the fleet is mid-flight: as soon as a healthy slice of
 	// sessions is live, kill one node (drain → freeze → reroute) and then
@@ -131,6 +132,11 @@ func TestClusterChurnResume(t *testing.T) {
 	}
 	if dir, ok := cl.Dir().(*playsvc.MemDir); ok && dir.Len() != 0 {
 		t.Errorf("%d snapshots stranded in the directory", dir.Len())
+	}
+	// The store holds courses and nothing else: freezes, checkpoints and
+	// thaws never touch it.
+	if got := cl.Store().Stats().Chunks; got != published {
+		t.Errorf("the chunk store holds %d chunks, %d after publishing", got, published)
 	}
 
 	// Exact telemetry accounting, unchanged from the single-node bar: the

@@ -1138,12 +1138,6 @@ func chunkIndex(chunks []gamepack.ChunkRef, h blobstore.Hash) int {
 	return 0
 }
 
-// FetchSegment pulls an additional segment (e.g. ahead of a goto) at the
-// ABR picker's current tier and reports its transfer cost.
-func (g *RemoteGame) FetchSegment(name string) (Stats, error) {
-	return g.FetchSegmentTier(name, g.abr.CurrentTier())
-}
-
 // HasSegment reports whether a segment's packets are locally available.
 func (g *RemoteGame) HasSegment(name string) bool { return g.landedFor(name) != nil }
 

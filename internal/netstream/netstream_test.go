@@ -189,13 +189,13 @@ func TestProgressiveFramesMatchLocalDecode(t *testing.T) {
 	if _, err := g.FrameAt(market.End - 1); err == nil {
 		t.Fatal("unfetched frame decoded")
 	}
-	if _, err := g.FetchSegment("seg-market"); err != nil {
+	if _, err := g.FetchSegmentTier("seg-market", g.ABR().CurrentTier()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.FrameAt(market.End - 1); err != nil {
 		t.Fatalf("after fetch: %v", err)
 	}
-	if _, err := g.FetchSegment("seg-ghost"); err == nil {
+	if _, err := g.FetchSegmentTier("seg-ghost", g.ABR().CurrentTier()); err == nil {
 		t.Fatal("unknown segment fetched")
 	}
 }

@@ -235,8 +235,8 @@ func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 // size does not grow with the film. Chunks already in the cache — fetched
 // by any learner sharing it, or by a previous DownloadDelta — are reused,
 // so a second learner's startup often transfers nothing but the manifest.
-// Subsequent segment fetches through a StreamPlayer (or FetchSegment) ride
-// the game's ABR picker; a single-quality package is a one-rung ladder.
+// Subsequent segment fetches through a StreamPlayer ride the game's ABR
+// picker; a single-quality package is a one-rung ladder.
 // The returned Stats are the startup cost E8 reports.
 func (c *Client) ProgressiveOpenABR(url string, cache *PackageCache, cfg ABRConfig) (*RemoteGame, Stats, error) {
 	var st Stats

@@ -98,8 +98,6 @@ type Client struct {
 	quiz      string // pending quiz id ("" = none)
 	seq       int64  // act sequence number (server-side retry dedup)
 
-	resumes int // successful auto-resumes (session survived a dead node)
-
 	// pending holds acts handed to send and not yet shipped: at most one
 	// for a thin client, up to mirrorBatch for a mirror client.
 	pending []ActRequest
@@ -197,10 +195,6 @@ func (c *Client) VideoMeta() (w, h, fps int) { return c.w, c.h, c.fps }
 // Err returns the sticky failure ("" path errors like a wrong quiz answer
 // id are returned to the caller instead and do not stick).
 func (c *Client) Err() error { return c.err }
-
-// Resumes reports how many times the client transparently resumed its
-// session after losing the hosting node.
-func (c *Client) Resumes() int { return c.resumes }
 
 // apply folds a server reply into the client mirror and forwards unseen
 // events to the observer.
@@ -378,7 +372,6 @@ func (c *Client) resumeOnce() error {
 	if err != nil {
 		return err
 	}
-	c.resumes++
 	c.apply(r)
 	return nil
 }

@@ -2,10 +2,10 @@
 //
 // Cluster owns N backend nodes — each a stock play-service Manager behind
 // its own HTTP listener, exactly what `vgbl-server` runs — plus the
-// Gateway that routes across them. All nodes share one content-addressed
-// chunk store and one snapshot directory, which is the entire
-// coordination surface: session handoff is freeze-to-store on one node
-// and thaw-from-store on another.
+// Gateway that routes across them. All nodes open their courses from one
+// content-addressed chunk store and share one snapshot directory, which is
+// the entire coordination surface: session handoff is a freeze into the
+// directory on one node and a thaw out of it on another.
 //
 // It backs `vgbl-server -cluster N`, the churn experiment (E14) and the
 // TestClusterChurnResume scale gate. A multi-host deployment would run
@@ -29,8 +29,8 @@ import (
 
 // ClusterOptions configures a Cluster.
 type ClusterOptions struct {
-	// Store is the shared chunk store (courses and snapshots). Defaults
-	// to a fresh in-memory store.
+	// Store is the shared chunk store the nodes open courses from.
+	// Defaults to a fresh in-memory store.
 	Store *blobstore.Store
 	// Dir is the shared snapshot directory. Defaults to a fresh MemDir.
 	Dir SnapshotDir

@@ -1,30 +1,30 @@
 // Binary wire framing for the act path: the one format acts travel in
 // (POST /play/act is a JSON debug adapter over the same batch).
 //
-// A frame is the same tagged-record shape as the snapshot envelope: magic,
-// uvarint version, (uvarint tag, uvarint length, payload)* records, and a
-// CRC32-IEEE trailer. Request frames ("VACT") carry a whole act batch —
-// the session id rides in the FIRST record so a gateway can route the
-// frame without parsing (or re-encoding) the rest; reply frames ("VRPL")
-// carry per-act results plus ONE coalesced state/event/message tail, so a
-// batch of N acts costs one state snapshot instead of N.
+// A frame is an internal/tagrec container, like the snapshot envelope and
+// the watch chunk; this file holds the act and reply tag tables and the
+// field codecs the three share (event, act error, state). Request frames
+// ("VACT") carry a whole act batch — the session id rides in the FIRST
+// record so a gateway can route the frame without parsing (or re-encoding)
+// the rest; reply frames ("VRPL") carry per-act results plus ONE coalesced
+// state/event/message tail, so a batch of N acts costs one state snapshot
+// instead of N.
 //
-// Every parse rejection wraps ErrBadFrame, and all lengths are validated
-// against the remaining input before any allocation — the same hostile-
-// input bar FuzzRestoreSession pins for snapshots, here pinned by
-// FuzzParseActFrame.
+// Every parse rejection wraps ErrBadFrame; the hostile-input bar (every
+// length checked against the remaining input before any allocation) is
+// tagrec's, pinned there by FuzzRecords and here by FuzzParseActFrame.
 package playsvc
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/runtime"
+	"repro/internal/tagrec"
 )
 
 // FrameContentType is the Content-Type of binary play frames.
@@ -141,145 +141,60 @@ func frameBadf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadFrame, fmt.Sprintf(format, args...))
 }
 
-// --- encoding helpers --------------------------------------------------------
+// --- shared field codecs -----------------------------------------------------
 
-func frameAppend(b []byte, tag uint64, payload []byte) []byte {
-	b = binary.AppendUvarint(b, tag)
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	return append(b, payload...)
+// appendEvent and readEvent are the one encoding of a session event (tick
+// uvarint, kind str, detail str): a reply frame's and a watch chunk's tails
+// and the envelope's retained tail are all records of it.
+func appendEvent(b []byte, tag uint64, e *runtime.Event) []byte {
+	b, mark := tagrec.BeginRecord(b, tag)
+	b = binary.AppendUvarint(b, uint64(max(e.Tick, 0)))
+	b = tagrec.AppendStr(b, e.Kind)
+	b = tagrec.AppendStr(b, e.Detail)
+	return tagrec.EndRecord(b, mark)
 }
 
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendZigzag(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+func readEvent(payload []byte) (e runtime.Event, err error) {
+	r := tagrec.Reader{B: payload}
+	e.Tick, err = r.Int()
+	if err == nil {
+		e.Kind, err = r.Str()
 	}
-	return append(b, 0)
-}
-
-// --- decoding helpers --------------------------------------------------------
-
-// frameReader consumes one record payload (or a whole frame body).
-type frameReader struct{ b []byte }
-
-func (r *frameReader) empty() bool { return len(r.b) == 0 }
-
-func (r *frameReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, frameBadf("malformed varint")
+	if err == nil {
+		e.Detail, err = r.Str()
 	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-// count reads a non-negative int bounded by both limit and the bytes that
-// remain (each counted element needs at least one byte), so a hostile
-// count cannot drive a large allocation.
-func (r *frameReader) count(limit int) (int, error) {
-	v, err := r.uvarint()
 	if err != nil {
-		return 0, err
+		return e, frameBadf("event: %v", err)
 	}
-	if v > uint64(limit) || v > uint64(len(r.b)) {
-		return 0, frameBadf("count %d exceeds bounds", v)
-	}
-	return int(v), nil
+	return e, nil
 }
 
-func (r *frameReader) zigzag() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	dec := int64(v>>1) ^ -int64(v&1)
-	if dec > math.MaxInt32 || dec < math.MinInt32 {
-		return 0, frameBadf("integer %d out of range", dec)
-	}
-	return int(dec), nil
+// appendActError and readActError are the one encoding of the act-level
+// error that stopped a batch (status uvarint, retry-after uvarint, message
+// str) — in the reply frame, and in the envelope so a thawed session's
+// retried batch is answered with the same bytes.
+func appendActError(b []byte, tag uint64, e *Error) []byte {
+	b, mark := tagrec.BeginRecord(b, tag)
+	b = binary.AppendUvarint(b, uint64(e.Status))
+	b = binary.AppendUvarint(b, uint64(max(e.RetryAfter, 0)))
+	b = tagrec.AppendStr(b, e.Msg)
+	return tagrec.EndRecord(b, mark)
 }
 
-func (r *frameReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
+func readActError(payload []byte) (*Error, error) {
+	r := tagrec.Reader{B: payload}
+	e := &Error{}
+	var err error
+	if e.Status, err = r.Int(); err != nil || e.Status < 100 || e.Status > 599 {
+		return nil, frameBadf("malformed error status")
 	}
-	if n > uint64(len(r.b)) {
-		return "", frameBadf("string claims %d bytes, %d remain", n, len(r.b))
+	if e.RetryAfter, err = r.Int(); err != nil {
+		return nil, frameBadf("malformed error retry-after")
 	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s, nil
-}
-
-func (r *frameReader) bool() (bool, error) {
-	if len(r.b) == 0 {
-		return false, frameBadf("truncated bool")
+	if e.Msg, err = r.Str(); err != nil {
+		return nil, frameBadf("malformed error message")
 	}
-	v := r.b[0] != 0
-	r.b = r.b[1:]
-	return v, nil
-}
-
-func (r *frameReader) intBounded() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, frameBadf("value %d out of range", v)
-	}
-	return int(v), nil
-}
-
-// frameBody validates magic, version and CRC and returns the record
-// region, shared by both frame parsers.
-func frameBody(data []byte, magic string) ([]byte, error) {
-	if len(data) < len(magic)+1+4 {
-		return nil, frameBadf("truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, frameBadf("bad magic")
-	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, frameBadf("checksum mismatch")
-	}
-	rest := body[len(magic):]
-	version, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, frameBadf("malformed version")
-	}
-	if version == 0 || version > frameVersion {
-		return nil, frameBadf("unsupported version %d", version)
-	}
-	return rest[n:], nil
-}
-
-// nextRecord pops one (tag, payload) record off rest.
-func nextRecord(rest []byte) (tag uint64, payload, tail []byte, err error) {
-	tag, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, nil, nil, frameBadf("malformed record tag")
-	}
-	rest = rest[n:]
-	size, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, nil, nil, frameBadf("malformed record length")
-	}
-	rest = rest[n:]
-	if size > maxFrameField || size > uint64(len(rest)) {
-		return 0, nil, nil, frameBadf("record %d claims %d bytes, %d remain", tag, size, len(rest))
-	}
-	return tag, rest[:size], rest[size:], nil
+	return e, nil
 }
 
 // --- act frames --------------------------------------------------------------
@@ -288,71 +203,61 @@ func nextRecord(rest []byte) (tag uint64, payload, tail []byte, err error) {
 // act fields the wire carries (kind, object, item, x, y, quiz, choice,
 // ticks) survive; session/seq/seen ride the frame header.
 func EncodeActFrame(req *BatchRequest) []byte {
-	b := make([]byte, 0, 64+32*len(req.Acts))
-	b = append(b, actMagic...)
-	b = binary.AppendUvarint(b, frameVersion)
+	b := tagrec.Begin(make([]byte, 0, 64+32*len(req.Acts)), actMagic, frameVersion)
 	// The session record leads so a gateway can route on a prefix parse.
-	b = frameAppend(b, atagSession, []byte(req.Session))
-	b = frameAppend(b, atagBaseSeq, binary.AppendUvarint(nil, uint64(req.BaseSeq)))
-	b = frameAppend(b, atagSeenEvents, binary.AppendUvarint(nil, uint64(req.SeenEvents)))
-	b = frameAppend(b, atagSeenMessages, binary.AppendUvarint(nil, uint64(req.SeenMessages)))
-	var scratch []byte
+	b = tagrec.Append(b, atagSession, req.Session)
+	b = tagrec.AppendUint(b, atagBaseSeq, uint64(req.BaseSeq))
+	b = tagrec.AppendUint(b, atagSeenEvents, uint64(req.SeenEvents))
+	b = tagrec.AppendUint(b, atagSeenMessages, uint64(req.SeenMessages))
 	for i := range req.Acts {
 		a := &req.Acts[i]
-		scratch = scratch[:0]
-		scratch = binary.AppendUvarint(scratch, wireKind(a.Kind))
-		scratch = appendStr(scratch, a.Object)
-		scratch = appendStr(scratch, a.Item)
-		scratch = appendZigzag(scratch, int64(a.X))
-		scratch = appendZigzag(scratch, int64(a.Y))
-		scratch = appendStr(scratch, a.Quiz)
-		scratch = appendZigzag(scratch, int64(a.Choice))
-		scratch = binary.AppendUvarint(scratch, uint64(max(a.Ticks, 0)))
-		b = frameAppend(b, atagAct, scratch)
+		var mark int
+		b, mark = tagrec.BeginRecord(b, atagAct)
+		b = binary.AppendUvarint(b, wireKind(a.Kind))
+		b = tagrec.AppendStr(b, a.Object)
+		b = tagrec.AppendStr(b, a.Item)
+		b = tagrec.AppendZigzag(b, int64(a.X))
+		b = tagrec.AppendZigzag(b, int64(a.Y))
+		b = tagrec.AppendStr(b, a.Quiz)
+		b = tagrec.AppendZigzag(b, int64(a.Choice))
+		b = binary.AppendUvarint(b, uint64(max(a.Ticks, 0)))
+		b = tagrec.EndRecord(b, mark)
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return tagrec.Finish(b, 0)
 }
 
 // ParseActFrame parses a binary act frame into a batch request. Every
 // rejection wraps ErrBadFrame; hostile lengths and counts are bounded
 // before allocation.
 func ParseActFrame(data []byte) (*BatchRequest, error) {
-	rest, err := frameBody(data, actMagic)
-	if err != nil {
-		return nil, err
-	}
 	req := &BatchRequest{}
 	first, hasSession := true, false
-	for len(rest) > 0 {
-		var tag uint64
-		var payload []byte
-		tag, payload, rest, err = nextRecord(rest)
-		if err != nil {
-			return nil, err
-		}
-		if first && tag != atagSession {
+	sc := tagrec.Open(data, actMagic, 1, frameVersion, maxFrameField)
+	for sc.Next() {
+		if first && sc.Tag != atagSession {
 			return nil, frameBadf("first record must be the session id")
 		}
 		first = false
-		r := frameReader{payload}
-		switch tag {
+		r := tagrec.Reader{B: sc.Payload}
+		var err error
+		switch sc.Tag {
 		case atagSession:
 			if hasSession {
 				return nil, frameBadf("duplicate session record")
 			}
-			req.Session, hasSession = string(payload), true
+			req.Session, hasSession = string(sc.Payload), true
 		case atagBaseSeq:
-			v, err := r.uvarint()
+			v, err := r.Uvarint()
 			if err != nil || v > math.MaxInt64 {
 				return nil, frameBadf("malformed base seq")
 			}
 			req.BaseSeq = int64(v)
 		case atagSeenEvents:
-			if req.SeenEvents, err = r.intBounded(); err != nil {
+			if req.SeenEvents, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed seen-events")
 			}
 		case atagSeenMessages:
-			if req.SeenMessages, err = r.intBounded(); err != nil {
+			if req.SeenMessages, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed seen-messages")
 			}
 		case atagAct:
@@ -360,38 +265,41 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 				return nil, frameBadf("more than %d acts in one frame", maxFrameActs)
 			}
 			var a ActRequest
-			k, err := r.uvarint()
+			k, err := r.Uvarint()
 			if err != nil {
 				return nil, frameBadf("act: malformed kind")
 			}
 			if a.Kind = kindOfWire(k); a.Kind == "" {
 				return nil, frameBadf("act: unknown kind %d", k)
 			}
-			if a.Object, err = r.str(); err != nil {
+			if a.Object, err = r.Str(); err != nil {
 				return nil, frameBadf("act: %v", err)
 			}
-			if a.Item, err = r.str(); err != nil {
+			if a.Item, err = r.Str(); err != nil {
 				return nil, frameBadf("act: %v", err)
 			}
-			if a.X, err = r.zigzag(); err != nil {
+			if a.X, err = r.Zigzag(); err != nil {
 				return nil, frameBadf("act: %v", err)
 			}
-			if a.Y, err = r.zigzag(); err != nil {
+			if a.Y, err = r.Zigzag(); err != nil {
 				return nil, frameBadf("act: %v", err)
 			}
-			if a.Quiz, err = r.str(); err != nil {
+			if a.Quiz, err = r.Str(); err != nil {
 				return nil, frameBadf("act: %v", err)
 			}
-			if a.Choice, err = r.zigzag(); err != nil {
+			if a.Choice, err = r.Zigzag(); err != nil {
 				return nil, frameBadf("act: %v", err)
 			}
-			if a.Ticks, err = r.intBounded(); err != nil {
+			if a.Ticks, err = r.Int(); err != nil {
 				return nil, frameBadf("act: %v", err)
 			}
 			req.Acts = append(req.Acts, a)
 		default:
 			// Additive extension from a newer writer; skip.
 		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, frameBadf("%v", err)
 	}
 	if !hasSession || req.Session == "" {
 		return nil, frameBadf("missing session id")
@@ -407,17 +315,9 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 // The session id is required to be the first record, so this touches a
 // handful of header bytes no matter how large the batch is.
 func frameSessionID(data []byte) (string, error) {
-	if len(data) < len(actMagic)+1 || string(data[:len(actMagic)]) != actMagic {
-		return "", frameBadf("bad magic")
-	}
-	rest := data[len(actMagic):]
-	version, n := binary.Uvarint(rest)
-	if n <= 0 || version == 0 || version > frameVersion {
-		return "", frameBadf("unsupported version")
-	}
-	tag, payload, _, err := nextRecord(rest[n:])
+	tag, payload, err := tagrec.First(data, actMagic, 1, frameVersion, maxFrameField)
 	if err != nil {
-		return "", err
+		return "", frameBadf("%v", err)
 	}
 	if tag != atagSession || len(payload) == 0 {
 		return "", frameBadf("first record must be the session id")
@@ -431,83 +331,67 @@ func frameSessionID(data []byte) (string, error) {
 // tail) as a binary reply frame.
 func EncodeReplyFrame(out *BatchReply) []byte {
 	r := out.Reply
-	b := make([]byte, 0, 256)
-	b = append(b, replyMagic...)
-	b = binary.AppendUvarint(b, frameVersion)
-	b = frameAppend(b, rtagSession, []byte(r.Session))
-	b = frameAppend(b, rtagTick, binary.AppendUvarint(nil, uint64(r.Tick)))
-	b = frameAppend(b, rtagEventCount, binary.AppendUvarint(nil, uint64(r.EventCount)))
-	b = frameAppend(b, rtagMessageCount, binary.AppendUvarint(nil, uint64(r.MessageCount)))
+	b := tagrec.Begin(make([]byte, 0, 256), replyMagic, frameVersion)
+	b = tagrec.Append(b, rtagSession, r.Session)
+	b = tagrec.AppendUint(b, rtagTick, uint64(r.Tick))
+	b = tagrec.AppendUint(b, rtagEventCount, uint64(r.EventCount))
+	b = tagrec.AppendUint(b, rtagMessageCount, uint64(r.MessageCount))
 	if r.Quiz != "" {
-		b = frameAppend(b, rtagQuiz, []byte(r.Quiz))
+		b = tagrec.Append(b, rtagQuiz, r.Quiz)
 	}
 	if r.Resumed {
-		b = frameAppend(b, rtagFlags, binary.AppendUvarint(nil, rflagResumed))
+		b = tagrec.AppendUint(b, rtagFlags, rflagResumed)
 	}
 	if r.State != nil {
-		b = frameAppend(b, rtagState, appendState(nil, r.State))
+		var mark int
+		b, mark = tagrec.BeginRecord(b, rtagState)
+		b = tagrec.EndRecord(appendState(b, r.State), mark)
 	}
-	var scratch []byte
 	for i := range r.Events {
-		e := &r.Events[i]
-		scratch = scratch[:0]
-		scratch = binary.AppendUvarint(scratch, uint64(max(e.Tick, 0)))
-		scratch = appendStr(scratch, e.Kind)
-		scratch = appendStr(scratch, e.Detail)
-		b = frameAppend(b, rtagEvent, scratch)
+		b = appendEvent(b, rtagEvent, &r.Events[i])
 	}
 	for _, m := range r.Messages {
-		b = frameAppend(b, rtagMessage, []byte(m))
+		b = tagrec.Append(b, rtagMessage, m)
 	}
 	for _, res := range out.Results {
-		b = frameAppend(b, rtagResult, []byte{res.bits()})
+		b = tagrec.Append(b, rtagResult, []byte{res.bits()})
 	}
 	if out.ActErr != nil {
-		scratch = binary.AppendUvarint(nil, uint64(out.ActErr.Status))
-		scratch = binary.AppendUvarint(scratch, uint64(max(out.ActErr.RetryAfter, 0)))
-		scratch = appendStr(scratch, out.ActErr.Msg)
-		b = frameAppend(b, rtagError, scratch)
+		b = appendActError(b, rtagError, out.ActErr)
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return tagrec.Finish(b, 0)
 }
 
 // ParseReplyFrame parses a binary reply frame. Every rejection wraps
 // ErrBadFrame.
 func ParseReplyFrame(data []byte) (*BatchReply, error) {
-	rest, err := frameBody(data, replyMagic)
-	if err != nil {
-		return nil, err
-	}
 	out := &BatchReply{Reply: &Reply{}}
 	r := out.Reply
 	var hasSession bool
-	for len(rest) > 0 {
-		var tag uint64
-		var payload []byte
-		tag, payload, rest, err = nextRecord(rest)
-		if err != nil {
-			return nil, err
-		}
-		fr := frameReader{payload}
-		switch tag {
+	sc := tagrec.Open(data, replyMagic, 1, frameVersion, maxFrameField)
+	for sc.Next() {
+		payload := sc.Payload
+		fr := tagrec.Reader{B: payload}
+		var err error
+		switch sc.Tag {
 		case rtagSession:
 			r.Session, hasSession = string(payload), true
 		case rtagTick:
-			if r.Tick, err = fr.intBounded(); err != nil {
+			if r.Tick, err = fr.Int(); err != nil {
 				return nil, frameBadf("malformed tick")
 			}
 		case rtagEventCount:
-			if r.EventCount, err = fr.intBounded(); err != nil {
+			if r.EventCount, err = fr.Int(); err != nil {
 				return nil, frameBadf("malformed event count")
 			}
 		case rtagMessageCount:
-			if r.MessageCount, err = fr.intBounded(); err != nil {
+			if r.MessageCount, err = fr.Int(); err != nil {
 				return nil, frameBadf("malformed message count")
 			}
 		case rtagQuiz:
 			r.Quiz = string(payload)
 		case rtagFlags:
-			v, err := fr.uvarint()
+			v, err := fr.Uvarint()
 			if err != nil {
 				return nil, frameBadf("malformed flags")
 			}
@@ -517,15 +401,9 @@ func ParseReplyFrame(data []byte) (*BatchReply, error) {
 				return nil, err
 			}
 		case rtagEvent:
-			var e runtime.Event
-			if e.Tick, err = fr.intBounded(); err != nil {
-				return nil, frameBadf("event: %v", err)
-			}
-			if e.Kind, err = fr.str(); err != nil {
-				return nil, frameBadf("event: %v", err)
-			}
-			if e.Detail, err = fr.str(); err != nil {
-				return nil, frameBadf("event: %v", err)
+			e, err := readEvent(payload)
+			if err != nil {
+				return nil, err
 			}
 			r.Events = append(r.Events, e)
 		case rtagMessage:
@@ -539,24 +417,15 @@ func ParseReplyFrame(data []byte) (*BatchReply, error) {
 			}
 			out.Results = append(out.Results, resultFromBits(payload[0]))
 		case rtagError:
-			e := &Error{}
-			status, err := fr.uvarint()
-			if err != nil || status < 100 || status > 999 {
-				return nil, frameBadf("malformed error status")
+			if out.ActErr, err = readActError(payload); err != nil {
+				return nil, err
 			}
-			e.Status = int(status)
-			after, err := fr.uvarint()
-			if err != nil || after > math.MaxInt32 {
-				return nil, frameBadf("malformed error retry-after")
-			}
-			e.RetryAfter = int(after)
-			if e.Msg, err = fr.str(); err != nil {
-				return nil, frameBadf("malformed error message")
-			}
-			out.ActErr = e
 		default:
 			// Additive extension from a newer writer; skip.
 		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, frameBadf("%v", err)
 	}
 	if !hasSession || r.Session == "" {
 		return nil, frameBadf("missing session id")
@@ -580,8 +449,8 @@ func sortedKeys[V any](m map[string]V) []string {
 func appendBoolMap(b []byte, m map[string]bool) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m)))
 	for _, k := range sortedKeys(m) {
-		b = appendStr(b, k)
-		b = appendBool(b, m[k])
+		b = tagrec.AppendStr(b, k)
+		b = tagrec.AppendBool(b, m[k])
 	}
 	return b
 }
@@ -589,7 +458,7 @@ func appendBoolMap(b []byte, m map[string]bool) []byte {
 func appendStrs(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
-		b = appendStr(b, s)
+		b = tagrec.AppendStr(b, s)
 	}
 	return b
 }
@@ -597,29 +466,29 @@ func appendStrs(b []byte, ss []string) []byte {
 // appendState encodes a game state for the reply frame — the hand-rolled
 // replacement for the reflection-driven JSON marshal on the act hot path.
 func appendState(b []byte, s *core.State) []byte {
-	b = appendStr(b, s.Scenario)
+	b = tagrec.AppendStr(b, s.Scenario)
 	b = appendStrs(b, s.Inventory)
 	b = appendBoolMap(b, s.Flags)
 	b = binary.AppendUvarint(b, uint64(len(s.Vars)))
 	for _, k := range sortedKeys(s.Vars) {
-		b = appendStr(b, k)
-		b = appendZigzag(b, int64(s.Vars[k]))
+		b = tagrec.AppendStr(b, k)
+		b = tagrec.AppendZigzag(b, int64(s.Vars[k]))
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Visited)))
 	for _, k := range sortedKeys(s.Visited) {
-		b = appendStr(b, k)
+		b = tagrec.AppendStr(b, k)
 		b = binary.AppendUvarint(b, uint64(max(s.Visited[k], 0)))
 	}
 	b = appendBoolMap(b, s.Learned)
 	b = appendStrs(b, s.Rewards)
 	b = appendBoolMap(b, s.Hidden)
-	b = appendBool(b, s.Ended)
-	b = appendStr(b, s.Outcome)
+	b = tagrec.AppendBool(b, s.Ended)
+	b = tagrec.AppendStr(b, s.Outcome)
 	return b
 }
 
-func (r *frameReader) boolMap() (map[string]bool, error) {
-	n, err := r.count(maxFrameField)
+func readBoolMap(r *tagrec.Reader) (map[string]bool, error) {
+	n, err := r.Count(maxFrameField)
 	if err != nil {
 		return nil, err
 	}
@@ -628,11 +497,11 @@ func (r *frameReader) boolMap() (map[string]bool, error) {
 	}
 	m := make(map[string]bool, n)
 	for i := 0; i < n; i++ {
-		k, err := r.str()
+		k, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
-		v, err := r.bool()
+		v, err := r.Bool()
 		if err != nil {
 			return nil, err
 		}
@@ -641,8 +510,8 @@ func (r *frameReader) boolMap() (map[string]bool, error) {
 	return m, nil
 }
 
-func (r *frameReader) strs() ([]string, error) {
-	n, err := r.count(maxFrameField)
+func readStrs(r *tagrec.Reader) ([]string, error) {
+	n, err := r.Count(maxFrameField)
 	if err != nil {
 		return nil, err
 	}
@@ -651,7 +520,7 @@ func (r *frameReader) strs() ([]string, error) {
 	}
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		s, err := r.str()
+		s, err := r.Str()
 		if err != nil {
 			return nil, err
 		}
@@ -661,73 +530,73 @@ func (r *frameReader) strs() ([]string, error) {
 }
 
 func decodeState(payload []byte) (*core.State, error) {
-	r := frameReader{payload}
+	r := &tagrec.Reader{B: payload}
 	s := &core.State{}
 	var err error
 	fail := func(what string, err error) (*core.State, error) {
 		return nil, frameBadf("state %s: %v", what, err)
 	}
-	if s.Scenario, err = r.str(); err != nil {
+	if s.Scenario, err = r.Str(); err != nil {
 		return fail("scenario", err)
 	}
-	if s.Inventory, err = r.strs(); err != nil {
+	if s.Inventory, err = readStrs(r); err != nil {
 		return fail("inventory", err)
 	}
-	if s.Flags, err = r.boolMap(); err != nil {
+	if s.Flags, err = readBoolMap(r); err != nil {
 		return fail("flags", err)
 	}
-	n, err := r.count(maxFrameField)
+	n, err := r.Count(maxFrameField)
 	if err != nil {
 		return fail("vars", err)
 	}
 	if n > 0 {
 		s.Vars = make(map[string]int, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
+			k, err := r.Str()
 			if err != nil {
 				return fail("vars", err)
 			}
-			v, err := r.zigzag()
+			v, err := r.Zigzag()
 			if err != nil {
 				return fail("vars", err)
 			}
 			s.Vars[k] = v
 		}
 	}
-	if n, err = r.count(maxFrameField); err != nil {
+	if n, err = r.Count(maxFrameField); err != nil {
 		return fail("visited", err)
 	}
 	if n > 0 {
 		s.Visited = make(map[string]int, n)
 		for i := 0; i < n; i++ {
-			k, err := r.str()
+			k, err := r.Str()
 			if err != nil {
 				return fail("visited", err)
 			}
-			v, err := r.intBounded()
+			v, err := r.Int()
 			if err != nil {
 				return fail("visited", err)
 			}
 			s.Visited[k] = v
 		}
 	}
-	if s.Learned, err = r.boolMap(); err != nil {
+	if s.Learned, err = readBoolMap(r); err != nil {
 		return fail("learned", err)
 	}
-	if s.Rewards, err = r.strs(); err != nil {
+	if s.Rewards, err = readStrs(r); err != nil {
 		return fail("rewards", err)
 	}
-	if s.Hidden, err = r.boolMap(); err != nil {
+	if s.Hidden, err = readBoolMap(r); err != nil {
 		return fail("hidden", err)
 	}
-	if s.Ended, err = r.bool(); err != nil {
+	if s.Ended, err = r.Bool(); err != nil {
 		return fail("ended", err)
 	}
-	if s.Outcome, err = r.str(); err != nil {
+	if s.Outcome, err = r.Str(); err != nil {
 		return fail("outcome", err)
 	}
-	if !r.empty() {
-		return nil, frameBadf("state: %d trailing bytes", len(r.b))
+	if !r.Empty() {
+		return nil, frameBadf("state: %d trailing bytes", len(r.B))
 	}
 	return s, nil
 }

@@ -3,10 +3,12 @@ package playsvc
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/runtime"
+	"repro/internal/tagrec"
 )
 
 func sampleBatch() *BatchRequest {
@@ -112,8 +114,8 @@ func TestFrameSessionID(t *testing.T) {
 		t.Fatalf("prefix parse: id=%q err=%v", id, err)
 	}
 	// A frame whose first record is not the session id does not route.
-	bad := append([]byte(actMagic), 1)             // magic + version
-	bad = frameAppend(bad, atagBaseSeq, []byte{7}) // wrong leading record
+	bad := append([]byte(actMagic), 1)               // magic + version
+	bad = tagrec.Append(bad, atagBaseSeq, []byte{7}) // wrong leading record
 	if _, err := frameSessionID(bad); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
 	}
@@ -267,4 +269,23 @@ func FuzzParseWatchChunk(f *testing.F) {
 			t.Fatalf("accepted chunk has geometry %dx%d with %d pixel bytes", u.W, u.H, u.PixLen)
 		}
 	})
+}
+
+// TestAppendWatchChunkAllocatesNothing: a watcher's poll is answered out of
+// its recycled header buffer — tails past the ack included, every nested
+// record closed in place.
+func TestAppendWatchChunkAllocatesNothing(t *testing.T) {
+	p := &pub{seq: 7, tick: 40, w: 160, h: 120, pix: make([]byte, 3*160*120)}
+	tails := watchTails{
+		eventBase: 2, events: []runtime.Event{{Tick: 3, Kind: "talk", Detail: strings.Repeat("teacher ", 40)}}, eventCount: 3,
+		messages: []string{"hello class"}, messageCount: 1,
+		quiz: "q-diagnosis",
+	}
+	dst := appendWatchChunk(nil, p, 5, tails, 0, 0)
+	if allocs := testing.AllocsPerRun(100, func() { dst = appendWatchChunk(dst, p, 5, tails, 0, 0) }); allocs != 0 {
+		t.Fatalf("appendWatchChunk allocates %.0f times per chunk", allocs)
+	}
+	if u, err := ParseWatchChunk(dst[4:]); err != nil || len(u.Events) != 1 || u.Events[0] != tails.events[0] {
+		t.Fatalf("the chunk it wrote parses to %+v, %v", u, err)
+	}
 }

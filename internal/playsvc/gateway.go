@@ -7,9 +7,9 @@
 // and adding or removing a node moves only ~1/N of the id space.
 //
 // Durability is what makes the routing safe to change: all nodes share
-// one content-addressed chunk store and one snapshot directory. When a
-// node is removed gracefully the gateway drains it (every hosted session
-// freezes into the store); when ownership moves — a drain, a node
+// one snapshot directory. When a node is removed gracefully the gateway
+// drains it (every hosted session freezes into the directory); when
+// ownership moves — a drain, a node
 // addition, or a crash — the next request for a stray session triggers a
 // rescue: the gateway asks the other nodes to hand the session off
 // (freeze it), then retries the new owner, which thaws the snapshot and
@@ -587,15 +587,16 @@ func (g *Gateway) Handler() http.Handler {
 	g.handlerOnce.Do(func() {
 		mux := http.NewServeMux()
 		mux.HandleFunc(CreatePath, g.handleCreate)
-		mux.HandleFunc(ActPath, g.handleAct)
+		mux.HandleFunc(ActPath, routedPost(g, true, func(a *ActRequest) (string, bool) { return a.Session, a.Kind == ActLeave }))
 		mux.HandleFunc(ActV2Path, g.handleActV2)
 		mux.HandleFunc(StatePath, g.handleSessionGet)
 		mux.HandleFunc(FramePath, g.handleSessionGet)
 		mux.HandleFunc(StatsPath, g.handleStats)
 		mux.HandleFunc(RoomCreatePath, g.handleRoomCreate)
-		mux.HandleFunc(RoomJoinPath, g.handleRoomMember)
-		mux.HandleFunc(RoomLeavePath, g.handleRoomMember)
-		mux.HandleFunc(RoomAnswerPath, g.handleRoomAnswer)
+		member := routedPost(g, false, func(j *RoomJoinRequest) (string, bool) { return j.Room, false })
+		mux.HandleFunc(RoomJoinPath, member)
+		mux.HandleFunc(RoomLeavePath, member)
+		mux.HandleFunc(RoomAnswerPath, routedPost(g, false, func(a *RoomAnswerRequest) (string, bool) { return a.Room, false }))
 		mux.HandleFunc(RoomWatchPath, g.handleRoomGet)
 		mux.HandleFunc(RoomStatsPath, g.handleRoomGet)
 		g.handler = mux
@@ -665,29 +666,38 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	relay(w, p)
 }
 
-func (g *Gateway) handleAct(w http.ResponseWriter, r *http.Request) {
-	var req ActRequest
-	if !decodeBody(w, r, &req) {
-		return
+// routedPost is the one body-routed POST: decode the JSON body (method,
+// size and syntax checked by decodeBody), read the routing id out of it with
+// id, and relay the owner's answer to the re-marshalled request. heal404
+// says whether a 404 from the owner starts a rescue (sessions heal; rooms
+// are live-only, a 404 is the truth). id also reports whether the request
+// ends its session — a leave the owner confirms untracks it.
+func routedPost[T any](g *Gateway, heal404 bool, id func(*T) (routeID string, ends bool)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		routeID, ends := id(&req)
+		if routeID == "" {
+			http.Error(w, "playsvc: request names no session or room", http.StatusBadRequest)
+			return
+		}
+		body, err := json.Marshal(&req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		p, err := g.route(traceOf(r), http.MethodPost, r.URL.Path, "", body, routeID, heal404)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		if ends && p.status == http.StatusOK {
+			g.untrack(routeID)
+		}
+		relay(w, p)
 	}
-	if req.Session == "" {
-		http.Error(w, "playsvc: act needs a session", http.StatusBadRequest)
-		return
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	p, err := g.route(traceOf(r), http.MethodPost, ActPath, "", body, req.Session, true)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	if req.Kind == ActLeave && p.status == http.StatusOK {
-		g.untrack(req.Session)
-	}
-	relay(w, p)
 }
 
 // handleActV2 forwards a binary act frame opaquely: routing needs only
@@ -765,51 +775,6 @@ func (g *Gateway) handleRoomCreate(w http.ResponseWriter, r *http.Request) {
 	if p.status == http.StatusOK {
 		g.track(req.Room)
 		g.creates.Add(1)
-	}
-	relay(w, p)
-}
-
-// handleRoomMember proxies join and leave (same request shape) by room id.
-func (g *Gateway) handleRoomMember(w http.ResponseWriter, r *http.Request) {
-	var req RoomJoinRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Room == "" {
-		http.Error(w, "playsvc: missing room", http.StatusBadRequest)
-		return
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	p, err := g.route(traceOf(r), http.MethodPost, r.URL.Path, "", body, req.Room, false)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	relay(w, p)
-}
-
-func (g *Gateway) handleRoomAnswer(w http.ResponseWriter, r *http.Request) {
-	var req RoomAnswerRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Room == "" {
-		http.Error(w, "playsvc: missing room", http.StatusBadRequest)
-		return
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	p, err := g.route(traceOf(r), http.MethodPost, RoomAnswerPath, "", body, req.Room, false)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
 	}
 	relay(w, p)
 }

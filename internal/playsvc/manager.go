@@ -55,13 +55,14 @@ type Options struct {
 	// from (AddCourseFromManifest) — in production the same store the
 	// netstream server publishes into, so the two services share segment
 	// bytes. nil disables store-backed opening; AddCourse still works.
+	// Assembling courses is its only use: the manager never writes it.
 	Store *blobstore.Store
-	// Dir is the snapshot directory. With both Store and Dir set, hosted
-	// sessions are durable: the TTL janitor snapshots-then-evicts instead
-	// of discarding, evicted and handed-off sessions thaw transparently on
+	// Dir is the snapshot directory. With it set, hosted sessions are
+	// durable: the TTL janitor snapshots-then-evicts instead of
+	// discarding, evicted and handed-off sessions thaw transparently on
 	// their next request, and /play/create resume=<id> reattaches a fresh
-	// client. A cluster shares one Store+Dir across all nodes. nil
-	// disables durability (the seed behavior).
+	// client. A cluster shares one Dir across all nodes. nil disables
+	// durability (the seed behavior).
 	Dir SnapshotDir
 	// CheckpointEvery periodically snapshots every active session so a
 	// crash loses at most one interval of progress. 0 disables periodic
@@ -272,7 +273,7 @@ type Manager struct {
 	created atomic.Int64
 	closed  atomic.Int64 // sessions released by a leave act
 	evicted atomic.Int64 // sessions reclaimed by the janitor (or Close)
-	frozen  atomic.Int64 // sessions snapshotted to the store on release
+	frozen  atomic.Int64 // sessions snapshotted to the directory on release
 	resumed atomic.Int64 // sessions thawed from a snapshot
 	acts    atomic.Int64
 	frames  atomic.Int64
@@ -589,10 +590,8 @@ func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
 	// the client holds a confirmed id for but no snapshot exists of —
 	// the one loss the chaos soak's "zero lost sessions" bound forbids.
 	if m.canSnapshot() {
-		if env, perr := m.persistLocked(h); perr == nil {
-			m.dir.Save(h.id, SnapshotRef{Envelope: env, Checkpoint: true})
-			h.checkpointed.Store(h.lastSeen.Load())
-		}
+		m.dir.Save(h.id, SnapshotRef{Envelope: h.envelopeLocked(), Checkpoint: true})
+		h.checkpointed.Store(h.lastSeen.Load())
 	}
 	r := h.reply(0, 0)
 	r.Course = c.name
@@ -822,19 +821,11 @@ func (m *Manager) leave(req *BatchRequest, h *hosted) (*Reply, error) {
 		h.gone = true
 		m.closeRoomLocked(h)
 	}
-	// A left session must not resurrect from an old snapshot — and what it
-	// leaves in the store must not outlive it: the envelope names the
-	// session, so nothing else can reference it. (The runtime snapshot under
-	// it is shared by content with every session in the same state; it
-	// stays.) Under h.mu, like every directory write for a held session.
+	// A left session must not resurrect from an old snapshot, and its one
+	// directory entry is everything it ever saved. Under h.mu, like every
+	// directory write for a held session.
 	if m.dir != nil {
-		ref, ok := m.dir.Lookup(req.Session)
 		m.dir.Delete(req.Session)
-		if ok && m.store != nil {
-			// Best effort: a failed remove strands one small blob and
-			// changes nothing the client or a later thaw can see.
-			_ = m.store.Remove(ref.Envelope)
-		}
 	}
 	h.ack(req.SeenEvents)
 	// The final view is the tails alone: a leave changes no state, and the
@@ -1152,8 +1143,8 @@ func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance in
 
 // ExpireIdle evicts every session idle since before the cutoff and reports
 // how many it reclaimed. With a
-// snapshot store configured the janitor snapshots-then-evicts: the
-// session's progress survives in the store and its next request (or an
+// snapshot directory configured the janitor snapshots-then-evicts: the
+// session's progress survives in the directory and its next request (or an
 // explicit resume) thaws it. The janitor calls this with now-TTL; tests
 // call it directly.
 func (m *Manager) ExpireIdle(cutoff time.Time) int {
@@ -1173,17 +1164,13 @@ func (m *Manager) ExpireIdle(cutoff time.Time) int {
 	}
 	m.mu.Unlock()
 	for _, h := range victims {
+		var removed bool
 		if m.canSnapshot() {
-			// A failed freeze (transient store error) leaves the session
-			// live for the next sweep: held is recoverable,
-			// evicted-without-a-snapshot is not.
-			if removed, err := m.freezeOut(h); err == nil && removed {
-				m.evicted.Add(1)
-				n++
-			}
-			continue
+			removed = m.freezeOut(h)
+		} else {
+			removed = m.evictOut(h)
 		}
-		if m.evictOut(h) {
+		if removed {
 			m.evicted.Add(1)
 			n++
 		}
@@ -1200,7 +1187,7 @@ func (m *Manager) ExpireIdle(cutoff time.Time) int {
 }
 
 // Close stops the background goroutines and releases every remaining
-// session — gracefully: with a snapshot store configured, live sessions
+// session — gracefully: with a snapshot directory configured, live sessions
 // are frozen first (via ExpireIdle), so a restart resumes them.
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {

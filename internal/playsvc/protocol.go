@@ -74,7 +74,7 @@ type CreateRequest struct {
 	Trace obs.TraceContext `json:"-"`
 }
 
-// HandoffRequest freezes one session into the shared snapshot store so
+// HandoffRequest freezes one session into the shared snapshot directory so
 // another node can thaw it — the gateway's migration primitive.
 type HandoffRequest struct {
 	Session string `json:"session"`

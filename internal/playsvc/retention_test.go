@@ -1,36 +1,38 @@
 package playsvc
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	goruntime "runtime"
 	"testing"
 	"time"
 
+	"repro/internal/blobstore"
+	"repro/internal/gamepack"
+	"repro/internal/netstream"
 	"repro/internal/runtime"
 	"repro/internal/telemetry"
 )
 
-// TestLeaveReleasesEnvelope: what a hosted session puts in the chunk store
-// under its own name leaves the store with it. Every durable create
-// persists a newborn checkpoint — a runtime snapshot shared by content with
-// every other newborn of the course, and an envelope that carries the
-// session id and so belongs to nobody else. After N sessions leave — live,
-// frozen-then-left, and with the leave retried — the store holds what it
-// held before them plus the distinct snapshot states, and a live sibling
-// newborn (whose snapshot blob the leavers shared) still freezes and thaws.
+// TestLeaveReleasesEnvelope: everything a hosted session saves is its one
+// directory entry, and it leaves with the session. Every durable create
+// persists a newborn checkpoint; after N sessions leave — live,
+// frozen-then-left, and with the leave retried — the directory holds the
+// live sibling's envelope and nothing else, the chunk store never moved
+// off what publishing the course put there, and the sibling (whose newborn
+// state the leavers shared) still freezes and thaws.
 func TestLeaveReleasesEnvelope(t *testing.T) {
 	opts, store, dir := durableOptions(t)
 	_, m := durableService(t, opts)
-	base := store.Stats().Chunks
+	base := store.Stats()
 
 	sibling, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sibling's envelope + the one newborn snapshot every create shares.
-	if got := store.Stats().Chunks - base; got != 2 {
-		t.Fatalf("one newborn added %d chunks, want 2 (envelope + snapshot)", got)
+	if ref, ok := dir.Lookup(sibling.Session); !ok || !ref.Checkpoint || len(ref.Envelope) == 0 {
+		t.Fatalf("a durable create saved %+v, %v; want a checkpoint envelope", ref, ok)
 	}
 
 	const n = 12
@@ -61,12 +63,10 @@ func TestLeaveReleasesEnvelope(t *testing.T) {
 	if dir.Len() != 1 {
 		t.Fatalf("directory holds %d entries, want the live sibling's only", dir.Len())
 	}
-	if got := store.Stats().Chunks - base; got != 2 {
-		t.Fatalf("after %d sessions left the store holds %d chunks over its baseline, want 2 (the sibling's envelope + the shared newborn snapshot)", n, got)
+	if got := store.Stats(); got != base {
+		t.Fatalf("%d durable sessions moved the chunk store from %+v to %+v", n+1, base, got)
 	}
 
-	// The leavers shared the sibling's snapshot blob by content; releasing
-	// their envelopes must not have touched it.
 	if err := m.Freeze(sibling.Session); err != nil {
 		t.Fatal(err)
 	}
@@ -292,4 +292,177 @@ func TestFinishedSessionFootprint(t *testing.T) {
 		t.Errorf("%d sessions live, %d directory entries after every session left", m.Live(), dir.Len())
 	}
 	goruntime.KeepAlive(tel)
+}
+
+// TestSessionsLeaveNothingBehind is the durable-session invariant: the
+// directory holds the living and the chunk store holds the courses, so once
+// every session has left — whatever it went through first — the directory
+// is empty and the store is what publishing left it. Two managers share the
+// store and the directory like two nodes of a cluster, and host the course
+// straight out of the store, as vgbl-server does.
+func TestSessionsLeaveNothingBehind(t *testing.T) {
+	store, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := netstream.NewServerWith(store).AddPackage("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	man, err := gamepack.ExtractManifest(classroomBlob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := NewMemDir()
+	var nodes [2]*Manager
+	for i := range nodes {
+		nodes[i] = NewManager(Options{TTL: -1, Store: store, Dir: dir})
+		defer nodes[i].Close()
+		if err := nodes[i].AddCourseFromManifest("classroom", man); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := nodes[0], nodes[1]
+	published := store.Stats().Chunks
+	if published == 0 {
+		t.Fatal("publishing left the store empty; the baseline would prove nothing")
+	}
+
+	// A learner's requests, sequenced and acknowledging like a real client's.
+	type learner struct {
+		id           string
+		seq          int64
+		seenE, seenM int
+	}
+	create := func(m *Manager) *learner {
+		r, err := m.Create(&CreateRequest{Course: "classroom"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &learner{id: r.Session, seenE: r.EventCount, seenM: r.MessageCount}
+	}
+	act := func(m *Manager, l *learner, a ActRequest) {
+		t.Helper()
+		l.seq++
+		out, err := m.ActBatch(&BatchRequest{Session: l.id, BaseSeq: l.seq,
+			SeenEvents: l.seenE, SeenMessages: l.seenM, Acts: []ActRequest{a}})
+		if err != nil {
+			t.Fatalf("%s act %d: %v", l.id, l.seq, err)
+		}
+		l.seenE, l.seenM = out.Reply.EventCount, out.Reply.MessageCount
+	}
+	leave := func(m *Manager, l *learner, attempts int) {
+		t.Helper()
+		l.seq++
+		for i := 0; i < attempts; i++ {
+			if _, err := m.Act(&ActRequest{Session: l.id, Kind: ActLeave, Seq: l.seq,
+				SeenEvents: l.seenE, SeenMessages: l.seenM}); err != nil {
+				t.Fatalf("%s leave, attempt %d: %v", l.id, i+1, err)
+			}
+		}
+	}
+	talk, tick := ActRequest{Kind: ActTalk, Object: "teacher"}, ActRequest{Kind: ActTick, Ticks: 2}
+
+	lives := []struct {
+		name string
+		live func()
+	}{
+		{"created and left", func() {
+			leave(a, create(a), 1)
+		}},
+		{"acted on and checkpointed twice", func() {
+			l := create(a)
+			for i := 0; i < 2; i++ {
+				act(a, l, talk)
+				act(a, l, tick)
+				if n := a.Checkpoint(); n != 1 {
+					t.Fatalf("checkpoint %d persisted %d sessions, want 1", i+1, n)
+				}
+			}
+			leave(a, l, 1)
+		}},
+		{"frozen, then thawed by an act", func() {
+			l := create(a)
+			act(a, l, talk)
+			if err := a.Freeze(l.id); err != nil {
+				t.Fatal(err)
+			}
+			act(a, l, tick)
+			leave(a, l, 1)
+		}},
+		{"handed off between two managers", func() {
+			l := create(a)
+			act(a, l, talk)
+			if err := a.Freeze(l.id); err != nil {
+				t.Fatal(err)
+			}
+			act(b, l, tick)
+			if n := b.Checkpoint(); n != 1 {
+				t.Fatalf("the new owner checkpointed %d sessions, want 1", n)
+			}
+			leave(b, l, 1)
+		}},
+		{"TTL-evicted, then left", func() {
+			l := create(a)
+			act(a, l, talk)
+			if n := a.ExpireIdle(time.Now().Add(time.Minute)); n != 1 {
+				t.Fatalf("evicted %d sessions, want 1", n)
+			}
+			leave(a, l, 1)
+		}},
+		{"left, with the leave retried", func() {
+			l := create(b)
+			act(b, l, tick)
+			leave(b, l, 3)
+		}},
+	}
+	for _, l := range lives {
+		name := l.name
+		l.live()
+		if a.Live() != 0 || b.Live() != 0 {
+			t.Fatalf("%s: %d + %d sessions still live", name, a.Live(), b.Live())
+		}
+		if dir.Len() != 0 {
+			t.Errorf("%s: %d entries left in the directory", name, dir.Len())
+		}
+		if got := store.Stats().Chunks; got != published {
+			t.Errorf("%s: the store holds %d chunks, %d after publishing", name, got, published)
+			published = got // report each life's own leak, not the running sum
+		}
+	}
+}
+
+// TestThawReplaysActErrorFrame: a batch that stopped on an act error is
+// answered, when its reply is lost and the session is frozen before the
+// retry arrives, with the byte-identical frame — the envelope carries the
+// error in the reply frame's own encoding.
+func TestThawReplaysActErrorFrame(t *testing.T) {
+	opts, _, _ := durableOptions(t)
+	_, m := durableService(t, opts)
+	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := &BatchRequest{Session: r.Session, BaseSeq: 1,
+		SeenEvents: r.EventCount, SeenMessages: r.MessageCount,
+		Acts: []ActRequest{{Kind: ActTalk, Object: "teacher"}, {Kind: ActGoto, Object: "nowhere"}, {Kind: ActTick}}}
+	sent, err := m.ActBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent.ActErr == nil || len(sent.Results) != 1 || len(sent.Reply.Events) == 0 {
+		t.Fatalf("the batch should apply one act and stop on the second: %+v", sent)
+	}
+	if err := m.Freeze(r.Session); err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.ActBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := EncodeReplyFrame(again), EncodeReplyFrame(sent); !bytes.Equal(got, want) {
+		t.Fatalf("the thawed session answered the retry with a different frame:\n got %x\nwant %x", got, want)
+	}
+	if n := stat(t, m.Snapshot(), "sessions_resumed"); n != 1 {
+		t.Fatalf("resumed = %d: the retry was not answered by a thawed session", n)
+	}
 }

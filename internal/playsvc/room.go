@@ -266,7 +266,7 @@ func (r *Room) publish() {
 
 // close marks the room dead and wakes every blocked poll. Called when the
 // driven session leaves, is evicted, or freezes for handoff (rooms are
-// live-only: the driver session survives in the snapshot store, the
+// live-only: the driver session survives in the snapshot directory, the
 // watcher fan-out state does not).
 func (r *Room) close() {
 	r.mu.Lock()

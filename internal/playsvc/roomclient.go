@@ -94,9 +94,6 @@ func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 // one JoinRoom minted).
 func (c *RoomClient) WatcherID() string { return c.watcher }
 
-// RoomID returns the room id.
-func (c *RoomClient) RoomID() string { return c.room }
-
 // VideoMeta returns the room's frame geometry.
 func (c *RoomClient) VideoMeta() (w, h, fps int) { return c.w, c.h, c.fps }
 

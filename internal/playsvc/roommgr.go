@@ -42,7 +42,7 @@ func (m *Manager) dropRoom(id string) {
 
 // closeRoomLocked detaches and closes a session's broadcast hub; h.mu must
 // be held. Rooms are live-only: the driven session may survive in the
-// snapshot store, the fan-out state does not — watchers re-join wherever
+// snapshot directory, the fan-out state does not — watchers re-join wherever
 // the session thaws.
 func (m *Manager) closeRoomLocked(h *hosted) {
 	if h.room == nil {

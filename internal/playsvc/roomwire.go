@@ -1,8 +1,8 @@
 // Watch-chunk framing: the server-push wire format for room fan-out.
 //
 // A watch chunk is a 4-byte big-endian header length, a tagged-record
-// header (the same magic + version + (tag,len,payload)* + CRC32 shape as
-// the act frames), then the raw 24-bit RGB pixels. The pixels ride OUTSIDE
+// header (an internal/tagrec container, like the act frames), then the raw
+// 24-bit RGB pixels. The pixels ride OUTSIDE
 // the CRC on purpose: the header is encoded into a small recycled buffer
 // and the pixel payload is the publication's shared immutable slice, so
 // delivery is two writes and zero frame copies. A chunk self-describes its
@@ -11,9 +11,9 @@ package playsvc
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 
 	"repro/internal/runtime"
+	"repro/internal/tagrec"
 )
 
 const watchMagic = "VWCH"
@@ -50,60 +50,36 @@ type watchTails struct {
 // records, CRC. The pixel payload is NOT appended — the caller writes
 // p.pix directly after the returned header.
 func appendWatchChunk(dst []byte, p *pub, skipped int64, t watchTails, seenEvents, seenMessages int) []byte {
-	// One stack scratch for every numeric record: the hot path must stay
-	// allocation-free, and binary.AppendUvarint(nil, …) would allocate.
-	var scratch [3 * binary.MaxVarintLen64]byte
 	out := append(dst[:0], 0, 0, 0, 0) // length prefix, patched below
-	out = append(out, watchMagic...)
-	out = binary.AppendUvarint(out, frameVersion)
-	g := binary.PutUvarint(scratch[:], uint64(p.seq))
-	out = frameAppend(out, wtagSeq, scratch[:g])
-	g = binary.PutUvarint(scratch[:], uint64(p.tick))
-	out = frameAppend(out, wtagTick, scratch[:g])
-	g = binary.PutUvarint(scratch[:], uint64(p.w))
-	g += binary.PutUvarint(scratch[g:], uint64(p.h))
-	g += binary.PutUvarint(scratch[g:], uint64(len(p.pix)))
-	out = frameAppend(out, wtagGeom, scratch[:g])
-	g = binary.PutUvarint(scratch[:], uint64(max(skipped, 0)))
-	out = frameAppend(out, wtagSkipped, scratch[:g])
+	out = tagrec.Begin(out, watchMagic, frameVersion)
+	out = tagrec.AppendUint(out, wtagSeq, uint64(p.seq))
+	out = tagrec.AppendUint(out, wtagTick, uint64(p.tick))
+	out, mark := tagrec.BeginRecord(out, wtagGeom)
+	out = binary.AppendUvarint(out, uint64(p.w))
+	out = binary.AppendUvarint(out, uint64(p.h))
+	out = binary.AppendUvarint(out, uint64(len(p.pix)))
+	out = tagrec.EndRecord(out, mark)
+	out = tagrec.AppendUint(out, wtagSkipped, uint64(max(skipped, 0)))
 
-	from := seenEvents - t.eventBase
-	if from < 0 {
-		from = 0
-	}
-	if from < len(t.events) {
-		g = binary.PutUvarint(scratch[:], uint64(t.eventBase+from))
-		out = frameAppend(out, wtagEventStart, scratch[:g])
-		var ev []byte
+	if from := max(seenEvents-t.eventBase, 0); from < len(t.events) {
+		out = tagrec.AppendUint(out, wtagEventStart, uint64(t.eventBase+from))
 		for i := from; i < len(t.events); i++ {
-			e := &t.events[i]
-			ev = ev[:0]
-			ev = binary.AppendUvarint(ev, uint64(max(e.Tick, 0)))
-			ev = appendStr(ev, e.Kind)
-			ev = appendStr(ev, e.Detail)
-			out = frameAppend(out, wtagEvent, ev)
+			out = appendEvent(out, wtagEvent, &t.events[i])
 		}
 	}
-	g = binary.PutUvarint(scratch[:], uint64(t.eventCount))
-	out = frameAppend(out, wtagEventCount, scratch[:g])
+	out = tagrec.AppendUint(out, wtagEventCount, uint64(t.eventCount))
 
-	mfrom := seenMessages - t.msgBase
-	if mfrom < 0 {
-		mfrom = 0
-	}
-	if mfrom < len(t.messages) {
-		g = binary.PutUvarint(scratch[:], uint64(t.msgBase+mfrom))
-		out = frameAppend(out, wtagMessageStart, scratch[:g])
-		for i := mfrom; i < len(t.messages); i++ {
-			out = frameAppend(out, wtagMessage, []byte(t.messages[i]))
+	if from := max(seenMessages-t.msgBase, 0); from < len(t.messages) {
+		out = tagrec.AppendUint(out, wtagMessageStart, uint64(t.msgBase+from))
+		for _, m := range t.messages[from:] {
+			out = tagrec.Append(out, wtagMessage, m)
 		}
 	}
-	g = binary.PutUvarint(scratch[:], uint64(t.messageCount))
-	out = frameAppend(out, wtagMessageCount, scratch[:g])
+	out = tagrec.AppendUint(out, wtagMessageCount, uint64(t.messageCount))
 	if t.quiz != "" {
-		out = frameAppend(out, wtagQuiz, []byte(t.quiz))
+		out = tagrec.Append(out, wtagQuiz, t.quiz)
 	}
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out[4:]))
+	out = tagrec.Finish(out, 4)
 	binary.BigEndian.PutUint32(out[:4], uint32(len(out)-4))
 	return out
 }
@@ -131,39 +107,32 @@ type WatchUpdate struct {
 // ParseWatchChunk parses one chunk header (the bytes between the length
 // prefix and the pixels). Every rejection wraps ErrBadFrame.
 func ParseWatchChunk(header []byte) (*WatchUpdate, error) {
-	rest, err := frameBody(header, watchMagic)
-	if err != nil {
-		return nil, err
-	}
 	u := &WatchUpdate{}
 	sawGeom := false
-	for len(rest) > 0 {
-		var tag uint64
-		var payload []byte
-		tag, payload, rest, err = nextRecord(rest)
-		if err != nil {
-			return nil, err
-		}
-		r := frameReader{payload}
-		switch tag {
+	sc := tagrec.Open(header, watchMagic, 1, frameVersion, maxFrameField)
+	for sc.Next() {
+		payload := sc.Payload
+		r := tagrec.Reader{B: payload}
+		var err error
+		switch sc.Tag {
 		case wtagSeq:
-			v, err := r.uvarint()
+			v, err := r.Uvarint()
 			if err != nil {
 				return nil, frameBadf("malformed seq")
 			}
 			u.Seq = int64(v)
 		case wtagTick:
-			if u.Tick, err = r.intBounded(); err != nil {
+			if u.Tick, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed tick")
 			}
 		case wtagGeom:
-			if u.W, err = r.intBounded(); err != nil {
+			if u.W, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed width")
 			}
-			if u.H, err = r.intBounded(); err != nil {
+			if u.H, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed height")
 			}
-			if u.PixLen, err = r.intBounded(); err != nil {
+			if u.PixLen, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed pixel length")
 			}
 			// The geometry sizes the caller's frame buffer, so it is held
@@ -179,39 +148,33 @@ func ParseWatchChunk(header []byte) (*WatchUpdate, error) {
 			}
 			sawGeom = true
 		case wtagSkipped:
-			v, err := r.uvarint()
+			v, err := r.Uvarint()
 			if err != nil {
 				return nil, frameBadf("malformed skip count")
 			}
 			u.Skipped = int64(v)
 		case wtagEventStart:
-			if u.EventStart, err = r.intBounded(); err != nil {
+			if u.EventStart, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed event start")
 			}
 		case wtagEvent:
-			var e runtime.Event
-			if e.Tick, err = r.intBounded(); err != nil {
-				return nil, frameBadf("event: %v", err)
-			}
-			if e.Kind, err = r.str(); err != nil {
-				return nil, frameBadf("event: %v", err)
-			}
-			if e.Detail, err = r.str(); err != nil {
-				return nil, frameBadf("event: %v", err)
+			e, err := readEvent(payload)
+			if err != nil {
+				return nil, err
 			}
 			u.Events = append(u.Events, e)
 		case wtagEventCount:
-			if u.EventCount, err = r.intBounded(); err != nil {
+			if u.EventCount, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed event count")
 			}
 		case wtagMessageStart:
-			if u.MessageStart, err = r.intBounded(); err != nil {
+			if u.MessageStart, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed message start")
 			}
 		case wtagMessage:
 			u.Messages = append(u.Messages, string(payload))
 		case wtagMessageCount:
-			if u.MessageCount, err = r.intBounded(); err != nil {
+			if u.MessageCount, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed message count")
 			}
 		case wtagQuiz:
@@ -219,6 +182,9 @@ func ParseWatchChunk(header []byte) (*WatchUpdate, error) {
 		default:
 			// Additive extension from a newer writer; skip.
 		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, frameBadf("%v", err)
 	}
 	if !sawGeom {
 		return nil, frameBadf("missing geometry record")

@@ -92,7 +92,7 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, reply)
 }
 
-// handleHandoff freezes one session into the shared snapshot store (the
+// handleHandoff freezes one session into the shared snapshot directory (the
 // gateway calls this on a session's old owner when ownership moves).
 func (m *Manager) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	var req HandoffRequest

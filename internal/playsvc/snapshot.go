@@ -1,14 +1,13 @@
 // Durable hosted sessions: freeze, thaw and checkpoint.
 //
-// A hosted session is frozen by snapshotting its runtime state
-// (runtime.Session.Snapshot) plus the play-service envelope around it —
-// the session id, its course, and the unacknowledged event tail a client
-// retry may still need. Both blobs land in the content-addressed chunk
-// store: the runtime snapshot carries no identity, so two sessions in the
-// same logical state (and repeated checkpoints of an idle session) dedup
-// to one stored blob; the tiny envelope references it by hash. A
-// SnapshotDir maps session ids to their latest envelope so eviction,
-// crash-recovery and cluster handoff can find them again.
+// A hosted session is frozen into ONE record, its envelope: the session id,
+// its course, the unacknowledged event tail and batch-dedup state a client
+// retry may still need, and — nested whole — the runtime snapshot
+// (runtime.Session.Snapshot). The envelope lives in ONE place, the
+// SnapshotDir entry under the session's id: a save overwrites it and a leave
+// deletes it, so nothing a session ever saved can outlive it and there is
+// nothing to sweep. The chunk store holds courses; the manager never writes
+// it.
 //
 // Thawing is the reverse and is wired into session lookup: an act, state
 // or frame request for a session this manager does not host falls through
@@ -17,24 +16,24 @@
 package playsvc
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"net/http"
 	"sync"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/obs"
 	"repro/internal/runtime"
+	"repro/internal/tagrec"
 )
 
-// SnapshotRef is one directory entry: where a session's latest snapshot
-// lives, and whether it is a released state or crash insurance.
+// SnapshotRef is one directory entry: a session's latest envelope, and
+// whether it is a released state or crash insurance.
 type SnapshotRef struct {
-	Envelope blobstore.Hash
+	// Envelope is the encoded envelope. Immutable by contract: a directory
+	// hands the same slice to every Lookup, and a thawed session decodes
+	// out of it.
+	Envelope []byte
 	// Checkpoint marks a periodic-checkpoint entry: the session was still
 	// live on its node when this was persisted, so the snapshot may lag
 	// the truth. A released entry (freeze/drain/handoff/eviction) is the
@@ -44,10 +43,10 @@ type SnapshotRef struct {
 	Checkpoint bool
 }
 
-// SnapshotDir maps live session ids to their latest snapshot in the
-// shared chunk store. Every node of a cluster shares one directory (and
-// one store): that pair is the whole coordination surface session handoff
-// needs. Implementations must be safe for concurrent use.
+// SnapshotDir maps live session ids to their latest envelope. Every node
+// of a cluster shares one directory: it is the whole coordination surface
+// session handoff needs. Implementations must be safe for concurrent use,
+// and Lookup must return an entry's bytes and flag as one Save wrote them.
 type SnapshotDir interface {
 	Save(session string, ref SnapshotRef)
 	Lookup(session string) (SnapshotRef, bool)
@@ -101,71 +100,57 @@ type envelope struct {
 	Course    string
 	EventBase int
 	Events    []runtime.Event
-	Snapshot  blobstore.Hash
-	// Batch-dedup state (v2): a thawed session must keep recognizing a
-	// retry of the last applied batch, or a freeze between the apply and
-	// the retry would turn a lost reply into a double-apply.
+	Snapshot  []byte // the runtime snapshot (a VSNP container), nested whole
+	// Batch-dedup state: a thawed session must keep recognizing a retry of
+	// the last applied batch, or a freeze between the apply and the retry
+	// would turn a lost reply into a double-apply.
 	LastBase int64
 	LastLen  int
 	LastBits []byte
 	LastErr  *Error
 }
 
-// Envelope wire format mirrors the runtime snapshot's: magic, version,
-// tagged records, CRC32. v2 adds the batch-dedup records (6-9); v1
-// envelopes still decode (their dedup state is simply empty).
+// Envelope wire format: a tagrec container whose event and act-error
+// records are the reply frame's (frame.go). An envelope never outlives the
+// process that wrote it — the directory is in memory — so only the current
+// version decodes.
 const (
 	envMagic   = "VSNE"
-	envVersion = 2
+	envVersion = 3
 
 	envTagSession   = 1
 	envTagCourse    = 2
 	envTagEventBase = 3
-	envTagEvents    = 4 // JSON []runtime.Event
-	envTagSnapshot  = 5 // 32-byte hash of the runtime snapshot blob
+	envTagEvent     = 4 // repeated, one per retained event, log order
+	envTagSnapshot  = 5 // the runtime snapshot's bytes
 	envTagLastBase  = 6 // uvarint BaseSeq of the last applied batch
 	envTagLastLen   = 7 // uvarint act count of that batch
 	envTagLastBits  = 8 // raw result bits of the applied prefix
-	envTagLastErr   = 9 // uvarint status, uvarint retry-after, message bytes
+	envTagLastErr   = 9 // the act error that stopped it
 
 	maxEnvelopeField = 16 << 20
 )
 
-func envAppend(b []byte, tag uint64, payload []byte) []byte {
-	b = binary.AppendUvarint(b, tag)
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	return append(b, payload...)
-}
-
 func (e *envelope) encode() []byte {
-	b := make([]byte, 0, 256)
-	b = append(b, envMagic...)
-	b = binary.AppendUvarint(b, envVersion)
-	b = envAppend(b, envTagSession, []byte(e.Session))
-	b = envAppend(b, envTagCourse, []byte(e.Course))
-	b = envAppend(b, envTagEventBase, binary.AppendUvarint(nil, uint64(e.EventBase)))
-	if len(e.Events) > 0 {
-		evs, err := json.Marshal(e.Events)
-		if err != nil {
-			panic("playsvc: event tail marshal: " + err.Error())
-		}
-		b = envAppend(b, envTagEvents, evs)
+	b := tagrec.Begin(make([]byte, 0, 128+len(e.Snapshot)), envMagic, envVersion)
+	b = tagrec.Append(b, envTagSession, e.Session)
+	b = tagrec.Append(b, envTagCourse, e.Course)
+	b = tagrec.AppendUint(b, envTagEventBase, uint64(e.EventBase))
+	for i := range e.Events {
+		b = appendEvent(b, envTagEvent, &e.Events[i])
 	}
-	b = envAppend(b, envTagSnapshot, e.Snapshot[:])
+	b = tagrec.Append(b, envTagSnapshot, e.Snapshot)
 	if e.LastBase != 0 {
-		b = envAppend(b, envTagLastBase, binary.AppendUvarint(nil, uint64(e.LastBase)))
-		b = envAppend(b, envTagLastLen, binary.AppendUvarint(nil, uint64(e.LastLen)))
+		b = tagrec.AppendUint(b, envTagLastBase, uint64(e.LastBase))
+		b = tagrec.AppendUint(b, envTagLastLen, uint64(e.LastLen))
 		if len(e.LastBits) > 0 {
-			b = envAppend(b, envTagLastBits, e.LastBits)
+			b = tagrec.Append(b, envTagLastBits, e.LastBits)
 		}
 		if e.LastErr != nil {
-			p := binary.AppendUvarint(nil, uint64(e.LastErr.Status))
-			p = binary.AppendUvarint(p, uint64(e.LastErr.RetryAfter))
-			p = append(p, e.LastErr.Msg...)
-			b = envAppend(b, envTagLastErr, p)
+			b = appendActError(b, envTagLastErr, e.LastErr)
 		}
 	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	return tagrec.Finish(b, 0)
 }
 
 func envBadf(format string, args ...any) error {
@@ -173,128 +158,78 @@ func envBadf(format string, args ...any) error {
 }
 
 // decodeEnvelope parses envelope bytes; every rejection wraps
-// runtime.ErrBadSnapshot.
+// runtime.ErrBadSnapshot. The decoded Snapshot aliases data.
 func decodeEnvelope(data []byte) (*envelope, error) {
-	if len(data) < len(envMagic)+1+4 {
-		return nil, envBadf("truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(envMagic)]) != envMagic {
-		return nil, envBadf("bad magic")
-	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, envBadf("checksum mismatch")
-	}
-	rest := body[len(envMagic):]
-	version, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, envBadf("malformed version")
-	}
-	if version == 0 || version > envVersion {
-		return nil, envBadf("unsupported version %d", version)
-	}
-	rest = rest[n:]
 	e := &envelope{}
-	var hasSession, hasCourse, hasSnapshot bool
-	for len(rest) > 0 {
-		tag, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, envBadf("malformed record tag")
-		}
-		rest = rest[n:]
-		size, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, envBadf("malformed record length")
-		}
-		rest = rest[n:]
-		if size > maxEnvelopeField || size > uint64(len(rest)) {
-			return nil, envBadf("record %d claims %d bytes, %d remain", tag, size, len(rest))
-		}
-		payload := rest[:size]
-		rest = rest[size:]
-		switch tag {
+	var hasSession, hasCourse bool
+	sc := tagrec.Open(data, envMagic, envVersion, envVersion, maxEnvelopeField)
+	for sc.Next() {
+		payload := sc.Payload
+		var v uint64
+		var err error
+		switch sc.Tag {
 		case envTagSession:
 			e.Session, hasSession = string(payload), true
 		case envTagCourse:
 			e.Course, hasCourse = string(payload), true
 		case envTagEventBase:
-			v, n := binary.Uvarint(payload)
-			if n <= 0 || n != len(payload) || v > math.MaxInt32 {
-				return nil, envBadf("malformed event base")
-			}
+			v, err = tagrec.Uint(payload, math.MaxInt32)
 			e.EventBase = int(v)
-		case envTagEvents:
-			if err := json.Unmarshal(payload, &e.Events); err != nil {
-				return nil, envBadf("event tail: %v", err)
-			}
+		case envTagEvent:
+			var ev runtime.Event
+			ev, err = readEvent(payload)
+			e.Events = append(e.Events, ev)
 		case envTagSnapshot:
-			if len(payload) != len(e.Snapshot) {
-				return nil, envBadf("snapshot hash is %d bytes", len(payload))
-			}
-			copy(e.Snapshot[:], payload)
-			hasSnapshot = true
+			e.Snapshot = payload
 		case envTagLastBase:
-			v, n := binary.Uvarint(payload)
-			if n <= 0 || n != len(payload) || v > math.MaxInt64 {
-				return nil, envBadf("malformed last batch base")
-			}
+			v, err = tagrec.Uint(payload, math.MaxInt64)
 			e.LastBase = int64(v)
 		case envTagLastLen:
-			v, n := binary.Uvarint(payload)
-			if n <= 0 || n != len(payload) || v > maxFrameActs {
-				return nil, envBadf("malformed last batch length")
-			}
+			v, err = tagrec.Uint(payload, maxFrameActs)
 			e.LastLen = int(v)
 		case envTagLastBits:
 			if len(payload) > maxFrameActs {
 				return nil, envBadf("last batch bits claim %d acts", len(payload))
 			}
+			// Copied: the live session appends to it in place.
 			e.LastBits = append([]byte(nil), payload...)
 		case envTagLastErr:
-			status, n := binary.Uvarint(payload)
-			if n <= 0 || status > 599 {
-				return nil, envBadf("malformed last batch error status")
-			}
-			payload = payload[n:]
-			retry, n := binary.Uvarint(payload)
-			if n <= 0 || retry > math.MaxInt32 {
-				return nil, envBadf("malformed last batch error retry")
-			}
-			payload = payload[n:]
-			e.LastErr = &Error{Status: int(status), RetryAfter: int(retry), Msg: string(payload)}
+			e.LastErr, err = readActError(payload)
 		default:
 			// Additive extension from a newer writer; skip.
 		}
+		if err != nil {
+			return nil, envBadf("record %d: %v", sc.Tag, err)
+		}
 	}
-	if !hasSession || !hasCourse || !hasSnapshot {
+	if err := sc.Err(); err != nil {
+		return nil, envBadf("%v", err)
+	}
+	if !hasSession || !hasCourse || e.Snapshot == nil {
 		return nil, envBadf("missing required fields")
 	}
 	return e, nil
 }
 
 // canSnapshot reports whether this manager has somewhere to freeze to.
-func (m *Manager) canSnapshot() bool { return m.store != nil && m.dir != nil }
+func (m *Manager) canSnapshot() bool { return m.dir != nil }
 
-// freezeOut freezes one live session: persist to the store, publish the
-// released directory entry, mark gone, close its room, and only THEN remove it from the session map. The ordering is load-bearing: at
-// every instant the session is either live in the map or has a released
-// snapshot on file, so a concurrent request (or a gateway rescue) can
-// never observe a gap and fall back to a stale checkpoint. removed
-// reports whether this call did the removal (false when another path —
-// leave, another freeze — released the session first).
-func (m *Manager) freezeOut(h *hosted) (removed bool, err error) {
+// freezeOut freezes one live session: publish the released directory
+// entry, mark gone, close its room, and only THEN remove it from the
+// session map. The ordering is load-bearing: at every instant the session
+// is either live in the map or has a released snapshot on file, so a
+// concurrent request (or a gateway rescue) can never observe a gap and
+// fall back to a stale checkpoint. removed reports whether this call did
+// the removal (false when another path — leave, another freeze — released
+// the session first).
+func (m *Manager) freezeOut(h *hosted) (removed bool) {
 	t0 := time.Now()
 	h.mu.Lock()
 	if h.gone {
 		h.mu.Unlock()
-		return false, nil
+		return false
 	}
-	env, err := m.persistLocked(h)
-	if err != nil {
-		h.mu.Unlock()
-		return false, err // session stays live; better held than lost
-	}
-	m.dir.Save(h.id, SnapshotRef{Envelope: env})
+	m.dir.Save(h.id, SnapshotRef{Envelope: h.envelopeLocked()})
 	h.gone = true
 	m.closeRoomLocked(h)
 	h.mu.Unlock()
@@ -304,11 +239,11 @@ func (m *Manager) freezeOut(h *hosted) (removed bool, err error) {
 	m.liveCount.Add(-1)
 	m.frozen.Add(1)
 	m.freezeNs.ObserveSince(t0)
-	return true, nil
+	return true
 }
 
-// evictOut discards one live session without snapshotting (no store, or
-// the store failed). Same map ordering as freezeOut.
+// evictOut discards one live session without snapshotting (no directory
+// configured). Same map ordering as freezeOut.
 func (m *Manager) evictOut(h *hosted) (removed bool) {
 	h.mu.Lock()
 	if h.gone {
@@ -325,39 +260,30 @@ func (m *Manager) evictOut(h *hosted) (removed bool) {
 	return true
 }
 
-// persistLocked writes h's current state (runtime snapshot + envelope)
-// into the store and returns the envelope hash; h.mu must be held.
-func (m *Manager) persistLocked(h *hosted) (blobstore.Hash, error) {
-	snap := h.sess.Snapshot()
-	snapHash, _, err := m.store.Put(snap)
-	if err != nil {
-		return blobstore.Hash{}, errf(http.StatusInternalServerError, "playsvc: persist snapshot: %v", err)
-	}
-	env := &envelope{
+// envelopeLocked encodes h's current state — runtime snapshot, retained
+// tail, dedup state — as the envelope a directory entry holds; h.mu must be
+// held.
+func (h *hosted) envelopeLocked() []byte {
+	return (&envelope{
 		Session:   h.id,
 		Course:    h.course.name,
 		EventBase: h.eventBase,
 		Events:    h.events,
-		Snapshot:  snapHash,
+		Snapshot:  h.sess.Snapshot(),
 		LastBase:  h.lastBase,
 		LastLen:   h.lastLen,
 		LastBits:  h.lastBits,
 		LastErr:   h.lastErr,
-	}
-	envHash, _, err := m.store.Put(env.encode())
-	if err != nil {
-		return blobstore.Hash{}, errf(http.StatusInternalServerError, "playsvc: persist envelope: %v", err)
-	}
-	return envHash, nil
+	}).encode()
 }
 
-// Freeze snapshots one live session to the shared store and releases it —
-// the handoff primitive a cluster gateway calls on the old owner before
+// Freeze snapshots one live session into the shared directory and releases
+// it — the handoff primitive a cluster gateway calls on the old owner before
 // the new owner restores. Freezing an already-frozen session is a no-op;
 // a session this node neither hosts nor has a snapshot for is an error.
 func (m *Manager) Freeze(session string) error {
 	if !m.canSnapshot() {
-		return errf(http.StatusNotImplemented, "playsvc: no snapshot store configured")
+		return errf(http.StatusNotImplemented, "playsvc: no snapshot directory configured")
 	}
 	h, err := m.lookup(session)
 	if err != nil {
@@ -368,13 +294,13 @@ func (m *Manager) Freeze(session string) error {
 		}
 		return err
 	}
-	_, err = m.freezeOut(h)
-	return err
+	m.freezeOut(h)
+	return nil
 }
 
 // DrainAll freezes every hosted session (graceful shutdown / node
-// removal) and reports how many it processed. Without a snapshot store it
-// degrades to plain eviction. Draining is one-way: the node stops
+// removal) and reports how many it processed. Without a snapshot directory
+// it degrades to plain eviction. Draining is one-way: the node stops
 // creating and thawing sessions, so a request racing the drain cannot
 // strand a fresh session on a node that is about to disappear.
 func (m *Manager) DrainAll() int {
@@ -382,14 +308,10 @@ func (m *Manager) DrainAll() int {
 	n := 0
 	for _, h := range m.snapshotSessions() {
 		if m.canSnapshot() {
-			if removed, err := m.freezeOut(h); err == nil {
-				if removed {
-					n++
-				}
-				continue
+			if m.freezeOut(h) {
+				n++
 			}
-		}
-		if m.evictOut(h) {
+		} else if m.evictOut(h) {
 			m.evicted.Add(1)
 			n++
 		}
@@ -399,9 +321,8 @@ func (m *Manager) DrainAll() int {
 
 // Checkpoint snapshots every session with activity since its last
 // checkpoint, bounding what a crash can lose to one checkpoint interval.
-// Sessions are persisted without being released; identical consecutive
-// states dedup in the content-addressed store. Returns how many sessions
-// were persisted.
+// Sessions are persisted without being released: each save overwrites the
+// session's one directory entry. Returns how many sessions were persisted.
 func (m *Manager) Checkpoint() int {
 	if !m.canSnapshot() {
 		return 0
@@ -417,26 +338,19 @@ func (m *Manager) Checkpoint() int {
 			h.mu.Unlock()
 			continue
 		}
-		env, err := m.persistLocked(h)
-		if err == nil {
-			// Under h.mu, like every dir write for a held session: a
-			// concurrent leave (which deletes the entry under the same
-			// lock) must not be overwritten by a checkpoint of the state
-			// it just retired.
-			m.dir.Save(h.id, SnapshotRef{Envelope: env, Checkpoint: true})
-			h.checkpointed.Store(seen)
-		}
+		// Under h.mu, like every dir write for a held session: a concurrent
+		// leave (which deletes the entry under the same lock) must not be
+		// overwritten by a checkpoint of the state it just retired.
+		m.dir.Save(h.id, SnapshotRef{Envelope: h.envelopeLocked(), Checkpoint: true})
+		h.checkpointed.Store(seen)
 		h.mu.Unlock()
-		if err != nil {
-			continue // transient store failure; next pass retries
-		}
 		n++
 	}
 	m.checkpoints.Add(int64(n))
 	return n
 }
 
-// thaw restores a frozen session from the shared store, inserts it into
+// thaw restores a frozen session from the shared directory, inserts it into
 // the session map and returns it — the lookup fallback that makes eviction
 // and handoff invisible. Checkpoint entries are refused unless
 // allowCheckpoint is set: a checkpoint means the session may still be
@@ -467,11 +381,7 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	if ref.Checkpoint && !allowCheckpoint {
 		return nil, notFound
 	}
-	envBytes, err := m.store.Get(ref.Envelope)
-	if err != nil {
-		return nil, errf(http.StatusNotFound, "playsvc: session %q envelope: %v", session, err)
-	}
-	env, err := decodeEnvelope(envBytes)
+	env, err := decodeEnvelope(ref.Envelope)
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "playsvc: session %q: %v", session, err)
 	}
@@ -483,10 +393,6 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	m.coursesMu.RUnlock()
 	if c == nil {
 		return nil, errf(http.StatusNotFound, "playsvc: session %q course %q is no longer published", session, env.Course)
-	}
-	snap, err := m.store.Get(env.Snapshot)
-	if err != nil {
-		return nil, errf(http.StatusNotFound, "playsvc: session %q snapshot: %v", session, err)
 	}
 	// Thawing re-occupies a live slot; the cap applies exactly as on create.
 	if n := m.liveCount.Add(1); m.opts.MaxSessions > 0 && n > int64(m.opts.MaxSessions) {
@@ -501,7 +407,7 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	}
 	h.touch()
 	restoreStart := time.Now()
-	sess, err := runtime.RestoreSessionFromPackage(c.pkg, snap, runtime.Options{Observer: h})
+	sess, err := runtime.RestoreSessionFromPackage(c.pkg, env.Snapshot, runtime.Options{Observer: h})
 	if err != nil {
 		m.liveCount.Add(-1)
 		return nil, errf(http.StatusInternalServerError, "playsvc: restore %q: %v", session, err)

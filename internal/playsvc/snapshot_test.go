@@ -14,6 +14,7 @@ import (
 	"repro/internal/netstream"
 	"repro/internal/runtime"
 	"repro/internal/sim"
+	"repro/internal/tagrec"
 )
 
 // durableOptions returns manager options wired to a fresh shared
@@ -345,44 +346,6 @@ func TestCheckpointBoundsCrashLoss(t *testing.T) {
 	}
 }
 
-// TestSnapshotDedup: freezing many sessions in the same logical state
-// stores the runtime snapshot once — the content-addressed payoff.
-func TestSnapshotDedup(t *testing.T) {
-	opts, store, _ := durableOptions(t)
-	m := NewManager(opts)
-	defer m.Close()
-	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	before := store.Stats()
-	ids := make([]string, n)
-	for i := range ids {
-		r, err := m.Create(&CreateRequest{Course: "classroom"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = r.Session
-	}
-	if evicted := m.ExpireIdle(time.Now().Add(time.Minute)); evicted != n {
-		t.Fatalf("froze %d, want %d", evicted, n)
-	}
-	after := store.Stats()
-	// Creates checkpoint each newborn session; freezing re-persists the
-	// identical state. Across both passes the store holds n envelopes
-	// (unique: they carry the session id) + ONE shared runtime snapshot
-	// blob: every other put deduplicates — the content-addressed payoff.
-	newChunks := after.Chunks - before.Chunks
-	if newChunks != n+1 {
-		t.Fatalf("checkpoint+freeze of %d identical sessions added %d chunks, want %d (n envelopes + 1 shared snapshot)", n, newChunks, n+1)
-	}
-	// n-1 snapshot hits at create, then n envelope + n snapshot hits at
-	// freeze (nothing changed since the create-time checkpoint).
-	if hits := after.DedupHits - before.DedupHits; hits != 3*n-1 {
-		t.Fatalf("dedup hits = %d, want %d", hits, 3*n-1)
-	}
-}
-
 // TestEnvelopeCorruption: the envelope decoder rejects mangled bytes with
 // ErrBadSnapshot and never panics.
 func TestEnvelopeCorruption(t *testing.T) {
@@ -391,6 +354,11 @@ func TestEnvelopeCorruption(t *testing.T) {
 		Course:    "classroom",
 		EventBase: 7,
 		Events:    []runtime.Event{{Tick: 3, Kind: "say", Detail: "hi"}},
+		Snapshot:  []byte("VSNP: any bytes nest; the runtime judges them at restore"),
+		LastBase:  9,
+		LastLen:   2,
+		LastBits:  []byte{resHasTook | resTook},
+		LastErr:   &Error{Status: 400, Msg: "playsvc: no such quiz"},
 	}
 	good := env.encode()
 	back, err := decodeEnvelope(good)
@@ -408,6 +376,24 @@ func TestEnvelopeCorruption(t *testing.T) {
 		"bit flip":  append(append([]byte(nil), good[:8]...), good[9:]...),
 		"garbage":   []byte(strings.Repeat("z", 64)),
 	}
+	// A sealed envelope of the given version holding the required records
+	// and one more, its payload written by hand.
+	sealed := func(version, tag uint64, payload []byte) []byte {
+		b := tagrec.Begin(nil, envMagic, version)
+		b = tagrec.Append(b, envTagSession, env.Session)
+		b = tagrec.Append(b, envTagCourse, env.Course)
+		b = tagrec.Append(b, envTagSnapshot, env.Snapshot)
+		return tagrec.Finish(tagrec.Append(b, tag, payload), 0)
+	}
+	if _, err := decodeEnvelope(sealed(envVersion, envTagLastLen, []byte{2})); err != nil {
+		t.Fatalf("a hand-sealed envelope does not decode: %v", err)
+	}
+	cases["older version"] = sealed(envVersion-1, envTagLastLen, []byte{2})
+	cases["newer version"] = sealed(envVersion+1, envTagLastLen, []byte{2})
+	cases["too many acts"] = sealed(envVersion, envTagLastLen, []byte{0xff, 0xff, 0x7f})
+	for name, tag := range map[string]uint64{"event base": envTagEventBase, "last base": envTagLastBase, "last len": envTagLastLen} {
+		cases["bytes after "+name] = sealed(envVersion, tag, []byte{2, 0})
+	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := decodeEnvelope(data); !errors.Is(err, runtime.ErrBadSnapshot) {
@@ -418,13 +404,13 @@ func TestEnvelopeCorruption(t *testing.T) {
 }
 
 // FuzzDecodeEnvelope holds the snapshot envelope parser — what a node reads
-// back from the shared store on every thaw — to the bar of the frame
+// back from the shared directory on every thaw — to the bar of the frame
 // parsers: arbitrary bytes never panic, every rejection wraps
 // runtime.ErrBadSnapshot, and an accepted envelope survives a re-encode.
 // The seeds are a real frozen session's envelope (with batch-dedup state
 // and a stored act error) and damaged copies of it.
 func FuzzDecodeEnvelope(f *testing.F) {
-	opts, store, dir := durableOptions(f)
+	opts, _, dir := durableOptions(f)
 	_, m := durableService(f, opts)
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
@@ -443,10 +429,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	if !ok {
 		f.Fatal("freeze left no directory entry")
 	}
-	frozen, err := store.Get(ref.Envelope)
-	if err != nil {
-		f.Fatal(err)
-	}
+	frozen := ref.Envelope
 	if env, err := decodeEnvelope(frozen); err != nil || env.LastBase != 2 || env.LastErr == nil || len(env.Events) == 0 {
 		f.Fatalf("seed envelope lacks dedup state or an event tail: %+v, %v", env, err)
 	}
@@ -481,7 +464,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 }
 
 // TestLeaveDeletesSnapshot: a session that leaves must not resurrect from
-// a stale directory entry, nor leave its envelope in the store.
+// a stale directory entry, nor leave anything in the store.
 func TestLeaveDeletesSnapshot(t *testing.T) {
 	opts, store, dir := durableOptions(t)
 	_, m := durableService(t, opts)
@@ -505,10 +488,8 @@ func TestLeaveDeletesSnapshot(t *testing.T) {
 	if dir.Len() != 0 {
 		t.Fatal("leave left a snapshot behind")
 	}
-	// The newborn runtime snapshot stays (the next create shares it by
-	// content); the envelope, which names the session, went with it.
-	if got := store.Stats().Chunks - base; got != 1 {
-		t.Fatalf("a left session leaves %d chunks in the store, want 1 (the shared newborn snapshot)", got)
+	if got := store.Stats().Chunks - base; got != 0 {
+		t.Fatalf("a left session leaves %d chunks in the store, want none", got)
 	}
 	if _, err := m.Create(&CreateRequest{Resume: r.Session}); err == nil {
 		t.Fatal("left session resurrected")

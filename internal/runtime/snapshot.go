@@ -3,28 +3,27 @@
 // cursor, inventory/flag/quiz state, NPC conversation positions, the say
 // transcript, queued popups, opened resources and the tick clock. The
 // encoding is deterministic (identical logical states produce identical
-// bytes), so a content-addressed store deduplicates unchanged checkpoints
-// for free, and self-describing (tagged records guarded by a checksum), so
-// a newer writer can add fields without stranding older snapshots.
+// bytes) and self-describing (an internal/tagrec container: tagged records
+// guarded by a checksum), so a newer writer can add fields without
+// stranding older snapshots.
 //
 // The equivalence contract is the golden-replay one: run a trace halfway,
 // Snapshot, restore on a fresh session (or another process), finish the
 // trace — event logs, transcript and final state must be bit-identical to
-// the uninterrupted run. The play service persists these bytes through the
-// chunk store so hosted sessions survive eviction, deploys and node churn.
+// the uninterrupted run. The play service nests these bytes in its session
+// envelope so hosted sessions survive eviction, deploys and node churn.
 package runtime
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"repro/internal/core"
 	"repro/internal/gamepack"
+	"repro/internal/tagrec"
 )
 
 // ErrBadSnapshot is wrapped by every snapshot rejection: truncated,
@@ -34,7 +33,7 @@ import (
 // partially-restored session.
 var ErrBadSnapshot = errors.New("runtime: bad snapshot")
 
-// Snapshot wire format: magic, format version, tagged records, CRC32.
+// Snapshot wire format: a tagrec container.
 const (
 	snapMagic   = "VSNP"
 	snapVersion = 1
@@ -59,16 +58,6 @@ const (
 	maxSnapshotField = 64 << 20
 )
 
-func appendRecord(b []byte, tag uint64, payload []byte) []byte {
-	b = binary.AppendUvarint(b, tag)
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	return append(b, payload...)
-}
-
-func appendUintRecord(b []byte, tag uint64, v uint64) []byte {
-	return appendRecord(b, tag, binary.AppendUvarint(nil, v))
-}
-
 // mustJSON marshals snapshot fields, all of which are plain slices and
 // maps of strings/ints that cannot fail to encode. encoding/json sorts map
 // keys, which is what makes the snapshot bytes deterministic.
@@ -84,35 +73,32 @@ func mustJSON(v any) []byte {
 // must not be inside an event script (every public session method returns
 // before Snapshot can run, so this only concerns future internal callers).
 func (s *Session) Snapshot() []byte {
-	b := make([]byte, 0, 512)
-	b = append(b, snapMagic...)
-	b = binary.AppendUvarint(b, snapVersion)
+	b := tagrec.Begin(make([]byte, 0, 512), snapMagic, snapVersion)
 	sum := s.pkg.VideoSum()
-	b = appendRecord(b, tagVideoSum, sum[:])
-	b = appendRecord(b, tagState, mustJSON(s.state))
-	b = appendUintRecord(b, tagTick, uint64(s.tick))
+	b = tagrec.Append(b, tagVideoSum, sum[:])
+	b = tagrec.Append(b, tagState, mustJSON(s.state))
+	b = tagrec.AppendUint(b, tagTick, uint64(s.tick))
 	if s.selected != "" {
-		b = appendRecord(b, tagSelected, []byte(s.selected))
+		b = tagrec.Append(b, tagSelected, s.selected)
 	}
 	if len(s.npcPos) > 0 {
-		b = appendRecord(b, tagNPCPos, mustJSON(s.npcPos))
+		b = tagrec.Append(b, tagNPCPos, mustJSON(s.npcPos))
 	}
 	if len(s.messages) > 0 {
-		b = appendRecord(b, tagMessages, mustJSON(s.messages))
+		b = tagrec.Append(b, tagMessages, mustJSON(s.messages))
 	}
 	if len(s.popups) > 0 {
-		b = appendRecord(b, tagPopups, mustJSON(s.popups))
+		b = tagrec.Append(b, tagPopups, mustJSON(s.popups))
 	}
 	if len(s.opened) > 0 {
-		b = appendRecord(b, tagOpened, mustJSON(s.opened))
+		b = tagrec.Append(b, tagOpened, mustJSON(s.opened))
 	}
 	if len(s.quizzes) > 0 {
-		b = appendRecord(b, tagQuizzes, mustJSON(s.quizzes))
+		b = tagrec.Append(b, tagQuizzes, mustJSON(s.quizzes))
 	}
-	seg := s.cursor.Segment()
-	b = appendRecord(b, tagSegment, []byte(seg.Name))
-	b = appendUintRecord(b, tagCursor, uint64(s.cursor.Pos()))
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	b = tagrec.Append(b, tagSegment, s.cursor.Segment().Name)
+	b = tagrec.AppendUint(b, tagCursor, uint64(s.cursor.Pos()))
+	return tagrec.Finish(b, 0)
 }
 
 // snapshotData is a fully-decoded snapshot, validated before any of it is
@@ -137,21 +123,11 @@ func badf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 }
 
-func snapUvarint(payload []byte) (uint64, error) {
-	v, n := binary.Uvarint(payload)
-	if n <= 0 || n != len(payload) {
-		return 0, badf("malformed varint record")
-	}
-	return v, nil
-}
-
+// snapInt reads a record that is one int32-bounded uvarint and nothing else.
 func snapInt(payload []byte) (int, error) {
-	v, err := snapUvarint(payload)
+	v, err := tagrec.Uint(payload, math.MaxInt32)
 	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, badf("integer field %d out of range", v)
+		return 0, badf("malformed integer record")
 	}
 	return int(v), nil
 }
@@ -166,44 +142,12 @@ func snapJSON(payload []byte, v any) error {
 // decodeSnapshot parses and structurally validates snapshot bytes. Every
 // failure wraps ErrBadSnapshot; nothing is applied anywhere.
 func decodeSnapshot(snap []byte) (*snapshotData, error) {
-	if len(snap) < len(snapMagic)+1+4 {
-		return nil, badf("truncated (%d bytes)", len(snap))
-	}
-	if string(snap[:len(snapMagic)]) != snapMagic {
-		return nil, badf("bad magic")
-	}
-	body, sum := snap[:len(snap)-4], binary.BigEndian.Uint32(snap[len(snap)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, badf("checksum mismatch")
-	}
-	rest := body[len(snapMagic):]
-	version, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, badf("malformed version")
-	}
-	if version == 0 || version > snapVersion {
-		return nil, badf("unsupported version %d (max %d)", version, snapVersion)
-	}
-	rest = rest[n:]
 	d := &snapshotData{}
-	for len(rest) > 0 {
-		tag, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, badf("malformed record tag")
-		}
-		rest = rest[n:]
-		size, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, badf("malformed record length")
-		}
-		rest = rest[n:]
-		if size > maxSnapshotField || size > uint64(len(rest)) {
-			return nil, badf("record %d claims %d bytes, %d remain", tag, size, len(rest))
-		}
-		payload := rest[:size]
-		rest = rest[size:]
+	sc := tagrec.Open(snap, snapMagic, 1, snapVersion, maxSnapshotField)
+	for sc.Next() {
+		payload := sc.Payload
 		var err error
-		switch tag {
+		switch sc.Tag {
 		case tagVideoSum:
 			if len(payload) != sha256.Size {
 				return nil, badf("video digest is %d bytes", len(payload))
@@ -237,6 +181,9 @@ func decodeSnapshot(snap []byte) (*snapshotData, error) {
 			return nil, err
 		}
 	}
+	if err := sc.Err(); err != nil {
+		return nil, badf("%v", err)
+	}
 	if d.videoSum == nil || !d.hasState || !d.hasSegment || !d.hasCursor {
 		return nil, badf("missing required fields")
 	}
@@ -246,16 +193,6 @@ func decodeSnapshot(snap []byte) (*snapshotData, error) {
 		}
 	}
 	return d, nil
-}
-
-// RestoreSession reopens a package blob and resumes the snapshotted
-// session in it. See RestoreSessionFromPackage.
-func RestoreSession(pkgBlob []byte, snap []byte, opts Options) (*Session, error) {
-	pkg, err := gamepack.Open(pkgBlob)
-	if err != nil {
-		return nil, err
-	}
-	return RestoreSessionFromPackage(pkg, snap, opts)
 }
 
 // RestoreSessionFromPackage thaws a snapshot over an already-opened

@@ -12,23 +12,40 @@ import (
 	"repro/internal/content"
 	"repro/internal/gamepack"
 	"repro/internal/media/studio"
+	"repro/internal/tagrec"
 )
 
-var (
-	snapOnce    sync.Once
-	snapBlob    []byte
-	snapBlobErr error
-)
+// The classroom package, built and opened once for every test in the
+// package.
+var snapFixture = sync.OnceValues(func() (fx struct {
+	blob []byte
+	pkg  *gamepack.Package
+}, err error) {
+	if fx.blob, err = content.Classroom().BuildPackage(studio.Options{QStep: 8}); err == nil {
+		fx.pkg, err = gamepack.Open(fx.blob)
+	}
+	return fx, err
+})
 
 func snapPackage(t testing.TB) []byte {
 	t.Helper()
-	snapOnce.Do(func() {
-		snapBlob, snapBlobErr = content.Classroom().BuildPackage(studio.Options{QStep: 8})
-	})
-	if snapBlobErr != nil {
-		t.Fatal(snapBlobErr)
+	fx, err := snapFixture()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return snapBlob
+	return fx.blob
+}
+
+// snapOpened is the same package opened, for the restores: a snapshot binds
+// to its footage's digest, not to the *gamepack.Package it was taken on, so
+// sessions built from the blob restore onto it.
+func snapOpened(t testing.TB) *gamepack.Package {
+	t.Helper()
+	fx, err := snapFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fx.pkg
 }
 
 // playFirstHalf drives a session through the first leg of the classroom
@@ -88,7 +105,7 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	snap := first.Snapshot()
 
 	secondRec := &recorder{}
-	second, err := RestoreSession(blob, snap, Options{Observer: secondRec})
+	second, err := RestoreSessionFromPackage(snapOpened(t), snap, Options{Observer: secondRec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +169,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 		t.Fatal("equal states produced different snapshot bytes")
 	}
 	// And back-to-back snapshots of one untouched session agree too.
-	s, err := RestoreSession(blob, a, Options{})
+	s, err := RestoreSessionFromPackage(snapOpened(t), a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +190,7 @@ func TestSnapshotSelectedItem(t *testing.T) {
 	if err := s.SelectItem("coin"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := RestoreSession(blob, s.Snapshot(), Options{})
+	r, err := RestoreSessionFromPackage(snapOpened(t), s.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +222,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	}
 	playFirstHalf(s)
 	good := s.Snapshot()
-	if _, err := RestoreSession(blob, good, Options{}); err != nil {
+	if _, err := RestoreSessionFromPackage(snapOpened(t), good, Options{}); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
 
@@ -249,7 +266,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RestoreSession(blob, tc.snap, Options{})
+			_, err := RestoreSessionFromPackage(snapOpened(t), tc.snap, Options{})
 			if err == nil {
 				t.Fatal("corrupt snapshot restored")
 			}
@@ -278,14 +295,12 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := make([]byte, 0, len(good))
-		b = append(b, snapMagic...)
-		b = binary.AppendUvarint(b, snapVersion)
+		b := tagrec.Begin(make([]byte, 0, len(good)), snapMagic, snapVersion)
 		put := func(tg uint64, p []byte) {
 			if tg == tag {
 				p = payload
 			}
-			b = appendRecord(b, tg, p)
+			b = tagrec.Append(b, tg, p)
 		}
 		put(tagVideoSum, d.videoSum)
 		put(tagState, d.stateRaw)
@@ -296,7 +311,7 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 		put(tagQuizzes, mustJSON(d.quizzes))
 		put(tagSegment, []byte(d.segment))
 		put(tagCursor, binary.AppendUvarint(nil, uint64(d.cursor)))
-		return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+		return tagrec.Finish(b, 0)
 	}
 	cases := []struct {
 		name string
@@ -312,7 +327,7 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RestoreSession(blob, tc.snap, Options{})
+			_, err := RestoreSessionFromPackage(snapOpened(t), tc.snap, Options{})
 			if err == nil {
 				t.Fatal("semantically corrupt snapshot restored")
 			}
@@ -327,11 +342,7 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 // restore a fully-valid session or be rejected with ErrBadSnapshot —
 // never panic, never half-restore.
 func FuzzRestoreSession(f *testing.F) {
-	blob := snapPackage(f)
-	pkg, err := gamepack.Open(blob)
-	if err != nil {
-		f.Fatal(err)
-	}
+	pkg := snapOpened(f)
 	s, err := NewSessionFromPackage(pkg, Options{})
 	if err != nil {
 		f.Fatal(err)
