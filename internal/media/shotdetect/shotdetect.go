@@ -6,7 +6,8 @@
 // frames: a hard cut is a spike that towers over its local neighborhood; a
 // gradual transition (fade/dissolve) is a sustained drift that never spikes,
 // caught by comparing frames a few steps apart ("twin comparison").
-// Histograms are computed in parallel across worker goroutines.
+// Histograms are computed one frame behind the fetch by a single pipelined
+// worker goroutine.
 package shotdetect
 
 import (

@@ -116,4 +116,35 @@ func BenchmarkQuantize(b *testing.B) {
 	b.ReportMetric(float64(len(intra)), "blocks/op")
 }
 
+// BenchmarkCodeBlock runs the block-coding stage over the same plane pair at
+// the same step, from bytes to levels and their cost, the way
+// encodeBlockRow codes a P-block that is not skipped: both candidates, and
+// the cheaper one's levels in scan order. It is SSE2 on amd64 and the Go
+// functions elsewhere — the stage fdct8x8, both quantizers and codeCost make
+// up, with the loads and residuals they need.
+func BenchmarkCodeBlock(b *testing.B) {
+	film := benchFilm()
+	ref, src := toYCbCr(film.Render(3)).y, toYCbCr(film.Render(4)).y
+	coder := newBlockCoder(8)
+	var mc, in candidate
+	var sink int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for y0 := 0; y0 < src.h; y0 += blockSize {
+			for x0 := 0; x0 < src.w; x0 += blockSize {
+				coder.load(src, x0, y0)
+				coder.inter(ref, x0, y0, &mc)
+				coder.intra(&in)
+				chosen := &in
+				if mc.cost()+1 <= in.cost() {
+					chosen = &mc
+				}
+				sink += int(chosen.levels()[1])
+			}
+		}
+	}
+	benchSink = sink
+	b.ReportMetric(float64(src.w/blockSize*src.h/blockSize), "blocks/op")
+}
+
 var benchSink int

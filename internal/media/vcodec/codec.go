@@ -223,11 +223,18 @@ func (e *Encoder) Reset() { e.ladder.Reset() }
 
 // encodeBlockRow codes all blocks with top edge at by*blockSize, writing
 // reconstructed samples into recon (its rows are disjoint across calls).
+//
+// A coded block's candidates come from blockCoder, the block-coding stage:
+// the residual against a prediction, fdct8x8, quantize (intra) or
+// quantizeDeadzone (motion-compensated), codeCost. It has two
+// implementations chosen by the build target, SSE2 on amd64 (dct_amd64.s)
+// and those Go functions everywhere else (dct_other.go); both produce the
+// Go functions' levels, so the mode decisions and the bytes are the same.
 func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRange int) {
-	var cur, res, coefs [64]int32
-	var levels, levelsI [64]int32
+	var mc, in candidate
 	var packed packedBlock
 	var blk coefBlock
+	coder := newBlockCoder(qstep)
 	y0 := by * blockSize
 	for x0 := 0; x0 < src.w; x0 += blockSize {
 		// Perfect skip first: if the co-located reference block is
@@ -238,51 +245,37 @@ func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRang
 			copyBlock(ref, x0, y0, recon, x0, y0)
 			continue
 		}
-		loadBlock(src, x0, y0, &cur)
+		coder.load(src, x0, y0)
 		if ref == nil {
 			// I-frame (or I-coded plane): intra is the only mode.
-			for i := range cur {
-				res[i] = cur[i] - 128
-			}
-			fdct8x8(&res, &coefs)
-			quantize(&coefs, qstep, &levelsI)
+			coder.intra(&in)
 			w.u8(modeIntra)
-			codeLevels(w, &levelsI, qstep, &blk)
+			codeLevels(w, in.levels(), qstep, &blk)
 			reconstruct(&blk, nil, 0, 0, recon, x0, y0)
 			continue
 		}
 		// Motion search (includes the (0,0) candidate even when range is 0).
 		packed.load(src, x0, y0)
 		mvx, mvy := motionSearch(&packed, ref, x0, y0, searchRange)
-		loadBlock(ref, x0+mvx, y0+mvy, &res)
-		for i := range res {
-			res[i] = cur[i] - res[i]
-		}
-		fdct8x8(&res, &coefs)
-		quantizeDeadzone(&coefs, qstep, &levels)
-		if allZero(&levels) && mvx == 0 && mvy == 0 {
+		coder.inter(ref, x0+mvx, y0+mvy, &mc)
+		mcCost := mc.cost() + 1 // +1 byte for the motion vector
+		if mcCost == emptyCost+1 && mvx == 0 && mvy == 0 {
 			// Residual vanishes at this quantizer: perfect skip.
 			w.u8(modeSkip)
 			copyBlock(ref, x0, y0, recon, x0, y0)
 			continue
 		}
 		// Intra candidate, only computed once skip is off the table.
-		for i := range cur {
-			res[i] = cur[i] - 128
-		}
-		fdct8x8(&res, &coefs)
-		quantize(&coefs, qstep, &levelsI)
-		intraCost := codeCost(&levelsI)
-		mcCost := codeCost(&levels) + 1 // +1 byte for the motion vector
-		if mcCost <= intraCost {
+		coder.intra(&in)
+		if mcCost <= in.cost() {
 			w.u8(modeMC)
 			w.u8(packMV(mvx, mvy))
-			codeLevels(w, &levels, qstep, &blk)
+			codeLevels(w, mc.levels(), qstep, &blk)
 			reconstruct(&blk, ref, x0+mvx, y0+mvy, recon, x0, y0)
 			continue
 		}
 		w.u8(modeIntra)
-		codeLevels(w, &levelsI, qstep, &blk)
+		codeLevels(w, in.levels(), qstep, &blk)
 		reconstruct(&blk, nil, 0, 0, recon, x0, y0)
 	}
 }
@@ -499,14 +492,9 @@ func codeCost(levels *[64]int32) int {
 	return cost
 }
 
-func allZero(levels *[64]int32) bool {
-	for _, l := range levels {
-		if l != 0 {
-			return false
-		}
-	}
-	return true
-}
+// emptyCost is codeCost of an all-zero level set: the mode byte and the pair
+// count, and the only level set that costs so little.
+const emptyCost = 2
 
 func packMV(dx, dy int) uint8 {
 	return uint8((dx+8)<<4 | (dy + 8))

@@ -7,14 +7,17 @@
 // scanned and entropy coded with run-length + varint coding. Frames are
 // either intra (I) or predicted (P); P-frame blocks choose per-block between
 // SKIP (copy from the reference), motion compensation with coded residual,
-// and intra coding. Block rows are independent, so both encode and decode
-// fan out across persistent worker goroutines.
+// and intra coding. Block rows are independent chunks of the bitstream;
+// encode and decode walk them in order on the caller's goroutine.
 //
 // The transform is a scaled fixed-point integer DCT (Loeffler-Ligtenberg-
 // Moshovitz butterfly, 13-bit constants): the hot path is pure int32/int64
 // arithmetic with no float conversions. Coefficients carry three fractional
 // bits (values are 8× the orthonormal DCT), which the quantizer folds into
-// its divisor, so DC steps of half a unit stay exactly representable.
+// its divisor, so DC steps of half a unit stay exactly representable. Each
+// pass of the forward butterfly is an exact integer matrix product before
+// its descale (fdctMatrix), which is how the encoder's SSE2 block-coding
+// stage computes it on amd64 (dct_amd64.s).
 //
 // It substitutes for the DirectShow-era playback stack the paper relied on:
 // what the IVGBL runtime needs from a codec is random access at segment
@@ -138,6 +141,26 @@ func fdct8x8(src *[64]int32, dst *[64]int32) {
 		dst[c+24] = int32(descale(a6+z2+z3, constBits+pass1Bits))
 		dst[c+8] = int32(descale(a7+z1+z4, constBits+pass1Bits))
 	}
+}
+
+// fdctMatrix returns the one 8×8 integer matrix both of fdct8x8's passes
+// multiply by before their descale: a pass maps a line x to
+// descale(Σₙ m[k][n]·x[n], s), s = constBits−pass1Bits for the rows and
+// constBits+pass1Bits for the columns. The butterfly is integer sums and
+// products, so it is exactly this product; the matrix is read off fdct8x8
+// itself, not from cosines. An impulse of 2^constBits at row 0, column n
+// leaves row 0 of the row pass as 2^pass1Bits·m[·][n], which the column
+// pass's DC weight (2^constBits) carries unrounded into row 0 of the output.
+func fdctMatrix() (m [8][8]int32) {
+	for n := range blockSize {
+		var src, dst [64]int32
+		src[n] = 1 << constBits
+		fdct8x8(&src, &dst)
+		for k := range blockSize {
+			m[k][n] = dst[k]
+		}
+	}
+	return m
 }
 
 // coefBlock is one block's dequantized coefficients in natural (row-major)

@@ -519,3 +519,154 @@ func TestQuantizeMatchesDivision(t *testing.T) {
 		}
 	}
 }
+
+// TestFDCTMatrixBounds is the overflow proof of the SSE2 transform
+// (dct_amd64.s), rebuilt from the Go butterfly on every run: a changed
+// constant, pass1Bits or residual range fails here instead of wrapping
+// silently in the kernel. The kernel keeps samples, row outputs and the
+// butterfly's sums in 16-bit words, multiplies words by fdctMatrix entries
+// with 32-bit sums (PMADDWD) and descales in 32 bits; the odd rows and rows
+// 0, 2, 4, 6 take the butterfly's sums and differences as their inputs.
+func TestFDCTMatrixBounds(t *testing.T) {
+	const maxResidual = 255 // cur − pred of two bytes
+	m := fdctMatrix()
+
+	// The same matrix is read off the column pass: an impulse down column 0.
+	for n := 0; n < blockSize; n++ {
+		var src, dst [64]int32
+		src[n*blockSize] = 1 << constBits
+		fdct8x8(&src, &dst)
+		for k := 0; k < blockSize; k++ {
+			if dst[k*blockSize] != m[k][n] {
+				t.Fatalf("column pass weighs input %d of output %d by %d, the row pass by %d", n, k, dst[k*blockSize], m[k][n])
+			}
+		}
+	}
+	// The structure the kernel's pairs rely on (buildFDCTPairs).
+	for k := 0; k < blockSize; k++ {
+		for n := 0; n < blockSize/2; n++ {
+			if even := k%2 == 0; (even && m[k][n] != m[k][7-n]) || (!even && m[k][n] != -m[k][7-n]) {
+				t.Fatalf("row %d is not %s: m[%d][%d] = %d, m[%d][%d] = %d", k, map[bool]string{true: "symmetric", false: "antisymmetric"}[even], k, n, m[k][n], k, 7-n, m[k][7-n])
+			}
+		}
+	}
+	for _, k := range []int{0, 4} { // weighs t10 = a0+a3 and t11 = a1+a2
+		if m[k][0] != m[k][3] || m[k][1] != m[k][2] {
+			t.Fatalf("row %d is not a weighing of (t10, t11): %v", k, m[k])
+		}
+	}
+	for _, k := range []int{2, 6} { // weighs t13 = a0−a3 and t12 = a1−a2
+		if m[k][0] != -m[k][3] || m[k][1] != -m[k][2] {
+			t.Fatalf("row %d is not a weighing of (t13, t12): %v", k, m[k])
+		}
+	}
+
+	var maxC, rowSum, colSum int64 // rowSum, colSum: the largest Σₙ|m[k][n]|
+	for k := range m {
+		var s int64
+		for _, c := range m[k] {
+			a := int64(c)
+			if a < 0 {
+				a = -a
+			}
+			maxC = max(maxC, a)
+			s += a
+		}
+		rowSum = max(rowSum, s)
+	}
+	colSum = rowSum
+	rowOut := (rowSum*maxResidual + 1<<(constBits-pass1Bits-1)) >> (constBits - pass1Bits)
+	colAcc := colSum*rowOut + 1<<(constBits+pass1Bits-1)
+	coefOut := colAcc >> (constBits + pass1Bits)
+	t.Logf("max |m| %d; row outputs ≤ %d; column sums ≤ %d (%.0f%% of 2³¹); outputs ≤ %d", maxC, rowOut, colAcc, 100*float64(colAcc)/(1<<31), coefOut)
+	if maxC > math.MaxInt16 {
+		t.Errorf("a matrix entry of %d does not fit a PMADDWD word", maxC)
+	}
+	if rowOut > 8160 {
+		t.Errorf("row outputs reach %d, above the 8160 the column pass's word sums are sized for", rowOut)
+	}
+	if 4*rowOut > math.MaxInt16 { // t10 and t13 add four row outputs in a word
+		t.Errorf("the column pass's butterfly sums reach %d, past a word", 4*rowOut)
+	}
+	if colAcc > math.MaxInt32 {
+		t.Errorf("column sums reach %d with rounding, past a dword", colAcc)
+	}
+	if coefOut > math.MaxInt16 || coefOut > 64*maxResidual {
+		t.Errorf("coefficients reach %d, past the 64·255 the quantizer is sized for", coefOut)
+	}
+	if _, acDiv := quantDivisors(128); coefOut+int64(acDiv/2) >= 1<<15 {
+		t.Errorf("a quantizer numerator reaches %d, past 2¹⁵", coefOut+int64(acDiv/2))
+	}
+}
+
+// checkBlockCoder codes the block of src at (x0,y0) through blockCoder, as
+// an inter candidate against pred at (px,py) and as an intra one, and
+// requires the Go functions' levels and codeCost of each.
+func checkBlockCoder(t *testing.T, coder *blockCoder, qstep int, src *plane, x0, y0 int, pred *plane, px, py int) {
+	t.Helper()
+	var cur, res, coefs, wantMC, wantIn [64]int32
+	loadBlock(src, x0, y0, &cur)
+	loadBlock(pred, px, py, &res)
+	for i := range res {
+		res[i] = cur[i] - res[i]
+	}
+	fdct8x8(&res, &coefs)
+	quantizeDeadzone(&coefs, qstep, &wantMC)
+	for i := range res {
+		res[i] = cur[i] - 128
+	}
+	fdct8x8(&res, &coefs)
+	quantize(&coefs, qstep, &wantIn)
+
+	var mc, in candidate
+	coder.load(src, x0, y0)
+	coder.inter(pred, px, py, &mc)
+	coder.intra(&in)
+	if mc.cost() != codeCost(&wantMC) || *mc.levels() != wantMC {
+		t.Fatalf("q%d block (%d,%d) against (%d,%d): inter levels %v cost %d, want %v cost %d",
+			qstep, x0, y0, px, py, *mc.levels(), mc.cost(), wantMC, codeCost(&wantMC))
+	}
+	if in.cost() != codeCost(&wantIn) || *in.levels() != wantIn {
+		t.Fatalf("q%d block (%d,%d): intra levels %v cost %d, want %v cost %d",
+			qstep, x0, y0, *in.levels(), in.cost(), wantIn, codeCost(&wantIn))
+	}
+	if (mc.cost() == emptyCost) != allZero(&wantMC) {
+		t.Fatalf("q%d block (%d,%d): inter cost %d but allZero %v", qstep, x0, y0, mc.cost(), allZero(&wantMC))
+	}
+}
+
+// TestBlockCoderMatchesGo holds the block-coding stage — SSE2 on amd64 — to
+// loadBlock, fdct8x8, quantize/quantizeDeadzone and codeCost at every
+// quantizer step, on noise, on 0/255 extremes (±255 residuals, every level
+// at its largest), and on blocks identical to their prediction, at every
+// block of a 40×24 plane against predictions at other offsets and strides.
+func TestBlockCoderMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	fills := map[string]func(p *plane){
+		"noise": func(p *plane) { rng.Read(p.pix) },
+		"extremes": func(p *plane) {
+			for i := range p.pix {
+				p.pix[i] = uint8(255 * rng.Intn(2))
+			}
+		},
+	}
+	for name, fill := range fills {
+		t.Run(name, func(t *testing.T) {
+			src, pred := newPlane(40, 24), newPlane(48, 16)
+			fill(src)
+			fill(pred)
+			same := newPlane(40, 24)
+			copy(same.pix, src.pix)
+			for qstep := 1; qstep <= 128; qstep++ {
+				coder := newBlockCoder(qstep)
+				for y0 := 0; y0 < src.h; y0 += blockSize {
+					for x0 := 0; x0 < src.w; x0 += blockSize {
+						px, py := rng.Intn(pred.w-blockSize+1), rng.Intn(pred.h-blockSize+1)
+						checkBlockCoder(t, &coder, qstep, src, x0, y0, pred, px, py)
+						checkBlockCoder(t, &coder, qstep, src, x0, y0, same, x0, y0)
+					}
+				}
+			}
+		})
+	}
+}

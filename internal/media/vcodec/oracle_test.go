@@ -129,6 +129,17 @@ func dequantize(levels *[64]int32, qstep int, coefs *[64]int32) {
 	}
 }
 
+// allZero is the skip test encodeBlockRow made before its block-coding stage
+// returned a cost; cost == emptyCost is held to it.
+func allZero(levels *[64]int32) bool {
+	for _, l := range levels {
+		if l != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // readLevels reverses writeLevels.
 func readLevels(r *byteReader, levels *[64]int32) error {
 	for i := range levels {
