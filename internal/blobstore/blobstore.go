@@ -13,6 +13,14 @@
 // may also run cache-only (no backend): that shape is the client-side
 // chunk cache, where eviction is harmless because any chunk can be
 // refetched by hash.
+//
+// Two puts fill a store. Put hashes the bytes to find their address and
+// keeps a copy, so a publisher may hand it slices of a package it goes on
+// using. Adopt takes the address the caller expects (a manifest entry),
+// hashes once to check it, and refuses a mismatch with ErrCorrupt; a
+// cache-only store then keeps the caller's buffer itself. It is how a
+// delivery client verifies a fetched chunk and caches it with one SHA-256
+// and no copy.
 package blobstore
 
 import (
@@ -397,29 +405,54 @@ func (s *Store) insert(h Hash, data []byte) {
 }
 
 // Put stores a chunk under its own hash and reports the address and
-// whether the chunk was new to the store.
+// whether the chunk was new to the store. The store keeps a copy: the
+// caller may reuse data afterwards.
 func (s *Store) Put(data []byte) (Hash, bool, error) {
 	h := Sum(data)
+	added, err := s.put(h, data, true)
+	return h, added, err
+}
+
+// Adopt stores a chunk under the address the caller expects it to have,
+// reporting whether it was new. It hashes data once and compares: on a
+// mismatch it returns ErrCorrupt and stores nothing, so verifying a
+// fetched chunk and caching it are one SHA-256. A cache-only store keeps
+// data itself, without copying — the caller hands the buffer over and
+// must not modify it afterwards; a backed store hands it to the backend
+// (Memory copies, Disk writes it out).
+func (s *Store) Adopt(h Hash, data []byte) (bool, error) {
+	if Sum(data) != h {
+		return false, fmt.Errorf("%w: %s", ErrCorrupt, h)
+	}
+	return s.put(h, data, false)
+}
+
+// put stores data under h, which the caller has already checked; a
+// cache-only store copies data first when clone is set.
+func (s *Store) put(h Hash, data []byte, clone bool) (bool, error) {
 	if s.backend == nil {
 		s.mu.Lock()
 		_, dup := s.m[h]
 		if !dup {
-			s.insert(h, append([]byte(nil), data...))
+			if clone {
+				data = append([]byte(nil), data...)
+			}
+			s.insert(h, data)
 		}
 		s.mu.Unlock()
 		if dup {
 			s.dedupHits.Add(1)
 		}
-		return h, !dup, nil
+		return !dup, nil
 	}
 	added, err := s.backend.Put(h, data)
 	if err != nil {
-		return h, false, err
+		return false, err
 	}
 	if !added {
 		s.dedupHits.Add(1)
 	}
-	return h, added, nil
+	return added, nil
 }
 
 // Get returns a chunk's bytes. The slice is shared and must be treated as

@@ -278,6 +278,60 @@ func TestCacheOnlyStore(t *testing.T) {
 	}
 }
 
+// TestAdoptVerifiesThenKeeps pins the two puts: Put copies on every store
+// shape; Adopt refuses bytes that do not hash to the expected address
+// (storing nothing), keeps the caller's buffer on a cache-only store and
+// leaves copying to the backend on a backed one.
+func TestAdoptVerifiesThenKeeps(t *testing.T) {
+	cache := NewCache(1 << 20)
+	data := chunk(7, 300)
+	h := Sum(data)
+
+	put := append([]byte(nil), data...)
+	cache.Put(put)
+	put[0] ^= 0xff
+	if got, err := cache.Get(h); err != nil || Sum(got) != h {
+		t.Fatalf("cache-only Put aliases the caller's buffer: %v", err)
+	}
+	cache.Remove(h)
+
+	bad := append([]byte(nil), data...)
+	bad[len(bad)/2] ^= 0x01
+	if added, err := cache.Adopt(h, bad); !errors.Is(err, ErrCorrupt) || added {
+		t.Fatalf("Adopt of corrupted bytes = (%v, %v), want ErrCorrupt", added, err)
+	}
+	if cache.Has(h) || cache.Has(Sum(bad)) || cache.Stats().Chunks != 0 {
+		t.Fatal("a rejected Adopt left a chunk resident")
+	}
+
+	if added, err := cache.Adopt(h, data); err != nil || !added {
+		t.Fatalf("Adopt = (%v, %v)", added, err)
+	}
+	got, err := cache.Get(h)
+	if err != nil || &got[0] != &data[0] {
+		t.Fatalf("cache-only Adopt copied the buffer (or lost it: %v)", err)
+	}
+	if added, err := cache.Adopt(h, append([]byte(nil), data...)); err != nil || added {
+		t.Fatalf("duplicate Adopt = (%v, %v), want a dedup hit", added, err)
+	}
+	if st := cache.Stats(); st.DedupHits != 1 || st.Chunks != 1 {
+		t.Errorf("after a duplicate Adopt: %+v", st)
+	}
+
+	backed, err := New(Options{Backend: NewMemory(), CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := append([]byte(nil), data...)
+	if _, err := backed.Adopt(h, mine); err != nil {
+		t.Fatal(err)
+	}
+	mine[0] ^= 0xff
+	if got, err := backed.Get(h); err != nil || Sum(got) != h {
+		t.Fatalf("backed Adopt aliases the caller's buffer: %v", err)
+	}
+}
+
 func TestOversizedChunkDoesNotThrash(t *testing.T) {
 	s := NewCache(64)
 	data := chunk(1, 256) // bigger than the whole budget

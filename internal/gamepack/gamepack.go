@@ -120,25 +120,54 @@ type section struct {
 	data []byte
 }
 
-// assemble serializes sections in order with the TKGP framing. It is
-// deterministic: the same payloads always produce the same bytes, which
-// is what lets a delta-syncing client reassemble a bit-identical blob
-// from the manifest's chunks.
+// assemble serializes sections in order with the TKGP framing, into one
+// buffer sized up front. It is deterministic: the same payloads always
+// produce the same bytes, which is what lets a delta-syncing client
+// reassemble a bit-identical blob from the manifest's chunks.
 func assemble(sections []section) []byte {
-	var buf []byte
-	buf = append(buf, magic...)
-	buf = append(buf, version)
-	buf = binary.AppendUvarint(buf, uint64(len(sections)))
+	n := headerLen(len(sections))
 	for _, s := range sections {
-		buf = binary.AppendUvarint(buf, uint64(len(s.name)))
-		buf = append(buf, s.name...)
-		buf = binary.AppendUvarint(buf, uint64(len(s.data)))
-		var crc [4]byte
-		binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(s.data))
-		buf = append(buf, crc[:]...)
+		n += frameLen(s.name, len(s.data)) + len(s.data)
+	}
+	buf := appendHeader(make([]byte, 0, n), len(sections))
+	for _, s := range sections {
+		var crcAt int
+		buf, crcAt = appendFrame(buf, s.name, len(s.data))
 		buf = append(buf, s.data...)
+		sealFrame(buf, crcAt)
 	}
 	return buf
+}
+
+// headerLen is the size of the package header for n sections.
+func headerLen(n int) int { return len(magic) + 1 + uvarintLen(uint64(n)) }
+
+// frameLen is the framing that precedes a section's payload: name length,
+// name, payload length and CRC.
+func frameLen(name string, size int) int {
+	return uvarintLen(uint64(len(name))) + len(name) + uvarintLen(uint64(size)) + 4
+}
+
+// appendHeader appends the package header for n sections.
+func appendHeader(buf []byte, n int) []byte {
+	buf = append(buf, magic...)
+	buf = append(buf, version)
+	return binary.AppendUvarint(buf, uint64(n))
+}
+
+// appendFrame appends a section's framing with a zero CRC and returns the
+// CRC's offset; sealFrame fills it in once the payload follows it.
+func appendFrame(buf []byte, name string, size int) ([]byte, int) {
+	buf = binary.AppendUvarint(buf, uint64(len(name)))
+	buf = append(buf, name...)
+	buf = binary.AppendUvarint(buf, uint64(size))
+	return append(buf, 0, 0, 0, 0), len(buf)
+}
+
+// sealFrame writes the CRC at crcAt over the payload after it, which runs
+// to the end of buf.
+func sealFrame(buf []byte, crcAt int) {
+	binary.BigEndian.PutUint32(buf[crcAt:], crc32.ChecksumIEEE(buf[crcAt+4:]))
 }
 
 // Build assembles a .tkg blob from a project and its video container,

@@ -211,22 +211,30 @@ type SectionLoc struct {
 // lands in the assembled blob and the blob's total size. It exists so a
 // delta-syncing client can plan ranged access from the manifest alone.
 func (m *Manifest) Layout() ([]SectionLoc, int) {
-	manSize := len(m.Encode())
-	pos := 5 // magic + version
-	pos += uvarintLen(uint64(len(m.Sections)))
+	return m.layout(len(m.Encode()))
+}
+
+// layout is Layout with the manifest's own encoded size given.
+func (m *Manifest) layout(selfSize int) ([]SectionLoc, int) {
+	pos := headerLen(len(m.Sections))
 	locs := make([]SectionLoc, len(m.Sections))
-	for i, sc := range m.Sections {
+	for i := range m.Sections {
+		sc := &m.Sections[i]
 		size := sc.PayloadSize()
-		if sc.Name == SectionManifest && len(sc.Chunks) == 0 {
-			size = manSize
+		if sc.isSelf() {
+			size = selfSize
 		}
-		pos += uvarintLen(uint64(len(sc.Name))) + len(sc.Name)
-		pos += uvarintLen(uint64(size))
-		pos += 4 // crc
+		pos += frameLen(sc.Name, size)
 		locs[i] = SectionLoc{Name: sc.Name, Off: pos, Size: size}
 		pos += size
 	}
 	return locs, pos
+}
+
+// isSelf reports whether the entry is the manifest's own placeholder,
+// which assembly fills with the manifest's encoding.
+func (sc *SectionChunks) isSelf() bool {
+	return sc.Name == SectionManifest && len(sc.Chunks) == 0
 }
 
 func uvarintLen(v uint64) int {
@@ -240,7 +248,12 @@ func uvarintLen(v uint64) int {
 
 // AssembleSection rebuilds one section's payload by fetching its chunks.
 func (sc *SectionChunks) AssembleSection(get func(blobstore.Hash) ([]byte, error)) ([]byte, error) {
-	payload := make([]byte, 0, sc.PayloadSize())
+	return sc.appendPayload(make([]byte, 0, sc.PayloadSize()), get)
+}
+
+// appendPayload appends the section's chunks to buf in order, checking
+// each against its manifest size.
+func (sc *SectionChunks) appendPayload(buf []byte, get func(blobstore.Hash) ([]byte, error)) ([]byte, error) {
 	for _, c := range sc.Chunks {
 		data, err := get(c.Hash)
 		if err != nil {
@@ -250,29 +263,36 @@ func (sc *SectionChunks) AssembleSection(get func(blobstore.Hash) ([]byte, error
 			return nil, fmt.Errorf("%w: section %q chunk %s is %d bytes, manifest says %d",
 				ErrBadManifest, sc.Name, c.Hash, len(data), c.Size)
 		}
-		payload = append(payload, data...)
+		buf = append(buf, data...)
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // Assemble rebuilds the complete package blob from chunks. Because
 // section framing (varints, CRCs) is recomputed deterministically, the
-// result is byte-identical to the blob the manifest was derived from.
+// result is byte-identical to the blob the manifest was derived from. The
+// blob is sized from the manifest (Layout's total) and every chunk is
+// copied into it once, with each section's CRC taken over the bytes in
+// place.
 func (m *Manifest) Assemble(get func(blobstore.Hash) ([]byte, error)) ([]byte, error) {
-	secs := make([]section, len(m.Sections))
+	self := m.Encode()
+	locs, total := m.layout(len(self))
+	blob := appendHeader(make([]byte, 0, total), len(m.Sections))
 	for i := range m.Sections {
 		sc := &m.Sections[i]
-		if sc.Name == SectionManifest && len(sc.Chunks) == 0 {
-			secs[i] = section{SectionManifest, m.Encode()}
-			continue
+		var crcAt int
+		blob, crcAt = appendFrame(blob, sc.Name, locs[i].Size)
+		if sc.isSelf() {
+			blob = append(blob, self...)
+		} else {
+			var err error
+			if blob, err = sc.appendPayload(blob, get); err != nil {
+				return nil, err
+			}
 		}
-		payload, err := sc.AssembleSection(get)
-		if err != nil {
-			return nil, err
-		}
-		secs[i] = section{sc.Name, payload}
+		sealFrame(blob, crcAt)
 	}
-	return assemble(secs), nil
+	return blob, nil
 }
 
 // --- chunking ---------------------------------------------------------------
@@ -378,7 +398,7 @@ func DepositChunks(blob []byte, store *blobstore.Store) (*Manifest, error) {
 		return nil, err
 	}
 	for _, sc := range man.Sections {
-		if sc.Name == SectionManifest && len(sc.Chunks) == 0 {
+		if sc.isSelf() {
 			continue // placeholder: the manifest is re-encoded at assembly
 		}
 		loc, ok := secs[sc.Name]

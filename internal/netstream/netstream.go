@@ -626,7 +626,9 @@ const retryBudget = 2 * time.Second
 // degrade GET on a throttled link legitimately outlasts any fixed bound.
 // A request the server answered counts once in st however many attempts
 // it took; a 304 to a conditional GET returns notModified with no body.
-func (c *Client) get(url, etag string, st *Stats) (body []byte, respETag string, notModified bool, err error) {
+// A 200's body is read into a buffer that starts at capacity bodyCap (see
+// readBody).
+func (c *Client) get(url, etag string, bodyCap int, st *Stats) (body []byte, respETag string, notModified bool, err error) {
 	req := &faultnet.Request{Method: http.MethodGet, URL: url}
 	if etag != "" {
 		req.Header = http.Header{"If-None-Match": {etag}}
@@ -637,7 +639,7 @@ func (c *Client) get(url, etag string, st *Stats) (body []byte, respETag string,
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			var rerr error
-			body, rerr = io.ReadAll(resp.Body)
+			body, rerr = readBody(resp.Body, bodyCap)
 			respETag = resp.Header.Get("ETag")
 			return rerr, true
 		case etag != "" && resp.StatusCode == http.StatusNotModified:
@@ -657,6 +659,33 @@ func (c *Client) get(url, etag string, st *Stats) (body []byte, respETag string,
 	}
 	st.BytesFetched += len(body)
 	return body, respETag, notModified, nil
+}
+
+// anyBodyCap is the starting capacity for a body of unknown size (the
+// manifest, a whole package, a resource): io.ReadAll's.
+const anyBodyCap = 512
+
+// readBody reads r to EOF, as io.ReadAll does, into a buffer that starts
+// at capacity n and grows only when the body outruns it. A chunk GET
+// passes its manifest size plus one: an honest body fills the buffer to
+// that size and ends, so it is read into one exact allocation, and the
+// spare byte is what lets a longer body show — it is then read out in
+// full and refused by the caller's length check, never cut to fit.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, 0, n)
+	for {
+		k, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // DefaultCacheBudget bounds a PackageCache's assembled-package tier.
@@ -793,7 +822,7 @@ func (c *Client) downloadWhole(url string, cache *PackageCache, st *Stats) ([]by
 	if have {
 		etag = cached.etag
 	}
-	blob, respETag, notModified, err := c.get(url, etag, st)
+	blob, respETag, notModified, err := c.get(url, etag, anyBodyCap, st)
 	if err != nil {
 		return nil, err
 	}
@@ -815,17 +844,26 @@ func splitPkgURL(url string) (base, name string, ok bool) {
 
 // fetchChunk transfers one chunk and verifies it against its address; a
 // chunk whose bytes do not hash to their name is rejected, so a corrupted
-// or hostile server cannot feed bytes into the decoder.
-func (c *Client) fetchChunk(base string, ref gamepack.ChunkRef, st *Stats) ([]byte, error) {
-	data, _, _, err := c.get(base+"/chunk/"+ref.Hash.String(), "", st)
+// or hostile server cannot feed bytes into the decoder. The body is read
+// into one buffer of the manifest's size (plus the spare byte readBody
+// uses to see a longer one), and with a cache the one SHA-256 that
+// verifies it also keys it there: the cache adopts that buffer, so a
+// verified chunk is hashed once and never copied on its way in.
+func (c *Client) fetchChunk(base string, ref gamepack.ChunkRef, cache *PackageCache, st *Stats) ([]byte, error) {
+	data, _, _, err := c.get(base+"/chunk/"+ref.Hash.String(), "", ref.Size+1, st)
 	if err != nil {
 		return nil, err
 	}
 	if len(data) != ref.Size {
 		return nil, fmt.Errorf("netstream: chunk %s is %d bytes, manifest says %d", ref.Hash, len(data), ref.Size)
 	}
-	if blobstore.Sum(data) != ref.Hash {
-		return nil, fmt.Errorf("netstream: chunk %s failed hash verification", ref.Hash)
+	if cache != nil {
+		_, err = cache.chunks.Adopt(ref.Hash, data)
+	} else if blobstore.Sum(data) != ref.Hash {
+		err = blobstore.ErrCorrupt
+	}
+	if err != nil {
+		return nil, fmt.Errorf("netstream: chunk %s failed hash verification: %w", ref.Hash, err)
 	}
 	st.ChunksFetched++
 	return data, nil
@@ -840,21 +878,14 @@ func (c *Client) getChunk(base string, ref gamepack.ChunkRef, cache *PackageCach
 			return data, nil
 		}
 	}
-	data, err := c.fetchChunk(base, ref, st)
-	if err != nil {
-		return nil, err
-	}
-	if cache != nil {
-		cache.chunks.Put(data)
-	}
-	return data, nil
+	return c.fetchChunk(base, ref, cache, st)
 }
 
 // fetchManifest GETs and parses a package's manifest, with the cached
 // validator attached when the cache already holds the URL. A nil manifest
 // with ok=true means 304 — the cached package is current.
 func (c *Client) fetchManifest(url, etag string, st *Stats) (man *gamepack.Manifest, respETag string, notModified bool, err error) {
-	data, respETag, notModified, err := c.get(url, etag, st)
+	data, respETag, notModified, err := c.get(url, etag, anyBodyCap, st)
 	if err != nil {
 		return nil, "", false, err
 	}
@@ -978,7 +1009,7 @@ func (c *Client) materialize(base string, man *gamepack.Manifest, cache *Package
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			fetched[i], errs[i] = c.fetchChunk(base, missing[i], &stats[i])
+			fetched[i], errs[i] = c.fetchChunk(base, missing[i], cache, &stats[i])
 		}(i)
 	}
 	wg.Wait()
@@ -988,9 +1019,6 @@ func (c *Client) materialize(base string, man *gamepack.Manifest, cache *Package
 			return nil, errs[i]
 		}
 		overlay[missing[i].Hash] = fetched[i]
-		if cache != nil {
-			cache.chunks.Put(fetched[i])
-		}
 	}
 	return man.Assemble(func(h blobstore.Hash) ([]byte, error) {
 		if data, ok := overlay[h]; ok && data != nil {
@@ -1227,7 +1255,7 @@ func (g *RemoteGame) runFor(i int) (*landedRun, error) {
 func (c *Client) FetchResource(url string) (string, Stats, error) {
 	var st Stats
 	began := time.Now()
-	body, _, _, err := c.get(url, "", &st)
+	body, _, _, err := c.get(url, "", anyBodyCap, &st)
 	if err != nil {
 		return "", st, err
 	}

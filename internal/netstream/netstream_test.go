@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/content"
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/gamepack"
 	"repro/internal/media/container"
 	"repro/internal/media/playback"
@@ -440,7 +443,7 @@ func TestChunkEndpoint(t *testing.T) {
 	ref := man.Section(gamepack.SectionVideo).Chunks[0]
 	c := &Client{}
 	var st Stats
-	data, err := c.fetchChunk(ts.URL, ref, &st)
+	data, err := c.fetchChunk(ts.URL, ref, nil, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +454,7 @@ func TestChunkEndpoint(t *testing.T) {
 	var ghost gamepack.ChunkRef
 	ghost.Hash[0] = 0xAB
 	ghost.Size = 1
-	if _, err := c.fetchChunk(ts.URL, ghost, &st); err == nil {
+	if _, err := c.fetchChunk(ts.URL, ghost, nil, &st); err == nil {
 		t.Error("unknown chunk served")
 	}
 	resp, err := http.Get(ts.URL + "/chunk/nothex")
@@ -706,15 +709,123 @@ func TestDeltaVerifiesChunkHashes(t *testing.T) {
 	if !bytes.Equal(blob, want) {
 		t.Fatal("fallback package differs from the server's")
 	}
-	// The corrupted bytes never entered the shared chunk cache: a later
-	// delta sync against the honest server assembles from scratch.
 	if st.ChunksFetched != 0 {
 		t.Fatalf("%d corrupted chunks counted as fetched", st.ChunksFetched)
 	}
-	if blob2, _, err := c.DownloadDelta(inner.URL+"/pkg/classroom", NewPackageCache()); err != nil {
+	// The corrupted bytes never entered the shared chunk cache. Verifying
+	// a chunk and caching it are one step, so the cache itself must hold
+	// nothing — under the address the manifest asked for or any other —
+	// and an honest sync through this same cache fetches every chunk.
+	if cs := cache.Chunks().Stats(); cs.Chunks != 0 || cs.StoredBytes != 0 {
+		t.Fatalf("%d corrupted chunks (%d B) resident in the cache", cs.Chunks, cs.StoredBytes)
+	}
+	man, err := gamepack.ExtractManifest(want)
+	if err != nil {
 		t.Fatal(err)
-	} else if !bytes.Equal(blob2, want) {
+	}
+	blob2, st2, err := c.DownloadDelta(inner.URL+"/pkg/classroom", cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob2, want) {
 		t.Fatal("honest delta sync differs from the server's package")
+	}
+	if st2.ChunkHits != 0 || st2.ChunksFetched != len(man.ChunkSet()) {
+		t.Fatalf("honest sync through the same cache: %d hits, %d of %d chunks fetched", st2.ChunkHits, st2.ChunksFetched, len(man.ChunkSet()))
+	}
+}
+
+// TestChunkBodyLengthRejected: a chunk body one byte short or one byte
+// long, with headers that agree with it, is refused whole — never cut or
+// padded to the manifest's size and passed. The chunk is not asked for
+// twice, the sync takes its one whole-package degrade, and the mangled
+// body is not cached.
+func TestChunkBodyLengthRejected(t *testing.T) {
+	inner, want := testServer(t)
+	for name, mangle := range map[string]func([]byte) []byte{
+		"short": func(b []byte) []byte { return b[:len(b)-1] },
+		"long":  func(b []byte) []byte { return append(b, b[0]) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			hits := map[string]int{}
+			victim := ""
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				hits[r.URL.Path]++
+				if victim == "" && strings.HasPrefix(r.URL.Path, "/chunk/") {
+					victim = r.URL.Path
+				}
+				hit := r.URL.Path == victim
+				mu.Unlock()
+				if !hit {
+					inner.Config.Handler.ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				inner.Config.Handler.ServeHTTP(rec, r)
+				body := mangle(rec.Body.Bytes())
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+				w.Write(body)
+			}))
+			defer proxy.Close()
+			cache := NewPackageCache()
+			blob, _, err := (&Client{}).DownloadDelta(proxy.URL+"/pkg/classroom", cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, want) {
+				t.Fatal("synced package differs from the server's")
+			}
+			if hits[victim] != 1 || hits["/pkg/classroom"] != 1 {
+				t.Errorf("%s chunk body requested %d times, /pkg/ %d times; want one rejection and the one degrade", name, hits[victim], hits["/pkg/classroom"])
+			}
+			h, err := blobstore.ParseHash(strings.TrimPrefix(victim, "/chunk/"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cache.Chunks().Has(h) {
+				t.Errorf("a %s body was cached under its address", name)
+			}
+		})
+	}
+}
+
+// TestColdDeltaAllocations pins the one-buffer rule of a fill: a cold
+// DownloadDelta reads each chunk into one buffer of its manifest size that
+// the cache keeps, and copies it once into a blob sized from the manifest,
+// so everything it allocates — the HTTP exchanges of both ends included,
+// since the server runs in this process — stays under 3× the package.
+// It reads 2.5× (2.6× under -race); growing bodies from 512 B, a second
+// copy into the cache and a two-stage assembly cost 7.9× on this fixture.
+func TestColdDeltaAllocations(t *testing.T) {
+	ts, blob := testServer(t)
+	// A transport that pools as many connections as a sync opens, warmed
+	// by one sync: the pin is the fill, not the dials.
+	c := &Client{HTTP: &http.Client{Transport: faultnet.NewHTTPTransport(chunkFetchParallelism)}}
+	url := ts.URL + "/pkg/classroom"
+	if _, _, err := c.DownloadDelta(url, NewPackageCache()); err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		cache := NewPackageCache()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, _, err := c.DownloadDelta(url, cache)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, blob) {
+			t.Fatal("cold delta differs from the package")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	ratio := float64(least) / float64(len(blob))
+	t.Logf("cold DownloadDelta of a %d B package allocates %d B (%.2f×)", len(blob), least, ratio)
+	if ratio > 3 {
+		t.Errorf("cold DownloadDelta allocates %.2f× the package, want ≤ 3×", ratio)
 	}
 }
 

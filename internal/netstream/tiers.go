@@ -114,7 +114,10 @@ func (g *RemoteGame) getTierChunk(tier string, rung *tierRung, i int, st *Stats)
 
 // rungHead returns a rung's parsed head, growing it chunk by chunk on
 // first use (video chunking cuts the head/data boundary, so this is one
-// chunk in the common case).
+// chunk in the common case). The first chunk is parsed where it lies — a
+// Head keeps none of the bytes it was parsed from — so the common case
+// copies nothing; a head spanning chunks is joined into a buffer sized
+// from the manifest.
 func (g *RemoteGame) rungHead(tier string, rung *tierRung, st *Stats) (*container.Head, error) {
 	rung.mu.Lock()
 	defer rung.mu.Unlock()
@@ -127,7 +130,11 @@ func (g *RemoteGame) rungHead(tier string, rung *tierRung, st *Stats) (*containe
 		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, data...)
+		if i == 0 {
+			buf = data
+		} else {
+			buf = append(append(make([]byte, 0, rung.offs[i]+len(data)), buf...), data...)
+		}
 		head, err := container.ParseHead(buf)
 		if err == nil {
 			rung.head = head
@@ -141,15 +148,15 @@ func (g *RemoteGame) rungHead(tier string, rung *tierRung, st *Stats) (*containe
 }
 
 // fetchRungRange materializes bytes [lo, hi) of one rung's video payload
-// from the chunks that cover it.
+// from the chunks that cover it, into one buffer of exactly that size.
 func (g *RemoteGame) fetchRungRange(tier string, rung *tierRung, lo, hi int, st *Stats) ([]byte, error) {
 	i := sort.Search(len(rung.offs), func(i int) bool {
 		return rung.offs[i]+rung.chunks[i].Size > lo
 	})
-	if i == len(rung.offs) {
+	if i == len(rung.offs) || hi > rung.size {
 		return nil, fmt.Errorf("netstream: tier %q video range [%d,%d) beyond manifest", tier, lo, hi)
 	}
-	var buf []byte
+	buf := make([]byte, 0, hi-lo)
 	for ; i < len(rung.chunks) && rung.offs[i] < hi; i++ {
 		data, err := g.getTierChunk(tier, rung, i, st)
 		if err != nil {
