@@ -7,8 +7,10 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -752,7 +754,7 @@ func benchmarkFleet(b *testing.B, learners int) {
 	if err := srv.AddPackage("classroom", classroomPkg(b)); err != nil {
 		b.Fatal(err)
 	}
-	svc := telemetry.NewService(telemetry.Options{Workers: 8, QueueDepth: 512})
+	svc := telemetry.NewService(telemetry.Options{})
 	defer svc.Close()
 	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
 		b.Fatal(err)
@@ -816,6 +818,33 @@ func BenchmarkFleetIngest(b *testing.B) {
 			}
 			if err := store.Append(telemetry.Batch{Course: "bench", Session: s, Done: true}); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkIngestHandler is the ingest path a post takes inside the server:
+// parallel posters through Service.Handler (decode, validate, apply, ack),
+// one batch per op, alternating a session's events batch and its done
+// batch, without a socket. Read at -cpu 1,2 (EXPERIMENTS.md E28, E34).
+func BenchmarkIngestHandler(b *testing.B) {
+	svc := telemetry.NewService(telemetry.Options{IdleTimeout: -1})
+	defer svc.Close()
+	h := svc.Handler()
+	const events = `[{"tick":1,"kind":"click","detail":"computer"},{"tick":2,"kind":"learn","detail":"ram-identification"},` +
+		`{"tick":3,"kind":"goto","detail":"market"},{"tick":4,"kind":"reward","detail":"badge"}]`
+	var sid atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		id := sid.Add(1)
+		for op := 0; pb.Next(); op++ {
+			body := fmt.Sprintf(`{"course":"bench","session":"g%d-s%d","start":"classroom","seq":1,"events":%s}`, id, op/2, events)
+			if op%2 == 1 {
+				body = fmt.Sprintf(`{"course":"bench","session":"g%d-s%d","seq":2,"done":true}`, id, op/2)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, telemetry.IngestPath, strings.NewReader(body)))
+			if rec.Code != http.StatusAccepted {
+				b.Fatalf("ingest answered %d: %s", rec.Code, rec.Body)
 			}
 		}
 	})

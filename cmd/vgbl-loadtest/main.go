@@ -79,10 +79,9 @@ func main() {
 	}
 
 	url := *server
-	var svc *telemetry.Service
 	if url == "" {
 		var err error
-		svc, url, err = serveInProcess(*pkgName, *abr)
+		url, err = serveInProcess(*pkgName, *abr)
 		if err != nil {
 			fail(err)
 		}
@@ -184,14 +183,7 @@ func main() {
 	fmt.Println()
 	fmt.Print(sum.String())
 
-	// Let the ingest queues drain, then show what the lecturer would see.
-	if svc != nil {
-		if !svc.Quiesce(30 * time.Second) {
-			fail(fmt.Errorf("ingest queues did not drain"))
-		}
-	} else if err := waitForDrain(url); err != nil {
-		fmt.Fprintf(os.Stderr, "vgbl-loadtest: warning: %v; the stats snapshot below may be missing pending batches\n", err)
-	}
+	// Every acked batch is already applied: show what the lecturer would see.
 	printStats(url, telemetry.StatsPath)
 	if *interactive {
 		playURL := *playServer
@@ -220,10 +212,10 @@ func printStats(url, path string) {
 }
 
 // serveInProcess builds the named bundled course and publishes it with the
-// telemetry and play services mounted, returning the telemetry service and
-// base URL. With ladder set the course is published as a multi-tier
-// quality ladder (what the -abr streaming fleet picks from).
-func serveInProcess(name string, ladder bool) (*telemetry.Service, string, error) {
+// telemetry and play services mounted, returning its base URL. With ladder
+// set the course is published as a multi-tier quality ladder (what the -abr
+// streaming fleet picks from).
+func serveInProcess(name string, ladder bool) (string, error) {
 	courses := map[string]*content.Course{
 		"classroom": content.Classroom(),
 		"museum":    content.Museum(),
@@ -231,16 +223,16 @@ func serveInProcess(name string, ladder bool) (*telemetry.Service, string, error
 	}
 	course, ok := courses[name]
 	if !ok {
-		return nil, "", fmt.Errorf("no bundled course %q (have classroom, museum, street)", name)
+		return "", fmt.Errorf("no bundled course %q (have classroom, museum, street)", name)
 	}
 	srv := netstream.NewServer()
-	svc := telemetry.NewService(telemetry.Options{Workers: 8, QueueDepth: 512})
+	svc := telemetry.NewService(telemetry.Options{})
 	h := svc.Handler()
 	if err := srv.Mount("/telemetry/", h); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	if err := srv.Mount(telemetry.HealthPath, h); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	// The play service shares the package server's chunk store so a
 	// ladder manifest can be opened without a package blob.
@@ -248,32 +240,32 @@ func serveInProcess(name string, ladder bool) (*telemetry.Service, string, error
 	if ladder {
 		man, err := course.PublishLadderTo(srv.Store(), studio.Options{}, nil)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
 		if err := srv.AddManifest(name, man); err != nil {
-			return nil, "", err
+			return "", err
 		}
 		if err := play.AddCourseFromManifest(name, man); err != nil {
-			return nil, "", err
+			return "", err
 		}
 	} else {
 		blob, err := course.BuildPackage(studio.Options{QStep: 10})
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
 		if err := srv.AddPackage(name, blob); err != nil {
-			return nil, "", err
+			return "", err
 		}
 		if err := play.AddCourse(name, blob); err != nil {
-			return nil, "", err
+			return "", err
 		}
 	}
 	if err := srv.Mount("/play/", play.Handler()); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	// Classroom rooms ride the same play mux under their own path root.
 	if err := srv.Mount("/room/", play.Handler()); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	// Same observability surface as vgbl-server: the in-process run is
 	// scrapeable too, and the end-of-run latency table reads from it.
@@ -282,38 +274,17 @@ func serveInProcess(name string, ladder bool) (*telemetry.Service, string, error
 	svc.Register(reg)
 	play.Register(reg)
 	if err := srv.Mount("/metrics", reg.Handler()); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	if err := srv.Mount("/debug/traces", play.Ring().Handler()); err != nil {
-		return nil, "", err
+		return "", err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	go http.Serve(ln, srv)
-	return svc, "http://" + ln.Addr().String(), nil
-}
-
-// waitForDrain polls a remote server's /healthz until its ingest queues
-// report no pending batches; it errors when the drain cannot be confirmed.
-func waitForDrain(url string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	pending := -1
-	for time.Now().Before(deadline) {
-		var health struct {
-			Pending int `json:"pending"`
-		}
-		if err := faultnet.GetJSON(nil, url+telemetry.HealthPath, &health); err != nil {
-			return fmt.Errorf("ingest drain unconfirmed: %w", err)
-		}
-		if health.Pending == 0 {
-			return nil
-		}
-		pending = health.Pending
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("ingest queues still report %d pending batches after 15s", pending)
+	return "http://" + ln.Addr().String(), nil
 }
 
 func fail(err error) {

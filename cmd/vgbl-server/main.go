@@ -66,8 +66,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8807", "listen address")
 	storeDir := flag.String("store-dir", "", "on-disk chunk store directory (empty = in-memory)")
 	cacheBytes := flag.Int64("cache-bytes", blobstore.DefaultCacheBytes, "hot-chunk LRU cache budget in bytes (negative disables)")
-	ingestWorkers := flag.Int("ingest-workers", 8, "telemetry ingest workers")
-	ingestQueue := flag.Int("ingest-queue", 512, "telemetry queue depth per worker (backpressure bound)")
 	ingestIdle := flag.Duration("ingest-idle-timeout", 30*time.Minute, "fold telemetry sessions idle this long (negative disables)")
 	playTTL := flag.Duration("play-ttl", 10*time.Minute, "snapshot-and-evict hosted play sessions idle this long (negative disables)")
 	playMax := flag.Int("play-max-sessions", 16384, "cap on live hosted play sessions (negative disables)")
@@ -199,7 +197,7 @@ func main() {
 		publish(strings.TrimSuffix(filepath.Base(path), ".tkg"), blob)
 	}
 
-	svc := telemetry.NewService(telemetry.Options{Workers: *ingestWorkers, QueueDepth: *ingestQueue, IdleTimeout: *ingestIdle})
+	svc := telemetry.NewService(telemetry.Options{IdleTimeout: *ingestIdle})
 	defer svc.Close()
 	svc.Register(reg)
 	h := svc.Handler()

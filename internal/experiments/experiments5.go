@@ -39,7 +39,7 @@ func E14(learners int) (string, error) {
 	if err := srv.AddPackage("classroom", blob); err != nil {
 		return "", err
 	}
-	svc := telemetry.NewService(telemetry.Options{Workers: 8, QueueDepth: 256})
+	svc := telemetry.NewService(telemetry.Options{})
 	defer svc.Close()
 	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
 		return "", err

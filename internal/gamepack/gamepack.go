@@ -170,39 +170,13 @@ func sealFrame(buf []byte, crcAt int) {
 	binary.BigEndian.PutUint32(buf[crcAt:], crc32.ChecksumIEEE(buf[crcAt+4:]))
 }
 
-// Build assembles a .tkg blob from a project and its video container,
-// including a chunk manifest section (video chunks cut at segment
-// boundaries) so servers and caches can deduplicate and delta-sync the
-// package. The video blob is validated before inclusion.
+// Build assembles a single-quality .tkg blob from a project and its video
+// container: BuildLadder with the canonical rung alone. Like every package
+// it carries a chunk manifest section (video chunks cut at segment
+// boundaries) so servers and caches can deduplicate and delta-sync it. The
+// video blob is validated before inclusion.
 func Build(p *core.Project, video []byte) ([]byte, error) {
-	if p == nil {
-		return nil, errors.New("gamepack: nil project")
-	}
-	if _, err := container.Open(video); err != nil {
-		return nil, fmt.Errorf("gamepack: invalid video container: %w", err)
-	}
-	projJSON, err := p.Marshal()
-	if err != nil {
-		return nil, fmt.Errorf("gamepack: %w", err)
-	}
-	meta := fmt.Sprintf(`{"title":%q,"author":%q,"scenarios":%d}`, p.Title, p.Author, len(p.Scenarios))
-	payload := []section{
-		{SectionMeta, []byte(meta)},
-		{SectionProject, projJSON},
-		{SectionVideo, video},
-	}
-	man, err := manifestFor(payload, true)
-	if err != nil {
-		return nil, err
-	}
-	// The manifest rides just before the video (its placeholder position),
-	// keeping the video last for progressive loading.
-	sections := []section{
-		payload[0], payload[1],
-		{SectionManifest, man.Encode()},
-		payload[2],
-	}
-	return assemble(sections), nil
+	return BuildLadder(p, []TierVideo{{Video: video}})
 }
 
 // ErrShortPrefix reports that a prefix did not contain the whole section

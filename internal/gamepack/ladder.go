@@ -111,9 +111,9 @@ func validateLadderVideos(videos []TierVideo) (int, error) {
 }
 
 // BuildLadder assembles a .tkg blob whose video rides at every given
-// tier. Layout mirrors Build — meta, project, manifest, then the video
-// sections — with the extra rungs between the manifest and the
-// canonical "video" section, largest-last for progressive loading.
+// tier (Build is the one-rung call). Layout: meta, project, manifest, then
+// the video sections — the extra rungs sorted by tier, the canonical
+// "video" section last, largest-last for progressive loading.
 // Every video section's chunks are cut at the same segment boundaries
 // (see manifestFor), which is what makes tier selection a per-segment
 // fetch-time decision.
@@ -124,9 +124,6 @@ func BuildLadder(p *core.Project, videos []TierVideo) ([]byte, error) {
 	canonical, err := validateLadderVideos(videos)
 	if err != nil {
 		return nil, err
-	}
-	if len(videos) == 1 {
-		return Build(p, videos[canonical].Video)
 	}
 	projJSON, err := p.Marshal()
 	if err != nil {

@@ -388,19 +388,11 @@ func (m *Manager) AddCourse(name string, pkgBlob []byte) error {
 }
 
 // AddCourseFromManifest opens a course directly out of the chunk store:
-// the project document and video are assembled from the manifest's
-// content-addressed chunks (deposited by e.g. content.PublishTo or the
-// netstream server), so no package blob is ever built on the hosting
+// the project document and the canonical video are assembled from the
+// manifest's content-addressed chunks (deposited by e.g. content.PublishTo
+// or the netstream server), so no package blob is ever built on the hosting
 // path and shared segments are read once.
 func (m *Manager) AddCourseFromManifest(name string, man *gamepack.Manifest) error {
-	return m.AddCourseFromManifestTier(name, man, "")
-}
-
-// AddCourseFromManifestTier is AddCourseFromManifest pinned to one rung
-// of a quality-ladder manifest: the host assembles that tier's video
-// section instead of the canonical one — how an edge node hosts the
-// "low" rung for a constrained cohort. Tier "" is the canonical rung.
-func (m *Manager) AddCourseFromManifestTier(name string, man *gamepack.Manifest, tier string) error {
 	if name == "" {
 		return fmt.Errorf("playsvc: empty course name")
 	}
@@ -408,10 +400,9 @@ func (m *Manager) AddCourseFromManifestTier(name string, man *gamepack.Manifest,
 		return fmt.Errorf("playsvc: course %s: no chunk store configured", name)
 	}
 	psec := man.Section(gamepack.SectionProject)
-	vsec := man.VideoSection(tier)
+	vsec := man.Section(gamepack.SectionVideo)
 	if psec == nil || vsec == nil {
-		return fmt.Errorf("playsvc: course %s: manifest lacks project or video tier %q (have %v)",
-			name, tier, man.VideoTiers())
+		return fmt.Errorf("playsvc: course %s: manifest lacks a project or video section", name)
 	}
 	projJSON, err := psec.AssembleSection(m.store.Get)
 	if err != nil {

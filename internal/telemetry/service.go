@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"hash/fnv"
-	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -14,9 +12,7 @@ import (
 
 // Options tunes a Service.
 type Options struct {
-	Workers    int // ingest workers, one queue each (default 4)
-	QueueDepth int // per-worker queue bound (default 256)
-	MaxBody    int // largest accepted ingest body in bytes (default 8 MiB)
+	MaxBody int // largest accepted ingest body in bytes (default 8 MiB)
 	// IdleTimeout bounds memory held for abandoned sessions: a session
 	// with no batch for this long is folded as-is (counted under
 	// sessions_expired), and stale dedup tombstones are dropped. Default
@@ -25,12 +21,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
-	}
 	if o.MaxBody <= 0 {
 		o.MaxBody = 8 << 20
 	}
@@ -39,82 +29,60 @@ func (o *Options) defaults() {
 	}
 }
 
-// Service is the ingest endpoint: it accepts event batches over HTTP,
-// queues them onto bounded per-worker queues (backpressure: a full queue
-// answers 429 and the client retries), and applies them to the Store on the
-// worker goroutines. A session is pinned to one worker by hash, so its
-// batches apply in arrival order even though workers run concurrently.
+// maxInFlight bounds the ingest requests a service holds at once; one more
+// is shed with 429 and Retry-After before its body is read. 1024 was the
+// total queue capacity of the worker pool this bound replaced.
+const maxInFlight = 1024
+
+// Service is the ingest endpoint: it applies each event batch to the Store
+// in the request that carries it, so a 202 means the batch is in the store
+// (a 409 means the store refused it). Overload is shed by a bounded count
+// of requests in flight (429; the client retries). Batches of one session
+// arrive in order because its client keeps one post in flight; the Store's
+// Seq dedup and gap check hold that order against replays.
 type Service struct {
 	store   *Store
-	queues  []chan Batch
-	wg      sync.WaitGroup
 	maxBody int64
-	health  *obs.Health
+	health  *obs.Health // the readiness payload every sibling service shares
 	// reg is the service's own registry, the definition of every scalar
 	// it reports (see Register).
 	reg *obs.Registry
+	// inFlight holds one token per ingest request being served (capacity
+	// maxInFlight; tests shrink it in place).
+	inFlight chan struct{}
 
 	closeOnce   sync.Once
 	closed      atomic.Bool
 	stopJanitor chan struct{}
-	// closeMu makes enqueue-vs-Close safe: handlers send to the bounded
-	// queues under RLock, Close closes them under Lock, so a send can never
-	// hit a closed channel.
-	closeMu sync.RWMutex
+	janitor     sync.WaitGroup
 
 	handlerOnce sync.Once
 	handler     http.Handler
 
-	accepted    atomic.Int64 // batches enqueued (202)
 	rejected    atomic.Int64 // batches shed (429)
-	applied     atomic.Int64 // batches processed off the queues
+	applied     atomic.Int64 // batches applied to the store (202)
 	badRequests atomic.Int64
-	applyErrors atomic.Int64 // accepted batches the store refused (gaps, rebinds)
+	applyErrors atomic.Int64 // batches the store refused (409: gaps, rebinds)
 	expired     atomic.Int64 // sessions reclaimed by the janitor
 
 	applyDelay atomic.Int64 // test hook: ns slept per apply, to force backpressure
 }
 
-// NewService builds a service and starts its ingest workers.
+// NewService builds a service and starts its idle-session janitor (unless
+// IdleTimeout is negative); it starts no other goroutine.
 func NewService(o Options) *Service {
 	o.defaults()
 	s := &Service{
 		store:       NewStore(),
-		queues:      make([]chan Batch, o.Workers),
 		maxBody:     int64(o.MaxBody),
+		health:      obs.NewHealth(),
 		reg:         obs.NewRegistry(""),
+		inFlight:    make(chan struct{}, maxInFlight),
 		stopJanitor: make(chan struct{}),
 	}
 	s.Register(s.reg)
-	// The readiness payload every sibling service shares (obs.Health):
-	// uptime plus ingest-specific load signals. "pending" is load-bearing —
-	// the load generator's drain wait polls it.
-	s.health = obs.NewHealth().
-		Set("pending", func() any { return s.Pending() }).
-		Set("queue_saturation", func() any { return s.QueueSaturation() }).
-		Set("queues", func() any { return len(s.queues) })
-	for i := range s.queues {
-		q := make(chan Batch, o.QueueDepth)
-		s.queues[i] = q
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for b := range q {
-				if d := s.applyDelay.Load(); d > 0 {
-					time.Sleep(time.Duration(d))
-				}
-				// A refused batch (sequence gap, course rebind) still counts
-				// as applied so drain accounting stays exact; the refusal is
-				// surfaced in the stats snapshot.
-				if err := s.store.Append(b); err != nil {
-					s.applyErrors.Add(1)
-				}
-				s.applied.Add(1)
-			}
-		}()
-	}
 	if o.IdleTimeout > 0 {
-		s.wg.Add(1)
+		s.janitor.Add(1)
 		go s.runJanitor(o.IdleTimeout)
 	}
 	return s
@@ -122,7 +90,7 @@ func NewService(o Options) *Service {
 
 // runJanitor periodically expires idle sessions (see Store.ExpireIdle).
 func (s *Service) runJanitor(idle time.Duration) {
-	defer s.wg.Done()
+	defer s.janitor.Done()
 	every := idle / 4
 	if every < time.Second {
 		every = time.Second
@@ -144,80 +112,26 @@ func (s *Service) runJanitor(idle time.Duration) {
 // Store exposes the backing store (read access for in-process reporting).
 func (s *Service) Store() *Store { return s.store }
 
-// Close stops accepting batches and drains the queues.
+// Close stops accepting batches (later posts get 503) and stops the
+// janitor. The store stays readable.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
-		close(s.stopJanitor)
-		s.closeMu.Lock()
 		s.closed.Store(true)
-		for _, q := range s.queues {
-			close(q)
-		}
-		s.closeMu.Unlock()
-		s.wg.Wait()
+		close(s.stopJanitor)
+		s.janitor.Wait()
 	})
-}
-
-// Quiesce blocks until every accepted batch has been applied or the timeout
-// elapses; it reports whether the service drained.
-func (s *Service) Quiesce(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for s.applied.Load() < s.accepted.Load() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return true
-}
-
-// Pending counts accepted batches not yet applied.
-func (s *Service) Pending() int {
-	n := s.accepted.Load() - s.applied.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n)
-}
-
-// QueueSaturation reports the fullest ingest queue as a fraction of its
-// bound, rounded to hundredths — the readiness signal for backpressure
-// (1.0 means at least one queue is shedding into 429s).
-func (s *Service) QueueSaturation() float64 {
-	worst := 0.0
-	for _, q := range s.queues {
-		if c := cap(q); c > 0 {
-			if f := float64(len(q)) / float64(c); f > worst {
-				worst = f
-			}
-		}
-	}
-	return math.Round(worst*100) / 100
-}
-
-// queueDepth sums batches currently sitting in the ingest queues.
-func (s *Service) queueDepth() int64 {
-	var n int64
-	for _, q := range s.queues {
-		n += int64(len(q))
-	}
-	return n
 }
 
 // Register exposes the service's counters on a metrics registry, and is
 // the one place their families are named: NewService runs it on the
 // service's own registry, callers on the registry behind /metrics. The
-// *_total families are monotonic counters; pending, queue depth and live
-// sessions are gauges (they fall as workers drain).
+// *_total families are monotonic counters; live sessions is a gauge.
 func (s *Service) Register(reg *obs.Registry) {
-	reg.CounterFunc("telemetry_batches_accepted_total", "batches enqueued (202)", s.accepted.Load)
-	reg.CounterFunc("telemetry_batches_rejected_total", "batches shed by a full queue (429)", s.rejected.Load)
-	reg.CounterFunc("telemetry_batches_applied_total", "batches processed off the queues", s.applied.Load)
+	reg.CounterFunc("telemetry_batches_rejected_total", "batches shed by the in-flight bound (429)", s.rejected.Load)
+	reg.CounterFunc("telemetry_batches_applied_total", "batches applied to the store (202)", s.applied.Load)
 	reg.CounterFunc("telemetry_bad_requests_total", "malformed ingest requests", s.badRequests.Load)
-	reg.CounterFunc("telemetry_apply_errors_total", "accepted batches the store refused", s.applyErrors.Load)
+	reg.CounterFunc("telemetry_apply_errors_total", "batches the store refused (409)", s.applyErrors.Load)
 	reg.CounterFunc("telemetry_sessions_expired_total", "sessions reclaimed by the janitor", s.expired.Load)
-	reg.GaugeFunc("telemetry_pending", "accepted batches not yet applied", func() int64 { return int64(s.Pending()) })
-	reg.GaugeFunc("telemetry_queue_depth", "batches sitting in the ingest queues", s.queueDepth)
 	reg.GaugeFunc("telemetry_live_sessions", "sessions the store currently tracks", func() int64 { return int64(s.store.LiveSessions()) })
 }
 
@@ -242,7 +156,7 @@ func (s *Service) Handler() http.Handler {
 		mux := http.NewServeMux()
 		mux.HandleFunc(IngestPath, s.handleIngest)
 		mux.HandleFunc(StatsPath, s.handleStats)
-		mux.HandleFunc(HealthPath, s.handleHealth)
+		mux.Handle(HealthPath, s.health)
 		s.handler = mux
 	})
 	return s.handler
@@ -258,6 +172,18 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "service closing", http.StatusServiceUnavailable)
 		return
 	}
+	// A slot before the body: at the bound the request is shed unread, and
+	// Retry-After advertises a real pause — clients honor it over their own
+	// backoff.
+	select {
+	case s.inFlight <- struct{}{}:
+		defer func() { <-s.inFlight }()
+	default:
+		s.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "ingest saturated", http.StatusTooManyRequests)
+		return
+	}
 	var b Batch
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err := dec.Decode(&b); err != nil {
@@ -270,30 +196,18 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// One session, one worker: its batches apply in the order they arrived.
-	hash := fnv.New32a()
-	hash.Write([]byte(b.Session))
-	q := s.queues[hash.Sum32()%uint32(len(s.queues))]
-	s.closeMu.RLock()
-	if s.closed.Load() {
-		s.closeMu.RUnlock()
-		http.Error(w, "service closing", http.StatusServiceUnavailable)
+	if d := s.applyDelay.Load(); d > 0 {
+		time.Sleep(time.Duration(d))
+	}
+	if err := s.store.Append(b); err != nil {
+		// A sequence gap or a session bound to another course: definitive,
+		// so the client stops rather than retries.
+		s.applyErrors.Add(1)
+		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	select {
-	case q <- b:
-		s.closeMu.RUnlock()
-		s.accepted.Add(1)
-		w.WriteHeader(http.StatusAccepted)
-	default:
-		s.closeMu.RUnlock()
-		// Bounded queue full: shed the batch and tell the client when to
-		// retry. The queue just proved itself saturated, so advertise a
-		// real pause — clients honor this over their own backoff.
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "ingest queue full", http.StatusTooManyRequests)
-	}
+	s.applied.Add(1)
+	w.WriteHeader(http.StatusAccepted)
 }
 
 // handleStats serves /telemetry/stats: the registry's flat scalar view
@@ -310,8 +224,4 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	if err := enc.Encode(out); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.health.ServeHTTP(w, r)
 }

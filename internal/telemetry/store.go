@@ -11,7 +11,8 @@
 //     rolling aggregate, after which the raw log is released and a small
 //     mark absorbs replayed deliveries for the idle window.
 //   - Service: the HTTP ingest API (/telemetry/ingest, /telemetry/stats,
-//     /healthz) with bounded per-worker queues — the backpressure surface.
+//     /healthz); a batch is applied in the request that carries it, and a
+//     bound on requests in flight sheds overload with 429.
 //   - Client: a batching runtime.Observer that posts event batches,
 //     flushing on size and on interval, retrying when the service sheds
 //     load.
@@ -161,9 +162,10 @@ func (st *Store) course(name string) *courseAgg {
 // session counts as started); a Done batch digests the session into an
 // analytics.Report, folds it into the course aggregate and releases the raw
 // log, leaving a small mark that absorbs replayed deliveries. Batches of one
-// session must be applied in session order — the Service guarantees this by
-// routing each session to a fixed worker — and duplicate deliveries of a
-// Seq-tagged batch are dropped, making at-least-once delivery safe.
+// session must be applied in session order — the Client keeps one post in
+// flight per session, and a Seq-tagged batch that skips ahead is refused as
+// a gap — and duplicate deliveries of a Seq-tagged batch are dropped, making
+// at-least-once delivery safe.
 func (st *Store) Append(b Batch) error {
 	if err := b.Validate(); err != nil {
 		return err
@@ -316,7 +318,7 @@ func (st *Store) ExpireIdle(cutoff time.Time) int {
 // Snapshot returns a copy of every course's aggregate stats. Each course's
 // numbers are read under one lock, and LiveSessions is derived as
 // started - ended - expired, so the invariant started = ended + expired +
-// live holds in every snapshot even while ingest workers are folding.
+// live holds in every snapshot even while ingest requests are folding.
 func (st *Store) Snapshot() map[string]CourseStats {
 	st.coursesMu.RLock()
 	names := make([]string, 0, len(st.courses))

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,7 @@ func TestStoreConcurrentSessions(t *testing.T) {
 }
 
 func TestServiceEndpoints(t *testing.T) {
-	s := NewService(Options{Workers: 2, QueueDepth: 16})
+	s := NewService(Options{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -187,9 +188,6 @@ func TestServiceEndpoints(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Quiesce(5 * time.Second) {
-		t.Fatal("service did not drain")
-	}
 	var snap struct {
 		BadRequests int64                  `json:"bad_requests"`
 		Courses     map[string]CourseStats `json:"courses"`
@@ -217,14 +215,26 @@ func TestServiceEndpoints(t *testing.T) {
 }
 
 func TestServiceBackpressure(t *testing.T) {
-	s := NewService(Options{Workers: 1, QueueDepth: 1})
+	s := NewService(Options{})
 	defer s.Close()
+	s.inFlight = make(chan struct{}, 1) // maxInFlight, shrunk in place
 	s.applyDelay.Store(int64(20 * time.Millisecond))
+
+	// With every slot taken, a post is shed before its body is read.
+	s.inFlight <- struct{}{}
+	body := &readCounter{r: strings.NewReader(`{"course":"c","session":"unread"}`)}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, IngestPath, body))
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" || body.n != 0 {
+		t.Fatalf("at the bound: %d, Retry-After %q, %d body bytes read; want 429, 1, 0",
+			rec.Code, rec.Header().Get("Retry-After"), body.n)
+	}
+	<-s.inFlight
+
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	// Slam one session's worker queue from many goroutines; the bounded
-	// queue must shed with 429, never block or drop silently.
+	// Slam one session from many goroutines: the in-flight bound must shed
+	// with 429, never block or drop silently.
 	var accepted, shed atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -252,18 +262,123 @@ func TestServiceBackpressure(t *testing.T) {
 	}
 	wg.Wait()
 	if shed.Load() == 0 {
-		t.Error("no batch was shed despite a saturated queue")
+		t.Error("no batch was shed despite a saturated service")
 	}
-	s.applyDelay.Store(0)
-	if !s.Quiesce(10 * time.Second) {
-		t.Fatal("service did not drain")
+	if n := stat(t, s.Snapshot(), "batches_rejected"); n != shed.Load()+1 {
+		t.Errorf("rejected %d, want the %d shed posts and the unread one", n, shed.Load())
 	}
+	// A 202 means applied: every accepted event is already in the store —
+	// none lost, none duplicated.
 	if applied := stat(t, s.Snapshot(), "batches_applied"); applied != accepted.Load() {
 		t.Errorf("applied %d of %d accepted", applied, accepted.Load())
 	}
-	// Every accepted event is in the store — none lost, none duplicated.
 	if got := s.store.Snapshot()["c"].Events + s.store.liveEvents("hot"); int64(got) != accepted.Load() {
 		t.Errorf("stored events = %d, accepted = %d", got, accepted.Load())
+	}
+}
+
+// readCounter counts the bytes read through it.
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (rc *readCounter) Read(p []byte) (int, error) {
+	n, err := rc.r.Read(p)
+	rc.n += n
+	return n, err
+}
+
+// TestServiceRefusedBatchIs409: a batch the store refuses — a sequence gap,
+// or a session bound to another course — is answered 409 and counted under
+// apply_errors, not acknowledged and lost; the client takes the 409 as a
+// definitive rejection and counts the batch's events as dropped.
+func TestServiceRefusedBatchIs409(t *testing.T) {
+	s := NewService(Options{IdleTimeout: -1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"course":"c","session":"s","seq":1,"events":[{"tick":1,"kind":"click"}]}`, http.StatusAccepted},
+		{`{"course":"c","session":"s","seq":3,"events":[{"tick":2,"kind":"click"}]}`, http.StatusConflict}, // gap
+		{`{"course":"other","session":"s","seq":2}`, http.StatusConflict},                                  // rebind
+		{`{"course":"c","session":"s","seq":1,"events":[{"tick":1,"kind":"click"}]}`, http.StatusAccepted}, // replay
+	} {
+		resp, err := http.Post(ts.URL+IngestPath, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: %s, want %d", tc.body, resp.Status, tc.want)
+		}
+	}
+	snap := s.Snapshot()
+	if stat(t, snap, "apply_errors") != 2 || stat(t, snap, "batches_applied") != 2 {
+		t.Errorf("apply_errors %d, batches_applied %d; want 2 and 2", snap["apply_errors"], snap["batches_applied"])
+	}
+	if got := s.store.liveEvents("s"); got != 1 {
+		t.Errorf("session holds %d events, want the first batch's 1", got)
+	}
+
+	// Through the client: a session id already bound to course "c".
+	c, err := NewClient(ClientOptions{BaseURL: ts.URL, Course: "b", Session: "s", FlushEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Record(runtime.Event{Tick: 1, Kind: "click"})
+	c.Record(runtime.Event{Tick: 2, Kind: "click"})
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("client error after a refused batch: %v", err)
+	}
+	if st := c.Stats(); st.Dropped != 2 || st.Events != 0 || st.Posts != 1 {
+		t.Errorf("client stats = %+v, want 2 dropped after one post", st)
+	}
+	if n := stat(t, s.Snapshot(), "apply_errors"); n != 3 {
+		t.Errorf("apply_errors = %d, want 3", n)
+	}
+}
+
+// TestNewServiceStartsOnlyTheJanitor: ingest runs on the request's own
+// goroutine, so a service starts one goroutine, the idle janitor, and none
+// when expiry is off; Close stops it.
+func TestNewServiceStartsOnlyTheJanitor(t *testing.T) {
+	// started returns the stacks of the goroutines NewService started, once
+	// they have settled (begun running, or finished exiting) or after 1s.
+	started := func(want int) []string {
+		var gs []string
+		for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:goruntime.Stack(buf, true)]
+			gs = gs[:0]
+			for _, g := range strings.Split(string(buf), "\n\n") {
+				if strings.Contains(g, "created by repro/internal/telemetry.NewService") {
+					gs = append(gs, g)
+				}
+			}
+			if (len(gs) == want && (want == 0 || strings.Contains(gs[0], ".runJanitor("))) || time.Now().After(deadline) {
+				return gs
+			}
+		}
+	}
+	if got := started(0); len(got) != 0 {
+		t.Fatalf("goroutines left by earlier services: %v", got)
+	}
+	off := NewService(Options{IdleTimeout: -1})
+	if got := started(0); len(got) != 0 {
+		t.Errorf("with expiry off NewService started %v", got)
+	}
+	off.Close()
+	s := NewService(Options{})
+	if got := started(1); len(got) != 1 || !strings.Contains(got[0], "telemetry.(*Service).runJanitor(") {
+		t.Errorf("NewService started %v, want only the janitor", got)
+	}
+	s.Close()
+	if got := started(0); len(got) != 0 {
+		t.Errorf("Close left %v running", got)
 	}
 }
 
@@ -307,7 +422,7 @@ func TestClientRetriesOn429(t *testing.T) {
 // server recovers, the pending batch lands first and every event is
 // accounted for exactly once.
 func TestClientRequeuesAfterExhaustedShed(t *testing.T) {
-	s := NewService(Options{Workers: 1, QueueDepth: 8})
+	s := NewService(Options{})
 	defer s.Close()
 	inner := s.Handler()
 	var calls atomic.Int64
@@ -347,9 +462,6 @@ func TestClientRequeuesAfterExhaustedShed(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Quiesce(5 * time.Second) {
-		t.Fatal("drain")
-	}
 	if cs := s.Store().Snapshot()["c"]; cs.Events != 2 || cs.SessionsEnded != 1 {
 		t.Errorf("store stats = %+v", cs)
 	}
@@ -359,7 +471,7 @@ func TestClientRequeuesAfterExhaustedShed(t *testing.T) {
 }
 
 func TestClientIntervalFlush(t *testing.T) {
-	s := NewService(Options{Workers: 1, QueueDepth: 8})
+	s := NewService(Options{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -381,9 +493,6 @@ func TestClientIntervalFlush(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if !s.Quiesce(5 * time.Second) {
-		t.Fatal("drain")
 	}
 	if cs := s.Store().Snapshot()["c"]; cs.Events != 1 || cs.SessionsEnded != 1 {
 		t.Errorf("stats = %+v", cs)
@@ -642,7 +751,7 @@ func TestStoreFoldMarks(t *testing.T) {
 
 func TestServiceJanitorReclaimsIdleSessions(t *testing.T) {
 	// IdleTimeout 1s → janitor ticks every second.
-	s := NewService(Options{Workers: 1, QueueDepth: 8, IdleTimeout: time.Second})
+	s := NewService(Options{IdleTimeout: time.Second})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -748,7 +857,7 @@ func stat(t testing.TB, flat map[string]int64, key string) int64 {
 // listed here, so a family added to Register is covered and a scalar
 // served from anywhere else fails.
 func TestStatsSurfacesAgree(t *testing.T) {
-	s := NewService(Options{Workers: 2, QueueDepth: 8, IdleTimeout: -1})
+	s := NewService(Options{IdleTimeout: -1})
 	defer s.Close()
 	reg := obs.NewRegistry("vgbl")
 	s.Register(reg)
@@ -769,9 +878,6 @@ func TestStatsSurfacesAgree(t *testing.T) {
 	post(`{"course":"c","session":"open","seq":1,"events":[{"tick":1,"kind":"click"}]}`)
 	post(`{"course":"c","session":"open","seq":3,"events":[{"tick":2,"kind":"click"}]}`) // gap: an apply error
 	post(`{"course":`)                                                                   // a bad request
-	if !s.Quiesce(5 * time.Second) {
-		t.Fatal("service did not drain")
-	}
 	get := func(path string) []byte {
 		t.Helper()
 		resp, err := http.Get(ts.URL + path)
@@ -828,8 +934,8 @@ func TestStatsSurfacesAgree(t *testing.T) {
 		t.Fatalf("Service.Snapshot %v differs from %s %v", s.Snapshot(), StatsPath, got)
 	}
 	for key, n := range map[string]int64{
-		"batches_accepted": 3, "batches_applied": 3, "apply_errors": 1, "bad_requests": 1,
-		"pending": 0, "queue_depth": 0, "live_sessions": 1,
+		"batches_applied": 2, "apply_errors": 1, "bad_requests": 1,
+		"live_sessions": 1,
 	} {
 		if stat(t, got, key) != n {
 			t.Errorf("%s = %d, want %d (%v)", key, got[key], n, got)
