@@ -1,6 +1,7 @@
 package vcodec
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/media/raster"
@@ -145,6 +146,150 @@ func BenchmarkCodeBlock(b *testing.B) {
 	}
 	benchSink = sink
 	b.ReportMetric(float64(src.w/blockSize*src.h/blockSize), "blocks/op")
+}
+
+// reconCall is one luma block of a real stream as decodeBlockRow meets it:
+// its mode, its coefficients and its prediction — the block of ref at
+// (px,py), or none for intra.
+type reconCall struct {
+	mode   uint8
+	blk    coefBlock
+	ref    *plane
+	px, py int
+	x0, y0 int
+}
+
+// reconCalls decodes the 16 frames of the root package's decode benchmarks
+// (benchFilm, GOP 8, search range 3) at qstep and returns every luma block's
+// call, read the way decodeBlockRow reads it, with the reference the
+// decoder held for it.
+func reconCalls(b *testing.B, qstep int) []reconCall {
+	film := benchFilm()
+	enc, err := NewEncoder(Config{Width: 160, Height: 120, QStep: qstep, GOP: 8, SearchRange: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec := NewDecoder()
+	var calls []reconCall
+	for i := 0; i < 16; i++ {
+		pkt, err := enc.Encode(film.Render(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ref *plane
+		if pkt.Type == PFrame {
+			ref = newPlane(dec.ref.y.w, dec.ref.y.h)
+			copy(ref.pix, dec.ref.y.pix)
+		}
+		calls = append(calls, lumaCalls(b, pkt.Data, ref)...)
+		if err := dec.Advance(pkt.Data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return calls
+}
+
+// lumaCalls walks the luma plane of one packet.
+func lumaCalls(b *testing.B, pkt []byte, ref *plane) []reconCall {
+	r := &byteReader{buf: pkt}
+	var hdr [3]uint64
+	_, _ = r.slice(5) // magic, frame type
+	for i := range hdr {
+		hdr[i], _ = r.uvarint()
+	}
+	_, _ = r.u8()
+	w, h, qstep := padUp(int(hdr[0])), padUp(int(hdr[1])), int(hdr[2])
+	rows, _ := r.uvarint()
+	lengths := make([]int, rows)
+	for i := range lengths {
+		n, _ := r.uvarint()
+		lengths[i] = int(n)
+	}
+	dcDiv, acDiv := quantDivisors(qstep)
+	var calls []reconCall
+	for by, n := range lengths {
+		chunk, err := r.slice(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cr := &byteReader{buf: chunk}
+		for x0 := 0; x0 < w; x0 += blockSize {
+			c := reconCall{ref: ref, x0: x0, y0: by * blockSize, px: x0, py: by * blockSize}
+			c.mode, _ = cr.u8()
+			if c.mode == modeMC {
+				mvb, _ := cr.u8()
+				mvx, mvy := unpackMV(mvb)
+				c.px, c.py = x0+mvx, c.y0+mvy
+			}
+			if c.mode != modeSkip {
+				if err := c.blk.read(cr, dcDiv, acDiv); err != nil {
+					b.Fatal(err)
+				}
+			}
+			calls = append(calls, c)
+		}
+	}
+	if len(calls) != w/blockSize*(h/blockSize) {
+		b.Fatalf("%d luma blocks, want %d", len(calls), w/blockSize*(h/blockSize))
+	}
+	return calls
+}
+
+// BenchmarkReconstruct times the reconstruction stage alone, one kind of
+// block at a time, on the blocks of real q4 and q24 streams: skip (the
+// block copy), dc-intra and dc-mc (a DC term alone, against flat 128 and
+// against a motion-compensated prediction), sparse (one column of
+// coefficients: idct's shortcut) and dense (the whole transform). One op is
+// 300 blocks — a 160×120 luma plane's worth — taken in stream order and
+// written where the stream puts them.
+func BenchmarkReconstruct(b *testing.B) {
+	kinds := []struct {
+		name string
+		is   func(c *reconCall) bool
+	}{
+		{"skip", func(c *reconCall) bool { return c.mode == modeSkip }},
+		{"dc-intra", func(c *reconCall) bool { return c.mode == modeIntra && c.blk.cols == 1 && c.blk.acs == 0 }},
+		{"dc-mc", func(c *reconCall) bool { return c.mode == modeMC && c.blk.cols == 1 && c.blk.acs == 0 }},
+		{"sparse", func(c *reconCall) bool { return c.mode != modeSkip && c.blk.cols == 1 && c.blk.acs != 0 }},
+		{"dense", func(c *reconCall) bool { return c.mode != modeSkip && c.blk.cols > 1 }},
+	}
+	for _, qstep := range []int{4, 24} {
+		calls := reconCalls(b, qstep)
+		for _, k := range kinds {
+			b.Run(fmt.Sprintf("q%d/%s", qstep, k.name), func(b *testing.B) {
+				var picked []reconCall
+				for i := range calls {
+					if k.is(&calls[i]) {
+						picked = append(picked, calls[i])
+					}
+				}
+				if len(picked) == 0 {
+					b.Skip("no such block in the stream")
+				}
+				const perOp = 300
+				dst := newPlane(160, 120)
+				b.ReportMetric(float64(len(picked)), "blocks-drawn")
+				b.ResetTimer()
+				next := 0
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < perOp; j++ {
+						c := &picked[next]
+						if next++; next == len(picked) {
+							next = 0
+						}
+						switch c.mode {
+						case modeSkip:
+							copyBlock(c.ref, c.x0, c.y0, dst, c.x0, c.y0)
+						case modeIntra:
+							reconstruct(&c.blk, nil, 0, 0, dst, c.x0, c.y0)
+						default:
+							reconstruct(&c.blk, c.ref, c.px, c.py, dst, c.x0, c.y0)
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 var benchSink int

@@ -293,15 +293,22 @@ func codeLevels(w *byteWriter, levels *[64]int32, qstep int, blk *coefBlock) {
 	}
 }
 
-// reconstruct writes the 8×8 block at (x0,y0) of dst from its coefficients
-// and its prediction: the block of pred at (px,py), or flat 128 when pred is
-// nil (intra). It is the one block reconstruction in the codec — the decoder
-// runs it on what it reads, the encoder on what it wrote. A block with no
-// coefficients is its prediction, so the transform is skipped outright; that
-// is a third or more of all blocks from the second ladder rung down.
-func reconstruct(blk *coefBlock, pred *plane, px, py int, dst *plane, x0, y0 int) {
+// The reconstruction stage is reconstruct and copyBlock. reconstruct writes
+// the 8×8 block at (x0,y0) of dst from its coefficients and its prediction:
+// the block of pred at (px,py), or flat 128 when pred is nil (intra). It is
+// the one block reconstruction in the codec — the decoder runs it on what it
+// reads, the encoder on what it wrote — and copyBlock is the one block copy,
+// which skip blocks and coefficient-free motion-compensated blocks share.
+// Both have two implementations chosen by the build target: SSE2 on amd64
+// (recon_amd64.s) and the Go functions below everywhere else
+// (recon_other.go), which the tests also hold the assembly to.
+
+// reconstructPortable is reconstruct in Go. A block with no coefficients is
+// its prediction, so the transform is skipped outright; that is a third or
+// more of all blocks from the second ladder rung down.
+func reconstructPortable(blk *coefBlock, pred *plane, px, py int, dst *plane, x0, y0 int) {
 	if blk.cols == 0 && pred != nil {
-		copyBlock(pred, px, py, dst, x0, y0)
+		copyBlockPortable(pred, px, py, dst, x0, y0)
 		return
 	}
 	var rec [64]int32
@@ -469,9 +476,9 @@ func loadBlock(p *plane, x0, y0 int, dst *[64]int32) {
 	}
 }
 
-// copyBlock copies the 8×8 block at (sx,sy) of src to (x0,y0) of dst, a row
-// per 64-bit word.
-func copyBlock(src *plane, sx, sy int, dst *plane, x0, y0 int) {
+// copyBlockPortable is copyBlock in Go: the 8×8 block at (sx,sy) of src to
+// (x0,y0) of dst, a row per 64-bit word.
+func copyBlockPortable(src *plane, sx, sy int, dst *plane, x0, y0 int) {
 	for r := 0; r < blockSize; r++ {
 		binary.LittleEndian.PutUint64(dst.pix[(y0+r)*dst.w+x0:], src.word(sx, sy+r))
 	}

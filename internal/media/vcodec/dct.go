@@ -17,7 +17,9 @@
 // its divisor, so DC steps of half a unit stay exactly representable. Each
 // pass of the forward butterfly is an exact integer matrix product before
 // its descale (fdctMatrix), which is how the encoder's SSE2 block-coding
-// stage computes it on amd64 (dct_amd64.s).
+// stage computes it on amd64 (dct_amd64.s); so is each pass of the inverse
+// (idctMatrix), which is how the SSE2 reconstruction stage computes it
+// (recon_amd64.s).
 //
 // It substitutes for the DirectShow-era playback stack the paper relied on:
 // what the IVGBL runtime needs from a codec is random access at segment
@@ -168,11 +170,27 @@ func fdctMatrix() (m [8][8]int32) {
 // they are: the decoder's quantized blocks are mostly empty, and idct skips
 // what the masks say is not there. The masks may overstate (a coefficient
 // whose dequantizing product wrapped to zero still counts); they must never
-// understate.
+// understate. outside must be set when a coefficient lies beyond
+// ±idctRange, where the amd64 transform's bound stops holding.
 type coefBlock struct {
-	coef [64]int32
-	cols uint8 // bit c: column c holds a coefficient
-	acs  uint8 // bit c: column c holds a coefficient below row 0
+	coef    [64]int32
+	cols    uint8 // bit c: column c holds a coefficient
+	acs     uint8 // bit c: column c holds a coefficient below row 0
+	outside bool  // some coefficient is not inIDCTRange
+}
+
+// idctRange bounds the coefficients the amd64 transform takes
+// (TestIDCTMatrixBounds): 64·128, the DC of the largest intra residual, plus
+// the 512 a rounding quantizer can add — every coefficient of an intra block.
+// A motion-compensated residual spans ±255, so its coefficients can reach
+// 64·255 + 512; no block of the demo ladders comes near (EXPERIMENTS.md E35),
+// and a block that does is transformed by idct, as on every other target.
+const idctRange = 64*128 + 512
+
+// inIDCTRange reports whether |c| ≤ idctRange, in one compare. A c near the
+// int32 ends wraps far from the interval, so it is refused too.
+func inIDCTRange(c int32) bool {
+	return uint32(c+idctRange) <= 2*idctRange
 }
 
 // Descale shifts of the two inverse passes. The coefficient scale is folded
@@ -215,6 +233,30 @@ func idctLine(s0, s1, s2, s3, s4, s5, s6, s7 int64) (d0, d1, d2, d3, d4, d5, d6,
 	return t10 + o3, t11 + o2, t12 + o1, t13 + o0, t13 - o0, t12 - o1, t11 - o2, t10 - o3
 }
 
+// idctMatrix returns the integer matrix idctLine multiplies by: its outputs
+// are dₙ = Σₖ m[n][k]·sₖ, read off idctLine with unit impulses (the
+// butterfly is integer sums, products and shifts, so it is exactly this
+// product). Both passes of idct use it, with their own descale.
+func idctMatrix() (m [8][8]int32) {
+	for k := range blockSize {
+		var s [blockSize]int64
+		s[k] = 1
+		d0, d1, d2, d3, d4, d5, d6, d7 := idctLine(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+		for n, d := range [blockSize]int64{d0, d1, d2, d3, d4, d5, d6, d7} {
+			m[n][k] = int32(d)
+		}
+	}
+	return m
+}
+
+// flatDC is every sample idct writes for a block whose only coefficient is
+// its DC term: each pass reduces to the descale of one term times
+// 2^constBits.
+func flatDC(dc int32) int32 {
+	v := descale(int64(dc)<<constBits, idctColShift)
+	return int32(descale(v<<constBits, idctRowShift))
+}
+
 // idct computes the 2-D inverse DCT of b into spatial samples: a column
 // pass, then a row pass, each an idctLine and a rounding descale. It does
 // only the part of that the masks leave, and every shortcut is the value the
@@ -238,8 +280,7 @@ func (b *coefBlock) idct(dst *[64]int32) {
 	if b.cols == 1 && b.acs == 0 {
 		// DC alone — most of the blocks that have any coefficient, from the
 		// second rung down: both of the cases below at once, a flat block.
-		v := descale(int64(src[0])<<constBits, idctColShift)
-		flat := int32(descale(v<<constBits, idctRowShift))
+		flat := flatDC(src[0])
 		for i := range dst {
 			dst[i] = flat
 		}

@@ -94,13 +94,10 @@ func (r *quantRow) fill(d int32, round bool) {
 	}
 }
 
-// flat128 is the intra prediction, one row read eight times (stride 0).
-var flat128 = [blockSize]uint8{128, 128, 128, 128, 128, 128, 128, 128}
-
 // blockCoder is encodeBlockRow's block-coding stage for one quantizer step:
 // load a block, then code it against a prediction into a candidate.
 type blockCoder struct {
-	cur             []uint8 // the loaded block's first sample onward
+	cur             *uint8 // the loaded block's first sample
 	stride          int
 	round, deadzone quantTable
 	coef            [64]int16
@@ -111,24 +108,21 @@ func newBlockCoder(qstep int) blockCoder {
 }
 
 // load makes the 8×8 block of src at (x0,y0) the one the next inter and
-// intra calls code, after the bounds check the kernel cannot make.
+// intra calls code.
 func (c *blockCoder) load(src *plane, x0, y0 int) {
-	c.cur, c.stride = src.pix[y0*src.w+x0:], src.w
-	_ = c.cur[7*c.stride+7]
+	c.cur, c.stride = blockAt(src, x0, y0), src.w
 }
 
 // inter codes the loaded block against pred's block at (px,py) with the
 // dead-zone quantizer.
 func (c *blockCoder) inter(pred *plane, px, py int, out *candidate) {
-	p := pred.pix[py*pred.w+px:]
-	_ = p[7*pred.w+7]
-	fdctSSE2(&c.cur[0], c.stride, &p[0], pred.w, &c.coef)
+	fdctSSE2(c.cur, c.stride, blockAt(pred, px, py), pred.w, &c.coef)
 	out.bytes = quantSSE2(&c.coef, &c.deadzone, &out.nat)
 }
 
 // intra codes the loaded block against flat 128 with the rounding quantizer.
 func (c *blockCoder) intra(out *candidate) {
-	fdctSSE2(&c.cur[0], c.stride, &flat128[0], 0, &c.coef)
+	fdctSSE2(c.cur, c.stride, &flat128[0], 0, &c.coef)
 	out.bytes = quantSSE2(&c.coef, &c.round, &out.nat)
 }
 

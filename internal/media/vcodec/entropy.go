@@ -112,7 +112,8 @@ func writeLevels(w *byteWriter, levels *[64]int32) {
 // read reverses writeLevels straight into b: each (run, level) pair becomes
 // the dequantized coefficient at its natural position — the level truncated
 // to int32, times the DC or AC divisor, wrapping in int32 — and is recorded
-// in the column masks. Levels never exist as an array on the decode side.
+// in the column masks, and one outside ±idctRange in outside. Levels never
+// exist as an array on the decode side.
 func (b *coefBlock) read(r *byteReader, dcDiv, acDiv int32) error {
 	n, err := r.uvarint()
 	if err != nil {
@@ -121,7 +122,7 @@ func (b *coefBlock) read(r *byteReader, dcDiv, acDiv int32) error {
 	if n > 64 {
 		return fmt.Errorf("%w: %d coefficient pairs in one block", ErrCorrupt, n)
 	}
-	b.cols, b.acs = 0, 0
+	b.cols, b.acs, b.outside = 0, 0, false
 	if n == 0 {
 		return nil // coef is stale, which idct never looks at when cols is 0
 	}
@@ -152,7 +153,11 @@ func (b *coefBlock) read(r *byteReader, dcDiv, acDiv int32) error {
 			div = acDiv
 		}
 		pos := zigzag[idx]
-		b.coef[pos] = int32(lvl) * div
+		c := int32(lvl) * div
+		b.coef[pos] = c
+		if !inIDCTRange(c) {
+			b.outside = true
+		}
 		col := uint8(1) << (pos & 7)
 		b.cols |= col
 		if pos >= blockSize {

@@ -29,13 +29,69 @@ var fuzzSeeds = sync.OnceValue(func() (pkts [2][]byte) {
 	return [2][]byte{i0.Data, p1.Data}
 })
 
+// levelPacket is a w×h packet at qstep whose every luma block carries
+// levels — intra in an I-frame, predicted with vector (0,0) in a P-frame —
+// and whose chroma blocks are empty intra blocks or skips.
+func levelPacket(ft FrameType, w, h, qstep int, levels *[64]int32) []byte {
+	p := byteWriter{buf: []byte(magic)}
+	p.u8(uint8(ft))
+	p.uvarint(uint64(w))
+	p.uvarint(uint64(h))
+	p.uvarint(uint64(qstep))
+	p.u8(0)
+	for i, sz := range [3][2]int{{w, h}, {(w + 1) / 2, (h + 1) / 2}, {(w + 1) / 2, (h + 1) / 2}} {
+		cols, rows := padUp(sz[0])/blockSize, padUp(sz[1])/blockSize
+		var row byteWriter
+		for range cols {
+			switch {
+			case i == 0 && ft == IFrame:
+				row.u8(modeIntra)
+				writeLevels(&row, levels)
+			case i == 0:
+				row.u8(modeMC)
+				row.u8(packMV(0, 0))
+				writeLevels(&row, levels)
+			case ft == IFrame:
+				row.u8(modeIntra)
+				writeLevels(&row, &[64]int32{})
+			default:
+				row.u8(modeSkip)
+			}
+		}
+		p.uvarint(uint64(rows))
+		for range rows {
+			p.uvarint(uint64(len(row.buf)))
+		}
+		for range rows {
+			p.bytes(row.buf)
+		}
+	}
+	return p.buf
+}
+
+// rangeEdgePackets are the seeds at the SSE2 transform's edge, at q1 where
+// a level is an eighth of its coefficient: a block whose coefficients sit
+// at ±idctRange (the SSE2 transform), one past it (the Go transform), and
+// one whose level wraps on dequantization — each as an I-frame and as a
+// P-frame against fuzzSeeds' reference.
+func rangeEdgePackets() [][]byte {
+	var pkts [][]byte
+	for _, lvl := range []int32{idctRange / 8, idctRange/8 + 1, 1<<28 + 1} {
+		levels := [64]int32{lvl, -lvl, 90, -lvl, 0, 0, 7, lvl, 0, -1}
+		pkts = append(pkts, levelPacket(IFrame, 8, 8, 1, &levels), levelPacket(PFrame, 24, 16, 1, &levels))
+	}
+	return pkts
+}
+
 // FuzzDecode feeds arbitrary packets to the decoder, both cold and primed
 // with a real reference frame, with the oracle decoder (the dense kernels the
 // sparse ones replaced, oracle_test.go) fed the same packets beside it. The
 // invariants: Decode never panics; every rejection is an ErrCorrupt (so
 // callers can rely on errors.Is to separate bad data from programming
 // errors); the two decoders accept the same packets and decode them to the
-// same pixels; and a rejected packet leaves the reference usable.
+// same pixels; and a rejected packet leaves the reference usable. The
+// rangeEdgePackets seeds put the search on both sides of the edge between
+// the amd64 SSE2 transform and the Go one.
 func FuzzDecode(f *testing.F) {
 	seeds := fuzzSeeds()
 	f.Add(seeds[0])
@@ -50,6 +106,9 @@ func FuzzDecode(f *testing.F) {
 	flip := append([]byte(nil), seeds[1]...)
 	flip[len(flip)/3] ^= 0x40
 	f.Add(flip)
+	for _, p := range rangeEdgePackets() {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		differential := func(leg string, dec *Decoder, oracle *refDecoder) error {
 			frame, err := dec.Decode(data)

@@ -2,6 +2,7 @@ package vcodec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -596,6 +597,323 @@ func TestFDCTMatrixBounds(t *testing.T) {
 	}
 	if _, acDiv := quantDivisors(128); coefOut+int64(acDiv/2) >= 1<<15 {
 		t.Errorf("a quantizer numerator reaches %d, past 2¹⁵", coefOut+int64(acDiv/2))
+	}
+}
+
+// rangedBlock is blockOf with outside set where the reader would set it.
+func rangedBlock(coefs *[64]int32) *coefBlock {
+	b := blockOf(coefs)
+	for _, c := range coefs {
+		b.outside = b.outside || !inIDCTRange(c)
+	}
+	return b
+}
+
+// readBlock writes levels with writeLevels and reads them back at qstep,
+// requiring outside to say whether a coefficient left ±idctRange.
+func readBlock(t *testing.T, levels *[64]int32, qstep int) *coefBlock {
+	t.Helper()
+	var w byteWriter
+	writeLevels(&w, levels)
+	dcDiv, acDiv := quantDivisors(qstep)
+	b := &coefBlock{outside: true}
+	if err := b.read(&byteReader{buf: w.buf}, dcDiv, acDiv); err != nil {
+		t.Fatal(err)
+	}
+	var outside bool
+	for _, c := range b.coef {
+		outside = outside || !inIDCTRange(c)
+	}
+	if b.cols != 0 && b.outside != outside {
+		t.Fatalf("levels %v at q%d: outside %v, coefficients %v", levels, qstep, b.outside, b.coef)
+	}
+	return b
+}
+
+// namedBlock is a coefficient block the stage tests run, and whether every
+// legal motion vector is swept with it (one block of each kind is).
+type namedBlock struct {
+	name  string
+	blk   *coefBlock
+	sweep bool
+}
+
+// stageBlocks returns the blocks the reconstruction stage is held to its Go
+// path on: no coefficients (with stale ones behind cols = 0); a DC term
+// alone, from tiny to int32-wide; one column; a few terms and every term in
+// range; each output's extreme block — every coefficient ±idctRange with
+// the signs of that output's basis function, which drives both passes' sums
+// to their bound — and the same at ±(idctRange+1); one coefficient just
+// past the range; levels at the range's edge and one whose dequantizing
+// product wraps, through the reader; and random int32 coefficients.
+func stageBlocks(t *testing.T, rng *rand.Rand) []namedBlock {
+	var out []namedBlock
+	add := func(name string, b *coefBlock, sweep bool) { out = append(out, namedBlock{name, b, sweep}) }
+	stale := &coefBlock{}
+	for i := range stale.coef {
+		stale.coef[i] = int32(rng.Uint32())
+	}
+	add("empty", stale, true)
+	for i, dc := range []int32{8, -8, 8 * 300, idctRange, -idctRange, idctRange + 1, -idctRange - 1, math.MaxInt32, math.MinInt32} {
+		add(fmt.Sprintf("dc %d", dc), rangedBlock(&[64]int32{dc}), i == 0)
+	}
+	const b = idctRange
+	var coefs [64]int32
+	for i, col := range [][8]int32{{800, -96, 0, 48}, {b, -b, b, -b, b, -b, b, -b}, {-b, b, b, b, -b, -b, b, -b}} {
+		coefs = [64]int32{}
+		for k, v := range col {
+			coefs[k*blockSize] = v
+		}
+		add(fmt.Sprintf("one column %d", i), rangedBlock(&coefs), i == 0)
+	}
+	for trial := 0; trial < 40; trial++ {
+		coefs = [64]int32{}
+		n := 2 + rng.Intn(10)
+		if trial%4 == 0 {
+			n = 64
+		}
+		for ; n > 0; n-- {
+			coefs[rng.Intn(64)] = rng.Int31n(2*b+1) - b
+		}
+		add(fmt.Sprintf("dense %d", trial), rangedBlock(&coefs), trial < 2)
+	}
+	m := idctMatrix()
+	for _, mag := range []int32{b, b + 1} {
+		for out := 0; out < 64; out++ {
+			u, v := out/blockSize, out%blockSize
+			for _, sign := range []int32{1, -1} {
+				for i := range coefs {
+					coefs[i] = sign * mag
+					if m[u][i/blockSize]*m[v][i%blockSize] < 0 {
+						coefs[i] = -coefs[i]
+					}
+				}
+				add(fmt.Sprintf("extreme %d (%d,%d)·%d", mag, u, v, sign), rangedBlock(&coefs), out == 0 && sign == 1)
+			}
+		}
+	}
+	for pos := 0; pos < 64; pos++ {
+		coefs = [64]int32{}
+		coefs[0], coefs[9] = 300, -200
+		coefs[pos] = b + 1
+		if pos%2 == 1 {
+			coefs[pos] = -b - 1
+		}
+		add(fmt.Sprintf("one past the range at %d", pos), rangedBlock(&coefs), pos == 63)
+	}
+	// q1 divides by 8: level 1088 is idctRange, 1089 the first past it, and
+	// 2²⁸+1 wraps to −2³¹+8.
+	for _, lvl := range []int32{1088, -1088, 1089, -1089, 1<<28 + 1, -1<<28 - 1} {
+		add(fmt.Sprintf("level %d at q1", lvl), readBlock(t, &[64]int32{40, lvl, -3, 0, 7}, 1), true)
+		add(fmt.Sprintf("level %d at q1, DC", lvl), readBlock(t, &[64]int32{lvl, 0, 5}, 1), false)
+	}
+	for trial := 0; trial < 20; trial++ {
+		coefs = [64]int32{}
+		for n := 1 + rng.Intn(64); n > 0; n-- {
+			coefs[rng.Intn(64)] = int32(rng.Uint32())
+		}
+		add(fmt.Sprintf("int32 %d", trial), rangedBlock(&coefs), false)
+	}
+	return out
+}
+
+// TestReconstructMatchesGo holds the dispatching reconstruction stage —
+// SSE2 on amd64 — to reconstructPortable and copyBlockPortable, plane for
+// plane, so a byte written beside the block fails too: every stageBlocks
+// block as an intra block at every block position and as a motion-
+// compensated one (at every legal vector for one block of each kind, three
+// random ones for the rest), and the block copy at every legal vector, on
+// planes three and five blocks wide.
+func TestReconstructMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	blocks := stageBlocks(t, rng)
+	for _, sz := range [][2]int{{24, 16}, {40, 24}} {
+		w, h := sz[0], sz[1]
+		ref, base := noisePlane(rng, w, h), noisePlane(rng, w, h)
+		want, got := newPlane(w, h), newPlane(w, h)
+		check := func(what string, goPath, stage func(dst *plane)) {
+			t.Helper()
+			copy(want.pix, base.pix)
+			copy(got.pix, base.pix)
+			goPath(want)
+			stage(got)
+			if string(got.pix) != string(want.pix) {
+				for i := range got.pix {
+					if got.pix[i] != want.pix[i] {
+						t.Fatalf("%dx%d %s: sample (%d,%d) is %d, the Go path's %d", w, h, what, i%w, i/w, got.pix[i], want.pix[i])
+					}
+				}
+			}
+		}
+		for y0 := 0; y0 < h; y0 += blockSize {
+			for x0 := 0; x0 < w; x0 += blockSize {
+				var vectors [][2]int
+				for py := max(0, y0-8); py <= min(h-blockSize, y0+7); py++ {
+					for px := max(0, x0-8); px <= min(w-blockSize, x0+7); px++ {
+						vectors = append(vectors, [2]int{px, py})
+					}
+				}
+				for _, v := range vectors {
+					check(fmt.Sprintf("copy (%d,%d) → (%d,%d)", v[0], v[1], x0, y0),
+						func(dst *plane) { copyBlockPortable(ref, v[0], v[1], dst, x0, y0) },
+						func(dst *plane) { copyBlock(ref, v[0], v[1], dst, x0, y0) })
+				}
+				for _, nb := range blocks {
+					check(fmt.Sprintf("%s, intra at (%d,%d)", nb.name, x0, y0),
+						func(dst *plane) { reconstructPortable(nb.blk, nil, 0, 0, dst, x0, y0) },
+						func(dst *plane) { reconstruct(nb.blk, nil, 0, 0, dst, x0, y0) })
+					mc := vectors
+					if !nb.sweep {
+						mc = [][2]int{vectors[rng.Intn(len(vectors))], vectors[0], vectors[len(vectors)-1]}
+					}
+					for _, v := range mc {
+						check(fmt.Sprintf("%s, (%d,%d) predicted from (%d,%d)", nb.name, x0, y0, v[0], v[1]),
+							func(dst *plane) { reconstructPortable(nb.blk, ref, v[0], v[1], dst, x0, y0) },
+							func(dst *plane) { reconstruct(nb.blk, ref, v[0], v[1], dst, x0, y0) })
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIDCTMatrixBounds is the overflow proof of the SSE2 transform
+// (recon_amd64.s), rebuilt from idctLine on every run: a changed constant,
+// shift or idctRange fails here instead of wrapping silently in the kernel.
+// The kernel packs coefficients to 16-bit words, multiplies words by
+// idctMatrix entries with 32-bit sums (PMADDWD), descales in 32 bits, packs
+// the column pass's outputs to words for the row pass, and adds the row
+// pass's outputs to prediction bytes in words (PADDSW). Every sum it forms
+// is the whole of one output's sum or a part of it, so the bound on
+// Σₖ|m[n][k]|·|x| covers them all.
+func TestIDCTMatrixBounds(t *testing.T) {
+	m := idctMatrix()
+
+	// The matrix is idctLine, on inputs as wide as an int32.
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 10000; trial++ {
+		var s [blockSize]int64
+		for k := range s {
+			s[k] = int64(int32(rng.Uint32())) >> rng.Intn(32)
+		}
+		d0, d1, d2, d3, d4, d5, d6, d7 := idctLine(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+		for n, d := range [blockSize]int64{d0, d1, d2, d3, d4, d5, d6, d7} {
+			var sum int64
+			for k := range s {
+				sum += int64(m[n][k]) * s[k]
+			}
+			if sum != d {
+				t.Fatalf("idctMatrix row %d gives %d on %v, idctLine %d", n, sum, s, d)
+			}
+		}
+	}
+	// The structure idctPairs and the kernel's passes rely on: output 7−n is
+	// output n with the odd terms negated, and rows 3 and 2 weigh (s0, s4)
+	// like rows 0 and 1 and (s2, s6) negated.
+	for n := 0; n < blockSize/2; n++ {
+		for k := range blockSize {
+			if want := m[n][k] * int32(1-2*(k%2)); m[7-n][k] != want {
+				t.Fatalf("m[%d][%d] = %d, want %d (row %d with its odd terms negated)", 7-n, k, m[7-n][k], want, n)
+			}
+		}
+	}
+	for _, p := range [][2]int{{0, 3}, {1, 2}} {
+		a, b := m[p[0]], m[p[1]]
+		if b[0] != a[0] || b[4] != a[4] || b[2] != -a[2] || b[6] != -a[6] {
+			t.Fatalf("rows %d and %d do not share their even weights: %v, %v", p[0], p[1], a, b)
+		}
+	}
+
+	var maxC, rowSum int64 // rowSum: the largest Σₖ|m[n][k]|
+	for n := range m {
+		var s int64
+		for _, c := range m[n] {
+			a := int64(c)
+			if a < 0 {
+				a = -a
+			}
+			maxC = max(maxC, a)
+			s += a
+		}
+		rowSum = max(rowSum, s)
+	}
+	// bounds returns, for coefficients in ±b: the column pass's largest
+	// dword sum with rounding, its largest output, the row pass's largest
+	// dword sum with rounding and its largest output.
+	bounds := func(b int64) (colAcc, colOut, rowAcc, out int64) {
+		colAcc = rowSum*b + 1<<(idctColShift-1)
+		colOut = colAcc >> idctColShift
+		rowAcc = rowSum*colOut + 1<<(idctRowShift-1)
+		return colAcc, colOut, rowAcc, rowAcc >> idctRowShift
+	}
+	colAcc, colOut, rowAcc, out := bounds(idctRange)
+	t.Logf("max |m| %d, Σ|m| ≤ %d; coefficients in ±%d: column sums ≤ %d (%.0f%% of 2³¹), column outputs ≤ %d, row sums ≤ %d (%.0f%% of 2³¹), outputs ≤ %d",
+		maxC, rowSum, idctRange, colAcc, 100*float64(colAcc)/(1<<31), colOut, rowAcc, 100*float64(rowAcc)/(1<<31), out)
+	if maxC > math.MaxInt16 {
+		t.Errorf("a matrix entry of %d does not fit a PMADDWD word", maxC)
+	}
+	if idctRange > math.MaxInt16 {
+		t.Errorf("idctRange %d does not fit the word a coefficient is packed to", idctRange)
+	}
+	if colAcc > math.MaxInt32 {
+		t.Errorf("column sums reach %d with rounding, past a dword", colAcc)
+	}
+	if colOut > math.MaxInt16 {
+		t.Errorf("column outputs reach %d, past the row pass's words", colOut)
+	}
+	if rowAcc > math.MaxInt32 {
+		t.Errorf("row sums reach %d with rounding, past a dword", rowAcc)
+	}
+	if out+255 > math.MaxInt16 {
+		t.Errorf("outputs reach %d: plus a prediction byte, past the PADDSW word", out)
+	}
+	// A DC-only block in range adds flatDC's value as one word.
+	for _, dc := range []int32{idctRange, -idctRange} {
+		if v := flatDC(dc); v < math.MinInt16 || v > math.MaxInt16 {
+			t.Errorf("flatDC(%d) = %d does not fit addFlatSSE2's word", dc, v)
+		}
+	}
+	// The range a motion-compensated residual's coefficients span, for the
+	// record: the column outputs leave a word and the row sums a dword, so
+	// the kernel would need each output split in two and twice the
+	// multiplies (EXPERIMENTS.md E35).
+	mcAcc, mcOut, mcRow, _ := bounds(64*255 + 512)
+	t.Logf("coefficients in ±%d would give column sums ≤ %d, column outputs ≤ %d, row sums ≤ %d (%.2f× 2³¹)",
+		64*255+512, mcAcc, mcOut, mcRow, float64(mcRow)/(1<<31))
+
+	// idctRange holds every coefficient of an intra block: the ±128 residual
+	// shaped like each position's basis function, both signs, quantized at
+	// every step and dequantized.
+	var widest int32
+	for pos := 0; pos < 64; pos++ {
+		var unit, shape [64]int32
+		unit[pos] = 1 << 12
+		idct8x8(&unit, &shape)
+		for _, sign := range []int32{1, -1} {
+			var res, coefs, levels, deq [64]int32
+			for i, v := range shape {
+				if v*sign >= 0 {
+					res[i] = 127
+				} else {
+					res[i] = -128
+				}
+			}
+			fdct8x8(&res, &coefs)
+			for qstep := 1; qstep <= 128; qstep++ {
+				quantize(&coefs, qstep, &levels)
+				dequantize(&levels, qstep, &deq)
+				for _, c := range deq {
+					if c < 0 {
+						c = -c
+					}
+					widest = max(widest, c)
+				}
+			}
+		}
+	}
+	t.Logf("widest intra coefficient %d, idctRange %d", widest, idctRange)
+	if widest > idctRange {
+		t.Errorf("an intra block dequantizes to %d, past idctRange %d", widest, idctRange)
 	}
 }
 

@@ -25,6 +25,19 @@ func (p *plane) row(x0, y, n int) []uint8 {
 	return p.pix[y*p.w+x0 : y*p.w+x0+n]
 }
 
+// blockAt returns the first sample of p's 8×8 block at (x,y), after the
+// bounds check the assembly leaves cannot make: its last sample is in the
+// plane.
+func blockAt(p *plane, x, y int) *uint8 {
+	s := p.pix[y*p.w+x:]
+	_ = s[7*p.w+7]
+	return &s[0]
+}
+
+// flat128 is the intra prediction as the assembly leaves take it, one row
+// read eight times (stride 0).
+var flat128 = [blockSize]uint8{128, 128, 128, 128, 128, 128, 128, 128}
+
 func clamp255(v int32) uint8 {
 	if uint32(v) > 255 { // below 0 or above 255, in one compare
 		return uint8(^(v >> 31)) // 0 for negative v, 255 otherwise
