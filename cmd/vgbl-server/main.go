@@ -5,9 +5,10 @@
 // mounts the telemetry ingest service so playing clients (and the
 // vgbl-loadtest fleet) can report their sessions to /telemetry/ingest and
 // lecturers can read live aggregates from /telemetry/stats, and mounts the
-// play service so thin clients can play server-hosted sessions through
-// /play/create, /play/act, /play/state and /play/frame (live counters at
-// /play/stats).
+// play service so clients can play server-hosted sessions through
+// /play/actv2 (framed create, acts and leave; /play/create and /play/act
+// are its curl-able JSON adapters), /play/state and /play/frame (live
+// counters at /play/stats).
 //
 // All course bytes live in one content-addressed chunk store shared by the
 // package server and the play service (segments shared across courses are
@@ -241,7 +242,7 @@ func main() {
 	}
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
 	fmt.Printf("  telemetry: http://%s%s (POST), http://%s%s\n", ln.Addr(), telemetry.IngestPath, ln.Addr(), telemetry.StatsPath)
-	fmt.Printf("  play:     http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.CreatePath, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
+	fmt.Printf("  play:     http://%s%s (POST), %s, %s, %s, %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.CreatePath, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
 	fmt.Printf("  rooms:    http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.RoomCreatePath, playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
 	if *cluster > 0 {
 		fmt.Printf("  cluster:  %d play nodes behind the /play/ gateway (checkpoint every %v)\n", *cluster, *checkpointEvery)

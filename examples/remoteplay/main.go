@@ -57,7 +57,7 @@ func main() {
 	}
 	go http.Serve(ln, srv)
 	url := "http://" + ln.Addr().String()
-	fmt.Printf("== play service at %s%s\n", url, playsvc.CreatePath)
+	fmt.Printf("== play service at %s%s\n", url, playsvc.ActV2Path)
 
 	// 2. Client side: dial a hosted session and let the guided policy play
 	// it over the wire. Every server-emitted event lands in the collector.

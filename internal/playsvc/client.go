@@ -48,8 +48,8 @@ type ClientOptions struct {
 	// faultnet.RetryPolicy{Budget: 2s}: 4 attempts, 10ms base, 1s cap,
 	// stretched by wall-clock to 2s while the failure is the network's.
 	// Retries are safe by construction: Dial mints the session id
-	// client-side so creates are idempotent, and every act carries a
-	// sequence number the server deduplicates on.
+	// client-side so creates are idempotent, and every act — the leave
+	// included — carries a sequence number the server deduplicates on.
 	Retry *faultnet.RetryPolicy
 	// LocalMirror is the one mode switch. A thin client (the default)
 	// ships every act at once as a framed batch of one on /play/actv2 and
@@ -64,8 +64,12 @@ type ClientOptions struct {
 	// error. Frames render locally from the replica, so Watch costs no
 	// round trip. The server session stays authoritative for delivery:
 	// observers receive the server's events, exactly once, as replies
-	// arrive. Create, state, frame and leave stay on their JSON/raw routes
-	// in both modes.
+	// arrive. Both modes create and leave inside act frames: a thin client
+	// sends its create at Dial and its leave at Close, each a frame of its
+	// own; a mirror's create rides in front of its first batch and its
+	// leave at the end of its last, so a session of n acts costs
+	// ceil((n+1)/mirrorBatch) requests. State reads and frames stay on
+	// their JSON/raw routes, and a resume on /play/create.
 	LocalMirror bool
 	// Pkg is the opened course package (required by LocalMirror; the
 	// fleet already holds it for local play). Every mirror on one Pkg
@@ -97,6 +101,9 @@ type Client struct {
 	seen      int    // events forwarded to the observer so far
 	quiz      string // pending quiz id ("" = none)
 	seq       int64  // act sequence number (server-side retry dedup)
+	// create is the course the next batch opens the session on; it clears
+	// when a reply confirms the session exists.
+	create string
 
 	// pending holds acts handed to send and not yet shipped: at most one
 	// for a thin client, up to mirrorBatch for a mirror client.
@@ -134,12 +141,16 @@ const clientTimeout = 10 * time.Second
 const clientRetryBudget = 2 * time.Second
 
 // Dial creates a hosted session on the server and returns a client bound
-// to it. Events emitted while entering the start scenario are delivered to
-// the observer before Dial returns, mirroring runtime.NewSession.
+// to it. A thin client's Dial sends the create and delivers the events
+// emitted while entering the start scenario to the observer before it
+// returns, mirroring runtime.NewSession. A LocalMirror client's Dial builds
+// the replica from Pkg and makes no request: the create rides in front of
+// the first batch, so its observer gets the entry events with the first
+// reply rather than before Dial returns — in the same order, exactly once.
 //
-// Dial mints the session id itself (unless resuming): the create request
-// names it, so a retried create whose first reply was lost reattaches to
-// the session the server already built instead of leaking a duplicate.
+// Dial mints the session id itself (unless resuming): the create names it,
+// so a retried create whose first reply was lost reattaches to the session
+// the server already built instead of leaking a duplicate.
 func Dial(o ClientOptions) (*Client, error) {
 	if o.BaseURL == "" || (o.Course == "" && o.Resume == "") {
 		return nil, fmt.Errorf("playsvc: client needs BaseURL and a Course or Resume id")
@@ -159,29 +170,27 @@ func Dial(o ClientOptions) (*Client, error) {
 	if c.retry == nil {
 		c.retry = &c.budget
 	}
-	req := &CreateRequest{Course: o.Course, Resume: o.Resume}
-	if req.Resume == "" {
-		req.Session = newSessionID(o.Course)
+	if o.Resume != "" {
+		reply, err := c.jsonReply(http.MethodPost, c.opts.BaseURL+CreatePath, mustJSON(&CreateRequest{Resume: o.Resume}), "resume")
+		if err != nil {
+			return nil, err
+		}
+		c.id = reply.Session
+		c.apply(reply)
+		return c, nil
 	}
-	reply, err := c.jsonReply(http.MethodPost, c.opts.BaseURL+CreatePath, mustJSON(req), "create")
-	if err != nil {
-		return nil, err
-	}
-	c.id = reply.Session
-	if reply.Course != "" {
-		c.opts.Course = reply.Course
-	}
-	c.w, c.h, c.fps = reply.Width, reply.Height, reply.FPS
-	c.apply(reply)
+	c.id, c.create = newSessionID(o.Course), o.Course
 	if o.LocalMirror {
 		mirror, err := runtime.NewSessionFromPackage(o.Pkg, runtime.Options{Observer: &c.mirrorCounter})
 		if err != nil {
 			return nil, fmt.Errorf("playsvc: local mirror: %w", err)
 		}
-		if c.mirrorCounter.n != int64(reply.EventCount) {
-			return nil, fmt.Errorf("playsvc: local mirror diverged at create: %d events locally, %d hosted", c.mirrorCounter.n, reply.EventCount)
-		}
 		c.mirror = mirror
+		c.w, c.h, c.fps = mirror.VideoMeta()
+		return c, nil
+	}
+	if _, err := c.flush(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -189,7 +198,8 @@ func Dial(o ClientOptions) (*Client, error) {
 // SessionID returns the session identifier.
 func (c *Client) SessionID() string { return c.id }
 
-// VideoMeta returns the hosted video's geometry (from the create reply).
+// VideoMeta returns the hosted video's geometry (from the create reply, or
+// a mirror's package).
 func (c *Client) VideoMeta() (w, h, fps int) { return c.w, c.h, c.fps }
 
 // Err returns the sticky failure ("" path errors like a wrong quiz answer
@@ -199,6 +209,10 @@ func (c *Client) Err() error { return c.err }
 // apply folds a server reply into the client mirror and forwards unseen
 // events to the observer.
 func (c *Client) apply(r *Reply) {
+	if r.Course != "" {
+		c.opts.Course = r.Course
+		c.w, c.h, c.fps = r.Width, r.Height, r.FPS
+	}
 	c.tick = r.Tick
 	if r.State != nil {
 		c.state = r.State
@@ -274,8 +288,8 @@ func (c *Client) do(policy *faultnet.RetryPolicy, method, url, contentType strin
 	}, what, true, decode)
 }
 
-// jsonReply exchanges one request for a JSON Reply (create, resume, sync
-// and leave; payload nil for a GET).
+// jsonReply exchanges one request for a JSON Reply (resume and sync;
+// payload nil for a GET).
 func (c *Client) jsonReply(method, url string, payload []byte, what string) (*Reply, error) {
 	var r *Reply
 	err := c.do(c.retry, method, url, "application/json", payload, what, func(resp *http.Response) (error, bool) {
@@ -391,15 +405,21 @@ func (c *Client) send(req *ActRequest) (ActResult, error) {
 	if c.err != nil {
 		return ActResult{}, c.err
 	}
+	c.queue(req)
+	if c.mirror != nil && len(c.pending) < mirrorBatch {
+		return ActResult{}, nil
+	}
+	return c.flush()
+}
+
+// queue appends an act to the pending batch; a mirror client records with
+// it the replica's event count and tick after the act.
+func (c *Client) queue(req *ActRequest) {
 	c.pending = append(c.pending, *req)
 	if c.mirror != nil {
 		c.pendingEvents = append(c.pendingEvents, c.mirrorCounter.n)
 		c.pendingTicks = append(c.pendingTicks, c.mirror.Ticks())
-		if len(c.pending) < mirrorBatch {
-			return ActResult{}, nil
-		}
 	}
-	return c.flush()
 }
 
 // trimPending drops the first n queued acts (and, in mirror mode, their
@@ -412,15 +432,16 @@ func (c *Client) trimPending(n int) {
 	}
 }
 
-// flush ships the queued acts as one framed batch. The returned result and
-// error describe the LAST queued act — for a thin client the only one,
-// whose caller is waiting. An act-level error on an earlier act drops that
-// act and ships the rest: only a mirror client queues more than one, and
-// its replica already gave the refusal to the caller. (In practice only
+// flush ships the queued acts — behind the create while the session is
+// unconfirmed — as one framed batch. The returned result and error
+// describe the LAST queued act — for a thin client the only one, whose
+// caller is waiting. An act-level error on an earlier act drops that act
+// and ships the rest: only a mirror client queues more than one, and its
+// replica already gave the refusal to the caller. (In practice only
 // select, quiz, goto and tick can be refused.)
 func (c *Client) flush() (ActResult, error) {
 	var last ActResult
-	for len(c.pending) > 0 {
+	for len(c.pending) > 0 || c.create != "" {
 		if c.err != nil {
 			c.trimPending(len(c.pending))
 			return ActResult{}, c.err
@@ -431,6 +452,8 @@ func (c *Client) flush() (ActResult, error) {
 			c.trimPending(n)
 			return ActResult{}, err
 		}
+		// A reply proves the session exists, whatever became of the acts.
+		c.create = ""
 		if out.ActErr != nil {
 			// A reply claiming more results than acts sent is not trusted
 			// to index the queue.
@@ -442,14 +465,19 @@ func (c *Client) flush() (ActResult, error) {
 			continue
 		}
 		// Mirror mode: the reply covering this batch must land exactly
-		// where the replica was when the batch's last act was queued.
-		// Anything else means replica and hosted session disagree, and
-		// every local answer after the divergence point is suspect.
+		// where the replica was when the batch's last act was queued — or
+		// where it is now, for a batch that is only the create. Anything
+		// else means replica and hosted session disagree, and every local
+		// answer after the divergence point is suspect.
 		if c.mirror != nil {
-			if int64(out.Reply.EventCount) != c.pendingEvents[n-1] || out.Reply.Tick != c.pendingTicks[n-1] {
+			events, tick := c.mirrorCounter.n, c.mirror.Ticks()
+			if n > 0 {
+				events, tick = c.pendingEvents[n-1], c.pendingTicks[n-1]
+			}
+			if int64(out.Reply.EventCount) != events || out.Reply.Tick != tick {
 				return ActResult{}, c.fail(fmt.Errorf(
 					"playsvc: local mirror diverged: replica at %d events/tick %d, hosted session at %d/%d",
-					c.pendingEvents[n-1], c.pendingTicks[n-1], out.Reply.EventCount, out.Reply.Tick))
+					events, tick, out.Reply.EventCount, out.Reply.Tick))
 			}
 		}
 		if len(out.Results) > 0 {
@@ -473,19 +501,37 @@ func (c *Client) resuming(op func() error) error {
 	return c.finalize(err)
 }
 
-// sendBatch posts one framed batch. The batch keeps its BaseSeq across
-// retries and the post-resume replay, so the server's (base, len) dedup
-// recognizes a batch whose reply was lost and applies each act at most
-// once.
+// sendBatch posts one framed batch, the pending create in front of it. The
+// batch keeps its BaseSeq across retries and the post-resume replay, so
+// the server's (base, len) dedup — or, for a batch that ended the
+// session, its tombstone — recognizes a batch whose reply was lost and
+// applies each act at most once.
 func (c *Client) sendBatch(acts []ActRequest) (*BatchReply, error) {
-	req := &BatchRequest{Session: c.id, BaseSeq: c.seq + 1, Acts: acts}
-	c.seq += int64(len(acts))
+	req := &BatchRequest{Session: c.id, Create: c.create, Acts: acts}
+	if len(acts) > 0 {
+		req.BaseSeq = c.seq + 1
+		c.seq += int64(len(acts))
+	}
 	var out *BatchReply
-	err := c.resuming(func() (err error) {
+	post := func() (err error) {
 		req.SeenEvents, req.SeenMessages = c.seen, len(c.messages)
 		out, err = c.postFrame(EncodeActFrame(req))
 		return err
-	})
+	}
+	var err error
+	if req.leaves() {
+		// Replayed directly, never through a resume: resuming a session
+		// that the first attempt already released would either fail (404,
+		// reading as session loss) or thaw it back to life, and the
+		// server's tombstone makes the bare replay safe (same seq → same
+		// final view).
+		if err = post(); err != nil && recoverable(err) {
+			err = post()
+		}
+		err = c.finalize(err)
+	} else {
+		err = c.resuming(post)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -717,44 +763,28 @@ func (c *Client) Frame() (*raster.Frame, error) {
 	return &c.frame, nil
 }
 
-// Close releases the hosted session. The leave is the one act that stays a
-// JSON post on /play/act: it ends the session, so there is nothing to
-// batch it with, and a gateway must be able to read it to stop tracking
-// the session. Events emitted by the final interactions are still
-// delivered to the observer. Closing an already-failed client still
-// attempts the leave — if the session survived whatever broke the client,
-// it should not linger until TTL eviction — and returns the sticky error.
+// Close releases the hosted session: the leave is the last act of the last
+// batch, behind whatever a mirror client still has queued, so events
+// emitted by the final interactions are still delivered to the observer.
+// Closing an already-failed client still attempts the leave — if the
+// session survived whatever broke the client, it should not linger until
+// TTL eviction — and returns the sticky error.
 func (c *Client) Close() error {
-	c.flush() // a mirror client's queued tail; errors stick
 	defer func() { c.mirror = nil }()
-	c.seq++
-	url := c.opts.BaseURL + ActPath
-	leave := mustJSON(&ActRequest{Session: c.id, Kind: ActLeave, Seq: c.seq, SeenEvents: c.seen, SeenMessages: len(c.messages)})
+	leave := ActRequest{Kind: ActLeave}
 	if c.err != nil {
 		// Best effort: one attempt, under the same per-attempt deadline
 		// and trace header as every other request; the answer is unread.
-		c.do(nil, http.MethodPost, url, "application/json", leave, "leave",
+		c.seq++
+		frame := EncodeActFrame(&BatchRequest{Session: c.id, BaseSeq: c.seq, Acts: []ActRequest{leave},
+			SeenEvents: c.seen, SeenMessages: len(c.messages)})
+		c.do(nil, http.MethodPost, c.opts.BaseURL+ActV2Path, FrameContentType, frame, "leave",
 			func(*http.Response) (error, bool) { return nil, false })
 		return c.err
 	}
-	r, err := c.jsonReply(http.MethodPost, url, leave, "leave")
-	if err != nil && recoverable(err) {
-		// Replayed directly, never through a resume: resuming a session
-		// that the first leave attempt already released would either fail
-		// (404, reading as session loss) or thaw it back to life, and the
-		// server's leave tombstone makes the bare replay safe (same seq →
-		// same final view).
-		r, err = c.jsonReply(http.MethodPost, url, leave, "leave")
-	}
-	if err != nil {
-		return c.finalize(err)
-	}
-	c.apply(r)
-	if c.mirror != nil && int64(r.EventCount) != c.mirrorCounter.n {
-		return c.fail(fmt.Errorf("playsvc: local mirror diverged at leave: replica saw %d events, hosted session %d",
-			c.mirrorCounter.n, r.EventCount))
-	}
-	return nil
+	c.queue(&leave)
+	_, err := c.flush()
+	return err
 }
 
 // mustJSON marshals a value that cannot fail (plain request structs).

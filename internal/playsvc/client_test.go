@@ -1,9 +1,12 @@
 package playsvc
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,7 +15,9 @@ import (
 
 	"repro/internal/content"
 	"repro/internal/core"
+	"repro/internal/gamepack"
 	"repro/internal/obs"
+	"repro/internal/runtime"
 )
 
 // countingTransport counts requests per URL path.
@@ -37,14 +42,22 @@ func (ct *countingTransport) count(path string) int {
 	return ct.paths[path]
 }
 
+// jsonRequests counts a transport's requests on the JSON play routes.
+func (ct *countingTransport) jsonRequests() int {
+	return ct.count(CreatePath) + ct.count(ActPath) + ct.count(StatePath)
+}
+
 // TestThinOneRequestPerAct pins what the single act path promises a thin
-// client: N act calls are exactly N framed requests on /play/actv2 (reads
-// in between cost nothing), nothing touches /play/act until Close, and
-// Close sends exactly one leave there.
+// client: Dial is one framed create on /play/actv2, N act calls are exactly
+// N more framed requests there (reads in between cost nothing), and Close
+// is one framed leave — N + 2 frames, and not one request on a JSON route.
 func TestThinOneRequestPerAct(t *testing.T) {
 	ts, _ := liveService(t, Options{TTL: -1})
 	ct := &countingTransport{}
 	c := dialOpts(t, ts.URL, nil, func(o *ClientOptions) { o.HTTP = &http.Client{Transport: ct} })
+	if got := ct.count(ActV2Path); got != 1 {
+		t.Fatalf("Dial sent %d frames, want the one create", got)
+	}
 
 	acts := 0
 	act := func(do func()) {
@@ -81,36 +94,106 @@ func TestThinOneRequestPerAct(t *testing.T) {
 		}
 	})
 
-	if got := ct.count(ActV2Path); got != acts {
-		t.Fatalf("%d acts cost %d %s requests, want one each", acts, got, ActV2Path)
-	}
-	if got := ct.count(ActPath); got != 0 {
-		t.Fatalf("%d requests on %s before Close, want 0", got, ActPath)
+	if got := ct.count(ActV2Path); got != acts+1 {
+		t.Fatalf("%d acts cost %d %s requests after the create, want one each", acts, got-1, ActV2Path)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ct.count(ActPath); got != 1 {
-		t.Fatalf("Close sent %d requests on %s, want exactly the leave", got, ActPath)
+	if got := ct.count(ActV2Path); got != acts+2 {
+		t.Fatalf("a session of %d acts cost %d %s requests, want %d", acts, got, ActV2Path, acts+2)
 	}
-	if got := ct.count(ActV2Path); got != acts {
-		t.Fatalf("Close moved the %s count to %d", ActV2Path, got)
+	if got := ct.jsonRequests(); got != 0 {
+		t.Fatalf("a thin session sent %d requests on the JSON routes, want 0", got)
 	}
 }
 
-// stubPlayServer answers the create like a play service and hands every
-// other route to the given handler.
+// TestMirrorSessionExchanges pins what the framed create and leave buy a
+// thick client: Dial makes no request, and a session of n acts costs
+// exactly ceil((n+1)/mirrorBatch) frames — the create rides in front of the
+// first, the leave at the end of the last — and nothing on a JSON route,
+// with every entry and act event delivered once.
+func TestMirrorSessionExchanges(t *testing.T) {
+	ts, m := liveService(t, Options{TTL: -1})
+	pkg, err := gamepack.Open(classroomBlob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 15, 16, 31, 32} {
+		ct := &countingTransport{}
+		var rec recorder
+		c := dialOpts(t, ts.URL, &rec, func(o *ClientOptions) {
+			o.HTTP = &http.Client{Transport: ct}
+			o.LocalMirror, o.Pkg = true, pkg
+		})
+		if got := ct.count(ActV2Path) + ct.jsonRequests(); got != 0 {
+			t.Fatalf("n=%d: a mirror Dial sent %d requests, want 0", n, got)
+		}
+		var local recorder
+		ref, err := runtime.NewSessionFromPackage(pkg, runtime.Options{Observer: &local})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if i%2 == 0 {
+				c.Talk("teacher")
+				ref.Talk("teacher")
+				continue
+			}
+			if err := c.Advance(1); err != nil {
+				t.Fatal(err)
+			}
+			ref.Advance(1)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got, want := ct.count(ActV2Path), (n+1+mirrorBatch-1)/mirrorBatch; got != want {
+			t.Fatalf("a mirror session of %d acts cost %d frames, want %d", n, got, want)
+		}
+		if got := ct.jsonRequests(); got != 0 {
+			t.Fatalf("n=%d: a mirror session sent %d requests on the JSON routes, want 0", n, got)
+		}
+		if got, want := rec.log(), local.log(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: observer got %v, want the replica's %v", n, got, want)
+		}
+	}
+	st := m.Snapshot()
+	if st["sessions_created"] != 5 || st["sessions_closed"] != 5 || m.Live() != 0 {
+		t.Fatalf("created %d, closed %d, live %d after 5 sessions", st["sessions_created"], st["sessions_closed"], m.Live())
+	}
+}
+
+// stubPlayServer answers a framed create like a play service and hands
+// every other request — its body unread — to the given handler.
 func stubPlayServer(t *testing.T, rest http.HandlerFunc) *httptest.Server {
 	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc(CreatePath, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, &Reply{Session: "stub", Course: "classroom", Width: 160, Height: 120, FPS: 10,
-			State: core.NewState(content.Classroom().Project)})
-	})
-	mux.HandleFunc("/", rest)
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == ActV2Path {
+			body, _ := io.ReadAll(r.Body)
+			if req, err := ParseActFrame(body); err == nil && req.Create != "" && len(req.Acts) == 0 {
+				w.Write(EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: req.Session, Course: req.Create,
+					Width: 160, Height: 120, FPS: 10, State: core.NewState(content.Classroom().Project)}}))
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		rest(w, r)
+	}))
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// isLeaveFrame reports whether a request is a framed batch ending in a
+// leave, leaving its body readable.
+func isLeaveFrame(r *http.Request) bool {
+	if r.URL.Path != ActV2Path {
+		return false
+	}
+	body, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	req, err := ParseActFrame(body)
+	return err == nil && req.leaves()
 }
 
 // TestFrameGeometryRejected: geometry off the wire sizes a client's pixel
@@ -185,7 +268,7 @@ func TestCloseFailedClientBounded(t *testing.T) {
 	release := make(chan struct{})
 	leaveTrace := make(chan string, 1)
 	ts := stubPlayServer(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == ActPath {
+		if isLeaveFrame(r) {
 			leaveTrace <- r.Header.Get(obs.TraceHeader)
 			<-release // a hung node: never answers the leave
 			return

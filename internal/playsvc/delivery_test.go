@@ -3,9 +3,13 @@ package playsvc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,17 +142,20 @@ func TestBinaryGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestDroppedReplyChaos is the lost-reply delivery gate: both client modes
-// replay the golden trace across a transport that loses replies after the
-// server applied the request (faultnet resets), drops requests outright
-// and injects 503s. The bar is exact delivery — the client-side event log
-// and transcript must match the fault-free reference with zero lost and
-// zero duplicated entries, and the final state must be byte-identical. The
-// mirror leg additionally holds every batch reply to the replica
-// (reconciliation is a sticky error, so a clean Close proves it).
+// TestDroppedReplyChaos is the lost-reply delivery gate: both client modes,
+// each direct and fronted by a 3-node gateway, replay the golden trace
+// across a transport that loses replies after the server applied the
+// request (faultnet resets), drops requests outright and injects 503s. The
+// bar is exact delivery — the client-side event log and transcript must
+// match the fault-free reference with zero lost and zero duplicated
+// entries, and the final state must be byte-identical. The mirror legs
+// additionally hold every batch reply to the replica (reconciliation is a
+// sticky error, so a clean Close proves it), and their creates and leaves
+// ride act frames, so a lost reply there is a lost create or leave too.
 func TestDroppedReplyChaos(t *testing.T) {
 	trace, wantLog, wantState, wantMsgs := goldenClassroomRun(t)
 	ts, m := liveService(t, Options{})
+	cl, gw := liveCluster(t, 3, Options{})
 	pkg, err := gamepack.Open(classroomBlob(t))
 	if err != nil {
 		t.Fatal(err)
@@ -174,13 +181,19 @@ func TestDroppedReplyChaos(t *testing.T) {
 	}{
 		{"thin", 7, 1, nil},
 		{"mirror", 11, 12, func(o *ClientOptions) { o.LocalMirror = true; o.Pkg = pkg }},
+		{"thin-gateway", 13, 1, nil},
+		{"mirror-gateway", 17, 12, func(o *ClientOptions) { o.LocalMirror = true; o.Pkg = pkg }},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
+			url := ts.URL
+			if strings.HasSuffix(leg.name, "-gateway") {
+				url = gw.URL
+			}
 			faulty := faultnet.WrapClient(nil, profile, leg.seed)
 			for i := 0; i < leg.sessions; i++ {
 				var rec recorder
-				c := dialOpts(t, ts.URL, &rec, func(o *ClientOptions) {
+				c := dialOpts(t, url, &rec, func(o *ClientOptions) {
 					o.HTTP = faulty
 					// Enough attempts that a 22% per-request fault rate
 					// cannot plausibly exhaust the ladder mid-trace.
@@ -204,13 +217,124 @@ func TestDroppedReplyChaos(t *testing.T) {
 	if live := m.Live(); live != 0 {
 		t.Fatalf("%d sessions still live after chaos legs closed", live)
 	}
+	checkClusterEmpty(t, cl)
 }
 
-// TestJSONAdapterMatchesFrame pins the JSON debug adapter against the
-// framed route: the same act sent to two fresh sessions — once as a
-// curl-shaped Seq-less JSON POST /play/act, once as a framed batch of one
-// on /play/actv2 — must yield the same Reply through the shared handler:
-// state, events, messages, pending quiz and the correct/took results.
+// checkClusterEmpty holds a cluster whose clients all closed to "nothing
+// left": no session live on any node and none tracked by the gateway.
+func checkClusterEmpty(t *testing.T, cl *Cluster) {
+	t.Helper()
+	for _, name := range cl.NodeNames() {
+		if live := cl.Node(name).Manager.Live(); live != 0 {
+			t.Fatalf("%s still hosts %d sessions", name, live)
+		}
+	}
+	if n := cl.Gateway().SessionCount(); n != 0 {
+		t.Fatalf("the gateway still tracks %d sessions", n)
+	}
+}
+
+// lossyOnce applies the first request it sees on path and then loses the
+// reply, running between first before it reports the loss; every other
+// request passes through.
+type lossyOnce struct {
+	path    string
+	between func()
+	mu      sync.Mutex
+	lost    bool
+}
+
+func (l *lossyOnce) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil || l.lost || r.URL.Path != l.path {
+		return resp, err
+	}
+	l.lost = true
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	l.between()
+	return nil, errors.New("reply lost in transit")
+}
+
+// TestLostFirstFrameAcrossRingMove: a mirror client's first frame carries
+// its create and 16 acts. The cluster applies it and the reply is lost;
+// before the retry a node joins and takes the session's id. The retried
+// create must not mint a second session on the new owner: the gateway
+// rescues the live copy off the old one, the new owner thaws it and
+// answers the retry from its dedup state. One session is created, the
+// entry events reach the observer exactly once, and after Close no node
+// hosts it and the gateway tracks nothing.
+func TestLostFirstFrameAcrossRingMove(t *testing.T) {
+	cl, gw := liveCluster(t, 3, Options{})
+	pkg, err := gamepack.Open(classroomBlob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node names are sequential, so the ring after one more node is known:
+	// dial (free for a mirror) until the id is one node-4 will own.
+	next := NewGateway(nil)
+	for i := 1; i <= 4; i++ {
+		next.AddNode(fmt.Sprintf("node-%d", i), "http://unused")
+	}
+	lossy := &lossyOnce{path: ActV2Path, between: func() {
+		if _, err := cl.StartNode(); err != nil {
+			t.Error(err)
+		}
+	}}
+	var rec recorder
+	var c *Client
+	for tries := 0; ; tries++ {
+		rec = recorder{}
+		c = dialOpts(t, gw.URL, &rec, func(o *ClientOptions) {
+			o.HTTP = &http.Client{Transport: lossy}
+			o.LocalMirror, o.Pkg = true, pkg
+		})
+		if owner, _ := next.ownerOf(c.SessionID()); owner.name == "node-4" {
+			break
+		}
+		if tries == 200 {
+			t.Fatal("no minted id hashes onto the fourth node")
+		}
+	}
+	var local recorder
+	ref, err := runtime.NewSessionFromPackage(pkg, runtime.Options{Observer: &local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < mirrorBatch; i++ {
+		c.Talk("teacher")
+		ref.Talk("teacher")
+	}
+	if !lossy.lost {
+		t.Fatal("the first frame never went out")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec.log(), local.log(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("observer got %v, want the replica's %v once", got, want)
+	}
+	cs := cl.Gateway().Stats().Cluster
+	if cs["sessions_created"] != 1 || cs["sessions_resumed"] != 1 || cs["sessions_closed"] != 1 {
+		t.Fatalf("cluster counted created %d, resumed %d, closed %d; want one session moved once",
+			cs["sessions_created"], cs["sessions_resumed"], cs["sessions_closed"])
+	}
+	if got := cl.Node("node-4").Manager.Snapshot()["sessions_resumed"]; got != 1 {
+		t.Fatalf("the new owner thawed %d sessions, want the one that moved", got)
+	}
+	checkClusterEmpty(t, cl)
+}
+
+// TestJSONAdapterMatchesFrame pins the JSON adapters against the framed
+// route: two sessions created — once by POST /play/create, once by a
+// create-only frame — and then driven by the same acts — once as
+// curl-shaped Seq-less JSON POSTs to /play/act, once as framed batches of
+// one on /play/actv2 — must yield the same Reply through the shared
+// handler at every step: the create's state, entry events, course and
+// geometry; each act's state, events, messages, pending quiz and
+// correct/took results; the leave's final tails without a state.
 func TestJSONAdapterMatchesFrame(t *testing.T) {
 	ts, m := liveService(t, Options{TTL: -1})
 	post := func(path, ctype string, body []byte) []byte {
@@ -259,13 +383,29 @@ func TestJSONAdapterMatchesFrame(t *testing.T) {
 		{Kind: ActQuiz, Quiz: "q-diagnosis", Choice: 1},
 		{Kind: ActTick, Ticks: 3},
 	}
-	sessions := [2]string{}
-	for i := range sessions {
-		r, err := m.Create(&CreateRequest{Course: "classroom"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = r.Session
+	// The create: the JSON adapter on one id, a create-only frame on the
+	// other — state, entry events, course and geometry alike.
+	sessions := [2]string{newSessionID("classroom"), newSessionID("classroom")}
+	var jc Reply
+	if err := json.Unmarshal(post(CreatePath, "application/json",
+		mustJSON(&CreateRequest{Course: "classroom", Session: sessions[0]})), &jc); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ParseReplyFrame(post(ActV2Path, FrameContentType,
+		EncodeActFrame(&BatchRequest{Session: sessions[1], Create: "classroom"})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.ActErr != nil || len(out.Results) != 0 {
+		t.Fatalf("create-only frame answered %+v", out)
+	}
+	fc := out.Reply
+	if jc.State == nil || len(jc.Events) == 0 || jc.Course != "classroom" || jc.Width == 0 || jc.Height == 0 || jc.FPS == 0 {
+		t.Fatalf("JSON create reply lacks state, entry events or course metadata: %+v", jc)
+	}
+	fc.Session = jc.Session
+	if !reflect.DeepEqual(&jc, fc) {
+		t.Fatalf("create: JSON adapter and frame disagree:\n json  %+v\n frame %+v", &jc, fc)
 	}
 	sawQuiz, sawCorrect, sawTook := false, false, false
 	for _, a := range script {
@@ -280,6 +420,19 @@ func TestJSONAdapterMatchesFrame(t *testing.T) {
 	}
 	if !sawQuiz || !sawCorrect || !sawTook {
 		t.Fatalf("script never exercised quiz=%v correct=%v took=%v", sawQuiz, sawCorrect, sawTook)
+	}
+	// The leave: the final tails (nothing was acknowledged, so all of
+	// them) and no state, either way.
+	j, f := viaJSON(sessions[0], ActRequest{Kind: ActLeave}), viaFrame(sessions[1], ActRequest{Kind: ActLeave})
+	if j.State != nil || len(j.Events) == 0 || len(j.Messages) == 0 {
+		t.Fatalf("JSON leave reply is not the final tails alone: %+v", j)
+	}
+	f.Session = j.Session
+	if !reflect.DeepEqual(j, f) {
+		t.Fatalf("leave: JSON adapter and frame disagree:\n json  %+v\n frame %+v", j, f)
+	}
+	if m.Live() != 0 {
+		t.Fatalf("%d sessions live after both leaves", m.Live())
 	}
 }
 
@@ -313,6 +466,32 @@ func TestRetriedLeaveDeliversFinalTail(t *testing.T) {
 	}
 	if first.State != nil {
 		t.Fatalf("leave confirmation carries a state snapshot; a leave changes none: %+v", first.State)
+	}
+	// The same for a mirror's last frame: acts with the leave at its end.
+	// Every retry of the lost reply is answered with the first one whole —
+	// the acts' results and the same final tail.
+	r2, err := m.Create(&CreateRequest{Course: "classroom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := &BatchRequest{Session: r2.Session, BaseSeq: 1, SeenEvents: r2.EventCount, SeenMessages: r2.MessageCount,
+		Acts: []ActRequest{{Kind: ActTalk, Object: "teacher"}, {Kind: ActTake, Object: "teacher"}, {Kind: ActLeave}}}
+	last, err := m.ActBatch(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.ActErr != nil || len(last.Results) != 3 || !last.Results[1].HasTook || last.Reply.State != nil ||
+		len(last.Reply.Events) == 0 || len(last.Reply.Messages) == 0 {
+		t.Fatalf("tail+leave reply is not the acts' results and the final tails: %+v %+v", last, last.Reply)
+	}
+	for i := 0; i < 3; i++ {
+		again, err := m.ActBatch(tail)
+		if err != nil {
+			t.Fatalf("tail+leave retry %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(again, last) {
+			t.Fatalf("tail+leave retry %d diverged:\n got %+v\nwant %+v", i, again, last)
+		}
 	}
 	if m.Live() != 0 {
 		t.Fatalf("%d sessions live after leave", m.Live())

@@ -1,14 +1,18 @@
-// Binary wire framing for the act path: the one format acts travel in
-// (POST /play/act is a JSON debug adapter over the same batch).
+// Binary wire framing for the act path: the one format a hosted session's
+// life travels in, from its create to its leave (POST /play/create and
+// POST /play/act are JSON adapters over the same batch).
 //
 // A frame is an internal/tagrec container, like the snapshot envelope and
 // the watch chunk; this file holds the act and reply tag tables and the
 // field codecs the three share (event, act error, state). Request frames
-// ("VACT") carry a whole act batch — the session id rides in the FIRST
-// record so a gateway can route the frame without parsing (or re-encoding)
-// the rest; reply frames ("VRPL") carry per-act results plus ONE coalesced
+// ("VACT") carry a whole act batch. Their routing prefix is the session id,
+// then the op records — a create naming the course, a leave — so a gateway
+// routes a frame, and tracks or untracks its session, without parsing (or
+// re-encoding) the rest. A frame may open its session, act on it and end it
+// all at once: a thick client's whole session can be one frame. Reply
+// frames ("VRPL") carry per-act results plus ONE coalesced
 // state/event/message tail, so a batch of N acts costs one state snapshot
-// instead of N.
+// instead of N; a create's reply adds the course and its video geometry.
 //
 // Every parse rejection wraps ErrBadFrame; the hostile-input bar (every
 // length checked against the remaining input before any allocation) is
@@ -47,13 +51,16 @@ const (
 	maxFrameField = 1 << 20
 )
 
-// Act-frame record tags.
+// Act-frame record tags. The session, create and leave records are the
+// routing prefix: in that order, before every other record.
 const (
 	atagSession      = 1 // string; MUST be the first record (gateway routing)
 	atagBaseSeq      = 2 // uvarint
 	atagSeenEvents   = 3 // uvarint
 	atagSeenMessages = 4 // uvarint
 	atagAct          = 5 // repeated, one per act, batch order
+	atagCreate       = 6 // string course: open the session before the acts
+	atagLeave        = 7 // empty: the last act is a leave
 )
 
 // Reply-frame record tags.
@@ -69,6 +76,10 @@ const (
 	rtagMessage      = 9  // repeated string
 	rtagResult       = 10 // repeated, one result byte per applied act
 	rtagError        = 11 // status uvarint, retryAfter uvarint, msg str
+	rtagCourse       = 12 // string; a create's reply, with the three below
+	rtagWidth        = 13 // uvarint
+	rtagHeight       = 14 // uvarint
+	rtagFPS          = 15 // uvarint
 )
 
 // Reply flag bits (rtagFlags).
@@ -82,9 +93,9 @@ const (
 	resTook       = 1 << 3
 )
 
-// wireKind maps an act kind to its wire enum (0 = unknown). ActLeave has
-// no wire form on purpose: a leave ends the session and must stay a
-// single JSON act so its confirmation semantics are never batched.
+// wireKind maps an act kind to its wire enum (0 = unknown). A leave is
+// legal only as a frame's last act, and the frame's leave record says so
+// in the routing prefix.
 func wireKind(kind string) uint64 {
 	switch kind {
 	case ActClick:
@@ -107,6 +118,8 @@ func wireKind(kind string) uint64 {
 		return 9
 	case ActTick:
 		return 10
+	case ActLeave:
+		return 11
 	}
 	return 0
 }
@@ -133,6 +146,8 @@ func kindOfWire(k uint64) string {
 		return ActGoto
 	case 10:
 		return ActTick
+	case 11:
+		return ActLeave
 	}
 	return ""
 }
@@ -201,11 +216,17 @@ func readActError(payload []byte) (*Error, error) {
 
 // EncodeActFrame encodes a batch request as a binary act frame. Only the
 // act fields the wire carries (kind, object, item, x, y, quiz, choice,
-// ticks) survive; session/seq/seen ride the frame header.
+// ticks) survive; session/create/seq/seen ride the frame header.
 func EncodeActFrame(req *BatchRequest) []byte {
 	b := tagrec.Begin(make([]byte, 0, 64+32*len(req.Acts)), actMagic, frameVersion)
-	// The session record leads so a gateway can route on a prefix parse.
+	// The routing prefix leads so a gateway can route on a prefix parse.
 	b = tagrec.Append(b, atagSession, req.Session)
+	if req.Create != "" {
+		b = tagrec.Append(b, atagCreate, req.Create)
+	}
+	if req.leaves() {
+		b = tagrec.Append(b, atagLeave, "")
+	}
 	b = tagrec.AppendUint(b, atagBaseSeq, uint64(req.BaseSeq))
 	b = tagrec.AppendUint(b, atagSeenEvents, uint64(req.SeenEvents))
 	b = tagrec.AppendUint(b, atagSeenMessages, uint64(req.SeenMessages))
@@ -231,21 +252,24 @@ func EncodeActFrame(req *BatchRequest) []byte {
 // before allocation.
 func ParseActFrame(data []byte) (*BatchRequest, error) {
 	req := &BatchRequest{}
-	first, hasSession := true, false
+	var rt frameRoute
+	prefix := true
 	sc := tagrec.Open(data, actMagic, 1, frameVersion, maxFrameField)
-	for sc.Next() {
-		if first && sc.Tag != atagSession {
-			return nil, frameBadf("first record must be the session id")
+	for i := 0; sc.Next(); i++ {
+		if prefix {
+			var err error
+			if prefix, err = rt.take(i, sc.Tag, sc.Payload); err != nil {
+				return nil, err
+			}
+			if prefix {
+				continue
+			}
 		}
-		first = false
 		r := tagrec.Reader{B: sc.Payload}
 		var err error
 		switch sc.Tag {
-		case atagSession:
-			if hasSession {
-				return nil, frameBadf("duplicate session record")
-			}
-			req.Session, hasSession = string(sc.Payload), true
+		case atagSession, atagCreate, atagLeave:
+			return nil, frameBadf("record %d outside the routing prefix", sc.Tag)
 		case atagBaseSeq:
 			v, err := r.Uvarint()
 			if err != nil || v > math.MaxInt64 {
@@ -263,6 +287,9 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 		case atagAct:
 			if len(req.Acts) >= maxFrameActs {
 				return nil, frameBadf("more than %d acts in one frame", maxFrameActs)
+			}
+			if req.leaves() {
+				return nil, frameBadf("act after a leave")
 			}
 			var a ActRequest
 			k, err := r.Uvarint()
@@ -301,28 +328,75 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 	if err := sc.Err(); err != nil {
 		return nil, frameBadf("%v", err)
 	}
-	if !hasSession || req.Session == "" {
+	if rt.session == "" {
 		return nil, frameBadf("missing session id")
 	}
-	if len(req.Acts) == 0 {
+	if len(req.Acts) == 0 && rt.create == "" {
 		return nil, frameBadf("empty act batch")
 	}
+	if rt.leave != req.leaves() {
+		return nil, frameBadf("leave record and last act disagree")
+	}
+	req.Session, req.Create = rt.session, rt.create
 	return req, nil
 }
 
-// frameSessionID extracts the routing key from an act frame WITHOUT
-// validating the CRC or parsing the acts — the gateway's prefix parse.
-// The session id is required to be the first record, so this touches a
-// handful of header bytes no matter how large the batch is.
-func frameSessionID(data []byte) (string, error) {
-	tag, payload, err := tagrec.First(data, actMagic, 1, frameVersion, maxFrameField)
-	if err != nil {
-		return "", frameBadf("%v", err)
+// frameRoute is what a gateway reads off an act frame: the session it
+// routes on and the ops that track and untrack it.
+type frameRoute struct {
+	session string
+	create  string // the course a create opens the session on
+	leave   bool
+}
+
+// take folds the record at index i into the route while it is part of the
+// routing prefix — the session id, then a create, then a leave, each at
+// most once — and reports false at the first record past it. The full
+// parse and the gateway's prefix parse both run it, so they agree on every
+// frame the full parse accepts.
+func (rt *frameRoute) take(i int, tag uint64, payload []byte) (bool, error) {
+	switch {
+	case i == 0:
+		if tag != atagSession || len(payload) == 0 {
+			return false, frameBadf("first record must be the session id")
+		}
+		rt.session = string(payload)
+	case tag == atagCreate && i == 1:
+		if len(payload) == 0 {
+			return false, frameBadf("create names no course")
+		}
+		rt.create = string(payload)
+	case tag == atagLeave && !rt.leave:
+		rt.leave = true
+	default:
+		return false, nil
 	}
-	if tag != atagSession || len(payload) == 0 {
-		return "", frameBadf("first record must be the session id")
+	return true, nil
+}
+
+// parseFrameRoute is the gateway's prefix parse: it reads the routing
+// prefix WITHOUT validating the CRC or parsing the acts, so it touches a
+// handful of header bytes no matter how large the batch is. The node, not
+// the gateway, rejects a frame that is mangled past its prefix.
+func parseFrameRoute(data []byte) (frameRoute, error) {
+	var rt frameRoute
+	sc := tagrec.Peek(data, actMagic, 1, frameVersion, maxFrameField)
+	for i := 0; sc.Next(); i++ {
+		more, err := rt.take(i, sc.Tag, sc.Payload)
+		if err != nil {
+			return frameRoute{}, err
+		}
+		if !more {
+			return rt, nil
+		}
 	}
-	return string(payload), nil
+	if err := sc.Err(); err != nil {
+		return frameRoute{}, frameBadf("%v", err)
+	}
+	if rt.session == "" {
+		return frameRoute{}, frameBadf("missing session id")
+	}
+	return rt, nil
 }
 
 // --- reply frames ------------------------------------------------------------
@@ -341,6 +415,12 @@ func EncodeReplyFrame(out *BatchReply) []byte {
 	}
 	if r.Resumed {
 		b = tagrec.AppendUint(b, rtagFlags, rflagResumed)
+	}
+	if r.Course != "" {
+		b = tagrec.Append(b, rtagCourse, r.Course)
+		b = tagrec.AppendUint(b, rtagWidth, uint64(max(r.Width, 0)))
+		b = tagrec.AppendUint(b, rtagHeight, uint64(max(r.Height, 0)))
+		b = tagrec.AppendUint(b, rtagFPS, uint64(max(r.FPS, 0)))
 	}
 	if r.State != nil {
 		var mark int
@@ -396,6 +476,20 @@ func ParseReplyFrame(data []byte) (*BatchReply, error) {
 				return nil, frameBadf("malformed flags")
 			}
 			r.Resumed = v&rflagResumed != 0
+		case rtagCourse:
+			r.Course = string(payload)
+		case rtagWidth:
+			if r.Width, err = fr.Int(); err != nil {
+				return nil, frameBadf("malformed width")
+			}
+		case rtagHeight:
+			if r.Height, err = fr.Int(); err != nil {
+				return nil, frameBadf("malformed height")
+			}
+		case rtagFPS:
+			if r.FPS, err = fr.Int(); err != nil {
+				return nil, frameBadf("malformed fps")
+			}
 		case rtagState:
 			if r.State, err = decodeState(payload); err != nil {
 				return nil, err

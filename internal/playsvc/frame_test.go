@@ -100,24 +100,34 @@ func TestReplyFrameMinimal(t *testing.T) {
 
 func TestFrameSessionID(t *testing.T) {
 	b := EncodeActFrame(sampleBatch())
-	id, err := frameSessionID(b)
+	rt, err := parseFrameRoute(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "classroom-0000abcd" {
-		t.Fatalf("session = %q", id)
+	id := rt.session
+	if id != "classroom-0000abcd" || rt.create != "" || rt.leave {
+		t.Fatalf("route = %+v", rt)
 	}
 	// The prefix parse must not need the tail: truncate right after the
 	// header records and routing still works (the node, not the gateway,
 	// rejects the mangled frame).
-	if id, err := frameSessionID(b[:len(actMagic)+1+2+len(id)+4]); err != nil || id != "classroom-0000abcd" {
-		t.Fatalf("prefix parse: id=%q err=%v", id, err)
+	if rt, err := parseFrameRoute(b[:len(actMagic)+1+2+len(id)+4]); err != nil || rt.session != "classroom-0000abcd" {
+		t.Fatalf("prefix parse: route=%+v err=%v", rt, err)
 	}
 	// A frame whose first record is not the session id does not route.
 	bad := append([]byte(actMagic), 1)               // magic + version
 	bad = tagrec.Append(bad, atagBaseSeq, []byte{7}) // wrong leading record
-	if _, err := frameSessionID(bad); !errors.Is(err, ErrBadFrame) {
+	bad = append(bad, 0, 0, 0, 0)                    // where the checksum goes
+	if _, err := parseFrameRoute(bad); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("err = %v, want ErrBadFrame", err)
+	}
+	// The ops ride the prefix: a whole session in one frame routes as a
+	// create and a leave.
+	whole := sampleBatch()
+	whole.Create = "classroom"
+	whole.Acts = append(whole.Acts, ActRequest{Kind: ActLeave})
+	if rt, err := parseFrameRoute(EncodeActFrame(whole)); err != nil || rt != (frameRoute{session: id, create: "classroom", leave: true}) {
+		t.Fatalf("whole-session frame: route=%+v err=%v", rt, err)
 	}
 }
 
@@ -129,8 +139,19 @@ func TestParseActFrameRejections(t *testing.T) {
 	empty := &BatchRequest{Session: "s"}
 	emptyFrame := EncodeActFrame(empty)
 
-	leave := sampleBatch()
-	leave.Acts = []ActRequest{{Kind: ActLeave}}
+	// A leave is legal only as the last act, and the prefix's leave record
+	// must agree with it.
+	early := sampleBatch()
+	early.Acts = append([]ActRequest{{Kind: ActLeave}}, early.Acts...)
+	unflagged := frameWithout(t, EncodeActFrame(&BatchRequest{Session: "s", Acts: []ActRequest{{Kind: ActLeave}}}), atagLeave)
+	flagged := tagrec.Begin(nil, actMagic, frameVersion)
+	flagged = tagrec.Append(flagged, atagSession, "s")
+	flagged = tagrec.Append(flagged, atagLeave, "")
+	flagged = tagrec.Finish(tagrec.Append(flagged, atagAct, []byte{byte(wireKind(ActClick)), 0, 0, 0, 0, 0, 0, 0}), 0)
+	late := tagrec.Begin(nil, actMagic, frameVersion)
+	late = tagrec.Append(late, atagSession, "s")
+	late = tagrec.Append(late, atagBaseSeq, []byte{1})
+	late = tagrec.Finish(tagrec.Append(late, atagCreate, "classroom"), 0)
 
 	cases := []struct {
 		name string
@@ -143,17 +164,32 @@ func TestParseActFrameRejections(t *testing.T) {
 		{"truncated", valid[:len(valid)-6]},
 		{"no acts", emptyFrame},
 		{"reply magic", EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s"}})},
+		{"leave before other acts", EncodeActFrame(early)},
+		{"leave act without the leave record", unflagged},
+		{"leave record without a leave act", flagged},
+		{"create past the routing prefix", late},
 	}
 	for _, tc := range cases {
 		if _, err := ParseActFrame(tc.data); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", tc.name, err)
 		}
 	}
-	// A leave act has no wire form at all: it cannot even be encoded into
-	// a parseable frame (kind 0 is rejected).
-	if _, err := ParseActFrame(EncodeActFrame(leave)); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("leave act encoded: err = %v, want ErrBadFrame", err)
+}
+
+// frameWithout re-seals an act frame with every record of one tag dropped.
+func frameWithout(t *testing.T, frame []byte, tag uint64) []byte {
+	t.Helper()
+	out := tagrec.Begin(nil, actMagic, frameVersion)
+	sc := tagrec.Open(frame, actMagic, frameVersion, frameVersion, maxFrameField)
+	for sc.Next() {
+		if sc.Tag != tag {
+			out = tagrec.Append(out, sc.Tag, sc.Payload)
+		}
 	}
+	if sc.Err() != nil {
+		t.Fatal(sc.Err())
+	}
+	return tagrec.Finish(out, 0)
 }
 
 // TestActFrameDeterministic pins byte-stable encoding: identical requests
@@ -177,6 +213,9 @@ func FuzzParseActFrame(f *testing.F) {
 	f.Add(EncodeActFrame(&BatchRequest{Session: "s", Acts: []ActRequest{{Kind: ActClick}}}))
 	long := EncodeActFrame(sampleBatch())
 	f.Add(long[:len(long)-5])
+	for _, frame := range opFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseActFrame(data)
 		if err != nil {
@@ -188,7 +227,7 @@ func FuzzParseActFrame(f *testing.F) {
 			}
 			return
 		}
-		if req.Session == "" || len(req.Acts) == 0 || len(req.Acts) > maxFrameActs {
+		if req.Session == "" || (len(req.Acts) == 0 && req.Create == "") || len(req.Acts) > maxFrameActs {
 			t.Fatalf("parsed frame violates invariants: %+v", req)
 		}
 		// Accepted input must survive a re-encode round trip (unknown
@@ -203,6 +242,52 @@ func FuzzParseActFrame(f *testing.F) {
 	})
 }
 
+// opFrames are act frames carrying the ops: a create alone, a create in
+// front of acts, acts with a leave at the end, a leave alone, and a whole
+// session in one frame.
+func opFrames() [][]byte {
+	acts := sampleBatch().Acts
+	leave := append(append([]ActRequest(nil), acts...), ActRequest{Kind: ActLeave})
+	return [][]byte{
+		EncodeActFrame(&BatchRequest{Session: "s", Create: "classroom"}),
+		EncodeActFrame(&BatchRequest{Session: "s", Create: "classroom", BaseSeq: 1, Acts: acts}),
+		EncodeActFrame(&BatchRequest{Session: "s", BaseSeq: 17, SeenEvents: 9, Acts: leave}),
+		EncodeActFrame(&BatchRequest{Session: "s", BaseSeq: 3, Acts: []ActRequest{{Kind: ActLeave}}}),
+		EncodeActFrame(&BatchRequest{Session: "s", Create: "classroom", BaseSeq: 1, Acts: leave}),
+	}
+}
+
+// FuzzFrameRoute holds the gateway's prefix parse to the full parse: on any
+// input it never panics and every rejection is a typed ErrBadFrame, and on
+// every frame the full parse accepts it routes the same session with the
+// same ops — a create the gateway misses would go untracked, a leave it
+// misses would never untrack.
+func FuzzFrameRoute(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("VACT"))
+	f.Add(EncodeActFrame(sampleBatch()))
+	for _, frame := range opFrames() {
+		f.Add(frame)
+		f.Add(frame[:len(frame)-3])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rt, rerr := parseFrameRoute(data)
+		if rerr != nil && !errors.Is(rerr, ErrBadFrame) {
+			t.Fatalf("untyped rejection: %v", rerr)
+		}
+		req, err := ParseActFrame(data)
+		if err != nil {
+			return
+		}
+		if rerr != nil {
+			t.Fatalf("the full parse accepts a frame the gateway refuses: %v", rerr)
+		}
+		if want := (frameRoute{session: req.Session, create: req.Create, leave: req.leaves()}); rt != want {
+			t.Fatalf("prefix parse routes %+v, the full parse %+v", rt, want)
+		}
+	})
+}
+
 // FuzzParseReplyFrame pins the same no-panic/typed-error bar for the
 // client-side parser — a hostile server (or a corrupting middlebox) must
 // not be able to crash a learner.
@@ -210,6 +295,8 @@ func FuzzParseReplyFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("VRPL"))
 	f.Add(EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s", State: &core.State{Scenario: "x"}}}))
+	f.Add(EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s", Course: "classroom", Width: 160, Height: 120, FPS: 10,
+		State: &core.State{Scenario: "x"}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out, err := ParseReplyFrame(data)
 		if err != nil {

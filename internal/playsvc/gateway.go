@@ -701,12 +701,13 @@ func routedPost[T any](g *Gateway, heal404 bool, id func(*T) (routeID string, en
 }
 
 // handleActV2 forwards a binary act frame opaquely: routing needs only
-// the session id, which the frame layout guarantees is its first record
-// (frameSessionID is a prefix parse — no CRC, no full decode), so the
-// gateway never re-encodes framed bodies. Healing (rescue, recover,
-// breaker diversion) is identical to the JSON path because session-level
-// failures stay HTTP statuses; act-level errors ride inside 200 frames
-// the gateway does not inspect.
+// the frame's routing prefix — the session id, then its create and leave
+// records (parseFrameRoute reads just those: no CRC, no full decode) — so
+// the gateway never re-encodes framed bodies, and a create or leave it
+// relays tracks or untracks the session exactly as the JSON routes do.
+// Healing (rescue, recover, breaker diversion) is identical to the JSON
+// path because session-level failures stay HTTP statuses; act-level errors
+// ride inside 200 frames the gateway does not inspect.
 func (g *Gateway) handleActV2(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -718,15 +719,28 @@ func (g *Gateway) handleActV2(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	session, err := frameSessionID(body)
+	rt, err := parseFrameRoute(body)
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	p, err := g.route(traceOf(r), http.MethodPost, ActV2Path, "", body, session, true)
+	// A retried create needs no rescue of its own: the node that minted
+	// the session checkpointed it, so the new owner of a moved id finds
+	// the entry and answers 404 instead of minting it again, and route's
+	// healing rescues the live copy (TestLostFirstFrameAcrossRingMove).
+	p, err := g.route(traceOf(r), http.MethodPost, ActV2Path, "", body, rt.session, true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
+	}
+	if p.status == http.StatusOK {
+		if rt.create != "" {
+			g.creates.Add(1)
+			g.track(rt.session)
+		}
+		if rt.leave {
+			g.untrack(rt.session)
+		}
 	}
 	relay(w, p)
 }

@@ -157,47 +157,48 @@ type course struct {
 	w, h, fps int
 }
 
-// tombstone preserves the final view of a left session for the retry
-// window: if the leave's reply dies in transit, the retried leave (same
-// seq) is served the SAME final view — including the event and message
-// tail the lost reply carried — instead of an empty confirmation that
-// would lose them forever. It keeps what a leave reply says (counts, tails,
-// pending quiz) rather than the Reply, most of whose fields a leave never
-// sets: every finished session leaves one behind for a TTL. Pruned by the
-// janitor alongside idle sessions.
+// tombstone preserves the reply to the batch that ended a session, for
+// the retry window: if that reply dies in transit, the retried batch (same
+// base seq) is served the SAME reply — its act results and the event and
+// message tail the lost reply carried — instead of an empty confirmation
+// that would lose them forever. Most such replies say nothing but their
+// counts, and every finished session leaves a tombstone behind for a TTL,
+// so the counts are fields and anything more is kept encoded. Pruned by
+// the janitor alongside idle sessions.
 type tombstone struct {
 	id   string
 	next *tombstone // the tombstone saved after this one (Manager.tombHead)
 	seq  int64
 	at   int64 // unix nanos, for pruning
 
-	// int32 like the snapshot format, which bounds the same three counts.
-	tick, eventCount, messageCount int32
-	// tail is what few final views have — a polite client has seen
-	// everything by the time it leaves; nil when this one had none of it.
+	// int32 like the snapshot format, which bounds the same three counts;
+	// acts is how many acts applied, the leave included.
+	tick, eventCount, messageCount, acts int32
+	// tail is nil when the reply said no more than the counts above: a
+	// thin client has seen everything by the time it leaves.
 	tail *tombTail
 }
 
-// tombTail is the part of a final view that is usually empty: what the
-// client had not acknowledged, and a quiz it left unanswered.
-type tombTail struct {
-	quiz     string
-	events   []runtime.Event
-	messages []string
-}
+// tombTail is a final reply that said more than its counts — an event or
+// message tail the client had not acknowledged, a quiz it left
+// unanswered, a take or quiz result — kept whole as the reply frame that
+// carried it: a third of the heap its events and strings take decoded.
+type tombTail struct{ frame string }
 
-// reply rebuilds the final view the tombstone was saved from.
-func (t *tombstone) reply() *Reply {
-	r := &Reply{
-		Session:      t.id,
-		Tick:         int(t.tick),
-		EventCount:   int(t.eventCount),
-		MessageCount: int(t.messageCount),
-	}
+// reply rebuilds the reply the tombstone was saved from.
+func (t *tombstone) reply() (*BatchReply, error) {
 	if t.tail != nil {
-		r.Quiz, r.Events, r.Messages = t.tail.quiz, t.tail.events, t.tail.messages
+		return ParseReplyFrame([]byte(t.tail.frame))
 	}
-	return r
+	return &BatchReply{
+		Reply: &Reply{
+			Session:      t.id,
+			Tick:         int(t.tick),
+			EventCount:   int(t.eventCount),
+			MessageCount: int(t.messageCount),
+		},
+		Results: make([]ActResult, t.acts),
+	}, nil
 }
 
 // tombCap bounds tombstones per manager when no janitor runs (TTL<0) or
@@ -205,6 +206,21 @@ func (t *tombstone) reply() *Reply {
 // first, which only narrows the retry window for the longest-finished
 // sessions.
 const tombCap = 131072
+
+// tailCap bounds how many tombstones keep a final tail. A tail is what a
+// thick client's last batch emitted — on the ruler's guided sessions six
+// events and two messages, a ~300 B frame — and every finished mirror
+// session leaves one, where its counts alone cost ~128 B. Kept for the
+// tombstone's whole TTL, tails grew the ruler's play server's peak RSS
+// 1.6× in one 15 s window, so only the 1 024 newest stay (~0.35 MB). A
+// lost reply is retried within milliseconds of a reset or a drop; one lost
+// to the 10 s attempt deadline can outlive its tail on a node finishing
+// more than ~100 sessions a second, and its retry is then answered 410 —
+// never with a final view that silently lacks events.
+const tailCap = 1024
+
+// tailDropped marks a tombstone whose final tail was dropped at tailCap.
+var tailDropped = &tombTail{}
 
 // Manager is the session host behind the play service HTTP surface. All
 // methods are safe for concurrent use.
@@ -269,6 +285,10 @@ type Manager struct {
 	// their age order, so the cap and the janitor both drop from the head.
 	tombs              map[string]*tombstone
 	tombHead, tombTail *tombstone
+	// tails rings the tombstones that were saved with a final tail;
+	// tailNext is the oldest slot, the next to be overwritten (tailCap).
+	tails    [tailCap]*tombstone
+	tailNext int
 
 	created atomic.Int64
 	closed  atomic.Int64 // sessions released by a leave act
@@ -458,6 +478,13 @@ func (m *Manager) publish(name string, proj *core.Project, video []byte) error {
 	return nil
 }
 
+// published resolves a published course by name (nil when absent).
+func (m *Manager) published(name string) *course {
+	m.coursesMu.RLock()
+	defer m.coursesMu.RUnlock()
+	return m.courses[name]
+}
+
 // Courses lists published course names (unordered).
 func (m *Manager) Courses() []string {
 	m.coursesMu.RLock()
@@ -510,11 +537,13 @@ func (m *Manager) LiveSessions() []string {
 
 // Create opens a new hosted session on a published course — or, when
 // req.Resume names a snapshotted session, thaws it — and returns the
-// session's view. New sessions include any events the start scenario's
-// OnEnter script emitted; a resumed reply carries the transcript and
-// event tail beyond the client's seen-counts, so a fresh client (seen
-// counts zero) rebuilds the full conversation. Cluster gateways may
-// supply req.Session so the id hashes onto the node they routed to.
+// session's view: the JSON adapter over a create-only batch, so it is
+// create-if-absent exactly like a framed create. New sessions include any
+// events the start scenario's OnEnter script emitted; a resumed reply
+// carries the transcript and event tail beyond the client's seen-counts,
+// so a fresh client (seen counts zero) rebuilds the full conversation.
+// Clients and cluster gateways may supply req.Session so the id hashes
+// onto the node they routed to.
 func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
 	if req.Resume != "" {
 		return m.resume(req.Trace, req.Resume, req.SeenEvents, req.SeenMessages)
@@ -522,72 +551,58 @@ func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
 	if req.Course == "" {
 		return nil, errf(http.StatusBadRequest, "playsvc: create needs a course or a resume id")
 	}
-	if m.draining.Load() {
-		return nil, errf(http.StatusServiceUnavailable, "playsvc: node is draining")
+	id := req.Session
+	if id == "" {
+		id = fmt.Sprintf("%s-%08d", req.Course, m.seq.Add(1))
 	}
-	m.coursesMu.RLock()
-	c := m.courses[req.Course]
-	m.coursesMu.RUnlock()
+	out, err := m.actBatch(&BatchRequest{Session: id, Create: req.Course,
+		SeenEvents: req.SeenEvents, SeenMessages: req.SeenMessages, Trace: req.Trace})
+	if err != nil {
+		return nil, err
+	}
+	return out.Reply, nil
+}
+
+// mint opens a new hosted session on a published course and inserts it
+// into the session map already locked, so no other request can act on it
+// before the batch that created it has applied. When a concurrent request
+// put the id in the map first, that session is returned instead, unlocked.
+func (m *Manager) mint(id, courseName string) (h *hosted, locked bool, err error) {
+	if m.draining.Load() {
+		return nil, false, errf(http.StatusServiceUnavailable, "playsvc: node is draining")
+	}
+	c := m.published(courseName)
 	if c == nil {
-		return nil, errf(http.StatusNotFound, "playsvc: no course %q", req.Course)
+		return nil, false, errf(http.StatusNotFound, "playsvc: no course %q", courseName)
 	}
 	// Reserve the slot before building the session: concurrent creates
 	// racing a nearly-full cap must not all pass a read-then-insert check.
 	if n := m.liveCount.Add(1); m.opts.MaxSessions > 0 && n > int64(m.opts.MaxSessions) {
 		m.liveCount.Add(-1)
-		return nil, errf(http.StatusServiceUnavailable, "playsvc: session cap (%d) reached", m.opts.MaxSessions)
+		return nil, false, errf(http.StatusServiceUnavailable, "playsvc: session cap (%d) reached", m.opts.MaxSessions)
 	}
-	id := req.Session
-	if id == "" {
-		id = fmt.Sprintf("%s-%08d", req.Course, m.seq.Add(1))
-	}
-	h := &hosted{id: id, course: c}
+	h = &hosted{id: id, course: c}
 	h.touch()
 	sess, err := runtime.NewSessionFromPackage(c.pkg, runtime.Options{Observer: h})
 	if err != nil {
 		m.liveCount.Add(-1)
-		return nil, err
+		return nil, false, err
 	}
 	h.sess = sess
+	// Locked before it is visible; the map lock is taken under a session
+	// lock (as saveTomb does), never the other way round.
+	h.mu.Lock()
 	m.mu.Lock()
-	if prev := m.sessions[h.id]; prev != nil {
+	if prev := m.sessions[id]; prev != nil {
 		m.mu.Unlock()
+		h.mu.Unlock()
 		m.liveCount.Add(-1)
-		if prev.course == c {
-			// A retried create whose first reply was lost in flight:
-			// client-generated ids make create idempotent, so answer from
-			// the session the first attempt already built.
-			prev.touch()
-			prev.mu.Lock()
-			defer prev.mu.Unlock()
-			if !prev.gone {
-				prev.ack(req.SeenEvents)
-				r := prev.reply(req.SeenEvents, req.SeenMessages)
-				r.Course = c.name
-				r.Width, r.Height, r.FPS = c.w, c.h, c.fps
-				return r, nil
-			}
-		}
-		return nil, errf(http.StatusConflict, "playsvc: session %q already exists", h.id)
+		return prev, false, nil
 	}
-	m.sessions[h.id] = h
+	m.sessions[id] = h
 	m.mu.Unlock()
 	m.created.Add(1)
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	// Checkpoint the newborn session before the client learns its id: a
-	// node crash right after this reply would otherwise strand a session
-	// the client holds a confirmed id for but no snapshot exists of —
-	// the one loss the chaos soak's "zero lost sessions" bound forbids.
-	if m.canSnapshot() {
-		m.dir.Save(h.id, SnapshotRef{Envelope: h.envelopeLocked(), Checkpoint: true})
-		h.checkpointed.Store(h.lastSeen.Load())
-	}
-	r := h.reply(0, 0)
-	r.Course = c.name
-	r.Width, r.Height, r.FPS = c.w, c.h, c.fps
-	return r, nil
+	return h, true, nil
 }
 
 // resume reattaches to a session by id: live sessions answer directly,
@@ -612,8 +627,7 @@ func (m *Manager) resume(tc obs.TraceContext, session string, seenEvents, seenMe
 	}
 	h.ack(seenEvents)
 	r := h.reply(seenEvents, seenMessages)
-	r.Course = h.course.name
-	r.Width, r.Height, r.FPS = h.course.w, h.course.h, h.course.fps
+	h.course.describe(r)
 	r.Resumed = true
 	return r, nil
 }
@@ -748,97 +762,21 @@ func (m *Manager) release() {
 	}
 }
 
-// actLeave releases a session. The retry ladder, in order: a live session
-// leaves normally; a sequenced retry of an already-applied leave is served
-// its tombstoned final view (the tail the lost reply carried); a frozen
-// session is thawed FIRST so the final reply includes the envelope's
-// unacknowledged tail — discarding the snapshot unseen would lose it.
-func (m *Manager) actLeave(req *BatchRequest) (*Reply, error) {
-	if h, err := m.lookup(req.Session); err == nil {
-		return m.leave(req, h)
-	}
-	if req.BaseSeq > 0 {
-		if r := m.takeTomb(req.Session, req.BaseSeq); r != nil {
-			return r, nil
-		}
-	}
-	if m.canSnapshot() {
-		if ref, ok := m.dir.Lookup(req.Session); ok {
-			if !ref.Checkpoint {
-				// A released snapshot may hold an event tail no reply ever
-				// delivered; thaw-then-leave hands it to the client with
-				// the final view instead of deleting it unseen.
-				h, err := m.thaw(req.Trace, req.Session, false)
-				if err != nil {
-					return nil, err
-				}
-				return m.leave(req, h)
-			}
-			// A checkpoint entry means the session still exists —
-			// typically live on the node that owned it before a ring
-			// move. Confirming the leave here would strand that copy
-			// forever; 404 instead so the gateway's rescue freezes it
-			// and the retried leave lands where the session really is.
-			return nil, errf(http.StatusNotFound, "playsvc: no session %q", req.Session)
-		}
-	}
-	if req.BaseSeq > 0 {
-		// A sequenced leave for a session nobody hosts (and without a
-		// tombstone — pruned, or another node's) is a retry of a leave
-		// that already applied: confirm instead of sending the client
-		// into a rescue spiral for a session that is correctly gone.
-		return &Reply{Session: req.Session}, nil
-	}
-	return nil, errf(http.StatusNotFound, "playsvc: no session %q", req.Session)
-}
-
-// leave releases a live session after building its final view, and
-// tombstones that view so a retried leave (reply lost in transit) still
-// receives the final event/message tail.
-func (m *Manager) leave(req *BatchRequest, h *hosted) (*Reply, error) {
-	m.acts.Add(1)
-	h.touch()
-	// Remove from the map before locking the session: the map lock is never
-	// held while a session lock is taken.
-	m.mu.Lock()
-	_, still := m.sessions[req.Session]
-	delete(m.sessions, req.Session)
-	m.mu.Unlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if still && !h.gone {
-		m.closed.Add(1)
-		m.liveCount.Add(-1)
-		h.gone = true
-		m.closeRoomLocked(h)
-	}
-	// A left session must not resurrect from an old snapshot, and its one
-	// directory entry is everything it ever saved. Under h.mu, like every
-	// directory write for a held session.
-	if m.dir != nil {
-		m.dir.Delete(req.Session)
-	}
-	h.ack(req.SeenEvents)
-	// The final view is the tails alone: a leave changes no state, and the
-	// client holds the state its last act reply carried. On a thin client
-	// the leave is the one JSON exchange per session, and encoding/json
-	// over a State cost it more than a whole framed act.
-	r := h.tail(req.SeenEvents, req.SeenMessages)
-	if req.BaseSeq > 0 && still {
-		m.saveTomb(req.Session, req.BaseSeq, r)
-	}
-	return r, nil
-}
-
-// saveTomb records a left session's final view (r, as tail built it) for
-// the retry window, dropping the oldest tombstone at the cap.
-func (m *Manager) saveTomb(session string, seq int64, r *Reply) {
+// saveTomb records the reply to a batch that ended its session, for the
+// retry window, dropping the oldest tombstone at the cap.
+func (m *Manager) saveTomb(session string, seq int64, out *BatchReply) {
+	r := out.Reply
 	t := &tombstone{
 		id: session, seq: seq,
 		tick: int32(r.Tick), eventCount: int32(r.EventCount), messageCount: int32(r.MessageCount),
+		acts: int32(len(out.Results)),
 	}
-	if r.Quiz != "" || len(r.Events) > 0 || len(r.Messages) > 0 {
-		t.tail = &tombTail{quiz: r.Quiz, events: r.Events, messages: r.Messages}
+	said := r.Quiz != "" || len(r.Events) > 0 || len(r.Messages) > 0
+	for _, res := range out.Results {
+		said = said || res.bits() != 0
+	}
+	if said {
+		t.tail = &tombTail{frame: string(EncodeReplyFrame(out))}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -848,20 +786,28 @@ func (m *Manager) saveTomb(session string, seq int64, r *Reply) {
 		// its age, so the chain and the index stay one to one.
 		t.next, t.at = old.next, old.at
 		*old = *t
-		return
-	}
-	if len(m.tombs) >= tombCap {
-		m.dropOldestTomb()
-	}
-	// Stamped under the lock, so chain order is age order.
-	t.at = time.Now().UnixNano()
-	if m.tombTail != nil {
-		m.tombTail.next = t
+		t = old
 	} else {
-		m.tombHead = t
+		if len(m.tombs) >= tombCap {
+			m.dropOldestTomb()
+		}
+		// Stamped under the lock, so chain order is age order.
+		t.at = time.Now().UnixNano()
+		if m.tombTail != nil {
+			m.tombTail.next = t
+		} else {
+			m.tombHead = t
+		}
+		m.tombTail = t
+		m.tombs[session] = t
 	}
-	m.tombTail = t
-	m.tombs[session] = t
+	if t.tail != nil {
+		if old := m.tails[m.tailNext]; old != nil && old.tail != nil {
+			old.tail = tailDropped
+		}
+		m.tails[m.tailNext] = t
+		m.tailNext = (m.tailNext + 1) % tailCap
+	}
 }
 
 // dropOldestTomb unchains and unindexes the oldest tombstone; m.mu must be
@@ -874,27 +820,33 @@ func (m *Manager) dropOldestTomb() {
 	delete(m.tombs, t.id)
 }
 
-// takeTomb serves a tombstoned final view for a matching retried leave.
-// The tombstone stays (further retries of the same lost reply must see the
-// same answer); the janitor prunes it.
-func (m *Manager) takeTomb(session string, seq int64) *Reply {
+// takeTomb serves a tombstoned reply for a matching retried batch, or
+// 410 when its final tail was dropped (tailCap). The tombstone stays
+// (further retries of the same lost reply must see the same answer); the
+// janitor prunes it.
+func (m *Manager) takeTomb(session string, seq int64) (*BatchReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if t := m.tombs[session]; t != nil && t.seq == seq {
-		return t.reply()
+	t := m.tombs[session]
+	switch {
+	case t == nil || t.seq != seq:
+		return nil, nil
+	case t.tail == tailDropped:
+		return nil, errf(http.StatusGone, "playsvc: session %q has left and the final tail of its last batch is no longer kept", session)
 	}
-	return nil
+	return t.reply()
 }
 
 // ActBatch is the one act path: every route (the framed /play/actv2, the
 // JSON /play/act adapter, in-process callers of Act) lands here, and only
-// here are admission, the act histogram and the "play.act" span recorded.
-// All acts apply under one session-lock hold and share one coalesced reply.
-// Session-level failures (gone, draining, shed) surface as HTTP-level
-// errors; an act-level error stops the batch and rides inside the reply
-// (ActErr). A session this node does not host is thawed from the snapshot
-// directory first, so eviction and cluster handoff are invisible to the
-// client.
+// here are admission, the act histogram and the "play.act" span recorded
+// (a batch that is only a create records "play.create", like the JSON
+// create). A batch's create, acts and leave apply under one session-lock
+// hold and share one coalesced reply. Session-level failures (gone,
+// draining, shed) surface as HTTP-level errors; an act-level error stops
+// the batch and rides inside the reply (ActErr). A session this node does
+// not host is thawed from the snapshot directory first, so eviction and
+// cluster handoff are invisible to the client.
 func (m *Manager) ActBatch(req *BatchRequest) (*BatchReply, error) {
 	if !m.admit() {
 		return nil, errShed
@@ -903,80 +855,214 @@ func (m *Manager) ActBatch(req *BatchRequest) (*BatchReply, error) {
 	out, err := m.actBatch(req)
 	m.release()
 	m.actNs.ObserveSince(t0)
-	m.ring.Record(req.Trace, "play.act", t0, err)
+	span := "play.act"
+	if len(req.Acts) == 0 {
+		span = "play.create"
+	}
+	m.ring.Record(req.Trace, span, t0, err)
 	return out, err
 }
 
-// actBatch acks first, dedups on (BaseSeq, len), then applies in order. A
-// leave releases the session after building its final view; it has no
-// frame form, so it only ever arrives alone, from the JSON adapter.
+// actBatch resolves the batch's session — live here, or by the ladder in
+// actAbsent — and applies the batch to it.
 func (m *Manager) actBatch(req *BatchRequest) (*BatchReply, error) {
-	if len(req.Acts) == 0 {
+	if len(req.Acts) == 0 && req.Create == "" {
 		return nil, errf(http.StatusBadRequest, "playsvc: empty act batch")
 	}
 	if len(req.Acts) > maxFrameActs {
 		return nil, errf(http.StatusBadRequest, "playsvc: %d acts exceeds the per-batch bound (%d)", len(req.Acts), maxFrameActs)
 	}
-	for i := range req.Acts {
-		if req.Acts[i].Kind != ActLeave {
-			continue
+	for i := 0; i < len(req.Acts)-1; i++ {
+		if req.Acts[i].Kind == ActLeave {
+			return nil, errf(http.StatusBadRequest, "playsvc: a leave must be a batch's last act")
 		}
-		if len(req.Acts) > 1 {
-			return nil, errf(http.StatusBadRequest, "playsvc: leave is not batchable; send it as a single JSON act")
-		}
-		r, err := m.actLeave(req)
+	}
+	h, err := m.lookup(req.Session)
+	if err != nil {
+		return m.actAbsent(req)
+	}
+	h.touch()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return m.applyLocked(h, req)
+}
+
+// actAbsent serves a batch for a session this node does not host. The
+// ladder, in order: a retried batch that ended the session is served its
+// tombstoned reply; an entry in the snapshot directory thaws (a released
+// snapshot may hold an event tail no reply ever delivered, and a leave
+// hands it to the client with the final view instead of deleting it
+// unseen; a checkpoint entry means the session still exists — typically
+// live on the node that owned it before a ring move — so it answers 404,
+// and the gateway's rescue freezes that copy and the retry lands where the
+// session really is); a create mints the session; a sequenced leave is a
+// retry of one that already applied, and is confirmed instead of sending
+// the client into a rescue spiral for a session that is correctly gone.
+func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
+	leaves := req.leaves()
+	if leaves && req.BaseSeq > 0 {
+		out, err := m.takeTomb(req.Session, req.BaseSeq)
 		if err != nil {
 			return nil, err
 		}
-		return &BatchReply{Reply: r}, nil
+		if out != nil {
+			if c := m.published(req.Create); c != nil {
+				c.describe(out.Reply)
+			}
+			return out, nil
+		}
 	}
-	h, err := m.lookupOrThaw(req.Trace, req.Session)
-	if err != nil {
-		return nil, err
+	held := false
+	if m.canSnapshot() {
+		_, held = m.dir.Lookup(req.Session)
 	}
-	m.acts.Add(int64(len(req.Acts)))
-	h.touch()
+	switch {
+	case held || (req.Create == "" && !leaves):
+		h, err := m.thaw(req.Trace, req.Session, false)
+		if err != nil {
+			return nil, err
+		}
+		h.touch()
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return m.applyLocked(h, req)
+	case req.Create != "":
+		h, minted, err := m.mint(req.Session, req.Create)
+		if err != nil {
+			return nil, err
+		}
+		if !minted {
+			h.touch()
+			h.mu.Lock()
+		} else if m.canSnapshot() {
+			// Checkpoint the newborn session before the client learns its
+			// id: a node crash right after this reply would otherwise
+			// strand a session the client holds a confirmed id for but no
+			// snapshot exists of — the one loss the chaos soak's "zero
+			// lost sessions" bound forbids. The entry is also what keeps
+			// a retried create off a new owner after a ring move.
+			m.dir.Save(h.id, SnapshotRef{Envelope: h.envelopeLocked(), Checkpoint: true})
+			if len(req.Acts) == 0 {
+				// Clean until its next request; acts after the newborn
+				// state leave it for the periodic checkpointer.
+				h.checkpointed.Store(h.lastSeen.Load())
+			}
+		}
+		defer h.mu.Unlock()
+		return m.applyLocked(h, req)
+	case req.BaseSeq > 0:
+		return &BatchReply{Reply: &Reply{Session: req.Session}}, nil
+	}
+	return nil, errf(http.StatusNotFound, "playsvc: no session %q", req.Session)
+}
 
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// applyLocked applies a batch to a held session: ack first, dedup on
+// (BaseSeq, len), then the acts in order and, when they all applied, the
+// leave. A batch that carries a create is answered with the course
+// metadata too. h.mu must be held.
+func (m *Manager) applyLocked(h *hosted, req *BatchRequest) (*BatchReply, error) {
+	m.acts.Add(int64(len(req.Acts)))
 	if h.gone {
 		// Frozen or released between lookup and lock; the caller retries
 		// and lands in the thaw path.
 		return nil, errf(http.StatusNotFound, "playsvc: no session %q", req.Session)
 	}
+	if req.Create != "" && req.Create != h.course.name {
+		return nil, errf(http.StatusConflict, "playsvc: session %q already exists", req.Session)
+	}
 	// The request's seen-counts acknowledge the previous reply; compact
 	// BEFORE applying (or rebuilding) anything, so the served tail always
 	// starts at the client's truth.
 	h.ack(req.SeenEvents)
+	var out *BatchReply
 	if req.BaseSeq != 0 && req.BaseSeq == h.lastBase && len(req.Acts) == h.lastLen {
 		// Retry of an already-applied batch (its reply was lost): rebuild
 		// the reply from live state and the stored result bits instead of
 		// double-applying. The unacked tail is still retained, so the
-		// rebuilt reply carries everything the lost one did.
-		return h.batchReplyLocked(req.SeenEvents, req.SeenMessages, h.lastBits, h.lastErr), nil
+		// rebuilt reply carries everything the lost one did. (A batch whose
+		// leave applied is answered from its tombstone instead.)
+		out = h.batchReplyLocked(req.SeenEvents, req.SeenMessages, h.lastBits, h.lastErr)
+	} else {
+		out = m.runLocked(h, req)
+	}
+	if req.Create != "" {
+		h.course.describe(out.Reply)
+	}
+	return out, nil
+}
+
+// runLocked runs a batch's acts and then, when they all applied, its
+// leave; h.mu must be held.
+func (m *Manager) runLocked(h *hosted, req *BatchRequest) *BatchReply {
+	acts := req.Acts
+	leaves := req.leaves()
+	if leaves {
+		acts = acts[:len(acts)-1]
 	}
 	bits := make([]byte, 0, len(req.Acts))
 	var actErr *Error
-	for i := range req.Acts {
-		b, aerr := m.applyOne(h, &req.Acts[i])
+	for i := range acts {
+		b, aerr := m.applyOne(h, &acts[i])
 		if aerr != nil {
 			actErr = aerr
 			break
 		}
 		bits = append(bits, b)
 	}
+	// Broadcast after applying, before the reply: one render per
+	// state-changing batch, no matter how many watchers subscribe. The
+	// dedup-retry path returns without re-applying and without
+	// re-publishing, so the render count tracks real state changes exactly.
+	if h.room != nil && len(acts) > 0 && (len(bits) > 0 || actErr == nil) {
+		h.room.publish()
+	}
+	if leaves && actErr == nil {
+		return m.leaveLocked(h, req, append(bits, 0))
+	}
 	if req.BaseSeq != 0 {
 		h.lastBase, h.lastLen, h.lastErr = req.BaseSeq, len(req.Acts), actErr
 		h.lastBits = append(h.lastBits[:0], bits...)
 	}
-	// Broadcast after applying, before the reply: one render per
-	// state-changing batch, no matter how many watchers subscribe. The
-	// dedup-retry path above returns without re-applying and without
-	// re-publishing, so the render count tracks real state changes exactly.
-	if h.room != nil && (len(bits) > 0 || actErr == nil) {
-		h.room.publish()
+	return h.batchReplyLocked(req.SeenEvents, req.SeenMessages, bits, actErr)
+}
+
+// leaveLocked releases a held session once its batch's acts have applied
+// and answers with the final view: the results and the tails, no state — a
+// leave changes none, and the client holds the state its last act reply
+// carried (on a thin client, encoding/json over a State cost the leave
+// more than a whole framed act). A sequenced batch tombstones that reply,
+// so a retry whose reply was lost is served the same final tail. h.mu must
+// be held.
+func (m *Manager) leaveLocked(h *hosted, req *BatchRequest, bits []byte) *BatchReply {
+	h.gone = true
+	m.mu.Lock()
+	if m.sessions[h.id] == h {
+		delete(m.sessions, h.id)
 	}
-	return h.batchReplyLocked(req.SeenEvents, req.SeenMessages, bits, actErr), nil
+	m.mu.Unlock()
+	m.closed.Add(1)
+	m.liveCount.Add(-1)
+	m.closeRoomLocked(h)
+	// A left session must not resurrect from an old snapshot, and its one
+	// directory entry is everything it ever saved. Under h.mu, like every
+	// directory write for a held session.
+	if m.dir != nil {
+		m.dir.Delete(h.id)
+	}
+	out := &BatchReply{Reply: h.tail(req.SeenEvents, req.SeenMessages), Results: make([]ActResult, len(bits))}
+	for i, b := range bits {
+		out.Results[i] = resultFromBits(b)
+	}
+	if req.BaseSeq > 0 {
+		m.saveTomb(h.id, req.BaseSeq, out)
+	}
+	return out
+}
+
+// describe fills a reply's course metadata.
+func (c *course) describe(r *Reply) {
+	r.Course = c.name
+	r.Width, r.Height, r.FPS = c.w, c.h, c.fps
 }
 
 // batchReplyLocked assembles the coalesced batch reply; h.mu must be held.

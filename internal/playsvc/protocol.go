@@ -12,9 +12,9 @@ import (
 // Routes served by Manager.Handler. Mount the handler at "/play/" on a
 // netstream.Server (or any mux).
 const (
-	CreatePath  = "/play/create"  // POST CreateRequest → Reply (create or resume)
-	ActPath     = "/play/act"     // POST ActRequest → Reply (JSON debug adapter; the leave route)
-	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame (the act path)
+	CreatePath  = "/play/create"  // POST CreateRequest → Reply (resume; the JSON create adapter)
+	ActPath     = "/play/act"     // POST ActRequest → Reply (the JSON act adapter, leave included)
+	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame (create, acts, leave)
 	StatePath   = "/play/state"   // GET ?session=&events=N&messages=N → Reply
 	FramePath   = "/play/frame"   // GET ?session=&advance=N → raw RGB bytes
 	StatsPath   = "/play/stats"   // GET → Stats
@@ -112,12 +112,19 @@ type ActRequest struct {
 
 // BatchRequest applies a sequence of acts to one session in a single
 // round trip (the /play/actv2 payload, framed by EncodeActFrame). The
-// batch applies atomically under the session lock, in order, stopping at
-// the first act-level error. Act sequence numbers are implicit: act i
-// carries BaseSeq+i, and the server deduplicates a retried batch on
-// (BaseSeq, len(Acts)) — the reply was lost, not the work.
+// batch applies atomically under the session lock, in order — the create,
+// the acts, the leave — stopping at the first act-level error. Act
+// sequence numbers are implicit: act i carries BaseSeq+i, and the server
+// deduplicates a retried batch on (BaseSeq, len(Acts)) — the reply was
+// lost, not the work.
 type BatchRequest struct {
 	Session string
+	// Create, when set, names the course the batch opens Session on before
+	// its acts apply. It is create-if-absent: a session this node holds, or
+	// one the snapshot directory holds, is reattached or thawed, so a
+	// retried create never mints the session twice. A batch may carry a
+	// create and no acts.
+	Create string
 	// BaseSeq is the first act's sequence number (acts are BaseSeq..
 	// BaseSeq+len(Acts)-1). Zero disables deduplication, as for ActRequest.
 	BaseSeq int64
@@ -128,12 +135,18 @@ type BatchRequest struct {
 	SeenMessages int
 	// Acts are the interactions, in order. Only Kind, Object, Item, X, Y,
 	// Quiz, Choice and Ticks are meaningful; per-act Session/Seq/Seen
-	// fields are ignored. ActLeave is not batchable (400 among other
-	// acts): a leave ends the session, has no frame form, and only ever
-	// arrives alone, from the JSON adapter.
+	// fields are ignored. ActLeave is legal only as the last act (400
+	// anywhere else): it releases the session once the acts before it
+	// have applied, and the reply then carries the final tails and no
+	// state.
 	Acts []ActRequest
 
 	Trace obs.TraceContext
+}
+
+// leaves reports whether the batch ends its session.
+func (b *BatchRequest) leaves() bool {
+	return len(b.Acts) > 0 && b.Acts[len(b.Acts)-1].Kind == ActLeave
 }
 
 // ActResult is one act's result bits within a batch reply.
@@ -189,7 +202,8 @@ type BatchReply struct {
 // Reply is the server's view of a hosted session after an operation. State
 // is a deep copy, and Events/Messages are the unseen tails, so a Reply is
 // self-contained: it stays valid after the session moves on. A leave
-// confirmation carries the tails but no State — a leave changes none.
+// confirmation carries the tails but no State — a leave changes none. A
+// create's reply (JSON or framed) names the course and its video geometry.
 type Reply struct {
 	Session string `json:"session"`
 	Course  string `json:"course,omitempty"` // set on create

@@ -3,6 +3,7 @@ package playsvc
 import (
 	"bytes"
 	"fmt"
+	"net/http"
 	"reflect"
 	goruntime "runtime"
 	"testing"
@@ -170,8 +171,15 @@ func TestTombstoneCapEvictsOldestFirst(t *testing.T) {
 	}
 	const extra = 100
 	id := func(i int) string { return fmt.Sprintf("s-%06d", i) }
+	tomb := func(session string, seq int64) *BatchReply {
+		out, err := m.takeTomb(session, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	for i := 0; i < tombCap+extra-1; i++ {
-		m.saveTomb(id(i), 1, &Reply{Tick: i})
+		m.saveTomb(id(i), 1, &BatchReply{Reply: &Reply{Tick: i}})
 	}
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
@@ -196,11 +204,11 @@ func TestTombstoneCapEvictsOldestFirst(t *testing.T) {
 		t.Fatalf("manager holds %d tombstones, want tombCap = %d", len(m.tombs), tombCap)
 	}
 	for i := 0; i < extra; i++ {
-		if m.takeTomb(id(i), 1) != nil {
+		if tomb(id(i), 1) != nil {
 			t.Fatalf("tombstone %d of the %d oldest survived the cap", i, extra)
 		}
 	}
-	if got := m.takeTomb(id(extra), 1); got == nil || got.Tick != extra {
+	if got := tomb(id(extra), 1); got == nil || got.Reply.Tick != extra {
 		t.Fatalf("the oldest tombstone inside the cap is %+v", got)
 	}
 	if again, err := m.Act(leave); err != nil || !reflect.DeepEqual(again, first) {
@@ -208,13 +216,44 @@ func TestTombstoneCapEvictsOldestFirst(t *testing.T) {
 	}
 	// A session id that leaves twice keeps one tombstone, the later view in
 	// the earlier one's place: chain and index stay one to one.
-	m.saveTomb(id(extra), 7, &Reply{Tick: -1})
-	if got := m.takeTomb(id(extra), 7); got == nil || got.Tick != -1 || m.takeTomb(id(extra), 1) != nil || len(m.tombs) != tombCap {
+	m.saveTomb(id(extra), 7, &BatchReply{Reply: &Reply{Tick: -1}})
+	if got := tomb(id(extra), 7); got == nil || got.Reply.Tick != -1 || tomb(id(extra), 1) != nil || len(m.tombs) != tombCap {
 		t.Fatalf("a second leave of one id: seq 7 answers %+v, %d tombstones indexed", got, len(m.tombs))
 	}
 	m.ExpireIdle(time.Now().Add(time.Minute))
 	if len(m.tombs) != 0 || m.tombHead != nil || m.tombTail != nil {
 		t.Fatalf("%d tombstones indexed, chain %v…%v after a sweep past all of them", len(m.tombs), m.tombHead, m.tombTail)
+	}
+}
+
+// TestFinalTailsAreBounded: a batch that ends its session tombstones its
+// final tail, but only the tailCap newest tails are kept. A retry older than
+// that is answered 410 — never with a final view that silently lacks its
+// events — and tombstones saved without a tail are untouched.
+func TestFinalTailsAreBounded(t *testing.T) {
+	m := NewManager(Options{TTL: -1})
+	defer m.Close()
+	id := func(i int) string { return fmt.Sprintf("s-%06d", i) }
+	tail := func(i int) *BatchReply {
+		return &BatchReply{Reply: &Reply{Session: id(i), Tick: 3, EventCount: 9,
+			Events: []runtime.Event{{Tick: 3, Kind: "talk", Detail: "teacher"}}},
+			Results: []ActResult{{HasTook: true}, {}}}
+	}
+	m.saveTomb("bare", 1, &BatchReply{Reply: &Reply{Session: "bare", Tick: 1}, Results: []ActResult{{}}})
+	for i := 0; i <= tailCap; i++ {
+		m.saveTomb(id(i), 2, tail(i))
+	}
+	if _, err := m.takeTomb(id(0), 2); httpStatus(err) != http.StatusGone {
+		t.Fatalf("a retry past tailCap newer tails got %v, want 410", err)
+	}
+	for _, i := range []int{1, tailCap} {
+		out, err := m.takeTomb(id(i), 2)
+		if err != nil || !reflect.DeepEqual(out, tail(i)) {
+			t.Fatalf("tail %d of the newest %d: %+v, %v", i, tailCap, out, err)
+		}
+	}
+	if out, err := m.takeTomb("bare", 1); err != nil || out == nil || out.Reply.Tick != 1 || len(out.Results) != 1 {
+		t.Fatalf("a tombstone without a tail: %+v, %v", out, err)
 	}
 }
 

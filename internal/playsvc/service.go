@@ -14,8 +14,8 @@ import (
 // maxBody bounds accepted request bodies; play requests are tiny.
 const maxBody = 1 << 20
 
-// Handler returns the play service's HTTP surface (CreatePath, ActPath,
-// StatePath, FramePath, StatsPath). Mount it at "/play/" on a
+// Handler returns the play service's HTTP surface (ActV2Path, CreatePath,
+// ActPath, StatePath, FramePath, StatsPath). Mount it at "/play/" on a
 // netstream.Server or any mux; repeated calls return the same handler.
 func (m *Manager) Handler() http.Handler {
 	m.handlerOnce.Do(func() {
@@ -138,8 +138,7 @@ func (m *Manager) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAct is the JSON adapter on the act path: the curl-able debug
-// route, and the leave route (a leave has no frame form, and a gateway
-// must read it to untrack the session). One act decodes into the same
+// route for one act, a leave included. One act decodes into the same
 // BatchRequest a frame does.
 func (m *Manager) handleAct(w http.ResponseWriter, r *http.Request) {
 	var req ActRequest
@@ -149,9 +148,10 @@ func (m *Manager) handleAct(w http.ResponseWriter, r *http.Request) {
 	m.serveAct(w, r, req.batch(), false)
 }
 
-// handleActV2 is the framed act endpoint: a framed batch in, a framed
-// coalesced reply out. Frame-level rejections (bad magic, bad CRC,
-// unknown act kind) are 400s.
+// handleActV2 is the framed act endpoint: a framed batch — a create, acts,
+// a leave — in, a framed coalesced reply out. Frame-level rejections (bad
+// magic, bad CRC, unknown act kind, a leave that is not the last act) are
+// 400s.
 func (m *Manager) handleActV2(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

@@ -388,9 +388,7 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	if env.Session != session {
 		return nil, errf(http.StatusInternalServerError, "playsvc: envelope names session %q, wanted %q", env.Session, session)
 	}
-	m.coursesMu.RLock()
-	c := m.courses[env.Course]
-	m.coursesMu.RUnlock()
+	c := m.published(env.Course)
 	if c == nil {
 		return nil, errf(http.StatusNotFound, "playsvc: session %q course %q is no longer published", session, env.Course)
 	}

@@ -108,3 +108,71 @@ func TestWireBytesGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestOpFrameBytesGolden pins the bytes of the act frames that carry a
+// session's create and leave, and of their replies, on fixed inputs: a
+// create alone (a thin client's Dial), a create in front of acts (a
+// mirror's first batch) and acts with the leave at their end (a mirror's
+// last batch). Frames without a create or leave are TestWireBytesGolden's
+// and keep its bytes. A PR that means to change these formats re-records
+// the hashes and says so.
+func TestOpFrameBytesGolden(t *testing.T) {
+	session := "classroom-0123456789abcdef"
+	state := &core.State{
+		Scenario:  "classroom",
+		Inventory: []string{"coin"},
+		Flags:     map[string]bool{"met-teacher": true},
+		Vars:      map[string]int{"score": 2},
+		Visited:   map[string]int{"classroom": 1},
+	}
+	entry := []runtime.Event{
+		{Tick: 0, Kind: "enter", Detail: "classroom"},
+		{Tick: 0, Kind: "say", Detail: "Welcome to the computer lab."},
+	}
+	acts := []ActRequest{
+		{Kind: ActTalk, Object: "teacher"},
+		{Kind: ActTake, Object: "desk-coin"},
+		{Kind: ActTick, Ticks: 4},
+	}
+
+	create := EncodeActFrame(&BatchRequest{Session: session, Create: "classroom"})
+	createActs := EncodeActFrame(&BatchRequest{Session: session, Create: "classroom", BaseSeq: 1, Acts: acts})
+	tailLeave := EncodeActFrame(&BatchRequest{Session: session, BaseSeq: 17, SeenEvents: 40, SeenMessages: 6,
+		Acts: append(append([]ActRequest(nil), acts...), ActRequest{Kind: ActLeave})})
+
+	created := &Reply{Session: session, Course: "classroom", Width: 160, Height: 120, FPS: 10,
+		EventCount: 2, MessageCount: 1, State: state, Events: entry, Messages: []string{"Welcome to the computer lab."}}
+	createReply := EncodeReplyFrame(&BatchReply{Reply: created})
+	acted := *created
+	acted.Tick, acted.EventCount = 4, 5
+	acted.Events = append(append([]runtime.Event(nil), entry...),
+		runtime.Event{Tick: 0, Kind: "talk", Detail: "teacher"},
+		runtime.Event{Tick: 0, Kind: "take", Detail: "desk-coin"},
+		runtime.Event{Tick: 4, Kind: "tick", Detail: "4"})
+	createActsReply := EncodeReplyFrame(&BatchReply{Reply: &acted,
+		Results: []ActResult{{}, {HasTook: true, Took: true}, {}}})
+	tailLeaveReply := EncodeReplyFrame(&BatchReply{
+		Reply: &Reply{Session: session, Tick: 90, EventCount: 43, MessageCount: 7,
+			Events:   []runtime.Event{{Tick: 86, Kind: "talk", Detail: "teacher"}, {Tick: 90, Kind: "end", Detail: "victory"}},
+			Messages: []string{"Well done."}},
+		Results: []ActResult{{}, {HasTook: true}, {}, {}},
+	})
+
+	for _, g := range []struct {
+		name  string
+		bytes []byte
+		want  string
+	}{
+		{"VACT create", create, "c720bb92cd0e45f281c4e1209b04a81a6d6447b47d73d6534b0f7e76672b5d1f"},
+		{"VACT create and acts", createActs, "55e07b896bb4b044a6dfbfe1705b3f18df14c99f1b444aceeb57d94ecb986753"},
+		{"VACT acts and leave", tailLeave, "c964bd3d1306c9acbb808c2b31a7e0324a01ed00b03f74ac01e63ccf2202bfbe"},
+		{"VRPL create", createReply, "87b1335d17bd21a84b96b5e4e9e130ff738fca6961beada84475850460a3a966"},
+		{"VRPL create and acts", createActsReply, "a97d68b39b991a58447e4e2eec9278d1d6eb1741d5efb5285b848fb6defac4f3"},
+		{"VRPL acts and leave", tailLeaveReply, "1771179cdce89ac7f000af8102e7921e7cbeb32e33c5d14ddcef47787c8a8a77"},
+	} {
+		sum := sha256.Sum256(g.bytes)
+		if got := hex.EncodeToString(sum[:]); got != g.want {
+			t.Errorf("%s: %d bytes hash to %s, recorded %s", g.name, len(g.bytes), got, g.want)
+		}
+	}
+}

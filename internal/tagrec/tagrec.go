@@ -121,28 +121,28 @@ type Scanner struct {
 // checksum — the only place they are checked — and positions a Scanner
 // before its first record. No record may claim more than maxField bytes.
 func Open(data []byte, magic string, minVersion, maxVersion uint64, maxField int) Scanner {
+	sc := Peek(data, magic, minVersion, maxVersion, maxField)
+	if sc.err == nil {
+		body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
+		if crc32.ChecksumIEEE(body) != sum {
+			sc.err = errors.New("checksum mismatch")
+		}
+	}
+	return sc
+}
+
+// Peek is Open WITHOUT the checksum: the prefix parse a router does on a
+// body it forwards unopened to whoever will verify it. The scan stops
+// short of the checksum's four bytes, so it never reads them as a record;
+// the caller reads the records it routes on and stops.
+func Peek(data []byte, magic string, minVersion, maxVersion uint64, maxField int) Scanner {
 	sc := Scanner{maxField: uint64(maxField)}
 	if len(data) < len(magic)+1+4 {
 		sc.err = fmt.Errorf("truncated (%d bytes)", len(data))
 		return sc
 	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if sc.rest, sc.err = header(body, magic, minVersion, maxVersion); sc.err == nil && crc32.ChecksumIEEE(body) != sum {
-		sc.err = errors.New("checksum mismatch")
-	}
+	sc.rest, sc.err = header(data[:len(data)-4], magic, minVersion, maxVersion)
 	return sc
-}
-
-// First returns a container's first record WITHOUT verifying the checksum or
-// looking past that record: the prefix parse a router does on a body it
-// forwards unopened to whoever will verify it.
-func First(data []byte, magic string, minVersion, maxVersion uint64, maxField int) (tag uint64, payload []byte, err error) {
-	rest, err := header(data, magic, minVersion, maxVersion)
-	if err != nil {
-		return 0, nil, err
-	}
-	tag, payload, _, err = next(rest, uint64(maxField))
-	return tag, payload, err
 }
 
 func header(data []byte, magic string, minVersion, maxVersion uint64) (rest []byte, err error) {
