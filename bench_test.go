@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	goruntime "runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -824,25 +823,30 @@ func BenchmarkFleetIngest(b *testing.B) {
 }
 
 // BenchmarkIngestHandler is the ingest path a post takes inside the server:
-// parallel posters through Service.Handler (decode, validate, apply, ack),
-// one batch per op, alternating a session's events batch and its done
-// batch, without a socket. Read at -cpu 1,2 (EXPERIMENTS.md E28, E34).
+// parallel posters through Service.Handler (read, parse, validate, apply,
+// ack), one batch frame per op, alternating a session's events batch and
+// its done batch, without a socket. Read at -cpu 1,2 (EXPERIMENTS.md E28,
+// E34, E37).
 func BenchmarkIngestHandler(b *testing.B) {
 	svc := telemetry.NewService(telemetry.Options{IdleTimeout: -1})
 	defer svc.Close()
 	h := svc.Handler()
-	const events = `[{"tick":1,"kind":"click","detail":"computer"},{"tick":2,"kind":"learn","detail":"ram-identification"},` +
-		`{"tick":3,"kind":"goto","detail":"market"},{"tick":4,"kind":"reward","detail":"badge"}]`
+	events := []runtime.Event{
+		{Tick: 1, Kind: "click", Detail: "computer"},
+		{Tick: 2, Kind: "learn", Detail: "ram-identification"},
+		{Tick: 3, Kind: "goto", Detail: "market"},
+		{Tick: 4, Kind: "reward", Detail: "badge"},
+	}
 	var sid atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		id := sid.Add(1)
 		for op := 0; pb.Next(); op++ {
-			body := fmt.Sprintf(`{"course":"bench","session":"g%d-s%d","start":"classroom","seq":1,"events":%s}`, id, op/2, events)
+			batch := telemetry.Batch{Course: "bench", Session: fmt.Sprintf("g%d-s%d", id, op/2), Start: "classroom", Seq: 1, Events: events}
 			if op%2 == 1 {
-				body = fmt.Sprintf(`{"course":"bench","session":"g%d-s%d","seq":2,"done":true}`, id, op/2)
+				batch = telemetry.Batch{Course: "bench", Session: batch.Session, Seq: 2, Done: true}
 			}
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, telemetry.IngestPath, strings.NewReader(body)))
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, telemetry.IngestPath, bytes.NewReader(telemetry.EncodeBatch(&batch))))
 			if rec.Code != http.StatusAccepted {
 				b.Fatalf("ingest answered %d: %s", rec.Code, rec.Body)
 			}

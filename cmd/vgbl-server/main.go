@@ -241,7 +241,7 @@ func main() {
 		fmt.Printf("    http://%s/pkg/%s\n", ln.Addr(), n)
 	}
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
-	fmt.Printf("  telemetry: http://%s%s (POST), http://%s%s\n", ln.Addr(), telemetry.IngestPath, ln.Addr(), telemetry.StatsPath)
+	fmt.Printf("  telemetry: http://%s%s (POST %s), http://%s%s\n", ln.Addr(), telemetry.IngestPath, telemetry.BatchContentType, ln.Addr(), telemetry.StatsPath)
 	fmt.Printf("  play:     http://%s%s (POST), %s, %s, %s, %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.CreatePath, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
 	fmt.Printf("  rooms:    http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.RoomCreatePath, playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
 	if *cluster > 0 {

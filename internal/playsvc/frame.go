@@ -4,7 +4,8 @@
 //
 // A frame is an internal/tagrec container, like the snapshot envelope and
 // the watch chunk; this file holds the act and reply tag tables and the
-// field codecs the three share (event, act error, state). Request frames
+// field codecs the three share (act error, state; an event's is
+// runtime.AppendEvent, which telemetry batches carry too). Request frames
 // ("VACT") carry a whole act batch. Their routing prefix is the session id,
 // then the op records — a create naming the course, a leave — so a gateway
 // routes a frame, and tracks or untracks its session, without parsing (or
@@ -158,26 +159,10 @@ func frameBadf(format string, args ...any) error {
 
 // --- shared field codecs -----------------------------------------------------
 
-// appendEvent and readEvent are the one encoding of a session event (tick
-// uvarint, kind str, detail str): a reply frame's and a watch chunk's tails
-// and the envelope's retained tail are all records of it.
-func appendEvent(b []byte, tag uint64, e *runtime.Event) []byte {
-	b, mark := tagrec.BeginRecord(b, tag)
-	b = binary.AppendUvarint(b, uint64(max(e.Tick, 0)))
-	b = tagrec.AppendStr(b, e.Kind)
-	b = tagrec.AppendStr(b, e.Detail)
-	return tagrec.EndRecord(b, mark)
-}
-
-func readEvent(payload []byte) (e runtime.Event, err error) {
-	r := tagrec.Reader{B: payload}
-	e.Tick, err = r.Int()
-	if err == nil {
-		e.Kind, err = r.Str()
-	}
-	if err == nil {
-		e.Detail, err = r.Str()
-	}
+// readEvent is runtime.ReadEvent under ErrBadFrame, for the reply frame's
+// and the watch chunk's event tails.
+func readEvent(payload []byte) (runtime.Event, error) {
+	e, err := runtime.ReadEvent(payload)
 	if err != nil {
 		return e, frameBadf("event: %v", err)
 	}
@@ -428,7 +413,7 @@ func EncodeReplyFrame(out *BatchReply) []byte {
 		b = tagrec.EndRecord(appendState(b, r.State), mark)
 	}
 	for i := range r.Events {
-		b = appendEvent(b, rtagEvent, &r.Events[i])
+		b = runtime.AppendEvent(b, rtagEvent, &r.Events[i])
 	}
 	for _, m := range r.Messages {
 		b = tagrec.Append(b, rtagMessage, m)

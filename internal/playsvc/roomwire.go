@@ -64,7 +64,7 @@ func appendWatchChunk(dst []byte, p *pub, skipped int64, t watchTails, seenEvent
 	if from := max(seenEvents-t.eventBase, 0); from < len(t.events) {
 		out = tagrec.AppendUint(out, wtagEventStart, uint64(t.eventBase+from))
 		for i := from; i < len(t.events); i++ {
-			out = appendEvent(out, wtagEvent, &t.events[i])
+			out = runtime.AppendEvent(out, wtagEvent, &t.events[i])
 		}
 	}
 	out = tagrec.AppendUint(out, wtagEventCount, uint64(t.eventCount))

@@ -137,7 +137,7 @@ func (e *envelope) encode() []byte {
 	b = tagrec.Append(b, envTagCourse, e.Course)
 	b = tagrec.AppendUint(b, envTagEventBase, uint64(e.EventBase))
 	for i := range e.Events {
-		b = appendEvent(b, envTagEvent, &e.Events[i])
+		b = runtime.AppendEvent(b, envTagEvent, &e.Events[i])
 	}
 	b = tagrec.Append(b, envTagSnapshot, e.Snapshot)
 	if e.LastBase != 0 {
@@ -177,7 +177,7 @@ func decodeEnvelope(data []byte) (*envelope, error) {
 			e.EventBase = int(v)
 		case envTagEvent:
 			var ev runtime.Event
-			ev, err = readEvent(payload)
+			ev, err = runtime.ReadEvent(payload)
 			e.Events = append(e.Events, ev)
 		case envTagSnapshot:
 			e.Snapshot = payload

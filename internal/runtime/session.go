@@ -10,6 +10,7 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -17,14 +18,40 @@ import (
 	"repro/internal/gamepack"
 	"repro/internal/media/playback"
 	"repro/internal/media/raster"
+	"repro/internal/tagrec"
 )
 
-// Event is one telemetry record. The JSON tags are the telemetry wire
-// format (package telemetry batches events over HTTP).
+// Event is one telemetry record. AppendEvent is its one binary form; the
+// JSON tags are the play service's curl-able adapters'.
 type Event struct {
 	Tick   int    `json:"tick"`
 	Kind   string `json:"kind"` // click, examine, take, use, dialogue, goto, say, learn, reward, popup, open, end, error
 	Detail string `json:"detail,omitempty"`
+}
+
+// AppendEvent and ReadEvent are the one encoding of an event (tick
+// uvarint, kind str, detail str) as one tagged record: a reply frame's and
+// a watch chunk's tails, a session envelope's retained tail and a
+// telemetry batch are all records of it. ReadEvent's errors carry no
+// sentinel; callers wrap them in theirs.
+func AppendEvent(b []byte, tag uint64, e *Event) []byte {
+	b, mark := tagrec.BeginRecord(b, tag)
+	b = binary.AppendUvarint(b, uint64(max(e.Tick, 0)))
+	b = tagrec.AppendStr(b, e.Kind)
+	b = tagrec.AppendStr(b, e.Detail)
+	return tagrec.EndRecord(b, mark)
+}
+
+func ReadEvent(payload []byte) (e Event, err error) {
+	r := tagrec.Reader{B: payload}
+	e.Tick, err = r.Int()
+	if err == nil {
+		e.Kind, err = r.Str()
+	}
+	if err == nil {
+		e.Detail, err = r.Str()
+	}
+	return e, err
 }
 
 // Observer receives session telemetry (package analytics aggregates it).

@@ -162,12 +162,12 @@ func TestReaderBounds(t *testing.T) {
 // built on it inherits: any input either errors or yields payloads that lie
 // inside it, and nothing the cursor returns is sized by a number the input
 // claimed rather than by bytes it holds. The seed corpus (testdata/fuzz) is
-// one real container of each of the five formats.
+// one real container of each of the six formats.
 func FuzzRecords(f *testing.F) {
 	f.Add(sample())
 	f.Add([]byte("VACT"))
 	f.Add([]byte{})
-	magics := []string{"VSNP", "VSNE", "VACT", "VRPL", "VWCH", "TEST"}
+	magics := []string{"VSNP", "VSNE", "VACT", "VRPL", "VWCH", "VTLM", "TEST"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inside := func(p []byte) {
 			// A subslice of data starts cap(data)-cap(p) bytes in.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -55,11 +54,11 @@ type pendingBatch struct {
 }
 
 // Client is a batching runtime.Observer: Record buffers events and flushes
-// a JSON batch to the ingest endpoint when the buffer reaches FlushEvery or
-// the interval timer fires. Close flushes the tail and marks the session
-// done. Record is safe to call from the session goroutine while the
-// interval timer flushes from its own; per-session batch order is preserved
-// by a single-flight post lock.
+// them as one batch frame (EncodeBatch) to the ingest endpoint when the
+// buffer reaches FlushEvery or the interval timer fires. Close flushes the
+// tail and marks the session done. Record is safe to call from the session
+// goroutine while the interval timer flushes from its own; per-session
+// batch order is preserved by a single-flight post lock.
 type Client struct {
 	opts  ClientOptions
 	url   string
@@ -255,11 +254,7 @@ func (c *Client) deliver(events []runtime.Event, done bool) error {
 		Events:  events,
 		Done:    done,
 	}
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return c.fail(err)
-	}
-	p := &pendingBatch{payload: payload, events: len(events)}
+	p := &pendingBatch{payload: EncodeBatch(&b), events: len(events)}
 	if err := c.post(p); err != nil {
 		c.pending = p
 		return err
@@ -276,7 +271,7 @@ func (c *Client) post(p *pendingBatch) error {
 	began := time.Now()
 	posts, rejected := 0, false
 	err := faultnet.Exchange(c.opts.HTTP, &c.retry, &faultnet.Request{
-		Method: http.MethodPost, URL: c.url, ContentType: "application/json", Body: p.payload, Timeout: postTimeout,
+		Method: http.MethodPost, URL: c.url, ContentType: BatchContentType, Body: p.payload, Timeout: postTimeout,
 	}, func(resp *http.Response) (error, bool) {
 		posts++
 		io.Copy(io.Discard, resp.Body)

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -184,14 +186,17 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ingest saturated", http.StatusTooManyRequests)
 		return
 	}
-	var b Batch
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&b); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength, s.maxBody)
+	if err != nil {
 		s.badRequests.Add(1)
 		http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := b.Validate(); err != nil {
+	b, err := ParseBatch(body)
+	if err == nil {
+		err = b.Validate()
+	}
+	if err != nil {
 		s.badRequests.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -208,6 +213,23 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.applied.Add(1)
 	w.WriteHeader(http.StatusAccepted)
+}
+
+// readBody reads a request body into one buffer: exactly Content-Length
+// bytes when the request declares it (refused unread past limit), or what
+// r yields when it does not (r is the handler's MaxBytesReader either way).
+func readBody(r io.Reader, length, limit int64) ([]byte, error) {
+	switch {
+	case length < 0:
+		return io.ReadAll(r)
+	case length > limit:
+		return nil, fmt.Errorf("body of %d bytes exceeds %d", length, limit)
+	}
+	buf := make([]byte, length)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // handleStats serves /telemetry/stats: the registry's flat scalar view

@@ -27,21 +27,22 @@ import (
 	"repro/internal/runtime"
 )
 
-// Batch is the wire format of one ingest POST: a slice of one session's
-// event stream, in session order. Done marks the final batch; the store
-// then digests the whole session and folds it into the course aggregate.
+// Batch is one ingest POST (EncodeBatch is its wire form): a slice of one
+// session's event stream, in session order. Done marks the final batch; the
+// store then digests the whole session and folds it into the course
+// aggregate.
 //
 // Seq is the 1-based batch index within the session. Delivery is
 // at-least-once (a client must retry when the ack is lost in transit), so
 // the store uses Seq to drop duplicate deliveries; a batch with Seq 0 is
 // accepted without dedup (hand-posted batches).
 type Batch struct {
-	Course  string          `json:"course"`
-	Session string          `json:"session"`
-	Start   string          `json:"start,omitempty"` // start scenario, for digesting
-	Seq     int             `json:"seq,omitempty"`
-	Events  []runtime.Event `json:"events,omitempty"`
-	Done    bool            `json:"done,omitempty"`
+	Course  string
+	Session string
+	Start   string // start scenario, for digesting
+	Seq     int
+	Events  []runtime.Event
+	Done    bool
 }
 
 // Validate checks the fields a well-formed batch must carry.
@@ -51,6 +52,9 @@ func (b *Batch) Validate() error {
 	}
 	if b.Session == "" {
 		return fmt.Errorf("telemetry: batch without session")
+	}
+	if b.Seq < 0 {
+		return fmt.Errorf("telemetry: batch seq %d is negative", b.Seq)
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -95,6 +97,16 @@ func TestStoreValidationAndRebind(t *testing.T) {
 	if err := st.Append(Batch{Course: "b", Session: "s"}); err == nil {
 		t.Error("session rebound to another course")
 	}
+	// A negative seq would skip both dedup and the gap check: every replay
+	// would be applied again.
+	for i := 0; i < 3; i++ {
+		if err := st.Append(Batch{Course: "a", Session: "neg", Seq: -1, Events: sessionEvents()[:2]}); err == nil {
+			t.Fatal("negative seq accepted")
+		}
+	}
+	if n := st.liveEvents("neg"); n != 0 {
+		t.Errorf("replays of a negative-seq batch left %d events", n)
+	}
 }
 
 func TestStoreConcurrentSessions(t *testing.T) {
@@ -162,12 +174,12 @@ func TestServiceEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET ingest = %s", resp.Status)
 	}
-	resp, _ = http.Post(ts.URL+IngestPath, "application/json", strings.NewReader("{not json"))
+	resp, _ = http.Post(ts.URL+IngestPath, BatchContentType, strings.NewReader("{not json"))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("junk body = %s", resp.Status)
 	}
-	resp, _ = http.Post(ts.URL+IngestPath, "application/json", strings.NewReader(`{"session":"s"}`))
+	resp, _ = postBatch(ts.URL, Batch{Session: "s"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("courseless batch = %s", resp.Status)
@@ -222,7 +234,7 @@ func TestServiceBackpressure(t *testing.T) {
 
 	// With every slot taken, a post is shed before its body is read.
 	s.inFlight <- struct{}{}
-	body := &readCounter{r: strings.NewReader(`{"course":"c","session":"unread"}`)}
+	body := &readCounter{r: bytes.NewReader(EncodeBatch(&Batch{Course: "c", Session: "unread"}))}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, IngestPath, body))
 	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" || body.n != 0 {
@@ -242,8 +254,7 @@ func TestServiceBackpressure(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 4; j++ {
-				resp, err := http.Post(ts.URL+IngestPath, "application/json",
-					strings.NewReader(`{"course":"c","session":"hot","events":[{"tick":1,"kind":"click","detail":"x"}]}`))
+				resp, err := postBatch(ts.URL, Batch{Course: "c", Session: "hot", Events: []runtime.Event{{Tick: 1, Kind: "click", Detail: "x"}}})
 				if err != nil {
 					t.Error(err)
 					return
@@ -292,28 +303,32 @@ func (rc *readCounter) Read(p []byte) (int, error) {
 // TestServiceRefusedBatchIs409: a batch the store refuses — a sequence gap,
 // or a session bound to another course — is answered 409 and counted under
 // apply_errors, not acknowledged and lost; the client takes the 409 as a
-// definitive rejection and counts the batch's events as dropped.
+// definitive rejection and counts the batch's events as dropped. A seq the
+// store cannot order (negative, or past int32) never reaches it: 400.
 func TestServiceRefusedBatchIs409(t *testing.T) {
 	s := NewService(Options{IdleTimeout: -1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	click := func(tick int) []runtime.Event { return []runtime.Event{{Tick: tick, Kind: "click"}} }
 	for _, tc := range []struct {
-		body string
+		body Batch
 		want int
 	}{
-		{`{"course":"c","session":"s","seq":1,"events":[{"tick":1,"kind":"click"}]}`, http.StatusAccepted},
-		{`{"course":"c","session":"s","seq":3,"events":[{"tick":2,"kind":"click"}]}`, http.StatusConflict}, // gap
-		{`{"course":"other","session":"s","seq":2}`, http.StatusConflict},                                  // rebind
-		{`{"course":"c","session":"s","seq":1,"events":[{"tick":1,"kind":"click"}]}`, http.StatusAccepted}, // replay
+		{Batch{Course: "c", Session: "s", Seq: 1, Events: click(1)}, http.StatusAccepted},
+		{Batch{Course: "c", Session: "s", Seq: 3, Events: click(2)}, http.StatusConflict}, // gap
+		{Batch{Course: "other", Session: "s", Seq: 2}, http.StatusConflict},               // rebind
+		{Batch{Course: "c", Session: "s", Seq: 1, Events: click(1)}, http.StatusAccepted}, // replay
+		{Batch{Course: "c", Session: "s", Seq: -1, Events: click(2)}, http.StatusBadRequest},
+		{Batch{Course: "c", Session: "s", Seq: math.MaxInt32 + 1, Events: click(2)}, http.StatusBadRequest},
 	} {
-		resp, err := http.Post(ts.URL+IngestPath, "application/json", strings.NewReader(tc.body))
+		resp, err := postBatch(ts.URL, tc.body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Errorf("%s: %s, want %d", tc.body, resp.Status, tc.want)
+			t.Errorf("%+v: %s, want %d", tc.body, resp.Status, tc.want)
 		}
 	}
 	snap := s.Snapshot()
@@ -590,8 +605,8 @@ func TestClientBatchesCarrySequence(t *testing.T) {
 	var mu sync.Mutex
 	var seqs []int
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var b Batch
-		json.NewDecoder(r.Body).Decode(&b)
+		body, _ := io.ReadAll(r.Body)
+		b, _ := ParseBatch(body)
 		mu.Lock()
 		seqs = append(seqs, b.Seq)
 		mu.Unlock()
@@ -755,8 +770,7 @@ func TestServiceJanitorReclaimsIdleSessions(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+IngestPath, "application/json",
-		strings.NewReader(`{"course":"c","session":"abandoned","seq":1,"events":[{"tick":1,"kind":"click"}]}`))
+	resp, err := postBatch(ts.URL, Batch{Course: "c", Session: "abandoned", Seq: 1, Events: []runtime.Event{{Tick: 1, Kind: "click"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -866,18 +880,24 @@ func TestStatsSurfacesAgree(t *testing.T) {
 	mux.Handle("/metrics", reg.Handler())
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	post := func(body string) {
+	post := func(body []byte) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+IngestPath, "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+IngestPath, BatchContentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	post(`{"course":"c","session":"ended","seq":1,"events":[{"tick":1,"kind":"click"},{"tick":2,"kind":"click"}],"done":true}`)
-	post(`{"course":"c","session":"open","seq":1,"events":[{"tick":1,"kind":"click"}]}`)
-	post(`{"course":"c","session":"open","seq":3,"events":[{"tick":2,"kind":"click"}]}`) // gap: an apply error
-	post(`{"course":`)                                                                   // a bad request
+	click := func(ticks ...int) (out []runtime.Event) {
+		for _, tick := range ticks {
+			out = append(out, runtime.Event{Tick: tick, Kind: "click"})
+		}
+		return out
+	}
+	post(EncodeBatch(&Batch{Course: "c", Session: "ended", Seq: 1, Events: click(1, 2), Done: true}))
+	post(EncodeBatch(&Batch{Course: "c", Session: "open", Seq: 1, Events: click(1)}))
+	post(EncodeBatch(&Batch{Course: "c", Session: "open", Seq: 3, Events: click(2)})) // gap: an apply error
+	post([]byte("VTLM\x01"))                                                          // a bad request
 	get := func(path string) []byte {
 		t.Helper()
 		resp, err := http.Get(ts.URL + path)
