@@ -6,9 +6,8 @@
 // vgbl-loadtest fleet) can report their sessions to /telemetry/ingest and
 // lecturers can read live aggregates from /telemetry/stats, and mounts the
 // play service so clients can play server-hosted sessions through
-// /play/actv2 (framed create, acts and leave; /play/create and /play/act
-// are its curl-able JSON adapters), /play/state and /play/frame (live
-// counters at /play/stats).
+// /play/actv2 (framed create or resume, acts and leave; /play/act is its
+// curl-able JSON adapter) and /play/frame (live counters at /play/stats).
 //
 // All course bytes live in one content-addressed chunk store shared by the
 // package server and the play service (segments shared across courses are
@@ -18,10 +17,10 @@
 //
 // Hosted play sessions are durable: the TTL janitor snapshots-then-evicts
 // into the snapshot directory, -checkpoint-every bounds what a crash can lose,
-// and /play/create with resume=<session-id> reattaches a client to a
-// frozen session. With -cluster N the play service runs as N nodes behind
-// a consistent-hash gateway; session handoff between nodes rides the same
-// snapshots.
+// and a resume (a frame's resume record, or {"session":…,"resume":true} on
+// /play/act) reattaches a client to a frozen session. With -cluster N the
+// play service runs as N nodes behind a consistent-hash gateway; session
+// handoff between nodes rides the same snapshots.
 //
 // Every subsystem reports into one metrics registry served at /metrics
 // (Prometheus text; ?format=json for the structured snapshot), request
@@ -242,7 +241,7 @@ func main() {
 	}
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
 	fmt.Printf("  telemetry: http://%s%s (POST %s), http://%s%s\n", ln.Addr(), telemetry.IngestPath, telemetry.BatchContentType, ln.Addr(), telemetry.StatsPath)
-	fmt.Printf("  play:     http://%s%s (POST), %s, %s, %s, %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.CreatePath, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
+	fmt.Printf("  play:     http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
 	fmt.Printf("  rooms:    http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.RoomCreatePath, playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
 	if *cluster > 0 {
 		fmt.Printf("  cluster:  %d play nodes behind the /play/ gateway (checkpoint every %v)\n", *cluster, *checkpointEvery)

@@ -2,7 +2,6 @@ package playsvc
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,9 +22,9 @@ type ClientOptions struct {
 	BaseURL string // server base, e.g. "http://127.0.0.1:8807"
 	Course  string // published course name to create a session on
 	// Resume reattaches to an existing (possibly frozen) session instead
-	// of creating a new one: Dial sends a resume create and rebuilds the
-	// mirror from the returned state and full transcript. Course may be
-	// left empty; the reply names it.
+	// of creating a new one: Dial sends a resume frame and rebuilds the
+	// client's view from the returned state and full transcript. Course
+	// may be left empty; the reply names it.
 	Resume string
 	// Project is the course document (from the downloaded package); the
 	// client resolves scenarios, objects and quizzes against it locally so
@@ -64,12 +63,13 @@ type ClientOptions struct {
 	// error. Frames render locally from the replica, so Watch costs no
 	// round trip. The server session stays authoritative for delivery:
 	// observers receive the server's events, exactly once, as replies
-	// arrive. Both modes create and leave inside act frames: a thin client
-	// sends its create at Dial and its leave at Close, each a frame of its
-	// own; a mirror's create rides in front of its first batch and its
-	// leave at the end of its last, so a session of n acts costs
-	// ceil((n+1)/mirrorBatch) requests. State reads and frames stay on
-	// their JSON/raw routes, and a resume on /play/create.
+	// arrive. Both modes create, resume and leave inside act frames: a thin
+	// client sends its create at Dial and its leave at Close, each a frame
+	// of its own; a mirror's create rides in front of its first batch and
+	// its leave at the end of its last, so a session of n acts costs
+	// ceil((n+1)/mirrorBatch) requests. A resume (Dial with Resume, the
+	// fallback after a lost node, Sync) is a frame of its own. Only frames
+	// leave for the raw /play/frame route; a Client sends no JSON.
 	LocalMirror bool
 	// Pkg is the opened course package (required by LocalMirror; the
 	// fleet already holds it for local play). Every mirror on one Pkg
@@ -171,12 +171,10 @@ func Dial(o ClientOptions) (*Client, error) {
 		c.retry = &c.budget
 	}
 	if o.Resume != "" {
-		reply, err := c.jsonReply(http.MethodPost, c.opts.BaseURL+CreatePath, mustJSON(&CreateRequest{Resume: o.Resume}), "resume")
-		if err != nil {
+		c.id = o.Resume
+		if err := c.resumeOnce(); err != nil {
 			return nil, err
 		}
-		c.id = reply.Session
-		c.apply(reply)
 		return c, nil
 	}
 	c.id, c.create = newSessionID(o.Course), o.Course
@@ -277,32 +275,15 @@ func call(httpc *http.Client, policy *faultnet.RetryPolicy, req *faultnet.Reques
 }
 
 // do sends one of this client's requests under policy (nil = a single
-// attempt). Retrying is safe for every request a Client sends: GETs are
-// idempotent, creates carry a client-minted id, and acts carry a sequence
-// number the server dedups on. It never sticks — the caller decides after
+// attempt). Retrying is safe for every request a Client sends: frame GETs
+// and resumes are idempotent, creates carry a client-minted id, and acts
+// carry a sequence number the server dedups on. It never sticks — the caller decides after
 // the budget.
 func (c *Client) do(policy *faultnet.RetryPolicy, method, url, contentType string, payload []byte, what string, decode decoder) error {
 	return call(c.opts.HTTP, policy, &faultnet.Request{
 		Method: method, URL: url, ContentType: contentType, Body: payload,
 		Trace: c.opts.Trace, Timeout: c.timeout,
 	}, what, true, decode)
-}
-
-// jsonReply exchanges one request for a JSON Reply (resume and sync;
-// payload nil for a GET).
-func (c *Client) jsonReply(method, url string, payload []byte, what string) (*Reply, error) {
-	var r *Reply
-	err := c.do(c.retry, method, url, "application/json", payload, what, func(resp *http.Response) (error, bool) {
-		r = new(Reply)
-		if err := json.NewDecoder(resp.Body).Decode(r); err != nil {
-			return fmt.Errorf("playsvc: %s: decode: %w", what, err), true
-		}
-		return nil, false
-	})
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // postFrame exchanges one encoded act frame for its reply frame.
@@ -374,19 +355,16 @@ func recoverable(err error) bool {
 }
 
 // resumeOnce reattaches to the session via the snapshot path: a resume
-// create thaws the latest released-or-checkpoint snapshot (the gateway
+// frame thaws the latest released-or-checkpoint snapshot (the gateway
 // re-routes it to the session's current ring owner) and the reply
-// refreshes the mirror.
+// refreshes the client's view with the tails beyond its seen-counts.
 func (c *Client) resumeOnce() error {
-	r, err := c.jsonReply(http.MethodPost, c.opts.BaseURL+CreatePath, mustJSON(&CreateRequest{
-		Resume:       c.id,
-		SeenEvents:   c.seen,
-		SeenMessages: len(c.messages),
-	}), "resume")
+	out, err := c.postFrame(EncodeActFrame(&BatchRequest{Session: c.id, Resume: true,
+		SeenEvents: c.seen, SeenMessages: len(c.messages)}))
 	if err != nil {
 		return err
 	}
-	c.apply(r)
+	c.apply(out.Reply)
 	return nil
 }
 
@@ -539,29 +517,17 @@ func (c *Client) sendBatch(acts []ActRequest) (*BatchReply, error) {
 	return out, nil
 }
 
-// Sync fetches the session view without acting on it, folding in — and
-// thereby acknowledging — any event or message tail the server still
-// retains. After a Sync the server holds no unacknowledged state for this
-// client, which makes it the natural last call before a planned handoff.
+// Sync ships a mirror client's queued acts, then fetches the session view
+// with a resume frame, folding in — and thereby acknowledging — any event
+// or message tail the server still retains. After a Sync the server holds
+// no unacknowledged state for this client, which makes it the natural last
+// call before a planned handoff.
 func (c *Client) Sync() error {
 	c.flush() // a mirror client's queued tail; errors stick
 	if c.err != nil {
 		return c.err
 	}
-	url := fmt.Sprintf("%s%s?session=%s&events=%d&messages=%d",
-		c.opts.BaseURL, StatePath, c.id, c.seen, len(c.messages))
-	r, err := c.jsonReply(http.MethodGet, url, nil, "sync")
-	if err != nil && recoverable(err) {
-		if rerr := c.resumeOnce(); rerr == nil {
-			// The resume reply IS the synced view.
-			return nil
-		}
-	}
-	if err != nil {
-		return c.finalize(err)
-	}
-	c.apply(r)
-	return nil
+	return c.finalize(c.resumeOnce())
 }
 
 // Project implements sim.Game.
@@ -785,13 +751,4 @@ func (c *Client) Close() error {
 	c.queue(&leave)
 	_, err := c.flush()
 	return err
-}
-
-// mustJSON marshals a value that cannot fail (plain request structs).
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

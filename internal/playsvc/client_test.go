@@ -42,9 +42,9 @@ func (ct *countingTransport) count(path string) int {
 	return ct.paths[path]
 }
 
-// jsonRequests counts a transport's requests on the JSON play routes.
+// jsonRequests counts a transport's requests on the JSON play route.
 func (ct *countingTransport) jsonRequests() int {
-	return ct.count(CreatePath) + ct.count(ActPath) + ct.count(StatePath)
+	return ct.count(ActPath)
 }
 
 // TestThinOneRequestPerAct pins what the single act path promises a thin
@@ -161,6 +161,43 @@ func TestMirrorSessionExchanges(t *testing.T) {
 	st := m.Snapshot()
 	if st["sessions_created"] != 5 || st["sessions_closed"] != 5 || m.Live() != 0 {
 		t.Fatalf("created %d, closed %d, live %d after 5 sessions", st["sessions_created"], st["sessions_closed"], m.Live())
+	}
+}
+
+// TestResumedClientSendsNoJSON: a resume is a frame too. A client that
+// resumes a session at Dial, acts, syncs and leaves sends four frames on
+// /play/actv2 — the resume, the act, the sync's resume, the leave — and
+// not one request on the JSON route, and the resume alone rebuilds its
+// view: the course's geometry, the transcript, the event log.
+func TestResumedClientSendsNoJSON(t *testing.T) {
+	ts, _ := liveService(t, Options{TTL: -1})
+	first := dialOpts(t, ts.URL, nil, nil)
+	first.Talk("teacher")
+	if err := first.Err(); err != nil {
+		t.Fatal(err)
+	}
+	ct := &countingTransport{}
+	var rec recorder
+	c := dialOpts(t, ts.URL, &rec, func(o *ClientOptions) {
+		o.Course, o.Resume = "", first.SessionID()
+		o.HTTP = &http.Client{Transport: ct}
+	})
+	if w, _, _ := c.VideoMeta(); w == 0 || len(rec.log()) == 0 || !reflect.DeepEqual(c.Messages(), first.Messages()) {
+		t.Fatalf("the resume rebuilt width %d, %d events, transcript %q; want the course, the log and %q",
+			w, len(rec.log()), c.Messages(), first.Messages())
+	}
+	c.Examine("computer")
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ct.count(ActV2Path); got != 4 {
+		t.Fatalf("resume, act, sync and leave cost %d frames, want 4", got)
+	}
+	if got := ct.jsonRequests(); got != 0 {
+		t.Fatalf("a resumed and synced client sent %d requests on the JSON route, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package playsvc
 import (
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/internal/content"
@@ -31,6 +32,93 @@ func liveCluster(t testing.TB, n int, node Options) (*Cluster, *httptest.Server)
 	ts := httptest.NewServer(cl.Gateway().Handler())
 	t.Cleanup(ts.Close)
 	return cl, ts
+}
+
+// TestGatewayCountsCreatesOnce: a resume through the gateway reattaches a
+// session the gateway already counted, so it tracks the session and counts
+// nothing — a room created through the gateway and then driven by a
+// resuming client is one create, as its node says.
+func TestGatewayCountsCreatesOnce(t *testing.T) {
+	cl, ts := liveCluster(t, 2, Options{})
+	if _, err := CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: "r1"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: "r1", Project: content.Classroom().Project})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driver.Talk("teacher")
+	if err := driver.Err(); err != nil {
+		t.Fatal(err)
+	}
+	gs := cl.Gateway().Stats()
+	if creates, created := stat(t, gs.Gateway, "creates"), stat(t, gs.Cluster, "sessions_created"); creates != 1 || created != 1 {
+		t.Fatalf("gateway counted %d creates, the nodes %d sessions created; want one each", creates, created)
+	}
+	if got := stat(t, gs.Gateway, "sessions"); got != 1 {
+		t.Fatalf("gateway tracks %d sessions, want the room", got)
+	}
+	if err := driver.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.Gateway().SessionCount(); got != 0 {
+		t.Fatalf("gateway still tracks %d sessions after the driver left", got)
+	}
+}
+
+// TestGatewayResumeSweepsLiveCopy: a resume may thaw a checkpoint entry,
+// so the gateway sweeps the session's live copy off the other nodes before
+// it relays one. A session acts past its newborn checkpoint, a fourth node
+// takes its id, and a resume through the gateway must reattach the live
+// state — frozen by the old owner, thawed by the new — not fork a second
+// copy from the stale checkpoint.
+func TestGatewayResumeSweepsLiveCopy(t *testing.T) {
+	cl, gw := liveCluster(t, 3, Options{})
+	// Node names are sequential, so the ring after one more node is known:
+	// dial until the id is one node-4 will own.
+	next := NewGateway(nil)
+	for i := 1; i <= 4; i++ {
+		next.AddNode(fmt.Sprintf("node-%d", i), "http://unused")
+	}
+	var c *Client
+	for tries := 0; ; tries++ {
+		c = dial(t, gw, nil)
+		if owner, _ := next.ownerOf(c.SessionID()); owner.name == "node-4" {
+			break
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if tries == 200 {
+			t.Fatal("no minted id hashes onto the fourth node")
+		}
+	}
+	c.Talk("teacher")
+	c.Talk("teacher")
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.StartNode(); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Dial(ClientOptions{BaseURL: gw.URL, Resume: c.SessionID(), Project: content.Classroom().Project})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c2.Messages(), c.Messages(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the resume rebuilt transcript %q, want the live session's %q", got, want)
+	}
+	live := 0
+	for _, name := range cl.NodeNames() {
+		live += cl.Node(name).Manager.Live()
+	}
+	if live != 1 {
+		t.Fatalf("%d live copies of the session after the resume, want 1", live)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkClusterEmpty(t, cl)
 }
 
 // TestGatewayRouting: sessions created through the gateway spread across

@@ -327,14 +327,16 @@ func TestLostFirstFrameAcrossRingMove(t *testing.T) {
 	checkClusterEmpty(t, cl)
 }
 
-// TestJSONAdapterMatchesFrame pins the JSON adapters against the framed
-// route: two sessions created — once by POST /play/create, once by a
-// create-only frame — and then driven by the same acts — once as
-// curl-shaped Seq-less JSON POSTs to /play/act, once as framed batches of
-// one on /play/actv2 — must yield the same Reply through the shared
-// handler at every step: the create's state, entry events, course and
-// geometry; each act's state, events, messages, pending quiz and
-// correct/took results; the leave's final tails without a state.
+// TestJSONAdapterMatchesFrame pins the JSON adapter against the framed
+// route: two sessions created — once by a kind-less POST /play/act naming
+// the course, once by a create-only frame — then driven by the same acts —
+// once as curl-shaped Seq-less JSON POSTs to /play/act, once as framed
+// batches of one on /play/actv2 — and resumed — once by a kind-less JSON
+// resume, once by a resume-only frame — must yield the same Reply through
+// the shared handler at every step: the create's state, entry events,
+// course and geometry; each act's state, events, messages, pending quiz and
+// correct/took results; the resume's view, course and Resumed mark; the
+// leave's final tails without a state.
 func TestJSONAdapterMatchesFrame(t *testing.T) {
 	ts, m := liveService(t, Options{TTL: -1})
 	post := func(path, ctype string, body []byte) []byte {
@@ -386,11 +388,7 @@ func TestJSONAdapterMatchesFrame(t *testing.T) {
 	// The create: the JSON adapter on one id, a create-only frame on the
 	// other — state, entry events, course and geometry alike.
 	sessions := [2]string{newSessionID("classroom"), newSessionID("classroom")}
-	var jc Reply
-	if err := json.Unmarshal(post(CreatePath, "application/json",
-		mustJSON(&CreateRequest{Course: "classroom", Session: sessions[0]})), &jc); err != nil {
-		t.Fatal(err)
-	}
+	jc := *viaJSON(sessions[0], ActRequest{Course: "classroom"})
 	out, err := ParseReplyFrame(post(ActV2Path, FrameContentType,
 		EncodeActFrame(&BatchRequest{Session: sessions[1], Create: "classroom"})))
 	if err != nil {
@@ -420,6 +418,26 @@ func TestJSONAdapterMatchesFrame(t *testing.T) {
 	}
 	if !sawQuiz || !sawCorrect || !sawTook {
 		t.Fatalf("script never exercised quiz=%v correct=%v took=%v", sawQuiz, sawCorrect, sawTook)
+	}
+	// The resume: a kind-less JSON body with resume set on one id, a
+	// resume-only frame on the other — the view (nothing was acknowledged,
+	// so every retained tail), the course and the Resumed mark alike.
+	jr := viaJSON(sessions[0], ActRequest{Resume: true})
+	out, err = ParseReplyFrame(post(ActV2Path, FrameContentType,
+		EncodeActFrame(&BatchRequest{Session: sessions[1], Resume: true})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.ActErr != nil || len(out.Results) != 0 {
+		t.Fatalf("resume-only frame answered %+v", out)
+	}
+	if !jr.Resumed || jr.State == nil || jr.Course != "classroom" || jr.Width == 0 {
+		t.Fatalf("JSON resume reply lacks the Resumed mark, state or course metadata: %+v", jr)
+	}
+	fr := out.Reply
+	fr.Session = jr.Session
+	if !reflect.DeepEqual(jr, fr) {
+		t.Fatalf("resume: JSON adapter and frame disagree:\n json  %+v\n frame %+v", jr, fr)
 	}
 	// The leave: the final tails (nothing was acknowledged, so all of
 	// them) and no state, either way.
@@ -660,8 +678,8 @@ func TestNegativeSeenCounts(t *testing.T) {
 		{"zero", 0, 0, total, totalMsgs},
 	}
 	for _, tc := range cases {
-		t.Run("stateOf/"+tc.name, func(t *testing.T) {
-			got, err := m.StateOf(r.Session, tc.seenEvents, tc.seenMessages)
+		t.Run("resume/"+tc.name, func(t *testing.T) {
+			got, err := m.Create(&CreateRequest{Resume: r.Session, SeenEvents: tc.seenEvents, SeenMessages: tc.seenMessages})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -724,7 +742,7 @@ func TestNegativeSeenCounts(t *testing.T) {
 
 	// A past-the-end seen-count clamps to "release everything retained":
 	// no panic, empty tail, and the window never goes negative.
-	over, err := m.StateOf(r.Session, rr3.EventCount+99, rr3.MessageCount+99)
+	over, err := m.Create(&CreateRequest{Resume: r.Session, SeenEvents: rr3.EventCount + 99, SeenMessages: rr3.MessageCount + 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,7 +778,7 @@ func TestReplyIsPureAckTrims(t *testing.T) {
 	// Read the full tail twice: replies are pure, so the second read still
 	// sees everything even though the first reply "delivered" it.
 	for i := 0; i < 2; i++ {
-		got, err := m.StateOf(r.Session, 0, 0)
+		got, err := m.Create(&CreateRequest{Resume: r.Session})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -769,7 +787,7 @@ func TestReplyIsPureAckTrims(t *testing.T) {
 		}
 	}
 	// Only the acked request compacts.
-	if _, err := m.StateOf(r.Session, rr.EventCount, rr.MessageCount); err != nil {
+	if _, err := m.Create(&CreateRequest{Resume: r.Session, SeenEvents: rr.EventCount, SeenMessages: rr.MessageCount}); err != nil {
 		t.Fatal(err)
 	}
 	h, err := m.lookup(r.Session)

@@ -1,19 +1,21 @@
 // Binary wire framing for the act path: the one format a hosted session's
-// life travels in, from its create to its leave (POST /play/create and
-// POST /play/act are JSON adapters over the same batch).
+// life travels in, from its create or resume to its leave (POST /play/act
+// is the JSON adapter over the same batch).
 //
 // A frame is an internal/tagrec container, like the snapshot envelope and
 // the watch chunk; this file holds the act and reply tag tables and the
 // field codecs the three share (act error, state; an event's is
 // runtime.AppendEvent, which telemetry batches carry too). Request frames
 // ("VACT") carry a whole act batch. Their routing prefix is the session id,
-// then the op records — a create naming the course, a leave — so a gateway
-// routes a frame, and tracks or untracks its session, without parsing (or
-// re-encoding) the rest. A frame may open its session, act on it and end it
-// all at once: a thick client's whole session can be one frame. Reply
+// then the op records — a create naming the course or a resume, a leave —
+// so a gateway routes a frame, and tracks or untracks its session, without
+// parsing (or re-encoding) the rest. A frame may open its session, act on
+// it and end it all at once: a thick client's whole session can be one
+// frame. Reply
 // frames ("VRPL") carry per-act results plus ONE coalesced
 // state/event/message tail, so a batch of N acts costs one state snapshot
-// instead of N; a create's reply adds the course and its video geometry.
+// instead of N; a create's or a resume's reply adds the course and its
+// video geometry.
 //
 // Every parse rejection wraps ErrBadFrame; the hostile-input bar (every
 // length checked against the remaining input before any allocation) is
@@ -52,8 +54,8 @@ const (
 	maxFrameField = 1 << 20
 )
 
-// Act-frame record tags. The session, create and leave records are the
-// routing prefix: in that order, before every other record.
+// Act-frame record tags. The session, create-or-resume and leave records
+// are the routing prefix: in that order, before every other record.
 const (
 	atagSession      = 1 // string; MUST be the first record (gateway routing)
 	atagBaseSeq      = 2 // uvarint
@@ -62,6 +64,7 @@ const (
 	atagAct          = 5 // repeated, one per act, batch order
 	atagCreate       = 6 // string course: open the session before the acts
 	atagLeave        = 7 // empty: the last act is a leave
+	atagResume       = 8 // empty: reattach the session; exclusive with create
 )
 
 // Reply-frame record tags.
@@ -201,13 +204,16 @@ func readActError(payload []byte) (*Error, error) {
 
 // EncodeActFrame encodes a batch request as a binary act frame. Only the
 // act fields the wire carries (kind, object, item, x, y, quiz, choice,
-// ticks) survive; session/create/seq/seen ride the frame header.
+// ticks) survive; session/create/resume/seq/seen ride the frame header.
 func EncodeActFrame(req *BatchRequest) []byte {
 	b := tagrec.Begin(make([]byte, 0, 64+32*len(req.Acts)), actMagic, frameVersion)
 	// The routing prefix leads so a gateway can route on a prefix parse.
 	b = tagrec.Append(b, atagSession, req.Session)
 	if req.Create != "" {
 		b = tagrec.Append(b, atagCreate, req.Create)
+	}
+	if req.Resume {
+		b = tagrec.Append(b, atagResume, "")
 	}
 	if req.leaves() {
 		b = tagrec.Append(b, atagLeave, "")
@@ -253,7 +259,7 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 		r := tagrec.Reader{B: sc.Payload}
 		var err error
 		switch sc.Tag {
-		case atagSession, atagCreate, atagLeave:
+		case atagSession, atagCreate, atagResume, atagLeave:
 			return nil, frameBadf("record %d outside the routing prefix", sc.Tag)
 		case atagBaseSeq:
 			v, err := r.Uvarint()
@@ -316,13 +322,13 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 	if rt.session == "" {
 		return nil, frameBadf("missing session id")
 	}
-	if len(req.Acts) == 0 && rt.create == "" {
+	if len(req.Acts) == 0 && rt.create == "" && !rt.resume {
 		return nil, frameBadf("empty act batch")
 	}
 	if rt.leave != req.leaves() {
 		return nil, frameBadf("leave record and last act disagree")
 	}
-	req.Session, req.Create = rt.session, rt.create
+	req.Session, req.Create, req.Resume = rt.session, rt.create, rt.resume
 	return req, nil
 }
 
@@ -331,12 +337,14 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 type frameRoute struct {
 	session string
 	create  string // the course a create opens the session on
+	resume  bool
 	leave   bool
 }
 
 // take folds the record at index i into the route while it is part of the
-// routing prefix — the session id, then a create, then a leave, each at
-// most once — and reports false at the first record past it. The full
+// routing prefix — the session id, then a create or a resume, then a
+// leave, each at most once — and reports false at the first record past
+// it. The full
 // parse and the gateway's prefix parse both run it, so they agree on every
 // frame the full parse accepts.
 func (rt *frameRoute) take(i int, tag uint64, payload []byte) (bool, error) {
@@ -351,6 +359,8 @@ func (rt *frameRoute) take(i int, tag uint64, payload []byte) (bool, error) {
 			return false, frameBadf("create names no course")
 		}
 		rt.create = string(payload)
+	case tag == atagResume && i == 1:
+		rt.resume = true
 	case tag == atagLeave && !rt.leave:
 		rt.leave = true
 	default:

@@ -129,6 +129,10 @@ func TestFrameSessionID(t *testing.T) {
 	if rt, err := parseFrameRoute(EncodeActFrame(whole)); err != nil || rt != (frameRoute{session: id, create: "classroom", leave: true}) {
 		t.Fatalf("whole-session frame: route=%+v err=%v", rt, err)
 	}
+	resume := EncodeActFrame(&BatchRequest{Session: id, Resume: true, SeenEvents: 3})
+	if rt, err := parseFrameRoute(resume); err != nil || rt != (frameRoute{session: id, resume: true}) {
+		t.Fatalf("resume frame: route=%+v err=%v", rt, err)
+	}
 }
 
 func TestParseActFrameRejections(t *testing.T) {
@@ -152,6 +156,16 @@ func TestParseActFrameRejections(t *testing.T) {
 	late = tagrec.Append(late, atagSession, "s")
 	late = tagrec.Append(late, atagBaseSeq, []byte{1})
 	late = tagrec.Finish(tagrec.Append(late, atagCreate, "classroom"), 0)
+	// A resume sits where a create does, never beside it or past the
+	// prefix.
+	both := tagrec.Begin(nil, actMagic, frameVersion)
+	both = tagrec.Append(both, atagSession, "s")
+	both = tagrec.Append(both, atagCreate, "classroom")
+	both = tagrec.Finish(tagrec.Append(both, atagResume, ""), 0)
+	lateResume := tagrec.Begin(nil, actMagic, frameVersion)
+	lateResume = tagrec.Append(lateResume, atagSession, "s")
+	lateResume = tagrec.Append(lateResume, atagBaseSeq, []byte{1})
+	lateResume = tagrec.Finish(tagrec.Append(lateResume, atagResume, ""), 0)
 
 	cases := []struct {
 		name string
@@ -168,6 +182,8 @@ func TestParseActFrameRejections(t *testing.T) {
 		{"leave act without the leave record", unflagged},
 		{"leave record without a leave act", flagged},
 		{"create past the routing prefix", late},
+		{"create and resume in one frame", both},
+		{"resume past the routing prefix", lateResume},
 	}
 	for _, tc := range cases {
 		if _, err := ParseActFrame(tc.data); !errors.Is(err, ErrBadFrame) {
@@ -227,7 +243,8 @@ func FuzzParseActFrame(f *testing.F) {
 			}
 			return
 		}
-		if req.Session == "" || (len(req.Acts) == 0 && req.Create == "") || len(req.Acts) > maxFrameActs {
+		if req.Session == "" || (len(req.Acts) == 0 && req.Create == "" && !req.Resume) ||
+			(req.Create != "" && req.Resume) || len(req.Acts) > maxFrameActs {
 			t.Fatalf("parsed frame violates invariants: %+v", req)
 		}
 		// Accepted input must survive a re-encode round trip (unknown
@@ -243,8 +260,9 @@ func FuzzParseActFrame(f *testing.F) {
 }
 
 // opFrames are act frames carrying the ops: a create alone, a create in
-// front of acts, acts with a leave at the end, a leave alone, and a whole
-// session in one frame.
+// front of acts, acts with a leave at the end, a leave alone, a whole
+// session in one frame, a resume alone (seen-counts zero and not), and a
+// resume in front of acts and a leave.
 func opFrames() [][]byte {
 	acts := sampleBatch().Acts
 	leave := append(append([]ActRequest(nil), acts...), ActRequest{Kind: ActLeave})
@@ -254,14 +272,17 @@ func opFrames() [][]byte {
 		EncodeActFrame(&BatchRequest{Session: "s", BaseSeq: 17, SeenEvents: 9, Acts: leave}),
 		EncodeActFrame(&BatchRequest{Session: "s", BaseSeq: 3, Acts: []ActRequest{{Kind: ActLeave}}}),
 		EncodeActFrame(&BatchRequest{Session: "s", Create: "classroom", BaseSeq: 1, Acts: leave}),
+		EncodeActFrame(&BatchRequest{Session: "s", Resume: true}),
+		EncodeActFrame(&BatchRequest{Session: "s", Resume: true, SeenEvents: 40, SeenMessages: 6}),
+		EncodeActFrame(&BatchRequest{Session: "s", Resume: true, BaseSeq: 5, Acts: leave}),
 	}
 }
 
 // FuzzFrameRoute holds the gateway's prefix parse to the full parse: on any
 // input it never panics and every rejection is a typed ErrBadFrame, and on
 // every frame the full parse accepts it routes the same session with the
-// same ops — a create the gateway misses would go untracked, a leave it
-// misses would never untrack.
+// same ops — a create the gateway misses would go untracked, a resume it
+// misses would skip its sweep, a leave it misses would never untrack.
 func FuzzFrameRoute(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("VACT"))
@@ -282,7 +303,7 @@ func FuzzFrameRoute(f *testing.F) {
 		if rerr != nil {
 			t.Fatalf("the full parse accepts a frame the gateway refuses: %v", rerr)
 		}
-		if want := (frameRoute{session: req.Session, create: req.Create, leave: req.leaves()}); rt != want {
+		if want := (frameRoute{session: req.Session, create: req.Create, resume: req.Resume, leave: req.leaves()}); rt != want {
 			t.Fatalf("prefix parse routes %+v, the full parse %+v", rt, want)
 		}
 	})

@@ -2,9 +2,10 @@
 //
 // Gateway is a thin HTTP router in front of stock play-service nodes. It
 // speaks the exact /play/* protocol, so clients (and the whole learner
-// fleet) point at it unchanged. Session ids are assigned by the gateway
-// and routed by consistent hashing, so each session has one owner node
-// and adding or removing a node moves only ~1/N of the id space.
+// fleet) point at it unchanged. Session ids are minted by their clients
+// (a room's by the gateway, when its creator names none) and routed by
+// consistent hashing, so each session has one owner node and adding or
+// removing a node moves only ~1/N of the id space.
 //
 // Durability is what makes the routing safe to change: all nodes share
 // one snapshot directory. When a node is removed gracefully the gateway
@@ -72,7 +73,7 @@ type Gateway struct {
 	mu       sync.RWMutex
 	nodes    []gwNode
 	ring     []ringPoint
-	sessions map[string]bool // gateway-assigned ids still believed live
+	sessions map[string]bool // ids created or resumed here and not yet left
 	// draining nodes are out of the ring (no new routes) but still
 	// serving while their sessions freeze; the rescue path must be able
 	// to reach them or acts for their sessions would 404 mid-drain.
@@ -297,7 +298,7 @@ func (g *Gateway) NodeNames() []string {
 	return out
 }
 
-// SessionCount is how many gateway-assigned sessions have not left yet.
+// SessionCount is how many tracked sessions have not left yet.
 func (g *Gateway) SessionCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -542,20 +543,15 @@ func (g *Gateway) route(tc obs.TraceContext, method, path, rawQuery string, body
 	return nil, fmt.Errorf("playsvc: no reachable node for %q", id)
 }
 
-// newSessionID mints a gateway-assigned id. Ids carry the course name for
-// debuggability plus random hex so restarted gateways cannot collide.
+// newSessionID mints a session, room or watcher id: the prefix (a course
+// name, for debuggability) plus random hex, so ids minted by different
+// clients, nodes or restarted gateways cannot collide.
 func newSessionID(course string) string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("playsvc: session id entropy: " + err.Error())
 	}
 	return course + "-" + hex.EncodeToString(b[:])
-}
-
-func (g *Gateway) tracked(session string) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.sessions[session]
 }
 
 func (g *Gateway) track(session string) {
@@ -586,17 +582,15 @@ func relay(w http.ResponseWriter, p *proxied) {
 func (g *Gateway) Handler() http.Handler {
 	g.handlerOnce.Do(func() {
 		mux := http.NewServeMux()
-		mux.HandleFunc(CreatePath, g.handleCreate)
-		mux.HandleFunc(ActPath, routedPost(g, true, func(a *ActRequest) (string, bool) { return a.Session, a.Kind == ActLeave }))
 		mux.HandleFunc(ActV2Path, g.handleActV2)
-		mux.HandleFunc(StatePath, g.handleSessionGet)
-		mux.HandleFunc(FramePath, g.handleSessionGet)
+		mux.HandleFunc(ActPath, g.handleAct)
+		mux.HandleFunc(FramePath, g.handleFrame)
 		mux.HandleFunc(StatsPath, g.handleStats)
 		mux.HandleFunc(RoomCreatePath, g.handleRoomCreate)
-		member := routedPost(g, false, func(j *RoomJoinRequest) (string, bool) { return j.Room, false })
+		member := routedPost(g, func(j *RoomJoinRequest) string { return j.Room })
 		mux.HandleFunc(RoomJoinPath, member)
 		mux.HandleFunc(RoomLeavePath, member)
-		mux.HandleFunc(RoomAnswerPath, routedPost(g, false, func(a *RoomAnswerRequest) (string, bool) { return a.Room, false }))
+		mux.HandleFunc(RoomAnswerPath, routedPost(g, func(a *RoomAnswerRequest) string { return a.Room }))
 		mux.HandleFunc(RoomWatchPath, g.handleRoomGet)
 		mux.HandleFunc(RoomStatsPath, g.handleRoomGet)
 		g.handler = mux
@@ -613,74 +607,21 @@ func traceOf(r *http.Request) obs.TraceContext {
 	return obs.NewTrace()
 }
 
-func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req CreateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if v := r.URL.Query().Get("resume"); v != "" && req.Resume == "" {
-		req.Resume = v
-	}
-	tc := traceOf(r)
-	session := req.Resume
-	if session == "" {
-		if req.Course == "" {
-			http.Error(w, "playsvc: create needs a course or a resume id", http.StatusBadRequest)
-			return
-		}
-		if req.Session == "" {
-			req.Session = newSessionID(req.Course)
-		}
-		session = req.Session
-		if g.tracked(session) {
-			// A retried create whose first reply was lost in flight: the
-			// cluster already holds this id. Convert it to a resume so a
-			// ring move between the two attempts reattaches to the
-			// existing session instead of minting a duplicate on the new
-			// owner.
-			req.Resume = session
-		}
-	}
-	if req.Resume != "" {
-		// A resume may thaw a checkpoint entry on its owner, so first
-		// sweep any live copy off the other nodes (a no-op unless the
-		// ring changed under a dormant client).
-		if owner, err := g.ownerOf(session); err == nil {
-			g.rescue(tc, session, owner.name)
-		}
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	p, err := g.route(tc, http.MethodPost, CreatePath, "", body, session, true)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	if p.status == http.StatusOK {
-		g.track(session)
-		g.creates.Add(1)
-	}
-	relay(w, p)
-}
-
-// routedPost is the one body-routed POST: decode the JSON body (method,
-// size and syntax checked by decodeBody), read the routing id out of it with
-// id, and relay the owner's answer to the re-marshalled request. heal404
-// says whether a 404 from the owner starts a rescue (sessions heal; rooms
-// are live-only, a 404 is the truth). id also reports whether the request
-// ends its session — a leave the owner confirms untracks it.
-func routedPost[T any](g *Gateway, heal404 bool, id func(*T) (routeID string, ends bool)) http.HandlerFunc {
+// routedPost is the one body-routed room POST: decode the JSON body
+// (method, size and syntax checked by decodeBody), read the room id out of
+// it with id, and relay the owner's answer to the re-marshalled request.
+// Rooms are live-only, so a 404 from the owner is the truth and relays
+// as-is: a rescue sweep would freeze the driver's live session out from
+// under the classroom.
+func routedPost[T any](g *Gateway, id func(*T) string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req T
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		routeID, ends := id(&req)
-		if routeID == "" {
-			http.Error(w, "playsvc: request names no session or room", http.StatusBadRequest)
+		room := id(&req)
+		if room == "" {
+			http.Error(w, "playsvc: request names no room", http.StatusBadRequest)
 			return
 		}
 		body, err := json.Marshal(&req)
@@ -688,26 +629,19 @@ func routedPost[T any](g *Gateway, heal404 bool, id func(*T) (routeID string, en
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		p, err := g.route(traceOf(r), http.MethodPost, r.URL.Path, "", body, routeID, heal404)
+		p, err := g.route(traceOf(r), http.MethodPost, r.URL.Path, "", body, room, false)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
-		}
-		if ends && p.status == http.StatusOK {
-			g.untrack(routeID)
 		}
 		relay(w, p)
 	}
 }
 
 // handleActV2 forwards a binary act frame opaquely: routing needs only
-// the frame's routing prefix — the session id, then its create and leave
-// records (parseFrameRoute reads just those: no CRC, no full decode) — so
-// the gateway never re-encodes framed bodies, and a create or leave it
-// relays tracks or untracks the session exactly as the JSON routes do.
-// Healing (rescue, recover, breaker diversion) is identical to the JSON
-// path because session-level failures stay HTTP statuses; act-level errors
-// ride inside 200 frames the gateway does not inspect.
+// the frame's routing prefix — the session id, then its create or resume
+// and its leave records (parseFrameRoute reads just those: no CRC, no full
+// decode) — so the gateway never re-encodes framed bodies.
 func (g *Gateway) handleActV2(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -724,11 +658,49 @@ func (g *Gateway) handleActV2(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// A retried create needs no rescue of its own: the node that minted
-	// the session checkpointed it, so the new owner of a moved id finds
-	// the entry and answers 404 instead of minting it again, and route's
-	// healing rescues the live copy (TestLostFirstFrameAcrossRingMove).
-	p, err := g.route(traceOf(r), http.MethodPost, ActV2Path, "", body, rt.session, true)
+	g.routeSession(w, r, ActV2Path, body, rt)
+}
+
+// handleAct routes the JSON adapter: its body names the session and the
+// same ops a frame's routing prefix does.
+func (g *Gateway) handleAct(w http.ResponseWriter, r *http.Request) {
+	var req ActRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	body, err := json.Marshal(&req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	g.routeSession(w, r, ActPath, body, frameRoute{
+		session: req.Session, create: req.Course, resume: req.Resume, leave: req.Kind == ActLeave})
+}
+
+// routeSession relays one session batch — a frame, or the JSON adapter's
+// body — to its session's owner, and keeps the tracked set in step with
+// the ops it carries. A resume may thaw a checkpoint entry on its owner,
+// so it first sweeps any live copy off the other nodes (a no-op unless the
+// ring changed under a dormant client). A retried create needs no rescue
+// of its own: the node that minted the session checkpointed it, so the new
+// owner of a moved id finds the entry and answers 404 instead of minting
+// it again, and route's healing rescues the live copy
+// (TestLostFirstFrameAcrossRingMove). Healing is status-driven: act-level
+// errors ride inside 200 replies the gateway does not inspect. A 200 to a
+// create counts the create and tracks the session, a 200 to a resume only
+// tracks it, and a 200 to a leave untracks it.
+func (g *Gateway) routeSession(w http.ResponseWriter, r *http.Request, path string, body []byte, rt frameRoute) {
+	if rt.session == "" {
+		http.Error(w, "playsvc: request names no session", http.StatusBadRequest)
+		return
+	}
+	tc := traceOf(r)
+	if rt.resume {
+		if owner, err := g.ownerOf(rt.session); err == nil {
+			g.rescue(tc, rt.session, owner.name)
+		}
+	}
+	p, err := g.route(tc, http.MethodPost, path, "", body, rt.session, true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
@@ -736,6 +708,8 @@ func (g *Gateway) handleActV2(w http.ResponseWriter, r *http.Request) {
 	if p.status == http.StatusOK {
 		if rt.create != "" {
 			g.creates.Add(1)
+		}
+		if rt.create != "" || rt.resume {
 			g.track(rt.session)
 		}
 		if rt.leave {
@@ -745,15 +719,14 @@ func (g *Gateway) handleActV2(w http.ResponseWriter, r *http.Request) {
 	relay(w, p)
 }
 
-// handleSessionGet proxies the GET routes (state, frame) by the session
-// query parameter.
-func (g *Gateway) handleSessionGet(w http.ResponseWriter, r *http.Request) {
+// handleFrame proxies the frame GET route by the session query parameter.
+func (g *Gateway) handleFrame(w http.ResponseWriter, r *http.Request) {
 	session := r.URL.Query().Get("session")
 	if session == "" {
 		http.Error(w, "playsvc: missing session", http.StatusBadRequest)
 		return
 	}
-	p, err := g.route(traceOf(r), http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, session, true)
+	p, err := g.route(traceOf(r), http.MethodGet, FramePath, r.URL.RawQuery, nil, session, true)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return

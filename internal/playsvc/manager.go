@@ -4,12 +4,12 @@
 // click objects, answer quizzes and branch between scenarios. netstream
 // ships the package to the client; playsvc is the other deployment shape,
 // where the runtime.Session itself lives on the server and thin clients
-// drive it over HTTP (create/act/state/frame). The session manager hosts
-// thousands of concurrent sessions — one map under one mutex, held for a
-// lookup and never across an act; the per-session lock carries the work —
-// evicts idle ones after a TTL, and reports its counters at /play/stats
-// and /metrics. Frame
-// responses ride the allocation-free decode path (Decoder.DecodeInto via
+// drive it over HTTP: framed act batches (create or resume, acts, leave)
+// and frames. The session manager hosts thousands of concurrent sessions —
+// one map under one mutex, held for a lookup and never across an act; the
+// per-session lock carries the work — evicts idle ones after a TTL, and
+// reports its counters at /play/stats and /metrics. Frame responses ride
+// the allocation-free decode path (Decoder.DecodeInto via
 // Session.FrameInto), so steady-state play allocates nothing per frame
 // request.
 //
@@ -45,8 +45,8 @@ type Options struct {
 	// MaxTicks bounds a single tick act (default 1000) so one request
 	// cannot spin the server arbitrarily long.
 	MaxTicks int
-	// MaxInflight caps concurrently-executing play requests (acts, state
-	// reads, frames). Requests beyond the cap are shed immediately with
+	// MaxInflight caps concurrently-executing play requests (act batches
+	// and frames). Requests beyond the cap are shed immediately with
 	// 429 + Retry-After instead of queueing without bound — overload
 	// degrades into explicit backpressure clients know how to honor.
 	// 0 disables admission control.
@@ -60,9 +60,9 @@ type Options struct {
 	// Dir is the snapshot directory. With it set, hosted sessions are
 	// durable: the TTL janitor snapshots-then-evicts instead of
 	// discarding, evicted and handed-off sessions thaw transparently on
-	// their next request, and /play/create resume=<id> reattaches a fresh
-	// client. A cluster shares one Dir across all nodes. nil disables
-	// durability (the seed behavior).
+	// their next request, and a resume frame reattaches a fresh client.
+	// A cluster shares one Dir across all nodes. nil disables durability
+	// (the seed behavior).
 	Dir SnapshotDir
 	// CheckpointEvery periodically snapshots every active session so a
 	// crash loses at most one interval of progress. 0 disables periodic
@@ -234,7 +234,6 @@ type Manager struct {
 	// the registry exports them as seconds.
 	reg       *obs.Registry
 	actNs     *obs.Histogram
-	stateNs   *obs.Histogram
 	frameNs   *obs.Histogram
 	freezeNs  *obs.Histogram
 	thawNs    *obs.Histogram
@@ -273,7 +272,6 @@ type Manager struct {
 	roomAnswers   atomic.Int64
 	watcherJoins  atomic.Int64
 
-	seq atomic.Int64
 	// mu guards the session map and the tombstones. It is held for a map
 	// operation, never while a session lock is taken or an act runs, so
 	// requests for different sessions meet here for tens of nanoseconds
@@ -326,7 +324,6 @@ func NewManager(o Options) *Manager {
 		opts:           o,
 		reg:            obs.NewRegistry(""),
 		actNs:          obs.NewHistogram(obs.LatencyBounds),
-		stateNs:        obs.NewHistogram(obs.LatencyBounds),
 		frameNs:        obs.NewHistogram(obs.LatencyBounds),
 		freezeNs:       obs.NewHistogram(obs.LatencyBounds),
 		thawNs:         obs.NewHistogram(obs.LatencyBounds),
@@ -536,27 +533,26 @@ func (m *Manager) LiveSessions() []string {
 }
 
 // Create opens a new hosted session on a published course — or, when
-// req.Resume names a snapshotted session, thaws it — and returns the
-// session's view: the JSON adapter over a create-only batch, so it is
-// create-if-absent exactly like a framed create. New sessions include any
-// events the start scenario's OnEnter script emitted; a resumed reply
+// req.Resume names a session, reattaches it — and returns the session's
+// view: the in-process call over a create-only or resume-only ActBatch, so
+// it is create-if-absent exactly like a framed create. New sessions include
+// any events the start scenario's OnEnter script emitted; a resumed reply
 // carries the transcript and event tail beyond the client's seen-counts,
-// so a fresh client (seen counts zero) rebuilds the full conversation.
-// Clients and cluster gateways may supply req.Session so the id hashes
-// onto the node they routed to.
+// so a fresh client (seen counts zero) rebuilds the full conversation. An
+// empty req.Session mints an id unique across every node that shares the
+// snapshot directory.
 func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
-	if req.Resume != "" {
-		return m.resume(req.Trace, req.Resume, req.SeenEvents, req.SeenMessages)
-	}
-	if req.Course == "" {
+	b := &BatchRequest{Session: req.Session, Create: req.Course,
+		SeenEvents: req.SeenEvents, SeenMessages: req.SeenMessages, Trace: req.Trace}
+	switch {
+	case req.Resume != "":
+		b.Session, b.Create, b.Resume = req.Resume, "", true
+	case req.Course == "":
 		return nil, errf(http.StatusBadRequest, "playsvc: create needs a course or a resume id")
+	case b.Session == "":
+		b.Session = newSessionID(req.Course)
 	}
-	id := req.Session
-	if id == "" {
-		id = fmt.Sprintf("%s-%08d", req.Course, m.seq.Add(1))
-	}
-	out, err := m.actBatch(&BatchRequest{Session: id, Create: req.Course,
-		SeenEvents: req.SeenEvents, SeenMessages: req.SeenMessages, Trace: req.Trace})
+	out, err := m.ActBatch(b)
 	if err != nil {
 		return nil, err
 	}
@@ -605,40 +601,12 @@ func (m *Manager) mint(id, courseName string) (h *hosted, locked bool, err error
 	return h, true, nil
 }
 
-// resume reattaches to a session by id: live sessions answer directly,
-// frozen ones are thawed first. An explicit resume may also thaw a
-// checkpoint entry — the client asserts its session's node is gone (a
-// cluster gateway pre-rescues live copies before letting this through).
-// The reply repeats the create-time course metadata so a reconnecting
-// client needs no other state.
-func (m *Manager) resume(tc obs.TraceContext, session string, seenEvents, seenMessages int) (*Reply, error) {
-	h, err := m.lookup(session)
-	if err != nil {
-		h, err = m.thaw(tc, session, true)
-	}
-	if err != nil {
-		return nil, err
-	}
-	h.touch()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.gone {
-		return nil, errf(http.StatusNotFound, "playsvc: no session %q", session)
-	}
-	h.ack(seenEvents)
-	r := h.reply(seenEvents, seenMessages)
-	h.course.describe(r)
-	r.Resumed = true
-	return r, nil
-}
-
 // ack releases the event-log prefix the client acknowledges; h.mu must be
 // held. Compaction happens HERE — on the next request's acknowledged
 // seen-count — and never when a tail is merely serialized into a reply:
 // a reply can die in transit, and the retried request must still find the
-// events it carried. Every request entry point (act, batch, state, resume,
-// retried create, leave) acks before doing anything else; reply() below
-// is read-only.
+// events it carried. Every batch (create, resume, acts, leave) acks before
+// doing anything else; reply() below is read-only.
 func (h *hosted) ack(seenEvents int) {
 	n := seenEvents - h.eventBase
 	if n <= 0 {
@@ -701,16 +669,22 @@ func (m *Manager) Act(req *ActRequest) (*Reply, error) {
 	return out.single()
 }
 
-// batch wraps one act as the batch of one every route hands to ActBatch.
+// batch wraps a JSON request as the batch every route hands to ActBatch:
+// its create or resume, and its act unless Kind is empty.
 func (a *ActRequest) batch() *BatchRequest {
-	return &BatchRequest{
+	b := &BatchRequest{
 		Session:      a.Session,
+		Create:       a.Course,
+		Resume:       a.Resume,
 		BaseSeq:      a.Seq,
 		SeenEvents:   a.SeenEvents,
 		SeenMessages: a.SeenMessages,
-		Acts:         []ActRequest{*a},
 		Trace:        a.Trace,
 	}
+	if a.Kind != "" {
+		b.Acts = []ActRequest{*a}
+	}
+	return b
 }
 
 // single folds a batch-of-one reply into the JSON shape: the act-level
@@ -838,13 +812,13 @@ func (m *Manager) takeTomb(session string, seq int64) (*BatchReply, error) {
 }
 
 // ActBatch is the one act path: every route (the framed /play/actv2, the
-// JSON /play/act adapter, in-process callers of Act) lands here, and only
-// here are admission, the act histogram and the "play.act" span recorded
-// (a batch that is only a create records "play.create", like the JSON
-// create). A batch's create, acts and leave apply under one session-lock
-// hold and share one coalesced reply. Session-level failures (gone,
-// draining, shed) surface as HTTP-level errors; an act-level error stops
-// the batch and rides inside the reply (ActErr). A session this node does
+// JSON /play/act adapter, in-process callers of Create and Act) lands here,
+// and only here are admission, the act histogram and the "play.act" span
+// recorded (a batch that is only a create records "play.create", only a
+// resume "play.resume"). A batch's create or resume, acts and leave apply
+// under one session-lock hold and share one coalesced reply. Session-level
+// failures (gone, draining, shed) surface as HTTP-level errors; an
+// act-level error stops the batch and rides inside the reply (ActErr). A session this node does
 // not host is thawed from the snapshot directory first, so eviction and
 // cluster handoff are invisible to the client.
 func (m *Manager) ActBatch(req *BatchRequest) (*BatchReply, error) {
@@ -858,6 +832,9 @@ func (m *Manager) ActBatch(req *BatchRequest) (*BatchReply, error) {
 	span := "play.act"
 	if len(req.Acts) == 0 {
 		span = "play.create"
+		if req.Resume {
+			span = "play.resume"
+		}
 	}
 	m.ring.Record(req.Trace, span, t0, err)
 	return out, err
@@ -866,7 +843,12 @@ func (m *Manager) ActBatch(req *BatchRequest) (*BatchReply, error) {
 // actBatch resolves the batch's session — live here, or by the ladder in
 // actAbsent — and applies the batch to it.
 func (m *Manager) actBatch(req *BatchRequest) (*BatchReply, error) {
-	if len(req.Acts) == 0 && req.Create == "" {
+	switch {
+	case req.Session == "":
+		return nil, errf(http.StatusBadRequest, "playsvc: batch names no session")
+	case req.Create != "" && req.Resume:
+		return nil, errf(http.StatusBadRequest, "playsvc: a batch may create or resume its session, not both")
+	case len(req.Acts) == 0 && req.Create == "" && !req.Resume:
 		return nil, errf(http.StatusBadRequest, "playsvc: empty act batch")
 	}
 	if len(req.Acts) > maxFrameActs {
@@ -895,9 +877,12 @@ func (m *Manager) actBatch(req *BatchRequest) (*BatchReply, error) {
 // unseen; a checkpoint entry means the session still exists — typically
 // live on the node that owned it before a ring move — so it answers 404,
 // and the gateway's rescue freezes that copy and the retry lands where the
-// session really is); a create mints the session; a sequenced leave is a
-// retry of one that already applied, and is confirmed instead of sending
-// the client into a rescue spiral for a session that is correctly gone.
+// session really is — unless the batch is a resume, whose client asserts
+// the session's node is gone, so the checkpoint thaws too; a gateway
+// sweeps live copies off the other nodes before it relays a resume); a
+// create mints the session; a sequenced leave is a retry of one that
+// already applied, and is confirmed instead of sending the client into a
+// rescue spiral for a session that is correctly gone.
 func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 	leaves := req.leaves()
 	if leaves && req.BaseSeq > 0 {
@@ -918,7 +903,7 @@ func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 	}
 	switch {
 	case held || (req.Create == "" && !leaves):
-		h, err := m.thaw(req.Trace, req.Session, false)
+		h, err := m.thaw(req.Trace, req.Session, req.Resume)
 		if err != nil {
 			return nil, err
 		}
@@ -958,8 +943,9 @@ func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 
 // applyLocked applies a batch to a held session: ack first, dedup on
 // (BaseSeq, len), then the acts in order and, when they all applied, the
-// leave. A batch that carries a create is answered with the course
-// metadata too. h.mu must be held.
+// leave. A batch that carries a create or a resume is answered with the
+// course metadata too, and a resume's reply is marked Resumed. h.mu must
+// be held.
 func (m *Manager) applyLocked(h *hosted, req *BatchRequest) (*BatchReply, error) {
 	m.acts.Add(int64(len(req.Acts)))
 	if h.gone {
@@ -985,8 +971,9 @@ func (m *Manager) applyLocked(h *hosted, req *BatchRequest) (*BatchReply, error)
 	} else {
 		out = m.runLocked(h, req)
 	}
-	if req.Create != "" {
+	if req.Create != "" || req.Resume {
 		h.course.describe(out.Reply)
+		out.Reply.Resumed = req.Resume
 	}
 	return out, nil
 }
@@ -1130,40 +1117,6 @@ func (m *Manager) applyOne(h *hosted, a *ActRequest) (byte, *Error) {
 		return 0, errf(http.StatusBadRequest, "playsvc: unknown action kind %q", a.Kind)
 	}
 	return 0, nil
-}
-
-// StateOf returns a session's current view without acting on it (it still
-// refreshes the idle clock and, like every reply, releases the event
-// prefix the caller acknowledges via seenEvents).
-func (m *Manager) StateOf(session string, seenEvents, seenMessages int) (*Reply, error) {
-	return m.stateOf(obs.TraceContext{}, session, seenEvents, seenMessages)
-}
-
-func (m *Manager) stateOf(tc obs.TraceContext, session string, seenEvents, seenMessages int) (*Reply, error) {
-	if !m.admit() {
-		return nil, errShed
-	}
-	defer m.release()
-	t0 := time.Now()
-	r, err := m.stateOfInner(tc, session, seenEvents, seenMessages)
-	m.stateNs.ObserveSince(t0)
-	m.ring.Record(tc, "play.state", t0, err)
-	return r, err
-}
-
-func (m *Manager) stateOfInner(tc obs.TraceContext, session string, seenEvents, seenMessages int) (*Reply, error) {
-	h, err := m.lookupOrThaw(tc, session)
-	if err != nil {
-		return nil, err
-	}
-	h.touch()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.gone {
-		return nil, errf(http.StatusNotFound, "playsvc: no session %q", session)
-	}
-	h.ack(seenEvents)
-	return h.reply(seenEvents, seenMessages), nil
 }
 
 // WithFrame advances the session's playback and renders its presentation
@@ -1359,7 +1312,6 @@ func (m *Manager) Register(reg *obs.Registry) {
 	reg.CounterFunc("playsvc_framecache_evictions_total", "decoded frames evicted by the byte budget", frameCaches(func(_, _, e, _, _ int64) int64 { return e }))
 	reg.GaugeFunc("playsvc_framecache_bytes", "decoded pixels resident in the courses' frame caches", frameCaches(func(_, _, _, _, b int64) int64 { return b }))
 	reg.RegisterHistogram("playsvc_act_seconds", "act request latency", "seconds", m.actNs)
-	reg.RegisterHistogram("playsvc_state_seconds", "state request latency", "seconds", m.stateNs)
 	reg.RegisterHistogram("playsvc_frame_seconds", "frame request latency", "seconds", m.frameNs)
 	reg.RegisterHistogram("playsvc_freeze_seconds", "session freeze duration", "seconds", m.freezeNs)
 	reg.RegisterHistogram("playsvc_thaw_seconds", "session thaw duration (restore included)", "seconds", m.thawNs)

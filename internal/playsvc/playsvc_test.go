@@ -449,7 +449,7 @@ func TestEventLogTrimming(t *testing.T) {
 	}
 	// A stale retry (seen-count lower than the trimmed base) is served the
 	// retained tail, not an error, and EventCount stays absolute.
-	rr, err := m.StateOf(r.Session, 0, 0)
+	rr, err := m.Create(&CreateRequest{Resume: r.Session})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,8 @@ import (
 // Routes served by Manager.Handler. Mount the handler at "/play/" on a
 // netstream.Server (or any mux).
 const (
-	CreatePath  = "/play/create"  // POST CreateRequest → Reply (resume; the JSON create adapter)
-	ActPath     = "/play/act"     // POST ActRequest → Reply (the JSON act adapter, leave included)
-	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame (create, acts, leave)
-	StatePath   = "/play/state"   // GET ?session=&events=N&messages=N → Reply
+	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame (create or resume, acts, leave)
+	ActPath     = "/play/act"     // POST ActRequest → Reply (the JSON adapter over the same batch)
 	FramePath   = "/play/frame"   // GET ?session=&advance=N → raw RGB bytes
 	StatsPath   = "/play/stats"   // GET → Stats
 	HandoffPath = "/play/handoff" // POST HandoffRequest → freeze one session to the shared store
@@ -52,26 +50,25 @@ const (
 )
 
 // CreateRequest opens a server-hosted session on a published course, or —
-// with Resume set — reattaches to a snapshotted one.
+// with Resume set — reattaches to a snapshotted one. It is the in-process
+// call (Manager.Create); on the wire both are records of the act frame.
 type CreateRequest struct {
-	Course string `json:"course"`
-	// Session optionally fixes the new session's id. Cluster gateways
-	// assign ids up front so consistent-hash routing owns them; normal
-	// clients leave it empty and let the server pick.
-	Session string `json:"session,omitempty"`
+	Course string
+	// Session optionally fixes the new session's id; empty mints one, the
+	// course name plus random hex, unique across every node sharing a
+	// snapshot directory.
+	Session string
 	// Resume names a session to thaw instead of creating one: a session
 	// frozen by the TTL janitor, a drain, or a node handoff (or still
 	// live, in which case the server just reattaches). Course is ignored;
 	// the reply repeats the course and video metadata.
-	Resume string `json:"resume,omitempty"`
+	Resume string
 	// SeenEvents/SeenMessages scope a resume reply exactly like on an
 	// act: a fresh client passes zero and receives the full transcript.
-	SeenEvents   int `json:"seen_events,omitempty"`
-	SeenMessages int `json:"seen_messages,omitempty"`
+	SeenEvents   int
+	SeenMessages int
 
-	// Trace is the request's trace context. It rides the X-Vgbl-Trace
-	// header, not the JSON body; the HTTP handlers fill it in.
-	Trace obs.TraceContext `json:"-"`
+	Trace obs.TraceContext
 }
 
 // HandoffRequest freezes one session into the shared snapshot directory so
@@ -80,10 +77,16 @@ type HandoffRequest struct {
 	Session string `json:"session"`
 }
 
-// ActRequest applies one interaction to a hosted session.
+// ActRequest applies one interaction to a hosted session. As the body of
+// POST /play/act it is a batch of at most one act: Course opens the session
+// first (create-if-absent), Resume reattaches it, and an empty Kind means no
+// act — so {"session":"s1","course":"classroom"} is a create and
+// {"session":"s1","resume":true} a resume. The caller names the session.
 type ActRequest struct {
 	Session string `json:"session"`
-	Kind    string `json:"kind"`
+	Course  string `json:"course,omitempty"` // create the session on this course first
+	Resume  bool   `json:"resume,omitempty"` // reattach the session first
+	Kind    string `json:"kind,omitempty"`
 	Object  string `json:"object,omitempty"` // examine/talk/take/use/goto target
 	Item    string `json:"item,omitempty"`   // use/select item
 	X       int    `json:"x,omitempty"`      // click coordinates
@@ -125,6 +128,12 @@ type BatchRequest struct {
 	// retried create never mints the session twice. A batch may carry a
 	// create and no acts.
 	Create string
+	// Resume reattaches Session before the acts apply: a live session
+	// answers at once, an absent one thaws from the snapshot directory —
+	// checkpoint entries included, since the client asserts the node that
+	// held it is gone. Exclusive with Create; a batch may carry a resume
+	// and no acts. The reply names the course and is marked Resumed.
+	Resume bool
 	// BaseSeq is the first act's sequence number (acts are BaseSeq..
 	// BaseSeq+len(Acts)-1). Zero disables deduplication, as for ActRequest.
 	BaseSeq int64
@@ -134,11 +143,11 @@ type BatchRequest struct {
 	SeenEvents   int
 	SeenMessages int
 	// Acts are the interactions, in order. Only Kind, Object, Item, X, Y,
-	// Quiz, Choice and Ticks are meaningful; per-act Session/Seq/Seen
-	// fields are ignored. ActLeave is legal only as the last act (400
-	// anywhere else): it releases the session once the acts before it
-	// have applied, and the reply then carries the final tails and no
-	// state.
+	// Quiz, Choice and Ticks are meaningful; per-act Session, Course,
+	// Resume, Seq and Seen fields are ignored. ActLeave is legal only as
+	// the last act (400 anywhere else): it releases the session once the
+	// acts before it have applied, and the reply then carries the final
+	// tails and no state.
 	Acts []ActRequest
 
 	Trace obs.TraceContext
@@ -203,11 +212,12 @@ type BatchReply struct {
 // is a deep copy, and Events/Messages are the unseen tails, so a Reply is
 // self-contained: it stays valid after the session moves on. A leave
 // confirmation carries the tails but no State — a leave changes none. A
-// create's reply (JSON or framed) names the course and its video geometry.
+// create's or a resume's reply (JSON or framed) names the course and its
+// video geometry.
 type Reply struct {
 	Session string `json:"session"`
-	Course  string `json:"course,omitempty"` // set on create
-	Width   int    `json:"w,omitempty"`      // video metadata, set on create
+	Course  string `json:"course,omitempty"` // set on create and resume
+	Width   int    `json:"w,omitempty"`      // video metadata, set on create and resume
 	Height  int    `json:"h,omitempty"`
 	FPS     int    `json:"fps,omitempty"`
 
@@ -222,7 +232,7 @@ type Reply struct {
 	Correct *bool `json:"correct,omitempty"` // quiz act result
 	Took    *bool `json:"took,omitempty"`    // take act result
 
-	// Resumed marks a reply produced by a resume create.
+	// Resumed marks a reply to a batch that carried a resume.
 	Resumed bool `json:"resumed,omitempty"`
 }
 

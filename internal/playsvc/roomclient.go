@@ -160,6 +160,15 @@ func decodeJSON(out any) decoder {
 	}
 }
 
+// mustJSON marshals a value that cannot fail (plain request structs).
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // postJSON sends one JSON request and decodes the reply into out.
 func (c *RoomClient) postJSON(path string, body, out any) error {
 	return c.do(http.MethodPost, c.opts.BaseURL+path, mustJSON(body), 0, "room "+path, decodeJSON(out))

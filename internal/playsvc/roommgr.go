@@ -2,10 +2,7 @@
 // the registry the HTTP surface and the janitor resolve rooms through.
 package playsvc
 
-import (
-	"fmt"
-	"net/http"
-)
+import "net/http"
 
 // roomList snapshots the live room registry (roomsMu is a leaf lock, so
 // callers iterate outside it).
@@ -62,7 +59,7 @@ func (m *Manager) closeRoomLocked(h *hosted) {
 func (m *Manager) CreateRoom(req *RoomCreateRequest) (*RoomCreateReply, error) {
 	id := req.Room
 	if id == "" {
-		id = fmt.Sprintf("%s-room-%08d", req.Course, m.seq.Add(1))
+		id = newSessionID(req.Course + "-room")
 	}
 	if _, err := m.Create(&CreateRequest{Course: req.Course, Session: id, Trace: req.Trace}); err != nil {
 		return nil, err
@@ -110,7 +107,7 @@ func (m *Manager) JoinRoom(req *RoomJoinRequest) (*RoomJoinReply, error) {
 	h.touch()
 	watcherID := req.Watcher
 	if watcherID == "" {
-		watcherID = fmt.Sprintf("w-%08d", m.seq.Add(1))
+		watcherID = newSessionID("w")
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

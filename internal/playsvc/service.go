@@ -14,16 +14,15 @@ import (
 // maxBody bounds accepted request bodies; play requests are tiny.
 const maxBody = 1 << 20
 
-// Handler returns the play service's HTTP surface (ActV2Path, CreatePath,
-// ActPath, StatePath, FramePath, StatsPath). Mount it at "/play/" on a
-// netstream.Server or any mux; repeated calls return the same handler.
+// Handler returns the play service's HTTP surface (ActV2Path, ActPath,
+// FramePath, StatsPath, the handoff routes and the room routes). Mount it
+// at "/play/" and "/room/" on a netstream.Server or any mux; repeated
+// calls return the same handler.
 func (m *Manager) Handler() http.Handler {
 	m.handlerOnce.Do(func() {
 		mux := http.NewServeMux()
-		mux.HandleFunc(CreatePath, m.handleCreate)
-		mux.HandleFunc(ActPath, m.handleAct)
 		mux.HandleFunc(ActV2Path, m.handleActV2)
-		mux.HandleFunc(StatePath, m.handleState)
+		mux.HandleFunc(ActPath, m.handleAct)
 		mux.HandleFunc(FramePath, m.handleFrame)
 		mux.HandleFunc(StatsPath, m.handleStats)
 		mux.HandleFunc(HandoffPath, m.handleHandoff)
@@ -69,27 +68,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req CreateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	// resume=<session-id> in the query is the curl-friendly spelling of
-	// the body field.
-	if v := r.URL.Query().Get("resume"); v != "" && req.Resume == "" {
-		req.Resume = v
-	}
-	req.Trace = obs.TraceFromRequest(r)
-	t0 := time.Now()
-	reply, err := m.Create(&req)
-	m.ring.Record(req.Trace, "play.create", t0, err)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, reply)
 }
 
 // handleHandoff freezes one session into the shared snapshot directory (the
@@ -138,8 +116,8 @@ func (m *Manager) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAct is the JSON adapter on the act path: the curl-able debug
-// route for one act, a leave included. One act decodes into the same
-// BatchRequest a frame does.
+// route for a create, a resume or one act, a leave included. It decodes
+// into the same BatchRequest a frame does.
 func (m *Manager) handleAct(w http.ResponseWriter, r *http.Request) {
 	var req ActRequest
 	if !decodeBody(w, r, &req) {
@@ -148,8 +126,8 @@ func (m *Manager) handleAct(w http.ResponseWriter, r *http.Request) {
 	m.serveAct(w, r, req.batch(), false)
 }
 
-// handleActV2 is the framed act endpoint: a framed batch — a create, acts,
-// a leave — in, a framed coalesced reply out. Frame-level rejections (bad
+// handleActV2 is the framed act endpoint: a framed batch — a create or a
+// resume, acts, a leave — in, a framed coalesced reply out. Frame-level rejections (bad
 // magic, bad CRC, unknown act kind, a leave that is not the last act) are
 // 400s.
 func (m *Manager) handleActV2(w http.ResponseWriter, r *http.Request) {
@@ -187,18 +165,6 @@ func (m *Manager) serveAct(w http.ResponseWriter, r *http.Request, req *BatchReq
 		return
 	}
 	reply, err := out.single()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, reply)
-}
-
-func (m *Manager) handleState(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	seenE, _ := strconv.Atoi(q.Get("events"))
-	seenM, _ := strconv.Atoi(q.Get("messages"))
-	reply, err := m.stateOf(obs.TraceFromRequest(r), q.Get("session"), seenE, seenM)
 	if err != nil {
 		writeError(w, err)
 		return

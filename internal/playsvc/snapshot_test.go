@@ -219,6 +219,34 @@ func TestEvictionTransparentToClient(t *testing.T) {
 	}
 }
 
+// TestCreateMintsUniqueIDsAcrossNodes: two managers sharing a snapshot
+// directory mint ids for id-less creates, and no id one of them minted may
+// come back from the other — a collision would hand the first session's
+// frozen progress out as a new session.
+func TestCreateMintsUniqueIDsAcrossNodes(t *testing.T) {
+	opts, _, _ := durableOptions(t)
+	_, a := durableService(t, opts)
+	_, b := durableService(t, opts)
+	ra, err := a.Create(&CreateRequest{Course: "classroom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Act(&ActRequest{Session: ra.Session, Kind: ActTick, Ticks: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Freeze(ra.Session); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := b.Create(&CreateRequest{Course: "classroom"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Session == ra.Session || rb.Tick != 0 || rb.Resumed {
+		t.Fatalf("node B's create answered %q at tick %d (resumed %v); node A froze %q at tick 9",
+			rb.Session, rb.Tick, rb.Resumed, ra.Session)
+	}
+}
+
 // TestJanitorPreservesMessageTails is the regression test for the
 // eviction bug: a client that had not yet been served the latest message
 // tail must see exactly the unseen messages after resume — none lost to
@@ -280,7 +308,7 @@ func TestJanitorPreservesMessageTails(t *testing.T) {
 
 	// The conversation continues with no duplicates: a full fresh read
 	// shows every turn exactly once.
-	full, err := m.StateOf(id, 0, 0)
+	full, err := m.Create(&CreateRequest{Resume: id})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,12 +110,13 @@ func TestWireBytesGolden(t *testing.T) {
 }
 
 // TestOpFrameBytesGolden pins the bytes of the act frames that carry a
-// session's create and leave, and of their replies, on fixed inputs: a
-// create alone (a thin client's Dial), a create in front of acts (a
-// mirror's first batch) and acts with the leave at their end (a mirror's
-// last batch). Frames without a create or leave are TestWireBytesGolden's
-// and keep its bytes. A PR that means to change these formats re-records
-// the hashes and says so.
+// session's create, resume and leave, and of their replies, on fixed
+// inputs: a create alone (a thin client's Dial), a create in front of acts
+// (a mirror's first batch), acts with the leave at their end (a mirror's
+// last batch) and a resume alone, from a fresh client (seen 0/0) and from
+// one that holds a view (a fallback or a Sync). Frames without a create,
+// resume or leave are TestWireBytesGolden's and keep its bytes. A change
+// that means to alter these formats re-records the hashes and says so.
 func TestOpFrameBytesGolden(t *testing.T) {
 	session := "classroom-0123456789abcdef"
 	state := &core.State{
@@ -139,6 +140,8 @@ func TestOpFrameBytesGolden(t *testing.T) {
 	createActs := EncodeActFrame(&BatchRequest{Session: session, Create: "classroom", BaseSeq: 1, Acts: acts})
 	tailLeave := EncodeActFrame(&BatchRequest{Session: session, BaseSeq: 17, SeenEvents: 40, SeenMessages: 6,
 		Acts: append(append([]ActRequest(nil), acts...), ActRequest{Kind: ActLeave})})
+	resume := EncodeActFrame(&BatchRequest{Session: session, Resume: true})
+	resumeSeen := EncodeActFrame(&BatchRequest{Session: session, Resume: true, SeenEvents: 40, SeenMessages: 6})
 
 	created := &Reply{Session: session, Course: "classroom", Width: 160, Height: 120, FPS: 10,
 		EventCount: 2, MessageCount: 1, State: state, Events: entry, Messages: []string{"Welcome to the computer lab."}}
@@ -169,6 +172,8 @@ func TestOpFrameBytesGolden(t *testing.T) {
 		{"VRPL create", createReply, "87b1335d17bd21a84b96b5e4e9e130ff738fca6961beada84475850460a3a966"},
 		{"VRPL create and acts", createActsReply, "a97d68b39b991a58447e4e2eec9278d1d6eb1741d5efb5285b848fb6defac4f3"},
 		{"VRPL acts and leave", tailLeaveReply, "1771179cdce89ac7f000af8102e7921e7cbeb32e33c5d14ddcef47787c8a8a77"},
+		{"VACT resume", resume, "48b51d838d9cb843f652205d5dc85eb047802619692653e14cfc51865cbfc18f"},
+		{"VACT resume with seen-counts", resumeSeen, "35a0c5a5cbb50e6a51f58dfd39dff867c97a966c32fb8e2b002c02c386c9ae42"},
 	} {
 		sum := sha256.Sum256(g.bytes)
 		if got := hex.EncodeToString(sum[:]); got != g.want {
