@@ -1102,7 +1102,7 @@ func BenchmarkRoomFanout(b *testing.B) {
 				b.Fatal(err)
 			}
 			const roomID = "classroom-bench-room"
-			if _, err := m.CreateRoom(&playsvc.RoomCreateRequest{Course: "classroom", Room: roomID}); err != nil {
+			if _, err := m.Create(&playsvc.CreateRequest{Course: "classroom", Session: roomID, Room: true}); err != nil {
 				b.Fatal(err)
 			}
 			room, ok := m.Room(roomID)

@@ -8,6 +8,9 @@
 // play service so clients can play server-hosted sessions through
 // /play/actv2 (framed create or resume, acts and leave; /play/act is its
 // curl-able JSON adapter) and /play/frame (live counters at /play/stats).
+// A classroom room is a session whose create carries a room record
+// ({"session":…,"course":…,"room":true} on /play/act); watchers join,
+// watch, answer and leave on /room/*, naming the room in the query.
 //
 // All course bytes live in one content-addressed chunk store shared by the
 // package server and the play service (segments shared across courses are
@@ -242,7 +245,7 @@ func main() {
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
 	fmt.Printf("  telemetry: http://%s%s (POST %s), http://%s%s\n", ln.Addr(), telemetry.IngestPath, telemetry.BatchContentType, ln.Addr(), telemetry.StatsPath)
 	fmt.Printf("  play:     http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
-	fmt.Printf("  rooms:    http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.RoomCreatePath, playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
+	fmt.Printf("  rooms:    http://%s%s?room= (POST), %s, %s; a room opens with a create's room record\n", ln.Addr(), playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
 	if *cluster > 0 {
 		fmt.Printf("  cluster:  %d play nodes behind the /play/ gateway (checkpoint every %v)\n", *cluster, *checkpointEvery)
 		for _, u := range nodeURLs {

@@ -107,7 +107,6 @@ func e18Run(front string, watchers, ticks int) (*fleet.ClassroomSummary, error) 
 		Ticks:     ticks,
 		Policy:    sim.GuidedFactory,
 		Seed:      977,
-		RunID:     fmt.Sprintf("e18-%d", watchers),
 	})
 	if err != nil {
 		return nil, err

@@ -46,10 +46,7 @@ type ClassroomConfig struct {
 
 	Policy sim.Factory // driver policy (default sim.GuidedFactory)
 	Seed   int64
-	// RunID salts room ids so repeated runs against a long-lived server
-	// open fresh rooms (same reasoning as Config.RunID).
-	RunID string
-	HTTP  *http.Client
+	HTTP   *http.Client
 }
 
 func (c *ClassroomConfig) defaults() (ownsTransport bool, err error) {
@@ -79,9 +76,6 @@ func (c *ClassroomConfig) defaults() (ownsTransport bool, err error) {
 	}
 	if c.Policy.New == nil {
 		c.Policy = sim.GuidedFactory
-	}
-	if c.RunID == "" {
-		c.RunID = fmt.Sprintf("%x", time.Now().UnixNano())
 	}
 	if c.HTTP == nil {
 		// Every watcher parks a long-poll (or a stream) on the server, so
@@ -153,7 +147,7 @@ func (s *ClassroomSummary) String() string {
 
 // driverOutcome is what one room's driver hands back.
 type driverOutcome struct {
-	published int64 // room-create publish + successful acts
+	published int64 // the room's create-time publish + successful acts
 	stats     playsvc.RoomStats
 	statsOK   bool
 	err       error
@@ -172,7 +166,7 @@ type watcherOutcome struct {
 // RunClassroom drives the whole classroom and blocks until every room
 // ends. Watcher and driver errors do not abort the run; they are counted
 // and sampled in the summary. It errors only on misconfiguration or when
-// no room could even be created.
+// a room cannot be opened.
 func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 	ownsTransport, err := cfg.defaults()
 	if err != nil {
@@ -194,14 +188,24 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 		return nil, fmt.Errorf("fleet: classroom package: %w", err)
 	}
 
-	// Open every room up front so watchers never race a missing room.
-	roomIDs := make([]string, 0, cfg.Rooms)
+	// Every room opens up front — its driver dials it — so watchers never
+	// race a missing room.
+	seats := make([]*playsvc.Client, 0, cfg.Rooms)
 	for r := 0; r < cfg.Rooms; r++ {
-		id := fmt.Sprintf("%s-%s-class-%03d", cfg.Package, cfg.RunID, r)
-		if _, err := playsvc.CreateRoom(cfg.PlayURL, &playsvc.RoomCreateRequest{Course: cfg.Package, Room: id}, cfg.HTTP); err != nil {
-			return nil, fmt.Errorf("fleet: create room %s: %w", id, err)
+		pc, err := playsvc.Dial(playsvc.ClientOptions{
+			BaseURL: cfg.PlayURL,
+			Course:  cfg.Package,
+			Room:    true,
+			Project: pkg.Project,
+			HTTP:    cfg.HTTP,
+		})
+		if err != nil {
+			for _, pc := range seats {
+				pc.Close()
+			}
+			return nil, fmt.Errorf("fleet: open room %d: %w", r, err)
 		}
-		roomIDs = append(roomIDs, id)
+		seats = append(seats, pc)
 	}
 
 	// Wall-clock bound: the paced lesson plus generous slack for joins,
@@ -218,14 +222,14 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			drivers[r] = runRoomDriver(&cfg, pkg.Project, roomIDs[r], int64(r))
+			drivers[r] = runRoomDriver(&cfg, seats[r], int64(r))
 		}(r)
 		for w := 0; w < cfg.Watchers; w++ {
 			wg.Add(1)
 			go func(r, w int) {
 				defer wg.Done()
 				idx := r*cfg.Watchers + w
-				watchers[idx] = runWatcher(&cfg, pkg.Project, roomIDs[r], int64(idx), deadline)
+				watchers[idx] = runWatcher(&cfg, pkg.Project, seats[r].SessionID(), int64(idx), deadline)
 			}(r, w)
 		}
 	}
@@ -274,22 +278,14 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 	return sum, nil
 }
 
-// runRoomDriver paces one room's lesson: one act per tick at cfg.FPS —
-// mostly watching (Advance), one policy interaction per second of class
-// time, and quizzes held open for the cohort before being answered.
-func runRoomDriver(cfg *ClassroomConfig, proj *core.Project, roomID string, seed int64) driverOutcome {
+// runRoomDriver paces one room's lesson from the seat that opened it: one
+// act per tick at cfg.FPS — mostly watching (Advance), one policy
+// interaction per second of class time, and quizzes held open for the
+// cohort before being answered.
+func runRoomDriver(cfg *ClassroomConfig, pc *playsvc.Client, seed int64) driverOutcome {
 	var o driverOutcome
 	o.published = 1 // the create-time publication (seq 1)
-	pc, err := playsvc.Dial(playsvc.ClientOptions{
-		BaseURL: cfg.PlayURL,
-		Resume:  roomID,
-		Project: proj,
-		HTTP:    cfg.HTTP,
-	})
-	if err != nil {
-		o.err = fmt.Errorf("driver dial: %w", err)
-		return o
-	}
+	var err error
 	policy := cfg.Policy.New()
 	rng := rand.New(rand.NewSource(cfg.Seed + seed*7919))
 	interval := time.Second / time.Duration(cfg.FPS)
@@ -339,7 +335,7 @@ func runRoomDriver(cfg *ClassroomConfig, proj *core.Project, roomID string, seed
 		}
 	}
 	time.Sleep(grace)
-	statsURL := cfg.PlayURL + playsvc.RoomStatsPath + "?room=" + url.QueryEscape(roomID)
+	statsURL := cfg.PlayURL + playsvc.RoomStatsPath + "?room=" + url.QueryEscape(pc.SessionID())
 	if err := faultnet.GetJSON(cfg.HTTP, statsURL, &o.stats); err == nil {
 		o.statsOK = true
 	} else if o.err == nil {

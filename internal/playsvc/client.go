@@ -26,6 +26,12 @@ type ClientOptions struct {
 	// client's view from the returned state and full transcript. Course
 	// may be left empty; the reply names it.
 	Resume string
+	// Room opens the session as a classroom room: its create carries a
+	// room record, and Dial sends it at once in either mode, so watchers
+	// can join (JoinRoom with Room set to SessionID) as soon as Dial
+	// returns. The client is the room's driver; its Close ends the class.
+	// Exclusive with Resume.
+	Room bool
 	// Project is the course document (from the downloaded package); the
 	// client resolves scenarios, objects and quizzes against it locally so
 	// policies can plan without a round trip.
@@ -144,9 +150,10 @@ const clientRetryBudget = 2 * time.Second
 // to it. A thin client's Dial sends the create and delivers the events
 // emitted while entering the start scenario to the observer before it
 // returns, mirroring runtime.NewSession. A LocalMirror client's Dial builds
-// the replica from Pkg and makes no request: the create rides in front of
-// the first batch, so its observer gets the entry events with the first
-// reply rather than before Dial returns — in the same order, exactly once.
+// the replica from Pkg and, unless it opens a room, makes no request: the
+// create rides in front of the first batch, so its observer gets the entry
+// events with the first reply rather than before Dial returns — in the
+// same order, exactly once.
 //
 // Dial mints the session id itself (unless resuming): the create names it,
 // so a retried create whose first reply was lost reattaches to the session
@@ -154,6 +161,9 @@ const clientRetryBudget = 2 * time.Second
 func Dial(o ClientOptions) (*Client, error) {
 	if o.BaseURL == "" || (o.Course == "" && o.Resume == "") {
 		return nil, fmt.Errorf("playsvc: client needs BaseURL and a Course or Resume id")
+	}
+	if o.Room && o.Resume != "" {
+		return nil, fmt.Errorf("playsvc: a room opens with a create, not a resume")
 	}
 	if o.Project == nil {
 		return nil, fmt.Errorf("playsvc: client needs the course Project")
@@ -185,7 +195,9 @@ func Dial(o ClientOptions) (*Client, error) {
 		}
 		c.mirror = mirror
 		c.w, c.h, c.fps = mirror.VideoMeta()
-		return c, nil
+		if !o.Room {
+			return c, nil
+		}
 	}
 	if _, err := c.flush(); err != nil {
 		return nil, err
@@ -485,7 +497,7 @@ func (c *Client) resuming(op func() error) error {
 // session, its tombstone — recognizes a batch whose reply was lost and
 // applies each act at most once.
 func (c *Client) sendBatch(acts []ActRequest) (*BatchReply, error) {
-	req := &BatchRequest{Session: c.id, Create: c.create, Acts: acts}
+	req := &BatchRequest{Session: c.id, Create: c.create, Room: c.opts.Room && c.create != "", Acts: acts}
 	if len(acts) > 0 {
 		req.BaseSeq = c.seq + 1
 		c.seq += int64(len(acts))

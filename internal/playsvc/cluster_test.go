@@ -36,14 +36,15 @@ func liveCluster(t testing.TB, n int, node Options) (*Cluster, *httptest.Server)
 
 // TestGatewayCountsCreatesOnce: a resume through the gateway reattaches a
 // session the gateway already counted, so it tracks the session and counts
-// nothing — a room created through the gateway and then driven by a
+// nothing — a room dialed through the gateway and then driven by a
 // resuming client is one create, as its node says.
 func TestGatewayCountsCreatesOnce(t *testing.T) {
 	cl, ts := liveCluster(t, 2, Options{})
-	if _, err := CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: "r1"}, nil); err != nil {
+	room, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
+	if err != nil {
 		t.Fatal(err)
 	}
-	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: "r1", Project: content.Classroom().Project})
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: room.SessionID(), Project: content.Classroom().Project})
 	if err != nil {
 		t.Fatal(err)
 	}

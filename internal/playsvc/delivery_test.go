@@ -452,6 +452,26 @@ func TestJSONAdapterMatchesFrame(t *testing.T) {
 	if m.Live() != 0 {
 		t.Fatalf("%d sessions live after both leaves", m.Live())
 	}
+	// The room create: a kind-less JSON body with course and room set on
+	// one id, a create-and-room frame on the other — the same create reply
+	// either way, and each opens its room at publication seq 1.
+	rooms := [2]string{newSessionID("classroom"), newSessionID("classroom")}
+	jroom := viaJSON(rooms[0], ActRequest{Course: "classroom", Room: true})
+	out, err = ParseReplyFrame(post(ActV2Path, FrameContentType,
+		EncodeActFrame(&BatchRequest{Session: rooms[1], Create: "classroom", Room: true})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	froom := out.Reply
+	froom.Session = jroom.Session
+	if !reflect.DeepEqual(jroom, froom) {
+		t.Fatalf("room create: JSON adapter and frame disagree:\n json  %+v\n frame %+v", jroom, froom)
+	}
+	for _, id := range rooms {
+		if st, err := m.RoomStatsOf(id); err != nil || st.Seq != 1 {
+			t.Fatalf("room %s after its create: %+v, %v; want seq 1", id, st, err)
+		}
+	}
 }
 
 // TestRetriedLeaveDeliversFinalTail pins the lost-reply bug on the leave

@@ -7,12 +7,12 @@
 // field codecs the three share (act error, state; an event's is
 // runtime.AppendEvent, which telemetry batches carry too). Request frames
 // ("VACT") carry a whole act batch. Their routing prefix is the session id,
-// then the op records — a create naming the course or a resume, a leave —
-// so a gateway routes a frame, and tracks or untracks its session, without
+// then the op records — a create naming the course (and a room record
+// when the session opens as a classroom room) or a resume, a leave — so a
+// gateway routes a frame, and tracks or untracks its session, without
 // parsing (or re-encoding) the rest. A frame may open its session, act on
 // it and end it all at once: a thick client's whole session can be one
-// frame. Reply
-// frames ("VRPL") carry per-act results plus ONE coalesced
+// frame. Reply frames ("VRPL") carry per-act results plus ONE coalesced
 // state/event/message tail, so a batch of N acts costs one state snapshot
 // instead of N; a create's or a resume's reply adds the course and its
 // video geometry.
@@ -54,8 +54,8 @@ const (
 	maxFrameField = 1 << 20
 )
 
-// Act-frame record tags. The session, create-or-resume and leave records
-// are the routing prefix: in that order, before every other record.
+// Act-frame record tags. The session, create-or-resume, room and leave
+// records are the routing prefix: in that order, before every other record.
 const (
 	atagSession      = 1 // string; MUST be the first record (gateway routing)
 	atagBaseSeq      = 2 // uvarint
@@ -65,6 +65,7 @@ const (
 	atagCreate       = 6 // string course: open the session before the acts
 	atagLeave        = 7 // empty: the last act is a leave
 	atagResume       = 8 // empty: reattach the session; exclusive with create
+	atagRoom         = 9 // empty: the create opens a room; right after the create
 )
 
 // Reply-frame record tags.
@@ -204,13 +205,17 @@ func readActError(payload []byte) (*Error, error) {
 
 // EncodeActFrame encodes a batch request as a binary act frame. Only the
 // act fields the wire carries (kind, object, item, x, y, quiz, choice,
-// ticks) survive; session/create/resume/seq/seen ride the frame header.
+// ticks) survive; session/create/room/resume/seq/seen ride the frame
+// header.
 func EncodeActFrame(req *BatchRequest) []byte {
 	b := tagrec.Begin(make([]byte, 0, 64+32*len(req.Acts)), actMagic, frameVersion)
 	// The routing prefix leads so a gateway can route on a prefix parse.
 	b = tagrec.Append(b, atagSession, req.Session)
 	if req.Create != "" {
 		b = tagrec.Append(b, atagCreate, req.Create)
+	}
+	if req.Room {
+		b = tagrec.Append(b, atagRoom, "")
 	}
 	if req.Resume {
 		b = tagrec.Append(b, atagResume, "")
@@ -259,7 +264,7 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 		r := tagrec.Reader{B: sc.Payload}
 		var err error
 		switch sc.Tag {
-		case atagSession, atagCreate, atagResume, atagLeave:
+		case atagSession, atagCreate, atagRoom, atagResume, atagLeave:
 			return nil, frameBadf("record %d outside the routing prefix", sc.Tag)
 		case atagBaseSeq:
 			v, err := r.Uvarint()
@@ -328,7 +333,7 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 	if rt.leave != req.leaves() {
 		return nil, frameBadf("leave record and last act disagree")
 	}
-	req.Session, req.Create, req.Resume = rt.session, rt.create, rt.resume
+	req.Session, req.Create, req.Room, req.Resume = rt.session, rt.create, rt.room, rt.resume
 	return req, nil
 }
 
@@ -337,16 +342,16 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 type frameRoute struct {
 	session string
 	create  string // the course a create opens the session on
+	room    bool   // the create opens a room (the gateway routes it like any create)
 	resume  bool
 	leave   bool
 }
 
 // take folds the record at index i into the route while it is part of the
-// routing prefix — the session id, then a create or a resume, then a
-// leave, each at most once — and reports false at the first record past
-// it. The full
-// parse and the gateway's prefix parse both run it, so they agree on every
-// frame the full parse accepts.
+// routing prefix — the session id, then a create (and its room record) or
+// a resume, then a leave, each at most once — and reports false at the
+// first record past it. The full parse and the gateway's prefix parse both
+// run it, so they agree on every frame the full parse accepts.
 func (rt *frameRoute) take(i int, tag uint64, payload []byte) (bool, error) {
 	switch {
 	case i == 0:
@@ -359,6 +364,8 @@ func (rt *frameRoute) take(i int, tag uint64, payload []byte) (bool, error) {
 			return false, frameBadf("create names no course")
 		}
 		rt.create = string(payload)
+	case tag == atagRoom && i == 2 && rt.create != "":
+		rt.room = true
 	case tag == atagResume && i == 1:
 		rt.resume = true
 	case tag == atagLeave && !rt.leave:

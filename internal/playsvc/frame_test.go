@@ -133,6 +133,11 @@ func TestFrameSessionID(t *testing.T) {
 	if rt, err := parseFrameRoute(resume); err != nil || rt != (frameRoute{session: id, resume: true}) {
 		t.Fatalf("resume frame: route=%+v err=%v", rt, err)
 	}
+	// A room record rides behind its create and routes like any create.
+	room := EncodeActFrame(&BatchRequest{Session: id, Create: "classroom", Room: true})
+	if rt, err := parseFrameRoute(room); err != nil || rt != (frameRoute{session: id, create: "classroom", room: true}) {
+		t.Fatalf("room frame: route=%+v err=%v", rt, err)
+	}
 }
 
 func TestParseActFrameRejections(t *testing.T) {
@@ -166,6 +171,20 @@ func TestParseActFrameRejections(t *testing.T) {
 	lateResume = tagrec.Append(lateResume, atagSession, "s")
 	lateResume = tagrec.Append(lateResume, atagBaseSeq, []byte{1})
 	lateResume = tagrec.Finish(tagrec.Append(lateResume, atagResume, ""), 0)
+	// A room record sits right behind its create, never alone, beside a
+	// resume or past the prefix.
+	roomAlone := tagrec.Begin(nil, actMagic, frameVersion)
+	roomAlone = tagrec.Append(roomAlone, atagSession, "s")
+	roomAlone = tagrec.Finish(tagrec.Append(roomAlone, atagRoom, ""), 0)
+	roomResume := tagrec.Begin(nil, actMagic, frameVersion)
+	roomResume = tagrec.Append(roomResume, atagSession, "s")
+	roomResume = tagrec.Append(roomResume, atagResume, "")
+	roomResume = tagrec.Finish(tagrec.Append(roomResume, atagRoom, ""), 0)
+	lateRoom := tagrec.Begin(nil, actMagic, frameVersion)
+	lateRoom = tagrec.Append(lateRoom, atagSession, "s")
+	lateRoom = tagrec.Append(lateRoom, atagCreate, "classroom")
+	lateRoom = tagrec.Append(lateRoom, atagBaseSeq, []byte{1})
+	lateRoom = tagrec.Finish(tagrec.Append(lateRoom, atagRoom, ""), 0)
 
 	cases := []struct {
 		name string
@@ -184,6 +203,9 @@ func TestParseActFrameRejections(t *testing.T) {
 		{"create past the routing prefix", late},
 		{"create and resume in one frame", both},
 		{"resume past the routing prefix", lateResume},
+		{"room without a create", roomAlone},
+		{"room with a resume", roomResume},
+		{"room past the routing prefix", lateRoom},
 	}
 	for _, tc := range cases {
 		if _, err := ParseActFrame(tc.data); !errors.Is(err, ErrBadFrame) {
@@ -244,7 +266,7 @@ func FuzzParseActFrame(f *testing.F) {
 			return
 		}
 		if req.Session == "" || (len(req.Acts) == 0 && req.Create == "" && !req.Resume) ||
-			(req.Create != "" && req.Resume) || len(req.Acts) > maxFrameActs {
+			(req.Create != "" && req.Resume) || (req.Room && req.Create == "") || len(req.Acts) > maxFrameActs {
 			t.Fatalf("parsed frame violates invariants: %+v", req)
 		}
 		// Accepted input must survive a re-encode round trip (unknown
@@ -261,8 +283,9 @@ func FuzzParseActFrame(f *testing.F) {
 
 // opFrames are act frames carrying the ops: a create alone, a create in
 // front of acts, acts with a leave at the end, a leave alone, a whole
-// session in one frame, a resume alone (seen-counts zero and not), and a
-// resume in front of acts and a leave.
+// session in one frame, a resume alone (seen-counts zero and not), a
+// resume in front of acts and a leave, a room create alone, and a room
+// create in front of acts and a leave.
 func opFrames() [][]byte {
 	acts := sampleBatch().Acts
 	leave := append(append([]ActRequest(nil), acts...), ActRequest{Kind: ActLeave})
@@ -275,6 +298,8 @@ func opFrames() [][]byte {
 		EncodeActFrame(&BatchRequest{Session: "s", Resume: true}),
 		EncodeActFrame(&BatchRequest{Session: "s", Resume: true, SeenEvents: 40, SeenMessages: 6}),
 		EncodeActFrame(&BatchRequest{Session: "s", Resume: true, BaseSeq: 5, Acts: leave}),
+		EncodeActFrame(&BatchRequest{Session: "s", Create: "classroom", Room: true}),
+		EncodeActFrame(&BatchRequest{Session: "s", Create: "classroom", Room: true, BaseSeq: 1, Acts: leave}),
 	}
 }
 
@@ -303,7 +328,7 @@ func FuzzFrameRoute(f *testing.F) {
 		if rerr != nil {
 			t.Fatalf("the full parse accepts a frame the gateway refuses: %v", rerr)
 		}
-		if want := (frameRoute{session: req.Session, create: req.Create, resume: req.Resume, leave: req.leaves()}); rt != want {
+		if want := (frameRoute{session: req.Session, create: req.Create, room: req.Room, resume: req.Resume, leave: req.leaves()}); rt != want {
 			t.Fatalf("prefix parse routes %+v, the full parse %+v", rt, want)
 		}
 	})

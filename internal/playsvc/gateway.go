@@ -1,11 +1,12 @@
 // The cluster gateway: one play service spread over N backend nodes.
 //
 // Gateway is a thin HTTP router in front of stock play-service nodes. It
-// speaks the exact /play/* protocol, so clients (and the whole learner
-// fleet) point at it unchanged. Session ids are minted by their clients
-// (a room's by the gateway, when its creator names none) and routed by
-// consistent hashing, so each session has one owner node and adding or
-// removing a node moves only ~1/N of the id space.
+// speaks the exact /play/* and /room/* protocol, so clients (and the whole
+// learner fleet) point at it unchanged. Session ids — a room's too, since
+// a room is the session its driver's create opens — are minted by their
+// clients and routed by consistent hashing, so each session has one owner
+// node and adding or removing a node moves only ~1/N of the id space.
+// Room requests name their room in the query and are relayed untouched.
 //
 // Durability is what makes the routing safe to change: all nodes share
 // one snapshot directory. When a node is removed gracefully the gateway
@@ -577,8 +578,9 @@ func relay(w http.ResponseWriter, p *proxied) {
 	w.Write(p.body)
 }
 
-// Handler returns the gateway's HTTP surface — the same /play/* routes a
-// single node serves, so clients need no cluster awareness.
+// Handler returns the gateway's HTTP surface — the same /play/* and
+// /room/* routes a single node serves, so clients need no cluster
+// awareness.
 func (g *Gateway) Handler() http.Handler {
 	g.handlerOnce.Do(func() {
 		mux := http.NewServeMux()
@@ -586,13 +588,9 @@ func (g *Gateway) Handler() http.Handler {
 		mux.HandleFunc(ActPath, g.handleAct)
 		mux.HandleFunc(FramePath, g.handleFrame)
 		mux.HandleFunc(StatsPath, g.handleStats)
-		mux.HandleFunc(RoomCreatePath, g.handleRoomCreate)
-		member := routedPost(g, func(j *RoomJoinRequest) string { return j.Room })
-		mux.HandleFunc(RoomJoinPath, member)
-		mux.HandleFunc(RoomLeavePath, member)
-		mux.HandleFunc(RoomAnswerPath, routedPost(g, func(a *RoomAnswerRequest) string { return a.Room }))
-		mux.HandleFunc(RoomWatchPath, g.handleRoomGet)
-		mux.HandleFunc(RoomStatsPath, g.handleRoomGet)
+		for _, path := range []string{RoomJoinPath, RoomLeavePath, RoomAnswerPath, RoomWatchPath, RoomStatsPath} {
+			mux.HandleFunc(path, g.handleRoom)
+		}
 		g.handler = mux
 	})
 	return g.handler
@@ -605,37 +603,6 @@ func traceOf(r *http.Request) obs.TraceContext {
 		return tc
 	}
 	return obs.NewTrace()
-}
-
-// routedPost is the one body-routed room POST: decode the JSON body
-// (method, size and syntax checked by decodeBody), read the room id out of
-// it with id, and relay the owner's answer to the re-marshalled request.
-// Rooms are live-only, so a 404 from the owner is the truth and relays
-// as-is: a rescue sweep would freeze the driver's live session out from
-// under the classroom.
-func routedPost[T any](g *Gateway, id func(*T) string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req T
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		room := id(&req)
-		if room == "" {
-			http.Error(w, "playsvc: request names no room", http.StatusBadRequest)
-			return
-		}
-		body, err := json.Marshal(&req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		p, err := g.route(traceOf(r), http.MethodPost, r.URL.Path, "", body, room, false)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		relay(w, p)
-	}
 }
 
 // handleActV2 forwards a binary act frame opaquely: routing needs only
@@ -734,48 +701,29 @@ func (g *Gateway) handleFrame(w http.ResponseWriter, r *http.Request) {
 	relay(w, p)
 }
 
-// handleRoomCreate mints the room id (unless the client fixed one) so the
-// id hashes onto the node the gateway routes it to, then tracks it like
-// any session id — the room IS a session.
-func (g *Gateway) handleRoomCreate(w http.ResponseWriter, r *http.Request) {
-	var req RoomCreateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Course == "" {
-		http.Error(w, "playsvc: room create needs a course", http.StatusBadRequest)
-		return
-	}
-	if req.Room == "" {
-		req.Room = newSessionID(req.Course + "-room")
-	}
-	body, err := json.Marshal(&req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	p, err := g.route(traceOf(r), http.MethodPost, RoomCreatePath, "", body, req.Room, false)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	if p.status == http.StatusOK {
-		g.track(req.Room)
-		g.creates.Add(1)
-	}
-	relay(w, p)
-}
-
-// handleRoomGet proxies the room GET routes (stats, watch) by the room
-// query. A watch reply is one bounded body held at most maxWatchWait, under
-// hopTimeout, so it rides the ordinary buffered hop.
-func (g *Gateway) handleRoomGet(w http.ResponseWriter, r *http.Request) {
+// handleRoom relays every room request to the room's owner untouched —
+// method, query and body — routed by the ?room= query every room route
+// carries: the room id is the driven session's id, so watchers land on the
+// driver's node. A watch reply is one bounded body held at most
+// maxWatchWait, under hopTimeout, so it rides the ordinary buffered hop.
+// Rooms are live-only, so a 404 from the owner is the truth and relays
+// as-is: a rescue sweep would freeze the driver's live session out from
+// under the classroom.
+func (g *Gateway) handleRoom(w http.ResponseWriter, r *http.Request) {
 	room := r.URL.Query().Get("room")
 	if room == "" {
 		http.Error(w, "playsvc: missing room", http.StatusBadRequest)
 		return
 	}
-	p, err := g.route(traceOf(r), http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, room, false)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(body) == 0 {
+		body = nil
+	}
+	p, err := g.route(traceOf(r), r.Method, r.URL.Path, r.URL.RawQuery, body, room, false)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return

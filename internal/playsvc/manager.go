@@ -42,9 +42,6 @@ type Options struct {
 	// MaxSessions caps live sessions (creates beyond it answer 503). 0 means
 	// the default of 16384; negative disables the cap.
 	MaxSessions int
-	// MaxTicks bounds a single tick act (default 1000) so one request
-	// cannot spin the server arbitrarily long.
-	MaxTicks int
 	// MaxInflight caps concurrently-executing play requests (act batches
 	// and frames). Requests beyond the cap are shed immediately with
 	// 429 + Retry-After instead of queueing without bound — overload
@@ -80,10 +77,11 @@ func (o *Options) defaults() {
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 16384
 	}
-	if o.MaxTicks <= 0 {
-		o.MaxTicks = 1000
-	}
 }
+
+// maxTicks bounds a single tick act (and a frame GET's advance) so one
+// request cannot spin the server arbitrarily long.
+const maxTicks = 1000
 
 // hosted is one server-side live session. Every session access happens
 // under mu — one learner drives one session, so the lock is uncontended;
@@ -542,7 +540,7 @@ func (m *Manager) LiveSessions() []string {
 // empty req.Session mints an id unique across every node that shares the
 // snapshot directory.
 func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
-	b := &BatchRequest{Session: req.Session, Create: req.Course,
+	b := &BatchRequest{Session: req.Session, Create: req.Course, Room: req.Room,
 		SeenEvents: req.SeenEvents, SeenMessages: req.SeenMessages, Trace: req.Trace}
 	switch {
 	case req.Resume != "":
@@ -675,6 +673,7 @@ func (a *ActRequest) batch() *BatchRequest {
 	b := &BatchRequest{
 		Session:      a.Session,
 		Create:       a.Course,
+		Room:         a.Room,
 		Resume:       a.Resume,
 		BaseSeq:      a.Seq,
 		SeenEvents:   a.SeenEvents,
@@ -848,6 +847,8 @@ func (m *Manager) actBatch(req *BatchRequest) (*BatchReply, error) {
 		return nil, errf(http.StatusBadRequest, "playsvc: batch names no session")
 	case req.Create != "" && req.Resume:
 		return nil, errf(http.StatusBadRequest, "playsvc: a batch may create or resume its session, not both")
+	case req.Room && req.Create == "":
+		return nil, errf(http.StatusBadRequest, "playsvc: a room opens with its session's create")
 	case len(req.Acts) == 0 && req.Create == "" && !req.Resume:
 		return nil, errf(http.StatusBadRequest, "playsvc: empty act batch")
 	}
@@ -941,11 +942,11 @@ func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 	return nil, errf(http.StatusNotFound, "playsvc: no session %q", req.Session)
 }
 
-// applyLocked applies a batch to a held session: ack first, dedup on
-// (BaseSeq, len), then the acts in order and, when they all applied, the
-// leave. A batch that carries a create or a resume is answered with the
-// course metadata too, and a resume's reply is marked Resumed. h.mu must
-// be held.
+// applyLocked applies a batch to a held session: its room first, then ack,
+// dedup on (BaseSeq, len), the acts in order and, when they all applied,
+// the leave. A batch that carries a create or a resume is answered with
+// the course metadata too, and a resume's reply is marked Resumed. h.mu
+// must be held.
 func (m *Manager) applyLocked(h *hosted, req *BatchRequest) (*BatchReply, error) {
 	m.acts.Add(int64(len(req.Acts)))
 	if h.gone {
@@ -955,6 +956,9 @@ func (m *Manager) applyLocked(h *hosted, req *BatchRequest) (*BatchReply, error)
 	}
 	if req.Create != "" && req.Create != h.course.name {
 		return nil, errf(http.StatusConflict, "playsvc: session %q already exists", req.Session)
+	}
+	if req.Room {
+		m.openRoomLocked(h)
 	}
 	// The request's seen-counts acknowledge the previous reply; compact
 	// BEFORE applying (or rebuilding) anything, so the served tail always
@@ -1107,8 +1111,8 @@ func (m *Manager) applyOne(h *hosted, a *ActRequest) (byte, *Error) {
 		if n <= 0 {
 			n = 1
 		}
-		if n > m.opts.MaxTicks {
-			return 0, errf(http.StatusBadRequest, "playsvc: %d ticks exceeds the per-act bound (%d)", n, m.opts.MaxTicks)
+		if n > maxTicks {
+			return 0, errf(http.StatusBadRequest, "playsvc: %d ticks exceeds the per-act bound (%d)", n, maxTicks)
 		}
 		if err := h.sess.Advance(n); err != nil {
 			return 0, errf(http.StatusInternalServerError, "%v", err)
@@ -1147,8 +1151,8 @@ func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance in
 	}
 	m.frames.Add(1)
 	h.touch()
-	if advance > m.opts.MaxTicks {
-		return errf(http.StatusBadRequest, "playsvc: advance %d exceeds the per-act bound (%d)", advance, m.opts.MaxTicks)
+	if advance > maxTicks {
+		return errf(http.StatusBadRequest, "playsvc: advance %d exceeds the per-act bound (%d)", advance, maxTicks)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()

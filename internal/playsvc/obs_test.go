@@ -333,10 +333,11 @@ func playClass(t testing.TB, baseURL string, evict func()) *Client {
 		t.Fatal(err)
 	}
 
-	const roomID = "surfaces-room"
-	if _, err := CreateRoom(baseURL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil); err != nil {
+	driver, err := Dial(ClientOptions{BaseURL: baseURL, Course: "classroom", Room: true, Project: content.Classroom().Project})
+	if err != nil {
 		t.Fatal(err)
 	}
+	roomID := driver.SessionID()
 	watchers := make([]*RoomClient, 2)
 	for i := range watchers {
 		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID})
@@ -344,10 +345,6 @@ func playClass(t testing.TB, baseURL string, evict func()) *Client {
 			t.Fatal(err)
 		}
 		watchers[i] = wc
-	}
-	driver, err := Dial(ClientOptions{BaseURL: baseURL, Resume: roomID, Project: content.Classroom().Project})
-	if err != nil {
-		t.Fatal(err)
 	}
 	driver.Talk("teacher")
 	driver.Examine("computer") // opens q-diagnosis

@@ -336,6 +336,19 @@ func TestCreateErrors(t *testing.T) {
 	if _, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Project: content.Classroom().Project}); err == nil {
 		t.Fatal("session cap not enforced")
 	}
+	// A room opens with its session's create, never on a resume or an act.
+	if _, err := m.Create(&CreateRequest{Resume: c.SessionID(), Room: true}); httpStatus(err) != http.StatusBadRequest {
+		t.Fatalf("room on a resume: %v, want a 400", err)
+	}
+	if _, err := m.Act(&ActRequest{Session: c.SessionID(), Room: true, Kind: ActTick}); httpStatus(err) != http.StatusBadRequest {
+		t.Fatalf("room on an act: %v, want a 400", err)
+	}
+	if _, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: c.SessionID(), Room: true, Project: content.Classroom().Project}); err == nil {
+		t.Fatal("Dial accepted a room on a resume")
+	}
+	if _, ok := m.Room(c.SessionID()); ok {
+		t.Fatal("a refused room request opened a room")
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // Routes served by Manager.Handler. Mount the handler at "/play/" on a
 // netstream.Server (or any mux).
 const (
-	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame (create or resume, acts, leave)
+	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame (create, room or resume, acts, leave)
 	ActPath     = "/play/act"     // POST ActRequest → Reply (the JSON adapter over the same batch)
 	FramePath   = "/play/frame"   // GET ?session=&advance=N → raw RGB bytes
 	StatsPath   = "/play/stats"   // GET → Stats
@@ -22,15 +22,16 @@ const (
 )
 
 // Room routes, served by the same Manager.Handler (mount it at "/room/"
-// alongside "/play/"). The room id doubles as the driven session's id, so
-// a cluster gateway hashes watcher traffic onto the driver's node.
+// alongside "/play/"). A room is opened by its driver's create, carrying a
+// room record, on the act path; the room id is the driven session's id, so
+// a cluster gateway hashes watcher traffic onto the driver's node. Every
+// room route names its room in the query.
 const (
-	RoomCreatePath = "/room/create" // POST RoomCreateRequest → RoomCreateReply
-	RoomJoinPath   = "/room/join"   // POST RoomJoinRequest → RoomJoinReply
+	RoomJoinPath   = "/room/join"   // POST ?room= RoomJoinRequest → RoomJoinReply
 	RoomWatchPath  = "/room/watch"  // GET ?room=&watcher=&events=&messages=&wait_ms= → one watch chunk (long poll; 204 = idle)
-	RoomAnswerPath = "/room/answer" // POST RoomAnswerRequest → RoomAnswerReply
+	RoomAnswerPath = "/room/answer" // POST ?room= RoomAnswerRequest → RoomAnswerReply
 	RoomStatsPath  = "/room/stats"  // GET ?room= → RoomStats
-	RoomLeavePath  = "/room/leave"  // POST RoomJoinRequest → unsubscribe
+	RoomLeavePath  = "/room/leave"  // POST ?room= RoomJoinRequest → unsubscribe
 )
 
 // Action kinds accepted by ActPath. "tick" advances playback; "leave"
@@ -58,6 +59,10 @@ type CreateRequest struct {
 	// course name plus random hex, unique across every node sharing a
 	// snapshot directory.
 	Session string
+	// Room opens the session as a classroom room: a broadcast hub under
+	// the session's id, its first publication rendered (see
+	// BatchRequest.Room).
+	Room bool
 	// Resume names a session to thaw instead of creating one: a session
 	// frozen by the TTL janitor, a drain, or a node handoff (or still
 	// live, in which case the server just reattaches). Course is ignored;
@@ -79,12 +84,15 @@ type HandoffRequest struct {
 
 // ActRequest applies one interaction to a hosted session. As the body of
 // POST /play/act it is a batch of at most one act: Course opens the session
-// first (create-if-absent), Resume reattaches it, and an empty Kind means no
-// act — so {"session":"s1","course":"classroom"} is a create and
-// {"session":"s1","resume":true} a resume. The caller names the session.
+// first (create-if-absent), Room with it opens a room, Resume reattaches
+// it, and an empty Kind means no act — so
+// {"session":"s1","course":"classroom"} is a create,
+// {"session":"r1","course":"classroom","room":true} opens a room and
+// {"session":"s1","resume":true} is a resume. The caller names the session.
 type ActRequest struct {
 	Session string `json:"session"`
 	Course  string `json:"course,omitempty"` // create the session on this course first
+	Room    bool   `json:"room,omitempty"`   // the create opens a room
 	Resume  bool   `json:"resume,omitempty"` // reattach the session first
 	Kind    string `json:"kind,omitempty"`
 	Object  string `json:"object,omitempty"` // examine/talk/take/use/goto target
@@ -115,11 +123,11 @@ type ActRequest struct {
 
 // BatchRequest applies a sequence of acts to one session in a single
 // round trip (the /play/actv2 payload, framed by EncodeActFrame). The
-// batch applies atomically under the session lock, in order — the create,
-// the acts, the leave — stopping at the first act-level error. Act
-// sequence numbers are implicit: act i carries BaseSeq+i, and the server
-// deduplicates a retried batch on (BaseSeq, len(Acts)) — the reply was
-// lost, not the work.
+// batch applies atomically under the session lock, in order — the create
+// and its room, the acts, the leave — stopping at the first act-level
+// error. Act sequence numbers are implicit: act i carries BaseSeq+i, and
+// the server deduplicates a retried batch on (BaseSeq, len(Acts)) — the
+// reply was lost, not the work.
 type BatchRequest struct {
 	Session string
 	// Create, when set, names the course the batch opens Session on before
@@ -128,6 +136,12 @@ type BatchRequest struct {
 	// retried create never mints the session twice. A batch may carry a
 	// create and no acts.
 	Create string
+	// Room, beside a Create, opens the session as a classroom room before
+	// the acts apply: a broadcast hub attaches under the session's id and
+	// renders publication seq 1, the frame every joiner's ring starts
+	// from. A retried create reattaches to the hub it opened. Legal only
+	// with a Create.
+	Room bool
 	// Resume reattaches Session before the acts apply: a live session
 	// answers at once, an absent one thaws from the snapshot directory —
 	// checkpoint entries included, since the client asserts the node that
@@ -144,10 +158,10 @@ type BatchRequest struct {
 	SeenMessages int
 	// Acts are the interactions, in order. Only Kind, Object, Item, X, Y,
 	// Quiz, Choice and Ticks are meaningful; per-act Session, Course,
-	// Resume, Seq and Seen fields are ignored. ActLeave is legal only as
-	// the last act (400 anywhere else): it releases the session once the
-	// acts before it have applied, and the reply then carries the final
-	// tails and no state.
+	// Room, Resume, Seq and Seen fields are ignored. ActLeave is legal only
+	// as the last act (400 anywhere else): it releases the session once
+	// the acts before it have applied, and the reply then carries the
+	// final tails and no state.
 	Acts []ActRequest
 
 	Trace obs.TraceContext
@@ -236,35 +250,10 @@ type Reply struct {
 	Resumed bool `json:"resumed,omitempty"`
 }
 
-// RoomCreateRequest opens a shared session: a hosted session whose id is
-// the room id, with a broadcast hub attached. The creator becomes the
-// driver (it acts through the normal /play/* paths using the room id as
-// the session id).
-type RoomCreateRequest struct {
-	Course string `json:"course"`
-	// Room optionally fixes the room id; gateways mint one so the ring
-	// owns it. A retried create of an existing room reattaches.
-	Room string `json:"room,omitempty"`
-
-	Trace obs.TraceContext `json:"-"`
-}
-
-// RoomCreateReply names the new room and repeats the course metadata the
-// driver and watchers need.
-type RoomCreateReply struct {
-	Room   string `json:"room"`
-	Course string `json:"course"`
-	Width  int    `json:"w"`
-	Height int    `json:"h"`
-	FPS    int    `json:"fps"`
-	Seq    int64  `json:"seq"` // publication sequence (1 = the create frame)
-	Tick   int    `json:"tick"`
-}
-
 // RoomJoinRequest subscribes a watcher to a room (or, on RoomLeavePath,
 // unsubscribes it).
 type RoomJoinRequest struct {
-	Room string `json:"room"`
+	Room string `json:"-"` // the ?room= query
 	// Watcher optionally fixes the watcher id (a retried join with the
 	// same id reattaches); empty lets the server pick.
 	Watcher string `json:"watcher,omitempty"`
@@ -299,7 +288,7 @@ type RoomJoinReply struct {
 // seen pending. Cohort answers are assessment data: they never touch the
 // driven session.
 type RoomAnswerRequest struct {
-	Room    string `json:"room"`
+	Room    string `json:"-"` // the ?room= query
 	Watcher string `json:"watcher"`
 	Quiz    string `json:"quiz"`
 	Choice  int    `json:"choice"`

@@ -4,7 +4,9 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"net/url"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/content"
 	"repro/internal/faultnet"
+	"repro/internal/gamepack"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
@@ -35,13 +38,23 @@ func TestRoomGoldenBroadcast(t *testing.T) {
 }
 
 func roomGoldenBroadcast(t *testing.T, baseURL string) {
-	const roomID = "classroom-golden-room"
-	created, err := CreateRoom(baseURL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil)
+	// The instructor seat: an ordinary client whose create opens the room.
+	driver, err := Dial(ClientOptions{BaseURL: baseURL, Course: "classroom", Room: true, Project: content.Classroom().Project})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if created.Room != roomID || created.Seq != 1 {
-		t.Fatalf("create reply = %+v", created)
+	roomID := driver.SessionID()
+	if created := roomStats(t, baseURL, roomID); created.Room != roomID || created.Seq != 1 {
+		t.Fatalf("room after its create = %+v", created)
+	}
+	// The room verb is gone: a room opens only by its driver's create.
+	resp, err := http.Post(baseURL+"/room/create", "application/json", strings.NewReader(`{"course":"classroom"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /room/create answered %s, want 404", resp.Status)
 	}
 
 	// The reference session: same package, same acts, local.
@@ -61,12 +74,6 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 			t.Fatal(err)
 		}
 		wcs[i] = wc
-	}
-
-	// The instructor seat: an ordinary client resumed onto the room id.
-	driver, err := Dial(ClientOptions{BaseURL: baseURL, Resume: roomID, Project: content.Classroom().Project})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	crcOf := func(pix []byte) uint32 { return crc32.ChecksumIEEE(pix) }
@@ -229,7 +236,7 @@ func TestRoomSlowWatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	const roomID = "classroom-slow-room"
-	if _, err := m.CreateRoom(&RoomCreateRequest{Course: "classroom", Room: roomID}); err != nil {
+	if _, err := m.Create(&CreateRequest{Course: "classroom", Session: roomID, Room: true}); err != nil {
 		t.Fatal(err)
 	}
 	room, ok := m.Room(roomID)
@@ -330,6 +337,85 @@ func TestRoomSlowWatcher(t *testing.T) {
 	}
 }
 
+// roomStats reads a room's counters over the wire.
+func roomStats(t *testing.T, baseURL, room string) RoomStats {
+	t.Helper()
+	var st RoomStats
+	if err := faultnet.GetJSON(nil, baseURL+RoomStatsPath+"?room="+url.QueryEscape(room), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// requestDropper loses the first POST before the server sees it — the
+// packet a crowded classroom link drops — and forwards everything else.
+type requestDropper struct{ dropped atomic.Int64 }
+
+func (d *requestDropper) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && d.dropped.CompareAndSwap(0, 1) {
+		if r.Body != nil {
+			r.Body.Close()
+		}
+		return nil, faultnet.ErrDropped
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRoomCreateSurvivesDroppedRequest: a room whose first create attempt
+// is lost on the way still opens. The create is an ordinary framed create
+// under a client-minted id, so Dial retries it — thin or mirror, Dial
+// sends it at once — and the room is there before the driver's first act:
+// seq 1 published, one session created, one render. A create whose reply
+// was lost is retried into the room it already opened.
+func TestRoomCreateSurvivesDroppedRequest(t *testing.T) {
+	pkg, err := gamepack.Open(classroomBlob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mirror := range []bool{false, true} {
+		for _, replyLost := range []bool{false, true} {
+			name := "request dropped"
+			if replyLost {
+				name = "reply lost"
+			}
+			if mirror {
+				name = "mirror " + name
+			}
+			t.Run(name, func(t *testing.T) {
+				ts, m := liveService(t, Options{TTL: -1})
+				var link http.RoundTripper
+				var lost func() int64
+				if replyLost {
+					eater := &replyEater{path: ActV2Path}
+					link, lost = eater, eater.eaten.Load
+				} else {
+					drop := &requestDropper{}
+					link, lost = drop, drop.dropped.Load
+				}
+				driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true,
+					Project: content.Classroom().Project, LocalMirror: mirror, Pkg: pkg, HTTP: &http.Client{Transport: link}})
+				if err != nil {
+					t.Fatalf("room create did not survive one lost exchange: %v", err)
+				}
+				if lost() != 1 {
+					t.Fatal("no exchange was lost; the test proved nothing")
+				}
+				st := roomStats(t, ts.URL, driver.SessionID())
+				if st.Seq != 1 || st.Renders != 1 {
+					t.Fatalf("room before any act = %+v, want seq 1 and one render", st)
+				}
+				flat := m.Snapshot()
+				if created, renders := stat(t, flat, "sessions_created"), stat(t, flat, "room_renders"); created != 1 || renders != 1 {
+					t.Fatalf("sessions_created = %d, room_renders = %d after one retried room create, want 1 each", created, renders)
+				}
+				if err := driver.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // replyEater forwards every request and loses the first reply on one path
 // — the server applied the request, the client never hears so.
 type replyEater struct {
@@ -354,10 +440,11 @@ func (e *replyEater) RoundTrip(r *http.Request) (*http.Response, error) {
 // is terminal — one request, no backoff sleep.
 func TestJoinRetryReattaches(t *testing.T) {
 	ts, m := liveService(t, Options{TTL: -1})
-	const roomID = "classroom-rejoin-room"
-	if _, err := CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: roomID}, nil); err != nil {
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
+	if err != nil {
 		t.Fatal(err)
 	}
+	roomID := driver.SessionID()
 	eater := &replyEater{path: RoomJoinPath}
 	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, HTTP: &http.Client{Transport: eater}})
 	if err != nil {
@@ -377,10 +464,6 @@ func TestJoinRetryReattaches(t *testing.T) {
 	}
 
 	// Class dismissed: the driver leaves, the room closes.
-	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: roomID, Project: content.Classroom().Project})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := driver.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +480,9 @@ func TestJoinRetryReattaches(t *testing.T) {
 	}
 }
 
-// TestRoomLossyLink runs a class over crowded wifi: the room create, every
-// join, poll, answer and driver act crosses one wifi-flaky fault transport
+// TestRoomLossyLink runs a class over crowded wifi: the driver's create
+// that opens the room, every join, poll, answer and driver act crosses one
+// wifi-flaky fault transport
 // (dropped requests, lost replies, injected 503s, stalls). The driver plays
 // the golden script and then keeps the room ticking until the transport has
 // injected every fault class and the cohort has caught up. No watcher may
@@ -411,29 +495,19 @@ func TestRoomLossyLink(t *testing.T) {
 	faulty := faultnet.WrapClient(nil, profile, 24)
 	injected := faulty.Transport.(*faultnet.Transport).Stats
 
-	const roomID = "classroom-lossy-room"
-	// CreateRoom is one attempt by design; creation is idempotent per id,
-	// so the instructor simply asks again.
-	var err error
-	for try := 0; try < 10; try++ {
-		if _, err = CreateRoom(ts.URL, &RoomCreateRequest{Course: "classroom", Room: roomID}, faulty); err == nil {
-			break
-		}
-	}
+	// The room opens with its driver's create, retried like any create.
+	var rec recorder
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project, HTTP: faulty, Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
+	roomID := driver.SessionID()
 	const watchers = 6
 	wcs := make([]*RoomClient, watchers)
 	for i := range wcs {
 		if wcs[i], err = JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, HTTP: faulty}); err != nil {
 			t.Fatalf("watcher %d join: %v", i, err)
 		}
-	}
-	var rec recorder
-	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Resume: roomID, Project: content.Classroom().Project, HTTP: faulty, Observer: &rec})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	// Each watcher follows the class on its own goroutine until the room

@@ -1,8 +1,10 @@
 // RoomClient: the watcher-side counterpart of Room. A watcher joins a
 // shared session, follows the fan-out by long-polling and answers cohort
-// quizzes. The driver seat is NOT here — the instructor
-// drives the room through an ordinary Client (Dial with Resume set to the
-// room id), because a room's driven session is a plain hosted session.
+// quizzes; every request names the room in its query. The driver seat is
+// NOT here — a room is the session its driver's create opens, so the
+// instructor opens and drives the room through an ordinary Client (Dial
+// with Room set; the room id is its SessionID), and a second driver seat
+// is a Client resumed onto the room id.
 package playsvc
 
 import (
@@ -76,7 +78,7 @@ func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 	}
 	c := &RoomClient{opts: o, room: o.Room, watcher: o.Watcher, retry: faultnet.RetryPolicy{Budget: clientRetryBudget}}
 	var reply RoomJoinReply
-	if err := c.postJSON(RoomJoinPath, &RoomJoinRequest{Room: o.Room, Watcher: o.Watcher, Trace: o.Trace}, &reply); err != nil {
+	if err := c.postJSON(RoomJoinPath, &RoomJoinRequest{Watcher: o.Watcher, Trace: o.Trace}, &reply); err != nil {
 		return nil, err
 	}
 	c.w, c.h, c.fps = reply.Width, reply.Height, reply.FPS
@@ -169,9 +171,14 @@ func mustJSON(v any) []byte {
 	return b
 }
 
+// roomURL is a room route's URL, naming the room in the query.
+func (c *RoomClient) roomURL(path string) string {
+	return c.opts.BaseURL + path + "?room=" + url.QueryEscape(c.room)
+}
+
 // postJSON sends one JSON request and decodes the reply into out.
 func (c *RoomClient) postJSON(path string, body, out any) error {
-	return c.do(http.MethodPost, c.opts.BaseURL+path, mustJSON(body), 0, "room "+path, decodeJSON(out))
+	return c.do(http.MethodPost, c.roomURL(path), mustJSON(body), 0, "room "+path, decodeJSON(out))
 }
 
 // watchURL builds the watch query for the current seen-counts.
@@ -273,7 +280,7 @@ func (c *RoomClient) Answer(quizID string, choice int) (*RoomAnswerReply, error)
 	}
 	var reply RoomAnswerReply
 	err := c.postJSON(RoomAnswerPath, &RoomAnswerRequest{
-		Room: c.room, Watcher: c.watcher, Quiz: quizID, Choice: choice, Trace: c.opts.Trace,
+		Watcher: c.watcher, Quiz: quizID, Choice: choice, Trace: c.opts.Trace,
 	}, &reply)
 	if err != nil {
 		if pe, ok := err.(*Error); ok && pe.Status == http.StatusBadRequest {
@@ -287,37 +294,16 @@ func (c *RoomClient) Answer(quizID string, choice int) (*RoomAnswerReply, error)
 // RoomStats fetches the room's counters and cohort tallies.
 func (c *RoomClient) RoomStats() (RoomStats, error) {
 	var st RoomStats
-	err := c.do(http.MethodGet, c.opts.BaseURL+RoomStatsPath+"?room="+url.QueryEscape(c.room), nil, 0, "room stats", decodeJSON(&st))
+	err := c.do(http.MethodGet, c.roomURL(RoomStatsPath), nil, 0, "room stats", decodeJSON(&st))
 	return st, err
 }
 
 // Close unsubscribes the watcher. The room (and its driven session) is
 // untouched — watchers come and go; the driver owns the session.
 func (c *RoomClient) Close() error {
-	err := c.postJSON(RoomLeavePath, &RoomJoinRequest{Room: c.room, Watcher: c.watcher}, nil)
+	err := c.postJSON(RoomLeavePath, &RoomJoinRequest{Watcher: c.watcher}, nil)
 	if c.err != nil {
 		return c.err
 	}
 	return err
-}
-
-// CreateRoom opens a shared session on the server (idempotent — see
-// Manager.CreateRoom) and returns the created room's metadata. The caller
-// then drives the room by Dialing an ordinary Client with Resume set to
-// the room id, and watchers subscribe with JoinRoom. httpc nil means
-// faultnet.DefaultHTTPClient(). One attempt: a create that leaves the room
-// id to the server is not safe to repeat.
-func CreateRoom(baseURL string, req *RoomCreateRequest, httpc *http.Client) (*RoomCreateReply, error) {
-	if baseURL == "" || req == nil || req.Course == "" {
-		return nil, fmt.Errorf("playsvc: CreateRoom needs a base URL and a course")
-	}
-	var reply RoomCreateReply
-	err := call(httpc, nil, &faultnet.Request{
-		Method: http.MethodPost, URL: baseURL + RoomCreatePath, ContentType: "application/json", Body: mustJSON(req),
-		Trace: req.Trace, Timeout: clientTimeout,
-	}, "room "+RoomCreatePath, false, decodeJSON(&reply))
-	if err != nil {
-		return nil, err
-	}
-	return &reply, nil
 }

@@ -1,5 +1,6 @@
-// Manager-side room lifecycle: creating the hub, joining watchers, and
-// the registry the HTTP surface and the janitor resolve rooms through.
+// Manager-side room lifecycle: opening the hub (a create's room record),
+// joining watchers, and the registry the HTTP surface and the janitor
+// resolve rooms through.
 package playsvc
 
 import "net/http"
@@ -51,48 +52,21 @@ func (m *Manager) closeRoomLocked(h *hosted) {
 	m.dropRoom(r.id)
 }
 
-// CreateRoom opens a shared session: a hosted session whose id doubles as
-// the room id, with a broadcast hub attached and its first publication
-// (the start scenario's frame) already rendered. Creation is idempotent —
-// a retried create, or a second instructor client racing the first,
-// reattaches to the existing hub.
-func (m *Manager) CreateRoom(req *RoomCreateRequest) (*RoomCreateReply, error) {
-	id := req.Room
-	if id == "" {
-		id = newSessionID(req.Course + "-room")
+// openRoomLocked opens a session as a classroom room, for a batch whose
+// create carries a room record: a broadcast hub under the session's id,
+// its first publication (the start scenario's frame) rendered, the room
+// registered. A retried create, or a second instructor client racing the
+// first, finds the hub attached and reattaches to it. h.mu must be held.
+func (m *Manager) openRoomLocked(h *hosted) {
+	if h.room != nil {
+		return
 	}
-	if _, err := m.Create(&CreateRequest{Course: req.Course, Session: id, Trace: req.Trace}); err != nil {
-		return nil, err
-	}
-	h, err := m.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	h.touch()
-	h.mu.Lock()
-	if h.gone {
-		h.mu.Unlock()
-		return nil, errf(http.StatusNotFound, "playsvc: no session %q", id)
-	}
-	r := h.room
-	if r == nil {
-		r = newRoom(m, id, h)
-		h.room = r
-		r.publish() // seq 1: the create-time frame seeds every joiner's ring
-	}
-	c := h.course
-	reply := &RoomCreateReply{Room: id, Course: c.name, Width: c.w, Height: c.h, FPS: c.fps}
-	r.mu.Lock()
-	reply.Seq = r.seq
-	if r.cur != nil {
-		reply.Tick = r.cur.tick
-	}
-	r.mu.Unlock()
-	h.mu.Unlock()
+	r := newRoom(m, h.id, h)
+	h.room = r
+	r.publish() // seq 1: the create-time frame seeds every joiner's ring
 	m.roomsMu.Lock()
-	m.rooms[id] = r
+	m.rooms[h.id] = r
 	m.roomsMu.Unlock()
-	return reply, nil
 }
 
 // JoinRoom subscribes a watcher and returns its catch-up snapshot: the

@@ -28,7 +28,6 @@ func (m *Manager) Handler() http.Handler {
 		mux.HandleFunc(HandoffPath, m.handleHandoff)
 		mux.HandleFunc(DrainPath, m.handleDrain)
 		mux.HandleFunc(RecoverPath, m.handleRecover)
-		mux.HandleFunc(RoomCreatePath, m.handleRoomCreate)
 		mux.HandleFunc(RoomJoinPath, m.handleRoomJoin)
 		mux.HandleFunc(RoomLeavePath, m.handleRoomLeave)
 		mux.HandleFunc(RoomWatchPath, m.handleRoomWatch)
@@ -198,27 +197,14 @@ func (m *Manager) handleFrame(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (m *Manager) handleRoomCreate(w http.ResponseWriter, r *http.Request) {
-	var req RoomCreateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	req.Trace = obs.TraceFromRequest(r)
-	t0 := time.Now()
-	reply, err := m.CreateRoom(&req)
-	m.ring.Record(req.Trace, "room.create", t0, err)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, reply)
-}
-
+// The room POSTs name their room in the query, like the room GETs; the
+// JSON body carries the rest.
 func (m *Manager) handleRoomJoin(w http.ResponseWriter, r *http.Request) {
 	var req RoomJoinRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	req.Room = r.URL.Query().Get("room")
 	req.Trace = obs.TraceFromRequest(r)
 	t0 := time.Now()
 	reply, err := m.JoinRoom(&req)
@@ -235,6 +221,7 @@ func (m *Manager) handleRoomLeave(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	req.Room = r.URL.Query().Get("room")
 	m.LeaveRoom(&req)
 	writeJSON(w, map[string]string{"room": req.Room, "watcher": req.Watcher, "state": "left"})
 }
@@ -244,6 +231,7 @@ func (m *Manager) handleRoomAnswer(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	req.Room = r.URL.Query().Get("room")
 	req.Trace = obs.TraceFromRequest(r)
 	t0 := time.Now()
 	reply, err := m.AnswerRoom(&req)

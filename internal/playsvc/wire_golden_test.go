@@ -113,9 +113,10 @@ func TestWireBytesGolden(t *testing.T) {
 // session's create, resume and leave, and of their replies, on fixed
 // inputs: a create alone (a thin client's Dial), a create in front of acts
 // (a mirror's first batch), acts with the leave at their end (a mirror's
-// last batch) and a resume alone, from a fresh client (seen 0/0) and from
-// one that holds a view (a fallback or a Sync). Frames without a create,
-// resume or leave are TestWireBytesGolden's and keep its bytes. A change
+// last batch), a resume alone, from a fresh client (seen 0/0) and from
+// one that holds a view (a fallback or a Sync), and a create with its room
+// record (a room's driver's Dial). Frames without a create, resume or
+// leave are TestWireBytesGolden's and keep its bytes. A change
 // that means to alter these formats re-records the hashes and says so.
 func TestOpFrameBytesGolden(t *testing.T) {
 	session := "classroom-0123456789abcdef"
@@ -142,6 +143,7 @@ func TestOpFrameBytesGolden(t *testing.T) {
 		Acts: append(append([]ActRequest(nil), acts...), ActRequest{Kind: ActLeave})})
 	resume := EncodeActFrame(&BatchRequest{Session: session, Resume: true})
 	resumeSeen := EncodeActFrame(&BatchRequest{Session: session, Resume: true, SeenEvents: 40, SeenMessages: 6})
+	roomCreate := EncodeActFrame(&BatchRequest{Session: session, Create: "classroom", Room: true})
 
 	created := &Reply{Session: session, Course: "classroom", Width: 160, Height: 120, FPS: 10,
 		EventCount: 2, MessageCount: 1, State: state, Events: entry, Messages: []string{"Welcome to the computer lab."}}
@@ -174,6 +176,7 @@ func TestOpFrameBytesGolden(t *testing.T) {
 		{"VRPL acts and leave", tailLeaveReply, "1771179cdce89ac7f000af8102e7921e7cbeb32e33c5d14ddcef47787c8a8a77"},
 		{"VACT resume", resume, "48b51d838d9cb843f652205d5dc85eb047802619692653e14cfc51865cbfc18f"},
 		{"VACT resume with seen-counts", resumeSeen, "35a0c5a5cbb50e6a51f58dfd39dff867c97a966c32fb8e2b002c02c386c9ae42"},
+		{"VACT room create", roomCreate, "7080d6670d8b7df8435ffb34ba938e344e2d560e42c9c6e3970126adaff0a2fe"},
 	} {
 		sum := sha256.Sum256(g.bytes)
 		if got := hex.EncodeToString(sum[:]); got != g.want {
