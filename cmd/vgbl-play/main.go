@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -42,17 +43,15 @@ func main() {
 		runBot(blob, *bot, *steps, *seed)
 		return
 	}
-	col := &analytics.Collector{}
-	s, err := runtime.NewSession(blob, runtime.Options{Observer: col})
+	p, err := newPlayer(blob)
 	if err != nil {
 		fail(err)
 	}
-	g := runtime.NewGameWindow(s)
 	if *snapshot {
-		fmt.Println(g.Snapshot(132, 44))
+		fmt.Println(p.g.Snapshot(132, 44))
 		return
 	}
-	repl(g, col)
+	p.repl(os.Stdin, os.Stdout)
 }
 
 func loadPackage(pkgPath, demo string) ([]byte, error) {
@@ -94,23 +93,39 @@ func runBot(blob []byte, name string, steps int, seed int64) {
 	fmt.Println(res.Report)
 }
 
-func repl(g *runtime.GameWindow, col *analytics.Collector) {
-	s := g.S
-	fmt.Println("IVGBL player — commands: look, click X Y, examine ID, take ID,")
-	fmt.Println("talk ID, use ITEM ID, answer N, inv, tick [N], snap, report,")
-	fmt.Println("save F, load F, quit")
-	fmt.Println()
-	fmt.Println(g.Describe())
-	sc := bufio.NewScanner(os.Stdin)
-	printed := 0 // messages already echoed
-	for _, m := range s.Messages() {
-		fmt.Println(">>", m)
-		printed++
+// player is one REPL game: a session on a package, the window that renders
+// it, the collector its events feed, and the state-changing commands it has
+// applied — what save writes, and what load plays again on a fresh session.
+type player struct {
+	blob    []byte
+	s       *runtime.Session
+	g       *runtime.GameWindow
+	col     *analytics.Collector
+	log     []string
+	printed int // transcript lines already echoed
+}
+
+func newPlayer(blob []byte) (*player, error) {
+	col := &analytics.Collector{}
+	s, err := runtime.NewSession(blob, runtime.Options{Observer: col})
+	if err != nil {
+		return nil, err
 	}
+	return &player{blob: blob, s: s, g: runtime.NewGameWindow(s), col: col}, nil
+}
+
+// repl reads commands from in until quit, end of input or game over, and
+// writes everything it shows to out.
+func (p *player) repl(in io.Reader, out io.Writer) {
+	fmt.Fprint(out, "IVGBL player — commands: look, click X Y, examine ID, take ID,\n",
+		"talk ID, use ITEM ID, answer N, inv, tick [N], snap, report,\n",
+		"save F, load F, quit\n\n", p.g.Describe(), "\n")
+	p.after(out)
+	sc := bufio.NewScanner(in)
 	for {
-		fmt.Printf("\n[%s]> ", s.State().Scenario)
+		fmt.Fprintf(out, "\n[%s]> ", p.s.State().Scenario)
 		if !sc.Scan() {
-			break
+			return
 		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
@@ -120,108 +135,147 @@ func repl(g *runtime.GameWindow, col *analytics.Collector) {
 		case "quit", "exit":
 			return
 		case "look":
-			fmt.Println(g.Describe())
-		case "click":
-			if len(fields) == 3 {
-				x, _ := strconv.Atoi(fields[1])
-				y, _ := strconv.Atoi(fields[2])
-				s.Click(x, y)
-			} else {
-				fmt.Println("usage: click X Y")
-			}
-		case "examine":
-			if len(fields) == 2 {
-				s.Examine(fields[1])
-			}
-		case "take":
-			if len(fields) == 2 {
-				s.Take(fields[1])
-			}
-		case "talk":
-			if len(fields) == 2 {
-				s.Talk(fields[1])
-			}
-		case "use":
-			if len(fields) >= 3 {
-				item := strings.Join(fields[1:len(fields)-1], " ")
-				s.UseItemOn(item, fields[len(fields)-1])
-			} else {
-				fmt.Println("usage: use ITEM OBJECT")
-			}
-		case "answer":
-			if quiz, ok := s.PendingQuiz(); ok && len(fields) == 2 {
-				n, _ := strconv.Atoi(fields[1])
-				if _, err := s.AnswerQuiz(quiz.ID, n-1); err != nil {
-					fmt.Println("answer:", err)
-				}
-			} else {
-				fmt.Println("no quiz pending (or usage: answer N)")
-			}
+			fmt.Fprintln(out, p.g.Describe())
 		case "inv":
-			fmt.Println("inventory:", strings.Join(s.State().Inventory, ", "))
-		case "tick":
-			n := 1
-			if len(fields) == 2 {
-				n, _ = strconv.Atoi(fields[1])
-			}
-			for i := 0; i < n; i++ {
-				if err := s.Tick(); err != nil {
-					fmt.Println("tick:", err)
-					break
-				}
-			}
+			fmt.Fprintln(out, "inventory:", strings.Join(p.s.State().Inventory, ", "))
 		case "snap":
-			g.Refresh()
-			fmt.Println(g.Snapshot(132, 44))
+			p.g.Refresh()
+			fmt.Fprintln(out, p.g.Snapshot(132, 44))
 		case "report":
-			fmt.Println(col.Digest(s.Project().StartScenario))
+			fmt.Fprintln(out, p.col.Digest(p.s.Project().StartScenario))
 		case "save":
 			if len(fields) == 2 {
-				data, err := s.SaveState()
-				if err == nil {
-					err = os.WriteFile(fields[1], data, 0o644)
-				}
-				if err != nil {
-					fmt.Println("save:", err)
+				if err := os.WriteFile(fields[1], []byte(strings.Join(append(p.log, ""), "\n")), 0o644); err != nil {
+					fmt.Fprintln(out, "save:", err)
 				}
 			}
 		case "load":
 			if len(fields) == 2 {
-				data, err := os.ReadFile(fields[1])
-				if err == nil {
-					err = s.RestoreState(data)
-				}
-				if err != nil {
-					fmt.Println("load:", err)
+				if err := p.load(fields[1]); err != nil {
+					fmt.Fprintln(out, "load:", err)
 				}
 			}
 		default:
-			fmt.Println("unknown command", fields[0])
-		}
-		msgs := s.Messages()
-		for _, m := range msgs[printed:] {
-			fmt.Println(">>", m)
-		}
-		printed = len(msgs)
-		if kind, contentStr, ok := s.NextPopup(); ok {
-			fmt.Printf("** POPUP (%s): %s **\n", kind, contentStr)
-		}
-		if quiz, ok := s.PendingQuiz(); ok {
-			fmt.Printf("** QUIZ: %s\n", quiz.Question)
-			for i, c := range quiz.Choices {
-				fmt.Printf("     %d) %s\n", i+1, c)
+			if !p.act(fields, out) {
+				fmt.Fprintln(out, "unknown command", fields[0])
+				continue
 			}
-			fmt.Println("   (reply with: answer N)")
-		}
-		if s.Ended() {
-			// Let pending assessment quizzes be answered before wrapping up.
-			if _, ok := s.PendingQuiz(); !ok {
-				fmt.Printf("GAME OVER: %s\n", s.Outcome())
-				fmt.Println(col.Digest(s.Project().StartScenario))
+			if p.after(out) {
 				return
 			}
 		}
 	}
+}
+
+// act runs one state-changing command and logs it; it reports false for a
+// command that is not one.
+func (p *player) act(fields []string, out io.Writer) bool {
+	s := p.s
+	switch fields[0] {
+	case "click":
+		if len(fields) == 3 {
+			x, _ := strconv.Atoi(fields[1])
+			y, _ := strconv.Atoi(fields[2])
+			s.Click(x, y)
+		} else {
+			fmt.Fprintln(out, "usage: click X Y")
+		}
+	case "examine":
+		if len(fields) == 2 {
+			s.Examine(fields[1])
+		}
+	case "take":
+		if len(fields) == 2 {
+			s.Take(fields[1])
+		}
+	case "talk":
+		if len(fields) == 2 {
+			s.Talk(fields[1])
+		}
+	case "use":
+		if len(fields) >= 3 {
+			item := strings.Join(fields[1:len(fields)-1], " ")
+			s.UseItemOn(item, fields[len(fields)-1])
+		} else {
+			fmt.Fprintln(out, "usage: use ITEM OBJECT")
+		}
+	case "answer":
+		if quiz, ok := s.PendingQuiz(); ok && len(fields) == 2 {
+			n, _ := strconv.Atoi(fields[1])
+			if _, err := s.AnswerQuiz(quiz.ID, n-1); err != nil {
+				fmt.Fprintln(out, "answer:", err)
+			}
+		} else {
+			fmt.Fprintln(out, "no quiz pending (or usage: answer N)")
+		}
+	case "tick":
+		n := 1
+		if len(fields) == 2 {
+			n, _ = strconv.Atoi(fields[1])
+		}
+		if err := s.Advance(n); err != nil {
+			fmt.Fprintln(out, "tick:", err)
+		}
+	default:
+		return false
+	}
+	p.log = append(p.log, strings.Join(fields, " "))
+	return true
+}
+
+// after shows what the game's start or a command changed: new transcript
+// lines, the next popup (which it takes off the queue) and a pending quiz.
+// It reports whether the game is over.
+func (p *player) after(out io.Writer) bool {
+	s := p.s
+	msgs := s.Messages()
+	for _, m := range msgs[p.printed:] {
+		fmt.Fprintln(out, ">>", m)
+	}
+	p.printed = len(msgs)
+	if kind, content, ok := s.NextPopup(); ok {
+		fmt.Fprintf(out, "** POPUP (%s): %s **\n", kind, content)
+	}
+	if quiz, ok := s.PendingQuiz(); ok {
+		fmt.Fprintf(out, "** QUIZ: %s\n", quiz.Question)
+		for i, c := range quiz.Choices {
+			fmt.Fprintf(out, "     %d) %s\n", i+1, c)
+		}
+		fmt.Fprintln(out, "   (reply with: answer N)")
+	}
+	// Let pending assessment quizzes be answered before wrapping up.
+	if _, ok := s.PendingQuiz(); s.Ended() && !ok {
+		fmt.Fprintf(out, "GAME OVER: %s\n", s.Outcome())
+		fmt.Fprintln(out, p.col.Digest(s.Project().StartScenario))
+		return true
+	}
+	return false
+}
+
+// load replaces the game with a fresh session on the same package that has
+// run a saved command log again, unshown, as the REPL runs one: what
+// follows the start and each command happens again too (so popups leave
+// the queue as they did).
+func (p *player) load(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	q, err := newPlayer(p.blob)
+	if err != nil {
+		return err
+	}
+	q.after(io.Discard)
+	for _, line := range strings.Split(string(data), "\n") {
+		if fields := strings.Fields(line); len(fields) > 0 {
+			if !q.act(fields, io.Discard) {
+				return fmt.Errorf("%s: %q is not a saved command", path, line)
+			}
+			q.after(io.Discard)
+		}
+	}
+	*p = *q
+	return nil
 }
 
 func fail(err error) {

@@ -158,7 +158,8 @@ func (c *Cursor) EnterRange(name string, start, end int) error {
 
 // Seek positions the cursor on an absolute frame index inside the current
 // segment — the restore side of a session snapshot, which records the
-// segment name plus the exact frame the player was watching.
+// segment name plus the exact frame the player was watching, and how a
+// session advances many frames at once.
 func (c *Cursor) Seek(pos int) error {
 	if !c.entered {
 		return errors.New("playback: cursor has not entered a segment")

@@ -1145,15 +1145,16 @@ func (m *Manager) withFrame(tc obs.TraceContext, session string, advance int, fn
 }
 
 func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance int, fn func(f *raster.Frame, tick int) error) error {
+	// Refused first: a request that does nothing thaws, counts, touches nothing.
+	if advance > maxTicks {
+		return errf(http.StatusBadRequest, "playsvc: advance %d exceeds the per-act bound (%d)", advance, maxTicks)
+	}
 	h, err := m.lookupOrThaw(tc, session)
 	if err != nil {
 		return err
 	}
 	m.frames.Add(1)
 	h.touch()
-	if advance > maxTicks {
-		return errf(http.StatusBadRequest, "playsvc: advance %d exceeds the per-act bound (%d)", advance, maxTicks)
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.gone {

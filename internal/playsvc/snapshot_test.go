@@ -436,7 +436,8 @@ func TestEnvelopeCorruption(t *testing.T) {
 // parsers: arbitrary bytes never panic, every rejection wraps
 // runtime.ErrBadSnapshot, and an accepted envelope survives a re-encode.
 // The seeds are a real frozen session's envelope (with batch-dedup state
-// and a stored act error) and damaged copies of it.
+// and a stored act error), damaged copies of it, and a newborn session's
+// and a 60-step session's.
 func FuzzDecodeEnvelope(f *testing.F) {
 	opts, _, dir := durableOptions(f)
 	_, m := durableService(f, opts)
@@ -466,6 +467,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	f.Add(frozen[:len(frozen)/2])
 	f.Add([]byte(envMagic))
 	f.Add([]byte{})
+	for _, env := range seedEnvelopes(f, m, dir) {
+		f.Add(env)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := decodeEnvelope(data)
 		if err != nil {

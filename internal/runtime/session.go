@@ -11,7 +11,6 @@ package runtime
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -218,12 +217,21 @@ func (s *Session) Tick() error {
 func (s *Session) Ticks() int { return s.tick }
 
 // Advance ticks playback n times — the watching time between interactions.
+// A tick emits nothing and runs no script, so n of them are one seek in
+// closed form: the cursor loops its segment, a one-frame one holds, an
+// ended session stays.
 func (s *Session) Advance(ticks int) error {
-	for i := 0; i < ticks; i++ {
-		if err := s.Tick(); err != nil {
-			return err
-		}
+	if s.state.Ended || ticks <= 0 {
+		return nil
 	}
+	seg, pos := s.cursor.Segment(), s.cursor.Pos()
+	if span := seg.End - seg.Start; span > 1 {
+		pos = seg.Start + (pos-seg.Start+ticks%span)%span
+	}
+	if err := s.cursor.Seek(pos); err != nil {
+		return err
+	}
+	s.tick += ticks
 	return nil
 }
 
@@ -631,28 +639,6 @@ func (s *Session) Ended() bool { return s.state.Ended }
 // Outcome returns the end label ("" while running).
 func (s *Session) Outcome() string { return s.state.Outcome }
 
-// SaveState snapshots the session for later restoration.
-func (s *Session) SaveState() ([]byte, error) { return s.state.Save() }
-
-// RestoreState loads a saved state into the session and re-enters its
-// scenario (without re-running OnEnter — the player resumes, not re-arrives).
-func (s *Session) RestoreState(data []byte) error {
-	st, err := core.LoadState(data)
-	if err != nil {
-		return err
-	}
-	sc := s.pkg.Project.ScenarioByID(st.Scenario)
-	if sc == nil {
-		return errors.New("runtime: saved state references unknown scenario")
-	}
-	if err := s.cursor.EnterSegment(sc.Segment); err != nil {
-		return err
-	}
-	s.state = st
-	s.sink.State = st
-	return nil
-}
-
 // VideoMeta exposes the underlying container metadata (frame size, fps).
 func (s *Session) VideoMeta() (w, h, fps int) {
 	m := s.video.Meta()
@@ -661,5 +647,5 @@ func (s *Session) VideoMeta() (w, h, fps int) {
 
 // Close does nothing: a session holds no goroutine, file or lock to release.
 // It stays only because benchmark/sut.go names it and that directory changes
-// in benchmark PRs alone (ROADMAP 9(b)); nothing else calls it.
+// in benchmark PRs alone (ROADMAP item 3); nothing else calls it.
 func (s *Session) Close() {}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -259,32 +260,79 @@ func TestTickAdvancesAndLoops(t *testing.T) {
 	}
 }
 
-func TestSaveRestore(t *testing.T) {
-	s, _ := classroomSession(t)
-	s.Take("desk-coin")
-	s.Click(140, 100) // to market
-	saved, err := s.SaveState()
-	if err != nil {
-		t.Fatal(err)
+// TestAdvanceIsTicks: Advance(n) is n Ticks — same tick clock, same frame —
+// across segment ends (the classroom segment loops) and on one-frame
+// segments (a loop of one holds), and an ended session moves for neither.
+func TestAdvanceIsTicks(t *testing.T) {
+	fresh := func(t *testing.T) *Session {
+		t.Helper()
+		s, err := NewSessionFromPackage(snapOpened(t), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	// Fresh session, restore.
-	s2, _ := classroomSession(t)
-	if err := s2.RestoreState(saved); err != nil {
-		t.Fatal(err)
+	same := func(t *testing.T, what string, stepped, skipped *Session) {
+		t.Helper()
+		if stepped.Ticks() != skipped.Ticks() || stepped.cursor.Pos() != skipped.cursor.Pos() {
+			t.Fatalf("%s: %d ticks at frame %d by Tick, %d at frame %d by Advance",
+				what, stepped.Ticks(), stepped.cursor.Pos(), skipped.Ticks(), skipped.cursor.Pos())
+		}
 	}
-	if s2.State().Scenario != "market" || !s2.State().HasItem("coin") {
-		t.Fatal("restore lost state")
-	}
-	// Restored session continues: buy, return, fix.
-	if !s2.Take("stall-ram") {
-		t.Fatal("take after restore failed")
-	}
-	if err := s2.RestoreState([]byte(`{"scenario":"narnia"}`)); err == nil {
-		t.Fatal("restore to unknown scenario accepted")
-	}
-	if err := s2.RestoreState([]byte("{bad")); err == nil {
-		t.Fatal("restore of bad JSON accepted")
-	}
+	seg := fresh(t).cursor.Segment()
+	span := seg.End - seg.Start
+	ns := []int{0, 1, 2, span - 1, span, span + 1, 2*span + 3, 5*span - 1, 1000}
+
+	t.Run("looping segment", func(t *testing.T) {
+		for _, n := range ns {
+			for _, from := range []int{0, 1, span - 2, span - 1} {
+				stepped, skipped := fresh(t), fresh(t)
+				for i := 0; i < from; i++ {
+					stepped.Tick()
+					skipped.Tick()
+				}
+				for i := 0; i < n; i++ {
+					if err := stepped.Tick(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := skipped.Advance(n); err != nil {
+					t.Fatal(err)
+				}
+				same(t, fmt.Sprintf("%d after %d", n, from), stepped, skipped)
+			}
+		}
+	})
+	t.Run("one-frame segment", func(t *testing.T) {
+		for _, n := range ns {
+			stepped, skipped := fresh(t), fresh(t)
+			for _, s := range []*Session{stepped, skipped} {
+				if err := s.cursor.EnterRange("still", seg.Start+3, seg.Start+4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				stepped.Tick()
+			}
+			skipped.Advance(n)
+			same(t, fmt.Sprint(n), stepped, skipped)
+		}
+	})
+	t.Run("ended session", func(t *testing.T) {
+		stepped, skipped := fresh(t), fresh(t)
+		for _, s := range []*Session{stepped, skipped} {
+			s.Advance(7)
+			s.state.Ended = true
+		}
+		for i := 0; i < 50; i++ {
+			stepped.Tick()
+		}
+		skipped.Advance(50)
+		same(t, "ended", stepped, skipped)
+		if skipped.Ticks() != 7 {
+			t.Fatalf("an ended session ticked on to %d", skipped.Ticks())
+		}
+	})
 }
 
 func TestGotoScenarioAPI(t *testing.T) {
