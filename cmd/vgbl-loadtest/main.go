@@ -234,31 +234,22 @@ func serveInProcess(name string, ladder bool) (string, error) {
 	if err := srv.Mount(telemetry.HealthPath, h); err != nil {
 		return "", err
 	}
-	// The play service shares the package server's chunk store so a
-	// ladder manifest can be opened without a package blob.
-	play := playsvc.NewManager(playsvc.Options{Store: srv.Store()})
+	var blob []byte
+	var err error
 	if ladder {
-		man, err := course.PublishLadderTo(srv.Store(), studio.Options{}, nil)
-		if err != nil {
-			return "", err
-		}
-		if err := srv.AddManifest(name, man); err != nil {
-			return "", err
-		}
-		if err := play.AddCourseFromManifest(name, man); err != nil {
-			return "", err
-		}
+		blob, err = course.BuildLadderPackage(studio.Options{}, nil)
 	} else {
-		blob, err := course.BuildPackage(studio.Options{QStep: 10})
-		if err != nil {
-			return "", err
-		}
-		if err := srv.AddPackage(name, blob); err != nil {
-			return "", err
-		}
-		if err := play.AddCourse(name, blob); err != nil {
-			return "", err
-		}
+		blob, err = course.BuildPackage(studio.Options{QStep: 10})
+	}
+	if err != nil {
+		return "", err
+	}
+	if err := srv.AddPackage(name, blob); err != nil {
+		return "", err
+	}
+	play := playsvc.NewManager(playsvc.Options{})
+	if err := play.AddCourse(name, blob); err != nil {
+		return "", err
 	}
 	if err := srv.Mount("/play/", play.Handler()); err != nil {
 		return "", err

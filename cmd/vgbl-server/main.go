@@ -1,7 +1,7 @@
 // Command vgbl-server publishes game packages over HTTP (paper §2: students
 // "easily access these resources via network"). It serves the bundled demo
-// courses plus any .tkg files given on the command line, with range support
-// so the progressive client can start playing before the download finishes,
+// courses plus any .tkg files given on the command line, each published
+// once as its package to both the package server and the play service,
 // mounts the telemetry ingest service so playing clients (and the
 // vgbl-loadtest fleet) can report their sessions to /telemetry/ingest and
 // lecturers can read live aggregates from /telemetry/stats, and mounts the
@@ -12,11 +12,12 @@
 // ({"session":…,"course":…,"room":true} on /play/act); watchers join,
 // watch, answer and leave on /room/*, naming the room in the query.
 //
-// All course bytes live in one content-addressed chunk store shared by the
-// package server and the play service (segments shared across courses are
-// stored once; -store-dir persists chunks on disk, -cache-bytes budgets
-// the hot-chunk LRU tier). Delta-syncing clients use /manifest/<name> and
-// /chunk/<hash> to transfer only chunks whose hashes changed.
+// The package server keeps every package's bytes in one content-addressed
+// chunk store (segments shared across courses are stored once; -store-dir
+// persists chunks on disk, -cache-bytes budgets the hot-chunk LRU tier);
+// the play service opens each package and interns its video. Delta-syncing
+// and progressive clients use /manifest/<name> and /chunk/<hash> to
+// transfer only the chunks they lack.
 //
 // Hosted play sessions are durable: the TTL janitor snapshots-then-evicts
 // into the snapshot directory, -checkpoint-every bounds what a crash can lose,
@@ -57,7 +58,6 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/content"
-	"repro/internal/gamepack"
 	"repro/internal/media/studio"
 	"repro/internal/netstream"
 	"repro/internal/obs"
@@ -79,9 +79,9 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/")
 	flag.Parse()
 
-	// One content-addressed chunk store behind both the package server and
-	// the play service: segments shared across courses are stored once, hot
-	// chunks ride the LRU tier, and -store-dir persists the catalog.
+	// The package server's content-addressed chunk store: segments shared
+	// across courses are stored once, hot chunks ride the LRU tier, and
+	// -store-dir persists the catalog.
 	var backend blobstore.Backend = blobstore.NewMemory()
 	if *storeDir != "" {
 		disk, err := blobstore.NewDisk(*storeDir)
@@ -104,14 +104,12 @@ func main() {
 	srv.Register(reg)
 	// Hosted sessions are durable: one snapshot directory backs TTL
 	// snapshot-then-evict, crash checkpoints and — in cluster mode — handoff
-	// between nodes. The play service only reads the chunk store above (to
-	// open courses).
+	// between nodes.
 	dir := playsvc.NewMemDir()
 	nodeOpts := playsvc.Options{
 		TTL:             *playTTL,
 		MaxSessions:     *playMax,
 		MaxInflight:     *playInflight,
-		Store:           store,
 		Dir:             dir,
 		CheckpointEvery: *checkpointEvery,
 	}
@@ -120,10 +118,9 @@ func main() {
 	var playHandler http.Handler
 	var traceHandler http.Handler
 	var addCourse func(name string, blob []byte) error
-	var addManifest func(name string, man *gamepack.Manifest) error
 	var nodeURLs []string
 	if *cluster > 0 {
-		cl, err := playsvc.NewCluster(playsvc.ClusterOptions{Store: store, Dir: dir, Node: nodeOpts})
+		cl, err := playsvc.NewCluster(playsvc.ClusterOptions{Dir: dir, Node: nodeOpts})
 		if err != nil {
 			fail(err)
 		}
@@ -139,7 +136,6 @@ func main() {
 		playHandler = cl.Gateway().Handler()
 		traceHandler = cl.Gateway().Ring().Handler()
 		addCourse = cl.AddCourse
-		addManifest = cl.AddManifest
 	} else {
 		play := playsvc.NewManager(nodeOpts)
 		defer play.Close()
@@ -147,7 +143,6 @@ func main() {
 		playHandler = play.Handler()
 		traceHandler = play.Ring().Handler()
 		addCourse = play.AddCourse
-		addManifest = play.AddCourseFromManifest
 	}
 	publish := func(name string, blob []byte) {
 		if err := srv.AddPackage(name, blob); err != nil {
@@ -167,27 +162,20 @@ func main() {
 		{"museum", content.Museum()},
 		{"street", content.StreetDemo()},
 	} {
-		// Demo courses go through the store: chunks deposited once, then
-		// both services open them by manifest. With -ladder each course is
-		// recorded at every rung of the default quality ladder (each rung's
-		// own quantizer; a QStep option would be ignored); the play service
-		// keeps consuming the canonical rung.
-		var man *gamepack.Manifest
+		// With -ladder each course is recorded at every rung of the default
+		// quality ladder (each rung's own quantizer; a QStep option would be
+		// ignored); the play service keeps consuming the canonical rung.
+		var blob []byte
 		var err error
 		if *ladder {
-			man, err = demo.course.PublishLadderTo(store, studio.Options{}, nil)
+			blob, err = demo.course.BuildLadderPackage(studio.Options{}, nil)
 		} else {
-			man, err = demo.course.PublishTo(store, studio.Options{QStep: 8})
+			blob, err = demo.course.BuildPackage(studio.Options{QStep: 8})
 		}
 		if err != nil {
 			fail(err)
 		}
-		if err := srv.AddManifest(demo.name, man); err != nil {
-			fail(err)
-		}
-		if err := addManifest(demo.name, man); err != nil {
-			fail(err)
-		}
+		publish(demo.name, blob)
 	}
 	srv.AddResource("umbrella", "UMBRELLAS: PORTABLE RAIN PROTECTION SINCE 1000 BC")
 	srv.AddResource("ram", "RAM MODULES MUST MATCH THE BOARD'S SOCKET TYPE")

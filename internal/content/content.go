@@ -8,7 +8,6 @@ package content
 import (
 	"fmt"
 
-	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/gamepack"
 	"repro/internal/media/container"
@@ -39,23 +38,6 @@ func (c *Course) BuildPackage(opts studio.Options) ([]byte, error) {
 		return nil, fmt.Errorf("content: %w", err)
 	}
 	return gamepack.Build(c.Project, video)
-}
-
-// PublishTo records the course and deposits its package as
-// content-addressed chunks into the store, returning the manifest.
-// Consumers (netstream.Server.AddManifest, playsvc.AddCourseFromManifest)
-// open the course from the store; the package blob itself is transient,
-// and courses sharing footage share chunks.
-func (c *Course) PublishTo(store *blobstore.Store, opts studio.Options) (*gamepack.Manifest, error) {
-	blob, err := c.BuildPackage(opts)
-	if err != nil {
-		return nil, err
-	}
-	man, err := gamepack.DepositChunks(blob, store)
-	if err != nil {
-		return nil, fmt.Errorf("content: %w", err)
-	}
-	return man, nil
 }
 
 // SegmentNames returns the chapter names (for core.Project.Validate).

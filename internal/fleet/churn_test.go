@@ -64,7 +64,6 @@ func churnStack(t *testing.T, nodes int) (front *httptest.Server, gwSrv *httptes
 func TestClusterChurnResume(t *testing.T) {
 	front, gwSrv, svc, cl := churnStack(t, 3)
 	const learners = 200
-	published := cl.Store().Stats().Chunks
 
 	// Churn while the fleet is mid-flight: as soon as a healthy slice of
 	// sessions is live, kill one node (drain → freeze → reroute) and then
@@ -132,11 +131,6 @@ func TestClusterChurnResume(t *testing.T) {
 	}
 	if dir, ok := cl.Dir().(*playsvc.MemDir); ok && dir.Len() != 0 {
 		t.Errorf("%d snapshots stranded in the directory", dir.Len())
-	}
-	// The store holds courses and nothing else: freezes, checkpoints and
-	// thaws never touch it.
-	if got := cl.Store().Stats().Chunks; got != published {
-		t.Errorf("the chunk store holds %d chunks, %d after publishing", got, published)
 	}
 
 	// Exact telemetry accounting, unchanged from the single-node bar: the

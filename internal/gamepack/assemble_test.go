@@ -11,14 +11,15 @@ import (
 	"repro/internal/content"
 	"repro/internal/gamepack"
 	"repro/internal/media/studio"
+	"repro/internal/netstream"
 )
 
 // TestAssembleIsExact: Manifest.Assemble writes framing, chunk bytes and
 // CRCs into one buffer sized from the manifest, and that buffer is the
 // package byte for byte — for every demo ladder (whose bytes
-// TestLadderPackagesGolden pins) and for the same package re-framed by
-// hand without its manifest section, the legacy shape — with Layout's
-// total as its length and its capacity.
+// TestLadderPackagesGolden pins) — with Layout's total as its length and
+// its capacity. The same package re-framed by hand without its manifest
+// section is refused (TestManifestlessPackageRefused).
 func TestAssembleIsExact(t *testing.T) {
 	for name, course := range map[string]*content.Course{
 		"classroom": content.Classroom(),
@@ -31,10 +32,51 @@ func TestAssembleIsExact(t *testing.T) {
 		}
 		assembleMatches(t, name, blob)
 		legacy := withoutManifest(t, blob)
-		if _, err := gamepack.ExtractManifest(legacy); !errors.Is(err, gamepack.ErrNoManifest) {
-			t.Fatalf("%s: the re-framed package still carries a manifest (%v)", name, err)
+		if _, err := gamepack.DepositChunks(legacy, blobstore.NewCache(1<<30)); !errors.Is(err, gamepack.ErrNoManifest) {
+			t.Fatalf("%s: DepositChunks(manifest-less) = %v, want ErrNoManifest", name, err)
 		}
-		assembleMatches(t, name+" legacy", legacy)
+	}
+}
+
+// TestManifestlessPackageRefused: a package has one shape, carrying its
+// manifest. The same package re-framed without its manifest section is
+// refused at both publish edges with ErrNoManifest, and leaves nothing
+// behind: the package server's store keeps its chunk count and its
+// listing does not name the package, and a deposit stores nothing.
+func TestManifestlessPackageRefused(t *testing.T) {
+	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := withoutManifest(t, blob)
+	if _, err := gamepack.ExtractManifest(legacy); !errors.Is(err, gamepack.ErrNoManifest) {
+		t.Fatalf("the re-framed package still carries a manifest (%v)", err)
+	}
+	if _, err := gamepack.Open(legacy); err != nil {
+		t.Fatalf("the re-framed package does not open, so the refusal would prove nothing: %v", err)
+	}
+
+	srv := netstream.NewServer()
+	if err := srv.AddPackage("original", blob); err != nil {
+		t.Fatal(err)
+	}
+	chunks := srv.StoreStats().Chunks
+	if err := srv.AddPackage("legacy", legacy); !errors.Is(err, gamepack.ErrNoManifest) {
+		t.Fatalf("AddPackage(manifest-less) = %v, want ErrNoManifest", err)
+	}
+	if got := srv.StoreStats().Chunks; got != chunks {
+		t.Errorf("a refused publish changed the store from %d to %d chunks", chunks, got)
+	}
+	if names := srv.Names(); len(names) != 1 || names[0] != "original" {
+		t.Errorf("Names() = %v after a refused publish, want [original]", names)
+	}
+
+	store := blobstore.NewCache(1 << 30)
+	if _, err := gamepack.DepositChunks(legacy, store); !errors.Is(err, gamepack.ErrNoManifest) {
+		t.Fatalf("DepositChunks(manifest-less) = %v, want ErrNoManifest", err)
+	}
+	if got := store.Stats().Chunks; got != 0 {
+		t.Errorf("a refused deposit stored %d chunks", got)
 	}
 }
 

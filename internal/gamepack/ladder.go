@@ -146,7 +146,7 @@ func BuildLadder(p *core.Project, videos []TierVideo) ([]byte, error) {
 		payload = append(payload, section{TierSectionName(tv.Tier), tv.Video})
 	}
 	payload = append(payload, section{SectionVideo, videos[canonical].Video})
-	man, err := manifestFor(payload, true)
+	man, err := manifestFor(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func (m *Manifest) VideoSection(tier string) *SectionChunks {
 }
 
 // LadderOf reports the tiers of a package blob (convenience over
-// ManifestOf for callers holding the blob).
+// ExtractManifest for callers holding the blob).
 func LadderOf(blob []byte) ([]string, error) {
 	secs, err := Sections(blob)
 	if err != nil {

@@ -99,7 +99,7 @@ func TestBuildLadderRoundTrip(t *testing.T) {
 	}
 	// The extra rungs genuinely differ: a coarser quantizer must shrink
 	// the payload, or the ladder gives ABR nothing to choose between.
-	man, err := ManifestOf(blob)
+	man, err := ExtractManifest(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestLadderManifestDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := ManifestOf(blob)
+	man, err := ExtractManifest(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestLadderManifestDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man2, err := ManifestOf(blob2)
+	man2, err := ExtractManifest(blob2)
 	if err != nil {
 		t.Fatal(err)
 	}

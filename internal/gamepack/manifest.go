@@ -46,7 +46,8 @@ const DefaultChunkSize = 64 << 10
 // rejection wraps it (mirroring container.ParseHead's typed errors).
 var ErrBadManifest = errors.New("gamepack: malformed manifest")
 
-// ErrNoManifest reports a package built before the chunk store existed.
+// ErrNoManifest refuses a package without a manifest section: such a
+// package cannot be deposited or served.
 var ErrNoManifest = errors.New("gamepack: package has no manifest section")
 
 // ChunkRef addresses one chunk of a section payload.
@@ -359,16 +360,16 @@ func chunkVideo(video []byte, maxSize int) ([]ChunkRef, error) {
 }
 
 // manifestFor chunks the given sections (video sections — every quality
-// tier — segment-aligned) and, when withSelf is set, inserts the
-// manifest's own placeholder entry immediately before the first video
-// section (matching Build's and BuildLadder's layouts).
-func manifestFor(secs []section, withSelf bool) (*Manifest, error) {
+// tier — segment-aligned) and inserts the manifest's own placeholder
+// entry immediately before the first video section (BuildLadder's
+// layout).
+func manifestFor(secs []section) (*Manifest, error) {
 	m := &Manifest{}
 	placed := false
 	for _, s := range secs {
 		var chunks []ChunkRef
 		if _, isVideo := VideoSectionTier(s.name); isVideo {
-			if withSelf && !placed {
+			if !placed {
 				m.Sections = append(m.Sections, SectionChunks{Name: SectionManifest})
 				placed = true
 			}
@@ -384,12 +385,11 @@ func manifestFor(secs []section, withSelf bool) (*Manifest, error) {
 	return m, nil
 }
 
-// DepositChunks splits a package blob into its manifest's chunks and
-// deposits each into a store (dedup hits are free), returning the
-// manifest. It is how publishers seed a store without serving: the blob
-// can be dropped afterwards and consumers open the course by manifest.
+// DepositChunks splits a package blob into its embedded manifest's chunks
+// and deposits each into a store (dedup hits are free), returning the
+// manifest. A package without a manifest is refused with ErrNoManifest.
 func DepositChunks(blob []byte, store *blobstore.Store) (*Manifest, error) {
-	man, err := ManifestOf(blob)
+	man, err := ExtractManifest(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +423,7 @@ func DepositChunks(blob []byte, store *blobstore.Store) (*Manifest, error) {
 }
 
 // ExtractManifest reads and parses a package's embedded manifest section.
-// Packages predating the chunk store yield ErrNoManifest.
+// A package without one yields ErrNoManifest.
 func ExtractManifest(blob []byte) (*Manifest, error) {
 	secs, err := Sections(blob)
 	if err != nil {
@@ -439,41 +439,4 @@ func ExtractManifest(blob []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: manifest section checksum mismatch", ErrBadPackage)
 	}
 	return ParseManifest(data)
-}
-
-// ManifestOf returns the package's chunk manifest: the embedded one when
-// present, otherwise one computed from the blob (legacy packages chunk
-// the same way, minus the manifest placeholder, so reassembly reproduces
-// their layout byte-exactly).
-func ManifestOf(blob []byte) (*Manifest, error) {
-	m, err := ExtractManifest(blob)
-	if err == nil {
-		return m, nil
-	}
-	if !errors.Is(err, ErrNoManifest) {
-		return nil, err
-	}
-	locs, err := sectionsInOrder(blob)
-	if err != nil {
-		return nil, err
-	}
-	secs := make([]section, len(locs))
-	for i, loc := range locs {
-		secs[i] = section{loc.Name, blob[loc.Off : loc.Off+loc.Size]}
-	}
-	return manifestFor(secs, false)
-}
-
-// sectionsInOrder lists a blob's sections in storage order.
-func sectionsInOrder(blob []byte) ([]SectionLoc, error) {
-	secs, err := Sections(blob)
-	if err != nil {
-		return nil, err
-	}
-	locs := make([]SectionLoc, 0, len(secs))
-	for name, loc := range secs {
-		locs = append(locs, SectionLoc{Name: name, Off: loc[0], Size: loc[1]})
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i].Off < locs[j].Off })
-	return locs, nil
 }

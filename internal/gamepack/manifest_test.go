@@ -117,22 +117,17 @@ func TestManifestAssembleBitIdentical(t *testing.T) {
 	if string(re) != string(blob) {
 		t.Fatal("reassembled blob differs from original")
 	}
-	// Legacy blobs (no embedded manifest) reassemble bit-identically too.
+	// A blob without an embedded manifest is refused, and deposits nothing.
 	legacy := assemble([]section{
 		{SectionProject, mustMarshal(t, p)},
 		{SectionVideo, video},
 	})
-	lman, err := ManifestOf(legacy)
-	if err != nil {
-		t.Fatal(err)
+	chunks := store.Stats().Chunks
+	if _, err := DepositChunks(legacy, store); !errors.Is(err, ErrNoManifest) {
+		t.Fatalf("DepositChunks(manifest-less) = %v, want ErrNoManifest", err)
 	}
-	lstore := storeFor(t, legacy)
-	lre, err := lman.Assemble(lstore.Get)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(lre) != string(legacy) {
-		t.Fatal("reassembled legacy blob differs")
+	if got := store.Stats().Chunks; got != chunks {
+		t.Fatalf("a refused deposit grew the store from %d to %d chunks", chunks, got)
 	}
 }
 

@@ -111,9 +111,8 @@ func NewServer() *Server {
 }
 
 // NewServerWith creates a server over a caller-owned chunk store — the
-// production shape, where the netstream server and the play service share
-// one store (and one on-disk backend) so common segments are paid for
-// once across the whole process.
+// production shape, where the caller picks the backend (memory or disk)
+// and the hot-tier budget, and registers the store's metrics.
 func NewServerWith(store *blobstore.Store) *Server {
 	return &Server{
 		packages:  map[string]*pkgEntry{},
@@ -127,54 +126,36 @@ func NewServerWith(store *blobstore.Store) *Server {
 	}
 }
 
-// Store exposes the server's chunk store (shared with sibling services).
-func (s *Server) Store() *blobstore.Store { return s.store }
-
 // StoreStats snapshots the chunk store's counters.
 func (s *Server) StoreStats() blobstore.Stats { return s.store.Stats() }
 
 // AddPackage publishes a package blob under a name. The blob is split
-// into content-addressed chunks (deduplicated against everything already
-// published); the blob itself is not retained. Re-adding a name replaces
-// the package — delta-syncing clients then transfer only changed chunks,
-// and chunks referenced only by the replaced version are removed from
-// the store (an in-flight transfer of the old version may then fail; its
-// client re-syncs and gets the new one).
+// into the content-addressed chunks its embedded manifest lists
+// (deduplicated against everything already published); the blob itself is
+// not retained, and a blob without a manifest is refused with
+// gamepack.ErrNoManifest. Re-adding a name replaces the package —
+// delta-syncing clients then transfer only changed chunks, and chunks
+// referenced only by the replaced version are removed from the store (an
+// in-flight transfer of the old version may then fail; its client
+// re-syncs and gets the new one).
+//
+// Ingest and registration share one critical section so a concurrent
+// replace of another package cannot release a shared chunk between this
+// package's deposit and its refcount registration.
 func (s *Server) AddPackage(name string, blob []byte) error {
-	return s.publishBlob(name, blob, true)
-}
-
-// AddManifest publishes a package whose chunks are already in the store
-// (e.g. deposited by content.PublishTo) — no package blob ever exists on
-// the publish path except transiently for validation, and no chunk is
-// re-deposited (so store dedup counters reflect real sharing).
-func (s *Server) AddManifest(name string, man *gamepack.Manifest) error {
-	blob, err := man.Assemble(s.store.Get)
-	if err != nil {
-		return fmt.Errorf("netstream: %w", err)
-	}
-	return s.publishBlob(name, blob, false)
-}
-
-// publishBlob validates a package, then — atomically with respect to
-// other publishes — ingests its chunks and swaps it in. Ingest and
-// registration share the critical section so a concurrent replace of
-// another package cannot release a shared chunk between this package's
-// deposit and its refcount registration.
-func (s *Server) publishBlob(name string, blob []byte, deposit bool) error {
 	if name == "" || strings.ContainsAny(name, "/ ") {
 		return fmt.Errorf("netstream: bad package name %q", name)
 	}
 	if _, err := gamepack.Open(blob); err != nil {
 		return fmt.Errorf("netstream: refusing to serve invalid package: %w", err)
 	}
-	man, err := gamepack.ManifestOf(blob)
+	man, err := gamepack.ExtractManifest(blob)
 	if err != nil {
 		return fmt.Errorf("netstream: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ent, err := s.ingest(man, blob, deposit)
+	ent, err := s.ingest(man, blob)
 	if err != nil {
 		return err
 	}
@@ -239,15 +220,17 @@ func (s *Server) tierCounterLocked(label string) *atomic.Int64 {
 	return c
 }
 
-// ingest verifies that the manifest tiles the blob and builds the serving
-// extents; with deposit set it also stores every chunk. s.mu must be
-// held. A rejection rolls back the chunks this call newly deposited (a
-// failed publish must not grow the store), sparing any that a published
-// package also references.
-func (s *Server) ingest(man *gamepack.Manifest, blob []byte, deposit bool) (*pkgEntry, error) {
+// ingest verifies that the manifest tiles the blob, stores every chunk
+// and builds the serving extents. s.mu must be held. A rejection rolls
+// back the chunks this call newly deposited (a failed publish must not
+// grow the store), sparing any that a published package also references.
+func (s *Server) ingest(man *gamepack.Manifest, blob []byte) (*pkgEntry, error) {
 	secs, err := gamepack.Sections(blob)
 	if err != nil {
 		return nil, fmt.Errorf("netstream: %w", err)
+	}
+	if len(man.Sections) != len(secs) {
+		return nil, fmt.Errorf("netstream: manifest lists %d sections, package has %d", len(man.Sections), len(secs))
 	}
 	ent := &pkgEntry{size: int64(len(blob))}
 	sum := sha256.Sum256(blob)
@@ -291,28 +274,14 @@ func (s *Server) ingest(man *gamepack.Manifest, blob []byte, deposit bool) (*pkg
 			if blobstore.Sum(data) != c.Hash {
 				return fail(fmt.Errorf("netstream: manifest chunk hash mismatch in section %q", sc.Name))
 			}
-			if deposit {
-				if _, isNew, err := s.store.Put(data); err != nil {
-					return fail(fmt.Errorf("netstream: %w", err))
-				} else if isNew {
-					added = append(added, c.Hash)
-				}
-			} else if !s.store.Has(c.Hash) {
-				// Assemble just read this chunk; it can only vanish if a
-				// concurrent replace released it — the caller retries.
-				return fail(fmt.Errorf("netstream: chunk %s vanished from the store", c.Hash))
+			if _, isNew, err := s.store.Put(data); err != nil {
+				return fail(fmt.Errorf("netstream: %w", err))
+			} else if isNew {
+				added = append(added, c.Hash)
 			}
 			ent.extents = append(ent.extents, extent{off: int64(pos), size: c.Size, hash: c.Hash})
 			pos += c.Size
 		}
-	}
-	if pos != len(blob) {
-		addInline(blob[pos:]) // unreachable for valid packages; keep bytes exact
-	}
-	if ent.manifest == nil {
-		// Legacy package without an embedded manifest: serve the computed
-		// one at /manifest/<name> so delta clients still work.
-		ent.manifest = man.Encode()
 	}
 	return ent, nil
 }

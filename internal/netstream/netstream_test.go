@@ -500,6 +500,17 @@ func TestServerRejectsLyingManifest(t *testing.T) {
 	if st := srv2.StoreStats(); st.Chunks != 0 || st.StoredBytes != 0 {
 		t.Errorf("failed publish leaked %d chunks (%d bytes)", st.Chunks, st.StoredBytes)
 	}
+
+	// A manifest that leaves a section out does not tile the package, so
+	// the server could not serve the package's bytes from it: refused.
+	short, err := gamepack.ExtractManifest(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Sections = short.Sections[:len(short.Sections)-1]
+	if err := srv2.AddPackage("liar", rebuildWithManifest(t, blob, short)); err == nil {
+		t.Fatal("package whose manifest omits a section accepted")
+	}
 }
 
 // rebuildWithManifest re-frames a package with a replacement manifest
@@ -1061,7 +1072,7 @@ func TestPackageReplaceReleasesChunks(t *testing.T) {
 	man1, _ := gamepack.ExtractManifest(v1)
 	newSet := man2.ChunkSet()
 	for h := range man1.ChunkSet() {
-		if _, shared := newSet[h]; !shared && srv.Store().Has(h) {
+		if _, shared := newSet[h]; !shared && srv.store.Has(h) {
 			t.Errorf("old-only chunk %s still stored", h)
 		}
 	}

@@ -2,16 +2,15 @@
 //
 // Cluster owns N backend nodes — each a stock play-service Manager behind
 // its own HTTP listener, exactly what `vgbl-server` runs — plus the
-// Gateway that routes across them. All nodes open their courses from one
-// content-addressed chunk store and share one snapshot directory, which is
-// the entire coordination surface: session handoff is a freeze into the
-// directory on one node and a thaw out of it on another.
+// Gateway that routes across them. All nodes host the same published
+// packages and share one snapshot directory, which is the entire
+// coordination surface: session handoff is a freeze into the directory on
+// one node and a thaw out of it on another.
 //
 // It backs `vgbl-server -cluster N`, the churn experiment (E14) and the
 // TestClusterChurnResume scale gate. A multi-host deployment would run
-// the same node binary per machine with a Disk-backed store and a shared
-// SnapshotDir implementation; the lifecycle below is the single-process
-// equivalent.
+// the same node binary per machine with a shared SnapshotDir
+// implementation; the lifecycle below is the single-process equivalent.
 package playsvc
 
 import (
@@ -22,20 +21,15 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/blobstore"
-	"repro/internal/gamepack"
 	"repro/internal/obs"
 )
 
 // ClusterOptions configures a Cluster.
 type ClusterOptions struct {
-	// Store is the shared chunk store the nodes open courses from.
-	// Defaults to a fresh in-memory store.
-	Store *blobstore.Store
 	// Dir is the shared snapshot directory. Defaults to a fresh MemDir.
 	Dir SnapshotDir
-	// Node is the per-node Manager template; Store and Dir are overridden
-	// with the shared ones.
+	// Node is the per-node Manager template; its Dir is overridden with
+	// the shared one.
 	Node Options
 	// HTTP is the gateway's transport (defaults to a pooled client
 	// sized for gateway fan-in; tests inject fault transports here).
@@ -54,57 +48,42 @@ type ClusterNode struct {
 	ln       net.Listener
 }
 
-// publishedCourse remembers a course so nodes started later host it too.
-type publishedCourse struct {
-	name     string
-	blob     []byte
-	manifest *gamepack.Manifest
-}
-
 // Cluster manages node lifecycle around a Gateway.
 type Cluster struct {
-	opts  ClusterOptions
-	store *blobstore.Store
-	dir   SnapshotDir
-	gw    *Gateway
+	opts ClusterOptions
+	dir  SnapshotDir
+	gw   *Gateway
 
-	mu      sync.Mutex
-	nodes   map[string]*ClusterNode
-	courses []publishedCourse
+	mu    sync.Mutex
+	nodes map[string]*ClusterNode
+	// courses holds each course's latest package blob, so nodes started
+	// later host what is published now.
+	courses map[string][]byte
 	seq     int
 }
 
 // NewCluster builds an empty cluster; add nodes with StartNode.
 func NewCluster(o ClusterOptions) (*Cluster, error) {
-	if o.Store == nil {
-		st, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
-		if err != nil {
-			return nil, err
-		}
-		o.Store = st
-	}
 	if o.Dir == nil {
 		o.Dir = NewMemDir()
 	}
 	return &Cluster{
-		opts:  o,
-		store: o.Store,
-		dir:   o.Dir,
-		gw:    NewGateway(o.HTTP),
-		nodes: map[string]*ClusterNode{},
+		opts:    o,
+		dir:     o.Dir,
+		gw:      NewGateway(o.HTTP),
+		nodes:   map[string]*ClusterNode{},
+		courses: map[string][]byte{},
 	}, nil
 }
 
 // Gateway returns the routing front the clients point at.
 func (c *Cluster) Gateway() *Gateway { return c.gw }
 
-// Store returns the shared chunk store.
-func (c *Cluster) Store() *blobstore.Store { return c.store }
-
 // Dir returns the shared snapshot directory.
 func (c *Cluster) Dir() SnapshotDir { return c.dir }
 
-// AddCourse publishes a package blob on every current and future node.
+// AddCourse publishes a package blob on every current and future node;
+// re-adding a name replaces the course.
 func (c *Cluster) AddCourse(name string, blob []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -113,26 +92,12 @@ func (c *Cluster) AddCourse(name string, blob []byte) error {
 			return err
 		}
 	}
-	c.courses = append(c.courses, publishedCourse{name: name, blob: blob})
+	c.courses[name] = blob
 	return nil
 }
 
-// AddManifest publishes a store-resident course (its chunks must already
-// be deposited in the shared store) on every current and future node.
-func (c *Cluster) AddManifest(name string, man *gamepack.Manifest) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		if err := n.Manager.AddCourseFromManifest(name, man); err != nil {
-			return err
-		}
-	}
-	c.courses = append(c.courses, publishedCourse{name: name, manifest: man})
-	return nil
-}
-
-// StartNode brings up one backend: a Manager over the shared store and
-// directory, hosting every published course, serving /play/* on its own
+// StartNode brings up one backend: a Manager over the shared directory,
+// hosting every published course, serving /play/* on its own
 // loopback listener, registered with the gateway. Sessions whose ring
 // owner moves onto the new node migrate lazily on their next request.
 func (c *Cluster) StartNode() (*ClusterNode, error) {
@@ -141,18 +106,11 @@ func (c *Cluster) StartNode() (*ClusterNode, error) {
 	c.seq++
 	name := fmt.Sprintf("node-%d", c.seq)
 	nodeOpts := c.opts.Node
-	nodeOpts.Store = c.store
 	nodeOpts.Dir = c.dir
 	nodeOpts.Node = name
 	mgr := NewManager(nodeOpts)
-	for _, course := range c.courses {
-		var err error
-		if course.manifest != nil {
-			err = mgr.AddCourseFromManifest(course.name, course.manifest)
-		} else {
-			err = mgr.AddCourse(course.name, course.blob)
-		}
-		if err != nil {
+	for name, blob := range c.courses {
+		if err := mgr.AddCourse(name, blob); err != nil {
 			mgr.Close()
 			return nil, err
 		}
@@ -162,12 +120,10 @@ func (c *Cluster) StartNode() (*ClusterNode, error) {
 		mgr.Close()
 		return nil, err
 	}
-	// Each node is its own scrape target: play-service counters plus the
-	// shared store's (every node reports the same store totals — it is
-	// one store), a span ring, and a readiness payload.
+	// Each node is its own scrape target: play-service counters, a span
+	// ring, and a readiness payload.
 	reg := obs.NewRegistry("vgbl")
 	mgr.Register(reg)
-	c.store.Register(reg)
 	health := obs.NewHealth().
 		Set("node", func() any { return name }).
 		Set("sessions_live", func() any { return mgr.Live() })
@@ -209,7 +165,7 @@ func (c *Cluster) take(name string) (*ClusterNode, error) {
 }
 
 // StopNode removes a backend gracefully: it leaves the ring, every hosted
-// session freezes into the shared store (zero loss), in-flight requests
+// session freezes into the shared directory (zero loss), in-flight requests
 // finish, then the listener closes and the manager shuts down.
 func (c *Cluster) StopNode(name string) error {
 	n, err := c.take(name)

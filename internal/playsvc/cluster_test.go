@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/blobstore"
 	"repro/internal/content"
+	"repro/internal/gamepack"
+	"repro/internal/media/studio"
 )
 
 // liveCluster brings up an n-node cluster with the classroom course and a
@@ -32,6 +35,43 @@ func liveCluster(t testing.TB, n int, node Options) (*Cluster, *httptest.Server)
 	ts := httptest.NewServer(cl.Gateway().Handler())
 	t.Cleanup(ts.Close)
 	return cl, ts
+}
+
+// TestClusterRepublishKeepsLatest: re-publishing a course replaces it, so
+// the cluster keeps one blob per course, and a node started later hosts
+// the latest version only.
+func TestClusterRepublishKeepsLatest(t *testing.T) {
+	cl, err := NewCluster(ClusterOptions{Node: Options{TTL: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	var latest []byte
+	for _, q := range []int{8, 10} {
+		blob, err := content.Classroom().BuildPackage(studio.Options{QStep: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.AddCourse("classroom", blob); err != nil {
+			t.Fatal(err)
+		}
+		latest = blob
+	}
+	n, err := cl.StartNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cl.courses) != 1 {
+		t.Fatalf("the cluster keeps %d versions of one course, want the latest only", len(cl.courses))
+	}
+	pkg, err := gamepack.Open(latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := n.Manager.published("classroom")
+	if c == nil || c.videoKey != blobstore.Sum(pkg.Video) {
+		t.Fatal("the new node does not host the latest publish of classroom")
+	}
 }
 
 // TestGatewayCountsCreatesOnce: a resume through the gateway reattaches a
@@ -178,7 +218,7 @@ func TestGatewayRouting(t *testing.T) {
 }
 
 // TestGatewayGracefulNodeRemoval: stopping a node drains its sessions
-// into the shared store; clients keep playing, their sessions thawed by
+// into the shared directory; clients keep playing, their sessions thawed by
 // the new owners.
 func TestGatewayGracefulNodeRemoval(t *testing.T) {
 	cl, ts := liveCluster(t, 3, Options{})

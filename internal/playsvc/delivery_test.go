@@ -551,7 +551,7 @@ func TestRetriedLeaveDeliversFinalTail(t *testing.T) {
 // before the leave arrived. The leave must thaw it, deliver the tail, and
 // release it — dropping the snapshot must not drop the events.
 func TestFrozenLeaveDeliversTail(t *testing.T) {
-	o, _, _ := durableOptions(t)
+	o, _ := durableOptions(t)
 	m := NewManager(o)
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
@@ -595,7 +595,7 @@ func TestFrozenLeaveDeliversTail(t *testing.T) {
 // batch whose reply was lost while the session migrated is recognized as
 // a retry and rebuilt — not applied twice.
 func TestRetriedBatchAfterThawNotDoubleApplied(t *testing.T) {
-	o, _, _ := durableOptions(t)
+	o, _ := durableOptions(t)
 	m := NewManager(o)
 	defer m.Close()
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {

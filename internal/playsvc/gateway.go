@@ -226,7 +226,7 @@ func (g *Gateway) AddNode(name, url string) error {
 }
 
 // RemoveNode takes a backend out of the ring. With drain set it then
-// freezes every session the node still hosts into the shared store
+// freezes every session the node still hosts into the shared directory
 // (graceful removal — zero loss); without, the node is presumed dead and
 // its sessions thaw from their last checkpoint.
 func (g *Gateway) RemoveNode(name string, drain bool) error {
@@ -244,7 +244,7 @@ func (g *Gateway) RemoveNode(name string, drain bool) error {
 	g.nodes = kept
 	g.rebuildRing()
 	if node != nil && drain {
-		// Stay reachable for rescues until every session is in the store.
+		// Stay reachable for rescues until every session is in the directory.
 		g.draining = append(g.draining, *node)
 	}
 	g.mu.Unlock()
@@ -362,7 +362,7 @@ func (g *Gateway) routeFor(session string, exclude map[string]bool) (gwNode, err
 }
 
 // otherNodes returns every backend except the named one — including
-// nodes mid-drain, whose sessions may not have reached the store yet.
+// nodes mid-drain, whose sessions may not have reached the directory yet.
 func (g *Gateway) otherNodes(except string) []gwNode {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -425,7 +425,7 @@ func (g *Gateway) send(tc obs.TraceContext, policy *faultnet.RetryPolicy, node g
 }
 
 // rescue asks every node except the current owner to freeze the session
-// into the shared store; it reports whether any of them had it (live — a
+// into the shared directory; it reports whether any of them had it (live — a
 // handoff — or already frozen). A successful sweep's duration lands in
 // the rescue histogram.
 func (g *Gateway) rescue(tc obs.TraceContext, session, ownerName string) bool {

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
-	"repro/internal/core"
 	"repro/internal/gamepack"
 	"repro/internal/media/raster"
 	"repro/internal/obs"
@@ -48,12 +47,6 @@ type Options struct {
 	// degrades into explicit backpressure clients know how to honor.
 	// 0 disables admission control.
 	MaxInflight int
-	// Store is the content-addressed chunk store courses can be opened
-	// from (AddCourseFromManifest) — in production the same store the
-	// netstream server publishes into, so the two services share segment
-	// bytes. nil disables store-backed opening; AddCourse still works.
-	// Assembling courses is its only use: the manager never writes it.
-	Store *blobstore.Store
 	// Dir is the snapshot directory. With it set, hosted sessions are
 	// durable: the TTL janitor snapshots-then-evicts instead of
 	// discarding, evicted and handed-off sessions thaw transparently on
@@ -249,7 +242,6 @@ type Manager struct {
 	// footage (or differing only in their project document) decode from
 	// one buffer instead of N.
 	videos map[blobstore.Hash][]byte
-	store  *blobstore.Store
 	dir    SnapshotDir
 
 	checkpoints atomic.Int64 // sessions persisted by the periodic checkpointer
@@ -332,7 +324,6 @@ func NewManager(o Options) *Manager {
 		rooms:          map[string]*Room{},
 		courses:        map[string]*course{},
 		videos:         map[blobstore.Hash][]byte{},
-		store:          o.Store,
 		dir:            o.Dir,
 		sessions:       map[string]*hosted{},
 		tombs:          map[string]*tombstone{},
@@ -389,69 +380,30 @@ func (m *Manager) runJanitor(ttl time.Duration) {
 
 // AddCourse publishes a package for hosting. The blob is verified and its
 // video payload interned by content hash: all sessions on the course share
-// one opened package read-only, and courses sharing footage share one video
-// buffer (the caller's blob is not retained).
+// one opened package read-only, courses sharing footage share one video
+// buffer, and the caller's blob is not retained. Video buffers no longer
+// referenced by any course — e.g. the previous footage of a just-replaced
+// course — are released.
 func (m *Manager) AddCourse(name string, pkgBlob []byte) error {
 	if name == "" {
 		return fmt.Errorf("playsvc: empty course name")
 	}
-	pkg, err := gamepack.Open(pkgBlob)
+	opened, err := gamepack.Open(pkgBlob)
 	if err != nil {
 		return fmt.Errorf("playsvc: course %s: %w", name, err)
 	}
-	return m.publish(name, pkg.Project, pkg.Video)
-}
-
-// AddCourseFromManifest opens a course directly out of the chunk store:
-// the project document and the canonical video are assembled from the
-// manifest's content-addressed chunks (deposited by e.g. content.PublishTo
-// or the netstream server), so no package blob is ever built on the hosting
-// path and shared segments are read once.
-func (m *Manager) AddCourseFromManifest(name string, man *gamepack.Manifest) error {
-	if name == "" {
-		return fmt.Errorf("playsvc: empty course name")
-	}
-	if m.store == nil {
-		return fmt.Errorf("playsvc: course %s: no chunk store configured", name)
-	}
-	psec := man.Section(gamepack.SectionProject)
-	vsec := man.Section(gamepack.SectionVideo)
-	if psec == nil || vsec == nil {
-		return fmt.Errorf("playsvc: course %s: manifest lacks a project or video section", name)
-	}
-	projJSON, err := psec.AssembleSection(m.store.Get)
-	if err != nil {
-		return fmt.Errorf("playsvc: course %s: %w", name, err)
-	}
-	proj, err := core.UnmarshalProject(projJSON)
-	if err != nil {
-		return fmt.Errorf("playsvc: course %s: %w", name, err)
-	}
-	video, err := vsec.AssembleSection(m.store.Get)
-	if err != nil {
-		return fmt.Errorf("playsvc: course %s: %w", name, err)
-	}
-	return m.publish(name, proj, video)
-}
-
-// publish interns a parsed course's video payload by content hash (so
-// courses sharing footage decode from one buffer, and the caller's blob is
-// not retained), probes the package and registers it. Video buffers no
-// longer referenced by any course — e.g. the previous footage of a
-// just-replaced course — are released.
-func (m *Manager) publish(name string, proj *core.Project, video []byte) error {
-	key := blobstore.Sum(video)
+	key := blobstore.Sum(opened.Video)
 	m.coursesMu.Lock()
 	defer m.coursesMu.Unlock()
 	interned, ok := m.videos[key]
 	if !ok {
-		interned = append([]byte(nil), video...)
+		interned = append([]byte(nil), opened.Video...)
 	}
 	// The package every session will share is built over the interned
 	// buffer before anything derives from it: the probe's is the one parse
 	// and checksum of this footage, and what it builds never points into
 	// the caller's blob.
-	pkg := &gamepack.Package{Project: proj, Video: interned}
+	pkg := &gamepack.Package{Project: opened.Project, Video: interned}
 	// Probe one session so a package that cannot start (missing start
 	// scenario, bad scripts) is rejected at publish time, not per create.
 	probe, err := runtime.NewSessionFromPackage(pkg, runtime.Options{})

@@ -179,7 +179,7 @@ func TestClientTraceInjection(t *testing.T) {
 }
 
 // TestClusterNodeMetricsEndpoint: every node serves a Prometheus scrape
-// covering the playsvc and blobstore families, the JSON form exposes the
+// covering the playsvc families, the JSON form exposes the
 // act histogram the fleet's percentile table reads, and /healthz reports
 // readiness.
 func TestClusterNodeMetricsEndpoint(t *testing.T) {
@@ -194,7 +194,7 @@ func TestClusterNodeMetricsEndpoint(t *testing.T) {
 		text := fetch(t, url+"/metrics")
 		for _, family := range []string{
 			"vgbl_playsvc_sessions_live", "vgbl_playsvc_acts_total",
-			"vgbl_playsvc_act_seconds_bucket", "vgbl_blobstore_hits_total",
+			"vgbl_playsvc_act_seconds_bucket",
 		} {
 			if !strings.Contains(text, family) {
 				t.Fatalf("node %s /metrics missing %s:\n%s", name, family, text)

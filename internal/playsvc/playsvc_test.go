@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/analytics"
-	"repro/internal/blobstore"
 	"repro/internal/content"
 	"repro/internal/gamepack"
 	"repro/internal/media/raster"
@@ -575,53 +574,6 @@ func TestCoursesShareVideo(t *testing.T) {
 		if _, err := m.Act(&ActRequest{Session: r.Session, Kind: ActLeave}); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestAddCourseFromManifest hosts a course straight out of the chunk
-// store: the package blob exists only on the publisher's side.
-func TestAddCourseFromManifest(t *testing.T) {
-	store, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deposit the package's chunks the way any publisher would: via a
-	// netstream server sharing the store.
-	srv := netstream.NewServerWith(store)
-	if err := srv.AddPackage("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	man, err := gamepack.ExtractManifest(classroomBlob(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewManager(Options{TTL: -1, Store: store})
-	defer m.Close()
-	if err := m.AddCourseFromManifest("classroom", man); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Width != 160 || r.Height != 120 {
-		t.Errorf("video meta = %dx%d", r.Width, r.Height)
-	}
-	var frame raster.Frame
-	if err := m.WithFrame(r.Session, 1, func(f *raster.Frame, tick int) error {
-		frame.CopyFrom(f)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if frame.W != 160 || frame.H != 120 {
-		t.Errorf("frame = %dx%d", frame.W, frame.H)
-	}
-	// A manager without a store rejects manifest-backed courses.
-	bare := NewManager(Options{TTL: -1})
-	defer bare.Close()
-	if err := bare.AddCourseFromManifest("classroom", man); err == nil {
-		t.Error("store-less manager accepted a manifest course")
 	}
 }
 

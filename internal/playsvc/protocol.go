@@ -16,7 +16,7 @@ const (
 	ActPath     = "/play/act"     // POST ActRequest → Reply (the JSON adapter over the same batch)
 	FramePath   = "/play/frame"   // GET ?session=&advance=N → raw RGB bytes
 	StatsPath   = "/play/stats"   // GET → Stats
-	HandoffPath = "/play/handoff" // POST HandoffRequest → freeze one session to the shared store
+	HandoffPath = "/play/handoff" // POST HandoffRequest → freeze one session to the shared directory
 	DrainPath   = "/play/drain"   // POST → freeze every session (graceful node removal)
 	RecoverPath = "/play/recover" // POST HandoffRequest → thaw even from a checkpoint (crash recovery)
 )

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
-	"repro/internal/gamepack"
 	"repro/internal/netstream"
 	"repro/internal/runtime"
 	"repro/internal/telemetry"
@@ -20,13 +19,11 @@ import (
 // directory entry, and it leaves with the session. Every durable create
 // persists a newborn checkpoint; after N sessions leave — live,
 // frozen-then-left, and with the leave retried — the directory holds the
-// live sibling's envelope and nothing else, the chunk store never moved
-// off what publishing the course put there, and the sibling (whose newborn
+// live sibling's envelope and nothing else, and the sibling (whose newborn
 // state the leavers shared) still freezes and thaws.
 func TestLeaveReleasesEnvelope(t *testing.T) {
-	opts, store, dir := durableOptions(t)
+	opts, dir := durableOptions(t)
 	_, m := durableService(t, opts)
-	base := store.Stats()
 
 	sibling, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
@@ -63,9 +60,6 @@ func TestLeaveReleasesEnvelope(t *testing.T) {
 	}
 	if dir.Len() != 1 {
 		t.Fatalf("directory holds %d entries, want the live sibling's only", dir.Len())
-	}
-	if got := store.Stats(); got != base {
-		t.Fatalf("%d durable sessions moved the chunk store from %+v to %+v", n+1, base, got)
 	}
 
 	if err := m.Freeze(sibling.Session); err != nil {
@@ -266,7 +260,7 @@ func TestFinalTailsAreBounded(t *testing.T) {
 // learner's two telemetry batches, all under the ids and seqs real clients
 // send — and the live heap may grow by at most 450 B per finished session
 // (the leave tombstone and the telemetry fold mark, each kept for its retry
-// window), with the chunk store not growing at all.
+// window).
 func TestFinishedSessionFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting is not meaningful under the race detector")
@@ -274,7 +268,7 @@ func TestFinishedSessionFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hosts 32 000 sessions")
 	}
-	opts, store, dir := durableOptions(t)
+	opts, dir := durableOptions(t)
 	_, m := durableService(t, opts)
 	tel := telemetry.NewStore()
 	session := func(i int) {
@@ -314,7 +308,7 @@ func TestFinishedSessionFootprint(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		session(i)
 	}
-	chunks, before := store.Stats().Chunks, heap()
+	before := heap()
 	for i := warm; i < warm+measured; i++ {
 		session(i)
 	}
@@ -323,9 +317,6 @@ func TestFinishedSessionFootprint(t *testing.T) {
 	t.Logf("live heap %d → %d B over %d finished sessions: %.0f B each", before, after, measured, perSession)
 	if perSession > 450 {
 		t.Errorf("a finished session leaves %.0f B of live heap, want ≤ 450", perSession)
-	}
-	if got := store.Stats().Chunks; got != chunks {
-		t.Errorf("the chunk store grew from %d to %d chunks over %d finished sessions", chunks, got, measured)
 	}
 	if m.Live() != 0 || dir.Len() != 0 {
 		t.Errorf("%d sessions live, %d directory entries after every session left", m.Live(), dir.Len())
@@ -336,9 +327,10 @@ func TestFinishedSessionFootprint(t *testing.T) {
 // TestSessionsLeaveNothingBehind is the durable-session invariant: the
 // directory holds the living and the chunk store holds the courses, so once
 // every session has left — whatever it went through first — the directory
-// is empty and the store is what publishing left it. Two managers share the
-// store and the directory like two nodes of a cluster, and host the course
-// straight out of the store, as vgbl-server does.
+// is empty and the store is what publishing left it. The package server
+// publishes the course into the store; two managers share the directory
+// like two nodes of a cluster, and host the same package, as vgbl-server
+// does.
 func TestSessionsLeaveNothingBehind(t *testing.T) {
 	store, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
 	if err != nil {
@@ -347,16 +339,12 @@ func TestSessionsLeaveNothingBehind(t *testing.T) {
 	if err := netstream.NewServerWith(store).AddPackage("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	man, err := gamepack.ExtractManifest(classroomBlob(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := NewMemDir()
 	var nodes [2]*Manager
 	for i := range nodes {
-		nodes[i] = NewManager(Options{TTL: -1, Store: store, Dir: dir})
+		nodes[i] = NewManager(Options{TTL: -1, Dir: dir})
 		defer nodes[i].Close()
-		if err := nodes[i].AddCourseFromManifest("classroom", man); err != nil {
+		if err := nodes[i].AddCourse("classroom", classroomBlob(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -475,7 +463,7 @@ func TestSessionsLeaveNothingBehind(t *testing.T) {
 // retry arrives, with the byte-identical frame — the envelope carries the
 // error in the reply frame's own encoding.
 func TestThawReplaysActErrorFrame(t *testing.T) {
-	opts, _, _ := durableOptions(t)
+	opts, _ := durableOptions(t)
 	_, m := durableService(t, opts)
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {

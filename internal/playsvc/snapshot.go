@@ -6,8 +6,8 @@
 // (runtime.Session.Snapshot). The envelope lives in ONE place, the
 // SnapshotDir entry under the session's id: a save overwrites it and a leave
 // deletes it, so nothing a session ever saved can outlive it and there is
-// nothing to sweep. The chunk store holds courses; the manager never writes
-// it.
+// nothing to sweep. The manager holds no chunk store: courses arrive as
+// package blobs (AddCourse).
 //
 // Thawing is the reverse and is wired into session lookup: an act, state
 // or frame request for a session this manager does not host falls through

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/content"
 	"repro/internal/netstream"
 	"repro/internal/runtime"
@@ -17,16 +16,12 @@ import (
 	"repro/internal/tagrec"
 )
 
-// durableOptions returns manager options wired to a fresh shared
-// store+directory pair (returned so a second "node" can share them).
-func durableOptions(t testing.TB) (Options, *blobstore.Store, *MemDir) {
+// durableOptions returns manager options wired to a fresh snapshot
+// directory (returned so a second "node" can share it).
+func durableOptions(t testing.TB) (Options, *MemDir) {
 	t.Helper()
-	store, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := NewMemDir()
-	return Options{TTL: -1, Store: store, Dir: dir}, store, dir
+	return Options{TTL: -1, Dir: dir}, dir
 }
 
 // durableService mounts a durable manager the way liveService does.
@@ -150,7 +145,7 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 	}
 
 	t.Run("fresh manager after TTL eviction", func(t *testing.T) {
-		opts, _, dir := durableOptions(t)
+		opts, dir := durableOptions(t)
 		ts, m := durableService(t, opts)
 		id, firstLog := playFirstHalf(t, ts)
 		// The janitor path: snapshot-then-evict instead of discard.
@@ -171,12 +166,12 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 	})
 
 	t.Run("second cluster node", func(t *testing.T) {
-		opts, store, dir := durableOptions(t)
+		opts, dir := durableOptions(t)
 		tsA, mA := durableService(t, opts)
-		optsB := Options{TTL: -1, Store: store, Dir: dir}
+		optsB := Options{TTL: -1, Dir: dir}
 		tsB, mB := durableService(t, optsB)
 		id, firstLog := playFirstHalf(t, tsA)
-		// Handoff: old owner freezes into the shared store...
+		// Handoff: old owner freezes into the shared directory...
 		if err := mA.Freeze(id); err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +189,7 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 // TestEvictionTransparentToClient pins the auto-thaw path: a client whose
 // session the janitor froze keeps acting as if nothing happened.
 func TestEvictionTransparentToClient(t *testing.T) {
-	opts, _, _ := durableOptions(t)
+	opts, _ := durableOptions(t)
 	ts, m := durableService(t, opts)
 	c := dial(t, ts, nil)
 	c.Talk("teacher")
@@ -224,7 +219,7 @@ func TestEvictionTransparentToClient(t *testing.T) {
 // come back from the other — a collision would hand the first session's
 // frozen progress out as a new session.
 func TestCreateMintsUniqueIDsAcrossNodes(t *testing.T) {
-	opts, _, _ := durableOptions(t)
+	opts, _ := durableOptions(t)
 	_, a := durableService(t, opts)
 	_, b := durableService(t, opts)
 	ra, err := a.Create(&CreateRequest{Course: "classroom"})
@@ -252,7 +247,7 @@ func TestCreateMintsUniqueIDsAcrossNodes(t *testing.T) {
 // tail must see exactly the unseen messages after resume — none lost to
 // the freeze, none duplicated.
 func TestJanitorPreservesMessageTails(t *testing.T) {
-	opts, _, _ := durableOptions(t)
+	opts, _ := durableOptions(t)
 	_, m := durableService(t, opts)
 	r0, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
@@ -333,7 +328,7 @@ func TestJanitorPreservesMessageTails(t *testing.T) {
 // loses. Progress after the last checkpoint is gone; everything up to it
 // survives on a different node.
 func TestCheckpointBoundsCrashLoss(t *testing.T) {
-	opts, store, dirr := durableOptions(t)
+	opts, dirr := durableOptions(t)
 	m1 := NewManager(opts)
 	if err := m1.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -360,7 +355,7 @@ func TestCheckpointBoundsCrashLoss(t *testing.T) {
 	// ...then the node crashes without flushing.
 	m1.Halt()
 
-	m2 := NewManager(Options{TTL: -1, Store: store, Dir: dirr})
+	m2 := NewManager(Options{TTL: -1, Dir: dirr})
 	defer m2.Close()
 	if err := m2.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
@@ -439,7 +434,7 @@ func TestEnvelopeCorruption(t *testing.T) {
 // and a stored act error), damaged copies of it, and a newborn session's
 // and a 60-step session's.
 func FuzzDecodeEnvelope(f *testing.F) {
-	opts, _, dir := durableOptions(f)
+	opts, dir := durableOptions(f)
 	_, m := durableService(f, opts)
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
@@ -496,11 +491,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 }
 
 // TestLeaveDeletesSnapshot: a session that leaves must not resurrect from
-// a stale directory entry, nor leave anything in the store.
+// a stale directory entry.
 func TestLeaveDeletesSnapshot(t *testing.T) {
-	opts, store, dir := durableOptions(t)
+	opts, dir := durableOptions(t)
 	_, m := durableService(t, opts)
-	base := store.Stats().Chunks
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
 		t.Fatal(err)
@@ -520,9 +514,6 @@ func TestLeaveDeletesSnapshot(t *testing.T) {
 	if dir.Len() != 0 {
 		t.Fatal("leave left a snapshot behind")
 	}
-	if got := store.Stats().Chunks - base; got != 0 {
-		t.Fatalf("a left session leaves %d chunks in the store, want none", got)
-	}
 	if _, err := m.Create(&CreateRequest{Resume: r.Session}); err == nil {
 		t.Fatal("left session resurrected")
 	}
@@ -531,7 +522,7 @@ func TestLeaveDeletesSnapshot(t *testing.T) {
 // TestFreezeIdempotent: freezing twice (gateway rescue broadcasts race)
 // is a no-op, and freezing an unknown session is a 404.
 func TestFreezeIdempotent(t *testing.T) {
-	opts, _, _ := durableOptions(t)
+	opts, _ := durableOptions(t)
 	_, m := durableService(t, opts)
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {

@@ -159,7 +159,7 @@ func TestThawAtEveryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, _, _ := durableOptions(t)
+	opts, _ := durableOptions(t)
 	m := NewManager(opts)
 	t.Cleanup(m.Close)
 	for name, c := range courses {
@@ -316,7 +316,7 @@ func TestRefusedActsChangeNothing(t *testing.T) {
 // refused before the session is resolved, so against a frozen session it
 // thaws nothing, counts no frame and leaves the directory entry released.
 func TestRefusedFrameThawsNothing(t *testing.T) {
-	opts, _, dir := durableOptions(t)
+	opts, dir := durableOptions(t)
 	ts, m := durableService(t, opts)
 	r, err := m.Create(&CreateRequest{Course: "classroom"})
 	if err != nil {
