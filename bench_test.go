@@ -866,21 +866,8 @@ func BenchmarkIngestHandler(b *testing.B) {
 //     composition into the session-owned buffer. This path must report
 //     0 allocs/op (pinned by playsvc's TestFramePathZeroAlloc).
 func BenchmarkPlaysvcAct(b *testing.B) {
-	newHosted := func(b *testing.B) (*playsvc.Manager, string) {
-		b.Helper()
-		m := playsvc.NewManager(playsvc.Options{TTL: -1})
-		b.Cleanup(m.Close)
-		if err := m.AddCourse("classroom", classroomPkg(b)); err != nil {
-			b.Fatal(err)
-		}
-		r, err := m.Create(&playsvc.CreateRequest{Course: "classroom"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m, r.Session
-	}
 	b.Run("act", func(b *testing.B) {
-		m, id := newHosted(b)
+		m, id := newHostedBench(b)
 		req := playsvc.ActRequest{Session: id, Kind: playsvc.ActTalk, Object: "teacher"}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -894,7 +881,7 @@ func BenchmarkPlaysvcAct(b *testing.B) {
 		}
 	})
 	b.Run("tick", func(b *testing.B) {
-		m, id := newHosted(b)
+		m, id := newHostedBench(b)
 		req := playsvc.ActRequest{Session: id, Kind: playsvc.ActTick, Ticks: 1}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -905,7 +892,7 @@ func BenchmarkPlaysvcAct(b *testing.B) {
 		}
 	})
 	b.Run("frame", func(b *testing.B) {
-		m, id := newHosted(b)
+		m, id := newHostedBench(b)
 		noop := func(f *raster.Frame, tick int) error { return nil }
 		// Warm the sprite cache, frame buffer and decoder recycling.
 		for i := 0; i < 8; i++ {
@@ -937,11 +924,9 @@ func BenchmarkPlaysvcActParallel(b *testing.B) {
 	}
 	reqs := make([]playsvc.ActRequest, 64)
 	for i := range reqs {
-		r, err := m.Create(&playsvc.CreateRequest{Course: "classroom"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reqs[i] = playsvc.ActRequest{Session: r.Session, Kind: playsvc.ActTalk, Object: "teacher"}
+		id := fmt.Sprintf("classroom-bench-%02d", i)
+		createBench(b, m, &playsvc.ActRequest{Session: id, Course: "classroom"})
+		reqs[i] = playsvc.ActRequest{Session: id, Kind: playsvc.ActTalk, Object: "teacher"}
 	}
 	var gid atomic.Int64
 	stride := goruntime.GOMAXPROCS(0)
@@ -1011,11 +996,18 @@ func newHostedBench(b *testing.B) (*playsvc.Manager, string) {
 	if err := m.AddCourse("classroom", classroomPkg(b)); err != nil {
 		b.Fatal(err)
 	}
-	r, err := m.Create(&playsvc.CreateRequest{Course: "classroom"})
-	if err != nil {
+	const id = "classroom-bench"
+	createBench(b, m, &playsvc.ActRequest{Session: id, Course: "classroom"})
+	return m, id
+}
+
+// createBench opens a hosted session: a create is an act that names a
+// course and no kind.
+func createBench(b *testing.B, m *playsvc.Manager, req *playsvc.ActRequest) {
+	b.Helper()
+	if _, err := m.Act(req); err != nil {
 		b.Fatal(err)
 	}
-	return m, r.Session
 }
 
 // BenchmarkPlaysvcActBinary measures one framed act round without HTTP —
@@ -1102,9 +1094,7 @@ func BenchmarkRoomFanout(b *testing.B) {
 				b.Fatal(err)
 			}
 			const roomID = "classroom-bench-room"
-			if _, err := m.Create(&playsvc.CreateRequest{Course: "classroom", Session: roomID, Room: true}); err != nil {
-				b.Fatal(err)
-			}
+			createBench(b, m, &playsvc.ActRequest{Session: roomID, Course: "classroom", Room: true})
 			room, ok := m.Room(roomID)
 			if !ok {
 				b.Fatal("room not registered")

@@ -102,15 +102,13 @@ func main() {
 	reg := obs.NewRegistry("vgbl")
 	store.Register(reg)
 	srv.Register(reg)
-	// Hosted sessions are durable: one snapshot directory backs TTL
-	// snapshot-then-evict, crash checkpoints and — in cluster mode — handoff
-	// between nodes.
-	dir := playsvc.NewMemDir()
+	// Hosted sessions are durable: each manager's snapshot directory backs
+	// TTL snapshot-then-evict and crash checkpoints, and in cluster mode
+	// the nodes share the cluster's one directory for handoff.
 	nodeOpts := playsvc.Options{
 		TTL:             *playTTL,
 		MaxSessions:     *playMax,
 		MaxInflight:     *playInflight,
-		Dir:             dir,
 		CheckpointEvery: *checkpointEvery,
 	}
 	// The play surface is either one in-process manager or a gateway over
@@ -120,7 +118,7 @@ func main() {
 	var addCourse func(name string, blob []byte) error
 	var nodeURLs []string
 	if *cluster > 0 {
-		cl, err := playsvc.NewCluster(playsvc.ClusterOptions{Dir: dir, Node: nodeOpts})
+		cl, err := playsvc.NewCluster(playsvc.ClusterOptions{Node: nodeOpts})
 		if err != nil {
 			fail(err)
 		}

@@ -68,7 +68,7 @@ func E14(learners int) (string, error) {
 	churnErr := make(chan error, 1)
 	go func() {
 		deadline := time.Now().Add(30 * time.Second)
-		for cl.Gateway().SessionCount() < learners/5 && time.Now().Before(deadline) {
+		for clusterLive(cl) < learners/5 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		victim := cl.NodeNames()[0]
@@ -110,16 +110,16 @@ func E14(learners int) (string, error) {
 	fmt.Fprintf(&b, "  progress lost         : 0 acts (drain persists final state exactly)\n\n")
 
 	// --- resume latency ------------------------------------------------
-	m1 := playsvc.NewManager(playsvc.Options{TTL: -1, Dir: playsvc.NewMemDir()})
+	m1 := playsvc.NewManager(playsvc.Options{TTL: -1})
 	defer m1.Close()
 	if err := m1.AddCourse("classroom", blob); err != nil {
 		return "", err
 	}
-	r, err := m1.Create(&playsvc.CreateRequest{Course: "classroom"})
-	if err != nil {
+	const resumeID = "e14-resume"
+	if _, err := m1.Act(&playsvc.ActRequest{Session: resumeID, Course: "classroom"}); err != nil {
 		return "", err
 	}
-	act := &playsvc.ActRequest{Session: r.Session, Kind: "tick", Ticks: 1}
+	act := &playsvc.ActRequest{Session: resumeID, Kind: "tick", Ticks: 1}
 	if _, err := m1.Act(act); err != nil {
 		return "", err
 	}
@@ -133,7 +133,7 @@ func E14(learners int) (string, error) {
 	plain := time.Since(plainStart) / rounds
 	resumeStart := time.Now()
 	for i := 0; i < rounds; i++ {
-		if err := m1.Freeze(r.Session); err != nil {
+		if err := m1.Freeze(resumeID); err != nil {
 			return "", err
 		}
 		// The act auto-thaws the frozen session: freeze+thaw+act round.
@@ -152,15 +152,15 @@ func E14(learners int) (string, error) {
 	if err := mA.AddCourse("classroom", blob); err != nil {
 		return "", err
 	}
-	rc, err := mA.Create(&playsvc.CreateRequest{Course: "classroom"})
-	if err != nil {
+	const crashID = "e14-crash"
+	if _, err := mA.Act(&playsvc.ActRequest{Session: crashID, Course: "classroom"}); err != nil {
 		return "", err
 	}
-	if _, err := mA.Act(&playsvc.ActRequest{Session: rc.Session, Kind: "tick", Ticks: 9}); err != nil {
+	if _, err := mA.Act(&playsvc.ActRequest{Session: crashID, Kind: "tick", Ticks: 9}); err != nil {
 		return "", err
 	}
 	mA.Checkpoint()
-	if _, err := mA.Act(&playsvc.ActRequest{Session: rc.Session, Kind: "tick", Ticks: 4}); err != nil {
+	if _, err := mA.Act(&playsvc.ActRequest{Session: crashID, Kind: "tick", Ticks: 4}); err != nil {
 		return "", err
 	}
 	mA.Halt() // crash: the 4 post-checkpoint ticks were never persisted
@@ -169,11 +169,21 @@ func E14(learners int) (string, error) {
 	if err := mB.AddCourse("classroom", blob); err != nil {
 		return "", err
 	}
-	rb, err := mB.Create(&playsvc.CreateRequest{Resume: rc.Session})
+	rb, err := mB.Act(&playsvc.ActRequest{Session: crashID, Resume: true})
 	if err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&b, "crash loss (checkpoint at tick 9, crash at tick 13):\n")
 	fmt.Fprintf(&b, "  resumed at tick       : %d (lost %d ticks — bounded by -checkpoint-every)\n", rb.Tick, 13-rb.Tick)
 	return b.String(), nil
+}
+
+// clusterLive sums the sessions the cluster's nodes host right now.
+func clusterLive(cl *playsvc.Cluster) (n int) {
+	for _, name := range cl.NodeNames() {
+		if node := cl.Node(name); node != nil {
+			n += node.Manager.Live()
+		}
+	}
+	return n
 }

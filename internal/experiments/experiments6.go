@@ -73,7 +73,7 @@ func E15(learners int) (string, error) {
 	churnErr := make(chan error, 1)
 	go func() {
 		deadline := time.Now().Add(30 * time.Second)
-		for cl.Gateway().SessionCount() < learners/5 && time.Now().Before(deadline) {
+		for clusterLive(cl) < learners/5 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		victim := cl.NodeNames()[0]

@@ -54,6 +54,16 @@ func churnStack(t *testing.T, nodes int) (front *httptest.Server, gwSrv *httptes
 	return front, gwSrv, svc, cl
 }
 
+// clusterLive sums the sessions the cluster's nodes host right now.
+func clusterLive(cl *playsvc.Cluster) (n int) {
+	for _, name := range cl.NodeNames() {
+		if node := cl.Node(name); node != nil {
+			n += node.Manager.Live()
+		}
+	}
+	return n
+}
+
 // TestClusterChurnResume is the multi-node scale gate: ≥200 interactive
 // learners play through the cluster gateway across 3 nodes while one node
 // is taken down mid-run (gracefully — a deploy-style SIGTERM that drains
@@ -71,7 +81,7 @@ func TestClusterChurnResume(t *testing.T) {
 	churned := make(chan string, 1)
 	go func() {
 		deadline := time.Now().Add(30 * time.Second)
-		for cl.Gateway().SessionCount() < 40 && time.Now().Before(deadline) {
+		for clusterLive(cl) < 40 && time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
 		victim := cl.NodeNames()[0]
@@ -117,8 +127,8 @@ func TestClusterChurnResume(t *testing.T) {
 
 	// The churn actually bit: the gateway created every session, the dead
 	// node's sessions were frozen and thawed elsewhere, and nothing is
-	// left behind — no live sessions, no tracked ids, no orphaned
-	// snapshots in the directory.
+	// left behind — no live sessions, no orphaned snapshots in the
+	// directory.
 	gs := cl.Gateway().Stats()
 	if n := stat(t, gs.Gateway, "creates"); n != learners {
 		t.Errorf("gateway created %d sessions, want %d", n, learners)
@@ -126,11 +136,11 @@ func TestClusterChurnResume(t *testing.T) {
 	if stat(t, gs.Cluster, "sessions_resumed") == 0 {
 		t.Error("churn resumed no sessions — the node removal missed the run")
 	}
-	if live, tracked := stat(t, gs.Cluster, "sessions_live"), stat(t, gs.Gateway, "sessions"); live != 0 || tracked != 0 {
-		t.Errorf("cluster still holds %d live / %d tracked sessions", live, tracked)
+	if live := stat(t, gs.Cluster, "sessions_live"); live != 0 {
+		t.Errorf("cluster still holds %d live sessions", live)
 	}
-	if dir, ok := cl.Dir().(*playsvc.MemDir); ok && dir.Len() != 0 {
-		t.Errorf("%d snapshots stranded in the directory", dir.Len())
+	if n := cl.Dir().Len(); n != 0 {
+		t.Errorf("%d snapshots stranded in the directory", n)
 	}
 
 	// Exact telemetry accounting, unchanged from the single-node bar: the

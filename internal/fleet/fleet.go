@@ -29,12 +29,9 @@ import (
 
 // Config shapes one fleet run.
 type Config struct {
-	ServerURL string // netstream server base URL (http://host:port)
-	Package   string // package name published under /pkg/
+	ServerURL string // netstream server base URL (http://host:port), which also ingests telemetry
+	Package   string // package name published under /pkg/, which also labels telemetry
 
-	// TelemetryURL is the base URL of the telemetry ingest endpoints;
-	// empty means the package server also ingests (the usual mounting).
-	TelemetryURL string
 	// Interactive switches learners from local simulation to server-hosted
 	// play: each learner creates a session on the play service and drives
 	// the whole game over the wire, action by action, while still reporting
@@ -52,12 +49,6 @@ type Config struct {
 	// the learners share its parsed container, compiled scripts and decoded
 	// frames.
 	PlayMirror bool
-	// Course labels the telemetry stream (default: the package name).
-	Course string
-	// RunID salts the fleet's session IDs. Defaults to a timestamp so
-	// repeated runs against one long-lived server register as new sessions
-	// instead of colliding with the previous run's dedup tombstones.
-	RunID string
 
 	Learners    int // fleet size (default 50)
 	Concurrency int // max simultaneously playing learners (default min(Learners, 128))
@@ -78,20 +69,18 @@ type Config struct {
 
 	// metrics is the shared per-download instrument set built from Obs.
 	metrics *netstream.ClientMetrics
+	// runID salts the fleet's telemetry session ids with the run's start
+	// time, so repeated runs against one long-lived server register as new
+	// sessions instead of colliding with the previous run's dedup marks.
+	runID string
 }
 
 func (c *Config) defaults() (ownsTransport bool, err error) {
 	if c.ServerURL == "" || c.Package == "" {
 		return false, fmt.Errorf("fleet: need ServerURL and Package")
 	}
-	if c.TelemetryURL == "" {
-		c.TelemetryURL = c.ServerURL
-	}
 	if c.PlayURL == "" {
 		c.PlayURL = c.ServerURL
-	}
-	if c.Course == "" {
-		c.Course = c.Package
 	}
 	if c.Learners <= 0 {
 		c.Learners = 50
@@ -108,9 +97,7 @@ func (c *Config) defaults() (ownsTransport bool, err error) {
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 32
 	}
-	if c.RunID == "" {
-		c.RunID = fmt.Sprintf("%x", time.Now().UnixNano())
-	}
+	c.runID = fmt.Sprintf("%x", time.Now().UnixNano())
 	if c.HTTP == nil {
 		// http.DefaultClient keeps only 2 idle connections per host — a
 		// whole fleet hammering one server would then churn a TCP
@@ -317,9 +304,9 @@ func runLearner(cfg *Config, i int, pkgURL string, pkg *gamepack.Package, cache 
 	o.fetch.Add(st)
 
 	tc, err := telemetry.NewClient(telemetry.ClientOptions{
-		BaseURL:    cfg.TelemetryURL,
-		Course:     cfg.Course,
-		Session:    fmt.Sprintf("%s-%s-learner-%05d", cfg.Course, cfg.RunID, i),
+		BaseURL:    cfg.ServerURL,
+		Course:     cfg.Package,
+		Session:    fmt.Sprintf("%s-%s-learner-%05d", cfg.Package, cfg.runID, i),
 		Start:      start,
 		FlushEvery: cfg.FlushEvery,
 		Interval:   cfg.FlushInterval,

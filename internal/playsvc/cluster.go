@@ -26,10 +26,8 @@ import (
 
 // ClusterOptions configures a Cluster.
 type ClusterOptions struct {
-	// Dir is the shared snapshot directory. Defaults to a fresh MemDir.
-	Dir SnapshotDir
 	// Node is the per-node Manager template; its Dir is overridden with
-	// the shared one.
+	// the cluster's one MemDir, which every node shares.
 	Node Options
 	// HTTP is the gateway's transport (defaults to a pooled client
 	// sized for gateway fan-in; tests inject fault transports here).
@@ -51,7 +49,7 @@ type ClusterNode struct {
 // Cluster manages node lifecycle around a Gateway.
 type Cluster struct {
 	opts ClusterOptions
-	dir  SnapshotDir
+	dir  *MemDir
 	gw   *Gateway
 
 	mu    sync.Mutex
@@ -64,12 +62,9 @@ type Cluster struct {
 
 // NewCluster builds an empty cluster; add nodes with StartNode.
 func NewCluster(o ClusterOptions) (*Cluster, error) {
-	if o.Dir == nil {
-		o.Dir = NewMemDir()
-	}
 	return &Cluster{
 		opts:    o,
-		dir:     o.Dir,
+		dir:     NewMemDir(),
 		gw:      NewGateway(o.HTTP),
 		nodes:   map[string]*ClusterNode{},
 		courses: map[string][]byte{},
@@ -79,8 +74,8 @@ func NewCluster(o ClusterOptions) (*Cluster, error) {
 // Gateway returns the routing front the clients point at.
 func (c *Cluster) Gateway() *Gateway { return c.gw }
 
-// Dir returns the shared snapshot directory.
-func (c *Cluster) Dir() SnapshotDir { return c.dir }
+// Dir returns the snapshot directory every node shares.
+func (c *Cluster) Dir() *MemDir { return c.dir }
 
 // AddCourse publishes a package blob on every current and future node;
 // re-adding a name replaces the course.
@@ -120,13 +115,11 @@ func (c *Cluster) StartNode() (*ClusterNode, error) {
 		mgr.Close()
 		return nil, err
 	}
-	// Each node is its own scrape target: play-service counters, a span
-	// ring, and a readiness payload.
+	// Each node is its own scrape target: play-service counters (its
+	// sessions_live among them), a span ring, and a readiness payload.
 	reg := obs.NewRegistry("vgbl")
 	mgr.Register(reg)
-	health := obs.NewHealth().
-		Set("node", func() any { return name }).
-		Set("sessions_live", func() any { return mgr.Live() })
+	health := obs.NewHealth().Set("node", func() any { return name })
 	mux := http.NewServeMux()
 	mux.Handle("/play/", mgr.Handler())
 	mux.Handle("/room/", mgr.Handler())

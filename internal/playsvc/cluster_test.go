@@ -75,9 +75,9 @@ func TestClusterRepublishKeepsLatest(t *testing.T) {
 }
 
 // TestGatewayCountsCreatesOnce: a resume through the gateway reattaches a
-// session the gateway already counted, so it tracks the session and counts
-// nothing — a room dialed through the gateway and then driven by a
-// resuming client is one create, as its node says.
+// session the gateway already counted, so it counts nothing — a room
+// dialed through the gateway and then driven by a resuming client is one
+// create, as its node says.
 func TestGatewayCountsCreatesOnce(t *testing.T) {
 	cl, ts := liveCluster(t, 2, Options{})
 	room, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
@@ -96,14 +96,17 @@ func TestGatewayCountsCreatesOnce(t *testing.T) {
 	if creates, created := stat(t, gs.Gateway, "creates"), stat(t, gs.Cluster, "sessions_created"); creates != 1 || created != 1 {
 		t.Fatalf("gateway counted %d creates, the nodes %d sessions created; want one each", creates, created)
 	}
-	if got := stat(t, gs.Gateway, "sessions"); got != 1 {
-		t.Fatalf("gateway tracks %d sessions, want the room", got)
+	if got := stat(t, gs.Cluster, "sessions_live"); got != 1 {
+		t.Fatalf("the nodes host %d sessions, want the room", got)
 	}
 	if err := driver.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Gateway().SessionCount(); got != 0 {
-		t.Fatalf("gateway still tracks %d sessions after the driver left", got)
+	if got := stat(t, cl.Gateway().Stats().Cluster, "sessions_live"); got != 0 {
+		t.Fatalf("the nodes still host %d sessions after the driver left", got)
+	}
+	if n := cl.Dir().Len(); n != 0 {
+		t.Fatalf("the directory still holds %d sessions after the driver left", n)
 	}
 }
 
@@ -193,7 +196,7 @@ func TestGatewayRouting(t *testing.T) {
 		t.Fatalf("all sessions landed on %d node(s)", populated)
 	}
 	gs := cl.Gateway().Stats()
-	if stat(t, gs.Gateway, "creates") != n || stat(t, gs.Gateway, "sessions") != n || stat(t, gs.Cluster, "sessions_live") != n {
+	if stat(t, gs.Gateway, "creates") != n || stat(t, gs.Cluster, "sessions_live") != n {
 		t.Fatalf("gateway stats: %+v", gs)
 	}
 	// Frames work through the gateway too.
@@ -208,9 +211,6 @@ func TestGatewayRouting(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := cl.Gateway().SessionCount(); got != 0 {
-		t.Fatalf("gateway still tracks %d sessions", got)
 	}
 	if live := stat(t, cl.Gateway().Stats().Cluster, "sessions_live"); live != 0 {
 		t.Fatalf("cluster still hosts %d", live)

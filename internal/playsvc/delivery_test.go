@@ -221,7 +221,7 @@ func TestDroppedReplyChaos(t *testing.T) {
 }
 
 // checkClusterEmpty holds a cluster whose clients all closed to "nothing
-// left": no session live on any node and none tracked by the gateway.
+// left": no session live on any node and none in the directory.
 func checkClusterEmpty(t *testing.T, cl *Cluster) {
 	t.Helper()
 	for _, name := range cl.NodeNames() {
@@ -229,8 +229,8 @@ func checkClusterEmpty(t *testing.T, cl *Cluster) {
 			t.Fatalf("%s still hosts %d sessions", name, live)
 		}
 	}
-	if n := cl.Gateway().SessionCount(); n != 0 {
-		t.Fatalf("the gateway still tracks %d sessions", n)
+	if n := cl.Dir().Len(); n != 0 {
+		t.Fatalf("the directory still holds %d sessions", n)
 	}
 }
 
@@ -265,7 +265,7 @@ func (l *lossyOnce) RoundTrip(r *http.Request) (*http.Response, error) {
 // rescues the live copy off the old one, the new owner thaws it and
 // answers the retry from its dedup state. One session is created, the
 // entry events reach the observer exactly once, and after Close no node
-// hosts it and the gateway tracks nothing.
+// hosts it and the directory holds nothing.
 func TestLostFirstFrameAcrossRingMove(t *testing.T) {
 	cl, gw := liveCluster(t, 3, Options{})
 	pkg, err := gamepack.Open(classroomBlob(t))
@@ -484,7 +484,7 @@ func TestRetriedLeaveDeliversFinalTail(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestRetriedLeaveDeliversFinalTail(t *testing.T) {
 	// The same for a mirror's last frame: acts with the leave at its end.
 	// Every retry of the lost reply is answered with the first one whole —
 	// the acts' results and the same final tail.
-	r2, err := m.Create(&CreateRequest{Course: "classroom"})
+	r2, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func TestFrozenLeaveDeliversTail(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func TestRetriedBatchAfterThawNotDoubleApplied(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,7 +670,7 @@ func TestNegativeSeenCounts(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,7 +699,7 @@ func TestNegativeSeenCounts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run("resume/"+tc.name, func(t *testing.T) {
-			got, err := m.Create(&CreateRequest{Resume: r.Session, SeenEvents: tc.seenEvents, SeenMessages: tc.seenMessages})
+			got, err := m.Act(&ActRequest{Session: r.Session, Resume: true, SeenEvents: tc.seenEvents, SeenMessages: tc.seenMessages})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -716,7 +716,7 @@ func TestNegativeSeenCounts(t *testing.T) {
 
 	// The resume route takes the same clamp: a negative seen-count resume
 	// receives the full retained transcript.
-	res, err := m.Create(&CreateRequest{Resume: r.Session, SeenEvents: -7, SeenMessages: -7})
+	res, err := m.Act(&ActRequest{Session: r.Session, Resume: true, SeenEvents: -7, SeenMessages: -7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,7 +762,7 @@ func TestNegativeSeenCounts(t *testing.T) {
 
 	// A past-the-end seen-count clamps to "release everything retained":
 	// no panic, empty tail, and the window never goes negative.
-	over, err := m.Create(&CreateRequest{Resume: r.Session, SeenEvents: rr3.EventCount + 99, SeenMessages: rr3.MessageCount + 99})
+	over, err := m.Act(&ActRequest{Session: r.Session, Resume: true, SeenEvents: rr3.EventCount + 99, SeenMessages: rr3.MessageCount + 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,7 +787,7 @@ func TestReplyIsPureAckTrims(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,7 +798,7 @@ func TestReplyIsPureAckTrims(t *testing.T) {
 	// Read the full tail twice: replies are pure, so the second read still
 	// sees everything even though the first reply "delivered" it.
 	for i := 0; i < 2; i++ {
-		got, err := m.Create(&CreateRequest{Resume: r.Session})
+		got, err := m.Act(&ActRequest{Session: r.Session, Resume: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -807,7 +807,7 @@ func TestReplyIsPureAckTrims(t *testing.T) {
 		}
 	}
 	// Only the acked request compacts.
-	if _, err := m.Create(&CreateRequest{Resume: r.Session, SeenEvents: rr.EventCount, SeenMessages: rr.MessageCount}); err != nil {
+	if _, err := m.Act(&ActRequest{Session: r.Session, Resume: true, SeenEvents: rr.EventCount, SeenMessages: rr.MessageCount}); err != nil {
 		t.Fatal(err)
 	}
 	h, err := m.lookup(r.Session)

@@ -9,8 +9,8 @@
 // ("VACT") carry a whole act batch. Their routing prefix is the session id,
 // then the op records — a create naming the course (and a room record
 // when the session opens as a classroom room) or a resume, a leave — so a
-// gateway routes a frame, and tracks or untracks its session, without
-// parsing (or re-encoding) the rest. A frame may open its session, act on
+// gateway routes a frame, counts its create and sweeps for its resume,
+// without parsing (or re-encoding) the rest. A frame may open its session, act on
 // it and end it all at once: a thick client's whole session can be one
 // frame. Reply frames ("VRPL") carry per-act results plus ONE coalesced
 // state/event/message tail, so a batch of N acts costs one state snapshot
@@ -338,7 +338,8 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 }
 
 // frameRoute is what a gateway reads off an act frame: the session it
-// routes on and the ops that track and untrack it.
+// routes on and its ops — a create it counts, a resume it sweeps for, and
+// the leave the full parse holds to the batch's last act.
 type frameRoute struct {
 	session string
 	create  string // the course a create opens the session on

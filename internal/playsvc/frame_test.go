@@ -306,8 +306,8 @@ func opFrames() [][]byte {
 // FuzzFrameRoute holds the gateway's prefix parse to the full parse: on any
 // input it never panics and every rejection is a typed ErrBadFrame, and on
 // every frame the full parse accepts it routes the same session with the
-// same ops — a create the gateway misses would go untracked, a resume it
-// misses would skip its sweep, a leave it misses would never untrack.
+// same ops — a create the gateway misses would go uncounted, a resume it
+// misses would skip its sweep.
 func FuzzFrameRoute(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("VACT"))

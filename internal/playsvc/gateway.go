@@ -71,10 +71,9 @@ type Gateway struct {
 	httpc   *http.Client
 	control faultnet.RetryPolicy // control sends: controlAttempts, see send
 
-	mu       sync.RWMutex
-	nodes    []gwNode
-	ring     []ringPoint
-	sessions map[string]bool // ids created or resumed here and not yet left
+	mu    sync.RWMutex
+	nodes []gwNode
+	ring  []ringPoint
 	// draining nodes are out of the ring (no new routes) but still
 	// serving while their sessions freeze; the rescue path must be able
 	// to reach them or acts for their sessions would 404 mid-drain.
@@ -129,7 +128,6 @@ func NewGateway(client *http.Client) *Gateway {
 		httpc:       client,
 		control:     faultnet.RetryPolicy{Attempts: controlAttempts},
 		reg:         obs.NewRegistry(""),
-		sessions:    map[string]bool{},
 		breakers:    map[string]*faultnet.Breaker{},
 		creates:     obs.NewCounter(),
 		rescues:     obs.NewCounter(),
@@ -150,8 +148,9 @@ func (g *Gateway) Ring() *obs.SpanRing { return g.spans }
 // Register exposes the gateway's routing counters and histograms on a
 // metrics registry, and is the one place their families are named:
 // NewGateway runs it on the gateway's own registry, callers on the
-// registry behind /metrics. All *_total families are monotonic;
-// gateway_sessions is a gauge (tracked ids leave on a leave act).
+// registry behind /metrics. All *_total families are monotonic. The
+// gateway keeps no session set: which sessions exist is the nodes'
+// sessions_live, summed in the /play/stats cluster view.
 func (g *Gateway) Register(reg *obs.Registry) {
 	breakers := func(read func(b *faultnet.Breaker) int64) func() int64 {
 		return func() (n int64) {
@@ -163,7 +162,6 @@ func (g *Gateway) Register(reg *obs.Registry) {
 			return n
 		}
 	}
-	reg.GaugeFunc("gateway_sessions", "gateway-tracked live session ids", func() int64 { return int64(g.SessionCount()) })
 	reg.CounterFunc("gateway_creates_total", "sessions created through the gateway", g.creates.Value)
 	reg.CounterFunc("gateway_rescues_total", "stray sessions handed off and re-owned", g.rescues.Value)
 	reg.CounterFunc("gateway_recoveries_total", "sessions revived from a crash checkpoint", g.recoveries.Value)
@@ -297,13 +295,6 @@ func (g *Gateway) NodeNames() []string {
 		out[i] = n.name
 	}
 	return out
-}
-
-// SessionCount is how many tracked sessions have not left yet.
-func (g *Gateway) SessionCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.sessions)
 }
 
 // ownerOf resolves a session id to its owning node.
@@ -555,18 +546,6 @@ func newSessionID(course string) string {
 	return course + "-" + hex.EncodeToString(b[:])
 }
 
-func (g *Gateway) track(session string) {
-	g.mu.Lock()
-	g.sessions[session] = true
-	g.mu.Unlock()
-}
-
-func (g *Gateway) untrack(session string) {
-	g.mu.Lock()
-	delete(g.sessions, session)
-	g.mu.Unlock()
-}
-
 // relay writes a buffered backend response to the client.
 func relay(w http.ResponseWriter, p *proxied) {
 	for _, k := range []string{"Content-Type", "Retry-After", "X-Frame-Width", "X-Frame-Height", "X-Frame-Tick"} {
@@ -640,22 +619,20 @@ func (g *Gateway) handleAct(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	g.routeSession(w, r, ActPath, body, frameRoute{
-		session: req.Session, create: req.Course, resume: req.Resume, leave: req.Kind == ActLeave})
+	g.routeSession(w, r, ActPath, body, frameRoute{session: req.Session, create: req.Course, resume: req.Resume})
 }
 
 // routeSession relays one session batch — a frame, or the JSON adapter's
-// body — to its session's owner, and keeps the tracked set in step with
-// the ops it carries. A resume may thaw a checkpoint entry on its owner,
-// so it first sweeps any live copy off the other nodes (a no-op unless the
-// ring changed under a dormant client). A retried create needs no rescue
+// body — to its session's owner. A resume may thaw a checkpoint entry on
+// its owner, so it first sweeps any live copy off the other nodes (a no-op
+// unless the ring changed under a dormant client). A retried create needs no rescue
 // of its own: the node that minted the session checkpointed it, so the new
 // owner of a moved id finds the entry and answers 404 instead of minting
 // it again, and route's healing rescues the live copy
 // (TestLostFirstFrameAcrossRingMove). Healing is status-driven: act-level
 // errors ride inside 200 replies the gateway does not inspect. A 200 to a
-// create counts the create and tracks the session, a 200 to a resume only
-// tracks it, and a 200 to a leave untracks it.
+// create counts the create; the gateway keeps no record of which sessions
+// exist.
 func (g *Gateway) routeSession(w http.ResponseWriter, r *http.Request, path string, body []byte, rt frameRoute) {
 	if rt.session == "" {
 		http.Error(w, "playsvc: request names no session", http.StatusBadRequest)
@@ -672,16 +649,8 @@ func (g *Gateway) routeSession(w http.ResponseWriter, r *http.Request, path stri
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	if p.status == http.StatusOK {
-		if rt.create != "" {
-			g.creates.Add(1)
-		}
-		if rt.create != "" || rt.resume {
-			g.track(rt.session)
-		}
-		if rt.leave {
-			g.untrack(rt.session)
-		}
+	if p.status == http.StatusOK && rt.create != "" {
+		g.creates.Add(1)
 	}
 	relay(w, p)
 }

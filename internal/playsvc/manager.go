@@ -47,12 +47,11 @@ type Options struct {
 	// degrades into explicit backpressure clients know how to honor.
 	// 0 disables admission control.
 	MaxInflight int
-	// Dir is the snapshot directory. With it set, hosted sessions are
-	// durable: the TTL janitor snapshots-then-evicts instead of
-	// discarding, evicted and handed-off sessions thaw transparently on
-	// their next request, and a resume frame reattaches a fresh client.
-	// A cluster shares one Dir across all nodes. nil disables durability
-	// (the seed behavior).
+	// Dir is the snapshot directory every hosted session is durable in:
+	// the TTL janitor snapshots-then-evicts, evicted and handed-off
+	// sessions thaw transparently on their next request, and a resume
+	// frame reattaches a fresh client. A cluster shares one Dir across all
+	// nodes. nil means a private MemDir.
 	Dir SnapshotDir
 	// CheckpointEvery periodically snapshots every active session so a
 	// crash loses at most one interval of progress. 0 disables periodic
@@ -69,6 +68,9 @@ func (o *Options) defaults() {
 	}
 	if o.MaxSessions == 0 {
 		o.MaxSessions = 16384
+	}
+	if o.Dir == nil {
+		o.Dir = NewMemDir()
 	}
 }
 
@@ -289,7 +291,7 @@ type Manager struct {
 	// admission control refused (MaxInflight).
 	inflight atomic.Int64
 	shed     atomic.Int64
-	// liveCount mirrors the session map's size; Create reserves a slot
+	// liveCount mirrors the session map's size; a create reserves a slot
 	// on it atomically so a create flood cannot overshoot MaxSessions
 	// between a count and an insert.
 	liveCount atomic.Int64
@@ -337,7 +339,7 @@ func NewManager(o Options) *Manager {
 	} else {
 		close(m.janitorDone)
 	}
-	if o.CheckpointEvery > 0 && m.canSnapshot() {
+	if o.CheckpointEvery > 0 {
 		go m.runCheckpointer(o.CheckpointEvery)
 	} else {
 		close(m.checkpointDone)
@@ -480,33 +482,6 @@ func (m *Manager) LiveSessions() []string {
 		ids[i] = h.id
 	}
 	return ids
-}
-
-// Create opens a new hosted session on a published course — or, when
-// req.Resume names a session, reattaches it — and returns the session's
-// view: the in-process call over a create-only or resume-only ActBatch, so
-// it is create-if-absent exactly like a framed create. New sessions include
-// any events the start scenario's OnEnter script emitted; a resumed reply
-// carries the transcript and event tail beyond the client's seen-counts,
-// so a fresh client (seen counts zero) rebuilds the full conversation. An
-// empty req.Session mints an id unique across every node that shares the
-// snapshot directory.
-func (m *Manager) Create(req *CreateRequest) (*Reply, error) {
-	b := &BatchRequest{Session: req.Session, Create: req.Course, Room: req.Room,
-		SeenEvents: req.SeenEvents, SeenMessages: req.SeenMessages, Trace: req.Trace}
-	switch {
-	case req.Resume != "":
-		b.Session, b.Create, b.Resume = req.Resume, "", true
-	case req.Course == "":
-		return nil, errf(http.StatusBadRequest, "playsvc: create needs a course or a resume id")
-	case b.Session == "":
-		b.Session = newSessionID(req.Course)
-	}
-	out, err := m.ActBatch(b)
-	if err != nil {
-		return nil, err
-	}
-	return out.Reply, nil
 }
 
 // mint opens a new hosted session on a published course and inserts it
@@ -763,7 +738,7 @@ func (m *Manager) takeTomb(session string, seq int64) (*BatchReply, error) {
 }
 
 // ActBatch is the one act path: every route (the framed /play/actv2, the
-// JSON /play/act adapter, in-process callers of Create and Act) lands here,
+// JSON /play/act adapter, in-process callers of Act) lands here,
 // and only here are admission, the act histogram and the "play.act" span
 // recorded (a batch that is only a create records "play.create", only a
 // resume "play.resume"). A batch's create or resume, acts and leave apply
@@ -850,10 +825,7 @@ func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 			return out, nil
 		}
 	}
-	held := false
-	if m.canSnapshot() {
-		_, held = m.dir.Lookup(req.Session)
-	}
+	_, held := m.dir.Lookup(req.Session)
 	switch {
 	case held || (req.Create == "" && !leaves):
 		h, err := m.thaw(req.Trace, req.Session, req.Resume)
@@ -872,7 +844,7 @@ func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 		if !minted {
 			h.touch()
 			h.mu.Lock()
-		} else if m.canSnapshot() {
+		} else {
 			// Checkpoint the newborn session before the client learns its
 			// id: a node crash right after this reply would otherwise
 			// strand a session the client holds a confirmed id for but no
@@ -989,9 +961,7 @@ func (m *Manager) leaveLocked(h *hosted, req *BatchRequest, bits []byte) *BatchR
 	// A left session must not resurrect from an old snapshot, and its one
 	// directory entry is everything it ever saved. Under h.mu, like every
 	// directory write for a held session.
-	if m.dir != nil {
-		m.dir.Delete(h.id)
-	}
+	m.dir.Delete(h.id)
 	out := &BatchReply{Reply: h.tail(req.SeenEvents, req.SeenMessages), Results: make([]ActResult, len(bits))}
 	for i, b := range bits {
 		out.Results[i] = resultFromBits(b)
@@ -1128,12 +1098,10 @@ func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance in
 	return fn(&h.frame, h.sess.Ticks())
 }
 
-// ExpireIdle evicts every session idle since before the cutoff and reports
-// how many it reclaimed. With a
-// snapshot directory configured the janitor snapshots-then-evicts: the
-// session's progress survives in the directory and its next request (or an
-// explicit resume) thaws it. The janitor calls this with now-TTL; tests
-// call it directly.
+// ExpireIdle freezes every session idle since before the cutoff and
+// reports how many it reclaimed: the session's progress survives in the
+// directory and its next request (or an explicit resume) thaws it. The
+// janitor calls this with now-TTL; tests call it directly.
 func (m *Manager) ExpireIdle(cutoff time.Time) int {
 	n := 0
 	cut := cutoff.UnixNano()
@@ -1151,13 +1119,7 @@ func (m *Manager) ExpireIdle(cutoff time.Time) int {
 	}
 	m.mu.Unlock()
 	for _, h := range victims {
-		var removed bool
-		if m.canSnapshot() {
-			removed = m.freezeOut(h)
-		} else {
-			removed = m.evictOut(h)
-		}
-		if removed {
+		if m.freezeOut(h) {
 			m.evicted.Add(1)
 			n++
 		}
@@ -1174,8 +1136,8 @@ func (m *Manager) ExpireIdle(cutoff time.Time) int {
 }
 
 // Close stops the background goroutines and releases every remaining
-// session — gracefully: with a snapshot directory configured, live sessions
-// are frozen first (via ExpireIdle), so a restart resumes them.
+// session gracefully: live sessions are frozen (via ExpireIdle), so a
+// restart over the same directory resumes them.
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
 		close(m.stopJanitor)

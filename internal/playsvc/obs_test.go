@@ -29,7 +29,7 @@ func TestActPathZeroAllocWithMetrics(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,6 +75,13 @@ func dial(t testing.TB, ts *httptest.Server, obs runtime.Observer) *Client {
 	return c
 }
 
+// createSession opens a hosted session on course under a minted id — a
+// create is an act that names a course and no kind — and returns its
+// first reply.
+func createSession(m *Manager, course string) (*Reply, error) {
+	return m.Act(&ActRequest{Session: newSessionID(course), Course: course})
+}
+
 // recorder captures an event log for equality comparisons.
 type recorder struct {
 	mu     sync.Mutex
@@ -298,8 +305,10 @@ func TestRemoteGuidedRunMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestEvictionTTL exercises the janitor path directly: idle sessions are
-// reclaimed, counted, and gone from the protocol.
+// TestEvictionTTL exercises the janitor path directly on a zero-Dir
+// manager: idle sessions are reclaimed and counted, frozen rather than
+// discarded, and each client's next act thaws its session where it left
+// off.
 func TestEvictionTTL(t *testing.T) {
 	ts, m := liveService(t, Options{TTL: -1})
 	c1 := dial(t, ts, nil)
@@ -314,14 +323,21 @@ func TestEvictionTTL(t *testing.T) {
 		t.Fatalf("expired %d of 2 idle sessions", n)
 	}
 	st := m.Snapshot()
-	if stat(t, st, "sessions_evicted") != 2 || stat(t, st, "sessions_live") != 0 || stat(t, st, "sessions_created") != 2 {
+	if stat(t, st, "sessions_evicted") != 2 || stat(t, st, "sessions_frozen") != 2 ||
+		stat(t, st, "sessions_live") != 0 || stat(t, st, "sessions_created") != 2 {
 		t.Fatalf("stats = %v", st)
 	}
-	if err := c1.Advance(1); err == nil {
-		t.Fatal("evicted session still answers acts")
+	for _, c := range []*Client{c1, c2} {
+		if err := c.Advance(1); err != nil {
+			t.Fatalf("evicted session's next act: %v", err)
+		}
+		if c.Ticks() != 2 {
+			t.Fatalf("thawed session at tick %d, want 2", c.Ticks())
+		}
 	}
-	if pe, ok := c1.Err().(*Error); !ok || pe.Status != http.StatusNotFound {
-		t.Fatalf("eviction error = %v", c1.Err())
+	st = m.Snapshot()
+	if stat(t, st, "sessions_resumed") != 2 || stat(t, st, "sessions_live") != 2 || stat(t, st, "sessions_created") != 2 {
+		t.Fatalf("stats after thaw = %v", st)
 	}
 }
 
@@ -336,7 +352,7 @@ func TestCreateErrors(t *testing.T) {
 		t.Fatal("session cap not enforced")
 	}
 	// A room opens with its session's create, never on a resume or an act.
-	if _, err := m.Create(&CreateRequest{Resume: c.SessionID(), Room: true}); httpStatus(err) != http.StatusBadRequest {
+	if _, err := m.Act(&ActRequest{Session: c.SessionID(), Resume: true, Room: true}); httpStatus(err) != http.StatusBadRequest {
 		t.Fatalf("room on a resume: %v, want a 400", err)
 	}
 	if _, err := m.Act(&ActRequest{Session: c.SessionID(), Room: true, Kind: ActTick}); httpStatus(err) != http.StatusBadRequest {
@@ -373,7 +389,7 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +448,7 @@ func TestEventLogTrimming(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +477,7 @@ func TestEventLogTrimming(t *testing.T) {
 	}
 	// A stale retry (seen-count lower than the trimmed base) is served the
 	// retained tail, not an error, and EventCount stays absolute.
-	rr, err := m.Create(&CreateRequest{Resume: r.Session})
+	rr, err := m.Act(&ActRequest{Session: r.Session, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +501,7 @@ func TestCreateCapUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := m.Create(&CreateRequest{Course: "classroom"}); err == nil {
+			if _, err := createSession(m, "classroom"); err == nil {
 				created.Add(1)
 			}
 		}()
@@ -507,11 +523,11 @@ func TestPackageSharing(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r1, err := m.Create(&CreateRequest{Course: "classroom"})
+	r1, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.Create(&CreateRequest{Course: "classroom"})
+	r2, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +583,7 @@ func TestCoursesShareVideo(t *testing.T) {
 	}
 	// Both courses still play.
 	for _, course := range []string{"classroom", "remedial"} {
-		r, err := m.Create(&CreateRequest{Course: course})
+		r, err := createSession(m, course)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,7 +613,7 @@ func TestCourseReplaceReleasesVideo(t *testing.T) {
 	if n := stat(t, m.Snapshot(), "video_buffers"); n != 1 {
 		t.Errorf("video buffers = %d after replace, want 1", n)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}

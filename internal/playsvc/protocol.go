@@ -50,32 +50,6 @@ const (
 	ActLeave   = "leave"
 )
 
-// CreateRequest opens a server-hosted session on a published course, or —
-// with Resume set — reattaches to a snapshotted one. It is the in-process
-// call (Manager.Create); on the wire both are records of the act frame.
-type CreateRequest struct {
-	Course string
-	// Session optionally fixes the new session's id; empty mints one, the
-	// course name plus random hex, unique across every node sharing a
-	// snapshot directory.
-	Session string
-	// Room opens the session as a classroom room: a broadcast hub under
-	// the session's id, its first publication rendered (see
-	// BatchRequest.Room).
-	Room bool
-	// Resume names a session to thaw instead of creating one: a session
-	// frozen by the TTL janitor, a drain, or a node handoff (or still
-	// live, in which case the server just reattaches). Course is ignored;
-	// the reply repeats the course and video metadata.
-	Resume string
-	// SeenEvents/SeenMessages scope a resume reply exactly like on an
-	// act: a fresh client passes zero and receives the full transcript.
-	SeenEvents   int
-	SeenMessages int
-
-	Trace obs.TraceContext
-}
-
 // HandoffRequest freezes one session into the shared snapshot directory so
 // another node can thaw it — the gateway's migration primitive.
 type HandoffRequest struct {

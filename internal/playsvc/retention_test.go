@@ -25,7 +25,7 @@ func TestLeaveReleasesEnvelope(t *testing.T) {
 	opts, dir := durableOptions(t)
 	_, m := durableService(t, opts)
 
-	sibling, err := m.Create(&CreateRequest{Course: "classroom"})
+	sibling, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestLeaveReleasesEnvelope(t *testing.T) {
 
 	const n = 12
 	for i := 0; i < n; i++ {
-		r, err := m.Create(&CreateRequest{Course: "classroom"})
+		r, err := createSession(m, "classroom")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestLeaveReleasesEnvelope(t *testing.T) {
 	if err := m.Freeze(sibling.Session); err != nil {
 		t.Fatal(err)
 	}
-	back, err := m.Create(&CreateRequest{Resume: sibling.Session})
+	back, err := m.Act(&ActRequest{Session: sibling.Session, Resume: true})
 	if err != nil {
 		t.Fatalf("sibling no longer thaws: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestTombstoneServesIdenticalFinalView(t *testing.T) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTombstoneServesIdenticalFinalView(t *testing.T) {
 	}
 	// A polite leaver — everything acknowledged, no quiz pending — gets its
 	// counts back and nothing else, as it was sent.
-	polite, err := m.Create(&CreateRequest{Course: "classroom"})
+	polite, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestTombstoneCapEvictsOldestFirst(t *testing.T) {
 	for i := 0; i < tombCap+extra-1; i++ {
 		m.saveTomb(id(i), 1, &BatchReply{Reply: &Reply{Tick: i}})
 	}
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestFinishedSessionFootprint(t *testing.T) {
 	tel := telemetry.NewStore()
 	session := func(i int) {
 		id := newSessionID("classroom")
-		r, err := m.Create(&CreateRequest{Course: "classroom", Session: id})
+		r, err := m.Act(&ActRequest{Session: id, Course: "classroom"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestSessionsLeaveNothingBehind(t *testing.T) {
 		seenE, seenM int
 	}
 	create := func(m *Manager) *learner {
-		r, err := m.Create(&CreateRequest{Course: "classroom"})
+		r, err := createSession(m, "classroom")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -465,7 +465,7 @@ func TestSessionsLeaveNothingBehind(t *testing.T) {
 func TestThawReplaysActErrorFrame(t *testing.T) {
 	opts, _ := durableOptions(t)
 	_, m := durableService(t, opts)
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}

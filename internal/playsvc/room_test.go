@@ -236,7 +236,7 @@ func TestRoomSlowWatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	const roomID = "classroom-slow-room"
-	if _, err := m.Create(&CreateRequest{Course: "classroom", Session: roomID, Room: true}); err != nil {
+	if _, err := m.Act(&ActRequest{Session: roomID, Course: "classroom", Room: true}); err != nil {
 		t.Fatal(err)
 	}
 	room, ok := m.Room(roomID)

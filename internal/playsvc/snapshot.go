@@ -211,9 +211,6 @@ func decodeEnvelope(data []byte) (*envelope, error) {
 	return e, nil
 }
 
-// canSnapshot reports whether this manager has somewhere to freeze to.
-func (m *Manager) canSnapshot() bool { return m.dir != nil }
-
 // freezeOut freezes one live session: publish the released directory
 // entry, mark gone, close its room, and only THEN remove it from the
 // session map. The ordering is load-bearing: at every instant the session
@@ -242,8 +239,8 @@ func (m *Manager) freezeOut(h *hosted) (removed bool) {
 	return true
 }
 
-// evictOut discards one live session without snapshotting (no directory
-// configured). Same map ordering as freezeOut.
+// evictOut discards one live session without snapshotting — the crash
+// (Halt). Same map ordering as freezeOut.
 func (m *Manager) evictOut(h *hosted) (removed bool) {
 	h.mu.Lock()
 	if h.gone {
@@ -282,9 +279,6 @@ func (h *hosted) envelopeLocked() []byte {
 // the new owner restores. Freezing an already-frozen session is a no-op;
 // a session this node neither hosts nor has a snapshot for is an error.
 func (m *Manager) Freeze(session string) error {
-	if !m.canSnapshot() {
-		return errf(http.StatusNotImplemented, "playsvc: no snapshot directory configured")
-	}
 	h, err := m.lookup(session)
 	if err != nil {
 		// Only a RELEASED entry means "already frozen"; a checkpoint entry
@@ -299,20 +293,14 @@ func (m *Manager) Freeze(session string) error {
 }
 
 // DrainAll freezes every hosted session (graceful shutdown / node
-// removal) and reports how many it processed. Without a snapshot directory
-// it degrades to plain eviction. Draining is one-way: the node stops
-// creating and thawing sessions, so a request racing the drain cannot
-// strand a fresh session on a node that is about to disappear.
+// removal) and reports how many it processed. Draining is one-way: the
+// node stops creating and thawing sessions, so a request racing the drain
+// cannot strand a fresh session on a node that is about to disappear.
 func (m *Manager) DrainAll() int {
 	m.draining.Store(true)
 	n := 0
 	for _, h := range m.snapshotSessions() {
-		if m.canSnapshot() {
-			if m.freezeOut(h) {
-				n++
-			}
-		} else if m.evictOut(h) {
-			m.evicted.Add(1)
+		if m.freezeOut(h) {
 			n++
 		}
 	}
@@ -324,9 +312,6 @@ func (m *Manager) DrainAll() int {
 // Sessions are persisted without being released: each save overwrites the
 // session's one directory entry. Returns how many sessions were persisted.
 func (m *Manager) Checkpoint() int {
-	if !m.canSnapshot() {
-		return 0
-	}
 	n := 0
 	for _, h := range m.snapshotSessions() {
 		seen := h.lastSeen.Load()
@@ -367,19 +352,12 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 		}
 		m.ring.Record(tc.Child(), "play.thaw", t0, err)
 	}(time.Now())
-	notFound := errf(http.StatusNotFound, "playsvc: no session %q", session)
-	if !m.canSnapshot() {
-		return nil, notFound
-	}
 	if m.draining.Load() {
 		return nil, errf(http.StatusServiceUnavailable, "playsvc: node is draining")
 	}
 	ref, ok := m.dir.Lookup(session)
-	if !ok {
-		return nil, notFound
-	}
-	if ref.Checkpoint && !allowCheckpoint {
-		return nil, notFound
+	if !ok || (ref.Checkpoint && !allowCheckpoint) {
+		return nil, errf(http.StatusNotFound, "playsvc: no session %q", session)
 	}
 	env, err := decodeEnvelope(ref.Envelope)
 	if err != nil {

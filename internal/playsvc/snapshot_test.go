@@ -222,7 +222,7 @@ func TestCreateMintsUniqueIDsAcrossNodes(t *testing.T) {
 	opts, _ := durableOptions(t)
 	_, a := durableService(t, opts)
 	_, b := durableService(t, opts)
-	ra, err := a.Create(&CreateRequest{Course: "classroom"})
+	ra, err := createSession(a, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestCreateMintsUniqueIDsAcrossNodes(t *testing.T) {
 	if err := a.Freeze(ra.Session); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Create(&CreateRequest{Course: "classroom"})
+	rb, err := createSession(b, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCreateMintsUniqueIDsAcrossNodes(t *testing.T) {
 func TestJanitorPreservesMessageTails(t *testing.T) {
 	opts, _ := durableOptions(t)
 	_, m := durableService(t, opts)
-	r0, err := m.Create(&CreateRequest{Course: "classroom"})
+	r0, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestJanitorPreservesMessageTails(t *testing.T) {
 
 	// The client retries with its stale seen-counts: resume must serve
 	// exactly the lost tail.
-	rr, err := m.Create(&CreateRequest{Resume: id, SeenEvents: seenE, SeenMessages: seenM})
+	rr, err := m.Act(&ActRequest{Session: id, Resume: true, SeenEvents: seenE, SeenMessages: seenM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestJanitorPreservesMessageTails(t *testing.T) {
 
 	// The conversation continues with no duplicates: a full fresh read
 	// shows every turn exactly once.
-	full, err := m.Create(&CreateRequest{Resume: id})
+	full, err := m.Act(&ActRequest{Session: id, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestCheckpointBoundsCrashLoss(t *testing.T) {
 	if err := m1.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := m1.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m1, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestCheckpointBoundsCrashLoss(t *testing.T) {
 	if err := m2.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := m2.Create(&CreateRequest{Resume: id})
+	rr, err := m2.Act(&ActRequest{Session: id, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestEnvelopeCorruption(t *testing.T) {
 func FuzzDecodeEnvelope(f *testing.F) {
 	opts, dir := durableOptions(f)
 	_, m := durableService(f, opts)
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 func TestLeaveDeletesSnapshot(t *testing.T) {
 	opts, dir := durableOptions(t)
 	_, m := durableService(t, opts)
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestLeaveDeletesSnapshot(t *testing.T) {
 	if dir.Len() != 0 {
 		t.Fatal("leave left a snapshot behind")
 	}
-	if _, err := m.Create(&CreateRequest{Resume: r.Session}); err == nil {
+	if _, err := m.Act(&ActRequest{Session: r.Session, Resume: true}); err == nil {
 		t.Fatal("left session resurrected")
 	}
 }
@@ -524,7 +524,7 @@ func TestLeaveDeletesSnapshot(t *testing.T) {
 func TestFreezeIdempotent(t *testing.T) {
 	opts, _ := durableOptions(t)
 	_, m := durableService(t, opts)
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}

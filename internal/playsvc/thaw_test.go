@@ -318,7 +318,7 @@ func TestRefusedActsChangeNothing(t *testing.T) {
 func TestRefusedFrameThawsNothing(t *testing.T) {
 	opts, dir := durableOptions(t)
 	ts, m := durableService(t, opts)
-	r, err := m.Create(&CreateRequest{Course: "classroom"})
+	r, err := createSession(m, "classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
