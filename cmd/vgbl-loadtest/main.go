@@ -32,11 +32,10 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/faultnet"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
-	"repro/internal/obs"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -44,7 +43,7 @@ import (
 
 func main() {
 	server := flag.String("server", "", "package server base URL (empty: serve the classroom course in-process)")
-	playServer := flag.String("play-server", "", "play service base URL when it differs from -server (e.g. a cluster gateway)")
+	playServer := flag.String("play-server", "", "play service base URL when it differs from -server (a gateway on another host)")
 	pkgName := flag.String("pkg", "classroom", "package name under /pkg/")
 	learners := flag.Int("learners", 500, "fleet size")
 	concurrency := flag.Int("concurrency", 128, "max simultaneously playing learners")
@@ -211,10 +210,10 @@ func printStats(url, path string) {
 	fmt.Printf("\n%s:\n%s\n", path, body)
 }
 
-// serveInProcess builds the named bundled course and publishes it with the
-// telemetry and play services mounted, returning its base URL. With ladder
-// set the course is published as a multi-tier quality ladder (what the -abr
-// streaming fleet picks from).
+// serveInProcess builds the named bundled course and publishes it on a
+// deployment (vgbl-server's routes and /metrics), returning its base URL.
+// With ladder set the course is published as a multi-tier quality ladder
+// (what the -abr streaming fleet picks from).
 func serveInProcess(name string, ladder bool) (string, error) {
 	courses := map[string]*content.Course{
 		"classroom": content.Classroom(),
@@ -224,15 +223,6 @@ func serveInProcess(name string, ladder bool) (string, error) {
 	course, ok := courses[name]
 	if !ok {
 		return "", fmt.Errorf("no bundled course %q (have classroom, museum, street)", name)
-	}
-	srv := netstream.NewServer()
-	svc := telemetry.NewService(telemetry.Options{})
-	h := svc.Handler()
-	if err := srv.Mount("/telemetry/", h); err != nil {
-		return "", err
-	}
-	if err := srv.Mount(telemetry.HealthPath, h); err != nil {
-		return "", err
 	}
 	var blob []byte
 	var err error
@@ -244,37 +234,18 @@ func serveInProcess(name string, ladder bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := srv.AddPackage(name, blob); err != nil {
+	d, err := deploy.New(deploy.Config{})
+	if err != nil {
 		return "", err
 	}
-	play := playsvc.NewManager(playsvc.Options{})
-	if err := play.AddCourse(name, blob); err != nil {
-		return "", err
-	}
-	if err := srv.Mount("/play/", play.Handler()); err != nil {
-		return "", err
-	}
-	// Classroom rooms ride the same play mux under their own path root.
-	if err := srv.Mount("/room/", play.Handler()); err != nil {
-		return "", err
-	}
-	// Same observability surface as vgbl-server: the in-process run is
-	// scrapeable too, and the end-of-run latency table reads from it.
-	reg := obs.NewRegistry("vgbl")
-	srv.Register(reg)
-	svc.Register(reg)
-	play.Register(reg)
-	if err := srv.Mount("/metrics", reg.Handler()); err != nil {
-		return "", err
-	}
-	if err := srv.Mount("/debug/traces", play.Ring().Handler()); err != nil {
+	if err := d.Publish(name, blob); err != nil {
 		return "", err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", err
 	}
-	go http.Serve(ln, srv)
+	go http.Serve(ln, d)
 	return "http://" + ln.Addr().String(), nil
 }
 

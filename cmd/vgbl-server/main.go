@@ -38,6 +38,10 @@
 // clients keep receiving the canonical full-quality video. Bytes served
 // per tier are counted on the netstream_tier_bytes_total metrics family.
 //
+// The deployment itself — route layout, metrics wiring and the publish
+// rule — is internal/deploy's, the same one every in-process stack builds;
+// this command adds the flags, the demo courses, -pprof and the banner.
+//
 // Usage:
 //
 //	vgbl-server -addr 127.0.0.1:8807 extra1.tkg extra2.tkg
@@ -53,14 +57,14 @@ import (
 	_ "net/http/pprof" // handlers on DefaultServeMux; mounted only with -pprof
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/blobstore"
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
-	"repro/internal/obs"
 	"repro/internal/playsvc"
 	"repro/internal/telemetry"
 )
@@ -81,8 +85,8 @@ func main() {
 
 	// The package server's content-addressed chunk store: segments shared
 	// across courses are stored once, hot chunks ride the LRU tier, and
-	// -store-dir persists the catalog.
-	var backend blobstore.Backend = blobstore.NewMemory()
+	// -store-dir persists the catalog (nil Backend: in memory).
+	var backend blobstore.Backend
 	if *storeDir != "" {
 		disk, err := blobstore.NewDisk(*storeDir)
 		if err != nil {
@@ -90,63 +94,26 @@ func main() {
 		}
 		backend = disk
 	}
-	store, err := blobstore.New(blobstore.Options{Backend: backend, CacheBytes: *cacheBytes})
-	if err != nil {
-		fail(err)
-	}
-
-	srv := netstream.NewServerWith(store)
-	// One process-wide metric namespace: every subsystem registers its
-	// families here and /metrics scrapes them all. In cluster mode each
-	// play node additionally serves its own /metrics on its node URL.
-	reg := obs.NewRegistry("vgbl")
-	store.Register(reg)
-	srv.Register(reg)
 	// Hosted sessions are durable: each manager's snapshot directory backs
 	// TTL snapshot-then-evict and crash checkpoints, and in cluster mode
 	// the nodes share the cluster's one directory for handoff.
-	nodeOpts := playsvc.Options{
-		TTL:             *playTTL,
-		MaxSessions:     *playMax,
-		MaxInflight:     *playInflight,
-		CheckpointEvery: *checkpointEvery,
+	d, err := deploy.New(deploy.Config{
+		Store:     blobstore.Options{Backend: backend, CacheBytes: *cacheBytes},
+		Telemetry: telemetry.Options{IdleTimeout: *ingestIdle},
+		Play: playsvc.ClusterOptions{Node: playsvc.Options{
+			TTL:             *playTTL,
+			MaxSessions:     *playMax,
+			MaxInflight:     *playInflight,
+			CheckpointEvery: *checkpointEvery,
+		}},
+		Nodes: *cluster,
+	})
+	if err != nil {
+		fail(err)
 	}
-	// The play surface is either one in-process manager or a gateway over
-	// N nodes; both publish courses the same way and mount at /play/.
-	var playHandler http.Handler
-	var traceHandler http.Handler
-	var addCourse func(name string, blob []byte) error
-	var nodeURLs []string
-	if *cluster > 0 {
-		cl, err := playsvc.NewCluster(playsvc.ClusterOptions{Node: nodeOpts})
-		if err != nil {
-			fail(err)
-		}
-		defer cl.Close()
-		for i := 0; i < *cluster; i++ {
-			n, err := cl.StartNode()
-			if err != nil {
-				fail(err)
-			}
-			nodeURLs = append(nodeURLs, n.URL)
-		}
-		cl.Gateway().Register(reg)
-		playHandler = cl.Gateway().Handler()
-		traceHandler = cl.Gateway().Ring().Handler()
-		addCourse = cl.AddCourse
-	} else {
-		play := playsvc.NewManager(nodeOpts)
-		defer play.Close()
-		play.Register(reg)
-		playHandler = play.Handler()
-		traceHandler = play.Ring().Handler()
-		addCourse = play.AddCourse
-	}
+	defer d.Close()
 	publish := func(name string, blob []byte) {
-		if err := srv.AddPackage(name, blob); err != nil {
-			fail(err)
-		}
-		if err := addCourse(name, blob); err != nil {
+		if err := d.Publish(name, blob); err != nil {
 			fail(err)
 		}
 	}
@@ -175,8 +142,8 @@ func main() {
 		}
 		publish(demo.name, blob)
 	}
-	srv.AddResource("umbrella", "UMBRELLAS: PORTABLE RAIN PROTECTION SINCE 1000 BC")
-	srv.AddResource("ram", "RAM MODULES MUST MATCH THE BOARD'S SOCKET TYPE")
+	d.AddResource("umbrella", "UMBRELLAS: PORTABLE RAIN PROTECTION SINCE 1000 BC")
+	d.AddResource("ram", "RAM MODULES MUST MATCH THE BOARD'S SOCKET TYPE")
 
 	for _, path := range flag.Args() {
 		blob, err := os.ReadFile(path)
@@ -186,46 +153,27 @@ func main() {
 		publish(strings.TrimSuffix(filepath.Base(path), ".tkg"), blob)
 	}
 
-	svc := telemetry.NewService(telemetry.Options{IdleTimeout: *ingestIdle})
-	defer svc.Close()
-	svc.Register(reg)
-	h := svc.Handler()
-	if err := srv.Mount("/telemetry/", h); err != nil {
-		fail(err)
-	}
-	if err := srv.Mount(telemetry.HealthPath, h); err != nil {
-		fail(err)
-	}
-	if err := srv.Mount("/play/", playHandler); err != nil {
-		fail(err)
-	}
-	// Shared classroom sessions live on the same play surface (same mux,
-	// same gateway routing) but under their own path root.
-	if err := srv.Mount("/room/", playHandler); err != nil {
-		fail(err)
-	}
-	if err := srv.Mount("/metrics", reg.Handler()); err != nil {
-		fail(err)
-	}
-	if err := srv.Mount("/debug/traces", traceHandler); err != nil {
-		fail(err)
-	}
+	var h http.Handler = d
 	if *pprofOn {
 		// net/http/pprof registered itself on the default mux at import.
-		if err := srv.Mount("/debug/pprof/", http.DefaultServeMux); err != nil {
-			fail(err)
-		}
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/debug/pprof/") {
+				http.DefaultServeMux.ServeHTTP(w, r)
+				return
+			}
+			d.ServeHTTP(w, r)
+		})
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail(err)
 	}
-	ss := srv.StoreStats()
+	ss := d.Store.Stats()
 	fmt.Printf("vgbl-server listening on http://%s\n", ln.Addr())
 	fmt.Printf("  chunk store: %d chunks, %d bytes (%d dedup hits)\n", ss.Chunks, ss.StoredBytes, ss.DedupHits)
 	fmt.Println("  packages:")
-	for _, n := range srv.Names() {
+	for _, n := range d.Names() {
 		fmt.Printf("    http://%s/pkg/%s\n", ln.Addr(), n)
 	}
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
@@ -234,8 +182,10 @@ func main() {
 	fmt.Printf("  rooms:    http://%s%s?room= (POST), %s, %s; a room opens with a create's room record\n", ln.Addr(), playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
 	if *cluster > 0 {
 		fmt.Printf("  cluster:  %d play nodes behind the /play/ gateway (checkpoint every %v)\n", *cluster, *checkpointEvery)
-		for _, u := range nodeURLs {
-			fmt.Printf("            %s/metrics\n", u)
+		names := d.Cluster.NodeNames()
+		sort.Strings(names)
+		for _, n := range names {
+			fmt.Printf("            %s/metrics\n", d.Cluster.Node(n).URL)
 		}
 	}
 	fmt.Printf("  metrics:  http://%s/metrics (?format=json), traces at /debug/traces\n", ln.Addr())
@@ -243,7 +193,7 @@ func main() {
 		fmt.Printf("  pprof:    http://%s/debug/pprof/\n", ln.Addr())
 	}
 	fmt.Printf("  health:   http://%s%s\n", ln.Addr(), telemetry.HealthPath)
-	if err := http.Serve(ln, srv); err != nil {
+	if err := http.Serve(ln, h); err != nil {
 		fail(err)
 	}
 }

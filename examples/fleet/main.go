@@ -1,5 +1,5 @@
-// Fleet: the networked classroom at scale. A netstream server publishes
-// the classroom course with the telemetry service mounted; fifty simulated
+// Fleet: the networked classroom at scale. A deployment publishes the
+// classroom course with the telemetry service mounted; fifty simulated
 // learners fetch it (one real download, then ETag revalidations), play it
 // concurrently, and report their sessions in batches. At the end we print
 // the fleet's own summary and the live aggregate a lecturer would read
@@ -15,48 +15,37 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/faultnet"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 func main() {
-	// 1. Publish the classroom course with telemetry mounted.
+	// 1. Publish the classroom course on a deployment.
 	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
+	// The deployment mounts telemetry and /metrics beside the package
+	// server; its registry also takes the learners' delta-sync histograms
+	// (via Config.Obs below).
+	d, err := deploy.New(deploy.Config{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	svc := telemetry.NewService(telemetry.Options{})
-	defer svc.Close()
-	h := svc.Handler()
-	if err := srv.Mount("/telemetry/", h); err != nil {
-		log.Fatal(err)
-	}
-	if err := srv.Mount(telemetry.HealthPath, h); err != nil {
-		log.Fatal(err)
-	}
-	// Server- and client-side metrics share one registry: the netstream
-	// and telemetry services register their families, and the fleet (via
-	// Config.Obs below) adds the learners' delta-sync histograms.
-	reg := obs.NewRegistry("vgbl")
-	srv.Register(reg)
-	svc.Register(reg)
-	if err := srv.Mount("/metrics", reg.Handler()); err != nil {
+	defer d.Close()
+	if err := d.Publish("classroom", blob); err != nil {
 		log.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	go http.Serve(ln, srv)
+	go http.Serve(ln, d)
 	url := "http://" + ln.Addr().String()
 	fmt.Printf("== classroom course served at %s/pkg/classroom\n", url)
 
@@ -69,7 +58,7 @@ func main() {
 		Sim:           sim.Config{MaxSteps: 30, TicksPerStep: 2, Patience: 20, RewardBoost: 10, Seed: 42},
 		FlushEvery:    16,
 		FlushInterval: 50 * time.Millisecond,
-		Obs:           reg,
+		Obs:           d.Registry,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -79,7 +68,7 @@ func main() {
 
 	// 3. The lecturer's view: the live course aggregate. Every acked batch
 	// is already in it.
-	cs := svc.Store().Snapshot()["classroom"]
+	cs := d.Telemetry.Store().Snapshot()["classroom"]
 	fmt.Println("\n== live /telemetry/stats snapshot (course: classroom)")
 	fmt.Printf("  sessions: %d started, %d ended, %d completed the mission\n",
 		cs.SessionsStarted, cs.SessionsEnded, cs.Completed)

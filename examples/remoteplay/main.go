@@ -1,5 +1,5 @@
-// Remoteplay: the thin-client deployment. A server publishes the classroom
-// course with the play service mounted; the learner's machine holds only
+// Remoteplay: the thin-client deployment. A deployment publishes the
+// classroom course to its play service; the learner's machine holds only
 // the course document — the game session itself (state, scripts, video
 // decoding) lives on the server. A guided learner plays the whole mission
 // over HTTP, act by act, fetching rendered frames like a dumb terminal,
@@ -16,46 +16,36 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/faultnet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
 	"repro/internal/obs"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
 )
 
 func main() {
-	// 1. Server side: publish the course and mount the play service.
+	// 1. Server side: publish the course on a deployment.
 	course := content.Classroom()
 	blob, err := course.BuildPackage(studio.Options{QStep: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
+	// The deployment mounts the play service and the operator surface:
+	// every subsystem registers its metric families at /metrics.
+	d, err := deploy.New(deploy.Config{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	play := playsvc.NewManager(playsvc.Options{})
-	defer play.Close()
-	if err := play.AddCourse("classroom", blob); err != nil {
-		log.Fatal(err)
-	}
-	if err := srv.Mount("/play/", play.Handler()); err != nil {
-		log.Fatal(err)
-	}
-	// The operator surface: every subsystem registers its metric families
-	// and the scrape endpoint serves them all.
-	reg := obs.NewRegistry("vgbl")
-	srv.Register(reg)
-	play.Register(reg)
-	if err := srv.Mount("/metrics", reg.Handler()); err != nil {
+	defer d.Close()
+	if err := d.Publish("classroom", blob); err != nil {
 		log.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	go http.Serve(ln, srv)
+	go http.Serve(ln, d)
 	url := "http://" + ln.Addr().String()
 	fmt.Printf("== play service at %s%s\n", url, playsvc.ActV2Path)
 

@@ -2,19 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"net"
-	"net/http"
+	"net/http/httptest"
 	"strings"
 	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
-	"repro/internal/playsvc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // E10 measures the networked-classroom deployment under load: fleets of
@@ -56,25 +53,19 @@ func E10(learners int) (string, error) {
 }
 
 func e10Row(blob []byte, learners int) (string, error) {
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
-		return "", err
-	}
-	svc := telemetry.NewService(telemetry.Options{})
-	defer svc.Close()
-	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
-		return "", err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := deploy.New(deploy.Config{})
 	if err != nil {
 		return "", err
 	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer hs.Close()
+	defer d.Close()
+	if err := d.Publish("classroom", blob); err != nil {
+		return "", err
+	}
+	front := httptest.NewServer(d)
+	defer front.Close()
 
 	sum, err := fleet.Run(fleet.Config{
-		ServerURL:   "http://" + ln.Addr().String(),
+		ServerURL:   front.URL,
 		Package:     "classroom",
 		Learners:    learners,
 		Concurrency: 64,
@@ -92,7 +83,7 @@ func e10Row(blob []byte, learners int) (string, error) {
 	for _, r := range sum.Reports {
 		want.Add(r)
 	}
-	cs := svc.Store().Snapshot()["classroom"]
+	cs := d.Telemetry.Store().Snapshot()["classroom"]
 	match := "exact"
 	if cs.SessionsEnded != learners || cs.Events != want.Events ||
 		cs.Decisions != want.Decisions || cs.Knowledge != want.Knowledge ||
@@ -159,37 +150,23 @@ func E12(learners int) (string, error) {
 }
 
 func e12Row(blob []byte, learners int, interactive bool) (string, *analytics.Rolling, error) {
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
-		return "", nil, err
-	}
-	svc := telemetry.NewService(telemetry.Options{})
-	defer svc.Close()
-	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
-		return "", nil, err
-	}
-	play := playsvc.NewManager(playsvc.Options{})
-	defer play.Close()
-	if err := play.AddCourse("classroom", blob); err != nil {
-		return "", nil, err
-	}
-	if err := srv.Mount("/play/", play.Handler()); err != nil {
-		return "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := deploy.New(deploy.Config{})
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer hs.Close()
+	defer d.Close()
+	if err := d.Publish("classroom", blob); err != nil {
+		return "", nil, err
+	}
+	front := httptest.NewServer(d)
+	defer front.Close()
 
 	simCfg := sim.Config{MaxSteps: 12, TicksPerStep: 1, Patience: 30, Seed: 977}
 	if interactive {
 		simCfg.WatchEvery = 4
 	}
 	sum, err := fleet.Run(fleet.Config{
-		ServerURL:   "http://" + ln.Addr().String(),
+		ServerURL:   front.URL,
 		Package:     "classroom",
 		Learners:    learners,
 		Concurrency: 64,
@@ -212,7 +189,7 @@ func e12Row(blob []byte, learners int, interactive bool) (string, *analytics.Rol
 	if interactive {
 		mode = "remote-play"
 	}
-	ps := play.Snapshot()
+	ps := d.Play.Snapshot()
 	if interactive && (ps["sessions_created"] != int64(learners) || ps["sessions_live"] != 0) {
 		return "", nil, fmt.Errorf("e12: play accounting off: %v", ps)
 	}

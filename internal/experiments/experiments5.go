@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // E14 measures session durability under cluster churn: a learner fleet
@@ -35,35 +34,20 @@ func E14(learners int) (string, error) {
 	b.WriteString("store + snapshot directory; guided policy, 12 steps, frame every 4\n\n")
 
 	// --- churn run -----------------------------------------------------
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
-		return "", err
-	}
-	svc := telemetry.NewService(telemetry.Options{})
-	defer svc.Close()
-	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
-		return "", err
-	}
-	front := httptest.NewServer(srv)
-	defer front.Close()
-
-	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+	d, err := deploy.New(deploy.Config{
+		Play:  playsvc.ClusterOptions{Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond}},
+		Nodes: 3,
 	})
 	if err != nil {
 		return "", err
 	}
-	defer cl.Close()
-	if err := cl.AddCourse("classroom", blob); err != nil {
+	defer d.Close()
+	if err := d.Publish("classroom", blob); err != nil {
 		return "", err
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := cl.StartNode(); err != nil {
-			return "", err
-		}
-	}
-	gw := httptest.NewServer(cl.Gateway().Handler())
-	defer gw.Close()
+	front := httptest.NewServer(d)
+	defer front.Close()
+	cl := d.Cluster
 
 	churnErr := make(chan error, 1)
 	go func() {
@@ -83,7 +67,6 @@ func E14(learners int) (string, error) {
 	began := time.Now()
 	sum, err := fleet.Run(fleet.Config{
 		ServerURL:   front.URL,
-		PlayURL:     gw.URL,
 		Package:     "classroom",
 		Learners:    learners,
 		Concurrency: 64,

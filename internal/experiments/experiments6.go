@@ -7,13 +7,12 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
 	"repro/internal/obs"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // E15 is the observability experiment: the same churn scenario as E14 —
@@ -36,39 +35,22 @@ func E15(learners int) (string, error) {
 	b.WriteString("3 play nodes behind a consistent-hash gateway; one node replaced\n")
 	b.WriteString("mid-run; every number below is scraped from /metrics\n\n")
 
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
-		return "", err
-	}
-	svc := telemetry.NewService(telemetry.Options{})
-	defer svc.Close()
-	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
-		return "", err
-	}
-	front := httptest.NewServer(srv)
-	defer front.Close()
-
-	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+	// The gateway's own families (hops, rescue latency) live in the
+	// deployment's registry, as vgbl-server -cluster serves them.
+	d, err := deploy.New(deploy.Config{
+		Play:  playsvc.ClusterOptions{Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond}},
+		Nodes: 3,
 	})
 	if err != nil {
 		return "", err
 	}
-	defer cl.Close()
-	if err := cl.AddCourse("classroom", blob); err != nil {
+	defer d.Close()
+	if err := d.Publish("classroom", blob); err != nil {
 		return "", err
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := cl.StartNode(); err != nil {
-			return "", err
-		}
-	}
-	// The gateway's own families (hops, rescue latency) live in a local
-	// registry exactly as vgbl-server wires them.
-	reg := obs.NewRegistry("vgbl")
-	cl.Gateway().Register(reg)
-	gw := httptest.NewServer(cl.Gateway().Handler())
-	defer gw.Close()
+	front := httptest.NewServer(d)
+	defer front.Close()
+	cl := d.Cluster
 
 	churnErr := make(chan error, 1)
 	go func() {
@@ -87,7 +69,6 @@ func E15(learners int) (string, error) {
 
 	sum, err := fleet.Run(fleet.Config{
 		ServerURL:   front.URL,
-		PlayURL:     gw.URL,
 		Package:     "classroom",
 		Learners:    learners,
 		Concurrency: 64,
@@ -109,12 +90,12 @@ func E15(learners int) (string, error) {
 	// The per-node table a loadtest run prints: node discovery through the
 	// gateway's /play/stats, histograms from each node's own /metrics.
 	b.WriteString("per-node act latency (scraped from each node's /metrics):\n")
-	b.WriteString(fleet.FormatLatencyTable(fleet.ScrapeActLatencies(nil, gw.URL)))
+	b.WriteString(fleet.FormatLatencyTable(fleet.ScrapeActLatencies(nil, front.URL)))
 	b.WriteString("\n")
 
 	// The price of churn, from the gateway's registry: how many routed
 	// calls needed more than one backend hop, and what a rescue costs.
-	snap := reg.Snapshot()
+	snap := d.Registry.Snapshot()
 	fmt.Fprintf(&b, "gateway: %d creates, %d rescues, %d retries\n", snap.Value("vgbl_gateway_creates_total"),
 		snap.Value("vgbl_gateway_rescues_total"), snap.Value("vgbl_gateway_retries_total"))
 	if h := snap.Hist("vgbl_gateway_hops"); h != nil {

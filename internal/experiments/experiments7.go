@@ -8,13 +8,12 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/faultnet"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // E16 is the resilience experiment: the same interactive classroom fleet
@@ -60,45 +59,30 @@ func E16(learners int) (string, error) {
 // e16Run drives one fleet through one fault profile and formats the
 // resilience counters as a table row.
 func e16Run(blob []byte, profile faultnet.Profile, learners int) (string, error) {
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
-		return "", err
-	}
-	svc := telemetry.NewService(telemetry.Options{})
-	defer svc.Close()
-	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
-		return "", err
-	}
-	front := httptest.NewServer(srv)
-	defer front.Close()
-
 	// The gateway's backend hops ride their own injected transport so the
 	// breakers see real faults; a separate seed keeps the two fault
 	// streams uncorrelated, exactly like the chaos gate.
 	gwTr := faultnet.NewTransport(faultnet.NewHTTPTransport(64), profile, 7)
-	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-		HTTP: &http.Client{Transport: gwTr},
-		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+	d, err := deploy.New(deploy.Config{
+		Play: playsvc.ClusterOptions{
+			HTTP: &http.Client{Transport: gwTr},
+			Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+		},
+		Nodes: 3,
 	})
 	if err != nil {
 		return "", err
 	}
-	defer cl.Close()
-	if err := cl.AddCourse("classroom", blob); err != nil {
+	defer d.Close()
+	if err := d.Publish("classroom", blob); err != nil {
 		return "", err
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := cl.StartNode(); err != nil {
-			return "", err
-		}
-	}
-	gw := httptest.NewServer(cl.Gateway().Handler())
-	defer gw.Close()
+	front := httptest.NewServer(d)
+	defer front.Close()
 
 	fleetTr := faultnet.NewTransport(faultnet.NewHTTPTransport(64), profile, 11)
 	sum, err := fleet.Run(fleet.Config{
 		ServerURL:   front.URL,
-		PlayURL:     gw.URL,
 		Package:     "classroom",
 		Learners:    learners,
 		Concurrency: 64,
@@ -111,12 +95,12 @@ func e16Run(blob []byte, profile faultnet.Profile, learners int) (string, error)
 	if err != nil {
 		return "", err
 	}
-	cs := svc.Store().Snapshot()["classroom"]
+	cs := d.Telemetry.Store().Snapshot()["classroom"]
 	if cs.SessionsStarted != learners || cs.SessionsEnded != learners || cs.LiveSessions != 0 {
 		return "", fmt.Errorf("telemetry accounting skewed: %+v", cs)
 	}
 
-	gs := cl.Gateway().Stats().Gateway
+	gs := d.Cluster.Gateway().Stats().Gateway
 	gwSt, flSt := gwTr.Stats(), fleetTr.Stats()
 	injected := gwSt.Drops + gwSt.Resets + gwSt.Errors + gwSt.Outages +
 		flSt.Drops + flSt.Resets + flSt.Errors + flSt.Outages

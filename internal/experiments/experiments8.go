@@ -8,12 +8,11 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // E17 measures the remote-play tax E12 exposed, on the one act path: the
@@ -81,16 +80,21 @@ func E17(learners int) (string, error) {
 // e17Run drives one fleet configuration and returns its throughput,
 // session p90, event rate and aggregated outcomes.
 func e17Run(blob []byte, learners int, interactive, mirror bool) (float64, time.Duration, float64, *analytics.Rolling, error) {
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
+	// Interactive rows play through a 3-node cluster behind the front's
+	// gateway; local rows only fetch the package and report.
+	dc := deploy.Config{Play: playsvc.ClusterOptions{Node: playsvc.Options{TTL: -1}}}
+	if interactive {
+		dc.Nodes = 3
+	}
+	d, err := deploy.New(dc)
+	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	svc := telemetry.NewService(telemetry.Options{})
-	defer svc.Close()
-	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
+	defer d.Close()
+	if err := d.Publish("classroom", blob); err != nil {
 		return 0, 0, 0, nil, err
 	}
-	front := httptest.NewServer(srv)
+	front := httptest.NewServer(d)
 	defer front.Close()
 
 	cfg := fleet.Config{
@@ -106,24 +110,6 @@ func e17Run(blob []byte, learners int, interactive, mirror bool) (float64, time.
 	}
 	if interactive {
 		cfg.Sim.WatchEvery = 4
-		cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-			Node: playsvc.Options{TTL: -1},
-		})
-		if err != nil {
-			return 0, 0, 0, nil, err
-		}
-		defer cl.Close()
-		if err := cl.AddCourse("classroom", blob); err != nil {
-			return 0, 0, 0, nil, err
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := cl.StartNode(); err != nil {
-				return 0, 0, 0, nil, err
-			}
-		}
-		gw := httptest.NewServer(cl.Gateway().Handler())
-		defer gw.Close()
-		cfg.PlayURL = gw.URL
 	}
 
 	sum, err := fleet.Run(cfg)
@@ -133,7 +119,7 @@ func e17Run(blob []byte, learners int, interactive, mirror bool) (float64, time.
 	if sum.Failed > 0 {
 		return 0, 0, 0, nil, fmt.Errorf("%d learners failed: %v", sum.Failed, sum.Errors)
 	}
-	cs := svc.Store().Snapshot()["classroom"]
+	cs := d.Telemetry.Store().Snapshot()["classroom"]
 	if cs.SessionsStarted != learners || cs.SessionsEnded != learners || cs.LiveSessions != 0 {
 		return 0, 0, 0, nil, fmt.Errorf("telemetry accounting skewed: %+v", cs)
 	}

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/fleet"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
 )
@@ -68,30 +68,23 @@ func E18(watchers int) (string, error) {
 	return b.String(), nil
 }
 
-// e18Server publishes the classroom course with the play service (and its
-// room routes) mounted, vgbl-server-shaped.
+// e18Server publishes the classroom course on a deployment, the play
+// service's room routes included.
 func e18Server() (string, func(), error) {
 	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 10})
 	if err != nil {
 		return "", nil, err
 	}
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", blob); err != nil {
+	d, err := deploy.New(deploy.Config{Play: playsvc.ClusterOptions{Node: playsvc.Options{TTL: -1}}})
+	if err != nil {
 		return "", nil, err
 	}
-	m := playsvc.NewManager(playsvc.Options{TTL: -1})
-	if err := m.AddCourse("classroom", blob); err != nil {
-		m.Close()
+	if err := d.Publish("classroom", blob); err != nil {
+		d.Close()
 		return "", nil, err
 	}
-	for _, mount := range []string{"/play/", "/room/"} {
-		if err := srv.Mount(mount, m.Handler()); err != nil {
-			m.Close()
-			return "", nil, err
-		}
-	}
-	front := httptest.NewServer(srv)
-	return front.URL, func() { front.Close(); m.Close() }, nil
+	front := httptest.NewServer(d)
+	return front.URL, func() { front.Close(); d.Close() }, nil
 }
 
 // e18Run drives one cohort size and enforces the experiment's invariants:

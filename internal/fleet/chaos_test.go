@@ -8,12 +8,10 @@ import (
 	"time"
 
 	"repro/internal/analytics"
+	"repro/internal/deploy"
 	"repro/internal/faultnet"
-	"repro/internal/netstream"
-	"repro/internal/obs"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // TestClusterChaosSoak is the resilience gate: 200 interactive learners
@@ -32,51 +30,26 @@ func TestClusterChaosSoak(t *testing.T) {
 		t.Fatal("wifi-flaky profile missing")
 	}
 
-	// Front server: package catalog + telemetry ingest.
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	svc := telemetry.NewService(telemetry.Options{})
-	t.Cleanup(svc.Close)
-	h := svc.Handler()
-	if err := srv.Mount("/telemetry/", h); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Mount(telemetry.HealthPath, h); err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(srv)
-	t.Cleanup(front.Close)
-
-	// Play cluster whose gateway→node hops are themselves fault-injected:
-	// the breakers and exclusion routing see real transport failures, not
-	// just the killed node.
+	// One front — package catalog, telemetry ingest and the gateway at
+	// /play/ — over a play cluster whose gateway→node hops are themselves
+	// fault-injected: the breakers and exclusion routing see real
+	// transport failures, not just the killed node.
 	gwHTTP := faultnet.WrapClient(&http.Client{Transport: faultnet.NewHTTPTransport(64)}, profile, 7)
-	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-		HTTP: gwHTTP,
-		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+	d := deployStack(t, deploy.Config{
+		Play: playsvc.ClusterOptions{
+			HTTP: gwHTTP,
+			Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+		},
+		Nodes: 3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	if err := cl.AddCourse("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := cl.StartNode(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gwSrv := httptest.NewServer(cl.Gateway().Handler())
-	t.Cleanup(gwSrv.Close)
+	front := httptest.NewServer(d)
+	t.Cleanup(front.Close)
+	svc, cl := d.Telemetry, d.Cluster
 
 	// The resilience counters ride the ordinary metrics registry: the
-	// gateway's breaker/retry families plus one surviving node's admission
-	// counters, exactly what vgbl-server exports at /metrics.
-	reg := obs.NewRegistry("vgbl")
-	cl.Gateway().Register(reg)
+	// gateway's breaker/retry families, exactly what vgbl-server exports
+	// at /metrics, plus one surviving node's admission counters.
+	reg := d.Registry
 	names := cl.NodeNames()
 	victim, kept := names[0], names[1]
 	cl.Node(kept).Manager.Register(reg)
@@ -109,7 +82,6 @@ func TestClusterChaosSoak(t *testing.T) {
 	const learners = 200
 	sum, err := Run(Config{
 		ServerURL:   front.URL,
-		PlayURL:     gwSrv.URL,
 		Package:     "classroom",
 		Learners:    learners,
 		Concurrency: 64,

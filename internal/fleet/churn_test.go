@@ -6,52 +6,25 @@ import (
 	"time"
 
 	"repro/internal/analytics"
-	"repro/internal/netstream"
+	"repro/internal/deploy"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// churnStack brings up the cluster deployment shape: a front server with
-// the package catalog and telemetry ingest, plus an n-node play cluster
-// behind a gateway. The fleet downloads and reports against the front and
-// plays against the gateway.
-func churnStack(t *testing.T, nodes int) (front *httptest.Server, gwSrv *httptest.Server, svc *telemetry.Service, cl *playsvc.Cluster) {
+// churnStack brings up the cluster deployment shape vgbl-server -cluster
+// serves: one front with the package catalog, telemetry ingest and an
+// n-node play cluster's gateway at /play/. The fleet downloads, reports
+// and plays against the front.
+func churnStack(t *testing.T, nodes int) (front *httptest.Server, svc *telemetry.Service, cl *playsvc.Cluster) {
 	t.Helper()
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	svc = telemetry.NewService(telemetry.Options{})
-	t.Cleanup(svc.Close)
-	h := svc.Handler()
-	if err := srv.Mount("/telemetry/", h); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Mount(telemetry.HealthPath, h); err != nil {
-		t.Fatal(err)
-	}
-	front = httptest.NewServer(srv)
-	t.Cleanup(front.Close)
-
-	cl, err := playsvc.NewCluster(playsvc.ClusterOptions{
-		Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
+	d := deployStack(t, deploy.Config{
+		Play:  playsvc.ClusterOptions{Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond}},
+		Nodes: nodes,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	if err := cl.AddCourse("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nodes; i++ {
-		if _, err := cl.StartNode(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gwSrv = httptest.NewServer(cl.Gateway().Handler())
-	t.Cleanup(gwSrv.Close)
-	return front, gwSrv, svc, cl
+	front = httptest.NewServer(d)
+	t.Cleanup(front.Close)
+	return front, d.Telemetry, d.Cluster
 }
 
 // clusterLive sums the sessions the cluster's nodes host right now.
@@ -72,7 +45,7 @@ func clusterLive(cl *playsvc.Cluster) (n int) {
 // and the ingested telemetry totals must equal the sum of the 200 local
 // reports exactly — the same bar the single-node fleet test sets.
 func TestClusterChurnResume(t *testing.T) {
-	front, gwSrv, svc, cl := churnStack(t, 3)
+	front, svc, cl := churnStack(t, 3)
 	const learners = 200
 
 	// Churn while the fleet is mid-flight: as soon as a healthy slice of
@@ -99,7 +72,6 @@ func TestClusterChurnResume(t *testing.T) {
 
 	sum, err := Run(Config{
 		ServerURL:   front.URL,
-		PlayURL:     gwSrv.URL,
 		Package:     "classroom",
 		Learners:    learners,
 		Concurrency: 64,

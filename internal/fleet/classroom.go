@@ -28,7 +28,7 @@ import (
 // ClassroomConfig shapes one shared-session fan-out run.
 type ClassroomConfig struct {
 	ServerURL string // package server base URL (http://host:port)
-	PlayURL   string // play/room service base URL; empty means ServerURL
+	PlayURL   string // play/room service on another host; empty means ServerURL
 	Package   string // course package under /pkg/
 
 	Rooms    int // shared sessions (default 1)

@@ -37,8 +37,9 @@ type Config struct {
 	// the whole game over the wire, action by action, while still reporting
 	// through telemetry. This is the remote-play load measurement (E12).
 	Interactive bool
-	// PlayURL is the play service base URL; empty means the package server
-	// also hosts play sessions (the usual mounting).
+	// PlayURL is the play service base URL when it is not the package
+	// server's (vgbl-loadtest -play-server: a gateway on another host);
+	// empty means ServerURL, whose /play/ a deployment always serves.
 	PlayURL string
 	// PlayMirror runs each interactive learner as a thick client instead
 	// of a thin one (every act one framed round trip): a local

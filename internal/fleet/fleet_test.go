@@ -9,9 +9,9 @@ import (
 
 	"repro/internal/analytics"
 	"repro/internal/content"
+	"repro/internal/deploy"
 	"repro/internal/gamepack"
 	"repro/internal/media/studio"
-	"repro/internal/netstream"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -34,35 +34,28 @@ func classroomBlob(t *testing.T) []byte {
 	return pkgBlob
 }
 
-// liveStack brings up a netstream.Server with the classroom package, a
-// mounted telemetry service and a mounted play service — the full
-// deployment the load generator targets.
+// liveStack brings up a deployment with the classroom course published —
+// the full stack the load generator targets.
 func liveStack(t *testing.T) (*httptest.Server, *telemetry.Service, *playsvc.Manager) {
 	t.Helper()
-	srv := netstream.NewServer()
-	if err := srv.AddPackage("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	svc := telemetry.NewService(telemetry.Options{})
-	t.Cleanup(svc.Close)
-	h := svc.Handler()
-	if err := srv.Mount("/telemetry/", h); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Mount(telemetry.HealthPath, h); err != nil {
-		t.Fatal(err)
-	}
-	mgr := playsvc.NewManager(playsvc.Options{})
-	t.Cleanup(mgr.Close)
-	if err := mgr.AddCourse("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Mount("/play/", mgr.Handler()); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	d := deployStack(t, deploy.Config{})
+	ts := httptest.NewServer(d)
 	t.Cleanup(ts.Close)
-	return ts, svc, mgr
+	return ts, d.Telemetry, d.Play
+}
+
+// deployStack builds a deployment and publishes the classroom course.
+func deployStack(t *testing.T, c deploy.Config) *deploy.Deployment {
+	t.Helper()
+	d, err := deploy.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	if err := d.Publish("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestFleet500StatsExact is the subsystem's acceptance test: 500 concurrent

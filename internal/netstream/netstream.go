@@ -111,8 +111,9 @@ func NewServer() *Server {
 }
 
 // NewServerWith creates a server over a caller-owned chunk store — the
-// production shape, where the caller picks the backend (memory or disk)
-// and the hot-tier budget, and registers the store's metrics.
+// production shape, built by internal/deploy, which picks the backend
+// (memory or disk) and the hot-tier budget from its Config.Store and
+// registers the store's metrics.
 func NewServerWith(store *blobstore.Store) *Server {
 	return &Server{
 		packages:  map[string]*pkgEntry{},

@@ -7,8 +7,9 @@
 // coordination surface: session handoff is a freeze into the directory on
 // one node and a thaw out of it on another.
 //
-// It backs `vgbl-server -cluster N`, the churn experiment (E14) and the
-// TestClusterChurnResume scale gate. A multi-host deployment would run
+// internal/deploy builds one with Config.Nodes > 0 and mounts its Gateway
+// at /play/ and /room/: that is `vgbl-server -cluster N`, E14–E17 and the
+// churn and chaos scale gates. A multi-host deployment would run
 // the same node binary per machine with a shared SnapshotDir
 // implementation; the lifecycle below is the single-process equivalent.
 package playsvc
