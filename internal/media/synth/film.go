@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -46,6 +47,7 @@ type Film struct {
 	Shots  []Shot
 	starts []int // starts[i] = global index of first frame of shot i
 	total  int
+	keys   []uint64 // cellKey of every 2×2 noise cell, row-major; nil when no shot is noisy
 }
 
 // NewFilm assembles a film from explicit shots. It panics if any shot is
@@ -70,6 +72,12 @@ func NewFilm(w, h, fps int, shots []Shot) *Film {
 		}
 		f.starts[i] = acc
 		acc += s.Frames
+		if s.NoiseAmp > 0 && f.keys == nil {
+			f.keys = make([]uint64, ((w+1)/2)*((h+1)/2))
+			for c := range f.keys {
+				f.keys[c] = cellKey(uint64(c))
+			}
+		}
 	}
 	f.total = acc
 	return f
@@ -180,40 +188,74 @@ func (f *Film) renderShot(fr *raster.Frame, k, t int) {
 
 // addNoise applies per-2×2-cell sensor noise, deterministic in (seed, frame).
 // A cell's samples are one run of up to six bytes in each of its two rows.
+// A row of cells is done in chunks of up to 64: the chunk's noise first,
+// then the noise onto the runs of the top row and of the bottom one.
 func (f *Film) addNoise(fr *raster.Frame, seed, frame uint64, amp int) {
 	frameKey := seed ^ hash64(frame)
+	r := newNoiseRange(amp)
+	keys := f.keys
 	stride := 3 * fr.W
-	cell := uint64(0) // row-major over the (W+1)/2 × (H+1)/2 cell grid
+	var adds, flips [64]uint64
 	for y := 0; y < fr.H; y += 2 {
 		top := fr.Pix[y*stride : (y+1)*stride]
-		var bottom []uint8 // empty under the last row of an odd height
+		bottom := top[:0] // empty under the last row of an odd height
 		if y+1 < fr.H {
 			bottom = fr.Pix[(y+1)*stride : (y+2)*stride]
 		}
-		for x := 0; x < fr.W; x += 2 {
-			n := cellNoise(frameKey, cell, amp)
-			cell++
-			lo, hi := 3*x, 3*min(x+2, fr.W)
-			addClamped(top[lo:hi], n)
-			if bottom != nil {
-				addClamped(bottom[lo:hi], n)
+		row := keys[:(fr.W+1)/2]
+		keys = keys[len(row):]
+		for c := 0; c < len(row); c += len(adds) {
+			n := min(len(adds), len(row)-c)
+			for i, key := range row[c : c+n] {
+				adds[i], flips[i] = noiseLanes(cellNoise(frameKey, key, r))
 			}
+			addRuns(top[6*c:], adds[:n], flips[:n])
+			addRuns(bottom[min(6*c, len(bottom)):], adds[:n], flips[:n])
 		}
 	}
 }
 
-// addClamped adds n to every sample of px, saturating at 0 and 255.
-func addClamped(px []uint8, n int) {
-	for i, p := range px {
-		v := int(p) + n
-		if v < 0 {
-			v = 0
-		}
-		if v > 255 {
-			v = 255
-		}
-		px[i] = uint8(v)
+// noiseLanes returns what adds noise n to six samples, one per byte of the
+// six low bytes of a word, saturating at 0 and 255: |n|, capped at 255 (no
+// sample moves further), and the flip, all ones where n is negative — a
+// saturating subtraction is the saturating addition to the complement,
+// complemented. The two high bytes are zero in both.
+func noiseLanes(n int) (add, flip uint64) {
+	const six = 0x0000_0101_0101_0101
+	s := n >> 63
+	return uint64(min((n^s)-s, 255)) * six, uint64(s) & (six * 0xff)
+}
+
+// addRuns adds the noise of cell i, adds[i] between two flips[i], to the
+// six samples px[6i:6i+6], or what is left of px for the last cell of an
+// odd width. Four cells are 24 bytes, three words whose lanes are shifted
+// out of the cells' own; any further cells go one at a time through a copy.
+func addRuns(px []uint8, adds, flips []uint64) {
+	le := binary.LittleEndian
+	for len(adds) >= 4 && len(flips) >= 4 && len(px) >= 24 {
+		a, b, c, d := adds[0], adds[1], adds[2], adds[3]
+		fa, fb, fc, fd := flips[0], flips[1], flips[2], flips[3]
+		le.PutUint64(px[0:8], addBytes(le.Uint64(px[0:8]), a|b<<48, fa|fb<<48))
+		le.PutUint64(px[8:16], addBytes(le.Uint64(px[8:16]), b>>16|c<<32, fb>>16|fc<<32))
+		le.PutUint64(px[16:24], addBytes(le.Uint64(px[16:24]), c>>32|d<<16, fc>>32|fd<<16))
+		px, adds, flips = px[24:], adds[4:], flips[4:]
 	}
+	for i, a := range adds {
+		var run [8]uint8
+		n := copy(run[:6], px)
+		le.PutUint64(run[:], addBytes(le.Uint64(run[:]), a, flips[i]))
+		px = px[copy(px, run[:n]):]
+	}
+}
+
+// addBytes adds each byte of add to the same byte of v ^ flip, saturating
+// at 255, and returns the sums ^ flip.
+func addBytes(v, add, flip uint64) uint64 {
+	const low7 = 0x7f7f_7f7f_7f7f_7f7f
+	v ^= flip
+	s := (v & low7) + (add & low7)       // each byte's low seven bits summed
+	carry := (v&add | (v|add)&s) &^ low7 // each byte's carry out
+	return (s ^ (v^add)&^low7 | (carry>>7)*0xff) ^ flip
 }
 
 // Spec parameterizes random film generation for the experiments.

@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -286,6 +289,34 @@ func TestRenderIntoMatchesRender(t *testing.T) {
 	}
 }
 
+// TestRenderIntoConcurrent renders one noisy film from several goroutines
+// at once, each into its own frame: the film's cell-key table is shared and
+// read-only, so every frame must equal the one rendered alone.
+func TestRenderIntoConcurrent(t *testing.T) {
+	f := transitionFilm()
+	want := make([]*raster.Frame, f.FrameCount())
+	for i := range want {
+		want[i] = f.Render(i)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var fr raster.Frame
+			for k := range f.FrameCount() {
+				i := (k + 5*g) % f.FrameCount()
+				f.RenderInto(&fr, i)
+				if !fr.Equal(want[i]) {
+					t.Errorf("goroutine %d, frame %d: differs from the frame rendered alone", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestRenderIntoAllocatesOnlyOnFades(t *testing.T) {
 	f := transitionFilm()
 	var fr raster.Frame
@@ -295,4 +326,155 @@ func TestRenderIntoAllocatesOnlyOnFades(t *testing.T) {
 			t.Errorf("frame %d: RenderInto a recycled frame allocates %.0f objects, want 0", i, n)
 		}
 	}
+}
+
+// The sensor noise as it stood before the per-film cell keys, the
+// division-free range and the word-wide saturation replaced it (EXPERIMENTS.md
+// E44), kept verbatim but for their names: the references the new code is
+// held to.
+
+// cellNoiseRef is noise with the part that is the same for every cell of a
+// frame, seed ^ hash64(frame), already mixed.
+func cellNoiseRef(frameKey, cell uint64, amp int) int {
+	if amp == 0 {
+		return 0
+	}
+	h := hash64(frameKey ^ hash64(cell*0x5851f42d4c957f2d))
+	return int(h%uint64(2*amp+1)) - amp
+}
+
+// addNoiseRef applies per-2×2-cell sensor noise, deterministic in (seed, frame).
+// A cell's samples are one run of up to six bytes in each of its two rows.
+func addNoiseRef(fr *raster.Frame, seed, frame uint64, amp int) {
+	frameKey := seed ^ hash64(frame)
+	stride := 3 * fr.W
+	cell := uint64(0) // row-major over the (W+1)/2 × (H+1)/2 cell grid
+	for y := 0; y < fr.H; y += 2 {
+		top := fr.Pix[y*stride : (y+1)*stride]
+		var bottom []uint8 // empty under the last row of an odd height
+		if y+1 < fr.H {
+			bottom = fr.Pix[(y+1)*stride : (y+2)*stride]
+		}
+		for x := 0; x < fr.W; x += 2 {
+			n := cellNoiseRef(frameKey, cell, amp)
+			cell++
+			lo, hi := 3*x, 3*min(x+2, fr.W)
+			addClampedRef(top[lo:hi], n)
+			if bottom != nil {
+				addClampedRef(bottom[lo:hi], n)
+			}
+		}
+	}
+}
+
+// addClampedRef adds n to every sample of px, saturating at 0 and 255.
+func addClampedRef(px []uint8, n int) {
+	for i, p := range px {
+		v := int(p) + n
+		if v < 0 {
+			v = 0
+		}
+		if v > 255 {
+			v = 255
+		}
+		px[i] = uint8(v)
+	}
+}
+
+// TestCellNoiseDivisionFree holds noiseRange's multiply-high remainder to
+// the division, for amplitudes 1…300 and 1<<20: at the hashes on either side
+// of 0, of 2^63, of 2^64 and of the top multiples of the divisor, where a
+// quotient estimate one short shows, and at a million random hashes spread
+// over the amplitudes. Then the whole cell noise, key table and all, against
+// cellNoiseRef.
+func TestCellNoiseDivisionFree(t *testing.T) {
+	amps := []int{1 << 20}
+	for a := 1; a <= 300; a++ {
+		amps = append(amps, a)
+	}
+	check := func(amp int, h uint64) {
+		r := newNoiseRange(amp)
+		if got, want := r.of(h), int(h%uint64(2*amp+1))-amp; got != want {
+			t.Fatalf("amp %d, h %#x: %d, division gives %d", amp, h, got, want)
+		}
+	}
+	for _, amp := range amps {
+		d := uint64(2*amp + 1)
+		top := math.MaxUint64 / d * d // the largest multiple of d
+		for _, h := range []uint64{0, 1, d - 1, d, d + 1, 1<<63 - 1, 1 << 63, 1<<63 + 1,
+			top - d - 1, top - d, top - 1, top, top + 1, math.MaxUint64 - 1, math.MaxUint64} {
+			check(amp, h)
+		}
+	}
+	rng := rand.New(rand.NewSource(61))
+	for i := range 1_000_000 {
+		check(amps[i%len(amps)], rng.Uint64())
+	}
+	for range 100_000 {
+		frameKey, cell, amp := rng.Uint64(), uint64(rng.Intn(1<<16)), amps[rng.Intn(len(amps))]
+		if got, want := cellNoise(frameKey, cellKey(cell), newNoiseRange(amp)), cellNoiseRef(frameKey, cell, amp); got != want {
+			t.Fatalf("frame key %#x, cell %d, amp %d: %d, reference %d", frameKey, cell, amp, got, want)
+		}
+	}
+}
+
+// TestAddNoiseMatchesReference holds the word-wide noise to the per-byte
+// clamp: every sample value under every noise value from −300 to 300, then
+// whole frames — one pixel, odd and even both ways — of uniform bytes and of
+// bytes at 0 and 255, at amplitudes that saturate nothing, something and
+// everything.
+func TestAddNoiseMatchesReference(t *testing.T) {
+	for n := -300; n <= 300; n++ {
+		add, flip := noiseLanes(n)
+		for p := range 256 {
+			px := []uint8{uint8(p), uint8(p), uint8(p), uint8(p), uint8(p), uint8(p), 7, 200}
+			want := append([]uint8(nil), px...)
+			addClampedRef(want[:6], n)
+			if addRuns(px[:6], []uint64{add}, []uint64{flip}); string(px) != string(want) {
+				t.Fatalf("sample %d + %d: % x, want % x", p, n, px, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(67))
+	for _, sz := range [][2]int{{1, 1}, {2, 1}, {1, 3}, {3, 2}, {4, 4}, {37, 21}, {160, 120}, {161, 121}} {
+		w, h := sz[0], sz[1]
+		for _, amp := range []int{1, 2, 3, 64, 255, 256, 1000} {
+			f := NewFilm(w, h, 8, []Shot{{Frames: 1, NoiseAmp: amp}})
+			for _, extremes := range []bool{false, true} {
+				got := raster.New(w, h)
+				rng.Read(got.Pix)
+				if extremes {
+					for i := range got.Pix {
+						got.Pix[i] = uint8(-int(got.Pix[i] & 1))
+					}
+				}
+				want := got.Clone()
+				seed, frame := rng.Uint64(), rng.Uint64()
+				f.addNoise(got, seed, frame, amp)
+				addNoiseRef(want, seed, frame, amp)
+				if !got.Equal(want) {
+					t.Fatalf("%dx%d amp %d extremes %v: noise differs from the reference", w, h, amp, extremes)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAddNoise160x120 puts amplitude-2 sensor noise, the demo courses'
+// setting, on one 160×120 frame: "words" is addNoise, "bytes" addNoiseRef
+// (EXPERIMENTS.md E44).
+func BenchmarkAddNoise160x120(b *testing.B) {
+	f := NewFilm(160, 120, 10, []Shot{{Frames: 1, NoiseAmp: 2}})
+	fr := raster.New(160, 120)
+	rand.New(rand.NewSource(3)).Read(fr.Pix)
+	b.Run("words", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.addNoise(fr, 7, uint64(i), 2)
+		}
+	})
+	b.Run("bytes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			addNoiseRef(fr, 7, uint64(i), 2)
+		}
+	})
 }

@@ -148,6 +148,66 @@ func BenchmarkCodeBlock(b *testing.B) {
 	b.ReportMetric(float64(src.w/blockSize*src.h/blockSize), "blocks/op")
 }
 
+// The three loops around the block coder (EXPERIMENTS.md E44), each beside
+// the reference it replaced (oracle_test.go), in one binary.
+
+// BenchmarkFromFrame160x120 converts one noisy 160×120 frame to padded
+// YCbCr 4:2:0, the conversion every encoded frame pays once for all rungs:
+// "rowpairs" is fromFrame, "twopass" fromFrameRef.
+func BenchmarkFromFrame160x120(b *testing.B) {
+	f := benchFilm().Render(3)
+	img := newYCbCr(f.W, f.H)
+	fullCb, fullCr := make([]uint8, img.y.w*img.y.h), make([]uint8, img.y.w*img.y.h)
+	b.Run("rowpairs", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			img.fromFrame(f)
+		}
+	})
+	b.Run("twopass", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			img.fromFrameRef(f, fullCb, fullCr)
+		}
+	})
+}
+
+// BenchmarkWriteLevels writes the levels of the 300 luma blocks of one
+// 160×120 P-frame at step 8, each the cheaper of its two candidates as
+// encodeBlockRow picks it: "mask" is writeLevels, "pairs" writeLevelsRef.
+func BenchmarkWriteLevels(b *testing.B) {
+	film := benchFilm()
+	ref, src := toYCbCr(film.Render(3)).y, toYCbCr(film.Render(4)).y
+	coder := newBlockCoder(8)
+	var blocks [][64]int32
+	var mc, in candidate
+	for y0 := 0; y0 < src.h; y0 += blockSize {
+		for x0 := 0; x0 < src.w; x0 += blockSize {
+			coder.load(src, x0, y0)
+			coder.inter(ref, x0, y0, &mc)
+			coder.intra(&in)
+			chosen := &in
+			if mc.cost()+1 <= in.cost() {
+				chosen = &mc
+			}
+			blocks = append(blocks, *chosen.levels())
+		}
+	}
+	for _, bench := range []struct {
+		name  string
+		write func(*byteWriter, *[64]int32)
+	}{{"mask", writeLevels}, {"pairs", writeLevelsRef}} {
+		b.Run(bench.name, func(b *testing.B) {
+			var w byteWriter
+			for i := 0; i < b.N; i++ {
+				w.reset()
+				for k := range blocks {
+					bench.write(&w, &blocks[k])
+				}
+			}
+			b.ReportMetric(float64(len(w.buf))/float64(len(blocks)), "bytes/block")
+		})
+	}
+}
+
 // reconCall is one luma block of a real stream as decodeBlockRow meets it:
 // its mode, its coefficients and its prediction — the block of ref at
 // (px,py), or none for intra.

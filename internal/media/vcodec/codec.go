@@ -72,17 +72,14 @@ type Packet struct {
 // LadderEncoder compresses one sequence of equally-sized frames at several
 // quantizer steps in a single pass: each frame is converted to YCbCr once and
 // that one source image is coded at every rung. The ladder owns everything
-// that does not depend on the quantizer — the source image, the colorspace
-// scratch and the per-row chunk buffers; a rung is only its
-// quantizer step and its reference/reconstruction double buffer. All of it
-// is allocated at construction, so the steady-state Encode path allocates
-// nothing when the caller recycles the payload buffers. Not safe for
-// concurrent use.
+// that does not depend on the quantizer — the source image and the per-row
+// chunk buffers; a rung is only its quantizer step and its
+// reference/reconstruction double buffer. All of it is allocated at
+// construction, so the steady-state Encode path allocates nothing when the
+// caller recycles the payload buffers. Not safe for concurrent use.
 type LadderEncoder struct {
-	cfg    Config  // QStep is unused: every rung carries its own
-	img    *ycbcr  // current frame in YCbCr, shared by every rung
-	fullCb []uint8 // full-resolution chroma scratch for fromFrame
-	fullCr []uint8
+	cfg    Config       // QStep is unused: every rung carries its own
+	img    *ycbcr       // current frame in YCbCr, shared by every rung
 	rows   []byteWriter // per-block-row chunk buffers, reused across planes/rungs/frames
 	rungs  []rung
 	hasRef bool
@@ -110,10 +107,7 @@ func NewLadderEncoder(cfg Config, qsteps []int) (*LadderEncoder, error) {
 	}
 	cfg.QStep = 0
 	e := &LadderEncoder{cfg: cfg, img: newYCbCr(cfg.Width, cfg.Height)}
-	pw, ph := e.img.y.w, e.img.y.h
-	e.fullCb = make([]uint8, pw*ph)
-	e.fullCr = make([]uint8, pw*ph)
-	e.rows = make([]byteWriter, ph/blockSize)
+	e.rows = make([]byteWriter, e.img.y.h/blockSize)
 	e.rungs = make([]rung, len(qsteps))
 	for k, q := range qsteps {
 		e.rungs[k] = rung{qstep: q, recon: newYCbCr(cfg.Width, cfg.Height), ref: newYCbCr(cfg.Width, cfg.Height)}
@@ -145,7 +139,7 @@ func (e *LadderEncoder) Encode(f *raster.Frame, pkts []Packet) error {
 	if !e.hasRef || e.count%e.cfg.GOP == 0 {
 		ft = IFrame
 	}
-	e.img.fromFrame(f, e.fullCb, e.fullCr)
+	e.img.fromFrame(f)
 	for k := range e.rungs {
 		rg := &e.rungs[k]
 		w := byteWriter{buf: pkts[k].Data[:0]}

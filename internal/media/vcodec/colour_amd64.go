@@ -50,3 +50,26 @@ func colourRow(d, yr []uint8, vcb, vcr []uint16) {
 		colourRowPortable(d[3*n:], yr[n:], vcb[n/2:], vcr[n/2:])
 	}
 }
+
+// fromRowsSSE2 converts n pixels, sixteen a step, of the RGB rows s0 and s1
+// into luma rows y0 and y1 and the n/2 2×2 box means of Cb and Cr into cb
+// and cr. It reads s0[0:3n] and s1[0:3n], writes y0[0:n], y1[0:n],
+// cb[0:n/2] and cr[0:n/2], and needs n to be a positive multiple of 16.
+//
+//go:noescape
+func fromRowsSSE2(y0, y1, cb, cr, s0, s1 *uint8, n int)
+
+// fromRows converts the RGB row pair s0, s1 into luma rows y0 and y1, all
+// len(y0) pixels, and their 2×2 box means into cb and cr. The kernel takes
+// the whole steps of sixteen, after the bounds checks it cannot make itself;
+// what is left of the row pair goes through the Go loop.
+func fromRows(y0, y1, cb, cr, s0, s1 []uint8) {
+	n := len(y0) &^ 15
+	if n > 0 {
+		_, _, _, _, _, _ = y0[n-1], y1[n-1], cb[n/2-1], cr[n/2-1], s0[3*n-1], s1[3*n-1]
+		fromRowsSSE2(&y0[0], &y1[0], &cb[0], &cr[0], &s0[0], &s1[0], n)
+	}
+	if n < len(y0) {
+		fromRowsPortable(y0[n:], y1[n:], cb[n/2:], cr[n/2:], s0[3*n:], s1[3*n:])
+	}
+}

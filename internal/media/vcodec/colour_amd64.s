@@ -176,3 +176,167 @@ pixels:
 	SUBQ      $16, CX
 	JNZ       pixels
 	RET
+
+// The encode side's conversion, RGB to YCbCr 4:2:0: BT.601 multipliers as
+// eight-word constants used from memory (Cb and Cr carry 128 as a shift),
+// the words PMADDWL adds adjacent pairs with, and the rounding term of a
+// 2×2 box with its four chroma biases folded in (2 + 4·128).
+DATA fromMul<>+0(SB)/8, $0x004D004D004D004D // 77: luma from red
+DATA fromMul<>+8(SB)/8, $0x004D004D004D004D
+DATA fromMul<>+16(SB)/8, $0x0096009600960096 // 150: luma from green
+DATA fromMul<>+24(SB)/8, $0x0096009600960096
+DATA fromMul<>+32(SB)/8, $0x001D001D001D001D // 29: luma from blue
+DATA fromMul<>+40(SB)/8, $0x001D001D001D001D
+DATA fromMul<>+48(SB)/8, $0x002B002B002B002B // 43: Cb from red
+DATA fromMul<>+56(SB)/8, $0x002B002B002B002B
+DATA fromMul<>+64(SB)/8, $0x0055005500550055 // 85: Cb from green
+DATA fromMul<>+72(SB)/8, $0x0055005500550055
+DATA fromMul<>+80(SB)/8, $0x006B006B006B006B // 107: Cr from green
+DATA fromMul<>+88(SB)/8, $0x006B006B006B006B
+DATA fromMul<>+96(SB)/8, $0x0015001500150015 // 21: Cr from blue
+DATA fromMul<>+104(SB)/8, $0x0015001500150015
+DATA fromMul<>+112(SB)/8, $0x0001000100010001 // pair sums
+DATA fromMul<>+120(SB)/8, $0x0001000100010001
+DATA fromMul<>+128(SB)/8, $0x0202020202020202 // 514
+DATA fromMul<>+136(SB)/8, $0x0202020202020202
+GLOBL fromMul<>(SB), RODATA|NOPTR, $144
+
+// Held in X13–X15 across the rows: the two byte masks that spread two
+// packed pixels of a quadword to R G B 0 dwords, and the low byte of a dword.
+DATA fromMask<>+0(SB)/8, $0x0000000000FFFFFF // bytes 0–2 of each half
+DATA fromMask<>+8(SB)/8, $0x0000000000FFFFFF
+DATA fromMask<>+16(SB)/8, $0x00FFFFFF00000000 // bytes 4–6 of each half
+DATA fromMask<>+24(SB)/8, $0x00FFFFFF00000000
+DATA fromMask<>+32(SB)/8, $0x000000FF000000FF
+DATA fromMask<>+40(SB)/8, $0x000000FF000000FF
+GLOBL fromMask<>(SB), RODATA|NOPTR, $48
+
+// LOAD4 puts the four pixels at off(src) in x, two to a half, each half's
+// pair in its low six bytes; it reads off(src) to off+13(src).
+#define LOAD4(off, src, x) \
+	MOVQ   off(src), x \
+	MOVHPS off+6(src), x
+
+// LOAD4END is LOAD4 reading no byte past the twelve: the second pair comes
+// from two bytes earlier, shifted down.
+#define LOAD4END(off, src, x, t) \
+	MOVQ       off(src), x   \
+	MOVQ       off+4(src), t \
+	PSRLQ      $16, t        \
+	PUNPCKLQDQ t, x
+
+// SPREAD is colour_amd64.s's COMPACT undone: the second pixel of each half
+// moves up a byte, leaving R G B 0 dwords.
+#define SPREAD(x, t) \
+	MOVO  x, t    \
+	PSLLQ $8, t   \
+	PAND  X13, x  \
+	PAND  X14, t  \
+	POR   t, x
+
+// CONVERT takes the eight pixels loaded in X0 and X1 to luma words in y and
+// the pair sums of Cb − 128 and Cr − 128 in cb and cr, four dwords each. In
+// words, 77r + 150g + 29b stays under 2^16 and the chroma sums, whose
+// magnitudes are at most 128·255, fit a signed word, so PMULLW's wrapping
+// arithmetic is exact and PSRLW, PSRAW $8 are the Go code's >> 8: no
+// clamp, as 77 + 150 + 29 = 43 + 85 + 128 = 128 + 107 + 21 = 256. X0–X3 are
+// consumed.
+#define CONVERT(y, cb, cr) \
+	SPREAD(X0, X2)                    \
+	SPREAD(X1, X2)                    \
+	MOVO     X0, cr                   \
+	PAND     X15, cr                  \
+	MOVO     X1, X2                   \
+	PAND     X15, X2                  \
+	PACKSSLW X2, cr                   \
+	MOVO     X0, X3                   \
+	PSRLL    $8, X3                   \
+	PAND     X15, X3                  \
+	MOVO     X1, X2                   \
+	PSRLL    $8, X2                   \
+	PAND     X15, X2                  \
+	PACKSSLW X2, X3                   \
+	PSRLL    $16, X0                  \
+	PSRLL    $16, X1                  \
+	PACKSSLW X1, X0                   \
+	MOVO     cr, y                    \
+	PMULLW   fromMul<>+0(SB), y       \
+	MOVO     X3, X1                   \
+	PMULLW   fromMul<>+16(SB), X1     \
+	PADDW    X1, y                    \
+	MOVO     X0, X1                   \
+	PMULLW   fromMul<>+32(SB), X1     \
+	PADDW    X1, y                    \
+	PSRLW    $8, y                    \
+	MOVO     X0, cb                   \
+	PSLLW    $7, cb                   \
+	MOVO     cr, X1                   \
+	PMULLW   fromMul<>+48(SB), X1     \
+	PSUBW    X1, cb                   \
+	MOVO     X3, X1                   \
+	PMULLW   fromMul<>+64(SB), X1     \
+	PSUBW    X1, cb                   \
+	PSRAW    $8, cb                   \
+	PMADDWL  fromMul<>+112(SB), cb    \
+	PSLLW    $7, cr                   \
+	PMULLW   fromMul<>+80(SB), X3     \
+	PSUBW    X3, cr                   \
+	PMULLW   fromMul<>+96(SB), X0     \
+	PSUBW    X0, cr                   \
+	PSRAW    $8, cr                   \
+	PMADDWL  fromMul<>+112(SB), cr
+
+// ROW converts the sixteen pixels at src: luma to dst, and the pair sums of
+// Cb − 128 and Cr − 128 to X6 and X7, eight words each.
+#define ROW(src, dst) \
+	LOAD4(0, src, X0)          \
+	LOAD4(12, src, X1)         \
+	CONVERT(X5, X6, X7)        \
+	LOAD4(24, src, X0)         \
+	LOAD4END(36, src, X1, X2)  \
+	CONVERT(X8, X9, X10)       \
+	PACKUSWB X8, X5            \
+	MOVOU    X5, (dst)         \
+	PACKSSLW X9, X6            \
+	PACKSSLW X10, X7
+
+// func fromRowsSSE2(y0, y1, cb, cr, s0, s1 *uint8, n int)
+//
+// A step is sixteen pixels of each RGB row: both rows' luma, then the eight
+// 2×2 boxes of each chroma, (Σ + 514) >> 2 over the four pair sums' halves.
+TEXT ·fromRowsSSE2(SB), NOSPLIT, $0-56
+	MOVQ  y0+0(FP), DI
+	MOVQ  y1+8(FP), R8
+	MOVQ  cb+16(FP), R9
+	MOVQ  cr+24(FP), R10
+	MOVQ  s0+32(FP), SI
+	MOVQ  s1+40(FP), DX
+	MOVQ  n+48(FP), CX
+	MOVOU fromMask<>+0(SB), X13
+	MOVOU fromMask<>+16(SB), X14
+	MOVOU fromMask<>+32(SB), X15
+
+boxes:
+	ROW(SI, DI)
+	MOVO     X6, X11
+	MOVO     X7, X12
+	ROW(DX, R8)
+	PADDW    X11, X6
+	PADDW    X12, X7
+	PADDW    fromMul<>+128(SB), X6
+	PADDW    fromMul<>+128(SB), X7
+	PSRAW    $2, X6
+	PSRAW    $2, X7
+	PACKUSWB X6, X6
+	PACKUSWB X7, X7
+	MOVQ     X6, (R9)
+	MOVQ     X7, (R10)
+	ADDQ     $48, SI
+	ADDQ     $48, DX
+	ADDQ     $16, DI
+	ADDQ     $16, R8
+	ADDQ     $8, R9
+	ADDQ     $8, R10
+	SUBQ     $16, CX
+	JNZ      boxes
+	RET

@@ -81,3 +81,47 @@ func TestColourRowsStayInsideTheirBuffers(t *testing.T) {
 		}
 	}
 }
+
+// TestFromFrameStaysInsideItsBuffers runs the RGB→YCbCr conversion with the
+// source frame and each of the three planes ending on the last byte of a
+// page whose successor faults, then the row-pair converter alone with each
+// of its six rows ending so: a load or store past what fromRows' bounds
+// checks covered crashes the test instead of passing unnoticed.
+func TestFromFrameStaysInsideItsBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	guardedPlane := func(w, h int) *plane {
+		p := &plane{w: w, h: h, pix: guardedBytes(t, w*h)}
+		rng.Read(p.pix)
+		return p
+	}
+	for _, sz := range [][2]int{{1, 1}, {15, 2}, {16, 1}, {16, 2}, {17, 3}, {31, 3}, {32, 8}, {33, 9}, {48, 2}, {160, 120}, {161, 121}} {
+		w, h := sz[0], sz[1]
+		src := &raster.Frame{W: w, H: h, Pix: guardedBytes(t, 3*w*h)}
+		rng.Read(src.Pix)
+		cw, ch := padUp((w+1)/2), padUp((h+1)/2)
+		img := &ycbcr{y: guardedPlane(padUp(w), padUp(h)), cb: guardedPlane(cw, ch), cr: guardedPlane(cw, ch), w: w, h: h}
+		img.fromFrame(src)
+		want := toYCbCrRef(src)
+		for i, pl := range [][2]*plane{{img.y, want.y}, {img.cb, want.cb}, {img.cr, want.cr}} {
+			if string(pl[0].pix) != string(pl[1].pix) {
+				t.Errorf("%dx%d guarded: plane %d differs from the reference", w, h, i)
+			}
+		}
+
+		halfW := (w + 1) / 2
+		s0, s1 := guardedBytes(t, 3*w), guardedBytes(t, 3*w)
+		y0, y1 := guardedBytes(t, w), guardedBytes(t, w)
+		cb, cr := guardedBytes(t, halfW), guardedBytes(t, halfW)
+		for cy := range (h + 1) / 2 {
+			r0 := 2 * cy
+			r1 := min(r0+1, h-1)
+			copy(s0, src.Pix[3*r0*w:])
+			copy(s1, src.Pix[3*r1*w:])
+			fromRows(y0, y1, cb, cr, s0, s1)
+			if string(y0) != string(want.y.row(0, r0, w)) || string(y1) != string(want.y.row(0, r0+1, w)) ||
+				string(cb) != string(want.cb.row(0, cy, halfW)) || string(cr) != string(want.cr.row(0, cy, halfW)) {
+				t.Errorf("%dx%d row pair %d: differs from the reference", w, h, cy)
+			}
+		}
+	}
+}

@@ -14,3 +14,9 @@ func blendChroma(vcb, vcr []uint16, cb0, cb1, cr0, cr1 []uint8, ty, halfW int) {
 func colourRow(d, yr []uint8, vcb, vcr []uint16) {
 	colourRowPortable(d, yr, vcb, vcr)
 }
+
+// fromRows converts the RGB row pair s0, s1 into luma rows y0 and y1, all
+// len(y0) pixels, and their 2×2 box means into cb and cr.
+func fromRows(y0, y1, cb, cr, s0, s1 []uint8) {
+	fromRowsPortable(y0, y1, cb, cr, s0, s1)
+}

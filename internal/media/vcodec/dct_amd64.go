@@ -30,6 +30,12 @@ func quantSSE2(coef *[64]int16, q *quantTable, levels *[64]int16) int
 //go:noescape
 func zigzagScan(nat *[64]int16, scan *[64]int32)
 
+// nonzeroMask returns the bits i for which levels[i] != 0: the pairs
+// writeLevels walks.
+//
+//go:noescape
+func nonzeroMask(levels *[64]int32) uint64
+
 // fdctPairs holds fdctMatrix as fdctSSE2 multiplies by it, two columns of a
 // row in every dword for PMADDWD, after the butterfly's first two stages:
 // rows 0 and 4 weigh (t10, t11) = (a0+a3, a1+a2), rows 2 and 6 weigh

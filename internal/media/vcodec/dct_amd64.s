@@ -238,3 +238,35 @@ TEXT ·zigzagScan(SB), NOSPLIT, $0-16
 	SCAN(48, 58); SCAN(49, 59); SCAN(50, 52); SCAN(51, 45); SCAN(52, 38); SCAN(53, 31); SCAN(54, 39); SCAN(55, 46)
 	SCAN(56, 53); SCAN(57, 60); SCAN(58, 61); SCAN(59, 54); SCAN(60, 47); SCAN(61, 55); SCAN(62, 62); SCAN(63, 63)
 	RET
+
+// ZEROS16 leaves in r a bit per level of the sixteen at off(SI), set where
+// the level is zero. Signed saturation keeps a nonzero level nonzero through
+// both packs.
+#define ZEROS16(off, r) \
+	MOVOU    off(SI), X0    \
+	MOVOU    off+16(SI), X1 \
+	MOVOU    off+32(SI), X2 \
+	MOVOU    off+48(SI), X3 \
+	PACKSSLW X1, X0         \
+	PACKSSLW X3, X2         \
+	PACKSSWB X2, X0         \
+	PCMPEQB  X4, X0         \
+	PMOVMSKB X0, r
+
+// func nonzeroMask(levels *[64]int32) uint64
+TEXT ·nonzeroMask(SB), NOSPLIT, $0-16
+	MOVQ levels+0(FP), SI
+	PXOR X4, X4
+	ZEROS16(0, AX)
+	ZEROS16(64, BX)
+	ZEROS16(128, CX)
+	ZEROS16(192, DX)
+	SHLQ $16, BX
+	SHLQ $32, CX
+	SHLQ $48, DX
+	ORQ  BX, AX
+	ORQ  CX, AX
+	ORQ  DX, AX
+	NOTQ AX
+	MOVQ AX, ret+8(FP)
+	RET

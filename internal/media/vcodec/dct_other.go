@@ -44,3 +44,13 @@ func (c *candidate) cost() int { return codeCost(&c.scan) }
 
 // levels returns the levels in zigzag scan order.
 func (c *candidate) levels() *[64]int32 { return &c.scan }
+
+// nonzeroMask returns the bits i for which levels[i] != 0: the pairs
+// writeLevels walks.
+func nonzeroMask(levels *[64]int32) uint64 {
+	var nz uint64
+	for i, l := range levels {
+		nz |= uint64(uint32(l|-l)>>31) << i
+	}
+	return nz
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrCorrupt is returned when a TKV1 payload fails to parse.
@@ -76,37 +77,31 @@ func (r *byteReader) slice(n int) ([]byte, error) {
 
 func (r *byteReader) remaining() int { return len(r.buf) - r.pos }
 
-// writeLevels run-length encodes 64 quantized levels in zigzag order:
-// a sequence of (zero-run, value) pairs, each value a signed varint and each
-// run a uvarint, terminated by an end-of-block marker (run=63 is impossible
-// after any pair consumed at least one slot, so EOB is run value 0xFF).
+// writeLevels codes 64 quantized levels in zigzag order as a count of
+// (zero-run, level) pairs, then the pairs: uvarint count, then count ×
+// (uvarint run, varint level), with no end-of-block marker. An all-zero
+// block is a single 0 byte — the dominant case for P-frame residuals, which
+// is what makes P-frames small.
 //
-// Layout per block: uvarint count of pairs, then count × (uvarint run,
-// varint level). An all-zero block is a single 0 byte — the dominant case
-// for P-frame residuals, which is what makes P-frames small.
+// The pairs are the set bits of the block's nonzero mask, lowest first
+// (nonzeroMask: SSE2 on amd64, dct_amd64.s; a Go loop elsewhere). The count
+// is at most 64 and a run at most 63, so both are always one byte; only a
+// level of magnitude 64 or more takes the general varint writer.
 func writeLevels(w *byteWriter, levels *[64]int32) {
-	// Count pairs first.
-	type pair struct {
-		run   int
-		level int32
-	}
-	var pairs [64]pair
-	n := 0
-	run := 0
-	for i := 0; i < 64; i++ {
-		if levels[i] == 0 {
-			run++
-			continue
+	nz := nonzeroMask(levels)
+	b := append(w.buf, uint8(bits.OnesCount64(nz)))
+	next := 0 // the index after the previous pair's level
+	for ; nz != 0; nz &= nz - 1 {
+		i := bits.TrailingZeros64(nz)
+		l := int64(levels[i&63])
+		if z := uint64(l<<1 ^ l>>63); z < 0x80 { // the zigzag fold varint writes
+			b = append(b, uint8(i-next), uint8(z))
+		} else {
+			b = binary.AppendUvarint(append(b, uint8(i-next)), z)
 		}
-		pairs[n] = pair{run, levels[i]}
-		n++
-		run = 0
+		next = i + 1
 	}
-	w.uvarint(uint64(n))
-	for i := 0; i < n; i++ {
-		w.uvarint(uint64(pairs[i].run))
-		w.varint(int64(pairs[i].level))
-	}
+	w.buf = b
 }
 
 // read reverses writeLevels straight into b: each (run, level) pair becomes

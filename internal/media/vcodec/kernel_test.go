@@ -988,3 +988,138 @@ func TestBlockCoderMatchesGo(t *testing.T) {
 		})
 	}
 }
+
+// The encode side's kernels against their references (oracle_test.go).
+
+// TestWriteLevelsMatchesReference holds the nonzero-mask writer to the
+// pair-array one, byte for byte: the all-zero and the all-nonzero block,
+// every lone level (the one at index 63 included) at one- and two-byte
+// varint magnitudes and the int32 extremes, and random blocks of every
+// density whose levels reach past ±64.
+func TestWriteLevelsMatchesReference(t *testing.T) {
+	var full [64]int32
+	for i := range full {
+		full[i] = int32(i-32) | 1
+	}
+	if got := nonzeroMask(&full); got != math.MaxUint64 {
+		t.Fatalf("all 64 levels nonzero: mask %#x", got)
+	}
+	blocks := [][64]int32{{}, full}
+	for i := range 64 {
+		for _, v := range []int32{1, -1, 63, -64, 64, -65, 8191, math.MaxInt32, math.MinInt32} {
+			var b [64]int32
+			b[i] = v
+			blocks = append(blocks, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(71))
+	for range 20000 {
+		var b [64]int32
+		density := rng.Intn(65)
+		for i := range b {
+			if rng.Intn(64) >= density {
+				continue
+			}
+			switch rng.Intn(4) {
+			case 0:
+				b[i] = int32(rng.Intn(3)) - 1
+			case 1:
+				b[i] = int32(rng.Intn(127)) - 63 // one-byte varints
+			case 2:
+				b[i] = int32(rng.Intn(4096)) - 2048
+			default:
+				b[i] = int32(rng.Uint32())
+			}
+		}
+		blocks = append(blocks, b)
+	}
+	var got, want byteWriter
+	for _, b := range blocks {
+		// Both append: start each behind a byte already written.
+		got.buf, want.buf = append(got.buf[:0], 0xEE), append(want.buf[:0], 0xEE)
+		writeLevels(&got, &b)
+		writeLevelsRef(&want, &b)
+		if string(got.buf) != string(want.buf) {
+			t.Fatalf("levels %v:\nwrote     % x\nreference % x", b, got.buf, want.buf)
+		}
+	}
+}
+
+// fromFrameFills are the frame contents the fromFrame tests run over:
+// uniform noise, and every channel at 0 or 255, where a clamp would act if
+// one were needed.
+func fromFrameFills(rng *rand.Rand) map[string]func(pix []uint8) {
+	return map[string]func(pix []uint8){
+		"noise": func(pix []uint8) { rng.Read(pix) },
+		"extremes": func(pix []uint8) {
+			for i := range pix {
+				pix[i] = uint8(-(rng.Intn(2))) // 0 or 255
+			}
+		},
+	}
+}
+
+// TestFromFrameMatchesReference holds fromFrame to the two-pass conversion
+// it replaced on whole padded planes, over stale planes, at sizes that are
+// one pixel, odd both ways, whole steps of sixteen and one past; and then
+// every RGB triple through the row-pair converter and its Go twin.
+func TestFromFrameMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, sz := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {7, 9}, {16, 16}, {17, 2}, {33, 3}, {160, 120}, {161, 121}} {
+		w, h := sz[0], sz[1]
+		for name, fill := range fromFrameFills(rng) {
+			f := raster.New(w, h)
+			fill(f.Pix)
+			got := newYCbCr(w, h)
+			for _, p := range []*plane{got.y, got.cb, got.cr} {
+				rng.Read(p.pix)
+			}
+			got.fromFrame(f)
+			want := toYCbCrRef(f)
+			for i, pl := range [][2]*plane{{got.y, want.y}, {got.cb, want.cb}, {got.cr, want.cr}} {
+				if string(pl[0].pix) != string(pl[1].pix) {
+					t.Errorf("%dx%d %s: plane %d differs from the reference", w, h, name, i)
+				}
+			}
+		}
+	}
+
+	// A row of the 256 blues, each pixel twice, at every red and green, the
+	// same row twice: each 2×2 box is one colour, so its mean is that
+	// colour's chroma.
+	const n = 512
+	s := make([]uint8, 3*n)
+	y0, y1 := make([]uint8, n), make([]uint8, n)
+	cb, cr := make([]uint8, n/2), make([]uint8, n/2)
+	wantY, wantCb, wantCr := make([]uint8, n), make([]uint8, n/2), make([]uint8, n/2)
+	convs := []struct {
+		name string
+		rows func(y0, y1, cb, cr, s0, s1 []uint8)
+	}{{"fromRows", fromRows}, {"fromRowsPortable", fromRowsPortable}}
+	for r := int32(0); r < 256; r++ {
+		for g := int32(0); g < 256; g++ {
+			for b := range int32(n / 2) {
+				s[6*b], s[6*b+1], s[6*b+2] = uint8(r), uint8(g), uint8(b)
+				s[6*b+3], s[6*b+4], s[6*b+5] = uint8(r), uint8(g), uint8(b)
+				// The clamped per-pixel formulas fromFrameRef computes.
+				wantY[2*b] = clamp255((77*r + 150*g + 29*b) >> 8)
+				wantY[2*b+1] = wantY[2*b]
+				wantCb[b] = clamp255(((-43*r - 85*g + 128*b) >> 8) + 128)
+				wantCr[b] = clamp255(((128*r - 107*g - 21*b) >> 8) + 128)
+			}
+			for _, conv := range convs {
+				conv.rows(y0, y1, cb, cr, s, s)
+				if string(y0) != string(wantY) || string(y1) != string(wantY) ||
+					string(cb) != string(wantCb) || string(cr) != string(wantCr) {
+					for b := range n / 2 {
+						got := [4]uint8{y0[2*b], y1[2*b+1], cb[b], cr[b]}
+						if want := [4]uint8{wantY[2*b], wantY[2*b], wantCb[b], wantCr[b]}; got != want {
+							t.Fatalf("%s: RGB %d %d %d gives Y Y Cb Cr %v, want %v", conv.name, r, g, b, got, want)
+						}
+					}
+					t.Fatalf("%s: red %d green %d: rows differ from the formulas", conv.name, r, g)
+				}
+			}
+		}
+	}
+}

@@ -420,3 +420,105 @@ func decodeBlockRowRef(chunk []byte, dst, ref *plane, by, qstep int) error {
 	}
 	return nil
 }
+
+// The encode side's references: writeLevels and fromFrame as they stood
+// before the nonzero-mask writer and the fused row-pair conversion replaced
+// them (EXPERIMENTS.md E44), kept verbatim but for their names.
+
+// writeLevelsRef run-length encodes 64 quantized levels in zigzag order:
+// a count of (zero-run, value) pairs, then the pairs, each run a uvarint
+// and each value a signed varint.
+func writeLevelsRef(w *byteWriter, levels *[64]int32) {
+	// Count pairs first.
+	type pair struct {
+		run   int
+		level int32
+	}
+	var pairs [64]pair
+	n := 0
+	run := 0
+	for i := 0; i < 64; i++ {
+		if levels[i] == 0 {
+			run++
+			continue
+		}
+		pairs[n] = pair{run, levels[i]}
+		n++
+		run = 0
+	}
+	w.uvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		w.uvarint(uint64(pairs[i].run))
+		w.varint(int64(pairs[i].level))
+	}
+}
+
+// fromFrameRef converts an RGB frame into img (which must have been
+// allocated for the same dimensions) using BT.601 integer coefficients.
+// Padding replicates the edge sample so the DCT does not see an artificial
+// cliff at the border. fullCb/fullCr are caller-owned full-resolution
+// scratch of at least padUp(w)*padUp(h) samples.
+func (img *ycbcr) fromFrameRef(f *raster.Frame, fullCb, fullCr []uint8) {
+	pw, ph := img.y.w, img.y.h
+	// Full-resolution conversion with edge replication for padding.
+	for y := 0; y < ph; y++ {
+		sy := y
+		if sy >= f.H {
+			sy = f.H - 1
+		}
+		src := f.Pix[3*sy*f.W : 3*(sy+1)*f.W]
+		yrow := img.y.pix[y*pw : (y+1)*pw]
+		cbrow := fullCb[y*pw : (y+1)*pw]
+		crrow := fullCr[y*pw : (y+1)*pw]
+		for x := range yrow {
+			sx := x
+			if sx >= f.W {
+				sx = f.W - 1
+			}
+			px := src[3*sx : 3*sx+3]
+			r, g, b := int32(px[0]), int32(px[1]), int32(px[2])
+			yrow[x] = clamp255((77*r + 150*g + 29*b) >> 8)
+			cbrow[x] = clamp255(((-43*r - 85*g + 128*b) >> 8) + 128)
+			crrow[x] = clamp255(((128*r - 107*g - 21*b) >> 8) + 128)
+		}
+	}
+	// 2×2 box subsample chroma, then replicate-pad to the chroma plane.
+	cw, ch := img.cb.w, img.cb.h
+	halfW, halfH := (f.W+1)/2, (f.H+1)/2
+	for y := 0; y < ch; y++ {
+		sy := y
+		if sy >= halfH {
+			sy = halfH - 1
+		}
+		y0 := 2 * sy
+		y1 := y0 + 1
+		if y1 >= ph {
+			y1 = y0
+		}
+		cb0, cb1 := fullCb[y0*pw:(y0+1)*pw], fullCb[y1*pw:(y1+1)*pw]
+		cr0, cr1 := fullCr[y0*pw:(y0+1)*pw], fullCr[y1*pw:(y1+1)*pw]
+		cbrow := img.cb.pix[y*cw : (y+1)*cw]
+		crrow := img.cr.pix[y*cw : (y+1)*cw]
+		for x := range cbrow {
+			sx := x
+			if sx >= halfW {
+				sx = halfW - 1
+			}
+			x0 := 2 * sx
+			x1 := x0 + 1
+			if x1 >= pw {
+				x1 = x0
+			}
+			cbrow[x] = uint8((int32(cb0[x0]) + int32(cb0[x1]) + int32(cb1[x0]) + int32(cb1[x1]) + 2) / 4)
+			crrow[x] = uint8((int32(cr0[x0]) + int32(cr0[x1]) + int32(cr1[x0]) + int32(cr1[x1]) + 2) / 4)
+		}
+	}
+}
+
+// toYCbCrRef is toYCbCr through fromFrameRef.
+func toYCbCrRef(f *raster.Frame) *ycbcr {
+	img := newYCbCr(f.W, f.H)
+	pw, ph := img.y.w, img.y.h
+	img.fromFrameRef(f, make([]uint8, pw*ph), make([]uint8, pw*ph))
+	return img
+}

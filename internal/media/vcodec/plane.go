@@ -64,75 +64,81 @@ func newYCbCr(w, h int) *ycbcr {
 }
 
 // fromFrame converts an RGB frame into img (which must have been allocated
-// for the same dimensions) using BT.601 integer coefficients. Padding
-// replicates the edge sample so the DCT does not see an artificial cliff at
-// the border. fullCb/fullCr are caller-owned full-resolution scratch of at
-// least padUp(w)*padUp(h) samples, so steady-state conversion allocates
-// nothing.
-func (img *ycbcr) fromFrame(f *raster.Frame, fullCb, fullCr []uint8) {
-	pw, ph := img.y.w, img.y.h
-	// Full-resolution conversion with edge replication for padding.
-	for y := 0; y < ph; y++ {
-		sy := y
-		if sy >= f.H {
-			sy = f.H - 1
-		}
-		src := f.Pix[3*sy*f.W : 3*(sy+1)*f.W]
-		yrow := img.y.pix[y*pw : (y+1)*pw]
-		cbrow := fullCb[y*pw : (y+1)*pw]
-		crrow := fullCr[y*pw : (y+1)*pw]
-		for x := range yrow {
-			sx := x
-			if sx >= f.W {
-				sx = f.W - 1
-			}
-			px := src[3*sx : 3*sx+3]
-			r, g, b := int32(px[0]), int32(px[1]), int32(px[2])
-			yrow[x] = clamp255((77*r + 150*g + 29*b) >> 8)
-			cbrow[x] = clamp255(((-43*r - 85*g + 128*b) >> 8) + 128)
-			crrow[x] = clamp255(((128*r - 107*g - 21*b) >> 8) + 128)
-		}
+// for the same dimensions) using BT.601 integer coefficients, each chroma
+// sample the rounded mean of its 2×2 box of pixels. Padding replicates the
+// edge sample so the DCT does not see an artificial cliff at the border; a
+// box past an odd edge is its last column or row twice.
+//
+// No value needs a clamp: each formula's coefficient magnitudes sum to 256,
+// so a luma sum stays in 0…255·256 and a chroma one in ±128·255. The rows
+// are converted in pairs, each box averaged as its four pixels are, by
+// fromRows: SSE2 on amd64 (colour_amd64.s), fromRowsPortable elsewhere.
+func (img *ycbcr) fromFrame(f *raster.Frame) {
+	w, h := f.W, f.H
+	halfW, halfH := (w+1)/2, (h+1)/2
+	ly, cb, cr := img.y, img.cb, img.cr
+	for cy := 0; cy < halfH; cy++ {
+		y0 := 2 * cy
+		y1 := min(y0+1, h-1)
+		fromRows(ly.row(0, y0, w), ly.row(0, y0+1, w), cb.row(0, cy, halfW), cr.row(0, cy, halfW),
+			f.Pix[3*y0*w:3*(y0+1)*w], f.Pix[3*y1*w:3*(y1+1)*w])
+		replicateRight(ly.row(0, y0, ly.w), w)
+		replicateRight(ly.row(0, y0+1, ly.w), w)
+		replicateRight(cb.row(0, cy, cb.w), halfW)
+		replicateRight(cr.row(0, cy, cr.w), halfW)
 	}
-	// 2×2 box subsample chroma, then replicate-pad to the chroma plane.
-	cw, ch := img.cb.w, img.cb.h
-	halfW, halfH := (f.W+1)/2, (f.H+1)/2
-	for y := 0; y < ch; y++ {
-		sy := y
-		if sy >= halfH {
-			sy = halfH - 1
-		}
-		y0 := 2 * sy
-		y1 := y0 + 1
-		if y1 >= ph {
-			y1 = y0
-		}
-		cb0, cb1 := fullCb[y0*pw:(y0+1)*pw], fullCb[y1*pw:(y1+1)*pw]
-		cr0, cr1 := fullCr[y0*pw:(y0+1)*pw], fullCr[y1*pw:(y1+1)*pw]
-		cbrow := img.cb.pix[y*cw : (y+1)*cw]
-		crrow := img.cr.pix[y*cw : (y+1)*cw]
-		for x := range cbrow {
-			sx := x
-			if sx >= halfW {
-				sx = halfW - 1
-			}
-			x0 := 2 * sx
-			x1 := x0 + 1
-			if x1 >= pw {
-				x1 = x0
-			}
-			cbrow[x] = uint8((int32(cb0[x0]) + int32(cb0[x1]) + int32(cb1[x0]) + int32(cb1[x1]) + 2) / 4)
-			crrow[x] = uint8((int32(cr0[x0]) + int32(cr0[x1]) + int32(cr1[x0]) + int32(cr1[x1]) + 2) / 4)
-		}
+	replicateDown(ly, 2*halfH)
+	replicateDown(cb, halfH)
+	replicateDown(cr, halfH)
+}
+
+// replicateRight fills row[n:] with row[n-1].
+func replicateRight(row []uint8, n int) {
+	for i, v := n, row[n-1]; i < len(row); i++ {
+		row[i] = v
 	}
 }
 
-// toYCbCr converts an RGB frame to padded planar 4:2:0, allocating the image
-// and scratch. The steady-state encoder path uses fromFrame with persistent
-// buffers instead; this remains for one-shot use and tests.
+// replicateDown fills the rows of p from n on with row n-1.
+func replicateDown(p *plane, n int) {
+	last := p.row(0, n-1, p.w)
+	for y := n; y < p.h; y++ {
+		copy(p.row(0, y, p.w), last)
+	}
+}
+
+// fromRowsPortable converts the RGB row pair s0, s1 of len(y0) pixels into
+// luma rows y0 and y1 and the 2×2 box means of Cb and Cr into cb and cr,
+// (len(y0)+1)/2 samples each; an odd width's last box is its last column
+// twice. It is the whole row pair off amd64 and the w mod 16 tail on it.
+func fromRowsPortable(y0, y1, cb, cr, s0, s1 []uint8) {
+	w := len(y0)
+	for x := range y0 {
+		y0[x], y1[x] = luma(s0[3*x:]), luma(s1[3*x:])
+	}
+	for k := range cb {
+		x0, x1 := 6*k, 3*min(2*k+1, w-1)
+		var sb, sr int32 // Σ (Cb − 128) and Σ (Cr − 128) over the box
+		for _, px := range [4][]uint8{s0[x0:], s0[x1:], s1[x0:], s1[x1:]} {
+			r, g, b := int32(px[0]), int32(px[1]), int32(px[2])
+			sb += (-43*r - 85*g + 128*b) >> 8
+			sr += (128*r - 107*g - 21*b) >> 8
+		}
+		cb[k], cr[k] = uint8((sb+4*128+2)>>2), uint8((sr+4*128+2)>>2)
+	}
+}
+
+// luma is the BT.601 luma of the RGB pixel px.
+func luma(px []uint8) uint8 {
+	_ = px[2]
+	return uint8((77*int32(px[0]) + 150*int32(px[1]) + 29*int32(px[2])) >> 8)
+}
+
+// toYCbCr converts an RGB frame to padded planar 4:2:0, allocating the
+// image. The encoder converts into the image it keeps instead.
 func toYCbCr(f *raster.Frame) *ycbcr {
 	img := newYCbCr(f.W, f.H)
-	pw, ph := img.y.w, img.y.h
-	img.fromFrame(f, make([]uint8, pw*ph), make([]uint8, pw*ph))
+	img.fromFrame(f)
 	return img
 }
 

@@ -173,10 +173,19 @@ func (m *Manager) serveAct(w http.ResponseWriter, r *http.Request, req *BatchReq
 
 // handleFrame serves the session's presentation frame as raw 24-bit RGB
 // with the geometry in headers. ?advance=N ticks playback first, so a
-// steady client fetches "the next frame" in one request.
+// steady client fetches "the next frame" in one request; an absent or empty
+// advance is 0, and one that is not a decimal integer is refused before the
+// session is touched.
 func (m *Manager) handleFrame(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	advance, _ := strconv.Atoi(q.Get("advance"))
+	advance := 0
+	if s := q.Get("advance"); s != "" {
+		var err error
+		if advance, err = strconv.Atoi(s); err != nil {
+			http.Error(w, "malformed advance", http.StatusBadRequest)
+			return
+		}
+	}
 	if advance < 0 {
 		http.Error(w, "negative advance", http.StatusBadRequest)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"net/url"
 	"reflect"
 	"sync"
 	"testing"
@@ -342,6 +343,51 @@ func TestRefusedFrameThawsNothing(t *testing.T) {
 	}
 	if ref, ok := dir.Lookup(r.Session); !ok || ref.Checkpoint {
 		t.Fatalf("directory entry after the refused frame: present %v, checkpoint %v; want released", ok, ref.Checkpoint)
+	}
+}
+
+// TestFrameRejectsMalformedAdvance: an advance that is not a decimal
+// integer is refused with 400 like one past the bound — before the session
+// is resolved, so a frozen session stays frozen and no frame is counted —
+// while an absent or empty advance still means 0.
+func TestFrameRejectsMalformedAdvance(t *testing.T) {
+	opts, dir := durableOptions(t)
+	ts, m := durableService(t, opts)
+	r, err := createSession(m, "classroom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Freeze(r.Session); err != nil {
+		t.Fatal(err)
+	}
+	get := func(query string) int {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s%s?session=%s%s", ts.URL, FramePath, r.Session, query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	before := m.Snapshot()
+	for _, bad := range []string{"abc", "1.5", "-", "0x10"} {
+		if code := get("&advance=" + url.QueryEscape(bad)); code != http.StatusBadRequest {
+			t.Errorf("advance %q answered %d, want 400", bad, code)
+		}
+	}
+	after := m.Snapshot()
+	for _, k := range []string{"sessions_resumed", "frames", "sessions_live"} {
+		if stat(t, after, k) != stat(t, before, k) {
+			t.Errorf("%s went from %d to %d", k, stat(t, before, k), stat(t, after, k))
+		}
+	}
+	if ref, ok := dir.Lookup(r.Session); !ok || ref.Checkpoint {
+		t.Fatalf("directory entry after the refused frames: present %v, checkpoint %v; want released", ok, ref.Checkpoint)
+	}
+	for _, zero := range []string{"", "&advance="} {
+		if code := get(zero); code != http.StatusOK {
+			t.Errorf("frame with query %q answered %d, want 200", zero, code)
+		}
 	}
 }
 
