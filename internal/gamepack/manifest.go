@@ -13,6 +13,7 @@
 package gamepack
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -296,6 +297,39 @@ func (m *Manifest) Assemble(get func(blobstore.Hash) ([]byte, error)) ([]byte, e
 	return blob, nil
 }
 
+// CheckFraming reports whether blob is byte for byte what Assemble builds
+// from m, apart from the chunk bytes themselves: its length is Layout's
+// total, its header and every section frame are the ones Assemble writes
+// (names, minimal varints, each CRC over the payload in place), and the
+// manifest's own section holds m.Encode(). A caller that also checks each
+// chunk against its address, as a store deposit does, has then checked
+// that blob is m's assembly. Rejections wrap ErrBadPackage.
+func (m *Manifest) CheckFraming(blob []byte) error {
+	self := m.Encode()
+	locs, total := m.layout(len(self))
+	if len(blob) != total {
+		return fmt.Errorf("%w: package is %d bytes, its manifest assembles %d", ErrBadPackage, len(blob), total)
+	}
+	want := appendHeader(make([]byte, 0, 64), len(m.Sections))
+	pos := 0
+	for i := range m.Sections {
+		sc, loc := &m.Sections[i], locs[i]
+		payload := blob[loc.Off : loc.Off+loc.Size]
+		var crcAt int
+		want, crcAt = appendFrame(want, sc.Name, loc.Size)
+		binary.BigEndian.PutUint32(want[crcAt:], crc32.ChecksumIEEE(payload))
+		if !bytes.Equal(blob[pos:loc.Off], want) {
+			return fmt.Errorf("%w: section %q is not framed as its manifest assembles it", ErrBadPackage, sc.Name)
+		}
+		if sc.isSelf() && !bytes.Equal(payload, self) {
+			return fmt.Errorf("%w: manifest section is not its canonical encoding", ErrBadPackage)
+		}
+		pos = loc.Off + loc.Size
+		want = want[:0]
+	}
+	return nil
+}
+
 // --- chunking ---------------------------------------------------------------
 
 // chunkFlat splits a payload into maxSize chunks with no interior cuts.
@@ -387,7 +421,11 @@ func manifestFor(secs []section) (*Manifest, error) {
 
 // DepositChunks splits a package blob into its embedded manifest's chunks
 // and deposits each into a store (dedup hits are free), returning the
-// manifest. A package without a manifest is refused with ErrNoManifest.
+// manifest. A package without a manifest is refused with ErrNoManifest,
+// and one whose manifest names a chunk by an address its bytes do not hash
+// to is refused with ErrBadManifest (the mismatched chunk is removed again
+// if this call added it), so the returned manifest names only chunks the
+// store holds.
 func DepositChunks(blob []byte, store *blobstore.Store) (*Manifest, error) {
 	man, err := ExtractManifest(blob)
 	if err != nil {
@@ -410,8 +448,16 @@ func DepositChunks(blob []byte, store *blobstore.Store) (*Manifest, error) {
 			if off+c.Size > loc[0]+loc[1] {
 				return nil, fmt.Errorf("%w: section %q chunks overflow payload", ErrBadManifest, sc.Name)
 			}
-			if _, _, err := store.Put(blob[off : off+c.Size]); err != nil {
+			h, isNew, err := store.Put(blob[off : off+c.Size])
+			if err != nil {
 				return nil, err
+			}
+			if h != c.Hash {
+				if isNew {
+					store.Remove(h)
+				}
+				return nil, fmt.Errorf("%w: section %q chunk at %d hashes to %s, manifest says %s",
+					ErrBadManifest, sc.Name, off-loc[0], h, c.Hash)
 			}
 			off += c.Size
 		}

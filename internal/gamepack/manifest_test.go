@@ -2,6 +2,7 @@ package gamepack
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"repro/internal/blobstore"
@@ -336,6 +337,71 @@ func TestChunkVideoAlignsToSegments(t *testing.T) {
 	}
 	if total != len(video) {
 		t.Errorf("chunks tile %d of %d bytes", total, len(video))
+	}
+}
+
+// reframed re-assembles a package with its manifest section replaced by
+// man's encoding, every section CRC correct.
+func reframed(t *testing.T, blob []byte, man *Manifest) []byte {
+	t.Helper()
+	secs, err := Sections(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ordered []section
+	for name, loc := range secs {
+		data := blob[loc[0] : loc[0]+loc[1]]
+		if name == SectionManifest {
+			data = man.Encode()
+		}
+		ordered = append(ordered, section{name, data})
+	}
+	sort.Slice(ordered, func(i, j int) bool { return secs[ordered[i].name][0] < secs[ordered[j].name][0] })
+	return assemble(ordered)
+}
+
+// TestDepositChunksRejectsLyingManifest: a manifest that names a chunk by
+// an address its bytes do not hash to is refused, and the chunk the call
+// stored under its true address is taken out again — unless the store
+// already held it.
+func TestDepositChunksRejectsLyingManifest(t *testing.T) {
+	p, video := fixture(t)
+	blob, err := Build(p, video)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := ExtractManifest(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, err := Sections(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &man.Section(SectionVideo).Chunks[0]
+	off := secs[SectionVideo][0]
+	truth := blobstore.Sum(blob[off : off+ref.Size])
+	ref.Hash[0] ^= 0xFF
+	lying := reframed(t, blob, man)
+	if _, err := Open(lying); err != nil {
+		t.Fatalf("lying package does not open: %v", err)
+	}
+
+	store := storeFor(t)
+	if _, err := DepositChunks(lying, store); !errors.Is(err, ErrBadManifest) {
+		t.Fatalf("DepositChunks(lying manifest) = %v, want ErrBadManifest", err)
+	}
+	if store.Has(truth) || store.Has(ref.Hash) {
+		t.Error("the mismatched chunk stayed in the store")
+	}
+
+	held := storeFor(t, blob)
+	before := held.Stats().Chunks
+	if _, err := DepositChunks(lying, held); !errors.Is(err, ErrBadManifest) {
+		t.Fatalf("DepositChunks(lying manifest) = %v, want ErrBadManifest", err)
+	}
+	if !held.Has(truth) || held.Stats().Chunks != before {
+		t.Error("a refused deposit removed a chunk the store already held")
 	}
 }
 

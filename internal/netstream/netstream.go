@@ -13,6 +13,11 @@
 //   - /manifest/<name>  — the chunk manifest (ordered hashes + sizes).
 //   - /chunk/<hex>      — one immutable chunk by content address.
 //
+// A package's ETag, on /pkg/ and /manifest/ alike, is the digest of its
+// canonical manifest encoding (see validator), so a client that checks it
+// on the manifest bytes and each chunk against its address has checked
+// the whole package without hashing it again.
+//
 // The Client offers two strategies, compared by experiments E8/E13:
 //
 //   - DownloadDelta: manifest diff against the local chunk cache, then
@@ -34,6 +39,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,10 +69,22 @@ type extent struct {
 // its validator. The payload bytes live in the chunk store; what remains
 // resident per package is a few hundred bytes of framing.
 type pkgEntry struct {
-	manifest []byte // encoded manifest, served at /manifest/<name>
+	manifest []byte // canonical manifest encoding, served at /manifest/<name>
 	extents  []extent
 	size     int64
-	etag     string
+	etag     string // validator(manifest)
+}
+
+// validator is a published package's ETag, on /pkg/ and /manifest/ alike:
+// the first 16 bytes of the SHA-256 of its canonical manifest encoding.
+// The manifest lists every chunk's SHA-256 and size and the package is
+// Manifest.Assemble's pure function of it (AddPackage refuses any other
+// blob), so this digest is the package's Merkle root: a client that
+// checks it on the manifest bytes and each chunk against its address has
+// checked every byte of the package, hashing each once.
+func validator(manifest []byte) string {
+	sum := sha256.Sum256(manifest)
+	return fmt.Sprintf(`"%x"`, sum[:16])
 }
 
 // Server publishes game packages under /pkg/<name> with range support, a
@@ -134,11 +152,14 @@ func (s *Server) StoreStats() blobstore.Stats { return s.store.Stats() }
 // into the content-addressed chunks its embedded manifest lists
 // (deduplicated against everything already published); the blob itself is
 // not retained, and a blob without a manifest is refused with
-// gamepack.ErrNoManifest. Re-adding a name replaces the package —
-// delta-syncing clients then transfer only changed chunks, and chunks
-// referenced only by the replaced version are removed from the store (an
-// in-flight transfer of the old version may then fail; its client
-// re-syncs and gets the new one).
+// gamepack.ErrNoManifest, as is any blob that is not byte for byte the
+// assembly of its own manifest (Manifest.CheckFraming, and every chunk at
+// its address): the package's validator names its manifest, so every
+// delta client would reassemble bytes other than such a blob. Re-adding a
+// name replaces the package — delta-syncing clients then transfer only
+// changed chunks, and chunks referenced only by the replaced version are
+// removed from the store (an in-flight transfer of the old version may
+// then fail; its client re-syncs and gets the new one).
 //
 // Ingest and registration share one critical section so a concurrent
 // replace of another package cannot release a shared chunk between this
@@ -221,21 +242,20 @@ func (s *Server) tierCounterLocked(label string) *atomic.Int64 {
 	return c
 }
 
-// ingest verifies that the manifest tiles the blob, stores every chunk
-// and builds the serving extents. s.mu must be held. A rejection rolls
-// back the chunks this call newly deposited (a failed publish must not
-// grow the store), sparing any that a published package also references.
+// ingest checks that the blob is its manifest's assembly, stores every
+// chunk and builds the serving extents. s.mu must be held. The framing,
+// the length and the manifest section are checked against the manifest
+// before anything is stored; each chunk is checked against its address by
+// the one SHA-256 that stores it. A rejection rolls back the chunks this
+// call newly deposited (a failed publish must not grow the store), sparing
+// any that a published package also references.
 func (s *Server) ingest(man *gamepack.Manifest, blob []byte) (*pkgEntry, error) {
-	secs, err := gamepack.Sections(blob)
-	if err != nil {
+	if err := man.CheckFraming(blob); err != nil {
 		return nil, fmt.Errorf("netstream: %w", err)
 	}
-	if len(man.Sections) != len(secs) {
-		return nil, fmt.Errorf("netstream: manifest lists %d sections, package has %d", len(man.Sections), len(secs))
-	}
-	ent := &pkgEntry{size: int64(len(blob))}
-	sum := sha256.Sum256(blob)
-	ent.etag = fmt.Sprintf(`"%x"`, sum[:16])
+	self := man.Encode()
+	ent := &pkgEntry{manifest: self, size: int64(len(blob)), etag: validator(self)}
+	locs, _ := man.Layout()
 	pos := 0
 	var added []blobstore.Hash // chunks this call deposited that were new
 	fail := func(err error) (*pkgEntry, error) {
@@ -247,38 +267,25 @@ func (s *Server) ingest(man *gamepack.Manifest, blob []byte) (*pkgEntry, error) 
 		return nil, err
 	}
 	addInline := func(data []byte) {
-		ent.extents = append(ent.extents, extent{
-			off: int64(pos), size: len(data), inline: append([]byte(nil), data...),
-		})
+		ent.extents = append(ent.extents, extent{off: int64(pos), size: len(data), inline: data})
 		pos += len(data)
 	}
-	for _, sc := range man.Sections {
-		loc, ok := secs[sc.Name]
-		if !ok {
-			return fail(fmt.Errorf("netstream: manifest names missing section %q", sc.Name))
-		}
-		if loc[0] < pos {
-			return fail(fmt.Errorf("netstream: manifest section %q out of order", sc.Name))
-		}
-		addInline(blob[pos:loc[0]]) // framing before the payload
+	for i, sc := range man.Sections {
+		addInline(append([]byte(nil), blob[pos:locs[i].Off]...)) // framing before the payload
 		if sc.Name == gamepack.SectionManifest && len(sc.Chunks) == 0 {
-			ent.manifest = append([]byte(nil), blob[loc[0]:loc[0]+loc[1]]...)
-			addInline(ent.manifest)
+			addInline(self) // CheckFraming matched the section against it
 			continue
 		}
-		if sc.PayloadSize() != loc[1] {
-			return fail(fmt.Errorf("netstream: manifest section %q sums to %d bytes, payload is %d",
-				sc.Name, sc.PayloadSize(), loc[1]))
-		}
 		for _, c := range sc.Chunks {
-			data := blob[pos : pos+c.Size]
-			if blobstore.Sum(data) != c.Hash {
-				return fail(fmt.Errorf("netstream: manifest chunk hash mismatch in section %q", sc.Name))
-			}
-			if _, isNew, err := s.store.Put(data); err != nil {
+			h, isNew, err := s.store.Put(blob[pos : pos+c.Size])
+			if err != nil {
 				return fail(fmt.Errorf("netstream: %w", err))
-			} else if isNew {
-				added = append(added, c.Hash)
+			}
+			if isNew {
+				added = append(added, h)
+			}
+			if h != c.Hash {
+				return fail(fmt.Errorf("netstream: manifest chunk hash mismatch in section %q", sc.Name))
 			}
 			ent.extents = append(ent.extents, extent{off: int64(pos), size: c.Size, hash: c.Hash})
 			pos += c.Size
@@ -463,6 +470,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// counts) rather than wire bytes, so the two reconcile.
 			s.tierCounter(label).Add(int64(len(data)))
 		}
+		// A sized reply goes out in one write, without chunked framing.
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.Write(data)
 	case strings.HasPrefix(r.URL.Path, "/res/"):
 		name := strings.TrimPrefix(r.URL.Path, "/res/")
@@ -851,9 +860,11 @@ func (c *Client) getChunk(base string, ref gamepack.ChunkRef, cache *PackageCach
 	return c.fetchChunk(base, ref, cache, st)
 }
 
-// fetchManifest GETs and parses a package's manifest, with the cached
-// validator attached when the cache already holds the URL. A nil manifest
-// with ok=true means 304 — the cached package is current.
+// fetchManifest GETs, authenticates and parses a package's manifest, with
+// the cached validator attached when the cache already holds the URL. A
+// nil manifest with notModified means 304 — the cached package is current.
+// A manifest whose bytes the server's validator does not name is refused
+// with errValidatorMismatch, before any chunk is asked for.
 func (c *Client) fetchManifest(url, etag string, st *Stats) (man *gamepack.Manifest, respETag string, notModified bool, err error) {
 	data, respETag, notModified, err := c.get(url, etag, anyBodyCap, st)
 	if err != nil {
@@ -862,6 +873,9 @@ func (c *Client) fetchManifest(url, etag string, st *Stats) (man *gamepack.Manif
 	if notModified {
 		return nil, etag, true, nil
 	}
+	if respETag != "" && respETag != validator(data) {
+		return nil, "", false, errValidatorMismatch
+	}
 	man, err = gamepack.ParseManifest(data)
 	if err != nil {
 		return nil, "", false, err
@@ -869,9 +883,9 @@ func (c *Client) fetchManifest(url, etag string, st *Stats) (man *gamepack.Manif
 	return man, respETag, false, nil
 }
 
-// errValidatorMismatch rejects a package whose verified chunks reassemble
-// to bytes the server's whole-package validator does not name.
-var errValidatorMismatch = errors.New("netstream: reassembled package does not match server validator")
+// errValidatorMismatch rejects a manifest whose bytes the server's
+// validator does not name.
+var errValidatorMismatch = errors.New("netstream: manifest does not match server validator")
 
 // DownloadDelta fetches a package by manifest diff: only chunks absent
 // from the cache's chunk tier cross the wire (each hash-verified on
@@ -897,8 +911,9 @@ func (c *Client) DownloadDelta(url string, cache *PackageCache) (blob []byte, st
 	return blob, st, err
 }
 
-// syncManifest is the manifest-diff sync proper: conditional manifest GET,
-// missing chunks, reassembly, end-to-end validation.
+// syncManifest is the manifest-diff sync proper: conditional, authenticated
+// manifest GET, missing chunks (each verified against its address),
+// reassembly.
 func (c *Client) syncManifest(url string, cache *PackageCache, st *Stats) ([]byte, error) {
 	base, name, ok := splitPkgURL(url)
 	if !ok {
@@ -925,14 +940,6 @@ func (c *Client) syncManifest(url string, cache *PackageCache, st *Stats) ([]byt
 	blob, err := c.materialize(base, man, cache, st)
 	if err != nil {
 		return nil, err
-	}
-	// End-to-end integrity: the reassembled blob must match the server's
-	// whole-package validator (same construction as Server.AddPackage).
-	if respETag != "" {
-		sum := sha256.Sum256(blob)
-		if want := fmt.Sprintf(`"%x"`, sum[:16]); respETag != want {
-			return nil, errValidatorMismatch
-		}
 	}
 	cache.put(url, respETag, blob)
 	return blob, nil
