@@ -77,7 +77,7 @@ func video(b *testing.B) []byte {
 	return benchVideo
 }
 
-func classroomPkg(b *testing.B) []byte {
+func classroomPkg(b testing.TB) []byte {
 	oncePkg.Do(func() {
 		blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 10})
 		if err != nil {
@@ -989,7 +989,7 @@ func BenchmarkPlaysvcRemoteLearner(b *testing.B) {
 
 // --- E17: the framed act path ------------------------------------------------
 
-func newHostedBench(b *testing.B) (*playsvc.Manager, string) {
+func newHostedBench(b testing.TB) (*playsvc.Manager, string) {
 	b.Helper()
 	m := playsvc.NewManager(playsvc.Options{TTL: -1})
 	b.Cleanup(m.Close)
@@ -1003,7 +1003,7 @@ func newHostedBench(b *testing.B) (*playsvc.Manager, string) {
 
 // createBench opens a hosted session: a create is an act that names a
 // course and no kind.
-func createBench(b *testing.B, m *playsvc.Manager, req *playsvc.ActRequest) {
+func createBench(b testing.TB, m *playsvc.Manager, req *playsvc.ActRequest) {
 	b.Helper()
 	if _, err := m.Act(req); err != nil {
 		b.Fatal(err)
@@ -1013,32 +1013,57 @@ func createBench(b *testing.B, m *playsvc.Manager, req *playsvc.ActRequest) {
 // BenchmarkPlaysvcActBinary measures one framed act round without HTTP —
 // what a thin client's every act costs besides the wire: encode the act
 // frame, parse it (the server's ingress), apply the batch of one, then
-// encode and parse the reply frame (the client's ingress).
-// BenchmarkPlaysvcAct/act is the same batch of one without the codec, so
-// the delta between the two is the frame encode/parse cost.
+// encode and parse the reply frame (the client's ingress). Like a thin
+// client it echoes the reply's state tag, so a reply carries the state
+// only when the act changed it (talking to the teacher again changes
+// none). BenchmarkPlaysvcAct/act is the same batch of one without the
+// codec, so the delta between the two is the frame encode/parse cost.
 func BenchmarkPlaysvcActBinary(b *testing.B) {
-	m, id := newHostedBench(b)
+	round := framedActRound(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// TestFramedActAllocs pins BenchmarkPlaysvcActBinary's round trip to its
+// allocation count: 48 per act while every reply cloned and re-encoded the
+// state, 25 since a reply names the state by its tag and a session encodes
+// it into a buffer it reuses.
+func TestFramedActAllocs(t *testing.T) {
+	round := framedActRound(t)
+	round()
+	if allocs := testing.AllocsPerRun(200, round); allocs > 25 {
+		t.Fatalf("a framed act round trip allocates %.1f times, want at most 25", allocs)
+	}
+}
+
+// framedActRound opens a hosted classroom session and returns one framed
+// act round on it: a thin client's talk, with its seen-counts and state tag
+// echoed from the reply before.
+func framedActRound(tb testing.TB) func() {
+	m, id := newHostedBench(tb)
 	req := playsvc.BatchRequest{
 		Session: id,
 		Acts:    []playsvc.ActRequest{{Kind: playsvc.ActTalk, Object: "teacher"}},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req.BaseSeq = int64(i + 1)
+	return func() {
+		req.BaseSeq++
 		parsed, err := playsvc.ParseActFrame(playsvc.EncodeActFrame(&req))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		out, err := m.ActBatch(parsed)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rt, err := playsvc.ParseReplyFrame(playsvc.EncodeReplyFrame(out))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		req.SeenEvents, req.SeenMessages = rt.Reply.EventCount, rt.Reply.MessageCount
+		r := rt.Reply
+		req.SeenEvents, req.SeenMessages, req.StateTag = r.EventCount, r.MessageCount, r.StateTag
 	}
 }
 

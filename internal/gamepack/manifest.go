@@ -422,10 +422,11 @@ func manifestFor(secs []section) (*Manifest, error) {
 // DepositChunks splits a package blob into its embedded manifest's chunks
 // and deposits each into a store (dedup hits are free), returning the
 // manifest. A package without a manifest is refused with ErrNoManifest,
-// and one whose manifest names a chunk by an address its bytes do not hash
-// to is refused with ErrBadManifest (the mismatched chunk is removed again
-// if this call added it), so the returned manifest names only chunks the
-// store holds.
+// and one whose manifest does not describe its bytes — a chunk named by an
+// address its bytes do not hash to, chunks that overflow or do not tile
+// their section, a section it lacks — with ErrBadManifest. A refused call
+// removes every chunk it added, so the store holds what it held before and
+// a returned manifest names only chunks the store holds.
 func DepositChunks(blob []byte, store *blobstore.Store) (*Manifest, error) {
 	man, err := ExtractManifest(blob)
 	if err != nil {
@@ -435,34 +436,41 @@ func DepositChunks(blob []byte, store *blobstore.Store) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	var added []blobstore.Hash // chunks this call deposited that were new
+	refuse := func(err error) (*Manifest, error) {
+		for _, h := range added {
+			store.Remove(h)
+		}
+		return nil, err
+	}
 	for _, sc := range man.Sections {
 		if sc.isSelf() {
 			continue // placeholder: the manifest is re-encoded at assembly
 		}
 		loc, ok := secs[sc.Name]
 		if !ok {
-			return nil, fmt.Errorf("%w: manifest names missing section %q", ErrBadManifest, sc.Name)
+			return refuse(fmt.Errorf("%w: manifest names missing section %q", ErrBadManifest, sc.Name))
 		}
 		off := loc[0]
 		for _, c := range sc.Chunks {
 			if off+c.Size > loc[0]+loc[1] {
-				return nil, fmt.Errorf("%w: section %q chunks overflow payload", ErrBadManifest, sc.Name)
+				return refuse(fmt.Errorf("%w: section %q chunks overflow payload", ErrBadManifest, sc.Name))
 			}
 			h, isNew, err := store.Put(blob[off : off+c.Size])
 			if err != nil {
-				return nil, err
+				return refuse(err)
+			}
+			if isNew {
+				added = append(added, h)
 			}
 			if h != c.Hash {
-				if isNew {
-					store.Remove(h)
-				}
-				return nil, fmt.Errorf("%w: section %q chunk at %d hashes to %s, manifest says %s",
-					ErrBadManifest, sc.Name, off-loc[0], h, c.Hash)
+				return refuse(fmt.Errorf("%w: section %q chunk at %d hashes to %s, manifest says %s",
+					ErrBadManifest, sc.Name, off-loc[0], h, c.Hash))
 			}
 			off += c.Size
 		}
 		if off != loc[0]+loc[1] {
-			return nil, fmt.Errorf("%w: section %q chunks do not tile payload", ErrBadManifest, sc.Name)
+			return refuse(fmt.Errorf("%w: section %q chunks do not tile payload", ErrBadManifest, sc.Name))
 		}
 	}
 	return man, nil

@@ -405,6 +405,41 @@ func TestDepositChunksRejectsLyingManifest(t *testing.T) {
 	}
 }
 
+// TestRefusedDepositLeavesStoreAsItWas: whatever a manifest lies about —
+// a chunk's address, or chunk sizes that overflow or do not tile their
+// section — a refused deposit into an empty store leaves it empty: the
+// chunks of the sections before the lie are taken out again too.
+func TestRefusedDepositLeavesStoreAsItWas(t *testing.T) {
+	p, video := fixture(t)
+	blob, err := Build(p, video)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		lie  func(video []ChunkRef)
+	}{
+		{"first video chunk's address flipped", func(v []ChunkRef) { v[0].Hash[0] ^= 0xFF }},
+		{"last video chunk overflows", func(v []ChunkRef) { v[len(v)-1].Size++ }},
+		{"video chunks fall short", func(v []ChunkRef) { v[len(v)-1].Size-- }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			man, err := ExtractManifest(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.lie(man.Section(SectionVideo).Chunks)
+			store := storeFor(t)
+			if _, err := DepositChunks(reframed(t, blob, man), store); !errors.Is(err, ErrBadManifest) {
+				t.Fatalf("DepositChunks = %v, want ErrBadManifest", err)
+			}
+			if st := store.Stats(); st.Chunks != 0 || st.StoredBytes != 0 {
+				t.Fatalf("a refused deposit left %d chunks (%d B) in an empty store", st.Chunks, st.StoredBytes)
+			}
+		})
+	}
+}
+
 // FuzzParseManifest: the parser must never panic and every rejection must
 // wrap ErrBadManifest (mirroring container.FuzzParseHead).
 func FuzzParseManifest(f *testing.F) {

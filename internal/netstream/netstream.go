@@ -808,8 +808,56 @@ func (c *Client) downloadWhole(url string, cache *PackageCache, st *Stats) ([]by
 	if notModified {
 		return cached.blob, nil
 	}
+	if err := checkWhole(blob, respETag); err != nil {
+		return nil, err
+	}
 	cache.put(url, respETag, blob)
 	return blob, nil
+}
+
+// checkWhole holds a whole-package body to its own manifest, hashing each
+// byte once: the manifest section must be intact (ExtractManifest checks
+// its CRC) and, when the validator has validator's form, be the manifest
+// that validator names; the body must then be that manifest's assembly —
+// CheckFraming for everything but the chunks, and each chunk against its
+// address. A server with an opaque validator, one that predates manifest
+// digests, is held to the manifest alone.
+func checkWhole(blob []byte, etag string) error {
+	man, err := gamepack.ExtractManifest(blob)
+	if err != nil {
+		return fmt.Errorf("netstream: whole package: %w", err)
+	}
+	if isDigest(etag) && validator(man.Encode()) != etag {
+		return errValidatorMismatch
+	}
+	if err := man.CheckFraming(blob); err != nil {
+		return fmt.Errorf("netstream: whole package: %w", err)
+	}
+	locs, _ := man.Layout()
+	for i, sc := range man.Sections {
+		off := locs[i].Off
+		for _, c := range sc.Chunks {
+			if blobstore.Sum(blob[off:off+c.Size]) != c.Hash {
+				return fmt.Errorf("netstream: whole package: section %q chunk at %d does not hash to %s", sc.Name, off-locs[i].Off, c.Hash)
+			}
+			off += c.Size
+		}
+	}
+	return nil
+}
+
+// isDigest reports whether an ETag has validator's form: a quoted
+// 16-byte digest in lower-case hex.
+func isDigest(etag string) bool {
+	if len(etag) != 34 || etag[0] != '"' || etag[33] != '"' {
+		return false
+	}
+	for _, c := range etag[1:33] {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // splitPkgURL resolves a /pkg/ URL into its server base and package name.

@@ -128,6 +128,61 @@ func TestDeltaRejectsValidatorMismatch(t *testing.T) {
 	}
 }
 
+// TestWholeFallbackIsChecked: when the manifest route is gone and
+// DownloadDelta degrades to the whole package, the body is held to its own
+// manifest and to the validator it came with. A proxy that 404s /manifest/
+// and flips one /pkg/ byte — in a chunk, or in the manifest section — or
+// that names the body by another digest gets an error, and nothing is
+// cached.
+func TestWholeFallbackIsChecked(t *testing.T) {
+	inner, blob := testServer(t)
+	secs, err := gamepack.Sections(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	video, manifest := secs[gamepack.SectionVideo], secs[gamepack.SectionManifest]
+	for name, tamper := range map[string]func(h http.Header, body []byte){
+		"a video chunk byte flipped": func(_ http.Header, body []byte) { body[video[0]+video[1]/2] ^= 0x01 },
+		"a video chunk byte flipped, its section resealed": func(_ http.Header, body []byte) {
+			body[video[0]+video[1]/2] ^= 0x01
+			binary.BigEndian.PutUint32(body[video[0]-4:], crc32.ChecksumIEEE(body[video[0]:video[0]+video[1]]))
+		},
+		"the last byte flipped":           func(_ http.Header, body []byte) { body[len(body)-1] ^= 0x01 },
+		"a manifest section byte flipped": func(_ http.Header, body []byte) { body[manifest[0]+manifest[1]/2] ^= 0x01 },
+		"another digest named":            func(h http.Header, _ []byte) { h.Set("ETag", `"00000000000000000000000000000000"`) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasPrefix(r.URL.Path, "/manifest/") {
+					http.NotFound(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				inner.Config.Handler.ServeHTTP(rec, r)
+				body := rec.Body.Bytes()
+				if strings.HasPrefix(r.URL.Path, "/pkg/") && rec.Code == http.StatusOK {
+					tamper(rec.Header(), body)
+				}
+				for k, v := range rec.Header() {
+					w.Header()[k] = v
+				}
+				w.WriteHeader(rec.Code)
+				w.Write(body)
+			}))
+			defer proxy.Close()
+			c := &Client{}
+			cache := NewPackageCache()
+			got, _, err := c.DownloadDelta(proxy.URL+"/pkg/classroom", cache)
+			if err == nil {
+				t.Fatalf("DownloadDelta returned a tampered %d-byte package with no error", len(got))
+			}
+			if cache.Len() != 0 {
+				t.Error("a rejected whole package was cached")
+			}
+		})
+	}
+}
+
 // tkgpSection is one section of a hand-framed package: its payload, and
 // the framing faults to write it with.
 type tkgpSection struct {

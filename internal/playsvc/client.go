@@ -103,10 +103,16 @@ type Client struct {
 	w, h, fps int
 	tick      int
 	state     *core.State
-	messages  []string
-	seen      int    // events forwarded to the observer so far
-	quiz      string // pending quiz id ("" = none)
-	seq       int64  // act sequence number (server-side retry dedup)
+	// stateTag names the state the client holds, and rides every batch so
+	// the reply leaves that state out while it holds: a thin client's is
+	// the tag of state, a mirror's its replica's, encoded with enc once a
+	// flush.
+	stateTag uint64
+	enc      stateEncoder
+	messages []string
+	seen     int    // events forwarded to the observer so far
+	quiz     string // pending quiz id ("" = none)
+	seq      int64  // act sequence number (server-side retry dedup)
 	// create is the course the next batch opens the session on; it clears
 	// when a reply confirms the session exists.
 	create string
@@ -123,6 +129,7 @@ type Client struct {
 	pendingTicks  []int
 
 	frame raster.Frame // reusable fetched-frame buffer
+	body  []byte       // reusable reply-frame buffer (the parse copies out what it keeps)
 	err   error        // sticky transport/session failure
 }
 
@@ -217,16 +224,24 @@ func (c *Client) VideoMeta() (w, h, fps int) { return c.w, c.h, c.fps }
 func (c *Client) Err() error { return c.err }
 
 // apply folds a server reply into the client mirror and forwards unseen
-// events to the observer.
-func (c *Client) apply(r *Reply) {
+// events to the observer. A thin client adopts the reply's state and tag;
+// a reply that names a state it neither carries nor matches the client's
+// is refused — the client would go on showing a state the session left.
+// A mirror's replica is its state, and flush holds the tag to it.
+func (c *Client) apply(r *Reply) error {
+	if c.mirror == nil {
+		switch {
+		case r.State != nil:
+			c.state, c.stateTag = r.State, r.StateTag
+		case r.StateTag != 0 && r.StateTag != c.stateTag:
+			return fmt.Errorf("playsvc: reply names state %016x without carrying it; the client holds %016x", r.StateTag, c.stateTag)
+		}
+	}
 	if r.Course != "" {
 		c.opts.Course = r.Course
 		c.w, c.h, c.fps = r.Width, r.Height, r.FPS
 	}
 	c.tick = r.Tick
-	if r.State != nil {
-		c.state = r.State
-	}
 	c.messages = append(c.messages, r.Messages...)
 	c.quiz = r.Quiz
 	if c.opts.Observer != nil {
@@ -235,6 +250,7 @@ func (c *Client) apply(r *Reply) {
 		}
 	}
 	c.seen = r.EventCount
+	return nil
 }
 
 // fail records a sticky failure: the session is gone or unreachable, so
@@ -302,11 +318,11 @@ func (c *Client) do(policy *faultnet.RetryPolicy, method, url, contentType strin
 func (c *Client) postFrame(payload []byte) (*BatchReply, error) {
 	var out *BatchReply
 	err := c.do(c.retry, http.MethodPost, c.opts.BaseURL+ActV2Path, FrameContentType, payload, "actv2", func(resp *http.Response) (error, bool) {
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-		if err != nil {
+		var err error
+		if c.body, err = readInto(c.body[:0], io.LimitReader(resp.Body, maxProxyBody)); err != nil {
 			return fmt.Errorf("playsvc: actv2: read: %w", err), true
 		}
-		if out, err = ParseReplyFrame(body); err != nil {
+		if out, err = ParseReplyFrame(c.body); err != nil {
 			// A mangled frame re-fetches cleanly: the server dedups the retry.
 			return fmt.Errorf("playsvc: actv2: %w", err), true
 		}
@@ -372,12 +388,11 @@ func recoverable(err error) bool {
 // refreshes the client's view with the tails beyond its seen-counts.
 func (c *Client) resumeOnce() error {
 	out, err := c.postFrame(EncodeActFrame(&BatchRequest{Session: c.id, Resume: true,
-		SeenEvents: c.seen, SeenMessages: len(c.messages)}))
+		SeenEvents: c.seen, SeenMessages: len(c.messages), StateTag: c.stateTag}))
 	if err != nil {
 		return err
 	}
-	c.apply(out.Reply)
-	return nil
+	return c.apply(out.Reply)
 }
 
 // mirrorBatch is how many replica-answered acts a LocalMirror client ships
@@ -428,9 +443,14 @@ func (c *Client) trimPending(n int) {
 // caller is waiting. An act-level error on an earlier act drops that act
 // and ships the rest: only a mirror client queues more than one, and its
 // replica already gave the refusal to the caller. (In practice only
-// select, quiz, goto and tick can be refused.)
+// select, quiz, goto and tick can be refused.) A mirror tags its replica
+// once, up front: the replica has already run every queued act, so that is
+// the state the batch must leave the hosted session in.
 func (c *Client) flush() (ActResult, error) {
 	var last ActResult
+	if c.mirror != nil && (len(c.pending) > 0 || c.create != "") {
+		c.stateTag = stateTag(c.enc.encode(c.mirror.State()))
+	}
 	for len(c.pending) > 0 || c.create != "" {
 		if c.err != nil {
 			c.trimPending(len(c.pending))
@@ -456,18 +476,19 @@ func (c *Client) flush() (ActResult, error) {
 		}
 		// Mirror mode: the reply covering this batch must land exactly
 		// where the replica was when the batch's last act was queued — or
-		// where it is now, for a batch that is only the create. Anything
-		// else means replica and hosted session disagree, and every local
-		// answer after the divergence point is suspect.
+		// where it is now, for a batch that is only the create — and in the
+		// replica's state (a leave's reply names none). Anything else means
+		// replica and hosted session disagree, and every local answer after
+		// the divergence point is suspect.
 		if c.mirror != nil {
 			events, tick := c.mirrorCounter.n, c.mirror.Ticks()
 			if n > 0 {
 				events, tick = c.pendingEvents[n-1], c.pendingTicks[n-1]
 			}
-			if int64(out.Reply.EventCount) != events || out.Reply.Tick != tick {
+			if r := out.Reply; int64(r.EventCount) != events || r.Tick != tick || (r.StateTag != 0 && r.StateTag != c.stateTag) {
 				return ActResult{}, c.fail(fmt.Errorf(
-					"playsvc: local mirror diverged: replica at %d events/tick %d, hosted session at %d/%d",
-					events, tick, out.Reply.EventCount, out.Reply.Tick))
+					"playsvc: local mirror diverged: replica at %d events/tick %d/state %016x, hosted session at %d/%d/%016x",
+					events, tick, c.stateTag, r.EventCount, r.Tick, r.StateTag))
 			}
 		}
 		if len(out.Results) > 0 {
@@ -497,7 +518,7 @@ func (c *Client) resuming(op func() error) error {
 // session, its tombstone — recognizes a batch whose reply was lost and
 // applies each act at most once.
 func (c *Client) sendBatch(acts []ActRequest) (*BatchReply, error) {
-	req := &BatchRequest{Session: c.id, Create: c.create, Room: c.opts.Room && c.create != "", Acts: acts}
+	req := &BatchRequest{Session: c.id, Create: c.create, Room: c.opts.Room && c.create != "", StateTag: c.stateTag, Acts: acts}
 	if len(acts) > 0 {
 		req.BaseSeq = c.seq + 1
 		c.seq += int64(len(acts))
@@ -525,7 +546,9 @@ func (c *Client) sendBatch(acts []ActRequest) (*BatchReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.apply(out.Reply)
+	if err := c.apply(out.Reply); err != nil {
+		return nil, c.fail(err)
+	}
 	return out, nil
 }
 
@@ -748,7 +771,12 @@ func (c *Client) Frame() (*raster.Frame, error) {
 // session survived whatever broke the client, it should not linger until
 // TTL eviction — and returns the sticky error.
 func (c *Client) Close() error {
-	defer func() { c.mirror = nil }()
+	defer func() {
+		if c.mirror != nil {
+			// The replica goes; its last state stays readable.
+			c.state, c.mirror = c.mirror.State(), nil
+		}
+	}()
 	leave := ActRequest{Kind: ActLeave}
 	if c.err != nil {
 		// Best effort: one attempt, under the same per-attempt deadline

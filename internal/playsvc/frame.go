@@ -17,6 +17,13 @@
 // instead of N; a create's or a resume's reply adds the course and its
 // video geometry.
 //
+// A state travels only when the client does not hold it already. Every
+// reply names the session's state by its tag (stateTag: a hash of the
+// state's canonical bytes), an act frame names the state its client holds
+// the same way, and the reply leaves the state out when the two agree. The
+// tag is a function of the bytes alone, so the server keeps no memory of
+// what any client holds.
+//
 // Every parse rejection wraps ErrBadFrame; the hostile-input bar (every
 // length checked against the remaining input before any allocation) is
 // tagrec's, pinned there by FuzzRecords and here by FuzzParseActFrame.
@@ -27,7 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/runtime"
@@ -57,15 +64,16 @@ const (
 // Act-frame record tags. The session, create-or-resume, room and leave
 // records are the routing prefix: in that order, before every other record.
 const (
-	atagSession      = 1 // string; MUST be the first record (gateway routing)
-	atagBaseSeq      = 2 // uvarint
-	atagSeenEvents   = 3 // uvarint
-	atagSeenMessages = 4 // uvarint
-	atagAct          = 5 // repeated, one per act, batch order
-	atagCreate       = 6 // string course: open the session before the acts
-	atagLeave        = 7 // empty: the last act is a leave
-	atagResume       = 8 // empty: reattach the session; exclusive with create
-	atagRoom         = 9 // empty: the create opens a room; right after the create
+	atagSession      = 1  // string; MUST be the first record (gateway routing)
+	atagBaseSeq      = 2  // uvarint
+	atagSeenEvents   = 3  // uvarint
+	atagSeenMessages = 4  // uvarint
+	atagAct          = 5  // repeated, one per act, batch order
+	atagCreate       = 6  // string course: open the session before the acts
+	atagLeave        = 7  // empty: the last act is a leave
+	atagResume       = 8  // empty: reattach the session; exclusive with create
+	atagRoom         = 9  // empty: the create opens a room; right after the create
+	atagStateTag     = 10 // uvarint: the tag of the state the client holds (absent = none)
 )
 
 // Reply-frame record tags.
@@ -85,6 +93,7 @@ const (
 	rtagWidth        = 13 // uvarint
 	rtagHeight       = 14 // uvarint
 	rtagFPS          = 15 // uvarint
+	rtagStateTag     = 16 // uvarint: the session's state tag (absent = no state named)
 )
 
 // Reply flag bits (rtagFlags).
@@ -205,8 +214,8 @@ func readActError(payload []byte) (*Error, error) {
 
 // EncodeActFrame encodes a batch request as a binary act frame. Only the
 // act fields the wire carries (kind, object, item, x, y, quiz, choice,
-// ticks) survive; session/create/room/resume/seq/seen ride the frame
-// header.
+// ticks) survive; session/create/room/resume/state tag/seq/seen ride the
+// frame header. A zero state tag writes no record.
 func EncodeActFrame(req *BatchRequest) []byte {
 	b := tagrec.Begin(make([]byte, 0, 64+32*len(req.Acts)), actMagic, frameVersion)
 	// The routing prefix leads so a gateway can route on a prefix parse.
@@ -222,6 +231,9 @@ func EncodeActFrame(req *BatchRequest) []byte {
 	}
 	if req.leaves() {
 		b = tagrec.Append(b, atagLeave, "")
+	}
+	if req.StateTag != 0 {
+		b = tagrec.AppendUint(b, atagStateTag, req.StateTag)
 	}
 	b = tagrec.AppendUint(b, atagBaseSeq, uint64(req.BaseSeq))
 	b = tagrec.AppendUint(b, atagSeenEvents, uint64(req.SeenEvents))
@@ -272,6 +284,10 @@ func ParseActFrame(data []byte) (*BatchRequest, error) {
 				return nil, frameBadf("malformed base seq")
 			}
 			req.BaseSeq = int64(v)
+		case atagStateTag:
+			if req.StateTag, err = r.Uvarint(); err != nil {
+				return nil, frameBadf("malformed state tag")
+			}
 		case atagSeenEvents:
 			if req.SeenEvents, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed seen-events")
@@ -405,10 +421,18 @@ func parseFrameRoute(data []byte) (frameRoute, error) {
 // --- reply frames ------------------------------------------------------------
 
 // EncodeReplyFrame encodes a batch reply (per-act results + one coalesced
-// tail) as a binary reply frame.
+// tail) as a binary reply frame. The state record is the server's
+// canonical bytes when the reply holds them, else State encoded; a zero
+// state tag writes no record.
 func EncodeReplyFrame(out *BatchReply) []byte {
+	return appendReplyFrame(make([]byte, 0, 256+len(out.Reply.state)), out)
+}
+
+// appendReplyFrame is EncodeReplyFrame appending to b.
+func appendReplyFrame(b []byte, out *BatchReply) []byte {
 	r := out.Reply
-	b := tagrec.Begin(make([]byte, 0, 256), replyMagic, frameVersion)
+	start := len(b)
+	b = tagrec.Begin(b, replyMagic, frameVersion)
 	b = tagrec.Append(b, rtagSession, r.Session)
 	b = tagrec.AppendUint(b, rtagTick, uint64(r.Tick))
 	b = tagrec.AppendUint(b, rtagEventCount, uint64(r.EventCount))
@@ -425,10 +449,17 @@ func EncodeReplyFrame(out *BatchReply) []byte {
 		b = tagrec.AppendUint(b, rtagHeight, uint64(max(r.Height, 0)))
 		b = tagrec.AppendUint(b, rtagFPS, uint64(max(r.FPS, 0)))
 	}
-	if r.State != nil {
+	if r.StateTag != 0 {
+		b = tagrec.AppendUint(b, rtagStateTag, r.StateTag)
+	}
+	switch {
+	case r.state != nil:
+		b = tagrec.Append(b, rtagState, r.state)
+	case r.State != nil:
+		var enc stateEncoder
 		var mark int
 		b, mark = tagrec.BeginRecord(b, rtagState)
-		b = tagrec.EndRecord(appendState(b, r.State), mark)
+		b = tagrec.EndRecord(enc.appendState(b, r.State), mark)
 	}
 	for i := range r.Events {
 		b = runtime.AppendEvent(b, rtagEvent, &r.Events[i])
@@ -442,7 +473,7 @@ func EncodeReplyFrame(out *BatchReply) []byte {
 	if out.ActErr != nil {
 		b = appendActError(b, rtagError, out.ActErr)
 	}
-	return tagrec.Finish(b, 0)
+	return tagrec.Finish(b, start)
 }
 
 // ParseReplyFrame parses a binary reply frame. Every rejection wraps
@@ -493,6 +524,10 @@ func ParseReplyFrame(data []byte) (*BatchReply, error) {
 			if r.FPS, err = fr.Int(); err != nil {
 				return nil, frameBadf("malformed fps")
 			}
+		case rtagStateTag:
+			if r.StateTag, err = fr.Uvarint(); err != nil {
+				return nil, frameBadf("malformed state tag")
+			}
 		case rtagState:
 			if r.State, err = decodeState(payload); err != nil {
 				return nil, err
@@ -532,20 +567,46 @@ func ParseReplyFrame(data []byte) (*BatchReply, error) {
 
 // --- state codec -------------------------------------------------------------
 
-// sortedKeys returns map keys in sorted order so encoded frames are
-// deterministic (handy for tests and content-addressed storage).
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
+// stateEncoder writes a game state's canonical bytes — keys sorted, so
+// equal states encode equal — into buffers it reuses: a hosted session
+// encodes every reply's state, and a mirror client tags its replica once a
+// flush, without allocating.
+type stateEncoder struct {
+	buf  []byte
+	keys []string
+}
+
+// encode returns s's canonical bytes, valid until the next encode.
+func (e *stateEncoder) encode(s *core.State) []byte {
+	e.buf = e.appendState(e.buf[:0], s)
+	return e.buf
+}
+
+// stateTag names canonical state bytes on the wire: their 64-bit FNV-1a
+// hash, never 0 (a zero tag is "no state").
+func stateTag(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return max(h, 1)
+}
+
+// sortedKeys refills ks with m's keys in sorted order.
+func sortedKeys[V any](ks []string, m map[string]V) []string {
+	ks = ks[:0]
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Strings(ks)
+	slices.Sort(ks)
 	return ks
 }
 
-func appendBoolMap(b []byte, m map[string]bool) []byte {
+func (e *stateEncoder) appendBoolMap(b []byte, m map[string]bool) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m)))
-	for _, k := range sortedKeys(m) {
+	e.keys = sortedKeys(e.keys, m)
+	for _, k := range e.keys {
 		b = tagrec.AppendStr(b, k)
 		b = tagrec.AppendBool(b, m[k])
 	}
@@ -562,23 +623,25 @@ func appendStrs(b []byte, ss []string) []byte {
 
 // appendState encodes a game state for the reply frame — the hand-rolled
 // replacement for the reflection-driven JSON marshal on the act hot path.
-func appendState(b []byte, s *core.State) []byte {
+func (e *stateEncoder) appendState(b []byte, s *core.State) []byte {
 	b = tagrec.AppendStr(b, s.Scenario)
 	b = appendStrs(b, s.Inventory)
-	b = appendBoolMap(b, s.Flags)
+	b = e.appendBoolMap(b, s.Flags)
 	b = binary.AppendUvarint(b, uint64(len(s.Vars)))
-	for _, k := range sortedKeys(s.Vars) {
+	e.keys = sortedKeys(e.keys, s.Vars)
+	for _, k := range e.keys {
 		b = tagrec.AppendStr(b, k)
 		b = tagrec.AppendZigzag(b, int64(s.Vars[k]))
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Visited)))
-	for _, k := range sortedKeys(s.Visited) {
+	e.keys = sortedKeys(e.keys, s.Visited)
+	for _, k := range e.keys {
 		b = tagrec.AppendStr(b, k)
 		b = binary.AppendUvarint(b, uint64(max(s.Visited[k], 0)))
 	}
-	b = appendBoolMap(b, s.Learned)
+	b = e.appendBoolMap(b, s.Learned)
 	b = appendStrs(b, s.Rewards)
-	b = appendBoolMap(b, s.Hidden)
+	b = e.appendBoolMap(b, s.Hidden)
 	b = tagrec.AppendBool(b, s.Ended)
 	b = tagrec.AppendStr(b, s.Outcome)
 	return b

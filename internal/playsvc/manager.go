@@ -97,6 +97,8 @@ type hosted struct {
 	events    []runtime.Event
 	eventBase int
 	frame     raster.Frame // reusable frame-path buffer
+	// enc encodes the state every reply names into buffers it reuses.
+	enc stateEncoder
 	// room is the broadcast hub when this session is driven as a shared
 	// classroom (nil otherwise). Guarded by mu; the act and frame paths
 	// publish into it after every state change.
@@ -546,11 +548,16 @@ func (h *hosted) ack(seenEvents int) {
 	h.eventBase += n
 }
 
-// reply assembles the client view: the state snapshot plus the tails.
-// h.mu must be held.
-func (h *hosted) reply(seenEvents, seenMessages int) *Reply {
+// reply assembles the client view: the tails, the state's tag and — when
+// the client does not hold that state (heldTag) — the state's bytes, copied
+// out of the session's encode buffer so the reply owns them. h.mu must be
+// held.
+func (h *hosted) reply(seenEvents, seenMessages int, heldTag uint64) *Reply {
 	r := h.tail(seenEvents, seenMessages)
-	r.State = h.sess.State().Clone()
+	b := h.enc.encode(h.sess.State())
+	if r.StateTag = stateTag(b); r.StateTag != heldTag {
+		r.state = append([]byte(nil), b...)
+	}
 	return r
 }
 
@@ -614,12 +621,20 @@ func (a *ActRequest) batch() *BatchRequest {
 }
 
 // single folds a batch-of-one reply into the JSON shape: the act-level
-// error becomes the call's error, the result bits become Correct/Took.
+// error becomes the call's error, the result bits become Correct/Took, and
+// the state's bytes become State.
 func (out *BatchReply) single() (*Reply, error) {
 	if out.ActErr != nil {
 		return nil, out.ActErr
 	}
 	r := out.Reply
+	if r.State == nil && r.state != nil {
+		st, err := decodeState(r.state)
+		if err != nil {
+			return nil, err
+		}
+		r.State = st
+	}
 	if len(out.Results) == 1 {
 		res := out.Results[0]
 		if res.HasCorrect {
@@ -895,7 +910,7 @@ func (m *Manager) applyLocked(h *hosted, req *BatchRequest) (*BatchReply, error)
 		// double-applying. The unacked tail is still retained, so the
 		// rebuilt reply carries everything the lost one did. (A batch whose
 		// leave applied is answered from its tombstone instead.)
-		out = h.batchReplyLocked(req.SeenEvents, req.SeenMessages, h.lastBits, h.lastErr)
+		out = h.batchReplyLocked(req, h.lastBits, h.lastErr)
 	} else {
 		out = m.runLocked(h, req)
 	}
@@ -938,7 +953,7 @@ func (m *Manager) runLocked(h *hosted, req *BatchRequest) *BatchReply {
 		h.lastBase, h.lastLen, h.lastErr = req.BaseSeq, len(req.Acts), actErr
 		h.lastBits = append(h.lastBits[:0], bits...)
 	}
-	return h.batchReplyLocked(req.SeenEvents, req.SeenMessages, bits, actErr)
+	return h.batchReplyLocked(req, bits, actErr)
 }
 
 // leaveLocked releases a held session once its batch's acts have applied
@@ -978,9 +993,9 @@ func (c *course) describe(r *Reply) {
 	r.Width, r.Height, r.FPS = c.w, c.h, c.fps
 }
 
-// batchReplyLocked assembles the coalesced batch reply; h.mu must be held.
-func (h *hosted) batchReplyLocked(seenEvents, seenMessages int, bits []byte, actErr *Error) *BatchReply {
-	out := &BatchReply{Reply: h.reply(seenEvents, seenMessages), ActErr: actErr}
+// batchReplyLocked assembles the coalesced reply to req; h.mu must be held.
+func (h *hosted) batchReplyLocked(req *BatchRequest, bits []byte, actErr *Error) *BatchReply {
+	out := &BatchReply{Reply: h.reply(req.SeenEvents, req.SeenMessages, req.StateTag), ActErr: actErr}
 	if len(bits) > 0 {
 		out.Results = make([]ActResult, len(bits))
 		for i, b := range bits {

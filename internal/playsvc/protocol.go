@@ -130,6 +130,12 @@ type BatchRequest struct {
 	// event-log compaction it permits — happens before any act applies.
 	SeenEvents   int
 	SeenMessages int
+	// StateTag names the state the client holds (a reply's StateTag; 0 =
+	// none). The reply leaves its state out when the session's state has
+	// this tag, so a client that echoes the tag it last adopted is sent a
+	// state only when it changed — and a retried batch, which carries the
+	// same tag, is sent again whatever state its lost reply carried.
+	StateTag uint64
 	// Acts are the interactions, in order. Only Kind, Object, Item, X, Y,
 	// Quiz, Choice and Ticks are meaningful; per-act Session, Course,
 	// Room, Resume, Seq and Seen fields are ignored. ActLeave is legal only
@@ -196,12 +202,17 @@ type BatchReply struct {
 	ActErr *Error
 }
 
-// Reply is the server's view of a hosted session after an operation. State
-// is a deep copy, and Events/Messages are the unseen tails, so a Reply is
-// self-contained: it stays valid after the session moves on. A leave
-// confirmation carries the tails but no State — a leave changes none. A
-// create's or a resume's reply (JSON or framed) names the course and its
-// video geometry.
+// Reply is the server's view of a hosted session after an operation.
+// StateTag names the session's state and the reply carries it — unless
+// the request named the same tag (BatchRequest.StateTag): the client
+// already holds it. A parsed frame and Act's reply carry it as State; a
+// reply ActBatch returns holds its canonical bytes instead, for the frame
+// to write as is. Events/Messages are the unseen tails. A Reply owns what
+// it carries, so it stays valid after the session moves on. The JSON
+// adapter's requests name no tag, so its replies always carry State. A
+// leave confirmation carries the tails and no state at all (a zero
+// StateTag) — a leave changes none. A create's or a resume's reply (JSON
+// or framed) names the course and its video geometry.
 type Reply struct {
 	Session string `json:"session"`
 	Course  string `json:"course,omitempty"` // set on create and resume
@@ -211,6 +222,7 @@ type Reply struct {
 
 	Tick         int             `json:"tick"`
 	State        *core.State     `json:"state"`
+	StateTag     uint64          `json:"state_tag,omitempty"`
 	Events       []runtime.Event `json:"events,omitempty"`
 	Messages     []string        `json:"messages,omitempty"`
 	EventCount   int             `json:"event_count"`    // total events so far
@@ -222,6 +234,10 @@ type Reply struct {
 
 	// Resumed marks a reply to a batch that carried a resume.
 	Resumed bool `json:"resumed,omitempty"`
+
+	// state is the canonical encoding a hosted session's reply carries in
+	// place of State (decoded into State only for Act and the JSON adapter).
+	state []byte
 }
 
 // RoomJoinRequest subscribes a watcher to a room (or, on RoomLeavePath,

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/media/raster"
@@ -122,7 +123,7 @@ func (m *Manager) handleAct(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	m.serveAct(w, r, req.batch(), false)
+	m.serveAct(w, r, req.batch(), nil)
 }
 
 // handleActV2 is the framed act endpoint: a framed batch — a create or a
@@ -135,7 +136,10 @@ func (m *Manager) handleActV2(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	body, err := readInto((*buf)[:0], http.MaxBytesReader(w, r.Body, maxBody))
+	*buf = body
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -145,22 +149,47 @@ func (m *Manager) handleActV2(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	m.serveAct(w, r, req, true)
+	m.serveAct(w, r, req, buf)
+}
+
+// frameBufs recycles the framed act route's buffers: one holds a request's
+// body, which the parse copies everything out of, and then its reply frame
+// until the write returns.
+var frameBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// readInto appends everything rd yields to b, as io.ReadAll does to a
+// buffer of its own.
+func readInto(b []byte, rd io.Reader) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // serveAct is the shared act handler: everything past the decode is one
-// path. Only the reply encoding differs — a frame carries an act-level
-// error inside its 200 reply, the JSON adapter answers it as the status.
-func (m *Manager) serveAct(w http.ResponseWriter, r *http.Request, req *BatchRequest, framed bool) {
+// path. Only the reply encoding differs — a frame, encoded into buf,
+// carries an act-level error inside its 200 reply; the JSON adapter (nil
+// buf) answers it as the status.
+func (m *Manager) serveAct(w http.ResponseWriter, r *http.Request, req *BatchRequest, buf *[]byte) {
 	req.Trace = obs.TraceFromRequest(r)
 	out, err := m.ActBatch(req)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if framed {
+	if buf != nil {
+		*buf = appendReplyFrame((*buf)[:0], out)
 		w.Header().Set("Content-Type", FrameContentType)
-		w.Write(EncodeReplyFrame(out))
+		w.Write(*buf)
 		return
 	}
 	reply, err := out.single()
