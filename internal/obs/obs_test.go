@@ -209,11 +209,35 @@ func TestTraceContext(t *testing.T) {
 	if (TraceContext{}).Child().Valid() {
 		t.Fatalf("child of the zero context must stay invalid")
 	}
-	for _, bad := range []string{"", "/", "a", "//b", "a/b/c/d"} {
+	long := strings.Repeat("a", 64<<10)
+	for _, bad := range []string{"", "/", "a", "//b", "a/b/c/d",
+		long + "/b", "a/" + long, "a/b/" + long, strings.Repeat("a", 33) + "/b",
+		"A/b", "a/B", "g/b", "a/b/z", "a b/c", "a/b//", "-1/2"} {
 		if _, ok := ParseTrace(bad); ok {
 			t.Fatalf("ParseTrace(%q) accepted garbage", bad)
 		}
 	}
+}
+
+// FuzzParseTrace: an accepted header round-trips through String, and no
+// field it yields is longer than the ids NewTrace and Child mint allow.
+func FuzzParseTrace(f *testing.F) {
+	tc := NewTrace()
+	for _, seed := range []string{tc.String(), tc.Child().String(), "a/b", "a/b/", "a/b/c", "", "/", "a/b/c/d", "A/b", strings.Repeat("f", 33) + "/0"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTrace(s)
+		if !ok {
+			return
+		}
+		if len(tc.Trace) > 32 || len(tc.Span) > 32 || len(tc.Parent) > 32 {
+			t.Fatalf("ParseTrace(%q) kept a field past 32 bytes: %+v", s, tc)
+		}
+		if round, ok := ParseTrace(tc.String()); !ok || round != tc {
+			t.Fatalf("ParseTrace(%q) = %+v, but %q parses back to %+v, %v", s, tc, tc.String(), round, ok)
+		}
+	})
 }
 
 func TestSpanRing(t *testing.T) {

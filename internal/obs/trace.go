@@ -56,18 +56,40 @@ func (t TraceContext) String() string {
 	return t.Trace + "/" + t.Span + "/" + t.Parent
 }
 
+// maxTraceID bounds each field of an accepted header. NewTrace and Child
+// mint 16- and 8-character ids; the bound keeps a caller's header from
+// pinning its bytes in every span-ring slot it lands in.
+const maxTraceID = 32
+
 // ParseTrace decodes the header form; ok is false for anything
-// malformed.
+// malformed. Each id is 1–32 lowercase hex characters (the parent may be
+// absent or empty), which is what NewTrace and Child mint.
 func ParseTrace(s string) (TraceContext, bool) {
-	parts := strings.Split(s, "/")
-	if len(parts) < 2 || len(parts) > 3 || parts[0] == "" || parts[1] == "" {
+	parts := strings.SplitN(s, "/", 4)
+	if len(parts) < 2 || len(parts) > 3 || !traceID(parts[0]) || !traceID(parts[1]) {
 		return TraceContext{}, false
 	}
 	t := TraceContext{Trace: parts[0], Span: parts[1]}
-	if len(parts) == 3 {
+	if len(parts) == 3 && parts[2] != "" {
+		if !traceID(parts[2]) {
+			return TraceContext{}, false
+		}
 		t.Parent = parts[2]
 	}
 	return t, true
+}
+
+// traceID reports whether s is 1–maxTraceID lowercase hex characters.
+func traceID(s string) bool {
+	if s == "" || len(s) > maxTraceID {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // TraceFromRequest extracts the context from an incoming request (zero

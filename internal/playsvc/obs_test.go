@@ -178,6 +178,46 @@ func TestClientTraceInjection(t *testing.T) {
 	}
 }
 
+// TestOversizedTraceHeaderNotKept: a trace header is an outside caller's
+// bytes, and every span ring slot that records it would keep them. An act
+// for an unknown session carrying a 64 KB trace id is answered as usual,
+// and neither the gateway's ring nor any node's holds a span with that id:
+// the gateway traces the request under an id of its own.
+func TestOversizedTraceHeaderNotKept(t *testing.T) {
+	cl, ts := liveCluster(t, 2, Options{})
+	long := strings.Repeat("a", 64<<10)
+	body, _ := json.Marshal(&ActRequest{Session: "no-such-session", Kind: ActTick, Ticks: 1})
+	hreq, err := http.NewRequest(http.MethodPost, ts.URL+ActPath, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set(obs.TraceHeader, long+"/"+long[:8])
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("act for an unknown session answered %s, want 404", resp.Status)
+	}
+	rings := map[string]*obs.SpanRing{"gateway": cl.Gateway().Ring()}
+	for _, name := range cl.NodeNames() {
+		rings[name] = cl.Node(name).Manager.Ring()
+	}
+	if len(rings["gateway"].Spans("", 0)) == 0 {
+		t.Fatal("the gateway recorded no span for the act; the test proved nothing")
+	}
+	for name, ring := range rings {
+		for _, sp := range ring.Spans("", 0) {
+			if n := len(sp.Trace) + len(sp.Span) + len(sp.Parent); n > 96 {
+				t.Errorf("%s ring keeps span %q with %d bytes of trace ids", name, sp.Name, n)
+			}
+		}
+	}
+}
+
 // TestClusterNodeMetricsEndpoint: every node serves a Prometheus scrape
 // covering the playsvc families, the JSON form exposes the
 // act histogram the fleet's percentile table reads, and /healthz reports

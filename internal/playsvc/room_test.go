@@ -480,6 +480,56 @@ func TestJoinRetryReattaches(t *testing.T) {
 	}
 }
 
+// TestRoomWatchRejectsMalformedNumbers: a seen-count or hold that is not a
+// decimal integer, or a negative seen-count, is refused with 400 before the
+// room is looked up (a dropped parse error would serve events=abc as 0 and
+// re-send every retained event), while absent or empty values and a
+// wait_ms ≤ 0 keep their defaults.
+func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
+	ts, _ := liveService(t, Options{TTL: -1})
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer driver.Close()
+	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: driver.SessionID()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := func(room, query string) int {
+		t.Helper()
+		q := url.Values{"room": {room}, "watcher": {wc.WatcherID()}}.Encode()
+		resp, err := http.Get(ts.URL + RoomWatchPath + "?" + q + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, key := range []string{"events", "messages", "wait_ms"} {
+		bad := []string{"abc", "1.5", "0x10", "-", "9999999999999999999999"}
+		if key != "wait_ms" {
+			bad = append(bad, "-1")
+		}
+		for _, v := range bad {
+			for _, room := range []string{driver.SessionID(), "no-such-room"} {
+				if code := watch(room, "&"+key+"="+url.QueryEscape(v)); code != http.StatusBadRequest {
+					t.Errorf("room %s, %s=%q answered %d, want 400", room, key, v, code)
+				}
+			}
+		}
+	}
+	// The driver's create rendered a frame, so the first good poll is
+	// answered at once whatever its hold.
+	if code := watch(driver.SessionID(), "&events=0&messages=&wait_ms=-5"); code != http.StatusOK {
+		t.Fatalf("watch with default numbers answered %d, want 200", code)
+	}
+	if code := watch(driver.SessionID(), "&wait_ms=1"); code != http.StatusOK && code != http.StatusNoContent {
+		t.Fatalf("watch without seen-counts answered %d, want 200 or 204", code)
+	}
+}
+
 // TestRoomLossyLink runs a class over crowded wifi: the driver's create
 // that opens the room, every join, poll, answer and driver act crosses one
 // wifi-flaky fault transport

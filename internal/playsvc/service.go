@@ -298,17 +298,30 @@ const WatchContentType = "application/x-vgbl-watch"
 // A reply is one chunk: the freshest pending frame, or with latest=0 the
 // oldest (in-order ring draining). A 204 means the hold expired with
 // nothing new; rejoin-worthy conditions (room gone, watcher pruned) are
-// 404s.
+// 404s. An absent or empty number takes its default (seen-count 0, the
+// 2s hold, as does a wait_ms ≤ 0); one that is not a decimal integer, or a
+// negative seen-count, is refused with 400 before the room is looked up.
 func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	var nums [3]int
+	for i, key := range [...]string{"events", "messages", "wait_ms"} {
+		s := q.Get(key)
+		if s == "" {
+			continue
+		}
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 0 && key != "wait_ms" {
+			http.Error(w, "malformed "+key, http.StatusBadRequest)
+			return
+		}
+		nums[i] = n
+	}
+	seenE, seenM, waitMS := nums[0], nums[1], nums[2]
 	room, err := m.roomByID(q.Get("room"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	seenE, _ := strconv.Atoi(q.Get("events"))
-	seenM, _ := strconv.Atoi(q.Get("messages"))
-	waitMS, _ := strconv.Atoi(q.Get("wait_ms"))
 	if waitMS <= 0 {
 		waitMS = 2000
 	}
