@@ -144,3 +144,46 @@ func testRoutes(t *testing.T, blob []byte, nodes int) {
 		}
 	}
 }
+
+// TestUnknownSessionIsOneHop: an act for an id no node holds and none ever
+// minted is answered 404 by its owner alone. The owner holds the shared
+// snapshot directory, which has no entry for the id, so no node holds the
+// session: the gateway relays the 404 without sweeping the other nodes with
+// a handoff or asking the owner to recover, and no node tries a thaw.
+func TestUnknownSessionIsOneHop(t *testing.T) {
+	d, err := New(Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	front := httptest.NewServer(d)
+	t.Cleanup(front.Close)
+	for _, body := range []string{
+		`{"session":"classroom-0123456789abcdef","kind":"tick","ticks":1}`,
+		`{"session":"no such session","kind":"talk","object":"teacher"}`,
+	} {
+		resp, err := http.Post(front.URL+playsvc.ActPath, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("act %s answered %s, want 404", body, resp.Status)
+		}
+	}
+	acts := 0
+	for _, name := range d.Cluster.NodeNames() {
+		for _, sp := range d.Cluster.Node(name).Manager.Ring().Spans("", 0) {
+			switch sp.Name {
+			case "play.handoff", "play.recover", "play.thaw":
+				t.Errorf("node %s recorded a %s span for an unknown session", name, sp.Name)
+			case "play.act":
+				acts++
+			}
+		}
+	}
+	if acts != 2 {
+		t.Errorf("the nodes recorded %d play.act spans, want one per request", acts)
+	}
+}

@@ -55,14 +55,17 @@ type TierVideo struct {
 }
 
 // ErrBadLadder reports an inconsistent quality ladder (missing
-// canonical tier, duplicate tiers, or rungs whose frame clocks or
-// chapter tables disagree — switching between such rungs would not be
-// frame-exact).
+// canonical tier, duplicate tiers, or rungs whose frame clocks, keyframe
+// positions or chapter tables disagree — switching between such rungs
+// would not be frame-exact, and a streamed segment of a rung whose
+// keyframes lie elsewhere would start decoding at a P-frame).
 var ErrBadLadder = errors.New("gamepack: inconsistent quality ladder")
 
 // validateLadderVideos opens every rung and checks that all rungs agree
-// on geometry, FPS, frame count and the chapter table. Returns the
-// canonical rung's index.
+// on geometry, FPS, frame count, keyframe positions and the chapter table:
+// netstream takes a segment's frame range and keyframe from the canonical
+// rung's head and fetches that range of whichever rung it plays. Returns
+// the canonical rung's index.
 func validateLadderVideos(videos []TierVideo) (int, error) {
 	if len(videos) == 0 {
 		return 0, fmt.Errorf("%w: no tiers", ErrBadLadder)
@@ -70,6 +73,7 @@ func validateLadderVideos(videos []TierVideo) (int, error) {
 	canonical := -1
 	seen := map[string]bool{}
 	var ref *container.Reader
+	var refTier string
 	for i, tv := range videos {
 		if strings.ContainsAny(tv.Tier, "/ "+tierSep) {
 			return 0, fmt.Errorf("%w: bad tier name %q", ErrBadLadder, tv.Tier)
@@ -86,13 +90,26 @@ func validateLadderVideos(videos []TierVideo) (int, error) {
 			return 0, fmt.Errorf("gamepack: tier %q: invalid video container: %w", tv.Tier, err)
 		}
 		if ref == nil {
-			ref = r
+			ref, refTier = r, tv.Tier
 			continue
 		}
 		rm, m := ref.Meta(), r.Meta()
 		if rm.Width != m.Width || rm.Height != m.Height || rm.FPS != m.FPS {
 			return 0, fmt.Errorf("%w: tier %q geometry %dx%d@%d differs from %dx%d@%d",
 				ErrBadLadder, tv.Tier, m.Width, m.Height, m.FPS, rm.Width, rm.Height, rm.FPS)
+		}
+		if m.FrameCount != rm.FrameCount {
+			return 0, fmt.Errorf("%w: tier %q has %d frames, tier %q has %d",
+				ErrBadLadder, tv.Tier, m.FrameCount, refTier, rm.FrameCount)
+		}
+		// A container holds FrameCount records, so PacketAt cannot fail here.
+		for f := range m.FrameCount {
+			_, a, _ := ref.PacketAt(f)
+			_, b, _ := r.PacketAt(f)
+			if a != b {
+				return 0, fmt.Errorf("%w: tier %q frame %d has type %v, tier %q's has type %v",
+					ErrBadLadder, tv.Tier, f, b, refTier, a)
+			}
 		}
 		a, b := ref.Chapters(), r.Chapters()
 		if len(a) != len(b) {

@@ -17,12 +17,7 @@ import (
 // wraps it with a matching project.
 func ladderFixture(t *testing.T, seed int64) (*core.Project, []TierVideo) {
 	t.Helper()
-	film := synth.Generate(synth.Spec{
-		W: 96, H: 64, FPS: 10,
-		Shots: 10, MinShotFrames: 20, MaxShotFrames: 24,
-		NoiseAmp: 1, Seed: seed,
-	})
-	rungs, err := studio.RecordLadder(film, studio.Options{GOP: 10, ShotMarkers: true}, studio.DefaultLadder())
+	rungs, err := studio.RecordLadder(ladderFilm(seed), studio.Options{GOP: 10, ShotMarkers: true}, studio.DefaultLadder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +105,15 @@ func TestBuildLadderRoundTrip(t *testing.T) {
 	}
 }
 
+// ladderFilm is the footage ladderFixture records.
+func ladderFilm(seed int64) *synth.Film {
+	return synth.Generate(synth.Spec{
+		W: 96, H: 64, FPS: 10,
+		Shots: 10, MinShotFrames: 20, MaxShotFrames: 24,
+		NoiseAmp: 1, Seed: seed,
+	})
+}
+
 func TestBuildLadderValidation(t *testing.T) {
 	p, videos := ladderFixture(t, 12)
 	var noCanonical []TierVideo
@@ -140,6 +144,18 @@ func TestBuildLadderValidation(t *testing.T) {
 	mixed[2] = TierVideo{Tier: mixed[2].Tier, Video: other}
 	if _, err := BuildLadder(p, mixed); !errors.Is(err, ErrBadLadder) {
 		t.Errorf("foreign rung: err = %v", err)
+	}
+	// The same film recorded at another GOP: same frame clock and
+	// chapters, keyframes elsewhere. A streamed segment of it would be
+	// fetched from the canonical rung's keyframe, a P-frame in this one,
+	// and fail to decode.
+	offGOP, err := studio.Record(ladderFilm(12), studio.Options{QStep: studio.DefaultLadder()[2].QStep, GOP: 7, ShotMarkers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed[2] = TierVideo{Tier: mixed[2].Tier, Video: offGOP}
+	if _, err := BuildLadder(p, mixed); !errors.Is(err, ErrBadLadder) {
+		t.Errorf("rung with keyframes elsewhere: err = %v", err)
 	}
 	// Single-tier ladders degrade to a plain package.
 	single, err := BuildLadder(p, []TierVideo{{Tier: "", Video: videos[0].Video}})

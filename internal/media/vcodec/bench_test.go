@@ -133,9 +133,10 @@ func BenchmarkCodeBlock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for y0 := 0; y0 < src.h; y0 += blockSize {
 			for x0 := 0; x0 < src.w; x0 += blockSize {
-				coder.load(src, x0, y0)
-				coder.inter(ref, x0, y0, &mc)
-				coder.intra(&in)
+				var t intraCoefs
+				coder.inter(src, x0, y0, ref, x0, y0, &mc)
+				intraTransform(src, x0, y0, &t)
+				coder.intra(&t, &in)
 				chosen := &in
 				if mc.cost()+1 <= in.cost() {
 					chosen = &mc
@@ -181,9 +182,10 @@ func BenchmarkWriteLevels(b *testing.B) {
 	var mc, in candidate
 	for y0 := 0; y0 < src.h; y0 += blockSize {
 		for x0 := 0; x0 < src.w; x0 += blockSize {
-			coder.load(src, x0, y0)
-			coder.inter(ref, x0, y0, &mc)
-			coder.intra(&in)
+			var t intraCoefs
+			coder.inter(src, x0, y0, ref, x0, y0, &mc)
+			intraTransform(src, x0, y0, &t)
+			coder.intra(&t, &in)
 			chosen := &in
 			if mc.cost()+1 <= in.cost() {
 				chosen = &mc

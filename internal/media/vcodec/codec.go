@@ -70,17 +70,20 @@ type Packet struct {
 }
 
 // LadderEncoder compresses one sequence of equally-sized frames at several
-// quantizer steps in a single pass: each frame is converted to YCbCr once and
-// that one source image is coded at every rung. The ladder owns everything
-// that does not depend on the quantizer — the source image and the per-row
-// chunk buffers; a rung is only its quantizer step and its
-// reference/reconstruction double buffer. All of it is allocated at
+// quantizer steps in a single pass. Everything that depends on the source
+// frame alone is done once per frame for all rungs: the conversion to YCbCr,
+// and per block its rows packed for the motion search and its intra
+// transform (sourceRow). The frame is coded one block row at a time, every
+// rung in turn, so a block's shared work is still at hand when the next rung
+// needs it. A rung is its quantizer step, its block coder (the quantizer
+// tables, built once), its reference/reconstruction double buffer and the
+// block rows it has coded so far this frame. All of it is allocated at
 // construction, so the steady-state Encode path allocates nothing when the
 // caller recycles the payload buffers. Not safe for concurrent use.
 type LadderEncoder struct {
-	cfg    Config       // QStep is unused: every rung carries its own
-	img    *ycbcr       // current frame in YCbCr, shared by every rung
-	rows   []byteWriter // per-block-row chunk buffers, reused across planes/rungs/frames
+	cfg    Config    // QStep is unused: every rung carries its own
+	img    *ycbcr    // current frame in YCbCr, shared by every rung
+	src    sourceRow // the block row every rung codes next
 	rungs  []rung
 	hasRef bool
 	count  int // frames coded since construction or Reset; rungs advance in lockstep
@@ -89,8 +92,11 @@ type LadderEncoder struct {
 // rung is the per-quantizer state of a LadderEncoder.
 type rung struct {
 	qstep int
-	recon *ycbcr // reconstruction target for the current frame
-	ref   *ycbcr // previous reconstruction (what this rung's decoder will see)
+	coder blockCoder
+	recon *ycbcr     // reconstruction target for the current frame
+	ref   *ycbcr     // previous reconstruction (what this rung's decoder will see)
+	body  byteWriter // this frame's block rows, every plane's, in bitstream order
+	ends  []int      // ends[i] is where block row i (counted over all planes) ends in body
 }
 
 // NewLadderEncoder returns an encoder that codes every frame once per entry
@@ -107,10 +113,20 @@ func NewLadderEncoder(cfg Config, qsteps []int) (*LadderEncoder, error) {
 	}
 	cfg.QStep = 0
 	e := &LadderEncoder{cfg: cfg, img: newYCbCr(cfg.Width, cfg.Height)}
-	e.rows = make([]byteWriter, e.img.y.h/blockSize)
+	e.src = newSourceRow(e.img.y.w)
+	rows := 0
+	for _, p := range e.img.planes() {
+		rows += p.h / blockSize
+	}
 	e.rungs = make([]rung, len(qsteps))
 	for k, q := range qsteps {
-		e.rungs[k] = rung{qstep: q, recon: newYCbCr(cfg.Width, cfg.Height), ref: newYCbCr(cfg.Width, cfg.Height)}
+		e.rungs[k] = rung{
+			qstep: q,
+			coder: newBlockCoder(q),
+			recon: newYCbCr(cfg.Width, cfg.Height),
+			ref:   newYCbCr(cfg.Width, cfg.Height),
+			ends:  make([]int, rows),
+		}
 	}
 	return e, nil
 }
@@ -141,6 +157,29 @@ func (e *LadderEncoder) Encode(f *raster.Frame, pkts []Packet) error {
 	}
 	e.img.fromFrame(f)
 	for k := range e.rungs {
+		e.rungs[k].body.reset()
+	}
+	row := 0
+	for p, src := range e.img.planes() {
+		searchRange := e.cfg.SearchRange
+		if p > 0 {
+			searchRange /= 2 // chroma is subsampled 2×
+		}
+		for by := range src.h / blockSize {
+			e.src.start(src, by)
+			for k := range e.rungs {
+				rg := &e.rungs[k]
+				var ref *plane
+				if ft == PFrame {
+					ref = rg.ref.planes()[p]
+				}
+				encodeBlockRow(&rg.body, &e.src, ref, rg.recon.planes()[p], rg.qstep, &rg.coder, searchRange)
+				rg.ends[row] = len(rg.body.buf)
+			}
+			row++
+		}
+	}
+	for k := range e.rungs {
 		rg := &e.rungs[k]
 		w := byteWriter{buf: pkts[k].Data[:0]}
 		w.bytes([]byte(magic))
@@ -149,13 +188,7 @@ func (e *LadderEncoder) Encode(f *raster.Frame, pkts []Packet) error {
 		w.uvarint(uint64(e.img.h))
 		w.uvarint(uint64(rg.qstep))
 		w.u8(uint8(e.cfg.SearchRange))
-		var refY, refCb, refCr *plane
-		if ft == PFrame {
-			refY, refCb, refCr = rg.ref.y, rg.ref.cb, rg.ref.cr
-		}
-		e.encodePlane(&w, e.img.y, refY, rg.recon.y, rg.qstep, e.cfg.SearchRange)
-		e.encodePlane(&w, e.img.cb, refCb, rg.recon.cb, rg.qstep, e.cfg.SearchRange/2)
-		e.encodePlane(&w, e.img.cr, refCr, rg.recon.cr, rg.qstep, e.cfg.SearchRange/2)
+		rg.writePlanes(&w)
 		// The fresh reconstruction becomes the reference; the old reference
 		// becomes next frame's reconstruction target (double buffer).
 		rg.ref, rg.recon = rg.recon, rg.ref
@@ -166,22 +199,77 @@ func (e *LadderEncoder) Encode(f *raster.Frame, pkts []Packet) error {
 	return nil
 }
 
-// encodePlane codes one plane as independent block rows, one after the
-// other, behind a row-length table (part of the bitstream: each row is its
-// own chunk, checked for trailing bytes on decode).
-func (e *LadderEncoder) encodePlane(w *byteWriter, src, ref, recon *plane, qstep, searchRange int) {
-	bufs := e.rows[:src.h/blockSize]
-	for by := range bufs {
-		bufs[by].reset()
-		encodeBlockRow(&bufs[by], src, ref, recon, by, qstep, searchRange)
+// writePlanes writes the rung's coded planes, each as its independent block
+// rows behind a row-length table (part of the bitstream: each row is its own
+// chunk, checked for trailing bytes on decode).
+func (rg *rung) writePlanes(w *byteWriter) {
+	ends := rg.ends
+	start := 0
+	for _, p := range rg.recon.planes() {
+		rows := ends[:p.h/blockSize]
+		ends = ends[len(rows):]
+		w.uvarint(uint64(len(rows)))
+		from := start
+		for _, end := range rows {
+			w.uvarint(uint64(end - from))
+			from = end
+		}
+		w.bytes(rg.body.buf[start:from])
+		start = from
 	}
-	w.uvarint(uint64(len(bufs)))
-	for i := range bufs {
-		w.uvarint(uint64(len(bufs[i].buf)))
+}
+
+// sourceRow is the block row every rung codes next, with the work on its
+// blocks that depends on the source alone: a block's rows packed for the
+// motion search and its intra transform. Each is done when the first rung
+// needs it and kept for the rest, so a frame pays it at most once per
+// block however many rungs code the block, and not at all for a block every
+// rung skips.
+type sourceRow struct {
+	src    *plane
+	y0     int
+	blocks []sourceBlock // the row's blocks; the backing array fits the widest plane
+}
+
+type sourceBlock struct {
+	packed, transformed bool
+	rows                packedBlock
+	intra               intraCoefs
+}
+
+// newSourceRow returns a sourceRow for planes up to w samples wide.
+func newSourceRow(w int) sourceRow {
+	return sourceRow{blocks: make([]sourceBlock, w/blockSize)}
+}
+
+// start makes block row by of src the current row, with nothing done on
+// any of its blocks yet.
+func (s *sourceRow) start(src *plane, by int) {
+	s.src, s.y0 = src, by*blockSize
+	s.blocks = s.blocks[:src.w/blockSize]
+	for i := range s.blocks {
+		s.blocks[i].packed, s.blocks[i].transformed = false, false
 	}
-	for i := range bufs {
-		w.bytes(bufs[i].buf)
+}
+
+// packed returns block bx's rows packed for the motion search.
+func (s *sourceRow) packed(bx int) *packedBlock {
+	b := &s.blocks[bx]
+	if !b.packed {
+		b.rows.load(s.src, bx*blockSize, s.y0)
+		b.packed = true
 	}
+	return &b.rows
+}
+
+// intra returns block bx's intra transform.
+func (s *sourceRow) intra(bx int) *intraCoefs {
+	b := &s.blocks[bx]
+	if !b.transformed {
+		intraTransform(s.src, bx*blockSize, s.y0, &b.intra)
+		b.transformed = true
+	}
+	return &b.intra
 }
 
 // Encoder compresses a sequence of equally-sized frames at one quantizer
@@ -215,7 +303,7 @@ func (e *Encoder) Encode(f *raster.Frame) (Packet, error) {
 // Reset drops the reference frame so the next frame becomes an I-frame.
 func (e *Encoder) Reset() { e.ladder.Reset() }
 
-// encodeBlockRow codes all blocks with top edge at by*blockSize, writing
+// encodeBlockRow codes the blocks of the source row at one rung, writing
 // reconstructed samples into recon (its rows are disjoint across calls).
 //
 // A coded block's candidates come from blockCoder, the block-coding stage:
@@ -224,13 +312,14 @@ func (e *Encoder) Reset() { e.ladder.Reset() }
 // implementations chosen by the build target, SSE2 on amd64 (dct_amd64.s)
 // and those Go functions everywhere else (dct_other.go); both produce the
 // Go functions' levels, so the mode decisions and the bytes are the same.
-func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRange int) {
+// The intra candidate's transform is the row's, shared by every rung; only
+// its quantization is the rung's.
+func encodeBlockRow(w *byteWriter, row *sourceRow, ref, recon *plane, qstep int, coder *blockCoder, searchRange int) {
 	var mc, in candidate
-	var packed packedBlock
 	var blk coefBlock
-	coder := newBlockCoder(qstep)
-	y0 := by * blockSize
-	for x0 := 0; x0 < src.w; x0 += blockSize {
+	src, y0 := row.src, row.y0
+	for bx := range row.blocks {
+		x0 := bx * blockSize
 		// Perfect skip first: if the co-located reference block is
 		// identical, the residual is zero at any quantizer and neither the
 		// motion search nor either DCT needs to run.
@@ -239,19 +328,17 @@ func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRang
 			copyBlock(ref, x0, y0, recon, x0, y0)
 			continue
 		}
-		coder.load(src, x0, y0)
 		if ref == nil {
 			// I-frame (or I-coded plane): intra is the only mode.
-			coder.intra(&in)
+			coder.intra(row.intra(bx), &in)
 			w.u8(modeIntra)
 			codeLevels(w, in.levels(), qstep, &blk)
 			reconstruct(&blk, nil, 0, 0, recon, x0, y0)
 			continue
 		}
 		// Motion search (includes the (0,0) candidate even when range is 0).
-		packed.load(src, x0, y0)
-		mvx, mvy := motionSearch(&packed, ref, x0, y0, searchRange)
-		coder.inter(ref, x0+mvx, y0+mvy, &mc)
+		mvx, mvy := motionSearch(row.packed(bx), ref, x0, y0, searchRange)
+		coder.inter(src, x0, y0, ref, x0+mvx, y0+mvy, &mc)
 		mcCost := mc.cost() + 1 // +1 byte for the motion vector
 		if mcCost == emptyCost+1 && mvx == 0 && mvy == 0 {
 			// Residual vanishes at this quantizer: perfect skip.
@@ -260,7 +347,7 @@ func encodeBlockRow(w *byteWriter, src, ref, recon *plane, by, qstep, searchRang
 			continue
 		}
 		// Intra candidate, only computed once skip is off the table.
-		coder.intra(&in)
+		coder.intra(row.intra(bx), &in)
 		if mcCost <= in.cost() {
 			w.u8(modeMC)
 			w.u8(packMV(mvx, mvy))
@@ -343,10 +430,10 @@ func sameBlock(a, b *plane, x0, y0 int) bool {
 
 // The motion search is a full search: every in-bounds offset within ±r gets
 // the sum of absolute differences (SAD) of the current block against the
-// reference block there. The SADs of one row of candidates — one dy, every
-// in-bounds dx — come from sadCandidates, which has two implementations
-// chosen by the build target: on amd64 an SSE2 leaf (sad_amd64.s), elsewhere
-// sadRunPortable below, which is also what the tests hold the assembly to.
+// reference block there. The SADs of the whole window of candidates come
+// from one sadWindow call, which has two implementations chosen by the build
+// target: on amd64 an SSE2 leaf (sad_amd64.s), elsewhere sadWindowPortable
+// below, which is also what the tests hold the assembly to.
 //
 // The portable path takes a block row eight samples at a time: once per run
 // the current block's row bytes are spread over the 16-bit lanes of two
@@ -359,9 +446,12 @@ const (
 )
 
 // packedBlock is the current block read once for all candidates of a motion
-// search: its eight row words as they lie in the plane.
+// search — its eight row words as they lie in the plane — and the window of
+// SADs the search fills, kept beside them so that no search zeroes a fresh
+// one.
 type packedBlock struct {
 	rows [blockSize]uint64
+	sads sadGrid
 }
 
 func (b *packedBlock) load(p *plane, x0, y0 int) {
@@ -426,6 +516,37 @@ func sadRunPortable(cur *packedBlock, pix []uint8, stride int, out []int32) {
 	}
 }
 
+// sadWindowPortable fills out, row-major in rows of nx, with the SADs of the
+// current block against the reference blocks at pix[dy*stride+dx:], one
+// sadRunPortable per row of the window, and returns the (dx, dy) of the
+// smallest, the first in row-major order among equals.
+func sadWindowPortable(cur *packedBlock, pix []uint8, stride, nx int, out []int32) (bx, by int) {
+	best := int32(1<<31 - 1)
+	for dy := 0; dy*nx < len(out); dy++ {
+		run := out[dy*nx : (dy+1)*nx]
+		sadRunPortable(cur, pix[dy*stride:], stride, run)
+		for dx, sad := range run {
+			if sad < best {
+				best, bx, by = sad, dx, dy
+			}
+		}
+	}
+	return bx, by
+}
+
+// sadGrid holds one motion search's window of SADs: (2r+1)² at most, r ≤ 7
+// (Config.validate).
+type sadGrid [(2*7 + 1) * (2*7 + 1)]int32
+
+// searchWindow returns the offsets within ±r that keep the reference block
+// for the block at (x0,y0) inside ref, as the first offset and the size of a
+// window: they are one interval a side, the dx interval is the same for
+// every dy, and the zero vector is in both.
+func searchWindow(ref *plane, x0, y0, r int) (dx0, dy0, nx, ny int) {
+	dx0, dy0 = max(-r, -x0), max(-r, -y0)
+	return dx0, dy0, min(r, ref.w-blockSize-x0) - dx0 + 1, min(r, ref.h-blockSize-y0) - dy0 + 1
+}
+
 // motionSearch finds the full-pixel offset within ±r minimizing SAD against
 // the reference, constrained so the reference block stays in bounds.
 // Candidates are visited row-major from (−r,−r), the zero vector gets a −4
@@ -437,25 +558,16 @@ func motionSearch(cur *packedBlock, ref *plane, x0, y0, r int) (int, int) {
 	if r == 0 {
 		return 0, 0
 	}
-	// The offsets that keep the reference block inside the plane are one
-	// interval a side, and the dx interval is the same for every dy.
-	dx0, dx1 := max(-r, -x0), min(r, ref.w-blockSize-x0)
-	dy0, dy1 := max(-r, -y0), min(r, ref.h-blockSize-y0)
-	var sads [2*7 + 1]int32 // r ≤ 7 (Config.validate)
-	run := sads[:dx1-dx0+1]
-	best, bx, by := int32(1<<30), 0, 0
-	for dy := dy0; dy <= dy1; dy++ {
-		sadCandidates(cur, ref.pix[(y0+dy)*ref.w+x0+dx0:], ref.w, run)
-		if dy == 0 {
-			run[-dx0] -= 4
-		}
-		for i, sad := range run {
-			if sad < best {
-				best, bx, by = sad, dx0+i, dy
-			}
-		}
+	dx0, dy0, nx, ny := searchWindow(ref, x0, y0, r)
+	win := cur.sads[:nx*ny]
+	bx, by := sadWindow(cur, ref.pix[(y0+dy0)*ref.w+x0+dx0:], ref.w, nx, win)
+	// The zero vector's bias, applied to the unbiased winner: it takes over
+	// when its biased SAD is smaller, or equal and earlier in the scan.
+	zx, zy := -dx0, -dy0
+	if z, best := win[zy*nx+zx]-4, win[by*nx+bx]; z < best || z == best && zy*nx+zx < by*nx+bx {
+		bx, by = zx, zy
 	}
-	return bx, by
+	return dx0 + bx, dy0 + by
 }
 
 // loadBlock widens the 8×8 block with top-left corner (x0,y0) into dst, row

@@ -3,7 +3,7 @@ package vcodec
 // blendRowSSE2 stores c0[k]·(4−ty) + c1[k]·ty at v[k] for the 8·steps
 // samples from k = 0, eight a step. It reads c0[0:8·steps] and
 // c1[0:8·steps], writes v[0:8·steps], and needs steps ≥ 1. SSE2 only, as
-// sadRun: no CPU detection and no second amd64 path.
+// sadWindowSSE2: no CPU detection and no second amd64 path.
 //
 //go:noescape
 func blendRowSSE2(v *uint16, c0, c1 *uint8, ty, steps int)

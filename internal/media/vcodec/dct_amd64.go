@@ -101,10 +101,9 @@ func (r *quantRow) fill(d int32, round bool) {
 }
 
 // blockCoder is encodeBlockRow's block-coding stage for one quantizer step:
-// load a block, then code it against a prediction into a candidate.
+// code a block against a prediction into a candidate. Its quantizer tables
+// are built once, with the rung it belongs to.
 type blockCoder struct {
-	cur             *uint8 // the loaded block's first sample
-	stride          int
 	round, deadzone quantTable
 	coef            [64]int16
 }
@@ -113,23 +112,25 @@ func newBlockCoder(qstep int) blockCoder {
 	return blockCoder{round: newQuantTable(qstep, true), deadzone: newQuantTable(qstep, false)}
 }
 
-// load makes the 8×8 block of src at (x0,y0) the one the next inter and
-// intra calls code.
-func (c *blockCoder) load(src *plane, x0, y0 int) {
-	c.cur, c.stride = blockAt(src, x0, y0), src.w
-}
-
-// inter codes the loaded block against pred's block at (px,py) with the
-// dead-zone quantizer.
-func (c *blockCoder) inter(pred *plane, px, py int, out *candidate) {
-	fdctSSE2(c.cur, c.stride, blockAt(pred, px, py), pred.w, &c.coef)
+// inter codes src's block at (x0,y0) against pred's block at (px,py) with
+// the dead-zone quantizer.
+func (c *blockCoder) inter(src *plane, x0, y0 int, pred *plane, px, py int, out *candidate) {
+	fdctSSE2(blockAt(src, x0, y0), src.w, blockAt(pred, px, py), pred.w, &c.coef)
 	out.bytes = quantSSE2(&c.coef, &c.deadzone, &out.nat)
 }
 
-// intra codes the loaded block against flat 128 with the rounding quantizer.
-func (c *blockCoder) intra(out *candidate) {
-	fdctSSE2(c.cur, c.stride, &flat128[0], 0, &c.coef)
-	out.bytes = quantSSE2(&c.coef, &c.round, &out.nat)
+// intra codes a block from its intra transform with the rounding quantizer.
+func (c *blockCoder) intra(t *intraCoefs, out *candidate) {
+	out.bytes = quantSSE2(t, &c.round, &out.nat)
+}
+
+// intraCoefs is a block's intra transform as fdctSSE2 leaves it.
+type intraCoefs = [64]int16
+
+// intraTransform writes the transform of src's block at (x0,y0) against
+// flat 128 into t: the part of an intra candidate no quantizer step changes.
+func intraTransform(src *plane, x0, y0 int, t *intraCoefs) {
+	fdctSSE2(blockAt(src, x0, y0), src.w, &flat128[0], 0, t)
 }
 
 // candidate is one way of coding a block: its levels and their codeCost.

@@ -3,7 +3,7 @@
 package vcodec
 
 // blockCoder is encodeBlockRow's block-coding stage for one quantizer step:
-// load a block, then code it against a prediction into a candidate.
+// code a block against a prediction into a candidate.
 type blockCoder struct {
 	qstep           int
 	cur, res, coefs [64]int32
@@ -11,13 +11,10 @@ type blockCoder struct {
 
 func newBlockCoder(qstep int) blockCoder { return blockCoder{qstep: qstep} }
 
-// load makes the 8×8 block of src at (x0,y0) the one the next inter and
-// intra calls code.
-func (c *blockCoder) load(src *plane, x0, y0 int) { loadBlock(src, x0, y0, &c.cur) }
-
-// inter codes the loaded block against pred's block at (px,py) with the
-// dead-zone quantizer.
-func (c *blockCoder) inter(pred *plane, px, py int, out *candidate) {
+// inter codes src's block at (x0,y0) against pred's block at (px,py) with
+// the dead-zone quantizer.
+func (c *blockCoder) inter(src *plane, x0, y0 int, pred *plane, px, py int, out *candidate) {
+	loadBlock(src, x0, y0, &c.cur)
 	loadBlock(pred, px, py, &c.res)
 	for i := range c.res {
 		c.res[i] = c.cur[i] - c.res[i]
@@ -26,13 +23,23 @@ func (c *blockCoder) inter(pred *plane, px, py int, out *candidate) {
 	quantizeDeadzone(&c.coefs, c.qstep, &out.scan)
 }
 
-// intra codes the loaded block against flat 128 with the rounding quantizer.
-func (c *blockCoder) intra(out *candidate) {
-	for i := range c.cur {
-		c.res[i] = c.cur[i] - 128
+// intra codes a block from its intra transform with the rounding quantizer.
+func (c *blockCoder) intra(t *intraCoefs, out *candidate) {
+	quantize(t, c.qstep, &out.scan)
+}
+
+// intraCoefs is a block's intra transform as fdct8x8 leaves it.
+type intraCoefs = [64]int32
+
+// intraTransform writes the transform of src's block at (x0,y0) against
+// flat 128 into t: the part of an intra candidate no quantizer step changes.
+func intraTransform(src *plane, x0, y0 int, t *intraCoefs) {
+	var res [64]int32
+	loadBlock(src, x0, y0, &res)
+	for i := range res {
+		res[i] -= 128
 	}
-	fdct8x8(&c.res, &c.coefs)
-	quantize(&c.coefs, c.qstep, &out.scan)
+	fdct8x8(&res, t)
 }
 
 // candidate is one way of coding a block: its levels in zigzag scan order.

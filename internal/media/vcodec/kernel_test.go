@@ -937,9 +937,10 @@ func checkBlockCoder(t *testing.T, coder *blockCoder, qstep int, src *plane, x0,
 	quantize(&coefs, qstep, &wantIn)
 
 	var mc, in candidate
-	coder.load(src, x0, y0)
-	coder.inter(pred, px, py, &mc)
-	coder.intra(&in)
+	var intra intraCoefs
+	coder.inter(src, x0, y0, pred, px, py, &mc)
+	intraTransform(src, x0, y0, &intra)
+	coder.intra(&intra, &in)
 	if mc.cost() != codeCost(&wantMC) || *mc.levels() != wantMC {
 		t.Fatalf("q%d block (%d,%d) against (%d,%d): inter levels %v cost %d, want %v cost %d",
 			qstep, x0, y0, px, py, *mc.levels(), mc.cost(), wantMC, codeCost(&wantMC))

@@ -157,6 +157,22 @@ func TestMotionSearchMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMotionSearchBiasTies runs the search on planes of two grey levels one
+// apart, where candidates' SADs are small and often exactly 4 from the zero
+// vector's: the −4 bias then makes a tie, which the candidate first in the
+// scan wins, whether that is the zero vector or one before it.
+func TestMotionSearchBiasTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 40; trial++ {
+		src, ref := newPlane(24, 24), newPlane(24, 24)
+		for i := range src.pix {
+			src.pix[i] = uint8(100 + rng.Intn(2))
+			ref.pix[i] = uint8(100 + rng.Intn(2))
+		}
+		checkMotionSearch(t, "two-levels", src, ref)
+	}
+}
+
 // TestSADRowKernelExhaustive checks the lane arithmetic against Σ|a−b| for
 // every pair of byte values in every one of the eight sample positions, with
 // the other seven positions at both extremes so a borrow or carry leaking
@@ -228,9 +244,10 @@ func sadScalar(cur *[64]uint8, pix []uint8, stride int) int32 {
 	return sad
 }
 
-// checkSADRun holds sadCandidates — the assembly where there is one — to the
-// portable loop, and that to the scalar definition, for the n candidates
-// starting at pix[0], and checks nothing is written past out[n−1].
+// checkSADRun holds sadWindow — the assembly where there is one — to the
+// portable loop, and that to the scalar definition, for the one-row window
+// of n candidates starting at pix[0], and checks nothing is written past
+// out[n−1].
 func checkSADRun(t *testing.T, name string, block *[64]uint8, pix []uint8, stride, n int) {
 	t.Helper()
 	cur := newPlane(blockSize, blockSize)
@@ -242,10 +259,10 @@ func checkSADRun(t *testing.T, name string, block *[64]uint8, pix []uint8, strid
 	for i := range got {
 		got[i], want[i] = sentinel, sentinel
 	}
-	sadCandidates(&packed, pix, stride, got[:n])
+	sadWindow(&packed, pix, stride, n, got[:n])
 	sadRunPortable(&packed, pix, stride, want[:n])
 	if got != want {
-		t.Fatalf("%s, stride %d, n %d: sadCandidates %v, portable loop %v", name, stride, n, got, want)
+		t.Fatalf("%s, stride %d, n %d: sadWindow %v, portable loop %v", name, stride, n, got, want)
 	}
 	for i := 0; i < n; i++ {
 		if s := sadScalar(block, pix[i:], stride); want[i] != s {
@@ -293,6 +310,94 @@ func TestSADRunMatchesPortable(t *testing.T) {
 				// The run whose last candidate's last row ends the slice.
 				last := len(pix) - (7*stride + n - 1 + blockSize)
 				checkSADRun(t, p.name+" last", &block, pix[last:], stride, n)
+			}
+		}
+	}
+}
+
+// checkSADWindow holds sadWindow — the assembly where there is one — to the
+// portable window, and that to the scalar definition, on the window
+// motionSearch searches for the block of src at (x0,y0) at range r: every
+// entry the SAD of its candidate, the winner the first smallest in row-major
+// order, and nothing written past the window's last entry.
+func checkSADWindow(t *testing.T, name string, src, ref *plane, x0, y0, r int) {
+	t.Helper()
+	var packed packedBlock
+	packed.load(src, x0, y0)
+	var block [64]uint8
+	for row := 0; row < blockSize; row++ {
+		copy(block[row*blockSize:], src.row(x0, y0+row, blockSize))
+	}
+	dx0, dy0, nx, ny := searchWindow(ref, x0, y0, r)
+	pix := ref.pix[(y0+dy0)*ref.w+x0+dx0:]
+	const sentinel = -12345
+	var got, want sadGrid
+	for i := range got {
+		got[i], want[i] = sentinel, sentinel
+	}
+	gx, gy := sadWindow(&packed, pix, ref.w, nx, got[:nx*ny])
+	wx, wy := sadWindowPortable(&packed, pix, ref.w, nx, want[:nx*ny])
+	if got != want || gx != wx || gy != wy {
+		shown := min(nx*ny+1, len(got)) // the window and the entry after it
+		t.Fatalf("%s: block (%d,%d) range %d, %d×%d window: sadWindow %v best (%d,%d), portable %v best (%d,%d)",
+			name, x0, y0, r, nx, ny, got[:shown], gx, gy, want[:shown], wx, wy)
+	}
+	first := 0
+	for i := range nx * ny {
+		if s := sadScalar(&block, pix[i/nx*ref.w+i%nx:], ref.w); want[i] != s {
+			t.Fatalf("%s: block (%d,%d) range %d, candidate (%d,%d): portable SAD %d, scalar %d",
+				name, x0, y0, r, i%nx, i/nx, want[i], s)
+		}
+		if want[i] < want[first] {
+			first = i
+		}
+	}
+	if wx != first%nx || wy != first/nx {
+		t.Fatalf("%s: block (%d,%d) range %d: best (%d,%d), the first smallest is (%d,%d)",
+			name, x0, y0, r, wx, wy, first%nx, first/nx)
+	}
+}
+
+// TestSADWindowMatchesPortable runs every window the search can ask for —
+// each block origin of planes with odd and even strides, every range 0…7,
+// clipped at the plane's edges — on random blocks, on planes where every
+// candidate ties (flat) or nearly every one does (two grey levels), and on
+// 0/255 extremes.
+func TestSADWindowMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	fills := []struct {
+		name string
+		fill func(p *plane)
+	}{
+		{"random", func(p *plane) { rng.Read(p.pix) }},
+		{"flat", func(p *plane) {
+			for i := range p.pix {
+				p.pix[i] = 77
+			}
+		}},
+		{"two-levels", func(p *plane) {
+			for i := range p.pix {
+				p.pix[i] = uint8(100 + rng.Intn(2))
+			}
+		}},
+		{"extremes", func(p *plane) {
+			for i := range p.pix {
+				p.pix[i] = uint8(255 * rng.Intn(2))
+			}
+		}},
+	}
+	for _, size := range [][2]int{{8, 8}, {16, 8}, {24, 16}, {40, 24}, {21, 19}, {37, 11}} {
+		w, h := size[0], size[1]
+		for _, f := range fills {
+			src, ref := newPlane(w, h), newPlane(w, h)
+			f.fill(src)
+			f.fill(ref)
+			for r := 0; r <= 7; r++ {
+				for _, y0 := range blockOrigins(h) {
+					for _, x0 := range blockOrigins(w) {
+						checkSADWindow(t, f.name, src, ref, x0, y0, r)
+					}
+				}
 			}
 		}
 	}

@@ -63,6 +63,9 @@ func newYCbCr(w, h int) *ycbcr {
 	}
 }
 
+// planes returns the image's planes in bitstream order: luma, Cb, Cr.
+func (img *ycbcr) planes() [3]*plane { return [3]*plane{img.y, img.cb, img.cr} }
+
 // fromFrame converts an RGB frame into img (which must have been allocated
 // for the same dimensions) using BT.601 integer coefficients, each chroma
 // sample the rounded mean of its 2×2 box of pixels. Padding replicates the

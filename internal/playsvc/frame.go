@@ -257,12 +257,23 @@ func EncodeActFrame(req *BatchRequest) []byte {
 
 // ParseActFrame parses a binary act frame into a batch request. Every
 // rejection wraps ErrBadFrame; hostile lengths and counts are bounded
-// before allocation.
+// before allocation. The acts get one allocation: a first walk over a copy
+// of the scanner counts the act records, up to one past the bound a frame
+// may carry.
 func ParseActFrame(data []byte) (*BatchRequest, error) {
 	req := &BatchRequest{}
 	var rt frameRoute
 	prefix := true
 	sc := tagrec.Open(data, actMagic, 1, frameVersion, maxFrameField)
+	acts := 0
+	for c := sc; acts <= maxFrameActs && c.Next(); {
+		if c.Tag == atagAct {
+			acts++
+		}
+	}
+	if acts > 0 {
+		req.Acts = make([]ActRequest, 0, min(acts, maxFrameActs))
+	}
 	for i := 0; sc.Next(); i++ {
 		if prefix {
 			var err error

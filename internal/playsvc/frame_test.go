@@ -140,6 +140,35 @@ func TestFrameSessionID(t *testing.T) {
 	}
 }
 
+// TestParseActFrameAllocs pins what parsing a mirror client's 16-act batch
+// allocates: the request, the acts in one slice sized by counting their
+// records, the session id and one string per non-empty string field. The
+// slice grew by doubling before, five allocations for 16 acts.
+func TestParseActFrameAllocs(t *testing.T) {
+	req := &BatchRequest{Session: "classroom-0000abcd", BaseSeq: 17, SeenEvents: 40, StateTag: 9}
+	strs := 0
+	for i := range 16 {
+		a := ActRequest{Kind: ActTick, Ticks: 1}
+		if i%4 == 3 {
+			a = ActRequest{Kind: ActTalk, Object: "teacher"}
+			strs++
+		}
+		req.Acts = append(req.Acts, a)
+	}
+	frame := EncodeActFrame(req)
+	got, err := ParseActFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, req) || cap(got.Acts) != len(req.Acts) {
+		t.Fatalf("parsed %+v (acts cap %d), want %+v", got, cap(got.Acts), req)
+	}
+	want := float64(3 + strs)
+	if n := testing.AllocsPerRun(100, func() { ParseActFrame(frame) }); n != want {
+		t.Errorf("ParseActFrame allocates %.0f times for 16 acts, want %.0f", n, want)
+	}
+}
+
 func TestParseActFrameRejections(t *testing.T) {
 	valid := EncodeActFrame(sampleBatch())
 	corrupt := append([]byte(nil), valid...)

@@ -459,7 +459,9 @@ func (g *Gateway) recover(tc obs.TraceContext, session string, owner gwNode) boo
 //     heal404 argument. For a session the id lives elsewhere (the ring
 //     changed): broadcast a handoff so the old owner freezes it, then
 //     retry the owner once; failing that, ask the contacted node to
-//     recover the last crash checkpoint. A room's 404 relays as-is. Rooms
+//     recover the last crash checkpoint. A 404 marked Unknown (the shared
+//     directory has no entry: no node holds the session) relays as-is
+//     after the one hop, and so does a room's 404. Rooms
 //     hash by room id — which IS the driven session's id, so the driver's
 //     acts and every watcher's polls land on the same node — but they are
 //     live-only, and a rescue sweep here would freeze the driver's LIVE
@@ -508,7 +510,7 @@ func (g *Gateway) route(tc obs.TraceContext, method, path, rawQuery string, body
 		g.breakerFor(node.name).Success()
 		last = p
 		switch {
-		case p.status == http.StatusNotFound && heal404 && !rescued:
+		case p.status == http.StatusNotFound && heal404 && !rescued && p.header.Get(UnknownSessionHeader) == "":
 			rescued = true
 			if g.rescue(tc, id, node.name) {
 				g.rescues.Add(1)
@@ -548,7 +550,7 @@ func newSessionID(course string) string {
 
 // relay writes a buffered backend response to the client.
 func relay(w http.ResponseWriter, p *proxied) {
-	for _, k := range []string{"Content-Type", "Retry-After", "X-Frame-Width", "X-Frame-Height", "X-Frame-Tick"} {
+	for _, k := range []string{"Content-Type", "Retry-After", UnknownSessionHeader, "X-Frame-Width", "X-Frame-Height", "X-Frame-Tick"} {
 		if v := p.header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}

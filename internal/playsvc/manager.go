@@ -825,7 +825,8 @@ func (m *Manager) actBatch(req *BatchRequest) (*BatchReply, error) {
 // sweeps live copies off the other nodes before it relays a resume); a
 // create mints the session; a sequenced leave is a retry of one that
 // already applied, and is confirmed instead of sending the client into a
-// rescue spiral for a session that is correctly gone.
+// rescue spiral for a session that is correctly gone. Anything else has no
+// directory entry, so no node holds it: an Unknown 404, with no thaw tried.
 func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 	leaves := req.leaves()
 	if leaves && req.BaseSeq > 0 {
@@ -842,7 +843,7 @@ func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 	}
 	_, held := m.dir.Lookup(req.Session)
 	switch {
-	case held || (req.Create == "" && !leaves):
+	case held:
 		h, err := m.thaw(req.Trace, req.Session, req.Resume)
 		if err != nil {
 			return nil, err
@@ -875,10 +876,10 @@ func (m *Manager) actAbsent(req *BatchRequest) (*BatchReply, error) {
 		}
 		defer h.mu.Unlock()
 		return m.applyLocked(h, req)
-	case req.BaseSeq > 0:
+	case leaves && req.BaseSeq > 0:
 		return &BatchReply{Reply: &Reply{Session: req.Session}}, nil
 	}
-	return nil, errf(http.StatusNotFound, "playsvc: no session %q", req.Session)
+	return nil, errUnknown(req.Session)
 }
 
 // applyLocked applies a batch to a held session: its room first, then ack,

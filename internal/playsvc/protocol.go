@@ -326,6 +326,20 @@ type Error struct {
 	// whole seconds (a 429/503 load-shed answer). The HTTP handlers emit
 	// it as a Retry-After header; clients honor it instead of jittering.
 	RetryAfter int
+	// Unknown marks a 404 from a node whose snapshot directory has no entry
+	// for the session. A cluster's nodes share that directory and every
+	// session is in it from its create to its leave, so no node holds the
+	// session, live or frozen: a gateway relays the 404 as it is, with no
+	// rescue. The HTTP handlers emit it as UnknownSessionHeader.
+	Unknown bool
+}
+
+// UnknownSessionHeader is set on a 404 whose Error is Unknown.
+const UnknownSessionHeader = "X-Session-Unknown"
+
+// errUnknown is the 404 for a session the directory has no entry for.
+func errUnknown(session string) *Error {
+	return &Error{Status: http.StatusNotFound, Msg: fmt.Sprintf("playsvc: no session %q (no directory entry)", session), Unknown: true}
 }
 
 // Error implements error.

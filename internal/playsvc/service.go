@@ -51,8 +51,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 // gateway back off for a bounded, server-chosen interval instead of
 // guessing.
 func writeError(w http.ResponseWriter, err error) {
-	if pe, ok := err.(*Error); ok && pe.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(pe.RetryAfter))
+	if pe, ok := err.(*Error); ok {
+		if pe.RetryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(pe.RetryAfter))
+		}
+		if pe.Unknown {
+			w.Header().Set(UnknownSessionHeader, "1")
+		}
 	}
 	http.Error(w, err.Error(), httpStatus(err))
 }

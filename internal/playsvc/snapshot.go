@@ -356,7 +356,10 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 		return nil, errf(http.StatusServiceUnavailable, "playsvc: node is draining")
 	}
 	ref, ok := m.dir.Lookup(session)
-	if !ok || (ref.Checkpoint && !allowCheckpoint) {
+	if !ok {
+		return nil, errUnknown(session)
+	}
+	if ref.Checkpoint && !allowCheckpoint {
 		return nil, errf(http.StatusNotFound, "playsvc: no session %q", session)
 	}
 	env, err := decodeEnvelope(ref.Envelope)
