@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -201,21 +202,42 @@ func TestRecordLadderMatchesRecord(t *testing.T) {
 		if len(rungs) != len(tc.tiers) {
 			t.Fatalf("%s: %d rungs for %d tiers", tc.name, len(rungs), len(tc.tiers))
 		}
+		// The tiers listed the other way round: every tier's bytes are its
+		// own, whatever the order.
+		reversed := slices.Clone(tc.tiers)
+		slices.Reverse(reversed)
+		again, err := RecordLadder(film, tc.opts, reversed)
+		if err != nil {
+			t.Fatalf("%s reversed: %v", tc.name, err)
+		}
+		lead := 0
+		for k, tier := range tc.tiers {
+			if tier.QStep < tc.tiers[lead].QStep {
+				lead = k
+			}
+		}
 		for k, tier := range tc.tiers {
 			if rungs[k].Tier != tier.Name {
 				t.Errorf("%s: rung %d is tier %q, want %q", tc.name, k, rungs[k].Tier, tier.Name)
 			}
+			if r := again[len(again)-1-k]; r.Tier != tier.Name || !bytes.Equal(r.Video, rungs[k].Video) {
+				t.Errorf("%s: tier %q (q=%d) differs when the tiers are listed in reverse", tc.name, tier.Name, tier.QStep)
+			}
+			// A one-rung ladder is a separate encoder at any quantizer.
 			o := tc.opts
 			o.QStep = tier.QStep
 			single, err := Record(film, o)
 			if err != nil {
 				t.Fatalf("%s: tier %q: %v", tc.name, tier.Name, err)
 			}
-			if !bytes.Equal(rungs[k].Video, single) {
-				t.Errorf("%s: tier %q (q=%d) differs from Record at that quantizer", tc.name, tier.Name, tier.QStep)
-			}
 			if !bytes.Equal(single, recordSeparately(t, film, o)) {
-				t.Errorf("%s: tier %q (q=%d) differs from a separate encoder fed fresh frames", tc.name, tier.Name, tier.QStep)
+				t.Errorf("%s: Record at q=%d differs from a separate encoder fed fresh frames", tc.name, tier.QStep)
+			}
+			// The lead rung, the finest, searches motion in full: it is
+			// that encoder byte for byte. The rungs below it refine its
+			// vectors, so they are not.
+			if k == lead && !bytes.Equal(rungs[k].Video, single) {
+				t.Errorf("%s: lead tier %q (q=%d) differs from Record at that quantizer", tc.name, tier.Name, tier.QStep)
 			}
 		}
 	}

@@ -561,40 +561,57 @@ func TestLadderEncoderValidation(t *testing.T) {
 	}
 }
 
-// TestLadderRungsMatchSeparateEncoders: sharing the source image, the row
-// buffers and the pool across rungs must not couple them — every rung's
-// packets equal a one-rung encoder's at that quantizer — and recycling the
-// payload buffers must not change a byte.
+// TestLadderRungsMatchSeparateEncoders: the lead rung (the smallest
+// quantizer step) searches motion in full and every other rung refines its
+// vectors, so the lead's packets equal a one-rung encoder's at that step, and
+// every rung's packets are the same whatever order the steps are listed in:
+// sharing the source image, the row buffers and the lead's vectors couples
+// the rungs through the lead alone. Recycling the payload buffers must not
+// change a byte.
 func TestLadderRungsMatchSeparateEncoders(t *testing.T) {
 	film := testFilm(t)
-	qsteps := []int{4, 10, 64}
 	cfg := encCfg(96, 64)
-	ladder, err := NewLadderEncoder(cfg, qsteps)
+	orders := [][]int{{4, 10, 64}, {64, 10, 4}, {10, 64, 4}}
+	ladders := make([]*LadderEncoder, len(orders))
+	pkts := make([][]Packet, len(orders))
+	for i, qsteps := range orders {
+		var err error
+		if ladders[i], err = NewLadderEncoder(cfg, qsteps); err != nil {
+			t.Fatal(err)
+		}
+		pkts[i] = make([]Packet, len(qsteps))
+	}
+	lead := cfg
+	lead.QStep = 4
+	single, err := NewEncoder(lead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	singles := make([]*Encoder, len(qsteps))
-	for k, q := range qsteps {
-		c := cfg
-		c.QStep = q
-		if singles[k], err = NewEncoder(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pkts := make([]Packet, len(qsteps))
 	for i := 0; i < 20; i++ {
 		src := film.Render(i)
-		if err := ladder.Encode(src, pkts); err != nil {
-			t.Fatal(err)
-		}
-		for k := range qsteps {
-			want, err := singles[k].Encode(src)
-			if err != nil {
+		byStep := map[int]Packet{}
+		for o, qsteps := range orders {
+			if err := ladders[o].Encode(src, pkts[o]); err != nil {
 				t.Fatal(err)
 			}
-			if pkts[k].Type != want.Type || pkts[k].Index != want.Index || string(pkts[k].Data) != string(want.Data) {
-				t.Fatalf("frame %d rung q=%d: ladder packet differs from a separate encoder's", i, qsteps[k])
+			for k, q := range qsteps {
+				got := pkts[o][k]
+				want, ok := byStep[q]
+				if !ok {
+					byStep[q] = Packet{Type: got.Type, Index: got.Index, Data: append([]byte(nil), got.Data...)}
+					continue
+				}
+				if got.Type != want.Type || got.Index != want.Index || string(got.Data) != string(want.Data) {
+					t.Fatalf("frame %d rung q=%d: the ladder %v codes it otherwise than the ladder %v", i, q, qsteps, orders[0])
+				}
 			}
+		}
+		want, err := single.Encode(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := byStep[4]; got.Type != want.Type || got.Index != want.Index || string(got.Data) != string(want.Data) {
+			t.Fatalf("frame %d: the lead rung's packet differs from a separate encoder's", i)
 		}
 	}
 }

@@ -21,14 +21,17 @@ import (
 // were recorded at the commit before the motion search and the quantizer were
 // rewritten (4246db6, linux/amd64, go1.24) and change only when a PR
 // means to change the bitstream; the footage is synth's float64, so they
-// hold for amd64 only (see internal/content/golden_test.go).
+// hold for amd64 only (see internal/content/golden_test.go). Three rows
+// (37x29 noise0/r7, noise12/r1, noise12/r7) were re-recorded when the rungs
+// below the lead began to refine its motion vectors; the r0 rows and the
+// 8x8 ones have no window to share and kept theirs.
 var hostileGolden = map[string]string{
 	"37x29/noise0/r0":  "37e79cc013c3425b56b816f3068926758d077102589728176196c49f21c3251c",
 	"37x29/noise0/r1":  "685de6d666f005cf7e792cb5101189e45a48fa9981162961451dc7d86034ed49",
-	"37x29/noise0/r7":  "13a9d60ba2a2bfe84e3de46f34dcc2047eec8be5460d85a63c3dcbb35aef2d7f",
+	"37x29/noise0/r7":  "711c9380e8f47fe2ea8dadc3942ee0ce27aea6c41972239ec02e0b4180572e60",
 	"37x29/noise12/r0": "f8368ee25ec7bc8493a418d5dfe052498e6d1abb9aa67fa78d87ff2c3f6d1c4c",
-	"37x29/noise12/r1": "31ae7f910e8faa467a80303b710e4a21750182a4c6578ff5b20857ed11f9ba3d",
-	"37x29/noise12/r7": "d7872265e8d5cac24b10492a0210aadf2c062637c0ed5b583fa45b586f2177aa",
+	"37x29/noise12/r1": "5b5a8f145f427f24d27eb41587ab506a556ca4eeab8177031f6b643dbc065cbe",
+	"37x29/noise12/r7": "0ff808d9d75b60e9bca5b7ba358d9eccaba44cabe275ada5ecc0be949b1fbdf9",
 	"8x8/noise0/r0":    "081b395873b762c73f4e0b9d075e6ee00e6bd88b5b91ee88270316843bb028ef",
 	"8x8/noise0/r1":    "728c41f2cb9c9127e9c51ff956012c434cf6b5983fda33932aaa203a9fde6cb9",
 	"8x8/noise0/r7":    "67da8fd8e8d682ac71373da012c147abd8d0ba45ea0cf415702c8924abdf67c0",

@@ -173,6 +173,102 @@ func TestMotionSearchBiasTies(t *testing.T) {
 	}
 }
 
+// motionRefineRef is a lower rung's motion search by definition: every
+// candidate of its set — the 3×3 window around the lead's vector (lx,ly),
+// inside ±r and the plane, and the zero vector — visited row-major from
+// (−r,−r), 64 abs-diffs each, −4 on the zero vector, and the first strictly
+// smaller cost wins.
+func motionRefineRef(src, ref *plane, x0, y0, r, lx, ly int) (int, int) {
+	if r == 0 {
+		return 0, 0
+	}
+	best, bx, by := int32(1<<30), 0, 0
+	for dy := -r; dy <= r; dy++ {
+		for dx := -r; dx <= r; dx++ {
+			rx, ry := x0+dx, y0+dy
+			near := dx >= lx-1 && dx <= lx+1 && dy >= ly-1 && dy <= ly+1
+			if !near && (dx != 0 || dy != 0) || rx < 0 || ry < 0 || rx+blockSize > ref.w || ry+blockSize > ref.h {
+				continue
+			}
+			var sad int32
+			if dx == 0 && dy == 0 {
+				sad = -4
+			}
+			for row := 0; row < blockSize; row++ {
+				rrow := ref.row(rx, ry+row, blockSize)
+				for k, c := range src.row(x0, y0+row, blockSize) {
+					sad += max(int32(c)-int32(rrow[k]), int32(rrow[k])-int32(c))
+				}
+			}
+			if sad < best {
+				best, bx, by = sad, dx, dy
+			}
+		}
+	}
+	return bx, by
+}
+
+// checkMotionRefine compares motionRefine with its definition on every block
+// of the plane pair, for every search range the format allows and every lead
+// vector the full search could have lent the block: the corners and edges of
+// the window, and windows clipped by the plane's borders.
+func checkMotionRefine(t *testing.T, name string, src, ref *plane) {
+	t.Helper()
+	var packed packedBlock
+	for r := 0; r <= 7; r++ {
+		for _, y0 := range blockOrigins(src.h) {
+			for _, x0 := range blockOrigins(src.w) {
+				packed.load(src, x0, y0)
+				dx0, dy0, nx, ny := searchWindow(ref, x0, y0, r)
+				for ly := dy0; ly < dy0+ny; ly++ {
+					for lx := dx0; lx < dx0+nx; lx++ {
+						gx, gy := motionRefine(&packed, ref, x0, y0, r, lx, ly)
+						wx, wy := motionRefineRef(src, ref, x0, y0, r, lx, ly)
+						if gx != wx || gy != wy {
+							t.Fatalf("%s: block (%d,%d) range %d lead (%d,%d): mv (%d,%d), the definition says (%d,%d)",
+								name, x0, y0, r, lx, ly, gx, gy, wx, wy)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMotionRefineMatchesReference holds a lower rung's search to a brute
+// force over its candidate set: on random planes and a shifted noisy copy (a
+// motion field with near-ties), on flat planes where every candidate ties and
+// the zero vector must win through its bias, and on two grey levels one apart,
+// where the biased zero vector often ties a candidate of the window and the
+// one first in the scan must win. Odd sizes put blocks on unaligned far edges.
+func TestMotionRefineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	fill := func(w, h int, f func(i int) uint8) *plane {
+		p := newPlane(w, h)
+		for i := range p.pix {
+			p.pix[i] = f(i)
+		}
+		return p
+	}
+	noise := func(int) uint8 { return uint8(rng.Intn(256)) }
+	twoLevels := func(int) uint8 { return uint8(100 + rng.Intn(2)) }
+	flat := func(int) uint8 { return 77 }
+	for _, size := range [][2]int{{8, 8}, {16, 8}, {24, 16}, {40, 24}, {21, 19}, {37, 11}} {
+		w, h := size[0], size[1]
+		checkMotionRefine(t, "flat", fill(w, h, flat), fill(w, h, flat))
+		for trial := 0; trial < 4; trial++ {
+			src := fill(w, h, noise)
+			checkMotionRefine(t, "random", src, fill(w, h, noise))
+			sx, sy := rng.Intn(7)-3, rng.Intn(7)-3
+			checkMotionRefine(t, "shifted", src, fill(w, h, func(i int) uint8 {
+				x, y := (i%w+sx+w)%w, (i/w+sy+h)%h
+				return uint8(min(max(int(src.pix[y*w+x])+rng.Intn(5)-2, 0), 255))
+			}))
+			checkMotionRefine(t, "two-levels", fill(w, h, twoLevels), fill(w, h, twoLevels))
+		}
+	}
+}
+
 // TestSADRowKernelExhaustive checks the lane arithmetic against Σ|a−b| for
 // every pair of byte values in every one of the eight sample positions, with
 // the other seven positions at both extremes so a borrow or carry leaking
