@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 
 	"repro/internal/blobstore"
@@ -33,9 +34,9 @@ const (
 	// (maxManifestPayload matches the format's 1<<31 section bound, so a
 	// small lying manifest cannot make a client attempt a huge
 	// AssembleSection allocation).
-	maxManifestSections = 64
-	maxSectionChunks    = 1 << 20
-	maxManifestPayload  = 1 << 31
+	maxManifestSections       = 64
+	maxSectionChunks          = 1 << 20
+	maxManifestPayload  int64 = 1 << 31
 )
 
 // DefaultChunkSize caps a single chunk. Segment-aligned cuts come first;
@@ -117,7 +118,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	pos := 0
 	uv := func(what string) (int, error) {
 		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 || v > 1<<31 {
+		if n <= 0 || v > min(1<<31, math.MaxInt) { // an int on every target
 			return 0, fmt.Errorf("%w: bad %s varint", ErrBadManifest, what)
 		}
 		pos += n
@@ -139,7 +140,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	}
 	m := &Manifest{}
 	seen := map[string]bool{}
-	claimed := 0
+	var claimed int64 // summed wider than a chunk size, so it cannot wrap on 32-bit targets
 	for i := 0; i < nsec; i++ {
 		nameLen, err := uv("name length")
 		if err != nil {
@@ -172,7 +173,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 			if size == 0 {
 				return nil, fmt.Errorf("%w: empty chunk", ErrBadManifest)
 			}
-			if claimed += size; claimed > maxManifestPayload {
+			if claimed += int64(size); claimed > maxManifestPayload {
 				return nil, fmt.Errorf("%w: claims over %d payload bytes", ErrBadManifest, maxManifestPayload)
 			}
 			if pos+blobstore.HashSize > len(data) {

@@ -2,6 +2,7 @@ package gamepack
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
@@ -267,7 +268,7 @@ func TestParseManifestCorrupt(t *testing.T) {
 			// Two max-size chunks: a tiny manifest must not be able to make
 			// a client size an allocation beyond the format's payload bound.
 			m := &Manifest{Sections: []SectionChunks{{Name: "video", Chunks: []ChunkRef{
-				{Size: 1 << 31}, {Size: 1 << 31},
+				{Size: math.MaxInt32}, {Size: math.MaxInt32},
 			}}}}
 			return m.Encode()
 		}()},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"repro/internal/media/raster"
 )
@@ -222,7 +223,7 @@ func (f *Film) addNoise(fr *raster.Frame, seed, frame uint64, amp int) {
 // complemented. The two high bytes are zero in both.
 func noiseLanes(n int) (add, flip uint64) {
 	const six = 0x0000_0101_0101_0101
-	s := n >> 63
+	s := n >> (strconv.IntSize - 1)
 	return uint64(min((n^s)-s, 255)) * six, uint64(s) & (six * 0xff)
 }
 

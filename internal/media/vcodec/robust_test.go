@@ -59,7 +59,7 @@ func TestDecodeRejectsOverflowingRowLength(t *testing.T) {
 	}
 	// The same length in every later position a length can take.
 	r := &byteReader{buf: pkt, pos: 19}
-	for _, n := range []int{math.MaxInt64, math.MaxInt64 - 18, 12, -1, math.MinInt64} {
+	for _, n := range []int{math.MaxInt, math.MaxInt - 18, 12, -1, math.MinInt} {
 		if _, err := r.slice(n); err == nil {
 			t.Errorf("slice(%d) with 11 bytes left succeeded", n)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
@@ -694,7 +695,7 @@ func TestNegativeSeenCounts(t *testing.T) {
 		wantMessages int
 	}{
 		{"negative", -1, -1, total, totalMsgs},
-		{"deeply negative", -1 << 40, -1 << 40, total, totalMsgs},
+		{"deeply negative", math.MinInt, math.MinInt, total, totalMsgs},
 		{"zero", 0, 0, total, totalMsgs},
 	}
 	for _, tc := range cases {

@@ -311,6 +311,7 @@ func TestServiceRefusedBatchIs409(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	click := func(tick int) []runtime.Event { return []runtime.Event{{Tick: tick, Kind: "click"}} }
+	var pastWire int64 = math.MaxInt32 + 1 // as an int it wraps negative on 32-bit targets, refused there too
 	for _, tc := range []struct {
 		body Batch
 		want int
@@ -320,7 +321,7 @@ func TestServiceRefusedBatchIs409(t *testing.T) {
 		{Batch{Course: "other", Session: "s", Seq: 2}, http.StatusConflict},               // rebind
 		{Batch{Course: "c", Session: "s", Seq: 1, Events: click(1)}, http.StatusAccepted}, // replay
 		{Batch{Course: "c", Session: "s", Seq: -1, Events: click(2)}, http.StatusBadRequest},
-		{Batch{Course: "c", Session: "s", Seq: math.MaxInt32 + 1, Events: click(2)}, http.StatusBadRequest},
+		{Batch{Course: "c", Session: "s", Seq: int(pastWire), Events: click(2)}, http.StatusBadRequest},
 	} {
 		resp, err := postBatch(ts.URL, tc.body)
 		if err != nil {

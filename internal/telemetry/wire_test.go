@@ -115,8 +115,9 @@ func TestParseBatchRejections(t *testing.T) {
 	good := EncodeBatch(&b)
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)/2] ^= 0x10
+	var pastWire int64 = math.MaxInt32 + 1 // as an int it wraps negative on 32-bit targets, refused there too
 	huge, neg := b, b
-	huge.Seq, neg.Seq = math.MaxInt32+1, -1
+	huge.Seq, neg.Seq = int(pastWire), -1
 	for name, data := range map[string][]byte{
 		"empty":          nil,
 		"json":           []byte(`{"course":"c","session":"s"}`),
