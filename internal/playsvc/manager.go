@@ -96,7 +96,6 @@ type hosted struct {
 	// O(unacked) events rather than its whole history.
 	events    []runtime.Event
 	eventBase int
-	frame     raster.Frame // reusable frame-path buffer
 	// enc encodes the state every reply names into buffers it reuses.
 	enc stateEncoder
 	// room is the broadcast hub when this session is driven as a shared
@@ -1062,10 +1061,10 @@ func (m *Manager) applyOne(h *hosted, a *ActRequest) (byte, *Error) {
 }
 
 // WithFrame advances the session's playback and renders its presentation
-// frame into the session-owned buffer, passing it to fn under the session
-// lock — the frame must not be retained past fn. This is the service's
-// allocation-free frame path: advance + DecodeInto + cached-sprite
-// composition allocate nothing in steady state.
+// frame into a pooled buffer, passing it to fn under the
+// session lock — the frame must not be retained past fn. This is the
+// service's allocation-free frame path: advance + DecodeInto +
+// cached-sprite composition allocate nothing in steady state.
 func (m *Manager) WithFrame(session string, advance int, fn func(f *raster.Frame, tick int) error) error {
 	return m.withFrame(obs.TraceContext{}, session, advance, fn)
 }
@@ -1103,7 +1102,9 @@ func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance in
 			return err
 		}
 	}
-	if err := h.sess.FrameInto(&h.frame); err != nil {
+	f := renderBufs.Get().(*raster.Frame)
+	defer renderBufs.Put(f)
+	if err := h.sess.FrameInto(f); err != nil {
 		return err
 	}
 	// A driver pulling frames with ?advance also moves the shared session;
@@ -1111,8 +1112,12 @@ func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance in
 	if advance > 0 && h.room != nil {
 		h.room.publish()
 	}
-	return fn(&h.frame, h.sess.Ticks())
+	return fn(f, h.sess.Ticks())
 }
+
+// renderBufs lends the frame path its render buffers: a request holds one
+// only while it runs, so a live session keeps none between frames.
+var renderBufs = sync.Pool{New: func() any { return new(raster.Frame) }}
 
 // ExpireIdle freezes every session idle since before the cutoff and
 // reports how many it reclaimed: the session's progress survives in the

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -408,6 +409,62 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("frame path allocates %.1f per request, want 0", allocs)
+	}
+}
+
+// TestFrameBuffersAreLent: a live session holds no frame buffer. A frame
+// request borrows one from a pool for the length of its callback, so
+// once the sessions' playback is warm, frames across many distinct sessions
+// allocate nothing, and a fresh session's first frame allocates less than a
+// frame's pixels (57.6 KB at 160×120): the buffer it renders into is one an
+// earlier request already returned.
+func TestFrameBuffersAreLent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under -race")
+	}
+	m := NewManager(Options{TTL: -1})
+	defer m.Close()
+	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	var pixels int
+	frame := func(id string, advance int) {
+		if err := m.WithFrame(id, advance, func(f *raster.Frame, _ int) error {
+			pixels = len(f.Pix)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := make([]string, 64)
+	for i := range ids {
+		r, err := createSession(m, "classroom")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = r.Session
+	}
+	frame(ids[0], 0)
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for _, id := range ids[1:] {
+		frame(id, 0)
+	}
+	goruntime.ReadMemStats(&after)
+	if perFirst := int(after.TotalAlloc-before.TotalAlloc) / (len(ids) - 1); perFirst >= pixels {
+		t.Errorf("a fresh session's first frame allocates %d B, at least a %d B frame buffer of its own", perFirst, pixels)
+	}
+	for range 50 { // a whole loop of the segment, so the wrap-around seek is warm
+		for _, id := range ids {
+			frame(id, 1)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		frame(ids[i%len(ids)], 1)
+		i++
+	}); allocs != 0 {
+		t.Errorf("frames across %d sessions allocate %.2f per request, want 0", len(ids), allocs)
 	}
 }
 
