@@ -1,7 +1,7 @@
 // Package repro reproduces "Using Interactive Video Technology for the
 // Development of Game-Based Learning" (Chang, Hsu & Shih, ICPP Workshops
 // 2007) as a complete Go system, then grows it toward campus-scale
-// deployment: an interactive-video substrate (synthetic footage, TKV1
+// deployment: an interactive-video substrate (synthetic footage, TKV2
 // codec, TKVC container, shot detection, playback), a headless UI
 // toolkit, an event-scripting language, the VGBL document model, the
 // authoring tool, the gaming platform runtime, simulated learners,

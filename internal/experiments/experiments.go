@@ -210,7 +210,7 @@ func round(d time.Duration) string {
 // E3 sweeps the codec's rate/distortion and parallel encode throughput.
 func E3() (string, error) {
 	var b strings.Builder
-	b.WriteString("E3 — TKV1 codec rate/distortion and encode scaling\n")
+	b.WriteString("E3 — TKV2 codec rate/distortion and encode scaling\n")
 	b.WriteString("30 frames of synthetic footage per point, GOP 10, search range 3\n\n")
 	b.WriteString("  resolution |  q | kbits/frame |  PSNR dB |  enc fps\n")
 	b.WriteString("  -----------+----+-------------+----------+---------\n")

@@ -1,6 +1,7 @@
 package faultnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -325,6 +326,47 @@ func TestLookupProfiles(t *testing.T) {
 	}
 	if _, ok := Lookup("carrier-pigeon"); ok {
 		t.Fatal("unknown profile should not resolve")
+	}
+}
+
+// TestCapProfileThrottles: a cap-<N>k profile delivers a body intact and no
+// faster than N KiB/s — the pacing the ABR sweeps and the cap-6k reading
+// rest on — and Lookup refuses a cap with no positive rate.
+func TestCapProfileThrottles(t *testing.T) {
+	body := make([]byte, 16<<10)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(body)
+	}))
+	defer srv.Close()
+	p, ok := Lookup("cap-64k")
+	if !ok || p.BandwidthBps != 64<<10 {
+		t.Fatalf("Lookup(cap-64k) = %+v, %v", p, ok)
+	}
+	client := &http.Client{Transport: NewTransport(nil, p, 1)}
+	start := time.Now()
+	resp, err := client.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatalf("throttled body: %d bytes, not the %d sent", len(got), len(body))
+	}
+	if floor := time.Duration(float64(time.Second) * 0.9 * float64(len(body)) / float64(p.BandwidthBps)); elapsed < floor {
+		t.Fatalf("%d bytes at %d B/s arrived in %v, under %v", len(body), p.BandwidthBps, elapsed, floor)
+	}
+	for _, name := range []string{"cap-0k", "cap-k", "cap--4k", "cap-64"} {
+		if _, ok := Lookup(name); ok {
+			t.Errorf("Lookup(%q) resolved", name)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package container implements TKVC, the seekable file format that carries
-// TKV1 video inside IVGBL game packages.
+// TKV2 video inside IVGBL game packages.
 //
 // A TKVC blob has four sections:
 //
@@ -8,7 +8,7 @@
 //	           segments here, which is what makes "switch to segment X"
 //	           a constant-time operation at play time (paper §2.1)
 //	index    — per-frame (type, offset, size) records
-//	data     — concatenated TKV1 packets, CRC-32 protected
+//	data     — concatenated TKV2 packets, CRC-32 protected
 //
 // The index is the load-bearing piece: the paper's interactive jumps between
 // video scenarios require random access, and experiment E2 measures exactly

@@ -1,5 +1,5 @@
 // Package studio is the platform's "camera and capture card": it renders a
-// synthetic film through the TKV1 encoder into a seekable TKVC container.
+// synthetic film through the TKV2 encoder into a seekable TKVC container.
 //
 // The paper's course designers "select video files from network or video
 // cameras" (§4.1); Record is the moment footage enters the system.

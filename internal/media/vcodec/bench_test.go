@@ -274,16 +274,18 @@ func lumaCalls(b *testing.B, pkt []byte, ref *plane) []reconCall {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cr := &byteReader{buf: chunk}
+		modes := chunk[:modeMapBytes(w/blockSize)]
+		cr := &byteReader{buf: chunk, pos: len(modes)}
 		for x0 := 0; x0 < w; x0 += blockSize {
 			c := reconCall{ref: ref, x0: x0, y0: by * blockSize, px: x0, py: by * blockSize}
-			c.mode, _ = cr.u8()
-			if c.mode == modeMC {
+			bx := x0 / blockSize
+			c.mode = modes[bx/4] >> (2 * (bx % 4)) & 3
+			if c.mode == modeMC || c.mode == modeVector {
 				mvb, _ := cr.u8()
 				mvx, mvy := unpackMV(mvb)
 				c.px, c.py = x0+mvx, c.y0+mvy
 			}
-			if c.mode != modeSkip {
+			if c.mode == modeIntra || c.mode == modeMC {
 				if err := c.blk.read(cr, dcDiv, acDiv); err != nil {
 					b.Fatal(err)
 				}

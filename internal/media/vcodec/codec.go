@@ -25,14 +25,21 @@ func (t FrameType) String() string {
 	return "P"
 }
 
-// Block coding modes inside P-frames.
+// Block coding modes inside P-frames. A block row's modes lead its chunk as
+// a map of 2 bits a block (modeMapBytes).
 const (
-	modeSkip  = 0 // copy the co-located reference block
-	modeIntra = 1 // DCT-coded samples (also the only mode in I-frames)
-	modeMC    = 2 // motion vector + DCT-coded residual
+	modeSkip   = 0 // copy the co-located reference block
+	modeIntra  = 1 // DCT-coded samples (also the only mode in I-frames)
+	modeMC     = 2 // motion vector + DCT-coded residual
+	modeVector = 3 // motion vector alone: copy the displaced reference block
 )
 
-const magic = "TKV1"
+const magic = "TKV2"
+
+// modeMapBytes is the size of the mode map of a block row of the given
+// number of blocks: block bx's mode is bits 2·(bx&3) and up of byte bx>>2,
+// and the bits past the last block are zero.
+func modeMapBytes(blocks int) int { return (blocks + 3) / 4 }
 
 // maxDim bounds frame dimensions. The decoder rejects larger headers as
 // corrupt, so the encoder must refuse to produce them.
@@ -343,20 +350,26 @@ func encodeBlockRow(w *byteWriter, row *sourceRow, ref, recon *plane, qstep int,
 	var mc, in candidate
 	var blk coefBlock
 	src, y0 := row.src, row.y0
+	// The row's mode map, zeroed (every block a skip) and filled in as its
+	// blocks are coded; their payloads follow it.
+	modes := len(w.buf)
+	for range modeMapBytes(len(row.blocks)) {
+		w.u8(0)
+	}
 	for bx := range row.blocks {
 		x0 := bx * blockSize
 		// Perfect skip first: if the co-located reference block is
 		// identical, the residual is zero at any quantizer and neither the
 		// motion search nor either DCT needs to run.
 		if ref != nil && sameBlock(src, ref, x0, y0) {
-			w.u8(modeSkip)
 			copyBlock(ref, x0, y0, recon, x0, y0)
 			continue
 		}
+		at, shift := modes+bx>>2, 2*(bx&3) // block bx's bits in the map, by index: w.buf grows
 		if ref == nil {
 			// I-frame (or I-coded plane): intra is the only mode.
 			coder.intra(row.intra(bx), &in)
-			w.u8(modeIntra)
+			w.buf[at] |= modeIntra << shift
 			codeLevels(w, in.levels(), qstep, &blk)
 			reconstruct(&blk, nil, 0, 0, recon, x0, y0)
 			continue
@@ -373,20 +386,25 @@ func encodeBlockRow(w *byteWriter, row *sourceRow, ref, recon *plane, qstep int,
 		mcCost := mc.cost() + 1 // +1 byte for the motion vector
 		if mcCost == emptyCost+1 && mvx == 0 && mvy == 0 {
 			// Residual vanishes at this quantizer: perfect skip.
-			w.u8(modeSkip)
 			copyBlock(ref, x0, y0, recon, x0, y0)
 			continue
 		}
 		// Intra candidate, only computed once skip is off the table.
 		coder.intra(row.intra(bx), &in)
 		if mcCost <= in.cost() {
-			w.u8(modeMC)
 			w.u8(packMV(mvx, mvy))
+			if mcCost == emptyCost+1 {
+				// Residual vanishes at this quantizer: the vector alone.
+				w.buf[at] |= modeVector << shift
+				copyBlock(ref, x0+mvx, y0+mvy, recon, x0, y0)
+				continue
+			}
+			w.buf[at] |= modeMC << shift
 			codeLevels(w, mc.levels(), qstep, &blk)
 			reconstruct(&blk, ref, x0+mvx, y0+mvy, recon, x0, y0)
 			continue
 		}
-		w.u8(modeIntra)
+		w.buf[at] |= modeIntra << shift
 		codeLevels(w, in.levels(), qstep, &blk)
 		reconstruct(&blk, nil, 0, 0, recon, x0, y0)
 	}
@@ -681,7 +699,7 @@ func unpackMV(b uint8) (int, int) {
 	return int(b>>4) - 8, int(b&0xF) - 8
 }
 
-// Decoder decompresses TKV1 packets. Like the Encoder it is a persistent
+// Decoder decompresses TKV2 packets. Like the Encoder it is a persistent
 // pipeline: the reference/target image double buffer and the row scratch
 // live for the decoder's lifetime, so steady-state DecodeInto allocates
 // nothing. The first packet a decoder sees must be an I-frame. Not safe for
@@ -806,11 +824,11 @@ func (d *Decoder) decode(data []byte) error {
 			return fmt.Errorf("%w: P-frame size %dx%d mismatches reference %dx%d", ErrCorrupt, w, h, d.ref.w, d.ref.h)
 		}
 	}
-	// Cheapest possible payload is one mode byte per luma block plus the
-	// row-length tables; reject implausibly small packets *before*
-	// allocating the image, so a 14-byte packet claiming 16384×16384 cannot
-	// be used to drive gigabyte allocations.
-	if minBytes := (padUp(w) / blockSize) * (padUp(h) / blockSize); r.remaining() < minBytes {
+	// The cheapest possible payload is a mode map per luma block row plus
+	// the row-length tables; reject implausibly small packets *before*
+	// allocating the image, so a 14-byte packet claiming 16384×16384 (which
+	// needs 1 MiB of maps) cannot be used to drive gigabyte allocations.
+	if minBytes := (padUp(h) / blockSize) * modeMapBytes(padUp(w)/blockSize); r.remaining() < minBytes {
 		return fmt.Errorf("%w: %d payload bytes for a %dx%d frame (need >= %d)", ErrCorrupt, r.remaining(), w, h, minBytes)
 	}
 	img := d.takeBuffer(w, h)
@@ -875,44 +893,51 @@ func (d *Decoder) decodePlane(r *byteReader, dst, ref *plane, qstep int) error {
 
 func decodeBlockRow(chunk []byte, dst, ref *plane, by, qstep int) error {
 	r := &byteReader{buf: chunk}
+	blocks := dst.w / blockSize
+	modes, err := r.slice(modeMapBytes(blocks))
+	if err != nil {
+		return err
+	}
+	// The map's last byte above the last block's bits: one packet a picture.
+	if modes[len(modes)-1]>>(2*((blocks-1)&3)+2) != 0 {
+		return fmt.Errorf("%w: nonzero padding in a mode map", ErrCorrupt)
+	}
 	var blk coefBlock
 	dcDiv, acDiv := quantDivisors(qstep)
 	y0 := by * blockSize
-	for x0 := 0; x0 < dst.w; x0 += blockSize {
-		mode, err := r.u8()
-		if err != nil {
-			return err
-		}
-		switch mode {
-		case modeSkip:
-			if ref == nil {
-				return fmt.Errorf("%w: skip block in I-frame", ErrCorrupt)
-			}
-			copyBlock(ref, x0, y0, dst, x0, y0)
-		case modeIntra:
+	for bx := range blocks {
+		x0 := bx * blockSize
+		mode := modes[bx>>2] >> (2 * (bx & 3)) & 3
+		if mode == modeIntra {
 			if err := blk.read(r, dcDiv, acDiv); err != nil {
 				return err
 			}
 			reconstruct(&blk, nil, 0, 0, dst, x0, y0)
-		case modeMC:
-			if ref == nil {
-				return fmt.Errorf("%w: MC block in I-frame", ErrCorrupt)
-			}
-			mvb, err := r.u8()
-			if err != nil {
-				return err
-			}
-			mvx, mvy := unpackMV(mvb)
-			if x0+mvx < 0 || x0+mvx+blockSize > ref.w || y0+mvy < 0 || y0+mvy+blockSize > ref.h {
-				return fmt.Errorf("%w: motion vector (%d,%d) out of bounds", ErrCorrupt, mvx, mvy)
-			}
-			if err := blk.read(r, dcDiv, acDiv); err != nil {
-				return err
-			}
-			reconstruct(&blk, ref, x0+mvx, y0+mvy, dst, x0, y0)
-		default:
-			return fmt.Errorf("%w: unknown block mode %d", ErrCorrupt, mode)
+			continue
 		}
+		if ref == nil {
+			return fmt.Errorf("%w: block mode %d in I-frame", ErrCorrupt, mode)
+		}
+		if mode == modeSkip {
+			copyBlock(ref, x0, y0, dst, x0, y0)
+			continue
+		}
+		mvb, err := r.u8()
+		if err != nil {
+			return err
+		}
+		mvx, mvy := unpackMV(mvb)
+		if x0+mvx < 0 || x0+mvx+blockSize > ref.w || y0+mvy < 0 || y0+mvy+blockSize > ref.h {
+			return fmt.Errorf("%w: motion vector (%d,%d) out of bounds", ErrCorrupt, mvx, mvy)
+		}
+		if mode == modeVector {
+			copyBlock(ref, x0+mvx, y0+mvy, dst, x0, y0)
+			continue
+		}
+		if err := blk.read(r, dcDiv, acDiv); err != nil {
+			return err
+		}
+		reconstruct(&blk, ref, x0+mvx, y0+mvy, dst, x0, y0)
 	}
 	if r.remaining() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes in block row", ErrCorrupt, r.remaining())

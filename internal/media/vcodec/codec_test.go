@@ -296,7 +296,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		nil,
 		[]byte("X"),
 		[]byte("JUNKJUNKJUNK"),
-		[]byte("TKV1\x07morejunk"), // bad frame type
+		[]byte("TKV2\x07morejunk"), // bad frame type
 	} {
 		if _, err := dec.Decode(data); err == nil {
 			t.Errorf("garbage %q accepted", data)

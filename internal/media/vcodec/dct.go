@@ -1,14 +1,16 @@
-// Package vcodec implements the TKV1 block video codec used by the IVGBL
+// Package vcodec implements the TKV2 block video codec used by the IVGBL
 // platform.
 //
-// TKV1 is a teaching-grade but complete codec in the JPEG/MPEG lineage:
+// TKV2 is a teaching-grade but complete codec in the JPEG/MPEG lineage:
 // frames are converted to YCbCr with 4:2:0 chroma subsampling, split into
 // 8×8 blocks, transformed with a type-II DCT, uniformly quantized, zigzag
 // scanned and entropy coded with run-length + varint coding. Frames are
 // either intra (I) or predicted (P); P-frame blocks choose per-block between
 // SKIP (copy from the reference), motion compensation with coded residual,
-// and intra coding. Block rows are independent chunks of the bitstream;
-// encode and decode walk them in order on the caller's goroutine.
+// motion compensation alone, and intra coding. Block rows are independent
+// chunks of the bitstream, each its blocks' modes at 2 bits a block and
+// then their payloads; encode and decode walk them in order on the
+// caller's goroutine.
 //
 // The transform is a scaled fixed-point integer DCT (Loeffler-Ligtenberg-
 // Moshovitz butterfly, 13-bit constants): the hot path is pure int32/int64
@@ -23,7 +25,7 @@
 //
 // It substitutes for the DirectShow-era playback stack the paper relied on:
 // what the IVGBL runtime needs from a codec is random access at segment
-// boundaries (I-frames) and a realistic decode cost, both of which TKV1
+// boundaries (I-frames) and a realistic decode cost, both of which TKV2
 // provides.
 package vcodec
 

@@ -7,7 +7,8 @@ import (
 	"math/bits"
 )
 
-// ErrCorrupt is returned when a TKV1 payload fails to parse.
+// ErrCorrupt is returned when a TKV2 payload fails to parse, a packet of
+// another version included.
 var ErrCorrupt = errors.New("vcodec: corrupt bitstream")
 
 // byteWriter accumulates the encoded bitstream. It is an append-only buffer

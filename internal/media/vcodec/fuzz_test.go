@@ -1,6 +1,7 @@
 package vcodec
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -41,21 +42,23 @@ func levelPacket(ft FrameType, w, h, qstep int, levels *[64]int32) []byte {
 	p.u8(0)
 	for i, sz := range [3][2]int{{w, h}, {(w + 1) / 2, (h + 1) / 2}, {(w + 1) / 2, (h + 1) / 2}} {
 		cols, rows := padUp(sz[0])/blockSize, padUp(sz[1])/blockSize
-		var row byteWriter
-		for range cols {
-			switch {
-			case i == 0 && ft == IFrame:
-				row.u8(modeIntra)
-				writeLevels(&row, levels)
-			case i == 0:
-				row.u8(modeMC)
+		mode, blockLevels := uint8(modeSkip), (*[64]int32)(nil)
+		switch {
+		case i == 0 && ft == IFrame:
+			mode, blockLevels = modeIntra, levels
+		case i == 0:
+			mode, blockLevels = modeMC, levels
+		case ft == IFrame:
+			mode, blockLevels = modeIntra, &[64]int32{}
+		}
+		row := byteWriter{buf: make([]byte, modeMapBytes(cols))}
+		for bx := range cols {
+			row.buf[bx/4] |= mode << (2 * (bx % 4))
+			if mode == modeMC {
 				row.u8(packMV(0, 0))
-				writeLevels(&row, levels)
-			case ft == IFrame:
-				row.u8(modeIntra)
-				writeLevels(&row, &[64]int32{})
-			default:
-				row.u8(modeSkip)
+			}
+			if blockLevels != nil {
+				writeLevels(&row, blockLevels)
 			}
 		}
 		p.uvarint(uint64(rows))
@@ -91,15 +94,20 @@ func rangeEdgePackets() [][]byte {
 // errors); the two decoders accept the same packets and decode them to the
 // same pixels; and a rejected packet leaves the reference usable. The
 // rangeEdgePackets seeds put the search on both sides of the edge between
-// the amd64 SSE2 transform and the Go one.
+// the amd64 SSE2 transform and the Go one; the tkv1Packets seeds, packets of
+// the format's first version, must be refused by both decoders and by
+// ParseHeader, and so must every input that starts with their magic.
 func FuzzDecode(f *testing.F) {
 	seeds := fuzzSeeds()
 	f.Add(seeds[0])
 	f.Add(seeds[1])
 	f.Add([]byte{})
-	f.Add([]byte("TKV1"))
-	f.Add([]byte("TKV1\x00\x18\x10\x04\x02"))
-	f.Add([]byte("TKV1\x07junkjunk"))
+	f.Add([]byte("TKV2"))
+	f.Add([]byte("TKV2\x00\x18\x10\x04\x02"))
+	f.Add([]byte("TKV2\x07junkjunk"))
+	for _, p := range tkv1Packets() {
+		f.Add(p)
+	}
 	f.Add(overflowingRowLengthPacket())
 	trunc := append([]byte(nil), seeds[0]...)
 	f.Add(trunc[:len(trunc)/2])
@@ -130,7 +138,15 @@ func FuzzDecode(f *testing.F) {
 			}
 			return nil
 		}
-		differential("cold", NewDecoder(), &refDecoder{})
+		// The first version of the format is refused whole, by every
+		// reader, before its block layer is read.
+		tkv1 := bytes.HasPrefix(data, []byte("TKV1"))
+		if _, err := ParseHeader(data); err == nil && tkv1 {
+			t.Fatal("ParseHeader accepted a TKV1 packet")
+		}
+		if differential("cold", NewDecoder(), &refDecoder{}) == nil && tkv1 {
+			t.Fatal("a TKV1 packet decoded cold")
+		}
 
 		primed, oracle := NewDecoder(), &refDecoder{}
 		if _, err := primed.Decode(seeds[0]); err != nil {
@@ -139,7 +155,9 @@ func FuzzDecode(f *testing.F) {
 		if _, err := oracle.decode(seeds[0]); err != nil {
 			t.Fatalf("oracle rejected seed I-frame: %v", err)
 		}
-		if differential("primed", primed, oracle) != nil {
+		if err := differential("primed", primed, oracle); err == nil && tkv1 {
+			t.Fatal("a TKV1 packet decoded primed")
+		} else if err != nil {
 			// A failed decode must not poison the reference: the real
 			// P-frame must still decode against it.
 			if _, err := primed.Decode(seeds[1]); err != nil {

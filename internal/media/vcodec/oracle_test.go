@@ -337,7 +337,10 @@ func (d *refDecoder) decode(data []byte) (*raster.Frame, error) {
 		}
 		prev = *d.ref
 	}
-	if r.remaining() < (padUp(w)/blockSize)*(padUp(h)/blockSize) {
+	// Every luma block row starts with its mode map, a byte per four
+	// blocks or part of four.
+	lumaRows, lumaCols := padUp(h)/blockSize, padUp(w)/blockSize
+	if minMaps := lumaRows * ((lumaCols + 3) / 4); r.remaining() < minMaps {
 		return nil, fmt.Errorf("%w: payload too small", ErrCorrupt)
 	}
 	img := newYCbCr(w, h)
@@ -373,22 +376,53 @@ func (d *refDecoder) decode(data []byte) (*raster.Frame, error) {
 	return f, nil
 }
 
+// decodeBlockRowRef decodes one block row as the format states it: a mode
+// map of 2 bits a block, block bx's in bits 2·(bx mod 4) and 2·(bx mod 4)+1
+// of map byte bx div 4, every bit past the last block clear; then each
+// block's payload in order — none for a skip, levels for intra, a vector
+// byte and levels for motion compensation, a vector byte alone for a
+// vector-only block — and nothing after the last.
 func decodeBlockRowRef(chunk []byte, dst, ref *plane, by, qstep int) error {
-	r := &byteReader{buf: chunk}
+	blocks := dst.w / blockSize
+	mapLen := blocks / 4
+	if blocks%4 != 0 {
+		mapLen++
+	}
+	if len(chunk) < mapLen {
+		return fmt.Errorf("%w: block row shorter than its mode map", ErrCorrupt)
+	}
+	modes := make([]uint8, 4*mapLen)
+	for i := range modes {
+		modes[i] = chunk[i/4] >> (2 * (i % 4)) & 3
+	}
+	for _, m := range modes[blocks:] {
+		if m != 0 {
+			return fmt.Errorf("%w: mode map padding is not zero", ErrCorrupt)
+		}
+	}
+	r := &byteReader{buf: chunk[mapLen:]}
 	var levels [64]int32
 	y0 := by * blockSize
-	for x0 := 0; x0 < dst.w; x0 += blockSize {
-		mode, err := r.u8()
-		if err != nil {
-			return err
+	for bx, mode := range modes[:blocks] {
+		x0 := bx * blockSize
+		if mode != modeIntra && ref == nil {
+			return fmt.Errorf("%w: mode %d in an I-frame", ErrCorrupt, mode)
+		}
+		var mvx, mvy int
+		if mode == modeMC || mode == modeVector {
+			mvb, err := r.u8()
+			if err != nil {
+				return err
+			}
+			mvx, mvy = unpackMV(mvb)
+			if x0+mvx < 0 || x0+mvx+blockSize > ref.w || y0+mvy < 0 || y0+mvy+blockSize > ref.h {
+				return fmt.Errorf("%w: motion vector (%d,%d) out of bounds", ErrCorrupt, mvx, mvy)
+			}
 		}
 		switch mode {
-		case modeSkip:
-			if ref == nil {
-				return fmt.Errorf("%w: skip block in I-frame", ErrCorrupt)
-			}
+		case modeSkip, modeVector:
 			for y := y0; y < y0+blockSize; y++ {
-				copy(dst.row(x0, y, blockSize), ref.row(x0, y, blockSize))
+				copy(dst.row(x0, y, blockSize), ref.row(x0+mvx, y+mvy, blockSize))
 			}
 		case modeIntra:
 			if err := readLevels(r, &levels); err != nil {
@@ -396,23 +430,10 @@ func decodeBlockRowRef(chunk []byte, dst, ref *plane, by, qstep int) error {
 			}
 			reconstructIntraRef(dst, x0, y0, qstep, &levels)
 		case modeMC:
-			if ref == nil {
-				return fmt.Errorf("%w: MC block in I-frame", ErrCorrupt)
-			}
-			mvb, err := r.u8()
-			if err != nil {
-				return err
-			}
-			mvx, mvy := unpackMV(mvb)
-			if x0+mvx < 0 || x0+mvx+blockSize > ref.w || y0+mvy < 0 || y0+mvy+blockSize > ref.h {
-				return fmt.Errorf("%w: motion vector (%d,%d) out of bounds", ErrCorrupt, mvx, mvy)
-			}
 			if err := readLevels(r, &levels); err != nil {
 				return err
 			}
 			reconstructMCRef(ref, dst, x0, y0, mvx, mvy, qstep, &levels)
-		default:
-			return fmt.Errorf("%w: unknown block mode %d", ErrCorrupt, mode)
 		}
 	}
 	if r.remaining() != 0 {

@@ -2,6 +2,7 @@ package vcodec
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
@@ -168,5 +169,127 @@ func TestLongGOPNoDrift(t *testing.T) {
 	}
 	if last < first-1.0 {
 		t.Fatalf("drift over 100 P-frames: %.1f dB -> %.1f dB", first, last)
+	}
+}
+
+// flatIFrame is an 8×8 flat grey I-frame written by hand: three rows of one
+// intra block with no levels, 2 bytes each (its mode map, its pair count).
+// Its bytes after the magic are also a well-formed first-version packet, in
+// which a row held the block's mode byte and its pair count.
+func flatIFrame() []byte {
+	return []byte(magic + "\x00\x08\x08\x04\x00\x01\x02\x01\x00\x01\x02\x01\x00\x01\x02\x01\x00")
+}
+
+// tkv1Packets are packets of the format's first version, which coded a
+// block's mode as a byte of its own: flatIFrame's, and the 24×16 I-frame
+// fuzzSeeds encoded to before the mode map.
+func tkv1Packets() [][]byte {
+	encoded, err := hex.DecodeString("544b563100181004020221210104009702011006020a020104009702011006020a020104009702011006020a020104008903011006020a020104008903011006020a020104008903011006020a020118010500680171060b0a030e01010500680171060b0a030e01011c0105008401018601060e0a040e020105008401018601060e0a040e02")
+	if err != nil {
+		panic(err)
+	}
+	return [][]byte{
+		append([]byte("TKV1"), flatIFrame()[len(magic):]...),
+		encoded,
+		[]byte("TKV1"),
+		[]byte("TKV1\x00\x18\x10\x04\x02"),
+		[]byte("TKV1\x07junkjunk"),
+	}
+}
+
+// TestTKV1Refused: a packet of the first version is corrupt to Decode and
+// to ParseHeader, so a container holding one fails to open. The flat frame
+// decodes under the current magic, so it is the version that is refused,
+// not the blocks.
+func TestTKV1Refused(t *testing.T) {
+	for i, pkt := range tkv1Packets() {
+		if _, err := ParseHeader(pkt); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("packet %d: ParseHeader err = %v, want ErrCorrupt", i, err)
+		}
+		if f, err := NewDecoder().Decode(pkt); !errors.Is(err, ErrCorrupt) || f != nil {
+			t.Errorf("packet %d: Decode err = %v, want ErrCorrupt and no frame", i, err)
+		}
+	}
+	if _, err := NewDecoder().Decode(flatIFrame()); err != nil {
+		t.Fatalf("the flat frame under the current magic: %v", err)
+	}
+}
+
+// firstLumaRow returns the offset of the first luma block row's chunk in a
+// packet: its mode map's first byte.
+func firstLumaRow(t *testing.T, pkt []byte) int {
+	t.Helper()
+	r := &byteReader{buf: pkt, pos: len(magic) + 1}
+	for range 3 { // width, height, qstep
+		if _, err := r.uvarint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.pos++ // search range
+	rows, err := r.uvarint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range rows {
+		if _, err := r.uvarint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r.pos
+}
+
+// TestModeMapPaddingRefused sets, one at a time, each bit past the last
+// block of a three-block row's mode map — the bits the encoder leaves
+// clear — and both decoders must refuse the packet: one picture, one
+// packet.
+func TestModeMapPaddingRefused(t *testing.T) {
+	pkt := fuzzSeeds()[0] // 24×16: three luma blocks a row, bits 6 and 7 of its map are padding
+	at := firstLumaRow(t, pkt)
+	if _, err := NewDecoder().Decode(pkt); err != nil {
+		t.Fatalf("the packet as encoded: %v", err)
+	}
+	for bit := 6; bit < 8; bit++ {
+		bad := append([]byte(nil), pkt...)
+		bad[at] |= 1 << bit
+		if _, err := NewDecoder().Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("padding bit %d set: Decode err = %v, want ErrCorrupt", bit, err)
+		}
+		if _, err := new(refDecoder).decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("padding bit %d set: oracle err = %v, want ErrCorrupt", bit, err)
+		}
+	}
+}
+
+// vectorOnlyPacket is an 8×8 packet of frame type ft whose three one-block
+// rows each hold one vector-only block with vector (0,0).
+func vectorOnlyPacket(ft FrameType) []byte {
+	pkt := append([]byte(magic), uint8(ft), 8, 8, 4, 0)
+	for range 3 {
+		pkt = append(pkt, 1, 2, modeVector, packMV(0, 0)) // one row of 2 bytes: map, vector
+	}
+	return pkt
+}
+
+// TestVectorOnlyInIFrameRefused: a vector-only block needs a reference, so
+// an I-frame carrying one is corrupt, while the same rows in a P-frame copy
+// the reference.
+func TestVectorOnlyInIFrameRefused(t *testing.T) {
+	if _, err := NewDecoder().Decode(vectorOnlyPacket(IFrame)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("vector-only I-frame: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := new(refDecoder).decode(vectorOnlyPacket(IFrame)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("vector-only I-frame: oracle err = %v, want ErrCorrupt", err)
+	}
+	dec := NewDecoder()
+	key, err := dec.Decode(flatIFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dec.Decode(vectorOnlyPacket(PFrame))
+	if err != nil {
+		t.Fatalf("vector-only P-frame: %v", err)
+	}
+	if !got.Equal(key) {
+		t.Fatal("a zero vector with no residual did not copy the reference")
 	}
 }

@@ -307,7 +307,7 @@ func TestRemoteFrameAtErrorReseeks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pkt.Index == 5 {
-			pkt.Data = []byte("garbage, not a TKV1 packet") // poisoned mid-GOP P-frame
+			pkt.Data = []byte("garbage, not a TKV2 packet") // poisoned mid-GOP P-frame
 		}
 		if err := mux.AddPacket(pkt); err != nil {
 			t.Fatal(err)

@@ -777,16 +777,12 @@ func (pc *PackageCache) put(url, etag string, blob []byte) {
 	if old, ok := pc.entries[url]; ok {
 		pc.drop(old)
 	}
-	el := pc.lru.PushFront(&pkgCacheEntry{url: url, etag: etag, blob: blob})
-	pc.entries[url] = el
+	pc.entries[url] = pc.lru.PushFront(&pkgCacheEntry{url: url, etag: etag, blob: blob})
 	pc.used += int64(len(blob))
-	// Evict past the budget, sparing the entry just inserted.
+	// Evict past the budget, least recently used first: a package larger
+	// than the whole budget goes too, the moment it arrives.
 	for pc.used > pc.budget {
-		back := pc.lru.Back()
-		if back == nil || back == el {
-			break
-		}
-		pc.drop(back)
+		pc.drop(pc.lru.Back())
 		pc.evicted++
 	}
 }

@@ -970,6 +970,79 @@ func TestPackageCacheByteBudget(t *testing.T) {
 	}
 }
 
+// TestPackageCacheNeverOverBudget walks the demos with a budget that fits
+// the smallest package and not the largest: after every fill the assembled
+// tier holds at most its budget, a package larger than the whole budget
+// included, and one that fits is kept and answered from the cache.
+func TestPackageCacheNeverOverBudget(t *testing.T) {
+	srv := NewServer()
+	blobs := map[string][]byte{}
+	for _, name := range []string{"classroom", "museum", "street"} {
+		var course *content.Course
+		switch name {
+		case "classroom":
+			course = content.Classroom()
+		case "museum":
+			course = content.Museum()
+		default:
+			course = content.StreetDemo()
+		}
+		blob, err := course.BuildPackage(studio.Options{QStep: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[name] = blob
+		if err := srv.AddPackage(name, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	smallest, largest := "", ""
+	for name, b := range blobs {
+		if smallest == "" || len(b) < len(blobs[smallest]) {
+			smallest = name
+		}
+		if largest == "" || len(b) > len(blobs[largest]) {
+			largest = name
+		}
+	}
+	budget := int64(len(blobs[smallest]) + 1000)
+	if int64(len(blobs[largest])) <= budget {
+		t.Fatalf("largest package %d B fits the %d B budget: the walk proves nothing", len(blobs[largest]), budget)
+	}
+	cache := NewPackageCacheBudget(budget, 1<<20)
+	c := &Client{}
+	var evictions int64
+	for _, name := range []string{smallest, largest, "classroom", "museum", "street", largest, smallest} {
+		got, _, err := c.DownloadDelta(ts.URL+"/pkg/"+name, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, blobs[name]) {
+			t.Fatalf("package %q differs", name)
+		}
+		if n := cache.Bytes(); n > budget {
+			t.Fatalf("after %s the cache holds %d B over its %d B budget", name, n, budget)
+		}
+		if name == largest && cache.Evicted() == evictions {
+			t.Fatalf("%s (%d B) arrived over the %d B budget and nothing was evicted", name, len(blobs[name]), budget)
+		}
+		evictions = cache.Evicted()
+	}
+	// The last fill fits, so it stays: a repeat is a revalidation.
+	if cache.Len() != 1 || cache.Bytes() != int64(len(blobs[smallest])) {
+		t.Fatalf("cache holds %d packages, %d B; want %s alone", cache.Len(), cache.Bytes(), smallest)
+	}
+	_, st, err := c.DownloadDelta(ts.URL+"/pkg/"+smallest, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NotModified != 1 {
+		t.Fatalf("repeat of the cached package: %+v, want one not-modified", st)
+	}
+}
+
 func TestProgressiveOpenCachedReusesChunks(t *testing.T) {
 	ts, _ := testServer(t)
 	c := &Client{}
