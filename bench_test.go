@@ -1135,8 +1135,8 @@ func BenchmarkRoomFanout(b *testing.B) {
 					b.Fatal(err)
 				}
 				// Drain the seed publication: sizes the chunk buffer and
-				// leaves every ring empty for the steady-state loop.
-				header, pix, ae, am, err := room.WatchNext(ids[w], 0, 0, true, 0, nil)
+				// leaves every slot empty for the steady-state loop.
+				header, pix, ae, am, err := room.WatchNext(ids[w], 0, 0, 0, nil)
 				if err != nil || header == nil {
 					b.Fatalf("seed delivery: %v", err)
 				}
@@ -1153,7 +1153,7 @@ func BenchmarkRoomFanout(b *testing.B) {
 				}
 				req.SeenEvents, req.SeenMessages = r.EventCount, r.MessageCount
 				for w := 0; w < W; w++ {
-					header, _, ae, am, err := room.WatchNext(ids[w], seenE[w], seenM[w], true, 0, dsts[w][:0])
+					header, _, ae, am, err := room.WatchNext(ids[w], seenE[w], seenM[w], 0, dsts[w][:0])
 					if err != nil {
 						b.Fatal(err)
 					}

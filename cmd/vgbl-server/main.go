@@ -10,7 +10,10 @@
 // curl-able JSON adapter) and /play/frame (live counters at /play/stats).
 // A classroom room is a session whose create carries a room record
 // ({"session":…,"course":…,"room":true} on /play/act); watchers join,
-// watch, answer and leave on /room/*, naming the room in the query.
+// watch, answer and leave on /room/*, naming the room in the query. A
+// watch is a GET long poll answered with the newest publication and the
+// count of those the watcher skipped; a watcher that stops polling is
+// pruned by the idle sweep (-play-ttl).
 //
 // The package server keeps every package's bytes in one content-addressed
 // chunk store (segments shared across courses are stored once; -store-dir
@@ -76,7 +79,6 @@ func main() {
 	ingestIdle := flag.Duration("ingest-idle-timeout", 30*time.Minute, "fold telemetry sessions idle this long (negative disables)")
 	playTTL := flag.Duration("play-ttl", 10*time.Minute, "snapshot-and-evict hosted play sessions idle this long (negative disables)")
 	playMax := flag.Int("play-max-sessions", 16384, "cap on live hosted play sessions (negative disables)")
-	playInflight := flag.Int("play-max-inflight", 0, "shed play requests (429 + Retry-After) beyond this many in flight per node (0 disables)")
 	checkpointEvery := flag.Duration("checkpoint-every", 30*time.Second, "periodically snapshot active play sessions so a crash loses at most this much progress (0 disables)")
 	cluster := flag.Int("cluster", 0, "run N play-service nodes behind a consistent-hash gateway instead of one in-process manager")
 	ladder := flag.Bool("ladder", false, "publish the demo courses as multi-tier quality ladders (adds video@<tier> rungs so ABR clients can pick a rung per segment; bytes served per tier land on netstream_tier_bytes_total)")
@@ -103,7 +105,6 @@ func main() {
 		Play: playsvc.ClusterOptions{Node: playsvc.Options{
 			TTL:             *playTTL,
 			MaxSessions:     *playMax,
-			MaxInflight:     *playInflight,
 			CheckpointEvery: *checkpointEvery,
 		}},
 		Nodes: *cluster,
@@ -179,7 +180,7 @@ func main() {
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
 	fmt.Printf("  telemetry: http://%s%s (POST %s), http://%s%s\n", ln.Addr(), telemetry.IngestPath, telemetry.BatchContentType, ln.Addr(), telemetry.StatsPath)
 	fmt.Printf("  play:     http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
-	fmt.Printf("  rooms:    http://%s%s?room= (POST), %s, %s; a room opens with a create's room record\n", ln.Addr(), playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
+	fmt.Printf("  rooms:    http://%s%s?room= (POST), %s (GET: newest frame, skips counted), %s; a room opens with a create's room record\n", ln.Addr(), playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
 	if *cluster > 0 {
 		fmt.Printf("  cluster:  %d play nodes behind the /play/ gateway (checkpoint every %v)\n", *cluster, *checkpointEvery)
 		names := d.Cluster.NodeNames()

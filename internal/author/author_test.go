@@ -378,3 +378,78 @@ func TestEditorWindowFigure1(t *testing.T) {
 		t.Errorf("status after timeline click: %q", ed.Status.Text)
 	}
 }
+
+// TestSetTitleAndAuthor: the project's title and author are edits like any
+// other — applied, undone to the previous value, redone.
+func TestSetTitleAndAuthor(t *testing.T) {
+	tool := New("Draft")
+	if err := tool.SetTitle("Fixing a PC"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tool.SetAuthor("Lab 3"); err != nil {
+		t.Fatal(err)
+	}
+	p := tool.Project()
+	if p.Title != "Fixing a PC" || p.Author != "Lab 3" {
+		t.Fatalf("title %q, author %q after the edits", p.Title, p.Author)
+	}
+	tool.Undo()
+	if p.Title != "Fixing a PC" || p.Author != "" {
+		t.Fatalf("title %q, author %q after undoing the author", p.Title, p.Author)
+	}
+	tool.Undo()
+	if p.Title != "Draft" {
+		t.Fatalf("title %q after undoing it, want the original", p.Title)
+	}
+	tool.Redo()
+	tool.Redo()
+	if p.Title != "Fixing a PC" || p.Author != "Lab 3" {
+		t.Fatalf("title %q, author %q after redoing both", p.Title, p.Author)
+	}
+}
+
+// TestRemoveScenarioTakesItsObjects: removing a scenario removes the
+// objects it holds, and undo puts both back in place.
+func TestRemoveScenarioTakesItsObjects(t *testing.T) {
+	tool := New("Draft")
+	for _, id := range []string{"hall", "lab", "office"} {
+		if err := tool.AddScenario(id, id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"bench", "scope"} {
+		if err := tool.AddObject("lab", &core.Object{ID: id, Kind: core.Hotspot}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := func() string {
+		var s []string
+		for _, sc := range tool.Project().Scenarios {
+			s = append(s, sc.ID)
+		}
+		return strings.Join(s, ",")
+	}
+	if err := tool.RemoveScenario("attic"); err == nil {
+		t.Fatal("removing an unknown scenario succeeded")
+	}
+	if err := tool.RemoveScenario("lab"); err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(); got != "hall,office" {
+		t.Fatalf("scenarios %s after removing lab", got)
+	}
+	for _, id := range []string{"bench", "scope"} {
+		if sc, _ := tool.Project().FindObject(id); sc != nil {
+			t.Fatalf("object %s outlived its scenario (in %s)", id, sc.ID)
+		}
+	}
+	tool.Undo()
+	if got := ids(); got != "hall,lab,office" {
+		t.Fatalf("scenarios %s after the undo, want lab back in place", got)
+	}
+	for _, id := range []string{"bench", "scope"} {
+		if sc, _ := tool.Project().FindObject(id); sc == nil || sc.ID != "lab" {
+			t.Fatalf("object %s not back in lab after the undo", id)
+		}
+	}
+}

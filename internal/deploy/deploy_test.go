@@ -89,7 +89,7 @@ func testRoutes(t *testing.T, blob []byte, nodes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := playsvc.JoinRoom(playsvc.RoomClientOptions{BaseURL: front.URL, Room: driver.SessionID(), Ordered: true})
+	wc, err := playsvc.JoinRoom(playsvc.RoomClientOptions{BaseURL: front.URL, Room: driver.SessionID()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,9 @@ const maxRetryAfter = 2 * time.Second
 
 // Delayed wraps an error with an explicit server-requested retry delay
 // (a parsed Retry-After). RetryPolicy.Do honors After — capped at 2s —
-// instead of its own jitter for that retry. Unwrap exposes the cause so
-// typed-error checks (errors.As on *playsvc.Error etc.) see through it.
+// instead of its own jitter for that retry, and returns the cause, never
+// the shell, so typed errors (*playsvc.Error etc.) reach the caller as
+// they were.
 type Delayed struct {
 	After time.Duration
 	Err   error
@@ -60,9 +61,6 @@ type Delayed struct {
 
 // Error implements error.
 func (d *Delayed) Error() string { return d.Err.Error() }
-
-// Unwrap exposes the wrapped cause.
-func (d *Delayed) Unwrap() error { return d.Err }
 
 // Do runs fn until it succeeds, reports a terminal error, or the attempt
 // budget is exhausted; it returns fn's last error verbatim (unwrapping a

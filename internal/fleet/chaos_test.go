@@ -153,7 +153,7 @@ func TestClusterChaosSoak(t *testing.T) {
 		t.Errorf("ingested totals diverge from summed reports:\n got %+v\nwant %+v", cs, want)
 	}
 
-	// The resilience counters are scrapeable: breaker, retry and shed
+	// The resilience counters are scrapeable: breaker and retry
 	// families all present in the Prometheus rendering.
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -162,8 +162,6 @@ func TestClusterChaosSoak(t *testing.T) {
 		"vgbl_gateway_breaker_trips_total",
 		"vgbl_gateway_breakers_open",
 		"vgbl_gateway_retries_total",
-		"vgbl_playsvc_shed_total",
-		"vgbl_playsvc_inflight",
 	} {
 		if !strings.Contains(metrics, family) {
 			t.Errorf("metric family %s missing from /metrics", family)

@@ -930,12 +930,21 @@ func decodeBlockRow(chunk []byte, dst, ref *plane, by, qstep int) error {
 		if x0+mvx < 0 || x0+mvx+blockSize > ref.w || y0+mvy < 0 || y0+mvy+blockSize > ref.h {
 			return fmt.Errorf("%w: motion vector (%d,%d) out of bounds", ErrCorrupt, mvx, mvy)
 		}
+		// A block that decodes to what a shorter mode makes is refused:
+		// one packet a picture. (0,0) alone is a skip; a vector with no
+		// residual is a vector-only block.
 		if mode == modeVector {
+			if mvb == packMV(0, 0) {
+				return fmt.Errorf("%w: vector-only block with vector (0,0)", ErrCorrupt)
+			}
 			copyBlock(ref, x0+mvx, y0+mvy, dst, x0, y0)
 			continue
 		}
 		if err := blk.read(r, dcDiv, acDiv); err != nil {
 			return err
+		}
+		if blk.cols == 0 {
+			return fmt.Errorf("%w: motion-compensated block with no residual", ErrCorrupt)
 		}
 		reconstruct(&blk, ref, x0+mvx, y0+mvy, dst, x0, y0)
 	}

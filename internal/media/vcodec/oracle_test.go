@@ -380,8 +380,8 @@ func (d *refDecoder) decode(data []byte) (*raster.Frame, error) {
 // map of 2 bits a block, block bx's in bits 2·(bx mod 4) and 2·(bx mod 4)+1
 // of map byte bx div 4, every bit past the last block clear; then each
 // block's payload in order — none for a skip, levels for intra, a vector
-// byte and levels for motion compensation, a vector byte alone for a
-// vector-only block — and nothing after the last.
+// byte and at least one level for motion compensation, a vector byte other
+// than (0,0) alone for a vector-only block — and nothing after the last.
 func decodeBlockRowRef(chunk []byte, dst, ref *plane, by, qstep int) error {
 	blocks := dst.w / blockSize
 	mapLen := blocks / 4
@@ -419,6 +419,9 @@ func decodeBlockRowRef(chunk []byte, dst, ref *plane, by, qstep int) error {
 				return fmt.Errorf("%w: motion vector (%d,%d) out of bounds", ErrCorrupt, mvx, mvy)
 			}
 		}
+		if mode == modeVector && mvx == 0 && mvy == 0 {
+			return fmt.Errorf("%w: vector-only block with vector (0,0)", ErrCorrupt)
+		}
 		switch mode {
 		case modeSkip, modeVector:
 			for y := y0; y < y0+blockSize; y++ {
@@ -430,6 +433,9 @@ func decodeBlockRowRef(chunk []byte, dst, ref *plane, by, qstep int) error {
 			}
 			reconstructIntraRef(dst, x0, y0, qstep, &levels)
 		case modeMC:
+			if n, err := (&byteReader{buf: r.buf, pos: r.pos}).uvarint(); err == nil && n == 0 {
+				return fmt.Errorf("%w: motion-compensated block with no residual", ErrCorrupt)
+			}
 			if err := readLevels(r, &levels); err != nil {
 				return err
 			}

@@ -271,8 +271,7 @@ func vectorOnlyPacket(ft FrameType) []byte {
 }
 
 // TestVectorOnlyInIFrameRefused: a vector-only block needs a reference, so
-// an I-frame carrying one is corrupt, while the same rows in a P-frame copy
-// the reference.
+// an I-frame carrying one is corrupt.
 func TestVectorOnlyInIFrameRefused(t *testing.T) {
 	if _, err := NewDecoder().Decode(vectorOnlyPacket(IFrame)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("vector-only I-frame: err = %v, want ErrCorrupt", err)
@@ -280,16 +279,45 @@ func TestVectorOnlyInIFrameRefused(t *testing.T) {
 	if _, err := new(refDecoder).decode(vectorOnlyPacket(IFrame)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("vector-only I-frame: oracle err = %v, want ErrCorrupt", err)
 	}
-	dec := NewDecoder()
-	key, err := dec.Decode(flatIFrame())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// mcNoResidualPacket is an 8×8 P-frame whose three one-block rows each
+// hold a motion-compensated block with vector (0,0) and no coefficient
+// pair.
+func mcNoResidualPacket() []byte {
+	pkt := append([]byte(magic), uint8(PFrame), 8, 8, 4, 0)
+	for range 3 {
+		pkt = append(pkt, 1, 3, modeMC, packMV(0, 0), 0) // one row of 3 bytes: map, vector, pair count
 	}
-	got, err := dec.Decode(vectorOnlyPacket(PFrame))
-	if err != nil {
-		t.Fatalf("vector-only P-frame: %v", err)
-	}
-	if !got.Equal(key) {
-		t.Fatal("a zero vector with no residual did not copy the reference")
+	return pkt
+}
+
+// TestNonCanonicalInterBlocksRefused: a block that decodes to what a
+// shorter mode makes is refused by both decoders, so a picture has one
+// packet. A vector-only block with vector (0,0) is a skip; a
+// motion-compensated block with no coefficient pair is a vector-only
+// block (here also a skip). The encoder writes neither.
+func TestNonCanonicalInterBlocksRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pkt  []byte
+	}{
+		{"vector-only (0,0)", vectorOnlyPacket(PFrame)},
+		{"motion-compensated without residual", mcNoResidualPacket()},
+	} {
+		dec := NewDecoder()
+		if _, err := dec.Decode(flatIFrame()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.Decode(tc.pkt); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode err = %v, want ErrCorrupt", tc.name, err)
+		}
+		oracle := new(refDecoder)
+		if _, err := oracle.decode(flatIFrame()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := oracle.decode(tc.pkt); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: oracle err = %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }

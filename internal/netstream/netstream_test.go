@@ -26,6 +26,7 @@ import (
 	"repro/internal/media/playback"
 	"repro/internal/media/studio"
 	"repro/internal/media/synth"
+	"repro/internal/obs"
 )
 
 func testServer(t *testing.T) (*httptest.Server, []byte) {
@@ -1158,5 +1159,56 @@ func TestPackageReplaceReleasesChunks(t *testing.T) {
 	}
 	if string(got) != string(v2) {
 		t.Fatal("replaced package serves wrong bytes")
+	}
+}
+
+// TestDeltaSyncMetricsAndForget: a Client with Metrics observes one bytes
+// sample and one duration sample per sync into the registry they are
+// registered on, and a forgotten package is reassembled from the chunk
+// tier on the next sync — no chunk crosses the wire again.
+func TestDeltaSyncMetricsAndForget(t *testing.T) {
+	ts, blob := testServer(t)
+	reg := obs.NewRegistry("")
+	c := &Client{Metrics: NewClientMetrics()}
+	c.Metrics.Register(reg)
+	cache := NewPackageCache()
+	url := ts.URL + "/pkg/classroom"
+
+	_, cold, err := c.DownloadDelta(url, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.ChunksFetched == 0 || cache.Len() != 1 {
+		t.Fatalf("cold sync fetched %d chunks, cache holds %d packages", cold.ChunksFetched, cache.Len())
+	}
+	cache.Forget(url)
+	if cache.Len() != 0 || cache.Bytes() != 0 {
+		t.Fatalf("after Forget the cache holds %d packages, %d bytes", cache.Len(), cache.Bytes())
+	}
+	got, warm, err := c.DownloadDelta(url, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob) {
+		t.Fatal("the reassembled package differs from the published one")
+	}
+	if warm.NotModified != 0 || warm.ChunksFetched != 0 || warm.ChunkHits != cold.ChunksFetched {
+		t.Fatalf("sync after Forget: %+v, want an unconditional manifest and all %d chunks from the chunk tier", warm, cold.ChunksFetched)
+	}
+
+	snap := reg.Snapshot()
+	hist := func(name string) *obs.HistogramSnapshot {
+		t.Helper()
+		m := snap.Metric(name)
+		if m == nil || len(m.Series) != 1 || m.Series[0].Histogram == nil {
+			t.Fatalf("registry has no %s histogram", name)
+		}
+		return m.Series[0].Histogram
+	}
+	if h, want := hist("netstream_delta_bytes"), int64(cold.BytesFetched+warm.BytesFetched); h.Count != 2 || h.Sum != want {
+		t.Fatalf("delta bytes: %d samples summing to %d, want 2 summing to %d", h.Count, h.Sum, want)
+	}
+	if h := hist("netstream_delta_seconds"); h.Count != 2 {
+		t.Fatalf("delta seconds: %d samples, want 2", h.Count)
 	}
 }

@@ -2,6 +2,8 @@ package playsvc
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -464,5 +466,86 @@ func TestConsistentHashStability(t *testing.T) {
 	}
 	if err := g.RemoveNode("ghost", false); err == nil {
 		t.Fatal("removing an unknown node succeeded")
+	}
+}
+
+// TestGatewayDropsDeadNode: a node that stays unreachable for
+// deadNodeLimit consecutive transport failures leaves the ring. The
+// gateway has that one node, so no live peer's open breaker diverts the
+// traffic: every hop of every routed call is a failure against it. A room
+// call takes 4 hops (rooms heal no 404), so deadNodeLimit/4 calls drop it;
+// the next call answers 502 without a hop, and a live node added after
+// serves again.
+func TestGatewayDropsDeadNode(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // its port now refuses connections
+	g := NewGateway(nil)
+	if err := g.AddNode("dead", dead.URL); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(g.Handler())
+	defer front.Close()
+	roomStats := func() int {
+		t.Helper()
+		resp, err := http.Get(front.URL + RoomStatsPath + "?room=r1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	dropped := func() int64 { return stat(t, g.reg.Flat("gateway"), "dead_nodes_removed") }
+
+	const calls = deadNodeLimit / 4
+	for i := 0; i < calls; i++ {
+		if n := dropped(); n != 0 {
+			t.Fatalf("node dropped after %d calls, before %d failures", i, deadNodeLimit)
+		}
+		if code := roomStats(); code != http.StatusBadGateway {
+			t.Fatalf("call %d through a dead node answered %d, want 502", i, code)
+		}
+	}
+	if n := dropped(); n != 1 {
+		t.Fatalf("dead_nodes_removed = %d after %d failures, want 1", n, deadNodeLimit)
+	}
+	if names := g.NodeNames(); len(names) != 0 {
+		t.Fatalf("the ring still holds %v", names)
+	}
+	if s := g.hops.Snapshot(); s.Count != calls || s.Sum != deadNodeLimit {
+		t.Fatalf("%d calls took %d hops, want %d calls of 4", s.Count, s.Sum, calls)
+	}
+
+	// An empty ring answers at once: no hop, no second drop.
+	if code := roomStats(); code != http.StatusBadGateway {
+		t.Fatalf("a call with no node answered %d, want 502", code)
+	}
+	if s := g.hops.Snapshot(); s.Count != calls+1 || s.Sum != deadNodeLimit {
+		t.Fatalf("the call with no node took %d hops", s.Sum-deadNodeLimit)
+	}
+	if n := dropped(); n != 1 {
+		t.Fatalf("dead_nodes_removed = %d, want 1", n)
+	}
+
+	m := NewManager(Options{TTL: -1})
+	defer m.Close()
+	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	live := httptest.NewServer(m.Handler())
+	defer live.Close()
+	if err := g.AddNode("live", live.URL); err != nil {
+		t.Fatal(err)
+	}
+	if names := g.NodeNames(); !reflect.DeepEqual(names, []string{"live"}) {
+		t.Fatalf("nodes = %v, want [live]", names)
+	}
+	c := dial(t, front, nil)
+	c.Talk("teacher")
+	if err := c.Err(); err != nil {
+		t.Fatalf("act through the revived gateway: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -41,12 +41,6 @@ type Options struct {
 	// MaxSessions caps live sessions (creates beyond it answer 503). 0 means
 	// the default of 16384; negative disables the cap.
 	MaxSessions int
-	// MaxInflight caps concurrently-executing play requests (act batches
-	// and frames). Requests beyond the cap are shed immediately with
-	// 429 + Retry-After instead of queueing without bound — overload
-	// degrades into explicit backpressure clients know how to honor.
-	// 0 disables admission control.
-	MaxInflight int
 	// Dir is the snapshot directory every hosted session is durable in:
 	// the TTL janitor snapshots-then-evicts, evicted and handed-off
 	// sessions thaw transparently on their next request, and a resume
@@ -288,10 +282,6 @@ type Manager struct {
 	resumed atomic.Int64 // sessions thawed from a snapshot
 	acts    atomic.Int64
 	frames  atomic.Int64
-	// inflight counts executing play requests; shed counts the ones
-	// admission control refused (MaxInflight).
-	inflight atomic.Int64
-	shed     atomic.Int64
 	// liveCount mirrors the session map's size; a create reserves a slot
 	// on it atomically so a create flood cannot overshoot MaxSessions
 	// between a count and an insert.
@@ -646,36 +636,6 @@ func (out *BatchReply) single() (*Reply, error) {
 	return r, nil
 }
 
-// errShed is the preallocated load-shedding answer (the act path stays
-// allocation-free even while refusing work). RetryAfter tells honoring
-// clients how long to stand down.
-var errShed = &Error{
-	Status:     http.StatusTooManyRequests,
-	Msg:        "playsvc: node over capacity, retry later",
-	RetryAfter: 1,
-}
-
-// admit reserves an execution slot under MaxInflight; a refused request
-// is counted as shed. Reservation is an atomic add so a request burst
-// racing a nearly-full node cannot overshoot the cap.
-func (m *Manager) admit() bool {
-	if m.opts.MaxInflight <= 0 {
-		return true
-	}
-	if n := m.inflight.Add(1); n > int64(m.opts.MaxInflight) {
-		m.inflight.Add(-1)
-		m.shed.Add(1)
-		return false
-	}
-	return true
-}
-
-func (m *Manager) release() {
-	if m.opts.MaxInflight > 0 {
-		m.inflight.Add(-1)
-	}
-}
-
 // saveTomb records the reply to a batch that ended its session, for the
 // retry window, dropping the oldest tombstone at the cap.
 func (m *Manager) saveTomb(session string, seq int64, out *BatchReply) {
@@ -753,21 +713,17 @@ func (m *Manager) takeTomb(session string, seq int64) (*BatchReply, error) {
 
 // ActBatch is the one act path: every route (the framed /play/actv2, the
 // JSON /play/act adapter, in-process callers of Act) lands here,
-// and only here are admission, the act histogram and the "play.act" span
+// and only here are the act histogram and the "play.act" span
 // recorded (a batch that is only a create records "play.create", only a
 // resume "play.resume"). A batch's create or resume, acts and leave apply
 // under one session-lock hold and share one coalesced reply. Session-level
-// failures (gone, draining, shed) surface as HTTP-level errors; an
+// failures (gone, draining) surface as HTTP-level errors; an
 // act-level error stops the batch and rides inside the reply (ActErr). A session this node does
 // not host is thawed from the snapshot directory first, so eviction and
 // cluster handoff are invisible to the client.
 func (m *Manager) ActBatch(req *BatchRequest) (*BatchReply, error) {
-	if !m.admit() {
-		return nil, errShed
-	}
 	t0 := time.Now()
 	out, err := m.actBatch(req)
-	m.release()
 	m.actNs.ObserveSince(t0)
 	span := "play.act"
 	if len(req.Acts) == 0 {
@@ -1070,12 +1026,8 @@ func (m *Manager) WithFrame(session string, advance int, fn func(f *raster.Frame
 }
 
 func (m *Manager) withFrame(tc obs.TraceContext, session string, advance int, fn func(f *raster.Frame, tick int) error) error {
-	if !m.admit() {
-		return errShed
-	}
 	t0 := time.Now()
 	err := m.withFrameInner(tc, session, advance, fn)
-	m.release()
 	m.frameNs.ObserveSince(t0)
 	m.ring.Record(tc, "play.frame", t0, err)
 	return err
@@ -1236,8 +1188,6 @@ func (m *Manager) Register(reg *obs.Registry) {
 	reg.CounterFunc("playsvc_acts_total", "interactions applied", m.acts.Load)
 	reg.CounterFunc("playsvc_frames_total", "frames rendered", m.frames.Load)
 	reg.CounterFunc("playsvc_checkpoints_total", "periodic checkpoint persists", m.checkpoints.Load)
-	reg.CounterFunc("playsvc_shed_total", "requests refused by admission control", m.shed.Load)
-	reg.GaugeFunc("playsvc_inflight", "play requests executing right now", m.inflight.Load)
 	reg.GaugeFunc("playsvc_video_buffers", "distinct video payloads resident (shared across courses)", videos(func([]byte) int64 { return 1 }))
 	reg.GaugeFunc("playsvc_video_bytes", "resident video payload bytes", videos(func(v []byte) int64 { return int64(len(v)) }))
 	reg.GaugeFunc("playsvc_rooms", "live broadcast rooms", openRooms(func(*Room) int64 { return 1 }))

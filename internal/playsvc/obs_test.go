@@ -429,7 +429,7 @@ func TestStatsSurfacesAgree(t *testing.T) {
 		flat := checkNodeSurfaces(t, ts.URL)
 		for key, want := range map[string]int64{
 			"sessions_created": 4, "sessions_closed": 1, "sessions_evicted": 1, "sessions_live": 2,
-			"frames": 3, "rooms": 1, "watchers": 2, "room_answers": 1, "video_buffers": 1, "inflight": 0,
+			"frames": 3, "rooms": 1, "watchers": 2, "room_answers": 1, "video_buffers": 1,
 		} {
 			if got := stat(t, flat, key); got != want {
 				t.Errorf("%s = %d, want %d (%v)", key, got, want, flat)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -676,5 +677,56 @@ func TestCourseReplaceReleasesVideo(t *testing.T) {
 	}
 	if _, err := m.Act(&ActRequest{Session: r.Session, Kind: ActLeave}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandlerRefusals: what a node and the gateway refuse before any
+// session is touched — a request with the wrong method, a malformed or
+// oversized JSON body, a frame that does not parse, a frame GET that names
+// no session or that no node can take. Each row's body says
+// which check answered, so a refusal that falls through to a later one
+// fails too.
+func TestHandlerRefusals(t *testing.T) {
+	m := NewManager(Options{TTL: -1})
+	defer m.Close()
+	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGateway(nil) // no node: nothing refused here reaches one
+	// An oversized create would open a session if it were read whole.
+	oversized := `{"session":"big","course":"classroom","pad":"` + strings.Repeat("x", maxBody) + `"}`
+	for _, tc := range []struct {
+		name         string
+		h            http.Handler
+		method, path string
+		body         string
+		status       int
+		says         string
+	}{
+		{"node act GET", m.Handler(), http.MethodGet, ActPath, "", http.StatusMethodNotAllowed, "POST only"},
+		{"node act malformed JSON", m.Handler(), http.MethodPost, ActPath, `{"session":`, http.StatusBadRequest, "bad request"},
+		{"node act oversized", m.Handler(), http.MethodPost, ActPath, oversized, http.StatusBadRequest, "too large"},
+		{"node actv2 GET", m.Handler(), http.MethodGet, ActV2Path, "", http.StatusMethodNotAllowed, "POST only"},
+		{"node actv2 bad frame", m.Handler(), http.MethodPost, ActV2Path, "not a frame", http.StatusBadRequest, "bad request"},
+		{"node drain GET", m.Handler(), http.MethodGet, DrainPath, "", http.StatusMethodNotAllowed, "POST only"},
+		{"gateway act malformed JSON", g.Handler(), http.MethodPost, ActPath, `{"session":`, http.StatusBadRequest, "bad request"},
+		{"gateway actv2 GET", g.Handler(), http.MethodGet, ActV2Path, "", http.StatusMethodNotAllowed, "POST only"},
+		{"gateway actv2 bad frame", g.Handler(), http.MethodPost, ActV2Path, "not a frame", http.StatusBadRequest, "bad request"},
+		{"gateway frame without session", g.Handler(), http.MethodGet, FramePath, "", http.StatusBadRequest, "missing session"},
+		{"gateway frame with no node", g.Handler(), http.MethodGet, FramePath + "?session=s1", "", http.StatusBadGateway, "no nodes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			tc.h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+			if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.says) {
+				t.Fatalf("%s %s answered %d %q, want %d saying %q", tc.method, tc.path, rec.Code, rec.Body.String(), tc.status, tc.says)
+			}
+			if tc.status == http.StatusMethodNotAllowed && rec.Header().Get("Allow") != http.MethodPost {
+				t.Fatalf("405 with Allow %q, want POST", rec.Header().Get("Allow"))
+			}
+		})
+	}
+	if m.Live() != 0 || m.DrainAll() != 0 {
+		t.Fatal("a refused request opened a session")
 	}
 }

@@ -197,7 +197,7 @@ type BatchReply struct {
 	// acts [0,len(Results)) applied, act len(Results) failed, and any
 	// later acts never ran. It rides inside a 200 response — the batch
 	// request itself succeeded — so HTTP-level statuses keep meaning
-	// "session-level failure" (404 gone, 503 draining, 429 shed) and the
+	// "session-level failure" (404 gone, 503 draining) and the
 	// gateway's healing logic stays status-driven.
 	ActErr *Error
 }

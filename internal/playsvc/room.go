@@ -5,13 +5,14 @@
 // or policy — acting through the existing act path (JSON or binary); every
 // state change renders the presentation frame ONCE into an immutable,
 // sequence-numbered publication, and that same payload fans out to every
-// subscriber. Per-watcher delivery rides a small bounded ring: a slow or
-// stalled watcher overflows its own ring (oldest frames are skipped, a
-// counter keeps the honest tally) and never holds the driver — or any
-// other watcher — back. Frames are skippable; events and messages are not:
-// they are served as coalesced tails keyed by per-watcher seen-counts, the
-// same ack idiom the act path uses, so a watcher that missed frames still
-// reconstructs the full classroom transcript. Watchers also answer the
+// subscriber. Each watcher holds one pending publication: a newer one
+// replaces it undelivered (a counter keeps the honest tally of skips), so
+// a slow or stalled watcher gets the freshest frame on its next poll and
+// never holds the driver — or any other watcher — back. Frames are
+// skippable; events and messages are not: they are served as coalesced
+// tails keyed by per-watcher seen-counts, the same ack idiom the act path
+// uses, so a watcher that missed frames still reconstructs the full
+// classroom transcript. Watchers also answer the
 // pending quiz (POST /room/answer); the room tallies answers per question
 // for the instructor's cohort view.
 //
@@ -33,10 +34,6 @@ import (
 )
 
 const (
-	// roomRingSlots is the per-watcher publication ring. Small on purpose:
-	// a watcher more than this many frames behind is watching a slideshow
-	// anyway — skipping to fresher frames beats buffering stale ones.
-	roomRingSlots = 4
 	// roomLogCap bounds the retained event and message tails. Watchers
 	// further behind than this see the base advance past their seen-count
 	// (a join-late gap, visible in the chunk's base field), never a stall.
@@ -50,7 +47,7 @@ const (
 )
 
 // pub is one immutable publication: the frame rendered once per state
-// change, shared by reference with every watcher ring. Nothing in a pub is
+// change, shared by reference with every watcher. Nothing in a pub is
 // mutated after publish — that is the read-only sharing contract that
 // makes zero-copy fan-out safe (see Session.FrameInto).
 type pub struct {
@@ -68,16 +65,15 @@ type tally struct {
 	byID    map[string]int // last answer per watcher (re-answer moves the vote)
 }
 
-// watcher is one subscription: a bounded ring of pending publications plus
-// a wake channel. The ring holds pointers to shared pubs, so N watchers
-// cost N small rings, not N frame copies.
+// watcher is one subscription: one pending publication plus a wake
+// channel. The slot holds a pointer to a shared pub, so N watchers cost N
+// pointers, not N frame copies.
 type watcher struct {
 	id string
 
 	mu       sync.Mutex
-	ring     [roomRingSlots]*pub
-	head, n  int
-	skipped  int64 // cumulative frames dropped for this watcher
+	pending  *pub  // newest undelivered publication, nil once taken
+	skipped  int64 // cumulative publications replaced undelivered
 	reported int64 // skipped value at the last delivery (for per-poll deltas)
 	gone     bool
 
@@ -85,24 +81,21 @@ type watcher struct {
 	lastSeen atomic.Int64  // unix nanos, for idle pruning
 }
 
-// push appends a publication, dropping the oldest when the ring is full.
-// Called with Room.mu held; takes only the watcher's own lock, so one
-// stalled watcher cannot slow the fan-out loop.
+// push makes p the pending publication; one it replaces was never
+// delivered and counts as skipped. Called with Room.mu held; takes only
+// the watcher's own lock, so one stalled watcher cannot slow the fan-out
+// loop.
 func (w *watcher) push(p *pub) (dropped bool) {
 	w.mu.Lock()
 	if w.gone {
 		w.mu.Unlock()
 		return false
 	}
-	if w.n == len(w.ring) {
-		w.ring[w.head] = nil
-		w.head = (w.head + 1) % len(w.ring)
-		w.n--
+	dropped = w.pending != nil
+	if dropped {
 		w.skipped++
-		dropped = true
 	}
-	w.ring[(w.head+w.n)%len(w.ring)] = p
-	w.n++
+	w.pending = p
 	w.mu.Unlock()
 	select {
 	case w.notify <- struct{}{}:
@@ -111,32 +104,19 @@ func (w *watcher) push(p *pub) (dropped bool) {
 	return dropped
 }
 
-// pop takes the next pending publication. With latest set it drains the
-// ring to the newest entry, counting the bypassed ones as skipped (the
-// long-poll policy: a client that polls slowly wants the freshest frame).
-// skipTotal is the watcher's cumulative skip count after the pop;
-// skipDelta is how much of it accrued since the previous delivery.
-func (w *watcher) pop(latest bool) (p *pub, skipTotal, skipDelta int64, gone bool) {
+// pop takes the pending publication, the newest one. skipTotal is the
+// watcher's cumulative skip count after the pop; skipDelta is how much of
+// it accrued since the previous delivery.
+func (w *watcher) pop() (p *pub, skipTotal, skipDelta int64, gone bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.gone {
 		return nil, w.skipped, 0, true
 	}
-	if w.n == 0 {
+	if w.pending == nil {
 		return nil, w.skipped, 0, false
 	}
-	if latest {
-		for w.n > 1 {
-			w.ring[w.head] = nil
-			w.head = (w.head + 1) % len(w.ring)
-			w.n--
-			w.skipped++
-		}
-	}
-	p = w.ring[w.head]
-	w.ring[w.head] = nil
-	w.head = (w.head + 1) % len(w.ring)
-	w.n--
+	p, w.pending = w.pending, nil
 	skipDelta = w.skipped - w.reported
 	w.reported = w.skipped
 	return p, w.skipped, skipDelta, false
@@ -179,7 +159,7 @@ type Room struct {
 
 	renders   atomic.Int64 // publications (exactly one render each)
 	delivered atomic.Int64 // frames handed to watchers
-	skipped   atomic.Int64 // frames dropped from watcher rings
+	skipped   atomic.Int64 // publications replaced undelivered
 	answers   atomic.Int64 // distinct quiz answers recorded
 }
 
@@ -193,12 +173,8 @@ func newRoom(m *Manager, id string, h *hosted) *Room {
 	}
 }
 
-// ID returns the room identifier (also the driven session's id, so a
-// cluster gateway routes the driver and the watchers to the same node).
-func (r *Room) ID() string { return r.id }
-
 // publish renders the driven session once and fans the publication out to
-// every watcher ring. Called with r.h.mu held (the act and frame paths own
+// every watcher. Called with r.h.mu held (the act and frame paths own
 // the session lock when state changes); the render happens exactly once no
 // matter how many watchers subscribe — that is the O(1)-per-tick contract.
 func (r *Room) publish() {
@@ -306,7 +282,7 @@ func (r *Room) join(watcherID string) (*watcher, error) {
 	w := &watcher{id: watcherID, notify: make(chan struct{}, 1)}
 	w.lastSeen.Store(time.Now().UnixNano())
 	if r.cur != nil {
-		// The newest publication seeds the ring so a joiner's first poll
+		// The newest publication seeds the slot so a joiner's first poll
 		// returns immediately instead of waiting out a quiet classroom.
 		w.push(r.cur)
 	}
@@ -348,22 +324,22 @@ func (r *Room) lookupWatcher(watcherID string) (*watcher, error) {
 // sequence, tick, geometry, skip count, and the event/message tails beyond
 // the caller's seen-counts — appended into dst, plus the shared immutable
 // pixel payload, returned separately so the caller concatenates the two
-// writes without copying the frame. latest skips the ring to the newest
-// entry (the long-poll default); false drains the ring in order.
+// writes without copying the frame. A publication is always the newest:
+// the ones it replaced count in the chunk's skip total.
 //
 // A nil header with a nil error means the wait timed out with nothing new
 // (the HTTP layer answers 204). dst is reused across calls — steady-state
 // delivery allocates nothing per watcher. ackEvents/ackMessages are the
 // absolute event/message totals the chunk carries — the seen-counts the
 // next call should present.
-func (r *Room) WatchNext(watcherID string, seenEvents, seenMessages int, latest bool, wait time.Duration, dst []byte) (header, pix []byte, ackEvents, ackMessages int, err error) {
+func (r *Room) WatchNext(watcherID string, seenEvents, seenMessages int, wait time.Duration, dst []byte) (header, pix []byte, ackEvents, ackMessages int, err error) {
 	w, err := r.lookupWatcher(watcherID)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
 	now := time.Now()
 	w.lastSeen.Store(now.UnixNano())
-	p, skips, delta, gone := w.pop(latest)
+	p, skips, delta, gone := w.pop()
 	if p == nil && !gone && wait > 0 {
 		if wait > maxWatchWait {
 			wait = maxWatchWait
@@ -373,9 +349,9 @@ func (r *Room) WatchNext(watcherID string, seenEvents, seenMessages int, latest 
 		for p == nil && !gone {
 			select {
 			case <-w.notify:
-				p, skips, delta, gone = w.pop(latest)
+				p, skips, delta, gone = w.pop()
 			case <-deadline.C:
-				p, skips, delta, gone = w.pop(latest)
+				p, skips, delta, gone = w.pop()
 				if p == nil {
 					gone = true // stop waiting; distinguished below
 				}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/content"
 	"repro/internal/faultnet"
 	"repro/internal/gamepack"
+	"repro/internal/media/raster"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
@@ -64,12 +65,12 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		t.Fatal(err)
 	}
 
-	// Three ordered watchers join before the lesson starts; each therefore
-	// sees the full publication sequence from seq 1.
+	// Three watchers join before the lesson starts and poll in lockstep;
+	// each therefore sees the full publication sequence from seq 1.
 	const watchers = 3
 	wcs := make([]*RoomClient, watchers)
 	for i := range wcs {
-		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID, Ordered: true})
+		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		}
 	}
 
-	// Lockstep: the seed publication first (the ring seeds joiners with the
+	// Lockstep: the seed publication first (the slot seeds joiners with the
 	// create-time frame), then one poll per watcher per act — no watcher
 	// ever falls behind, so the golden run must skip nothing.
 	seedCRC := refCRC()
@@ -225,10 +226,10 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 }
 
 // TestRoomSlowWatcher pins the no-starvation contract: a subscriber that
-// never drains its ring must cost the driver nothing. The driver's act
-// latency histogram stays bounded while the stalled watcher's ring
-// overflows (frames skipped, counted), and a live watcher polling
-// alongside keeps receiving fresh frames.
+// never polls must cost the driver nothing. The driver's act latency
+// histogram stays bounded while each publication replaces the stalled
+// watcher's pending one (frames skipped, counted), and a live watcher
+// polling alongside keeps receiving fresh frames.
 func TestRoomSlowWatcher(t *testing.T) {
 	m := NewManager(Options{TTL: -1})
 	defer m.Close()
@@ -249,9 +250,10 @@ func TestRoomSlowWatcher(t *testing.T) {
 		}
 	}
 
-	// The live watcher drains latest-first in a tight loop, like a real
-	// client keeping up with the broadcast.
-	var delivered atomic.Int64
+	// The live watcher polls in a tight loop, like a real client keeping
+	// up with the broadcast, and keeps its last chunk's sequence number
+	// and skip count.
+	var delivered, lastSeq, lastSkipped atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -265,11 +267,18 @@ func TestRoomSlowWatcher(t *testing.T) {
 				return
 			default:
 			}
-			header, _, ae, am, err := room.WatchNext("live", seenE, seenM, true, 50*time.Millisecond, dst[:0])
+			header, _, ae, am, err := room.WatchNext("live", seenE, seenM, 50*time.Millisecond, dst[:0])
 			if err != nil {
 				return
 			}
 			if header != nil {
+				u, err := ParseWatchChunk(header[4:])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				lastSeq.Store(u.Seq)
+				lastSkipped.Store(u.Skipped)
 				delivered.Add(1)
 				dst = header
 				seenE, seenM = ae, am
@@ -290,8 +299,8 @@ func TestRoomSlowWatcher(t *testing.T) {
 	}
 	waitFor("seed delivery", func() bool { return delivered.Load() >= 1 })
 
-	// The driver ticks away; the stalled ring overflows within 4 acts and
-	// keeps overflowing for the rest of the run.
+	// The driver ticks away; every act replaces the stalled watcher's
+	// pending publication undelivered.
 	const acts = 200
 	req := ActRequest{Session: roomID, Kind: ActTick, Ticks: 1}
 	for i := 0; i < acts; i++ {
@@ -301,15 +310,15 @@ func TestRoomSlowWatcher(t *testing.T) {
 		}
 		req.SeenEvents, req.SeenMessages = r.EventCount, r.MessageCount
 	}
-	// The final publication is still in the live ring; the watcher must
-	// reach it (latest-first) even though it skipped plenty in between.
-	waitFor("fresh delivery", func() bool { return delivered.Load() >= 2 })
+	// The live watcher must reach the last publication, whatever it
+	// skipped in between.
+	waitFor("the last publication", func() bool { return lastSeq.Load() == 1+acts })
 	close(stop)
 	wg.Wait()
 
 	// The starvation assertion rides the act histogram, not a guess: every
 	// driver act was measured, and the tail must not show fan-out
-	// backpressure from the stalled ring. The bound is generous (race
+	// backpressure from the stalled watcher. The bound is generous (race
 	// detector, shared CI) — a blocking fan-out would park acts behind an
 	// 8s poll hold, orders of magnitude past it.
 	snap := m.actNs.Snapshot()
@@ -327,10 +336,38 @@ func TestRoomSlowWatcher(t *testing.T) {
 	if want := int64(1 + acts); st.Renders != want {
 		t.Fatalf("renders = %d, want %d (one per state change, watchers notwithstanding)", st.Renders, want)
 	}
-	// The stalled watcher alone must have shed nearly every publication
-	// (its ring keeps only roomRingSlots); the live watcher may add more.
-	if min := int64(acts - 2*roomRingSlots); st.Skipped < min {
-		t.Fatalf("skipped = %d, want >= %d from the stalled ring", st.Skipped, min)
+	// The stalled watcher skipped every act's publication but keeps the
+	// last one pending; the live watcher may add more skips.
+	if st.Skipped < acts {
+		t.Fatalf("skipped = %d, want >= %d from the stalled watcher", st.Skipped, acts)
+	}
+	// Both watchers were present from the seed on, so each of the 1+acts
+	// publications was delivered to, skipped by or is pending for each.
+	// A watcher's own skip count is its share of the room's: the stalled
+	// one skipped every act's publication, and the live one's last chunk
+	// carried its whole count.
+	var pending, skipped int64
+	for id, w := range room.watchers {
+		w.mu.Lock()
+		if w.pending != nil {
+			pending++
+		}
+		skipped += w.skipped
+		want := map[string]int64{"stalled": acts, "live": lastSkipped.Load()}[id]
+		if w.skipped != want {
+			t.Errorf("watcher %s skipped %d, want %d", id, w.skipped, want)
+		}
+		if id == "stalled" && (w.pending == nil || w.pending.seq != 1+acts) {
+			t.Errorf("the stalled watcher's pending publication is not the newest, seq %d", 1+acts)
+		}
+		w.mu.Unlock()
+	}
+	if skipped != st.Skipped {
+		t.Errorf("watchers skipped %d in all, the room counts %d", skipped, st.Skipped)
+	}
+	if got, want := st.Delivered+st.Skipped+pending, int64(2*(1+acts)); got != want {
+		t.Fatalf("delivered %d + skipped %d + pending %d = %d, want %d publications for two watchers",
+			st.Delivered, st.Skipped, pending, got, want)
 	}
 	if delivered.Load() == 0 {
 		t.Fatal("live watcher starved while a peer stalled")
@@ -674,4 +711,77 @@ func TestRoomLossyLink(t *testing.T) {
 		}
 	}
 	t.Logf("%d publications over %+v", st.Renders, injected())
+}
+
+// TestRoomPrunesIdleWatcher: the idle sweep drops a watcher that stopped
+// polling without a leave. Its blocked poll is released with a 404, the
+// room counts no watcher, and the driven session — touched after the
+// cutoff — stays live.
+func TestRoomPrunesIdleWatcher(t *testing.T) {
+	m := NewManager(Options{TTL: -1})
+	defer m.Close()
+	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	const roomID = "classroom-prune-room"
+	if _, err := m.Act(&ActRequest{Session: roomID, Course: "classroom", Room: true}); err != nil {
+		t.Fatal(err)
+	}
+	room, ok := m.Room(roomID)
+	if !ok {
+		t.Fatal("room not registered")
+	}
+	if _, err := m.JoinRoom(&RoomJoinRequest{Room: roomID, Watcher: "idle"}); err != nil {
+		t.Fatal(err)
+	}
+	// Take the seed publication, so the next poll blocks.
+	if header, _, _, _, err := room.WatchNext("idle", 0, 0, 0, nil); err != nil || header == nil {
+		t.Fatalf("seed delivery: header %v, err %v", header != nil, err)
+	}
+	room.mu.Lock()
+	w := room.watchers["idle"]
+	room.mu.Unlock()
+	seen := w.lastSeen.Load()
+	time.Sleep(time.Millisecond)
+	polled := make(chan error, 1)
+	go func() {
+		_, _, _, _, err := room.WatchNext("idle", 0, 0, maxWatchWait, nil)
+		polled <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); w.lastSeen.Load() == seen; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the poll never started")
+		}
+	}
+
+	// The watcher was last seen before the cutoff, the driver after it: a
+	// frame with no advance touches the session and publishes nothing.
+	time.Sleep(time.Millisecond)
+	cutoff := time.Now()
+	time.Sleep(time.Millisecond)
+	if err := m.WithFrame(roomID, 0, func(*raster.Frame, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.ExpireIdle(cutoff); n != 0 {
+		t.Fatalf("the sweep reclaimed %d sessions, want the driver kept", n)
+	}
+
+	select {
+	case err := <-polled:
+		if pe, ok := err.(*Error); !ok || pe.Status != http.StatusNotFound {
+			t.Fatalf("pruned watcher's poll returned %v, want a 404", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the pruned watcher's poll is still blocked")
+	}
+	st, err := m.RoomStatsOf(roomID)
+	if err != nil {
+		t.Fatalf("room gone after pruning its watcher: %v", err)
+	}
+	if st.Watchers != 0 {
+		t.Fatalf("watchers = %d after the sweep, want 0", st.Watchers)
+	}
+	if live := m.Live(); live != 1 {
+		t.Fatalf("live sessions = %d, want the driver's", live)
+	}
 }

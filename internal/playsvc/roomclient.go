@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/media/raster"
 	"repro/internal/obs"
@@ -32,9 +31,6 @@ type RoomClientOptions struct {
 	// one. Either way the join names its watcher, so a join retried after
 	// a lost reply reattaches instead of double-subscribing.
 	Watcher string
-	// Ordered drains the per-watcher ring in order instead of skipping to
-	// the freshest frame on every poll.
-	Ordered bool
 	// Trace, when valid, stamps every request (see ClientOptions.Trace).
 	Trace obs.TraceContext
 	// HTTP defaults to faultnet.DefaultHTTPClient().
@@ -44,21 +40,18 @@ type RoomClientOptions struct {
 // RoomClient is one watcher subscription. Like Client, it is driven by a
 // single goroutine: polls reuse its frame and header buffers.
 type RoomClient struct {
-	opts      RoomClientOptions
-	retry     faultnet.RetryPolicy // Client's default policy
-	room      string
-	watcher   string
-	w, h, fps int
+	opts    RoomClientOptions
+	retry   faultnet.RetryPolicy // Client's default policy
+	room    string
+	watcher string
 
 	seenEvents   int
 	seenMessages int
 	seq          int64 // last publication sequence received
-	tick         int
 	quiz         string
 	skipped      int64 // cumulative server-reported skip count
 	delivered    int64
 
-	state    *core.State // join-time snapshot (not advanced by frames)
 	events   []runtime.Event
 	messages []string
 
@@ -81,12 +74,10 @@ func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 	if err := c.postJSON(RoomJoinPath, &RoomJoinRequest{Watcher: o.Watcher, Trace: o.Trace}, &reply); err != nil {
 		return nil, err
 	}
-	c.w, c.h, c.fps = reply.Width, reply.Height, reply.FPS
-	c.seq, c.tick = reply.Seq, reply.Tick
+	c.seq = reply.Seq
 	c.seenEvents = reply.EventCount
 	c.seenMessages = reply.MessageCount
 	c.quiz = reply.Quiz
-	c.state = reply.State
 	c.events = append(c.events, reply.Events...)
 	c.messages = append(c.messages, reply.Messages...)
 	return c, nil
@@ -96,14 +87,8 @@ func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 // one JoinRoom minted).
 func (c *RoomClient) WatcherID() string { return c.watcher }
 
-// VideoMeta returns the room's frame geometry.
-func (c *RoomClient) VideoMeta() (w, h, fps int) { return c.w, c.h, c.fps }
-
 // Seq returns the last received publication sequence number.
 func (c *RoomClient) Seq() int64 { return c.seq }
-
-// Tick returns the driven session's tick at the last received frame.
-func (c *RoomClient) Tick() int { return c.tick }
 
 // Skipped returns the server's cumulative skip count for this watcher —
 // frames the fan-out dropped because this subscriber fell behind.
@@ -115,19 +100,12 @@ func (c *RoomClient) Delivered() int64 { return c.delivered }
 // PendingQuiz returns the pending quiz id at the last update ("" = none).
 func (c *RoomClient) PendingQuiz() string { return c.quiz }
 
-// State returns the join-time state snapshot (watchers follow the live
-// session through frames and events, not state clones).
-func (c *RoomClient) State() *core.State { return c.state }
-
 // Events returns the accumulated session event transcript (join tail plus
 // every update's delta, in absolute order — frames skip, events do not).
 func (c *RoomClient) Events() []runtime.Event { return append([]runtime.Event(nil), c.events...) }
 
 // Messages returns the accumulated classroom transcript.
 func (c *RoomClient) Messages() []string { return append([]string(nil), c.messages...) }
-
-// Err returns the sticky transport failure, if any.
-func (c *RoomClient) Err() error { return c.err }
 
 func (c *RoomClient) fail(err error) error {
 	if c.err == nil {
@@ -189,9 +167,6 @@ func (c *RoomClient) watchURL(wait time.Duration) string {
 	q.Set("events", strconv.Itoa(c.seenEvents))
 	q.Set("messages", strconv.Itoa(c.seenMessages))
 	q.Set("wait_ms", strconv.Itoa(int(wait/time.Millisecond)))
-	if c.opts.Ordered {
-		q.Set("latest", "0")
-	}
 	return c.opts.BaseURL + RoomWatchPath + "?" + q.Encode()
 }
 
@@ -199,7 +174,7 @@ func (c *RoomClient) watchURL(wait time.Duration) string {
 // tails never overlap across updates (the server trims to the presented
 // seen-counts), so plain appends rebuild the transcripts in order.
 func (c *RoomClient) fold(u *WatchUpdate) {
-	c.seq, c.tick = u.Seq, u.Tick
+	c.seq = u.Seq
 	c.skipped = u.Skipped
 	c.quiz = u.Quiz
 	c.seenEvents = u.EventCount

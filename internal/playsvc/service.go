@@ -300,8 +300,7 @@ const WatchContentType = "application/x-vgbl-watch"
 
 // handleRoomWatch serves the fan-out: GET with room, watcher, events,
 // messages (the seen-counts) and wait_ms (long-poll hold, default 2s).
-// A reply is one chunk: the freshest pending frame, or with latest=0 the
-// oldest (in-order ring draining). A 204 means the hold expired with
+// A reply is one chunk: the freshest pending frame. A 204 means the hold expired with
 // nothing new; rejoin-worthy conditions (room gone, watcher pruned) are
 // 404s. An absent or empty number takes its default (seen-count 0, the
 // 2s hold, as does a wait_ms ≤ 0); one that is not a decimal integer, or a
@@ -331,9 +330,8 @@ func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 		waitMS = 2000
 	}
 	wait := time.Duration(waitMS) * time.Millisecond
-	latest := q.Get("latest") != "0"
 
-	header, pix, _, _, err := room.WatchNext(q.Get("watcher"), seenE, seenM, latest, wait, nil)
+	header, pix, _, _, err := room.WatchNext(q.Get("watcher"), seenE, seenM, wait, nil)
 	if err != nil {
 		writeError(w, err)
 		return

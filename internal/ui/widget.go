@@ -188,41 +188,3 @@ func (t *TextField) Keyboard(ev KeyEvent) bool {
 	}
 	return false
 }
-
-// Image is a static picture widget; it draws a raster frame, optionally
-// color-keyed (the paper's "image object with white background").
-type Image struct {
-	Box
-	Frame   *raster.Frame
-	Keyed   bool
-	Key     raster.RGB
-	OnClick func()
-}
-
-// NewImage creates an image widget.
-func NewImage(id string, b raster.Rect, frame *raster.Frame) *Image {
-	return &Image{Box: NewBox(id, b), Frame: frame}
-}
-
-// Paint blits the picture at the widget origin.
-func (im *Image) Paint(f *raster.Frame) {
-	if im.Frame == nil {
-		f.FillRect(im.Bounds(), ThemeBgDark)
-		return
-	}
-	r := im.Bounds()
-	if im.Keyed {
-		f.BlitKeyed(im.Frame, r.X, r.Y, im.Key)
-	} else {
-		f.Blit(im.Frame, r.X, r.Y)
-	}
-}
-
-// Mouse fires OnClick for clicks.
-func (im *Image) Mouse(ev MouseEvent) bool {
-	if ev.Kind == MouseClick && im.OnClick != nil {
-		im.OnClick()
-		return true
-	}
-	return ev.Kind == MouseClick
-}
