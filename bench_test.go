@@ -755,10 +755,10 @@ func benchmarkFleet(b *testing.B, learners int) {
 	}
 	svc := telemetry.NewService(telemetry.Options{})
 	defer svc.Close()
-	if err := srv.Mount("/telemetry/", svc.Handler()); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	mux := http.NewServeMux()
+	mux.Handle("/telemetry/", svc.Handler())
+	mux.Handle("/", srv)
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	var sessions, events float64
 	var elapsed time.Duration
@@ -862,9 +862,10 @@ func BenchmarkIngestHandler(b *testing.B) {
 //   - act: a full interaction round (dialogue turn + self-contained reply
 //     assembly with state snapshot and event tail).
 //   - tick: the cheapest act (advance playback, assemble reply).
-//   - frame: the advance+render frame path — DecodeInto plus cached-sprite
-//     composition into the session-owned buffer. This path must report
-//     0 allocs/op (pinned by playsvc's TestFramePathZeroAlloc).
+//   - frame: the render frame path — DecodeInto plus cached-sprite
+//     composition into a pooled buffer; a frame read moves no playback.
+//     This path must report 0 allocs/op (pinned by playsvc's
+//     TestFramePathZeroAlloc).
 func BenchmarkPlaysvcAct(b *testing.B) {
 	b.Run("act", func(b *testing.B) {
 		m, id := newHostedBench(b)
@@ -896,7 +897,7 @@ func BenchmarkPlaysvcAct(b *testing.B) {
 		noop := func(f *raster.Frame, tick int) error { return nil }
 		// Warm the sprite cache, frame buffer and decoder recycling.
 		for i := 0; i < 8; i++ {
-			if err := m.WithFrame(id, 1, noop); err != nil {
+			if err := m.WithFrame(id, noop); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -904,7 +905,7 @@ func BenchmarkPlaysvcAct(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := m.WithFrame(id, 1, noop); err != nil {
+			if err := m.WithFrame(id, noop); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -957,11 +958,7 @@ func BenchmarkPlaysvcRemoteLearner(b *testing.B) {
 	if err := m.AddCourse("classroom", classroomPkg(b)); err != nil {
 		b.Fatal(err)
 	}
-	srv := netstream.NewServer()
-	if err := srv.Mount("/play/", m.Handler()); err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(m.Handler())
 	defer ts.Close()
 	proj := content.Classroom().Project
 	b.ResetTimer()

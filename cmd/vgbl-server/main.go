@@ -7,13 +7,16 @@
 // lecturers can read live aggregates from /telemetry/stats, and mounts the
 // play service so clients can play server-hosted sessions through
 // /play/actv2 (framed create or resume, acts and leave; /play/act is its
-// curl-able JSON adapter) and /play/frame (live counters at /play/stats).
-// A classroom room is a session whose create carries a room record
-// ({"session":…,"course":…,"room":true} on /play/act); watchers join,
-// watch, answer and leave on /room/*, naming the room in the query. A
-// watch is a GET long poll answered with the newest publication and the
-// count of those the watcher skipped; a watcher that stops polling is
-// pruned by the idle sweep (-play-ttl).
+// curl-able JSON adapter), the only way a session changes, and read their
+// frames with a GET of /play/frame, which changes nothing (a tick is an
+// act; a GET naming advance is refused); live counters are at
+// /play/stats. A classroom room is a session whose create carries a room
+// record ({"session":…,"course":…,"room":true} on /play/act); watchers
+// join, watch, answer and leave on /room/*, naming the room in the query.
+// A join only subscribes: its reply names the room and the watcher, and
+// the catch-up rides the first watch. A watch is a GET long poll answered
+// with the newest publication and the count of those the watcher skipped;
+// a watcher that stops polling is pruned by the idle sweep (-play-ttl).
 //
 // The package server keeps every package's bytes in one content-addressed
 // chunk store (segments shared across courses are stored once; -store-dir
@@ -41,9 +44,11 @@
 // clients keep receiving the canonical full-quality video. Bytes served
 // per tier are counted on the netstream_tier_bytes_total metrics family.
 //
-// The deployment itself — route layout, metrics wiring and the publish
+// The deployment itself — one route mux, metrics wiring and the publish
 // rule — is internal/deploy's, the same one every in-process stack builds;
 // this command adds the flags, the demo courses, -pprof and the banner.
+// A publish holds only the package server's routes, so play goes on
+// while a course is re-published.
 //
 // Usage:
 //
@@ -179,8 +184,8 @@ func main() {
 	}
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
 	fmt.Printf("  telemetry: http://%s%s (POST %s), http://%s%s\n", ln.Addr(), telemetry.IngestPath, telemetry.BatchContentType, ln.Addr(), telemetry.StatsPath)
-	fmt.Printf("  play:     http://%s%s (POST), %s, %s, %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
-	fmt.Printf("  rooms:    http://%s%s?room= (POST), %s (GET: newest frame, skips counted), %s; a room opens with a create's room record\n", ln.Addr(), playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
+	fmt.Printf("  play:     http://%s%s (POST), %s, %s (GET ?session=, a read), %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
+	fmt.Printf("  rooms:    http://%s%s?room= (POST, subscribes), %s (GET: newest frame, skips counted; the first is the catch-up), %s; a room opens with a create's room record\n", ln.Addr(), playsvc.RoomJoinPath, playsvc.RoomWatchPath, playsvc.RoomStatsPath)
 	if *cluster > 0 {
 		fmt.Printf("  cluster:  %d play nodes behind the /play/ gateway (checkpoint every %v)\n", *cluster, *checkpointEvery)
 		names := d.Cluster.NodeNames()

@@ -7,14 +7,20 @@
 // vgbl-loadtest's in-process mode, examples, experiments, the fleet
 // gates) builds its stack here.
 //
-// Routes, next to the package server's own /pkg/, /manifest/, /chunk/,
-// /res/ and /list:
+// Routes, one http.ServeMux:
 //
 //	/telemetry/     ingest and stats (telemetry.Service)
 //	/healthz        readiness (telemetry.Service)
 //	/play/, /room/  the play service: one Manager, or a Cluster's Gateway
 //	/metrics        every subsystem's families (?format=json)
 //	/debug/traces   the play surface's span ring
+//	/               the package server (netstream.Server): /pkg/,
+//	                /manifest/, /chunk/, /res/, /list, and the 404 for
+//	                any other path
+//
+// Only the package server's routes take its lock, so a publish, which
+// holds it while the package's chunks are hashed and stored, stalls no
+// act, frame or telemetry post.
 package deploy
 
 import (
@@ -52,6 +58,7 @@ type Deployment struct {
 	Registry  *obs.Registry
 
 	srv       *netstream.Server
+	mux       *http.ServeMux
 	addCourse func(name string, blob []byte) error
 }
 
@@ -95,22 +102,14 @@ func New(c Config) (*Deployment, error) {
 	d.srv.Register(d.Registry)
 	d.Telemetry.Register(d.Registry)
 	ingest := d.Telemetry.Handler()
-	for _, m := range []struct {
-		pattern string
-		h       http.Handler
-	}{
-		{"/telemetry/", ingest},
-		{telemetry.HealthPath, ingest},
-		{"/play/", play},
-		{"/room/", play},
-		{"/metrics", d.Registry.Handler()},
-		{"/debug/traces", traces},
-	} {
-		if err := d.srv.Mount(m.pattern, m.h); err != nil {
-			d.Close()
-			return nil, err
-		}
-	}
+	d.mux = http.NewServeMux()
+	d.mux.Handle("/telemetry/", ingest)
+	d.mux.Handle(telemetry.HealthPath, ingest)
+	d.mux.Handle("/play/", play)
+	d.mux.Handle("/room/", play)
+	d.mux.Handle("/metrics", d.Registry.Handler())
+	d.mux.Handle("/debug/traces", traces)
+	d.mux.Handle("/", d.srv)
 	return d, nil
 }
 
@@ -130,7 +129,7 @@ func (d *Deployment) Names() []string { return d.srv.Names() }
 func (d *Deployment) AddResource(name, content string) { d.srv.AddResource(name, content) }
 
 // ServeHTTP serves every route.
-func (d *Deployment) ServeHTTP(w http.ResponseWriter, r *http.Request) { d.srv.ServeHTTP(w, r) }
+func (d *Deployment) ServeHTTP(w http.ResponseWriter, r *http.Request) { d.mux.ServeHTTP(w, r) }
 
 // Close stops the play service and the telemetry ingest.
 func (d *Deployment) Close() {

@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/blobstore"
 	"repro/internal/content"
 	"repro/internal/media/studio"
 	"repro/internal/playsvc"
@@ -63,9 +66,23 @@ func testRoutes(t *testing.T, blob []byte, nodes int) {
 	front := httptest.NewServer(d)
 	t.Cleanup(front.Close)
 
-	// The package server.
+	// The package server, the catch-all: its routes, and its 404 for any
+	// path no route names (an exact route does not take its subtree).
 	get(t, front.URL, "/pkg/classroom")
 	get(t, front.URL, "/manifest/classroom")
+	if list := get(t, front.URL, "/list"); list != "classroom\n" {
+		t.Errorf("/list = %q", list)
+	}
+	for _, path := range []string{"/healthz/extra", "/metrics/x", "/listing", "/nope"} {
+		resp, err := http.Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: %s, want 404", path, resp.Status)
+		}
+	}
 
 	// A thin session creates, acts and leaves through /play/.
 	project := content.Classroom().Project
@@ -185,5 +202,108 @@ func TestUnknownSessionIsOneHop(t *testing.T) {
 	}
 	if acts != 2 {
 		t.Errorf("the nodes recorded %d play.act spans, want one per request", acts)
+	}
+}
+
+// blockingBackend is an in-memory chunk backend whose Put, once armed,
+// signals entered and then blocks until release is closed.
+type blockingBackend struct {
+	blobstore.Backend
+	armed   atomic.Bool
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingBackend) Put(h blobstore.Hash, data []byte) (bool, error) {
+	if b.armed.Load() {
+		b.once.Do(func() { close(b.entered) })
+		<-b.release
+	}
+	return b.Backend.Put(h, data)
+}
+
+// TestPublishDoesNotStallPlay: a publish holds the package server's lock
+// while it stores the package's chunks, and only the package server's
+// routes take that lock. So while the publish of a second course is
+// blocked in the chunk store, the front still answers /healthz and a thin
+// session's create on the first course.
+func TestPublishDoesNotStallPlay(t *testing.T) {
+	first, err := content.Classroom().BuildPackage(studio.Options{QStep: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := content.Classroom().BuildPackage(studio.Options{QStep: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &blockingBackend{Backend: blobstore.NewMemory(), entered: make(chan struct{}), release: make(chan struct{})}
+	d, err := New(Config{Store: blobstore.Options{Backend: be}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	if err := d.Publish("classroom", first); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(d)
+	t.Cleanup(front.Close)
+
+	be.armed.Store(true)
+	published := make(chan error, 1)
+	go func() { published <- d.Publish("classroom-2", second) }()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(be.release) }) }
+	defer release()
+	select {
+	case <-be.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second publish never reached the chunk store")
+	}
+
+	within := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", what, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s waited for the publish", what)
+		}
+	}
+	within("GET /healthz", func() error {
+		resp, err := http.Get(front.URL + telemetry.HealthPath)
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("answered %s", resp.Status)
+		}
+		return nil
+	})
+	clients := make(chan *playsvc.Client, 1)
+	within("a thin session's create", func() error {
+		c, err := playsvc.Dial(playsvc.ClientOptions{BaseURL: front.URL, Course: "classroom", Project: content.Classroom().Project})
+		if err != nil {
+			return err
+		}
+		clients <- c
+		return nil
+	})
+
+	release()
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case c := <-clients:
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	default:
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -70,10 +71,10 @@ func E19() (string, error) {
 	}
 	reg := obs.NewRegistry("vgbl")
 	srv.Register(reg)
-	if err := srv.Mount("/metrics", reg.Handler()); err != nil {
-		return "", err
-	}
-	ts := httptest.NewServer(srv)
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/", srv)
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	dur := float64(r0.Meta().FrameCount) / float64(r0.Meta().FPS)

@@ -25,6 +25,16 @@ import (
 	"repro/internal/sim"
 )
 
+const (
+	// quizHoldSeconds is how long, in seconds of class time, a pending
+	// quiz stays open for the cohort before the driver answers it and the
+	// lesson moves on.
+	quizHoldSeconds = 2
+	// watcherCorrectness is the probability a watcher answers a quiz
+	// correctly — what makes cohort tallies look like a class.
+	watcherCorrectness = 0.7
+)
+
 // ClassroomConfig shapes one shared-session fan-out run.
 type ClassroomConfig struct {
 	ServerURL string // package server base URL (http://host:port)
@@ -35,14 +45,6 @@ type ClassroomConfig struct {
 	Watchers int // subscribers per room (default 50)
 	FPS      int // driver pace in acts per second (default 10)
 	Ticks    int // driver acts per room (default 100)
-
-	// QuizHoldTicks is how many driver ticks a pending quiz stays open for
-	// the cohort before the driver answers it and the lesson moves on
-	// (default 2×FPS — two seconds of class time).
-	QuizHoldTicks int
-	// Correctness is the probability a watcher answers a quiz correctly
-	// (default 0.7) — the knob that makes cohort tallies look like a class.
-	Correctness float64
 
 	Policy sim.Factory // driver policy (default sim.GuidedFactory)
 	Seed   int64
@@ -67,12 +69,6 @@ func (c *ClassroomConfig) defaults() (ownsTransport bool, err error) {
 	}
 	if c.Ticks <= 0 {
 		c.Ticks = 100
-	}
-	if c.QuizHoldTicks <= 0 {
-		c.QuizHoldTicks = 2 * c.FPS
-	}
-	if c.Correctness <= 0 || c.Correctness > 1 {
-		c.Correctness = 0.7
 	}
 	if c.Policy.New == nil {
 		c.Policy = sim.GuidedFactory
@@ -299,7 +295,7 @@ func runRoomDriver(cfg *ClassroomConfig, pc *playsvc.Client, seed int64) driverO
 		case pending && q.ID != heldQuiz:
 			// A fresh quiz: start the cohort window and keep the video
 			// rolling underneath it (quizzes overlay playback).
-			heldQuiz, holdLeft = q.ID, cfg.QuizHoldTicks
+			heldQuiz, holdLeft = q.ID, quizHoldSeconds*cfg.FPS
 			err = pc.Advance(1)
 		case pending && holdLeft > 0:
 			holdLeft--
@@ -364,7 +360,9 @@ func watchHold(cfg *ClassroomConfig) time.Duration {
 
 // runWatcher follows one room to the end: join, long-poll the broadcast,
 // answer each quiz once. A watcher answers correctly with
-// probability cfg.Correctness, otherwise picks a random wrong choice.
+// probability watcherCorrectness, otherwise picks a random wrong choice.
+// The join's catch-up is the first poll, which returns at once: a quiz
+// already open at join time arrives in its u.Quiz.
 func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed int64, deadline time.Time) watcherOutcome {
 	var o watcherOutcome
 	rng := rand.New(rand.NewSource(cfg.Seed + seed*104729 + 13))
@@ -385,7 +383,7 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 			return
 		}
 		choice := q.Answer
-		if rng.Float64() >= cfg.Correctness && len(q.Choices) > 1 {
+		if rng.Float64() >= watcherCorrectness && len(q.Choices) > 1 {
 			// A wrong answer, uniformly over the distractors.
 			choice = rng.Intn(len(q.Choices) - 1)
 			if choice >= q.Answer {
@@ -399,7 +397,6 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 			answered[quizID] = true
 		}
 	}
-	answer(wc.PendingQuiz()) // a quiz may already be open at join time
 	hold := watchHold(cfg)
 	for time.Now().Before(deadline) {
 		var u *playsvc.WatchUpdate

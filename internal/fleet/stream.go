@@ -30,8 +30,7 @@ type StreamConfig struct {
 	Profile string
 	Seed    int64 // base RNG seed for the fault transports (offset per learner)
 
-	ABR   netstream.ABRConfig // picker tuning (zero value = defaults)
-	Speed float64             // playhead media-seconds per wall-second (default 1)
+	Speed float64 // playhead media-seconds per wall-second (default 1)
 	// DecodeFrames makes every learner decode each segment's first
 	// frame, proving fetched tiers actually play.
 	DecodeFrames bool
@@ -118,7 +117,7 @@ func RunStreamers(cfg StreamConfig) (*StreamSummary, error) {
 			// own cache: a streaming fleet measures links, not cache
 			// sharing.
 			client := &netstream.Client{HTTP: faultnet.WrapClient(nil, profile, cfg.Seed+int64(i))}
-			g, open, err := client.ProgressiveOpenABR(url, netstream.NewPackageCache(), cfg.ABR)
+			g, open, err := client.ProgressiveOpenABR(url, netstream.NewPackageCache(), netstream.ABRConfig{})
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {

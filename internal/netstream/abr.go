@@ -6,14 +6,14 @@
 // Tier-selection rules (see DESIGN.md §"Adaptive streaming & quality
 // ladder" for the rationale):
 //
-//  1. Buffer panic: below MinBuffer seconds of buffered media, pick the
-//     lowest rung unconditionally. Surviving is better than pretty.
+//  1. Buffer panic: below abrMinBuffer seconds of buffered media, pick
+//     the lowest rung unconditionally. Surviving is better than pretty.
 //  2. Throughput budget: otherwise the candidate is the highest rung
-//     whose media rate fits within Safety × estimated throughput.
+//     whose media rate fits within abrSafety × estimated throughput.
 //  3. Downward switches apply immediately (the link got worse; waiting
 //     makes it a rebuffer).
 //  4. Upward switches are damped: the candidate must stay above the
-//     current rung for UpHold consecutive picks, and the picker then
+//     current rung for abrUpHold consecutive picks, and the picker then
 //     climbs one rung per pick — a link flapping around a tier boundary
 //     oscillates the estimate, not the video.
 //
@@ -36,38 +36,24 @@ type TierInfo struct {
 	Rate float64 // bytes per media-second
 }
 
-// ABRConfig tunes the picker. The zero value picks sane defaults.
-type ABRConfig struct {
-	// Safety discounts the throughput estimate before comparing it to
-	// tier rates (default 0.7): a rung is only affordable if it fits in
-	// 70% of what the link recently delivered.
-	Safety float64
-	// MinBuffer is the panic threshold in buffered media seconds
-	// (default 1.5): below it the picker drops to the lowest rung.
-	MinBuffer float64
-	// UpHold is how many consecutive picks must support a higher rung
-	// before the picker starts climbing (default 2).
-	UpHold int
-	// Alpha is the EWMA weight of each new throughput sample
-	// (default 0.4).
-	Alpha float64
-}
+// ABRConfig is ProgressiveOpenABR's picker argument, an empty type: the
+// picker's tuning is the constants below.
+type ABRConfig struct{}
 
-func (c ABRConfig) withDefaults() ABRConfig {
-	if c.Safety <= 0 {
-		c.Safety = 0.7
-	}
-	if c.MinBuffer <= 0 {
-		c.MinBuffer = 1.5
-	}
-	if c.UpHold <= 0 {
-		c.UpHold = 2
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.4
-	}
-	return c
-}
+const (
+	// abrSafety discounts the throughput estimate before comparing it to
+	// tier rates: a rung is only affordable if it fits in 70% of what the
+	// link recently delivered.
+	abrSafety = 0.7
+	// abrMinBuffer is the panic threshold in buffered media seconds: below
+	// it the picker drops to the lowest rung.
+	abrMinBuffer = 1.5
+	// abrUpHold is how many consecutive picks must support a higher rung
+	// before the picker starts climbing.
+	abrUpHold = 2
+	// abrAlpha is the EWMA weight of each new throughput sample.
+	abrAlpha = 0.4
+)
 
 // ABRCounts snapshots the picker's decision counters.
 type ABRCounts struct {
@@ -80,7 +66,6 @@ type ABRCounts struct {
 // concurrent use (one picker per playing client is the normal shape).
 type ABRPicker struct {
 	mu       sync.Mutex
-	cfg      ABRConfig
 	tiers    []TierInfo // sorted ascending by Rate
 	est      float64    // EWMA throughput, bytes/sec; 0 = no estimate yet
 	cur      int        // current rung index
@@ -90,13 +75,13 @@ type ABRPicker struct {
 
 // NewABRPicker builds a picker over a ladder. Tiers are sorted by rate
 // internally; at least one tier is required.
-func NewABRPicker(tiers []TierInfo, cfg ABRConfig) (*ABRPicker, error) {
+func NewABRPicker(tiers []TierInfo) (*ABRPicker, error) {
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("netstream: ABR picker needs at least one tier")
 	}
 	sorted := append([]TierInfo(nil), tiers...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Rate < sorted[j].Rate })
-	return &ABRPicker{cfg: cfg.withDefaults(), tiers: sorted}, nil
+	return &ABRPicker{tiers: sorted}, nil
 }
 
 // Observe feeds one fetch's throughput sample (wire bytes over wall
@@ -113,7 +98,7 @@ func (p *ABRPicker) Observe(bytes int, elapsed time.Duration) {
 		p.est = sample
 		return
 	}
-	p.est = p.cfg.Alpha*sample + (1-p.cfg.Alpha)*p.est
+	p.est = abrAlpha*sample + (1-abrAlpha)*p.est
 }
 
 // Throughput reports the current EWMA estimate in bytes/sec (0 before
@@ -132,14 +117,14 @@ func (p *ABRPicker) Pick(bufferSec float64) string {
 	p.counts.Picks++
 	target := 0
 	if p.est > 0 {
-		budget := p.cfg.Safety * p.est
+		budget := abrSafety * p.est
 		for i, t := range p.tiers {
 			if t.Rate <= budget {
 				target = i
 			}
 		}
 	}
-	if bufferSec < p.cfg.MinBuffer {
+	if bufferSec < abrMinBuffer {
 		// Buffer panic: the only rule that overrides the estimate.
 		if p.cur != 0 {
 			p.counts.Panics++
@@ -150,7 +135,7 @@ func (p *ABRPicker) Pick(bufferSec float64) string {
 	switch {
 	case target > p.cur:
 		p.upStreak++
-		if p.upStreak >= p.cfg.UpHold {
+		if p.upStreak >= abrUpHold {
 			p.cur++ // climb one rung per pick once the hold is met
 			if p.cur == target {
 				// Reached the supported rung: any further climb is a new

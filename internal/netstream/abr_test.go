@@ -27,7 +27,6 @@ type abrStep struct {
 func TestABRPickerDecisions(t *testing.T) {
 	cases := []struct {
 		name  string
-		cfg   ABRConfig
 		steps []abrStep
 	}{
 		{
@@ -93,7 +92,7 @@ func TestABRPickerDecisions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewABRPicker(testLadder(), tc.cfg)
+			p, err := NewABRPicker(testLadder())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +110,7 @@ func TestABRPickerDecisions(t *testing.T) {
 }
 
 func TestABRPickerCounts(t *testing.T) {
-	p, err := NewABRPicker(testLadder(), ABRConfig{})
+	p, err := NewABRPicker(testLadder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +132,7 @@ func TestABRPickerCounts(t *testing.T) {
 }
 
 func TestABRPickerObserveGuards(t *testing.T) {
-	p, err := NewABRPicker(testLadder(), ABRConfig{})
+	p, err := NewABRPicker(testLadder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestABRPickerObserveGuards(t *testing.T) {
 	if got := p.Throughput(); got != 0 {
 		t.Errorf("guarded observations moved the estimate to %.0f", got)
 	}
-	if _, err := NewABRPicker(nil, ABRConfig{}); err == nil {
+	if _, err := NewABRPicker(nil); err == nil {
 		t.Error("empty ladder accepted")
 	}
 }

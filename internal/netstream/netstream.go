@@ -89,31 +89,30 @@ func validator(manifest []byte) string {
 
 // Server publishes game packages under /pkg/<name> with range support, a
 // package listing under /list, chunk-level access under /manifest/<name>
-// and /chunk/<hash>, and popup web resources under /res/<name>.
-// Additional subsystems (the telemetry service, health checks) mount their
-// handlers with Mount. All methods are safe for concurrent use; a classroom
-// fleet hammers one Server from hundreds of goroutines.
+// and /chunk/<hash>, and popup web resources under /res/<name>; every
+// other path is a 404 (internal/deploy routes a deployment's other
+// subsystems around it). All methods are safe for concurrent use; a
+// classroom fleet hammers one Server from hundreds of goroutines.
 type Server struct {
 	mu        sync.RWMutex
 	packages  map[string]*pkgEntry
 	resources map[string]string
-	mounts    map[string]http.Handler // path (or prefix ending in "/") → handler
 	started   time.Time
 	store     *blobstore.Store
 	// chunkRefs counts extent references per chunk across all published
 	// packages, so replacing a package can release the chunks only its
 	// old version used instead of leaking a generation per course update.
 	chunkRefs map[blobstore.Hash]int
-	// chunkTier attributes each published video chunk to its quality
-	// tier label (TierLabel form), so the /chunk/ route can account
-	// bytes served per tier; tierBytes holds the counters, registered
-	// lazily on reg as tiers appear.
-	chunkTier map[blobstore.Hash]string
+	// chunkTier maps each published video chunk to its quality tier's
+	// bytes-served counter, so the /chunk/ route counts a tiered chunk
+	// with one read-locked lookup; tierBytes holds the counters by tier
+	// label (TierLabel form), registered lazily on reg as tiers appear.
+	chunkTier map[blobstore.Hash]*atomic.Int64
 	tierBytes map[string]*atomic.Int64
 	reg       *obs.Registry
 
-	// Delivery counters for the built-in routes (mounted subsystems keep
-	// their own). All monotonic.
+	// Delivery counters for the package server's routes (a deployment's
+	// other subsystems keep their own). All monotonic.
 	requests    atomic.Int64
 	bytesServed atomic.Int64
 	notModified atomic.Int64 // conditional GETs answered 304
@@ -136,11 +135,10 @@ func NewServerWith(store *blobstore.Store) *Server {
 	return &Server{
 		packages:  map[string]*pkgEntry{},
 		resources: map[string]string{},
-		mounts:    map[string]http.Handler{},
 		started:   time.Now(),
 		store:     store,
 		chunkRefs: map[blobstore.Hash]int{},
-		chunkTier: map[blobstore.Hash]string{},
+		chunkTier: map[blobstore.Hash]*atomic.Int64{},
 		tierBytes: map[string]*atomic.Int64{},
 	}
 }
@@ -197,10 +195,10 @@ func (s *Server) AddPackage(name string, blob []byte) error {
 		if !ok {
 			continue
 		}
-		label := TierLabel(tier)
-		s.tierCounterLocked(label) // surface the series even before traffic
+		// Created here, so the series surfaces even before traffic.
+		counter := s.tierCounterLocked(TierLabel(tier))
 		for _, c := range sc.Chunks {
-			s.chunkTier[c.Hash] = label
+			s.chunkTier[c.Hash] = counter
 		}
 	}
 	if old != nil {
@@ -216,13 +214,6 @@ func (s *Server) AddPackage(name string, blob []byte) error {
 		}
 	}
 	return nil
-}
-
-// tierCounter is tierCounterLocked behind the server lock.
-func (s *Server) tierCounter(label string) *atomic.Int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tierCounterLocked(label)
 }
 
 // tierCounterLocked finds or creates the bytes-served counter for a tier
@@ -294,50 +285,6 @@ func (s *Server) ingest(man *gamepack.Manifest, blob []byte) (*pkgEntry, error) 
 	return ent, nil
 }
 
-// Mount attaches a handler at a path. A pattern ending in "/" matches the
-// whole subtree ("/telemetry/" serves /telemetry/ingest and
-// /telemetry/stats); otherwise the match is exact ("/healthz"). Mounts take
-// precedence over the built-in routes, so a pattern that would capture any
-// /pkg/, /manifest/, /chunk/, /res/ or /list request is rejected.
-func (s *Server) Mount(pattern string, h http.Handler) error {
-	if pattern == "" || pattern[0] != '/' {
-		return fmt.Errorf("netstream: mount pattern %q must start with /", pattern)
-	}
-	subtree := strings.HasSuffix(pattern, "/")
-	for _, reserved := range []string{"/pkg/", "/manifest/", "/chunk/", "/res/", "/list"} {
-		shadows := pattern == reserved ||
-			// A mount inside a reserved subtree captures those requests
-			// ("/pkg/x" or "/pkg/x/" shadow package fetches)...
-			(strings.HasSuffix(reserved, "/") && strings.HasPrefix(pattern, reserved)) ||
-			// ...and a subtree mount above a reserved route captures it
-			// ("/" shadows everything). "/listing" shadows nothing.
-			(subtree && strings.HasPrefix(reserved, pattern))
-		if shadows {
-			return fmt.Errorf("netstream: pattern %q shadows built-in route %q", pattern, reserved)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mounts[pattern] = h
-	return nil
-}
-
-// mountFor resolves a mounted handler for a request path, preferring the
-// longest pattern.
-func (s *Server) mountFor(path string) http.Handler {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var best string
-	var h http.Handler
-	for pat, handler := range s.mounts {
-		ok := pat == path || (strings.HasSuffix(pat, "/") && strings.HasPrefix(path, pat))
-		if ok && len(pat) > len(best) {
-			best, h = pat, handler
-		}
-	}
-	return h
-}
-
 // AddResource publishes a text resource (the target of scripts' `open`).
 func (s *Server) AddResource(name, content string) {
 	s.mu.Lock()
@@ -384,8 +331,9 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // Register exposes the server's delivery counters on a metrics registry.
-// requests/bytes/not_modified count only the built-in routes — mounted
-// subsystems (telemetry, the play service) register their own families.
+// requests/bytes/not_modified count only the package server's routes and
+// its 404s — a deployment's other subsystems (telemetry, the play service)
+// register their own families.
 func (s *Server) Register(reg *obs.Registry) {
 	reg.CounterFunc("netstream_requests_total", "requests served by the delivery routes", s.requests.Load)
 	reg.CounterFunc("netstream_bytes_total", "response bytes written by the delivery routes", s.bytesServed.Load)
@@ -407,10 +355,6 @@ func (s *Server) Register(reg *obs.Registry) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h := s.mountFor(r.URL.Path); h != nil {
-		h.ServeHTTP(w, r)
-		return
-	}
 	s.requests.Add(1)
 	w = &countingWriter{ResponseWriter: w, srv: s}
 	switch {
@@ -463,12 +407,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
 		w.Header().Set("Content-Type", "application/octet-stream")
 		s.mu.RLock()
-		label, tiered := s.chunkTier[h]
+		tier := s.chunkTier[h]
 		s.mu.RUnlock()
-		if tiered {
+		if tier != nil {
 			// Attribute the payload (what the client's per-tier ledger
 			// counts) rather than wire bytes, so the two reconcile.
-			s.tierCounter(label).Add(int64(len(data)))
+			tier.Add(int64(len(data)))
 		}
 		// A sized reply goes out in one write, without chunked framing.
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
@@ -1114,7 +1058,7 @@ func (r *landedRun) KeyframeAtOrBefore(i int) (int, error) {
 // rung in the manifest becomes a fetchable tier, the ABR picker is sized
 // from the ladder, and the start segment comes from the picker's cold-start
 // rung — the cheapest.
-func (c *Client) openChunked(base string, man *gamepack.Manifest, cache *PackageCache, cfg ABRConfig, st *Stats) (*RemoteGame, error) {
+func (c *Client) openChunked(base string, man *gamepack.Manifest, cache *PackageCache, st *Stats) (*RemoteGame, error) {
 	vsec := man.Section(gamepack.SectionVideo)
 	psec := man.Section(gamepack.SectionProject)
 	if vsec == nil || psec == nil || len(vsec.Chunks) == 0 {
@@ -1156,7 +1100,7 @@ func (c *Client) openChunked(base string, man *gamepack.Manifest, cache *Package
 	if g.head, err = g.rungHead("", g.rungs[""], st); err != nil {
 		return nil, err
 	}
-	if g.abr, err = g.ladderPicker(cfg); err != nil {
+	if g.abr, err = g.ladderPicker(); err != nil {
 		return nil, err
 	}
 	start := proj.ScenarioByID(proj.StartScenario)

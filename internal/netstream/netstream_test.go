@@ -312,69 +312,6 @@ func TestDownloadCached(t *testing.T) {
 	}
 }
 
-func TestMount(t *testing.T) {
-	srv := NewServer()
-	if err := srv.Mount("/pkg/", http.NotFoundHandler()); err == nil {
-		t.Error("shadowing /pkg/ accepted")
-	}
-	if err := srv.Mount("/pkg/x", http.NotFoundHandler()); err == nil {
-		t.Error("mount inside /pkg/ accepted")
-	}
-	if err := srv.Mount("/", http.NotFoundHandler()); err == nil {
-		t.Error("root subtree mount accepted")
-	}
-	if err := srv.Mount("/list", http.NotFoundHandler()); err == nil {
-		t.Error("shadowing /list accepted")
-	}
-	if err := srv.Mount("/chunk/", http.NotFoundHandler()); err == nil {
-		t.Error("shadowing /chunk/ accepted")
-	}
-	if err := srv.Mount("/manifest/x", http.NotFoundHandler()); err == nil {
-		t.Error("mount inside /manifest/ accepted")
-	}
-	if err := srv.Mount("/listing", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})); err != nil {
-		t.Errorf("non-shadowing /listing rejected: %v", err)
-	}
-	if err := srv.Mount("healthz", http.NotFoundHandler()); err == nil {
-		t.Error("relative pattern accepted")
-	}
-	if err := srv.Mount("/healthz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Mount("/telemetry/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "telemetry:"+r.URL.Path)
-	})); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	for _, tc := range []struct{ path, want string }{
-		{"/healthz", "ok"},
-		{"/telemetry/stats", "telemetry:/telemetry/stats"},
-	} {
-		resp, err := http.Get(ts.URL + tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if string(body) != tc.want {
-			t.Errorf("%s = %q, want %q", tc.path, body, tc.want)
-		}
-	}
-	// /healthz/extra is not matched by the exact /healthz mount.
-	resp, err := http.Get(ts.URL + "/healthz/extra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/healthz/extra = %s, want 404", resp.Status)
-	}
-}
-
 // --- chunk store delivery (PR 4) -------------------------------------------
 
 // longCourse builds a 10-segment course; with edit set, segment 5 is
@@ -1210,5 +1147,57 @@ func TestDeltaSyncMetricsAndForget(t *testing.T) {
 	}
 	if h := hist("netstream_delta_seconds"); h.Count != 2 {
 		t.Fatalf("delta seconds: %d samples, want 2", h.Count)
+	}
+}
+
+// TestChunkGetTakesNoWriteLock: a GET of a tiered chunk counts its bytes
+// on its tier under the server's read lock alone, so it completes while
+// the test holds that lock (as every concurrent chunk GET does), and the
+// tier's counter grows by the chunk's size.
+func TestChunkGetTakesNoWriteLock(t *testing.T) {
+	ts, srv, reg := ladderTestServer(t)
+	man, err := gamepack.ParseManifest(srv.pkg("course").manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunk gamepack.ChunkRef
+	var label string
+	for _, sc := range man.Sections {
+		if tier, ok := gamepack.VideoSectionTier(sc.Name); ok && len(sc.Chunks) > 0 {
+			chunk, label = sc.Chunks[0], TierLabel(tier)
+			break
+		}
+	}
+	if label == "" {
+		t.Fatal("the ladder package has no tiered chunk")
+	}
+	before := serverTierBytes(reg)[label]
+
+	srv.mu.RLock()
+	got := make(chan error, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/chunk/" + chunk.Hash.String())
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err == nil && resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("answered %s", resp.Status)
+			}
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		srv.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		srv.mu.RUnlock()
+		<-got
+		t.Fatal("a chunk GET waited on the server's write lock")
+	}
+	if n := serverTierBytes(reg)[label] - before; n != int64(chunk.Size) {
+		t.Fatalf("tier %q counted %d bytes for a %d-byte chunk", label, n, chunk.Size)
 	}
 }

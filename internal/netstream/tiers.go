@@ -48,7 +48,7 @@ func (g *RemoteGame) ABR() *ABRPicker { return g.abr }
 // ladderPicker builds the throughput/buffer-driven tier picker sized from
 // the ladder itself: each rung's media rate is its payload size over the
 // video's duration.
-func (g *RemoteGame) ladderPicker(cfg ABRConfig) (*ABRPicker, error) {
+func (g *RemoteGame) ladderPicker() (*ABRPicker, error) {
 	meta := g.head.Meta()
 	if meta.FPS <= 0 || meta.FrameCount <= 0 {
 		return nil, fmt.Errorf("netstream: cannot size ABR ladder from %d frames at %d fps", meta.FrameCount, meta.FPS)
@@ -58,7 +58,7 @@ func (g *RemoteGame) ladderPicker(cfg ABRConfig) (*ABRPicker, error) {
 	for tier, rung := range g.rungs {
 		infos = append(infos, TierInfo{Name: tier, Rate: float64(rung.size) / dur})
 	}
-	return NewABRPicker(infos, cfg)
+	return NewABRPicker(infos)
 }
 
 // TierBytes snapshots the wire bytes fetched per tier by this game
@@ -244,8 +244,9 @@ func (g *RemoteGame) ensureSegmentTier(name, tier string, st *Stats) error {
 // so a second learner's startup often transfers nothing but the manifest.
 // Subsequent segment fetches through a StreamPlayer ride the game's ABR
 // picker; a single-quality package is a one-rung ladder.
-// The returned Stats are the startup cost E8 reports.
-func (c *Client) ProgressiveOpenABR(url string, cache *PackageCache, cfg ABRConfig) (*RemoteGame, Stats, error) {
+// The returned Stats are the startup cost E8 reports. The ABRConfig
+// argument is the empty type: the picker's tuning is fixed.
+func (c *Client) ProgressiveOpenABR(url string, cache *PackageCache, _ ABRConfig) (*RemoteGame, Stats, error) {
 	var st Stats
 	began := time.Now()
 	base, name, ok := splitPkgURL(url)
@@ -256,7 +257,7 @@ func (c *Client) ProgressiveOpenABR(url string, cache *PackageCache, cfg ABRConf
 	if err != nil {
 		return nil, st, err
 	}
-	g, err := c.openChunked(base, man, cache, cfg, &st)
+	g, err := c.openChunked(base, man, cache, &st)
 	if err != nil {
 		return nil, st, err
 	}

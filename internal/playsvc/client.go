@@ -48,14 +48,6 @@ type ClientOptions struct {
 	// HTTP is the client requests ride; nil means the shared
 	// faultnet.DefaultHTTPClient() — real connect/header timeouts.
 	HTTP *http.Client
-	// Retry replaces the per-request retry policy (backoff with full
-	// jitter); the client uses the pointed-to policy itself. nil means
-	// faultnet.RetryPolicy{Budget: 2s}: 4 attempts, 10ms base, 1s cap,
-	// stretched by wall-clock to 2s while the failure is the network's.
-	// Retries are safe by construction: Dial mints the session id
-	// client-side so creates are idempotent, and every act — the leave
-	// included — carries a sequence number the server deduplicates on.
-	Retry *faultnet.RetryPolicy
 	// LocalMirror is the one mode switch. A thin client (the default)
 	// ships every act at once as a framed batch of one on /play/actv2 and
 	// waits for the hosted session's answer. A LocalMirror client is a
@@ -93,11 +85,13 @@ type ClientOptions struct {
 type Client struct {
 	opts ClientOptions
 	id   string
-	// The hop's constants: every request rides retry — opts.Retry, or the
-	// client's own budget policy (held by value so Dial allocates nothing
-	// for it) — under a per-attempt deadline of clientTimeout.
-	retry   *faultnet.RetryPolicy
-	budget  faultnet.RetryPolicy
+	// The hop's constants: every request rides retry, a wall-clock budget
+	// of clientRetryBudget (held by value so Dial allocates nothing for
+	// it), under a per-attempt deadline of clientTimeout. Retries are safe
+	// by construction: Dial mints the session id client-side so creates
+	// are idempotent, and every act — the leave included — carries a
+	// sequence number the server deduplicates on.
+	retry   faultnet.RetryPolicy
 	timeout time.Duration
 
 	w, h, fps int
@@ -183,10 +177,7 @@ func Dial(o ClientOptions) (*Client, error) {
 			return nil, fmt.Errorf("playsvc: LocalMirror needs the opened course Pkg")
 		}
 	}
-	c := &Client{opts: o, retry: o.Retry, budget: faultnet.RetryPolicy{Budget: clientRetryBudget}, timeout: clientTimeout}
-	if c.retry == nil {
-		c.retry = &c.budget
-	}
+	c := &Client{opts: o, retry: faultnet.RetryPolicy{Budget: clientRetryBudget}, timeout: clientTimeout}
 	if o.Resume != "" {
 		c.id = o.Resume
 		if err := c.resumeOnce(); err != nil {
@@ -317,7 +308,7 @@ func (c *Client) do(policy *faultnet.RetryPolicy, method, url, contentType strin
 // postFrame exchanges one encoded act frame for its reply frame.
 func (c *Client) postFrame(payload []byte) (*BatchReply, error) {
 	var out *BatchReply
-	err := c.do(c.retry, http.MethodPost, c.opts.BaseURL+ActV2Path, FrameContentType, payload, "actv2", func(resp *http.Response) (error, bool) {
+	err := c.do(&c.retry, http.MethodPost, c.opts.BaseURL+ActV2Path, FrameContentType, payload, "actv2", func(resp *http.Response) (error, bool) {
 		var err error
 		if c.body, err = readInto(c.body[:0], io.LimitReader(resp.Body, maxProxyBody)); err != nil {
 			return fmt.Errorf("playsvc: actv2: read: %w", err), true
@@ -757,7 +748,7 @@ func (c *Client) Frame() (*raster.Frame, error) {
 	// renders again.
 	url := c.opts.BaseURL + FramePath + "?session=" + c.id
 	if err := c.resuming(func() error {
-		return c.do(c.retry, http.MethodGet, url, "", nil, "frame", c.readFrame)
+		return c.do(&c.retry, http.MethodGet, url, "", nil, "frame", c.readFrame)
 	}); err != nil {
 		return nil, err
 	}

@@ -8,11 +8,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/content"
 	"repro/internal/faultnet"
@@ -196,14 +197,6 @@ func TestDroppedReplyChaos(t *testing.T) {
 				var rec recorder
 				c := dialOpts(t, url, &rec, func(o *ClientOptions) {
 					o.HTTP = faulty
-					// Enough attempts that a 22% per-request fault rate
-					// cannot plausibly exhaust the ladder mid-trace.
-					o.Retry = &faultnet.RetryPolicy{
-						Attempts:  10,
-						BaseDelay: time.Millisecond,
-						MaxDelay:  20 * time.Millisecond,
-						Seed:      leg.seed,
-					}
 					if leg.mod != nil {
 						leg.mod(o)
 					}
@@ -820,5 +813,103 @@ func TestReplyIsPureAckTrims(t *testing.T) {
 	h.mu.Unlock()
 	if base != rr.EventCount || retained != 0 {
 		t.Fatalf("ack did not compact: window [%d,%d), want [%d,%d)", base, base+retained, rr.EventCount, rr.EventCount)
+	}
+}
+
+// TestFrameGetIsARead: a frame GET changes no session, so the gateway's
+// retry of a hop whose reply was lost after the node served it cannot
+// move playback. Through a one-node cluster whose gateway transport loses
+// the first frame reply, a GET without advance answers the tick and pixels
+// the node shows without the fault, and a resume afterwards reports the
+// tick unchanged. A GET naming advance is refused with 400 (a tick is an
+// act), moves nothing, and against a frozen session thaws nothing.
+func TestFrameGetIsARead(t *testing.T) {
+	lossy := &lossyOnce{path: FramePath, between: func() {}}
+	cl, err := NewCluster(ClusterOptions{Node: Options{TTL: -1}, HTTP: &http.Client{Transport: lossy}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	if err := cl.AddCourse("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	node, err := cl.StartNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(cl.Gateway().Handler())
+	t.Cleanup(gw.Close)
+	rearm := func() {
+		lossy.mu.Lock()
+		lossy.lost = false
+		lossy.mu.Unlock()
+	}
+	faulted := func() bool {
+		lossy.mu.Lock()
+		defer lossy.mu.Unlock()
+		return lossy.lost
+	}
+	act := func(body string) Reply {
+		t.Helper()
+		resp, err := http.Post(gw.URL+ActPath, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r Reply
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s answered %s (%v)", body, resp.Status, err)
+		}
+		return r
+	}
+	frame := func(base, query string) (status int, tick string, pix []byte) {
+		t.Helper()
+		resp, err := http.Get(base + FramePath + "?session=fr-1" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if pix, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("X-Frame-Tick"), pix
+	}
+
+	act(`{"session":"fr-1","course":"classroom"}`)
+	act(`{"session":"fr-1","kind":"tick","ticks":3,"seq":1}`)
+	status, wantTick, wantPix := frame(node.URL, "")
+	if status != http.StatusOK || wantTick != "3" {
+		t.Fatalf("the node's own frame answered %d at tick %q, want 200 at 3", status, wantTick)
+	}
+
+	status, tick, pix := frame(gw.URL, "")
+	if !faulted() {
+		t.Fatal("the frame reply was never lost; the fault proved nothing")
+	}
+	if status != http.StatusOK || tick != wantTick || !bytes.Equal(pix, wantPix) {
+		t.Fatalf("a frame GET retried after a lost reply answered %d at tick %q (%d bytes, same pixels %v), want 200 at %s",
+			status, tick, len(pix), bytes.Equal(pix, wantPix), wantTick)
+	}
+	if r := act(`{"session":"fr-1","resume":true}`); strconv.Itoa(r.Tick) != wantTick {
+		t.Fatalf("a resume after the frame GET reports tick %d, want %s", r.Tick, wantTick)
+	}
+
+	rearm()
+	status, _, _ = frame(gw.URL, "&advance=1")
+	_, after, _ := frame(node.URL, "")
+	if status != http.StatusBadRequest || after != wantTick {
+		t.Fatalf("a frame GET with advance=1 answered %d and moved the tick %s → %s, want 400 and no move", status, wantTick, after)
+	}
+
+	m := node.Manager
+	if err := m.Freeze("fr-1"); err != nil {
+		t.Fatal(err)
+	}
+	resumed := stat(t, m.Snapshot(), "sessions_resumed")
+	if status, _, _ := frame(gw.URL, "&advance=1"); status != http.StatusBadRequest {
+		t.Fatalf("advance=1 on a frozen session answered %d, want 400", status)
+	}
+	if n := stat(t, m.Snapshot(), "sessions_resumed"); n != resumed {
+		t.Fatalf("the refused frame GET thawed the session: sessions_resumed %d → %d", resumed, n)
 	}
 }

@@ -297,40 +297,27 @@ func (g *Gateway) NodeNames() []string {
 	return out
 }
 
-// ownerOf resolves a session id to its owning node.
+// ownerOf resolves a session id to its owning node: the first of its
+// preference order.
 func (g *Gateway) ownerOf(session string) (gwNode, error) {
+	order, err := g.preference(session)
+	if err != nil {
+		return gwNode{}, err
+	}
+	return order[0], nil
+}
+
+// preference walks the ring from the id's point: the distinct nodes in
+// ring order from the owner onward — the same order every gateway
+// computes for this id.
+func (g *Gateway) preference(session string) ([]gwNode, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if len(g.ring) == 0 {
-		return gwNode{}, fmt.Errorf("playsvc: gateway has no nodes")
+		return nil, fmt.Errorf("playsvc: gateway has no nodes")
 	}
 	h := hash32(session)
 	i := sort.Search(len(g.ring), func(i int) bool { return g.ring[i].hash >= h })
-	if i == len(g.ring) {
-		i = 0
-	}
-	return g.nodes[g.ring[i].node], nil
-}
-
-// routeFor resolves the node to try for a session: the ring owner,
-// unless its breaker (or an exclusion from an earlier failed hop of the
-// same routed call) says otherwise, in which case the walk continues to
-// the ring's next distinct node. When every candidate is refused the
-// primary owner is returned anyway — a request must go somewhere, and on
-// an all-open ring it doubles as the probe.
-func (g *Gateway) routeFor(session string, exclude map[string]bool) (gwNode, error) {
-	g.mu.RLock()
-	if len(g.ring) == 0 {
-		g.mu.RUnlock()
-		return gwNode{}, fmt.Errorf("playsvc: gateway has no nodes")
-	}
-	h := hash32(session)
-	i := sort.Search(len(g.ring), func(i int) bool { return g.ring[i].hash >= h })
-	if i == len(g.ring) {
-		i = 0
-	}
-	// Distinct nodes in ring order from the owner onward — the same
-	// preference order every gateway computes for this id.
 	order := make([]gwNode, 0, len(g.nodes))
 	seen := make(map[int]bool, len(g.nodes))
 	for k := 0; k < len(g.ring) && len(order) < len(g.nodes); k++ {
@@ -340,7 +327,20 @@ func (g *Gateway) routeFor(session string, exclude map[string]bool) (gwNode, err
 			order = append(order, g.nodes[pt.node])
 		}
 	}
-	g.mu.RUnlock()
+	return order, nil
+}
+
+// routeFor resolves the node to try for a session: the ring owner,
+// unless its breaker (or an exclusion from an earlier failed hop of the
+// same routed call) says otherwise, in which case the walk continues to
+// the ring's next distinct node. When every candidate is refused the
+// primary owner is returned anyway — a request must go somewhere, and on
+// an all-open ring it doubles as the probe.
+func (g *Gateway) routeFor(session string, exclude map[string]bool) (gwNode, error) {
+	order, err := g.preference(session)
+	if err != nil {
+		return gwNode{}, err
+	}
 	for _, n := range order {
 		if exclude[n.name] {
 			continue

@@ -68,8 +68,8 @@ func (o *Options) defaults() {
 	}
 }
 
-// maxTicks bounds a single tick act (and a frame GET's advance) so one
-// request cannot spin the server arbitrarily long.
+// maxTicks bounds a single tick act so one request cannot spin the server
+// arbitrarily long.
 const maxTicks = 1000
 
 // hosted is one server-side live session. Every session access happens
@@ -487,11 +487,8 @@ func (m *Manager) mint(id, courseName string) (h *hosted, locked bool, err error
 	if c == nil {
 		return nil, false, errf(http.StatusNotFound, "playsvc: no course %q", courseName)
 	}
-	// Reserve the slot before building the session: concurrent creates
-	// racing a nearly-full cap must not all pass a read-then-insert check.
-	if n := m.liveCount.Add(1); m.opts.MaxSessions > 0 && n > int64(m.opts.MaxSessions) {
-		m.liveCount.Add(-1)
-		return nil, false, errf(http.StatusServiceUnavailable, "playsvc: session cap (%d) reached", m.opts.MaxSessions)
+	if err := m.reserve(); err != nil {
+		return nil, false, err
 	}
 	h = &hosted{id: id, course: c}
 	h.touch()
@@ -504,17 +501,38 @@ func (m *Manager) mint(id, courseName string) (h *hosted, locked bool, err error
 	// Locked before it is visible; the map lock is taken under a session
 	// lock (as saveTomb does), never the other way round.
 	h.mu.Lock()
-	m.mu.Lock()
-	if prev := m.sessions[id]; prev != nil {
-		m.mu.Unlock()
+	if prev := m.insert(h); prev != h {
 		h.mu.Unlock()
-		m.liveCount.Add(-1)
 		return prev, false, nil
 	}
-	m.sessions[id] = h
-	m.mu.Unlock()
 	m.created.Add(1)
 	return h, true, nil
+}
+
+// reserve takes a live slot against MaxSessions before a session is built
+// (by a create or a thaw): concurrent requests racing a nearly-full cap
+// must not all pass a read-then-insert check. A caller that fails to
+// build the session gives the slot back with liveCount.Add(-1).
+func (m *Manager) reserve() error {
+	if n := m.liveCount.Add(1); m.opts.MaxSessions > 0 && n > int64(m.opts.MaxSessions) {
+		m.liveCount.Add(-1)
+		return errf(http.StatusServiceUnavailable, "playsvc: session cap (%d) reached", m.opts.MaxSessions)
+	}
+	return nil
+}
+
+// insert puts a session built on a reserved slot into the map and returns
+// it; when a concurrent request inserted the id first, insert gives the
+// slot back and returns that session instead.
+func (m *Manager) insert(h *hosted) *hosted {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev := m.sessions[h.id]; prev != nil {
+		m.liveCount.Add(-1)
+		return prev
+	}
+	m.sessions[h.id] = h
+	return h
 }
 
 // ack releases the event-log prefix the client acknowledges; h.mu must be
@@ -1016,28 +1034,24 @@ func (m *Manager) applyOne(h *hosted, a *ActRequest) (byte, *Error) {
 	return 0, nil
 }
 
-// WithFrame advances the session's playback and renders its presentation
-// frame into a pooled buffer, passing it to fn under the
-// session lock — the frame must not be retained past fn. This is the
-// service's allocation-free frame path: advance + DecodeInto +
+// WithFrame renders the session's presentation frame into a pooled
+// buffer, passing it to fn under the session lock — the frame must not be
+// retained past fn. It changes nothing: playback moves only by a tick
+// act. This is the service's allocation-free frame path: DecodeInto +
 // cached-sprite composition allocate nothing in steady state.
-func (m *Manager) WithFrame(session string, advance int, fn func(f *raster.Frame, tick int) error) error {
-	return m.withFrame(obs.TraceContext{}, session, advance, fn)
+func (m *Manager) WithFrame(session string, fn func(f *raster.Frame, tick int) error) error {
+	return m.withFrame(obs.TraceContext{}, session, fn)
 }
 
-func (m *Manager) withFrame(tc obs.TraceContext, session string, advance int, fn func(f *raster.Frame, tick int) error) error {
+func (m *Manager) withFrame(tc obs.TraceContext, session string, fn func(f *raster.Frame, tick int) error) error {
 	t0 := time.Now()
-	err := m.withFrameInner(tc, session, advance, fn)
+	err := m.withFrameInner(tc, session, fn)
 	m.frameNs.ObserveSince(t0)
 	m.ring.Record(tc, "play.frame", t0, err)
 	return err
 }
 
-func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance int, fn func(f *raster.Frame, tick int) error) error {
-	// Refused first: a request that does nothing thaws, counts, touches nothing.
-	if advance > maxTicks {
-		return errf(http.StatusBadRequest, "playsvc: advance %d exceeds the per-act bound (%d)", advance, maxTicks)
-	}
+func (m *Manager) withFrameInner(tc obs.TraceContext, session string, fn func(f *raster.Frame, tick int) error) error {
 	h, err := m.lookupOrThaw(tc, session)
 	if err != nil {
 		return err
@@ -1049,20 +1063,10 @@ func (m *Manager) withFrameInner(tc obs.TraceContext, session string, advance in
 	if h.gone {
 		return errf(http.StatusNotFound, "playsvc: no session %q", session)
 	}
-	if advance > 0 {
-		if err := h.sess.Advance(advance); err != nil {
-			return err
-		}
-	}
 	f := renderBufs.Get().(*raster.Frame)
 	defer renderBufs.Put(f)
 	if err := h.sess.FrameInto(f); err != nil {
 		return err
-	}
-	// A driver pulling frames with ?advance also moves the shared session;
-	// watchers see that through the same once-per-change publication.
-	if advance > 0 && h.room != nil {
-		h.room.publish()
 	}
 	return fn(f, h.sess.Ticks())
 }

@@ -39,8 +39,8 @@ func classroomBlob(t testing.TB) []byte {
 	return blob
 }
 
-// liveService mounts a play service on a netstream server — the deployment
-// shape vgbl-server uses.
+// liveService routes a play service beside a netstream server on one mux
+// — the deployment shape vgbl-server uses.
 func liveService(t testing.TB, o Options) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := NewManager(o)
@@ -52,13 +52,11 @@ func liveService(t testing.TB, o Options) (*httptest.Server, *Manager) {
 	if err := srv.AddPackage("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Mount("/play/", m.Handler()); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Mount("/room/", m.Handler()); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	mux := http.NewServeMux()
+	mux.Handle("/play/", m.Handler())
+	mux.Handle("/room/", m.Handler())
+	mux.Handle("/", srv)
+	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts, m
 }
@@ -381,7 +379,9 @@ func TestCreateErrors(t *testing.T) {
 }
 
 // TestFramePathZeroAlloc pins the acceptance criterion: once warmed, the
-// advance+render frame path allocates nothing per request.
+// frame path allocates nothing per request. Each request is preceded by a
+// one-frame advance of the hosted session, done in place (a tick act's
+// reply assembly would allocate), so every render decodes a new frame.
 func TestFramePathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under -race")
@@ -399,17 +399,35 @@ func TestFramePathZeroAlloc(t *testing.T) {
 	// Warm sprite cache, frame buffer and decoder recycling (one full loop
 	// of the segment so the wrap-around seek path is warm too).
 	for i := 0; i < 50; i++ {
-		if err := m.WithFrame(r.Session, 1, noop); err != nil {
+		advanceInPlace(t, m, r.Session)
+		if err := m.WithFrame(r.Session, noop); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := m.WithFrame(r.Session, 1, noop); err != nil {
+		advanceInPlace(t, m, r.Session)
+		if err := m.WithFrame(r.Session, noop); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("frame path allocates %.1f per request, want 0", allocs)
+	}
+}
+
+// advanceInPlace moves a hosted session's playback one frame under its
+// lock, with no act and no reply.
+func advanceInPlace(t testing.TB, m *Manager, id string) {
+	t.Helper()
+	h, err := m.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	err = h.sess.Advance(1)
+	h.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -430,7 +448,10 @@ func TestFrameBuffersAreLent(t *testing.T) {
 	}
 	var pixels int
 	frame := func(id string, advance int) {
-		if err := m.WithFrame(id, advance, func(f *raster.Frame, _ int) error {
+		if advance > 0 {
+			advanceInPlace(t, m, id)
+		}
+		if err := m.WithFrame(id, func(f *raster.Frame, _ int) error {
 			pixels = len(f.Pix)
 			return nil
 		}); err != nil {
@@ -544,9 +565,10 @@ func TestEventLogTrimming(t *testing.T) {
 	}
 }
 
-// TestCreateCapUnderConcurrency hammers a cap-1 manager with parallel
-// creates: the atomic slot reservation must never let the live count
-// overshoot MaxSessions.
+// TestCreateCapUnderConcurrency hammers a cap-8 manager with parallel
+// creates, then with parallel thaws racing creates: the atomic slot
+// reservation, taken by a thaw as by a create, must never let the live
+// count or the session map overshoot MaxSessions.
 func TestCreateCapUnderConcurrency(t *testing.T) {
 	m := NewManager(Options{TTL: -1, MaxSessions: 8})
 	defer m.Close()
@@ -570,6 +592,35 @@ func TestCreateCapUnderConcurrency(t *testing.T) {
 	}
 	if live := stat(t, m.Snapshot(), "sessions_live"); live != 8 {
 		t.Fatalf("snapshot live = %d", live)
+	}
+
+	// Freeze the eight, then race their thaws (resumes) against 24 more
+	// creates: the cap holds whichever kind takes a slot.
+	frozen := m.LiveSessions()
+	for _, id := range frozen {
+		if err := m.Freeze(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var admitted atomic.Int64
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if i < len(frozen) {
+				_, err = m.ActBatch(&BatchRequest{Session: frozen[i], Resume: true})
+			} else {
+				_, err = createSession(m, "classroom")
+			}
+			if err == nil {
+				admitted.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if admitted.Load() != 8 || m.Live() != 8 || len(m.LiveSessions()) != 8 {
+		t.Fatalf("admitted %d, live %d, hosted %d after thaws raced creates; cap is 8", admitted.Load(), m.Live(), len(m.LiveSessions()))
 	}
 }
 

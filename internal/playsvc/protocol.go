@@ -14,7 +14,7 @@ import (
 const (
 	ActV2Path   = "/play/actv2"   // POST binary act frame → binary reply frame (create, room or resume, acts, leave)
 	ActPath     = "/play/act"     // POST ActRequest → Reply (the JSON adapter over the same batch)
-	FramePath   = "/play/frame"   // GET ?session=&advance=N → raw RGB bytes
+	FramePath   = "/play/frame"   // GET ?session= → raw RGB bytes (a read: advance is refused, a tick is an act)
 	StatsPath   = "/play/stats"   // GET → Stats
 	HandoffPath = "/play/handoff" // POST HandoffRequest → freeze one session to the shared directory
 	DrainPath   = "/play/drain"   // POST → freeze every session (graceful node removal)
@@ -27,7 +27,7 @@ const (
 // a cluster gateway hashes watcher traffic onto the driver's node. Every
 // room route names its room in the query.
 const (
-	RoomJoinPath   = "/room/join"   // POST ?room= RoomJoinRequest → RoomJoinReply
+	RoomJoinPath   = "/room/join"   // POST ?room= RoomJoinRequest → RoomJoinReply (subscribes; the first watch is the catch-up)
 	RoomWatchPath  = "/room/watch"  // GET ?room=&watcher=&events=&messages=&wait_ms= → one watch chunk (long poll; 204 = idle)
 	RoomAnswerPath = "/room/answer" // POST ?room= RoomAnswerRequest → RoomAnswerReply
 	RoomStatsPath  = "/room/stats"  // GET ?room= → RoomStats
@@ -112,8 +112,8 @@ type BatchRequest struct {
 	Create string
 	// Room, beside a Create, opens the session as a classroom room before
 	// the acts apply: a broadcast hub attaches under the session's id and
-	// renders publication seq 1, the frame every joiner's ring starts
-	// from. A retried create reattaches to the hub it opened. Legal only
+	// renders publication seq 1, the frame a joiner's first poll returns
+	// until the driver acts. A retried create reattaches to the hub it opened. Legal only
 	// with a Create.
 	Room bool
 	// Resume reattaches Session before the acts apply: a live session
@@ -251,27 +251,12 @@ type RoomJoinRequest struct {
 	Trace obs.TraceContext `json:"-"`
 }
 
-// RoomJoinReply is the watcher's catch-up snapshot: the current state plus
-// the retained event/message tails, so the first watch chunk only has to
-// carry what happens next.
+// RoomJoinReply names the subscription. The catch-up (the current frame,
+// the retained event and message tails, the pending quiz) is the
+// watcher's first watch chunk.
 type RoomJoinReply struct {
 	Room    string `json:"room"`
 	Watcher string `json:"watcher"`
-	Course  string `json:"course"`
-	Width   int    `json:"w"`
-	Height  int    `json:"h"`
-	FPS     int    `json:"fps"`
-
-	Seq          int64           `json:"seq"`
-	Tick         int             `json:"tick"`
-	State        *core.State     `json:"state"`
-	EventStart   int             `json:"event_start"` // absolute index of Events[0]
-	Events       []runtime.Event `json:"events,omitempty"`
-	EventCount   int             `json:"event_count"`
-	MessageStart int             `json:"message_start"`
-	Messages     []string        `json:"messages,omitempty"`
-	MessageCount int             `json:"message_count"`
-	Quiz         string          `json:"quiz,omitempty"`
 }
 
 // RoomAnswerRequest records one watcher's answer to a quiz the room has

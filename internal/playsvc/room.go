@@ -283,7 +283,9 @@ func (r *Room) join(watcherID string) (*watcher, error) {
 	w.lastSeen.Store(time.Now().UnixNano())
 	if r.cur != nil {
 		// The newest publication seeds the slot so a joiner's first poll
-		// returns immediately instead of waiting out a quiet classroom.
+		// returns immediately, with the catch-up (the retained tails from
+		// seen-counts of 0, the pending quiz), instead of waiting out a
+		// quiet classroom.
 		w.push(r.cur)
 	}
 	r.watchers[watcherID] = w

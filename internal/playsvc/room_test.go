@@ -1,11 +1,13 @@
 package playsvc
 
 import (
+	"encoding/json"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -755,11 +757,11 @@ func TestRoomPrunesIdleWatcher(t *testing.T) {
 	}
 
 	// The watcher was last seen before the cutoff, the driver after it: a
-	// frame with no advance touches the session and publishes nothing.
+	// frame read touches the session and publishes nothing.
 	time.Sleep(time.Millisecond)
 	cutoff := time.Now()
 	time.Sleep(time.Millisecond)
-	if err := m.WithFrame(roomID, 0, func(*raster.Frame, int) error { return nil }); err != nil {
+	if err := m.WithFrame(roomID, func(*raster.Frame, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.ExpireIdle(cutoff); n != 0 {
@@ -783,5 +785,95 @@ func TestRoomPrunesIdleWatcher(t *testing.T) {
 	}
 	if live := m.Live(); live != 1 {
 		t.Fatalf("live sessions = %d, want the driver's", live)
+	}
+}
+
+// TestJoinOnlySubscribes: a watcher's join subscribes and names the
+// watcher, nothing more. It takes no lock of the driven session (it
+// returns while the test holds the driver's lock), its JSON has exactly
+// the keys room and watcher, and the catch-up — every event and message
+// the driver emitted before the join, and the pending quiz — arrives with
+// the watcher's first poll.
+func TestJoinOnlySubscribes(t *testing.T) {
+	ts, m := liveService(t, Options{})
+	var rec recorder
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project, Observer: &rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomID := driver.SessionID()
+	driver.Talk("teacher")
+	driver.Examine("computer")
+	if err := driver.Err(); err != nil {
+		t.Fatal(err)
+	}
+	q, pending := driver.PendingQuiz()
+	if !pending || len(driver.Messages()) == 0 {
+		t.Fatalf("driver setup: quiz pending %v, %d messages; want a quiz and a transcript", pending, len(driver.Messages()))
+	}
+
+	h, err := m.lookup(roomID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	joined := make(chan error, 1)
+	go func() {
+		_, err := m.JoinRoom(&RoomJoinRequest{Room: roomID, Watcher: "w-locked"})
+		joined <- err
+	}()
+	select {
+	case err := <-joined:
+		h.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		h.mu.Unlock()
+		<-joined
+		t.Fatal("JoinRoom waited on the driven session's lock")
+	}
+
+	resp, err := http.Post(ts.URL+RoomJoinPath+"?room="+url.QueryEscape(roomID), "application/json", strings.NewReader(`{"watcher":"w-json"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("join answered %s (%v)", resp.Status, err)
+	}
+	keys := make([]string, 0, len(body))
+	for k := range body {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if !reflect.DeepEqual(keys, []string{"room", "watcher"}) {
+		t.Fatalf("join reply keys = %v, want [room watcher]", keys)
+	}
+
+	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, _, err := wc.Poll(2 * time.Second)
+	if err != nil || u == nil {
+		t.Fatalf("first poll after the join: update %v, err %v; want the catch-up at once", u, err)
+	}
+	if u.Quiz != q.ID || wc.PendingQuiz() != q.ID {
+		t.Fatalf("first poll's quiz %q (client %q), want %q", u.Quiz, wc.PendingQuiz(), q.ID)
+	}
+	if !reflect.DeepEqual(wc.Events(), rec.log()) {
+		t.Fatalf("watcher events after one poll:\n got %v\nwant %v", wc.Events(), rec.log())
+	}
+	if !reflect.DeepEqual(wc.Messages(), driver.Messages()) {
+		t.Fatalf("watcher messages after one poll = %q, want %q", wc.Messages(), driver.Messages())
+	}
+	if err := wc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := driver.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

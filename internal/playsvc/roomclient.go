@@ -60,8 +60,9 @@ type RoomClient struct {
 	err    error        // sticky transport failure
 }
 
-// JoinRoom subscribes to a room and returns the watcher client, primed
-// with the join snapshot (state, transcript tails, pending quiz).
+// JoinRoom subscribes to a room and returns the watcher client. The
+// client starts empty: its first Poll returns at once with the room's
+// current frame, every retained event and message, and the pending quiz.
 func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 	if o.BaseURL == "" || o.Room == "" {
 		return nil, fmt.Errorf("playsvc: room client needs BaseURL and Room")
@@ -70,16 +71,9 @@ func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 		o.Watcher = newSessionID("w")
 	}
 	c := &RoomClient{opts: o, room: o.Room, watcher: o.Watcher, retry: faultnet.RetryPolicy{Budget: clientRetryBudget}}
-	var reply RoomJoinReply
-	if err := c.postJSON(RoomJoinPath, &RoomJoinRequest{Watcher: o.Watcher, Trace: o.Trace}, &reply); err != nil {
+	if err := c.postJSON(RoomJoinPath, &RoomJoinRequest{Watcher: o.Watcher, Trace: o.Trace}, nil); err != nil {
 		return nil, err
 	}
-	c.seq = reply.Seq
-	c.seenEvents = reply.EventCount
-	c.seenMessages = reply.MessageCount
-	c.quiz = reply.Quiz
-	c.events = append(c.events, reply.Events...)
-	c.messages = append(c.messages, reply.Messages...)
 	return c, nil
 }
 
@@ -97,11 +91,13 @@ func (c *RoomClient) Skipped() int64 { return c.skipped }
 // Delivered returns how many frames this client has received.
 func (c *RoomClient) Delivered() int64 { return c.delivered }
 
-// PendingQuiz returns the pending quiz id at the last update ("" = none).
+// PendingQuiz returns the pending quiz id at the last update ("" = none,
+// and "" before the first Poll).
 func (c *RoomClient) PendingQuiz() string { return c.quiz }
 
-// Events returns the accumulated session event transcript (join tail plus
-// every update's delta, in absolute order — frames skip, events do not).
+// Events returns the accumulated session event transcript (the first
+// update's retained tail plus every later update's delta, in absolute
+// order — frames skip, events do not).
 func (c *RoomClient) Events() []runtime.Event { return append([]runtime.Event(nil), c.events...) }
 
 // Messages returns the accumulated classroom transcript.

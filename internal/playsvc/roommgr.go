@@ -63,58 +63,31 @@ func (m *Manager) openRoomLocked(h *hosted) {
 	}
 	r := newRoom(m, h.id, h)
 	h.room = r
-	r.publish() // seq 1: the create-time frame seeds every joiner's ring
+	r.publish() // seq 1: the create-time frame seeds every joiner's pending slot
 	m.roomsMu.Lock()
 	m.rooms[h.id] = r
 	m.roomsMu.Unlock()
 }
 
-// JoinRoom subscribes a watcher and returns its catch-up snapshot: the
-// current state plus the room's retained event/message tails, in the same
-// absolute coordinates the watch chunks use.
+// JoinRoom subscribes a watcher and names it. It takes no session lock:
+// the catch-up rides the watcher's first poll, which returns at once with
+// the room's current publication and, from seen-counts of 0, every
+// retained event and message and the pending quiz. A join that races the
+// driver's leave may succeed; its first poll then answers 404.
 func (m *Manager) JoinRoom(req *RoomJoinRequest) (*RoomJoinReply, error) {
 	r, err := m.roomByID(req.Room)
 	if err != nil {
 		return nil, err
 	}
-	h := r.h
-	h.touch()
+	r.h.touch()
 	watcherID := req.Watcher
 	if watcherID == "" {
 		watcherID = newSessionID("w")
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.gone {
-		return nil, errf(http.StatusNotFound, "playsvc: no room %q", req.Room)
-	}
 	if _, err := r.join(watcherID); err != nil {
 		return nil, err
 	}
-	c := h.course
-	reply := &RoomJoinReply{
-		Room:    r.id,
-		Watcher: watcherID,
-		Course:  c.name,
-		Width:   c.w,
-		Height:  c.h,
-		FPS:     c.fps,
-		State:   h.sess.State().Clone(),
-	}
-	r.mu.Lock()
-	reply.Seq = r.seq
-	if r.cur != nil {
-		reply.Tick = r.cur.tick
-	}
-	reply.EventStart = r.eventBase
-	reply.Events = append(reply.Events, r.events...)
-	reply.EventCount = r.eventBase + len(r.events)
-	reply.MessageStart = r.msgBase
-	reply.Messages = append(reply.Messages, r.messages...)
-	reply.MessageCount = r.msgBase + len(r.messages)
-	reply.Quiz = r.quiz
-	r.mu.Unlock()
-	return reply, nil
+	return &RoomJoinReply{Room: r.id, Watcher: watcherID}, nil
 }
 
 // LeaveRoom unsubscribes a watcher (idempotent; an unknown room is fine —

@@ -206,25 +206,16 @@ func (m *Manager) serveAct(w http.ResponseWriter, r *http.Request, req *BatchReq
 }
 
 // handleFrame serves the session's presentation frame as raw 24-bit RGB
-// with the geometry in headers. ?advance=N ticks playback first, so a
-// steady client fetches "the next frame" in one request; an absent or empty
-// advance is 0, and one that is not a decimal integer is refused before the
-// session is touched.
+// with the geometry in headers. A frame GET only reads: playback moves by
+// a tick act on the act path, which is sequenced and deduplicated, so a
+// request naming advance is refused before the session is looked up.
 func (m *Manager) handleFrame(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	advance := 0
-	if s := q.Get("advance"); s != "" {
-		var err error
-		if advance, err = strconv.Atoi(s); err != nil {
-			http.Error(w, "malformed advance", http.StatusBadRequest)
-			return
-		}
-	}
-	if advance < 0 {
-		http.Error(w, "negative advance", http.StatusBadRequest)
+	if q.Has("advance") {
+		http.Error(w, "advance is an act: send a tick on "+ActV2Path, http.StatusBadRequest)
 		return
 	}
-	err := m.withFrame(obs.TraceFromRequest(r), q.Get("session"), advance, func(f *raster.Frame, tick int) error {
+	err := m.withFrame(obs.TraceFromRequest(r), q.Get("session"), func(f *raster.Frame, tick int) error {
 		h := w.Header()
 		h.Set("Content-Type", "application/octet-stream")
 		h.Set("X-Frame-Width", strconv.Itoa(f.W))

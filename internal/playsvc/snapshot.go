@@ -374,9 +374,8 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 		return nil, errf(http.StatusNotFound, "playsvc: session %q course %q is no longer published", session, env.Course)
 	}
 	// Thawing re-occupies a live slot; the cap applies exactly as on create.
-	if n := m.liveCount.Add(1); m.opts.MaxSessions > 0 && n > int64(m.opts.MaxSessions) {
-		m.liveCount.Add(-1)
-		return nil, errf(http.StatusServiceUnavailable, "playsvc: session cap (%d) reached", m.opts.MaxSessions)
+	if err := m.reserve(); err != nil {
+		return nil, err
 	}
 	h = &hosted{
 		id: session, course: c,
@@ -402,14 +401,9 @@ func (m *Manager) thaw(tc obs.TraceContext, session string, allowCheckpoint bool
 	// write for it happens under h.mu (freeze, checkpoint, leave-delete),
 	// and a late write here could clobber a concurrent leave's delete.
 	m.dir.Save(session, SnapshotRef{Envelope: ref.Envelope, Checkpoint: true})
-	m.mu.Lock()
-	if cur := m.sessions[session]; cur != nil {
-		m.mu.Unlock()
-		m.liveCount.Add(-1)
+	if cur := m.insert(h); cur != h {
 		return cur, nil
 	}
-	m.sessions[session] = h
-	m.mu.Unlock()
 	m.resumed.Add(1)
 	return h, nil
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/content"
-	"repro/internal/netstream"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/tagrec"
@@ -24,7 +23,7 @@ func durableOptions(t testing.TB) (Options, *MemDir) {
 	return Options{TTL: -1, Dir: dir}, dir
 }
 
-// durableService mounts a durable manager the way liveService does.
+// durableService serves a durable manager's play routes.
 func durableService(t testing.TB, o Options) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := NewManager(o)
@@ -32,11 +31,7 @@ func durableService(t testing.TB, o Options) (*httptest.Server, *Manager) {
 	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	srv := netstream.NewServer()
-	if err := srv.Mount("/play/", m.Handler()); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(m.Handler())
 	t.Cleanup(ts.Close)
 	return ts, m
 }

@@ -98,9 +98,12 @@ func (d *batchDriver) batch(req *BatchRequest) {
 	d.frozen()
 }
 
-func (d *batchDriver) frame(advance int) {
+// frame ticks the session by a batch of its own, then reads its frame: a
+// frame read moves no playback.
+func (d *batchDriver) frame(ticks int) {
 	d.t.Helper()
-	if err := d.m.WithFrame(d.id, advance, func(*raster.Frame, int) error { return nil }); err != nil {
+	d.batch(&BatchRequest{Acts: []ActRequest{{Kind: ActTick, Ticks: ticks}}})
+	if err := d.m.WithFrame(d.id, func(*raster.Frame, int) error { return nil }); err != nil {
 		d.t.Fatalf("%s: frame: %v", d.id, err)
 	}
 	d.frozen()
@@ -126,7 +129,7 @@ func (d *batchDriver) finish() (view struct {
 	outcome          string
 }) {
 	d.t.Helper()
-	err := d.m.WithFrame(d.id, 0, func(f *raster.Frame, _ int) error {
+	err := d.m.WithFrame(d.id, func(f *raster.Frame, _ int) error {
 		view.frame = append([]byte(nil), f.Pix...)
 		return nil
 	})
@@ -151,7 +154,7 @@ func (d *batchDriver) finish() (view struct {
 // TestThawAtEveryBatch: a hosted session frozen after every batch and
 // every frame — so each request thaws it from its envelope — plays exactly
 // as one never frozen. All three demos, the guided policy and random seeds
-// 1–3; frame requests that advance playback, and more than maxTicks ticks
+// 1–3; tick batches each followed by a frame read, and more than maxTicks ticks
 // between two freezes. The assertions are the runtime resume-equivalence
 // test's: event log, transcript, State().Save() bytes, ticks, outcome,
 // opened resources and the rendered frame.
@@ -313,9 +316,9 @@ func TestRefusedActsChangeNothing(t *testing.T) {
 	}
 }
 
-// TestRefusedFrameThawsNothing: a frame request past the advance bound is
-// refused before the session is resolved, so against a frozen session it
-// thaws nothing, counts no frame and leaves the directory entry released.
+// TestRefusedFrameThawsNothing: a frame request naming advance is refused
+// before the session is resolved, so against a frozen session it thaws
+// nothing, counts no frame and leaves the directory entry released.
 func TestRefusedFrameThawsNothing(t *testing.T) {
 	opts, dir := durableOptions(t)
 	ts, m := durableService(t, opts)
@@ -346,10 +349,10 @@ func TestRefusedFrameThawsNothing(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsMalformedAdvance: an advance that is not a decimal
-// integer is refused with 400 like one past the bound — before the session
-// is resolved, so a frozen session stays frozen and no frame is counted —
-// while an absent or empty advance still means 0.
+// TestFrameRejectsMalformedAdvance: every advance is refused with 400, a
+// malformed or empty one included — before the session is resolved, so a
+// frozen session stays frozen and no frame is counted — while a frame GET
+// with no advance is served.
 func TestFrameRejectsMalformedAdvance(t *testing.T) {
 	opts, dir := durableOptions(t)
 	ts, m := durableService(t, opts)
@@ -370,7 +373,7 @@ func TestFrameRejectsMalformedAdvance(t *testing.T) {
 		return resp.StatusCode
 	}
 	before := m.Snapshot()
-	for _, bad := range []string{"abc", "1.5", "-", "0x10"} {
+	for _, bad := range []string{"abc", "1.5", "-", "0x10", "", "0", "1"} {
 		if code := get("&advance=" + url.QueryEscape(bad)); code != http.StatusBadRequest {
 			t.Errorf("advance %q answered %d, want 400", bad, code)
 		}
@@ -384,10 +387,8 @@ func TestFrameRejectsMalformedAdvance(t *testing.T) {
 	if ref, ok := dir.Lookup(r.Session); !ok || ref.Checkpoint {
 		t.Fatalf("directory entry after the refused frames: present %v, checkpoint %v; want released", ok, ref.Checkpoint)
 	}
-	for _, zero := range []string{"", "&advance="} {
-		if code := get(zero); code != http.StatusOK {
-			t.Errorf("frame with query %q answered %d, want 200", zero, code)
-		}
+	if code := get(""); code != http.StatusOK {
+		t.Errorf("frame with no advance answered %d, want 200", code)
 	}
 }
 
