@@ -44,7 +44,7 @@ import (
 func main() {
 	server := flag.String("server", "", "package server base URL (empty: serve the classroom course in-process)")
 	playServer := flag.String("play-server", "", "play service base URL when it differs from -server (a gateway on another host)")
-	pkgName := flag.String("pkg", "classroom", "package name under /pkg/")
+	pkgName := flag.String("pkg", "classroom", "published package name")
 	learners := flag.Int("learners", 500, "fleet size")
 	concurrency := flag.Int("concurrency", 128, "max simultaneously playing learners")
 	policy := flag.String("policy", "guided", "learner policy: guided, explorer, random")
@@ -92,7 +92,7 @@ func main() {
 		// own cache, picking a quality rung per segment. Prints the per-tier
 		// segment/byte table; the server side of the same ledger is the
 		// netstream_tier_bytes_total family on /metrics.
-		fmt.Printf("streaming %d learners (%s link, ×%.2g speed) against %s/pkg/%s ...\n",
+		fmt.Printf("streaming %d learners (%s link, ×%.2g speed) against %s/manifest/%s ...\n",
 			*learners, *abrProfile, *abrSpeed, url, *pkgName)
 		sum, err := fleet.RunStreamers(fleet.StreamConfig{
 			ServerURL:    url,
@@ -161,7 +161,7 @@ func main() {
 		faultHTTP = faultnet.WrapClient(base, profile, *faultSeed)
 		fmt.Printf("injecting fault profile %q (seed %d) into the fleet's HTTP path\n", profile.Name, *faultSeed)
 	}
-	fmt.Printf("driving %d learners (%s policy, %s) against %s/pkg/%s ...\n", *learners, *policy, mode, url, *pkgName)
+	fmt.Printf("driving %d learners (%s policy, %s) against %s/manifest/%s ...\n", *learners, *policy, mode, url, *pkgName)
 	sum, err := fleet.Run(fleet.Config{
 		ServerURL:     url,
 		PlayURL:       *playServer,

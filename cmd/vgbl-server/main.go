@@ -178,9 +178,9 @@ func main() {
 	ss := d.Store.Stats()
 	fmt.Printf("vgbl-server listening on http://%s\n", ln.Addr())
 	fmt.Printf("  chunk store: %d chunks, %d bytes (%d dedup hits)\n", ss.Chunks, ss.StoredBytes, ss.DedupHits)
-	fmt.Println("  packages:")
+	fmt.Println("  packages (manifest; chunks at /chunk/<sha256>):")
 	for _, n := range d.Names() {
-		fmt.Printf("    http://%s/pkg/%s\n", ln.Addr(), n)
+		fmt.Printf("    http://%s/manifest/%s\n", ln.Addr(), n)
 	}
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
 	fmt.Printf("  telemetry: http://%s%s (POST %s), http://%s%s\n", ln.Addr(), telemetry.IngestPath, telemetry.BatchContentType, ln.Addr(), telemetry.StatsPath)

@@ -47,7 +47,7 @@ func main() {
 	}
 	go http.Serve(ln, d)
 	url := "http://" + ln.Addr().String()
-	fmt.Printf("== classroom course served at %s/pkg/classroom\n", url)
+	fmt.Printf("== classroom course served at %s/manifest/classroom\n", url)
 
 	// 2. Run the 50-learner fleet.
 	sum, err := fleet.Run(fleet.Config{

@@ -32,7 +32,7 @@ func main() {
 	}
 	go http.Serve(ln, srv)
 	base := "http://" + ln.Addr().String()
-	fmt.Printf("serving %d-byte package at %s/pkg/museum\n\n", len(blob), base)
+	fmt.Printf("serving %d-byte package at %s/manifest/museum\n\n", len(blob), base)
 
 	c := &netstream.Client{}
 

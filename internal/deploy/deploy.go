@@ -14,13 +14,12 @@
 //	/play/, /room/  the play service: one Manager, or a Cluster's Gateway
 //	/metrics        every subsystem's families (?format=json)
 //	/debug/traces   the play surface's span ring
-//	/               the package server (netstream.Server): /pkg/,
-//	                /manifest/, /chunk/, /res/, /list, and the 404 for
-//	                any other path
+//	/               the package server (netstream.Server): /manifest/,
+//	                /chunk/, /res/, /list, and the 404 for any other path
 //
-// Only the package server's routes take its lock, so a publish, which
-// holds it while the package's chunks are hashed and stored, stalls no
-// act, frame or telemetry post.
+// A publish hashes and stores the package's chunks with no lock held, so
+// it stalls no act, frame or telemetry post, and no fetch of another
+// course.
 package deploy
 
 import (

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/content"
+	"repro/internal/gamepack"
 	"repro/internal/media/studio"
 	"repro/internal/playsvc"
 	"repro/internal/runtime"
@@ -68,12 +69,11 @@ func testRoutes(t *testing.T, blob []byte, nodes int) {
 
 	// The package server, the catch-all: its routes, and its 404 for any
 	// path no route names (an exact route does not take its subtree).
-	get(t, front.URL, "/pkg/classroom")
 	get(t, front.URL, "/manifest/classroom")
 	if list := get(t, front.URL, "/list"); list != "classroom\n" {
 		t.Errorf("/list = %q", list)
 	}
-	for _, path := range []string{"/healthz/extra", "/metrics/x", "/listing", "/nope"} {
+	for _, path := range []string{"/pkg/classroom", "/healthz/extra", "/metrics/x", "/listing", "/nope"} {
 		resp, err := http.Get(front.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -223,11 +223,10 @@ func (b *blockingBackend) Put(h blobstore.Hash, data []byte) (bool, error) {
 	return b.Backend.Put(h, data)
 }
 
-// TestPublishDoesNotStallPlay: a publish holds the package server's lock
-// while it stores the package's chunks, and only the package server's
-// routes take that lock. So while the publish of a second course is
-// blocked in the chunk store, the front still answers /healthz and a thin
-// session's create on the first course.
+// TestPublishDoesNotStallPlay: a publish stores the package's chunks with
+// no lock held. So while the publish of a second course is blocked in the
+// chunk store, the front still answers /healthz, a thin session's create
+// on the first course, and the first course's manifest and chunks.
 func TestPublishDoesNotStallPlay(t *testing.T) {
 	first, err := content.Classroom().BuildPackage(studio.Options{QStep: 12})
 	if err != nil {
@@ -274,17 +273,27 @@ func TestPublishDoesNotStallPlay(t *testing.T) {
 			t.Errorf("%s waited for the publish", what)
 		}
 	}
-	within("GET /healthz", func() error {
-		resp, err := http.Get(front.URL + telemetry.HealthPath)
-		if err != nil {
+	fetch := func(path string) func() error {
+		return func() error {
+			resp, err := http.Get(front.URL + path)
+			if err != nil {
+				return err
+			}
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err == nil && resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("answered %s", resp.Status)
+			}
 			return err
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("answered %s", resp.Status)
-		}
-		return nil
-	})
+	}
+	within("GET /healthz", fetch(telemetry.HealthPath))
+	man, err := gamepack.ExtractManifest(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within("GET /manifest/classroom", fetch("/manifest/classroom"))
+	within("a /chunk/ GET of the first course", fetch("/chunk/"+man.Section(gamepack.SectionVideo).Chunks[0].Hash.String()))
 	clients := make(chan *playsvc.Client, 1)
 	within("a thin session's create", func() error {
 		c, err := playsvc.Dial(playsvc.ClientOptions{BaseURL: front.URL, Course: "classroom", Project: content.Classroom().Project})

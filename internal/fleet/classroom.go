@@ -39,7 +39,7 @@ const (
 type ClassroomConfig struct {
 	ServerURL string // package server base URL (http://host:port)
 	PlayURL   string // play/room service on another host; empty means ServerURL
-	Package   string // course package under /pkg/
+	Package   string // published course package name
 
 	Rooms    int // shared sessions (default 1)
 	Watchers int // subscribers per room (default 50)

@@ -30,7 +30,7 @@ import (
 // Config shapes one fleet run.
 type Config struct {
 	ServerURL string // netstream server base URL (http://host:port), which also ingests telemetry
-	Package   string // package name published under /pkg/, which also labels telemetry
+	Package   string // published package name, which also labels telemetry
 
 	// Interactive switches learners from local simulation to server-hosted
 	// play: each learner creates a session on the play service and drives

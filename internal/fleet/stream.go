@@ -19,7 +19,7 @@ import (
 // StreamConfig sizes a streaming fleet run.
 type StreamConfig struct {
 	ServerURL string // netstream server base URL
-	Package   string // ladder package published under /pkg/
+	Package   string // published ladder package name
 
 	Learners    int // fleet size (default 20)
 	Concurrency int // max simultaneously streaming learners (default min(Learners, 32))

@@ -211,8 +211,8 @@ type SectionLoc struct {
 }
 
 // Layout computes, without any chunk bytes, where each section's payload
-// lands in the assembled blob and the blob's total size. It exists so a
-// delta-syncing client can plan ranged access from the manifest alone.
+// lands in the assembled blob and the blob's total size, so a publisher
+// can find each chunk of a blob from the manifest alone.
 func (m *Manifest) Layout() ([]SectionLoc, int) {
 	return m.layout(len(m.Encode()))
 }

@@ -2,21 +2,21 @@
 // web-based deployment ("students can easily access these resources via
 // network", §2) and the substitution for its "web page" resources.
 //
-// Since PR 4 the delivery path is content-addressed: the Server resolves
-// a package name to its chunk manifest and serves every payload byte out
-// of a blobstore.Store (deduplicated across courses, hot chunks in an LRU
-// tier) instead of holding whole blobs resident. Three routes expose the
-// store:
+// The delivery path is content-addressed: the Server resolves a package
+// name to its chunk manifest and serves every payload byte out of a
+// blobstore.Store (deduplicated across courses, hot chunks in an LRU tier)
+// instead of holding whole blobs resident. A package crosses the wire one
+// way, as its manifest and then its chunks:
 //
-//   - /pkg/<name>       — the classic byte-identical package (ranges,
-//     ETag/304), assembled on the fly from chunks.
-//   - /manifest/<name>  — the chunk manifest (ordered hashes + sizes).
+//   - /manifest/<name>  — the chunk manifest (ordered hashes + sizes), with
+//     the package's ETag and a 304 to a matching conditional GET.
 //   - /chunk/<hex>      — one immutable chunk by content address.
 //
-// A package's ETag, on /pkg/ and /manifest/ alike, is the digest of its
-// canonical manifest encoding (see validator), so a client that checks it
-// on the manifest bytes and each chunk against its address has checked
-// the whole package without hashing it again.
+// A package's ETag is the digest of its canonical manifest encoding (see
+// validator), so a client that checks it on the manifest bytes and each
+// chunk against its address has checked the whole package without hashing
+// it again. A client is handed a package as a <base>/pkg/<name> URL, which
+// names these two routes; no route serves /pkg/ itself.
 //
 // The Client offers two strategies, compared by experiments E8/E13:
 //
@@ -55,29 +55,19 @@ import (
 	"repro/internal/obs"
 )
 
-// extent is one run of package bytes: either framing bytes kept inline
-// (section headers, CRCs, the small manifest section) or a reference into
-// the chunk store.
-type extent struct {
-	off    int64
-	size   int
-	hash   blobstore.Hash
-	inline []byte // nil → chunk
-}
-
-// pkgEntry is one published package: its manifest, its byte layout and
-// its validator. The payload bytes live in the chunk store; what remains
-// resident per package is a few hundred bytes of framing.
+// pkgEntry is one published package: its manifest, its validator and the
+// chunks the manifest lists. The payload bytes live in the chunk store,
+// and a client reassembles the package from the manifest; what remains
+// resident per package is its manifest and one hash per chunk.
 type pkgEntry struct {
-	manifest []byte // canonical manifest encoding, served at /manifest/<name>
-	extents  []extent
-	size     int64
-	etag     string // validator(manifest)
+	manifest []byte           // canonical manifest encoding, served at /manifest/<name>
+	etag     string           // validator(manifest)
+	chunks   []blobstore.Hash // every chunk reference, in manifest order
 }
 
-// validator is a published package's ETag, on /pkg/ and /manifest/ alike:
-// the first 16 bytes of the SHA-256 of its canonical manifest encoding.
-// The manifest lists every chunk's SHA-256 and size and the package is
+// validator is a published package's ETag, served on /manifest/: the first
+// 16 bytes of the SHA-256 of its canonical manifest encoding. The manifest
+// lists every chunk's SHA-256 and size and the package is
 // Manifest.Assemble's pure function of it (AddPackage refuses any other
 // blob), so this digest is the package's Merkle root: a client that
 // checks it on the manifest bytes and each chunk against its address has
@@ -87,9 +77,9 @@ func validator(manifest []byte) string {
 	return fmt.Sprintf(`"%x"`, sum[:16])
 }
 
-// Server publishes game packages under /pkg/<name> with range support, a
-// package listing under /list, chunk-level access under /manifest/<name>
-// and /chunk/<hash>, and popup web resources under /res/<name>; every
+// Server publishes game packages as their manifests under
+// /manifest/<name> and their chunks under /chunk/<hash>, with a package
+// listing under /list and popup web resources under /res/<name>; every
 // other path is a 404 (internal/deploy routes a deployment's other
 // subsystems around it). All methods are safe for concurrent use; a
 // classroom fleet hammers one Server from hundreds of goroutines.
@@ -99,9 +89,10 @@ type Server struct {
 	resources map[string]string
 	started   time.Time
 	store     *blobstore.Store
-	// chunkRefs counts extent references per chunk across all published
-	// packages, so replacing a package can release the chunks only its
-	// old version used instead of leaking a generation per course update.
+	// chunkRefs counts references per chunk across all published packages
+	// and the publishes in flight, so replacing a package can release the
+	// chunks only its old version used instead of leaking a generation per
+	// course update, and never a chunk a concurrent publish is depositing.
 	chunkRefs map[blobstore.Hash]int
 	// chunkTier maps each published video chunk to its quality tier's
 	// bytes-served counter, so the /chunk/ route counts a tiered chunk
@@ -156,12 +147,16 @@ func (s *Server) StoreStats() blobstore.Stats { return s.store.Stats() }
 // delta client would reassemble bytes other than such a blob. Re-adding a
 // name replaces the package — delta-syncing clients then transfer only
 // changed chunks, and chunks referenced only by the replaced version are
-// removed from the store (an in-flight transfer of the old version may
-// then fail; its client re-syncs and gets the new one).
+// removed from the store. A sync still working from the old manifest then
+// gets a 404 for such a chunk, and DownloadDelta re-syncs once from the
+// new manifest.
 //
-// Ingest and registration share one critical section so a concurrent
-// replace of another package cannot release a shared chunk between this
-// package's deposit and its refcount registration.
+// The chunks are stored with no lock held, so a publish stalls no fetch of
+// another course. Before it deposits anything, the call reserves a
+// reference to each chunk its manifest lists, so a concurrent replace
+// cannot release a shared chunk in between; the package, its tier
+// attribution and the release of the old version's references then land
+// in one critical section.
 func (s *Server) AddPackage(name string, blob []byte) error {
 	if name == "" || strings.ContainsAny(name, "/ ") {
 		return fmt.Errorf("netstream: bad package name %q", name)
@@ -173,19 +168,42 @@ func (s *Server) AddPackage(name string, blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("netstream: %w", err)
 	}
+	if err := man.CheckFraming(blob); err != nil {
+		return fmt.Errorf("netstream: %w", err)
+	}
+	self := man.Encode()
+	ent := &pkgEntry{manifest: self, etag: validator(self)}
+	for _, sc := range man.Sections {
+		for _, c := range sc.Chunks {
+			ent.chunks = append(ent.chunks, c.Hash)
+		}
+	}
+	s.mu.Lock()
+	for _, h := range ent.chunks {
+		s.chunkRefs[h]++
+	}
+	s.mu.Unlock()
+
+	added, err := s.deposit(man, blob)
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ent, err := s.ingest(man, blob)
 	if err != nil {
+		// A failed publish must not grow the store: drop the reservation
+		// and take back the chunks this call newly deposited, sparing any
+		// that a published package or another publish also references.
+		for _, h := range ent.chunks {
+			s.unref(h)
+		}
+		for _, h := range added {
+			if s.chunkRefs[h] == 0 {
+				s.store.Remove(h)
+			}
+		}
 		return err
 	}
 	old := s.packages[name]
 	s.packages[name] = ent
-	for _, ext := range ent.extents {
-		if ext.inline == nil {
-			s.chunkRefs[ext.hash]++
-		}
-	}
 	// Attribute video chunks to their tier for per-tier bytes-served
 	// accounting. Sections run extras-first, canonical last, so a chunk
 	// byte-identical across rungs lands on the canonical label — the
@@ -202,18 +220,25 @@ func (s *Server) AddPackage(name string, blob []byte) error {
 		}
 	}
 	if old != nil {
-		for _, ext := range old.extents {
-			if ext.inline != nil {
-				continue
-			}
-			if s.chunkRefs[ext.hash]--; s.chunkRefs[ext.hash] <= 0 {
-				delete(s.chunkRefs, ext.hash)
-				delete(s.chunkTier, ext.hash)
-				s.store.Remove(ext.hash)
+		for _, h := range old.chunks {
+			if s.unref(h) {
+				s.store.Remove(h)
 			}
 		}
 	}
 	return nil
+}
+
+// unref drops one reference to a chunk and reports whether none is left,
+// in which case the chunk is no longer attributed to a tier. s.mu must be
+// held.
+func (s *Server) unref(h blobstore.Hash) bool {
+	if s.chunkRefs[h]--; s.chunkRefs[h] > 0 {
+		return false
+	}
+	delete(s.chunkRefs, h)
+	delete(s.chunkTier, h)
+	return true
 }
 
 // tierCounterLocked finds or creates the bytes-served counter for a tier
@@ -233,56 +258,30 @@ func (s *Server) tierCounterLocked(label string) *atomic.Int64 {
 	return c
 }
 
-// ingest checks that the blob is its manifest's assembly, stores every
-// chunk and builds the serving extents. s.mu must be held. The framing,
-// the length and the manifest section are checked against the manifest
-// before anything is stored; each chunk is checked against its address by
-// the one SHA-256 that stores it. A rejection rolls back the chunks this
-// call newly deposited (a failed publish must not grow the store), sparing
-// any that a published package also references.
-func (s *Server) ingest(man *gamepack.Manifest, blob []byte) (*pkgEntry, error) {
-	if err := man.CheckFraming(blob); err != nil {
-		return nil, fmt.Errorf("netstream: %w", err)
-	}
-	self := man.Encode()
-	ent := &pkgEntry{manifest: self, size: int64(len(blob)), etag: validator(self)}
+// deposit stores every chunk of a blob whose framing matches its manifest,
+// checking each against its address by the one SHA-256 that stores it. It
+// returns the chunks it newly added to the store, those before a refusal
+// included. It takes no lock: the caller holds a reference to every chunk
+// the manifest lists.
+func (s *Server) deposit(man *gamepack.Manifest, blob []byte) (added []blobstore.Hash, err error) {
 	locs, _ := man.Layout()
-	pos := 0
-	var added []blobstore.Hash // chunks this call deposited that were new
-	fail := func(err error) (*pkgEntry, error) {
-		for _, h := range added {
-			if s.chunkRefs[h] == 0 {
-				s.store.Remove(h)
-			}
-		}
-		return nil, err
-	}
-	addInline := func(data []byte) {
-		ent.extents = append(ent.extents, extent{off: int64(pos), size: len(data), inline: data})
-		pos += len(data)
-	}
 	for i, sc := range man.Sections {
-		addInline(append([]byte(nil), blob[pos:locs[i].Off]...)) // framing before the payload
-		if sc.Name == gamepack.SectionManifest && len(sc.Chunks) == 0 {
-			addInline(self) // CheckFraming matched the section against it
-			continue
-		}
+		pos := locs[i].Off
 		for _, c := range sc.Chunks {
 			h, isNew, err := s.store.Put(blob[pos : pos+c.Size])
 			if err != nil {
-				return fail(fmt.Errorf("netstream: %w", err))
+				return added, fmt.Errorf("netstream: %w", err)
 			}
 			if isNew {
 				added = append(added, h)
 			}
 			if h != c.Hash {
-				return fail(fmt.Errorf("netstream: manifest chunk hash mismatch in section %q", sc.Name))
+				return added, fmt.Errorf("netstream: manifest chunk hash mismatch in section %q", sc.Name)
 			}
-			ent.extents = append(ent.extents, extent{off: int64(pos), size: c.Size, hash: c.Hash})
 			pos += c.Size
 		}
 	}
-	return ent, nil
+	return added, nil
 }
 
 // AddResource publishes a text resource (the target of scripts' `open`).
@@ -362,20 +361,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		for _, n := range s.Names() {
 			fmt.Fprintln(w, n)
 		}
-	case strings.HasPrefix(r.URL.Path, "/pkg/"):
-		name := strings.TrimPrefix(r.URL.Path, "/pkg/")
-		ent := s.pkg(name)
-		if ent == nil {
-			http.NotFound(w, r)
-			return
-		}
-		// With the ETag header set, ServeContent answers If-None-Match with
-		// 304 (and still implements Range/If-Modified-Since for us) — repeat
-		// fleet fetches of an unchanged package cost a handshake, not
-		// megabytes. The reader assembles the requested ranges from the
-		// chunk store on the fly; popular chunks ride the hot tier.
-		w.Header().Set("ETag", ent.etag)
-		http.ServeContent(w, r, name+".tkg", s.started, &extentReader{ent: ent, store: s.store})
 	case strings.HasPrefix(r.URL.Path, "/manifest/"):
 		name := strings.TrimPrefix(r.URL.Path, "/manifest/")
 		ent := s.pkg(name)
@@ -430,60 +415,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.NotFound(w, r)
 	}
-}
-
-// extentReader adapts a package's extent table to io.ReadSeeker for
-// http.ServeContent, resolving chunk extents through the store. Each
-// reader is request-scoped; the store it reads from is shared.
-type extentReader struct {
-	ent   *pkgEntry
-	store *blobstore.Store
-	pos   int64
-}
-
-func (r *extentReader) Read(p []byte) (int, error) {
-	if r.pos >= r.ent.size {
-		return 0, io.EOF
-	}
-	// Find the extent containing pos (extents are sorted and tile the blob).
-	exts := r.ent.extents
-	i := sort.Search(len(exts), func(i int) bool {
-		return exts[i].off+int64(exts[i].size) > r.pos
-	})
-	if i == len(exts) {
-		return 0, io.EOF
-	}
-	ext := &exts[i]
-	src := ext.inline
-	if src == nil {
-		data, err := r.store.Get(ext.hash)
-		if err != nil {
-			return 0, fmt.Errorf("netstream: resolving extent at %d: %w", ext.off, err)
-		}
-		src = data
-	}
-	n := copy(p, src[r.pos-ext.off:])
-	r.pos += int64(n)
-	return n, nil
-}
-
-func (r *extentReader) Seek(offset int64, whence int) (int64, error) {
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = r.pos
-	case io.SeekEnd:
-		base = r.ent.size
-	default:
-		return 0, errors.New("netstream: bad whence")
-	}
-	if base+offset < 0 {
-		return 0, errors.New("netstream: negative seek")
-	}
-	r.pos = base + offset
-	return r.pos, nil
 }
 
 // Stats counts what a client transfer cost.
@@ -545,8 +476,9 @@ const retryBudget = 2 * time.Second
 // etag is non-empty — through faultnet.Exchange. Transport failures,
 // retryable statuses (429/5xx, honoring a server Retry-After) and a body
 // cut after the headers are retried with jittered backoff; any other
-// status is terminal. There is no per-attempt deadline: a whole-package
-// degrade GET on a throttled link legitimately outlasts any fixed bound.
+// status is terminal, and a 404 wraps errNotFound. There is no per-attempt
+// deadline: the largest body is one 64 KiB chunk, and on the slowest link
+// profile (cap-6k, 6 kB/s) that takes about 11 s to arrive.
 // A request the server answered counts once in st however many attempts
 // it took; a 304 to a conditional GET returns notModified with no body.
 // A 200's body is read into a buffer that starts at capacity bodyCap (see
@@ -569,6 +501,9 @@ func (c *Client) get(url, etag string, bodyCap int, st *Stats) (body []byte, res
 			notModified = true
 			return nil, false
 		}
+		if resp.StatusCode == http.StatusNotFound {
+			return fmt.Errorf("netstream: GET %s: %w", url, errNotFound), false
+		}
 		return faultnet.WithRetryAfter(resp, fmt.Errorf("netstream: GET %s: %s", url, resp.Status)), !answered
 	})
 	if answered {
@@ -584,8 +519,12 @@ func (c *Client) get(url, etag string, bodyCap int, st *Stats) (body []byte, res
 	return body, respETag, notModified, nil
 }
 
+// errNotFound is what get wraps when the server answers 404: no such
+// package, chunk or resource.
+var errNotFound = errors.New("not found")
+
 // anyBodyCap is the starting capacity for a body of unknown size (the
-// manifest, a whole package, a resource): io.ReadAll's.
+// manifest, a resource): io.ReadAll's.
 const anyBodyCap = 512
 
 // readBody reads r to EOF, as io.ReadAll does, into a buffer that starts
@@ -611,8 +550,8 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	}
 }
 
-// DefaultCacheBudget bounds a PackageCache's assembled-package tier.
-const DefaultCacheBudget = 256 << 20
+// defaultCacheBudget bounds a PackageCache's assembled-package tier.
+const defaultCacheBudget = 256 << 20
 
 // PackageCache is the client-side cache of the delivery layer: assembled
 // packages by URL (with the validator the server sent, so repeat fetches
@@ -637,26 +576,14 @@ type pkgCacheEntry struct {
 	blob []byte
 }
 
-// NewPackageCache creates a cache with default budgets.
+// NewPackageCache creates a cache with the default budgets: 256 MiB of
+// assembled packages over blobstore.DefaultCacheBytes of chunks.
 func NewPackageCache() *PackageCache {
-	return NewPackageCacheBudget(DefaultCacheBudget, blobstore.DefaultCacheBytes)
-}
-
-// NewPackageCacheBudget creates a cache with explicit byte budgets for
-// the assembled-package tier and the chunk tier (non-positive budgets
-// fall back to the defaults).
-func NewPackageCacheBudget(pkgBytes, chunkBytes int64) *PackageCache {
-	if pkgBytes <= 0 {
-		pkgBytes = DefaultCacheBudget
-	}
-	if chunkBytes <= 0 {
-		chunkBytes = blobstore.DefaultCacheBytes
-	}
 	return &PackageCache{
-		budget:  pkgBytes,
+		budget:  defaultCacheBudget,
 		entries: map[string]*list.Element{},
 		lru:     list.New(),
-		chunks:  blobstore.NewCache(chunkBytes),
+		chunks:  blobstore.NewCache(blobstore.DefaultCacheBytes),
 	}
 }
 
@@ -731,76 +658,9 @@ func (pc *PackageCache) put(url, etag string, blob []byte) {
 	}
 }
 
-// downloadWhole is the conditional whole-package GET, DownloadDelta's
-// degrade step. When the cache holds a copy, the request carries
-// If-None-Match and a 304 answer reuses the cached bytes — st then gains
-// one request, zero bytes and one NotModified.
-func (c *Client) downloadWhole(url string, cache *PackageCache, st *Stats) ([]byte, error) {
-	var etag string
-	cached, have := cache.get(url)
-	if have {
-		etag = cached.etag
-	}
-	blob, respETag, notModified, err := c.get(url, etag, anyBodyCap, st)
-	if err != nil {
-		return nil, err
-	}
-	if notModified {
-		return cached.blob, nil
-	}
-	if err := checkWhole(blob, respETag); err != nil {
-		return nil, err
-	}
-	cache.put(url, respETag, blob)
-	return blob, nil
-}
-
-// checkWhole holds a whole-package body to its own manifest, hashing each
-// byte once: the manifest section must be intact (ExtractManifest checks
-// its CRC) and, when the validator has validator's form, be the manifest
-// that validator names; the body must then be that manifest's assembly —
-// CheckFraming for everything but the chunks, and each chunk against its
-// address. A server with an opaque validator, one that predates manifest
-// digests, is held to the manifest alone.
-func checkWhole(blob []byte, etag string) error {
-	man, err := gamepack.ExtractManifest(blob)
-	if err != nil {
-		return fmt.Errorf("netstream: whole package: %w", err)
-	}
-	if isDigest(etag) && validator(man.Encode()) != etag {
-		return errValidatorMismatch
-	}
-	if err := man.CheckFraming(blob); err != nil {
-		return fmt.Errorf("netstream: whole package: %w", err)
-	}
-	locs, _ := man.Layout()
-	for i, sc := range man.Sections {
-		off := locs[i].Off
-		for _, c := range sc.Chunks {
-			if blobstore.Sum(blob[off:off+c.Size]) != c.Hash {
-				return fmt.Errorf("netstream: whole package: section %q chunk at %d does not hash to %s", sc.Name, off-locs[i].Off, c.Hash)
-			}
-			off += c.Size
-		}
-	}
-	return nil
-}
-
-// isDigest reports whether an ETag has validator's form: a quoted
-// 16-byte digest in lower-case hex.
-func isDigest(etag string) bool {
-	if len(etag) != 34 || etag[0] != '"' || etag[33] != '"' {
-		return false
-	}
-	for _, c := range etag[1:33] {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // splitPkgURL resolves a /pkg/ URL into its server base and package name.
+// A package is named to a client by that URL form, <base>/pkg/<name>; the
+// client fetches it from <base>/manifest/<name> and <base>/chunk/<hash>.
 func splitPkgURL(url string) (base, name string, ok bool) {
 	i := strings.LastIndex(url, "/pkg/")
 	if i < 0 {
@@ -879,17 +739,19 @@ var errValidatorMismatch = errors.New("netstream: manifest does not match server
 // from the cache's chunk tier cross the wire (each hash-verified on
 // receipt), and the package is reassembled locally — on a course update
 // that edited one segment, the transfer is that segment plus the
-// manifest. When the diff cannot complete for a transport or availability
-// reason — no /manifest/ route, chunk fetches that keep failing after their
-// own retries on a lossy or partitioned link, a mid-update server — the
-// sync degrades to one conditional whole-package GET (a lossy link must
-// slow a sync down, not kill it); a validator mismatch is an integrity
-// rejection and fails. The returned blob must be treated as read-only.
+// manifest. The package travels only as its manifest and its chunks, and
+// any failure fails the sync: a manifest the validator does not name, a
+// chunk that does not hash to its address or has the wrong length, and a
+// transport failure that outlasts a request's own retries. One case is
+// not a failure: a chunk that answers 404 means the package was re-added
+// mid-sync and the chunks only its old version used are gone, so the sync
+// runs once more from the new manifest (the chunks already verified stay
+// in the cache). The returned blob must be treated as read-only.
 func (c *Client) DownloadDelta(url string, cache *PackageCache) (blob []byte, st Stats, err error) {
 	began := time.Now()
-	blob, err = c.syncManifest(url, cache, &st)
-	if err != nil && !errors.Is(err, errValidatorMismatch) {
-		blob, err = c.downloadWhole(url, cache, &st)
+	blob, stale, err := c.syncManifest(url, cache, &st)
+	if stale {
+		blob, _, err = c.syncManifest(url, cache, &st)
 	}
 	st.Elapsed = time.Since(began)
 	if c.Metrics != nil {
@@ -901,11 +763,12 @@ func (c *Client) DownloadDelta(url string, cache *PackageCache) (blob []byte, st
 
 // syncManifest is the manifest-diff sync proper: conditional, authenticated
 // manifest GET, missing chunks (each verified against its address),
-// reassembly.
-func (c *Client) syncManifest(url string, cache *PackageCache, st *Stats) ([]byte, error) {
+// reassembly. It reports stale when a chunk the manifest lists answered
+// 404.
+func (c *Client) syncManifest(url string, cache *PackageCache, st *Stats) (blob []byte, stale bool, err error) {
 	base, name, ok := splitPkgURL(url)
 	if !ok {
-		return nil, fmt.Errorf("netstream: %q is not a /pkg/ URL", url)
+		return nil, false, fmt.Errorf("netstream: %q is not a /pkg/ URL", url)
 	}
 	var etag string
 	if cached, have := cache.get(url); have {
@@ -913,24 +776,24 @@ func (c *Client) syncManifest(url string, cache *PackageCache, st *Stats) ([]byt
 	}
 	man, respETag, notModified, err := c.fetchManifest(base+"/manifest/"+name, etag, st)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if notModified {
 		if cached, have := cache.get(url); have {
-			return cached.blob, nil
+			return cached.blob, false, nil
 		}
 		// Entry evicted between the conditional request and now; refetch.
 		man, respETag, _, err = c.fetchManifest(base+"/manifest/"+name, "", st)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	blob, err := c.materialize(base, man, cache, st)
+	blob, err = c.materialize(base, man, cache, st)
 	if err != nil {
-		return nil, err
+		return nil, errors.Is(err, errNotFound), err
 	}
 	cache.put(url, respETag, blob)
-	return blob, nil
+	return blob, false, nil
 }
 
 // chunkFetchParallelism bounds concurrent chunk GETs during a sync, so a
@@ -979,7 +842,9 @@ func (c *Client) materialize(base string, man *gamepack.Manifest, cache *Package
 	}
 	wg.Wait()
 	for i := range missing {
-		st.Add(stats[i])
+		st.Add(stats[i]) // every fetch counts, those after a failure too
+	}
+	for i := range missing {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}

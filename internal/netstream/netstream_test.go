@@ -65,29 +65,14 @@ func TestListAndNotFound(t *testing.T) {
 	if strings.TrimSpace(body) != "classroom" {
 		t.Errorf("list = %q", body)
 	}
-	if _, _, err := c.DownloadDelta(ts.URL+"/pkg/ghost", NewPackageCache()); err == nil {
+	// A missing package is one request: its manifest's 404.
+	if _, st, err := c.DownloadDelta(ts.URL+"/pkg/ghost", NewPackageCache()); err == nil {
 		t.Error("missing package downloadable")
+	} else if st.Requests != 1 {
+		t.Errorf("missing package cost %d requests, want the manifest's one", st.Requests)
 	}
 	if _, _, err := c.FetchResource(ts.URL + "/res/ghost"); err == nil {
 		t.Error("missing resource fetchable")
-	}
-}
-
-// TestDownloadWholePackage, TestETagNotModified and TestDownloadCached pin
-// DownloadDelta's degrade step, the conditional whole-package GET.
-func TestDownloadWholePackage(t *testing.T) {
-	ts, blob := testServer(t)
-	c := &Client{}
-	var st Stats
-	got, err := c.downloadWhole(ts.URL+"/pkg/classroom", NewPackageCache(), &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(blob) {
-		t.Fatal("downloaded bytes differ")
-	}
-	if st.BytesFetched != len(blob) || st.Requests != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -219,33 +204,18 @@ func TestFetchResource(t *testing.T) {
 	}
 }
 
-func TestExtentReaderSeek(t *testing.T) {
-	ts, blob := testServer(t)
-	// Ranged reads across extent boundaries must reproduce the exact bytes
-	// of the assembled package (the store-backed reader is what ServeContent
-	// sees for range requests).
-	for _, r := range [][2]int{{0, 16}, {5, len(blob)}, {len(blob) / 2, len(blob)/2 + 8192}, {len(blob) - 7, len(blob)}} {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/pkg/classroom", nil)
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", r[0], r[1]-1))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("range [%d,%d): %v", r[0], r[1], err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusPartialContent {
-			t.Fatalf("range [%d,%d): %s, %v", r[0], r[1], resp.Status, err)
-		}
-		if string(got) != string(blob[r[0]:r[1]]) {
-			t.Fatalf("range [%d,%d) differs from blob", r[0], r[1])
-		}
-	}
-}
-
+// TestETagNotModified: /manifest/ answers a conditional GET that names
+// the package's validator with a bodiless 304, and a stale one with the
+// manifest.
 func TestETagNotModified(t *testing.T) {
 	ts, blob := testServer(t)
+	man, err := gamepack.ExtractManifest(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := man.Encode()
 	// First GET reports a validator.
-	resp, err := http.Get(ts.URL + "/pkg/classroom")
+	resp, err := http.Get(ts.URL + "/manifest/classroom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +223,10 @@ func TestETagNotModified(t *testing.T) {
 	resp.Body.Close()
 	etag := resp.Header.Get("ETag")
 	if etag == "" {
-		t.Fatal("no ETag on package response")
+		t.Fatal("no ETag on manifest response")
 	}
 	// A conditional GET with the validator gets 304 and no body.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/pkg/classroom", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/manifest/classroom", nil)
 	req.Header.Set("If-None-Match", etag)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -270,7 +240,7 @@ func TestETagNotModified(t *testing.T) {
 	if len(body) != 0 {
 		t.Fatalf("304 carried %d body bytes", len(body))
 	}
-	// A stale validator still gets the full package.
+	// A stale validator still gets the whole manifest.
 	req.Header.Set("If-None-Match", `"deadbeef"`)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -278,37 +248,8 @@ func TestETagNotModified(t *testing.T) {
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(body) != len(blob) {
-		t.Fatalf("stale validator: %s, %d bytes (want 200, %d)", resp.Status, len(body), len(blob))
-	}
-}
-
-func TestDownloadCached(t *testing.T) {
-	ts, blob := testServer(t)
-	c := &Client{}
-	cache := NewPackageCache()
-	var st Stats
-	got, err := c.downloadWhole(ts.URL+"/pkg/classroom", cache, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(blob) {
-		t.Fatal("first fetch differs")
-	}
-	if st.BytesFetched != len(blob) || st.NotModified != 0 {
-		t.Errorf("first fetch stats = %+v", st)
-	}
-	// Second fetch revalidates: one request, no payload.
-	st = Stats{}
-	got, err = c.downloadWhole(ts.URL+"/pkg/classroom", cache, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(blob) {
-		t.Fatal("cached fetch differs")
-	}
-	if st.Requests != 1 || st.BytesFetched != 0 || st.NotModified != 1 {
-		t.Errorf("cached fetch stats = %+v", st)
+	if resp.StatusCode != http.StatusOK || len(body) != len(enc) {
+		t.Fatalf("stale validator: %s, %d bytes (want 200, %d)", resp.Status, len(body), len(enc))
 	}
 }
 
@@ -622,6 +563,75 @@ func TestDeltaSyncSingleSegmentEdit(t *testing.T) {
 	}
 }
 
+// TestDeltaSyncAcrossRepublish: a course re-published while a sync is in
+// flight removes the chunks only the old version used, so the sync's chunk
+// GETs from the old manifest can answer 404. The sync then runs once more
+// from the new manifest and returns the new package byte for byte: two
+// manifest requests, each chunk requested once (the ones verified before
+// the re-publish stay in the cache), and nothing but /manifest/ and
+// /chunk/ asked for.
+func TestDeltaSyncAcrossRepublish(t *testing.T) {
+	v1, v2 := longCourse(t, false), longCourse(t, true)
+	man1, _ := gamepack.ExtractManifest(v1)
+	man2, _ := gamepack.ExtractManifest(v2)
+	set2 := man2.ChunkSet()
+	gone := 0
+	for h := range man1.ChunkSet() {
+		if _, ok := set2[h]; !ok {
+			gone++
+		}
+	}
+	if gone == 0 {
+		t.Fatal("fixture: v2 keeps every v1 chunk, so no chunk GET can miss")
+	}
+	srv := NewServer()
+	if err := srv.AddPackage("long", v1); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	hits := map[string]int{}
+	var republish sync.Once
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		hits[r.URL.Path]++
+		mu.Unlock()
+		if strings.HasPrefix(r.URL.Path, "/chunk/") {
+			republish.Do(func() {
+				if err := srv.AddPackage("long", v2); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+
+	got, st, err := (&Client{}).DownloadDelta(proxy.URL+"/pkg/long", NewPackageCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, v2) {
+		t.Fatal("the sync across the re-publish did not return v2")
+	}
+	for path, n := range hits {
+		switch {
+		case path == "/manifest/long":
+			if n != 2 {
+				t.Errorf("%d manifest requests, want 2", n)
+			}
+		case strings.HasPrefix(path, "/chunk/"):
+			if n != 1 {
+				t.Errorf("%s requested %d times, want once", path, n)
+			}
+		default:
+			t.Errorf("%s requested %d times; a sync asks only for the manifest and chunks", path, n)
+		}
+	}
+	if st.ChunksFetched != len(set2) {
+		t.Errorf("%d chunks fetched, v2 has %d", st.ChunksFetched, len(set2))
+	}
+}
+
 // TestDeltaVerifiesChunkHashes: a server (or middlebox) that returns wrong
 // chunk bytes must be caught by per-chunk verification, never assembled.
 func TestDeltaVerifiesChunkHashes(t *testing.T) {
@@ -648,15 +658,11 @@ func TestDeltaVerifiesChunkHashes(t *testing.T) {
 	defer proxy.Close()
 	c := &Client{}
 	cache := NewPackageCache()
-	// Per-chunk verification rejects every corrupted chunk; the sync then
-	// degrades to the whole-package path (uncorrupted here) instead of
-	// failing outright.
+	// Per-chunk verification rejects every corrupted chunk, and an
+	// integrity rejection fails the sync.
 	blob, st, err := c.DownloadDelta(proxy.URL+"/pkg/classroom", cache)
-	if err != nil {
-		t.Fatalf("delta did not fall back past corrupted chunks: %v", err)
-	}
-	if !bytes.Equal(blob, want) {
-		t.Fatal("fallback package differs from the server's")
+	if err == nil {
+		t.Fatalf("delta returned a %d-byte package assembled from corrupted chunks", len(blob))
 	}
 	if st.ChunksFetched != 0 {
 		t.Fatalf("%d corrupted chunks counted as fetched", st.ChunksFetched)
@@ -687,10 +693,9 @@ func TestDeltaVerifiesChunkHashes(t *testing.T) {
 // TestChunkBodyLengthRejected: a chunk body one byte short or one byte
 // long, with headers that agree with it, is refused whole — never cut or
 // padded to the manifest's size and passed. The chunk is not asked for
-// twice, the sync takes its one whole-package degrade, and the mangled
-// body is not cached.
+// twice, the sync fails, and the mangled body is not cached.
 func TestChunkBodyLengthRejected(t *testing.T) {
-	inner, want := testServer(t)
+	inner, _ := testServer(t)
 	for name, mangle := range map[string]func([]byte) []byte{
 		"short": func(b []byte) []byte { return b[:len(b)-1] },
 		"long":  func(b []byte) []byte { return append(b, b[0]) },
@@ -720,14 +725,14 @@ func TestChunkBodyLengthRejected(t *testing.T) {
 			defer proxy.Close()
 			cache := NewPackageCache()
 			blob, _, err := (&Client{}).DownloadDelta(proxy.URL+"/pkg/classroom", cache)
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				t.Fatalf("a %s chunk body synced: %d-byte package, no error", name, len(blob))
 			}
-			if !bytes.Equal(blob, want) {
-				t.Fatal("synced package differs from the server's")
+			if hits[victim] != 1 {
+				t.Errorf("%s chunk body requested %d times; want the one rejection", name, hits[victim])
 			}
-			if hits[victim] != 1 || hits["/pkg/classroom"] != 1 {
-				t.Errorf("%s chunk body requested %d times, /pkg/ %d times; want one rejection and the one degrade", name, hits[victim], hits["/pkg/classroom"])
+			if cache.Len() != 0 {
+				t.Errorf("a sync refused for a %s body cached a package", name)
 			}
 			h, err := blobstore.ParseHash(strings.TrimPrefix(victim, "/chunk/"))
 			if err != nil {
@@ -780,9 +785,9 @@ func TestColdDeltaAllocations(t *testing.T) {
 
 // TestChunkBodyCutRefetched: a chunk GET whose body dies after the headers
 // is a failed attempt, not a failed fetch — the chunk is re-requested and
-// the sync completes as a manifest diff (same Stats as a clean run, /pkg/
-// never touched). An integrity rejection is the opposite: a chunk whose
-// bytes do not hash to their name is never asked for twice.
+// the sync completes as a manifest diff (same Stats as a clean run). An
+// integrity rejection is the opposite: a chunk whose bytes do not hash to
+// their name is never asked for twice, and the sync fails.
 func TestChunkBodyCutRefetched(t *testing.T) {
 	inner, want := testServer(t)
 	_, clean, err := (&Client{}).DownloadDelta(inner.URL+"/pkg/classroom", NewPackageCache())
@@ -791,7 +796,7 @@ func TestChunkBodyCutRefetched(t *testing.T) {
 	}
 	// fault mangles the first chunk response it sees, and every later
 	// response for that same chunk when sticky is set.
-	run := func(sticky bool, fault func(w http.ResponseWriter, body []byte)) (Stats, map[string]int, string) {
+	run := func(sticky bool, fault func(w http.ResponseWriter, body []byte)) (Stats, map[string]int, string, error) {
 		t.Helper()
 		var mu sync.Mutex
 		hits := map[string]int{}
@@ -814,36 +819,39 @@ func TestChunkBodyCutRefetched(t *testing.T) {
 		}))
 		defer proxy.Close()
 		blob, st, err := (&Client{}).DownloadDelta(proxy.URL+"/pkg/classroom", NewPackageCache())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, want) {
+		if err == nil && !bytes.Equal(blob, want) {
 			t.Fatal("synced package differs from the server's")
 		}
 		st.Elapsed = 0
-		return st, hits, victim
+		return st, hits, victim, err
 	}
 
-	st, hits, victim := run(false, func(w http.ResponseWriter, body []byte) {
+	st, hits, victim, err := run(false, func(w http.ResponseWriter, body []byte) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.Write(body[:len(body)/2])
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler) // the connection dies mid-body
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	clean.Elapsed = 0
 	if st != clean {
 		t.Errorf("stats with one cut chunk body = %+v, want the clean run's %+v", st, clean)
 	}
-	if hits[victim] != 2 || hits["/pkg/classroom"] != 0 {
-		t.Errorf("cut chunk requested %d times, /pkg/ %d times; want one re-fetch and no whole-package degrade", hits[victim], hits["/pkg/classroom"])
+	if hits[victim] != 2 {
+		t.Errorf("cut chunk requested %d times; want one re-fetch", hits[victim])
 	}
 
-	st, hits, victim = run(true, func(w http.ResponseWriter, body []byte) {
+	st, hits, victim, err = run(true, func(w http.ResponseWriter, body []byte) {
 		body[len(body)/2] ^= 0x01
 		w.Write(body)
 	})
-	if hits[victim] != 1 || hits["/pkg/classroom"] != 1 {
-		t.Errorf("corrupted chunk requested %d times, /pkg/ %d times; want one rejection and the one degrade", hits[victim], hits["/pkg/classroom"])
+	if err == nil {
+		t.Fatal("a corrupted chunk body synced with no error")
+	}
+	if hits[victim] != 1 {
+		t.Errorf("corrupted chunk requested %d times; want the one rejection", hits[victim])
 	}
 	if st.ChunksFetched >= clean.ChunksFetched {
 		t.Errorf("corrupted chunk counted as fetched: %+v", st)
@@ -878,7 +886,8 @@ func TestPackageCacheByteBudget(t *testing.T) {
 	defer ts.Close()
 	// Budget fits roughly one package: walking all three must evict.
 	budget := int64(len(blobs["classroom"]) + 1000)
-	cache := NewPackageCacheBudget(budget, 1<<20)
+	cache := NewPackageCache()
+	cache.budget, cache.chunks = budget, blobstore.NewCache(1<<20)
 	c := &Client{}
 	for _, name := range []string{"classroom", "museum", "street"} {
 		got, _, err := c.DownloadDelta(ts.URL+"/pkg/"+name, cache)
@@ -949,7 +958,8 @@ func TestPackageCacheNeverOverBudget(t *testing.T) {
 	if int64(len(blobs[largest])) <= budget {
 		t.Fatalf("largest package %d B fits the %d B budget: the walk proves nothing", len(blobs[largest]), budget)
 	}
-	cache := NewPackageCacheBudget(budget, 1<<20)
+	cache := NewPackageCache()
+	cache.budget, cache.chunks = budget, blobstore.NewCache(1<<20)
 	c := &Client{}
 	var evictions int64
 	for _, name := range []string{smallest, largest, "classroom", "museum", "street", largest, smallest} {
@@ -1015,48 +1025,6 @@ func TestProgressiveOpenCachedReusesChunks(t *testing.T) {
 	}
 }
 
-func TestLegacyServerFallback(t *testing.T) {
-	// A server without /manifest/ still syncs through DownloadDelta's single
-	// degrade step, and the stats of both legs are summed once.
-	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/pkg/classroom" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("ETag", `"v1"`)
-		http.ServeContent(w, r, "classroom.tkg", time.Unix(0, 0), bytes.NewReader(blob))
-	}))
-	defer legacy.Close()
-	c := &Client{}
-	cache := NewPackageCache()
-	got, st, err := c.DownloadDelta(legacy.URL+"/pkg/classroom", cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(blob) {
-		t.Fatal("fallback download differs")
-	}
-	// One 404 on /manifest/ plus one whole-package GET.
-	if st.Requests != 2 || st.BytesFetched != len(blob) || st.ChunksFetched != 0 || st.NotModified != 0 {
-		t.Errorf("fallback stats = %+v, want 2 requests and %d bytes", st, len(blob))
-	}
-	// Warm: the manifest is still missing, the whole-package step revalidates.
-	got, st, err = c.DownloadDelta(legacy.URL+"/pkg/classroom", cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(blob) {
-		t.Fatal("warm fallback download differs")
-	}
-	if st.Requests != 2 || st.BytesFetched != 0 || st.NotModified != 1 {
-		t.Errorf("warm fallback stats = %+v, want 2 requests, one 304, no bytes", st)
-	}
-}
-
 // TestPackageReplaceReleasesChunks: a course update must not leak the old
 // version's chunks — only chunks still referenced by some published
 // package stay in the store.
@@ -1096,6 +1064,98 @@ func TestPackageReplaceReleasesChunks(t *testing.T) {
 	}
 	if string(got) != string(v2) {
 		t.Fatal("replaced package serves wrong bytes")
+	}
+}
+
+// gatedBackend is an in-memory chunk backend whose Put number blockAt
+// (counted from 1) signals entered and then waits until release is closed.
+type gatedBackend struct {
+	blobstore.Backend
+	mu      sync.Mutex
+	puts    int
+	blockAt int
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *gatedBackend) Put(h blobstore.Hash, data []byte) (bool, error) {
+	b.mu.Lock()
+	b.puts++
+	block := b.puts == b.blockAt
+	b.mu.Unlock()
+	if block {
+		close(b.entered)
+		<-b.release
+	}
+	return b.Backend.Put(h, data)
+}
+
+// TestPublishReservesItsChunks: a publish deposits its chunks with no lock
+// held, so a replace of another package completes while that deposit is
+// blocked in the chunk store — and cannot release a chunk the blocked
+// publish has already deposited. Here "b" is v1 of a course that "a" also
+// holds, blocked at its last chunk; "a" is replaced by v2, which drops
+// v1's edited segment. Every chunk of "b" must still be stored, and "b"
+// must download byte for byte.
+func TestPublishReservesItsChunks(t *testing.T) {
+	v1, v2 := longCourse(t, false), longCourse(t, true)
+	man1, _ := gamepack.ExtractManifest(v1)
+	refs := 0
+	for _, sc := range man1.Sections {
+		refs += len(sc.Chunks)
+	}
+	be := &gatedBackend{Backend: blobstore.NewMemory(), entered: make(chan struct{}), release: make(chan struct{})}
+	store, err := blobstore.New(blobstore.Options{Backend: be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWith(store)
+	if err := srv.AddPackage("a", v1); err != nil {
+		t.Fatal(err)
+	}
+	be.mu.Lock()
+	be.blockAt = be.puts + refs // the last chunk of the next publish
+	be.mu.Unlock()
+	published := make(chan error, 1)
+	go func() { published <- srv.AddPackage("b", v1) }()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(be.release) }) }
+	defer release()
+	select {
+	case <-be.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the publish of b never reached its last chunk")
+	}
+	replaced := make(chan error, 1)
+	go func() { replaced <- srv.AddPackage("a", v2) }()
+	var err2 error
+	select {
+	case err2 = <-replaced:
+	case <-time.After(2 * time.Second):
+		t.Error("replacing a waited for the publish of b")
+		release()
+		err2 = <-replaced
+	}
+	release()
+	if err := <-published; err != nil {
+		t.Fatal(err)
+	}
+	if err2 != nil {
+		t.Fatal(err2)
+	}
+	for h := range man1.ChunkSet() {
+		if !srv.store.Has(h) {
+			t.Errorf("chunk %s of the published b is gone from the store", h)
+		}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	got, _, err := (&Client{}).DownloadDelta(ts.URL+"/pkg/b", NewPackageCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, v1) {
+		t.Fatal("b downloads other bytes than were published")
 	}
 }
 

@@ -1,6 +1,7 @@
 package netstream
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -14,12 +15,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/blobstore"
 	"repro/internal/gamepack"
 )
 
-// TestETagIsManifestDigest: a package's validator on /pkg/ and /manifest/
-// is one value, the first 16 bytes of the SHA-256 of its canonical
-// manifest encoding, and /manifest/ serves exactly that encoding.
+// TestETagIsManifestDigest: a package's validator on /manifest/ is the
+// first 16 bytes of the SHA-256 of its canonical manifest encoding, and
+// /manifest/ serves exactly that encoding. /pkg/ is not a route.
 func TestETagIsManifestDigest(t *testing.T) {
 	ts, blob := testServer(t)
 	man, err := gamepack.ExtractManifest(blob)
@@ -29,22 +31,28 @@ func TestETagIsManifestDigest(t *testing.T) {
 	enc := man.Encode()
 	sum := sha256.Sum256(enc)
 	want := fmt.Sprintf(`"%x"`, sum[:16])
-	for _, path := range []string{"/pkg/classroom", "/manifest/classroom"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resp.Header.Get("ETag"); got != want {
-			t.Errorf("%s ETag = %s, want the manifest digest %s", path, got, want)
-		}
-		if path == "/manifest/classroom" && string(body) != string(enc) {
-			t.Errorf("/manifest/ serves %d bytes that are not the canonical encoding (%d bytes)", len(body), len(enc))
-		}
+	resp, err := http.Get(ts.URL + "/manifest/classroom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Header.Get("ETag"); got != want {
+		t.Errorf("/manifest/ ETag = %s, want the manifest digest %s", got, want)
+	}
+	if string(body) != string(enc) {
+		t.Errorf("/manifest/ serves %d bytes that are not the canonical encoding (%d bytes)", len(body), len(enc))
+	}
+	resp, err = http.Get(ts.URL + "/pkg/classroom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /pkg/classroom: %s, want 404", resp.Status)
 	}
 }
 
@@ -79,8 +87,8 @@ func TestChunkRepliesAreSized(t *testing.T) {
 }
 
 // TestDeltaRejectsValidatorMismatch: a manifest the server's validator does
-// not name is an integrity rejection. Neither fill path asks for a chunk,
-// and DownloadDelta does not degrade to the whole package.
+// not name is an integrity rejection. Neither fill path asks for a chunk
+// or for anything else.
 func TestDeltaRejectsValidatorMismatch(t *testing.T) {
 	inner, _ := testServer(t)
 	for name, tamper := range map[string]func(h http.Header, body []byte){
@@ -128,40 +136,82 @@ func TestDeltaRejectsValidatorMismatch(t *testing.T) {
 	}
 }
 
-// TestWholeFallbackIsChecked: when the manifest route is gone and
-// DownloadDelta degrades to the whole package, the body is held to its own
-// manifest and to the validator it came with. A proxy that 404s /manifest/
-// and flips one /pkg/ byte — in a chunk, or in the manifest section — or
-// that names the body by another digest gets an error, and nothing is
-// cached.
+// TestWholeFallbackIsChecked: the tamperings a whole package was once
+// held to, applied where a package's bytes now travel. A proxy that flips
+// one byte of a video chunk, of the chunk holding the package's last byte
+// or of the manifest, or that names the manifest by another digest, gets
+// an error; nothing is cached, and the client asks for nothing but the
+// manifest and chunks — there is no whole package to fall back to. A
+// flipped chunk byte needs no reseal to pass the framing check: the
+// client's reassembly computes each section's CRC over the bytes it holds,
+// so only the chunk's address catches it.
 func TestWholeFallbackIsChecked(t *testing.T) {
 	inner, blob := testServer(t)
-	secs, err := gamepack.Sections(blob)
+	man, err := gamepack.ExtractManifest(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	video, manifest := secs[gamepack.SectionVideo], secs[gamepack.SectionManifest]
-	for name, tamper := range map[string]func(h http.Header, body []byte){
-		"a video chunk byte flipped": func(_ http.Header, body []byte) { body[video[0]+video[1]/2] ^= 0x01 },
-		"a video chunk byte flipped, its section resealed": func(_ http.Header, body []byte) {
-			body[video[0]+video[1]/2] ^= 0x01
-			binary.BigEndian.PutUint32(body[video[0]-4:], crc32.ChecksumIEEE(body[video[0]:video[0]+video[1]]))
+	video := man.Section(gamepack.SectionVideo)
+	if video == nil || len(video.Chunks) == 0 {
+		t.Fatal("fixture: no video chunks")
+	}
+	victim := "/chunk/" + video.Chunks[0].Hash.String()
+	// The package's last byte is the last byte of its last section: a
+	// chunk, or the manifest's own encoding.
+	lastPath := "/manifest/classroom"
+	if last := man.Sections[len(man.Sections)-1]; len(last.Chunks) > 0 {
+		lastPath = "/chunk/" + last.Chunks[len(last.Chunks)-1].Hash.String()
+	}
+	flip := func(path string, at func(n int) int) func(string, http.Header, []byte) {
+		return func(p string, _ http.Header, body []byte) {
+			if p == path {
+				body[at(len(body))] ^= 0x01
+			}
+		}
+	}
+	middle := func(n int) int { return n / 2 }
+	for name, tamper := range map[string]func(path string, h http.Header, body []byte){
+		"a video chunk byte flipped":                       flip(victim, middle),
+		"a video chunk byte flipped, its section resealed": flip(victim, middle),
+		"the last byte flipped":                            flip(lastPath, func(n int) int { return n - 1 }),
+		"a manifest section byte flipped":                  flip("/manifest/classroom", middle),
+		"another digest named": func(p string, h http.Header, _ []byte) {
+			if p == "/manifest/classroom" {
+				h.Set("ETag", `"00000000000000000000000000000000"`)
+			}
 		},
-		"the last byte flipped":           func(_ http.Header, body []byte) { body[len(body)-1] ^= 0x01 },
-		"a manifest section byte flipped": func(_ http.Header, body []byte) { body[manifest[0]+manifest[1]/2] ^= 0x01 },
-		"another digest named":            func(h http.Header, _ []byte) { h.Set("ETag", `"00000000000000000000000000000000"`) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if strings.HasPrefix(r.URL.Path, "/manifest/") {
-					http.NotFound(w, r)
-					return
+			if strings.HasSuffix(name, "resealed") {
+				// Reassembled around the flipped chunk, the package's
+				// framing holds: its CRCs are no defence on this path.
+				tampered, err := man.Assemble(func(h blobstore.Hash) ([]byte, error) {
+					rec := httptest.NewRecorder()
+					inner.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/chunk/"+h.String(), nil))
+					tamper("/chunk/"+h.String(), rec.Header(), rec.Body.Bytes())
+					return rec.Body.Bytes(), nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				if bytes.Equal(tampered, blob) {
+					t.Fatal("fixture: the flip changed no package byte")
+				}
+				if err := man.CheckFraming(tampered); err != nil {
+					t.Fatalf("fixture: the reassembled package fails its framing check: %v", err)
+				}
+			}
+			var mu sync.Mutex
+			hits := map[string]int{}
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				hits[r.URL.Path]++
+				mu.Unlock()
 				rec := httptest.NewRecorder()
 				inner.Config.Handler.ServeHTTP(rec, r)
 				body := rec.Body.Bytes()
-				if strings.HasPrefix(r.URL.Path, "/pkg/") && rec.Code == http.StatusOK {
-					tamper(rec.Header(), body)
+				if rec.Code == http.StatusOK {
+					tamper(r.URL.Path, rec.Header(), body)
 				}
 				for k, v := range rec.Header() {
 					w.Header()[k] = v
@@ -174,10 +224,15 @@ func TestWholeFallbackIsChecked(t *testing.T) {
 			cache := NewPackageCache()
 			got, _, err := c.DownloadDelta(proxy.URL+"/pkg/classroom", cache)
 			if err == nil {
-				t.Fatalf("DownloadDelta returned a tampered %d-byte package with no error", len(got))
+				t.Fatalf("DownloadDelta synced past a tampered reply: a %d-byte package, no error", len(got))
 			}
 			if cache.Len() != 0 {
-				t.Error("a rejected whole package was cached")
+				t.Error("a rejected package was cached")
+			}
+			for path, n := range hits {
+				if path != "/manifest/classroom" && !strings.HasPrefix(path, "/chunk/") {
+					t.Errorf("%s requested %d times; a sync asks only for the manifest and chunks", path, n)
+				}
 			}
 		})
 	}
