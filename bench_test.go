@@ -1101,12 +1101,14 @@ func BenchmarkPlaysvcActPipelined(b *testing.B) {
 }
 
 // BenchmarkRoomFanout measures the classroom broadcast hot path without
-// HTTP: one driver act renders one publication, and W watchers each take
-// one delivery (header encode + shared-pixel handoff). The per-op cost
-// must scale with W only through the fan-out loop — per-watcher delivery
-// reuses its chunk buffer and shares the publication's pixels, so
-// allocs/op stays flat as W grows (the render's own buffer is the only
-// per-op allocation). MB/s counts the pixel bytes served per op.
+// HTTP: one driver act renders one publication, and W watchers each read
+// it with one seq watch (header encode + shared-pixel handoff). The
+// publish itself is O(1) whatever W is — the room keeps no watcher, so it
+// closes one broadcast channel instead of visiting a slot per watcher —
+// and each delivery reuses its watcher's chunk buffer and shares the
+// publication's pixels, so allocs/op stays flat as W grows (the render's
+// own buffer and the publish's new channel are the per-op allocations).
+// MB/s counts the pixel bytes served per op.
 func BenchmarkRoomFanout(b *testing.B) {
 	for _, W := range []int{4, 64, 512} {
 		b.Run(fmt.Sprintf("watchers-%d", W), func(b *testing.B) {
@@ -1121,23 +1123,17 @@ func BenchmarkRoomFanout(b *testing.B) {
 			if !ok {
 				b.Fatal("room not registered")
 			}
-			ids := make([]string, W)
+			at := make([]playsvc.WatchPos, W)
 			dsts := make([][]byte, W)
-			seenE := make([]int, W)
-			seenM := make([]int, W)
 			var pixLen int
 			for w := 0; w < W; w++ {
-				ids[w] = fmt.Sprintf("w-%04d", w)
-				if _, err := m.JoinRoom(&playsvc.RoomJoinRequest{Room: roomID, Watcher: ids[w]}); err != nil {
-					b.Fatal(err)
-				}
-				// Drain the seed publication: sizes the chunk buffer and
-				// leaves every slot empty for the steady-state loop.
-				header, pix, ae, am, err := room.WatchNext(ids[w], 0, 0, 0, nil)
+				// The first read: sizes the chunk buffer and brings every
+				// watcher to the room's current seq for the steady-state loop.
+				header, pix, next, err := room.WatchNext(at[w], 0, nil)
 				if err != nil || header == nil {
-					b.Fatalf("seed delivery: %v", err)
+					b.Fatalf("first delivery: %v", err)
 				}
-				dsts[w], seenE[w], seenM[w], pixLen = header, ae, am, len(pix)
+				dsts[w], at[w], pixLen = header, next, len(pix)
 			}
 			req := playsvc.ActRequest{Session: roomID, Kind: playsvc.ActTick, Ticks: 1}
 			b.SetBytes(int64(W) * int64(pixLen))
@@ -1150,14 +1146,14 @@ func BenchmarkRoomFanout(b *testing.B) {
 				}
 				req.SeenEvents, req.SeenMessages = r.EventCount, r.MessageCount
 				for w := 0; w < W; w++ {
-					header, _, ae, am, err := room.WatchNext(ids[w], seenE[w], seenM[w], 0, dsts[w][:0])
+					header, _, next, err := room.WatchNext(at[w], 0, dsts[w][:0])
 					if err != nil {
 						b.Fatal(err)
 					}
 					if header == nil {
-						b.Fatal("no publication pending after an act")
+						b.Fatal("no publication newer than the watcher's after an act")
 					}
-					dsts[w], seenE[w], seenM[w] = header, ae, am
+					dsts[w], at[w] = header, next
 				}
 			}
 		})

@@ -110,6 +110,17 @@ func testRoutes(t *testing.T, blob []byte, nodes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A watcher only reads: there is no join or leave to route.
+	for _, path := range []string{"/room/join", "/room/leave"} {
+		resp, err := http.Post(front.URL+path+"?room="+driver.SessionID(), "application/json", strings.NewReader(`{"watcher":"w1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: %s, want 404", path, resp.Status)
+		}
+	}
 	driver.Talk("teacher")
 	for deadline := time.Now().Add(5 * time.Second); wc.Seq() < 2; {
 		if _, _, err := wc.Poll(time.Second); err != nil {

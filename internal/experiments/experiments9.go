@@ -35,11 +35,11 @@ func E18(watchers int) (string, error) {
 
 	var b strings.Builder
 	b.WriteString("E18 — live classroom fan-out: one render per tick, thousands of watchers\n")
-	fmt.Fprintf(&b, "one room, driver paced at 10 acts/s for 4s of lesson; cohorts join as\n")
+	fmt.Fprintf(&b, "one room, driver paced at 10 acts/s for 4s of lesson; cohorts follow as\n")
 	b.WriteString("long-poll watchers; every row must render exactly once per publication\n")
 	b.WriteString("and lose zero quiz answers\n\n")
-	b.WriteString("  watchers | renders | delivered | skipped | frames/s | answers s=r | join p90 | answer p90\n")
-	b.WriteString("  ---------+---------+-----------+---------+----------+-------------+----------+-----------\n")
+	b.WriteString("  watchers | renders | delivered | skipped | frames/s | answers s=r | first p90 | answer p90\n")
+	b.WriteString("  ---------+---------+-----------+---------+----------+-------------+-----------+-----------\n")
 
 	cohorts := []int{watchers / 10, watchers / 4, watchers}
 	seen := map[int]bool{}
@@ -55,15 +55,15 @@ func E18(watchers int) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("%d watchers: %w", w, err)
 		}
-		fmt.Fprintf(&b, "  %8d | %7d | %9d | %7d | %8.0f | %5d = %-3d | %8v | %v\n",
+		fmt.Fprintf(&b, "  %8d | %7d | %9d | %7d | %8.0f | %5d = %-3d | %9v | %v\n",
 			w, sum.Renders, sum.Delivered, sum.Skipped, sum.FramesPerSec,
 			sum.AnswersSent, sum.AnswersRecorded,
-			sum.Join.P90.Round(time.Microsecond), sum.Answer.P90.Round(time.Microsecond))
+			sum.First.P90.Round(time.Microsecond), sum.Answer.P90.Round(time.Microsecond))
 	}
 	b.WriteString("\nshape check: the renders column tracks the driver's publication count,\n")
 	b.WriteString("not the watcher count — a 10x bigger cohort multiplies deliveries, never\n")
 	b.WriteString("renders or decodes. Slow watchers shed frames onto the skipped column\n")
-	b.WriteString("(bounded per-watcher rings) while the answers column stays exact: the\n")
+	b.WriteString("(the seq gaps they read past) while the answers column stays exact: the\n")
 	b.WriteString("assessment channel is reliable even when the video tier degrades.\n")
 	return b.String(), nil
 }

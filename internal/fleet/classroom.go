@@ -42,7 +42,7 @@ type ClassroomConfig struct {
 	Package   string // published course package name
 
 	Rooms    int // shared sessions (default 1)
-	Watchers int // subscribers per room (default 50)
+	Watchers int // watchers per room (default 50)
 	FPS      int // driver pace in acts per second (default 10)
 	Ticks    int // driver acts per room (default 100)
 
@@ -98,7 +98,7 @@ type ClassroomSummary struct {
 
 	Delivered       int64   // frames handed to watchers (server count)
 	ClientDelivered int64   // frames watchers actually received (cross-check)
-	Skipped         int64   // frames dropped from slow watcher rings
+	Skipped         int64   // publications watchers never received (seq gaps)
 	FramesPerSec    float64 // delivered / wall time
 
 	QuizzesAsked    int   // distinct quizzes opened across rooms
@@ -108,7 +108,7 @@ type ClassroomSummary struct {
 	WatchersFailed int
 	DriversFailed  int
 
-	Join   Latency // room join round-trip
+	First  Latency // a watcher's start to its first frame (the catch-up)
 	Answer Latency // quiz answer round-trip
 
 	Errors []string // up to 8 sample error messages
@@ -124,10 +124,10 @@ func (s *ClassroomSummary) String() string {
 		oneRender = "RENDER/PUBLISH MISMATCH"
 	}
 	fmt.Fprintf(&b, "  renders        : %d for %d publications (%s)\n", s.Renders, s.Published, oneRender)
-	fmt.Fprintf(&b, "  fan-out        : %d frames delivered (%d received), %d skipped on slow rings\n",
+	fmt.Fprintf(&b, "  fan-out        : %d frames delivered (%d received), %d skipped by slow watchers\n",
 		s.Delivered, s.ClientDelivered, s.Skipped)
 	fmt.Fprintf(&b, "  throughput     : %.0f frames/s delivered\n", s.FramesPerSec)
-	fmt.Fprintf(&b, "  join latency   : %s\n", s.Join)
+	fmt.Fprintf(&b, "  first frame    : %s\n", s.First)
 	fmt.Fprintf(&b, "  answer latency : %s\n", s.Answer)
 	lost := int64(s.AnswersSent) - s.AnswersRecorded
 	fmt.Fprintf(&b, "  quizzes        : %d asked, %d answers sent, %d recorded (%d lost)\n",
@@ -151,10 +151,9 @@ type driverOutcome struct {
 
 // watcherOutcome is what one watcher hands back.
 type watcherOutcome struct {
-	join       time.Duration
+	first      time.Duration
 	answerRTTs []time.Duration
 	delivered  int64
-	skipped    int64
 	answers    int
 	err        error
 }
@@ -204,8 +203,8 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 		seats = append(seats, pc)
 	}
 
-	// Wall-clock bound: the paced lesson plus generous slack for joins,
-	// quiz grace periods and stats collection. Watchers stop polling at
+	// Wall-clock bound: the paced lesson plus generous slack for first
+	// polls, quiz grace periods and stats collection. Watchers stop polling at
 	// the deadline even if a driver wedged.
 	lesson := time.Duration(cfg.Ticks) * time.Second / time.Duration(cfg.FPS)
 	deadline := time.Now().Add(lesson + 30*time.Second)
@@ -253,7 +252,7 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 			sum.QuizzesAsked += len(d.stats.Quizzes)
 		}
 	}
-	var joins, answers []time.Duration
+	var firsts, answers []time.Duration
 	for i := range watchers {
 		o := &watchers[i]
 		if o.err != nil {
@@ -263,10 +262,10 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 		}
 		sum.ClientDelivered += o.delivered
 		sum.AnswersSent += o.answers
-		joins = append(joins, o.join)
+		firsts = append(firsts, o.first)
 		answers = append(answers, o.answerRTTs...)
 	}
-	sum.Join = quantiles(joins)
+	sum.First = quantiles(firsts)
 	sum.Answer = quantiles(answers)
 	if secs := elapsed.Seconds(); secs > 0 {
 		sum.FramesPerSec = float64(sum.Delivered) / secs
@@ -358,21 +357,20 @@ func watchHold(cfg *ClassroomConfig) time.Duration {
 	return hold
 }
 
-// runWatcher follows one room to the end: join, long-poll the broadcast,
-// answer each quiz once. A watcher answers correctly with
-// probability watcherCorrectness, otherwise picks a random wrong choice.
-// The join's catch-up is the first poll, which returns at once: a quiz
-// already open at join time arrives in its u.Quiz.
+// runWatcher follows one room to the end: long-poll the broadcast, answer
+// each quiz once. A watcher answers correctly with probability
+// watcherCorrectness, otherwise picks a random wrong choice. The catch-up
+// is the first poll, which returns at once: a quiz already open when the
+// watcher starts arrives in its u.Quiz.
 func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed int64, deadline time.Time) watcherOutcome {
 	var o watcherOutcome
 	rng := rand.New(rand.NewSource(cfg.Seed + seed*104729 + 13))
-	joinBegan := time.Now()
+	started := time.Now()
 	wc, err := playsvc.JoinRoom(playsvc.RoomClientOptions{BaseURL: cfg.PlayURL, Room: roomID, HTTP: cfg.HTTP})
 	if err != nil {
-		o.err = fmt.Errorf("join: %w", err)
+		o.err = err
 		return o
 	}
-	o.join = time.Since(joinBegan)
 	answered := map[string]bool{}
 	answer := func(quizID string) {
 		if quizID == "" || answered[quizID] {
@@ -402,6 +400,9 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 		var u *playsvc.WatchUpdate
 		u, _, err = wc.Poll(hold)
 		if u != nil {
+			if o.delivered == 0 {
+				o.first = time.Since(started)
+			}
 			o.delivered++
 			answer(u.Quiz)
 		}
@@ -413,8 +414,6 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 			break
 		}
 	}
-	o.skipped = wc.Skipped()
 	o.err = err
-	wc.Close() // best effort; the room is usually gone by now
 	return o
 }

@@ -28,7 +28,7 @@ type ClientOptions struct {
 	Resume string
 	// Room opens the session as a classroom room: its create carries a
 	// room record, and Dial sends it at once in either mode, so watchers
-	// can join (JoinRoom with Room set to SessionID) as soon as Dial
+	// can watch (JoinRoom with Room set to SessionID) as soon as Dial
 	// returns. The client is the room's driver; its Close ends the class.
 	// Exclusive with Resume.
 	Room bool

@@ -261,12 +261,8 @@ func TestFrameGeometryRejected(t *testing.T) {
 				pw, _ := strconv.ParseUint(tc.w, 10, 64)
 				ph, _ := strconv.ParseUint(tc.h, 10, 64)
 				ts := stubPlayServer(t, func(w http.ResponseWriter, r *http.Request) {
-					if r.URL.Path == RoomJoinPath {
-						writeJSON(w, &RoomJoinReply{Room: "r", Watcher: "w"})
-						return
-					}
 					p := &pub{seq: 1, w: int(pw), h: int(ph), pix: make([]byte, tc.body)}
-					w.Write(appendWatchChunk(nil, p, 0, watchTails{}, 0, 0))
+					w.Write(appendWatchChunk(nil, p, watchTails{}, 0, 0))
 					w.Write(p.pix)
 				})
 				wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: "r"})

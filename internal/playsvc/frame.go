@@ -88,12 +88,13 @@ const (
 	rtagEvent        = 8  // repeated: tick uvarint, kind str, detail str
 	rtagMessage      = 9  // repeated string
 	rtagResult       = 10 // repeated, one result byte per applied act
-	rtagError        = 11 // status uvarint, retryAfter uvarint, msg str
+	rtagErrorV1      = 11 // retired act error (it carried a retry-after); refused
 	rtagCourse       = 12 // string; a create's reply, with the three below
 	rtagWidth        = 13 // uvarint
 	rtagHeight       = 14 // uvarint
 	rtagFPS          = 15 // uvarint
 	rtagStateTag     = 16 // uvarint: the session's state tag (absent = no state named)
+	rtagError        = 17 // the act error that stopped the batch: status uvarint, msg str
 )
 
 // Reply flag bits (rtagFlags).
@@ -183,13 +184,15 @@ func readEvent(payload []byte) (runtime.Event, error) {
 }
 
 // appendActError and readActError are the one encoding of the act-level
-// error that stopped a batch (status uvarint, retry-after uvarint, message
-// str) — in the reply frame, and in the envelope so a thawed session's
-// retried batch is answered with the same bytes.
+// error that stopped a batch (status uvarint, message str) — in the reply
+// frame, and in the envelope so a thawed session's retried batch is
+// answered with the same bytes. The record's earlier form, which also
+// carried a retry-after, had its own tag in each format; both readers
+// refuse that tag, so a peer of the other version fails loudly rather than
+// misreading the record.
 func appendActError(b []byte, tag uint64, e *Error) []byte {
 	b, mark := tagrec.BeginRecord(b, tag)
 	b = binary.AppendUvarint(b, uint64(e.Status))
-	b = binary.AppendUvarint(b, uint64(max(e.RetryAfter, 0)))
 	b = tagrec.AppendStr(b, e.Msg)
 	return tagrec.EndRecord(b, mark)
 }
@@ -200,9 +203,6 @@ func readActError(payload []byte) (*Error, error) {
 	var err error
 	if e.Status, err = r.Int(); err != nil || e.Status < 100 || e.Status > 599 {
 		return nil, frameBadf("malformed error status")
-	}
-	if e.RetryAfter, err = r.Int(); err != nil {
-		return nil, frameBadf("malformed error retry-after")
 	}
 	if e.Msg, err = r.Str(); err != nil {
 		return nil, frameBadf("malformed error message")
@@ -563,6 +563,8 @@ func ParseReplyFrame(data []byte) (*BatchReply, error) {
 			if out.ActErr, err = readActError(payload); err != nil {
 				return nil, err
 			}
+		case rtagErrorV1:
+			return nil, frameBadf("retired act-error record (tag %d)", rtagErrorV1)
 		default:
 			// Additive extension from a newer writer; skip.
 		}

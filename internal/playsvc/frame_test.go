@@ -1,6 +1,7 @@
 package playsvc
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"strings"
@@ -412,7 +413,7 @@ func FuzzParseWatchChunk(f *testing.F) {
 		{seq: 2, w: 1000, h: 1000, pix: make([]byte, 3)}, // geometry and length disagree
 		{seq: 3, w: 0, h: 120},
 	} {
-		f.Add(appendWatchChunk(nil, p, 5, tails, 0, 0)[4:])
+		f.Add(appendWatchChunk(nil, p, tails, 0, 0)[4:])
 	}
 	f.Add([]byte{})
 	f.Add([]byte("VWCH"))
@@ -443,11 +444,52 @@ func TestAppendWatchChunkAllocatesNothing(t *testing.T) {
 		messages: []string{"hello class"}, messageCount: 1,
 		quiz: "q-diagnosis",
 	}
-	dst := appendWatchChunk(nil, p, 5, tails, 0, 0)
-	if allocs := testing.AllocsPerRun(100, func() { dst = appendWatchChunk(dst, p, 5, tails, 0, 0) }); allocs != 0 {
+	dst := appendWatchChunk(nil, p, tails, 0, 0)
+	if allocs := testing.AllocsPerRun(100, func() { dst = appendWatchChunk(dst, p, tails, 0, 0) }); allocs != 0 {
 		t.Fatalf("appendWatchChunk allocates %.0f times per chunk", allocs)
 	}
 	if u, err := ParseWatchChunk(dst[4:]); err != nil || len(u.Events) != 1 || u.Events[0] != tails.events[0] {
 		t.Fatalf("the chunk it wrote parses to %+v, %v", u, err)
+	}
+}
+
+// TestRetiredActErrorRecordRefused: the act-error record's earlier layout
+// (status, retry-after, message) had its own tag in the reply frame and in
+// the envelope. A peer of the other version must fail loudly, so both
+// readers refuse that tag as malformed instead of skipping it as an
+// extension or misreading its fields; the record the writers emit now
+// round-trips.
+func TestRetiredActErrorRecordRefused(t *testing.T) {
+	old := binary.AppendUvarint(nil, 429)
+	old = binary.AppendUvarint(old, 2)
+	old = tagrec.AppendStr(old, "playsvc: node over capacity, retry later")
+	// withRecord appends one record to a whole container, CRC redone.
+	withRecord := func(container []byte, tag uint64) []byte {
+		b := append([]byte(nil), container[:len(container)-4]...)
+		return tagrec.Finish(tagrec.Append(b, tag, old), 0)
+	}
+
+	reply := EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s", Tick: 1}})
+	if _, err := ParseReplyFrame(withRecord(reply, 99)); err != nil {
+		t.Fatalf("a reply with an unknown record: %v, want it skipped", err)
+	}
+	if _, err := ParseReplyFrame(withRecord(reply, rtagErrorV1)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("a reply with the retired act-error record parsed: %v", err)
+	}
+	want := &Error{Status: 429, Msg: "playsvc: node over capacity, retry later"}
+	if got, err := ParseReplyFrame(EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s"}, ActErr: want})); err != nil || !reflect.DeepEqual(got.ActErr, want) {
+		t.Fatalf("act error round trip = %+v, %v; want %+v", got, err, want)
+	}
+
+	env := (&envelope{Session: "s", Course: "classroom", Snapshot: []byte("snap")}).encode()
+	if _, err := decodeEnvelope(withRecord(env, 99)); err != nil {
+		t.Fatalf("an envelope with an unknown record: %v, want it skipped", err)
+	}
+	if _, err := decodeEnvelope(withRecord(env, envTagLastErrV1)); !errors.Is(err, runtime.ErrBadSnapshot) {
+		t.Fatalf("an envelope with the retired act-error record decoded: %v", err)
+	}
+	full := &envelope{Session: "s", Course: "classroom", Snapshot: []byte("snap"), LastBase: 3, LastLen: 1, LastErr: want}
+	if got, err := decodeEnvelope(full.encode()); err != nil || !reflect.DeepEqual(got.LastErr, want) {
+		t.Fatalf("envelope act error round trip = %+v, %v; want %+v", got, err, want)
 	}
 }

@@ -550,7 +550,7 @@ func newSessionID(course string) string {
 
 // relay writes a buffered backend response to the client.
 func relay(w http.ResponseWriter, p *proxied) {
-	for _, k := range []string{"Content-Type", "Retry-After", UnknownSessionHeader, "X-Frame-Width", "X-Frame-Height", "X-Frame-Tick"} {
+	for _, k := range []string{"Content-Type", UnknownSessionHeader, "X-Frame-Width", "X-Frame-Height", "X-Frame-Tick"} {
 		if v := p.header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
@@ -569,7 +569,7 @@ func (g *Gateway) Handler() http.Handler {
 		mux.HandleFunc(ActPath, g.handleAct)
 		mux.HandleFunc(FramePath, g.handleFrame)
 		mux.HandleFunc(StatsPath, g.handleStats)
-		for _, path := range []string{RoomJoinPath, RoomLeavePath, RoomAnswerPath, RoomWatchPath, RoomStatsPath} {
+		for _, path := range []string{RoomAnswerPath, RoomWatchPath, RoomStatsPath} {
 			mux.HandleFunc(path, g.handleRoom)
 		}
 		g.handler = mux

@@ -227,8 +227,8 @@ type Manager struct {
 	thawNs    *obs.Histogram
 	restoreNs *obs.Histogram
 	// fanoutNs is publish→delivery latency per fan-out frame; skipHist is
-	// the per-delivery skip delta (how many frames a watcher bypassed to
-	// reach the one it got — 0 for a watcher keeping up).
+	// the per-delivery gap between the seq a watch presented and the one
+	// delivered (0 for a watcher keeping up, and for a first poll).
 	fanoutNs *obs.Histogram
 	skipHist *obs.Histogram
 	ring     *obs.SpanRing
@@ -257,7 +257,6 @@ type Manager struct {
 	roomDelivered atomic.Int64
 	roomSkipped   atomic.Int64
 	roomAnswers   atomic.Int64
-	watcherJoins  atomic.Int64
 
 	// mu guards the session map and the tombstones. It is held for a map
 	// operation, never while a session lock is taken or an act runs, so
@@ -914,7 +913,7 @@ func (m *Manager) runLocked(h *hosted, req *BatchRequest) *BatchReply {
 		bits = append(bits, b)
 	}
 	// Broadcast after applying, before the reply: one render per
-	// state-changing batch, no matter how many watchers subscribe. The
+	// state-changing batch, no matter how many watchers follow. The
 	// dedup-retry path returns without re-applying and without
 	// re-publishing, so the render count tracks real state changes exactly.
 	if h.room != nil && len(acts) > 0 && (len(bits) > 0 || actErr == nil) {
@@ -1101,10 +1100,10 @@ func (m *Manager) ExpireIdle(cutoff time.Time) int {
 			n++
 		}
 	}
-	// Rooms ride the same sweep: watchers that stopped polling without a
-	// leave are pruned, and hubs whose driven session is gone are dropped.
+	// Rooms ride the same sweep: hubs whose driven session is gone are
+	// dropped. A room holds nothing per watcher, so there is nothing else
+	// to age out.
 	for _, r := range m.roomList() {
-		r.pruneWatchers(cut)
 		if r.isClosed() {
 			m.dropRoom(r.id)
 		}
@@ -1173,16 +1172,6 @@ func (m *Manager) Register(reg *obs.Registry) {
 			return n
 		}
 	}
-	openRooms := func(read func(r *Room) int64) func() int64 {
-		return func() (n int64) {
-			for _, r := range m.roomList() {
-				if !r.isClosed() {
-					n += read(r)
-				}
-			}
-			return n
-		}
-	}
 	reg.GaugeFunc("playsvc_sessions_live", "hosted sessions right now", m.liveCount.Load)
 	reg.CounterFunc("playsvc_sessions_created_total", "sessions opened", m.created.Load)
 	reg.CounterFunc("playsvc_sessions_closed_total", "sessions released by a leave act", m.closed.Load)
@@ -1194,12 +1183,17 @@ func (m *Manager) Register(reg *obs.Registry) {
 	reg.CounterFunc("playsvc_checkpoints_total", "periodic checkpoint persists", m.checkpoints.Load)
 	reg.GaugeFunc("playsvc_video_buffers", "distinct video payloads resident (shared across courses)", videos(func([]byte) int64 { return 1 }))
 	reg.GaugeFunc("playsvc_video_bytes", "resident video payload bytes", videos(func(v []byte) int64 { return int64(len(v)) }))
-	reg.GaugeFunc("playsvc_rooms", "live broadcast rooms", openRooms(func(*Room) int64 { return 1 }))
-	reg.GaugeFunc("playsvc_watchers", "room subscriptions right now", openRooms(func(r *Room) int64 { return int64(r.watcherCount()) }))
-	reg.CounterFunc("playsvc_watcher_joins_total", "room subscriptions opened", m.watcherJoins.Load)
+	reg.GaugeFunc("playsvc_rooms", "live broadcast rooms", func() (n int64) {
+		for _, r := range m.roomList() {
+			if !r.isClosed() {
+				n++
+			}
+		}
+		return n
+	})
 	reg.CounterFunc("playsvc_room_renders_total", "room publications (one render each)", m.roomRenders.Load)
 	reg.CounterFunc("playsvc_room_frames_delivered_total", "fan-out frames handed to watchers", m.roomDelivered.Load)
-	reg.CounterFunc("playsvc_room_frames_skipped_total", "fan-out frames dropped for slow watchers", m.roomSkipped.Load)
+	reg.CounterFunc("playsvc_room_frames_skipped_total", "fan-out publications watchers never received (seq gaps)", m.roomSkipped.Load)
 	reg.CounterFunc("playsvc_room_answers_total", "cohort quiz answers recorded", m.roomAnswers.Load)
 	reg.CounterFunc("playsvc_framecache_hits_total", "decoded-frame cache hits", frameCaches(func(h, _, _, _, _ int64) int64 { return h }))
 	reg.CounterFunc("playsvc_framecache_misses_total", "decoded-frame cache misses", frameCaches(func(_, mi, _, _, _ int64) int64 { return mi }))

@@ -429,14 +429,14 @@ func TestStatsSurfacesAgree(t *testing.T) {
 		flat := checkNodeSurfaces(t, ts.URL)
 		for key, want := range map[string]int64{
 			"sessions_created": 4, "sessions_closed": 1, "sessions_evicted": 1, "sessions_live": 2,
-			"frames": 3, "rooms": 1, "watchers": 2, "room_answers": 1, "video_buffers": 1,
+			"frames": 3, "rooms": 1, "room_frames_delivered": 2, "room_answers": 1, "video_buffers": 1,
 		} {
 			if got := stat(t, flat, key); got != want {
 				t.Errorf("%s = %d, want %d (%v)", key, got, want, flat)
 			}
 		}
-		if stat(t, flat, "room_frames_delivered") == 0 || stat(t, flat, "framecache_bytes") == 0 {
-			t.Errorf("the room rendered and delivered nothing: %v", flat)
+		if stat(t, flat, "framecache_bytes") == 0 {
+			t.Errorf("the frame caches hold nothing: %v", flat)
 		}
 	})
 
@@ -482,7 +482,7 @@ func TestStatsSurfacesAgree(t *testing.T) {
 		})
 		gs := check()
 		if stat(t, gs.Gateway, "creates") == 0 || stat(t, gs.Cluster, "sessions_created") != 4 ||
-			stat(t, gs.Cluster, "sessions_frozen") != 1 || stat(t, gs.Cluster, "watchers") != 2 {
+			stat(t, gs.Cluster, "sessions_frozen") != 1 || stat(t, gs.Cluster, "room_frames_delivered") != 2 {
 			t.Fatalf("cluster accounting off: %+v", gs)
 		}
 

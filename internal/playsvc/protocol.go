@@ -25,13 +25,12 @@ const (
 // alongside "/play/"). A room is opened by its driver's create, carrying a
 // room record, on the act path; the room id is the driven session's id, so
 // a cluster gateway hashes watcher traffic onto the driver's node. Every
-// room route names its room in the query.
+// room route names its room in the query. There is no join or leave: a
+// watch is a read that names the publication the watcher holds.
 const (
-	RoomJoinPath   = "/room/join"   // POST ?room= RoomJoinRequest → RoomJoinReply (subscribes; the first watch is the catch-up)
-	RoomWatchPath  = "/room/watch"  // GET ?room=&watcher=&events=&messages=&wait_ms= → one watch chunk (long poll; 204 = idle)
+	RoomWatchPath  = "/room/watch"  // GET ?room=&seq=&events=&messages=&wait_ms= → one watch chunk (long poll; 204 = idle)
 	RoomAnswerPath = "/room/answer" // POST ?room= RoomAnswerRequest → RoomAnswerReply
 	RoomStatsPath  = "/room/stats"  // GET ?room= → RoomStats
-	RoomLeavePath  = "/room/leave"  // POST ?room= RoomJoinRequest → unsubscribe
 )
 
 // Action kinds accepted by ActPath. "tick" advances playback; "leave"
@@ -112,7 +111,7 @@ type BatchRequest struct {
 	Create string
 	// Room, beside a Create, opens the session as a classroom room before
 	// the acts apply: a broadcast hub attaches under the session's id and
-	// renders publication seq 1, the frame a joiner's first poll returns
+	// renders publication seq 1, the frame a watcher's first poll returns
 	// until the driver acts. A retried create reattaches to the hub it opened. Legal only
 	// with a Create.
 	Room bool
@@ -240,30 +239,13 @@ type Reply struct {
 	state []byte
 }
 
-// RoomJoinRequest subscribes a watcher to a room (or, on RoomLeavePath,
-// unsubscribes it).
-type RoomJoinRequest struct {
-	Room string `json:"-"` // the ?room= query
-	// Watcher optionally fixes the watcher id (a retried join with the
-	// same id reattaches); empty lets the server pick.
-	Watcher string `json:"watcher,omitempty"`
-
-	Trace obs.TraceContext `json:"-"`
-}
-
-// RoomJoinReply names the subscription. The catch-up (the current frame,
-// the retained event and message tails, the pending quiz) is the
-// watcher's first watch chunk.
-type RoomJoinReply struct {
-	Room    string `json:"room"`
-	Watcher string `json:"watcher"`
-}
-
 // RoomAnswerRequest records one watcher's answer to a quiz the room has
 // seen pending. Cohort answers are assessment data: they never touch the
 // driven session.
 type RoomAnswerRequest struct {
-	Room    string `json:"-"` // the ?room= query
+	Room string `json:"-"` // the ?room= query
+	// Watcher is the id the watcher minted for itself; it names the vote
+	// (a re-answer under it moves the vote). An answer without one is 400.
 	Watcher string `json:"watcher"`
 	Quiz    string `json:"quiz"`
 	Choice  int    `json:"choice"`
@@ -291,12 +273,11 @@ type RoomQuizTally struct {
 // RoomStats is the /room/stats payload for one room.
 type RoomStats struct {
 	Room      string          `json:"room"`
-	Watchers  int             `json:"watchers"`
 	Seq       int64           `json:"seq"`
 	Tick      int             `json:"tick"`
 	Renders   int64           `json:"renders"`   // exactly one per publication
 	Delivered int64           `json:"delivered"` // frames handed to watchers
-	Skipped   int64           `json:"skipped"`   // frames dropped from watcher rings
+	Skipped   int64           `json:"skipped"`   // publications watchers never received (the seq gaps at delivery)
 	Answers   int64           `json:"answers"`
 	Quiz      string          `json:"quiz,omitempty"` // currently pending
 	Quizzes   []RoomQuizTally `json:"quizzes,omitempty"`
@@ -307,10 +288,6 @@ type RoomStats struct {
 type Error struct {
 	Status int
 	Msg    string
-	// RetryAfter, when positive, is the server's advertised backoff in
-	// whole seconds (a 429/503 load-shed answer). The HTTP handlers emit
-	// it as a Retry-After header; clients honor it instead of jittering.
-	RetryAfter int
 	// Unknown marks a 404 from a node whose snapshot directory has no entry
 	// for the session. A cluster's nodes share that directory and every
 	// session is in it from its create to its leave, so no node holds the

@@ -1,26 +1,28 @@
 // Live classroom fan-out: one driven session, many watchers.
 //
-// A Room wraps one hosted runtime.Session with a driver seat and N watcher
-// subscriptions. The driver is an ordinary play-service client — instructor
-// or policy — acting through the existing act path (JSON or binary); every
-// state change renders the presentation frame ONCE into an immutable,
-// sequence-numbered publication, and that same payload fans out to every
-// subscriber. Each watcher holds one pending publication: a newer one
-// replaces it undelivered (a counter keeps the honest tally of skips), so
-// a slow or stalled watcher gets the freshest frame on its next poll and
-// never holds the driver — or any other watcher — back. Frames are
+// A Room wraps one hosted runtime.Session with a driver seat. The driver is
+// an ordinary play-service client — instructor or policy — acting through
+// the existing act path; every state change renders the presentation frame
+// ONCE into an immutable, sequence-numbered publication, the room's
+// current one. A watcher is a read: each watch names the publication it
+// holds (its seq) and the event and message totals it has seen, and is
+// answered with the current publication as soon as that is newer. The
+// room keeps no watcher — no subscription, slot or channel — so a
+// publish does the same work for one watcher or ten thousand, and a
+// watcher that walks away costs nothing. A watcher that fell behind gets
+// the freshest frame on its next poll; the publications it never saw are
+// the gap between the two seqs, counted as skipped at delivery. Frames are
 // skippable; events and messages are not: they are served as coalesced
-// tails keyed by per-watcher seen-counts, the same ack idiom the act path
-// uses, so a watcher that missed frames still reconstructs the full
-// classroom transcript. Watchers also answer the
-// pending quiz (POST /room/answer); the room tallies answers per question
-// for the instructor's cohort view.
+// tails keyed by the presented seen-counts, the same ack idiom the act
+// path uses, so a watcher that missed frames still reconstructs the full
+// classroom transcript. Watchers also answer the pending quiz
+// (POST /room/answer); the room tallies answers per question for the
+// instructor's cohort view.
 //
-// Lock order: hosted.mu → Room.mu → watcher.mu, always. The publish path
-// runs under the driven session's lock (it renders from live state); the
-// watcher-facing paths (watch, answer, stats) take only Room.mu and the
-// watcher's own lock, so a thousand pollers never contend with the driver
-// beyond the fan-out loop itself.
+// Lock order: hosted.mu → Room.mu. The publish path runs under the driven
+// session's lock (it renders from live state); the watcher-facing paths
+// (watch, answer, stats) take only Room.mu, so pollers never contend with
+// the driver beyond a publish's own O(1) critical section.
 package playsvc
 
 import (
@@ -38,7 +40,9 @@ const (
 	// further behind than this see the base advance past their seen-count
 	// (a join-late gap, visible in the chunk's base field), never a stall.
 	roomLogCap = 4096
-	// roomWatcherCap bounds subscriptions per room (joins beyond it 503).
+	// roomWatcherCap bounds the distinct voters one quiz's tally admits (a
+	// new voter beyond it is answered 503): a tally's vote map is the one
+	// per-watcher record a room keeps, and only for watchers who answer.
 	roomWatcherCap = 8192
 	// maxWatchWait bounds one long-poll hold; it must stay comfortably
 	// under the gateway's hopTimeout so a relayed poll never times out
@@ -58,76 +62,20 @@ type pub struct {
 	pix  []byte // 24-bit RGB, immutable
 }
 
+// WatchPos is what a watcher holds and presents with each watch: the seq
+// of the publication it last received (0 before the first) and the event
+// and message totals it has seen.
+type WatchPos struct {
+	Seq      int64
+	Events   int
+	Messages int
+}
+
 // tally accumulates one quiz question's cohort answers.
 type tally struct {
 	correct int            // correct-choice index (from the course quiz)
 	votes   []int          // count per choice
 	byID    map[string]int // last answer per watcher (re-answer moves the vote)
-}
-
-// watcher is one subscription: one pending publication plus a wake
-// channel. The slot holds a pointer to a shared pub, so N watchers cost N
-// pointers, not N frame copies.
-type watcher struct {
-	id string
-
-	mu       sync.Mutex
-	pending  *pub  // newest undelivered publication, nil once taken
-	skipped  int64 // cumulative publications replaced undelivered
-	reported int64 // skipped value at the last delivery (for per-poll deltas)
-	gone     bool
-
-	notify   chan struct{} // cap 1; nudged on push and on room close
-	lastSeen atomic.Int64  // unix nanos, for idle pruning
-}
-
-// push makes p the pending publication; one it replaces was never
-// delivered and counts as skipped. Called with Room.mu held; takes only
-// the watcher's own lock, so one stalled watcher cannot slow the fan-out
-// loop.
-func (w *watcher) push(p *pub) (dropped bool) {
-	w.mu.Lock()
-	if w.gone {
-		w.mu.Unlock()
-		return false
-	}
-	dropped = w.pending != nil
-	if dropped {
-		w.skipped++
-	}
-	w.pending = p
-	w.mu.Unlock()
-	select {
-	case w.notify <- struct{}{}:
-	default:
-	}
-	return dropped
-}
-
-// pop takes the pending publication, the newest one. skipTotal is the
-// watcher's cumulative skip count after the pop; skipDelta is how much of
-// it accrued since the previous delivery.
-func (w *watcher) pop() (p *pub, skipTotal, skipDelta int64, gone bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.gone {
-		return nil, w.skipped, 0, true
-	}
-	if w.pending == nil {
-		return nil, w.skipped, 0, false
-	}
-	p, w.pending = w.pending, nil
-	skipDelta = w.skipped - w.reported
-	w.reported = w.skipped
-	return p, w.skipped, skipDelta, false
-}
-
-// wake nudges a blocked poll (push path and room close).
-func (w *watcher) wake() {
-	select {
-	case w.notify <- struct{}{}:
-	default:
-	}
 }
 
 // Room is the broadcast hub for one shared session. All methods are safe
@@ -141,6 +89,9 @@ type Room struct {
 	closed bool
 	seq    int64
 	cur    *pub
+	// next is closed, and replaced, by each publish, and closed by close:
+	// a watch with nothing newer to read waits on it.
+	next chan struct{}
 	// events/messages are the retained broadcast tails; eventBase/msgBase
 	// are the absolute indices of element 0, matching the driven session's
 	// own numbering — so watcher seen-counts and driver seen-counts speak
@@ -155,28 +106,28 @@ type Room struct {
 	lastMsgs   int
 	quiz       string            // pending quiz id at the last publish
 	tallies    map[string]*tally // by quiz id, for every quiz ever pending
-	watchers   map[string]*watcher
 
 	renders   atomic.Int64 // publications (exactly one render each)
 	delivered atomic.Int64 // frames handed to watchers
-	skipped   atomic.Int64 // publications replaced undelivered
+	skipped   atomic.Int64 // publications watchers never received (seq gaps)
 	answers   atomic.Int64 // distinct quiz answers recorded
 }
 
 func newRoom(m *Manager, id string, h *hosted) *Room {
 	return &Room{
-		id:       id,
-		m:        m,
-		h:        h,
-		tallies:  map[string]*tally{},
-		watchers: map[string]*watcher{},
+		id:      id,
+		m:       m,
+		h:       h,
+		next:    make(chan struct{}),
+		tallies: map[string]*tally{},
 	}
 }
 
-// publish renders the driven session once and fans the publication out to
-// every watcher. Called with r.h.mu held (the act and frame paths own
-// the session lock when state changes); the render happens exactly once no
-// matter how many watchers subscribe — that is the O(1)-per-tick contract.
+// publish renders the driven session once and makes it the room's current
+// publication. Called with r.h.mu held (the act path owns the session lock
+// when state changes); the render happens exactly once and the rest is
+// O(1) no matter how many watchers follow: one close wakes every waiting
+// watch.
 func (r *Room) publish() {
 	var fr raster.Frame
 	if err := r.h.sess.FrameInto(&fr); err != nil {
@@ -184,15 +135,14 @@ func (r *Room) publish() {
 	}
 	now := time.Now()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return
 	}
 	r.seq++
 	r.renders.Add(1)
 	r.m.roomRenders.Add(1)
-	p := &pub{seq: r.seq, tick: r.h.sess.Ticks(), at: now.UnixNano(), w: fr.W, h: fr.H, pix: fr.Pix}
-	r.cur = p
+	r.cur = &pub{seq: r.seq, tick: r.h.sess.Ticks(), at: now.UnixNano(), w: fr.W, h: fr.H, pix: fr.Pix}
 
 	// Copy the event delta. The events are still retained on the hosted
 	// session: ack-driven compaction only trims prefixes the driver saw in
@@ -226,160 +176,65 @@ func (r *Room) publish() {
 	} else {
 		r.quiz = ""
 	}
-
-	var droppedHere int64
-	for _, w := range r.watchers {
-		if w.push(p) {
-			droppedHere++
-		}
-	}
-	r.mu.Unlock()
-	if droppedHere > 0 {
-		r.skipped.Add(droppedHere)
-		r.m.roomSkipped.Add(droppedHere)
-	}
+	close(r.next)
+	r.next = make(chan struct{})
 }
 
-// close marks the room dead and wakes every blocked poll. Called when the
+// close marks the room dead and wakes every waiting watch. Called when the
 // driven session leaves, is evicted, or freezes for handoff (rooms are
 // live-only: the driver session survives in the snapshot directory, the
-// watcher fan-out state does not).
+// fan-out state does not).
 func (r *Room) close() {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.closed {
+		r.closed = true
+		close(r.next)
+	}
+}
+
+// WatchNext answers one watch from a watcher at position at: at once with
+// the current publication when it is newer than at.Seq, otherwise after
+// waiting up to wait for the next publish. A seq past the room's (a
+// watcher of an earlier room under the same id) is served as a first
+// poll. The reply is one watch chunk: the length-prefixed header —
+// sequence, tick, geometry, and the event/message tails beyond the
+// presented seen-counts — appended into dst, plus the shared immutable
+// pixel payload, returned separately so the caller concatenates the two
+// writes without copying the frame. next is the position the chunk brings
+// the watcher to, the one its next watch presents.
+//
+// A nil header with a nil error means the wait ran out with nothing new
+// (the HTTP layer answers 204), and next is at. dst is reused across calls
+// — steady-state delivery allocates nothing per watcher.
+func (r *Room) WatchNext(at WatchPos, wait time.Duration, dst []byte) (header, pix []byte, next WatchPos, err error) {
+	r.mu.Lock()
+	if at.Seq > r.seq {
+		at.Seq = 0
+	}
+	if r.holds(at.Seq) && wait > 0 {
+		timer := time.NewTimer(min(wait, maxWatchWait))
+		defer timer.Stop()
+		for expired := false; r.holds(at.Seq) && !expired; {
+			ch := r.next
+			r.mu.Unlock()
+			select {
+			case <-ch:
+			case <-timer.C:
+				expired = true
+			}
+			r.mu.Lock()
+		}
+	}
 	if r.closed {
 		r.mu.Unlock()
-		return
+		return nil, nil, at, errf(http.StatusNotFound, "playsvc: no room %q", r.id)
 	}
-	r.closed = true
-	ws := make([]*watcher, 0, len(r.watchers))
-	for _, w := range r.watchers {
-		ws = append(ws, w)
+	if r.holds(at.Seq) {
+		r.mu.Unlock()
+		return nil, nil, at, nil
 	}
-	r.watchers = map[string]*watcher{}
-	r.mu.Unlock()
-	for _, w := range ws {
-		w.mu.Lock()
-		w.gone = true
-		w.mu.Unlock()
-		w.wake()
-	}
-}
-
-// join registers a watcher (idempotent per id: a retried join reattaches).
-func (r *Room) join(watcherID string) (*watcher, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, errf(http.StatusNotFound, "playsvc: no room %q", r.id)
-	}
-	if w := r.watchers[watcherID]; w != nil {
-		w.lastSeen.Store(time.Now().UnixNano())
-		return w, nil
-	}
-	if len(r.watchers) >= roomWatcherCap {
-		return nil, errf(http.StatusServiceUnavailable, "playsvc: room %q watcher cap (%d) reached", r.id, roomWatcherCap)
-	}
-	w := &watcher{id: watcherID, notify: make(chan struct{}, 1)}
-	w.lastSeen.Store(time.Now().UnixNano())
-	if r.cur != nil {
-		// The newest publication seeds the slot so a joiner's first poll
-		// returns immediately, with the catch-up (the retained tails from
-		// seen-counts of 0, the pending quiz), instead of waiting out a
-		// quiet classroom.
-		w.push(r.cur)
-	}
-	r.watchers[watcherID] = w
-	r.m.watcherJoins.Add(1)
-	return w, nil
-}
-
-// leave unsubscribes a watcher (idempotent).
-func (r *Room) leave(watcherID string) {
-	r.mu.Lock()
-	w := r.watchers[watcherID]
-	delete(r.watchers, watcherID)
-	r.mu.Unlock()
-	if w != nil {
-		w.mu.Lock()
-		w.gone = true
-		w.mu.Unlock()
-		w.wake()
-	}
-}
-
-// lookupWatcher resolves a live subscription.
-func (r *Room) lookupWatcher(watcherID string) (*watcher, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, errf(http.StatusNotFound, "playsvc: no room %q", r.id)
-	}
-	w := r.watchers[watcherID]
-	if w == nil {
-		return nil, errf(http.StatusNotFound, "playsvc: room %q has no watcher %q", r.id, watcherID)
-	}
-	return w, nil
-}
-
-// WatchNext blocks until a publication is pending for the watcher (or wait
-// elapses) and encodes it as one watch chunk: the length-prefixed header —
-// sequence, tick, geometry, skip count, and the event/message tails beyond
-// the caller's seen-counts — appended into dst, plus the shared immutable
-// pixel payload, returned separately so the caller concatenates the two
-// writes without copying the frame. A publication is always the newest:
-// the ones it replaced count in the chunk's skip total.
-//
-// A nil header with a nil error means the wait timed out with nothing new
-// (the HTTP layer answers 204). dst is reused across calls — steady-state
-// delivery allocates nothing per watcher. ackEvents/ackMessages are the
-// absolute event/message totals the chunk carries — the seen-counts the
-// next call should present.
-func (r *Room) WatchNext(watcherID string, seenEvents, seenMessages int, wait time.Duration, dst []byte) (header, pix []byte, ackEvents, ackMessages int, err error) {
-	w, err := r.lookupWatcher(watcherID)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	now := time.Now()
-	w.lastSeen.Store(now.UnixNano())
-	p, skips, delta, gone := w.pop()
-	if p == nil && !gone && wait > 0 {
-		if wait > maxWatchWait {
-			wait = maxWatchWait
-		}
-		deadline := time.NewTimer(wait)
-		defer deadline.Stop()
-		for p == nil && !gone {
-			select {
-			case <-w.notify:
-				p, skips, delta, gone = w.pop()
-			case <-deadline.C:
-				p, skips, delta, gone = w.pop()
-				if p == nil {
-					gone = true // stop waiting; distinguished below
-				}
-			}
-		}
-		if p == nil {
-			// Re-check liveness: a timeout on a live subscription is a
-			// clean 204; a closed room is a 404.
-			if _, err := r.lookupWatcher(watcherID); err != nil {
-				return nil, nil, 0, 0, err
-			}
-			return nil, nil, seenEvents, seenMessages, nil
-		}
-	}
-	if p == nil {
-		if gone {
-			return nil, nil, 0, 0, errf(http.StatusNotFound, "playsvc: room %q has no watcher %q", r.id, watcherID)
-		}
-		return nil, nil, seenEvents, seenMessages, nil
-	}
-	r.delivered.Add(1)
-	r.m.roomDelivered.Add(1)
-	r.m.fanoutNs.Observe(time.Now().UnixNano() - p.at)
-	r.m.skipHist.Observe(delta)
-
-	r.mu.Lock()
+	p := r.cur
 	tails := watchTails{
 		eventBase:    r.eventBase,
 		events:       r.events,
@@ -389,9 +244,28 @@ func (r *Room) WatchNext(watcherID string, seenEvents, seenMessages int, wait ti
 		messageCount: r.msgBase + len(r.messages),
 		quiz:         r.quiz,
 	}
-	header = appendWatchChunk(dst, p, skips, tails, seenEvents, seenMessages)
+	header = appendWatchChunk(dst, p, tails, at.Events, at.Messages)
 	r.mu.Unlock()
-	return header, p.pix, tails.eventCount, tails.messageCount, nil
+
+	var gap int64
+	if at.Seq > 0 {
+		gap = p.seq - at.Seq - 1
+	}
+	r.delivered.Add(1)
+	r.m.roomDelivered.Add(1)
+	if gap > 0 {
+		r.skipped.Add(gap)
+		r.m.roomSkipped.Add(gap)
+	}
+	r.m.fanoutNs.Observe(time.Now().UnixNano() - p.at)
+	r.m.skipHist.Observe(gap)
+	return header, p.pix, WatchPos{Seq: p.seq, Events: tails.eventCount, Messages: tails.messageCount}, nil
+}
+
+// holds reports whether a watcher holding seq has nothing newer to read
+// in a live room. r.mu must be held.
+func (r *Room) holds(seq int64) bool {
+	return !r.closed && (r.cur == nil || r.cur.seq <= seq)
 }
 
 // answer records one watcher's quiz answer. Re-answering moves the vote
@@ -405,11 +279,6 @@ func (r *Room) answer(watcherID, quizID string, choice int) (*RoomAnswerReply, e
 	if r.closed {
 		return nil, errf(http.StatusNotFound, "playsvc: no room %q", r.id)
 	}
-	w := r.watchers[watcherID]
-	if w == nil {
-		return nil, errf(http.StatusNotFound, "playsvc: room %q has no watcher %q", r.id, watcherID)
-	}
-	w.lastSeen.Store(time.Now().UnixNano())
 	t := r.tallies[quizID]
 	if t == nil {
 		return nil, errf(http.StatusNotFound, "playsvc: room %q has no quiz %q", r.id, quizID)
@@ -420,6 +289,9 @@ func (r *Room) answer(watcherID, quizID string, choice int) (*RoomAnswerReply, e
 	if prev, ok := t.byID[watcherID]; ok {
 		t.votes[prev]--
 	} else {
+		if len(t.byID) >= roomWatcherCap {
+			return nil, errf(http.StatusServiceUnavailable, "playsvc: quiz %q voter cap (%d) reached", quizID, roomWatcherCap)
+		}
 		r.answers.Add(1)
 		r.m.roomAnswers.Add(1)
 	}
@@ -441,41 +313,12 @@ func (r *Room) isClosed() bool {
 	return r.closed
 }
 
-// watcherCount is the current subscription count.
-func (r *Room) watcherCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.watchers)
-}
-
-// pruneWatchers drops subscriptions idle since before the cutoff (a
-// watcher that stopped polling without a leave). Returns how many fell.
-func (r *Room) pruneWatchers(cutoff int64) int {
-	r.mu.Lock()
-	var victims []*watcher
-	for id, w := range r.watchers {
-		if w.lastSeen.Load() < cutoff {
-			victims = append(victims, w)
-			delete(r.watchers, id)
-		}
-	}
-	r.mu.Unlock()
-	for _, w := range victims {
-		w.mu.Lock()
-		w.gone = true
-		w.mu.Unlock()
-		w.wake()
-	}
-	return len(victims)
-}
-
 // stats snapshots the room's counters and cohort tallies.
 func (r *Room) stats() RoomStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := RoomStats{
 		Room:      r.id,
-		Watchers:  len(r.watchers),
 		Seq:       r.seq,
 		Renders:   r.renders.Load(),
 		Delivered: r.delivered.Load(),

@@ -1,13 +1,12 @@
 package playsvc
 
 import (
-	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/content"
 	"repro/internal/faultnet"
 	"repro/internal/gamepack"
-	"repro/internal/media/raster"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
@@ -28,7 +26,7 @@ import (
 // the full event and message transcript — the classroom sees exactly what
 // the instructor's session rendered, once per state change. It runs once
 // against a node and once through a 2-node cluster's gateway, where every
-// join, poll, answer and stats read is relayed.
+// poll, answer and stats read is relayed.
 func TestRoomGoldenBroadcast(t *testing.T) {
 	t.Run("direct", func(t *testing.T) {
 		ts, _ := liveService(t, Options{})
@@ -50,14 +48,21 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	if created := roomStats(t, baseURL, roomID); created.Room != roomID || created.Seq != 1 {
 		t.Fatalf("room after its create = %+v", created)
 	}
-	// The room verb is gone: a room opens only by its driver's create.
-	resp, err := http.Post(baseURL+"/room/create", "application/json", strings.NewReader(`{"course":"classroom"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /room/create answered %s, want 404", resp.Status)
+	// The room verbs are gone: a room opens only by its driver's create,
+	// and a watcher neither joins nor leaves — it only reads.
+	for path, body := range map[string]string{
+		"/room/create": `{"course":"classroom"}`,
+		"/room/join":   `{"watcher":"w1"}`,
+		"/room/leave":  `{"watcher":"w1"}`,
+	} {
+		resp, err := http.Post(baseURL+path+"?room="+url.QueryEscape(roomID), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s answered %s, want 404", path, resp.Status)
+		}
 	}
 
 	// The reference session: same package, same acts, local.
@@ -67,8 +72,8 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		t.Fatal(err)
 	}
 
-	// Three watchers join before the lesson starts and poll in lockstep;
-	// each therefore sees the full publication sequence from seq 1.
+	// Three watchers start before the lesson and poll in lockstep; each
+	// therefore sees the full publication sequence from seq 1.
 	const watchers = 3
 	wcs := make([]*RoomClient, watchers)
 	for i := range wcs {
@@ -119,7 +124,7 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 			}
 		}
 		if u.Seq != wantSeq {
-			t.Fatalf("watcher %d: seq = %d, want %d (skipped=%d)", w, u.Seq, wantSeq, u.Skipped)
+			t.Fatalf("watcher %d: seq = %d, want %d (skipped=%d)", w, u.Seq, wantSeq, wc.Skipped())
 		}
 		if got := crcOf(wc.frame.Pix); got != wantCRC {
 			t.Fatalf("watcher %d: frame crc at seq %d = %08x, want %08x", w, u.Seq, got, wantCRC)
@@ -129,8 +134,8 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		}
 	}
 
-	// Lockstep: the seed publication first (the slot seeds joiners with the
-	// create-time frame), then one poll per watcher per act — no watcher
+	// Lockstep: the create-time publication first (a first poll reads the
+	// room's current one), then one poll per watcher per act — no watcher
 	// ever falls behind, so the golden run must skip nothing.
 	seedCRC := refCRC()
 	for w := range wcs {
@@ -195,10 +200,15 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	if st.Skipped != 0 {
 		t.Fatalf("lockstep run skipped %d frames", st.Skipped)
 	}
+	for w, wc := range wcs {
+		if wc.Skipped() != 0 || wc.Delivered() != st.Renders {
+			t.Fatalf("watcher %d received %d and skipped %d of %d publications", w, wc.Delivered(), wc.Skipped(), st.Renders)
+		}
+	}
 
 	// Transcript equality against the reference run: frames may skip in a
 	// congested classroom, events and messages never do — here both arrive
-	// complete and in order (join tail plus per-chunk deltas).
+	// complete and in order (first-poll tail plus per-chunk deltas).
 	refEvents := rec.log()
 	refMsgs := ref.Messages()
 	for w := range wcs {
@@ -210,7 +220,8 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		}
 	}
 
-	// Every publication is consumed: an idle hold expires as a 204.
+	// A watcher holding the current publication waits: an idle hold
+	// expires as a 204.
 	if u, _, err := wcs[0].Poll(50 * time.Millisecond); u != nil || err != nil {
 		t.Fatalf("idle poll = %+v, %v, want a clean timeout", u, err)
 	}
@@ -227,11 +238,16 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	}
 }
 
-// TestRoomSlowWatcher pins the no-starvation contract: a subscriber that
-// never polls must cost the driver nothing. The driver's act latency
-// histogram stays bounded while each publication replaces the stalled
-// watcher's pending one (frames skipped, counted), and a live watcher
-// polling alongside keeps receiving fresh frames.
+// TestRoomSlowWatcher pins the no-starvation contract: a watcher that
+// stops polling costs the driver nothing. The driver's act latency
+// histogram stays bounded and renders stay one per act while a live
+// watcher polls alongside and keeps receiving fresh frames, and a stalled
+// one, which read the first publication and then nothing until the driver
+// is done, gets the newest at once with every act it missed counted as
+// skipped. The room keeps no watcher, so the accounting is restated from
+// seqs: for each watcher, delivered + skipped + pending (the publications
+// after the one it holds) is every publication, and the room's delivered
+// and skipped totals are the sums over the watchers.
 func TestRoomSlowWatcher(t *testing.T) {
 	m := NewManager(Options{TTL: -1})
 	defer m.Close()
@@ -246,49 +262,58 @@ func TestRoomSlowWatcher(t *testing.T) {
 	if !ok {
 		t.Fatal("room not registered")
 	}
-	for _, w := range []string{"stalled", "live"} {
-		if _, err := m.JoinRoom(&RoomJoinRequest{Room: roomID, Watcher: w}); err != nil {
-			t.Fatal(err)
+
+	// A watcher's whole state is what it holds: its position, plus the
+	// deliveries and seq gaps it counts.
+	type watcher struct {
+		at                 WatchPos
+		delivered, skipped int64
+	}
+	watch := func(w *watcher, wait time.Duration, dst []byte) ([]byte, error) {
+		header, _, next, err := room.WatchNext(w.at, wait, dst)
+		if err != nil || header == nil {
+			return dst, err
 		}
+		if u, err := ParseWatchChunk(header[4:]); err != nil || u.Seq != next.Seq {
+			return dst, fmt.Errorf("chunk %+v, %v; want seq %d", u, err, next.Seq)
+		}
+		if w.at.Seq > 0 {
+			w.skipped += next.Seq - w.at.Seq - 1
+		}
+		w.at = next
+		w.delivered++
+		return header, nil
+	}
+	var stalled, live watcher
+	if _, err := watch(&stalled, 0, nil); err != nil || stalled.at.Seq != 1 {
+		t.Fatalf("the stalled watcher's first read: seq %d, %v", stalled.at.Seq, err)
 	}
 
 	// The live watcher polls in a tight loop, like a real client keeping
-	// up with the broadcast, and keeps its last chunk's sequence number
-	// and skip count.
-	var delivered, lastSeq, lastSkipped atomic.Int64
+	// up with the broadcast.
+	var lastSeq atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		var dst []byte
-		seenE, seenM := 0, 0
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			header, _, ae, am, err := room.WatchNext("live", seenE, seenM, 50*time.Millisecond, dst[:0])
-			if err != nil {
+			var err error
+			if dst, err = watch(&live, 50*time.Millisecond, dst[:0]); err != nil {
+				t.Error(err)
 				return
 			}
-			if header != nil {
-				u, err := ParseWatchChunk(header[4:])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				lastSeq.Store(u.Seq)
-				lastSkipped.Store(u.Skipped)
-				delivered.Add(1)
-				dst = header
-				seenE, seenM = ae, am
-			}
+			lastSeq.Store(live.at.Seq)
 		}
 	}()
 
-	// Wait until the live watcher has the seed publication — the driver
+	// Wait until the live watcher has the first publication — the driver
 	// below outruns goroutine scheduling otherwise.
 	waitFor := func(what string, ok func() bool) {
 		t.Helper()
@@ -299,10 +324,9 @@ func TestRoomSlowWatcher(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	waitFor("seed delivery", func() bool { return delivered.Load() >= 1 })
+	waitFor("the first delivery", func() bool { return lastSeq.Load() >= 1 })
 
-	// The driver ticks away; every act replaces the stalled watcher's
-	// pending publication undelivered.
+	// The driver ticks away while the stalled watcher reads nothing.
 	const acts = 200
 	req := ActRequest{Session: roomID, Kind: ActTick, Ticks: 1}
 	for i := 0; i < acts; i++ {
@@ -328,51 +352,41 @@ func TestRoomSlowWatcher(t *testing.T) {
 		t.Fatalf("act histogram recorded %d acts, want >= %d", snap.Count, acts)
 	}
 	if p99 := time.Duration(snap.Quantile(0.99)); p99 > 250*time.Millisecond {
-		t.Fatalf("driver act p99 = %v with a stalled subscriber; fan-out is backpressuring the act path", p99)
+		t.Fatalf("driver act p99 = %v with a stalled watcher; fan-out is backpressuring the act path", p99)
 	}
 
 	st, err := m.RoomStatsOf(roomID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(1 + acts); st.Renders != want {
-		t.Fatalf("renders = %d, want %d (one per state change, watchers notwithstanding)", st.Renders, want)
+	if want := int64(1 + acts); st.Renders != want || st.Seq != want {
+		t.Fatalf("renders = %d at seq %d, want %d (one per state change, watchers notwithstanding)", st.Renders, st.Seq, want)
 	}
-	// The stalled watcher skipped every act's publication but keeps the
-	// last one pending; the live watcher may add more skips.
-	if st.Skipped < acts {
-		t.Fatalf("skipped = %d, want >= %d from the stalled watcher", st.Skipped, acts)
+	// The stalled watcher holds seq 1: every act's publication is pending
+	// for it. A read now returns the newest at once and skips the rest.
+	if pending := st.Seq - stalled.at.Seq; pending != acts {
+		t.Fatalf("%d publications pending for the stalled watcher, want %d", pending, acts)
 	}
-	// Both watchers were present from the seed on, so each of the 1+acts
-	// publications was delivered to, skipped by or is pending for each.
-	// A watcher's own skip count is its share of the room's: the stalled
-	// one skipped every act's publication, and the live one's last chunk
-	// carried its whole count.
-	var pending, skipped int64
-	for id, w := range room.watchers {
-		w.mu.Lock()
-		if w.pending != nil {
-			pending++
+	if _, err := watch(&stalled, 0, nil); err != nil || stalled.at.Seq != st.Seq || stalled.skipped != acts-1 {
+		t.Fatalf("the stalled watcher's second read: seq %d, %d skipped, %v; want seq %d, %d skipped", stalled.at.Seq, stalled.skipped, err, st.Seq, acts-1)
+	}
+	if st, err = m.RoomStatsOf(roomID); err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*watcher{"stalled": &stalled, "live": &live} {
+		if got := w.delivered + w.skipped + (st.Seq - w.at.Seq); got != st.Seq {
+			t.Errorf("watcher %s: delivered %d + skipped %d + pending %d = %d, want %d publications",
+				name, w.delivered, w.skipped, st.Seq-w.at.Seq, got, st.Seq)
 		}
-		skipped += w.skipped
-		want := map[string]int64{"stalled": acts, "live": lastSkipped.Load()}[id]
-		if w.skipped != want {
-			t.Errorf("watcher %s skipped %d, want %d", id, w.skipped, want)
-		}
-		if id == "stalled" && (w.pending == nil || w.pending.seq != 1+acts) {
-			t.Errorf("the stalled watcher's pending publication is not the newest, seq %d", 1+acts)
-		}
-		w.mu.Unlock()
 	}
-	if skipped != st.Skipped {
-		t.Errorf("watchers skipped %d in all, the room counts %d", skipped, st.Skipped)
+	if d, k := stalled.delivered+live.delivered, stalled.skipped+live.skipped; st.Delivered != d || st.Skipped != k {
+		t.Fatalf("room counts %d delivered and %d skipped, the watchers %d and %d", st.Delivered, st.Skipped, d, k)
 	}
-	if got, want := st.Delivered+st.Skipped+pending, int64(2*(1+acts)); got != want {
-		t.Fatalf("delivered %d + skipped %d + pending %d = %d, want %d publications for two watchers",
-			st.Delivered, st.Skipped, pending, got, want)
+	if flat := m.Snapshot(); stat(t, flat, "room_frames_delivered") != st.Delivered || stat(t, flat, "room_frames_skipped") != st.Skipped {
+		t.Fatalf("manager counters %v disagree with the room's %+v", flat, st)
 	}
-	if delivered.Load() == 0 {
-		t.Fatal("live watcher starved while a peer stalled")
+	if skips := m.skipHist.Snapshot(); skips.Count != st.Delivered || skips.Sum != st.Skipped {
+		t.Fatalf("playsvc_fanout_skipped holds %d deliveries summing %v, want %d summing %d", skips.Count, skips.Sum, st.Delivered, st.Skipped)
 	}
 }
 
@@ -472,34 +486,42 @@ func (e *replyEater) RoundTrip(r *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// TestJoinRetryReattaches: JoinRoom names its watcher even when the caller
-// did not, so a join retried after a lost reply reattaches to the
-// subscription the first attempt opened instead of orphaning it in a ring
-// slot. The same watcher then pins what a dismissal costs: the room's 404
-// is terminal — one request, no backoff sleep.
-func TestJoinRetryReattaches(t *testing.T) {
-	ts, m := liveService(t, Options{TTL: -1})
+// TestWatchRetryReturnsItsPublication: a watch is a read, so one retried
+// after its reply was lost returns that publication at once — the lost
+// attempt took nothing from the room — instead of waiting out its hold for
+// the next publish. The same watcher then pins what a dismissal costs: the
+// room's 404 is terminal — one request, no backoff sleep.
+func TestWatchRetryReturnsItsPublication(t *testing.T) {
+	ts, _ := liveService(t, Options{TTL: -1})
 	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
 	if err != nil {
 		t.Fatal(err)
 	}
 	roomID := driver.SessionID()
-	eater := &replyEater{path: RoomJoinPath}
+	driver.Talk("teacher")
+	if err := driver.Err(); err != nil {
+		t.Fatal(err)
+	}
+	eater := &replyEater{path: RoomWatchPath}
 	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, HTTP: &http.Client{Transport: eater}})
 	if err != nil {
-		t.Fatalf("join did not survive one lost reply: %v", err)
+		t.Fatal(err)
+	}
+	const hold = 4 * time.Second
+	began := time.Now()
+	u, _, err := wc.Poll(hold)
+	waited := time.Since(began)
+	if err != nil {
+		t.Fatalf("watch did not survive one lost reply: %v", err)
 	}
 	if eater.eaten.Load() != 1 {
-		t.Fatal("no join reply was lost; the test proved nothing")
+		t.Fatal("no watch reply was lost; the test proved nothing")
 	}
-	if wc.WatcherID() == "" {
-		t.Fatal("joined without a watcher id")
+	if u == nil || u.Seq != 2 || waited >= hold/2 {
+		t.Fatalf("retried watch returned %+v after %v; want seq 2 at once", u, waited)
 	}
-	if joins := stat(t, m.Snapshot(), "watcher_joins"); joins != 1 {
-		t.Fatalf("watcher_joins = %d after one retried join, want 1", joins)
-	}
-	if st, err := wc.RoomStats(); err != nil || st.Watchers != 1 {
-		t.Fatalf("room stats = %+v, %v; want one watcher", st, err)
+	if wc.Delivered() != 1 || wc.Skipped() != 0 {
+		t.Fatalf("watcher received %d and skipped %d, want 1 and 0", wc.Delivered(), wc.Skipped())
 	}
 
 	// Class dismissed: the driver leaves, the room closes.
@@ -519,11 +541,11 @@ func TestJoinRetryReattaches(t *testing.T) {
 	}
 }
 
-// TestRoomWatchRejectsMalformedNumbers: a seen-count or hold that is not a
-// decimal integer, or a negative seen-count, is refused with 400 before the
-// room is looked up (a dropped parse error would serve events=abc as 0 and
-// re-send every retained event), while absent or empty values and a
-// wait_ms ≤ 0 keep their defaults.
+// TestRoomWatchRejectsMalformedNumbers: a seq, seen-count or hold that is
+// not a decimal integer, or a negative seq or seen-count, is refused with
+// 400 before the room is looked up (a dropped parse error would serve
+// events=abc as 0 and re-send every retained event), while absent or empty
+// values and a wait_ms ≤ 0 keep their defaults.
 func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 	ts, _ := liveService(t, Options{TTL: -1})
 	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
@@ -531,13 +553,9 @@ func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer driver.Close()
-	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: driver.SessionID()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	watch := func(room, query string) int {
 		t.Helper()
-		q := url.Values{"room": {room}, "watcher": {wc.WatcherID()}}.Encode()
+		q := url.Values{"room": {room}}.Encode()
 		resp, err := http.Get(ts.URL + RoomWatchPath + "?" + q + query)
 		if err != nil {
 			t.Fatal(err)
@@ -546,7 +564,7 @@ func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	for _, key := range []string{"events", "messages", "wait_ms"} {
+	for _, key := range []string{"seq", "events", "messages", "wait_ms"} {
 		bad := []string{"abc", "1.5", "0x10", "-", "9999999999999999999999"}
 		if key != "wait_ms" {
 			bad = append(bad, "-1")
@@ -561,16 +579,24 @@ func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 	}
 	// The driver's create rendered a frame, so the first good poll is
 	// answered at once whatever its hold.
-	if code := watch(driver.SessionID(), "&events=0&messages=&wait_ms=-5"); code != http.StatusOK {
+	if code := watch(driver.SessionID(), "&seq=&events=0&messages=&wait_ms=-5"); code != http.StatusOK {
 		t.Fatalf("watch with default numbers answered %d, want 200", code)
 	}
-	if code := watch(driver.SessionID(), "&wait_ms=1"); code != http.StatusOK && code != http.StatusNoContent {
-		t.Fatalf("watch without seen-counts answered %d, want 200 or 204", code)
+	if code := watch(driver.SessionID(), "&wait_ms=1"); code != http.StatusOK {
+		t.Fatalf("watch without a seq or seen-counts answered %d, want 200", code)
+	}
+	// A watcher holding the current publication waits out its hold; one
+	// naming a seq past the room's is served as a first poll.
+	if code := watch(driver.SessionID(), "&seq=1&wait_ms=1"); code != http.StatusNoContent {
+		t.Fatalf("watch at the current seq answered %d, want 204", code)
+	}
+	if code := watch(driver.SessionID(), "&seq=99&wait_ms=1"); code != http.StatusOK {
+		t.Fatalf("watch past the room's seq answered %d, want 200", code)
 	}
 }
 
 // TestRoomLossyLink runs a class over crowded wifi: the driver's create
-// that opens the room, every join, poll, answer and driver act crosses one
+// that opens the room, every poll, answer and driver act crosses one
 // wifi-flaky fault transport
 // (dropped requests, lost replies, injected 503s, stalls). The driver plays
 // the golden script and then keeps the room ticking until the transport has
@@ -595,7 +621,7 @@ func TestRoomLossyLink(t *testing.T) {
 	wcs := make([]*RoomClient, watchers)
 	for i := range wcs {
 		if wcs[i], err = JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, HTTP: faulty}); err != nil {
-			t.Fatalf("watcher %d join: %v", i, err)
+			t.Fatal(err)
 		}
 	}
 
@@ -625,8 +651,8 @@ func TestRoomLossyLink(t *testing.T) {
 					}
 					return
 				}
-				seenEvents[w].Store(int64(wc.seenEvents))
-				seenMessages[w].Store(int64(wc.seenMessages))
+				seenEvents[w].Store(int64(wc.pos.Events))
+				seenMessages[w].Store(int64(wc.pos.Messages))
 				select {
 				case <-lessonOver:
 					if !voted {
@@ -689,8 +715,8 @@ func TestRoomLossyLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Watchers != watchers || st.Answers != watchers {
-		t.Fatalf("room counts %d watchers and %d answers, want %d each (retried joins and answers count once)", st.Watchers, st.Answers, watchers)
+	if st.Answers != watchers {
+		t.Fatalf("room counts %d answers, want %d (retried answers count once)", st.Answers, watchers)
 	}
 	if len(st.Quizzes) != 1 || st.Quizzes[0].Answers != watchers || st.Quizzes[0].Votes[0] != watchers/2 || st.Quizzes[0].Votes[1] != watchers/2 {
 		t.Fatalf("cohort tally = %+v, want %d answers split evenly", st.Quizzes, watchers)
@@ -715,93 +741,22 @@ func TestRoomLossyLink(t *testing.T) {
 	t.Logf("%d publications over %+v", st.Renders, injected())
 }
 
-// TestRoomPrunesIdleWatcher: the idle sweep drops a watcher that stopped
-// polling without a leave. Its blocked poll is released with a 404, the
-// room counts no watcher, and the driven session — touched after the
-// cutoff — stays live.
-func TestRoomPrunesIdleWatcher(t *testing.T) {
-	m := NewManager(Options{TTL: -1})
-	defer m.Close()
-	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
-		t.Fatal(err)
-	}
-	const roomID = "classroom-prune-room"
-	if _, err := m.Act(&ActRequest{Session: roomID, Course: "classroom", Room: true}); err != nil {
-		t.Fatal(err)
-	}
-	room, ok := m.Room(roomID)
-	if !ok {
-		t.Fatal("room not registered")
-	}
-	if _, err := m.JoinRoom(&RoomJoinRequest{Room: roomID, Watcher: "idle"}); err != nil {
-		t.Fatal(err)
-	}
-	// Take the seed publication, so the next poll blocks.
-	if header, _, _, _, err := room.WatchNext("idle", 0, 0, 0, nil); err != nil || header == nil {
-		t.Fatalf("seed delivery: header %v, err %v", header != nil, err)
-	}
-	room.mu.Lock()
-	w := room.watchers["idle"]
-	room.mu.Unlock()
-	seen := w.lastSeen.Load()
-	time.Sleep(time.Millisecond)
-	polled := make(chan error, 1)
-	go func() {
-		_, _, _, _, err := room.WatchNext("idle", 0, 0, maxWatchWait, nil)
-		polled <- err
-	}()
-	for deadline := time.Now().Add(5 * time.Second); w.lastSeen.Load() == seen; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the poll never started")
-		}
-	}
-
-	// The watcher was last seen before the cutoff, the driver after it: a
-	// frame read touches the session and publishes nothing.
-	time.Sleep(time.Millisecond)
-	cutoff := time.Now()
-	time.Sleep(time.Millisecond)
-	if err := m.WithFrame(roomID, func(*raster.Frame, int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.ExpireIdle(cutoff); n != 0 {
-		t.Fatalf("the sweep reclaimed %d sessions, want the driver kept", n)
-	}
-
-	select {
-	case err := <-polled:
-		if pe, ok := err.(*Error); !ok || pe.Status != http.StatusNotFound {
-			t.Fatalf("pruned watcher's poll returned %v, want a 404", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("the pruned watcher's poll is still blocked")
-	}
-	st, err := m.RoomStatsOf(roomID)
-	if err != nil {
-		t.Fatalf("room gone after pruning its watcher: %v", err)
-	}
-	if st.Watchers != 0 {
-		t.Fatalf("watchers = %d after the sweep, want 0", st.Watchers)
-	}
-	if live := m.Live(); live != 1 {
-		t.Fatalf("live sessions = %d, want the driver's", live)
-	}
-}
-
-// TestJoinOnlySubscribes: a watcher's join subscribes and names the
-// watcher, nothing more. It takes no lock of the driven session (it
-// returns while the test holds the driver's lock), its JSON has exactly
-// the keys room and watcher, and the catch-up — every event and message
-// the driver emitted before the join, and the pending quiz — arrives with
-// the watcher's first poll.
-func TestJoinOnlySubscribes(t *testing.T) {
-	ts, m := liveService(t, Options{})
+// TestFirstWatchIsTheCatchUp: a watcher's first poll (seq 0) is the
+// catch-up — the current frame, every event and message the driver
+// emitted before it, and the pending quiz — and it is a read of the room
+// alone: it returns while the test holds the driven session's lock. The
+// room also rides the idle sweep with its driver: a driver that acted
+// after the cutoff survives ExpireIdle, and its room stays open.
+func TestFirstWatchIsTheCatchUp(t *testing.T) {
+	ts, m := liveService(t, Options{TTL: -1})
 	var rec recorder
 	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project, Observer: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	roomID := driver.SessionID()
+	cutoff := time.Now()
+	time.Sleep(time.Millisecond)
 	driver.Talk("teacher")
 	driver.Examine("computer")
 	if err := driver.Err(); err != nil {
@@ -811,58 +766,45 @@ func TestJoinOnlySubscribes(t *testing.T) {
 	if !pending || len(driver.Messages()) == 0 {
 		t.Fatalf("driver setup: quiz pending %v, %d messages; want a quiz and a transcript", pending, len(driver.Messages()))
 	}
+	if n := m.ExpireIdle(cutoff); n != 0 {
+		t.Fatalf("the sweep reclaimed %d sessions, want the driver kept", n)
+	}
+	if _, ok := m.Room(roomID); !ok || m.Live() != 1 {
+		t.Fatalf("after the sweep: room open %v, %d live sessions; want the room and its driver", ok, m.Live())
+	}
 
 	h, err := m.lookup(roomID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.mu.Lock()
-	joined := make(chan error, 1)
-	go func() {
-		_, err := m.JoinRoom(&RoomJoinRequest{Room: roomID, Watcher: "w-locked"})
-		joined <- err
-	}()
-	select {
-	case err := <-joined:
-		h.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		h.mu.Unlock()
-		<-joined
-		t.Fatal("JoinRoom waited on the driven session's lock")
-	}
-
-	resp, err := http.Post(ts.URL+RoomJoinPath+"?room="+url.QueryEscape(roomID), "application/json", strings.NewReader(`{"watcher":"w-json"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body map[string]json.RawMessage
-	err = json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("join answered %s (%v)", resp.Status, err)
-	}
-	keys := make([]string, 0, len(body))
-	for k := range body {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if !reflect.DeepEqual(keys, []string{"room", "watcher"}) {
-		t.Fatalf("join reply keys = %v, want [room watcher]", keys)
-	}
-
 	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, _, err := wc.Poll(2 * time.Second)
-	if err != nil || u == nil {
-		t.Fatalf("first poll after the join: update %v, err %v; want the catch-up at once", u, err)
+	type polled struct {
+		u   *WatchUpdate
+		err error
 	}
-	if u.Quiz != q.ID || wc.PendingQuiz() != q.ID {
-		t.Fatalf("first poll's quiz %q (client %q), want %q", u.Quiz, wc.PendingQuiz(), q.ID)
+	done := make(chan polled, 1)
+	h.mu.Lock()
+	go func() {
+		u, _, err := wc.Poll(2 * time.Second)
+		done <- polled{u, err}
+	}()
+	var got polled
+	select {
+	case got = <-done:
+		h.mu.Unlock()
+	case <-time.After(2 * time.Second):
+		h.mu.Unlock()
+		<-done
+		t.Fatal("the first watch waited on the driven session's lock")
+	}
+	if got.err != nil || got.u == nil {
+		t.Fatalf("first poll: update %v, err %v; want the catch-up at once", got.u, got.err)
+	}
+	if got.u.Seq != 3 || got.u.Quiz != q.ID || wc.PendingQuiz() != q.ID {
+		t.Fatalf("first poll at seq %d with quiz %q (client %q), want seq 3 and %q", got.u.Seq, got.u.Quiz, wc.PendingQuiz(), q.ID)
 	}
 	if !reflect.DeepEqual(wc.Events(), rec.log()) {
 		t.Fatalf("watcher events after one poll:\n got %v\nwant %v", wc.Events(), rec.log())
@@ -875,5 +817,54 @@ func TestJoinOnlySubscribes(t *testing.T) {
 	}
 	if err := driver.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnswerNamesItsVoter: the room keeps no watcher, so an answer is
+// admitted on its own terms. It must name the watcher that votes (an
+// empty id is 400, on the wire too), and a quiz's tally admits at most
+// roomWatcherCap distinct voters: a new voter past the cap is 503, while
+// a voter already counted may still move its vote.
+func TestAnswerNamesItsVoter(t *testing.T) {
+	ts, m := liveService(t, Options{TTL: -1})
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer driver.Close()
+	roomID := driver.SessionID()
+	driver.Talk("teacher")
+	driver.Examine("computer") // opens q-diagnosis
+	if err := driver.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(ts.URL+RoomAnswerPath+"?room="+url.QueryEscape(roomID), "application/json",
+		strings.NewReader(`{"quiz":"q-diagnosis","choice":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("an answer with no watcher id answered %s, want 400", resp.Status)
+	}
+
+	answer := func(watcher string) error {
+		_, err := m.AnswerRoom(&RoomAnswerRequest{Room: roomID, Watcher: watcher, Quiz: "q-diagnosis", Choice: 1})
+		return err
+	}
+	for i := 0; i < roomWatcherCap; i++ {
+		if err := answer(fmt.Sprintf("w-%d", i)); err != nil {
+			t.Fatalf("voter %d: %v", i, err)
+		}
+	}
+	if err := answer("w-late"); httpStatus(err) != http.StatusServiceUnavailable {
+		t.Fatalf("a new voter past the cap: %v, want 503", err)
+	}
+	if err := answer("w-0"); err != nil {
+		t.Fatalf("a counted voter re-answering past the cap: %v", err)
+	}
+	if st, err := m.RoomStatsOf(roomID); err != nil || st.Answers != roomWatcherCap {
+		t.Fatalf("room stats %+v, %v; want %d answers", st, err, roomWatcherCap)
 	}
 }

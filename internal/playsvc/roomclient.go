@@ -1,10 +1,12 @@
-// RoomClient: the watcher-side counterpart of Room. A watcher joins a
-// shared session, follows the fan-out by long-polling and answers cohort
-// quizzes; every request names the room in its query. The driver seat is
-// NOT here — a room is the session its driver's create opens, so the
-// instructor opens and drives the room through an ordinary Client (Dial
-// with Room set; the room id is its SessionID), and a second driver seat
-// is a Client resumed onto the room id.
+// RoomClient: the watcher-side counterpart of Room. A watcher follows a
+// shared session by long-polling — each watch names the publication it
+// holds — and answers cohort quizzes; every request names the room in its
+// query. The server keeps nothing per watcher, so there is no join or
+// leave on the wire. The driver seat is NOT here — a room is the session
+// its driver's create opens, so the instructor opens and drives the room
+// through an ordinary Client (Dial with Room set; the room id is its
+// SessionID), and a second driver seat is a Client resumed onto the room
+// id.
 package playsvc
 
 import (
@@ -19,38 +21,29 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/media/raster"
-	"repro/internal/obs"
 	"repro/internal/runtime"
 )
 
 // RoomClientOptions configures a watcher.
 type RoomClientOptions struct {
 	BaseURL string // server base, e.g. "http://127.0.0.1:8807"
-	Room    string // room id to join
-	// Watcher optionally fixes the watcher id; left empty, JoinRoom mints
-	// one. Either way the join names its watcher, so a join retried after
-	// a lost reply reattaches instead of double-subscribing.
-	Watcher string
-	// Trace, when valid, stamps every request (see ClientOptions.Trace).
-	Trace obs.TraceContext
+	Room    string // room id to watch
 	// HTTP defaults to faultnet.DefaultHTTPClient().
 	HTTP *http.Client
 }
 
-// RoomClient is one watcher subscription. Like Client, it is driven by a
-// single goroutine: polls reuse its frame and header buffers.
+// RoomClient is one watcher. Like Client, it is driven by a single
+// goroutine: polls reuse its frame and header buffers.
 type RoomClient struct {
 	opts    RoomClientOptions
 	retry   faultnet.RetryPolicy // Client's default policy
 	room    string
 	watcher string
 
-	seenEvents   int
-	seenMessages int
-	seq          int64 // last publication sequence received
-	quiz         string
-	skipped      int64 // cumulative server-reported skip count
-	delivered    int64
+	pos       WatchPos // what the next watch presents
+	quiz      string
+	skipped   int64 // publications between the seqs received (the gaps)
+	delivered int64
 
 	events   []runtime.Event
 	messages []string
@@ -60,32 +53,24 @@ type RoomClient struct {
 	err    error        // sticky transport failure
 }
 
-// JoinRoom subscribes to a room and returns the watcher client. The
-// client starts empty: its first Poll returns at once with the room's
-// current frame, every retained event and message, and the pending quiz.
+// JoinRoom returns a watcher client for a room. It sends nothing: the
+// watcher mints its own id, which names only its quiz votes, and its
+// first Poll returns at once with the room's current frame, every
+// retained event and message, and the pending quiz. A room that does not
+// exist is that Poll's 404.
 func JoinRoom(o RoomClientOptions) (*RoomClient, error) {
 	if o.BaseURL == "" || o.Room == "" {
 		return nil, fmt.Errorf("playsvc: room client needs BaseURL and Room")
 	}
-	if o.Watcher == "" {
-		o.Watcher = newSessionID("w")
-	}
-	c := &RoomClient{opts: o, room: o.Room, watcher: o.Watcher, retry: faultnet.RetryPolicy{Budget: clientRetryBudget}}
-	if err := c.postJSON(RoomJoinPath, &RoomJoinRequest{Watcher: o.Watcher, Trace: o.Trace}, nil); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return &RoomClient{opts: o, room: o.Room, watcher: newSessionID("w"), retry: faultnet.RetryPolicy{Budget: clientRetryBudget}}, nil
 }
 
-// WatcherID returns the subscription id (RoomClientOptions.Watcher, or the
-// one JoinRoom minted).
-func (c *RoomClient) WatcherID() string { return c.watcher }
-
 // Seq returns the last received publication sequence number.
-func (c *RoomClient) Seq() int64 { return c.seq }
+func (c *RoomClient) Seq() int64 { return c.pos.Seq }
 
-// Skipped returns the server's cumulative skip count for this watcher —
-// frames the fan-out dropped because this subscriber fell behind.
+// Skipped returns how many publications this watcher never received: the
+// gaps between the seqs of the chunks it did, the count the server adds
+// to the room's skipped total at each delivery.
 func (c *RoomClient) Skipped() int64 { return c.skipped }
 
 // Delivered returns how many frames this client has received.
@@ -112,15 +97,17 @@ func (c *RoomClient) fail(err error) error {
 
 // do sends one of this watcher's requests under the same policy and
 // per-attempt deadline as Client, the deadline stretched by hold (a
-// poll's server-side wait). Every room request is safe to repeat: join is
-// idempotent per watcher id, answers are last-wins per (watcher, quiz),
-// event and message tails are cut at the presented seen-counts, frames are
-// at-most-once by design. A 404 is terminal — the driver left, the class
-// is dismissed — so it returns without a backoff sleep.
+// poll's server-side wait). Every room request is safe to repeat: a watch
+// reads the room's current publication once it is newer than the one the
+// watch names, so a watch retried after a lost reply returns that
+// publication at once, answers are
+// last-wins per (watcher, quiz), and event and message tails are cut at
+// the presented seen-counts. A 404 is terminal — the driver left, the
+// class is dismissed — so it returns without a backoff sleep.
 func (c *RoomClient) do(method, url string, payload []byte, hold time.Duration, what string, decode decoder) error {
 	return call(c.opts.HTTP, &c.retry, &faultnet.Request{
 		Method: method, URL: url, ContentType: "application/json", Body: payload,
-		Trace: c.opts.Trace, Timeout: clientTimeout + hold,
+		Timeout: clientTimeout + hold,
 	}, what, false, decode)
 }
 
@@ -155,26 +142,28 @@ func (c *RoomClient) postJSON(path string, body, out any) error {
 	return c.do(http.MethodPost, c.roomURL(path), mustJSON(body), 0, "room "+path, decodeJSON(out))
 }
 
-// watchURL builds the watch query for the current seen-counts.
+// watchURL builds the watch query for the watcher's position.
 func (c *RoomClient) watchURL(wait time.Duration) string {
 	q := url.Values{}
 	q.Set("room", c.room)
-	q.Set("watcher", c.watcher)
-	q.Set("events", strconv.Itoa(c.seenEvents))
-	q.Set("messages", strconv.Itoa(c.seenMessages))
+	q.Set("seq", strconv.FormatInt(c.pos.Seq, 10))
+	q.Set("events", strconv.Itoa(c.pos.Events))
+	q.Set("messages", strconv.Itoa(c.pos.Messages))
 	q.Set("wait_ms", strconv.Itoa(int(wait/time.Millisecond)))
 	return c.opts.BaseURL + RoomWatchPath + "?" + q.Encode()
 }
 
 // fold applies one parsed update to the client mirror. Event and message
 // tails never overlap across updates (the server trims to the presented
-// seen-counts), so plain appends rebuild the transcripts in order.
+// seen-counts), so plain appends rebuild the transcripts in order. The
+// publications between the previous seq and this one are the skipped; a
+// first poll, or one the server served as first, skips none.
 func (c *RoomClient) fold(u *WatchUpdate) {
-	c.seq = u.Seq
-	c.skipped = u.Skipped
+	if c.pos.Seq > 0 && u.Seq > c.pos.Seq {
+		c.skipped += u.Seq - c.pos.Seq - 1
+	}
+	c.pos = WatchPos{Seq: u.Seq, Events: u.EventCount, Messages: u.MessageCount}
 	c.quiz = u.Quiz
-	c.seenEvents = u.EventCount
-	c.seenMessages = u.MessageCount
 	c.events = append(c.events, u.Events...)
 	c.messages = append(c.messages, u.Messages...)
 	c.delivered++
@@ -183,16 +172,16 @@ func (c *RoomClient) fold(u *WatchUpdate) {
 // Poll long-polls for the next publication: the update (frame metadata,
 // event/message tails, pending quiz) plus the frame pixels in the client's
 // reusable buffer. A (nil, nil, nil) return means the hold expired with
-// nothing new — poll again. The poll acknowledges everything the previous
-// one returned.
+// nothing new — poll again. The poll presents the seq and seen-counts the
+// previous one returned.
 func (c *RoomClient) Poll(wait time.Duration) (*WatchUpdate, *raster.Frame, error) {
 	if c.err != nil {
 		return nil, nil, c.err
 	}
 	var u *WatchUpdate
 	// The attempt deadline must outlast the requested server-side hold. A
-	// chunk cut mid-body re-polls from the same seen-counts: its events
-	// and messages come again, only the frame is skipped.
+	// chunk cut mid-body re-polls from the same position: the room's
+	// current publication comes again, with its events and messages.
 	err := c.do(http.MethodGet, c.watchURL(wait), nil, wait, "room watch", func(resp *http.Response) (err error, retry bool) {
 		if resp.StatusCode == http.StatusNoContent {
 			return nil, false
@@ -251,11 +240,11 @@ func (c *RoomClient) Answer(quizID string, choice int) (*RoomAnswerReply, error)
 	}
 	var reply RoomAnswerReply
 	err := c.postJSON(RoomAnswerPath, &RoomAnswerRequest{
-		Watcher: c.watcher, Quiz: quizID, Choice: choice, Trace: c.opts.Trace,
+		Watcher: c.watcher, Quiz: quizID, Choice: choice,
 	}, &reply)
 	if err != nil {
 		if pe, ok := err.(*Error); ok && pe.Status == http.StatusBadRequest {
-			return nil, err // caller mistake; subscription stays usable
+			return nil, err // caller mistake; the watcher stays usable
 		}
 		return nil, c.fail(err)
 	}
@@ -269,12 +258,7 @@ func (c *RoomClient) RoomStats() (RoomStats, error) {
 	return st, err
 }
 
-// Close unsubscribes the watcher. The room (and its driven session) is
-// untouched — watchers come and go; the driver owns the session.
-func (c *RoomClient) Close() error {
-	err := c.postJSON(RoomLeavePath, &RoomJoinRequest{Watcher: c.watcher}, nil)
-	if c.err != nil {
-		return c.err
-	}
-	return err
-}
+// Close ends the watcher and reports its sticky failure, if any. It sends
+// nothing: the room keeps no state for a watcher to release, and the
+// driver owns the session.
+func (c *RoomClient) Close() error { return c.err }

@@ -1,6 +1,5 @@
 // Manager-side room lifecycle: opening the hub (a create's room record),
-// joining watchers, and the registry the HTTP surface and the janitor
-// resolve rooms through.
+// and the registry the HTTP surface and the janitor resolve rooms through.
 package playsvc
 
 import "net/http"
@@ -40,8 +39,8 @@ func (m *Manager) dropRoom(id string) {
 
 // closeRoomLocked detaches and closes a session's broadcast hub; h.mu must
 // be held. Rooms are live-only: the driven session may survive in the
-// snapshot directory, the fan-out state does not — watchers re-join wherever
-// the session thaws.
+// snapshot directory, the fan-out state does not: a watch of a closed
+// room is a 404.
 func (m *Manager) closeRoomLocked(h *hosted) {
 	if h.room == nil {
 		return
@@ -63,44 +62,18 @@ func (m *Manager) openRoomLocked(h *hosted) {
 	}
 	r := newRoom(m, h.id, h)
 	h.room = r
-	r.publish() // seq 1: the create-time frame seeds every joiner's pending slot
+	r.publish() // seq 1: the create-time frame, every watcher's first read
 	m.roomsMu.Lock()
 	m.rooms[h.id] = r
 	m.roomsMu.Unlock()
 }
 
-// JoinRoom subscribes a watcher and names it. It takes no session lock:
-// the catch-up rides the watcher's first poll, which returns at once with
-// the room's current publication and, from seen-counts of 0, every
-// retained event and message and the pending quiz. A join that races the
-// driver's leave may succeed; its first poll then answers 404.
-func (m *Manager) JoinRoom(req *RoomJoinRequest) (*RoomJoinReply, error) {
-	r, err := m.roomByID(req.Room)
-	if err != nil {
-		return nil, err
-	}
-	r.h.touch()
-	watcherID := req.Watcher
-	if watcherID == "" {
-		watcherID = newSessionID("w")
-	}
-	if _, err := r.join(watcherID); err != nil {
-		return nil, err
-	}
-	return &RoomJoinReply{Room: r.id, Watcher: watcherID}, nil
-}
-
-// LeaveRoom unsubscribes a watcher (idempotent; an unknown room is fine —
-// the watcher's goal state already holds).
-func (m *Manager) LeaveRoom(req *RoomJoinRequest) {
-	if r, ok := m.Room(req.Room); ok {
-		r.leave(req.Watcher)
-	}
-}
-
 // AnswerRoom records one watcher's quiz answer and returns the cohort
-// tally so far.
+// tally so far. The watcher id, which the watcher mints, names its vote.
 func (m *Manager) AnswerRoom(req *RoomAnswerRequest) (*RoomAnswerReply, error) {
+	if req.Watcher == "" {
+		return nil, errf(http.StatusBadRequest, "playsvc: an answer names its watcher")
+	}
 	r, err := m.roomByID(req.Room)
 	if err != nil {
 		return nil, err

@@ -18,12 +18,13 @@ import (
 
 const watchMagic = "VWCH"
 
-// Watch-chunk record tags.
+// Watch-chunk record tags. Tag 4 is retired: it carried a per-watcher
+// skip count, which a watcher now reads from the gap between the seqs it
+// receives.
 const (
 	wtagSeq          = 1  // uvarint publication sequence number
 	wtagTick         = 2  // uvarint session tick at publish
 	wtagGeom         = 3  // uvarint w, h, pixLen
-	wtagSkipped      = 4  // uvarint cumulative frames skipped for this watcher
 	wtagEventStart   = 5  // uvarint absolute index of the first event below
 	wtagEvent        = 6  // repeated: tick uvarint, kind str, detail str
 	wtagEventCount   = 7  // uvarint total session events so far (ack target)
@@ -49,7 +50,7 @@ type watchTails struct {
 // polls; zero allocations once dst has capacity): length prefix, tagged
 // records, CRC. The pixel payload is NOT appended — the caller writes
 // p.pix directly after the returned header.
-func appendWatchChunk(dst []byte, p *pub, skipped int64, t watchTails, seenEvents, seenMessages int) []byte {
+func appendWatchChunk(dst []byte, p *pub, t watchTails, seenEvents, seenMessages int) []byte {
 	out := append(dst[:0], 0, 0, 0, 0) // length prefix, patched below
 	out = tagrec.Begin(out, watchMagic, frameVersion)
 	out = tagrec.AppendUint(out, wtagSeq, uint64(p.seq))
@@ -59,7 +60,6 @@ func appendWatchChunk(dst []byte, p *pub, skipped int64, t watchTails, seenEvent
 	out = binary.AppendUvarint(out, uint64(p.h))
 	out = binary.AppendUvarint(out, uint64(len(p.pix)))
 	out = tagrec.EndRecord(out, mark)
-	out = tagrec.AppendUint(out, wtagSkipped, uint64(max(skipped, 0)))
 
 	if from := max(seenEvents-t.eventBase, 0); from < len(t.events) {
 		out = tagrec.AppendUint(out, wtagEventStart, uint64(t.eventBase+from))
@@ -85,14 +85,13 @@ func appendWatchChunk(dst []byte, p *pub, skipped int64, t watchTails, seenEvent
 }
 
 // WatchUpdate is one parsed watch chunk: the publication metadata plus the
-// event/message tails beyond the watcher's acknowledged seen-counts. The
+// event/message tails beyond the watcher's presented seen-counts. The
 // pixel payload travels separately (PixLen bytes following the header).
 type WatchUpdate struct {
-	Seq     int64
-	Tick    int
-	W, H    int
-	PixLen  int
-	Skipped int64 // cumulative frames the server dropped for this watcher
+	Seq    int64
+	Tick   int
+	W, H   int
+	PixLen int
 
 	EventStart   int // absolute index of Events[0]
 	Events       []runtime.Event
@@ -147,12 +146,6 @@ func ParseWatchChunk(header []byte) (*WatchUpdate, error) {
 				return nil, frameBadf("pixel payload claims %d bytes", u.PixLen)
 			}
 			sawGeom = true
-		case wtagSkipped:
-			v, err := r.Uvarint()
-			if err != nil {
-				return nil, frameBadf("malformed skip count")
-			}
-			u.Skipped = int64(v)
 		case wtagEventStart:
 			if u.EventStart, err = r.Int(); err != nil {
 				return nil, frameBadf("malformed event start")

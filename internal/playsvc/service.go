@@ -29,8 +29,6 @@ func (m *Manager) Handler() http.Handler {
 		mux.HandleFunc(HandoffPath, m.handleHandoff)
 		mux.HandleFunc(DrainPath, m.handleDrain)
 		mux.HandleFunc(RecoverPath, m.handleRecover)
-		mux.HandleFunc(RoomJoinPath, m.handleRoomJoin)
-		mux.HandleFunc(RoomLeavePath, m.handleRoomLeave)
 		mux.HandleFunc(RoomWatchPath, m.handleRoomWatch)
 		mux.HandleFunc(RoomAnswerPath, m.handleRoomAnswer)
 		mux.HandleFunc(RoomStatsPath, m.handleRoomStats)
@@ -46,18 +44,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// writeError answers with the error's status; a protocol error carrying
-// a Retry-After hint (load shedding) advertises it so clients and the
-// gateway back off for a bounded, server-chosen interval instead of
-// guessing.
+// writeError answers with the error's status; an Unknown 404 carries
+// UnknownSessionHeader.
 func writeError(w http.ResponseWriter, err error) {
-	if pe, ok := err.(*Error); ok {
-		if pe.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(pe.RetryAfter))
-		}
-		if pe.Unknown {
-			w.Header().Set(UnknownSessionHeader, "1")
-		}
+	if pe, ok := err.(*Error); ok && pe.Unknown {
+		w.Header().Set(UnknownSessionHeader, "1")
 	}
 	http.Error(w, err.Error(), httpStatus(err))
 }
@@ -231,35 +222,8 @@ func (m *Manager) handleFrame(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// The room POSTs name their room in the query, like the room GETs; the
+// The answer POST names its room in the query, like the room GETs; the
 // JSON body carries the rest.
-func (m *Manager) handleRoomJoin(w http.ResponseWriter, r *http.Request) {
-	var req RoomJoinRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	req.Room = r.URL.Query().Get("room")
-	req.Trace = obs.TraceFromRequest(r)
-	t0 := time.Now()
-	reply, err := m.JoinRoom(&req)
-	m.ring.Record(req.Trace, "room.join", t0, err)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, reply)
-}
-
-func (m *Manager) handleRoomLeave(w http.ResponseWriter, r *http.Request) {
-	var req RoomJoinRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	req.Room = r.URL.Query().Get("room")
-	m.LeaveRoom(&req)
-	writeJSON(w, map[string]string{"room": req.Room, "watcher": req.Watcher, "state": "left"})
-}
-
 func (m *Manager) handleRoomAnswer(w http.ResponseWriter, r *http.Request) {
 	var req RoomAnswerRequest
 	if !decodeBody(w, r, &req) {
@@ -289,40 +253,45 @@ func (m *Manager) handleRoomStats(w http.ResponseWriter, r *http.Request) {
 // WatchContentType marks a watch-chunk body.
 const WatchContentType = "application/x-vgbl-watch"
 
-// handleRoomWatch serves the fan-out: GET with room, watcher, events,
-// messages (the seen-counts) and wait_ms (long-poll hold, default 2s).
-// A reply is one chunk: the freshest pending frame. A 204 means the hold expired with
-// nothing new; rejoin-worthy conditions (room gone, watcher pruned) are
-// 404s. An absent or empty number takes its default (seen-count 0, the
-// 2s hold, as does a wait_ms ≤ 0); one that is not a decimal integer, or a
-// negative seen-count, is refused with 400 before the room is looked up.
+// handleRoomWatch serves the fan-out: GET with room, seq (the publication
+// the watcher holds, 0 for none), events and messages (its seen-counts)
+// and wait_ms (long-poll hold, default 2s). A reply is one chunk: the
+// room's current publication, at once when it is newer than seq. A 204
+// means the hold expired with nothing new; a room that is gone is a 404.
+// An absent or empty number takes its default (0, or the 2s hold, as does
+// a wait_ms ≤ 0); one that is not a decimal integer, or a negative seq or
+// seen-count, is refused with 400 before the room is looked up.
 func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var nums [3]int
-	for i, key := range [...]string{"events", "messages", "wait_ms"} {
+	var nums [4]int64
+	for i, key := range [...]string{"seq", "events", "messages", "wait_ms"} {
 		s := q.Get(key)
 		if s == "" {
 			continue
 		}
-		n, err := strconv.Atoi(s)
+		bits := strconv.IntSize
+		if key == "seq" {
+			bits = 64
+		}
+		n, err := strconv.ParseInt(s, 10, bits)
 		if err != nil || n < 0 && key != "wait_ms" {
 			http.Error(w, "malformed "+key, http.StatusBadRequest)
 			return
 		}
 		nums[i] = n
 	}
-	seenE, seenM, waitMS := nums[0], nums[1], nums[2]
+	at := WatchPos{Seq: nums[0], Events: int(nums[1]), Messages: int(nums[2])}
 	room, err := m.roomByID(q.Get("room"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if waitMS <= 0 {
-		waitMS = 2000
+	wait := 2 * time.Second
+	if nums[3] > 0 {
+		wait = time.Duration(min(nums[3], maxWatchWait.Milliseconds())) * time.Millisecond
 	}
-	wait := time.Duration(waitMS) * time.Millisecond
 
-	header, pix, _, _, err := room.WatchNext(q.Get("watcher"), seenE, seenM, wait, nil)
+	header, pix, _, err := room.WatchNext(at, wait, nil)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -121,12 +121,13 @@ const (
 	envTagSession   = 1
 	envTagCourse    = 2
 	envTagEventBase = 3
-	envTagEvent     = 4 // repeated, one per retained event, log order
-	envTagSnapshot  = 5 // the runtime snapshot's bytes
-	envTagLastBase  = 6 // uvarint BaseSeq of the last applied batch
-	envTagLastLen   = 7 // uvarint act count of that batch
-	envTagLastBits  = 8 // raw result bits of the applied prefix
-	envTagLastErr   = 9 // the act error that stopped it
+	envTagEvent     = 4  // repeated, one per retained event, log order
+	envTagSnapshot  = 5  // the runtime snapshot's bytes
+	envTagLastBase  = 6  // uvarint BaseSeq of the last applied batch
+	envTagLastLen   = 7  // uvarint act count of that batch
+	envTagLastBits  = 8  // raw result bits of the applied prefix
+	envTagLastErrV1 = 9  // retired act error (it carried a retry-after); refused
+	envTagLastErr   = 10 // the act error that stopped it
 
 	maxEnvelopeField = 16 << 20
 )
@@ -195,6 +196,8 @@ func decodeEnvelope(data []byte) (*envelope, error) {
 			e.LastBits = append([]byte(nil), payload...)
 		case envTagLastErr:
 			e.LastErr, err = readActError(payload)
+		case envTagLastErrV1:
+			return nil, envBadf("retired act-error record (tag %d)", sc.Tag)
 		default:
 			// Additive extension from a newer writer; skip.
 		}

@@ -18,7 +18,10 @@ import (
 // only when a PR means to change the wire; such a PR re-records them and
 // says so. The inputs cross every length-prefix width the encoders meet in
 // practice: records shorter and longer than 127 bytes, nested strings
-// likewise, negative and multi-byte varints.
+// likewise, negative and multi-byte varints. The two VWCH rows were
+// re-recorded when the watch chunk dropped its per-watcher skip record,
+// and the two VRPL rows with an act error when that record dropped its
+// retry-after and moved to a new tag.
 func TestWireBytesGolden(t *testing.T) {
 	long := strings.Repeat("a long detail that needs a two-byte length prefix; ", 4)
 	state := &core.State{
@@ -77,18 +80,18 @@ func TestWireBytesGolden(t *testing.T) {
 			{HasCorrect: true, Correct: true},
 			{HasCorrect: true},
 		},
-		ActErr: &Error{Status: 429, RetryAfter: 2, Msg: "playsvc: node over capacity, retry later"},
+		ActErr: &Error{Status: 429, Msg: "playsvc: node over capacity, retry later"},
 	})
 	minimal := EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s", State: &core.State{Scenario: "classroom"}}})
 	tails := EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s", Tick: 1, Events: events[:1]}, ActErr: &Error{Status: 400, Msg: long}})
 
 	pix := make([]byte, 3*160*120)
-	watch := appendWatchChunk(nil, &pub{seq: 1 << 40, tick: 70001, w: 160, h: 120, pix: pix}, 9, watchTails{
+	watch := appendWatchChunk(nil, &pub{seq: 1 << 40, tick: 70001, w: 160, h: 120, pix: pix}, watchTails{
 		eventBase: 298, events: events, eventCount: 301,
 		msgBase: 2, messages: messages, messageCount: 5,
 		quiz: "q-diagnosis",
 	}, 299, 3)
-	idle := appendWatchChunk(watch[:0:0], &pub{seq: 1, w: 1, h: 1, pix: pix[:3]}, 0, watchTails{}, 0, 0)
+	idle := appendWatchChunk(watch[:0:0], &pub{seq: 1, w: 1, h: 1, pix: pix[:3]}, watchTails{}, 0, 0)
 
 	for _, g := range []struct {
 		name  string
@@ -96,11 +99,11 @@ func TestWireBytesGolden(t *testing.T) {
 		want  string
 	}{
 		{"VACT batch of every kind", act, "75dea88ca1fb47fb67eecd36c18a9d30ba80a978f01520a247ae509a4442bc44"},
-		{"VRPL with state, tails, results and an act error", reply, "35e30b7cae788ba5ea5fb6cfec88fdf5f65674d0fb586079ecad39db1d8ff2f2"},
+		{"VRPL with state, tails, results and an act error", reply, "9c7af0233866e1e278e865b00a40b8119b93f7a1976cfa96cd6b65bb1cd87d79"},
 		{"VRPL minimal", minimal, "048fc5503142ff42cdc0a9ed8c67aa6cb36b30aaf86f9e106471174627404565"},
-		{"VRPL tails and a long error", tails, "6d57b6c06ad26bfc400506829b4f06ac313bb589f1dfe71b0ed661d6ae31c4ce"},
-		{"VWCH with tails past the ack", watch, "346d392eac0e61ecb7b830c0e6352ea991b50f6cfe414cb078adb1180553f682"},
-		{"VWCH idle", idle, "e35acd4e457d76ef563afcfea8bd30755809a9d436654286e9854bbd3ce3de24"},
+		{"VRPL tails and a long error", tails, "787caf4cf386bedb04d8b6bdc6b496e639760a0be7e525bf51fb002de7dfda67"},
+		{"VWCH with tails past the ack", watch, "ac49fa93de0247e4c3deca27eecb37167a93a23d05105c6c51f04dd3008f5305"},
+		{"VWCH idle", idle, "9e590284a8e5f5ca74de5edb99e73df41e92a6901761e98fc4f154f8305aaecb"},
 	} {
 		sum := sha256.Sum256(g.bytes)
 		if got := hex.EncodeToString(sum[:]); got != g.want {

@@ -16,8 +16,10 @@ import (
 	"go/types"
 	"io/fs"
 	"maps"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -216,6 +218,121 @@ func TestRepoRules(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCIRunPatterns holds every -run pattern in ci.yml to the tests it
+// names: each top-level alternative must match a Test or Fuzz function of
+// the packages on its line. go test answers a pattern that matches
+// nothing with "no tests to run" and passes, so a gate whose test was
+// renamed or deleted would go on passing while it checks nothing. The
+// patterns that select no test on purpose ('^$', NONE) and the fuzz
+// loop's shell-built one are not names and are skipped.
+func TestCIRunPatterns(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFlag := regexp.MustCompile(`-run[= ](?:'([^']*)'|"([^"]*)"|(\S+))`)
+	tests := map[string][]string{} // package pattern → its Test/Fuzz names
+	checked := 0
+	for i, line := range strings.Split(string(ci), "\n") {
+		cmd := strings.TrimSpace(line)
+		m := runFlag.FindStringSubmatch(cmd)
+		if strings.HasPrefix(cmd, "#") || !strings.Contains(cmd, "go test") || m == nil {
+			continue
+		}
+		pattern := m[1] + m[2] + m[3]
+		if pattern == "^$" || pattern == "NONE" || strings.Contains(pattern, "${") {
+			continue
+		}
+		var names []string
+		for _, f := range strings.Fields(cmd) {
+			if f != "." && !strings.HasPrefix(f, "./") {
+				continue
+			}
+			if _, ok := tests[f]; !ok {
+				if tests[f], err = testNames(f); err != nil {
+					t.Fatalf("ci.yml:%d: %v", i+1, err)
+				}
+			}
+			names = append(names, tests[f]...)
+		}
+		if len(names) == 0 {
+			t.Errorf("ci.yml:%d: -run %q names no package with tests", i+1, pattern)
+			continue
+		}
+		for _, alt := range topLevelAlternatives(pattern) {
+			checked++
+			re, err := regexp.Compile(strings.SplitN(alt, "/", 2)[0])
+			if err != nil {
+				t.Errorf("ci.yml:%d: -run alternative %q: %v", i+1, alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("ci.yml:%d: -run alternative %q matches no Test or Fuzz function of its packages", i+1, alt)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("ci.yml holds no -run pattern; the check read the wrong file")
+	}
+	t.Logf("checked %d -run alternatives", checked)
+}
+
+// topLevelAlternatives splits a regexp at the | that no group encloses.
+func topLevelAlternatives(pattern string) []string {
+	var out []string
+	depth, start := 0, 0
+	for i := 0; i < len(pattern); i++ {
+		switch pattern[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				out = append(out, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(out, pattern[start:])
+}
+
+// testNames lists the Test and Fuzz functions of the test files a package
+// pattern (".", "./dir/" or "./dir/...") covers.
+func testNames(pkg string) ([]string, error) {
+	dir, all := strings.CutSuffix(pkg, "...")
+	dir = filepath.Clean(dir)
+	var names []string
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != dir && (!all || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		af, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range af.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil &&
+				(strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+				names = append(names, fd.Name.Name)
+			}
+		}
+		return nil
+	})
+	return names, err
 }
 
 func parseRepoTree(root string) (*repoTree, error) {
