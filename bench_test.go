@@ -281,7 +281,10 @@ func BenchmarkDecode160x120Cold(b *testing.B) {
 // BenchmarkRecordLadder is the author's wait for one course (E22): the
 // classroom footage recorded at every rung of the default ladder, as a
 // publish does it. bytes/frame is summed over the rungs, so a bitstream
-// change shows beside the timing.
+// change shows beside the timing, and so is transforms/frame, the
+// motion-compensated candidates the block coder transformed (the rest the
+// dead-zone exit took as empty; EXPERIMENTS.md E55), counted on one more
+// encode outside the timer.
 func BenchmarkRecordLadder(b *testing.B) {
 	film := content.Classroom().Film
 	opts := studio.Options{}
@@ -297,7 +300,31 @@ func BenchmarkRecordLadder(b *testing.B) {
 			bytes += len(r.Video)
 		}
 	}
+	b.StopTimer()
+	var qsteps []int
+	for _, tier := range studio.DefaultLadder() {
+		qsteps = append(qsteps, tier.QStep)
+	}
+	// studio.RecordLadder's encoder at default Options.
+	enc, err := vcodec.NewLadderEncoder(vcodec.Config{Width: film.W, Height: film.H, GOP: film.FPS, SearchRange: 3}, qsteps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var frame raster.Frame
+	pkts := make([]vcodec.Packet, len(qsteps))
+	for i := range film.FrameCount() {
+		film.RenderInto(&frame, i)
+		if err := enc.Encode(&frame, pkts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	transforms := 0
+	for k := range qsteps {
+		run, _ := enc.InterTransforms(k)
+		transforms += run
+	}
 	b.ReportMetric(float64(bytes)/float64(film.FrameCount()), "bytes/frame")
+	b.ReportMetric(float64(transforms)/float64(film.FrameCount()), "transforms/frame")
 	b.ReportMetric(float64(film.FrameCount()), "frames/op")
 }
 

@@ -1,8 +1,10 @@
 package content
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/gamepack"
 	"repro/internal/media/studio"
@@ -85,5 +87,47 @@ func TestCoursesAreDeterministic(t *testing.T) {
 	b, _ := Classroom().RecordVideo(studio.Options{QStep: 8})
 	if string(a) != string(b) {
 		t.Error("classroom video not deterministic")
+	}
+}
+
+// TestPublishLadderToDepositsTheBuiltPackage holds the call a publish makes
+// to its definition: PublishLadderTo's manifest is the one DepositChunks
+// makes of BuildLadderPackage's blob, and the store behind it holds the same
+// chunks, which assemble back into that blob.
+func TestPublishLadderToDepositsTheBuiltPackage(t *testing.T) {
+	course, opts := Classroom(), studio.Options{QStep: 8}
+	published, err := blobstore.New(blobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := course.PublishLadderTo(published, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := course.BuildLadderPackage(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deposited, err := blobstore.New(blobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gamepack.DepositChunks(blob, deposited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(man.Encode(), want.Encode()) {
+		t.Fatal("PublishLadderTo's manifest differs from DepositChunks(BuildLadderPackage)")
+	}
+	got, err := man.Assemble(published.Get)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, blob) {
+		t.Fatalf("the published chunks assemble into %d bytes that are not the %d-byte package", len(got), len(blob))
+	}
+	a, b := published.Stats(), deposited.Stats()
+	if a.Chunks != b.Chunks || a.StoredBytes != b.StoredBytes {
+		t.Fatalf("published store holds %d chunks, %d bytes; the deposited one %d, %d", a.Chunks, a.StoredBytes, b.Chunks, b.StoredBytes)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/media/raster"
 	"repro/internal/media/studio"
+	"repro/internal/media/vcodec"
 )
 
 // ladderRD pins what each rung of each demo's default ladder costs and what
@@ -70,6 +71,51 @@ func TestLadderRD(t *testing.T) {
 			got := rdRow(float64(bytes)/float64(n), sum/float64(n), low)
 			if want := ladderRD[g.name][k]; got != want {
 				t.Errorf("%s tier %q (q%d): %s, golden %q", g.name, tier.Name, tier.QStep, got, want)
+			}
+		}
+	}
+}
+
+// deadZoneCounts pins, per rung of each demo's default ladder, how many
+// motion-compensated candidates the encoder transforms and how many it takes
+// as empty from their search SAD alone (vcodec's dead-zone exit), in that
+// order: the record's work as a count, which a change to the encoder's
+// decisions or to the exit's bound moves and a timing cannot show. Like the
+// RD rows it is exact while the rungs' pixels are golden (EXPERIMENTS.md E55).
+var deadZoneCounts = map[string][4][2]int{
+	"classroom": {{24167, 2610}, {24588, 4062}, {8348, 20908}, {2684, 28780}},
+	"museum":    {{32780, 3294}, {32822, 3367}, {11531, 26601}, {3697, 40087}},
+	"street":    {{21961, 3118}, {22056, 3068}, {10837, 15298}, {4236, 24744}},
+}
+
+func TestDeadZoneExitCounts(t *testing.T) {
+	requireGoldenArch(t)
+	ladder := studio.DefaultLadder()
+	qsteps := make([]int, len(ladder))
+	for k, tier := range ladder {
+		qsteps[k] = tier.QStep
+	}
+	for _, g := range goldenCourses {
+		film := g.course().Film
+		// What studio.RecordLadder runs with default Options: a GOP of one
+		// second and a search range of 3.
+		enc, err := vcodec.NewLadderEncoder(vcodec.Config{Width: film.W, Height: film.H, GOP: film.FPS, SearchRange: 3}, qsteps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frame raster.Frame
+		pkts := make([]vcodec.Packet, len(qsteps))
+		for i := range film.FrameCount() {
+			film.RenderInto(&frame, i)
+			if err := enc.Encode(&frame, pkts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := range qsteps {
+			transforms, skipped := enc.InterTransforms(k)
+			if got, want := [2]int{transforms, skipped}, deadZoneCounts[g.name][k]; got != want {
+				t.Errorf("%s q%d: %d inter transforms run, %d skipped (%.1f%%); golden %d run, %d skipped",
+					g.name, qsteps[k], transforms, skipped, 100*float64(skipped)/float64(transforms+skipped), want[0], want[1])
 			}
 		}
 	}

@@ -62,20 +62,35 @@ type frameRecord struct {
 }
 
 // Muxer assembles a TKVC blob. Packets must be added in encode order.
+//
+// A packet's bytes are moved twice and never more: AddPacket copies them
+// into the muxer's data blocks, which are fixed in size and never regrown,
+// and Finalize copies the blocks into the blob, allocated at its exact size.
 type Muxer struct {
-	meta     Meta
-	chapters []Chapter
-	records  []frameRecord
-	data     []byte
+	meta        Meta
+	chapters    []Chapter
+	records     []frameRecord
+	first, last *dataBlock // the data section so far; nil before the first packet
+	size        int        // bytes in the blocks
+}
+
+// dataBlock is a run of the data section, full before the next is made.
+// With its link and its fill a block is one 32 KiB allocation.
+type dataBlock struct {
+	next *dataBlock
+	n    int
+	buf  [32<<10 - 16]byte
 }
 
 // NewMuxer starts a container with the given metadata. FrameCount in meta is
-// ignored; it is derived from the packets actually added.
+// how many packets the caller means to add, if it knows: it sizes the index
+// up front (0 grows it as packets come). The count written is always that
+// of the packets actually added.
 func NewMuxer(meta Meta) (*Muxer, error) {
 	if meta.Width <= 0 || meta.Height <= 0 || meta.FPS <= 0 || meta.GOP < 1 {
 		return nil, fmt.Errorf("container: invalid metadata %+v", meta)
 	}
-	return &Muxer{meta: meta}, nil
+	return &Muxer{meta: meta, records: make([]frameRecord, 0, max(meta.FrameCount, 0))}, nil
 }
 
 // AddPacket appends the next encoded frame. Packet indices must be
@@ -90,8 +105,22 @@ func (m *Muxer) AddPacket(p vcodec.Packet) error {
 	if len(p.Data) == 0 {
 		return errors.New("container: empty packet")
 	}
-	m.records = append(m.records, frameRecord{typ: p.Type, offset: len(m.data), size: len(p.Data)})
-	m.data = append(m.data, p.Data...)
+	m.records = append(m.records, frameRecord{typ: p.Type, offset: m.size, size: len(p.Data)})
+	for data := p.Data; len(data) > 0; {
+		if m.last == nil || m.last.n == len(m.last.buf) {
+			b := new(dataBlock)
+			if m.last == nil {
+				m.first = b
+			} else {
+				m.last.next = b
+			}
+			m.last = b
+		}
+		n := copy(m.last.buf[m.last.n:], data)
+		m.last.n += n
+		data = data[n:]
+	}
+	m.size += len(p.Data)
 	return nil
 }
 
@@ -149,12 +178,18 @@ func (m *Muxer) Finalize() ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(r.size))
 	}
 	// Data with checksum.
-	buf = binary.AppendUvarint(buf, uint64(len(m.data)))
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(m.data))
-	buf = append(buf, crc[:]...)
-	buf = append(buf, m.data...)
-	return buf, nil
+	buf = binary.AppendUvarint(buf, uint64(m.size))
+	var crc uint32
+	for b := m.first; b != nil; b = b.next {
+		crc = crc32.Update(crc, crc32.IEEETable, b.buf[:b.n])
+	}
+	buf = binary.BigEndian.AppendUint32(buf, crc)
+	blob := make([]byte, len(buf)+m.size)
+	n := copy(blob, buf)
+	for b := m.first; b != nil; b = b.next {
+		n += copy(blob[n:], b.buf[:b.n])
+	}
+	return blob, nil
 }
 
 // WithChapters rebuilds a container blob with a replacement chapter table,

@@ -1,6 +1,10 @@
 package container
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"repro/internal/media/synth"
@@ -233,5 +237,151 @@ func TestDataSize(t *testing.T) {
 	r, _ := Open(blob)
 	if r.DataSize() <= 0 || r.DataSize() >= len(blob) {
 		t.Errorf("DataSize = %d, blob = %d", r.DataSize(), len(blob))
+	}
+}
+
+// finalizeFlat is Finalize as it was written when the data section was one
+// slice: the head, then every packet concatenated. The blocked muxer must
+// make the same bytes.
+func finalizeFlat(meta Meta, chapters []Chapter, pkts []vcodec.Packet) []byte {
+	var data []byte
+	for _, p := range pkts {
+		data = append(data, p.Data...)
+	}
+	buf := []byte(magic)
+	buf = append(buf, version)
+	for _, v := range []int{meta.Width, meta.Height, meta.FPS, len(pkts), meta.GOP, len(chapters)} {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	for _, ch := range chapters { // already in start order
+		buf = binary.AppendUvarint(buf, uint64(ch.Start))
+		buf = binary.AppendUvarint(buf, uint64(ch.End))
+		buf = binary.AppendUvarint(buf, uint64(len(ch.Name)))
+		buf = append(buf, ch.Name...)
+	}
+	for _, p := range pkts {
+		buf = append(buf, byte(p.Type))
+		buf = binary.AppendUvarint(buf, uint64(len(p.Data)))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(data)))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(data))
+	return append(buf, data...)
+}
+
+// blockBytes is the capacity of one of the muxer's data blocks.
+const blockBytes = len(dataBlock{}.buf)
+
+// muxCases are packet-size sequences for the blocked data section: packets
+// that end exactly on a block's end, that straddle one block's end, that are
+// larger than a block (one spans three), and a thousand tiny ones.
+var muxCases = map[string][]int{
+	"block-exact": {blockBytes, blockBytes, 1},
+	"straddle":    {blockBytes - 10, 20, blockBytes - 20, 31},
+	"oversize":    {7, 2*blockBytes + 5, 3*blockBytes + 1, 9},
+	"tiny":        cycleSizes(1000, 1, 2, 3),
+}
+
+// cycleSizes returns n packet sizes, sizes over and over.
+func cycleSizes(n int, sizes ...int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = sizes[i%len(sizes)]
+	}
+	return out
+}
+
+func muxPackets(sizes []int) []vcodec.Packet {
+	rng := rand.New(rand.NewSource(int64(len(sizes))))
+	pkts := make([]vcodec.Packet, len(sizes))
+	for i, n := range sizes {
+		pkts[i] = vcodec.Packet{Type: vcodec.PFrame, Index: i, Data: make([]byte, n)}
+		if i%5 == 0 {
+			pkts[i].Type = vcodec.IFrame
+		}
+		rng.Read(pkts[i].Data)
+	}
+	return pkts
+}
+
+// TestFinalizeMatchesFlatConcatenation holds the blocked muxer to the
+// one-slice layout, byte for byte, with chapters added out of order, and
+// checks the blob is allocated at its exact size and opens.
+func TestFinalizeMatchesFlatConcatenation(t *testing.T) {
+	meta := Meta{Width: 16, Height: 16, FPS: 10, GOP: 5}
+	for name, sizes := range muxCases {
+		pkts := muxPackets(sizes)
+		chapters := []Chapter{{"late", 1, len(pkts)}, {"early", 0, 1}}
+		for _, hint := range []int{0, len(pkts)} { // grown index, sized index
+			m := meta
+			m.FrameCount = hint
+			mux, err := NewMuxer(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pkts {
+				if err := mux.AddPacket(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, ch := range chapters {
+				if err := mux.AddChapter(ch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			blob, err := mux.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := finalizeFlat(meta, []Chapter{chapters[1], chapters[0]}, pkts)
+			if !bytes.Equal(blob, want) {
+				t.Fatalf("%s (FrameCount %d): Finalize made %d bytes, the flat layout %d, and they differ", name, hint, len(blob), len(want))
+			}
+			if cap(blob) != len(blob) {
+				t.Errorf("%s: blob of %d bytes has capacity %d", name, len(blob), cap(blob))
+			}
+			r, err := Open(blob)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, p := range pkts {
+				if got, _, _ := r.PacketAt(i); !bytes.Equal(got, p.Data) {
+					t.Fatalf("%s: packet %d reads back different", name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestAddPacketAllocatesPerBlock pins AddPacket at one allocation per data
+// block it fills, and none per packet, when FrameCount sized the index.
+func TestAddPacketAllocatesPerBlock(t *testing.T) {
+	meta := Meta{Width: 16, Height: 16, FPS: 10, GOP: 5}
+	for name, sizes := range muxCases {
+		pkts := muxPackets(sizes)
+		meta.FrameCount = len(pkts)
+		total := 0
+		for _, n := range sizes {
+			total += n
+		}
+		blocks := (total + blockBytes - 1) / blockBytes
+		muxer := func() *Muxer {
+			m, err := NewMuxer(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		base := testing.AllocsPerRun(5, func() { muxer() })
+		got := testing.AllocsPerRun(5, func() {
+			m := muxer()
+			for _, p := range pkts {
+				if err := m.AddPacket(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) - base
+		if got != float64(blocks) {
+			t.Errorf("%s: %d packets, %d bytes: AddPacket made %.0f allocations, want one per block, %d", name, len(pkts), total, got, blocks)
+		}
 	}
 }

@@ -36,18 +36,34 @@ func (r Rect) Inset(n int) Rect {
 	return Rect{r.X + n, r.Y + n, r.W - 2*n, r.H - 2*n}
 }
 
-// FillRect paints the rectangle r with color c, clipped to the frame.
+// FillRect paints the rectangle r with color c, clipped to the frame: the
+// clipped rectangle's first row is one span fill, and every other row a copy
+// of it.
 func (f *Frame) FillRect(r Rect, c RGB) {
 	cl := r.Intersect(Rect{0, 0, f.W, f.H})
 	if cl.Empty() {
 		return
 	}
-	for y := cl.Y; y < cl.Y+cl.H; y++ {
-		row := 3 * y * f.W
-		for x := cl.X; x < cl.X+cl.W; x++ {
-			i := row + 3*x
-			f.Pix[i], f.Pix[i+1], f.Pix[i+2] = c.R, c.G, c.B
-		}
+	first := f.span(cl.X, cl.X+cl.W, cl.Y)
+	fillSpan(first, c)
+	for y := cl.Y + 1; y < cl.Y+cl.H; y++ {
+		copy(f.span(cl.X, cl.X+cl.W, y), first)
+	}
+}
+
+// span returns the bytes of pixels [x0, x1) of row y, which must be inside
+// the frame.
+func (f *Frame) span(x0, x1, y int) []uint8 {
+	return f.Pix[3*(y*f.W+x0) : 3*(y*f.W+x1)]
+}
+
+// fillSpan paints every pixel of span, a whole number of pixels and at least
+// one, with c: the first pixel, then copies that double what is painted, so a
+// span of n pixels is log₂ n copies and no per-pixel bounds check.
+func fillSpan(span []uint8, c RGB) {
+	span[0], span[1], span[2] = c.R, c.G, c.B
+	for n := 3; n < len(span); n *= 2 {
+		copy(span[n:], span[:n])
 	}
 }
 
@@ -62,14 +78,17 @@ func (f *Frame) DrawRect(r Rect, c RGB) {
 	f.VLine(r.X+r.W-1, r.Y, r.Y+r.H-1, c)
 }
 
-// HLine draws a horizontal line from (x0, y) to (x1, y).
+// HLine draws a horizontal line from (x0, y) to (x1, y), clipped to the
+// frame, as one span fill.
 func (f *Frame) HLine(x0, x1, y int, c RGB) {
 	if x0 > x1 {
 		x0, x1 = x1, x0
 	}
-	for x := x0; x <= x1; x++ {
-		f.Set(x, y, c)
+	x0, x1 = max(x0, 0), min(x1, f.W-1)
+	if y < 0 || y >= f.H || x0 > x1 {
+		return
 	}
+	fillSpan(f.span(x0, x1+1, y), c)
 }
 
 // VLine draws a vertical line from (x, y0) to (x, y1).

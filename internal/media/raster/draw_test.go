@@ -209,3 +209,63 @@ func TestHVLineSwappedEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// hLineSet and fillRectSet are HLine and FillRect as a Set per pixel, which
+// clips each pixel on its own: the definitions the span fills must equal.
+func hLineSet(f *Frame, x0, x1, y int, c RGB) {
+	for x := min(x0, x1); x <= max(x0, x1); x++ {
+		f.Set(x, y, c)
+	}
+}
+
+func fillRectSet(f *Frame, r Rect, c RGB) {
+	for y := r.Y; y < r.Y+r.H; y++ {
+		for x := r.X; x < r.X+r.W; x++ {
+			f.Set(x, y, c)
+		}
+	}
+}
+
+// TestSpanFillsMatchSet holds HLine and FillRect to a per-pixel Set on
+// spans inside the frame, reversed, clipped on either side or both,
+// entirely off the frame to the left, right, above and below (negative y
+// included), one pixel wide, and on frames one pixel wide and 1×1; the
+// frames start from a pattern, so a byte written outside the span shows.
+func TestSpanFillsMatchSet(t *testing.T) {
+	c := RGB{R: 11, G: 22, B: 33}
+	for _, size := range [][2]int{{13, 7}, {1, 5}, {1, 1}, {64, 3}} {
+		w, h := size[0], size[1]
+		base := New(w, h)
+		for i := range base.Pix {
+			base.Pix[i] = uint8(i*7 + 1)
+		}
+		edges := []int{-100, -2, -1, 0, 1, w / 2, w - 2, w - 1, w, w + 1, w + 100}
+		for _, y := range []int{-50, -1, 0, h / 2, h - 1, h, h + 3} {
+			for _, x0 := range edges {
+				for _, x1 := range edges {
+					got, want := base.Clone(), base.Clone()
+					got.HLine(x0, x1, y, c)
+					hLineSet(want, x0, x1, y, c)
+					if !got.Equal(want) {
+						t.Fatalf("%dx%d: HLine(%d, %d, %d) differs from a Set per pixel", w, h, x0, x1, y)
+					}
+				}
+			}
+		}
+		for _, x := range edges {
+			for _, y := range []int{-50, -3, -1, 0, 1, h - 1, h, h + 3} {
+				for _, rw := range []int{-1, 0, 1, 2, 5, w, w + 200} {
+					for _, rh := range []int{-1, 0, 1, 3, h + 60} {
+						r := Rect{x, y, rw, rh}
+						got, want := base.Clone(), base.Clone()
+						got.FillRect(r, c)
+						fillRectSet(want, r, c)
+						if !got.Equal(want) {
+							t.Fatalf("%dx%d: FillRect(%+v) differs from a Set per pixel", w, h, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -94,7 +94,7 @@ func RecordLadder(film *synth.Film, opts Options, tiers []Tier) ([]TierVideo, er
 	muxes := make([]*container.Muxer, len(tiers))
 	for k := range muxes {
 		muxes[k], err = container.NewMuxer(container.Meta{
-			Width: film.W, Height: film.H, FPS: film.FPS, GOP: opts.GOP,
+			Width: film.W, Height: film.H, FPS: film.FPS, GOP: opts.GOP, FrameCount: film.FrameCount(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("studio: %w", err)

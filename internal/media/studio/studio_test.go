@@ -245,8 +245,8 @@ func TestRecordLadderMatchesRecord(t *testing.T) {
 
 // TestRecordLadderSteadyStateAllocs pins what keeps a four-rung publish's
 // memory flat: lengthening a fade-free film adds at most one allocation per
-// rung per frame (the muxers' amortized growth; frames, source image and
-// payload buffers are all recycled).
+// rung per frame (a muxer's data block per 32 KiB of packets; frames, source
+// image and payload buffers are all recycled).
 func TestRecordLadderSteadyStateAllocs(t *testing.T) {
 	spec := synth.Spec{W: 64, H: 48, FPS: 8, Shots: 2, MinShotFrames: 12, MaxShotFrames: 12, NoiseAmp: 2, Seed: 3}
 	short := synth.Generate(spec)

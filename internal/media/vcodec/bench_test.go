@@ -68,7 +68,7 @@ func BenchmarkMotionSearch160x120(b *testing.B) {
 		for y0 := 0; y0 < src.h; y0 += blockSize {
 			for x0 := 0; x0 < src.w; x0 += blockSize {
 				packed.load(src, x0, y0)
-				mx, my := motionSearch(&packed, ref, x0, y0, 3)
+				mx, my, _ := motionSearch(&packed, ref, x0, y0, 3)
 				sink += mx + my
 			}
 		}

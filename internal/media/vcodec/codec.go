@@ -112,6 +112,9 @@ type rung struct {
 	ref   *ycbcr     // previous reconstruction (what this rung's decoder will see)
 	body  byteWriter // this frame's block rows, every plane's, in bitstream order
 	ends  []int      // ends[i] is where block row i (counted over all planes) ends in body
+	// Motion-compensated candidates coded since construction: transformed
+	// by the block coder, or proven empty by their search SAD alone.
+	transforms, skipped int
 }
 
 // NewLadderEncoder returns an encoder that codes every frame once per entry
@@ -222,8 +225,18 @@ func (e *LadderEncoder) codeRow(k int, ft FrameType, p, row, searchRange int) {
 	if ft == PFrame {
 		ref = rg.ref.planes()[p]
 	}
-	encodeBlockRow(&rg.body, &e.src, ref, rg.recon.planes()[p], rg.qstep, &rg.coder, searchRange, k == e.lead)
+	transforms, skipped := encodeBlockRow(&rg.body, &e.src, ref, rg.recon.planes()[p], rg.qstep, &rg.coder, searchRange, k == e.lead)
+	rg.transforms += transforms
+	rg.skipped += skipped
 	rg.ends[row] = len(rg.body.buf)
+}
+
+// InterTransforms returns how many motion-compensated candidates rung k has
+// coded since the encoder was made: transforms went through the block
+// coder, and skipped were not transformed because their search SAD proved
+// the dead zone empties them (deadZoneSAD).
+func (e *LadderEncoder) InterTransforms(k int) (transforms, skipped int) {
+	return e.rungs[k].transforms, e.rungs[k].skipped
 }
 
 // writePlanes writes the rung's coded planes, each as its independent block
@@ -345,10 +358,15 @@ func (e *Encoder) Reset() { e.ladder.Reset() }
 // Go functions' levels, so the mode decisions and the bytes are the same.
 // The intra candidate's transform is the row's, shared by every rung; only
 // its quantization is the rung's. The lead rung searches motion in full and
-// leaves its vector in the row; every other rung refines that vector.
-func encodeBlockRow(w *byteWriter, row *sourceRow, ref, recon *plane, qstep int, coder *blockCoder, searchRange int, lead bool) {
+// leaves its vector in the row; every other rung refines that vector. The
+// motion-compensated candidate is transformed only when the search's SAD
+// leaves the dead zone a coefficient to keep (deadZoneSAD): under it the
+// candidate is the empty level set the transform would have made. It
+// returns how many candidates it transformed and how many it skipped.
+func encodeBlockRow(w *byteWriter, row *sourceRow, ref, recon *plane, qstep int, coder *blockCoder, searchRange int, lead bool) (transforms, skipped int) {
 	var mc, in candidate
 	var blk coefBlock
+	zeroBelow := deadZoneSAD(qstep)
 	src, y0 := row.src, row.y0
 	// The row's mode map, zeroed (every block a skip) and filled in as its
 	// blocks are coded; their payloads follow it.
@@ -376,14 +394,21 @@ func encodeBlockRow(w *byteWriter, row *sourceRow, ref, recon *plane, qstep int,
 		}
 		// Motion search (includes the (0,0) candidate even when range is 0).
 		var mvx, mvy int
+		var sad int32
 		if b := &row.blocks[bx]; lead {
-			mvx, mvy = motionSearch(row.packed(bx), ref, x0, y0, searchRange)
+			mvx, mvy, sad = motionSearch(row.packed(bx), ref, x0, y0, searchRange)
 			b.mvx, b.mvy = mvx, mvy
 		} else {
-			mvx, mvy = motionRefine(row.packed(bx), ref, x0, y0, searchRange, b.mvx, b.mvy)
+			mvx, mvy, sad = motionRefine(row.packed(bx), ref, x0, y0, searchRange, b.mvx, b.mvy)
 		}
-		coder.inter(src, x0, y0, ref, x0+mvx, y0+mvy, &mc)
-		mcCost := mc.cost() + 1 // +1 byte for the motion vector
+		mcCost := emptyCost + 1 // +1 byte for the motion vector
+		if sad < zeroBelow {
+			skipped++ // mc's levels are stale, and only an empty candidate's cost is read
+		} else {
+			coder.inter(src, x0, y0, ref, x0+mvx, y0+mvy, &mc)
+			mcCost = mc.cost() + 1
+			transforms++
+		}
 		if mcCost == emptyCost+1 && mvx == 0 && mvy == 0 {
 			// Residual vanishes at this quantizer: perfect skip.
 			copyBlock(ref, x0, y0, recon, x0, y0)
@@ -408,6 +433,7 @@ func encodeBlockRow(w *byteWriter, row *sourceRow, ref, recon *plane, qstep int,
 		codeLevels(w, in.levels(), qstep, &blk)
 		reconstruct(&blk, nil, 0, 0, recon, x0, y0)
 	}
+	return transforms, skipped
 }
 
 // codeLevels writes a coded block's levels and reads the bytes just written
@@ -597,16 +623,15 @@ func searchWindow(ref *plane, x0, y0, r int) (dx0, dy0, nx, ny int) {
 }
 
 // motionSearch finds the full-pixel offset within ±r minimizing SAD against
-// the reference, constrained so the reference block stays in bounds.
-// Candidates are visited row-major from (−r,−r), the zero vector gets a −4
-// bias to avoid jitter on ties, and otherwise the first strictly smaller SAD
-// wins. There is no pruning: on footage with sensor noise every candidate's
-// SAD is alike, so a running "already worse than best" test only fires in a
-// candidate's last rows and costs more than it saves (EXPERIMENTS.md E22).
-func motionSearch(cur *packedBlock, ref *plane, x0, y0, r int) (int, int) {
-	if r == 0 {
-		return 0, 0
-	}
+// the reference, constrained so the reference block stays in bounds, and
+// returns it with its SAD (unbiased). Candidates are visited row-major from
+// (−r,−r), the zero vector gets a −4 bias to avoid jitter on ties, and
+// otherwise the first strictly smaller SAD wins; at r = 0 the zero vector is
+// the one candidate. There is no pruning: on footage with sensor noise every
+// candidate's SAD is alike, so a running "already worse than best" test only
+// fires in a candidate's last rows and costs more than it saves
+// (EXPERIMENTS.md E22).
+func motionSearch(cur *packedBlock, ref *plane, x0, y0, r int) (int, int, int32) {
 	dx0, dy0, nx, ny := searchWindow(ref, x0, y0, r)
 	win := cur.sads[:nx*ny]
 	bx, by := sadWindow(cur, ref.pix[(y0+dy0)*ref.w+x0+dx0:], ref.w, nx, win)
@@ -616,7 +641,7 @@ func motionSearch(cur *packedBlock, ref *plane, x0, y0, r int) (int, int) {
 	if z, best := win[zy*nx+zx]-4, win[by*nx+bx]; z < best || z == best && zy*nx+zx < by*nx+bx {
 		bx, by = zx, zy
 	}
-	return dx0 + bx, dy0 + by
+	return dx0 + bx, dy0 + by, win[by*nx+bx]
 }
 
 // motionRefine is the motion search of a rung below the lead, given the
@@ -627,10 +652,8 @@ func motionSearch(cur *packedBlock, ref *plane, x0, y0, r int) (int, int) {
 // row-major order wins, and the zero vector, with its −4 bias, takes over
 // when that is smaller, or equal and earlier in the scan. The window is one
 // sadWindow call, and the zero vector, when it falls outside, a 1×1 call.
-func motionRefine(cur *packedBlock, ref *plane, x0, y0, r, lx, ly int) (int, int) {
-	if r == 0 {
-		return 0, 0
-	}
+// The winner's SAD (unbiased) is returned beside it.
+func motionRefine(cur *packedBlock, ref *plane, x0, y0, r, lx, ly int) (int, int, int32) {
 	sx0, sy0, snx, sny := searchWindow(ref, x0, y0, r)
 	dx0, dy0 := max(lx-1, sx0), max(ly-1, sy0)
 	nx, ny := min(lx+1, sx0+snx-1)-dx0+1, min(ly+1, sy0+sny-1)-dy0+1
@@ -646,10 +669,10 @@ func motionRefine(cur *packedBlock, ref *plane, x0, y0, r, lx, ly int) (int, int
 		sadWindow(cur, ref.pix[y0*ref.w+x0:], ref.w, 1, zero)
 		z = zero[0]
 	}
-	if z -= 4; z < best || z == best && (by > 0 || by == 0 && bx > 0) {
-		return 0, 0
+	if z-4 < best || z-4 == best && (by > 0 || by == 0 && bx > 0) {
+		return 0, 0, z
 	}
-	return bx, by
+	return bx, by, best
 }
 
 // loadBlock widens the 8×8 block with top-left corner (x0,y0) into dst, row

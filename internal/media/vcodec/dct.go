@@ -426,3 +426,28 @@ func quantizeDeadzone(coefs *[64]int32, qstep int, levels *[64]int32) {
 		levels[i] = divSigned(coefs[zigzag[i]], 0, m)
 	}
 }
+
+// deadZoneSAD returns the SAD below which quantizeDeadzone at qstep zeroes
+// every coefficient fdct8x8 makes of a residual: acDiv/2, which is 4·qstep.
+// A motion-compensated candidate whose search SAD is under it is the empty
+// level set, so the encoder does not transform it (the all-zero-block test
+// of H.264 encoders, exact here because the transform is integer).
+//
+// A level is zero when its coefficient's magnitude is under its divisor.
+// The DC is the residual's sum exactly — the row pass's and the column
+// pass's DC rows only add — so |DC| ≤ SAD < acDiv/2 ≤ dcDiv. An AC
+// coefficient is two fdctMatrix products, each descaled once (an error of at
+// most ½): with w = 11 363 the largest |m[k][n]|, a row of the row pass is at
+// most w·S/2^11 + ½ for a residual row of absolute sum S, and the column
+// pass weighs eight of them by at most w/2^15, so
+//
+//	|AC| ≤ (w/2^13)²·SAD + w/2^13 + ½ < 1.9241·SAD + 1.8871.
+//
+// At SAD = acDiv/2 − 1 that is below 0.9621·acDiv − 0.037 < acDiv. The DC
+// side is tight from qstep 2 up, where acDiv/2 = dcDiv and a residual of
+// one sign summing to dcDiv keeps a DC level. TestDeadZoneExitIsExact
+// re-derives w from fdctMatrix and holds every step 1…128 to the bound.
+func deadZoneSAD(qstep int) int32 {
+	_, acDiv := quantDivisors(qstep)
+	return acDiv >> 1
+}

@@ -47,6 +47,20 @@ func motionSearchRef(src, ref *plane, x0, y0, r int) (int, int) {
 	return bx, by
 }
 
+// sadAt is the SAD of src's block at (x0,y0) against ref's block at
+// (x0+dx, y0+dy), 64 abs-diffs: what the searches return beside their
+// vector, for the encoder's dead-zone exit.
+func sadAt(src, ref *plane, x0, y0, dx, dy int) int32 {
+	var sad int32
+	for row := 0; row < blockSize; row++ {
+		rrow := ref.row(x0+dx, y0+dy+row, blockSize)
+		for k, c := range src.row(x0, y0+row, blockSize) {
+			sad += max(int32(c)-int32(rrow[k]), int32(rrow[k])-int32(c))
+		}
+	}
+	return sad
+}
+
 // blockOrigins lists the block positions along a plane side of n samples:
 // the aligned ones that fit, plus the last position that fits when n is not
 // a block multiple (so odd strides meet an unaligned block on the far edge).
@@ -70,11 +84,15 @@ func checkMotionSearch(t *testing.T, name string, src, ref *plane) {
 		for _, y0 := range blockOrigins(src.h) {
 			for _, x0 := range blockOrigins(src.w) {
 				packed.load(src, x0, y0)
-				gx, gy := motionSearch(&packed, ref, x0, y0, r)
+				gx, gy, gs := motionSearch(&packed, ref, x0, y0, r)
 				wx, wy := motionSearchRef(src, ref, x0, y0, r)
 				if gx != wx || gy != wy {
 					t.Fatalf("%s: block (%d,%d) range %d: mv (%d,%d), reference search says (%d,%d)",
 						name, x0, y0, r, gx, gy, wx, wy)
+				}
+				if ws := sadAt(src, ref, x0, y0, gx, gy); gs != ws {
+					t.Fatalf("%s: block (%d,%d) range %d: mv (%d,%d) with SAD %d, its SAD is %d",
+						name, x0, y0, r, gx, gy, gs, ws)
 				}
 			}
 		}
@@ -115,7 +133,7 @@ func TestMotionSearchMatchesReference(t *testing.T) {
 		checkMotionSearch(t, "flat", flat, flat)
 		var packed packedBlock
 		packed.load(flat, 0, 0)
-		if mx, my := motionSearch(&packed, flat, 0, 0, 3); mx != 0 || my != 0 {
+		if mx, my, _ := motionSearch(&packed, flat, 0, 0, 3); mx != 0 || my != 0 {
 			t.Fatalf("flat %dx%d: mv (%d,%d), want the zero vector", w, h, mx, my)
 		}
 
@@ -222,11 +240,15 @@ func checkMotionRefine(t *testing.T, name string, src, ref *plane) {
 				dx0, dy0, nx, ny := searchWindow(ref, x0, y0, r)
 				for ly := dy0; ly < dy0+ny; ly++ {
 					for lx := dx0; lx < dx0+nx; lx++ {
-						gx, gy := motionRefine(&packed, ref, x0, y0, r, lx, ly)
+						gx, gy, gs := motionRefine(&packed, ref, x0, y0, r, lx, ly)
 						wx, wy := motionRefineRef(src, ref, x0, y0, r, lx, ly)
 						if gx != wx || gy != wy {
 							t.Fatalf("%s: block (%d,%d) range %d lead (%d,%d): mv (%d,%d), the definition says (%d,%d)",
 								name, x0, y0, r, lx, ly, gx, gy, wx, wy)
+						}
+						if ws := sadAt(src, ref, x0, y0, gx, gy); gs != ws {
+							t.Fatalf("%s: block (%d,%d) range %d lead (%d,%d): mv (%d,%d) with SAD %d, its SAD is %d",
+								name, x0, y0, r, lx, ly, gx, gy, gs, ws)
 						}
 					}
 				}
