@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/content"
 	"repro/internal/media/studio"
+	"repro/internal/runtime"
 )
 
 // TestSaveLoadResumesExactly: half the classroom mission, save, load into
@@ -81,10 +82,9 @@ answer 1
 	if resumed.s.Ticks() != full.s.Ticks() {
 		t.Fatalf("ticks = %d, want %d", resumed.s.Ticks(), full.s.Ticks())
 	}
-	gotState, _ := resumed.s.State().Save()
-	wantState, _ := full.s.State().Save()
-	if !bytes.Equal(gotState, wantState) {
-		t.Fatalf("states diverge:\n got %s\nwant %s", gotState, wantState)
+	var gotEnc, wantEnc runtime.StateEncoder
+	if !bytes.Equal(gotEnc.Encode(resumed.s.State()), wantEnc.Encode(full.s.State())) {
+		t.Fatalf("states diverge:\n got %+v\nwant %+v", resumed.s.State(), full.s.State())
 	}
 	gotFrame, err := resumed.s.Frame()
 	if err != nil {

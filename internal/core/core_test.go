@@ -225,39 +225,6 @@ func TestNewStateInitialization(t *testing.T) {
 	}
 }
 
-func TestStateSaveLoad(t *testing.T) {
-	p := tinyProject()
-	s := NewState(p)
-	s.AddItem("coin")
-	s.Flags["fixed"] = true
-	s.Learned["ram-installation"] = true
-	s.EnterScenario("market")
-	s.Hidden["computer"] = true
-	data, err := s.Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Scenario != "market" || !s2.Flags["fixed"] || !s2.HasItem("coin") {
-		t.Error("state lost in save/load")
-	}
-	if s2.Visited["market"] != 1 || s2.Visited["classroom"] != 1 {
-		t.Errorf("visit counts lost: %v", s2.Visited)
-	}
-	// Minimal saves get usable maps.
-	s3, err := LoadState([]byte(`{"scenario": "classroom"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3.Flags["x"] = true // must not panic
-	if _, err := LoadState([]byte("{")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-}
-
 func TestStateClone(t *testing.T) {
 	s := NewState(tinyProject())
 	s.AddItem("coin")
@@ -443,6 +410,32 @@ func TestValidateCatchesProblems(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("%s: no error containing %q in %v", c.name, c.want, probs)
+		}
+	}
+}
+
+// TestValidateConditionsReadFlagsAndVars: a condition is checked against an
+// empty environment, whose flags read false and vars 0, so a well-typed
+// condition over a flag and a var passes and one that misuses either fails.
+func TestValidateConditionsReadFlagsAndVars(t *testing.T) {
+	for _, c := range []struct {
+		cond string
+		bad  bool
+	}{
+		{`flag("fixed") || score > 1`, false},
+		{`flag("fixed") + 1 > 0`, true},
+		{`!flag("fixed") && score`, true},
+	} {
+		p := tinyProject()
+		p.Scenarios[0].Objects[1].Events[0].Condition = c.cond
+		bad := false
+		for _, pr := range p.Validate([]string{"seg-classroom", "seg-market"}) {
+			if pr.Severity == Error && strings.Contains(pr.Msg, "condition error") {
+				bad = true
+			}
+		}
+		if bad != c.bad {
+			t.Errorf("%s: condition error = %v, want %v", c.cond, bad, c.bad)
 		}
 	}
 }

@@ -1,15 +1,11 @@
 package core
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // State is the mutable play-time state of a game session. It implements
-// script.Env (the read side of the event language) and is what save/load
-// persists. Inventory is a multiset with stable order (slot order in the
-// inventory window).
+// script.Env (the read side of the event language) and is what a snapshot
+// persists (runtime.StateEncoder is its one binary form). Inventory is a
+// multiset with stable order (slot order in the inventory window).
 type State struct {
 	Scenario  string          `json:"scenario"`
 	Inventory []string        `json:"inventory,omitempty"`
@@ -115,36 +111,6 @@ func (s *State) LearnedUnits() []string {
 
 // MissionComplete reports whether a mission's done-flag is set.
 func (s *State) MissionComplete(m *Mission) bool { return s.Flags[m.DoneFlag] }
-
-// Save serializes the state to JSON.
-func (s *State) Save() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// LoadState parses a saved state.
-func LoadState(data []byte) (*State, error) {
-	var s State
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("core: parsing state: %w", err)
-	}
-	// Maps may be nil after decoding an old/minimal save; make them usable.
-	if s.Flags == nil {
-		s.Flags = map[string]bool{}
-	}
-	if s.Vars == nil {
-		s.Vars = map[string]int{}
-	}
-	if s.Visited == nil {
-		s.Visited = map[string]int{}
-	}
-	if s.Learned == nil {
-		s.Learned = map[string]bool{}
-	}
-	if s.Hidden == nil {
-		s.Hidden = map[string]bool{}
-	}
-	return &s, nil
-}
 
 // Clone deep-copies the state (the simulator forks states to try branches).
 func (s *State) Clone() *State {

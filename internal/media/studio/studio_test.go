@@ -245,8 +245,11 @@ func TestRecordLadderMatchesRecord(t *testing.T) {
 
 // TestRecordLadderSteadyStateAllocs pins what keeps a four-rung publish's
 // memory flat: lengthening a fade-free film adds at most one allocation per
-// rung per frame (a muxer's data block per 32 KiB of packets; frames, source
-// image and payload buffers are all recycled).
+// rung per 16 extra frames (a muxer's data block per 32 KiB of packets, and
+// its packet index's amortized growth; frames, source image and payload
+// buffers are all recycled). It reads 0.031. A muxer that also appends
+// each packet to one growing slice reads 0.104 (the one-slice muxer this
+// replaced read 0.125), which the earlier bound of 1 let through.
 func TestRecordLadderSteadyStateAllocs(t *testing.T) {
 	spec := synth.Spec{W: 64, H: 48, FPS: 8, Shots: 2, MinShotFrames: 12, MaxShotFrames: 12, NoiseAmp: 2, Seed: 3}
 	short := synth.Generate(spec)
@@ -262,8 +265,9 @@ func TestRecordLadderSteadyStateAllocs(t *testing.T) {
 	}
 	extraFrames := long.FrameCount() - short.FrameCount()
 	perRungFrame := (allocs(long) - allocs(short)) / float64(extraFrames*len(tiers))
-	if perRungFrame > 1 {
-		t.Errorf("%.2f allocations per rung per extra frame, want <= 1", perRungFrame)
+	t.Logf("%.3f allocations per rung per extra frame", perRungFrame)
+	if perRungFrame > 1.0/16 {
+		t.Errorf("%.3f allocations per rung per extra frame, want <= 1/16", perRungFrame)
 	}
 }
 

@@ -12,13 +12,17 @@
 //     whose media rate fits within abrSafety × estimated throughput.
 //  3. Downward switches apply immediately (the link got worse; waiting
 //     makes it a rebuffer).
-//  4. Upward switches are damped: the candidate must stay above the
-//     current rung for abrUpHold consecutive picks, and the picker then
-//     climbs one rung per pick — a link flapping around a tier boundary
-//     oscillates the estimate, not the video.
+//  4. Until the first downward switch or buffer panic, an upward switch
+//     goes straight to the candidate: the link has not yet shown that it
+//     flaps, and a short course ends before a damped climb gets anywhere.
+//  5. From then on upward switches are damped: the candidate must stay
+//     above the current rung for abrUpHold consecutive picks, and the
+//     picker then climbs one rung per pick — a link flapping around a tier
+//     boundary oscillates the estimate, not the video.
 //
 // With no throughput estimate yet the picker sits on the lowest rung,
-// which doubles as fast startup.
+// which doubles as fast startup; the progressive open feeds it the start
+// segment's fetch, so the next pick has an estimate.
 package netstream
 
 import (
@@ -70,6 +74,7 @@ type ABRPicker struct {
 	est      float64    // EWMA throughput, bytes/sec; 0 = no estimate yet
 	cur      int        // current rung index
 	upStreak int        // consecutive picks supporting a higher rung
+	damped   bool       // a downward switch or panic happened: climbs wait out the hold
 	counts   ABRCounts
 }
 
@@ -130,9 +135,12 @@ func (p *ABRPicker) Pick(bufferSec float64) string {
 			p.counts.Panics++
 		}
 		target = 0
+		p.damped = true
 	}
 	prev := p.cur
 	switch {
+	case target > p.cur && !p.damped:
+		p.cur = target
 	case target > p.cur:
 		p.upStreak++
 		if p.upStreak >= abrUpHold {
@@ -147,6 +155,7 @@ func (p *ABRPicker) Pick(bufferSec float64) string {
 	case target < p.cur:
 		p.upStreak = 0
 		p.cur = target // downward switches are immediate
+		p.damped = true
 	default:
 		p.upStreak = 0
 	}

@@ -35,12 +35,15 @@ func TestABRPickerDecisions(t *testing.T) {
 			steps: []abrStep{{buffer: 0, want: "min"}, {buffer: 5, want: "min"}},
 		},
 		{
-			// A fat link: the picker climbs, but only after the UpHold
-			// streak and only one rung per pick.
+			// A fat link after a panic: the picker climbs, but only after
+			// the UpHold streak and only one rung per pick. (Before the
+			// panic it went straight to the top.)
 			name: "throughput ramp up climbs damped",
 			steps: []abrStep{
-				{observe: 20000, buffer: 10, want: "min"}, // streak 1 of 2
-				{observe: 20000, buffer: 10, want: "low"}, // hold met, +1 rung
+				{observe: 20000, buffer: 10, want: ""},     // no downswitch yet: straight up
+				{observe: 20000, buffer: 0.4, want: "min"}, // panic: climbs are damped from here
+				{observe: 20000, buffer: 10, want: "min"},  // streak 1 of 2
+				{observe: 20000, buffer: 10, want: "low"},  // hold met, +1 rung
 				{observe: 20000, buffer: 10, want: "med"},
 				{observe: 20000, buffer: 10, want: ""},
 				{observe: 20000, buffer: 10, want: ""}, // at the top, stays
@@ -51,9 +54,7 @@ func TestABRPickerDecisions(t *testing.T) {
 			// estimate dictates — no upward-style hold on the way down.
 			name: "throughput ramp down drops immediately",
 			steps: []abrStep{
-				{observe: 20000, buffer: 10, want: "min"},
-				{observe: 20000, buffer: 10, want: "low"},
-				{observe: 20000, buffer: 10, want: "med"},
+				{observe: 20000, buffer: 10, want: ""},
 				{observe: 400, buffer: 10, want: ""},    // EWMA still remembers the fat link
 				{observe: 400, buffer: 10, want: "med"}, // estimate decays → immediate drop
 				{observe: 400, buffer: 10, want: "low"}, // and keeps dropping per pick
@@ -65,9 +66,7 @@ func TestABRPickerDecisions(t *testing.T) {
 			// Buffer drain overrides any estimate: panic to the floor.
 			name: "buffer drain panics to lowest",
 			steps: []abrStep{
-				{observe: 50000, buffer: 10, want: "min"},
-				{observe: 50000, buffer: 10, want: "low"},
-				{observe: 50000, buffer: 10, want: "med"},
+				{observe: 50000, buffer: 10, want: ""},
 				{observe: 50000, buffer: 0.4, want: "min"}, // below MinBuffer
 				{observe: 50000, buffer: 0.4, want: "min"},
 				{observe: 50000, buffer: 10, want: "min"}, // recovery restarts the hold
@@ -75,17 +74,19 @@ func TestABRPickerDecisions(t *testing.T) {
 			},
 		},
 		{
-			// A link flapping around the med/low boundary: the UpHold
-			// streak never completes, so the tier holds steady instead of
-			// oscillating with the estimate.
+			// A link flapping around the med/low boundary: its first flap
+			// climbs (no downswitch yet), and the drop that follows damps
+			// the rest — the UpHold streak never completes, so the tier
+			// holds steady instead of oscillating with the estimate.
 			name: "tier oscillation damped",
 			steps: []abrStep{
-				{observe: 3200, buffer: 10, want: "min"}, // est 3200 → target low
-				{observe: 3200, buffer: 10, want: "low"},
-				{observe: 12000, buffer: 10, want: "low"}, // est ~6.7k → target med: streak 1
-				{observe: 400, buffer: 10, want: "low"},   // est ~4.2k → target low: streak reset
-				{observe: 12000, buffer: 10, want: "low"}, // target med again: streak 1
-				{observe: 400, buffer: 10, want: "low"},   // reset again — never climbs
+				{observe: 3200, buffer: 10, want: "low"},  // est 3200 → target low
+				{observe: 12000, buffer: 10, want: "med"}, // est ~6.7k → target med, undamped
+				{observe: 400, buffer: 10, want: "low"},   // est ~4.2k → drop: damped from here
+				{observe: 12000, buffer: 10, want: "low"}, // est ~7.3k → target med: streak 1
+				{observe: 400, buffer: 10, want: "low"},   // target low: streak reset
+				{observe: 12000, buffer: 10, want: "low"}, // streak 1 again — never climbs
+				{observe: 400, buffer: 10, want: "low"},
 				{observe: 12000, buffer: 10, want: "low"},
 			},
 		},

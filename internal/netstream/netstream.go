@@ -922,7 +922,7 @@ func (r *landedRun) KeyframeAtOrBefore(i int) (int, error) {
 // leading video chunks (cut exactly at the head/data boundary). Every video
 // rung in the manifest becomes a fetchable tier, the ABR picker is sized
 // from the ladder, and the start segment comes from the picker's cold-start
-// rung — the cheapest.
+// rung — the cheapest — and is the picker's first throughput sample.
 func (c *Client) openChunked(base string, man *gamepack.Manifest, cache *PackageCache, st *Stats) (*RemoteGame, error) {
 	vsec := man.Section(gamepack.SectionVideo)
 	psec := man.Section(gamepack.SectionProject)
@@ -972,7 +972,13 @@ func (c *Client) openChunked(base string, man *gamepack.Manifest, cache *Package
 	if start == nil {
 		return nil, fmt.Errorf("netstream: start scenario %q missing", proj.StartScenario)
 	}
-	return g, g.ensureSegmentTier(start.Segment, g.abr.CurrentTier(), st)
+	seg, err := g.FetchSegmentTier(start.Segment, g.abr.CurrentTier())
+	st.Add(seg)
+	if err != nil {
+		return nil, err
+	}
+	g.abr.Observe(seg.BytesFetched, seg.Elapsed)
+	return g, nil
 }
 
 // chunkOffsets returns each chunk's start offset within its payload.

@@ -2,6 +2,7 @@ package netstream
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/content"
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/gamepack"
 	"repro/internal/media/container"
 	"repro/internal/media/studio"
@@ -141,6 +143,49 @@ func TestProgressiveOpenABRStartsAtLowestRung(t *testing.T) {
 	}
 	if int64(st.BytesFetched) < g.TierBytes()["min"] {
 		t.Errorf("open stats %+v do not cover the min rung's %d bytes", st, g.TierBytes()["min"])
+	}
+}
+
+// TestTwoSegmentCourseLeavesMin: on a two-chapter ladder course over a
+// capped link, the open's start-segment fetch is the picker's first
+// throughput sample, and with no downswitch yet the picker goes straight to
+// the rung that sample supports — so the second (and last) segment plays
+// above min. Without the sample the pick had no estimate, and with a
+// damped one-rung climb a course this short ended before it left min.
+func TestTwoSegmentCourseLeavesMin(t *testing.T) {
+	film := synth.Generate(synth.Spec{
+		W: 96, H: 64, FPS: 10,
+		Shots: 2, MinShotFrames: 30, MaxShotFrames: 30,
+		NoiseAmp: 1, Seed: 12,
+	})
+	rungs, err := studio.RecordLadder(film, studio.Options{GOP: 10, ShotMarkers: true}, studio.DefaultLadder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _, _, _ := serveLadder(t, rungs)
+	prof, ok := faultnet.Lookup("cap-60k")
+	if !ok {
+		t.Fatal("no cap-60k profile")
+	}
+	tr := faultnet.NewTransport(faultnet.NewHTTPTransport(4), prof, 1)
+	c := &Client{HTTP: &http.Client{Transport: tr}}
+	g, _, err := c.ProgressiveOpenABR(ts.URL+"/pkg/course", NewPackageCache(), ABRConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(g.Chapters()); n != 2 {
+		t.Fatalf("course has %d chapters, want 2", n)
+	}
+	if g.ABR().Throughput() <= 0 {
+		t.Fatal("the open's start-segment fetch left the picker without an estimate")
+	}
+	rep, err := (&StreamPlayer{Game: g}).Play()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("estimate %.0f B/s, plays %+v", g.ABR().Throughput(), rep.Plays)
+	if last := rep.Plays[len(rep.Plays)-1]; last.Tier == "min" {
+		t.Fatalf("the second segment played at min on a %s link", prof.Name)
 	}
 }
 

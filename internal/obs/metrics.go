@@ -50,9 +50,6 @@ func NewGauge() *Gauge { return &Gauge{} }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add shifts the value by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -140,9 +140,6 @@ func NewSpanRing(node string, capacity int) *SpanRing {
 	return &SpanRing{node: node, buf: make([]Span, capacity)}
 }
 
-// Node returns the name spans are stamped with.
-func (r *SpanRing) Node() string { return r.node }
-
 // Record appends one completed span for tc. Invalid contexts are dropped
 // silently, so hot paths can call this unconditionally and only traced
 // requests pay for the ring.

@@ -102,7 +102,7 @@ type Client struct {
 	// the tag of state, a mirror's its replica's, encoded with enc once a
 	// flush.
 	stateTag uint64
-	enc      stateEncoder
+	enc      runtime.StateEncoder
 	messages []string
 	seen     int    // events forwarded to the observer so far
 	quiz     string // pending quiz id ("" = none)
@@ -440,7 +440,7 @@ func (c *Client) trimPending(n int) {
 func (c *Client) flush() (ActResult, error) {
 	var last ActResult
 	if c.mirror != nil && (len(c.pending) > 0 || c.create != "") {
-		c.stateTag = stateTag(c.enc.encode(c.mirror.State()))
+		c.stateTag = stateTag(c.enc.Encode(c.mirror.State()))
 	}
 	for len(c.pending) > 0 || c.create != "" {
 		if c.err != nil {

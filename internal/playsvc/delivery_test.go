@@ -63,11 +63,7 @@ func goldenClassroomRun(t *testing.T) (trace []sim.TraceStep, wantLog []runtime.
 	if err := sim.Replay(local, res.Trace); err != nil {
 		t.Fatal(err)
 	}
-	wantState, err = local.State().Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Trace, golden.log(), wantState, local.Messages()
+	return res.Trace, golden.log(), stateBytes(local.State()), local.Messages()
 }
 
 // checkReplayLeg replays the golden trace through one client and holds it
@@ -87,12 +83,8 @@ func checkReplayLeg(t *testing.T, c *Client, trace []sim.TraceStep, rec *recorde
 	if got := rec.log(); !reflect.DeepEqual(got, wantLog) {
 		t.Fatalf("event log diverged:\n got %v\nwant %v", got, wantLog)
 	}
-	state, err := c.State().Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(state) != string(wantState) {
-		t.Fatalf("final state diverged:\n got %s\nwant %s", state, wantState)
+	if state := stateBytes(c.State()); string(state) != string(wantState) {
+		t.Fatalf("final state diverged:\n got %q\nwant %q", state, wantState)
 	}
 	if got := c.Messages(); !reflect.DeepEqual(got, wantMsgs) {
 		t.Fatalf("transcript diverged:\n got %q\nwant %q", got, wantMsgs)

@@ -4,8 +4,9 @@
 //
 // A frame is an internal/tagrec container, like the snapshot envelope and
 // the watch chunk; this file holds the act and reply tag tables and the
-// field codecs the three share (act error, state; an event's is
-// runtime.AppendEvent, which telemetry batches carry too). Request frames
+// act-error codec the frame and the envelope share (an event's is
+// runtime.AppendEvent, which telemetry batches carry too, and a state's
+// runtime.StateEncoder, whose bytes the snapshot stores too). Request frames
 // ("VACT") carry a whole act batch. Their routing prefix is the session id,
 // then the op records — a create naming the course (and a room record
 // when the session opens as a classroom room) or a resume, a leave — so a
@@ -34,9 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
-	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/tagrec"
 )
@@ -84,7 +83,7 @@ const (
 	rtagMessageCount = 4  // uvarint
 	rtagQuiz         = 5  // string (absent = no pending quiz)
 	rtagFlags        = 6  // uvarint bitmap
-	rtagState        = 7  // encoded core.State
+	rtagState        = 7  // core.State, runtime.StateEncoder's bytes
 	rtagEvent        = 8  // repeated: tick uvarint, kind str, detail str
 	rtagMessage      = 9  // repeated string
 	rtagResult       = 10 // repeated, one result byte per applied act
@@ -467,10 +466,10 @@ func appendReplyFrame(b []byte, out *BatchReply) []byte {
 	case r.state != nil:
 		b = tagrec.Append(b, rtagState, r.state)
 	case r.State != nil:
-		var enc stateEncoder
+		var enc runtime.StateEncoder
 		var mark int
 		b, mark = tagrec.BeginRecord(b, rtagState)
-		b = tagrec.EndRecord(enc.appendState(b, r.State), mark)
+		b = tagrec.EndRecord(enc.AppendState(b, r.State), mark)
 	}
 	for i := range r.Events {
 		b = runtime.AppendEvent(b, rtagEvent, &r.Events[i])
@@ -540,8 +539,8 @@ func ParseReplyFrame(data []byte) (*BatchReply, error) {
 				return nil, frameBadf("malformed state tag")
 			}
 		case rtagState:
-			if r.State, err = decodeState(payload); err != nil {
-				return nil, err
+			if r.State, err = runtime.DecodeState(payload); err != nil {
+				return nil, frameBadf("%v", err)
 			}
 		case rtagEvent:
 			e, err := readEvent(payload)
@@ -578,25 +577,10 @@ func ParseReplyFrame(data []byte) (*BatchReply, error) {
 	return out, nil
 }
 
-// --- state codec -------------------------------------------------------------
+// --- state tag ---------------------------------------------------------------
 
-// stateEncoder writes a game state's canonical bytes — keys sorted, so
-// equal states encode equal — into buffers it reuses: a hosted session
-// encodes every reply's state, and a mirror client tags its replica once a
-// flush, without allocating.
-type stateEncoder struct {
-	buf  []byte
-	keys []string
-}
-
-// encode returns s's canonical bytes, valid until the next encode.
-func (e *stateEncoder) encode(s *core.State) []byte {
-	e.buf = e.appendState(e.buf[:0], s)
-	return e.buf
-}
-
-// stateTag names canonical state bytes on the wire: their 64-bit FNV-1a
-// hash, never 0 (a zero tag is "no state").
+// stateTag names a state's canonical bytes (runtime.StateEncoder) on the
+// wire: their 64-bit FNV-1a hash, never 0 (a zero tag is "no state").
 func stateTag(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -604,172 +588,4 @@ func stateTag(b []byte) uint64 {
 		h *= 1099511628211
 	}
 	return max(h, 1)
-}
-
-// sortedKeys refills ks with m's keys in sorted order.
-func sortedKeys[V any](ks []string, m map[string]V) []string {
-	ks = ks[:0]
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
-}
-
-func (e *stateEncoder) appendBoolMap(b []byte, m map[string]bool) []byte {
-	b = binary.AppendUvarint(b, uint64(len(m)))
-	e.keys = sortedKeys(e.keys, m)
-	for _, k := range e.keys {
-		b = tagrec.AppendStr(b, k)
-		b = tagrec.AppendBool(b, m[k])
-	}
-	return b
-}
-
-func appendStrs(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = tagrec.AppendStr(b, s)
-	}
-	return b
-}
-
-// appendState encodes a game state for the reply frame — the hand-rolled
-// replacement for the reflection-driven JSON marshal on the act hot path.
-func (e *stateEncoder) appendState(b []byte, s *core.State) []byte {
-	b = tagrec.AppendStr(b, s.Scenario)
-	b = appendStrs(b, s.Inventory)
-	b = e.appendBoolMap(b, s.Flags)
-	b = binary.AppendUvarint(b, uint64(len(s.Vars)))
-	e.keys = sortedKeys(e.keys, s.Vars)
-	for _, k := range e.keys {
-		b = tagrec.AppendStr(b, k)
-		b = tagrec.AppendZigzag(b, int64(s.Vars[k]))
-	}
-	b = binary.AppendUvarint(b, uint64(len(s.Visited)))
-	e.keys = sortedKeys(e.keys, s.Visited)
-	for _, k := range e.keys {
-		b = tagrec.AppendStr(b, k)
-		b = binary.AppendUvarint(b, uint64(max(s.Visited[k], 0)))
-	}
-	b = e.appendBoolMap(b, s.Learned)
-	b = appendStrs(b, s.Rewards)
-	b = e.appendBoolMap(b, s.Hidden)
-	b = tagrec.AppendBool(b, s.Ended)
-	b = tagrec.AppendStr(b, s.Outcome)
-	return b
-}
-
-func readBoolMap(r *tagrec.Reader) (map[string]bool, error) {
-	n, err := r.Count(maxFrameField)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	m := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		k, err := r.Str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.Bool()
-		if err != nil {
-			return nil, err
-		}
-		m[k] = v
-	}
-	return m, nil
-}
-
-func readStrs(r *tagrec.Reader) ([]string, error) {
-	n, err := r.Count(maxFrameField)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := r.Str()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func decodeState(payload []byte) (*core.State, error) {
-	r := &tagrec.Reader{B: payload}
-	s := &core.State{}
-	var err error
-	fail := func(what string, err error) (*core.State, error) {
-		return nil, frameBadf("state %s: %v", what, err)
-	}
-	if s.Scenario, err = r.Str(); err != nil {
-		return fail("scenario", err)
-	}
-	if s.Inventory, err = readStrs(r); err != nil {
-		return fail("inventory", err)
-	}
-	if s.Flags, err = readBoolMap(r); err != nil {
-		return fail("flags", err)
-	}
-	n, err := r.Count(maxFrameField)
-	if err != nil {
-		return fail("vars", err)
-	}
-	if n > 0 {
-		s.Vars = make(map[string]int, n)
-		for i := 0; i < n; i++ {
-			k, err := r.Str()
-			if err != nil {
-				return fail("vars", err)
-			}
-			v, err := r.Zigzag()
-			if err != nil {
-				return fail("vars", err)
-			}
-			s.Vars[k] = v
-		}
-	}
-	if n, err = r.Count(maxFrameField); err != nil {
-		return fail("visited", err)
-	}
-	if n > 0 {
-		s.Visited = make(map[string]int, n)
-		for i := 0; i < n; i++ {
-			k, err := r.Str()
-			if err != nil {
-				return fail("visited", err)
-			}
-			v, err := r.Int()
-			if err != nil {
-				return fail("visited", err)
-			}
-			s.Visited[k] = v
-		}
-	}
-	if s.Learned, err = readBoolMap(r); err != nil {
-		return fail("learned", err)
-	}
-	if s.Rewards, err = readStrs(r); err != nil {
-		return fail("rewards", err)
-	}
-	if s.Hidden, err = readBoolMap(r); err != nil {
-		return fail("hidden", err)
-	}
-	if s.Ended, err = r.Bool(); err != nil {
-		return fail("ended", err)
-	}
-	if s.Outcome, err = r.Str(); err != nil {
-		return fail("outcome", err)
-	}
-	if !r.Empty() {
-		return nil, frameBadf("state: %d trailing bytes", len(r.B))
-	}
-	return s, nil
 }

@@ -91,7 +91,7 @@ type hosted struct {
 	events    []runtime.Event
 	eventBase int
 	// enc encodes the state every reply names into buffers it reuses.
-	enc stateEncoder
+	enc runtime.StateEncoder
 	// room is the broadcast hub when this session is driven as a shared
 	// classroom (nil otherwise). Guarded by mu; the act and frame paths
 	// publish into it after every state change.
@@ -560,7 +560,7 @@ func (h *hosted) ack(seenEvents int) {
 // held.
 func (h *hosted) reply(seenEvents, seenMessages int, heldTag uint64) *Reply {
 	r := h.tail(seenEvents, seenMessages)
-	b := h.enc.encode(h.sess.State())
+	b := h.enc.Encode(h.sess.State())
 	if r.StateTag = stateTag(b); r.StateTag != heldTag {
 		r.state = append([]byte(nil), b...)
 	}
@@ -635,9 +635,9 @@ func (out *BatchReply) single() (*Reply, error) {
 	}
 	r := out.Reply
 	if r.State == nil && r.state != nil {
-		st, err := decodeState(r.state)
+		st, err := runtime.DecodeState(r.state)
 		if err != nil {
-			return nil, err
+			return nil, frameBadf("%v", err)
 		}
 		r.State = st
 	}

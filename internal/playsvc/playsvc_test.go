@@ -252,16 +252,8 @@ func TestGoldenReplay(t *testing.T) {
 	}
 
 	// Final states and transcripts agree across all three runs.
-	localState, err := local.State().Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	remoteState, err := remote.State().Save()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(localState) != string(remoteState) {
-		t.Fatalf("final states diverge:\nlocal  %s\nremote %s", localState, remoteState)
+	if localState, remoteState := stateBytes(local.State()), stateBytes(remote.State()); string(localState) != string(remoteState) {
+		t.Fatalf("final states diverge:\nlocal  %q\nremote %q", localState, remoteState)
 	}
 	if !reflect.DeepEqual(local.Messages(), remote.Messages()) {
 		t.Fatalf("transcripts diverge:\nlocal  %q\nremote %q", local.Messages(), remote.Messages())

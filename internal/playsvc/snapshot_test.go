@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/tagrec"
@@ -34,6 +35,73 @@ func durableService(t testing.TB, o Options) (*httptest.Server, *Manager) {
 	ts := httptest.NewServer(m.Handler())
 	t.Cleanup(ts.Close)
 	return ts, m
+}
+
+// stateBytes is a game state's one binary form, runtime.StateEncoder's.
+func stateBytes(st *core.State) []byte {
+	var enc runtime.StateEncoder
+	return enc.Encode(st)
+}
+
+// TestSnapshotStateIsReplyState: a hosted session's checkpoint stores the
+// game state as the very bytes its next reply carries, and they hash to
+// that reply's state tag — for the newborn checkpoint a create writes and
+// for one after each act batch of a mission's opening.
+func TestSnapshotStateIsReplyState(t *testing.T) {
+	opts, dir := durableOptions(t)
+	m := NewManager(opts)
+	t.Cleanup(m.Close)
+	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
+		t.Fatal(err)
+	}
+	const id = "one-codec"
+	checkpointState := func() []byte {
+		t.Helper()
+		ref, ok := dir.Lookup(id)
+		if !ok {
+			t.Fatal("no directory entry")
+		}
+		env, err := decodeEnvelope(ref.Envelope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sc := tagrec.Open(env.Snapshot, "VSNP", 1, 99, 1<<20); sc.Next(); {
+			if sc.Tag == 2 {
+				return sc.Payload
+			}
+		}
+		t.Fatal("the snapshot has no state record")
+		return nil
+	}
+	acts := [][]ActRequest{
+		nil, // the create; it writes the newborn checkpoint itself
+		{{Kind: ActTalk, Object: "teacher"}, {Kind: ActTalk, Object: "teacher"}},
+		{{Kind: ActExamine, Object: "computer"}},
+		{{Kind: ActTake, Object: "desk-coin"}, {Kind: ActTick, Ticks: 3}},
+		{{Kind: ActGoto, Object: "market"}},
+	}
+	for i, batch := range acts {
+		req := &BatchRequest{Session: id, Acts: batch}
+		if i == 0 {
+			req.Create = "classroom"
+		}
+		if _, err := m.ActBatch(req); err != nil {
+			t.Fatal(err)
+		}
+		m.Checkpoint()
+		stored := checkpointState()
+		next, err := m.ActBatch(&BatchRequest{Session: id, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := next.Reply
+		if !bytes.Equal(stored, r.state) {
+			t.Fatalf("batch %d: the checkpoint's state record is %q, the next reply carries %q", i, stored, r.state)
+		}
+		if tag := stateTag(stored); tag != r.StateTag {
+			t.Fatalf("batch %d: the checkpoint's state hashes to %x, the reply names %x", i, tag, r.StateTag)
+		}
+	}
 }
 
 // TestGoldenReplaySnapshotResume is the snapshot-fidelity acceptance
@@ -64,10 +132,7 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 	if err := sim.Replay(ref, res.Trace); err != nil {
 		t.Fatal(err)
 	}
-	wantState, err := ref.State().Save()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantState := stateBytes(ref.State())
 	wantMsgs := ref.Messages()
 	half := len(res.Trace) / 2
 
@@ -101,12 +166,8 @@ func TestGoldenReplaySnapshotResume(t *testing.T) {
 		if !reflect.DeepEqual(c2.Messages(), wantMsgs) {
 			t.Fatalf("transcripts diverge:\n got %q\nwant %q", c2.Messages(), wantMsgs)
 		}
-		gotState, err := c2.State().Save()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(gotState) != string(wantState) {
-			t.Fatalf("final states diverge:\n got %s\nwant %s", gotState, wantState)
+		if gotState := stateBytes(c2.State()); string(gotState) != string(wantState) {
+			t.Fatalf("final states diverge:\n got %q\nwant %q", gotState, wantState)
 		}
 		if !c2.Ended() || c2.Outcome() != "victory" {
 			t.Fatalf("resumed run ended=%v outcome=%q", c2.Ended(), c2.Outcome())

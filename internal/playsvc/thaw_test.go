@@ -143,9 +143,7 @@ func (d *batchDriver) finish() (view struct {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.sess
-	if view.state, err = s.State().Save(); err != nil {
-		d.t.Fatal(err)
-	}
+	view.state = stateBytes(s.State())
 	view.messages, view.opened = s.Messages(), s.OpenedResources()
 	view.ticks, view.ended, view.outcome = s.Ticks(), s.Ended(), s.Outcome()
 	return view
@@ -156,7 +154,7 @@ func (d *batchDriver) finish() (view struct {
 // as one never frozen. All three demos, the guided policy and random seeds
 // 1–3; tick batches each followed by a frame read, and more than maxTicks ticks
 // between two freezes. The assertions are the runtime resume-equivalence
-// test's: event log, transcript, State().Save() bytes, ticks, outcome,
+// test's: event log, transcript, state bytes, ticks, outcome,
 // opened resources and the rendered frame.
 func TestThawAtEveryBatch(t *testing.T) {
 	courses, err := demoCourses()
@@ -215,7 +213,7 @@ func TestThawAtEveryBatch(t *testing.T) {
 					t.Fatalf("transcripts diverge:\n got %q\nwant %q", got.messages, want.messages)
 				}
 				if !bytes.Equal(got.state, want.state) {
-					t.Fatalf("final states diverge:\n got %s\nwant %s", got.state, want.state)
+					t.Fatalf("final states diverge:\n got %q\nwant %q", got.state, want.state)
 				}
 				if got.ticks != want.ticks {
 					t.Fatalf("ticks = %d, want %d", got.ticks, want.ticks)
@@ -290,7 +288,7 @@ func TestRefusedActsChangeNothing(t *testing.T) {
 				h.mu.Lock()
 				defer h.mu.Unlock()
 				s := h.sess
-				st, _ := s.State().Save()
+				st := stateBytes(s.State())
 				snap := s.Snapshot()
 				var quizzes []string
 				for { // the queue, drained in order (the session is not used again)

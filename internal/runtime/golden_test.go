@@ -19,7 +19,9 @@ import (
 // linux/amd64, go1.24) and change only when a PR means to change
 // the snapshot format; such a PR re-records them and says so. They were
 // re-recorded for the TKV2 bitstream (EXPERIMENTS.md E50), which moved
-// only the embedded video digest and the checksum after it.
+// only the embedded video digest and the checksum after it, and for VSNP
+// version 2 (EXPERIMENTS.md E56), whose state record is the act reply's
+// state bytes and whose lists and maps are binary.
 //
 // A snapshot embeds its footage's digest and the footage is synthesized
 // with float64 arithmetic, so — like internal/content's goldens — the
@@ -40,8 +42,8 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		afterScript string
 	}{
 		{content.Classroom(), playFirstHalf,
-			"931908f057d51437bb6bb9ca47a2bb51c960fecccffd7c340ceb64bbad9aac4c",
-			"4af1d3655796649612767082a2245d4f3c421adc640c27ab559a085efaf5a9c0"},
+			"a9a28e21690a7fd2bc0916251fcc97659376cc598c61549022d2a4cbdb148a05",
+			"09f912c0e16a745cde4c29b05d9fd272b09fc964fe3c77233923190540e7c05a"},
 		{content.Museum(), func(s *Session) {
 			s.Talk("curator")
 			s.Examine("painting")
@@ -53,8 +55,8 @@ func TestSnapshotBytesGolden(t *testing.T) {
 			s.UseItemOn("brass key", "lab-door")
 			answer(s)
 		},
-			"0392ad25f7650a0c904c30dd659be7a78ed85185b5aef863b22dc9c600f33e8b",
-			"fd8519039302571383ed3995e5c0ee0341e32535e907884b6631d1206e24e123"},
+			"1f8f30d2c524e15c40f13c505cae42636e4ed2c415a0596f43ea302cc2a5fca0",
+			"728830d4e553224fe14e864ae1a0dee20c3ceafc097e42f1f6e240a4d0fb3cca"},
 		{content.StreetDemo(), func(s *Session) {
 			s.Take("umbrella")
 			s.Examine("info-btn")
@@ -62,8 +64,8 @@ func TestSnapshotBytesGolden(t *testing.T) {
 			s.GotoScenario("indoors")
 			s.Advance(6)
 		},
-			"4f12a91ca18f5fcb2666364a0eb854441ddd9e804cfeb8d8d2d6627b550d1944",
-			"383776bd11207152b4c3b27190416ed1e1ad5a28ecd86cb37bcbc008adb01662"},
+			"0f013ce961e8c5cae1df2ef6e09e929c3f9d7229e1dd7e40f7bab051e7737ca1",
+			"34f58c4715bc3c82aae24e3da4e23b668cea2afdd0f351bc0363d7dbca86ab4d"},
 	} {
 		t.Run(tc.course.Project.Title, func(t *testing.T) {
 			blob, err := tc.course.BuildPackage(studio.Options{QStep: 8})

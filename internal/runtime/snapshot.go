@@ -16,7 +16,7 @@ package runtime
 
 import (
 	"crypto/sha256"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -33,23 +33,28 @@ import (
 // partially-restored session.
 var ErrBadSnapshot = errors.New("runtime: bad snapshot")
 
-// Snapshot wire format: a tagrec container.
+// Snapshot wire format: a tagrec container. Version 2 stores the game
+// state as the bytes an act reply carries (StateEncoder) and its lists and
+// maps count-prefixed; version 1 (JSON fields) is refused. A snapshot
+// never outlives the process that wrote it — the play service's directory
+// is in memory — so only the current version decodes.
 const (
 	snapMagic   = "VSNP"
-	snapVersion = 1
+	snapVersion = 2
 
 	// Record tags. A record is (uvarint tag, uvarint length, payload).
-	// Unknown tags are skipped on decode so version-1 readers tolerate
-	// additive extensions; required tags missing is a rejection.
+	// Unknown tags are skipped on decode so readers tolerate additive
+	// extensions; required tags missing is a rejection. Tags 5–9 are
+	// written only when non-empty.
 	tagVideoSum = 1  // sha256 of the package video (binds snapshot to footage)
-	tagState    = 2  // core.State as canonical JSON
+	tagState    = 2  // core.State, StateEncoder's bytes
 	tagTick     = 3  // uvarint tick clock
 	tagSelected = 4  // inventory item armed for use
-	tagNPCPos   = 5  // JSON map[string]int dialogue positions
-	tagMessages = 6  // JSON []string say transcript
-	tagPopups   = 7  // JSON [][2]string queued popups
-	tagOpened   = 8  // JSON []string opened web resources
-	tagQuizzes  = 9  // JSON []string pending quiz ids, FIFO
+	tagNPCPos   = 5  // dialogue positions: count, (str npc, uvarint pos)*, sorted
+	tagMessages = 6  // say transcript: count, str*
+	tagPopups   = 7  // queued popups: count, (str kind, str content)*
+	tagOpened   = 8  // opened web resources: count, str*
+	tagQuizzes  = 9  // pending quiz ids, FIFO: count, str*
 	tagSegment  = 10 // cursor segment (chapter name)
 	tagCursor   = 11 // uvarint absolute frame index within the segment
 
@@ -58,54 +63,55 @@ const (
 	maxSnapshotField = 64 << 20
 )
 
-// mustJSON marshals snapshot fields, all of which are plain slices and
-// maps of strings/ints that cannot fail to encode. encoding/json sorts map
-// keys, which is what makes the snapshot bytes deterministic.
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic("runtime: snapshot field marshal: " + err.Error())
-	}
-	return b
-}
-
 // Snapshot serializes the session's complete resumable state. The caller
 // must not be inside an event script (every public session method returns
 // before Snapshot can run, so this only concerns future internal callers).
 func (s *Session) Snapshot() []byte {
+	var enc StateEncoder
 	b := tagrec.Begin(make([]byte, 0, 512), snapMagic, snapVersion)
 	sum := s.pkg.VideoSum()
 	b = tagrec.Append(b, tagVideoSum, sum[:])
-	b = tagrec.Append(b, tagState, mustJSON(s.state))
+	b, mark := tagrec.BeginRecord(b, tagState)
+	b = tagrec.EndRecord(enc.AppendState(b, s.state), mark)
 	b = tagrec.AppendUint(b, tagTick, uint64(s.tick))
 	if s.selected != "" {
 		b = tagrec.Append(b, tagSelected, s.selected)
 	}
 	if len(s.npcPos) > 0 {
-		b = tagrec.Append(b, tagNPCPos, mustJSON(s.npcPos))
+		b, mark = tagrec.BeginRecord(b, tagNPCPos)
+		b = tagrec.EndRecord(appendMap(&enc, b, s.npcPos, appendCount), mark)
 	}
-	if len(s.messages) > 0 {
-		b = tagrec.Append(b, tagMessages, mustJSON(s.messages))
-	}
+	b = appendStrsRecord(b, tagMessages, s.messages)
 	if len(s.popups) > 0 {
-		b = tagrec.Append(b, tagPopups, mustJSON(s.popups))
+		b, mark = tagrec.BeginRecord(b, tagPopups)
+		b = binary.AppendUvarint(b, uint64(len(s.popups)))
+		for _, p := range s.popups {
+			b = tagrec.AppendStr(tagrec.AppendStr(b, p[0]), p[1])
+		}
+		b = tagrec.EndRecord(b, mark)
 	}
-	if len(s.opened) > 0 {
-		b = tagrec.Append(b, tagOpened, mustJSON(s.opened))
-	}
-	if len(s.quizzes) > 0 {
-		b = tagrec.Append(b, tagQuizzes, mustJSON(s.quizzes))
-	}
+	b = appendStrsRecord(b, tagOpened, s.opened)
+	b = appendStrsRecord(b, tagQuizzes, s.quizzes)
 	b = tagrec.Append(b, tagSegment, s.cursor.Segment().Name)
 	b = tagrec.AppendUint(b, tagCursor, uint64(s.cursor.Pos()))
 	return tagrec.Finish(b, 0)
+}
+
+// appendStrsRecord appends a record holding ss, count-prefixed, unless ss
+// is empty.
+func appendStrsRecord(b []byte, tag uint64, ss []string) []byte {
+	if len(ss) == 0 {
+		return b
+	}
+	b, mark := tagrec.BeginRecord(b, tag)
+	return tagrec.EndRecord(appendStrs(b, ss), mark)
 }
 
 // snapshotData is a fully-decoded snapshot, validated before any of it is
 // applied to a session.
 type snapshotData struct {
 	videoSum []byte
-	stateRaw []byte
+	state    *core.State
 	tick     int
 	selected string
 	npcPos   map[string]int
@@ -116,7 +122,7 @@ type snapshotData struct {
 	segment  string
 	cursor   int
 
-	hasState, hasSegment, hasCursor bool
+	hasSegment, hasCursor bool
 }
 
 func badf(format string, args ...any) error {
@@ -126,24 +132,54 @@ func badf(format string, args ...any) error {
 // snapInt reads a record that is one int32-bounded uvarint and nothing else.
 func snapInt(payload []byte) (int, error) {
 	v, err := tagrec.Uint(payload, math.MaxInt32)
-	if err != nil {
-		return 0, badf("malformed integer record")
-	}
-	return int(v), nil
+	return int(v), err
 }
 
-func snapJSON(payload []byte, v any) error {
-	if err := json.Unmarshal(payload, v); err != nil {
-		return badf("field JSON: %v", err)
+// readAll decodes one record's payload with read, which must consume all
+// of it.
+func readAll[T any](payload []byte, read func(*tagrec.Reader) (T, error)) (T, error) {
+	r := tagrec.Reader{B: payload}
+	v, err := read(&r)
+	if err == nil && !r.Empty() {
+		err = fmt.Errorf("%d trailing bytes", len(r.B))
 	}
-	return nil
+	return v, err
+}
+
+// orEmpty is m, or an empty map when m is nil.
+func orEmpty[V any](m map[string]V) map[string]V {
+	if m == nil {
+		return map[string]V{}
+	}
+	return m
+}
+
+func readCounts(r *tagrec.Reader) (map[string]int, error) {
+	return readMap(r, (*tagrec.Reader).Int)
+}
+
+func readPopups(r *tagrec.Reader) ([][2]string, error) {
+	n, err := r.Count(maxCount)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][2]string, n)
+	for i := range out {
+		if out[i][0], err = r.Str(); err != nil {
+			return nil, err
+		}
+		if out[i][1], err = r.Str(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // decodeSnapshot parses and structurally validates snapshot bytes. Every
 // failure wraps ErrBadSnapshot; nothing is applied anywhere.
 func decodeSnapshot(snap []byte) (*snapshotData, error) {
 	d := &snapshotData{}
-	sc := tagrec.Open(snap, snapMagic, 1, snapVersion, maxSnapshotField)
+	sc := tagrec.Open(snap, snapMagic, snapVersion, snapVersion, maxSnapshotField)
 	for sc.Next() {
 		payload := sc.Payload
 		var err error
@@ -154,21 +190,21 @@ func decodeSnapshot(snap []byte) (*snapshotData, error) {
 			}
 			d.videoSum = payload
 		case tagState:
-			d.stateRaw, d.hasState = payload, true
+			d.state, err = DecodeState(payload)
 		case tagTick:
 			d.tick, err = snapInt(payload)
 		case tagSelected:
 			d.selected = string(payload)
 		case tagNPCPos:
-			err = snapJSON(payload, &d.npcPos)
+			d.npcPos, err = readAll(payload, readCounts)
 		case tagMessages:
-			err = snapJSON(payload, &d.messages)
+			d.messages, err = readAll(payload, readStrs)
 		case tagPopups:
-			err = snapJSON(payload, &d.popups)
+			d.popups, err = readAll(payload, readPopups)
 		case tagOpened:
-			err = snapJSON(payload, &d.opened)
+			d.opened, err = readAll(payload, readStrs)
 		case tagQuizzes:
-			err = snapJSON(payload, &d.quizzes)
+			d.quizzes, err = readAll(payload, readStrs)
 		case tagSegment:
 			d.segment, d.hasSegment = string(payload), true
 		case tagCursor:
@@ -178,19 +214,14 @@ func decodeSnapshot(snap []byte) (*snapshotData, error) {
 			// Unknown tag: an additive extension from a newer writer; skip.
 		}
 		if err != nil {
-			return nil, err
+			return nil, badf("record %d: %v", sc.Tag, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, badf("%v", err)
 	}
-	if d.videoSum == nil || !d.hasState || !d.hasSegment || !d.hasCursor {
+	if d.videoSum == nil || d.state == nil || !d.hasSegment || !d.hasCursor {
 		return nil, badf("missing required fields")
-	}
-	for npc, pos := range d.npcPos {
-		if pos < 0 {
-			return nil, badf("negative dialogue position for %q", npc)
-		}
 	}
 	return d, nil
 }
@@ -210,10 +241,10 @@ func RestoreSessionFromPackage(pkg *gamepack.Package, snap []byte, opts Options)
 	if sum := pkg.VideoSum(); string(sum[:]) != string(d.videoSum) {
 		return nil, badf("snapshot was taken against different footage")
 	}
-	state, err := core.LoadState(d.stateRaw)
-	if err != nil {
-		return nil, badf("state: %v", err)
-	}
+	// A decoded empty map is nil, and the session writes into every one.
+	state := d.state
+	state.Flags, state.Learned, state.Hidden = orEmpty(state.Flags), orEmpty(state.Learned), orEmpty(state.Hidden)
+	state.Vars, state.Visited = orEmpty(state.Vars), orEmpty(state.Visited)
 	proj := pkg.Project
 	sc := proj.ScenarioByID(state.Scenario)
 	if sc == nil {
@@ -241,13 +272,7 @@ func RestoreSessionFromPackage(pkg *gamepack.Package, snap []byte, opts Options)
 	s.sink.State = state
 	s.tick = d.tick
 	s.selected = d.selected
-	s.npcPos = map[string]int{}
-	for k, v := range d.npcPos {
-		s.npcPos[k] = v
-	}
-	s.messages = append([]string(nil), d.messages...)
-	s.popups = append([][2]string(nil), d.popups...)
-	s.opened = append([]string(nil), d.opened...)
-	s.quizzes = append([]string(nil), d.quizzes...)
+	s.npcPos = orEmpty(d.npcPos)
+	s.messages, s.popups, s.opened, s.quizzes = d.messages, d.popups, d.opened, d.quizzes
 	return s, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/content"
+	"repro/internal/core"
 	"repro/internal/gamepack"
 	"repro/internal/media/studio"
 	"repro/internal/tagrec"
@@ -122,10 +123,8 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(second.Messages(), full.Messages()) {
 		t.Fatalf("transcripts diverge:\n got %q\nwant %q", second.Messages(), full.Messages())
 	}
-	gotState, _ := second.State().Save()
-	wantState, _ := full.State().Save()
-	if !bytes.Equal(gotState, wantState) {
-		t.Fatalf("final states diverge:\n got %s\nwant %s", gotState, wantState)
+	if got, want := stateBytes(second.State()), stateBytes(full.State()); !bytes.Equal(got, want) {
+		t.Fatalf("final states diverge:\n got %+v\nwant %+v", second.State(), full.State())
 	}
 	if second.Ticks() != full.Ticks() {
 		t.Fatalf("ticks = %d, want %d", second.Ticks(), full.Ticks())
@@ -248,6 +247,7 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		{"truncated middle", reseal(corrupt(good, func(b []byte) []byte { return b[:len(b)/2] }))},
 		{"bit flip unsealed", corrupt(good, func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b })},
 		{"version zero", reseal(corrupt(good, func(b []byte) []byte { b[4] = 0; return b }))},
+		{"version one", reseal(corrupt(good, func(b []byte) []byte { b[4] = 1; return b }))},
 		{"version from the future", reseal(corrupt(good, func(b []byte) []byte { b[4] = 99; return b }))},
 		{"record overruns buffer", reseal(corrupt(good, func(b []byte) []byte {
 			// First record starts after magic+version: tag at 5, length at 6.
@@ -289,40 +289,25 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 	playFirstHalf(s)
 	good := s.Snapshot()
 
-	rewrite := func(tag uint64, payload []byte) []byte {
-		// Re-encode the snapshot with one record replaced.
-		d, err := decodeSnapshot(good)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := tagrec.Begin(make([]byte, 0, len(good)), snapMagic, snapVersion)
-		put := func(tg uint64, p []byte) {
-			if tg == tag {
-				p = payload
-			}
-			b = tagrec.Append(b, tg, p)
-		}
-		put(tagVideoSum, d.videoSum)
-		put(tagState, d.stateRaw)
-		put(tagTick, binary.AppendUvarint(nil, uint64(d.tick)))
-		put(tagSelected, nil)
-		put(tagNPCPos, mustJSON(d.npcPos))
-		put(tagMessages, mustJSON(d.messages))
-		put(tagQuizzes, mustJSON(d.quizzes))
-		put(tagSegment, []byte(d.segment))
-		put(tagCursor, binary.AppendUvarint(nil, uint64(d.cursor)))
-		return tagrec.Finish(b, 0)
-	}
+	rewrite := func(tag uint64, payload []byte) []byte { return rewriteRecord(good, tag, payload) }
+	state := stateBytes(s.State())
+	nowhere := s.State().Clone()
+	nowhere.Scenario = "nowhere"
 	cases := []struct {
 		name string
 		snap []byte
 	}{
-		{"unknown scenario", rewrite(tagState, []byte(`{"scenario":"nowhere"}`))},
-		{"state not JSON", rewrite(tagState, []byte(`{"scenario":`))},
+		{"unknown scenario", rewrite(tagState, stateBytes(nowhere))},
+		{"state truncated", rewrite(tagState, state[:len(state)-1])},
+		{"state trailing bytes", rewrite(tagState, append(state[:len(state):len(state)], 0))},
+		{"state count over-long", rewrite(tagState, binary.AppendUvarint(tagrec.AppendStr(nil, "classroom"), 1000))},
 		{"unknown segment", rewrite(tagSegment, []byte("void"))},
 		{"cursor out of range", rewrite(tagCursor, binary.AppendUvarint(nil, 1<<20))},
-		{"undefined quiz", rewrite(tagQuizzes, []byte(`["q-imaginary"]`))},
-		{"negative npc position", rewrite(tagNPCPos, []byte(`{"teacher":-3}`))},
+		{"undefined quiz", rewrite(tagQuizzes, appendStrs(nil, []string{"q-imaginary"}))},
+		{"npc position over int32", rewrite(tagNPCPos, binary.AppendUvarint(tagrec.AppendStr(binary.AppendUvarint(nil, 1), "teacher"), 1<<31))},
+		{"messages count over-long", rewrite(tagMessages, tagrec.AppendStr(binary.AppendUvarint(nil, 1000), "hello"))},
+		{"messages trailing bytes", rewrite(tagMessages, append(appendStrs(nil, []string{"hello"}), 0))},
+		{"popup cut in half", rewrite(tagPopups, tagrec.AppendStr(binary.AppendUvarint(nil, 1), "hint"))},
 		{"selected item not carried", rewrite(tagSelected, []byte("phantom"))},
 	}
 	for _, tc := range cases {
@@ -335,6 +320,56 @@ func TestRestoreRejectsSemanticCorruption(t *testing.T) {
 				t.Fatalf("error %v does not wrap ErrBadSnapshot", err)
 			}
 		})
+	}
+}
+
+// rewriteRecord re-encodes a snapshot with one record's payload replaced
+// (or added, if the snapshot has none).
+func rewriteRecord(snap []byte, tag uint64, payload []byte) []byte {
+	b := tagrec.Begin(nil, snapMagic, snapVersion)
+	replaced := false
+	for sc := tagrec.Open(snap, snapMagic, snapVersion, snapVersion, maxSnapshotField); sc.Next(); {
+		p := sc.Payload
+		if sc.Tag == tag {
+			p, replaced = payload, true
+		}
+		b = tagrec.Append(b, sc.Tag, p)
+	}
+	if !replaced {
+		b = tagrec.Append(b, tag, payload)
+	}
+	return tagrec.Finish(b, 0)
+}
+
+// stateBytes is a game state's one binary form, StateEncoder's.
+func stateBytes(st *core.State) []byte {
+	var enc StateEncoder
+	return enc.Encode(st)
+}
+
+// TestRestoreMinimalState: a state record holding a scenario and nothing
+// else — every list and map count 0 — restores, and every map of the
+// restored state is usable, so a thawed session can set its first flag,
+// var, visit, unit and visibility.
+func TestRestoreMinimalState(t *testing.T) {
+	s, err := NewSessionFromPackage(snapOpened(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	minimal := rewriteRecord(s.Snapshot(), tagState, stateBytes(&core.State{Scenario: "classroom"}))
+	r, err := RestoreSessionFromPackage(snapOpened(t), minimal, Options{})
+	if err != nil {
+		t.Fatalf("minimal state refused: %v", err)
+	}
+	st := r.State()
+	if st.Flags == nil || st.Vars == nil || st.Visited == nil || st.Learned == nil || st.Hidden == nil {
+		t.Fatalf("restored state has a nil map: %+v", st)
+	}
+	r.Talk("teacher")
+	r.Examine("computer")
+	r.GotoScenario("market")
+	if len(st.Flags) == 0 || st.Visited["market"] != 1 {
+		t.Fatalf("the restored session did not play on: %+v", st)
 	}
 }
 

@@ -150,6 +150,19 @@ var repoRules = []repoRule{
 		check: identRule(idents("SaveState", "RestoreState"), "", "", "internal/", "cmd/"),
 	},
 	{
+		name: "one-state-codec",
+		why:  "a game state has one binary form, runtime's StateEncoder and DecodeState: a snapshot stores the bytes an act reply carries, and no JSON state path sits beside them",
+		check: func(t *repoTree) []finding {
+			out := identRule(idents("LoadState"), "State", "Save", "internal/", "cmd/", "examples/")(t)
+			for _, f := range t.src("internal/runtime/") {
+				if _, ok := f.imports["encoding/json"]; ok {
+					out = append(out, finding{t.at(f.ast.Package), "imports encoding/json"})
+				}
+			}
+			return out
+		},
+	},
+	{
 		name: "one-session-lifecycle",
 		why:  "every manager is durable, a create is an act, and the nodes count sessions: no non-durable manager, no create API beside the act, no session set in the gateway",
 		check: func(t *repoTree) []finding {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # zerocov.sh — fail on any function of the server packages (playsvc,
-# netstream, faultnet, gamepack, telemetry, blobstore, deploy) that a
-# whole-tree coverage profile never entered, unless scripts/zerocov.allow
+# netstream, faultnet, gamepack, telemetry, blobstore, deploy) and of the
+# packages they stand on (runtime, core, tagrec, obs) that a whole-tree
+# coverage profile never entered, unless scripts/zerocov.allow
 # lists it with a reason. An allowlist entry whose function now runs is
 # stale and fails too, so the list only shrinks.
 #
@@ -16,7 +17,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 # "repro/internal/deploy/deploy.go:127:  Names  0.0%" -> "internal/deploy/deploy.go Names"
 go tool cover -func="$profile" | awk '
-    $NF == "0.0%" && $1 ~ /\/internal\/(playsvc|netstream|faultnet|gamepack|telemetry|blobstore|deploy)\/[^\/]*:/ {
+    $NF == "0.0%" && $1 ~ /\/internal\/(playsvc|netstream|faultnet|gamepack|telemetry|blobstore|deploy|runtime|core|tagrec|obs)\/[^\/]*:/ {
         file = $1
         sub(/^[^\/]*\//, "", file)
         sub(/:[0-9]+:$/, "", file)
@@ -30,4 +31,4 @@ if [ -s "$tmp/bad" ]; then
     cat "$tmp/bad" >&2
     exit 1
 fi
-echo "zerocov: every function of the server packages runs but $(wc -l <"$tmp/allow") allowlisted"
+echo "zerocov: every function of the gated packages runs but $(wc -l <"$tmp/allow") allowlisted"
