@@ -18,7 +18,7 @@ import (
 
 func main() {
 	cohort := flag.Int("cohort", 30, "simulated learners per cohort (e6/e7)")
-	fleetSize := flag.Int("fleet", 200, "largest learner fleet (e10)")
+	fleetSize := flag.Int("fleet", 200, "largest learner fleet (e10, e14, e16, e17)")
 	watchers := flag.Int("watchers", 1000, "largest classroom watcher cohort (e18)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	flag.Parse()
@@ -45,16 +45,14 @@ func main() {
 		"e8":  experiments.E8,
 		"e9":  experiments.E9,
 		"e10": func() (string, error) { return experiments.E10(*fleetSize) },
-		"e12": func() (string, error) { return experiments.E12(*fleetSize) },
 		"e13": experiments.E13,
 		"e14": func() (string, error) { return experiments.E14(*fleetSize) },
-		"e15": func() (string, error) { return experiments.E15(*fleetSize) },
 		"e16": func() (string, error) { return experiments.E16(*fleetSize) },
 		"e17": func() (string, error) { return experiments.E17(*fleetSize) },
 		"e18": func() (string, error) { return experiments.E18(*watchers) },
 		"e19": experiments.E19,
 	}
-	order := []string{"f1", "f2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19"}
+	order := []string{"f1", "f2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e13", "e14", "e16", "e17", "e18", "e19"}
 
 	args := flag.Args()
 	if len(args) == 0 {

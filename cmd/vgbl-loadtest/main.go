@@ -52,7 +52,7 @@ func main() {
 	flushEvery := flag.Int("flush", 32, "telemetry batch size")
 	flushMS := flag.Int("flush-interval-ms", 250, "telemetry interval flush (0 disables)")
 	interactive := flag.Bool("interactive", false, "play server-hosted sessions over the wire instead of simulating locally")
-	playMirror := flag.Bool("play-mirror", false, "thick-client mode: a local replica answers reads and frames; acts ship as reconciled batches of 16 (default: thin clients, one framed round trip per act)")
+	playMirror := flag.Bool("play-mirror", false, "thick-client mode (with -interactive): a local replica answers reads and frames; acts ship as reconciled batches of 16 (default: thin clients, one framed round trip per act)")
 	watchEvery := flag.Int("watch-every", 0, "fetch the rendered frame every N steps (0 disables; interactive frame traffic)")
 	abr := flag.Bool("abr", false, "adaptive streaming mode: learners stream the package through the ABR picker instead of simulating play (in-process serving publishes a quality ladder)")
 	abrProfile := flag.String("abr-profile", "clean", "ABR mode: faultnet link profile per learner (clean, wifi-flaky, mobile-3g, or cap-<N>k for an N KiB/s bandwidth cap)")

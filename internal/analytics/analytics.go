@@ -52,16 +52,6 @@ type Report struct {
 	QuizCorrect   int
 }
 
-// QuizAccuracy returns the fraction of answered quizzes that were correct
-// (0 when none were asked).
-func (r *Report) QuizAccuracy() float64 {
-	answered := r.Interactions["quiz-correct"] + r.Interactions["quiz-wrong"]
-	if answered == 0 {
-		return 0
-	}
-	return float64(r.QuizCorrect) / float64(answered)
-}
-
 // decisionKinds are the event kinds that count as player decisions.
 var decisionKinds = map[string]bool{
 	"click": true, "examine": true, "take": true, "use": true, "dialogue": true,
@@ -223,34 +213,6 @@ func (ro *Rolling) Add(r *Report) {
 	}
 	for _, k := range uniq {
 		ro.KnowledgeCounts[k]++
-	}
-}
-
-// Merge folds another accumulator into this one. The other accumulator is
-// left untouched and may keep accumulating independently.
-func (ro *Rolling) Merge(other *Rolling) {
-	ro.Sessions += other.Sessions
-	ro.Events += other.Events
-	ro.Decisions += other.Decisions
-	ro.Knowledge += other.Knowledge
-	ro.UniqueKnowledge += other.UniqueKnowledge
-	ro.Rewards += other.Rewards
-	ro.Completed += other.Completed
-	ro.Ticks += other.Ticks
-	ro.QuizAsked += other.QuizAsked
-	ro.QuizAnswered += other.QuizAnswered
-	ro.QuizCorrect += other.QuizCorrect
-	if len(other.KnowledgeCounts) > 0 && ro.KnowledgeCounts == nil {
-		ro.KnowledgeCounts = map[string]int{}
-	}
-	for k, n := range other.KnowledgeCounts {
-		ro.KnowledgeCounts[k] += n
-	}
-	if len(other.Outcomes) > 0 && ro.Outcomes == nil {
-		ro.Outcomes = map[string]int{}
-	}
-	for k, n := range other.Outcomes {
-		ro.Outcomes[k] += n
 	}
 }
 

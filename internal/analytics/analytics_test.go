@@ -126,75 +126,3 @@ func TestCollectorConcurrentSafety(t *testing.T) {
 		t.Fatalf("events = %d, want 800", got)
 	}
 }
-
-// TestRollingMergeMatchesSum runs N concurrent Collectors (as the simulator
-// and the telemetry service do), digests each on its own goroutine into a
-// per-goroutine Rolling, merges the partials into one course-level
-// accumulator, and checks the totals equal the straight sum of the
-// per-session reports. Run under -race this also proves the merge path
-// needs no shared state.
-func TestRollingMergeMatchesSum(t *testing.T) {
-	const sessions = 64
-	reports := make([]*Report, sessions)
-	partials := make([]Rolling, 8)
-	var wg sync.WaitGroup
-	for g := 0; g < len(partials); g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < sessions; i += len(partials) {
-				c := &Collector{}
-				for _, e := range sampleEvents() {
-					c.Record(e)
-				}
-				// Vary the tail so sessions are not identical.
-				if i%3 == 0 {
-					c.Record(runtime.Event{Tick: 20, Kind: "learn", Detail: "bonus"})
-				}
-				if i%2 == 0 {
-					c.Record(runtime.Event{Tick: 21, Kind: "click", Detail: "door"})
-				}
-				r := c.Digest("classroom")
-				reports[i] = r
-				partials[g].Add(r)
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	var merged Rolling
-	for i := range partials {
-		merged.Merge(&partials[i])
-	}
-
-	var want Rolling
-	for _, r := range reports {
-		want.Add(r)
-	}
-	if merged.Sessions != sessions || want.Sessions != sessions {
-		t.Fatalf("sessions = %d / %d, want %d", merged.Sessions, want.Sessions, sessions)
-	}
-	if merged.Events != want.Events || merged.Decisions != want.Decisions ||
-		merged.Knowledge != want.Knowledge || merged.UniqueKnowledge != want.UniqueKnowledge ||
-		merged.Rewards != want.Rewards || merged.Completed != want.Completed ||
-		merged.Ticks != want.Ticks || merged.QuizAsked != want.QuizAsked ||
-		merged.QuizCorrect != want.QuizCorrect {
-		t.Errorf("merged = %+v\nwant   = %+v", merged, want)
-	}
-	for k, n := range want.KnowledgeCounts {
-		if merged.KnowledgeCounts[k] != n {
-			t.Errorf("KnowledgeCounts[%q] = %d, want %d", k, merged.KnowledgeCounts[k], n)
-		}
-	}
-	if merged.Outcomes["victory"] != sessions {
-		t.Errorf("Outcomes = %v", merged.Outcomes)
-	}
-
-	// The merged aggregate equals AggregateReports over all sessions.
-	a, b := merged.Aggregate(), AggregateReports(reports)
-	if a.MeanDecisions != b.MeanDecisions || a.MeanKnowledge != b.MeanKnowledge ||
-		a.MeanRewards != b.MeanRewards || a.MeanTicks != b.MeanTicks ||
-		a.CompletionRate != b.CompletionRate || a.QuizAccuracy != b.QuizAccuracy {
-		t.Errorf("aggregate mismatch:\nmerged: %+v\ndirect: %+v", a, b)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -133,11 +134,15 @@ func decodedPixelsSHA(blob []byte, tier string) (string, int, error) {
 // order, handing fn each frame's index, its packet and its pixels (valid
 // only during the call), and returns the frame count.
 func eachDecodedFrame(blob []byte, tier string, fn func(i int, pkt []byte, frame *raster.Frame)) (int, error) {
-	pkg, err := gamepack.OpenTier(blob, tier)
+	secs, err := gamepack.Sections(blob)
 	if err != nil {
 		return 0, err
 	}
-	r, err := container.Open(pkg.Video)
+	loc, ok := secs[gamepack.TierSectionName(tier)]
+	if !ok {
+		return 0, fmt.Errorf("no tier %q", tier)
+	}
+	r, err := container.Open(blob[loc[0] : loc[0]+loc[1]])
 	if err != nil {
 		return 0, err
 	}

@@ -2,95 +2,41 @@ package experiments
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"time"
 
-	"repro/internal/content"
-	"repro/internal/deploy"
 	"repro/internal/fleet"
-	"repro/internal/media/studio"
+	"repro/internal/obs"
 	"repro/internal/playsvc"
-	"repro/internal/sim"
 )
 
 // E14 measures session durability under cluster churn: a learner fleet
 // plays through a 3-node play cluster while one node is replaced mid-run
 // (drain → snapshot → reroute → thaw). It reports how many sessions the
 // churn moved, what it cost learners (nothing, for a graceful replace),
-// the resume latency of a freeze/thaw cycle against a plain act, and the
+// where the time went (each node's act latency and the gateway's hop and
+// rescue histograms, scraped from /metrics after the same run), the
+// resume latency of a freeze/thaw cycle against a plain act, and the
 // progress a hard crash loses relative to the checkpoint interval.
 func E14(learners int) (string, error) {
 	if learners <= 0 {
 		learners = 120
-	}
-	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 10})
-	if err != nil {
-		return "", err
 	}
 	var b strings.Builder
 	b.WriteString("E14 — durable sessions under cluster churn\n")
 	b.WriteString("3 play nodes behind a consistent-hash gateway, one shared chunk\n")
 	b.WriteString("store + snapshot directory; guided policy, 12 steps, frame every 4\n\n")
 
-	// --- churn run -----------------------------------------------------
-	d, err := deploy.New(deploy.Config{
-		Play:  playsvc.ClusterOptions{Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond}},
-		Nodes: 3,
-	})
+	churn, err := e14Churn(learners)
 	if err != nil {
 		return "", err
 	}
-	defer d.Close()
-	if err := d.Publish("classroom", blob); err != nil {
-		return "", err
-	}
-	front := httptest.NewServer(d)
-	defer front.Close()
-	cl := d.Cluster
+	b.WriteString(churn)
 
-	churnErr := make(chan error, 1)
-	go func() {
-		deadline := time.Now().Add(30 * time.Second)
-		for clusterLive(cl) < learners/5 && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
-		victim := cl.NodeNames()[0]
-		if err := cl.StopNode(victim); err != nil {
-			churnErr <- err
-			return
-		}
-		_, err := cl.StartNode()
-		churnErr <- err
-	}()
-
-	began := time.Now()
-	sum, err := fleet.Run(fleet.Config{
-		ServerURL:   front.URL,
-		Package:     "classroom",
-		Learners:    learners,
-		Concurrency: 64,
-		Interactive: true,
-		Policy:      sim.GuidedFactory,
-		Sim:         sim.Config{MaxSteps: 12, TicksPerStep: 1, Patience: 30, WatchEvery: 4},
-		FlushEvery:  8,
-	})
+	blob, err := classroomPackage()
 	if err != nil {
 		return "", err
 	}
-	if err := <-churnErr; err != nil {
-		return "", fmt.Errorf("churn: %w", err)
-	}
-	elapsed := time.Since(began)
-	gs := cl.Gateway().Stats()
-	fmt.Fprintf(&b, "churn run: %d learners, 1 node replaced mid-run, %v wall\n", learners, elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  sessions resumed      : %d (thawed on a new owner)\n", gs.Cluster["sessions_resumed"])
-	fmt.Fprintf(&b, "  sessions frozen       : %d (handoff snapshots on surviving nodes; the\n", gs.Cluster["sessions_frozen"])
-	b.WriteString("                          drained node's own freeze count leaves with it)\n")
-	fmt.Fprintf(&b, "  gateway rescues       : %d, retries %d\n", gs.Gateway["rescues"], gs.Gateway["retries"])
-	fmt.Fprintf(&b, "  learners failed       : %d of %d (graceful churn loses nothing)\n", sum.Failed, learners)
-	fmt.Fprintf(&b, "  sessions completed    : %d, %0.1f sessions/s\n", sum.Completed, sum.SessionsPerSec)
-	fmt.Fprintf(&b, "  progress lost         : 0 acts (drain persists final state exactly)\n\n")
 
 	// --- resume latency ------------------------------------------------
 	m1 := playsvc.NewManager(playsvc.Options{TTL: -1})
@@ -161,6 +107,79 @@ func E14(learners int) (string, error) {
 	return b.String(), nil
 }
 
+// e14Churn drives the interactive classroom fleet through a 3-node
+// cluster, gracefully replaces one node once a fifth of the learners are
+// playing, and reports the run: what it moved and cost learners, then
+// where the time went, every number of the second part scraped from
+// /metrics — each node's act-latency histogram and the gateway's hop and
+// rescue histograms in the deployment's registry.
+func e14Churn(learners int) (string, error) {
+	s, err := served(durableCluster())
+	if err != nil {
+		return "", err
+	}
+	defer s.Close()
+	cl := s.Cluster
+	churnErr := make(chan error, 1)
+	go func() {
+		for deadline := time.Now().Add(30 * time.Second); clusterLive(cl) < learners/5 && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if err := cl.StopNode(cl.NodeNames()[0]); err != nil {
+			churnErr <- err
+			return
+		}
+		_, err := cl.StartNode()
+		churnErr <- err
+	}()
+	sum, err := fleet.Run(classroomFleet(s.URL, learners, true))
+	if cerr := <-churnErr; err == nil && cerr != nil {
+		err = fmt.Errorf("churn: %w", cerr)
+	}
+	if err != nil {
+		return "", err
+	}
+	if _, err := telemetryExact(s.Deployment, sum); err != nil {
+		return "", err
+	}
+
+	var b strings.Builder
+	gs := s.Cluster.Gateway().Stats()
+	fmt.Fprintf(&b, "churn run: %d learners, 1 node replaced mid-run, %v wall\n", sum.Learners, sum.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "  sessions resumed      : %d (thawed on a new owner)\n", gs.Cluster["sessions_resumed"])
+	fmt.Fprintf(&b, "  sessions frozen       : %d (handoff snapshots on surviving nodes; the\n", gs.Cluster["sessions_frozen"])
+	b.WriteString("                          drained node's own freeze count leaves with it)\n")
+	fmt.Fprintf(&b, "  gateway rescues       : %d, retries %d\n", gs.Gateway["rescues"], gs.Gateway["retries"])
+	fmt.Fprintf(&b, "  learners failed       : %d of %d (graceful churn loses nothing)\n", sum.Failed, sum.Learners)
+	fmt.Fprintf(&b, "  sessions completed    : %d, %0.1f sessions/s\n", sum.Completed, sum.SessionsPerSec)
+	b.WriteString("  progress lost         : 0 acts (drain persists final state exactly)\n\n")
+
+	b.WriteString("per-node act latency (scraped from each node's /metrics):\n")
+	b.WriteString(fleet.FormatLatencyTable(fleet.ScrapeActLatencies(nil, s.URL)))
+	snap := s.Registry.Snapshot()
+	h := snap.Hist("vgbl_gateway_hops")
+	if h == nil {
+		return "", fmt.Errorf("vgbl_gateway_hops missing from the deployment's registry")
+	}
+	multi := h.Counts[len(h.Counts)-1]
+	for i, bound := range h.Bounds {
+		if bound > 1 {
+			multi += h.Counts[i]
+		}
+	}
+	fmt.Fprintf(&b, "\ngateway (scraped from the deployment's /metrics):\n")
+	fmt.Fprintf(&b, "  routed calls          : %d, %d needed >1 backend hop\n", h.Count, multi)
+	if r := snap.Hist("vgbl_gateway_rescue_seconds"); r != nil && r.Count > 0 {
+		fmt.Fprintf(&b, "  rescue latency        : p50 %v  p95 %v  max bucket %v over %d rescues\n",
+			time.Duration(r.Quantile(0.50)).Round(time.Microsecond),
+			time.Duration(r.Quantile(0.95)).Round(time.Microsecond),
+			time.Duration(r.Quantile(1)).Round(time.Microsecond), r.Count)
+		b.WriteString(renderLatencyHistogram(*r, "    "))
+	}
+	b.WriteString("\n")
+	return b.String(), nil
+}
+
 // clusterLive sums the sessions the cluster's nodes host right now.
 func clusterLive(cl *playsvc.Cluster) (n int) {
 	for _, name := range cl.NodeNames() {
@@ -169,4 +188,21 @@ func clusterLive(cl *playsvc.Cluster) (n int) {
 		}
 	}
 	return n
+}
+
+// renderLatencyHistogram prints the non-empty buckets of a nanosecond
+// histogram as "<= bound  count" rows.
+func renderLatencyHistogram(h obs.HistogramSnapshot, indent string) string {
+	var b strings.Builder
+	for i, n := range h.Counts {
+		if n == 0 {
+			continue
+		}
+		label := "+Inf"
+		if i < len(h.Bounds) {
+			label = time.Duration(h.Bounds[i]).String()
+		}
+		fmt.Fprintf(&b, "%s<= %-8s %d\n", indent, label, n)
+	}
+	return b.String()
 }

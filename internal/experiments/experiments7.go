@@ -3,17 +3,10 @@ package experiments
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
-	"time"
 
-	"repro/internal/content"
-	"repro/internal/deploy"
 	"repro/internal/faultnet"
 	"repro/internal/fleet"
-	"repro/internal/media/studio"
-	"repro/internal/playsvc"
-	"repro/internal/sim"
 )
 
 // E16 is the resilience experiment: the same interactive classroom fleet
@@ -28,10 +21,6 @@ func E16(learners int) (string, error) {
 	if learners <= 0 {
 		learners = 100
 	}
-	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 10})
-	if err != nil {
-		return "", err
-	}
 	var b strings.Builder
 	b.WriteString("E16 — surviving bad networks: one fleet, three conditions\n")
 	fmt.Fprintf(&b, "%d interactive learners through a 3-node cluster; every HTTP hop\n", learners)
@@ -45,7 +34,7 @@ func E16(learners int) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("unknown profile %q", name)
 		}
-		row, err := e16Run(blob, profile, learners)
+		row, err := e16Run(profile, learners)
 		if err != nil {
 			return "", fmt.Errorf("profile %s: %w", name, err)
 		}
@@ -58,49 +47,31 @@ func E16(learners int) (string, error) {
 
 // e16Run drives one fleet through one fault profile and formats the
 // resilience counters as a table row.
-func e16Run(blob []byte, profile faultnet.Profile, learners int) (string, error) {
+func e16Run(profile faultnet.Profile, learners int) (string, error) {
 	// The gateway's backend hops ride their own injected transport so the
 	// breakers see real faults; a separate seed keeps the two fault
 	// streams uncorrelated, exactly like the chaos gate.
 	gwTr := faultnet.NewTransport(faultnet.NewHTTPTransport(64), profile, 7)
-	d, err := deploy.New(deploy.Config{
-		Play: playsvc.ClusterOptions{
-			HTTP: &http.Client{Transport: gwTr},
-			Node: playsvc.Options{TTL: -1, CheckpointEvery: 50 * time.Millisecond},
-		},
-		Nodes: 3,
-	})
+	dc := durableCluster()
+	dc.Play.HTTP = &http.Client{Transport: gwTr}
+	s, err := served(dc)
 	if err != nil {
 		return "", err
 	}
-	defer d.Close()
-	if err := d.Publish("classroom", blob); err != nil {
-		return "", err
-	}
-	front := httptest.NewServer(d)
-	defer front.Close()
+	defer s.Close()
 
 	fleetTr := faultnet.NewTransport(faultnet.NewHTTPTransport(64), profile, 11)
-	sum, err := fleet.Run(fleet.Config{
-		ServerURL:   front.URL,
-		Package:     "classroom",
-		Learners:    learners,
-		Concurrency: 64,
-		Interactive: true,
-		Policy:      sim.GuidedFactory,
-		Sim:         sim.Config{MaxSteps: 12, TicksPerStep: 1, Patience: 30, WatchEvery: 4},
-		FlushEvery:  8,
-		HTTP:        &http.Client{Transport: fleetTr},
-	})
+	cfg := classroomFleet(s.URL, learners, true)
+	cfg.HTTP = &http.Client{Transport: fleetTr}
+	sum, err := fleet.Run(cfg)
 	if err != nil {
 		return "", err
 	}
-	cs := d.Telemetry.Store().Snapshot()["classroom"]
-	if cs.SessionsStarted != learners || cs.SessionsEnded != learners || cs.LiveSessions != 0 {
-		return "", fmt.Errorf("telemetry accounting skewed: %+v", cs)
+	if _, err := telemetryExact(s.Deployment, sum); err != nil {
+		return "", err
 	}
 
-	gs := d.Cluster.Gateway().Stats().Gateway
+	gs := s.Cluster.Gateway().Stats().Gateway
 	gwSt, flSt := gwTr.Stats(), fleetTr.Stats()
 	injected := gwSt.Drops + gwSt.Resets + gwSt.Errors + gwSt.Outages +
 		flSt.Drops + flSt.Resets + flSt.Errors + flSt.Outages

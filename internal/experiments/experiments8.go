@@ -2,34 +2,26 @@ package experiments
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"time"
 
 	"repro/internal/analytics"
-	"repro/internal/content"
-	"repro/internal/deploy"
 	"repro/internal/fleet"
-	"repro/internal/media/studio"
-	"repro/internal/playsvc"
-	"repro/internal/sim"
 )
 
-// E17 measures the remote-play tax E12 exposed, on the one act path: the
-// same seed-locked interactive fleet runs against a gateway-fronted 3-node
-// cluster as thin clients (every act one framed round trip) and as mirror
-// clients (a local replica answers, acts ship as reconciled batches), next
-// to the local-simulation baseline. Outcomes must stay identical in every
-// row (the golden-replay guarantee); the ratio column is the deployment
+// E17 measures the remote-play tax on the one act path: the same
+// seed-locked fleet runs as local simulation (every learner hosts its own
+// runtime; the deployment only ships the package and ingests telemetry),
+// then against a gateway-fronted 3-node cluster as thin clients (every
+// act one framed round trip) and as mirror clients (a local replica
+// answers, acts ship as reconciled batches). Outcomes must stay identical
+// in every row — hosting is a deployment choice, not a pedagogy change
+// (the golden-replay guarantee) — and the ratio column is the deployment
 // question: how close does hosted play get to local simulation? The
 // acceptance bar is mirror ≥ 0.5× local.
 func E17(learners int) (string, error) {
 	if learners <= 0 {
 		learners = 200
-	}
-	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 10})
-	if err != nil {
-		return "", err
 	}
 	var b strings.Builder
 	b.WriteString("E17 — thin and mirror clients vs the remote-play tax\n")
@@ -48,84 +40,63 @@ func E17(learners int) (string, error) {
 		{"remote-thin", true, false},
 		{"remote-mirror", true, true},
 	}
-	var localRate float64
+	var local *fleet.Summary
 	var localAgg *analytics.Rolling
 	for _, mode := range modes {
-		rate, p90, events, agg, err := e17Run(blob, learners, mode.interactive, mode.mirror)
+		sum, agg, err := e17Run(learners, mode.interactive, mode.mirror)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", mode.name, err)
 		}
 		ratio, match := "—", "—"
-		if mode.interactive {
-			ratio = fmt.Sprintf("%.2fx", rate/localRate)
+		if local == nil {
+			local, localAgg = sum, agg
+		} else {
+			ratio = fmt.Sprintf("%.2fx", sum.SessionsPerSec/local.SessionsPerSec)
 			match = "= local"
-			if localAgg == nil || localAgg.Events != agg.Events || localAgg.Knowledge != agg.Knowledge ||
+			if localAgg.Events != agg.Events || localAgg.Knowledge != agg.Knowledge ||
 				localAgg.Completed != agg.Completed || localAgg.QuizCorrect != agg.QuizCorrect {
 				match = "DIVERGED"
 			}
-		} else {
-			localRate, localAgg = rate, agg
 		}
 		fmt.Fprintf(&b, "  %-15s | %10.1f | %8.0f | %11v | %8s | %s\n",
-			mode.name, rate, events, p90.Round(time.Microsecond), ratio, match)
+			mode.name, sum.SessionsPerSec, sum.EventsPerSec, sum.Session.P90.Round(time.Microsecond), ratio, match)
 	}
 	b.WriteString("\nshape check: identical outcome columns in every row; the thin row pays\n")
 	b.WriteString("one round trip per act because a guided learner reads state after\n")
 	b.WriteString("every act, and the mirror row — a local replica answering every read\n")
 	b.WriteString("and frame, acts shipped purely as reconciled batches — must land at\n")
-	b.WriteString(">= 0.50x local simulation (E12 measured 0.26x).\n")
+	b.WriteString(">= 0.50x local simulation (thin clients on one node read 0.26x, E12).\n")
 	return b.String(), nil
 }
 
-// e17Run drives one fleet configuration and returns its throughput,
-// session p90, event rate and aggregated outcomes.
-func e17Run(blob []byte, learners int, interactive, mirror bool) (float64, time.Duration, float64, *analytics.Rolling, error) {
-	// Interactive rows play through a 3-node cluster behind the front's
-	// gateway; local rows only fetch the package and report.
-	dc := deploy.Config{Play: playsvc.ClusterOptions{Node: playsvc.Options{TTL: -1}}}
+// e17Run drives one fleet configuration and returns its summary and
+// aggregated outcomes. Remote rows play through a 3-node cluster behind
+// the front's gateway, which must host exactly one session per learner
+// and none once the fleet is done.
+func e17Run(learners int, interactive, mirror bool) (*fleet.Summary, *analytics.Rolling, error) {
+	nodes := 0
 	if interactive {
-		dc.Nodes = 3
+		nodes = 3
 	}
-	d, err := deploy.New(dc)
+	s, err := served(untimed(nodes))
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return nil, nil, err
 	}
-	defer d.Close()
-	if err := d.Publish("classroom", blob); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	front := httptest.NewServer(d)
-	defer front.Close()
-
-	cfg := fleet.Config{
-		ServerURL:   front.URL,
-		Package:     "classroom",
-		Learners:    learners,
-		Concurrency: 64,
-		Interactive: interactive,
-		Policy:      sim.GuidedFactory,
-		Sim:         sim.Config{MaxSteps: 12, TicksPerStep: 1, Patience: 30, Seed: 977},
-		FlushEvery:  8,
-		PlayMirror:  mirror,
-	}
-	if interactive {
-		cfg.Sim.WatchEvery = 4
-	}
-
+	defer s.Close()
+	cfg := classroomFleet(s.URL, learners, interactive)
+	cfg.PlayMirror = mirror
 	sum, err := fleet.Run(cfg)
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return nil, nil, err
 	}
-	if sum.Failed > 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%d learners failed: %v", sum.Failed, sum.Errors)
+	agg, err := telemetryExact(s.Deployment, sum)
+	if err != nil {
+		return nil, nil, err
 	}
-	cs := d.Telemetry.Store().Snapshot()["classroom"]
-	if cs.SessionsStarted != learners || cs.SessionsEnded != learners || cs.LiveSessions != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("telemetry accounting skewed: %+v", cs)
+	if interactive {
+		if c := s.Cluster.Gateway().Stats().Cluster; c["sessions_created"] != int64(learners) || c["sessions_live"] != 0 {
+			return nil, nil, fmt.Errorf("play accounting off: %v", c)
+		}
 	}
-	var agg analytics.Rolling
-	for _, r := range sum.Reports {
-		agg.Add(r)
-	}
-	return sum.SessionsPerSec, sum.Session.P90, sum.EventsPerSec, &agg, nil
+	return sum, agg, nil
 }

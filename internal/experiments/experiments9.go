@@ -2,15 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"time"
 
-	"repro/internal/content"
-	"repro/internal/deploy"
 	"repro/internal/fleet"
-	"repro/internal/media/studio"
-	"repro/internal/playsvc"
 	"repro/internal/sim"
 )
 
@@ -27,11 +22,11 @@ func E18(watchers int) (string, error) {
 	if watchers <= 0 {
 		watchers = 1000
 	}
-	front, cleanup, err := e18Server()
+	s, err := served(untimed(0))
 	if err != nil {
 		return "", err
 	}
-	defer cleanup()
+	defer s.Close()
 
 	var b strings.Builder
 	b.WriteString("E18 — live classroom fan-out: one render per tick, thousands of watchers\n")
@@ -51,7 +46,7 @@ func E18(watchers int) (string, error) {
 			continue
 		}
 		seen[w] = true
-		sum, err := e18Run(front, w, 40)
+		sum, err := e18Run(s.URL, w, 40)
 		if err != nil {
 			return "", fmt.Errorf("%d watchers: %w", w, err)
 		}
@@ -66,25 +61,6 @@ func E18(watchers int) (string, error) {
 	b.WriteString("(the seq gaps they read past) while the answers column stays exact: the\n")
 	b.WriteString("assessment channel is reliable even when the video tier degrades.\n")
 	return b.String(), nil
-}
-
-// e18Server publishes the classroom course on a deployment, the play
-// service's room routes included.
-func e18Server() (string, func(), error) {
-	blob, err := content.Classroom().BuildPackage(studio.Options{QStep: 10})
-	if err != nil {
-		return "", nil, err
-	}
-	d, err := deploy.New(deploy.Config{Play: playsvc.ClusterOptions{Node: playsvc.Options{TTL: -1}}})
-	if err != nil {
-		return "", nil, err
-	}
-	if err := d.Publish("classroom", blob); err != nil {
-		d.Close()
-		return "", nil, err
-	}
-	front := httptest.NewServer(d)
-	return front.URL, func() { front.Close(); d.Close() }, nil
 }
 
 // e18Run drives one cohort size and enforces the experiment's invariants:

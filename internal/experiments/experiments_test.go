@@ -110,19 +110,19 @@ func TestE10SmallFleet(t *testing.T) {
 	}
 }
 
-func TestE12SmallFleet(t *testing.T) {
-	out, err := E12(24)
+func TestE17SmallFleet(t *testing.T) {
+	out, err := E17(24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each remote-play row must report outcomes identical to its local-sim
-	// counterpart, and both deployment shapes must appear.
+	// Both hosted rows must report outcomes identical to local simulation,
+	// and all three deployment shapes must appear.
 	if strings.Count(out, "| = local") != 2 || strings.Contains(out, "DIVERGED") {
-		t.Errorf("E12 output:\n%s", out)
+		t.Errorf("E17 output:\n%s", out)
 	}
-	for _, want := range []string{"local-sim", "remote-play"} {
+	for _, want := range []string{"local-sim", "remote-thin", "remote-mirror"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("E12 missing %q:\n%s", want, out)
+			t.Errorf("E17 missing %q:\n%s", want, out)
 		}
 	}
 }
@@ -165,14 +165,22 @@ func TestE14SmallChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The churn run's second reading, from /metrics: one latency row per
+	// node the gateway lists (three, the replacement included) and the
+	// gateway's routed-call count.
 	for _, want := range []string{
 		"learners failed       : 0 of 40",
 		"resumed at tick       : 9",
 		"freeze + thaw + act",
+		"node           acts    act p50",
+		"routed calls          : ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E14 missing %q:\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, "\nnode-"); n != 3 || strings.Contains(out, "scrape failed") {
+		t.Errorf("E14's latency table has %d node rows, want 3:\n%s", n, out)
 	}
 }
 
@@ -182,12 +190,12 @@ func TestE18SmallClassroom(t *testing.T) {
 	// the same server and leans on e18Run's own invariant checks (renders
 	// exactly equal to publications, zero lost answers, full cohort
 	// participation — it errors on any violation).
-	front, cleanup, err := e18Server()
+	s, err := served(untimed(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
-	sum, err := e18Run(front, 8, 10)
+	defer s.Close()
+	sum, err := e18Run(s.URL, 8, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,16 @@ import (
 //	closed    — traffic flows; Failure() counts consecutive failures and
 //	            trips to open at Threshold.
 //	open      — Allow() refuses everything until Cooldown has elapsed,
-//	            then admits exactly one probe (half-open).
+//	            then admits exactly one probe (half-open). A failure here
+//	            is one the breaker already answered for (a request in
+//	            flight when it tripped, or one sent past it) and does not
+//	            count.
 //	half-open — the probe is in flight: Success() closes the breaker,
-//	            Failure() reopens it and restarts the cooldown.
+//	            Failure() counts, reopens it and restarts the cooldown.
+//
+// The count therefore grows by at most one per Cooldown once the breaker
+// has tripped, so a long failure run measures how long a node has been
+// down, not how much traffic hit it meanwhile.
 //
 // The gateway keeps one per node: an open breaker diverts a session to
 // the rescue/recover path instead of burning its retry budget against a
@@ -78,17 +85,19 @@ func (b *Breaker) Success() {
 	b.failures = 0
 }
 
-// Failure records a failed call; it may trip the breaker.
+// Failure records a failed call; it may trip the breaker. An open
+// breaker ignores it.
 func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.failures++
 	switch b.state {
 	case stateHalfOpen:
+		b.failures++
 		b.state = stateOpen
 		b.openedAt = time.Now()
 		b.trips++
 	case stateClosed:
+		b.failures++
 		if b.failures >= b.threshold() {
 			b.state = stateOpen
 			b.openedAt = time.Now()
@@ -118,7 +127,8 @@ func (b *Breaker) State() string {
 	}
 }
 
-// ConsecutiveFailures returns the current consecutive-failure run.
+// ConsecutiveFailures returns the current consecutive-failure run: the
+// failures counted since the last success.
 func (b *Breaker) ConsecutiveFailures() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -201,6 +201,14 @@ func (t *Transport) Stats() Stats {
 	}
 }
 
+// CloseIdleConnections closes the base transport's idle connections, so
+// an http.Client over an injector can still release its pool.
+func (t *Transport) CloseIdleConnections() {
+	if c, ok := t.Base.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
+}
+
 // fate draws every per-request decision at once under one lock.
 type fate struct {
 	latency time.Duration

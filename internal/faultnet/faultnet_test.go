@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -196,6 +197,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.Trips() != 1 {
 		t.Fatalf("trips = %d, want 1", b.Trips())
 	}
+	b.Failure() // in flight when it tripped: already answered for
+	if b.State() != "open" || b.Trips() != 1 || b.ConsecutiveFailures() != 3 {
+		t.Fatalf("a failure while open changed the breaker: %s, %d trips, run %d", b.State(), b.Trips(), b.ConsecutiveFailures())
+	}
 	time.Sleep(15 * time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("cooldown elapsed: one probe should be admitted")
@@ -207,8 +212,8 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("second concurrent probe must be refused")
 	}
 	b.Failure()
-	if b.State() != "open" || b.Trips() != 2 {
-		t.Fatal("half-open failure should reopen")
+	if b.State() != "open" || b.Trips() != 2 || b.ConsecutiveFailures() != 4 {
+		t.Fatal("half-open failure should count and reopen")
 	}
 	time.Sleep(15 * time.Millisecond)
 	if !b.Allow() {
@@ -280,6 +285,36 @@ func TestTransportInjectsDeterministically(t *testing.T) {
 	}
 	if strings.Count(trace1, "d")+strings.Count(trace1, "r")+strings.Count(trace1, "e") == 40 {
 		t.Fatal("expected some clean responses too")
+	}
+}
+
+// TestTransportForwardsCloseIdleConnections: a client over an injector
+// releases its pool, so a server it used can shut down at once.
+func TestTransportForwardsCloseIdleConnections(t *testing.T) {
+	closed := make(chan struct{}, 1)
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok")
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateClosed {
+			closed <- struct{}{}
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	client := &http.Client{Transport: NewTransport(NewHTTPTransport(4), Profile{}, 1)}
+	resp, err := client.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	client.CloseIdleConnections()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the idle connection is still open: CloseIdleConnections did not reach the base transport")
 	}
 }
 

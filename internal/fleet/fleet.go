@@ -80,6 +80,9 @@ func (c *Config) defaults() (ownsTransport bool, err error) {
 	if c.ServerURL == "" || c.Package == "" {
 		return false, fmt.Errorf("fleet: need ServerURL and Package")
 	}
+	if c.PlayMirror && !c.Interactive {
+		return false, fmt.Errorf("fleet: PlayMirror needs Interactive: a mirror replicates a hosted session")
+	}
 	if c.PlayURL == "" {
 		c.PlayURL = c.ServerURL
 	}

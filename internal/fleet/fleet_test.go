@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,6 +298,25 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{ServerURL: "http://127.0.0.1:1", Package: "nope", Learners: 1}); err == nil {
 		t.Error("unreachable server not reported")
+	}
+}
+
+// TestMirrorNeedsInteractive: a mirror is a hosted session's local
+// replica, so PlayMirror without Interactive is refused before any request
+// instead of silently running local simulation.
+func TestMirrorNeedsInteractive(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer srv.Close()
+	_, err := Run(Config{ServerURL: srv.URL, Package: "classroom", Learners: 1, PlayMirror: true})
+	if err == nil || !strings.Contains(err.Error(), "PlayMirror needs Interactive") {
+		t.Errorf("PlayMirror without Interactive: err = %v", err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("the refused config sent %d requests", n)
 	}
 }
 

@@ -179,44 +179,22 @@ func Build(p *core.Project, video []byte) ([]byte, error) {
 	return BuildLadder(p, []TierVideo{{Video: video}})
 }
 
-// ErrShortPrefix reports that a prefix did not contain the whole section
-// table; fetch more bytes and retry.
-var ErrShortPrefix = errors.New("gamepack: prefix too short for section table")
-
 // Sections parses the section table: names, offsets and sizes.
 func Sections(blob []byte) (map[string][2]int, error) {
-	return SectionsWithin(blob, len(blob))
-}
-
-// SectionsWithin parses the section table from a blob prefix. Section
-// payloads may extend beyond the prefix as long as they fit within
-// totalSize (the full package length, e.g. from an HTTP HEAD). It is what
-// the streaming client uses to locate metadata without downloading the
-// video. A prefix that ends inside the table itself yields ErrShortPrefix.
-func SectionsWithin(prefix []byte, totalSize int) (map[string][2]int, error) {
-	if len(prefix) < 5 {
-		return nil, ErrShortPrefix
+	if len(blob) < 5 {
+		return nil, fmt.Errorf("%w: %d bytes", ErrBadPackage, len(blob))
 	}
-	if string(prefix[:4]) != magic {
+	if string(blob[:4]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadPackage)
 	}
-	if prefix[4] != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadPackage, prefix[4])
+	if blob[4] != version {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadPackage, blob[4])
 	}
 	pos := 5
 	uv := func() (int, error) {
-		// Section headers are interleaved with payloads, so the cursor can
-		// legitimately run past the prefix while skipping a payload — that
-		// just means the caller must fetch more.
-		if pos >= len(prefix) {
-			return 0, ErrShortPrefix
-		}
-		v, n := binary.Uvarint(prefix[pos:])
-		if n == 0 {
-			return 0, ErrShortPrefix
-		}
-		if n < 0 || v > 1<<31 {
-			return 0, fmt.Errorf("%w: bad varint", ErrBadPackage)
+		v, n := binary.Uvarint(blob[pos:])
+		if n <= 0 || v > 1<<31 {
+			return 0, fmt.Errorf("%w: bad or truncated varint", ErrBadPackage)
 		}
 		pos += n
 		return int(v), nil
@@ -237,24 +215,24 @@ func SectionsWithin(prefix []byte, totalSize int) (map[string][2]int, error) {
 		if nameLen > 256 {
 			return nil, fmt.Errorf("%w: bad section name", ErrBadPackage)
 		}
-		if pos+nameLen > len(prefix) {
-			return nil, ErrShortPrefix
+		if pos+nameLen > len(blob) {
+			return nil, fmt.Errorf("%w: section table truncated", ErrBadPackage)
 		}
-		name := string(prefix[pos : pos+nameLen])
+		name := string(blob[pos : pos+nameLen])
 		pos += nameLen
 		size, err := uv()
 		if err != nil {
 			return nil, err
 		}
 		pos += 4 // crc
-		if pos+size > totalSize {
+		if pos+size > len(blob) {
 			return nil, fmt.Errorf("%w: section %q truncated", ErrBadPackage, name)
 		}
 		out[name] = [2]int{pos, size}
 		pos += size
 	}
-	if pos != totalSize {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPackage, totalSize-pos)
+	if pos != len(blob) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPackage, len(blob)-pos)
 	}
 	return out, nil
 }

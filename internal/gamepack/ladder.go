@@ -1,13 +1,12 @@
 // Ladder packaging: one .tkg package carrying the same footage at
 // several quality tiers. The canonical tier stays the plain "video"
-// section — every ladder-unaware consumer (legacy range clients,
-// gamepack.Open, the play service's default publish) keeps working on
-// the full-quality rung — while each extra rung rides its own
-// "video@<tier>" section. All video sections are chunked at the same
-// segment-aligned boundaries by the manifest layer, so the chunk store
-// dedups anything shared, tier selection is a per-segment choice of
-// which section's chunks to fetch, and a course edit delta-syncs
-// per tier exactly like a single-quality package.
+// section — every ladder-unaware consumer (gamepack.Open, the play
+// service's publish) keeps working on the full-quality rung — while each
+// extra rung rides its own "video@<tier>" section. All video sections
+// are chunked at the same segment-aligned boundaries by the manifest
+// layer, so the chunk store dedups anything shared, tier selection is a
+// per-segment choice of which section's chunks to fetch, and a course
+// edit delta-syncs per tier exactly like a single-quality package.
 package gamepack
 
 import (
@@ -16,7 +15,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/media/container"
 )
@@ -173,47 +171,6 @@ func BuildLadder(p *core.Project, videos []TierVideo) ([]byte, error) {
 	return assemble(sections), nil
 }
 
-// OpenTier parses a package and swaps the video payload for the named
-// tier's rung. Tier "" (or a plain single-quality package) is exactly
-// Open. Unknown tiers are rejected, so a caller cannot silently play
-// the wrong quality.
-func OpenTier(blob []byte, tier string) (*Package, error) {
-	pkg, err := Open(blob)
-	if err != nil {
-		return nil, err
-	}
-	if tier == "" {
-		return pkg, nil
-	}
-	secs, err := Sections(blob)
-	if err != nil {
-		return nil, err
-	}
-	loc, ok := secs[TierSectionName(tier)]
-	if !ok {
-		return nil, fmt.Errorf("%w: no tier %q (have %s)", ErrBadLadder, tier, strings.Join(VideoTiersOf(secs), ", "))
-	}
-	video := blob[loc[0] : loc[0]+loc[1]]
-	if _, err := container.Open(video); err != nil {
-		return nil, fmt.Errorf("gamepack: tier %q video section: %w", tier, err)
-	}
-	pkg.Video = video
-	return pkg, nil
-}
-
-// VideoTiersOf lists the tiers present in a parsed section table,
-// canonical ("") first, extras sorted.
-func VideoTiersOf(secs map[string][2]int) []string {
-	var out []string
-	for name := range secs {
-		if tier, ok := VideoSectionTier(name); ok {
-			out = append(out, tier)
-		}
-	}
-	sort.Strings(out) // "" sorts first
-	return out
-}
-
 // VideoTiers lists the quality tiers a manifest carries, canonical ("")
 // first, extras sorted. A single-quality package yields [""].
 func (m *Manifest) VideoTiers() []string {
@@ -231,45 +188,4 @@ func (m *Manifest) VideoTiers() []string {
 // nil when the manifest lacks that rung.
 func (m *Manifest) VideoSection(tier string) *SectionChunks {
 	return m.Section(TierSectionName(tier))
-}
-
-// LadderOf reports the tiers of a package blob (convenience over
-// ExtractManifest for callers holding the blob).
-func LadderOf(blob []byte) ([]string, error) {
-	secs, err := Sections(blob)
-	if err != nil {
-		return nil, err
-	}
-	tiers := VideoTiersOf(secs)
-	if len(tiers) == 0 {
-		return nil, fmt.Errorf("%w: missing section %q", ErrBadPackage, SectionVideo)
-	}
-	return tiers, nil
-}
-
-// SharedTierChunks counts, per non-canonical tier, how many of its
-// chunks are byte-identical to a canonical-tier chunk (the dedup the
-// blobstore gets for free). Used by the ladder dedup accounting test
-// and the E19 report.
-func (m *Manifest) SharedTierChunks() map[string]int {
-	base := map[blobstore.Hash]bool{}
-	if sc := m.VideoSection(""); sc != nil {
-		for _, c := range sc.Chunks {
-			base[c.Hash] = true
-		}
-	}
-	out := map[string]int{}
-	for _, tier := range m.VideoTiers() {
-		if tier == "" {
-			continue
-		}
-		n := 0
-		for _, c := range m.VideoSection(tier).Chunks {
-			if base[c.Hash] {
-				n++
-			}
-		}
-		out[tier] = n
-	}
-	return out
 }

@@ -47,12 +47,12 @@ func TestBuildLadderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiers, err := LadderOf(blob)
+	man, err := ExtractManifest(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"", "low", "med", "min"}; !reflect.DeepEqual(tiers, want) {
-		t.Fatalf("LadderOf = %v, want %v", tiers, want)
+	if tiers, want := man.VideoTiers(), []string{"", "low", "med", "min"}; !reflect.DeepEqual(tiers, want) {
+		t.Fatalf("VideoTiers = %v, want %v", tiers, want)
 	}
 	// A ladder-unaware Open sees exactly the canonical rung.
 	pkg, err := Open(blob)
@@ -68,19 +68,21 @@ func TestBuildLadderRoundTrip(t *testing.T) {
 	if !bytes.Equal(pkg.Video, canonical) {
 		t.Error("Open did not yield the canonical rung")
 	}
-	// OpenTier swaps in the requested rung; geometry and chapters match.
+	// Each rung rides its own section; geometry and chapters match.
+	secs, err := Sections(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref, _ := container.Open(canonical)
 	for _, tv := range videos {
-		got, err := OpenTier(blob, tv.Tier)
-		if err != nil {
-			t.Fatalf("OpenTier(%q): %v", tv.Tier, err)
+		loc := secs[TierSectionName(tv.Tier)]
+		got := blob[loc[0] : loc[0]+loc[1]]
+		if !bytes.Equal(got, tv.Video) {
+			t.Errorf("section %q holds the wrong rung", TierSectionName(tv.Tier))
 		}
-		if !bytes.Equal(got.Video, tv.Video) {
-			t.Errorf("OpenTier(%q) yielded wrong rung", tv.Tier)
-		}
-		r, err := container.Open(got.Video)
+		r, err := container.Open(got)
 		if err != nil {
-			t.Fatalf("OpenTier(%q) video: %v", tv.Tier, err)
+			t.Fatalf("tier %q video: %v", tv.Tier, err)
 		}
 		if r.Meta() != ref.Meta() {
 			t.Errorf("tier %q meta = %+v, canonical %+v", tv.Tier, r.Meta(), ref.Meta())
@@ -89,15 +91,11 @@ func TestBuildLadderRoundTrip(t *testing.T) {
 			t.Errorf("tier %q chapter table differs", tv.Tier)
 		}
 	}
-	if _, err := OpenTier(blob, "ghost"); !errors.Is(err, ErrBadLadder) {
-		t.Errorf("OpenTier(ghost) = %v, want ErrBadLadder", err)
+	if man.VideoSection("ghost") != nil {
+		t.Error("the manifest lists a rung that was never built")
 	}
 	// The extra rungs genuinely differ: a coarser quantizer must shrink
 	// the payload, or the ladder gives ABR nothing to choose between.
-	man, err := ExtractManifest(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
 	full := man.VideoSection("").PayloadSize()
 	min := man.VideoSection("min").PayloadSize()
 	if min >= full {
@@ -162,7 +160,11 @@ func TestBuildLadderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tiers, _ := LadderOf(single); !reflect.DeepEqual(tiers, []string{""}) {
+	man, err := ExtractManifest(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiers := man.VideoTiers(); !reflect.DeepEqual(tiers, []string{""}) {
 		t.Errorf("single-tier ladder tiers = %v", tiers)
 	}
 }
@@ -182,15 +184,6 @@ func TestLadderManifestDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shared chunks across tiers: counted exactly — zero, because every
-	// rung's quantizer differs. (If rungs ever shared bytes, client and
-	// server tier ledgers could legitimately disagree; this guard keeps
-	// E19's exact reconciliation honest.)
-	for tier, n := range man.SharedTierChunks() {
-		if n != 0 {
-			t.Errorf("tier %q shares %d chunks with the canonical rung", tier, n)
-		}
-	}
 	distinct := map[blobstore.Hash]bool{}
 	perTier := map[string]map[blobstore.Hash]bool{}
 	for _, sc := range man.Sections {
@@ -202,6 +195,21 @@ func TestLadderManifestDedup(t *testing.T) {
 				}
 				perTier[tier][c.Hash] = true
 			}
+		}
+	}
+	// Shared chunks across tiers: counted exactly — zero, because every
+	// rung's quantizer differs. (If rungs ever shared bytes, client and
+	// server tier ledgers could legitimately disagree; this guard keeps
+	// E19's exact reconciliation honest.)
+	for tier, hashes := range perTier {
+		n := 0
+		for h := range hashes {
+			if tier != "" && perTier[""][h] {
+				n++
+			}
+		}
+		if n != 0 {
+			t.Errorf("tier %q shares %d chunks with the canonical rung", tier, n)
 		}
 	}
 	store, err := blobstore.New(blobstore.Options{Backend: blobstore.NewMemory()})

@@ -1,6 +1,6 @@
-// Package obs is the repo's observability core: atomic counters and
-// gauges, fixed-bucket histograms whose hot path allocates nothing, a
-// process-wide Registry that exposes everything as Prometheus text (or
+// Package obs is the repo's observability core: fixed-bucket histograms
+// whose hot path allocates nothing, a process-wide Registry that exposes
+// every component's counters, gauges and histograms as Prometheus text (or
 // JSON), and a lightweight trace context (trace/span/parent ids riding an
 // X-Vgbl-Trace header) with a bounded per-node span ring.
 //
@@ -8,11 +8,11 @@
 // (playsvc, netstream, blobstore, telemetry, the cluster gateway)
 // instruments itself with these primitives and registers them on one
 // Registry per node, so `GET /metrics` on any node covers the whole
-// process. Instruments are constructed standalone (a component owns its
-// histogram whether or not anything scrapes it) and attached to a
-// Registry afterwards; counters that live as atomics in a service are
-// named through CounterFunc/GaugeFunc closures, keeping their contention
-// behavior unchanged.
+// process. A component owns its instruments whether or not anything
+// scrapes them — histograms built with NewHistogram, counters and gauges
+// as atomics or reads of its own state — and attaches them to a Registry
+// afterwards with RegisterHistogram, CounterFunc and GaugeFunc, keeping
+// their contention behavior unchanged.
 //
 // The registry is the one definition of every server-side scalar. A
 // component names its families once, registers them on a registry of its
@@ -25,33 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing counter.
-type Counter struct{ v atomic.Int64 }
-
-// NewCounter returns a zeroed counter.
-func NewCounter() *Counter { return &Counter{} }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must be non-negative for the counter to stay monotonic).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value reads the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// NewGauge returns a zeroed gauge.
-func NewGauge() *Gauge { return &Gauge{} }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // LatencyBounds are the default duration buckets, in nanoseconds: 50ns up
 // to 10s, roughly exponential. The low end exists for the chunk store's

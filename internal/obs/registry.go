@@ -31,13 +31,11 @@ func (k kind) String() string {
 }
 
 // series is one labeled member of a family. Exactly one of value/hist is
-// set; value covers counters and gauges (owned instruments and func
-// sources alike read through a closure).
+// set; value reads a counter or gauge through its owner's closure.
 type series struct {
 	labels []Label
 	value  func() int64
 	hist   *Histogram
-	owned  any // the *Counter/*Gauge behind value when the registry built it
 }
 
 // family is one named metric with its labeled series.
@@ -101,35 +99,6 @@ func (r *Registry) register(name, help, unit string, k kind, labels []Label) *se
 	return s
 }
 
-// Counter registers (or finds) a counter series and returns its
-// instrument.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.register(name, help, "", kindCounter, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.value == nil {
-		c := NewCounter()
-		s.value = c.Value
-		s.owned = c
-	}
-	c, _ := s.owned.(*Counter)
-	return c
-}
-
-// Gauge registers (or finds) a gauge series and returns its instrument.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(name, help, "", kindGauge, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.value == nil {
-		g := NewGauge()
-		s.value = g.Value
-		s.owned = g
-	}
-	g, _ := s.owned.(*Gauge)
-	return g
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — the bridge for counters that already live as atomics in a service
 // (playsvc session counters, gateway routing stats). fn must be
@@ -149,23 +118,11 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label
 	r.mu.Unlock()
 }
 
-// Histogram registers a new histogram series and returns its instrument.
-// unit declares how observed values scale in the exposition: "seconds"
-// means observations are nanoseconds and are divided by 1e9 on output;
-// anything else ("bytes", "") is exported raw.
-func (r *Registry) Histogram(name, help, unit string, bounds []int64, labels ...Label) *Histogram {
-	s := r.register(name, help, unit, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.hist == nil {
-		s.hist = NewHistogram(bounds)
-	}
-	return s.hist
-}
-
 // RegisterHistogram attaches a component-owned histogram (built with
 // NewHistogram at construction time, observed whether or not anything
-// scrapes) to the registry.
+// scrapes) to the registry. unit declares how observed values scale in
+// the exposition: "seconds" means observations are nanoseconds and are
+// divided by 1e9 on output; anything else ("bytes", "") is exported raw.
 func (r *Registry) RegisterHistogram(name, help, unit string, h *Histogram, labels ...Label) {
 	s := r.register(name, help, unit, kindHistogram, labels)
 	r.mu.Lock()

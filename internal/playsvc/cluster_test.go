@@ -1,15 +1,21 @@
 package playsvc
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/blobstore"
 	"repro/internal/content"
+	"repro/internal/faultnet"
 	"repro/internal/gamepack"
 	"repro/internal/media/studio"
 )
@@ -470,12 +476,14 @@ func TestConsistentHashStability(t *testing.T) {
 }
 
 // TestGatewayDropsDeadNode: a node that stays unreachable for
-// deadNodeLimit consecutive transport failures leaves the ring. The
+// deadNodeLimit failures counted by its breaker leaves the ring. The
 // gateway has that one node, so no live peer's open breaker diverts the
 // traffic: every hop of every routed call is a failure against it. A room
-// call takes 4 hops (rooms heal no 404), so deadNodeLimit/4 calls drop it;
-// the next call answers 502 without a hop, and a live node added after
-// serves again.
+// call takes 4 hops (rooms heal no 404). The breaker counts the 5 that
+// trip it and then one failed probe per cooldown (30 ms here, 500 ms in
+// service), so the node leaves only after 27 cooldowns, however many hops
+// failed meanwhile; the next call answers 502 without a hop, and a live
+// node added after serves again.
 func TestGatewayDropsDeadNode(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // its port now refuses connections
@@ -483,6 +491,9 @@ func TestGatewayDropsDeadNode(t *testing.T) {
 	if err := g.AddNode("dead", dead.URL); err != nil {
 		t.Fatal(err)
 	}
+	const threshold, cooldown = 5, 30 * time.Millisecond
+	br := &faultnet.Breaker{Threshold: threshold, Cooldown: cooldown}
+	g.breakers["dead"] = br
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 	roomStats := func() int {
@@ -497,31 +508,41 @@ func TestGatewayDropsDeadNode(t *testing.T) {
 	}
 	dropped := func() int64 { return stat(t, g.reg.Flat("gateway"), "dead_nodes_removed") }
 
-	const calls = deadNodeLimit / 4
-	for i := 0; i < calls; i++ {
-		if n := dropped(); n != 0 {
-			t.Fatalf("node dropped after %d calls, before %d failures", i, deadNodeLimit)
+	var tripped time.Time
+	calls := 0
+	for dropped() == 0 {
+		if calls == 4*deadNodeLimit {
+			t.Fatalf("node still on the ring after %d calls (%d failures counted)", calls, br.ConsecutiveFailures())
 		}
 		if code := roomStats(); code != http.StatusBadGateway {
-			t.Fatalf("call %d through a dead node answered %d, want 502", i, code)
+			t.Fatalf("call %d through a dead node answered %d, want 502", calls, code)
 		}
+		calls++
+		if tripped.IsZero() && br.Open() {
+			tripped = time.Now()
+		}
+		time.Sleep(cooldown + cooldown/4) // the next call's first hop is the probe
 	}
-	if n := dropped(); n != 1 {
-		t.Fatalf("dead_nodes_removed = %d after %d failures, want 1", n, deadNodeLimit)
+	if n := br.ConsecutiveFailures(); n != deadNodeLimit {
+		t.Fatalf("dropped with %d failures counted, want %d", n, deadNodeLimit)
+	}
+	if took, least := time.Since(tripped), (deadNodeLimit-threshold)*cooldown; took < least {
+		t.Fatalf("dropped %v after the breaker tripped, before %d cooldowns (%v)", took, deadNodeLimit-threshold, least)
 	}
 	if names := g.NodeNames(); len(names) != 0 {
 		t.Fatalf("the ring still holds %v", names)
 	}
-	if s := g.hops.Snapshot(); s.Count != calls || s.Sum != deadNodeLimit {
-		t.Fatalf("%d calls took %d hops, want %d calls of 4", s.Count, s.Sum, calls)
+	hops := g.hops.Snapshot()
+	if hops.Count != int64(calls) || hops.Sum <= deadNodeLimit {
+		t.Fatalf("%d calls took %d hops: want %d calls, and more hops than the %d counted failures", hops.Count, hops.Sum, calls, deadNodeLimit)
 	}
 
 	// An empty ring answers at once: no hop, no second drop.
 	if code := roomStats(); code != http.StatusBadGateway {
 		t.Fatalf("a call with no node answered %d, want 502", code)
 	}
-	if s := g.hops.Snapshot(); s.Count != calls+1 || s.Sum != deadNodeLimit {
-		t.Fatalf("the call with no node took %d hops", s.Sum-deadNodeLimit)
+	if s := g.hops.Snapshot(); s.Count != hops.Count+1 || s.Sum != hops.Sum {
+		t.Fatalf("the call with no node took %d hops", s.Sum-hops.Sum)
 	}
 	if n := dropped(); n != 1 {
 		t.Fatalf("dead_nodes_removed = %d, want 1", n)
@@ -547,5 +568,155 @@ func TestGatewayDropsDeadNode(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cutTransport fails every request while cut is set, as a network
+// partition does, and passes the rest to its base.
+type cutTransport struct {
+	base http.RoundTripper
+	cut  atomic.Bool
+}
+
+func (c *cutTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if c.cut.Load() {
+		return nil, faultnet.ErrPartitioned
+	}
+	return c.base.RoundTrip(r)
+}
+
+// TestPartitionKeepsNodes: a partition that fails many more hops than
+// deadNodeLimit in a moment drops no node. The breaker opens after 5 and
+// counts no failure while open, so the node is still on the ring when the
+// network returns and the next call reaches it. A partition fails every
+// in-flight hop at once; were each counted, one brief window under load
+// would drop every node of a cluster, and each later call would answer
+// "gateway has no nodes".
+func TestPartitionKeepsNodes(t *testing.T) {
+	m := NewManager(Options{TTL: -1})
+	defer m.Close()
+	node := httptest.NewServer(m.Handler())
+	defer node.Close()
+	tr := &cutTransport{base: faultnet.NewHTTPTransport(16)}
+	g := NewGateway(&http.Client{Transport: tr})
+	if err := g.AddNode("n0", node.URL); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(g.Handler())
+	defer front.Close()
+	roomStats := func() int {
+		t.Helper()
+		resp, err := http.Get(front.URL + RoomStatsPath + "?room=r1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	tr.cut.Store(true)
+	const calls = deadNodeLimit // 4 hops each: 4·deadNodeLimit failures
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code := roomStats(); code != http.StatusBadGateway {
+				t.Errorf("a call across the partition answered %d, want 502", code)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := stat(t, g.reg.Flat("gateway"), "dead_nodes_removed"); n != 0 {
+		t.Fatalf("dead_nodes_removed = %d after a partition, want 0", n)
+	}
+	if names := g.NodeNames(); !reflect.DeepEqual(names, []string{"n0"}) {
+		t.Fatalf("nodes = %v after a partition, want [n0]", names)
+	}
+	if s := g.hops.Snapshot(); s.Sum != 4*calls {
+		t.Fatalf("%d calls took %d hops, want %d", calls, s.Sum, 4*calls)
+	}
+
+	tr.cut.Store(false)
+	if code := roomStats(); code == http.StatusBadGateway {
+		t.Fatal("the call after the partition did not reach the node")
+	}
+	if br := g.breakerFor("n0"); br.Open() {
+		t.Fatalf("breaker %s after the node answered, want closed", br.State())
+	}
+}
+
+// TestStopNodeClosesSpareConnections: a graceful stop does not wait on a
+// connection the gateway dialed but never sent a request on. net/http's
+// Shutdown counts such a connection (StateNew) as busy for 5 s, and the
+// gateway's transport parks one in its idle pool whenever a request it
+// dialed for was served first by a connection another request freed.
+// Here the first dial is held until all four concurrent requests to one
+// node are dialing, and the other three until the first connection has
+// served all four, so three spare connections land in a pool that keeps
+// 16 a host; the drain uses one of them.
+func TestStopNodeClosesSpareConnections(t *testing.T) {
+	tr := faultnet.NewHTTPTransport(16)
+	var dials, dialed atomic.Int64
+	allDialing, served := make(chan struct{}), make(chan struct{})
+	hold := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	dial := tr.DialContext
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		defer dialed.Add(1)
+		switch dials.Add(1) {
+		case 1:
+			hold(allDialing)
+		case 4:
+			close(allDialing)
+			fallthrough
+		default:
+			hold(served)
+		}
+		return dial(ctx, network, addr)
+	}
+	httpc := &http.Client{Transport: tr}
+	cl, err := NewCluster(ClusterOptions{Node: Options{TTL: -1}, HTTP: httpc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	n, err := cl.StartNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := httpc.Get(n.URL + "/healthz")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
+	}
+	wg.Wait()
+	close(served)
+	for deadline := time.Now().Add(2 * time.Second); dialed.Load() < 4 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if d := dialed.Load(); d != 4 {
+		t.Fatalf("%d dials finished for 4 concurrent requests, want 4: no spare connection to strand", d)
+	}
+	began := time.Now()
+	if err := cl.StopNode(n.Name); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("StopNode took %v with %d dialed connections: Shutdown waited on a connection that never carried a request", took, dials.Load())
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultnet"
@@ -47,10 +48,13 @@ const maxProxyBody = 64 << 20
 // hold a routed call (and its client) hostage.
 const hopTimeout = 10 * time.Second
 
-// deadNodeLimit is how many consecutive transport failures it takes for
-// the gateway to remove a node from the ring outright. Short failure
-// runs open the node's circuit breaker (traffic routes around it, probes
-// keep checking); only a node that stays dead this long is dropped.
+// deadNodeLimit is how many consecutive transport failures the node's
+// breaker must count before the gateway removes it from the ring
+// outright. Short failure runs open the breaker (traffic routes around
+// it, probes keep checking), and an open breaker counts only its failed
+// probes, one per cooldown: past the 5 that trip it, 27 failed probes
+// 500 ms apart, so only a node down for over 13 s is dropped — never one
+// behind a brief partition, however many requests failed against it.
 const deadNodeLimit = 32
 
 // gwNode is one backend node the gateway routes to.
@@ -88,11 +92,11 @@ type Gateway struct {
 	// reg is the gateway's own registry, the definition of every scalar
 	// it reports (see Register).
 	reg         *obs.Registry
-	creates     *obs.Counter // sessions created through the gateway
-	rescues     *obs.Counter // stray sessions handed off and re-owned
-	recoveries  *obs.Counter // sessions revived from a crash checkpoint
-	retries     *obs.Counter // requests replayed onto another node
-	deadRemoved *obs.Counter // nodes dropped after transport failures
+	creates     atomic.Int64 // sessions created through the gateway
+	rescues     atomic.Int64 // stray sessions handed off and re-owned
+	recoveries  atomic.Int64 // sessions revived from a crash checkpoint
+	retries     atomic.Int64 // requests replayed onto another node
+	deadRemoved atomic.Int64 // nodes dropped after transport failures
 
 	// hops counts how many backend requests one routed call took (1 =
 	// clean hit; more = rescue/retry healing); rescueNs times successful
@@ -125,18 +129,13 @@ func NewGateway(client *http.Client) *Gateway {
 		}
 	}
 	g := &Gateway{
-		httpc:       client,
-		control:     faultnet.RetryPolicy{Attempts: controlAttempts},
-		reg:         obs.NewRegistry(""),
-		breakers:    map[string]*faultnet.Breaker{},
-		creates:     obs.NewCounter(),
-		rescues:     obs.NewCounter(),
-		recoveries:  obs.NewCounter(),
-		retries:     obs.NewCounter(),
-		deadRemoved: obs.NewCounter(),
-		hops:        obs.NewHistogram(obs.CountBounds),
-		rescueNs:    obs.NewHistogram(obs.LatencyBounds),
-		spans:       obs.NewSpanRing("gateway", 0),
+		httpc:    client,
+		control:  faultnet.RetryPolicy{Attempts: controlAttempts},
+		reg:      obs.NewRegistry(""),
+		breakers: map[string]*faultnet.Breaker{},
+		hops:     obs.NewHistogram(obs.CountBounds),
+		rescueNs: obs.NewHistogram(obs.LatencyBounds),
+		spans:    obs.NewSpanRing("gateway", 0),
 	}
 	g.Register(g.reg)
 	return g
@@ -162,11 +161,11 @@ func (g *Gateway) Register(reg *obs.Registry) {
 			return n
 		}
 	}
-	reg.CounterFunc("gateway_creates_total", "sessions created through the gateway", g.creates.Value)
-	reg.CounterFunc("gateway_rescues_total", "stray sessions handed off and re-owned", g.rescues.Value)
-	reg.CounterFunc("gateway_recoveries_total", "sessions revived from a crash checkpoint", g.recoveries.Value)
-	reg.CounterFunc("gateway_retries_total", "requests replayed onto another node", g.retries.Value)
-	reg.CounterFunc("gateway_dead_nodes_removed_total", "nodes dropped after transport failures", g.deadRemoved.Value)
+	reg.CounterFunc("gateway_creates_total", "sessions created through the gateway", g.creates.Load)
+	reg.CounterFunc("gateway_rescues_total", "stray sessions handed off and re-owned", g.rescues.Load)
+	reg.CounterFunc("gateway_recoveries_total", "sessions revived from a crash checkpoint", g.recoveries.Load)
+	reg.CounterFunc("gateway_retries_total", "requests replayed onto another node", g.retries.Load)
+	reg.CounterFunc("gateway_dead_nodes_removed_total", "nodes dropped after transport failures", g.deadRemoved.Load)
 	reg.CounterFunc("gateway_breaker_trips_total", "circuit breaker opens across all nodes", breakers((*faultnet.Breaker).Trips))
 	reg.GaugeFunc("gateway_breakers_open", "node breakers currently open or probing", breakers(func(b *faultnet.Breaker) int64 {
 		if b.Open() {
@@ -261,6 +260,10 @@ func (g *Gateway) RemoveNode(name string, drain bool) error {
 		}
 	}
 	g.mu.Unlock()
+	// The pool may hold a connection to the node that was dialed for a
+	// request another connection served first. The node's Shutdown counts
+	// one that never carried a request as busy for 5 s, so let it go now.
+	g.httpc.CloseIdleConnections()
 	if err != nil {
 		return fmt.Errorf("playsvc: draining %s: %w", name, err)
 	}
@@ -451,8 +454,8 @@ func (g *Gateway) recover(tc obs.TraceContext, session string, owner gwNode) boo
 //     (consecutive failures — the node really looks dead) is it excluded
 //     for the rest of this call so the retry lands on the ring's next
 //     node, which rescues or thaws the session. A node dead long enough
-//     (deadNodeLimit consecutive failures) is dropped from the ring
-//     outright;
+//     (deadNodeLimit failures counted by its breaker) is dropped from the
+//     ring outright;
 //   - 503 (node draining, or cap reached) → retry only if re-resolution
 //     finds a different node;
 //   - 404 → the one thing sessions and rooms disagree on, so it is the
