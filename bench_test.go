@@ -1128,14 +1128,13 @@ func BenchmarkPlaysvcActPipelined(b *testing.B) {
 }
 
 // BenchmarkRoomFanout measures the classroom broadcast hot path without
-// HTTP: one driver act renders one publication, and W watchers each read
-// it with one seq watch (header encode + shared-pixel handoff). The
-// publish itself is O(1) whatever W is — the room keeps no watcher, so it
-// closes one broadcast channel instead of visiting a slot per watcher —
-// and each delivery reuses its watcher's chunk buffer and shares the
-// publication's pixels, so allocs/op stays flat as W grows (the render's
-// own buffer and the publish's new channel are the per-op allocations).
-// MB/s counts the pixel bytes served per op.
+// HTTP: one driver act is logged once, and W watchers each read it with
+// one seq watch (the room's act record copied into the watcher's reply
+// buffer). The publish itself is O(1) whatever W is — the room keeps no
+// watcher and renders nothing, so it appends one act record and closes
+// one broadcast channel — and each delivery reuses its watcher's reply
+// buffer, so allocs/op stays flat as W grows. MB/s counts the reply bytes
+// served per op.
 func BenchmarkRoomFanout(b *testing.B) {
 	for _, W := range []int{4, 64, 512} {
 		b.Run(fmt.Sprintf("watchers-%d", W), func(b *testing.B) {
@@ -1150,20 +1149,22 @@ func BenchmarkRoomFanout(b *testing.B) {
 			if !ok {
 				b.Fatal("room not registered")
 			}
-			at := make([]playsvc.WatchPos, W)
+			req := playsvc.ActRequest{Session: roomID, Kind: playsvc.ActTick, Ticks: 1}
+			if _, err := m.Act(&req); err != nil {
+				b.Fatal(err)
+			}
+			at := make([]int64, W)
 			dsts := make([][]byte, W)
-			var pixLen int
+			var replyLen int
 			for w := 0; w < W; w++ {
-				// The first read: sizes the chunk buffer and brings every
-				// watcher to the room's current seq for the steady-state loop.
-				header, pix, next, err := room.WatchNext(at[w], 0, nil)
-				if err != nil || header == nil {
+				// The first read: sizes the reply buffer and brings every
+				// watcher to the room's seq for the steady-state loop.
+				reply, next, err := room.WatchNext(0, 0, nil)
+				if err != nil || reply == nil {
 					b.Fatalf("first delivery: %v", err)
 				}
-				dsts[w], at[w], pixLen = header, next, len(pix)
+				dsts[w], at[w] = reply, next
 			}
-			req := playsvc.ActRequest{Session: roomID, Kind: playsvc.ActTick, Ticks: 1}
-			b.SetBytes(int64(W) * int64(pixLen))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -1173,16 +1174,17 @@ func BenchmarkRoomFanout(b *testing.B) {
 				}
 				req.SeenEvents, req.SeenMessages = r.EventCount, r.MessageCount
 				for w := 0; w < W; w++ {
-					header, _, next, err := room.WatchNext(at[w], 0, dsts[w][:0])
+					reply, next, err := room.WatchNext(at[w], 0, dsts[w][:0])
 					if err != nil {
 						b.Fatal(err)
 					}
-					if header == nil {
-						b.Fatal("no publication newer than the watcher's after an act")
+					if reply == nil {
+						b.Fatal("no act past the watcher's seq after an act")
 					}
-					dsts[w], at[w] = header, next
+					dsts[w], at[w], replyLen = reply, next, len(reply)
 				}
 			}
+			b.SetBytes(int64(W) * int64(replyLen))
 		})
 	}
 }

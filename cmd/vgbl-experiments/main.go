@@ -50,7 +50,7 @@ func main() {
 		"e16": func() (string, error) { return experiments.E16(*fleetSize) },
 		"e17": func() (string, error) { return experiments.E17(*fleetSize) },
 		"e18": func() (string, error) { return experiments.E18(*watchers) },
-		"e19": experiments.E19,
+		"e19": func() (string, error) { return experiments.E19(nil, 0) },
 	}
 	order := []string{"f1", "f2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e13", "e14", "e16", "e17", "e18", "e19"}
 

@@ -113,9 +113,9 @@ func main() {
 	}
 
 	if *rooms > 0 {
-		// Classroom mode: R shared rooms, W watchers each, one render per
-		// driver tick no matter how many watch. Prints the fan-out summary
-		// plus the server's /play/stats (rooms, renders, deliveries, skips).
+		// Classroom mode: R shared rooms, W watchers each, every watcher a
+		// replica of its room's driver. Prints the fan-out summary plus the
+		// server's /play/stats (rooms, deliveries, answers).
 		playURL := *playServer
 		if playURL == "" {
 			playURL = url
@@ -139,7 +139,7 @@ func main() {
 		fmt.Println()
 		fmt.Print(sum.String())
 		printStats(playURL, playsvc.StatsPath)
-		if sum.WatchersFailed > 0 || sum.DriversFailed > 0 {
+		if sum.WatchersFailed > 0 || sum.DriversFailed > 0 || sum.Diverged > 0 {
 			os.Exit(1)
 		}
 		return

@@ -13,11 +13,13 @@
 // /play/stats. A classroom room is a session whose create carries a room
 // record ({"session":…,"course":…,"room":true} on /play/act); watchers
 // watch, answer and read stats on /room/*, naming the room in the query.
-// There is no join or leave: a watch is a GET long poll that names the
-// publication the watcher holds (seq, 0 for none) and is answered with the
-// room's current one as soon as that is newer; the first is the catch-up.
-// The room keeps nothing per watcher, so a watcher that stops polling
-// costs nothing.
+// There is no join or leave: a watcher is a replica that holds the
+// package, and a watch is a GET long poll that names how many of the
+// driver's acts it holds (seq, 0 for none) and is answered with an act
+// frame of the acts past it (at seq 0 behind the create), which the
+// watcher replays and renders itself; the first is the catch-up. The
+// server renders nothing for a room and keeps nothing per watcher, so a
+// watcher that stops polling costs nothing.
 //
 // The package server keeps every package's bytes in one content-addressed
 // chunk store (segments shared across courses are stored once; -store-dir
@@ -186,7 +188,7 @@ func main() {
 	fmt.Printf("  listing:  http://%s/list\n", ln.Addr())
 	fmt.Printf("  telemetry: http://%s%s (POST %s), http://%s%s\n", ln.Addr(), telemetry.IngestPath, telemetry.BatchContentType, ln.Addr(), telemetry.StatsPath)
 	fmt.Printf("  play:     http://%s%s (POST), %s, %s (GET ?session=, a read), %s\n", ln.Addr(), playsvc.ActV2Path, playsvc.ActPath, playsvc.FramePath, playsvc.StatsPath)
-	fmt.Printf("  rooms:    http://%s%s?room=&seq= (GET: the current frame once newer than seq; seq=0 is the catch-up), %s (POST), %s; a room opens with a create's room record\n", ln.Addr(), playsvc.RoomWatchPath, playsvc.RoomAnswerPath, playsvc.RoomStatsPath)
+	fmt.Printf("  rooms:    http://%s%s?room=&seq=&wait_ms= (GET: an act frame of the driver's acts past seq; seq=0 is the catch-up), %s (POST), %s; a room opens with a create's room record\n", ln.Addr(), playsvc.RoomWatchPath, playsvc.RoomAnswerPath, playsvc.RoomStatsPath)
 	if *cluster > 0 {
 		fmt.Printf("  cluster:  %d play nodes behind the /play/ gateway (checkpoint every %v)\n", *cluster, *checkpointEvery)
 		names := d.Cluster.NodeNames()

@@ -101,12 +101,17 @@ func testRoutes(t *testing.T, blob []byte, nodes int) {
 		t.Fatal(err)
 	}
 
-	// A room driver and one watcher through /room/.
+	// A room driver and one watcher, a replica of the published package,
+	// through /room/.
+	pkg, err := gamepack.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	driver, err := playsvc.Dial(playsvc.ClientOptions{BaseURL: front.URL, Course: "classroom", Room: true, Project: project})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := playsvc.JoinRoom(playsvc.RoomClientOptions{BaseURL: front.URL, Room: driver.SessionID()})
+	wc, err := playsvc.JoinRoom(playsvc.RoomClientOptions{BaseURL: front.URL, Room: driver.SessionID(), Pkg: pkg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +127,8 @@ func testRoutes(t *testing.T, blob []byte, nodes int) {
 		}
 	}
 	driver.Talk("teacher")
-	for deadline := time.Now().Add(5 * time.Second); wc.Seq() < 2; {
-		if _, _, err := wc.Poll(time.Second); err != nil {
+	for deadline := time.Now().Add(5 * time.Second); wc.Seq() < 1; {
+		if _, err := wc.Poll(time.Second); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {

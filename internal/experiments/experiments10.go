@@ -21,20 +21,27 @@ import (
 
 // E19 measures adaptive multi-quality streaming end to end: one course
 // recorded at every rung of the default quality ladder, one manifest
-// tree, and a fleet of ABR clients streaming it across a 10× bandwidth
-// spread (cap-6k … cap-60k) plus the mobile-3g and wifi-flaky fault
-// profiles. Two claims are checked:
+// tree, and a fleet of learners ABR clients per fault profile streaming
+// it. By default (nil profiles, learners ≤ 0) three learners run across a
+// 10× bandwidth spread (cap-6k … cap-60k) plus the mobile-3g and
+// wifi-flaky fault profiles. Two claims are checked:
 //
 //  1. Playback is rebuffer-free on every profile — the picker trades
 //     quality, not stalls, as the link shrinks.
 //  2. Bytes served per tier are accounted exactly: the clients'
 //     per-tier ledgers must reconcile against the server's
 //     netstream_tier_bytes_total counters scraped from /metrics.
-//     Profiles that never reset a connection (cap-*, mobile-3g: drops
-//     and 503s are injected before the server) must match to the byte;
-//     wifi-flaky resets replies in flight, so the server may only
+//     Profiles that never reset a connection (clean, cap-*, mobile-3g:
+//     drops and 503s are injected before the server) must match to the
+//     byte; wifi-flaky resets replies in flight, so the server may only
 //     over-count (it served bytes the client discarded).
-func E19() (string, error) {
+func E19(profiles []string, learners int) (string, error) {
+	if profiles == nil {
+		profiles = []string{"cap-6k", "cap-12k", "cap-24k", "cap-60k", "mobile-3g", "wifi-flaky"}
+	}
+	if learners <= 0 {
+		learners = 3
+	}
 	film := synth.Generate(synth.Spec{
 		W: 96, H: 64, FPS: 10,
 		Shots: 10, MinShotFrames: 20, MaxShotFrames: 24,
@@ -90,17 +97,15 @@ func E19() (string, error) {
 	b.WriteString("\n  profile    | segments | rebuffers | startup p90 | segments per tier             | tier bytes client=server\n")
 	b.WriteString("  -----------+----------+-----------+-------------+-------------------------------+-------------------------\n")
 
-	type profileRun struct {
-		name  string
-		exact bool // no resets: server ledger must equal the clients' to the byte
-	}
-	profiles := []profileRun{
-		{"cap-6k", true}, {"cap-12k", true}, {"cap-24k", true}, {"cap-60k", true},
-		{"mobile-3g", true}, {"wifi-flaky", false},
-	}
 	var failures []string
 	e19JSON := map[string]any{}
-	for _, pr := range profiles {
+	for _, name := range profiles {
+		profile, ok := faultnet.Lookup(name)
+		if !ok {
+			return "", fmt.Errorf("e19: no fault profile %q", name)
+		}
+		// No resets: the server's ledger must equal the clients' to the byte.
+		exact := profile.ResetRate == 0
 		before, err := scrapeMetrics(ts.URL)
 		if err != nil {
 			return "", err
@@ -108,13 +113,13 @@ func E19() (string, error) {
 		sum, err := fleet.RunStreamers(fleet.StreamConfig{
 			ServerURL:    ts.URL,
 			Package:      "course",
-			Learners:     3,
-			Profile:      pr.name,
+			Learners:     learners,
+			Profile:      name,
 			Seed:         7,
 			DecodeFrames: true,
 		})
 		if err != nil {
-			return "", fmt.Errorf("profile %s: %w", pr.name, err)
+			return "", fmt.Errorf("profile %s: %w", name, err)
 		}
 		after, err := scrapeMetrics(ts.URL)
 		if err != nil {
@@ -130,25 +135,25 @@ func E19() (string, error) {
 		reconcile := "exact"
 		for _, tier := range tierOrder(sum.TierBytes, served) {
 			c, s := sum.TierBytes[tier], served[tier]
-			if pr.exact && c != s {
+			if exact && c != s {
 				reconcile = "MISMATCH"
-				failures = append(failures, fmt.Sprintf("%s tier %s: client %d, server %d", pr.name, tier, c, s))
+				failures = append(failures, fmt.Sprintf("%s tier %s: client %d, server %d", name, tier, c, s))
 			}
-			if !pr.exact {
+			if !exact {
 				reconcile = "server>=client"
 				if s < c {
 					reconcile = "MISMATCH"
-					failures = append(failures, fmt.Sprintf("%s tier %s: server %d under-counts client %d", pr.name, tier, s, c))
+					failures = append(failures, fmt.Sprintf("%s tier %s: server %d under-counts client %d", name, tier, s, c))
 				}
 			}
 		}
 		if sum.Rebuffers != 0 {
-			failures = append(failures, fmt.Sprintf("%s: %d rebuffers (%v stalled)", pr.name, sum.Rebuffers, sum.Stalled))
+			failures = append(failures, fmt.Sprintf("%s: %d rebuffers (%v stalled)", name, sum.Rebuffers, sum.Stalled))
 		}
 		fmt.Fprintf(&b, "  %-10s | %8d | %9d | %11v | %-29s | %s\n",
-			pr.name, sum.Segments, sum.Rebuffers, sum.Startup.P90.Round(1e6),
+			name, sum.Segments, sum.Rebuffers, sum.Startup.P90.Round(1e6),
 			tierCounts(sum.TierSegments), reconcile)
-		e19JSON[pr.name] = map[string]any{
+		e19JSON[name] = map[string]any{
 			"segments":      sum.Segments,
 			"rebuffers":     sum.Rebuffers,
 			"startup_p90":   sum.Startup.P90.String(),

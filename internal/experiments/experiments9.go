@@ -10,14 +10,14 @@ import (
 )
 
 // E18 measures the live-classroom fan-out: one instructor-driven session,
-// watcher cohorts up to the full class size following the broadcast at
-// 10 fps on loopback. The claim under test is the hub's O(1)-per-tick
-// contract — the server decodes and renders each state change exactly
-// once no matter how many watchers subscribe (render counts are asserted
-// against the driver's publication count, not inferred from timing), and
-// the cohort quiz channel is lossless: every answer a watcher sent is in
-// the final tally. Frames are the only load-sheddable tier; events,
-// messages and answers never drop.
+// watcher cohorts up to the full class size following it at 10 fps on
+// loopback. A watcher is a replica: each watch reply carries the driver's
+// acts, and the watcher replays them on a session of its own, built from
+// the package it holds, and renders its own frame; the server renders
+// nothing for the room. The claims under test: every watcher ends at the
+// room's seq in its driver's state (the replica's state tag equals the
+// driver's, asserted, not inferred), and the cohort quiz channel is
+// lossless — every answer a watcher sent is in the final tally.
 func E18(watchers int) (string, error) {
 	if watchers <= 0 {
 		watchers = 1000
@@ -29,12 +29,12 @@ func E18(watchers int) (string, error) {
 	defer s.Close()
 
 	var b strings.Builder
-	b.WriteString("E18 — live classroom fan-out: one render per tick, thousands of watchers\n")
+	b.WriteString("E18 — live classroom fan-out: every watcher a replica, thousands of watchers\n")
 	fmt.Fprintf(&b, "one room, driver paced at 10 acts/s for 4s of lesson; cohorts follow as\n")
-	b.WriteString("long-poll watchers; every row must render exactly once per publication\n")
-	b.WriteString("and lose zero quiz answers\n\n")
-	b.WriteString("  watchers | renders | delivered | skipped | frames/s | answers s=r | first p90 | answer p90\n")
-	b.WriteString("  ---------+---------+-----------+---------+----------+-------------+-----------+-----------\n")
+	b.WriteString("long-poll watchers replaying the driver's acts; every row must end each\n")
+	b.WriteString("replica at the room's seq and state and lose zero quiz answers\n\n")
+	b.WriteString("  watchers | acts | delivered | replies/s | answers s=r | first p90 | answer p90\n")
+	b.WriteString("  ---------+------+-----------+-----------+-------------+-----------+-----------\n")
 
 	cohorts := []int{watchers / 10, watchers / 4, watchers}
 	seen := map[int]bool{}
@@ -50,22 +50,21 @@ func E18(watchers int) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("%d watchers: %w", w, err)
 		}
-		fmt.Fprintf(&b, "  %8d | %7d | %9d | %7d | %8.0f | %5d = %-3d | %9v | %v\n",
-			w, sum.Renders, sum.Delivered, sum.Skipped, sum.FramesPerSec,
+		fmt.Fprintf(&b, "  %8d | %4d | %9d | %9.0f | %5d = %-3d | %9v | %v\n",
+			w, sum.Acts, sum.Delivered, sum.RepliesPerSec,
 			sum.AnswersSent, sum.AnswersRecorded,
 			sum.First.P90.Round(time.Microsecond), sum.Answer.P90.Round(time.Microsecond))
 	}
-	b.WriteString("\nshape check: the renders column tracks the driver's publication count,\n")
-	b.WriteString("not the watcher count — a 10x bigger cohort multiplies deliveries, never\n")
-	b.WriteString("renders or decodes. Slow watchers shed frames onto the skipped column\n")
-	b.WriteString("(the seq gaps they read past) while the answers column stays exact: the\n")
-	b.WriteString("assessment channel is reliable even when the video tier degrades.\n")
+	b.WriteString("\nshape check: the acts column tracks the driver, not the watcher count — a\n")
+	b.WriteString("10x bigger cohort multiplies replies, never server renders (there are\n")
+	b.WriteString("none). A slow watcher catches up in one reply per 256 acts and loses\n")
+	b.WriteString("nothing: its replica replays every act, so its transcript is the driver's.\n")
 	return b.String(), nil
 }
 
 // e18Run drives one cohort size and enforces the experiment's invariants:
-// no failures, renders exactly equal to driver publications, and a
-// lossless answer channel with full cohort participation.
+// no failures, every replica at its room's seq and state, and a lossless
+// answer channel with full cohort participation.
 func e18Run(front string, watchers, ticks int) (*fleet.ClassroomSummary, error) {
 	sum, err := fleet.RunClassroom(fleet.ClassroomConfig{
 		ServerURL: front,
@@ -83,8 +82,8 @@ func e18Run(front string, watchers, ticks int) (*fleet.ClassroomSummary, error) 
 	if sum.DriversFailed > 0 || sum.WatchersFailed > 0 {
 		return nil, fmt.Errorf("%d drivers and %d watchers failed: %v", sum.DriversFailed, sum.WatchersFailed, sum.Errors)
 	}
-	if sum.Renders != sum.Published {
-		return nil, fmt.Errorf("renders = %d, driver published %d: the hub rendered more than once per state change", sum.Renders, sum.Published)
+	if sum.Acts == 0 || sum.Diverged > 0 {
+		return nil, fmt.Errorf("%d of %d replicas did not end at the room's %d acts in its driver's state", sum.Diverged, watchers, sum.Acts)
 	}
 	if int64(sum.AnswersSent) != sum.AnswersRecorded {
 		return nil, fmt.Errorf("answers lost: %d sent, %d recorded", sum.AnswersSent, sum.AnswersRecorded)

@@ -187,9 +187,9 @@ func TestE14SmallChurn(t *testing.T) {
 func TestE18SmallClassroom(t *testing.T) {
 	// E18's full sweep runs three cohorts through 4-second lessons; the
 	// smoke test drives one small cohort through a 1-second lesson against
-	// the same server and leans on e18Run's own invariant checks (renders
-	// exactly equal to publications, zero lost answers, full cohort
-	// participation — it errors on any violation).
+	// the same server and leans on e18Run's own invariant checks (every
+	// replica at the room's seq in its driver's state, zero lost answers,
+	// full cohort participation — it errors on any violation).
 	s, err := served(untimed(0))
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +199,32 @@ func TestE18SmallClassroom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Renders == 0 || sum.Delivered == 0 {
+	if sum.Acts == 0 || sum.Delivered == 0 {
 		t.Fatalf("degenerate run: %+v", sum)
 	}
-	if out := sum.String(); !strings.Contains(out, "one render per tick") {
-		t.Errorf("summary lost the render invariant line:\n%s", out)
+	if out := sum.String(); !strings.Contains(out, "every replica at its room's seq and state") {
+		t.Errorf("summary lost the replica invariant line:\n%s", out)
+	}
+}
+
+// TestE19SmallStreaming runs E19's invariants in tier-1 on two profiles
+// and two learners: E19 errors on any rebuffer and on a per-tier byte
+// count that does not reconcile against /metrics, and neither profile
+// resets a reply, so both rows must reconcile exactly.
+func TestE19SmallStreaming(t *testing.T) {
+	out, err := E19([]string{"clean", "mobile-3g"}, 2)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, profile := range []string{"clean", "mobile-3g"} {
+		var row string
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), profile+" ") {
+				row = line
+			}
+		}
+		if fields := strings.Split(row, "|"); len(fields) != 6 || strings.TrimSpace(fields[2]) != "0" || strings.TrimSpace(fields[5]) != "exact" {
+			t.Errorf("%s row %q: want zero rebuffers and exact reconciliation\n%s", profile, row, out)
+		}
 	}
 }

@@ -364,9 +364,13 @@ func TestLookupProfiles(t *testing.T) {
 	}
 }
 
-// TestCapProfileThrottles: a cap-<N>k profile delivers a body intact and no
-// faster than N KiB/s — the pacing the ABR sweeps and the cap-6k reading
-// rest on — and Lookup refuses a cap with no positive rate.
+// TestCapProfileThrottles: a bandwidth-capped profile delivers a body
+// intact and no faster than its cap — cap-<N>k at N KiB/s, the pacing the
+// ABR sweeps and the cap-6k reading rest on, and mobile-3g at the 256 KiB/s
+// a classroom watcher on a phone gets — and Lookup refuses a cap with no
+// positive rate. mobile-3g also drops and fails a request now and then; the
+// seed is one whose draws inject no fault on the one request, which the
+// transport's counts confirm.
 func TestCapProfileThrottles(t *testing.T) {
 	body := make([]byte, 16<<10)
 	for i := range body {
@@ -376,27 +380,38 @@ func TestCapProfileThrottles(t *testing.T) {
 		w.Write(body)
 	}))
 	defer srv.Close()
-	p, ok := Lookup("cap-64k")
-	if !ok || p.BandwidthBps != 64<<10 {
-		t.Fatalf("Lookup(cap-64k) = %+v, %v", p, ok)
-	}
-	client := &http.Client{Transport: NewTransport(nil, p, 1)}
-	start := time.Now()
-	resp, err := client.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, body) {
-		t.Fatalf("throttled body: %d bytes, not the %d sent", len(got), len(body))
-	}
-	if floor := time.Duration(float64(time.Second) * 0.9 * float64(len(body)) / float64(p.BandwidthBps)); elapsed < floor {
-		t.Fatalf("%d bytes at %d B/s arrived in %v, under %v", len(body), p.BandwidthBps, elapsed, floor)
+	for _, tc := range []struct {
+		name string
+		bps  int
+	}{{"cap-64k", 64 << 10}, {"mobile-3g", 256 << 10}} {
+		p, ok := Lookup(tc.name)
+		if !ok || p.BandwidthBps != tc.bps {
+			t.Fatalf("Lookup(%s) = %+v, %v; want %d B/s", tc.name, p, ok, tc.bps)
+		}
+		tr := NewTransport(nil, p, 1)
+		client := &http.Client{Transport: tr}
+		start := time.Now()
+		resp, err := client.Get(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := tr.Stats(); st != (Stats{Requests: 1}) {
+			t.Fatalf("%s: the seed's draws injected faults: %+v", tc.name, st)
+		}
+		if !bytes.Equal(got, body) {
+			t.Fatalf("%s: throttled body: %d bytes, not the %d sent", tc.name, len(got), len(body))
+		}
+		// The profile's fixed latency is added to the request; the cap
+		// paces the body after it.
+		if floor := p.Latency + time.Duration(float64(time.Second)*0.9*float64(len(body))/float64(p.BandwidthBps)); elapsed < floor {
+			t.Fatalf("%s: %d bytes at %d B/s arrived in %v, under %v", tc.name, len(body), p.BandwidthBps, elapsed, floor)
+		}
 	}
 	for _, name := range []string{"cap-0k", "cap-k", "cap--4k", "cap-64"} {
 		if _, ok := Lookup(name); ok {

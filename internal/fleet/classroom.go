@@ -1,10 +1,11 @@
 // Classroom mode: the shared-session fan-out measurement. Where the base
 // fleet gives every learner their own hosted session, a classroom run
 // opens R rooms — one driven session each — and points W watchers per
-// room at the broadcast. The server renders each state change once no
-// matter how many watchers follow, so this is the load shape behind
-// experiment E18: publications per second scale with the drivers, and
-// delivery scales with the watchers, never the other way around.
+// room at the broadcast. A watcher is a replica: it holds the package it
+// downloaded, replays its driver's acts and renders its own frame, so the
+// server renders nothing for a room. This is the load shape behind
+// experiment E18: the log grows with the drivers, and delivery scales
+// with the watchers, never the other way around.
 package fleet
 
 import (
@@ -17,9 +18,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/gamepack"
+	"repro/internal/media/raster"
 	"repro/internal/netstream"
 	"repro/internal/playsvc"
 	"repro/internal/sim"
@@ -88,18 +89,16 @@ type ClassroomSummary struct {
 	Watchers int // per room
 	Elapsed  time.Duration
 
-	// Renders counts server-side presentation renders across all rooms;
-	// Published counts the publications the drivers caused (room creation
-	// plus every successful act). Equal numbers mean the hub rendered each
-	// state change exactly once regardless of watcher count — the claim
-	// E18 asserts.
-	Renders   int64
-	Published int64
+	// Acts counts the acts the rooms logged — their drivers' applied acts.
+	// Diverged counts the watchers that did not end at their room's seq
+	// in its driver's state (the replica's state tag): zero means every
+	// replica replayed its whole lesson — the claim E18 asserts.
+	Acts     int64
+	Diverged int
 
-	Delivered       int64   // frames handed to watchers (server count)
-	ClientDelivered int64   // frames watchers actually received (cross-check)
-	Skipped         int64   // publications watchers never received (seq gaps)
-	FramesPerSec    float64 // delivered / wall time
+	Delivered       int64   // watch replies handed to watchers (server count)
+	ClientDelivered int64   // replies watchers applied, one frame rendered each (cross-check)
+	RepliesPerSec   float64 // delivered / wall time
 
 	QuizzesAsked    int   // distinct quizzes opened across rooms
 	AnswersSent     int   // watcher answers accepted over the wire
@@ -119,14 +118,13 @@ func (s *ClassroomSummary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "CLASSROOM RUN — %d rooms × %d watchers\n", s.Rooms, s.Watchers)
 	fmt.Fprintf(&b, "  wall time      : %v\n", s.Elapsed.Round(time.Millisecond))
-	oneRender := "one render per tick"
-	if s.Renders != s.Published {
-		oneRender = "RENDER/PUBLISH MISMATCH"
+	replicas := "every replica at its room's seq and state"
+	if s.Diverged > 0 {
+		replicas = fmt.Sprintf("%d REPLICAS BEHIND OR DIVERGED", s.Diverged)
 	}
-	fmt.Fprintf(&b, "  renders        : %d for %d publications (%s)\n", s.Renders, s.Published, oneRender)
-	fmt.Fprintf(&b, "  fan-out        : %d frames delivered (%d received), %d skipped by slow watchers\n",
-		s.Delivered, s.ClientDelivered, s.Skipped)
-	fmt.Fprintf(&b, "  throughput     : %.0f frames/s delivered\n", s.FramesPerSec)
+	fmt.Fprintf(&b, "  acts logged    : %d (%s)\n", s.Acts, replicas)
+	fmt.Fprintf(&b, "  fan-out        : %d replies delivered (%d applied)\n", s.Delivered, s.ClientDelivered)
+	fmt.Fprintf(&b, "  throughput     : %.0f replies/s delivered\n", s.RepliesPerSec)
 	fmt.Fprintf(&b, "  first frame    : %s\n", s.First)
 	fmt.Fprintf(&b, "  answer latency : %s\n", s.Answer)
 	lost := int64(s.AnswersSent) - s.AnswersRecorded
@@ -143,18 +141,20 @@ func (s *ClassroomSummary) String() string {
 
 // driverOutcome is what one room's driver hands back.
 type driverOutcome struct {
-	published int64 // the room's create-time publish + successful acts
-	stats     playsvc.RoomStats
-	statsOK   bool
-	err       error
+	stats   playsvc.RoomStats
+	statsOK bool
+	err     error
 }
 
-// watcherOutcome is what one watcher hands back.
+// watcherOutcome is what one watcher hands back: seq and tag are where its
+// replica ended.
 type watcherOutcome struct {
 	first      time.Duration
 	answerRTTs []time.Duration
 	delivered  int64
 	answers    int
+	seq        int64
+	tag        uint64
 	err        error
 }
 
@@ -171,8 +171,8 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 		defer cfg.HTTP.CloseIdleConnections()
 	}
 	// The drivers choose actions against a local copy of the project (the
-	// same package the server hosts), and watchers look quiz metadata up in
-	// it to answer plausibly.
+	// same package the server hosts); every watcher's replica is built from
+	// it, and watchers look quiz metadata up in it to answer plausibly.
 	nc := &netstream.Client{HTTP: cfg.HTTP}
 	blob, _, err := nc.DownloadDelta(cfg.ServerURL+"/pkg/"+cfg.Package, netstream.NewPackageCache())
 	if err != nil {
@@ -224,7 +224,7 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 			go func(r, w int) {
 				defer wg.Done()
 				idx := r*cfg.Watchers + w
-				watchers[idx] = runWatcher(&cfg, pkg.Project, seats[r].SessionID(), int64(idx), deadline)
+				watchers[idx] = runWatcher(&cfg, pkg, seats[r].SessionID(), int64(idx), deadline)
 			}(r, w)
 		}
 	}
@@ -243,11 +243,9 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 			sum.DriversFailed++
 			sampleErr("driver", i, d.err)
 		}
-		sum.Published += d.published
 		if d.statsOK {
-			sum.Renders += d.stats.Renders
+			sum.Acts += d.stats.Seq
 			sum.Delivered += d.stats.Delivered
-			sum.Skipped += d.stats.Skipped
 			sum.AnswersRecorded += d.stats.Answers
 			sum.QuizzesAsked += len(d.stats.Quizzes)
 		}
@@ -260,6 +258,9 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 			sampleErr("watcher", i, o.err)
 			continue
 		}
+		if d := &drivers[i/cfg.Watchers]; !d.statsOK || o.seq != d.stats.Seq || o.tag != d.stats.StateTag {
+			sum.Diverged++
+		}
 		sum.ClientDelivered += o.delivered
 		sum.AnswersSent += o.answers
 		firsts = append(firsts, o.first)
@@ -268,7 +269,7 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 	sum.First = quantiles(firsts)
 	sum.Answer = quantiles(answers)
 	if secs := elapsed.Seconds(); secs > 0 {
-		sum.FramesPerSec = float64(sum.Delivered) / secs
+		sum.RepliesPerSec = float64(sum.Delivered) / secs
 	}
 	return sum, nil
 }
@@ -279,7 +280,6 @@ func RunClassroom(cfg ClassroomConfig) (*ClassroomSummary, error) {
 // cohort before being answered.
 func runRoomDriver(cfg *ClassroomConfig, pc *playsvc.Client, seed int64) driverOutcome {
 	var o driverOutcome
-	o.published = 1 // the create-time publication (seq 1)
 	var err error
 	policy := cfg.Policy.New()
 	rng := rand.New(rand.NewSource(cfg.Seed + seed*7919))
@@ -317,17 +317,16 @@ func runRoomDriver(cfg *ClassroomConfig, pc *playsvc.Client, seed int64) driverO
 			o.err = fmt.Errorf("driver tick %d: %w", tick, err)
 			break
 		}
-		o.published++
 	}
 	// Grace: let the cohort answer anything still pending, answer it, and
-	// let the final publication drain to every ring before the stats
-	// snapshot freezes the tallies.
+	// let the final acts reach every watcher before the stats snapshot
+	// freezes the tallies and the log.
 	grace := 2*watchHold(cfg) + 500*time.Millisecond
 	if q, pending := pc.PendingQuiz(); pending && o.err == nil {
 		time.Sleep(grace)
-		if _, err := pc.AnswerQuiz(q.ID, q.Answer); err == nil {
-			o.published++
-		}
+		// A failed answer logs nothing: the room's seq, which every
+		// watcher must reach, counts only what applied.
+		_, _ = pc.AnswerQuiz(q.ID, q.Answer)
 	}
 	time.Sleep(grace)
 	statsURL := cfg.PlayURL + playsvc.RoomStatsPath + "?room=" + url.QueryEscape(pc.SessionID())
@@ -357,16 +356,17 @@ func watchHold(cfg *ClassroomConfig) time.Duration {
 	return hold
 }
 
-// runWatcher follows one room to the end: long-poll the broadcast, answer
-// each quiz once. A watcher answers correctly with probability
+// runWatcher follows one room to the end: long-poll the driver's acts,
+// replay them on the watcher's replica, render its frame once per reply,
+// and answer each quiz once. A watcher answers correctly with probability
 // watcherCorrectness, otherwise picks a random wrong choice. The catch-up
-// is the first poll, which returns at once: a quiz already open when the
-// watcher starts arrives in its u.Quiz.
-func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed int64, deadline time.Time) watcherOutcome {
+// is the first poll, which returns as soon as the driver has acted: a quiz
+// already open when the watcher starts is pending on its replica.
+func runWatcher(cfg *ClassroomConfig, pkg *gamepack.Package, roomID string, seed int64, deadline time.Time) watcherOutcome {
 	var o watcherOutcome
 	rng := rand.New(rand.NewSource(cfg.Seed + seed*104729 + 13))
 	started := time.Now()
-	wc, err := playsvc.JoinRoom(playsvc.RoomClientOptions{BaseURL: cfg.PlayURL, Room: roomID, HTTP: cfg.HTTP})
+	wc, err := playsvc.JoinRoom(playsvc.RoomClientOptions{BaseURL: cfg.PlayURL, Room: roomID, Pkg: pkg, HTTP: cfg.HTTP})
 	if err != nil {
 		o.err = err
 		return o
@@ -376,7 +376,7 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 		if quizID == "" || answered[quizID] {
 			return
 		}
-		q := proj.QuizByID(quizID)
+		q := pkg.Project.QuizByID(quizID)
 		if q == nil || len(q.Choices) == 0 {
 			return
 		}
@@ -397,14 +397,14 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 	}
 	hold := watchHold(cfg)
 	for time.Now().Before(deadline) {
-		var u *playsvc.WatchUpdate
-		u, _, err = wc.Poll(hold)
-		if u != nil {
+		var f *raster.Frame
+		f, err = wc.Poll(hold)
+		if f != nil {
 			if o.delivered == 0 {
 				o.first = time.Since(started)
 			}
 			o.delivered++
-			answer(u.Quiz)
+			answer(wc.PendingQuiz())
 		}
 		if err != nil {
 			var pe *playsvc.Error
@@ -415,5 +415,6 @@ func runWatcher(cfg *ClassroomConfig, proj *core.Project, roomID string, seed in
 		}
 	}
 	o.err = err
+	o.seq, o.tag = wc.Seq(), wc.StateTag()
 	return o
 }

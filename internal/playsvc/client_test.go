@@ -2,12 +2,10 @@ package playsvc
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -234,49 +232,24 @@ func isLeaveFrame(r *http.Request) bool {
 }
 
 // TestFrameGeometryRejected: geometry off the wire sizes a client's pixel
-// buffer — the X-Frame headers on the session frame route, the geometry
-// record of a watch chunk on the room route — so a garbled or hostile
-// response must be refused before anything is allocated: out-of-range
-// sides, and a byte count that contradicts the claimed geometry.
+// buffer — the X-Frame headers on the session frame route — so a garbled
+// or hostile response must be refused before anything is allocated:
+// out-of-range sides, and a byte count that contradicts the claimed
+// geometry. (A watcher renders its replica's frame; no geometry reaches it
+// off the wire.)
 func TestFrameGeometryRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name, w, h string
 		body       int
-		watch      bool // deliver as a watch chunk to RoomClient.Poll
 		want       string
 	}{
-		{"huge-width", "1000000", "120", 16, false, "geometry"},
-		{"huge-height", "160", "1000000", 16, false, "geometry"},
-		{"overflowing", "9223372036854775807", "3", 16, false, "geometry"},
-		{"zero", "0", "120", 16, false, "geometry"},
-		{"length-mismatch", "160", "120", 16, false, "carries 16 bytes"},
-		{"watch-huge-width", "1000000", "120", 16, true, "geometry"},
-		{"watch-huge-height", "160", "1000000", 16, true, "geometry"},
-		{"watch-overflowing", "9223372036854775807", "3", 16, true, "malformed width"},
-		{"watch-zero", "0", "120", 0, true, "geometry"},
-		{"watch-length-mismatch", "1000", "1000", 3, true, "claims 3 bytes"},
+		{"huge-width", "1000000", "120", 16, "geometry"},
+		{"huge-height", "160", "1000000", 16, "geometry"},
+		{"overflowing", "9223372036854775807", "3", 16, "geometry"},
+		{"zero", "0", "120", 16, "geometry"},
+		{"length-mismatch", "160", "120", 16, "carries 16 bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.watch {
-				pw, _ := strconv.ParseUint(tc.w, 10, 64)
-				ph, _ := strconv.ParseUint(tc.h, 10, 64)
-				ts := stubPlayServer(t, func(w http.ResponseWriter, r *http.Request) {
-					p := &pub{seq: 1, w: int(pw), h: int(ph), pix: make([]byte, tc.body)}
-					w.Write(appendWatchChunk(nil, p, watchTails{}, 0, 0))
-					w.Write(p.pix)
-				})
-				wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: "r"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := wc.Poll(time.Second); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("Poll() = %v, want a %q ErrBadFrame refusal", err, tc.want)
-				}
-				if cap(wc.frame.Pix) != 0 {
-					t.Fatalf("refused chunk still allocated a %d-byte buffer", cap(wc.frame.Pix))
-				}
-				return
-			}
 			ts := stubPlayServer(t, func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("X-Frame-Width", tc.w)
 				w.Header().Set("X-Frame-Height", tc.h)

@@ -440,7 +440,7 @@ func TestJSONAdapterMatchesFrame(t *testing.T) {
 	}
 	// The room create: a kind-less JSON body with course and room set on
 	// one id, a create-and-room frame on the other — the same create reply
-	// either way, and each opens its room at publication seq 1.
+	// either way, and each opens its room at seq 0 in the start state.
 	rooms := [2]string{newSessionID("classroom"), newSessionID("classroom")}
 	jroom := viaJSON(rooms[0], ActRequest{Course: "classroom", Room: true})
 	out, err = ParseReplyFrame(post(ActV2Path, FrameContentType,
@@ -454,8 +454,8 @@ func TestJSONAdapterMatchesFrame(t *testing.T) {
 		t.Fatalf("room create: JSON adapter and frame disagree:\n json  %+v\n frame %+v", jroom, froom)
 	}
 	for _, id := range rooms {
-		if st, err := m.RoomStatsOf(id); err != nil || st.Seq != 1 {
-			t.Fatalf("room %s after its create: %+v, %v; want seq 1", id, st, err)
+		if st, err := m.RoomStatsOf(id); err != nil || st.Seq != 0 || st.StateTag != froom.StateTag {
+			t.Fatalf("room %s after its create: %+v, %v; want seq 0 and the create reply's state tag %016x", id, st, err, froom.StateTag)
 		}
 	}
 }

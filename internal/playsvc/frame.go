@@ -2,8 +2,8 @@
 // life travels in, from its create or resume to its leave (POST /play/act
 // is the JSON adapter over the same batch).
 //
-// A frame is an internal/tagrec container, like the snapshot envelope and
-// the watch chunk; this file holds the act and reply tag tables and the
+// A frame is an internal/tagrec container, like the snapshot envelope;
+// this file holds the act and reply tag tables and the
 // act-error codec the frame and the envelope share (an event's is
 // runtime.AppendEvent, which telemetry batches carry too, and a state's
 // runtime.StateEncoder, whose bytes the snapshot stores too). Request frames
@@ -13,7 +13,9 @@
 // gateway routes a frame, counts its create and sweeps for its resume,
 // without parsing (or re-encoding) the rest. A frame may open its session, act on
 // it and end it all at once: a thick client's whole session can be one
-// frame. Reply frames ("VRPL") carry per-act results plus ONE coalesced
+// frame. A room answers a watch with an act frame too: its driver's acts,
+// which the watcher replays on a replica of its own (room.go). Reply
+// frames ("VRPL") carry per-act results plus ONE coalesced
 // state/event/message tail, so a batch of N acts costs one state snapshot
 // instead of N; a create's or a resume's reply adds the course and its
 // video geometry.
@@ -173,7 +175,7 @@ func frameBadf(format string, args ...any) error {
 // --- shared field codecs -----------------------------------------------------
 
 // readEvent is runtime.ReadEvent under ErrBadFrame, for the reply frame's
-// and the watch chunk's event tails.
+// event tail.
 func readEvent(payload []byte) (runtime.Event, error) {
 	e, err := runtime.ReadEvent(payload)
 	if err != nil {
@@ -238,20 +240,24 @@ func EncodeActFrame(req *BatchRequest) []byte {
 	b = tagrec.AppendUint(b, atagSeenEvents, uint64(req.SeenEvents))
 	b = tagrec.AppendUint(b, atagSeenMessages, uint64(req.SeenMessages))
 	for i := range req.Acts {
-		a := &req.Acts[i]
-		var mark int
-		b, mark = tagrec.BeginRecord(b, atagAct)
-		b = binary.AppendUvarint(b, wireKind(a.Kind))
-		b = tagrec.AppendStr(b, a.Object)
-		b = tagrec.AppendStr(b, a.Item)
-		b = tagrec.AppendZigzag(b, int64(a.X))
-		b = tagrec.AppendZigzag(b, int64(a.Y))
-		b = tagrec.AppendStr(b, a.Quiz)
-		b = tagrec.AppendZigzag(b, int64(a.Choice))
-		b = binary.AppendUvarint(b, uint64(max(a.Ticks, 0)))
-		b = tagrec.EndRecord(b, mark)
+		b = appendAct(b, &req.Acts[i])
 	}
 	return tagrec.Finish(b, 0)
+}
+
+// appendAct appends one act record: the bytes an act frame carries per
+// act, and the bytes a room logs per applied act of its driver.
+func appendAct(b []byte, a *ActRequest) []byte {
+	b, mark := tagrec.BeginRecord(b, atagAct)
+	b = binary.AppendUvarint(b, wireKind(a.Kind))
+	b = tagrec.AppendStr(b, a.Object)
+	b = tagrec.AppendStr(b, a.Item)
+	b = tagrec.AppendZigzag(b, int64(a.X))
+	b = tagrec.AppendZigzag(b, int64(a.Y))
+	b = tagrec.AppendStr(b, a.Quiz)
+	b = tagrec.AppendZigzag(b, int64(a.Choice))
+	b = binary.AppendUvarint(b, uint64(max(a.Ticks, 0)))
+	return tagrec.EndRecord(b, mark)
 }
 
 // ParseActFrame parses a binary act frame into a batch request. Every

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -284,6 +283,11 @@ func FuzzParseActFrame(f *testing.F) {
 	for _, frame := range opFrames() {
 		f.Add(frame)
 	}
+	// A room's watch reply at seq 0: the create and 40 of its driver's acts.
+	r := drivenRoom(f, classroomActs(40))
+	r.mu.Lock()
+	f.Add(r.appendWatch(nil, 0, r.reach(0)))
+	r.mu.Unlock()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseActFrame(data)
 		if err != nil {
@@ -394,62 +398,28 @@ func FuzzParseReplyFrame(f *testing.F) {
 	})
 }
 
-// FuzzParseWatchChunk holds the watch-chunk parser — what a watcher runs on
-// whatever a server (or a corrupting middlebox) sends — to the same bar:
-// arbitrary input never panics, every rejection is a typed ErrBadFrame, and
-// an accepted chunk's geometry is in range and agrees with its pixel
-// length, so the frame buffer it sizes is always a whole W×H frame.
-func FuzzParseWatchChunk(f *testing.F) {
-	tails := watchTails{
-		eventBase: 2, events: []runtime.Event{{Tick: 3, Kind: "talk", Detail: "teacher"}}, eventCount: 3,
-		messages: []string{"hello class"}, messageCount: 1,
-		quiz: "q-diagnosis",
+// TestAppendWatchAllocatesNothing: a watch is answered by copying the
+// room's logged act records into the watcher's recycled reply buffer — the
+// create, the state tag and the base seq written in place — and the reply
+// parses back to the acts the driver applied.
+func TestAppendWatchAllocatesNothing(t *testing.T) {
+	acts := classroomActs(40)
+	r := drivenRoom(t, acts)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.reach(0)
+	dst := r.appendWatch(nil, 0, e)
+	if allocs := testing.AllocsPerRun(100, func() { dst = r.appendWatch(dst, 0, e) }); allocs != 0 {
+		t.Fatalf("appendWatch allocates %.0f times per reply", allocs)
 	}
-	// Seeds are chunk headers as the client sees them: appendWatchChunk
-	// output without its 4-byte length prefix.
-	for _, p := range []*pub{
-		{seq: 1, w: 160, h: 120, pix: make([]byte, 3*160*120)},
-		{seq: 9, tick: 40, w: 1, h: 1, pix: make([]byte, 3)},
-		{seq: 2, w: 1000, h: 1000, pix: make([]byte, 3)}, // geometry and length disagree
-		{seq: 3, w: 0, h: 120},
-	} {
-		f.Add(appendWatchChunk(nil, p, tails, 0, 0)[4:])
+	req, err := ParseActFrame(dst)
+	if err != nil || req.Session != r.id || req.Create != "classroom" || req.BaseSeq != 1 || req.StateTag != e.tag || e.seq != int64(len(acts)) {
+		t.Fatalf("the reply it wrote parses to %+v, %v", req, err)
 	}
-	f.Add([]byte{})
-	f.Add([]byte("VWCH"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		u, err := ParseWatchChunk(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("untyped rejection: %v", err)
-			}
-			if u != nil {
-				t.Fatal("non-nil update alongside error")
-			}
-			return
+	for i := range acts {
+		if want := acts[i]; req.Acts[i].Kind != want.Kind || req.Acts[i].Object != want.Object || req.Acts[i].Ticks != want.Ticks {
+			t.Fatalf("act %d = %+v, want %+v", i+1, req.Acts[i], want)
 		}
-		if u.W < 1 || u.H < 1 || u.W > maxFrameDim || u.H > maxFrameDim || u.PixLen != 3*u.W*u.H {
-			t.Fatalf("accepted chunk has geometry %dx%d with %d pixel bytes", u.W, u.H, u.PixLen)
-		}
-	})
-}
-
-// TestAppendWatchChunkAllocatesNothing: a watcher's poll is answered out of
-// its recycled header buffer — tails past the ack included, every nested
-// record closed in place.
-func TestAppendWatchChunkAllocatesNothing(t *testing.T) {
-	p := &pub{seq: 7, tick: 40, w: 160, h: 120, pix: make([]byte, 3*160*120)}
-	tails := watchTails{
-		eventBase: 2, events: []runtime.Event{{Tick: 3, Kind: "talk", Detail: strings.Repeat("teacher ", 40)}}, eventCount: 3,
-		messages: []string{"hello class"}, messageCount: 1,
-		quiz: "q-diagnosis",
-	}
-	dst := appendWatchChunk(nil, p, tails, 0, 0)
-	if allocs := testing.AllocsPerRun(100, func() { dst = appendWatchChunk(dst, p, tails, 0, 0) }); allocs != 0 {
-		t.Fatalf("appendWatchChunk allocates %.0f times per chunk", allocs)
-	}
-	if u, err := ParseWatchChunk(dst[4:]); err != nil || len(u.Events) != 1 || u.Events[0] != tails.events[0] {
-		t.Fatalf("the chunk it wrote parses to %+v, %v", u, err)
 	}
 }
 

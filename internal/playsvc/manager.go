@@ -93,8 +93,8 @@ type hosted struct {
 	// enc encodes the state every reply names into buffers it reuses.
 	enc runtime.StateEncoder
 	// room is the broadcast hub when this session is driven as a shared
-	// classroom (nil otherwise). Guarded by mu; the act and frame paths
-	// publish into it after every state change.
+	// classroom (nil otherwise). Guarded by mu; the act path logs every
+	// batch's applied acts into it.
 	room *Room
 
 	// gone marks a session that has been released (left, evicted or
@@ -226,11 +226,9 @@ type Manager struct {
 	freezeNs  *obs.Histogram
 	thawNs    *obs.Histogram
 	restoreNs *obs.Histogram
-	// fanoutNs is publish→delivery latency per fan-out frame; skipHist is
-	// the per-delivery gap between the seq a watch presented and the one
-	// delivered (0 for a watcher keeping up, and for a first poll).
+	// fanoutNs is publish→delivery latency per watch reply that carries
+	// acts: from the publish of its last batch to the reply.
 	fanoutNs *obs.Histogram
-	skipHist *obs.Histogram
 	ring     *obs.SpanRing
 
 	coursesMu sync.RWMutex
@@ -253,9 +251,7 @@ type Manager struct {
 	roomsMu sync.Mutex
 	rooms   map[string]*Room
 	// Room fan-out counters (monotonic, cluster-mergeable).
-	roomRenders   atomic.Int64
 	roomDelivered atomic.Int64
-	roomSkipped   atomic.Int64
 	roomAnswers   atomic.Int64
 
 	// mu guards the session map and the tombstones. It is held for a map
@@ -311,7 +307,6 @@ func NewManager(o Options) *Manager {
 		thawNs:         obs.NewHistogram(obs.LatencyBounds),
 		restoreNs:      obs.NewHistogram(obs.LatencyBounds),
 		fanoutNs:       obs.NewHistogram(obs.LatencyBounds),
-		skipHist:       obs.NewHistogram(obs.CountBounds),
 		ring:           obs.NewSpanRing(node, 0),
 		rooms:          map[string]*Room{},
 		courses:        map[string]*course{},
@@ -905,19 +900,18 @@ func (m *Manager) runLocked(h *hosted, req *BatchRequest) *BatchReply {
 	bits := make([]byte, 0, len(req.Acts))
 	var actErr *Error
 	for i := range acts {
-		b, aerr := m.applyOne(h, &acts[i])
+		b, aerr := applyAct(h.sess, &acts[i])
 		if aerr != nil {
 			actErr = aerr
 			break
 		}
 		bits = append(bits, b)
 	}
-	// Broadcast after applying, before the reply: one render per
-	// state-changing batch, no matter how many watchers follow. The
-	// dedup-retry path returns without re-applying and without
-	// re-publishing, so the render count tracks real state changes exactly.
-	if h.room != nil && len(acts) > 0 && (len(bits) > 0 || actErr == nil) {
-		h.room.publish()
+	// A room logs the acts that applied, before the reply; the dedup-retry
+	// path returns without re-applying and so without logging twice. A log
+	// that is full closes the room, as a leave does.
+	if h.room != nil && len(bits) > 0 && !h.room.publish(h, acts[:len(bits)]) {
+		m.closeRoomLocked(h)
 	}
 	if leaves && actErr == nil {
 		return m.leaveLocked(h, req, append(bits, 0))
@@ -978,32 +972,33 @@ func (h *hosted) batchReplyLocked(req *BatchRequest, bits []byte, actErr *Error)
 	return out
 }
 
-// applyOne applies one non-leave act to a locked session, returning its
-// result bits or the act-level error that refused it.
-func (m *Manager) applyOne(h *hosted, a *ActRequest) (byte, *Error) {
+// applyAct applies one non-leave act to a session, returning its result
+// bits or the act-level error that refused it: a hosted session's under
+// its lock, and a room watcher's replica replaying its driver's acts.
+func applyAct(sess *runtime.Session, a *ActRequest) (byte, *Error) {
 	switch a.Kind {
 	case ActClick:
-		h.sess.Click(a.X, a.Y)
+		sess.Click(a.X, a.Y)
 	case ActExamine:
-		h.sess.Examine(a.Object)
+		sess.Examine(a.Object)
 	case ActTalk:
-		h.sess.Talk(a.Object)
+		sess.Talk(a.Object)
 	case ActTake:
 		bits := byte(resHasTook)
-		if h.sess.Take(a.Object) {
+		if sess.Take(a.Object) {
 			bits |= resTook
 		}
 		return bits, nil
 	case ActUse:
-		h.sess.UseItemOn(a.Item, a.Object)
+		sess.UseItemOn(a.Item, a.Object)
 	case ActSelect:
-		if err := h.sess.SelectItem(a.Item); err != nil {
+		if err := sess.SelectItem(a.Item); err != nil {
 			return 0, errf(http.StatusBadRequest, "%v", err)
 		}
 	case ActClear:
-		h.sess.ClearSelection()
+		sess.ClearSelection()
 	case ActQuiz:
-		ok, err := h.sess.AnswerQuiz(a.Quiz, a.Choice)
+		ok, err := sess.AnswerQuiz(a.Quiz, a.Choice)
 		if err != nil {
 			return 0, errf(http.StatusBadRequest, "%v", err)
 		}
@@ -1013,7 +1008,7 @@ func (m *Manager) applyOne(h *hosted, a *ActRequest) (byte, *Error) {
 		}
 		return bits, nil
 	case ActGoto:
-		if err := h.sess.GotoScenario(a.Object); err != nil {
+		if err := sess.GotoScenario(a.Object); err != nil {
 			return 0, errf(http.StatusBadRequest, "%v", err)
 		}
 	case ActTick:
@@ -1024,7 +1019,7 @@ func (m *Manager) applyOne(h *hosted, a *ActRequest) (byte, *Error) {
 		if n > maxTicks {
 			return 0, errf(http.StatusBadRequest, "playsvc: %d ticks exceeds the per-act bound (%d)", n, maxTicks)
 		}
-		if err := h.sess.Advance(n); err != nil {
+		if err := sess.Advance(n); err != nil {
 			return 0, errf(http.StatusInternalServerError, "%v", err)
 		}
 	default:
@@ -1191,9 +1186,7 @@ func (m *Manager) Register(reg *obs.Registry) {
 		}
 		return n
 	})
-	reg.CounterFunc("playsvc_room_renders_total", "room publications (one render each)", m.roomRenders.Load)
-	reg.CounterFunc("playsvc_room_frames_delivered_total", "fan-out frames handed to watchers", m.roomDelivered.Load)
-	reg.CounterFunc("playsvc_room_frames_skipped_total", "fan-out publications watchers never received (seq gaps)", m.roomSkipped.Load)
+	reg.CounterFunc("playsvc_room_frames_delivered_total", "watch replies (act frames) handed to watchers", m.roomDelivered.Load)
 	reg.CounterFunc("playsvc_room_answers_total", "cohort quiz answers recorded", m.roomAnswers.Load)
 	reg.CounterFunc("playsvc_framecache_hits_total", "decoded-frame cache hits", frameCaches(func(h, _, _, _, _ int64) int64 { return h }))
 	reg.CounterFunc("playsvc_framecache_misses_total", "decoded-frame cache misses", frameCaches(func(_, mi, _, _, _ int64) int64 { return mi }))
@@ -1205,7 +1198,6 @@ func (m *Manager) Register(reg *obs.Registry) {
 	reg.RegisterHistogram("playsvc_thaw_seconds", "session thaw duration (restore included)", "seconds", m.thawNs)
 	reg.RegisterHistogram("playsvc_restore_seconds", "runtime snapshot restore duration", "seconds", m.restoreNs)
 	reg.RegisterHistogram("playsvc_fanout_seconds", "room publish-to-delivery latency", "seconds", m.fanoutNs)
-	reg.RegisterHistogram("playsvc_fanout_skipped", "frames bypassed per fan-out delivery", "frames", m.skipHist)
 }
 
 // Snapshot reads the manager's scalars: its registry's flat view

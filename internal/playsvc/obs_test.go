@@ -380,7 +380,7 @@ func playClass(t testing.TB, baseURL string, evict func()) *Client {
 	roomID := driver.SessionID()
 	watchers := make([]*RoomClient, 2)
 	for i := range watchers {
-		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID})
+		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID, Pkg: classroomPkg(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func playClass(t testing.TB, baseURL string, evict func()) *Client {
 		t.Fatal(err)
 	}
 	for _, wc := range watchers {
-		if _, _, err := wc.Poll(time.Second); err != nil {
+		if _, err := wc.Poll(time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ const (
 // room route names its room in the query. There is no join or leave: a
 // watch is a read that names the publication the watcher holds.
 const (
-	RoomWatchPath  = "/room/watch"  // GET ?room=&seq=&events=&messages=&wait_ms= → one watch chunk (long poll; 204 = idle)
+	RoomWatchPath  = "/room/watch"  // GET ?room=&seq=&wait_ms= → one act frame of the driver's acts (long poll; 204 = idle)
 	RoomAnswerPath = "/room/answer" // POST ?room= RoomAnswerRequest → RoomAnswerReply
 	RoomStatsPath  = "/room/stats"  // GET ?room= → RoomStats
 )
@@ -111,9 +111,9 @@ type BatchRequest struct {
 	Create string
 	// Room, beside a Create, opens the session as a classroom room before
 	// the acts apply: a broadcast hub attaches under the session's id and
-	// renders publication seq 1, the frame a watcher's first poll returns
-	// until the driver acts. A retried create reattaches to the hub it opened. Legal only
-	// with a Create.
+	// logs every act the session applies from then on, for watchers to
+	// replay (seq 0 is the create). A retried create reattaches to the hub
+	// it opened. Legal only with a Create.
 	Room bool
 	// Resume reattaches Session before the acts apply: a live session
 	// answers at once, an absent one thaws from the snapshot directory —
@@ -273,11 +273,9 @@ type RoomQuizTally struct {
 // RoomStats is the /room/stats payload for one room.
 type RoomStats struct {
 	Room      string          `json:"room"`
-	Seq       int64           `json:"seq"`
-	Tick      int             `json:"tick"`
-	Renders   int64           `json:"renders"`   // exactly one per publication
-	Delivered int64           `json:"delivered"` // frames handed to watchers
-	Skipped   int64           `json:"skipped"`   // publications watchers never received (the seq gaps at delivery)
+	Seq       int64           `json:"seq"`       // acts logged: the driver's applied acts
+	StateTag  uint64          `json:"state_tag"` // the state the last logged act leaves
+	Delivered int64           `json:"delivered"` // watch replies handed to watchers
 	Answers   int64           `json:"answers"`
 	Quiz      string          `json:"quiz,omitempty"` // currently pending
 	Quizzes   []RoomQuizTally `json:"quizzes,omitempty"`

@@ -2,44 +2,57 @@
 //
 // A Room wraps one hosted runtime.Session with a driver seat. The driver is
 // an ordinary play-service client — instructor or policy — acting through
-// the existing act path; every state change renders the presentation frame
-// ONCE into an immutable, sequence-numbered publication, the room's
-// current one. A watcher is a read: each watch names the publication it
-// holds (its seq) and the event and message totals it has seen, and is
-// answered with the current publication as soon as that is newer. The
-// room keeps no watcher — no subscription, slot or channel — so a
-// publish does the same work for one watcher or ten thousand, and a
-// watcher that walks away costs nothing. A watcher that fell behind gets
-// the freshest frame on its next poll; the publications it never saw are
-// the gap between the two seqs, counted as skipped at delivery. Frames are
-// skippable; events and messages are not: they are served as coalesced
-// tails keyed by the presented seen-counts, the same ack idiom the act
-// path uses, so a watcher that missed frames still reconstructs the full
-// classroom transcript. Watchers also answer the pending quiz
-// (POST /room/answer); the room tallies answers per question for the
-// instructor's cohort view.
+// the existing act path. A watcher is a replica: it holds the opened course
+// package, builds its own session from it, and replays the driver's acts.
+// The room logs every act the driven session applies (a refused act changes
+// nothing and stays out), each encoded once as the act record a VACT frame
+// carries, and marks the end of each driver batch with the state tag it
+// leaves. A watch names the seq it holds — how many logged acts its replica
+// has applied, 0 before its first reply — and is answered with an act
+// frame: the room id as session, BaseSeq = seq+1, the logged acts from
+// there (at most maxFrameActs, ending on a batch boundary), a state-tag
+// record naming the state the last of them leaves, and at seq 0 a create
+// record naming the course. Replaying a reply on a replica at that seq
+// rebuilds the driver's session — frame, events, messages, pending quiz —
+// so the server renders nothing for a room, and a reply costs the bytes of
+// its acts, not of a frame's pixels. A watcher that fell behind catches up
+// in one reply per maxFrameActs acts; no act is skipped, so the replica's
+// transcript is the driver's from the create.
+//
+// The room keeps no watcher — no subscription, slot or channel — so a
+// publish does the same O(1) work for one watcher or ten thousand: an
+// append to the log and one close that wakes every waiting watch. Watchers
+// also answer the pending quiz (POST /room/answer); the room tallies
+// answers per question for the instructor's cohort view.
+//
+// Limits. The log holds at most roomActCap acts; the batch that would pass
+// it closes the room as a leave does, and the driven session plays on. A
+// watcher must hold the package version its driver runs: a replica of
+// another project fails on the first state tag, but one that differs only
+// in footage would render other pixels unnoticed. A client without the
+// package reads the room's frame with GET /play/frame?session=<room> (a
+// read of the driven session: one render per request).
 //
 // Lock order: hosted.mu → Room.mu. The publish path runs under the driven
-// session's lock (it renders from live state); the watcher-facing paths
-// (watch, answer, stats) take only Room.mu, so pollers never contend with
-// the driver beyond a publish's own O(1) critical section.
+// session's lock (it reads the state the batch left); the watcher-facing
+// paths (watch, answer, stats) take only Room.mu, so pollers never contend
+// with the driver beyond a publish's own O(1) critical section.
 package playsvc
 
 import (
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/media/raster"
-	"repro/internal/runtime"
+	"repro/internal/tagrec"
 )
 
 const (
-	// roomLogCap bounds the retained event and message tails. Watchers
-	// further behind than this see the base advance past their seen-count
-	// (a join-late gap, visible in the chunk's base field), never a stall.
-	roomLogCap = 4096
+	// roomActCap bounds a room's act log: 1<<20 acts is 29 hours of class
+	// at 10 acts a second. A batch that would pass it closes the room.
+	roomActCap = 1 << 20
 	// roomWatcherCap bounds the distinct voters one quiz's tally admits (a
 	// new voter beyond it is answered 503): a tally's vote map is the one
 	// per-watcher record a room keeps, and only for watchers who answer.
@@ -50,25 +63,13 @@ const (
 	maxWatchWait = 8 * time.Second
 )
 
-// pub is one immutable publication: the frame rendered once per state
-// change, shared by reference with every watcher. Nothing in a pub is
-// mutated after publish — that is the read-only sharing contract that
-// makes zero-copy fan-out safe (see Session.FrameInto).
-type pub struct {
-	seq  int64
-	tick int
-	at   int64 // publish time, unix nanos (fan-out latency measurement)
-	w, h int
-	pix  []byte // 24-bit RGB, immutable
-}
-
-// WatchPos is what a watcher holds and presents with each watch: the seq
-// of the publication it last received (0 before the first) and the event
-// and message totals it has seen.
-type WatchPos struct {
-	Seq      int64
-	Events   int
-	Messages int
+// batchEnd marks where one driver batch ends in the log: the seq of its
+// last act (0 for the create), the state tag that act leaves, and when it
+// was published (unix nanos, for the fan-out latency).
+type batchEnd struct {
+	seq int64
+	tag uint64
+	at  int64
 }
 
 // tally accumulates one quiz question's cohort answers.
@@ -81,109 +82,84 @@ type tally struct {
 // Room is the broadcast hub for one shared session. All methods are safe
 // for concurrent use.
 type Room struct {
-	id string
-	m  *Manager
-	h  *hosted // the driven session
+	id     string
+	course string
+	m      *Manager
 
 	mu     sync.Mutex
 	closed bool
-	seq    int64
-	cur    *pub
+	// log holds the applied acts' records back to back; start[i] is the
+	// offset of the record of act i+1 (act seqs count from 1, so the room's
+	// seq is len(start)).
+	log   []byte
+	start []int
+	// ends holds one entry per published batch, ends[0] the create.
+	ends []batchEnd
 	// next is closed, and replaced, by each publish, and closed by close:
 	// a watch with nothing newer to read waits on it.
-	next chan struct{}
-	// events/messages are the retained broadcast tails; eventBase/msgBase
-	// are the absolute indices of element 0, matching the driven session's
-	// own numbering — so watcher seen-counts and driver seen-counts speak
-	// the same coordinates.
-	events    []runtime.Event
-	eventBase int
-	messages  []string
-	msgBase   int
-	// lastEvents/lastMsgs are the absolute totals already copied out of
-	// the driven session (publish copies only the delta).
-	lastEvents int
-	lastMsgs   int
-	quiz       string            // pending quiz id at the last publish
-	tallies    map[string]*tally // by quiz id, for every quiz ever pending
+	next    chan struct{}
+	quiz    string            // pending quiz id at the last publish
+	tallies map[string]*tally // by quiz id, for every quiz ever pending
 
-	renders   atomic.Int64 // publications (exactly one render each)
-	delivered atomic.Int64 // frames handed to watchers
-	skipped   atomic.Int64 // publications watchers never received (seq gaps)
+	delivered atomic.Int64 // watch replies handed to watchers
 	answers   atomic.Int64 // distinct quiz answers recorded
 }
 
-func newRoom(m *Manager, id string, h *hosted) *Room {
+func newRoom(m *Manager, h *hosted) *Room {
 	return &Room{
-		id:      id,
+		id:      h.id,
+		course:  h.course.name,
 		m:       m,
-		h:       h,
 		next:    make(chan struct{}),
 		tallies: map[string]*tally{},
 	}
 }
 
-// publish renders the driven session once and makes it the room's current
-// publication. Called with r.h.mu held (the act path owns the session lock
-// when state changes); the render happens exactly once and the rest is
-// O(1) no matter how many watchers follow: one close wakes every waiting
-// watch.
-func (r *Room) publish() {
-	var fr raster.Frame
-	if err := r.h.sess.FrameInto(&fr); err != nil {
-		return // an undecodable frame publishes nothing; the next act retries
-	}
-	now := time.Now()
+// publish logs the acts a driver batch applied and marks the batch's end
+// with the state tag they leave; with no acts it marks the create, seq 0.
+// Called with h.mu held, after the acts applied. It renders nothing, and
+// the rest is O(1) however many watchers follow: one close wakes every
+// waiting watch. It reports false, logging nothing, when the acts would
+// pass roomActCap; the caller then closes the room.
+func (r *Room) publish(h *hosted, acts []ActRequest) bool {
+	tag := stateTag(h.enc.Encode(h.sess.State()))
+	q, pending := h.sess.PendingQuiz()
+	now := time.Now().UnixNano()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return
+		return true
 	}
-	r.seq++
-	r.renders.Add(1)
-	r.m.roomRenders.Add(1)
-	r.cur = &pub{seq: r.seq, tick: r.h.sess.Ticks(), at: now.UnixNano(), w: fr.W, h: fr.H, pix: fr.Pix}
-
-	// Copy the event delta. The events are still retained on the hosted
-	// session: ack-driven compaction only trims prefixes the driver saw in
-	// a reply, and every reply is assembled after this publish — so the
-	// window [lastEvents, total) is always present in h.events.
-	if total := r.h.eventBase + len(r.h.events); total > r.lastEvents {
-		from := r.lastEvents - r.h.eventBase
-		if from < 0 {
-			from = 0
-		}
-		r.events = append(r.events, r.h.events[from:]...)
-		r.lastEvents = total
-		if over := len(r.events) - roomLogCap; over > 0 {
-			r.events = append(r.events[:0], r.events[over:]...)
-			r.eventBase += over
-		}
+	if len(r.start)+len(acts) > roomActCap {
+		return false
 	}
-	if mc := r.h.sess.MessageCount(); mc > r.lastMsgs {
-		r.messages = append(r.messages, r.h.sess.MessagesFrom(r.lastMsgs)...)
-		r.lastMsgs = mc
-		if over := len(r.messages) - roomLogCap; over > 0 {
-			r.messages = append(r.messages[:0], r.messages[over:]...)
-			r.msgBase += over
-		}
-	}
-	if q, ok := r.h.sess.PendingQuiz(); ok {
+	r.logBatch(acts, tag, now)
+	r.quiz = ""
+	if pending {
 		r.quiz = q.ID
 		if r.tallies[q.ID] == nil {
 			r.tallies[q.ID] = &tally{correct: q.Answer, votes: make([]int, len(q.Choices)), byID: map[string]int{}}
 		}
-	} else {
-		r.quiz = ""
 	}
 	close(r.next)
 	r.next = make(chan struct{})
+	return true
+}
+
+// logBatch appends one batch's act records to the log and marks its end
+// with the state tag it leaves. r.mu must be held.
+func (r *Room) logBatch(acts []ActRequest, tag uint64, at int64) {
+	for i := range acts {
+		r.start = append(r.start, len(r.log))
+		r.log = appendAct(r.log, &acts[i])
+	}
+	r.ends = append(r.ends, batchEnd{seq: r.seq(), tag: tag, at: at})
 }
 
 // close marks the room dead and wakes every waiting watch. Called when the
 // driven session leaves, is evicted, or freezes for handoff (rooms are
 // live-only: the driver session survives in the snapshot directory, the
-// fan-out state does not).
+// fan-out state does not), and when the log is full.
 func (r *Room) close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -193,29 +169,27 @@ func (r *Room) close() {
 	}
 }
 
-// WatchNext answers one watch from a watcher at position at: at once with
-// the current publication when it is newer than at.Seq, otherwise after
-// waiting up to wait for the next publish. A seq past the room's (a
-// watcher of an earlier room under the same id) is served as a first
-// poll. The reply is one watch chunk: the length-prefixed header —
-// sequence, tick, geometry, and the event/message tails beyond the
-// presented seen-counts — appended into dst, plus the shared immutable
-// pixel payload, returned separately so the caller concatenates the two
-// writes without copying the frame. next is the position the chunk brings
-// the watcher to, the one its next watch presents.
+// WatchNext answers one watch from a watcher holding seq: at once when the
+// room has logged an act past seq, otherwise after waiting up to wait for
+// the next publish. A seq past the room's (a watcher of an earlier room
+// under the same id) is served as seq 0, and a watch at seq 0 whose wait
+// runs out with nothing logged is answered with the create alone. The
+// reply is one act frame (see appendWatch) appended into dst, which is
+// reused across calls: steady-state delivery allocates nothing per
+// watcher. next is the seq the reply brings the watcher to, the one its
+// next watch presents.
 //
-// A nil header with a nil error means the wait ran out with nothing new
-// (the HTTP layer answers 204), and next is at. dst is reused across calls
-// — steady-state delivery allocates nothing per watcher.
-func (r *Room) WatchNext(at WatchPos, wait time.Duration, dst []byte) (header, pix []byte, next WatchPos, err error) {
+// A nil reply with a nil error means the wait ran out with nothing new
+// (the HTTP layer answers 204), and next is seq.
+func (r *Room) WatchNext(seq int64, wait time.Duration, dst []byte) (reply []byte, next int64, err error) {
 	r.mu.Lock()
-	if at.Seq > r.seq {
-		at.Seq = 0
+	if seq > r.seq() {
+		seq = 0
 	}
-	if r.holds(at.Seq) && wait > 0 {
+	if r.holds(seq) && wait > 0 {
 		timer := time.NewTimer(min(wait, maxWatchWait))
 		defer timer.Stop()
-		for expired := false; r.holds(at.Seq) && !expired; {
+		for expired := false; r.holds(seq) && !expired; {
 			ch := r.next
 			r.mu.Unlock()
 			select {
@@ -228,44 +202,75 @@ func (r *Room) WatchNext(at WatchPos, wait time.Duration, dst []byte) (header, p
 	}
 	if r.closed {
 		r.mu.Unlock()
-		return nil, nil, at, errf(http.StatusNotFound, "playsvc: no room %q", r.id)
+		return nil, seq, errf(http.StatusNotFound, "playsvc: no room %q", r.id)
 	}
-	if r.holds(at.Seq) {
+	if r.holds(seq) && seq > 0 {
 		r.mu.Unlock()
-		return nil, nil, at, nil
+		return nil, seq, nil
 	}
-	p := r.cur
-	tails := watchTails{
-		eventBase:    r.eventBase,
-		events:       r.events,
-		eventCount:   r.eventBase + len(r.events),
-		msgBase:      r.msgBase,
-		messages:     r.messages,
-		messageCount: r.msgBase + len(r.messages),
-		quiz:         r.quiz,
-	}
-	header = appendWatchChunk(dst, p, tails, at.Events, at.Messages)
+	e := r.reach(seq)
+	reply = r.appendWatch(dst, seq, e)
 	r.mu.Unlock()
 
-	var gap int64
-	if at.Seq > 0 {
-		gap = p.seq - at.Seq - 1
-	}
 	r.delivered.Add(1)
 	r.m.roomDelivered.Add(1)
-	if gap > 0 {
-		r.skipped.Add(gap)
-		r.m.roomSkipped.Add(gap)
+	if e.seq > seq {
+		r.m.fanoutNs.Observe(time.Now().UnixNano() - e.at)
 	}
-	r.m.fanoutNs.Observe(time.Now().UnixNano() - p.at)
-	r.m.skipHist.Observe(gap)
-	return header, p.pix, WatchPos{Seq: p.seq, Events: tails.eventCount, Messages: tails.messageCount}, nil
+	return reply, e.seq, nil
 }
+
+// seq is how many acts the room has logged. r.mu must be held.
+func (r *Room) seq() int64 { return int64(len(r.start)) }
 
 // holds reports whether a watcher holding seq has nothing newer to read
 // in a live room. r.mu must be held.
 func (r *Room) holds(seq int64) bool {
-	return !r.closed && (r.cur == nil || r.cur.seq <= seq)
+	return !r.closed && r.seq() <= seq
+}
+
+// reach picks the batch end a reply to a watcher at seq runs to: the last
+// one at most maxFrameActs acts and maxBody bytes of act records past seq,
+// or the first one past seq when that batch alone is larger. A batch is at
+// most maxFrameActs acts and came in one request of at most maxBody bytes,
+// so a reply stays within about one request's size however large the
+// driver's acts; from seq 0 with nothing logged it is the create. r.mu
+// must be held.
+func (r *Room) reach(seq int64) batchEnd {
+	limit := r.offset(seq) + maxBody
+	i := sort.Search(len(r.ends), func(i int) bool {
+		e := r.ends[i].seq
+		return e > seq && (e > seq+maxFrameActs || r.offset(e) > limit)
+	})
+	if i < len(r.ends) && r.ends[i-1].seq <= seq {
+		return r.ends[i]
+	}
+	return r.ends[i-1]
+}
+
+// appendWatch encodes the reply that brings a watcher from seq to e: the
+// room id as the session, at seq 0 a create naming the course, the state
+// tag e leaves, BaseSeq = seq+1 and the logged acts' records copied as
+// they are. r.mu must be held.
+func (r *Room) appendWatch(dst []byte, seq int64, e batchEnd) []byte {
+	b := tagrec.Begin(dst[:0], actMagic, frameVersion)
+	b = tagrec.Append(b, atagSession, r.id)
+	if seq == 0 {
+		b = tagrec.Append(b, atagCreate, r.course)
+	}
+	b = tagrec.AppendUint(b, atagStateTag, e.tag)
+	b = tagrec.AppendUint(b, atagBaseSeq, uint64(seq+1))
+	b = append(b, r.log[r.offset(seq):r.offset(e.seq)]...)
+	return tagrec.Finish(b, 0)
+}
+
+// offset is where the record of act seq+1 starts in the log (its end, when
+// seq is the last act). r.mu must be held.
+func (r *Room) offset(seq int64) int {
+	if seq == r.seq() {
+		return len(r.log)
+	}
+	return r.start[seq]
 }
 
 // answer records one watcher's quiz answer. Re-answering moves the vote
@@ -319,15 +324,11 @@ func (r *Room) stats() RoomStats {
 	defer r.mu.Unlock()
 	st := RoomStats{
 		Room:      r.id,
-		Seq:       r.seq,
-		Renders:   r.renders.Load(),
+		Seq:       r.seq(),
+		StateTag:  r.ends[len(r.ends)-1].tag,
 		Delivered: r.delivered.Load(),
-		Skipped:   r.skipped.Load(),
 		Answers:   r.answers.Load(),
 		Quiz:      r.quiz,
-	}
-	if r.cur != nil {
-		st.Tick = r.cur.tick
 	}
 	for id, t := range r.tallies {
 		qt := RoomQuizTally{Quiz: id, Answers: len(t.byID), Votes: append([]int(nil), t.votes...)}

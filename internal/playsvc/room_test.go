@@ -16,17 +16,20 @@ import (
 	"repro/internal/content"
 	"repro/internal/faultnet"
 	"repro/internal/gamepack"
+	"repro/internal/media/raster"
 	"repro/internal/runtime"
 	"repro/internal/sim"
 )
 
 // TestRoomGoldenBroadcast drives a shared session over the wire while a
 // local reference session replays the exact same acts, and asserts every
-// watcher receives bit-identical frames at matching sequence numbers plus
-// the full event and message transcript — the classroom sees exactly what
-// the instructor's session rendered, once per state change. It runs once
-// against a node and once through a 2-node cluster's gateway, where every
-// poll, answer and stats read is relayed.
+// watcher's replica renders bit-identical frames at matching seqs and
+// holds the full event and message transcript from the create — the
+// classroom sees exactly what the instructor's session shows, and the
+// server renders none of it. A watcher whose package holds another
+// project fails on the first state tag. It runs once against a node and
+// once through a 2-node cluster's gateway, where every poll, answer and
+// stats read is relayed.
 func TestRoomGoldenBroadcast(t *testing.T) {
 	t.Run("direct", func(t *testing.T) {
 		ts, _ := liveService(t, Options{})
@@ -45,8 +48,8 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		t.Fatal(err)
 	}
 	roomID := driver.SessionID()
-	if created := roomStats(t, baseURL, roomID); created.Room != roomID || created.Seq != 1 {
-		t.Fatalf("room after its create = %+v", created)
+	if created := roomStats(t, baseURL, roomID); created.Room != roomID || created.Seq != 0 || created.StateTag == 0 {
+		t.Fatalf("room after its create = %+v, want seq 0 and the start state's tag", created)
 	}
 	// The room verbs are gone: a room opens only by its driver's create,
 	// and a watcher neither joins nor leaves — it only reads.
@@ -73,11 +76,12 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	}
 
 	// Three watchers start before the lesson and poll in lockstep; each
-	// therefore sees the full publication sequence from seq 1.
+	// therefore replays every act as it comes.
+	pkg := classroomPkg(t)
 	const watchers = 3
 	wcs := make([]*RoomClient, watchers)
 	for i := range wcs {
-		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID})
+		wc, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID, Pkg: pkg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +98,7 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	}
 
 	// The golden script. Each step issues exactly one act on the driver —
-	// one publication — and the identical call on the reference session.
+	// one logged act — and the identical call on the reference session.
 	steps := []struct {
 		name string
 		act  func(g sim.Game)
@@ -107,39 +111,38 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		{"advance again", func(g sim.Game) { _ = g.Advance(1) }},
 	}
 
-	// sawQuiz tracks which watchers observed the pending quiz in a chunk.
+	// sawQuiz tracks which watchers' replicas showed the pending quiz.
 	sawQuiz := make([]bool, watchers)
-	pollOne := func(w int, wantSeq int64, wantCRC uint32) {
+	pollOne := func(w int, hold time.Duration, wantSeq int64, wantCRC uint32) {
 		t.Helper()
 		wc := wcs[w]
-		var u *WatchUpdate
-		for deadline := time.Now().Add(5 * time.Second); u == nil; {
+		var f *raster.Frame
+		for deadline := time.Now().Add(5 * time.Second); f == nil; {
 			if time.Now().After(deadline) {
-				t.Fatalf("watcher %d: no publication for seq %d", w, wantSeq)
+				t.Fatalf("watcher %d: no reply for seq %d", w, wantSeq)
 			}
 			var err error
-			u, _, err = wc.Poll(time.Second)
-			if err != nil {
+			if f, err = wc.Poll(hold); err != nil {
 				t.Fatalf("watcher %d poll: %v", w, err)
 			}
 		}
-		if u.Seq != wantSeq {
-			t.Fatalf("watcher %d: seq = %d, want %d (skipped=%d)", w, u.Seq, wantSeq, wc.Skipped())
+		if wc.Seq() != wantSeq {
+			t.Fatalf("watcher %d: seq = %d, want %d", w, wc.Seq(), wantSeq)
 		}
-		if got := crcOf(wc.frame.Pix); got != wantCRC {
-			t.Fatalf("watcher %d: frame crc at seq %d = %08x, want %08x", w, u.Seq, got, wantCRC)
+		if got := crcOf(f.Pix); got != wantCRC {
+			t.Fatalf("watcher %d: frame crc at seq %d = %08x, want %08x", w, wc.Seq(), got, wantCRC)
 		}
-		if u.Quiz == "q-diagnosis" {
+		if wc.PendingQuiz() == "q-diagnosis" {
 			sawQuiz[w] = true
 		}
 	}
 
-	// Lockstep: the create-time publication first (a first poll reads the
-	// room's current one), then one poll per watcher per act — no watcher
-	// ever falls behind, so the golden run must skip nothing.
+	// Lockstep: the create first — seq 0, the start frame, answered when a
+	// short hold runs out with nothing logged — then one poll per watcher
+	// per act.
 	seedCRC := refCRC()
 	for w := range wcs {
-		pollOne(w, 1, seedCRC)
+		pollOne(w, 10*time.Millisecond, 0, seedCRC)
 	}
 	for i, step := range steps {
 		step.act(driver)
@@ -149,7 +152,7 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		step.act(ref)
 		want := refCRC()
 		for w := range wcs {
-			pollOne(w, int64(2+i), want)
+			pollOne(w, time.Second, int64(1+i), want)
 		}
 	}
 
@@ -175,10 +178,7 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	if _, err := wcs[1].Answer("q-diagnosis", 1); err != nil {
 		t.Fatal(err)
 	}
-	st, err := wcs[0].RoomStats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := roomStats(t, baseURL, roomID)
 	if st.Answers != watchers {
 		t.Fatalf("answers = %d, want %d (re-answer must not double count)", st.Answers, watchers)
 	}
@@ -192,23 +192,20 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		t.Fatalf("correct answers = %d, want 2", st.Quizzes[0].Correct)
 	}
 
-	// Render exactness: the seed publication plus one per act, no extras —
-	// a thousand watchers would not have changed this number.
-	if want := int64(1 + len(steps)); st.Renders != want {
-		t.Fatalf("renders = %d, want %d", st.Renders, want)
-	}
-	if st.Skipped != 0 {
-		t.Fatalf("lockstep run skipped %d frames", st.Skipped)
+	// The room logged one act per step and handed each watcher one reply
+	// per seq; every replica ends in the driver's state.
+	if st.Seq != int64(len(steps)) || st.Delivered != watchers*int64(1+len(steps)) {
+		t.Fatalf("room logged %d acts and delivered %d replies, want %d and %d", st.Seq, st.Delivered, len(steps), watchers*(1+len(steps)))
 	}
 	for w, wc := range wcs {
-		if wc.Skipped() != 0 || wc.Delivered() != st.Renders {
-			t.Fatalf("watcher %d received %d and skipped %d of %d publications", w, wc.Delivered(), wc.Skipped(), st.Renders)
+		if wc.Delivered() != int64(1+len(steps)) || wc.StateTag() != st.StateTag {
+			t.Fatalf("watcher %d applied %d replies and holds state %016x, want %d and the driver's %016x", w, wc.Delivered(), wc.StateTag(), 1+len(steps), st.StateTag)
 		}
 	}
 
-	// Transcript equality against the reference run: frames may skip in a
-	// congested classroom, events and messages never do — here both arrive
-	// complete and in order (first-poll tail plus per-chunk deltas).
+	// Transcript equality against the reference run, from the create:
+	// each replica emitted exactly the reference session's events and
+	// messages.
 	refEvents := rec.log()
 	refMsgs := ref.Messages()
 	for w := range wcs {
@@ -220,10 +217,26 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 		}
 	}
 
-	// A watcher holding the current publication waits: an idle hold
-	// expires as a 204.
-	if u, _, err := wcs[0].Poll(50 * time.Millisecond); u != nil || err != nil {
-		t.Fatalf("idle poll = %+v, %v, want a clean timeout", u, err)
+	// A watcher holding the room's last act waits: an idle hold expires as
+	// a 204.
+	if f, err := wcs[0].Poll(50 * time.Millisecond); f != nil || err != nil {
+		t.Fatalf("idle poll = %v, %v, want a clean timeout", f, err)
+	}
+
+	// A watcher whose package holds another project builds a replica the
+	// driver's acts do not lead where the room's state tag says: it fails
+	// on the first reply, and for good.
+	other := *pkg.Project
+	other.InitialVars = map[string]int{"stranger": 1}
+	stranger, err := JoinRoom(RoomClientOptions{BaseURL: baseURL, Room: roomID, Pkg: &gamepack.Package{Project: &other, Video: pkg.Video}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stranger.Poll(time.Second); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("a watcher of another project polled: %v, want a divergence", err)
+	}
+	if _, err := stranger.Poll(time.Second); err == nil || stranger.Close() == nil {
+		t.Fatal("the divergence did not stick")
 	}
 
 	// The driver leaving ends the class: the room closes and a waiting
@@ -231,62 +244,41 @@ func roomGoldenBroadcast(t *testing.T, baseURL string) {
 	if err := driver.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wcs[0].Poll(time.Second); err == nil {
+	if _, err := wcs[0].Poll(time.Second); err == nil {
 		t.Fatal("poll after room close did not fail")
 	} else if pe, ok := err.(*Error); !ok || pe.Status != 404 {
 		t.Fatalf("poll after room close: %v", err)
 	}
 }
 
-// TestRoomSlowWatcher pins the no-starvation contract: a watcher that
-// stops polling costs the driver nothing. The driver's act latency
-// histogram stays bounded and renders stay one per act while a live
-// watcher polls alongside and keeps receiving fresh frames, and a stalled
-// one, which read the first publication and then nothing until the driver
-// is done, gets the newest at once with every act it missed counted as
-// skipped. The room keeps no watcher, so the accounting is restated from
-// seqs: for each watcher, delivered + skipped + pending (the publications
-// after the one it holds) is every publication, and the room's delivered
-// and skipped totals are the sums over the watchers.
+// TestRoomSlowWatcher pins the no-starvation contract and the catch-up: a
+// watcher that stops polling costs the driver nothing, and loses nothing.
+// A mirror driver plays 5 000 acts in batches of 16 while a live watcher
+// polls alongside and a stalled one, which read the create and then
+// nothing, waits. The driver's act latency histogram stays bounded; the
+// stalled watcher then catches up in one reply per maxFrameActs acts —
+// each ending on one of the driver's batches — and both replicas hold the
+// driver's whole transcript, more than 4 096 events, and its state.
 func TestRoomSlowWatcher(t *testing.T) {
-	m := NewManager(Options{TTL: -1})
-	defer m.Close()
-	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
+	ts, m := liveService(t, Options{TTL: -1})
+	pkg := classroomPkg(t)
+	var rec recorder
+	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: pkg.Project,
+		LocalMirror: true, Pkg: pkg, Observer: &rec})
+	if err != nil {
 		t.Fatal(err)
 	}
-	const roomID = "classroom-slow-room"
-	if _, err := m.Act(&ActRequest{Session: roomID, Course: "classroom", Room: true}); err != nil {
-		t.Fatal(err)
-	}
-	room, ok := m.Room(roomID)
-	if !ok {
-		t.Fatal("room not registered")
-	}
-
-	// A watcher's whole state is what it holds: its position, plus the
-	// deliveries and seq gaps it counts.
-	type watcher struct {
-		at                 WatchPos
-		delivered, skipped int64
-	}
-	watch := func(w *watcher, wait time.Duration, dst []byte) ([]byte, error) {
-		header, _, next, err := room.WatchNext(w.at, wait, dst)
-		if err != nil || header == nil {
-			return dst, err
+	roomID := driver.SessionID()
+	join := func() *RoomClient {
+		wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, Pkg: pkg})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if u, err := ParseWatchChunk(header[4:]); err != nil || u.Seq != next.Seq {
-			return dst, fmt.Errorf("chunk %+v, %v; want seq %d", u, err, next.Seq)
-		}
-		if w.at.Seq > 0 {
-			w.skipped += next.Seq - w.at.Seq - 1
-		}
-		w.at = next
-		w.delivered++
-		return header, nil
+		return wc
 	}
-	var stalled, live watcher
-	if _, err := watch(&stalled, 0, nil); err != nil || stalled.at.Seq != 1 {
-		t.Fatalf("the stalled watcher's first read: seq %d, %v", stalled.at.Seq, err)
+	stalled, live := join(), join()
+	if f, err := stalled.Poll(time.Millisecond); err != nil || f == nil || stalled.Seq() != 0 {
+		t.Fatalf("the stalled watcher's first read: %v at seq %d, %v", f, stalled.Seq(), err)
 	}
 
 	// The live watcher polls in a tight loop, like a real client keeping
@@ -297,97 +289,140 @@ func TestRoomSlowWatcher(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var dst []byte
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			var err error
-			if dst, err = watch(&live, 50*time.Millisecond, dst[:0]); err != nil {
+			if _, err := live.Poll(50 * time.Millisecond); err != nil {
 				t.Error(err)
 				return
 			}
-			lastSeq.Store(live.at.Seq)
+			lastSeq.Store(live.Seq())
 		}
 	}()
 
-	// Wait until the live watcher has the first publication — the driver
-	// below outruns goroutine scheduling otherwise.
-	waitFor := func(what string, ok func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); !ok(); {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor("the first delivery", func() bool { return lastSeq.Load() >= 1 })
-
-	// The driver ticks away while the stalled watcher reads nothing.
-	const acts = 200
-	req := ActRequest{Session: roomID, Kind: ActTick, Ticks: 1}
+	// The driver talks and ticks away while the stalled watcher reads
+	// nothing.
+	const acts = 5000
 	for i := 0; i < acts; i++ {
-		r, err := m.Act(&req)
-		if err != nil {
+		if i%2 == 0 {
+			driver.Talk("teacher")
+		} else if err := driver.Advance(1); err != nil {
 			t.Fatal(err)
 		}
-		req.SeenEvents, req.SeenMessages = r.EventCount, r.MessageCount
 	}
-	// The live watcher must reach the last publication, whatever it
-	// skipped in between.
-	waitFor("the last publication", func() bool { return lastSeq.Load() == 1+acts })
+	if err := driver.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rec.log()); n <= 4096 {
+		t.Fatalf("the driver emitted %d events, want more than 4 096", n)
+	}
+	for deadline := time.Now().Add(10 * time.Second); lastSeq.Load() != acts; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the live watcher stopped at seq %d of %d", lastSeq.Load(), acts)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
 
 	// The starvation assertion rides the act histogram, not a guess: every
-	// driver act was measured, and the tail must not show fan-out
+	// driver batch was measured, and the tail must not show fan-out
 	// backpressure from the stalled watcher. The bound is generous (race
 	// detector, shared CI) — a blocking fan-out would park acts behind an
 	// 8s poll hold, orders of magnitude past it.
 	snap := m.actNs.Snapshot()
-	if snap.Count < acts {
-		t.Fatalf("act histogram recorded %d acts, want >= %d", snap.Count, acts)
+	if snap.Count < acts/mirrorBatch {
+		t.Fatalf("act histogram recorded %d batches, want >= %d", snap.Count, acts/mirrorBatch)
 	}
 	if p99 := time.Duration(snap.Quantile(0.99)); p99 > 250*time.Millisecond {
 		t.Fatalf("driver act p99 = %v with a stalled watcher; fan-out is backpressuring the act path", p99)
 	}
 
-	st, err := m.RoomStatsOf(roomID)
+	// The catch-up: maxFrameActs is a whole number of the driver's
+	// batches, so each reply carries exactly that many acts but the last.
+	for stalled.Seq() < acts {
+		before := stalled.Seq()
+		if f, err := stalled.Poll(0); err != nil || f == nil {
+			t.Fatalf("catch-up from seq %d: %v, %v", before, f, err)
+		}
+		if got, want := stalled.Seq()-before, min(int64(maxFrameActs), acts-before); got != want {
+			t.Fatalf("a catch-up reply from seq %d carried %d acts, want %d", before, got, want)
+		}
+	}
+	if want := 1 + (acts+maxFrameActs-1)/maxFrameActs; stalled.Delivered() != int64(want) {
+		t.Fatalf("the stalled watcher took %d replies, want %d", stalled.Delivered(), want)
+	}
+	st := roomStats(t, ts.URL, roomID)
+	if st.Seq != acts || st.Delivered != stalled.Delivered()+live.Delivered() || stat(t, m.Snapshot(), "room_frames_delivered") != st.Delivered {
+		t.Fatalf("room %+v: want seq %d and %d + %d replies delivered (manager %d)", st, acts,
+			stalled.Delivered(), live.Delivered(), stat(t, m.Snapshot(), "room_frames_delivered"))
+	}
+	for name, wc := range map[string]*RoomClient{"stalled": stalled, "live": live} {
+		if wc.StateTag() != st.StateTag {
+			t.Errorf("watcher %s holds state %016x, the driver %016x", name, wc.StateTag(), st.StateTag)
+		}
+		if got := wc.Events(); !reflect.DeepEqual(got, rec.log()) {
+			t.Errorf("watcher %s holds %d events, the driver emitted %d", name, len(got), len(rec.log()))
+		}
+		if got := wc.Messages(); !reflect.DeepEqual(got, driver.Messages()) {
+			t.Errorf("watcher %s holds %d messages, the driver %d", name, len(got), len(driver.Messages()))
+		}
+	}
+	if err := driver.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// classroomPkg opens the classroom package, as a watcher holds it.
+func classroomPkg(t testing.TB) *gamepack.Package {
+	t.Helper()
+	pkg, err := gamepack.Open(classroomBlob(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(1 + acts); st.Renders != want || st.Seq != want {
-		t.Fatalf("renders = %d at seq %d, want %d (one per state change, watchers notwithstanding)", st.Renders, st.Seq, want)
+	return pkg
+}
+
+// classroomActs is n acts of a lesson: the teacher talked to and the
+// computer examined, then ticks.
+func classroomActs(n int) []ActRequest {
+	acts := make([]ActRequest, n)
+	for i := range acts {
+		acts[i] = ActRequest{Kind: ActTick, Ticks: 1}
 	}
-	// The stalled watcher holds seq 1: every act's publication is pending
-	// for it. A read now returns the newest at once and skips the rest.
-	if pending := st.Seq - stalled.at.Seq; pending != acts {
-		t.Fatalf("%d publications pending for the stalled watcher, want %d", pending, acts)
-	}
-	if _, err := watch(&stalled, 0, nil); err != nil || stalled.at.Seq != st.Seq || stalled.skipped != acts-1 {
-		t.Fatalf("the stalled watcher's second read: seq %d, %d skipped, %v; want seq %d, %d skipped", stalled.at.Seq, stalled.skipped, err, st.Seq, acts-1)
-	}
-	if st, err = m.RoomStatsOf(roomID); err != nil {
+	acts[0] = ActRequest{Kind: ActTalk, Object: "teacher"}
+	acts[1] = ActRequest{Kind: ActExamine, Object: "computer"}
+	return acts
+}
+
+// drivenRoom opens a room on a fresh manager and applies acts to it, one
+// driver batch each.
+func drivenRoom(t testing.TB, acts []ActRequest) *Room {
+	t.Helper()
+	m := NewManager(Options{TTL: -1})
+	t.Cleanup(m.Close)
+	if err := m.AddCourse("classroom", classroomBlob(t)); err != nil {
 		t.Fatal(err)
 	}
-	for name, w := range map[string]*watcher{"stalled": &stalled, "live": &live} {
-		if got := w.delivered + w.skipped + (st.Seq - w.at.Seq); got != st.Seq {
-			t.Errorf("watcher %s: delivered %d + skipped %d + pending %d = %d, want %d publications",
-				name, w.delivered, w.skipped, st.Seq-w.at.Seq, got, st.Seq)
+	const roomID = "classroom-0123456789abcdef"
+	if _, err := m.Act(&ActRequest{Session: roomID, Course: "classroom", Room: true}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range acts {
+		a := acts[i]
+		a.Session = roomID
+		if _, err := m.Act(&a); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if d, k := stalled.delivered+live.delivered, stalled.skipped+live.skipped; st.Delivered != d || st.Skipped != k {
-		t.Fatalf("room counts %d delivered and %d skipped, the watchers %d and %d", st.Delivered, st.Skipped, d, k)
+	r, ok := m.Room(roomID)
+	if !ok {
+		t.Fatal("room not registered")
 	}
-	if flat := m.Snapshot(); stat(t, flat, "room_frames_delivered") != st.Delivered || stat(t, flat, "room_frames_skipped") != st.Skipped {
-		t.Fatalf("manager counters %v disagree with the room's %+v", flat, st)
-	}
-	if skips := m.skipHist.Snapshot(); skips.Count != st.Delivered || skips.Sum != st.Skipped {
-		t.Fatalf("playsvc_fanout_skipped holds %d deliveries summing %v, want %d summing %d", skips.Count, skips.Sum, st.Delivered, st.Skipped)
-	}
+	return r
 }
 
 // roomStats reads a room's counters over the wire.
@@ -418,7 +453,7 @@ func (d *requestDropper) RoundTrip(r *http.Request) (*http.Response, error) {
 // is lost on the way still opens. The create is an ordinary framed create
 // under a client-minted id, so Dial retries it — thin or mirror, Dial
 // sends it at once — and the room is there before the driver's first act:
-// seq 1 published, one session created, one render. A create whose reply
+// at seq 0, in the start state, one session created. A create whose reply
 // was lost is retried into the room it already opened.
 func TestRoomCreateSurvivesDroppedRequest(t *testing.T) {
 	pkg, err := gamepack.Open(classroomBlob(t))
@@ -454,12 +489,11 @@ func TestRoomCreateSurvivesDroppedRequest(t *testing.T) {
 					t.Fatal("no exchange was lost; the test proved nothing")
 				}
 				st := roomStats(t, ts.URL, driver.SessionID())
-				if st.Seq != 1 || st.Renders != 1 {
-					t.Fatalf("room before any act = %+v, want seq 1 and one render", st)
+				if st.Seq != 0 || st.StateTag == 0 {
+					t.Fatalf("room before any act = %+v, want seq 0 and the start state's tag", st)
 				}
-				flat := m.Snapshot()
-				if created, renders := stat(t, flat, "sessions_created"), stat(t, flat, "room_renders"); created != 1 || renders != 1 {
-					t.Fatalf("sessions_created = %d, room_renders = %d after one retried room create, want 1 each", created, renders)
+				if created := stat(t, m.Snapshot(), "sessions_created"); created != 1 {
+					t.Fatalf("sessions_created = %d after one retried room create, want 1", created)
 				}
 				if err := driver.Close(); err != nil {
 					t.Fatal(err)
@@ -486,11 +520,11 @@ func (e *replyEater) RoundTrip(r *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// TestWatchRetryReturnsItsPublication: a watch is a read, so one retried
-// after its reply was lost returns that publication at once — the lost
-// attempt took nothing from the room — instead of waiting out its hold for
-// the next publish. The same watcher then pins what a dismissal costs: the
-// room's 404 is terminal — one request, no backoff sleep.
+// TestWatchRetryReturnsItsPublication: a watch is a read, so one retried after
+// its reply was lost returns the same acts at once — the lost attempt took
+// nothing from the room — instead of waiting out its hold for the next
+// publish. The same watcher then pins what a dismissal costs: the room's
+// 404 is terminal — one request, no backoff sleep.
 func TestWatchRetryReturnsItsPublication(t *testing.T) {
 	ts, _ := liveService(t, Options{TTL: -1})
 	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
@@ -503,13 +537,13 @@ func TestWatchRetryReturnsItsPublication(t *testing.T) {
 		t.Fatal(err)
 	}
 	eater := &replyEater{path: RoomWatchPath}
-	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, HTTP: &http.Client{Transport: eater}})
+	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, Pkg: classroomPkg(t), HTTP: &http.Client{Transport: eater}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const hold = 4 * time.Second
 	began := time.Now()
-	u, _, err := wc.Poll(hold)
+	f, err := wc.Poll(hold)
 	waited := time.Since(began)
 	if err != nil {
 		t.Fatalf("watch did not survive one lost reply: %v", err)
@@ -517,11 +551,11 @@ func TestWatchRetryReturnsItsPublication(t *testing.T) {
 	if eater.eaten.Load() != 1 {
 		t.Fatal("no watch reply was lost; the test proved nothing")
 	}
-	if u == nil || u.Seq != 2 || waited >= hold/2 {
-		t.Fatalf("retried watch returned %+v after %v; want seq 2 at once", u, waited)
+	if f == nil || wc.Seq() != 1 || waited >= hold/2 {
+		t.Fatalf("retried watch returned %v at seq %d after %v; want seq 1 at once", f, wc.Seq(), waited)
 	}
-	if wc.Delivered() != 1 || wc.Skipped() != 0 {
-		t.Fatalf("watcher received %d and skipped %d, want 1 and 0", wc.Delivered(), wc.Skipped())
+	if wc.Delivered() != 1 {
+		t.Fatalf("watcher applied %d replies, want 1", wc.Delivered())
 	}
 
 	// Class dismissed: the driver leaves, the room closes.
@@ -532,7 +566,7 @@ func TestWatchRetryReturnsItsPublication(t *testing.T) {
 	wc.opts.HTTP = &http.Client{Transport: ct}
 	slept := 0
 	wc.retry.Sleep = func(time.Duration) { slept++ }
-	_, _, err = wc.Poll(time.Second)
+	_, err = wc.Poll(time.Second)
 	if pe, ok := err.(*Error); !ok || pe.Status != http.StatusNotFound {
 		t.Fatalf("poll after the driver left: %v, want the room's 404", err)
 	}
@@ -541,11 +575,11 @@ func TestWatchRetryReturnsItsPublication(t *testing.T) {
 	}
 }
 
-// TestRoomWatchRejectsMalformedNumbers: a seq, seen-count or hold that is
-// not a decimal integer, or a negative seq or seen-count, is refused with
-// 400 before the room is looked up (a dropped parse error would serve
-// events=abc as 0 and re-send every retained event), while absent or empty
-// values and a wait_ms ≤ 0 keep their defaults.
+// TestRoomWatchRejectsMalformedNumbers: a seq or hold that is not a
+// decimal integer, or a negative seq, is refused with 400 before the room
+// is looked up (a dropped parse error would serve seq=abc as 0 and re-send
+// the whole log), while absent or empty values and a wait_ms ≤ 0 keep
+// their defaults.
 func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 	ts, _ := liveService(t, Options{TTL: -1})
 	driver, err := Dial(ClientOptions{BaseURL: ts.URL, Course: "classroom", Room: true, Project: content.Classroom().Project})
@@ -553,6 +587,10 @@ func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer driver.Close()
+	driver.Talk("teacher")
+	if err := driver.Err(); err != nil {
+		t.Fatal(err)
+	}
 	watch := func(room, query string) int {
 		t.Helper()
 		q := url.Values{"room": {room}}.Encode()
@@ -564,7 +602,7 @@ func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	for _, key := range []string{"seq", "events", "messages", "wait_ms"} {
+	for _, key := range []string{"seq", "wait_ms"} {
 		bad := []string{"abc", "1.5", "0x10", "-", "9999999999999999999999"}
 		if key != "wait_ms" {
 			bad = append(bad, "-1")
@@ -577,16 +615,16 @@ func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 			}
 		}
 	}
-	// The driver's create rendered a frame, so the first good poll is
-	// answered at once whatever its hold.
-	if code := watch(driver.SessionID(), "&seq=&events=0&messages=&wait_ms=-5"); code != http.StatusOK {
+	// The driver has acted, so a watch at seq 0 is answered at once
+	// whatever its hold.
+	if code := watch(driver.SessionID(), "&seq=&wait_ms=-5"); code != http.StatusOK {
 		t.Fatalf("watch with default numbers answered %d, want 200", code)
 	}
 	if code := watch(driver.SessionID(), "&wait_ms=1"); code != http.StatusOK {
-		t.Fatalf("watch without a seq or seen-counts answered %d, want 200", code)
+		t.Fatalf("watch without a seq answered %d, want 200", code)
 	}
-	// A watcher holding the current publication waits out its hold; one
-	// naming a seq past the room's is served as a first poll.
+	// A watcher holding the room's last act waits out its hold; one naming
+	// a seq past the room's is served as seq 0.
 	if code := watch(driver.SessionID(), "&seq=1&wait_ms=1"); code != http.StatusNoContent {
 		t.Fatalf("watch at the current seq answered %d, want 204", code)
 	}
@@ -602,8 +640,8 @@ func TestRoomWatchRejectsMalformedNumbers(t *testing.T) {
 // the golden script and then keeps the room ticking until the transport has
 // injected every fault class and the cohort has caught up. No watcher may
 // fail on the way, every watcher's transcript must equal the driver's —
-// frames may skip on a lossy link, events and messages never gap or repeat
-// — and each watcher's quiz answer counts once however often it was sent.
+// a lost reply is re-read, so no act gaps or repeats on a replica — and
+// each watcher's quiz answer counts once however often it was sent.
 func TestRoomLossyLink(t *testing.T) {
 	ts, m := liveService(t, Options{TTL: -1})
 	profile, _ := faultnet.Lookup("wifi-flaky")
@@ -617,10 +655,11 @@ func TestRoomLossyLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	roomID := driver.SessionID()
+	pkg := classroomPkg(t)
 	const watchers = 6
 	wcs := make([]*RoomClient, watchers)
 	for i := range wcs {
-		if wcs[i], err = JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, HTTP: faulty}); err != nil {
+		if wcs[i], err = JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, Pkg: pkg, HTTP: faulty}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -641,7 +680,7 @@ func TestRoomLossyLink(t *testing.T) {
 			defer gone.Done()
 			voted := false
 			for {
-				_, _, err := wc.Poll(100 * time.Millisecond)
+				_, err := wc.Poll(100 * time.Millisecond)
 				if err != nil {
 					if pe, ok := err.(*Error); !ok || pe.Status != http.StatusNotFound || !dismissed.Load() {
 						t.Errorf("watcher %d: sticky error on a lossy link: %v", w, err)
@@ -651,8 +690,8 @@ func TestRoomLossyLink(t *testing.T) {
 					}
 					return
 				}
-				seenEvents[w].Store(int64(wc.pos.Events))
-				seenMessages[w].Store(int64(wc.pos.Messages))
+				seenEvents[w].Store(int64(len(wc.events.events)))
+				seenMessages[w].Store(int64(len(wc.Messages())))
 				select {
 				case <-lessonOver:
 					if !voted {
@@ -682,10 +721,9 @@ func TestRoomLossyLink(t *testing.T) {
 			t.Fatalf("driver: %v", err)
 		}
 	}
-	// A publication whose poll reply is lost takes its frame with it; the
-	// events it carried come with the next one. So the class runs on, one
-	// tick at a time, until every watcher holds the whole transcript and
-	// the link has shown every fault it has.
+	// A watch whose reply is lost is re-read from the same seq, so the
+	// class runs on, one tick at a time, until every watcher holds the
+	// whole transcript and the link has shown every fault it has.
 	caughtUp := func() bool {
 		if st := injected(); st.Drops == 0 || st.Resets == 0 || st.Errors == 0 {
 			return false
@@ -734,17 +772,18 @@ func TestRoomLossyLink(t *testing.T) {
 		if got := wc.Messages(); !reflect.DeepEqual(got, refMsgs) {
 			t.Errorf("watcher %d messages diverge:\n got %q\nwant %q", w, got, refMsgs)
 		}
-		if wc.Delivered() > st.Renders {
-			t.Errorf("watcher %d received %d frames of %d publications", w, wc.Delivered(), st.Renders)
+		if wc.Seq() > st.Seq {
+			t.Errorf("watcher %d holds seq %d of the room's %d", w, wc.Seq(), st.Seq)
 		}
 	}
-	t.Logf("%d publications over %+v", st.Renders, injected())
+	t.Logf("%d acts over %+v", st.Seq, injected())
 }
 
 // TestFirstWatchIsTheCatchUp: a watcher's first poll (seq 0) is the
-// catch-up — the current frame, every event and message the driver
-// emitted before it, and the pending quiz — and it is a read of the room
-// alone: it returns while the test holds the driven session's lock. The
+// catch-up — the create and every act the driver applied before it, from
+// which the replica rebuilds the frame, every event and message and the
+// pending quiz — and it is a read of the room alone: it returns while the
+// test holds the driven session's lock. The
 // room also rides the idle sweep with its driver: a driver that acted
 // after the cutoff survives ExpireIdle, and its room stays open.
 func TestFirstWatchIsTheCatchUp(t *testing.T) {
@@ -777,19 +816,19 @@ func TestFirstWatchIsTheCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID})
+	wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: roomID, Pkg: classroomPkg(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	type polled struct {
-		u   *WatchUpdate
+		f   *raster.Frame
 		err error
 	}
 	done := make(chan polled, 1)
 	h.mu.Lock()
 	go func() {
-		u, _, err := wc.Poll(2 * time.Second)
-		done <- polled{u, err}
+		f, err := wc.Poll(2 * time.Second)
+		done <- polled{f, err}
 	}()
 	var got polled
 	select {
@@ -800,11 +839,11 @@ func TestFirstWatchIsTheCatchUp(t *testing.T) {
 		<-done
 		t.Fatal("the first watch waited on the driven session's lock")
 	}
-	if got.err != nil || got.u == nil {
-		t.Fatalf("first poll: update %v, err %v; want the catch-up at once", got.u, got.err)
+	if got.err != nil || got.f == nil {
+		t.Fatalf("first poll: frame %v, err %v; want the catch-up at once", got.f, got.err)
 	}
-	if got.u.Seq != 3 || got.u.Quiz != q.ID || wc.PendingQuiz() != q.ID {
-		t.Fatalf("first poll at seq %d with quiz %q (client %q), want seq 3 and %q", got.u.Seq, got.u.Quiz, wc.PendingQuiz(), q.ID)
+	if wc.Seq() != 2 || wc.PendingQuiz() != q.ID {
+		t.Fatalf("first poll at seq %d with quiz %q, want seq 2 and %q", wc.Seq(), wc.PendingQuiz(), q.ID)
 	}
 	if !reflect.DeepEqual(wc.Events(), rec.log()) {
 		t.Fatalf("watcher events after one poll:\n got %v\nwant %v", wc.Events(), rec.log())
@@ -866,5 +905,72 @@ func TestAnswerNamesItsVoter(t *testing.T) {
 	}
 	if st, err := m.RoomStatsOf(roomID); err != nil || st.Answers != roomWatcherCap {
 		t.Fatalf("room stats %+v, %v; want %d answers", st, err, roomWatcherCap)
+	}
+}
+
+// TestWatcherRefusesRepliesItCannotFollow: a watch reply is replayed on
+// the watcher's replica only when it follows from what the replica holds.
+// A reply naming another session, acts with no create before them, a
+// create past seq 0, an act the replica refuses or a state the replica
+// does not reach fails the watcher for good, before it renders anything.
+func TestWatcherRefusesRepliesItCannotFollow(t *testing.T) {
+	tick := []ActRequest{{Kind: ActTick, Ticks: 1}}
+	for _, tc := range []struct {
+		name  string
+		reply BatchRequest
+		want  string
+	}{
+		{"another session", BatchRequest{Session: "other", Create: "classroom", BaseSeq: 1, Acts: tick}, "names session"},
+		{"acts before a create", BatchRequest{Session: "r", BaseSeq: 1, Acts: tick}, "reached a replica at seq 0"},
+		{"a create past seq 0", BatchRequest{Session: "r", Create: "classroom", BaseSeq: 2, Acts: tick}, "a create at base seq 2"},
+		{"a refused act", BatchRequest{Session: "r", Create: "classroom", BaseSeq: 1,
+			Acts: []ActRequest{{Kind: ActSelect, Item: "no-such-item"}}}, "refused act 1"},
+		{"a leave", BatchRequest{Session: "r", Create: "classroom", BaseSeq: 1,
+			Acts: []ActRequest{{Kind: ActLeave}}}, "refused act 1"},
+		{"another state", BatchRequest{Session: "r", Create: "classroom", BaseSeq: 1, StateTag: 1, Acts: tick}, "diverged at seq 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var watches atomic.Int64
+			ts := stubPlayServer(t, func(w http.ResponseWriter, r *http.Request) {
+				watches.Add(1)
+				w.Write(EncodeActFrame(&tc.reply))
+			})
+			wc, err := JoinRoom(RoomClientOptions{BaseURL: ts.URL, Room: "r", Pkg: classroomPkg(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := wc.Poll(time.Second); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Poll() = %v, want a %q refusal", err, tc.want)
+			}
+			if _, err := wc.Poll(time.Second); err == nil || watches.Load() != 1 || wc.Close() == nil {
+				t.Fatalf("the refusal did not stick: %v after %d watches", err, watches.Load())
+			}
+			if cap(wc.frame.Pix) != 0 || wc.Delivered() != 0 {
+				t.Fatalf("a refused reply rendered a frame (%d bytes) or counted (%d)", cap(wc.frame.Pix), wc.Delivered())
+			}
+		})
+	}
+}
+
+// TestWatchReplyBoundedInBytes: a reply carries at most maxBody bytes of
+// act records, ending on a batch boundary, however large the driver's
+// acts: twelve 200 kB acts, one batch each, reach a watcher at seq 0 in
+// three replies (five acts, five, two).
+func TestWatchReplyBoundedInBytes(t *testing.T) {
+	acts := make([]ActRequest, 12)
+	for i := range acts {
+		acts[i] = ActRequest{Kind: ActTalk, Object: strings.Repeat("x", 200<<10)}
+	}
+	r := drivenRoom(t, acts)
+	var seqs []int64
+	for seq := int64(0); seq < int64(len(acts)); {
+		reply, next, err := r.WatchNext(seq, 0, nil)
+		if err != nil || len(reply) > maxBody+64 {
+			t.Fatalf("reply from seq %d: %d bytes, %v; want at most %d", seq, len(reply), err, maxBody+64)
+		}
+		seqs, seq = append(seqs, next), next
+	}
+	if !reflect.DeepEqual(seqs, []int64{5, 10, 12}) {
+		t.Fatalf("replies ended at seqs %v, want [5 10 12]", seqs)
 	}
 }

@@ -53,16 +53,16 @@ func (m *Manager) closeRoomLocked(h *hosted) {
 
 // openRoomLocked opens a session as a classroom room, for a batch whose
 // create carries a room record: a broadcast hub under the session's id,
-// its first publication (the start scenario's frame) rendered, the room
+// its create marked as seq 0 with the state it starts in, the room
 // registered. A retried create, or a second instructor client racing the
 // first, finds the hub attached and reattaches to it. h.mu must be held.
 func (m *Manager) openRoomLocked(h *hosted) {
 	if h.room != nil {
 		return
 	}
-	r := newRoom(m, h.id, h)
+	r := newRoom(m, h)
 	h.room = r
-	r.publish() // seq 1: the create-time frame, every watcher's first read
+	r.publish(h, nil)
 	m.roomsMu.Lock()
 	m.rooms[h.id] = r
 	m.roomsMu.Unlock()

@@ -250,60 +250,51 @@ func (m *Manager) handleRoomStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// WatchContentType marks a watch-chunk body.
-const WatchContentType = "application/x-vgbl-watch"
-
-// handleRoomWatch serves the fan-out: GET with room, seq (the publication
-// the watcher holds, 0 for none), events and messages (its seen-counts)
-// and wait_ms (long-poll hold, default 2s). A reply is one chunk: the
-// room's current publication, at once when it is newer than seq. A 204
-// means the hold expired with nothing new; a room that is gone is a 404.
-// An absent or empty number takes its default (0, or the 2s hold, as does
-// a wait_ms ≤ 0); one that is not a decimal integer, or a negative seq or
-// seen-count, is refused with 400 before the room is looked up.
+// handleRoomWatch serves the fan-out: GET with room, seq (how many of the
+// driver's acts the watcher's replica holds, 0 for none) and wait_ms
+// (long-poll hold, default 2s). A reply is one act frame (Room.WatchNext),
+// at once when the room has logged an act past seq. A 204 means the hold
+// expired with nothing new; a room that is gone is a 404. An absent or
+// empty number takes its default (0, or the 2s hold, as does a
+// wait_ms ≤ 0); one that is not a decimal integer, or a negative seq, is
+// refused with 400 before the room is looked up.
 func (m *Manager) handleRoomWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var nums [4]int64
-	for i, key := range [...]string{"seq", "events", "messages", "wait_ms"} {
+	var nums [2]int64
+	for i, key := range [...]string{"seq", "wait_ms"} {
 		s := q.Get(key)
 		if s == "" {
 			continue
 		}
-		bits := strconv.IntSize
-		if key == "seq" {
-			bits = 64
-		}
-		n, err := strconv.ParseInt(s, 10, bits)
-		if err != nil || n < 0 && key != "wait_ms" {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || n < 0 && key == "seq" {
 			http.Error(w, "malformed "+key, http.StatusBadRequest)
 			return
 		}
 		nums[i] = n
 	}
-	at := WatchPos{Seq: nums[0], Events: int(nums[1]), Messages: int(nums[2])}
 	room, err := m.roomByID(q.Get("room"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	wait := 2 * time.Second
-	if nums[3] > 0 {
-		wait = time.Duration(min(nums[3], maxWatchWait.Milliseconds())) * time.Millisecond
+	if nums[1] > 0 {
+		wait = time.Duration(min(nums[1], maxWatchWait.Milliseconds())) * time.Millisecond
 	}
 
-	header, pix, _, err := room.WatchNext(at, wait, nil)
+	reply, _, err := room.WatchNext(nums[0], wait, nil)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if header == nil {
+	if reply == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	w.Header().Set("Content-Type", WatchContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(header)+len(pix)))
-	w.Write(header)
-	w.Write(pix)
+	w.Header().Set("Content-Type", FrameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+	w.Write(reply)
 }
 
 // handleStats serves /play/stats: the registry's flat scalar view plus the

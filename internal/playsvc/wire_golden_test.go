@@ -10,18 +10,20 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestWireBytesGolden pins the bytes of the three frame formats that cross
-// the network — VACT, VRPL and VWCH — on fixed inputs. The round-trip tests
+// TestWireBytesGolden pins the bytes of the two frame formats that cross
+// the network — VACT, which a room's watch replies are too, and VRPL — on
+// fixed inputs. The round-trip tests
 // and the fuzzers compare each codec with itself; these hashes are what
 // hold an encoder rewrite to "same bytes". They were recorded at the commit
 // before the formats moved onto internal/tagrec (PR 23) and change
 // only when a PR means to change the wire; such a PR re-records them and
 // says so. The inputs cross every length-prefix width the encoders meet in
 // practice: records shorter and longer than 127 bytes, nested strings
-// likewise, negative and multi-byte varints. The two VWCH rows were
-// re-recorded when the watch chunk dropped its per-watcher skip record,
-// and the two VRPL rows with an act error when that record dropped its
-// retry-after and moved to a new tag.
+// likewise, negative and multi-byte varints. The two VRPL rows with an act
+// error were re-recorded when that record dropped its retry-after and
+// moved to a new tag; the two watch-reply rows were recorded when a
+// room's watch became an act frame of its driver's acts, in place of the
+// VWCH watch chunk.
 func TestWireBytesGolden(t *testing.T) {
 	long := strings.Repeat("a long detail that needs a two-byte length prefix; ", 4)
 	state := &core.State{
@@ -43,23 +45,24 @@ func TestWireBytesGolden(t *testing.T) {
 	}
 	messages := []string{"hello", long, ""}
 
+	acts := []ActRequest{
+		{Kind: ActClick, X: -12, Y: 99},
+		{Kind: ActExamine, Object: "computer"},
+		{Kind: ActTalk, Object: long},
+		{Kind: ActTake, Object: "desk-coin"},
+		{Kind: ActUse, Item: "ram module", Object: "computer"},
+		{Kind: ActSelect, Item: "coin"},
+		{Kind: ActClear},
+		{Kind: ActQuiz, Quiz: "q-install", Choice: 2},
+		{Kind: ActGoto, Object: "market"},
+		{Kind: ActTick, Ticks: 500},
+	}
 	act := EncodeActFrame(&BatchRequest{
 		Session:      "classroom-0123456789abcdef",
 		BaseSeq:      1 << 33,
 		SeenEvents:   300,
 		SeenMessages: 3,
-		Acts: []ActRequest{
-			{Kind: ActClick, X: -12, Y: 99},
-			{Kind: ActExamine, Object: "computer"},
-			{Kind: ActTalk, Object: long},
-			{Kind: ActTake, Object: "desk-coin"},
-			{Kind: ActUse, Item: "ram module", Object: "computer"},
-			{Kind: ActSelect, Item: "coin"},
-			{Kind: ActClear},
-			{Kind: ActQuiz, Quiz: "q-install", Choice: 2},
-			{Kind: ActGoto, Object: "market"},
-			{Kind: ActTick, Ticks: 500},
-		},
+		Acts:         acts,
 	})
 	reply := EncodeReplyFrame(&BatchReply{
 		Reply: &Reply{
@@ -85,13 +88,15 @@ func TestWireBytesGolden(t *testing.T) {
 	minimal := EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s", State: &core.State{Scenario: "classroom"}}})
 	tails := EncodeReplyFrame(&BatchReply{Reply: &Reply{Session: "s", Tick: 1, Events: events[:1]}, ActErr: &Error{Status: 400, Msg: long}})
 
-	pix := make([]byte, 3*160*120)
-	watch := appendWatchChunk(nil, &pub{seq: 1 << 40, tick: 70001, w: 160, h: 120, pix: pix}, watchTails{
-		eventBase: 298, events: events, eventCount: 301,
-		msgBase: 2, messages: messages, messageCount: 5,
-		quiz: "q-diagnosis",
-	}, 299, 3)
-	idle := appendWatchChunk(watch[:0:0], &pub{seq: 1, w: 1, h: 1, pix: pix[:3]}, watchTails{}, 0, 0)
+	// A room's watch replies: the create and its driver's three batches,
+	// then the same log read from seq 4.
+	room := &Room{id: "classroom-0123456789abcdef", course: "classroom"}
+	room.logBatch(nil, 0x0123456789abcdef, 0)
+	room.logBatch(acts[:4], 1<<63|1, 0)
+	room.logBatch(acts[4:9], 2, 0)
+	room.logBatch(acts[9:], 3, 0)
+	watch := room.appendWatch(nil, 0, room.reach(0))
+	watchFrom := room.appendWatch(nil, 4, room.reach(4))
 
 	for _, g := range []struct {
 		name  string
@@ -102,8 +107,8 @@ func TestWireBytesGolden(t *testing.T) {
 		{"VRPL with state, tails, results and an act error", reply, "9c7af0233866e1e278e865b00a40b8119b93f7a1976cfa96cd6b65bb1cd87d79"},
 		{"VRPL minimal", minimal, "048fc5503142ff42cdc0a9ed8c67aa6cb36b30aaf86f9e106471174627404565"},
 		{"VRPL tails and a long error", tails, "787caf4cf386bedb04d8b6bdc6b496e639760a0be7e525bf51fb002de7dfda67"},
-		{"VWCH with tails past the ack", watch, "ac49fa93de0247e4c3deca27eecb37167a93a23d05105c6c51f04dd3008f5305"},
-		{"VWCH idle", idle, "9e590284a8e5f5ca74de5edb99e73df41e92a6901761e98fc4f154f8305aaecb"},
+		{"VACT watch reply with the create", watch, "dfff85039065b174a7d3c7ac1bf276b940619f5d595266c548ddfe88f34b5dd2"},
+		{"VACT watch reply from seq 4", watchFrom, "780477914b9f363ca70bec053da03ff7de4ec5c167905b61928fe9660e4d078e"},
 	} {
 		sum := sha256.Sum256(g.bytes)
 		if got := hex.EncodeToString(sum[:]); got != g.want {

@@ -29,9 +29,9 @@ type Event struct {
 }
 
 // AppendEvent and ReadEvent are the one encoding of an event (tick
-// uvarint, kind str, detail str) as one tagged record: a reply frame's and
-// a watch chunk's tails, a session envelope's retained tail and a
-// telemetry batch are all records of it. ReadEvent's errors carry no
+// uvarint, kind str, detail str) as one tagged record: a reply frame's
+// tail, a session envelope's retained tail and a telemetry batch are all
+// records of it. ReadEvent's errors carry no
 // sentinel; callers wrap them in theirs.
 func AppendEvent(b []byte, tag uint64, e *Event) []byte {
 	b, mark := tagrec.BeginRecord(b, tag)
@@ -254,10 +254,7 @@ func (s *Session) Frame() (*raster.Frame, error) {
 // The video frame is decoded (or copied out of the shared frame cache)
 // straight into dst, so dst's pixels alias no session-internal buffer and
 // callers may hold (or share) the rendered frame read-only for as long as
-// they like while the session keeps advancing. The play service's
-// broadcast hub leans on this — each publication is rendered once into a
-// fresh buffer and then handed by reference to every watcher's delivery
-// ring without another copy.
+// they like while the session keeps advancing.
 func (s *Session) FrameInto(dst *raster.Frame) error {
 	if err := s.cursor.FrameInto(dst); err != nil {
 		return err

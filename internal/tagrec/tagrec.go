@@ -3,10 +3,10 @@
 //
 //	magic | uvarint version | (uvarint tag, uvarint length, payload)* | CRC32
 //
-// The CRC is IEEE, big-endian, over everything before it. Six formats share
+// The CRC is IEEE, big-endian, over everything before it. Five formats share
 // the shape — the runtime snapshot (VSNP), the play service's session
-// envelope (VSNE), act and reply frames (VACT, VRPL), the watch-chunk
-// header (VWCH) and the telemetry batch (VTLM). Each keeps its own tag
+// envelope (VSNE), act and reply frames (VACT, VRPL; a room's watch reply
+// is an act frame) and the telemetry batch (VTLM). Each keeps its own tag
 // table, field semantics and error sentinel; the container, the record walk
 // and the bounded payload cursor live here and nowhere else, so the
 // hostile-input bar (no length trusted before it is checked against the
